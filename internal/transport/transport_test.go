@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -149,6 +150,61 @@ func TestRealPacketRoundTrip(t *testing.T) {
 	}
 	if string(payload) != "real-udp" || from == "" {
 		t.Fatalf("got %q from %q", payload, from)
+	}
+}
+
+// TestRealPacketRecvOwnsExactCopy: datagrams are read into a pooled buffer,
+// so what Recv returns must be a right-sized copy the caller owns — a later
+// receive (on any goroutine) must not overwrite it, and concurrent receivers
+// must each get a whole datagram.
+func TestRealPacketRecvOwnsExactCopy(t *testing.T) {
+	node := NewRealNode("127.0.0.1", nil)
+	tx, err := node.ListenPacket(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	rx, err := node.ListenPacket(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+
+	const receivers, each = 4, 50
+	got := make(chan []byte, receivers*each)
+	for r := 0; r < receivers; r++ {
+		go func() {
+			for {
+				p, _, err := rx.RecvTimeout(2 * time.Second)
+				if err != nil {
+					return
+				}
+				got <- p
+			}
+		}()
+	}
+	for i := 0; i < receivers*each; i++ {
+		msg := bytes.Repeat([]byte{byte(i)}, 1+i)
+		if err := tx.Send(rx.LocalAddr(), msg); err != nil {
+			t.Fatal(err)
+		}
+		// Loopback UDP can drop under a burst; pace on the receipt.
+		select {
+		case p := <-got:
+			if cap(p) > len(p)+64 {
+				t.Fatalf("datagram of %d bytes retains %d", len(p), cap(p))
+			}
+			if !bytes.Equal(p, msg) {
+				t.Fatalf("datagram %d corrupted: %d bytes, first %v", i, len(p), p[:1])
+			}
+			defer func(p, want []byte) {
+				if !bytes.Equal(p, want) {
+					t.Errorf("datagram overwritten by a later receive")
+				}
+			}(p, msg)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("datagram %d never arrived", i)
+		}
 	}
 }
 
