@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -250,11 +251,27 @@ func (p *realPacketConn) Close() error {
 	return err
 }
 
+// recvBufSize is the per-connection read buffer. 32 KiB holds a full egress
+// flush of small publishes (maxCoalesce = 64 frames of a few hundred bytes),
+// so one read syscall drains a whole burst, and it is as much as a loopback
+// or LAN read returns at once anyway; frames larger than what is buffered
+// bypass it (see recvInto), so a bigger buffer would only add idle memory per
+// connection.
+const recvBufSize = 32 << 10
+
 // realConn frames messages over TCP with a 4-byte big-endian length prefix.
 type realConn struct {
 	c       net.Conn
 	readMu  sync.Mutex
 	writeMu sync.Mutex
+
+	// Receive state, guarded by readMu. br drains many frames per read
+	// syscall. readErr is sticky: once a frame has been consumed part-way
+	// (prefix taken, payload cut short by a deadline or a reset) the stream
+	// position is lost, and every later receive must fail rather than parse
+	// payload bytes as a length.
+	br      *bufio.Reader
+	readErr error
 
 	// Batch-write scratch, guarded by writeMu: headers for every frame of a
 	// batch and the vectored-write view over headers and payloads.
@@ -262,7 +279,9 @@ type realConn struct {
 	batchBufs net.Buffers
 }
 
-func newRealConn(c net.Conn) *realConn { return &realConn{c: c} }
+func newRealConn(c net.Conn) *realConn {
+	return &realConn{c: c, br: bufio.NewReaderSize(c, recvBufSize)}
+}
 
 func (c *realConn) Send(payload []byte) error {
 	if len(payload) > MaxFrame {
@@ -303,32 +322,61 @@ func (c *realConn) SendBatch(frames [][]byte) error {
 	return translateNetErr(err)
 }
 
-func (c *realConn) Recv() ([]byte, error) { return c.recv(0) }
+func (c *realConn) Recv() ([]byte, error) { return c.recvInto(nil, 0) }
 
-func (c *realConn) RecvTimeout(d time.Duration) ([]byte, error) { return c.recv(d) }
+func (c *realConn) RecvTimeout(d time.Duration) ([]byte, error) { return c.recvInto(nil, d) }
 
-func (c *realConn) recv(d time.Duration) ([]byte, error) {
+// RecvInto implements FrameReader.
+func (c *realConn) RecvInto(buf []byte) ([]byte, error) { return c.recvInto(buf, 0) }
+
+// recvInto reads the next frame into buf's storage when its capacity
+// suffices, else into a fresh exact-size slice. The length prefix is peeked,
+// not consumed, until it is whole, so a deadline that expires between frames
+// (or inside the prefix) leaves the stream in sync and the next receive
+// simply resumes; only a failure after the prefix is consumed poisons the
+// connection.
+func (c *realConn) recvInto(buf []byte, d time.Duration) ([]byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
+	if c.readErr != nil {
+		return nil, c.readErr
+	}
 	if d > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(d)); err != nil {
 			return nil, err
 		}
 		defer c.c.SetReadDeadline(time.Time{}) //nolint:errcheck
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.c, hdr[:]); err != nil {
+	hdr, err := c.br.Peek(4)
+	if err != nil {
 		return nil, translateNetErr(err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrame {
-		return nil, fmt.Errorf("transport: incoming frame of %d bytes exceeds limit", n)
+		c.readErr = fmt.Errorf("transport: incoming frame of %d bytes exceeds limit", n)
+		return nil, c.readErr
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.c, payload); err != nil {
-		return nil, translateNetErr(err)
+	c.br.Discard(4) //nolint:errcheck // the 4 bytes are buffered
+	if buf == nil || cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	return payload, nil
+	buf = buf[:n]
+	// Take what is already buffered, then read the rest of a frame larger
+	// than that straight into its destination: a bulk payload is copied once,
+	// not staged through the read buffer.
+	got := min(n, c.br.Buffered())
+	_, err = io.ReadFull(c.br, buf[:got])
+	if err == nil && got < n {
+		_, err = io.ReadFull(c.c, buf[got:])
+	}
+	if err != nil {
+		err = translateNetErr(err)
+		// Not ErrTimeout, even when a deadline caused it: a caller that polls
+		// with RecvTimeout must see a dead connection, not spin on it.
+		c.readErr = fmt.Errorf("transport: stream position lost, a receive failed mid-frame: %v", err)
+		return nil, err
+	}
+	return buf, nil
 }
 
 func (c *realConn) LocalAddr() string  { return c.c.LocalAddr().String() }

@@ -65,6 +65,15 @@ type BatchSender interface {
 	SendBatch(frames [][]byte) error
 }
 
+// FrameReader is an optional Conn capability: receive the next frame into
+// storage the caller owns. The frame is returned in buf's backing array when
+// its capacity suffices (buf's length and contents are ignored), otherwise in
+// a freshly allocated slice the caller adopts. Receive loops that recycle
+// frame buffers type-assert for it and fall back to Recv.
+type FrameReader interface {
+	RecvInto(buf []byte) ([]byte, error)
+}
+
 // Listener accepts incoming Conns.
 type Listener interface {
 	Accept() (Conn, error)

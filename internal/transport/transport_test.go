@@ -2,8 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -259,6 +262,128 @@ func TestRealStreamRoundTripAndFraming(t *testing.T) {
 		}
 		if len(got) != len(msg) {
 			t.Fatalf("echo size = %d, want %d", len(got), len(msg))
+		}
+	}
+}
+
+// rawPair returns a raw TCP writer and the framed Conn reading from it, so a
+// test can put partial frames on the wire.
+func rawPair(t *testing.T) (net.Conn, Conn) {
+	t.Helper()
+	node := NewRealNode("127.0.0.1", nil)
+	l, err := node.Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	raw, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() })
+	c, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return raw, c
+}
+
+func framed(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// TestRealStreamMidFrameTimeoutFailsClosed: a read deadline that expires
+// after the length prefix was consumed loses the stream position. The
+// connection must then fail every later receive — never hand back the rest of
+// the payload parsed as a new frame — and not with ErrTimeout, which a
+// polling caller would retry forever.
+func TestRealStreamMidFrameTimeoutFailsClosed(t *testing.T) {
+	raw, c := rawPair(t)
+	payload := bytes.Repeat([]byte{0, 0, 0, 1, 'x'}, 40) // parses as tiny frames if misread
+	wire := framed(payload)
+	half := 4 + len(payload)/2
+	if _, err := raw.Write(wire[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RecvTimeout(50 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("mid-frame deadline: err = %v, want ErrTimeout", err)
+	}
+	if _, err := raw.Write(wire[half:]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		got, err := c.RecvTimeout(200 * time.Millisecond)
+		if err == nil {
+			t.Fatalf("receive %d after a mid-frame failure returned %d bytes of garbage", i, len(got))
+		}
+		if errors.Is(err, ErrTimeout) {
+			t.Fatalf("receive %d after a mid-frame failure reports a retryable timeout", i)
+		}
+	}
+}
+
+// TestRealStreamTimeoutBetweenFramesResumes: the common poll — RecvTimeout on
+// an idle connection, or one that has seen only part of a length prefix — must
+// leave the stream in sync.
+func TestRealStreamTimeoutBetweenFramesResumes(t *testing.T) {
+	raw, c := rawPair(t)
+	if _, err := c.RecvTimeout(20 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("idle: err = %v, want ErrTimeout", err)
+	}
+	wire := framed([]byte("after-the-poll"))
+	if _, err := raw.Write(wire[:2]); err != nil { // half a prefix
+		t.Fatal(err)
+	}
+	if _, err := c.RecvTimeout(20 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("half prefix: err = %v, want ErrTimeout", err)
+	}
+	if _, err := raw.Write(wire[2:]); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.RecvTimeout(2 * time.Second)
+	if err != nil || string(got) != "after-the-poll" {
+		t.Fatalf("got %q, %v", got, err)
+	}
+}
+
+// TestRealStreamBurstFraming drains one written burst of mixed-size frames —
+// empty, tiny, straddling the read buffer's edge, and larger than the whole
+// buffer — through Recv and RecvInto alternately. Every frame must come back
+// intact, and RecvInto must use the caller's storage when it fits and a fresh
+// slice when it does not.
+func TestRealStreamBurstFraming(t *testing.T) {
+	raw, c := rawPair(t)
+	fr := c.(FrameReader)
+	sizes := []int{0, 1, 100, recvBufSize - 150, 300, recvBufSize, 7, 3 * recvBufSize, 64, 0, 5000}
+	rng := rand.New(rand.NewSource(5))
+	var burst []byte
+	frames := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		frames[i] = make([]byte, n)
+		rng.Read(frames[i])
+		burst = append(burst, framed(frames[i])...)
+	}
+	go raw.Write(burst) //nolint:errcheck // a failed write fails the reads below
+
+	store := make([]byte, 0, 4096)
+	for i, want := range frames {
+		var got []byte
+		var err error
+		if i%2 == 0 {
+			got, err = fr.RecvInto(store)
+			inStore := cap(got) > 0 && &got[:1][0] == &store[:1][0]
+			if fits := len(want) <= cap(store); len(want) > 0 && inStore != fits {
+				t.Fatalf("frame %d (%d bytes): in caller storage = %v, want %v", i, len(want), inStore, fits)
+			}
+		} else {
+			got, err = c.RecvTimeout(2 * time.Second)
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: %d bytes differ from the %d sent", i, len(got), len(want))
 		}
 	}
 }
