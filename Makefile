@@ -32,7 +32,8 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSeenParallel' -benchmem -benchtime=2s ./internal/dedup/
 
 # bench-gate re-runs the publish fan-out benchmark and fails on a >2% ns/op
-# regression or any allocs/op above the gates recorded in BENCH_fanout.json.
+# regression or any allocs/op above the gates recorded in BENCH_fanout.json
+# (fan-out, sampled fan-out, and BenchmarkIngressToEgress's socket path).
 bench-gate:
 	sh scripts/bench_gate.sh
 
@@ -97,3 +98,4 @@ ci:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTableMatchDifferential -fuzztime 30s ./internal/topics/
 	$(GO) test -run '^$$' -fuzz FuzzTableCOWvsLocked -fuzztime 30s ./internal/topics/
+	$(GO) test -run '^$$' -fuzz FuzzParseMatchesDecode -fuzztime 30s ./internal/event/

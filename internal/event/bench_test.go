@@ -33,4 +33,13 @@ func BenchmarkEventCodec(b *testing.B) {
 			}
 		}
 	})
+	b.Run("parse", func(b *testing.B) {
+		b.SetBytes(int64(len(frame)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Parse(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"narada/internal/uuid"
 	"narada/internal/wire"
@@ -257,4 +258,100 @@ func Decode(b []byte) (*Event, error) {
 		return nil, fmt.Errorf("event: invalid type %d", e.Type)
 	}
 	return e, nil
+}
+
+// View is an encoded event parsed in place: the scalar fields by value, the
+// variable-length ones as windows onto the frame it was parsed from. Nothing
+// is copied or allocated, so Topic, Source, Header values and Payload alias
+// the frame and are valid only while the caller owns it unmodified — anything
+// that outlives the frame must clone them. The one sanctioned in-place edit
+// is the TTL byte at TTLOff, which is how a forwarding broker spends a hop
+// without re-encoding.
+type View struct {
+	Type       Type
+	ID         uuid.UUID
+	Topic      string // aliases the frame
+	Timestamp  int64  // Unix nanoseconds; 0 when the event carries none
+	TTL        uint8
+	TTLOff     int // offset of the TTL byte in the frame
+	SourceLen  int
+	NumHeaders int
+	PayloadLen int
+
+	frame     []byte
+	sourceOff int
+	headerOff int // first header pair, after the count
+}
+
+// Parse walks an encoded event once with exactly the checks Decode applies —
+// framing, field bounds and limits, no trailing bytes, a defined type — and
+// returns a View instead of materialising an Event. Parse accepts a frame if
+// and only if Decode does.
+func Parse(b []byte) (View, error) {
+	r := wire.NewReader(b)
+	if m := r.Byte(); r.Err() == nil && m != magic {
+		return View{}, fmt.Errorf("event: bad magic 0x%02x", m)
+	}
+	if ver := r.Byte(); r.Err() == nil && ver != version {
+		return View{}, fmt.Errorf("event: unsupported version %d", ver)
+	}
+	v := View{frame: b}
+	v.Type = Type(r.Byte())
+	v.ID = uuid.UUID(r.Bytes16())
+	v.Topic = aliasString(r.StringSpan())
+	v.SourceLen = len(r.StringSpan())
+	v.sourceOff = r.Offset() - v.SourceLen
+	v.Timestamp = r.Varint()
+	v.TTLOff = r.Offset()
+	v.TTL = r.Byte()
+	n := r.Uvarint()
+	if r.Err() == nil && n > wire.MaxListLen {
+		return View{}, fmt.Errorf("event: %w: map of %d entries", wire.ErrTooLarge, n)
+	}
+	v.headerOff = r.Offset()
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		r.StringSpan()
+		r.StringSpan()
+	}
+	v.NumHeaders = int(n)
+	v.PayloadLen = len(r.BytesSpan())
+	if err := r.Finish(); err != nil {
+		return View{}, fmt.Errorf("event: %w", err)
+	}
+	if !v.Type.Valid() {
+		return View{}, fmt.Errorf("event: invalid type %d", v.Type)
+	}
+	return v, nil
+}
+
+// aliasString views b as a string without copying it.
+func aliasString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// Source returns the originating entity's address, aliasing the frame.
+func (v *View) Source() string {
+	return aliasString(v.frame[v.sourceOff : v.sourceOff+v.SourceLen])
+}
+
+// Payload returns the event body, aliasing the frame.
+func (v *View) Payload() []byte { return v.frame[len(v.frame)-v.PayloadLen:] }
+
+// Header looks a header up by scanning the encoded pairs ("" when absent); the
+// value aliases the frame. Like the map Decode builds, a repeated key reads
+// as its last occurrence.
+func (v *View) Header(k string) string {
+	// Parse validated every pair, so the re-walk cannot fail.
+	r := wire.NewReader(v.frame[v.headerOff:])
+	val := ""
+	for i := 0; i < v.NumHeaders; i++ {
+		key, span := r.StringSpan(), r.StringSpan()
+		if string(key) == k {
+			val = aliasString(span)
+		}
+	}
+	return val
+}
+
+// MsgSampled reports whether the frame carries the message-trace sampled flag.
+func (v *View) MsgSampled() bool {
+	return v.NumHeaders > 0 && v.Header(HeaderMsgSampled) == "1"
 }

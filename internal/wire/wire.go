@@ -282,22 +282,27 @@ func (r *Reader) Time() time.Time {
 // Duration reads a duration.
 func (r *Reader) Duration() time.Duration { return time.Duration(r.Varint()) }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
+// Offset returns the position of the next unread byte, letting in-place
+// parsers record where a field sits in the input.
+func (r *Reader) Offset() int { return r.off }
+
+// StringSpan reads a length-prefixed string field and returns it as a
+// sub-slice of the input — no copy, same size limit as String. The span is
+// only valid while the input buffer is.
+func (r *Reader) StringSpan() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > MaxStringLen {
 		r.fail(fmt.Errorf("%w: string of %d bytes", ErrTooLarge, n))
-		return ""
+		return nil
 	}
-	b := r.take(int(n))
-	if b == nil {
-		return ""
-	}
-	return string(b)
+	return r.take(int(n))
 }
+
+// String reads a length-prefixed string.
+func (r *Reader) String() string { return string(r.StringSpan()) }
 
 // Bytes16 reads a fixed 16-byte array.
 func (r *Reader) Bytes16() [16]byte {
@@ -309,8 +314,9 @@ func (r *Reader) Bytes16() [16]byte {
 	return out
 }
 
-// BytesField reads a length-prefixed byte slice (copied out of the buffer).
-func (r *Reader) BytesField() []byte {
+// BytesSpan reads a length-prefixed byte field and returns it as a sub-slice
+// of the input — no copy, same size limit as BytesField.
+func (r *Reader) BytesSpan() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
 		return nil
@@ -319,12 +325,11 @@ func (r *Reader) BytesField() []byte {
 		r.fail(fmt.Errorf("%w: payload of %d bytes", ErrTooLarge, n))
 		return nil
 	}
-	b := r.take(int(n))
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
+	return r.take(int(n))
 }
+
+// BytesField reads a length-prefixed byte slice (copied out of the buffer).
+func (r *Reader) BytesField() []byte { return append([]byte(nil), r.BytesSpan()...) }
 
 // StringList reads a list of strings.
 func (r *Reader) StringList() []string {
