@@ -84,7 +84,9 @@ func (b *Broker) handleConn(conn transport.Conn) {
 	}
 	b.startEgress(c.out)
 	b.connectionsChanged()
-	b.handleClientEvent(c, ev)
+	first := b.frames.get()
+	first.buf = frame
+	b.handleClientFrame(c, first)
 	b.serveClient(c)
 }
 
@@ -103,18 +105,78 @@ func (b *Broker) serveClient(c *clientConn) {
 		b.mu.Unlock()
 		b.connectionsChanged()
 	}()
+	into, _ := c.conn.(transport.FrameReader)
 	for {
-		frame, err := c.conn.Recv()
-		if err != nil {
+		f := b.frames.get()
+		if f.recv(c.conn, into) != nil {
+			f.release()
 			return
 		}
-		ev, err := event.Decode(frame)
-		if err != nil {
-			b.tel.framesMalformed.Inc()
-			continue
-		}
+		b.handleClientFrame(c, f)
+	}
+}
+
+// handleClientFrame dispatches one frame from a client, consuming the
+// reader's reference on it. A publish is parsed in place and routed as the
+// bytes it arrived in; everything else is control-rate traffic and is decoded.
+func (b *Broker) handleClientFrame(c *clientConn, f *sharedFrame) {
+	v, err := event.Parse(f.buf)
+	if err != nil {
+		b.tel.framesMalformed.Inc()
+		f.release()
+		return
+	}
+	if v.Type == event.TypePublish {
+		b.clientPublish(c, &v, f)
+		return
+	}
+	if ev := b.decodeFrame(f); ev != nil {
 		b.handleClientEvent(c, ev)
 	}
+}
+
+// decodeFrame materialises the event in f and releases the frame.
+func (b *Broker) decodeFrame(f *sharedFrame) *event.Event {
+	ev, err := event.Decode(f.buf)
+	f.release()
+	if err != nil {
+		b.tel.framesMalformed.Inc()
+		return nil
+	}
+	return ev
+}
+
+// clientPublish admits one publish from a client: topic validation and
+// duplicate suppression on the view, then the fan-out. The ingress frame
+// itself is what subscribers receive whenever the bytes to deliver equal the
+// bytes received — the publisher named its Source, carries no sampling flag,
+// the sampler (consulted exactly once per admitted publish, here or in
+// routePublish) passes on it, and replay history is off. Otherwise the event
+// is decoded, amended and re-encoded by routePublish.
+func (b *Broker) clientPublish(c *clientConn, v *event.View, f *sharedFrame) {
+	b.tel.framesPublish.Inc()
+	if topics.Validate(v.Topic) != nil || b.evDedup.Seen(v.ID) {
+		f.release()
+		return
+	}
+	sample := false
+	if v.SourceLen > 0 && b.history == nil && !v.MsgSampled() {
+		if sample = b.cfg.PublishSampler.Decide(v.Topic); !sample {
+			b.fanOut(v, f, "", nil)
+			return
+		}
+	}
+	ev := b.decodeFrame(f)
+	if ev == nil {
+		return
+	}
+	if ev.Source == "" {
+		ev.Source = c.id
+	}
+	if sample {
+		ev.SetMsgTrace(b.cfg.LogicalAddress, 0)
+	}
+	b.routePublish(ev, "")
 }
 
 func (b *Broker) handleClientEvent(c *clientConn, ev *event.Event) {
@@ -133,18 +195,6 @@ func (b *Broker) handleClientEvent(c *clientConn, ev *event.Event) {
 		if b.subs.Unsubscribe(c.id, ev.Topic) {
 			b.localInterestChanged(ev.Topic, -1)
 		}
-	case event.TypePublish:
-		b.tel.framesPublish.Inc()
-		if topics.Validate(ev.Topic) != nil {
-			return
-		}
-		if ev.Source == "" {
-			ev.Source = c.id
-		}
-		if b.evDedup.Seen(ev.ID) {
-			return
-		}
-		b.routePublish(ev, "")
 	case event.TypeControl:
 		b.tel.framesControl.Inc()
 		// Replay request: re-deliver retained history matching the pattern

@@ -6,6 +6,7 @@ import (
 
 	"narada/internal/event"
 	"narada/internal/obs"
+	"narada/internal/transport"
 )
 
 // maxPooledFrame caps the buffer capacity a recycled frame retains, so one
@@ -13,11 +14,11 @@ import (
 const maxPooledFrame = 1 << 16
 
 // sharedFrame is one encoded wire frame shared by every egress queue of a
-// fan-out: the routing loop encodes the event once, sets the reference count
-// to the number of delivery targets and hands the same frame to all of them.
-// Each queue releases its reference after the write (or on drop/teardown);
-// the last release returns the buffer to the pool. Frames are immutable
-// between encode and final release.
+// fan-out. It is filled once — by a connection reader receiving straight into
+// it, or by encode for events the broker itself authors or rewrites — and the
+// router then hands that same frame to every delivery target, one reference
+// each. Each queue releases its reference after the write (or on
+// drop/teardown); the last release returns the buffer to the pool.
 //
 // The lifetime rules every holder must follow:
 //
@@ -28,12 +29,19 @@ const maxPooledFrame = 1 << 16
 //     releasing after Send is safe.
 //  3. Never touch f.buf after your release: the buffer may already be
 //     carrying a different event.
+//  4. The reader owns a frame until it hands it to the router, and the
+//     router keeps that reference until its fan-out returns. An event.View
+//     parsed from the frame (its Topic above all) aliases f.buf, so it is
+//     valid exactly that long; whatever must outlive the frame clones it.
+//  5. Frames are immutable once shared. The single exception is the router
+//     spending a hop in place (buf[TTLOff]--) on a frame no local subscriber
+//     will read, before any link queue sees it.
 type sharedFrame struct {
 	buf  []byte
 	refs atomic.Int32
 	pool *framePool
 
-	// Delivery accounting, stamped by routePublish on publish frames only
+	// Delivery accounting, stamped by the publish fan-out on publish frames only
 	// (control/replay frames leave them zero). None of these fields affect
 	// the reference count: sampling observes a frame's life, never extends
 	// or shortens it.
@@ -41,6 +49,12 @@ type sharedFrame struct {
 	born       int64          // event-origin NTP UnixNano; 0 = latency not tracked
 	traceID    string         // non-empty when the message is sampled for tracing
 	enqueuedNs int64          // wall clock at egress enqueue (queue-wait); sampled only
+}
+
+// stampFrom copies src's delivery accounting onto f.
+func (f *sharedFrame) stampFrom(src *sharedFrame) {
+	f.flow, f.born = src.flow, src.born
+	f.traceID, f.enqueuedNs = src.traceID, src.enqueuedNs
 }
 
 // release drops one reference; the last reference returns the frame to the
@@ -60,6 +74,24 @@ func (f *sharedFrame) release() {
 // reference.
 func (f *sharedFrame) bytes() []byte { return f.buf }
 
+// recv fills the frame with the next message from conn: received straight
+// into the frame's recycled buffer when the transport can (into is conn's
+// FrameReader capability, nil without it), otherwise adopting the slice Recv
+// allocated.
+func (f *sharedFrame) recv(conn transport.Conn, into transport.FrameReader) error {
+	var buf []byte
+	var err error
+	if into != nil {
+		buf, err = into.RecvInto(f.buf)
+	} else {
+		buf, err = conn.Recv()
+	}
+	if err == nil {
+		f.buf = buf
+	}
+	return err
+}
+
 // framePool recycles sharedFrames (and their encode buffers) across
 // publishes. The live gauge counts frames currently checked out, which the
 // stress tests assert back to zero to prove no reference leaks.
@@ -67,17 +99,18 @@ type framePool struct {
 	pool sync.Pool
 	live atomic.Int64
 
-	hits   *obs.Counter // encode served by a recycled frame
-	misses *obs.Counter // encode that had to allocate a frame
+	hits   *obs.Counter // checkout served by a recycled frame
+	misses *obs.Counter // checkout that had to allocate a frame
 }
 
 func newFramePool(hits, misses *obs.Counter) *framePool {
 	return &framePool{hits: hits, misses: misses}
 }
 
-// encode serialises the event into a pooled frame carrying refs references.
-// refs must equal the number of release calls that will follow.
-func (p *framePool) encode(e *event.Event, refs int32) *sharedFrame {
+// get checks a frame out of the pool carrying one reference, the caller's.
+// Its buffer is whatever its last use left: contents meaningless, capacity
+// there to be reused.
+func (p *framePool) get() *sharedFrame {
 	f, _ := p.pool.Get().(*sharedFrame)
 	if f == nil {
 		f = &sharedFrame{pool: p}
@@ -85,9 +118,27 @@ func (p *framePool) encode(e *event.Event, refs int32) *sharedFrame {
 	} else {
 		p.hits.Inc()
 	}
+	f.refs.Store(1)
+	p.live.Add(1)
+	return f
+}
+
+// encode serialises the event into a pooled frame carrying refs references.
+// refs must equal the number of release calls that will follow.
+func (p *framePool) encode(e *event.Event, refs int32) *sharedFrame {
+	f := p.get()
 	f.buf = event.Append(f.buf, e)
 	f.refs.Store(refs)
-	p.live.Add(1)
+	return f
+}
+
+// copyOf returns a pooled copy of src's bytes and delivery stamps carrying
+// refs references.
+func (p *framePool) copyOf(src *sharedFrame, refs int32) *sharedFrame {
+	f := p.get()
+	f.buf = append(f.buf[:0], src.buf...)
+	f.stampFrom(src)
+	f.refs.Store(refs)
 	return f
 }
 

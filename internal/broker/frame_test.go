@@ -1,12 +1,15 @@
 package broker
 
 import (
+	"encoding/binary"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 
 	"narada/internal/event"
 	"narada/internal/obs"
+	"narada/internal/transport"
 )
 
 // TestSharedFrameOverReleasePanics proves the refcount guard: releasing more
@@ -172,5 +175,126 @@ func TestSampledPublishFrameLifecycle(t *testing.T) {
 	}
 	if br.cfg.PublishSampler.Taken() == 0 {
 		t.Fatal("sampler never fired despite every=1")
+	}
+}
+
+// TestPublishFrameLifecycleUnderChurnSocket is the churn storm again, entering
+// through real sockets: readers receive into pooled frames, publishes pass
+// through to local queues and (copied or patched in place) to a link, while
+// subscriptions churn, subscribers vanish with frames queued to them, and
+// publishers are killed mid-burst and mid-frame. Once every connection is gone
+// and both brokers have shut down, each frame — ingress, link copy, re-encoded
+// — must be back in its pool.
+func TestPublishFrameLifecycleUnderChurnSocket(t *testing.T) {
+	a := realBroker(t, "churn-a", nil)
+	b := realBroker(t, "churn-b", nil)
+	linkReal(t, b, a)
+	// Drained subscribers on both brokers, plus ones that hang up mid-storm.
+	drain := func(c transport.Conn) {
+		for {
+			if _, err := c.Recv(); err != nil {
+				return
+			}
+		}
+	}
+	var quitters []transport.Conn
+	for i := 0; i < 8; i++ {
+		br := a
+		if i%4 == 3 {
+			br = b
+		}
+		sub := rawSubscriber(t, br, []string{"sock/fan/topic", "sock/fan/*", "sock/**"}[i%3])
+		if i%2 == 0 {
+			go drain(sub)
+		} else {
+			quitters = append(quitters, sub) // never reads: its queue backs up, then it dies
+		}
+	}
+
+	burst := func(p, n int) [][]byte {
+		frames := make([][]byte, n)
+		for i := range frames {
+			ev := event.New(event.TypePublish, "sock/fan/topic", []byte("stress"))
+			ev.Source = fmt.Sprintf("pub%d", p)
+			if i%7 == 0 {
+				ev.Source = "" // stamped: decode → encode path
+			}
+			if i%11 == 0 {
+				ev.Topic = "elsewhere/nobody/listens" // no local match: the hop is spent in place
+			}
+			frames[i] = event.Encode(ev)
+		}
+		return frames
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		conn := rawConn(t, a)
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			out := conn.(transport.BatchSender)
+			for round := 0; round < 25; round++ {
+				if err := out.SendBatch(burst(p, 40)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if p%2 == 0 {
+				conn.Close() // killed with its last burst still in flight
+			}
+		}(p)
+	}
+	// A publisher that dies half-way through a frame.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		raw, err := net.Dial("tcp", a.StreamAddr())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer raw.Close()
+		var wire []byte
+		for _, f := range burst(9, 20) {
+			wire = append(binary.BigEndian.AppendUint32(wire, uint32(len(f))), f...)
+		}
+		if _, err := raw.Write(wire[:len(wire)-17]); err != nil {
+			t.Error(err)
+		}
+	}()
+	// Churner: resubscribes over its own socket while the publishers run.
+	churner := rawConn(t, a)
+	go drain(churner)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 150; i++ {
+			typ := event.TypeSubscribe
+			if i%2 == 1 {
+				typ = event.TypeUnsubscribe
+			}
+			if err := churner.Send(event.Encode(event.New(typ, "sock/fan/topic", nil))); err != nil {
+				t.Error(err)
+				return
+			}
+			if i == 75 {
+				for _, q := range quitters {
+					q.Close()
+				}
+			}
+		}
+	}()
+	wg.Wait()
+
+	a.Close()
+	b.Close()
+	for _, br := range []*Broker{a, b} {
+		if live := br.frames.Live(); live != 0 {
+			t.Errorf("%s: %d frame references leaked through the socket path", br.LogicalAddress(), live)
+		}
+	}
+	if a.tel.framesPublish.Value() == 0 || b.tel.framesPublish.Value() == 0 {
+		t.Fatalf("storm did not reach both brokers: a=%d b=%d publishes",
+			a.tel.framesPublish.Value(), b.tel.framesPublish.Value())
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"narada/internal/event"
 	"narada/internal/obs"
 	"narada/internal/topics"
+	"narada/internal/transport"
 )
 
 // helloTimeout bounds link handshakes (model time; generous for WAN paths).
@@ -70,19 +71,62 @@ func (b *Broker) serveLink(lk *link, replyHello bool) {
 		b.connectionsChanged()
 	}()
 
+	into, _ := lk.conn.(transport.FrameReader)
 	for {
-		frame, err := lk.conn.Recv()
-		if err != nil {
+		f := b.frames.get()
+		if f.recv(lk.conn, into) != nil {
+			f.release()
 			return
 		}
 		lk.touch(b.node.Clock().Now())
-		ev, err := event.Decode(frame)
-		if err != nil {
-			b.tel.framesMalformed.Inc()
-			continue
-		}
+		b.handleLinkFrame(lk, f)
+	}
+}
+
+// handleLinkFrame is handleClientFrame for a broker link.
+func (b *Broker) handleLinkFrame(lk *link, f *sharedFrame) {
+	v, err := event.Parse(f.buf)
+	if err != nil {
+		b.tel.framesMalformed.Inc()
+		f.release()
+		return
+	}
+	if v.Type == event.TypePublish {
+		b.linkPublish(lk, &v, f)
+		return
+	}
+	if ev := b.decodeFrame(f); ev != nil {
 		b.handleLinkEvent(lk, ev)
 	}
+}
+
+// linkPublish admits one publish forwarded by a peer broker. The frame passes
+// through untouched unless it is sampled (the hop is recorded and the hop
+// header advances) or replay history retains it.
+func (b *Broker) linkPublish(lk *link, v *event.View, f *sharedFrame) {
+	b.tel.framesPublish.Inc()
+	if b.evDedup.Seen(v.ID) {
+		f.release()
+		return
+	}
+	if b.history == nil && !v.MsgSampled() {
+		b.fanOut(v, f, lk.peer, nil)
+		return
+	}
+	ev := b.decodeFrame(f)
+	if ev == nil {
+		return
+	}
+	// A sampled message crossing a link records the hop, so the assembled
+	// trace shows which broker-to-broker edges it travelled.
+	if origin, hop, ok := ev.MsgTrace(); ok {
+		b.traceFor(ev.ID.String()).Event("msg-hop", b.now(),
+			obs.A("broker", b.cfg.LogicalAddress),
+			obs.A("from", lk.peer),
+			obs.A("origin", origin),
+			obs.A("hop", strconv.Itoa(int(hop))))
+	}
+	b.routePublish(ev, lk.peer)
 }
 
 // heartbeatLink sends periodic keepalives on a link and tears it down after
@@ -111,21 +155,6 @@ func (b *Broker) heartbeatLink(lk *link) {
 
 func (b *Broker) handleLinkEvent(lk *link, ev *event.Event) {
 	switch ev.Type {
-	case event.TypePublish:
-		b.tel.framesPublish.Inc()
-		if b.evDedup.Seen(ev.ID) {
-			return
-		}
-		// A sampled message crossing a link records the hop, so the
-		// assembled trace shows which broker-to-broker edges it travelled.
-		if origin, hop, ok := ev.MsgTrace(); ok {
-			b.traceFor(ev.ID.String()).Event("msg-hop", b.now(),
-				obs.A("broker", b.cfg.LogicalAddress),
-				obs.A("from", lk.peer),
-				obs.A("origin", origin),
-				obs.A("hop", strconv.Itoa(int(hop))))
-		}
-		b.routePublish(ev, lk.peer)
 	case event.TypeDiscoveryRequest:
 		b.tel.framesDiscovery.Inc()
 		b.handleDiscoveryRequest(ev, lk.peer)
@@ -185,27 +214,16 @@ func containsString(ss []string, s string) bool {
 	return false
 }
 
-// routePublish delivers a publish event to matching local subscribers and
-// forwards it over links (except the one it arrived on), decrementing the
-// TTL. In RouteFlood mode every link is used; in RouteSubscriptions mode
-// only links whose peer registered a matching interest. Duplicate
+// routePublish routes a publish the broker authored or had to rewrite — an
+// in-process Publish, a relayed advertisement, a client publish that needed
+// its Source or a sampling verdict stamped, any publish while replay history
+// retains events: it records, samples and encodes the event, then hands the
+// frame to the same fan-out the socket path feeds directly. Duplicate
 // suppression has already happened at the ingress point.
-//
-// This is the substrate's hottest loop, and it is lock-free: matching walks
-// the immutable COW trie snapshot (each registration hands back its egress
-// queue directly, so there is no client-map lookup), forwarding links come
-// from an atomically swapped snapshot, and each distinct frame is encoded
-// exactly once into a pooled ref-counted buffer shared by every target
-// queue. Actual writes happen on the per-connection egress writers, so a
-// slow peer cannot stall routing.
 func (b *Broker) routePublish(ev *event.Event, fromPeer string) {
 	if b.history != nil {
 		b.history.Add(ev)
 	}
-	// The returned entry handle is stamped onto every frame of this fan-out,
-	// so delivered/dropped tallies on the egress side are plain atomic adds.
-	flow := b.flows.Published(ev.Topic, len(ev.Payload))
-
 	// Decision-at-publish sampling: the ingress broker rolls the dice once;
 	// events arriving over a link already carry the verdict in their headers
 	// and are never re-decided. The unsampled path costs one nil-map header
@@ -215,8 +233,44 @@ func (b *Broker) routePublish(ev *event.Event, fromPeer string) {
 		sampled = true
 		ev.SetMsgTrace(b.cfg.LogicalAddress, 0)
 	}
+	f := b.frames.encode(ev, 1)
+	v, err := event.Parse(f.buf)
+	if err != nil {
+		// A topic or payload past the codec's limits: no peer could decode it.
+		f.release()
+		return
+	}
+	if !sampled {
+		ev = nil
+	}
+	b.fanOut(&v, f, fromPeer, ev)
+}
+
+// fanOut is the publish router: it delivers the encoded publish in f to every
+// matching local subscriber and forwards it over links (except the one it
+// arrived on) with one hop spent. In RouteFlood mode every link is used; in
+// RouteSubscriptions mode only links whose peer registered a matching
+// interest. v is f parsed in place; sampled is the decoded event when the
+// message is traced, nil otherwise. The caller's reference on f is consumed.
+//
+// This is the substrate's hottest loop, and it is lock-free and copies
+// nothing it does not have to: matching walks the immutable COW trie snapshot
+// (each registration hands back its egress queue directly, so there is no
+// client-map lookup), forwarding links come from an atomically swapped
+// snapshot, and the frame — as received from the socket, or as routePublish
+// encoded it — is shared by reference count with every local queue. Links
+// share one more frame, a pooled copy with the TTL byte decremented; when no
+// local subscriber matched, the hop is spent on f in place and nothing is
+// copied at all. Actual writes happen on the per-connection egress writers,
+// so a slow peer cannot stall routing.
+func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string, sampled *event.Event) {
+	// The returned entry handle is stamped onto every frame of this fan-out,
+	// so delivered/dropped tallies on the egress side are plain atomic adds.
+	// born feeds the delivery-latency histogram observed at egress flush;
+	// control/replay frames never carry either.
+	f.flow, f.born = b.flows.Published(v.Topic, v.PayloadLen), v.Timestamp
 	var matchStart time.Time
-	if sampled {
+	if sampled != nil {
 		matchStart = time.Now()
 	}
 
@@ -224,9 +278,9 @@ func (b *Broker) routePublish(ev *event.Event, fromPeer string) {
 	sc.peers = sc.peers[:0]
 	sc.locals = sc.locals[:0]
 	sc.links = sc.links[:0]
-	b.subs.MatchEachUnique(ev.Topic, &sc.match, sc.visit)
+	b.subs.MatchEachUnique(v.Topic, &sc.match, sc.visit)
 
-	if ev.TTL > 0 {
+	if v.TTL > 0 {
 		for _, lk := range *b.linkSnap.Load() {
 			if lk.peer == fromPeer {
 				continue
@@ -237,84 +291,94 @@ func (b *Broker) routePublish(ev *event.Event, fromPeer string) {
 			sc.links = append(sc.links, lk.out)
 		}
 	}
-
-	// born stamps every publish frame for the delivery-latency histogram
-	// observed at egress flush; control/replay frames never carry it.
-	var born int64
-	if !ev.Timestamp.IsZero() {
-		born = ev.Timestamp.UnixNano()
-	}
-	var traceID string
-	var enqueuedNs int64
-	if sampled {
-		traceID = ev.ID.String()
-		enqueuedNs = time.Now().UnixNano()
-		_, hop, _ := ev.MsgTrace()
-		tr := b.traceFor(traceID)
-		// The ingress broker records the origin span — whether it rolled the
-		// dice itself or the publisher pre-stamped the sampled headers (e.g.
-		// loadgen -sample-every). Link-forwarded messages record msg-hop
-		// events instead, at the link ingress.
-		if fromPeer == "" {
-			at := ev.Timestamp
-			if at.IsZero() {
-				at = b.now()
-			}
-			tr.Span("msg-publish", at, 0,
-				obs.A("broker", b.cfg.LogicalAddress),
-				obs.A("topic", ev.Topic),
-				obs.A("source", ev.Source))
-		}
-		tr.Span("msg-match", b.now(), time.Since(matchStart),
-			obs.A("broker", b.cfg.LogicalAddress),
-			obs.A("hop", strconv.Itoa(int(hop))),
-			obs.A("locals", strconv.Itoa(len(sc.locals))),
-			obs.A("links", strconv.Itoa(len(sc.links))))
+	nLocals, nLinks := int32(len(sc.locals)), int32(len(sc.links))
+	if sampled != nil {
+		f.traceID, f.enqueuedNs = b.traceRoute(sampled, fromPeer, matchStart, nLocals, nLinks)
 	}
 
-	// Local delivery: one ref-counted frame shared by every matched
-	// subscriber; the last egress writer to flush it returns it to the pool.
-	if len(sc.locals) > 0 {
-		f := b.frames.encode(ev, int32(len(sc.locals)))
-		f.flow, f.born = flow, born
-		if sampled {
-			f.traceID, f.enqueuedNs = traceID, enqueuedNs
+	// Network dissemination: one frame with a hop spent, shared by every link.
+	fwd := f
+	if nLinks > 0 {
+		switch {
+		case sampled != nil:
+			// The hop counter in the headers advances too: re-encode.
+			fwd = b.frames.encode(hopForward(sampled), nLinks)
+			fwd.stampFrom(f)
+		case nLocals > 0:
+			// Local subscribers must read the TTL that arrived: patch a copy.
+			fwd = b.frames.copyOf(f, nLinks)
+			fwd.buf[v.TTLOff]--
+		default:
+			f.refs.Add(nLinks)
+			f.buf[v.TTLOff]--
 		}
+	}
+	// Local delivery: the frame itself, one reference per matched subscriber;
+	// the last egress writer to flush it returns it to the pool.
+	if nLocals > 0 {
+		f.refs.Add(nLocals)
 		for _, q := range sc.locals {
 			q.sendDataBatch(f, &sc.drops)
 		}
-		b.tel.deliveredLocal.Add(uint64(len(sc.locals)))
+		b.tel.deliveredLocal.Add(uint64(nLocals))
 	}
-	// Network dissemination: one TTL-decremented frame shared by every link.
-	// A shallow copy suffices — encoding only reads the event — except when
-	// sampled, where the forward gets its own header map so the hop counter
-	// can advance without mutating the event local subscribers saw.
-	if len(sc.links) > 0 {
-		fwd := *ev
-		fwd.TTL--
-		if sampled {
-			_, hop, _ := ev.MsgTrace()
-			fwd.Headers = make(map[string]string, len(ev.Headers)+1)
-			for k, v := range ev.Headers {
-				fwd.Headers[k] = v
-			}
-			fwd.Headers[event.HeaderMsgHop] = strconv.Itoa(int(hop) + 1)
-		}
-		f := b.frames.encode(&fwd, int32(len(sc.links)))
-		f.flow, f.born = flow, born
-		if sampled {
-			f.traceID, f.enqueuedNs = traceID, enqueuedNs
-		}
+	if nLinks > 0 {
 		for _, q := range sc.links {
-			q.sendDataBatch(f, &sc.drops)
+			q.sendDataBatch(fwd, &sc.drops)
 		}
-		b.tel.deliveredLink.Add(uint64(len(sc.links)))
+		b.tel.deliveredLink.Add(uint64(nLinks))
 	}
+	// The caller's reference kept f (and with it v) alive through the fan-out.
+	f.release()
 	// Flush batched eviction accounting and shed the pointers it holds before
 	// the scratch goes back in the pool.
 	sc.drops.settle()
 	sc.drops = dropBatch{}
 	pubScratchPool.Put(sc)
+}
+
+// traceRoute records a sampled publish's spans at this broker and returns the
+// stamps its frames carry to the egress writers (trace id, enqueue wall
+// clock). The ingress broker records the origin span — whether it rolled the
+// dice itself or the publisher pre-stamped the sampled headers (e.g. loadgen
+// -sample-every). Link-forwarded messages record msg-hop events instead, at
+// the link ingress.
+func (b *Broker) traceRoute(ev *event.Event, fromPeer string, matchStart time.Time, locals, links int32) (traceID string, enqueuedNs int64) {
+	traceID = ev.ID.String()
+	enqueuedNs = time.Now().UnixNano()
+	_, hop, _ := ev.MsgTrace()
+	tr := b.traceFor(traceID)
+	if fromPeer == "" {
+		at := ev.Timestamp
+		if at.IsZero() {
+			at = b.now()
+		}
+		tr.Span("msg-publish", at, 0,
+			obs.A("broker", b.cfg.LogicalAddress),
+			obs.A("topic", ev.Topic),
+			obs.A("source", ev.Source))
+	}
+	tr.Span("msg-match", b.now(), time.Since(matchStart),
+		obs.A("broker", b.cfg.LogicalAddress),
+		obs.A("hop", strconv.Itoa(int(hop))),
+		obs.A("locals", strconv.Itoa(int(locals))),
+		obs.A("links", strconv.Itoa(int(links))))
+	return traceID, enqueuedNs
+}
+
+// hopForward returns the link-bound form of a sampled event: one hop spent
+// and the msg-hop header advanced, on a header map of its own so the event
+// local subscribers saw is not mutated.
+func hopForward(ev *event.Event) *event.Event {
+	fwd := *ev
+	fwd.TTL--
+	_, hop, _ := ev.MsgTrace()
+	fwd.Headers = make(map[string]string, len(ev.Headers)+1)
+	for k, v := range ev.Headers {
+		fwd.Headers[k] = v
+	}
+	fwd.Headers[event.HeaderMsgHop] = strconv.Itoa(int(hop) + 1)
+	return &fwd
 }
 
 // traceFor returns the trace recorder for a sampled message. Both the nil

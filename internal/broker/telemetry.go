@@ -34,8 +34,8 @@ type telemetry struct {
 	egressDropConnDown  *obs.Counter // frame arrived after the writer died
 	egressDropTooLarge  *obs.Counter // frame over the egress size ceiling
 
-	framePoolHit    *obs.Counter   // shared-frame encodes served from the pool
-	framePoolMiss   *obs.Counter   // shared-frame encodes that allocated
+	framePoolHit    *obs.Counter   // shared-frame checkouts served from the pool
+	framePoolMiss   *obs.Counter   // shared-frame checkouts that allocated
 	framesPerFlush  *obs.Histogram // frames coalesced into one egress flush
 	deliveryLatency *obs.Histogram // event origin -> egress flush, seconds
 
@@ -102,7 +102,7 @@ func (b *Broker) initTelemetry(reg *obs.Registry, tracer *obs.Tracer) {
 	t.egressDropTooLarge = reg.Counter(dropped, droppedHelp, who, obs.L("reason", "frame_too_large"))
 
 	const framePool = "narada_broker_frame_pool_total"
-	const framePoolHelp = "Shared-frame encodes, by whether the pool had a recycled frame."
+	const framePoolHelp = "Shared-frame checkouts (receives and encodes), by whether the pool had a recycled frame."
 	t.framePoolHit = reg.Counter(framePool, framePoolHelp, who, obs.L("result", "hit"))
 	t.framePoolMiss = reg.Counter(framePool, framePoolHelp, who, obs.L("result", "miss"))
 	t.framesPerFlush = reg.Histogram("narada_broker_egress_frames_per_flush",

@@ -15,6 +15,7 @@ package obs
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -140,6 +141,8 @@ func (t *FlowTable) insert(topic string, n int) *FlowEntry {
 		e.pubBytes.Add(uint64(n))
 		return e
 	}
+	// The entry outlives the call; the caller's topic may alias a frame buffer.
+	topic = strings.Clone(topic)
 	e := &FlowEntry{topic: topic}
 	next := make(map[string]*FlowEntry, len(old)+1)
 	for k, v := range old {

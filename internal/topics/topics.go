@@ -56,16 +56,27 @@ var (
 // Split breaks a topic into segments without validation.
 func Split(topic string) []string { return strings.Split(topic, Separator) }
 
-// Validate checks a concrete (publishable) topic.
+// Validate checks a concrete (publishable) topic. It runs once per publish on
+// the broker's ingress path, so it walks the segments in place instead of
+// splitting them out: no allocation unless the topic is rejected.
 func Validate(topic string) error {
-	segs, err := checkSegments(topic)
-	if err != nil {
-		return err
+	if topic == "" {
+		return ErrEmptyTopic
 	}
-	for _, s := range segs {
-		if s == WildcardOne || s == WildcardAny {
-			return fmt.Errorf("%w: %q", ErrWildcardInTopic, topic)
+	if n := strings.Count(topic, Separator) + 1; n > MaxDepth {
+		return fmt.Errorf("%w: %d segments", ErrTooDeep, n)
+	}
+	wildcard := false
+	for start := 0; start <= len(topic); {
+		var seg string
+		seg, start = nextSegment(topic, start)
+		if seg == "" {
+			return fmt.Errorf("%w: %q", ErrEmptySegment, topic)
 		}
+		wildcard = wildcard || seg == WildcardOne || seg == WildcardAny
+	}
+	if wildcard {
+		return fmt.Errorf("%w: %q", ErrWildcardInTopic, topic)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package topics
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -359,4 +360,45 @@ func BenchmarkTableMatchEach(b *testing.B) {
 		tbl.MatchEach("a/b17/c3", visit)
 	}
 	_ = n
+}
+
+// TestValidateMatchesSplitReference holds the in-place Validate to the
+// split-based rule it replaced: same verdict and same error class on every
+// input, and no allocation on the accept path (it runs once per publish).
+func TestValidateMatchesSplitReference(t *testing.T) {
+	reference := func(topic string) error {
+		segs, err := checkSegments(topic)
+		if err != nil {
+			return err
+		}
+		for _, s := range segs {
+			if s == WildcardOne || s == WildcardAny {
+				return ErrWildcardInTopic
+			}
+		}
+		return nil
+	}
+	class := func(err error) error {
+		for _, c := range []error{ErrEmptyTopic, ErrTooDeep, ErrEmptySegment, ErrWildcardInTopic} {
+			if errors.Is(err, c) {
+				return c
+			}
+		}
+		return err
+	}
+	alphabet := []string{"a", "bc", "*", "**", "/", "/", ""}
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20000; trial++ {
+		var sb strings.Builder
+		for n := rng.Intn(70); n > 0; n-- {
+			sb.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		topic := sb.String()
+		if got, want := class(Validate(topic)), class(reference(topic)); got != want {
+			t.Fatalf("Validate(%q) = %v, reference = %v", topic, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Validate("Services/app0/Events/State") }); n != 0 {
+		t.Fatalf("Validate allocates %.0f times on a valid topic", n)
+	}
 }

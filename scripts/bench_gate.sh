@@ -3,7 +3,9 @@
 # BenchmarkPublishFanout COUNT times, takes the best (minimum) ns/op — the
 # run least disturbed by scheduler noise — and compares it against the
 # gate_ns_op / gate_allocs_op recorded in BENCH_fanout.json. More than a 2%
-# ns/op regression, or any allocs/op above the recorded gate, fails.
+# ns/op regression, or any allocs/op above the recorded gate, fails. Two
+# allocation-only gates follow: the sampled fan-out and the socket ingress
+# path (gate_sampled_allocs_op / gate_ingress_allocs_op).
 #
 #   sh scripts/bench_gate.sh            # defaults: COUNT=8, 2% threshold
 #   COUNT=12 REGRESSION_PCT=5 sh scripts/bench_gate.sh
@@ -22,6 +24,7 @@ fi
 GATE_NS=$(sed -n 's/.*"gate_ns_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_ALLOCS=$(sed -n 's/.*"gate_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_SAMPLED_ALLOCS=$(sed -n 's/.*"gate_sampled_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
+GATE_INGRESS_ALLOCS=$(sed -n 's/.*"gate_ingress_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 if [ -z "$GATE_NS" ] || [ -z "$GATE_ALLOCS" ]; then
     echo "bench-gate: $BENCH_FILE carries no gate_ns_op / gate_allocs_op" >&2
     exit 1
@@ -60,27 +63,45 @@ END {
     exit failed
 }' "$OUT"
 
+# allocs_gate NAME GATE: run benchmark NAME twice and fail if the best
+# allocs/op of any of its (sub-)benchmarks exceeds GATE. ns/op is not gated.
+allocs_gate() {
+    echo "bench-gate: running $1 x2 (gate: $2 allocs/op, ns ungated)"
+    go test -run '^$' -bench "$1\$" -benchmem -benchtime=1s \
+        -count 2 ./internal/broker/ | tee "$OUT"
+    awk -v name="$1" -v gate_allocs="$2" '
+    index($1, name) == 1 {
+        for (i = 1; i <= NF; i++)
+            if ($i == "allocs/op" && (!($1 in best) || $(i-1) + 0 < best[$1])) best[$1] = $(i-1) + 0
+        runs++
+    }
+    END {
+        if (runs == 0) { print "bench-gate: no " name " output parsed" > "/dev/stderr"; exit 1 }
+        for (b in best) {
+            printf "bench-gate: %s best of 2 runs: %d allocs/op (gate %d)\n", b, best[b], gate_allocs
+            if (best[b] > gate_allocs) {
+                printf "bench-gate: FAIL: %s %d allocs/op exceeds gate %d\n", b, best[b], gate_allocs > "/dev/stderr"
+                failed = 1
+            }
+        }
+        exit failed
+    }' "$OUT"
+}
+
 # Sampled-path gate: with message tracing live (1-in-N sampler + tracer) the
 # fan-out must amortise to the recorded allocs/op — sampling may spend wall
 # time on its winners, so only allocations are gated, not ns/op.
 if [ -n "$GATE_SAMPLED_ALLOCS" ]; then
-    echo "bench-gate: running BenchmarkPublishFanoutSampled x2 (gate: ${GATE_SAMPLED_ALLOCS} allocs/op, ns ungated)"
-    go test -run '^$' -bench 'BenchmarkPublishFanoutSampled$' -benchmem -benchtime=1s \
-        -count 2 ./internal/broker/ | tee "$OUT"
-    awk -v gate_allocs="$GATE_SAMPLED_ALLOCS" '
-    /^BenchmarkPublishFanoutSampled/ {
-        for (i = 1; i <= NF; i++)
-            if ($i == "allocs/op" && (best == "" || $(i-1) + 0 < best)) best = $(i-1) + 0
-        runs++
-    }
-    END {
-        if (runs == 0) { print "bench-gate: no sampled benchmark output parsed" > "/dev/stderr"; exit 1 }
-        printf "bench-gate: sampled best of %d runs: %d allocs/op (gate %d)\n", runs, best, gate_allocs
-        if (best > gate_allocs) {
-            printf "bench-gate: FAIL: sampled path %d allocs/op exceeds gate %d\n", best, gate_allocs > "/dev/stderr"
-            exit 1
-        }
-    }' "$OUT"
+    allocs_gate BenchmarkPublishFanoutSampled "$GATE_SAMPLED_ALLOCS"
+fi
+
+# Ingress gate: a publish entering through a real socket (buffered receive
+# into a pooled frame, in-place parse, pass-through fan-out to 4 and 64
+# subscribers) must not allocate on the broker's side in steady state. Wall
+# time through a loopback socket is too noisy to gate here; the repository
+# benchmark (bench/) measures it end to end.
+if [ -n "$GATE_INGRESS_ALLOCS" ]; then
+    allocs_gate BenchmarkIngressToEgress "$GATE_INGRESS_ALLOCS"
 fi
 
 echo "bench-gate: ok"
