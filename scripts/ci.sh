@@ -2,14 +2,17 @@
 # ci.sh is the complete pre-merge gate: fast static checks first (vet, then
 # race-enabled tests for the observability plane and the chaos/supervision
 # packages, the ones most exposed to concurrency bugs), the tier-1 verify
-# target (build, vet, gofmt, tests, race), the publish fan-out performance
-# gate (>2% ns/op regression or any new allocation on the fast path fails),
-# and finally the eight real-socket smoke tests (collector/prober trace
-# assembly, per-topic flow accounting + message sampling, health-engine
-# failure detection, self-healing BDN re-registration, the open-loop load
-# generator, the control-plane event journal with topology time-travel, the
-# continuous-profiling plane with its flight-recorder fallback, and the
-# replicated-BDN failover with zero re-registrations).
+# target (build, vet, gofmt, tests, race), every benchmark in the tree run for
+# one iteration (a benchmark that no longer runs is a bug, and nothing else
+# would notice), the publish fast-path performance gate (>2% ns/op regression
+# on the fan-out, or any new allocation on the fan-out, its sampled variant or
+# the socket ingress path, fails), and finally the eight real-socket smoke
+# tests (collector/prober trace assembly, per-topic flow accounting +
+# message sampling, health-engine failure detection, self-healing BDN
+# re-registration, the open-loop load generator, the control-plane event
+# journal with topology time-travel, the continuous-profiling plane with its
+# flight-recorder fallback, and the replicated-BDN failover with zero
+# re-registrations).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -27,6 +30,9 @@ go test -race ./internal/wal/ ./internal/bdn/replica/
 
 echo "ci: make verify"
 make verify
+
+echo "ci: go test -run '^\$' -bench . -benchtime=1x ./..."
+go test -run '^$' -bench . -benchtime=1x ./...
 
 echo "ci: make bench-gate"
 make bench-gate
