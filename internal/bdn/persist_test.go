@@ -35,6 +35,18 @@ func (e *env) crash(d *BDN, cfg Config) *BDN {
 	return e.bdn(cfg)
 }
 
+// awaitBrokers blocks until n registrations have landed in d. Registration
+// is asynchronous, and the model-time sleeps these tests used to rely on are
+// a few milliseconds of wall time — not always enough on a busy host.
+func awaitBrokers(t *testing.T, d *BDN, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); d.BrokerCount() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("BrokerCount = %d, want %d", d.BrokerCount(), n)
+		}
+	}
+}
+
 func TestRestartRecoversRegistry(t *testing.T) {
 	e := newEnv(t, 40)
 	cfg := Config{Name: "durable.org", DataDir: t.TempDir(), AdTTL: time.Hour}
@@ -47,10 +59,7 @@ func TestRestartRecoversRegistry(t *testing.T) {
 	if err := b2.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(500 * time.Millisecond)
-	if d.BrokerCount() != 2 {
-		t.Fatalf("pre-restart BrokerCount = %d", d.BrokerCount())
-	}
+	awaitBrokers(t, d, 2)
 	before := d.Brokers()
 
 	d2 := e.restart(d, cfg)
@@ -85,7 +94,7 @@ func TestSnapshotReplayEquivalence(t *testing.T) {
 	if err := b1.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitBrokers(t, d, 1)
 	if err := d.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +105,7 @@ func TestSnapshotReplayEquivalence(t *testing.T) {
 	}
 	d.SetRequiredCredential([]byte("s3cret"))
 	d.SetEpoch(7)
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitBrokers(t, d, 2)
 	before := d.Brokers()
 	if len(before) != 2 {
 		t.Fatalf("pre-restart table %v", before)
@@ -125,10 +134,7 @@ func TestSweepDeleteIsDurable(t *testing.T) {
 	if err := b.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
-	if d.BrokerCount() != 1 {
-		t.Fatalf("BrokerCount = %d", d.BrokerCount())
-	}
+	awaitBrokers(t, d, 1)
 	b.Close() // stop refreshes so the registration ages out
 	e.net.Clock().Sleep(5 * time.Second)
 	if d.BrokerCount() != 0 {
@@ -153,10 +159,7 @@ func TestClockJumpAcrossRestartDoesNotMassSweep(t *testing.T) {
 	if err := b.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
-	if d.BrokerCount() != 1 {
-		t.Fatalf("BrokerCount = %d", d.BrokerCount())
-	}
+	awaitBrokers(t, d, 1)
 	d.Close()
 	b.Close() // no refreshes during or after the jump
 
@@ -290,7 +293,7 @@ func TestReplicaSnapshotInstallTransfersTable(t *testing.T) {
 	if err := b.RegisterWithBDN(src.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitBrokers(t, src, 1)
 	idx, state := src.ReplicaSnapshot()
 	if idx == 0 || len(state) == 0 {
 		t.Fatalf("ReplicaSnapshot = (%d, %d bytes)", idx, len(state))

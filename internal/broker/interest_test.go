@@ -32,6 +32,20 @@ func routedChain(t *testing.T, e *env, n int) []*Broker {
 	return brokers
 }
 
+// awaitInterest blocks until br would (want) or would no longer (!want) route
+// a publish on topic somewhere. The model-time sleeps in these tests are about
+// a millisecond of wall time, which a busy host does not always grant the
+// hop-by-hop interest propagation, so tests wait on the state itself before
+// they publish.
+func awaitInterest(t *testing.T, br *Broker, topic string, want bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); br.subs.HasMatch(topic) != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("interest in %q at %s never became %v", topic, br.LogicalAddress(), want)
+		}
+	}
+}
+
 func TestRoutedDeliveryAcrossChain(t *testing.T) {
 	e := newEnv(t, 40)
 	brokers := routedChain(t, e, 4)
@@ -46,7 +60,7 @@ func TestRoutedDeliveryAcrossChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Interest must propagate hop by hop back to broker 0.
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitInterest(t, brokers[0], "routed/data", true)
 
 	if err := brokers[0].Publish("routed/data", []byte("via-interest")); err != nil {
 		t.Fatal(err)
@@ -87,7 +101,7 @@ func TestRoutedPartialPath(t *testing.T) {
 	c, _ := Connect(node, brokers[1].StreamAddr(), "sub")
 	defer c.Close()
 	_ = c.Subscribe("partial/topic")
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitInterest(t, brokers[0], "partial/topic", true)
 
 	_, _, framesBefore := e.net.Counters()
 	if err := brokers[0].Publish("partial/topic", []byte("one-hop")); err != nil {
@@ -112,9 +126,9 @@ func TestRoutedUnsubscribeWithdrawsInterest(t *testing.T) {
 	c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
 	defer c.Close()
 	_ = c.Subscribe("w/x")
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitInterest(t, brokers[0], "w/x", true)
 	_ = c.Unsubscribe("w/x")
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitInterest(t, brokers[0], "w/x", false)
 
 	_, _, framesBefore := e.net.Counters()
 	_ = brokers[0].Publish("w/x", []byte("stale"))
@@ -132,9 +146,9 @@ func TestRoutedClientDisconnectWithdrawsInterest(t *testing.T) {
 	node, _ := e.node(simnet.SiteNCSA, "sub")
 	c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
 	_ = c.Subscribe("gone/client")
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitInterest(t, brokers[0], "gone/client", true)
 	c.Close()
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitInterest(t, brokers[0], "gone/client", false)
 
 	_, _, framesBefore := e.net.Counters()
 	_ = brokers[0].Publish("gone/client", []byte("stale"))
@@ -153,7 +167,7 @@ func TestRoutedWildcardInterest(t *testing.T) {
 	c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
 	defer c.Close()
 	_ = c.Subscribe("wild/**")
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitInterest(t, brokers[0], "wild/a/b/c", true)
 
 	if err := brokers[0].Publish("wild/a/b/c", []byte("deep")); err != nil {
 		t.Fatal(err)
@@ -183,6 +197,7 @@ func TestRoutedTwoSubscribersSharedPattern(t *testing.T) {
 	e.net.Clock().Sleep(300 * time.Millisecond)
 	_ = c1.Unsubscribe("shared/p")
 	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitInterest(t, brokers[0], "shared/p", true)
 
 	if err := brokers[0].Publish("shared/p", []byte("still-flowing")); err != nil {
 		t.Fatal(err)
