@@ -105,10 +105,9 @@ func (b *Broker) serveClient(c *clientConn) {
 		b.mu.Unlock()
 		b.connectionsChanged()
 	}()
-	into, _ := c.conn.(transport.FrameReader)
 	for {
 		f := b.frames.get()
-		if f.recv(c.conn, into) != nil {
+		if f.recv(c.conn) != nil {
 			f.release()
 			return
 		}

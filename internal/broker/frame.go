@@ -75,13 +75,12 @@ func (f *sharedFrame) release() {
 func (f *sharedFrame) bytes() []byte { return f.buf }
 
 // recv fills the frame with the next message from conn: received straight
-// into the frame's recycled buffer when the transport can (into is conn's
-// FrameReader capability, nil without it), otherwise adopting the slice Recv
-// allocated.
-func (f *sharedFrame) recv(conn transport.Conn, into transport.FrameReader) error {
+// into the frame's recycled buffer when the transport can (FrameReader),
+// otherwise adopting the slice Recv allocated.
+func (f *sharedFrame) recv(conn transport.Conn) error {
 	var buf []byte
 	var err error
-	if into != nil {
+	if into, ok := conn.(transport.FrameReader); ok {
 		buf, err = into.RecvInto(f.buf)
 	} else {
 		buf, err = conn.Recv()

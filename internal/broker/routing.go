@@ -8,7 +8,6 @@ import (
 	"narada/internal/event"
 	"narada/internal/obs"
 	"narada/internal/topics"
-	"narada/internal/transport"
 )
 
 // helloTimeout bounds link handshakes (model time; generous for WAN paths).
@@ -71,10 +70,9 @@ func (b *Broker) serveLink(lk *link, replyHello bool) {
 		b.connectionsChanged()
 	}()
 
-	into, _ := lk.conn.(transport.FrameReader)
 	for {
 		f := b.frames.get()
-		if f.recv(lk.conn, into) != nil {
+		if f.recv(lk.conn) != nil {
 			f.release()
 			return
 		}
