@@ -259,17 +259,26 @@ func (p *realPacketConn) Close() error {
 // connection.
 const recvBufSize = 32 << 10
 
+// readerPool recycles read buffers across connections. Discovery dials a
+// fresh stream per request, so a buffer allocated (and zeroed) at each end of
+// every connection would be the discovery path's largest allocation — the
+// same waste the pooled datagram buffer removes. A connection takes a reader
+// on its first receive and hands it back when its receive side ends.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, recvBufSize) }}
+
 // realConn frames messages over TCP with a 4-byte big-endian length prefix.
 type realConn struct {
 	c       net.Conn
 	readMu  sync.Mutex
 	writeMu sync.Mutex
 
-	// Receive state, guarded by readMu. br drains many frames per read
-	// syscall. readErr is sticky: once a frame has been consumed part-way
-	// (prefix taken, payload cut short by a deadline or a reset) the stream
-	// position is lost, and every later receive must fail rather than parse
-	// payload bytes as a length.
+	// Receive state, guarded by readMu. br (from readerPool, nil before the
+	// first receive and after the last) drains many frames per read syscall.
+	// readErr is sticky and ends the receive side: the peer is gone, the
+	// connection was closed, or a frame was consumed part-way (prefix taken,
+	// payload cut short by a deadline or a reset) so the stream position is
+	// lost — every later receive must fail rather than parse payload bytes as
+	// a length.
 	br      *bufio.Reader
 	readErr error
 
@@ -279,8 +288,17 @@ type realConn struct {
 	batchBufs net.Buffers
 }
 
-func newRealConn(c net.Conn) *realConn {
-	return &realConn{c: c, br: bufio.NewReaderSize(c, recvBufSize)}
+func newRealConn(c net.Conn) *realConn { return &realConn{c: c} }
+
+// endRecv makes err what every later receive returns and hands the read
+// buffer back to the pool. Caller holds readMu.
+func (c *realConn) endRecv(err error) {
+	c.readErr = err
+	if c.br != nil {
+		c.br.Reset(nil)
+		readerPool.Put(c.br)
+		c.br = nil
+	}
 }
 
 func (c *realConn) Send(payload []byte) error {
@@ -333,13 +351,16 @@ func (c *realConn) RecvInto(buf []byte) ([]byte, error) { return c.recvInto(buf,
 // suffices, else into a fresh exact-size slice. The length prefix is peeked,
 // not consumed, until it is whole, so a deadline that expires between frames
 // (or inside the prefix) leaves the stream in sync and the next receive
-// simply resumes; only a failure after the prefix is consumed poisons the
-// connection.
+// simply resumes; any other failure ends the receive side (endRecv).
 func (c *realConn) recvInto(buf []byte, d time.Duration) ([]byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
 	if c.readErr != nil {
 		return nil, c.readErr
+	}
+	if c.br == nil {
+		c.br = readerPool.Get().(*bufio.Reader)
+		c.br.Reset(c.c)
 	}
 	if d > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(d)); err != nil {
@@ -349,11 +370,14 @@ func (c *realConn) recvInto(buf []byte, d time.Duration) ([]byte, error) {
 	}
 	hdr, err := c.br.Peek(4)
 	if err != nil {
-		return nil, translateNetErr(err)
+		if err = translateNetErr(err); !errors.Is(err, ErrTimeout) {
+			c.endRecv(err)
+		}
+		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrame {
-		c.readErr = fmt.Errorf("transport: incoming frame of %d bytes exceeds limit", n)
+		c.endRecv(fmt.Errorf("transport: incoming frame of %d bytes exceeds limit", n))
 		return nil, c.readErr
 	}
 	c.br.Discard(4) //nolint:errcheck // the 4 bytes are buffered
@@ -373,7 +397,7 @@ func (c *realConn) recvInto(buf []byte, d time.Duration) ([]byte, error) {
 		err = translateNetErr(err)
 		// Not ErrTimeout, even when a deadline caused it: a caller that polls
 		// with RecvTimeout must see a dead connection, not spin on it.
-		c.readErr = fmt.Errorf("transport: stream position lost, a receive failed mid-frame: %v", err)
+		c.endRecv(fmt.Errorf("transport: stream position lost, a receive failed mid-frame: %v", err))
 		return nil, err
 	}
 	return buf, nil
@@ -381,7 +405,19 @@ func (c *realConn) recvInto(buf []byte, d time.Duration) ([]byte, error) {
 
 func (c *realConn) LocalAddr() string  { return c.c.LocalAddr().String() }
 func (c *realConn) RemoteAddr() string { return c.c.RemoteAddr().String() }
-func (c *realConn) Close() error       { return c.c.Close() }
+
+func (c *realConn) Close() error {
+	err := c.c.Close()
+	// End the receive side here unless a receive is in flight: that one is
+	// about to fail on the closed socket and ends it itself.
+	if c.readMu.TryLock() {
+		if c.readErr == nil {
+			c.endRecv(ErrClosed)
+		}
+		c.readMu.Unlock()
+	}
+	return err
+}
 
 type realListener struct{ l net.Listener }
 

@@ -388,6 +388,29 @@ func TestRealStreamBurstFraming(t *testing.T) {
 	}
 }
 
+// TestRealStreamReadBufferIsNotSharedAcrossConns: read buffers are pooled, so
+// a connection closed with frames still buffered hands its reader to the next
+// connection — which must see its own stream only, and the closed connection
+// must keep failing rather than read through a buffer it no longer owns.
+func TestRealStreamReadBufferIsNotSharedAcrossConns(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		raw, c := rawPair(t)
+		mine := []byte(fmt.Sprintf("round-%d", round))
+		burst := append(framed(mine), framed([]byte("left behind in the buffer"))...)
+		if _, err := raw.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.RecvTimeout(2 * time.Second)
+		if err != nil || !bytes.Equal(got, mine) {
+			t.Fatalf("round %d: got %q, %v", round, got, err)
+		}
+		c.Close() // one frame unread
+		if _, err := c.RecvTimeout(50 * time.Millisecond); !errors.Is(err, ErrClosed) {
+			t.Fatalf("round %d: receive on a closed connection: %v, want ErrClosed", round, err)
+		}
+	}
+}
+
 func TestRealStreamClosedPeer(t *testing.T) {
 	node := NewRealNode("127.0.0.1", nil)
 	l, err := node.Listen(0)
