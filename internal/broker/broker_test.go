@@ -190,13 +190,15 @@ func TestFloodDedupNoDuplicateDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	waitFor(t, "the triangle's links", func() bool {
+		return b1.LinkCount() == 2 && b2.LinkCount() == 2 && b3.LinkCount() == 2
+	})
 
 	node, _ := e.node(simnet.SiteNCSA, "sub")
 	c, _ := Connect(node, b3.StreamAddr(), "sub")
 	defer c.Close()
 	_ = c.Subscribe("x/y")
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	waitFor(t, "the subscription", func() bool { return b3.subs.HasMatch("x/y") })
 
 	if err := b1.Publish("x/y", []byte("once")); err != nil {
 		t.Fatal(err)
@@ -216,13 +218,8 @@ func TestLinkCountTracked(t *testing.T) {
 	if err := b2.LinkTo(b1.StreamAddr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(100 * time.Millisecond)
-	if b1.LinkCount() != 1 || b2.LinkCount() != 1 {
-		t.Fatalf("link counts = %d/%d, want 1/1", b1.LinkCount(), b2.LinkCount())
-	}
-	if b1.Usage().Links != 1 {
-		t.Fatalf("sampler links = %d, want 1", b1.Usage().Links)
-	}
+	waitFor(t, "link counts 1/1", func() bool { return b1.LinkCount() == 1 && b2.LinkCount() == 1 })
+	waitFor(t, "sampler links = 1", func() bool { return b1.Usage().Links == 1 })
 }
 
 // sendDiscoveryRequest fires a request at the broker over UDP and collects
@@ -411,15 +408,9 @@ func TestClientCountAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = c.Subscribe("a/b")
-	e.net.Clock().Sleep(100 * time.Millisecond)
-	if b.ClientCount() != 1 {
-		t.Fatalf("ClientCount = %d", b.ClientCount())
-	}
+	waitFor(t, "the client session", func() bool { return b.ClientCount() == 1 })
 	c.Close()
-	e.net.Clock().Sleep(200 * time.Millisecond)
-	if b.ClientCount() != 0 {
-		t.Fatalf("ClientCount after close = %d", b.ClientCount())
-	}
+	waitFor(t, "the session teardown", func() bool { return b.ClientCount() == 0 })
 	if _, err := c.Next(0); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("Next after close: %v", err)
 	}

@@ -119,19 +119,27 @@ func (b *Broker) serveClient(c *clientConn) {
 // reader's reference on it. A publish is parsed in place and routed as the
 // bytes it arrived in; everything else is control-rate traffic and is decoded.
 func (b *Broker) handleClientFrame(c *clientConn, f *sharedFrame) {
+	v, ok := b.viewFrame(f)
+	switch {
+	case !ok:
+	case v.Type == event.TypePublish:
+		b.clientPublish(c, &v, f)
+	default:
+		if ev := b.decodeFrame(f); ev != nil {
+			b.handleClientEvent(c, ev)
+		}
+	}
+}
+
+// viewFrame parses the event in f in place. A malformed frame is counted and
+// released, and the session carries on.
+func (b *Broker) viewFrame(f *sharedFrame) (event.View, bool) {
 	v, err := event.Parse(f.buf)
 	if err != nil {
 		b.tel.framesMalformed.Inc()
 		f.release()
-		return
 	}
-	if v.Type == event.TypePublish {
-		b.clientPublish(c, &v, f)
-		return
-	}
-	if ev := b.decodeFrame(f); ev != nil {
-		b.handleClientEvent(c, ev)
-	}
+	return v, err == nil
 }
 
 // decodeFrame materialises the event in f and releases the frame.
@@ -159,7 +167,7 @@ func (b *Broker) clientPublish(c *clientConn, v *event.View, f *sharedFrame) {
 		return
 	}
 	sample := false
-	if v.SourceLen > 0 && b.history == nil && !v.MsgSampled() {
+	if v.Source != "" && b.history == nil && !v.MsgSampled() {
 		if sample = b.cfg.PublishSampler.Decide(v.Topic); !sample {
 			b.fanOut(v, f, "", nil)
 			return

@@ -39,11 +39,8 @@ func routedChain(t *testing.T, e *env, n int) []*Broker {
 // they publish.
 func awaitInterest(t *testing.T, br *Broker, topic string, want bool) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); br.subs.HasMatch(topic) != want; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("interest in %q at %s never became %v", topic, br.LogicalAddress(), want)
-		}
-	}
+	waitFor(t, fmt.Sprintf("interest in %q at %s to become %v", topic, br.LogicalAddress(), want),
+		func() bool { return br.subs.HasMatch(topic) == want })
 }
 
 func TestRoutedDeliveryAcrossChain(t *testing.T) {

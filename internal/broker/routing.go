@@ -83,18 +83,15 @@ func (b *Broker) serveLink(lk *link, replyHello bool) {
 
 // handleLinkFrame is handleClientFrame for a broker link.
 func (b *Broker) handleLinkFrame(lk *link, f *sharedFrame) {
-	v, err := event.Parse(f.buf)
-	if err != nil {
-		b.tel.framesMalformed.Inc()
-		f.release()
-		return
-	}
-	if v.Type == event.TypePublish {
+	v, ok := b.viewFrame(f)
+	switch {
+	case !ok:
+	case v.Type == event.TypePublish:
 		b.linkPublish(lk, &v, f)
-		return
-	}
-	if ev := b.decodeFrame(f); ev != nil {
-		b.handleLinkEvent(lk, ev)
+	default:
+		if ev := b.decodeFrame(f); ev != nil {
+			b.handleLinkEvent(lk, ev)
+		}
 	}
 }
 
@@ -266,7 +263,7 @@ func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string, sampled 
 	// so delivered/dropped tallies on the egress side are plain atomic adds.
 	// born feeds the delivery-latency histogram observed at egress flush;
 	// control/replay frames never carry either.
-	f.flow, f.born = b.flows.Published(v.Topic, v.PayloadLen), v.Timestamp
+	f.flow, f.born = b.flows.Published(v.Topic, len(v.Payload)), v.Timestamp
 	var matchStart time.Time
 	if sampled != nil {
 		matchStart = time.Now()

@@ -262,7 +262,7 @@ func Decode(b []byte) (*Event, error) {
 
 // View is an encoded event parsed in place: the scalar fields by value, the
 // variable-length ones as windows onto the frame it was parsed from. Nothing
-// is copied or allocated, so Topic, Source, Header values and Payload alias
+// is copied or allocated, so Topic, Source, Payload and header values alias
 // the frame and are valid only while the caller owns it unmodified — anything
 // that outlives the frame must clone them. The one sanctioned in-place edit
 // is the TTL byte at TTLOff, which is how a forwarding broker spends a hop
@@ -271,16 +271,14 @@ type View struct {
 	Type       Type
 	ID         uuid.UUID
 	Topic      string // aliases the frame
+	Source     string // aliases the frame
 	Timestamp  int64  // Unix nanoseconds; 0 when the event carries none
 	TTL        uint8
-	TTLOff     int // offset of the TTL byte in the frame
-	SourceLen  int
-	NumHeaders int
-	PayloadLen int
+	TTLOff     int    // offset of the TTL byte in the frame
+	NumHeaders int    // pairs on the wire; a repeated key counts each time
+	Payload    []byte // aliases the frame
 
-	frame     []byte
-	sourceOff int
-	headerOff int // first header pair, after the count
+	headers []byte // the encoded header map, count included
 }
 
 // Parse walks an encoded event once with exactly the checks Decode applies —
@@ -295,26 +293,18 @@ func Parse(b []byte) (View, error) {
 	if ver := r.Byte(); r.Err() == nil && ver != version {
 		return View{}, fmt.Errorf("event: unsupported version %d", ver)
 	}
-	v := View{frame: b}
+	var v View
 	v.Type = Type(r.Byte())
 	v.ID = uuid.UUID(r.Bytes16())
 	v.Topic = aliasString(r.StringSpan())
-	v.SourceLen = len(r.StringSpan())
-	v.sourceOff = r.Offset() - v.SourceLen
+	v.Source = aliasString(r.StringSpan())
 	v.Timestamp = r.Varint()
 	v.TTLOff = r.Offset()
 	v.TTL = r.Byte()
-	n := r.Uvarint()
-	if r.Err() == nil && n > wire.MaxListLen {
-		return View{}, fmt.Errorf("event: %w: map of %d entries", wire.ErrTooLarge, n)
-	}
-	v.headerOff = r.Offset()
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		r.StringSpan()
-		r.StringSpan()
-	}
-	v.NumHeaders = int(n)
-	v.PayloadLen = len(r.BytesSpan())
+	headersOff := r.Offset()
+	v.NumHeaders = r.SkipStringMap()
+	v.headers = b[headersOff:r.Offset()]
+	v.Payload = r.BytesSpan()
 	if err := r.Finish(); err != nil {
 		return View{}, fmt.Errorf("event: %w", err)
 	}
@@ -327,22 +317,14 @@ func Parse(b []byte) (View, error) {
 // aliasString views b as a string without copying it.
 func aliasString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// Source returns the originating entity's address, aliasing the frame.
-func (v *View) Source() string {
-	return aliasString(v.frame[v.sourceOff : v.sourceOff+v.SourceLen])
-}
-
-// Payload returns the event body, aliasing the frame.
-func (v *View) Payload() []byte { return v.frame[len(v.frame)-v.PayloadLen:] }
-
 // Header looks a header up by scanning the encoded pairs ("" when absent); the
 // value aliases the frame. Like the map Decode builds, a repeated key reads
 // as its last occurrence.
 func (v *View) Header(k string) string {
 	// Parse validated every pair, so the re-walk cannot fail.
-	r := wire.NewReader(v.frame[v.headerOff:])
+	r := wire.NewReader(v.headers)
 	val := ""
-	for i := 0; i < v.NumHeaders; i++ {
+	for n := r.Uvarint(); n > 0; n-- {
 		key, span := r.StringSpan(), r.StringSpan()
 		if string(key) == k {
 			val = aliasString(span)

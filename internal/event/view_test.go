@@ -31,8 +31,8 @@ func checkParseMatchesDecode(t testing.TB, b []byte) {
 	if b[v.TTLOff] != ev.TTL {
 		t.Fatalf("b[TTLOff=%d] = %d, event TTL = %d", v.TTLOff, b[v.TTLOff], ev.TTL)
 	}
-	if v.Source() != ev.Source || v.SourceLen != len(ev.Source) {
-		t.Fatalf("source: view %q (len %d), event %q", v.Source(), v.SourceLen, ev.Source)
+	if v.Source != ev.Source {
+		t.Fatalf("source: view %q, event %q", v.Source, ev.Source)
 	}
 	var wantNs int64
 	if !ev.Timestamp.IsZero() {
@@ -41,8 +41,8 @@ func checkParseMatchesDecode(t testing.TB, b []byte) {
 	if v.Timestamp != wantNs {
 		t.Fatalf("timestamp: view %d, event %d", v.Timestamp, wantNs)
 	}
-	if !bytes.Equal(v.Payload(), ev.Payload) || v.PayloadLen != len(ev.Payload) {
-		t.Fatalf("payload: view %d bytes, event %d bytes", v.PayloadLen, len(ev.Payload))
+	if !bytes.Equal(v.Payload, ev.Payload) {
+		t.Fatalf("payload: view %d bytes, event %d bytes", len(v.Payload), len(ev.Payload))
 	}
 	// Repeated keys collapse in the map, so the wire count bounds it above.
 	if len(ev.Headers) > v.NumHeaders || (v.NumHeaders > 0) != (len(ev.Headers) > 0) {

@@ -354,6 +354,24 @@ func (r *Reader) StringList() []string {
 	return out
 }
 
+// SkipStringMap reads past a map of string pairs under StringMap's limits and
+// returns the number of pairs on the wire, for in-place parsers that look
+// pairs up later instead of building the map.
+func (r *Reader) SkipStringMap() int {
+	n := r.Uvarint()
+	if r.err == nil && n > MaxListLen {
+		r.fail(fmt.Errorf("%w: map of %d entries", ErrTooLarge, n))
+	}
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		r.StringSpan()
+		r.StringSpan()
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 // StringMap reads a map of string pairs.
 func (r *Reader) StringMap() map[string]string {
 	n := r.Uvarint()
