@@ -130,26 +130,13 @@ func (p *realPacketConn) recv(d time.Duration) ([]byte, string, error) {
 		}
 		defer p.uc.SetReadDeadline(time.Time{}) //nolint:errcheck
 	}
-	// Read into a pooled maximum-size buffer and hand the caller an exact-size
-	// copy: a fresh 64 KiB buffer per datagram is a zeroed large-object
-	// allocation that the ~100-byte slice returned would keep alive whole. No
-	// lock is held across the read, so concurrent receivers are unaffected.
-	buf := udpBufPool.Get().(*[]byte)
-	defer udpBufPool.Put(buf)
-	n, from, err := p.uc.ReadFromUDP(*buf)
+	buf := make([]byte, 65536)
+	n, from, err := p.uc.ReadFromUDP(buf)
 	if err != nil {
 		return nil, "", translateNetErr(err)
 	}
-	return append([]byte(nil), (*buf)[:n]...), from.String(), nil
+	return buf[:n], from.String(), nil
 }
-
-// maxDatagram is the largest UDP payload a read can return.
-const maxDatagram = 65536
-
-var udpBufPool = sync.Pool{New: func() any {
-	b := make([]byte, maxDatagram)
-	return &b
-}}
 
 func (p *realPacketConn) LocalAddr() string { return p.uc.LocalAddr().String() }
 
@@ -204,7 +191,7 @@ func (p *realPacketConn) pumpUnicast() {
 }
 
 func pumpReader(uc *net.UDPConn, inbox chan packet) {
-	buf := make([]byte, maxDatagram)
+	buf := make([]byte, 65536)
 	for {
 		n, from, err := uc.ReadFromUDP(buf)
 		if err != nil {
@@ -261,9 +248,9 @@ const recvBufSize = 32 << 10
 
 // readerPool recycles read buffers across connections. Discovery dials a
 // fresh stream per request, so a buffer allocated (and zeroed) at each end of
-// every connection would be the discovery path's largest allocation — the
-// same waste the pooled datagram buffer removes. A connection takes a reader
-// on its first receive and hands it back when its receive side ends.
+// every connection would add a 32 KiB allocation per request to the
+// discovery path. A connection takes a reader on its first receive and hands
+// it back when its receive side ends.
 var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, recvBufSize) }}
 
 // realConn frames messages over TCP with a 4-byte big-endian length prefix.
