@@ -9,8 +9,8 @@
 package main
 
 import (
-	"context"
 	"flag"
+	"fmt"
 	"log"
 	"math/rand"
 	"os"
@@ -23,12 +23,20 @@ import (
 	"narada/internal/bdn/replica"
 	"narada/internal/config"
 	"narada/internal/ntptime"
-	"narada/internal/obs"
-	"narada/internal/obs/profile"
+	"narada/internal/obs/plane"
 	"narada/internal/transport"
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatalf("bdn: %v", err)
+	}
+	log.Print("bdn: shutdown complete")
+}
+
+// run is main's body, so that every exit path runs the deferred plane Close
+// and the final span flush and metric snapshot ship on failures too.
+func run() error {
 	var (
 		configPath = flag.String("config", "", "BDN configuration file (JSON)")
 		bind       = flag.String("bind", "", "IP to bind ('' = all interfaces)")
@@ -45,19 +53,14 @@ func main() {
 		replPort   = flag.Int("replica-port", 0, "TCP port for the replication endpoint (0 = auto; needs -data-dir and -peers)")
 		peers      = flag.String("peers", "", "comma-separated replication addresses of the other cluster members (overrides config)")
 		lease      = flag.Duration("lease", 0, "replication leader lease; standbys promote after it expires (overrides config; 0 = 2s)")
-		telemetry  = flag.String("telemetry-addr", "", "listen addr for /metrics, /healthz, /debug/traces and pprof (overrides config; '' = off)")
-		obsExport  = flag.String("obs-export", "", "obscollect UDP addr to export spans + metric snapshots to (overrides config; '' = off)")
-		profEvery  = flag.Duration("profile-every", 0, "periodic cpu+heap+goroutine profile capture interval (0 = on-demand only; needs -telemetry-addr)")
-		mutexFrac  = flag.Int("mutex-profile-fraction", 0, "record ~1/N mutex contention events (0 = off)")
-		blockRate  = flag.Int("block-profile-rate", 0, "record goroutine blocking events >= N ns (0 = off)")
-		logLevel   = flag.String("log-level", "", "log level: debug | info | warn | error (overrides config)")
+		tf         = plane.RegisterFlags(flag.CommandLine, plane.FlagsAll, true)
 	)
 	flag.Parse()
 
 	cfg := &config.BDN{}
 	if *configPath != "" {
 		if err := config.Load(*configPath, cfg); err != nil {
-			log.Fatalf("bdn: %v", err)
+			return err
 		}
 	}
 	if *name != "" {
@@ -104,24 +107,10 @@ func main() {
 	if *lease > 0 {
 		cfg.LeaseMs = int(lease.Milliseconds())
 	}
-	if *telemetry != "" {
-		cfg.TelemetryAddr = *telemetry
-	}
-	if *obsExport != "" {
-		cfg.ObsExportAddr = *obsExport
-	}
-	if *logLevel != "" {
-		cfg.LogLevel = *logLevel
-	}
 	if err := cfg.Validate(); err != nil {
-		log.Fatalf("bdn: %v", err)
+		return err
 	}
-	level, err := obs.ParseLevel(cfg.LogLevel)
-	if err != nil {
-		log.Fatalf("bdn: %v", err)
-	}
-	logger := obs.NewLogger(os.Stderr, level)
-	profile.SetRuntimeRates(*mutexFrac, *blockRate)
+	tf.Default(cfg.TelemetryAddr, cfg.ObsExportAddr, cfg.LogLevel)
 
 	injection := bdn.InjectClosestFarthest
 	if cfg.Policy == "all" {
@@ -132,28 +121,14 @@ func main() {
 	ntp := ntptime.NewService(node.Clock(), 0, rand.New(rand.NewSource(time.Now().UnixNano())))
 	go ntp.Init()
 
-	reg := obs.NewRegistry()
-	obs.RegisterProcessMetrics(reg)
-	tracer := obs.NewTracer(obs.DefaultTraceCapacity, logger)
-	journal := obs.NewJournal(0, nil)
-	var exp *obs.Exporter
-	if cfg.ObsExportAddr != "" {
-		exp, err = obs.NewExporter(obs.ExporterConfig{
-			Addr:     cfg.ObsExportAddr,
-			Node:     cfg.Name,
-			Offset:   ntp.Offset,
-			Registry: reg,
-			Journal:  journal,
-		})
-		if err != nil {
-			log.Fatalf("bdn: obs export: %v", err)
-		}
-		tracer.SetExporter(exp)
-		log.Printf("bdn: exporting observability to udp://%s", cfg.ObsExportAddr)
+	p, err := plane.Start(plane.Config{Flags: *tf, Prog: "bdn", Node: cfg.Name, Offset: ntp.Offset})
+	if err != nil {
+		return err
 	}
+	defer p.Close()
 
 	d, err := bdn.New(node, ntp, bdn.Config{
-		Logger:             logger,
+		Handle:             p.Handle(),
 		Name:               cfg.Name,
 		StreamPort:         cfg.StreamPort,
 		UDPPort:            cfg.UDPPort,
@@ -166,64 +141,42 @@ func main() {
 		DataDir:            cfg.DataDir,
 		Fsync:              cfg.SyncPolicy(),
 		SnapshotEvery:      cfg.SnapshotEvery,
-		Metrics:            reg,
-		Tracer:             tracer,
-		Journal:            journal,
 	})
 	if err != nil {
-		log.Fatalf("bdn: %v", err)
+		return err
 	}
+	// Deferred after the plane's Close, so the daemon stops first.
+	defer d.Close()
 	if err := d.Start(); err != nil {
-		log.Fatalf("bdn: %v", err)
+		return err
 	}
 	log.Printf("bdn %s listening on %s", d.Name(), d.Addr())
 	if cfg.DataDir != "" {
 		log.Printf("bdn: durable registry in %s (fsync=%s)", cfg.DataDir, cfg.SyncPolicy())
 	}
 
-	var rep *replica.Replica
 	if len(cfg.Peers) > 0 {
-		rep, err = replica.New(replica.Config{
+		rep, err := replica.New(replica.Config{
 			Name:       cfg.Name,
 			Node:       node,
 			Store:      d,
 			ListenPort: cfg.ReplicaPort,
 			Peers:      cfg.Peers,
 			Lease:      cfg.Lease(),
-			Logger:     logger,
-			Metrics:    reg,
-			Journal:    journal,
+			Handle:     p.Handle(),
 		})
 		if err != nil {
-			log.Fatalf("bdn: replica: %v", err)
+			return fmt.Errorf("replica: %w", err)
 		}
+		defer rep.Close()
 		if err := rep.Start(nil); err != nil {
-			log.Fatalf("bdn: replica: %v", err)
+			return fmt.Errorf("replica: %w", err)
 		}
 		log.Printf("bdn: replicating on %s with %d peers", rep.Addr(), len(cfg.Peers))
 	}
 
-	var srv *obs.Server
-	var prof *profile.Capturer
-	if cfg.TelemetryAddr != "" {
-		prof = profile.New(profile.Config{
-			Interval: *profEvery,
-			Mutex:    *mutexFrac > 0,
-			Block:    *blockRate > 0,
-			Logger:   logger,
-		})
-		prof.Start()
-		srv, err = obs.ServeWith(cfg.TelemetryAddr, reg, tracer, prof.Mount())
-		if err != nil {
-			log.Fatalf("bdn: telemetry: %v", err)
-		}
-		log.Printf("bdn: telemetry on http://%s/metrics", srv.Addr())
-		if *profEvery > 0 {
-			log.Printf("bdn: capturing profiles every %s", *profEvery)
-		}
-		if exp != nil {
-			exp.AnnounceTelemetry(srv.Addr(), true)
-		}
+	if err := p.Serve(); err != nil {
+		return err
 	}
 
 	stop := make(chan struct{})
@@ -243,29 +196,10 @@ func main() {
 		}()
 	}
 
-	// Ordered shutdown on SIGINT/SIGTERM: stop the daemon first, then the
-	// telemetry server, and close the exporter last so its final drained
-	// spans and metric snapshot reach the collector before the socket dies.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	close(stop)
 	log.Printf("bdn: %s: shutting down", s)
-	if rep != nil {
-		rep.Close()
-	}
-	d.Close()
-	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_ = srv.Shutdown(ctx)
-		cancel()
-	}
-	if prof != nil {
-		prof.Close()
-	}
-	if exp != nil {
-		_ = exp.Close()
-		log.Print("bdn: final telemetry snapshot exported")
-	}
-	log.Print("bdn: shutdown complete")
+	return nil
 }

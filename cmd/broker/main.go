@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -19,7 +18,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -27,11 +25,20 @@ import (
 	"narada/internal/config"
 	"narada/internal/ntptime"
 	"narada/internal/obs"
-	"narada/internal/obs/profile"
+	"narada/internal/obs/plane"
 	"narada/internal/transport"
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatalf("broker: %v", err)
+	}
+	log.Print("broker: shutdown complete")
+}
+
+// run is main's body, so that every exit path runs the deferred plane Close
+// and the final span flush and metric snapshot ship on failures too.
+func run() error {
 	var (
 		configPath = flag.String("config", "", "broker configuration file (JSON)")
 		bind       = flag.String("bind", "", "IP to bind ('' = all interfaces)")
@@ -46,21 +53,16 @@ func main() {
 		heartbeat  = flag.Duration("heartbeat", 0, "link keepalive interval (overrides config; 0 = off)")
 		advEvery   = flag.Duration("advertise-every", 0, "registration refresh period (overrides config; 0 = off)")
 		advTTL     = flag.Duration("ad-ttl", 0, "advertised validity window (overrides config; 0 = 3x refresh period)")
-		telemetry  = flag.String("telemetry-addr", "", "listen addr for /metrics, /healthz, /debug/traces and pprof (overrides config; '' = off)")
-		obsExport  = flag.String("obs-export", "", "obscollect UDP addr to export spans + metric snapshots to (overrides config; '' = off)")
 		sampleN    = flag.Int("sample-every", 0, "trace ~1 in N publishes originating here (overrides config; 0 = off)")
 		samplePS   = flag.Int("sample-topic-persec", 0, "per-topic cap on traced messages/second (overrides config; 0 = uncapped)")
-		profEvery  = flag.Duration("profile-every", 0, "periodic cpu+heap+goroutine profile capture interval (0 = on-demand only; needs -telemetry-addr)")
-		mutexFrac  = flag.Int("mutex-profile-fraction", 0, "record ~1/N mutex contention events (0 = off)")
-		blockRate  = flag.Int("block-profile-rate", 0, "record goroutine blocking events >= N ns (0 = off)")
-		logLevel   = flag.String("log-level", "", "log level: debug | info | warn | error (overrides config)")
+		tf         = plane.RegisterFlags(flag.CommandLine, plane.FlagsAll, true)
 	)
 	flag.Parse()
 
 	cfg := &config.Broker{}
 	if *configPath != "" {
 		if err := config.Load(*configPath, cfg); err != nil {
-			log.Fatalf("broker: %v", err)
+			return err
 		}
 	}
 	if *logical != "" {
@@ -99,30 +101,16 @@ func main() {
 	if *advTTL > 0 {
 		cfg.AdvertiseTTLMs = int(advTTL.Milliseconds())
 	}
-	if *telemetry != "" {
-		cfg.TelemetryAddr = *telemetry
-	}
-	if *obsExport != "" {
-		cfg.ObsExportAddr = *obsExport
-	}
 	if *sampleN > 0 {
 		cfg.SampleEvery = *sampleN
 	}
 	if *samplePS > 0 {
 		cfg.SampleTopicPerSec = *samplePS
 	}
-	if *logLevel != "" {
-		cfg.LogLevel = *logLevel
-	}
 	if err := cfg.Validate(); err != nil {
-		log.Fatalf("broker: %v", err)
+		return err
 	}
-	level, err := obs.ParseLevel(cfg.LogLevel)
-	if err != nil {
-		log.Fatalf("broker: %v", err)
-	}
-	logger := obs.NewLogger(os.Stderr, level)
-	profile.SetRuntimeRates(*mutexFrac, *blockRate)
+	tf.Default(cfg.TelemetryAddr, cfg.ObsExportAddr, cfg.LogLevel)
 
 	node := transport.NewRealNode(*bind, nil)
 	hostname, _ := os.Hostname()
@@ -134,37 +122,14 @@ func main() {
 	ntp := ntptime.NewService(node.Clock(), 0, rand.New(rand.NewSource(time.Now().UnixNano())))
 	go ntp.Init()
 
-	reg := obs.NewRegistry()
-	obs.RegisterProcessMetrics(reg)
-	tracer := obs.NewTracer(obs.DefaultTraceCapacity, logger)
-	// The exporter is wired before the broker exists, so its per-tick flow
-	// snapshot reads through an atomic indirection filled in below.
-	var flowSource atomic.Pointer[func() []obs.FlowSnapshot]
-	var exp *obs.Exporter
-	journal := obs.NewJournal(0, nil)
-	if cfg.ObsExportAddr != "" {
-		exp, err = obs.NewExporter(obs.ExporterConfig{
-			Addr:     cfg.ObsExportAddr,
-			Node:     cfg.LogicalAddress,
-			Offset:   ntp.Offset,
-			Registry: reg,
-			Journal:  journal,
-			Flows: func() []obs.FlowSnapshot {
-				if f := flowSource.Load(); f != nil {
-					return (*f)()
-				}
-				return nil
-			},
-		})
-		if err != nil {
-			log.Fatalf("broker: obs export: %v", err)
-		}
-		tracer.SetExporter(exp)
-		log.Printf("broker: exporting observability to udp://%s", cfg.ObsExportAddr)
+	p, err := plane.Start(plane.Config{Flags: *tf, Prog: "broker", Node: cfg.LogicalAddress, Offset: ntp.Offset})
+	if err != nil {
+		return err
 	}
+	defer p.Close()
 
 	b, err := broker.New(node, ntp, broker.Config{
-		Logger:            logger,
+		Handle:            p.Handle(),
 		LogicalAddress:    cfg.LogicalAddress,
 		Hostname:          cfg.Hostname,
 		Realm:             cfg.Realm,
@@ -179,48 +144,24 @@ func main() {
 		HeartbeatInterval: cfg.HeartbeatInterval(),
 		AdvertiseInterval: cfg.AdvertiseInterval(),
 		AdvertiseTTL:      cfg.AdvertiseTTL(),
-		Metrics:           reg,
-		Tracer:            tracer,
-		Journal:           journal,
 		PublishSampler:    obs.NewSampler(uint64(cfg.SampleEvery), uint64(cfg.SampleTopicPerSec)),
 	})
 	if err != nil {
-		log.Fatalf("broker: %v", err)
+		return err
 	}
-	flows := b.Flows
-	flowSource.Store(&flows)
+	// Deferred after the plane's Close, so the broker stops first.
+	defer b.Close()
+	p.SetFlows(b.Flows)
 	if err := b.Start(); err != nil {
-		log.Fatalf("broker: %v", err)
+		return err
 	}
 	if cfg.SampleEvery > 0 {
 		log.Printf("broker: sampling ~1/%d publishes for message tracing", cfg.SampleEvery)
 	}
 	log.Printf("broker %s listening: stream=%s udp=%s",
 		b.LogicalAddress(), b.StreamAddr(), b.UDPAddr())
-
-	var srv *obs.Server
-	var prof *profile.Capturer
-	if cfg.TelemetryAddr != "" {
-		prof = profile.New(profile.Config{
-			Interval: *profEvery,
-			Mutex:    *mutexFrac > 0,
-			Block:    *blockRate > 0,
-			Logger:   logger,
-		})
-		prof.Start()
-		srv, err = obs.ServeWith(cfg.TelemetryAddr, reg, tracer, prof.Mount())
-		if err != nil {
-			log.Fatalf("broker: telemetry: %v", err)
-		}
-		log.Printf("broker: telemetry on http://%s/metrics", srv.Addr())
-		if *profEvery > 0 {
-			log.Printf("broker: capturing profiles every %s", *profEvery)
-		}
-		// Announce the telemetry endpoint on the export stream so the
-		// collector can pull profiles and flight-record this node.
-		if exp != nil {
-			exp.AnnounceTelemetry(srv.Addr(), true)
-		}
+	if err := p.Serve(); err != nil {
+		return err
 	}
 
 	for _, addr := range cfg.BDNs {
@@ -238,29 +179,11 @@ func main() {
 		}
 	}
 
-	// Ordered shutdown on SIGINT/SIGTERM: stop producing (broker) first,
-	// then stop serving telemetry, and close the exporter last — its Close
-	// drains buffered spans and ships a final metric + flow snapshot, so the
-	// collector keeps the process's last moments instead of losing them with
-	// the socket.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	log.Printf("broker: %s: shutting down", s)
-	b.Close()
-	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_ = srv.Shutdown(ctx)
-		cancel()
-	}
-	if prof != nil {
-		prof.Close()
-	}
-	if exp != nil {
-		_ = exp.Close()
-		log.Print("broker: final telemetry snapshot exported")
-	}
-	log.Print("broker: shutdown complete")
+	return nil
 }
 
 func splitList(s string) []string {

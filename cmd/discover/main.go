@@ -10,7 +10,7 @@
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -23,38 +23,45 @@ import (
 	"narada/internal/core"
 	"narada/internal/ntptime"
 	"narada/internal/obs"
-	"narada/internal/obs/profile"
+	"narada/internal/obs/plane"
 	"narada/internal/transport"
 )
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatalf("discover: %v", err)
+	}
+}
+
+// run is main's body: every exit path after the telemetry plane starts —
+// above all a failed discovery, the run an operator most wants to trace —
+// goes through the deferred node_stop and plane Close, so the final span
+// flush, outcome counters and node_stop still reach the collector.
+func run(args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		configPath = flag.String("config", "", "node configuration file (JSON)")
-		bind       = flag.String("bind", "", "IP to bind ('' = all interfaces)")
-		bdns       = flag.String("bdn", "", "comma-separated BDN addresses")
-		name       = flag.String("name", "", "requesting node name")
-		realm      = flag.String("realm", "", "requester network realm")
-		window     = flag.Duration("window", 4*time.Second, "response collection window")
-		maxResp    = flag.Int("max-responses", 0, "first-N-responses cutoff (0 = window only)")
-		targetSize = flag.Int("target-set", 10, "target set size |T|")
-		pings      = flag.Int("pings", 3, "pings per target broker")
-		multicast  = flag.Bool("multicast", false, "fall back to multicast when no BDN answers")
-		verbose    = flag.Bool("verbose", false, "print every response and ping measurement")
-		cacheFile  = flag.String("cache-file", "", "persist the discovered target set to this JSON file and seed the next run's cached-set fallback from it")
-		telemetry  = flag.String("telemetry-addr", "", "listen addr for /metrics, /healthz, /debug/traces and pprof ('' = off)")
-		obsExport  = flag.String("obs-export", "", "obscollect UDP addr to export spans + metric snapshots to ('' = off)")
-		linger     = flag.Duration("linger", 0, "keep the process (and telemetry endpoints) up this long after the discovery")
-		profEvery  = flag.Duration("profile-every", 0, "periodic cpu+heap+goroutine profile capture interval (0 = on-demand only; needs -telemetry-addr)")
-		mutexFrac  = flag.Int("mutex-profile-fraction", 0, "record ~1/N mutex contention events (0 = off)")
-		blockRate  = flag.Int("block-profile-rate", 0, "record goroutine blocking events >= N ns (0 = off)")
+		configPath = fs.String("config", "", "node configuration file (JSON)")
+		bind       = fs.String("bind", "", "IP to bind ('' = all interfaces)")
+		bdns       = fs.String("bdn", "", "comma-separated BDN addresses")
+		name       = fs.String("name", "", "requesting node name")
+		realm      = fs.String("realm", "", "requester network realm")
+		window     = fs.Duration("window", 4*time.Second, "response collection window")
+		maxResp    = fs.Int("max-responses", 0, "first-N-responses cutoff (0 = window only)")
+		targetSize = fs.Int("target-set", 10, "target set size |T|")
+		pings      = fs.Int("pings", 3, "pings per target broker")
+		multicast  = fs.Bool("multicast", false, "fall back to multicast when no BDN answers")
+		verbose    = fs.Bool("verbose", false, "print every response and ping measurement")
+		cacheFile  = fs.String("cache-file", "", "persist the discovered target set to this JSON file and seed the next run's cached-set fallback from it")
+		linger     = fs.Duration("linger", 0, "keep the process (and telemetry endpoints) up this long after the discovery")
+		tf         = plane.RegisterFlags(fs, plane.FlagsAll&^plane.FlagLogLevel, false)
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return on failure
 
 	var cfg core.Config
 	if *configPath != "" {
 		nodeCfg := &config.Node{}
 		if err := config.Load(*configPath, nodeCfg); err != nil {
-			log.Fatalf("discover: %v", err)
+			return err
 		}
 		cfg = nodeCfg.DiscoveryConfig()
 	}
@@ -92,62 +99,26 @@ func main() {
 		cfg.MulticastGroup = "narada/discovery"
 	}
 	if len(cfg.BDNAddrs) == 0 && cfg.MulticastGroup == "" {
-		log.Fatal("discover: need -bdn, -multicast or a config file")
+		return errors.New("need -bdn, -multicast or a config file")
 	}
 
 	node := transport.NewRealNode(*bind, nil)
 	ntp := ntptime.NewService(node.Clock(), 0, rand.New(rand.NewSource(time.Now().UnixNano())))
 	ntp.InitImmediately() // host clock assumed NTP-disciplined
 
-	reg := obs.NewRegistry()
-	obs.RegisterProcessMetrics(reg)
-	tracer := obs.NewTracer(obs.DefaultTraceCapacity, nil)
-	cfg.Metrics = reg
-	cfg.Tracer = tracer
-	var exp *obs.Exporter
-	if *obsExport != "" {
-		journal := obs.NewJournal(0, nil)
-		var err error
-		exp, err = obs.NewExporter(obs.ExporterConfig{
-			Addr:     *obsExport,
-			Node:     cfg.NodeName,
-			Offset:   ntp.Offset,
-			Registry: reg,
-			Journal:  journal,
-		})
-		if err != nil {
-			log.Fatalf("discover: obs export: %v", err)
-		}
-		// The requester is short-lived: its node_start/node_stop pair bounds
-		// the discovery on the collector's timeline, and Close ships the final
-		// journal drain so node_stop arrives even without a metrics tick.
-		journal.Emit(obs.EventNodeStart, cfg.NodeName, "discovery requester")
-		defer exp.Close() //nolint:errcheck
-		defer journal.Emit(obs.EventNodeStop, cfg.NodeName, "")
-		tracer.SetExporter(exp)
+	p, err := plane.Start(plane.Config{Flags: *tf, Prog: "discover", Node: cfg.NodeName, Offset: ntp.Offset})
+	if err != nil {
+		return err
 	}
-	if *telemetry != "" {
-		profile.SetRuntimeRates(*mutexFrac, *blockRate)
-		prof := profile.New(profile.Config{
-			Interval: *profEvery,
-			Mutex:    *mutexFrac > 0,
-			Block:    *blockRate > 0,
-		})
-		prof.Start()
-		defer prof.Close()
-		srv, err := obs.ServeWith(*telemetry, reg, tracer, prof.Mount())
-		if err != nil {
-			log.Fatalf("discover: telemetry: %v", err)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(ctx)
-		}()
-		log.Printf("discover: telemetry on http://%s/metrics", srv.Addr())
-		if exp != nil {
-			exp.AnnounceTelemetry(srv.Addr(), true)
-		}
+	defer p.Close()
+	cfg.Handle = p.Handle()
+	// The requester is short-lived: its node_start/node_stop pair bounds the
+	// discovery on the collector's timeline, and the plane's Close ships the
+	// final journal drain so node_stop arrives even without a metrics tick.
+	cfg.Journal.Emit(obs.EventNodeStart, cfg.NodeName, "discovery requester")
+	defer cfg.Journal.Emit(obs.EventNodeStop, cfg.NodeName, "")
+	if err := p.Serve(); err != nil {
+		return err
 	}
 
 	d := core.NewDiscoverer(node, ntp, cfg)
@@ -161,7 +132,7 @@ func main() {
 	}
 	res, err := d.Discover()
 	if err != nil {
-		log.Fatalf("discover: %v", err)
+		return err
 	}
 	if *cacheFile != "" {
 		if err := saveBrokerCache(*cacheFile, d.LastTargetSet()); err != nil {
@@ -204,4 +175,5 @@ func main() {
 		log.Printf("discover: lingering %v (trace at /debug/traces)", *linger)
 		time.Sleep(*linger)
 	}
+	return nil
 }

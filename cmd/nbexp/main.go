@@ -10,50 +10,49 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"narada/internal/experiments"
-	"narada/internal/obs"
+	"narada/internal/obs/plane"
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "nbexp: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	var (
-		exp       = flag.String("exp", "all", "experiment id (see -list) or 'all' / 'figures' / 'ablations'")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		runs      = flag.Int("runs", 120, "discovery repetitions per experiment (paper: 120)")
-		keep      = flag.Int("keep", 100, "samples kept after outlier removal (paper: 100)")
-		scale     = flag.Float64("scale", 200, "simulator model-time speed-up")
-		seed      = flag.Int64("seed", 1, "random seed")
-		telemetry = flag.String("telemetry-addr", "", "listen addr for /metrics, /healthz and pprof while experiments run ('' = off)")
+		exp   = flag.String("exp", "all", "experiment id (see -list) or 'all' / 'figures' / 'ablations'")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
+		runs  = flag.Int("runs", 120, "discovery repetitions per experiment (paper: 120)")
+		keep  = flag.Int("keep", 100, "samples kept after outlier removal (paper: 100)")
+		scale = flag.Float64("scale", 200, "simulator model-time speed-up")
+		seed  = flag.Int64("seed", 1, "random seed")
+		tf    = plane.RegisterFlags(flag.CommandLine, plane.FlagTelemetryAddr, false)
 	)
+	flag.Lookup("telemetry-addr").Usage = "listen addr for /metrics, /healthz and pprof while experiments run ('' = off)"
 	flag.Parse()
 
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
-		return
+		return nil
 	}
 
-	if *telemetry != "" {
-		reg := obs.NewRegistry()
-		obs.RegisterProcessMetrics(reg)
-		srv, err := obs.Serve(*telemetry, reg, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nbexp: telemetry: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(ctx)
-		}()
-		fmt.Fprintf(os.Stderr, "nbexp: telemetry on http://%s/metrics\n", srv.Addr())
+	p, err := plane.Start(plane.Config{Flags: *tf, Prog: "nbexp", MetricsOnly: true})
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+	if err := p.Serve(); err != nil {
+		return err
 	}
 
 	opts := experiments.Options{Runs: *runs, Keep: *keep, Scale: *scale, Seed: *seed}
@@ -86,6 +85,7 @@ func main() {
 		fmt.Println()
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d of %d experiments failed", failed, len(ids))
 	}
+	return nil
 }

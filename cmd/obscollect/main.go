@@ -40,7 +40,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -50,13 +52,19 @@ import (
 	"syscall"
 	"time"
 
-	"narada/internal/obs"
 	"narada/internal/obs/collect"
 	"narada/internal/obs/collect/health"
-	"narada/internal/obs/profile"
+	"narada/internal/obs/plane"
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatalf("obscollect: %v", err)
+	}
+	log.Print("obscollect: drained")
+}
+
+func run() error {
 	var (
 		listen        = flag.String("listen", "127.0.0.1:9310", "UDP listen addr for export packets")
 		httpAddr      = flag.String("http", "127.0.0.1:9311", "HTTP listen addr for /metrics, /traces, /fabric, /alerts, /events, /topology, /query")
@@ -65,7 +73,6 @@ func main() {
 		probeInterval = flag.Duration("probe-interval", 0, "synthetic discovery probe interval (0 = no prober)")
 		probeBDN      = flag.String("probe-bdn", "", "comma-separated BDN stream addrs the prober discovers through")
 		probeWindow   = flag.Duration("probe-window", time.Second, "per-probe response collection window")
-		logLevel      = flag.String("log-level", "info", "log level: debug | info | warn | error")
 
 		healthInterval = flag.Duration("health-interval", time.Second, "health rule evaluation period")
 		exportInterval = flag.Duration("export-interval", time.Second, "fabric metric export period (deadman unit of silence)")
@@ -86,20 +93,21 @@ func main() {
 		profileBytes = flag.Int64("profile-max-bytes", collect.DefaultProfileMaxBytes, "total profile bytes retained before oldest eviction")
 		flightCPU    = flag.Int("flight-cpu-seconds", collect.DefaultFlightCPUSeconds, "CPU sampling window of an alert-triggered flight capture")
 		noFlight     = flag.Bool("no-flight-recorder", false, "disable alert-triggered profile capture")
-		mutexFrac    = flag.Int("mutex-profile-fraction", 0, "record ~1/N mutex contention events in this process (0 = off)")
-		blockRate    = flag.Int("block-profile-rate", 0, "record goroutine blocking events >= N ns in this process (0 = off)")
+		tf           = plane.RegisterFlags(flag.CommandLine, plane.FlagProfileRates|plane.FlagLogLevel, false)
 	)
+	flag.Lookup("mutex-profile-fraction").Usage = "record ~1/N mutex contention events in this process (0 = off)"
+	flag.Lookup("block-profile-rate").Usage = "record goroutine blocking events >= N ns in this process (0 = off)"
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
+	// The collector's own plane: logger, contention-profiling rates and
+	// process metrics on the registry its federated /metrics serves. Its
+	// HTTP surface is the collector's handler below, not the node endpoint.
+	p, err := plane.Start(plane.Config{Flags: *tf, Prog: "obscollect", MetricsOnly: true})
 	if err != nil {
-		log.Fatalf("obscollect: %v", err)
+		return err
 	}
-	logger := obs.NewLogger(os.Stderr, level)
-	profile.SetRuntimeRates(*mutexFrac, *blockRate)
-
-	reg := obs.NewRegistry()
-	obs.RegisterProcessMetrics(reg)
+	defer p.Close()
+	logger := p.Handle().Logger
 
 	hc := &health.Config{
 		ExportInterval:     *exportInterval,
@@ -123,7 +131,7 @@ func main() {
 		TraceCapacity:         *traceCap,
 		EventCapacity:         *eventCap,
 		Logger:                logger,
-		Registry:              reg,
+		Registry:              p.Handle().Metrics,
 		Health:                hc,
 		HealthInterval:        *healthInterval,
 		ProfileDir:            *profileDir,
@@ -134,13 +142,14 @@ func main() {
 		DisableFlightRecorder: *noFlight,
 	})
 	if err != nil {
-		log.Fatalf("obscollect: %v", err)
+		return err
 	}
 	log.Printf("obscollect: receiving export packets on udp://%s", col.Addr())
 
 	lis, err := net.Listen("tcp", *httpAddr)
 	if err != nil {
-		log.Fatalf("obscollect: http listen: %v", err)
+		_ = col.Close()
+		return fmt.Errorf("http listen: %w", err)
 	}
 	srv := &http.Server{Handler: col.Handler()}
 	done := make(chan struct{})
@@ -154,7 +163,7 @@ func main() {
 	if *probeInterval > 0 {
 		addrs := splitNonEmpty(*probeBDN)
 		if len(addrs) == 0 {
-			log.Fatal("obscollect: -probe-interval requires -probe-bdn")
+			return errors.New("-probe-interval requires -probe-bdn")
 		}
 		// No Registry: the prober keeps a private one and ships SLI snapshots
 		// through the export plane like any other node, so probe series land
@@ -169,7 +178,7 @@ func main() {
 			Logger:        logger,
 		})
 		if err != nil {
-			log.Fatalf("obscollect: prober: %v", err)
+			return fmt.Errorf("prober: %w", err)
 		}
 		prober.Run()
 		log.Printf("obscollect: probing %s every %s", strings.Join(addrs, ","), *probeInterval)
@@ -191,7 +200,7 @@ func main() {
 	defer cancel()
 	_ = srv.Shutdown(ctx)
 	<-done
-	log.Print("obscollect: drained")
+	return nil
 }
 
 func splitNonEmpty(s string) []string {

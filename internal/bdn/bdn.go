@@ -12,7 +12,6 @@ package bdn
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -90,17 +89,11 @@ type Config struct {
 	// SnapshotEvery is how many WAL records accumulate between snapshots
 	// (default 1024). Each snapshot prunes the log segments it covers.
 	SnapshotEvery int
-	// Logger receives operational events; nil discards them.
-	Logger *slog.Logger
-	// Metrics, when set, receives the BDN's metric families (nil disables
-	// exposition; recording stays enabled against a private registry).
-	Metrics *obs.Registry
-	// Tracer, when set, records per-request discovery trace events.
-	Tracer *obs.Tracer
-	// Journal, when set, records registration lifecycle events
-	// (ad_registered/ad_refreshed/ad_expired/ad_swept) and node start/stop
-	// for the fabric event timeline.
-	Journal *obs.Journal
+	// Handle is where the BDN reports: operational logs, its metric
+	// families, per-request discovery spans, and registration lifecycle
+	// journal events (ad_registered/ad_refreshed/ad_expired/ad_swept, node
+	// start/stop). The zero value is usable; see obs.Handle.
+	obs.Handle
 }
 
 // DefaultInjectOverhead is the default per-injection cost.
@@ -169,10 +162,7 @@ func New(node transport.Node, ntp *ntptime.Service, cfg Config) (*BDN, error) {
 	if cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = time.Second
 	}
-	if cfg.Logger == nil {
-		cfg.Logger = obs.Nop()
-	}
-	cfg.Logger = cfg.Logger.With("bdn", cfg.Name)
+	cfg.Handle = cfg.Handle.Scoped("bdn", cfg.Name)
 	d := &BDN{
 		node:       node,
 		ntp:        ntp,

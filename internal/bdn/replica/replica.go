@@ -20,7 +20,6 @@ package replica
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -57,12 +56,10 @@ type Config struct {
 	Lease time.Duration
 	// Policy tunes the supervised redial of peer connections.
 	Policy supervise.Policy
-	// Logger receives replication events; nil discards them.
-	Logger *slog.Logger
-	// Metrics, when set, receives the replica metric families.
-	Metrics *obs.Registry
-	// Journal, when set, records replica_promoted/replica_demoted events.
-	Journal *obs.Journal
+	// Handle is where the replica reports: replication logs, its metric
+	// families and replica_promoted/replica_demoted journal events (the
+	// Tracer is unused). The zero value is usable; see obs.Handle.
+	obs.Handle
 }
 
 // Replica is one member's replication agent.
@@ -138,10 +135,7 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Lease <= 0 {
 		cfg.Lease = DefaultLease
 	}
-	if cfg.Logger == nil {
-		cfg.Logger = obs.Nop()
-	}
-	cfg.Logger = cfg.Logger.With("replica", cfg.Name)
+	cfg.Handle = cfg.Handle.Scoped("replica", cfg.Name)
 	l, err := cfg.Node.Listen(cfg.ListenPort)
 	if err != nil {
 		return nil, fmt.Errorf("replica %s: listen: %w", cfg.Name, err)
@@ -276,9 +270,6 @@ func (r *Replica) LeaderAddr() string {
 }
 
 func (r *Replica) initTelemetry(reg *obs.Registry) {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	who := obs.L("node", r.cfg.Name)
 	r.promotions = reg.Counter("narada_replica_promotions_total",
 		"Lease-expiry promotions to primary.", who)

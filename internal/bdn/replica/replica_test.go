@@ -13,6 +13,7 @@ import (
 	"narada/internal/broker"
 	"narada/internal/metrics"
 	"narada/internal/ntptime"
+	"narada/internal/obs"
 	"narada/internal/simnet"
 	"narada/internal/supervise"
 	"narada/internal/transport"
@@ -98,7 +99,7 @@ func (e *env) newMemberOn(node *transport.SimNode, ntp *ntptime.Service, name, d
 		Store:  d,
 		Lease:  testLease,
 		Policy: testPolicy,
-		Logger: logger,
+		Handle: obs.Handle{Logger: logger},
 	})
 	if err != nil {
 		e.t.Fatal(err)

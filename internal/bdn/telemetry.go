@@ -30,13 +30,10 @@ type telemetry struct {
 	tracer *obs.Tracer
 }
 
-// initTelemetry registers the BDN's metric families on reg (nil gets a
-// private registry) and captures the trace recorder. Instance identity rides
+// initTelemetry registers the BDN's metric families on reg and captures the
+// trace recorder. Instance identity rides
 // in the bdn="<name>" label so one registry can serve several BDNs.
 func (d *BDN) initTelemetry(reg *obs.Registry, tracer *obs.Tracer) {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	who := obs.L("bdn", d.cfg.Name)
 	t := &d.tel
 	t.tracer = tracer

@@ -95,7 +95,9 @@ func (b *Broker) dialRegistration(addr string) (<-chan struct{}, error) {
 			if err != nil {
 				return
 			}
-			lk.touch(b.node.Clock().Now())
+			if b.cfg.HeartbeatInterval > 0 { // only the heartbeat reads lastRecv
+				lk.touch(b.node.Clock().Now())
+			}
 			ev, err := event.Decode(frame)
 			if err != nil {
 				b.tel.framesMalformed.Inc()

@@ -10,7 +10,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,16 +90,12 @@ type Config struct {
 	// that many recent events per topic and serves them to clients that
 	// request a replay after subscribing. 0 disables.
 	ReplayCapacity int
-	// Logger receives operational events (start, links, discovery); nil
-	// discards them.
-	Logger *slog.Logger
-	// Metrics receives the broker's metric families, labelled with the
-	// broker's logical address; nil records into a private registry (the
-	// handles stay live, nothing is exposed).
-	Metrics *obs.Registry
-	// Tracer, when set, receives per-request discovery trace events keyed
-	// by the request UUID.
-	Tracer *obs.Tracer
+	// Handle is where the broker reports: operational logs, its metric
+	// families (labelled with its logical address), discovery and
+	// message-path spans, and control-plane journal events (node and link
+	// lifecycle, advertisement refreshes, reconnect attempts — never on the
+	// publish fast path). The zero value is usable; see obs.Handle.
+	obs.Handle
 	// PublishSampler decides, at publish ingress, which messages get full
 	// message-path tracing (publish→match→flush→hop spans stamped into the
 	// event headers and followed across links). nil never samples; the
@@ -109,10 +104,6 @@ type Config struct {
 	// FlowK overrides the per-topic flow sketch width (top-K heaviest
 	// topics tracked; default obs.DefaultFlowK).
 	FlowK int
-	// Journal, when set, records control-plane transitions (node and link
-	// lifecycle, advertisement refreshes, reconnect attempts) for the
-	// fabric event timeline. Emission never touches the publish fast path.
-	Journal *obs.Journal
 }
 
 // RoutingMode selects the broker network's dissemination strategy for
@@ -213,10 +204,7 @@ func New(node transport.Node, ntp *ntptime.Service, cfg Config) (*Broker, error)
 	if cfg.ReplayCapacity > 0 {
 		history = replay.NewStore(cfg.ReplayCapacity)
 	}
-	if cfg.Logger == nil {
-		cfg.Logger = obs.Nop()
-	}
-	cfg.Logger = cfg.Logger.With("broker", cfg.LogicalAddress)
+	cfg.Handle = cfg.Handle.Scoped("broker", cfg.LogicalAddress)
 	if cfg.AdvertiseTTL <= 0 && cfg.AdvertiseInterval > 0 {
 		cfg.AdvertiseTTL = 3 * cfg.AdvertiseInterval
 	}

@@ -3,7 +3,7 @@ package broker
 import (
 	"errors"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"narada/internal/event"
@@ -18,21 +18,14 @@ type link struct {
 	conn transport.Conn
 	out  *egress // asynchronous outbound queue (set before registration)
 
-	mu       sync.Mutex
-	lastRecv time.Time // last inbound frame, for heartbeat liveness
+	// lastRecv is when the last inbound frame arrived, in clock
+	// nanoseconds: the reader stores it, the heartbeat goroutine loads it.
+	lastRecv atomic.Int64
 }
 
-func (lk *link) touch(now time.Time) {
-	lk.mu.Lock()
-	lk.lastRecv = now
-	lk.mu.Unlock()
-}
+func (lk *link) touch(now time.Time) { lk.lastRecv.Store(now.UnixNano()) }
 
-func (lk *link) lastSeen() time.Time {
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
-	return lk.lastRecv
-}
+func (lk *link) lastSeen() time.Time { return time.Unix(0, lk.lastRecv.Load()) }
 
 // clientConn is a subscriber/publisher connection.
 type clientConn struct {

@@ -76,7 +76,9 @@ func (b *Broker) serveLink(lk *link, replyHello bool) {
 			f.release()
 			return
 		}
-		lk.touch(b.node.Clock().Now())
+		if b.cfg.HeartbeatInterval > 0 { // only the heartbeat reads lastRecv
+			lk.touch(b.node.Clock().Now())
+		}
 		b.handleLinkFrame(lk, f)
 	}
 }

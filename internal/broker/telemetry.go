@@ -48,15 +48,11 @@ type telemetry struct {
 	tracer *obs.Tracer
 }
 
-// initTelemetry registers this broker's metric families on reg (a nil reg
-// gets a private registry so the handles still work) and captures the trace
-// recorder. Instance identity rides in labels — broker="<logical>" for
+// initTelemetry registers this broker's metric families on reg and captures
+// the trace recorder. Instance identity rides in labels — broker="<logical>" for
 // broker families, node="<logical>" for the shared dedup/ntptime families —
 // so one registry can serve a whole in-process deployment.
 func (b *Broker) initTelemetry(reg *obs.Registry, tracer *obs.Tracer) {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	who := obs.L("broker", b.cfg.LogicalAddress)
 	node := obs.L("node", b.cfg.LogicalAddress)
 	t := &b.tel

@@ -56,13 +56,11 @@ type Config struct {
 	Credentials []byte
 	// Protocols lists transports the requester can speak.
 	Protocols []string
-	// Metrics, when set, receives the discovery metric families (nil
-	// disables exposition; recording stays enabled against a private
-	// registry).
-	Metrics *obs.Registry
-	// Tracer, when set, records a per-request trace of every discovery —
-	// one span per phase plus point events — keyed by the request UUID.
-	Tracer *obs.Tracer
+	// Handle is where the discoverer reports: its metric families and a
+	// per-request trace of every discovery — one span per phase plus point
+	// events, keyed by the request UUID (Logger and Journal are unused). The
+	// zero value is usable; see obs.Handle.
+	obs.Handle
 }
 
 // Paper-typical defaults.
@@ -152,6 +150,7 @@ type Discoverer struct {
 // synchronized before Discover is called) for latency estimation to work.
 func NewDiscoverer(node transport.Node, ntp *ntptime.Service, cfg Config) *Discoverer {
 	cfg.fillDefaults()
+	cfg.Handle = cfg.Handle.Scoped("node", cfg.NodeName)
 	d := &Discoverer{node: node, ntp: ntp, cfg: cfg}
 	d.initTelemetry(cfg.Metrics, cfg.Tracer)
 	return d

@@ -32,13 +32,10 @@ type telemetry struct {
 	tracer *obs.Tracer
 }
 
-// initTelemetry registers the discovery metric families on reg (nil gets a
-// private registry) and captures the trace recorder. Instance identity rides
+// initTelemetry registers the discovery metric families on reg and captures
+// the trace recorder. Instance identity rides
 // in the node="<name>" label.
 func (d *Discoverer) initTelemetry(reg *obs.Registry, tracer *obs.Tracer) {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	who := obs.L("node", d.cfg.NodeName)
 	t := &d.tel
 	t.tracer = tracer

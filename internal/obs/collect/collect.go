@@ -106,7 +106,7 @@ type nodeState struct {
 	flowsAt   time.Time
 	flows     []obs.FlowSnapshot // last per-topic flow snapshot (top-k)
 
-	// Announced via node-info packets (wire v5): where the node's telemetry
+	// Announced via node-info packets: where the node's telemetry
 	// HTTP endpoint lives and whether a profile capturer is mounted there.
 	telemetryAddr string
 	profilesOn    bool
@@ -124,7 +124,7 @@ type Collector struct {
 	mu     sync.Mutex
 	nodes  map[string]*nodeState
 	traces map[string]*trace
-	order  []string // trace ids, oldest first
+	order  *obs.Ring[*trace] // retained traces, oldest first
 	events map[string]*eventLog
 
 	// journal records the collector's own control-plane events (the health
@@ -179,6 +179,7 @@ func New(cfg Config) (*Collector, error) {
 		store:      newSeriesStore(cfg.Resolutions, cfg.MaxSeries),
 		nodes:      make(map[string]*nodeState),
 		traces:     make(map[string]*trace),
+		order:      obs.NewRing[*trace](cfg.TraceCapacity),
 		events:     make(map[string]*eventLog),
 		journal:    obs.NewJournal(cfg.EventCapacity, nil),
 		healthStop: make(chan struct{}),
@@ -340,13 +341,8 @@ func (c *Collector) ingest(pkt *obs.ExportPacket) {
 		tr := c.traces[rec.TraceID]
 		if tr == nil {
 			tr = &trace{id: rec.TraceID, firstSeen: now}
-			if len(c.order) == c.cfg.TraceCapacity {
-				old := c.order[0]
-				copy(c.order, c.order[1:])
-				c.order[len(c.order)-1] = rec.TraceID
-				delete(c.traces, old)
-			} else {
-				c.order = append(c.order, rec.TraceID)
+			if old, evicted := c.order.Push(tr); evicted {
+				delete(c.traces, old.id)
 			}
 			c.traces[rec.TraceID] = tr
 		}
@@ -491,12 +487,8 @@ func (c *Collector) Trace(id string) (TraceInfo, bool) {
 func (c *Collector) Traces() []TraceSummary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]TraceSummary, 0, len(c.order))
-	for _, id := range c.order {
-		tr := c.traces[id]
-		if tr == nil {
-			continue
-		}
+	out := make([]TraceSummary, 0, c.order.Len())
+	c.order.Each(func(tr *trace) {
 		out = append(out, TraceSummary{
 			ID:        tr.id,
 			Kind:      tr.kind(),
@@ -504,6 +496,6 @@ func (c *Collector) Traces() []TraceSummary {
 			SpanCount: len(tr.spans),
 			Nodes:     tr.nodes(),
 		})
-	}
+	})
 	return out
 }

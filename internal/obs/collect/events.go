@@ -27,27 +27,9 @@ type NodeEvent struct {
 
 // eventLog is one node's journal-event ring with sequence-gap accounting.
 type eventLog struct {
-	buf     []NodeEvent
-	start   int
-	n       int
+	ring    *obs.Ring[NodeEvent]
 	lastSeq uint64
 	gaps    *obs.Counter // narada_collector_event_gaps_total{node=...}
-}
-
-func (l *eventLog) append(ev NodeEvent) {
-	if l.n == len(l.buf) {
-		l.buf[l.start] = ev
-		l.start = (l.start + 1) % len(l.buf)
-	} else {
-		l.buf[(l.start+l.n)%len(l.buf)] = ev
-		l.n++
-	}
-}
-
-func (l *eventLog) each(fn func(NodeEvent)) {
-	for i := 0; i < l.n; i++ {
-		fn(l.buf[(l.start+i)%len(l.buf)])
-	}
 }
 
 // ingestEventsLocked stores one event packet's batch under the sending node,
@@ -59,7 +41,7 @@ func (c *Collector) ingestEventsLocked(pkt *obs.ExportPacket) {
 	l := c.events[pkt.Node]
 	if l == nil {
 		l = &eventLog{
-			buf: make([]NodeEvent, c.cfg.EventCapacity),
+			ring: obs.NewRing[NodeEvent](c.cfg.EventCapacity),
 			gaps: c.reg.Counter("narada_collector_event_gaps_total",
 				"Journal sequence gaps observed per node (events lost in transit or to emitter overwrite).",
 				obs.L("node", pkt.Node)),
@@ -77,7 +59,7 @@ func (c *Collector) ingestEventsLocked(pkt *obs.ExportPacket) {
 			}
 		}
 		l.lastSeq = ev.Seq
-		l.append(NodeEvent{
+		l.ring.Push(NodeEvent{
 			Node:      pkt.Node,
 			Seq:       ev.Seq,
 			Type:      ev.Type,
@@ -134,7 +116,7 @@ func (c *Collector) Events(f EventFilter) EventsView {
 		if f.Node != "" && node != f.Node {
 			continue
 		}
-		l.each(func(ev NodeEvent) {
+		l.ring.Each(func(ev NodeEvent) {
 			if f.Type != "" && ev.Type != f.Type {
 				return
 			}
@@ -239,7 +221,7 @@ func (c *Collector) TopologyAt(at time.Time, live bool) TopologyView {
 	c.mu.Lock()
 	var events []NodeEvent
 	for _, l := range c.events {
-		l.each(func(ev NodeEvent) {
+		l.ring.Each(func(ev NodeEvent) {
 			if !ev.AtAligned.After(at) {
 				events = append(events, ev)
 			}
@@ -412,7 +394,7 @@ func (c *Collector) EventCount() int {
 	defer c.mu.Unlock()
 	n := 0
 	for _, l := range c.events {
-		n += l.n
+		n += l.ring.Len()
 	}
 	return n
 }

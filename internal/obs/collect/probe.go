@@ -10,6 +10,7 @@ import (
 	"narada/internal/core"
 	"narada/internal/ntptime"
 	"narada/internal/obs"
+	"narada/internal/obs/plane"
 	"narada/internal/transport"
 )
 
@@ -52,11 +53,10 @@ type ProbeConfig struct {
 // without real client traffic. Probe traces export to the collector like any
 // other requester's, so every probe is inspectable at /traces/{id}.
 type Prober struct {
-	cfg    ProbeConfig
-	disc   *core.Discoverer
-	exp    *obs.Exporter
-	tracer *obs.Tracer
-	log    *slog.Logger
+	cfg   ProbeConfig
+	disc  *core.Discoverer
+	plane *plane.Plane
+	log   *slog.Logger
 
 	runsOK   *obs.Counter
 	runsFail *obs.Counter
@@ -84,11 +84,6 @@ func NewProber(cfg ProbeConfig) (*Prober, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
 	}
-	reg := cfg.Registry
-	ownReg := reg == nil
-	if ownReg {
-		reg = obs.NewRegistry()
-	}
 
 	node := transport.NewRealNode(cfg.BindIP, nil)
 	// The prober runs on the collector host's honest wall clock: zero true
@@ -96,37 +91,31 @@ func NewProber(cfg ProbeConfig) (*Prober, error) {
 	ntp := ntptime.NewService(node.Clock(), 0, rand.New(rand.NewSource(time.Now().UnixNano())))
 	ntp.InitImmediately()
 
-	p := &Prober{cfg: cfg, log: cfg.Logger.With("component", "obsprobe"), closed: make(chan struct{})}
-	p.tracer = obs.NewTracer(16, nil)
-	if cfg.Export != "" {
-		expCfg := obs.ExporterConfig{
-			Addr:   cfg.Export,
-			Node:   ProberNodeName,
-			Offset: ntp.Offset,
-		}
-		// Snapshot SLIs over the wire only from a private registry: a shared
-		// (collector-owned) registry is already on the federated exposition,
-		// and exporting it back would duplicate every series.
-		if ownReg {
-			expCfg.Registry = reg
-			expCfg.MetricsInterval = cfg.Interval
-		}
-		exp, err := obs.NewExporter(expCfg)
-		if err != nil {
-			return nil, err
-		}
-		p.exp = exp
-		p.tracer.SetExporter(exp)
+	// A private registry (cfg.Registry nil) ships its SLI snapshots over the
+	// wire; a collector-owned one is already on the federated exposition,
+	// and exporting it back would duplicate every series — the plane never
+	// ships a borrowed registry.
+	pl, err := plane.Start(plane.Config{
+		Flags:          plane.Flags{ExportAddr: cfg.Export},
+		Node:           ProberNodeName,
+		ExportInterval: cfg.Interval,
+		Offset:         ntp.Offset,
+		Registry:       cfg.Registry,
+		Embedded:       true,
+	})
+	if err != nil {
+		return nil, err
 	}
+	p := &Prober{cfg: cfg, plane: pl, log: cfg.Logger.With("component", "obsprobe"), closed: make(chan struct{})}
 	p.disc = core.NewDiscoverer(node, ntp, core.Config{
 		NodeName:      ProberNodeName,
 		BDNAddrs:      cfg.BDNAddrs,
 		CollectWindow: cfg.CollectWindow,
 		AckTimeout:    cfg.AckTimeout,
-		Metrics:       reg,
-		Tracer:        p.tracer,
+		Handle:        pl.Handle(),
 	})
 
+	reg := pl.Handle().Metrics
 	who := obs.L("node", ProberNodeName)
 	const runs = "narada_probe_runs_total"
 	const runsHelp = "Synthetic discovery probes, by outcome."
@@ -177,7 +166,7 @@ func (p *Prober) Close() error {
 	p.closeOnce.Do(func() {
 		close(p.closed)
 		p.wg.Wait()
-		_ = p.exp.Close()
+		p.plane.Close()
 	})
 	return nil
 }

@@ -16,15 +16,16 @@ import (
 // them can be decoded on its own, so loss never corrupts collector state —
 // it only widens the gap between snapshots.
 const (
-	exportMagic   byte = 0xB8 // obs export frame marker (event frames use 0xB7)
-	exportVersion byte = 5    // v5 adds node-info packets; v4 events; v3 flows; v2 Seq
-	exportMinVer  byte = 1    // v1 (no sequence) still decodes; Seq reads as 0
+	exportMagic byte = 0xB8 // obs export frame marker (event frames use 0xB7)
+	// One wire version: every binary builds from this tree, so a packet of
+	// any other version is rejected rather than half-understood.
+	exportVersion byte = 5
 
 	packetSpans    byte = 1
 	packetMetrics  byte = 2
-	packetFlows    byte = 3 // space-saving top-k flow snapshot (wire v3)
-	packetEvents   byte = 4 // control-plane journal batch (wire v4)
-	packetNodeInfo byte = 5 // telemetry endpoint announcement (wire v5)
+	packetFlows    byte = 3 // space-saving top-k flow snapshot
+	packetEvents   byte = 4 // control-plane journal batch
+	packetNodeInfo byte = 5 // telemetry endpoint announcement
 )
 
 // Family kind bytes on the wire.
@@ -127,13 +128,13 @@ type ExportPacket struct {
 	EventsAt time.Time // event batch: node-local drain time
 	Events   []Event   // control-plane journal events, in seq order
 
-	// Node-info announcement (wire v5): where this node's telemetry HTTP
+	// Node-info announcement: where this node's telemetry HTTP
 	// endpoint lives, so the collector can pull pprof profiles and capturer
 	// rings on demand. NodeInfo distinguishes a real announcement from the
 	// zero value.
 	NodeInfo      bool
 	InfoAt        time.Time
-	TelemetryAddr string // host:port of the node's obs.Serve listener
+	TelemetryAddr string // host:port of the node's telemetry HTTP listener
 	ProfilesOn    bool   // node runs an obs/profile capturer at /profiles
 }
 
@@ -190,10 +191,10 @@ func EncodeFlowsPacket(node string, offset time.Duration, at time.Time, flows []
 	return frame
 }
 
-// EncodeNodeInfoPacket serialises a telemetry-endpoint announcement (wire
-// v5). It is tiny and idempotent; exporters resend it with every metrics
-// tick so a collector restarted mid-run re-learns every node's endpoint
-// within one export interval.
+// EncodeNodeInfoPacket serialises a telemetry-endpoint announcement. It is
+// tiny and idempotent; exporters resend it with every metrics tick so a
+// collector restarted mid-run re-learns every node's endpoint within one
+// export interval.
 func EncodeNodeInfoPacket(node string, offset time.Duration, at time.Time, telemetryAddr string, profilesOn bool) []byte {
 	w := wire.GetWriter(128)
 	encodeExportHeader(w, packetNodeInfo, node, offset)
@@ -318,7 +319,7 @@ func DecodeExportPacket(b []byte) (*ExportPacket, error) {
 		return nil, fmt.Errorf("obs: export: bad magic 0x%02x", m)
 	}
 	version := r.Byte()
-	if r.Err() == nil && (version < exportMinVer || version > exportVersion) {
+	if r.Err() == nil && version != exportVersion {
 		return nil, fmt.Errorf("obs: export: unsupported version %d", version)
 	}
 	kind := r.Byte()
@@ -345,9 +346,7 @@ func DecodeExportPacket(b []byte) (*ExportPacket, error) {
 		}
 	case packetMetrics:
 		p.MetricsAt = r.Time()
-		if version >= 2 {
-			p.Seq = r.Uvarint()
-		}
+		p.Seq = r.Uvarint()
 		nf := r.Uvarint()
 		if r.Err() == nil && nf > wire.MaxListLen {
 			return nil, fmt.Errorf("obs: export: %d families", nf)
@@ -481,9 +480,6 @@ type ExporterConfig struct {
 	FlushInterval time.Duration
 	// MaxBatch is the span count that triggers an immediate send (default 64).
 	MaxBatch int
-	// Flows, when set, is snapshotted alongside every metrics snapshot and
-	// shipped as a flow packet (the broker passes its FlowTable's Snapshot).
-	Flows func() []FlowSnapshot
 	// Journal, when set, is drained alongside every metrics snapshot and
 	// shipped as event packets. The final drain on Close ships terminal
 	// events (node_stop) from short-lived processes.
@@ -535,10 +531,11 @@ type Exporter struct {
 
 	seq atomic.Uint64 // metrics snapshot sequence; see ExportPacket.Seq
 
-	// announce holds the node-info payload shipped with every metrics tick.
-	// It is set late (AnnounceTelemetry) because the telemetry server binds
-	// after the exporter exists in every cmd main.
+	// announce and flows are bound after construction: the telemetry server
+	// and the broker whose flow table is snapshotted both come up after the
+	// exporter that reports them.
 	announce atomic.Pointer[nodeInfoAnnounce]
+	flows    atomic.Pointer[func() []FlowSnapshot]
 
 	ch   chan SpanRecord
 	done chan struct{}
@@ -601,7 +598,7 @@ func newExporterWithSink(cfg ExporterConfig, sink io.Writer) *Exporter {
 
 	e.wg.Add(1)
 	go e.spanLoop()
-	if (cfg.Registry != nil || cfg.Flows != nil || cfg.Journal != nil) && cfg.MetricsInterval > 0 {
+	if cfg.MetricsInterval > 0 {
 		e.wg.Add(1)
 		go e.metricsLoop()
 	}
@@ -737,14 +734,23 @@ type nodeInfoAnnounce struct {
 // AnnounceTelemetry sets the telemetry HTTP address (host:port) this node
 // serves /metrics and /debug/pprof on, and whether an obs/profile capturer
 // is mounted at /profiles. The announcement ships immediately and then with
-// every metrics tick (wire v5 node-info packet). Safe on a nil exporter and
-// at any time relative to Start.
+// every metrics tick. Safe on a nil exporter and at any time relative to
+// Start.
 func (e *Exporter) AnnounceTelemetry(addr string, profilesOn bool) {
 	if e == nil || addr == "" {
 		return
 	}
 	e.announce.Store(&nodeInfoAnnounce{addr: addr, profilesOn: profilesOn})
 	e.send(EncodeNodeInfoPacket(e.cfg.Node, e.offset(), time.Now(), addr, profilesOn))
+}
+
+// SetFlows binds the flow-table snapshot shipped as a flow packet alongside
+// every metrics snapshot from then on (the broker passes its Flows method).
+// Safe on a nil exporter and concurrently with shipping.
+func (e *Exporter) SetFlows(f func() []FlowSnapshot) {
+	if e != nil && f != nil {
+		e.flows.Store(&f)
+	}
 }
 
 func (e *Exporter) shipMetrics() {
@@ -759,8 +765,8 @@ func (e *Exporter) shipMetrics() {
 			e.send(pkt)
 		}
 	}
-	if e.cfg.Flows != nil {
-		if flows := e.cfg.Flows(); len(flows) > 0 {
+	if f := e.flows.Load(); f != nil {
+		if flows := (*f)(); len(flows) > 0 {
 			e.send(EncodeFlowsPacket(e.cfg.Node, e.offset(), now, flows))
 		}
 	}

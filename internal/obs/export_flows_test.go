@@ -68,9 +68,9 @@ func TestExporterShipsFlows(t *testing.T) {
 	ft.Published("alpha", 64).Delivered(64)
 	e := newExporterWithSink(ExporterConfig{
 		Addr: "sink", Node: "b1",
-		Flows:           ft.Snapshot,
 		MetricsInterval: time.Hour, // only the final flush ships
 	}, capture)
+	e.SetFlows(ft.Snapshot)
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -98,9 +98,9 @@ func TestExporterShipsFlows(t *testing.T) {
 	packets = packets[:0]
 	empty := newExporterWithSink(ExporterConfig{
 		Addr: "sink", Node: "b2",
-		Flows:           NewFlowTable(4).Snapshot,
 		MetricsInterval: time.Hour,
 	}, capture)
+	empty.SetFlows(NewFlowTable(4).Snapshot)
 	if err := empty.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}

@@ -27,7 +27,7 @@ func corruptCases() map[string][]byte {
 	// not trusted as an allocation size.
 	w := wire.GetWriter(64)
 	w.Byte(0xb8)
-	w.Byte(2)
+	w.Byte(exportVersion)
 	w.Byte(1) // packetSpans
 	w.String("n1")
 	w.Duration(0)
@@ -38,7 +38,7 @@ func corruptCases() map[string][]byte {
 	// Metrics packet whose histogram series claims 2^30 buckets.
 	w = wire.GetWriter(128)
 	w.Byte(0xb8)
-	w.Byte(2)
+	w.Byte(exportVersion)
 	w.Byte(2) // packetMetrics
 	w.String("n1")
 	w.Duration(0)
@@ -57,7 +57,7 @@ func corruptCases() map[string][]byte {
 	// Event packet claiming 2^32 events: rejected by the list bound.
 	w = wire.GetWriter(64)
 	w.Byte(0xb8)
-	w.Byte(4)
+	w.Byte(exportVersion)
 	w.Byte(4) // packetEvents
 	w.String("n1")
 	w.Duration(0)
@@ -72,7 +72,7 @@ func corruptCases() map[string][]byte {
 	truncatedEvents := append([]byte(nil), eventFrame...)
 	truncatedEvents = truncatedEvents[:len(truncatedEvents)-7]
 
-	// Node-info frame cut mid-address string (wire v5).
+	// Node-info frame cut mid-address string .
 	infoFrame := EncodeNodeInfoPacket("n1", 5*time.Millisecond, time.Unix(1120176060, 0), "127.0.0.1:9411", true)
 	truncatedInfo := append([]byte(nil), infoFrame...)
 	truncatedInfo = truncatedInfo[:len(truncatedInfo)-5]

@@ -61,14 +61,14 @@ func TestNodeInfoPacketRoundTrip(t *testing.T) {
 	}
 }
 
-// A v5 collector must keep decoding every pre-v5 packet: the fabric upgrades
-// node by node and the collector sees a version mix for the whole rollout.
-func TestOlderVersionsStillDecode(t *testing.T) {
-	for v := byte(1); v <= 4; v++ {
+// There is one export wire version: every binary builds from this tree, so a
+// packet stamped with any other version — older or newer — is rejected.
+func TestOtherVersionsRejected(t *testing.T) {
+	for _, v := range []byte{0, 1, 2, 3, 4, exportVersion + 1} {
 		frame := EncodeSpanPacket("n1", 0, sampleSpans())
-		frame[1] = v // rewrite the version byte; span layout is unchanged since v1
-		if _, err := DecodeExportPacket(frame); err != nil {
-			t.Errorf("v%d span packet rejected: %v", v, err)
+		frame[1] = v // rewrite the version byte
+		if _, err := DecodeExportPacket(frame); err == nil {
+			t.Errorf("v%d span packet decoded, want rejection", v)
 		}
 	}
 }
@@ -86,7 +86,7 @@ func TestNodeInfoCorruptAndTruncated(t *testing.T) {
 	// Addr string claiming more bytes than the datagram holds.
 	w := wire.GetWriter(64)
 	w.Byte(0xb8)
-	w.Byte(5)
+	w.Byte(exportVersion)
 	w.Byte(5) // packetNodeInfo
 	w.String("n1")
 	w.Duration(0)

@@ -158,7 +158,7 @@ func TestDecodeExportPacketRejectsGarbage(t *testing.T) {
 		"empty":       {},
 		"bad magic":   append([]byte{0x00}, good[1:]...),
 		"bad version": {0xb8, 0x7f, 0x01},
-		"bad kind":    {0xb8, 0x01, 0x09, 0x01, 'n', 0x00},
+		"bad kind":    {0xb8, exportVersion, 0x09, 0x01, 'n', 0x00},
 		"truncated":   good[:len(good)-3],
 	}
 	for name, b := range cases {

@@ -155,16 +155,12 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// NewMux assembles the telemetry endpoint set: /metrics (Prometheus text),
-// /healthz (JSON liveness), /debug/traces (recent discovery traces, when a
-// tracer is supplied) and the net/http/pprof handlers under /debug/pprof/.
-func NewMux(reg *Registry, tracer *Tracer) *http.ServeMux {
-	return NewMuxWith(reg, tracer, nil)
-}
-
-// NewMuxWith is NewMux plus extra pattern → handler mounts (e.g. the
-// obs/profile capturer's /profiles endpoints). Extra mounts must not collide
-// with the built-in telemetry patterns.
+// NewMuxWith assembles the telemetry endpoint set: /metrics (Prometheus
+// text), /healthz (JSON liveness), /debug/traces (recent discovery traces,
+// when a tracer is supplied) and the net/http/pprof handlers under
+// /debug/pprof/, plus extra pattern → handler mounts (the obs/profile
+// capturer's /profiles endpoints). Extra mounts must not collide with the
+// built-in telemetry patterns.
 func NewMuxWith(reg *Registry, tracer *Tracer, extra map[string]http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	if reg != nil {
@@ -195,13 +191,9 @@ type Server struct {
 	done chan struct{} // closed when the serve goroutine exits
 }
 
-// Serve binds addr (host:port; port 0 picks a free one) and serves the
-// telemetry mux on it in a background goroutine.
-func Serve(addr string, reg *Registry, tracer *Tracer) (*Server, error) {
-	return ServeWith(addr, reg, tracer, nil)
-}
-
-// ServeWith is Serve with extra mounts on the telemetry mux (see NewMuxWith).
+// ServeWith binds addr (host:port; port 0 picks a free one) and serves the
+// telemetry mux, with its extra mounts (see NewMuxWith), on it in a
+// background goroutine.
 func ServeWith(addr string, reg *Registry, tracer *Tracer, extra map[string]http.Handler) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -127,7 +127,7 @@ func TestMuxEndpoints(t *testing.T) {
 	r.Counter("narada_x_total", "x").Inc()
 	tr := NewTracer(4, nil)
 	tr.Trace("req-1").Event("broker-respond", testTime(), A("broker", "b1"))
-	mux := NewMux(r, tr)
+	mux := NewMuxWith(r, tr, nil)
 
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -162,7 +162,7 @@ func TestServerShutdownNoLeak(t *testing.T) {
 
 	reg := NewRegistry()
 	reg.Counter("narada_x_total", "x").Inc()
-	srv, err := Serve("127.0.0.1:0", reg, nil)
+	srv, err := ServeWith("127.0.0.1:0", reg, nil, nil)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -198,7 +198,7 @@ func TestDebugTracesByID(t *testing.T) {
 	tr := NewTracer(4, nil)
 	tr.Trace("req-a").Event("bdn-ack", testTime(), A("requester", "n1"))
 	tr.Trace("req-b").Event("broker-respond", testTime())
-	srv := httptest.NewServer(NewMux(nil, tr))
+	srv := httptest.NewServer(NewMuxWith(nil, tr, nil))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/debug/traces?id=req-a")

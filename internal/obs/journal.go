@@ -57,9 +57,7 @@ type Journal struct {
 	clock func() time.Time
 
 	mu      sync.Mutex
-	buf     []Event
-	start   int // index of oldest buffered event
-	n       int // number of buffered events
+	ring    *Ring[Event] // undrained events
 	seq     uint64
 	dropped uint64
 }
@@ -73,7 +71,7 @@ func NewJournal(capacity int, clock func() time.Time) *Journal {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Journal{clock: clock, buf: make([]Event, capacity)}
+	return &Journal{clock: clock, ring: NewRing[Event](capacity)}
 }
 
 // Emit appends a typed event stamped with the next sequence number and the
@@ -86,16 +84,9 @@ func (j *Journal) Emit(typ, subject, detail string) {
 	now := j.clock()
 	j.mu.Lock()
 	j.seq++
-	ev := Event{Seq: j.seq, Type: typ, At: now, Subject: subject, Detail: detail}
-	if j.n == len(j.buf) {
-		// Full: overwrite the oldest. The seq it carried is gone for
-		// good; the collector sees the gap.
-		j.buf[j.start] = ev
-		j.start = (j.start + 1) % len(j.buf)
+	// An evicted event's seq is gone for good; the collector sees the gap.
+	if _, evicted := j.ring.Push(Event{Seq: j.seq, Type: typ, At: now, Subject: subject, Detail: detail}); evicted {
 		j.dropped++
-	} else {
-		j.buf[(j.start+j.n)%len(j.buf)] = ev
-		j.n++
 	}
 	j.mu.Unlock()
 }
@@ -108,15 +99,7 @@ func (j *Journal) Drain() []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.n == 0 {
-		return nil
-	}
-	out := make([]Event, j.n)
-	for i := 0; i < j.n; i++ {
-		out[i] = j.buf[(j.start+i)%len(j.buf)]
-	}
-	j.start, j.n = 0, 0
-	return out
+	return j.ring.Drain()
 }
 
 // Len reports the number of buffered (undrained) events.
@@ -126,7 +109,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.n
+	return j.ring.Len()
 }
 
 // Dropped reports how many events have been overwritten before a drain.

@@ -55,12 +55,11 @@ type Trace struct {
 // *Tracer is a valid no-op recorder.
 type Tracer struct {
 	logger *slog.Logger
-	cap    int
 	exp    atomic.Pointer[Exporter] // optional UDP span exporter
 
 	mu   sync.Mutex
 	byID map[string]*Trace
-	ring []*Trace // insertion order; oldest evicted first
+	ring *Ring[*Trace] // insertion order; oldest evicted first
 }
 
 // NewTracer returns a tracer retaining the last capacity traces
@@ -70,7 +69,7 @@ func NewTracer(capacity int, logger *slog.Logger) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{cap: capacity, logger: logger, byID: make(map[string]*Trace, capacity)}
+	return &Tracer{logger: logger, byID: make(map[string]*Trace, capacity), ring: NewRing[*Trace](capacity)}
 }
 
 // SetExporter attaches (or, with nil, detaches) a UDP exporter: every span
@@ -93,13 +92,8 @@ func (t *Tracer) Trace(id string) *Trace {
 	tr := t.byID[id]
 	if tr == nil {
 		tr = &Trace{id: id, t: t}
-		if len(t.ring) == t.cap {
-			old := t.ring[0]
-			copy(t.ring, t.ring[1:])
-			t.ring[len(t.ring)-1] = tr
+		if old, evicted := t.ring.Push(tr); evicted {
 			delete(t.byID, old.id)
-		} else {
-			t.ring = append(t.ring, tr)
 		}
 		t.byID[id] = tr
 	}
@@ -113,7 +107,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ring)
+	return t.ring.Len()
 }
 
 // Get returns a snapshot of the trace for id.
@@ -136,7 +130,8 @@ func (t *Tracer) Snapshot() []TraceView {
 		return nil
 	}
 	t.mu.Lock()
-	traces := append([]*Trace(nil), t.ring...)
+	traces := make([]*Trace, 0, t.ring.Len())
+	t.ring.Each(func(tr *Trace) { traces = append(traces, tr) })
 	t.mu.Unlock()
 	out := make([]TraceView, len(traces))
 	for i, tr := range traces {

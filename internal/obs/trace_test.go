@@ -150,7 +150,7 @@ func TestTraceByIDIndexBounded(t *testing.T) {
 	}
 	tr.mu.Lock()
 	indexed := len(tr.byID)
-	ringed := len(tr.ring)
+	ringed := tr.ring.Len()
 	tr.mu.Unlock()
 	if indexed != ringed || indexed != capacity {
 		t.Fatalf("byID holds %d entries for a ring of %d (capacity %d); evicted ids leaked",

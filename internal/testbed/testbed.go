@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"narada/internal/bdn"
@@ -18,6 +17,7 @@ import (
 	"narada/internal/metrics"
 	"narada/internal/ntptime"
 	"narada/internal/obs"
+	"narada/internal/obs/plane"
 	"narada/internal/simnet"
 	"narada/internal/supervise"
 	"narada/internal/topology"
@@ -123,9 +123,10 @@ type Options struct {
 	// whole deployment (BDN injection, broker fan-out, requester phases).
 	Tracer *obs.Tracer
 	// ExportAddr, when set, is an obscollect UDP address: every deployed
-	// component then gets its OWN registry, tracer and exporter (overriding
-	// Metrics/Tracer), so the deployment behaves like separate processes
-	// whose telemetry meets only at the collector.
+	// component then runs under its OWN telemetry plane — registry, tracer,
+	// journal and exporter (overriding Metrics/Tracer) — so the deployment
+	// behaves like separate processes whose telemetry meets only at the
+	// collector.
 	ExportAddr string
 	// ExportInterval is the per-component metric snapshot period when
 	// ExportAddr is set (default 1s; tests use a few ms).
@@ -201,7 +202,7 @@ type Testbed struct {
 	rng       *rand.Rand
 	ntps      []*ntptime.Service // broker (and BDN) time services, for inspection
 	ntpByName map[string]*ntptime.Service
-	exporters map[string]*obs.Exporter // per-node exporters when ExportAddr is set
+	planes    map[string]*plane.Plane // per-node telemetry planes when ExportAddr is set
 
 	// journal records testbed-level control-plane events (chaos fault
 	// injection) under the node identity "testbed" when ExportAddr is set,
@@ -218,19 +219,17 @@ type Testbed struct {
 
 // brokerDeployment remembers how a broker was deployed.
 type brokerDeployment struct {
-	spec                BrokerSpec
-	node                *transport.SimNode
-	ntp                 *ntptime.Service
-	cfg                 broker.Config // Metrics/Tracer re-resolved per (re)start
-	streamPort, udpPort int
+	spec BrokerSpec
+	node *transport.SimNode
+	ntp  *ntptime.Service
+	cfg  broker.Config // Handle and ports as of the last (re)start
 }
 
 // bdnDeployment remembers how a BDN was deployed.
 type bdnDeployment struct {
-	node                *transport.SimNode
-	ntp                 *ntptime.Service
-	cfg                 bdn.Config
-	streamPort, udpPort int
+	node *transport.SimNode
+	ntp  *ntptime.Service
+	cfg  bdn.Config // Handle and ports as of the last (re)start
 	// Replication wiring, recorded at first Start so a restarted member
 	// rebinds the same replication port and redials the same peers.
 	replicaPort  int
@@ -251,7 +250,7 @@ func New(opts Options) (*Testbed, error) {
 		opts:       opts,
 		rng:        rand.New(rand.NewSource(opts.Seed + 7)),
 		ntpByName:  make(map[string]*ntptime.Service),
-		exporters:  make(map[string]*obs.Exporter),
+		planes:     make(map[string]*plane.Plane),
 		brokerDeps: make(map[string]*brokerDeployment),
 		bdnDeps:    make(map[string]*bdnDeployment),
 		replicas:   make(map[string]*replica.Replica),
@@ -263,18 +262,18 @@ func New(opts Options) (*Testbed, error) {
 	if opts.ExportAddr != "" {
 		// The schedule driver exports its own journal: fault injections are
 		// control-plane events too. The model clock is the true timeline, so
-		// no offset correction applies.
-		tb.journal = obs.NewJournal(0, net.Clock().Now)
-		exp, err := obs.NewExporter(obs.ExporterConfig{
-			Addr:            opts.ExportAddr,
-			Node:            "testbed",
-			Journal:         tb.journal,
-			MetricsInterval: opts.ExportInterval,
+		// no offset correction applies. It is not a node with metrics of its
+		// own, so it lends its plane a registry nobody reads: a borrowed
+		// registry is never shipped, and only the journal travels.
+		h, err := tb.startPlane(plane.Config{
+			Node:     "testbed",
+			Clock:    net.Clock().Now,
+			Registry: obs.NewRegistry(),
 		})
 		if err != nil {
-			return nil, fmt.Errorf("testbed: exporter: %w", err)
+			return nil, err
 		}
-		tb.exporters["testbed"] = exp
+		tb.journal = h.Journal
 	}
 
 	// BDNs: gridservicelocator.org at the primary site, further replicas
@@ -292,38 +291,23 @@ func New(opts Options) (*Testbed, error) {
 			}
 			node, ntp := tb.newNode(site, fmt.Sprintf("bdn%d", i))
 			name := "gridservicelocator." + tlds[i%len(tlds)]
-			reg, tracer, journal, err := tb.obsFor(name, ntp, nil)
-			if err != nil {
-				tb.Close()
-				return nil, err
-			}
 			dcfg := bdn.Config{
 				Name:           name,
 				Policy:         opts.InjectPolicy,
 				InjectOverhead: opts.InjectOverhead,
 				AdTTL:          opts.AdTTL,
 				SweepInterval:  opts.SweepInterval,
-				Metrics:        reg,
-				Tracer:         tracer,
-				Journal:        journal,
 			}
 			if opts.BDNDataDir != "" {
 				dcfg.DataDir = filepath.Join(opts.BDNDataDir, name)
 				dcfg.Fsync = wal.SyncNever
 			}
-			d, err := bdn.New(node, ntp, dcfg)
-			if err != nil {
+			tb.bdnDeps[name] = &bdnDeployment{node: node, ntp: ntp, cfg: dcfg}
+			if _, err := tb.startBDN(name); err != nil {
 				tb.Close()
 				return nil, err
 			}
-			if err := d.Start(); err != nil {
-				tb.Close()
-				return nil, err
-			}
-			tb.BDNs = append(tb.BDNs, d)
-			tb.recordBDN(name, node, ntp, dcfg, d)
 		}
-		tb.BDN = tb.BDNs[0]
 
 		// Replication: bind every member's replication listener first, then
 		// start them with the full peer mesh.
@@ -336,7 +320,7 @@ func New(opts Options) (*Testbed, error) {
 	}
 
 	// Brokers.
-	for i, spec := range opts.Brokers {
+	for _, spec := range opts.Brokers {
 		proc := spec.Processing
 		if proc == 0 {
 			proc = opts.BrokerProcessing
@@ -351,28 +335,12 @@ func New(opts Options) (*Testbed, error) {
 			skew = tb.Net.RandomSkew(tb.opts.MaxSkew)
 		}
 		node, ntp := tb.newNodeWithSkew(spec.Site, spec.Name, skew)
-		// The exporter is wired before the broker exists; its flow snapshots
-		// read through an atomic pointer filled in after broker.New.
-		var bref atomic.Pointer[broker.Broker]
-		reg, tracer, journal, err := tb.obsFor(spec.Name, ntp, func() []obs.FlowSnapshot {
-			if br := bref.Load(); br != nil {
-				return br.Flows()
-			}
-			return nil
-		})
-		if err != nil {
-			tb.Close()
-			return nil, err
-		}
 		cfg := broker.Config{
 			LogicalAddress:  spec.Name,
 			Hostname:        spec.Name + "." + spec.Site,
 			Realm:           spec.Site,
 			Sampler:         metrics.NewStaticSampler(usage),
 			ProcessingDelay: proc,
-			Metrics:         reg,
-			Tracer:          tracer,
-			Journal:         journal,
 		}
 		if opts.SampleEvery > 0 {
 			cfg.PublishSampler = obs.NewSampler(opts.SampleEvery, 0)
@@ -388,27 +356,11 @@ func New(opts Options) (*Testbed, error) {
 		cfg.HeartbeatInterval = opts.Heartbeat
 		cfg.AdvertiseInterval = opts.AdvertiseInterval
 		cfg.AdvertiseTTL = opts.AdvertiseTTL
-		b, err := broker.New(node, ntp, cfg)
-		if err != nil {
+		tb.brokerDeps[spec.Name] = &brokerDeployment{spec: spec, node: node, ntp: ntp, cfg: cfg}
+		if _, err := tb.startBroker(spec.Name); err != nil {
 			tb.Close()
 			return nil, err
 		}
-		bref.Store(b)
-		if err := b.Start(); err != nil {
-			tb.Close()
-			return nil, err
-		}
-		tb.Brokers = append(tb.Brokers, b)
-		tb.recordBroker(spec, node, ntp, cfg, b)
-		if spec.Register {
-			for _, d := range tb.BDNs {
-				if err := b.RegisterWithBDN(d.Addr()); err != nil {
-					tb.Close()
-					return nil, fmt.Errorf("testbed: registering %s: %w", spec.Name, err)
-				}
-			}
-		}
-		_ = i
 	}
 
 	// Topology.
@@ -433,37 +385,34 @@ func New(opts Options) (*Testbed, error) {
 	return tb, nil
 }
 
-// obsFor returns the registry, tracer and journal a component named name
-// should use. Without ExportAddr registry and tracer come from Options
-// (possibly shared, possibly nil) and the journal is nil — there is no
-// collector to drain it. With ExportAddr each component gets a private
-// registry, tracer, journal and exporter keyed by its NTP service — the same
-// shape as one process per node. flows, when non-nil, is shipped with each
-// metric snapshot (brokers pass their per-topic flow table; everything else
-// passes nil). Journal events are stamped on the node's local (skewed)
-// clock, like spans, so the collector's offset alignment applies to both.
-func (tb *Testbed) obsFor(name string, ntp *ntptime.Service, flows func() []obs.FlowSnapshot) (*obs.Registry, *obs.Tracer, *obs.Journal, error) {
+// obsFor returns the telemetry handle a component named name should use.
+// Without ExportAddr registry and tracer come from Options (possibly shared,
+// possibly nil) and there is no journal — no collector to drain it. With
+// ExportAddr each component runs under its own plane — private registry,
+// tracer, journal and exporter keyed by its NTP service — the same shape as
+// one process per node. Journal events are stamped on the node's local
+// (skewed) clock, like spans, so the collector's offset alignment applies to
+// both.
+func (tb *Testbed) obsFor(name string, ntp *ntptime.Service) (obs.Handle, error) {
 	if tb.opts.ExportAddr == "" {
-		return tb.opts.Metrics, tb.opts.Tracer, nil, nil
+		return obs.Handle{Metrics: tb.opts.Metrics, Tracer: tb.opts.Tracer}, nil
 	}
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(0, nil)
-	journal := obs.NewJournal(0, ntp.Local().Now)
-	exp, err := obs.NewExporter(obs.ExporterConfig{
-		Addr:            tb.opts.ExportAddr,
-		Node:            name,
-		Offset:          ntp.Offset,
-		Registry:        reg,
-		Flows:           flows,
-		Journal:         journal,
-		MetricsInterval: tb.opts.ExportInterval,
-	})
+	return tb.startPlane(plane.Config{Node: name, Offset: ntp.Offset, Clock: ntp.Local().Now})
+}
+
+// startPlane starts one node's exporting plane and keeps it for Close (or a
+// Kill of that node) to tear down. Testbed nodes share one OS process, so
+// their registries carry no process metrics.
+func (tb *Testbed) startPlane(cfg plane.Config) (obs.Handle, error) {
+	cfg.ExportAddr = tb.opts.ExportAddr
+	cfg.ExportInterval = tb.opts.ExportInterval
+	cfg.Embedded = true
+	p, err := plane.Start(cfg)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("testbed: exporter for %s: %w", name, err)
+		return obs.Handle{}, fmt.Errorf("testbed: telemetry for %s: %w", cfg.Node, err)
 	}
-	tracer.SetExporter(exp)
-	tb.exporters[name] = exp
-	return reg, tracer, journal, nil
+	tb.planes[cfg.Node] = p
+	return p.Handle(), nil
 }
 
 // newNode creates a transport node with a random hardware-clock skew and a
@@ -514,11 +463,11 @@ func (tb *Testbed) NewDiscoverer(site, name string, cfg core.Config) *core.Disco
 		cfg.MulticastGroup = MulticastGroup
 	}
 	if cfg.Metrics == nil && cfg.Tracer == nil {
-		reg, tracer, _, err := tb.obsFor(cfg.NodeName, ntp, nil)
+		h, err := tb.obsFor(cfg.NodeName, ntp)
 		if err != nil {
 			panic(err) // ExportAddr was accepted at New; a dial failure here is a test bug
 		}
-		cfg.Metrics, cfg.Tracer = reg, tracer
+		cfg.Handle = h
 	}
 	return core.NewDiscoverer(node, ntp, cfg)
 }
@@ -545,8 +494,8 @@ func (tb *Testbed) BrokerByName(name string) *broker.Broker {
 // pull and flight-recorder planes dial whatever address is announced, so a
 // node simulated on simnet can still serve real pprof over localhost).
 func (tb *Testbed) Exporter(name string) (*obs.Exporter, bool) {
-	e, ok := tb.exporters[name]
-	return e, ok
+	p, ok := tb.planes[name]
+	return p.Exporter(), ok
 }
 
 // BrokerRegistry returns the private metric registry of a deployed broker
@@ -572,41 +521,102 @@ func (tb *Testbed) KillBroker(name string) bool {
 		}
 		b.Close()
 		tb.Brokers = append(tb.Brokers[:i], tb.Brokers[i+1:]...)
-		if e, ok := tb.exporters[name]; ok {
-			// Close ships a final snapshot; acceptable — a real crash's
-			// last export also races its death.
-			_ = e.Close()
-			delete(tb.exporters, name)
-		}
+		// Close ships a final snapshot; acceptable — a real crash's last
+		// export also races its death.
+		tb.planes[name].Close()
+		delete(tb.planes, name)
 		return true
 	}
 	return false
 }
 
-// recordBroker remembers how a broker was deployed — node, NTP service, config
-// and the ports it actually bound — so a chaos schedule can restart it at the
-// same address after a kill.
-func (tb *Testbed) recordBroker(spec BrokerSpec, node *transport.SimNode, ntp *ntptime.Service, cfg broker.Config, b *broker.Broker) {
-	dep := &brokerDeployment{spec: spec, node: node, ntp: ntp, cfg: cfg}
-	if a, err := transport.ParseSimAddr(b.StreamAddr()); err == nil {
-		dep.streamPort = a.Port
+// startBroker starts the broker its deployment record describes — under a
+// fresh telemetry handle, on the ports it bound last time (any port the first
+// time) — and registers it with every live BDN when its spec asks. The record
+// keeps the handle and the ports, so a chaos schedule can restart the broker
+// at the same address after a kill.
+func (tb *Testbed) startBroker(name string) (*broker.Broker, error) {
+	dep := tb.brokerDeps[name]
+	h, err := tb.obsFor(name, dep.ntp)
+	if err != nil {
+		return nil, err
 	}
-	if a, err := transport.ParseSimAddr(b.UDPAddr()); err == nil {
-		dep.udpPort = a.Port
+	dep.cfg.Handle = h
+	b, err := broker.New(dep.node, dep.ntp, dep.cfg)
+	if err != nil {
+		return nil, fmt.Errorf("testbed: starting %s: %w", name, err)
 	}
-	tb.brokerDeps[spec.Name] = dep
+	tb.planes[name].SetFlows(b.Flows)
+	if err := b.Start(); err != nil {
+		return nil, fmt.Errorf("testbed: starting %s: %w", name, err)
+	}
+	tb.Brokers = append(tb.Brokers, b)
+	dep.cfg.StreamPort, dep.cfg.UDPPort = simPort(b.StreamAddr()), simPort(b.UDPAddr())
+	if dep.spec.Register {
+		for _, d := range tb.BDNs {
+			if err := b.RegisterWithBDN(d.Addr()); err != nil {
+				return nil, fmt.Errorf("testbed: registering %s: %w", name, err)
+			}
+		}
+	}
+	return b, nil
 }
 
-// recordBDN is recordBroker for discovery nodes.
-func (tb *Testbed) recordBDN(name string, node *transport.SimNode, ntp *ntptime.Service, cfg bdn.Config, d *bdn.BDN) {
-	dep := &bdnDeployment{node: node, ntp: ntp, cfg: cfg}
-	if a, err := transport.ParseSimAddr(d.Addr()); err == nil {
-		dep.streamPort = a.Port
+// startBDN is startBroker for discovery nodes.
+func (tb *Testbed) startBDN(name string) (*bdn.BDN, error) {
+	dep := tb.bdnDeps[name]
+	h, err := tb.obsFor(name, dep.ntp)
+	if err != nil {
+		return nil, err
 	}
-	if a, err := transport.ParseSimAddr(d.UDPAddr()); err == nil {
-		dep.udpPort = a.Port
+	dep.cfg.Handle = h
+	d, err := bdn.New(dep.node, dep.ntp, dep.cfg)
+	if err != nil {
+		return nil, fmt.Errorf("testbed: starting bdn %s: %w", name, err)
 	}
-	tb.bdnDeps[name] = dep
+	if err := d.Start(); err != nil {
+		return nil, fmt.Errorf("testbed: starting bdn %s: %w", name, err)
+	}
+	tb.BDNs = append(tb.BDNs, d)
+	tb.BDN = tb.BDNs[0]
+	dep.cfg.StreamPort, dep.cfg.UDPPort = simPort(d.Addr()), simPort(d.UDPAddr())
+	return d, nil
+}
+
+// newReplica creates (without starting) the replication agent of a deployed
+// BDN, on the replication port it bound last time.
+func (tb *Testbed) newReplica(d *bdn.BDN) (*replica.Replica, error) {
+	dep := tb.bdnDeps[d.Name()]
+	lease := tb.opts.Lease
+	if lease <= 0 {
+		// Generous default: the model clock leaps while goroutines do real
+		// work (WAL writes), and a tight lease would churn elections.
+		lease = 4 * time.Second
+	}
+	r, err := replica.New(replica.Config{
+		Name:       d.Name(),
+		Node:       dep.node,
+		Store:      d,
+		ListenPort: dep.replicaPort,
+		Peers:      dep.replicaPeers,
+		Lease:      lease,
+		Handle:     dep.cfg.Handle,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("testbed: replica %s: %w", d.Name(), err)
+	}
+	tb.replicas[d.Name()] = r
+	dep.replicaPort = simPort(r.Addr())
+	return r, nil
+}
+
+// simPort extracts the port of a simulator address (0 if it does not parse).
+func simPort(addr string) int {
+	a, err := transport.ParseSimAddr(addr)
+	if err != nil {
+		return 0
+	}
+	return a.Port
 }
 
 // RestartBroker brings a previously killed broker back on the SAME node with
@@ -616,41 +626,15 @@ func (tb *Testbed) recordBDN(name string, node *transport.SimNode, ntp *ntptime.
 // asked for registration) and re-dials its own outgoing topology edges;
 // inbound edges heal from the other side via supervision.
 func (tb *Testbed) RestartBroker(name string) error {
-	dep, ok := tb.brokerDeps[name]
-	if !ok {
+	if _, ok := tb.brokerDeps[name]; !ok {
 		return fmt.Errorf("testbed: no deployment record for broker %s", name)
 	}
 	if tb.BrokerByName(name) != nil {
 		return fmt.Errorf("testbed: broker %s is still running", name)
 	}
-	var bref atomic.Pointer[broker.Broker]
-	reg, tracer, journal, err := tb.obsFor(name, dep.ntp, func() []obs.FlowSnapshot {
-		if br := bref.Load(); br != nil {
-			return br.Flows()
-		}
-		return nil
-	})
+	b, err := tb.startBroker(name)
 	if err != nil {
 		return err
-	}
-	cfg := dep.cfg
-	cfg.Metrics, cfg.Tracer, cfg.Journal = reg, tracer, journal
-	cfg.StreamPort, cfg.UDPPort = dep.streamPort, dep.udpPort
-	b, err := broker.New(dep.node, dep.ntp, cfg)
-	if err != nil {
-		return fmt.Errorf("testbed: restarting %s: %w", name, err)
-	}
-	bref.Store(b)
-	if err := b.Start(); err != nil {
-		return fmt.Errorf("testbed: restarting %s: %w", name, err)
-	}
-	tb.Brokers = append(tb.Brokers, b)
-	if dep.spec.Register {
-		for _, d := range tb.BDNs {
-			if err := b.RegisterWithBDN(d.Addr()); err != nil {
-				return fmt.Errorf("testbed: re-registering %s: %w", name, err)
-			}
-		}
 	}
 	for _, e := range tb.Edges {
 		if e.From != name {
@@ -671,27 +655,12 @@ func (tb *Testbed) RestartBroker(name string) error {
 // member gets a replication agent; listeners all bind before any member
 // starts dialing, so the mesh forms regardless of deployment order.
 func (tb *Testbed) startReplicas() error {
-	lease := tb.opts.Lease
-	if lease <= 0 {
-		// Generous default: the model clock leaps while goroutines do real
-		// work (WAL writes), and a tight lease would churn elections.
-		lease = 4 * time.Second
-	}
 	reps := make([]*replica.Replica, 0, len(tb.BDNs))
 	for _, d := range tb.BDNs {
-		dep := tb.bdnDeps[d.Name()]
-		r, err := replica.New(replica.Config{
-			Name:    d.Name(),
-			Node:    dep.node,
-			Store:   d,
-			Lease:   lease,
-			Metrics: dep.cfg.Metrics,
-			Journal: dep.cfg.Journal,
-		})
+		r, err := tb.newReplica(d)
 		if err != nil {
-			return fmt.Errorf("testbed: replica %s: %w", d.Name(), err)
+			return err
 		}
-		tb.replicas[d.Name()] = r
 		reps = append(reps, r)
 	}
 	for i, r := range reps {
@@ -704,9 +673,6 @@ func (tb *Testbed) startReplicas() error {
 			}
 		}
 		dep.replicaPeers = peers
-		if a, err := transport.ParseSimAddr(r.Addr()); err == nil {
-			dep.replicaPort = a.Port
-		}
 		if err := r.Start(peers); err != nil {
 			return fmt.Errorf("testbed: replica %s: %w", name, err)
 		}
@@ -780,10 +746,8 @@ func (tb *Testbed) KillBDN(name string) bool {
 		}
 		d.Close()
 		tb.BDNs = append(tb.BDNs[:i], tb.BDNs[i+1:]...)
-		if e, ok := tb.exporters[name]; ok {
-			_ = e.Close()
-			delete(tb.exporters, name)
-		}
+		tb.planes[name].Close()
+		delete(tb.planes, name)
 		if len(tb.BDNs) > 0 {
 			tb.BDN = tb.BDNs[0]
 		} else {
@@ -802,57 +766,30 @@ func (tb *Testbed) KillBDN(name string) bool {
 // member also restarts its replication agent on the old replication port,
 // rejoining the cluster as a standby of whoever got promoted meanwhile.
 func (tb *Testbed) RestartBDN(name string) error {
-	dep, ok := tb.bdnDeps[name]
-	if !ok {
+	if _, ok := tb.bdnDeps[name]; !ok {
 		return fmt.Errorf("testbed: no deployment record for bdn %s", name)
 	}
 	if tb.BDNByName(name) != nil {
 		return fmt.Errorf("testbed: bdn %s is still running", name)
 	}
-	reg, tracer, journal, err := tb.obsFor(name, dep.ntp, nil)
+	d, err := tb.startBDN(name)
 	if err != nil {
 		return err
 	}
-	cfg := dep.cfg
-	cfg.Metrics, cfg.Tracer, cfg.Journal = reg, tracer, journal
-	cfg.StreamPort, cfg.UDPPort = dep.streamPort, dep.udpPort
-	d, err := bdn.New(dep.node, dep.ntp, cfg)
-	if err != nil {
-		return fmt.Errorf("testbed: restarting bdn %s: %w", name, err)
-	}
-	if err := d.Start(); err != nil {
-		return fmt.Errorf("testbed: restarting bdn %s: %w", name, err)
-	}
-	tb.BDNs = append(tb.BDNs, d)
-	tb.BDN = tb.BDNs[0]
 	if tb.opts.Replicate {
-		lease := tb.opts.Lease
-		if lease <= 0 {
-			lease = 4 * time.Second
-		}
-		r, err := replica.New(replica.Config{
-			Name:       name,
-			Node:       dep.node,
-			Store:      d,
-			ListenPort: dep.replicaPort,
-			Peers:      dep.replicaPeers,
-			Lease:      lease,
-			Metrics:    cfg.Metrics,
-			Journal:    cfg.Journal,
-		})
+		r, err := tb.newReplica(d)
 		if err != nil {
-			return fmt.Errorf("testbed: restarting replica %s: %w", name, err)
+			return err
 		}
 		if err := r.Start(nil); err != nil {
 			return fmt.Errorf("testbed: restarting replica %s: %w", name, err)
 		}
-		tb.replicas[name] = r
 	}
 	return nil
 }
 
-// Close tears the deployment down. Per-node exporters are closed last so
-// every component's final spans and metric snapshot still flush out.
+// Close tears the deployment down. Per-node planes are closed last so every
+// component's final spans and metric snapshot still flush out.
 func (tb *Testbed) Close() {
 	for _, b := range tb.Brokers {
 		b.Close()
@@ -863,7 +800,7 @@ func (tb *Testbed) Close() {
 	for _, d := range tb.BDNs {
 		d.Close()
 	}
-	for _, e := range tb.exporters {
-		_ = e.Close()
+	for _, p := range tb.planes {
+		p.Close()
 	}
 }

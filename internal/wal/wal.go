@@ -482,8 +482,12 @@ func (l *Log) Replay(from uint64, fn func(index uint64, payload []byte) error) e
 		}
 		l.dirty = false
 	}
-	segs := make([]*segment, len(l.segs))
-	copy(segs, l.segs)
+	// By value: Append bumps the tail segment's count under the lock while
+	// the walk below runs outside it.
+	segs := make([]segment, len(l.segs))
+	for i, s := range l.segs {
+		segs[i] = *s
+	}
 	last := l.last
 	l.mu.Unlock()
 
@@ -498,7 +502,7 @@ func (l *Log) Replay(from uint64, fn func(index uint64, payload []byte) error) e
 	return nil
 }
 
-func replaySegment(s *segment, from, last uint64, fn func(uint64, []byte) error) error {
+func replaySegment(s segment, from, last uint64, fn func(uint64, []byte) error) error {
 	f, err := os.Open(s.path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)

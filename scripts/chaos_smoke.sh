@@ -9,37 +9,12 @@
 #
 # Uses curl or wget, whichever the host has.
 set -eu
+SMOKE=chaos-smoke
+. "$(dirname "$0")/lib.sh"
 
 BDN_STREAM="127.0.0.1:17610"
 BDN_HTTP="127.0.0.1:17612"
 BROKER_HTTP="127.0.0.1:17613"
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'for p in $PIDS; do kill "$p" 2>/dev/null || true; done; for p in $PIDS; do wait "$p" 2>/dev/null || true; done; rm -rf "$TMP"' EXIT
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "$1"
-    elif command -v wget >/dev/null 2>&1; then
-        wget -qO- "$1"
-    else
-        echo "chaos-smoke: need curl or wget" >&2
-        exit 1
-    fi
-}
-
-wait_for() { # wait_for <url> <what> <logfile>
-    i=0
-    until fetch "$1" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 50 ]; then
-            echo "chaos-smoke: $2 never came up" >&2
-            cat "$3" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
 
 # wait_registered polls the BDN's broker-count gauge until it reports at
 # least one stored registration.
@@ -58,7 +33,7 @@ wait_registered() { # wait_registered <what> <logfile>
 }
 
 start_bdn() { # start_bdn <logfile>
-    "$TMP/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17610 \
+    "$BIN/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17610 \
         -udp-port 17611 -telemetry-addr "$BDN_HTTP" -ad-ttl 5s -sweep-every 500ms \
         >"$1" 2>&1 &
     BDN_PID=$!
@@ -66,13 +41,11 @@ start_bdn() { # start_bdn <logfile>
     wait_for "http://$BDN_HTTP/healthz" "bdn" "$1"
 }
 
-go build -o "$TMP/broker" ./cmd/broker
-go build -o "$TMP/bdn" ./cmd/bdn
-go build -o "$TMP/discover" ./cmd/discover
+build broker bdn discover
 
 start_bdn "$TMP/bdn.log"
 
-"$TMP/broker" -bind 127.0.0.1 -logical chaos-a -bdn "$BDN_STREAM" \
+"$BIN/broker" -bind 127.0.0.1 -logical chaos-a -bdn "$BDN_STREAM" \
     -supervise -heartbeat 500ms -advertise-every 1s \
     -telemetry-addr "$BROKER_HTTP" >"$TMP/broker.log" 2>&1 &
 PIDS="$PIDS $!"
@@ -80,7 +53,7 @@ wait_for "http://$BROKER_HTTP/healthz" "broker" "$TMP/broker.log"
 wait_registered "at the initial bdn" "$TMP/broker.log"
 
 # Baseline: discovery over the healthy fabric selects the broker.
-"$TMP/discover" -bind 127.0.0.1 -bdn "$BDN_STREAM" -window 2s -name chaos-req >"$TMP/discover1.log" 2>&1 || {
+"$BIN/discover" -bind 127.0.0.1 -bdn "$BDN_STREAM" -window 2s -name chaos-req >"$TMP/discover1.log" 2>&1 || {
     echo "chaos-smoke: initial discovery failed" >&2
     cat "$TMP/discover1.log" >&2
     exit 1
@@ -109,7 +82,7 @@ fetch "http://$BROKER_HTTP/metrics" | grep 'narada_broker_reconnects_total' | gr
 }
 
 # A fresh discovery against the restarted BDN selects the re-registered broker.
-"$TMP/discover" -bind 127.0.0.1 -bdn "$BDN_STREAM" -window 2s -name chaos-req2 >"$TMP/discover2.log" 2>&1 || {
+"$BIN/discover" -bind 127.0.0.1 -bdn "$BDN_STREAM" -window 2s -name chaos-req2 >"$TMP/discover2.log" 2>&1 || {
     echo "chaos-smoke: post-restart discovery failed" >&2
     cat "$TMP/discover2.log" >&2
     exit 1

@@ -1,10 +1,8 @@
 #!/bin/sh
-# ci.sh is the complete pre-merge gate: fast static checks first (vet, then
-# race-enabled tests for the observability plane and the chaos/supervision
-# packages, the ones most exposed to concurrency bugs), the tier-1 verify
-# target (build, vet, gofmt, tests, race), every benchmark in the tree run for
-# one iteration (a benchmark that no longer runs is a bug, and nothing else
-# would notice), the publish fast-path performance gate (>2% ns/op regression
+# ci.sh is the complete pre-merge gate: the tier-1 verify target (build, vet,
+# gofmt, tests, and the whole tree again under the race detector), every
+# benchmark in the tree run for one iteration (a benchmark that no longer
+# runs is a bug, and nothing else would notice), the publish fast-path performance gate (>2% ns/op regression
 # on the fan-out, or any new allocation on the fan-out, its sampled variant or
 # the socket ingress path, fails), and finally the eight real-socket smoke
 # tests (collector/prober trace assembly, per-topic flow accounting +
@@ -16,18 +14,6 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "ci: go vet ./..."
-go vet ./...
-
-echo "ci: go test -race ./internal/obs/..."
-go test -race ./internal/obs/...
-
-echo "ci: go test -race ./internal/supervise/ ./internal/testbed/"
-go test -race ./internal/supervise/ ./internal/testbed/
-
-echo "ci: go test -race ./internal/wal/ ./internal/bdn/replica/"
-go test -race ./internal/wal/ ./internal/bdn/replica/
-
 echo "ci: make verify"
 make verify
 
@@ -36,6 +22,12 @@ go test -run '^$' -bench . -benchtime=1x ./...
 
 echo "ci: make bench-gate"
 make bench-gate
+
+# The smoke scripts share one set of binaries (scripts/lib.sh builds into
+# SMOKE_BIN what is not there yet).
+SMOKE_BIN="$(mktemp -d)"
+export SMOKE_BIN
+trap 'rm -rf "$SMOKE_BIN"' EXIT
 
 echo "ci: make loadgen-smoke"
 make loadgen-smoke

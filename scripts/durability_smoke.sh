@@ -11,6 +11,8 @@
 #
 # Uses curl or wget, whichever the host has.
 set -eu
+SMOKE=durability-smoke
+. "$(dirname "$0")/lib.sh"
 
 BDN1_STREAM="127.0.0.1:17620"
 BDN1_HTTP="127.0.0.1:17622"
@@ -21,33 +23,6 @@ BDN3_HTTP="127.0.0.1:17642"
 BROKER1_HTTP="127.0.0.1:17650"
 BROKER2_HTTP="127.0.0.1:17651"
 LEASE="1s"
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'for p in $PIDS; do kill "$p" 2>/dev/null || true; done; for p in $PIDS; do wait "$p" 2>/dev/null || true; done; rm -rf "$TMP"' EXIT
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "$1"
-    elif command -v wget >/dev/null 2>&1; then
-        wget -qO- "$1"
-    else
-        echo "durability-smoke: need curl or wget" >&2
-        exit 1
-    fi
-}
-
-wait_for() { # wait_for <url> <what> <logfile>
-    i=0
-    until fetch "$1" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 50 ]; then
-            echo "durability-smoke: $2 never came up" >&2
-            cat "$3" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
 
 # role reports a member's narada_replica_role gauge (1 = primary), empty on
 # fetch failure.
@@ -96,16 +71,14 @@ wait_brokers() { # wait_brokers <http-addr> <want> <what>
 }
 
 start_bdn() { # start_bdn <name> <stream> <udp> <http> <replica> <peers> <datadir> <logfile>
-    "$TMP/bdn" -bind 127.0.0.1 -name "$1" -stream-port "$2" -udp-port "$3" \
+    "$BIN/bdn" -bind 127.0.0.1 -name "$1" -stream-port "$2" -udp-port "$3" \
         -telemetry-addr "127.0.0.1:$4" -replica-port "$5" -peers "$6" \
         -data-dir "$7" -lease "$LEASE" >"$8" 2>&1 &
     PIDS="$PIDS $!"
     eval "BDN_PID_$4=$!"
 }
 
-go build -o "$TMP/broker" ./cmd/broker
-go build -o "$TMP/bdn" ./cmd/bdn
-go build -o "$TMP/discover" ./cmd/discover
+build broker bdn discover
 
 start_bdn gridservicelocator.org 17620 17621 17622 17623 "127.0.0.1:17633,127.0.0.1:17643" "$TMP/data/org" "$TMP/bdn1.log"
 start_bdn gridservicelocator.com 17630 17631 17632 17633 "127.0.0.1:17623,127.0.0.1:17643" "$TMP/data/com" "$TMP/bdn2.log"
@@ -117,10 +90,10 @@ wait_for "http://$BDN3_HTTP/healthz" "bdn3" "$TMP/bdn3.log"
 PRIMARY_HTTP="$(wait_primary "at bootstrap" "$BDN1_HTTP" "$BDN2_HTTP" "$BDN3_HTTP")"
 echo "durability-smoke: primary elected ($PRIMARY_HTTP)"
 
-"$TMP/broker" -bind 127.0.0.1 -logical dur-a -bdn "$BDN1_STREAM,$BDN2_STREAM,$BDN3_STREAM" \
+"$BIN/broker" -bind 127.0.0.1 -logical dur-a -bdn "$BDN1_STREAM,$BDN2_STREAM,$BDN3_STREAM" \
     -supervise -heartbeat 500ms -telemetry-addr "$BROKER1_HTTP" >"$TMP/broker1.log" 2>&1 &
 PIDS="$PIDS $!"
-"$TMP/broker" -bind 127.0.0.1 -logical dur-b -bdn "$BDN1_STREAM,$BDN2_STREAM,$BDN3_STREAM" \
+"$BIN/broker" -bind 127.0.0.1 -logical dur-b -bdn "$BDN1_STREAM,$BDN2_STREAM,$BDN3_STREAM" \
     -supervise -heartbeat 500ms -telemetry-addr "$BROKER2_HTTP" >"$TMP/broker2.log" 2>&1 &
 PIDS="$PIDS $!"
 wait_for "http://$BROKER1_HTTP/healthz" "broker dur-a" "$TMP/broker1.log"
@@ -130,7 +103,7 @@ wait_brokers "$BDN2_HTTP" 2 "at bootstrap"
 wait_brokers "$BDN3_HTTP" 2 "at bootstrap"
 
 # Baseline: discovery over the healthy cluster answers.
-"$TMP/discover" -bind 127.0.0.1 -bdn "$BDN1_STREAM,$BDN2_STREAM,$BDN3_STREAM" \
+"$BIN/discover" -bind 127.0.0.1 -bdn "$BDN1_STREAM,$BDN2_STREAM,$BDN3_STREAM" \
     -window 2s -name dur-req1 >"$TMP/discover1.log" 2>&1 || {
     echo "durability-smoke: initial discovery failed" >&2
     cat "$TMP/discover1.log" >&2
@@ -171,7 +144,7 @@ echo "durability-smoke: standby promoted ($NEW_PRIMARY)"
 wait_brokers "$NEW_PRIMARY" 2 "after the failover"
 
 # Discovery against the survivors still answers.
-"$TMP/discover" -bind 127.0.0.1 -bdn "$SURVIVOR_STREAMS" \
+"$BIN/discover" -bind 127.0.0.1 -bdn "$SURVIVOR_STREAMS" \
     -window 2s -name dur-req2 >"$TMP/discover2.log" 2>&1 || {
     echo "durability-smoke: post-failover discovery failed" >&2
     cat "$TMP/discover2.log" >&2

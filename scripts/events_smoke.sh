@@ -9,25 +9,13 @@
 #
 # Uses curl or wget, whichever the host has.
 set -eu
+SMOKE=events-smoke
+. "$(dirname "$0")/lib.sh"
 
 BDN_STREAM="127.0.0.1:17610"
 BROKER_B_STREAM="127.0.0.1:17621"
 COLLECT_UDP="127.0.0.1:17710"
 COLLECT_HTTP="127.0.0.1:17711"
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'for p in $PIDS; do kill "$p" 2>/dev/null || true; done; for p in $PIDS; do wait "$p" 2>/dev/null || true; done; rm -rf "$TMP"' EXIT
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "$1"
-    elif command -v wget >/dev/null 2>&1; then
-        wget -qO- "$1"
-    else
-        echo "events-smoke: need curl or wget" >&2
-        exit 1
-    fi
-}
 
 # flat fetches a JSON endpoint with whitespace stripped so multi-line objects
 # grep as a unit.
@@ -35,29 +23,14 @@ flat() {
     fetch "$1" | tr -d ' \n\t'
 }
 
-wait_for() { # wait_for <url> <what> <logfile>
-    i=0
-    until fetch "$1" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 50 ]; then
-            echo "events-smoke: $2 never came up" >&2
-            cat "$3" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
+build broker bdn obscollect
 
-go build -o "$TMP/broker" ./cmd/broker
-go build -o "$TMP/bdn" ./cmd/bdn
-go build -o "$TMP/obscollect" ./cmd/obscollect
-
-"$TMP/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17610 \
+"$BIN/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17610 \
     -obs-export "$COLLECT_UDP" >"$TMP/bdn.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
 
-"$TMP/broker" -bind 127.0.0.1 -logical events-b -stream-port 17621 \
+"$BIN/broker" -bind 127.0.0.1 -logical events-b -stream-port 17621 \
     -bdn "$BDN_STREAM" -obs-export "$COLLECT_UDP" >"$TMP/broker-b.log" 2>&1 &
 BPID=$!
 PIDS="$PIDS $BPID"
@@ -65,12 +38,12 @@ sleep 0.3
 
 # events-a dials events-b under supervision: after the kill it owns the
 # link_down and the reconnect_attempt burst.
-"$TMP/broker" -bind 127.0.0.1 -logical events-a -bdn "$BDN_STREAM" \
+"$BIN/broker" -bind 127.0.0.1 -logical events-a -bdn "$BDN_STREAM" \
     -link "$BROKER_B_STREAM" -supervise \
     -obs-export "$COLLECT_UDP" >"$TMP/broker-a.log" 2>&1 &
 PIDS="$PIDS $!"
 
-"$TMP/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
+"$BIN/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
     -export-interval 1s -deadman-intervals 3 -health-interval 200ms \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
@@ -123,6 +96,9 @@ while :; do
 done
 
 # Time travel: the link is present at the pre-kill instant and absent now.
+# `date` truncates to the whole second, so step past the second the link_down
+# landed in (plus the NTP-offset envelope its aligned timestamp carries).
+sleep 1.1
 T_POST=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 if ! flat "http://$COLLECT_HTTP/topology?at=$T_PRE" | grep -q '"from":"events-a","to":"events-b"'; then
     echo "events-smoke: /topology?at=$T_PRE lost the pre-kill link" >&2

@@ -11,58 +11,31 @@
 #
 # Uses curl or wget, whichever the host has.
 set -eu
+SMOKE=flows-smoke
+. "$(dirname "$0")/lib.sh"
 
 BROKER_STREAM=17420
 COLLECT_UDP="127.0.0.1:17421"
 COLLECT_HTTP="127.0.0.1:17422"
 TOPIC="flows/smoke/topic"
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'for p in $PIDS; do kill "$p" 2>/dev/null || true; done; for p in $PIDS; do wait "$p" 2>/dev/null || true; done; rm -rf "$TMP"' EXIT
 
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "$1"
-    elif command -v wget >/dev/null 2>&1; then
-        wget -qO- "$1"
-    else
-        echo "flows-smoke: need curl or wget" >&2
-        exit 1
-    fi
-}
+build broker obscollect loadgen
 
-wait_for() { # wait_for <url> <out> <what> <logfile>
-    i=0
-    until fetch "$1" >"$2" 2>/dev/null; do
-        i=$((i + 1))
-        if [ "$i" -ge 50 ]; then
-            echo "flows-smoke: $3 never came up" >&2
-            cat "$4" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
-
-go build -o "$TMP/broker" ./cmd/broker
-go build -o "$TMP/obscollect" ./cmd/obscollect
-go build -o "$TMP/loadgen" ./cmd/loadgen
-
-"$TMP/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
+"$BIN/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
 
-wait_for "http://$COLLECT_HTTP/healthz" "$TMP/chealthz" "collector" "$TMP/obscollect.log"
+wait_for "http://$COLLECT_HTTP/healthz" "collector" "$TMP/obscollect.log" "$TMP/chealthz"
 
 # Sampling compiled in AND enabled: every 8th origin publish gets a message
 # trace, capped per topic so the storm cannot flood the collector.
-"$TMP/broker" -bind 127.0.0.1 -logical flows-broker -stream-port "$BROKER_STREAM" \
+"$BIN/broker" -bind 127.0.0.1 -logical flows-broker -stream-port "$BROKER_STREAM" \
     -obs-export "$COLLECT_UDP" -sample-every 8 -sample-topic-persec 50 \
     >"$TMP/broker.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
 
-"$TMP/loadgen" -addr "127.0.0.1:$BROKER_STREAM" -rates 2000 -duration 2s \
+"$BIN/loadgen" -addr "127.0.0.1:$BROKER_STREAM" -rates 2000 -duration 2s \
     -topic "$TOPIC" -subs 2 -warmup 200ms -out "$TMP/loadgen.json" \
     >"$TMP/loadgen.log" 2>&1 || {
     echo "flows-smoke: loadgen failed" >&2

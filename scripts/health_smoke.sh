@@ -7,24 +7,12 @@
 #
 # Uses curl or wget, whichever the host has.
 set -eu
+SMOKE=health-smoke
+. "$(dirname "$0")/lib.sh"
 
 BDN_STREAM="127.0.0.1:17410"
 COLLECT_UDP="127.0.0.1:17510"
 COLLECT_HTTP="127.0.0.1:17511"
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'for p in $PIDS; do kill "$p" 2>/dev/null || true; done; for p in $PIDS; do wait "$p" 2>/dev/null || true; done; rm -rf "$TMP"' EXIT
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "$1"
-    elif command -v wget >/dev/null 2>&1; then
-        wget -qO- "$1"
-    else
-        echo "health-smoke: need curl or wget" >&2
-        exit 1
-    fi
-}
 
 # flat_alerts fetches /alerts with whitespace stripped, so one alert object's
 # fields ("rule":"deadman","node":"health-b","state":"firing") grep as a unit.
@@ -32,38 +20,23 @@ flat_alerts() {
     fetch "http://$COLLECT_HTTP/alerts" | tr -d ' \n\t'
 }
 
-wait_for() { # wait_for <url> <what> <logfile>
-    i=0
-    until fetch "$1" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -ge 50 ]; then
-            echo "health-smoke: $2 never came up" >&2
-            cat "$3" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
+build broker bdn obscollect
 
-go build -o "$TMP/broker" ./cmd/broker
-go build -o "$TMP/bdn" ./cmd/bdn
-go build -o "$TMP/obscollect" ./cmd/obscollect
-
-"$TMP/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17410 \
+"$BIN/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17410 \
     -obs-export "$COLLECT_UDP" >"$TMP/bdn.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
 
-"$TMP/broker" -bind 127.0.0.1 -logical health-a -bdn "$BDN_STREAM" \
+"$BIN/broker" -bind 127.0.0.1 -logical health-a -bdn "$BDN_STREAM" \
     -obs-export "$COLLECT_UDP" >"$TMP/broker-a.log" 2>&1 &
 PIDS="$PIDS $!"
 
-"$TMP/broker" -bind 127.0.0.1 -logical health-b -bdn "$BDN_STREAM" \
+"$BIN/broker" -bind 127.0.0.1 -logical health-b -bdn "$BDN_STREAM" \
     -obs-export "$COLLECT_UDP" >"$TMP/broker-b.log" 2>&1 &
 BPID=$!
 PIDS="$PIDS $BPID"
 
-"$TMP/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
+"$BIN/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
     -export-interval 1s -deadman-intervals 3 -health-interval 200ms \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
@@ -128,7 +101,7 @@ fi
 
 # Recovery: restart the broker under the same logical identity; fresh
 # snapshots must resolve the alert (hysteresis: 3 export intervals).
-"$TMP/broker" -bind 127.0.0.1 -logical health-b -bdn "$BDN_STREAM" \
+"$BIN/broker" -bind 127.0.0.1 -logical health-b -bdn "$BDN_STREAM" \
     -obs-export "$COLLECT_UDP" >"$TMP/broker-b2.log" 2>&1 &
 PIDS="$PIDS $!"
 i=0

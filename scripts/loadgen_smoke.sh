@@ -6,24 +6,21 @@
 # pacing loop, the scheduled-departure stamping and the HDR recording all
 # work against a live broker, not just in unit tests.
 set -eu
-cd "$(dirname "$0")/.."
+SMOKE=loadgen-smoke
+. "$(dirname "$0")/lib.sh"
 
 STREAM_PORT=19401
 UDP_PORT=19402
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'for p in $PIDS; do kill "$p" 2>/dev/null || true; done; for p in $PIDS; do wait "$p" 2>/dev/null || true; done; rm -rf "$TMP"' EXIT
 
-go build -o "$TMP/broker" ./cmd/broker
-go build -o "$TMP/loadgen" ./cmd/loadgen
+build broker loadgen
 
-"$TMP/broker" -bind 127.0.0.1 -logical loadgen-smoke-broker \
+"$BIN/broker" -bind 127.0.0.1 -logical loadgen-smoke-broker \
     -stream-port "$STREAM_PORT" -udp-port "$UDP_PORT" >"$TMP/broker.log" 2>&1 &
 PIDS="$PIDS $!"
 
 # Wait for the stream listener to come up.
 i=0
-until "$TMP/loadgen" -addr "127.0.0.1:$STREAM_PORT" -rates 100 -duration 100ms \
+until "$BIN/loadgen" -addr "127.0.0.1:$STREAM_PORT" -rates 100 -duration 100ms \
     -warmup 0 -subs 1 -drain 500ms -out "$TMP/probe.json" >/dev/null 2>&1; do
     i=$((i + 1))
     if [ "$i" -ge 30 ]; then
@@ -34,7 +31,7 @@ until "$TMP/loadgen" -addr "127.0.0.1:$STREAM_PORT" -rates 100 -duration 100ms \
     sleep 0.2
 done
 
-"$TMP/loadgen" -addr "127.0.0.1:$STREAM_PORT" -rates 1000,5000 -duration 1s \
+"$BIN/loadgen" -addr "127.0.0.1:$STREAM_PORT" -rates 1000,5000 -duration 1s \
     -subs 2 -out "$TMP/report.json" 2>"$TMP/loadgen.log" || {
     echo "loadgen-smoke: loadgen failed" >&2
     cat "$TMP/loadgen.log" >&2

@@ -11,50 +11,23 @@
 #
 # Uses curl or wget, whichever the host has.
 set -eu
+SMOKE=obs-smoke
+. "$(dirname "$0")/lib.sh"
 
 ADDR="127.0.0.1:18081"
 BDN_STREAM="127.0.0.1:17010"
 COLLECT_UDP="127.0.0.1:17310"
 COLLECT_HTTP="127.0.0.1:17311"
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'for p in $PIDS; do kill "$p" 2>/dev/null || true; done; for p in $PIDS; do wait "$p" 2>/dev/null || true; done; rm -rf "$TMP"' EXIT
 
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "$1"
-    elif command -v wget >/dev/null 2>&1; then
-        wget -qO- "$1"
-    else
-        echo "obs-smoke: need curl or wget" >&2
-        exit 1
-    fi
-}
-
-wait_for() { # wait_for <url> <out> <what> <logfile>
-    i=0
-    until fetch "$1" >"$2" 2>/dev/null; do
-        i=$((i + 1))
-        if [ "$i" -ge 50 ]; then
-            echo "obs-smoke: $3 never came up" >&2
-            cat "$4" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
-
-go build -o "$TMP/broker" ./cmd/broker
-go build -o "$TMP/bdn" ./cmd/bdn
-go build -o "$TMP/obscollect" ./cmd/obscollect
+build broker bdn obscollect
 
 # --- Part 1: node telemetry endpoint -------------------------------------
 
-"$TMP/broker" -bind 127.0.0.1 -logical smoke-broker -telemetry-addr "$ADDR" \
+"$BIN/broker" -bind 127.0.0.1 -logical smoke-broker -telemetry-addr "$ADDR" \
     >"$TMP/broker.log" 2>&1 &
 PIDS="$PIDS $!"
 
-wait_for "http://$ADDR/healthz" "$TMP/healthz" "telemetry endpoint" "$TMP/broker.log"
+wait_for "http://$ADDR/healthz" "telemetry endpoint" "$TMP/broker.log" "$TMP/healthz"
 
 grep -q '"status":"ok"' "$TMP/healthz" || {
     echo "obs-smoke: /healthz not ok: $(cat "$TMP/healthz")" >&2
@@ -73,22 +46,22 @@ fetch "http://$ADDR/debug/traces" >/dev/null
 
 # --- Part 2: collector + prober end to end -------------------------------
 
-"$TMP/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17010 \
+"$BIN/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17010 \
     -obs-export "$COLLECT_UDP" >"$TMP/bdn.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
 
-"$TMP/broker" -bind 127.0.0.1 -logical fabric-broker -bdn "$BDN_STREAM" \
+"$BIN/broker" -bind 127.0.0.1 -logical fabric-broker -bdn "$BDN_STREAM" \
     -obs-export "$COLLECT_UDP" >"$TMP/fabric-broker.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
 
-"$TMP/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
+"$BIN/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
     -probe-interval 1s -probe-bdn "$BDN_STREAM" -probe-window 500ms \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
 
-wait_for "http://$COLLECT_HTTP/healthz" "$TMP/chealthz" "collector" "$TMP/obscollect.log"
+wait_for "http://$COLLECT_HTTP/healthz" "collector" "$TMP/obscollect.log" "$TMP/chealthz"
 
 # Wait for one probe trace to assemble with spans from all three nodes.
 i=0

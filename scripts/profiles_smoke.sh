@@ -11,7 +11,8 @@
 #
 # Uses curl or wget, whichever the host has.
 set -eu
-cd "$(dirname "$0")/.."
+SMOKE=profiles-smoke
+. "$(dirname "$0")/lib.sh"
 
 COLLECT_UDP="127.0.0.1:17810"
 COLLECT_HTTP="127.0.0.1:17811"
@@ -22,46 +23,29 @@ A_TELEMETRY="127.0.0.1:17815"
 B_STREAM=17816
 B_UDP=17817
 B_TELEMETRY="127.0.0.1:17818"
-TMP="$(mktemp -d)"
-PIDS=""
-trap 'for p in $PIDS; do kill "$p" 2>/dev/null || true; done; for p in $PIDS; do wait "$p" 2>/dev/null || true; done; rm -rf "$TMP"' EXIT
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "$1"
-    elif command -v wget >/dev/null 2>&1; then
-        wget -qO- "$1"
-    else
-        echo "profiles-smoke: need curl or wget" >&2
-        exit 1
-    fi
-}
 
 flat() { tr -d ' \n\t'; }
 
-go build -o "$TMP/broker" ./cmd/broker
-go build -o "$TMP/bdn" ./cmd/bdn
-go build -o "$TMP/loadgen" ./cmd/loadgen
-go build -o "$TMP/obscollect" ./cmd/obscollect
+build broker bdn loadgen obscollect
 
-"$TMP/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
+"$BIN/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
     -export-interval 1s -deadman-intervals 3 -health-interval 200ms \
     -profile-pull 500ms -flight-cpu-seconds 1 -profile-dir "$TMP/spool" \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
 
-"$TMP/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17812 \
+"$BIN/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17812 \
     -obs-export "$COLLECT_UDP" >"$TMP/bdn.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
 
-"$TMP/broker" -bind 127.0.0.1 -logical prof-a -bdn "$BDN_STREAM" \
+"$BIN/broker" -bind 127.0.0.1 -logical prof-a -bdn "$BDN_STREAM" \
     -stream-port "$A_STREAM" -udp-port "$A_UDP" \
     -obs-export "$COLLECT_UDP" -telemetry-addr "$A_TELEMETRY" \
     -profile-every 1s >"$TMP/broker-a.log" 2>&1 &
 PIDS="$PIDS $!"
 
-"$TMP/broker" -bind 127.0.0.1 -logical prof-b -bdn "$BDN_STREAM" \
+"$BIN/broker" -bind 127.0.0.1 -logical prof-b -bdn "$BDN_STREAM" \
     -stream-port "$B_STREAM" -udp-port "$B_UDP" \
     -obs-export "$COLLECT_UDP" -telemetry-addr "$B_TELEMETRY" \
     -profile-every 1s >"$TMP/broker-b.log" 2>&1 &
@@ -83,7 +67,7 @@ done
 # captured CPU profiles are of a broker actually doing its job. The probe
 # loop doubles as the broker-up wait.
 i=0
-until "$TMP/loadgen" -addr "127.0.0.1:$A_STREAM" -rates 100 -duration 100ms \
+until "$BIN/loadgen" -addr "127.0.0.1:$A_STREAM" -rates 100 -duration 100ms \
     -warmup 0 -subs 1 -drain 500ms -out "$TMP/probe.json" >/dev/null 2>&1; do
     i=$((i + 1))
     if [ "$i" -ge 30 ]; then
@@ -93,7 +77,7 @@ until "$TMP/loadgen" -addr "127.0.0.1:$A_STREAM" -rates 100 -duration 100ms \
     fi
     sleep 0.2
 done
-"$TMP/loadgen" -addr "127.0.0.1:$A_STREAM" -rates 2000 -duration 2s -subs 2 \
+"$BIN/loadgen" -addr "127.0.0.1:$A_STREAM" -rates 2000 -duration 2s -subs 2 \
     -out "$TMP/load.json" >"$TMP/loadgen.log" 2>&1 &
 PIDS="$PIDS $!"
 
