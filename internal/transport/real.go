@@ -130,13 +130,27 @@ func (p *realPacketConn) recv(d time.Duration) ([]byte, string, error) {
 		}
 		defer p.uc.SetReadDeadline(time.Time{}) //nolint:errcheck
 	}
-	buf := make([]byte, 65536)
-	n, from, err := p.uc.ReadFromUDP(buf)
+	// Read into a pooled maximum-size buffer and hand the caller an exact-size
+	// copy: a fresh 64 KiB buffer per datagram is a zeroed large-object
+	// allocation that the ~100-byte slice returned would keep alive whole. No
+	// lock is held across the read, so concurrent receivers each read into a
+	// buffer of their own.
+	buf := udpBufPool.Get().(*[]byte)
+	defer udpBufPool.Put(buf)
+	n, from, err := p.uc.ReadFromUDP(*buf)
 	if err != nil {
 		return nil, "", translateNetErr(err)
 	}
-	return buf[:n], from.String(), nil
+	return append([]byte(nil), (*buf)[:n]...), from.String(), nil
 }
+
+// maxDatagram is the largest UDP payload a read can return.
+const maxDatagram = 65536
+
+var udpBufPool = sync.Pool{New: func() any {
+	b := make([]byte, maxDatagram)
+	return &b
+}}
 
 func (p *realPacketConn) LocalAddr() string { return p.uc.LocalAddr().String() }
 
@@ -191,7 +205,7 @@ func (p *realPacketConn) pumpUnicast() {
 }
 
 func pumpReader(uc *net.UDPConn, inbox chan packet) {
-	buf := make([]byte, 65536)
+	buf := make([]byte, maxDatagram)
 	for {
 		n, from, err := uc.ReadFromUDP(buf)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -156,10 +157,11 @@ func TestRealPacketRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRealPacketRecvOwnsItsDatagram pins the receive contract a shared read
-// buffer would have to keep: what Recv returns belongs to the caller — a
-// later receive (on any goroutine) must not overwrite it — and concurrent
-// receivers each get a whole datagram.
+// TestRealPacketRecvOwnsItsDatagram pins the receive contract the pooled read
+// buffer keeps: what Recv returns belongs to the caller — a later receive (on
+// any goroutine) must not overwrite it — concurrent receivers each get a
+// whole datagram, and the slice is sized to the datagram, so holding on to it
+// does not pin a maximum-size buffer.
 func TestRealPacketRecvOwnsItsDatagram(t *testing.T) {
 	node := NewRealNode("127.0.0.1", nil)
 	tx, err := node.ListenPacket(0)
@@ -194,6 +196,9 @@ func TestRealPacketRecvOwnsItsDatagram(t *testing.T) {
 		// Loopback UDP can drop under a burst; pace on the receipt.
 		select {
 		case p := <-got:
+			if cap(p) > len(p)+64 { // allocator size-class rounding, no more
+				t.Fatalf("datagram of %d bytes retains %d", len(p), cap(p))
+			}
 			if !bytes.Equal(p, msg) {
 				t.Fatalf("datagram %d corrupted: %d bytes, first %v", i, len(p), p[:1])
 			}
@@ -205,6 +210,55 @@ func TestRealPacketRecvOwnsItsDatagram(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatalf("datagram %d never arrived", i)
 		}
+	}
+}
+
+// realPacketPair returns two loopback datagram endpoints.
+func realPacketPair(tb testing.TB) (tx, rx PacketConn) {
+	tb.Helper()
+	node := NewRealNode("127.0.0.1", nil)
+	tx, err := node.ListenPacket(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { tx.Close() })
+	rx, err = node.ListenPacket(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { rx.Close() })
+	return tx, rx
+}
+
+// TestRealPacketRecvAllocationBound: one datagram sent and received costs a
+// handful of small allocations (the copy, the sender's address and its
+// string), not a maximum-size read buffer.
+func TestRealPacketRecvAllocationBound(t *testing.T) {
+	tx, rx := realPacketPair(t)
+	to, msg := rx.LocalAddr(), make([]byte, 100)
+	roundTrip := func() {
+		if err := tx.Send(to, msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := rx.RecvTimeout(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, roundTrip); allocs > 12 {
+		t.Errorf("send + receive of one datagram: %.0f allocs, want <= 12", allocs)
+	}
+	if raceEnabled {
+		return
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 1024 {
+		t.Errorf("send + receive of one datagram allocates %d B, want <= 1024", perOp)
 	}
 }
 
@@ -493,6 +547,25 @@ func TestRealUnknownGroup(t *testing.T) {
 func TestNodeInterfaceCompliance(t *testing.T) {
 	var _ Node = (*SimNode)(nil)
 	var _ Node = (*RealNode)(nil)
+}
+
+// BenchmarkRealPacketRecv is the discovery ladder's transport rung: one
+// 100-byte datagram (a discovery response is about that size) sent over
+// loopback and received with RecvTimeout. scripts/bench_gate.sh gates its
+// B/op so a per-datagram maximum-size buffer cannot come back unnoticed.
+func BenchmarkRealPacketRecv(b *testing.B) {
+	tx, rx := realPacketPair(b)
+	to, msg := rx.LocalAddr(), make([]byte, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tx.Send(to, msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := rx.RecvTimeout(2 * time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkSimStreamThroughput(b *testing.B) {
