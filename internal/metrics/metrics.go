@@ -7,7 +7,7 @@
 package metrics
 
 import (
-	"runtime"
+	rtmetrics "runtime/metrics"
 	"sync"
 
 	"narada/internal/wire"
@@ -90,16 +90,48 @@ type Sampler interface {
 	Sample() Usage
 }
 
+// The runtime/metrics samples behind RuntimeSampler's memory figures, in the
+// order Sample reads them. Together they are runtime.MemStats' Sys and
+// HeapInuse + StackInuse.
+const (
+	memTotal = iota
+	memHeapObjects
+	memHeapUnused
+	memHeapStacks
+	memSamples
+)
+
+var memSampleNames = [memSamples]string{
+	memTotal:       "/memory/classes/total:bytes",
+	memHeapObjects: "/memory/classes/heap/objects:bytes",
+	memHeapUnused:  "/memory/classes/heap/unused:bytes",
+	memHeapStacks:  "/memory/classes/heap/stacks:bytes",
+}
+
 // RuntimeSampler reports real Go-runtime memory statistics; Links and CPULoad
-// are supplied by the broker via the setters. Used by live deployments.
+// are supplied by the broker via the setters. Used by live deployments;
+// create one with NewRuntimeSampler.
+//
+// A broker samples on every discovery response, so the memory figures come
+// from runtime/metrics, which reads them without stopping the world;
+// runtime.ReadMemStats would halt every goroutine of the broker once per
+// request.
 type RuntimeSampler struct {
 	mu      sync.Mutex
 	links   int
 	cpuLoad float64
+	mem     [memSamples]rtmetrics.Sample // reused by every Sample, under mu
 }
 
-// NewRuntimeSampler returns a Sampler backed by runtime.MemStats.
-func NewRuntimeSampler() *RuntimeSampler { return &RuntimeSampler{} }
+// NewRuntimeSampler returns a Sampler backed by the Go runtime's own memory
+// accounting.
+func NewRuntimeSampler() *RuntimeSampler {
+	s := &RuntimeSampler{}
+	for i, name := range memSampleNames {
+		s.mem[i].Name = name
+	}
+	return s
+}
 
 // SetLinks records the broker's current connection count.
 func (s *RuntimeSampler) SetLinks(n int) {
@@ -117,15 +149,16 @@ func (s *RuntimeSampler) SetCPULoad(l float64) {
 
 // Sample implements Sampler.
 func (s *RuntimeSampler) Sample() Usage {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	rtmetrics.Read(s.mem[:])
 	return Usage{
-		TotalMemBytes: m.Sys,
-		UsedMemBytes:  m.HeapInuse + m.StackInuse,
-		Links:         s.links,
-		CPULoad:       s.cpuLoad,
+		TotalMemBytes: s.mem[memTotal].Value.Uint64(),
+		UsedMemBytes: s.mem[memHeapObjects].Value.Uint64() +
+			s.mem[memHeapUnused].Value.Uint64() +
+			s.mem[memHeapStacks].Value.Uint64(),
+		Links:   s.links,
+		CPULoad: s.cpuLoad,
 	}
 }
 

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -108,6 +110,33 @@ func TestRuntimeSampler(t *testing.T) {
 	}
 }
 
+// TestRuntimeSamplerAgreesWithMemStats: the runtime/metrics figures Sample
+// reads are the MemStats ones (Sys, HeapInuse + StackInuse) it used to read
+// with the world stopped. The two reads are not simultaneous, hence bands.
+func TestRuntimeSamplerAgreesWithMemStats(t *testing.T) {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	u := NewRuntimeSampler().Sample()
+	within := func(name string, got, want uint64, frac float64) {
+		t.Helper()
+		if d := math.Abs(float64(got) - float64(want)); d > frac*float64(want) {
+			t.Errorf("%s = %d, MemStats says %d (off by more than %.0f%%)", name, got, want, frac*100)
+		}
+	}
+	within("TotalMemBytes", u.TotalMemBytes, m.Sys, 0.10)
+	within("UsedMemBytes", u.UsedMemBytes, m.HeapInuse+m.StackInuse, 0.25)
+	if u.UsedMemBytes > u.TotalMemBytes {
+		t.Errorf("used %d > total %d", u.UsedMemBytes, u.TotalMemBytes)
+	}
+}
+
+func TestRuntimeSamplerDoesNotAllocate(t *testing.T) {
+	s := NewRuntimeSampler()
+	if allocs := testing.AllocsPerRun(100, func() { s.Sample() }); allocs != 0 {
+		t.Fatalf("Sample allocates %.0f times per call, want 0", allocs)
+	}
+}
+
 func TestStaticSampler(t *testing.T) {
 	s := NewStaticSampler(Usage{TotalMemBytes: 512 * mib, UsedMemBytes: 100 * mib})
 	s.SetLinks(3)
@@ -121,6 +150,20 @@ func TestStaticSampler(t *testing.T) {
 	s.SetLinks(9)
 	if u.Links != 3 {
 		t.Fatal("previous sample mutated by setter")
+	}
+}
+
+// BenchmarkRuntimeSample is what every discovery response pays for its usage
+// figures: 0 allocs/op, and no stop-the-world.
+func BenchmarkRuntimeSample(b *testing.B) {
+	s := NewRuntimeSampler()
+	b.ReportAllocs()
+	var u Usage
+	for i := 0; i < b.N; i++ {
+		u = s.Sample()
+	}
+	if u.TotalMemBytes == 0 {
+		b.Fatal("zero total memory")
 	}
 }
 
