@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -86,7 +87,16 @@ type packet struct {
 	from    string
 }
 
+// Send parses a literal "ip:port" — what peers advertise, almost always —
+// without the resolver; only a host name pays for one.
 func (p *realPacketConn) Send(to string, payload []byte) error {
+	if ap, err := netip.ParseAddrPort(to); err == nil {
+		// An IPv4-mapped IPv6 literal is IPv4 to the resolver below, and an
+		// IPv4 socket refuses an address that does not say so.
+		ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+		_, err = p.uc.WriteToUDPAddrPort(payload, ap)
+		return translateNetErr(err)
+	}
 	addr, err := net.ResolveUDPAddr("udp", to)
 	if err != nil {
 		return err
@@ -302,19 +312,11 @@ func (c *realConn) endRecv(err error) {
 	}
 }
 
+// Send is the one-frame case of SendBatch: prefix and payload leave in one
+// vectored write, never as two segments with a scheduling point in between.
 func (c *realConn) Send(payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if _, err := c.c.Write(hdr[:]); err != nil {
-		return translateNetErr(err)
-	}
-	_, err := c.c.Write(payload)
-	return translateNetErr(err)
+	one := [1][]byte{payload}
+	return c.SendBatch(one[:])
 }
 
 // SendBatch implements BatchSender: all frames (each with its length prefix)
