@@ -7,8 +7,10 @@
 package metrics
 
 import (
+	"runtime"
 	rtmetrics "runtime/metrics"
 	"sync"
+	"time"
 
 	"narada/internal/wire"
 )
@@ -108,25 +110,40 @@ var memSampleNames = [memSamples]string{
 	memHeapStacks:  "/memory/classes/heap/stacks:bytes",
 }
 
-// RuntimeSampler reports real Go-runtime memory statistics; Links and CPULoad
-// are supplied by the broker via the setters. Used by live deployments;
+// cpuLoadInterval is the shortest window CPULoad is computed over. A broker
+// samples per discovery request; a window much shorter than this would mostly
+// measure the request that asked.
+const cpuLoadInterval = time.Second
+
+// RuntimeSampler reports the process's real memory statistics and CPU load;
+// Links is supplied by the broker via SetLinks. Used by live deployments;
 // create one with NewRuntimeSampler.
 //
 // A broker samples on every discovery response, so the memory figures come
 // from runtime/metrics, which reads them without stopping the world;
 // runtime.ReadMemStats would halt every goroutine of the broker once per
 // request.
+//
+// CPULoad is the process's CPU time over the last window of at least
+// cpuLoadInterval, as a share of what GOMAXPROCS processors could have
+// spent in it — until SetCPULoad is called, after which it is whatever the
+// caller last set.
 type RuntimeSampler struct {
-	mu      sync.Mutex
-	links   int
+	mu    sync.Mutex
+	links int
+	mem   [memSamples]rtmetrics.Sample // reused by every Sample, under mu
+
 	cpuLoad float64
-	mem     [memSamples]rtmetrics.Sample // reused by every Sample, under mu
+	cpuSet  bool          // SetCPULoad took over: cpuLoad is the caller's
+	cpuAt   time.Time     // start of the current window
+	cpuUsed time.Duration // process CPU time at cpuAt
 }
 
-// NewRuntimeSampler returns a Sampler backed by the Go runtime's own memory
-// accounting.
+// NewRuntimeSampler returns a Sampler backed by the Go runtime's memory
+// accounting and the operating system's account of the process's CPU time.
 func NewRuntimeSampler() *RuntimeSampler {
-	s := &RuntimeSampler{}
+	s := &RuntimeSampler{cpuAt: time.Now()}
+	s.cpuUsed, _ = processCPUTime()
 	for i, name := range memSampleNames {
 		s.mem[i].Name = name
 	}
@@ -140,10 +157,11 @@ func (s *RuntimeSampler) SetLinks(n int) {
 	s.mu.Unlock()
 }
 
-// SetCPULoad records the broker's current CPU utilisation in [0, 1].
+// SetCPULoad overrides the derived CPU load with a utilisation in [0, 1]
+// the caller measured (or, in a test, wants reported).
 func (s *RuntimeSampler) SetCPULoad(l float64) {
 	s.mu.Lock()
-	s.cpuLoad = l
+	s.cpuLoad, s.cpuSet = l, true
 	s.mu.Unlock()
 }
 
@@ -151,6 +169,13 @@ func (s *RuntimeSampler) SetCPULoad(l float64) {
 func (s *RuntimeSampler) Sample() Usage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if now := time.Now(); !s.cpuSet && now.Sub(s.cpuAt) >= cpuLoadInterval {
+		if used, ok := processCPUTime(); ok {
+			available := float64(now.Sub(s.cpuAt)) * float64(runtime.GOMAXPROCS(0))
+			s.cpuLoad = min(max(float64(used-s.cpuUsed)/available, 0), 1)
+			s.cpuAt, s.cpuUsed = now, used
+		}
+	}
 	rtmetrics.Read(s.mem[:])
 	return Usage{
 		TotalMemBytes: s.mem[memTotal].Value.Uint64(),

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"narada/internal/wire"
 )
@@ -127,6 +128,59 @@ func TestRuntimeSamplerAgreesWithMemStats(t *testing.T) {
 	within("UsedMemBytes", u.UsedMemBytes, m.HeapInuse+m.StackInuse, 0.25)
 	if u.UsedMemBytes > u.TotalMemBytes {
 		t.Errorf("used %d > total %d", u.UsedMemBytes, u.TotalMemBytes)
+	}
+}
+
+// TestRuntimeSamplerDerivesCPULoad: with nobody calling SetCPULoad, the load
+// follows the process — a window spent spinning reads high, an idle window
+// reads near zero — and SetCPULoad then overrides it for good.
+func TestRuntimeSamplerDerivesCPULoad(t *testing.T) {
+	if _, ok := processCPUTime(); !ok {
+		t.Skip("no process CPU time on this platform")
+	}
+	s := NewRuntimeSampler()
+	if l := s.Sample().CPULoad; l != 0 {
+		t.Fatalf("load before the first window closed = %v, want 0", l)
+	}
+	window := cpuLoadInterval + 50*time.Millisecond
+
+	// One processor, one spinner: the load reads the same as with all of
+	// them spinning, and the other test binaries keep the rest of the host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	// Those binaries share the host, so a window can still be starved; one
+	// window in which the spinner got its processor is the evidence.
+	var busy float64
+	for try := 0; try < 5 && busy <= 0.3; try++ {
+		time.Sleep(window)
+		busy = s.Sample().CPULoad
+	}
+	close(stop)
+	<-done
+	if busy <= 0.3 || busy > 1 {
+		t.Errorf("load with the one processor spinning = %.2f, want in (0.3, 1]", busy)
+	}
+
+	time.Sleep(window)
+	if idle := s.Sample().CPULoad; idle >= 0.1 {
+		t.Errorf("load after an idle window = %.2f, want < 0.1", idle)
+	}
+
+	s.SetCPULoad(0.25)
+	s.cpuAt = s.cpuAt.Add(-2 * cpuLoadInterval) // a window has passed
+	if l := s.Sample().CPULoad; l != 0.25 {
+		t.Errorf("load after SetCPULoad(0.25) and a window = %v, want 0.25", l)
 	}
 }
 
