@@ -3,9 +3,10 @@
 # BenchmarkPublishFanout COUNT times, takes the best (minimum) ns/op — the
 # run least disturbed by scheduler noise — and compares it against the
 # gate_ns_op / gate_allocs_op recorded in BENCH_fanout.json. More than a 2%
-# ns/op regression, or any allocs/op above the recorded gate, fails. Two
+# ns/op regression, or any allocs/op above the recorded gate, fails. Three
 # allocation-only gates follow: the sampled fan-out and the socket ingress
-# path (gate_sampled_allocs_op / gate_ingress_allocs_op).
+# path in allocs/op (gate_sampled_allocs_op / gate_ingress_allocs_op), and
+# the UDP receive in B/op (gate_udp_recv_bytes_op).
 #
 #   sh scripts/bench_gate.sh            # defaults: COUNT=8, 2% threshold
 #   COUNT=12 REGRESSION_PCT=5 sh scripts/bench_gate.sh
@@ -25,6 +26,7 @@ GATE_NS=$(sed -n 's/.*"gate_ns_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/
 GATE_ALLOCS=$(sed -n 's/.*"gate_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_SAMPLED_ALLOCS=$(sed -n 's/.*"gate_sampled_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_INGRESS_ALLOCS=$(sed -n 's/.*"gate_ingress_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
+GATE_UDP_RECV_BYTES=$(sed -n 's/.*"gate_udp_recv_bytes_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 if [ -z "$GATE_NS" ] || [ -z "$GATE_ALLOCS" ]; then
     echo "bench-gate: $BENCH_FILE carries no gate_ns_op / gate_allocs_op" >&2
     exit 1
@@ -63,24 +65,25 @@ END {
     exit failed
 }' "$OUT"
 
-# allocs_gate NAME GATE: run benchmark NAME twice and fail if the best
-# allocs/op of any of its (sub-)benchmarks exceeds GATE. ns/op is not gated.
+# allocs_gate PKG NAME UNIT GATE: run benchmark NAME of package PKG twice and
+# fail if the best UNIT (allocs/op or B/op) of any of its (sub-)benchmarks
+# exceeds GATE. ns/op is not gated.
 allocs_gate() {
-    echo "bench-gate: running $1 x2 (gate: $2 allocs/op, ns ungated)"
-    go test -run '^$' -bench "$1\$" -benchmem -benchtime=1s \
-        -count 2 ./internal/broker/ | tee "$OUT"
-    awk -v name="$1" -v gate_allocs="$2" '
+    echo "bench-gate: running $2 x2 (gate: $4 $3, ns ungated)"
+    go test -run '^$' -bench "$2\$" -benchmem -benchtime=1s \
+        -count 2 "$1" | tee "$OUT"
+    awk -v name="$2" -v unit="$3" -v gate="$4" '
     index($1, name) == 1 {
         for (i = 1; i <= NF; i++)
-            if ($i == "allocs/op" && (!($1 in best) || $(i-1) + 0 < best[$1])) best[$1] = $(i-1) + 0
+            if ($i == unit && (!($1 in best) || $(i-1) + 0 < best[$1])) best[$1] = $(i-1) + 0
         runs++
     }
     END {
         if (runs == 0) { print "bench-gate: no " name " output parsed" > "/dev/stderr"; exit 1 }
         for (b in best) {
-            printf "bench-gate: %s best of 2 runs: %d allocs/op (gate %d)\n", b, best[b], gate_allocs
-            if (best[b] > gate_allocs) {
-                printf "bench-gate: FAIL: %s %d allocs/op exceeds gate %d\n", b, best[b], gate_allocs > "/dev/stderr"
+            printf "bench-gate: %s best of 2 runs: %d %s (gate %d)\n", b, best[b], unit, gate
+            if (best[b] > gate) {
+                printf "bench-gate: FAIL: %s %d %s exceeds gate %d\n", b, best[b], unit, gate > "/dev/stderr"
                 failed = 1
             }
         }
@@ -92,7 +95,7 @@ allocs_gate() {
 # fan-out must amortise to the recorded allocs/op — sampling may spend wall
 # time on its winners, so only allocations are gated, not ns/op.
 if [ -n "$GATE_SAMPLED_ALLOCS" ]; then
-    allocs_gate BenchmarkPublishFanoutSampled "$GATE_SAMPLED_ALLOCS"
+    allocs_gate ./internal/broker/ BenchmarkPublishFanoutSampled allocs/op "$GATE_SAMPLED_ALLOCS"
 fi
 
 # Ingress gate: a publish entering through a real socket (buffered receive
@@ -101,7 +104,16 @@ fi
 # time through a loopback socket is too noisy to gate here; the repository
 # benchmark (bench/) measures it end to end.
 if [ -n "$GATE_INGRESS_ALLOCS" ]; then
-    allocs_gate BenchmarkIngressToEgress "$GATE_INGRESS_ALLOCS"
+    allocs_gate ./internal/broker/ BenchmarkIngressToEgress allocs/op "$GATE_INGRESS_ALLOCS"
+fi
+
+# UDP receive gate: a datagram received on a real socket costs its own
+# right-sized copy plus the sender's address, a few hundred bytes — not the
+# 64 KiB read buffer per datagram that the discovery path paid until the
+# buffer was pooled (BenchmarkRealPacketRecv also sends the datagram, so the
+# figure includes the send side's allocations).
+if [ -n "$GATE_UDP_RECV_BYTES" ]; then
+    allocs_gate ./internal/transport/ BenchmarkRealPacketRecv B/op "$GATE_UDP_RECV_BYTES"
 fi
 
 echo "bench-gate: ok"
