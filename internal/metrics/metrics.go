@@ -133,16 +133,17 @@ type RuntimeSampler struct {
 	links int
 	mem   [memSamples]rtmetrics.Sample // reused by every Sample, under mu
 
-	cpuLoad float64
-	cpuSet  bool          // SetCPULoad took over: cpuLoad is the caller's
-	cpuAt   time.Time     // start of the current window
-	cpuUsed time.Duration // process CPU time at cpuAt
+	cpuLoad   float64
+	cpuSet    bool          // SetCPULoad took over: cpuLoad is the caller's
+	cpuWindow time.Duration // cpuLoadInterval; only the test shortens it
+	cpuAt     time.Time     // start of the current window
+	cpuUsed   time.Duration // process CPU time at cpuAt
 }
 
 // NewRuntimeSampler returns a Sampler backed by the Go runtime's memory
 // accounting and the operating system's account of the process's CPU time.
 func NewRuntimeSampler() *RuntimeSampler {
-	s := &RuntimeSampler{cpuAt: time.Now()}
+	s := &RuntimeSampler{cpuWindow: cpuLoadInterval, cpuAt: time.Now()}
 	s.cpuUsed, _ = processCPUTime()
 	for i, name := range memSampleNames {
 		s.mem[i].Name = name
@@ -169,7 +170,7 @@ func (s *RuntimeSampler) SetCPULoad(l float64) {
 func (s *RuntimeSampler) Sample() Usage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if now := time.Now(); !s.cpuSet && now.Sub(s.cpuAt) >= cpuLoadInterval {
+	if now := time.Now(); !s.cpuSet && now.Sub(s.cpuAt) >= s.cpuWindow {
 		if used, ok := processCPUTime(); ok {
 			available := float64(now.Sub(s.cpuAt)) * float64(runtime.GOMAXPROCS(0))
 			s.cpuLoad = min(max(float64(used-s.cpuUsed)/available, 0), 1)

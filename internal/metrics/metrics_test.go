@@ -139,13 +139,17 @@ func TestRuntimeSamplerDerivesCPULoad(t *testing.T) {
 		t.Skip("no process CPU time on this platform")
 	}
 	s := NewRuntimeSampler()
+	if s.cpuWindow != cpuLoadInterval {
+		t.Fatalf("window = %v, want %v", s.cpuWindow, cpuLoadInterval)
+	}
 	if l := s.Sample().CPULoad; l != 0 {
 		t.Fatalf("load before the first window closed = %v, want 0", l)
 	}
-	window := cpuLoadInterval + 50*time.Millisecond
-
-	// One processor, one spinner: the load reads the same as with all of
-	// them spinning, and the other test binaries keep the rest of the host.
+	// A short window, one processor, one spinner: the load reads the same as
+	// with every processor spinning for a second, and the timing-sensitive
+	// tests of the packages running beside this one keep the host.
+	s.cpuWindow = 50 * time.Millisecond
+	window := s.cpuWindow + 10*time.Millisecond
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -178,7 +182,7 @@ func TestRuntimeSamplerDerivesCPULoad(t *testing.T) {
 	}
 
 	s.SetCPULoad(0.25)
-	s.cpuAt = s.cpuAt.Add(-2 * cpuLoadInterval) // a window has passed
+	time.Sleep(window)
 	if l := s.Sample().CPULoad; l != 0.25 {
 		t.Errorf("load after SetCPULoad(0.25) and a window = %v, want 0.25", l)
 	}

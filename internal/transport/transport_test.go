@@ -135,17 +135,7 @@ func TestSimMulticastViaInterface(t *testing.T) {
 }
 
 func TestRealPacketRoundTrip(t *testing.T) {
-	node := NewRealNode("127.0.0.1", nil)
-	pa, err := node.ListenPacket(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pa.Close()
-	pb, err := node.ListenPacket(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pb.Close()
+	pa, pb := realPacketPair(t)
 	if err := pa.Send(pb.LocalAddr(), []byte("real-udp")); err != nil {
 		t.Fatal(err)
 	}
@@ -164,17 +154,7 @@ func TestRealPacketRoundTrip(t *testing.T) {
 // whole datagram, and the slice is sized to the datagram, so holding on to it
 // does not pin a maximum-size buffer.
 func TestRealPacketRecvOwnsItsDatagram(t *testing.T) {
-	node := NewRealNode("127.0.0.1", nil)
-	tx, err := node.ListenPacket(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx.Close()
-	rx, err := node.ListenPacket(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx.Close()
+	tx, rx := realPacketPair(t)
 
 	const receivers, each = 4, 50
 	got := make(chan []byte, receivers*each)
@@ -231,20 +211,24 @@ func realPacketPair(tb testing.TB) (tx, rx PacketConn) {
 	return tx, rx
 }
 
+// datagramRoundTrip sends msg from tx to rx, whose address is to, and
+// receives it.
+func datagramRoundTrip(tb testing.TB, tx, rx PacketConn, to string, msg []byte) {
+	if err := tx.Send(to, msg); err != nil {
+		tb.Fatal(err)
+	}
+	if _, _, err := rx.RecvTimeout(2 * time.Second); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // TestRealPacketRecvAllocationBound: one datagram sent and received costs a
 // handful of small allocations (the copy, the sender's address and its
 // string), not a maximum-size read buffer.
 func TestRealPacketRecvAllocationBound(t *testing.T) {
 	tx, rx := realPacketPair(t)
 	to, msg := rx.LocalAddr(), make([]byte, 100)
-	roundTrip := func() {
-		if err := tx.Send(to, msg); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := rx.RecvTimeout(2 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
+	roundTrip := func() { datagramRoundTrip(t, tx, rx, to, msg) }
 	const runs = 200
 	if allocs := testing.AllocsPerRun(runs, roundTrip); allocs > 8 {
 		t.Errorf("send + receive of one datagram: %.0f allocs, want <= 8", allocs)
@@ -649,12 +633,7 @@ func BenchmarkRealPacketRecv(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tx.Send(to, msg); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := rx.RecvTimeout(2 * time.Second); err != nil {
-			b.Fatal(err)
-		}
+		datagramRoundTrip(b, tx, rx, to, msg)
 	}
 }
 
