@@ -23,8 +23,9 @@ fmt-check:
 # verify is the tier-1 gate: everything must pass before a merge.
 verify: build vet fmt-check test race
 
-# bench runs the publish fast-path micro-benchmarks that back
-# BENCH_fastpath.json (fan-out, topic matching, codec, dedup).
+# bench runs the publish path's per-stage rungs (fan-out, the sorted Match
+# wrapper and the MatchEachUnique walk under it, codec, dedup) — the numbers
+# BENCH_fastpath.json records.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPublishFanout' -benchmem -benchtime=2s ./internal/broker/
 	$(GO) test -run '^$$' -bench 'BenchmarkTableMatch' -benchmem -benchtime=2s ./internal/topics/

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
-	"narada/internal/fragment"
+	"narada/examples/datastreams/fragment"
 )
 
 func Example() {

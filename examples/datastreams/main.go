@@ -8,21 +8,30 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"log"
 	"time"
 
+	"narada/examples/datastreams/fragment"
+	"narada/examples/datastreams/reliable"
 	"narada/internal/bdn"
 	"narada/internal/broker"
 	"narada/internal/core"
-	"narada/internal/fragment"
-	"narada/internal/reliable"
 	"narada/internal/simnet"
 	"narada/internal/testbed"
 	"narada/internal/topology"
 )
 
 func main() {
+	if err := run(40000); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run moves a dataset of the given number of rows from a Bloomington producer
+// to an FSU consumer and reports whether it arrived intact.
+func run(rows int) error {
 	tb, err := testbed.New(testbed.Options{
 		Topology:     topology.Star,
 		InjectPolicy: bdn.InjectClosestFarthest,
@@ -30,7 +39,7 @@ func main() {
 		Seed:         99,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer tb.Close()
 
@@ -41,7 +50,7 @@ func main() {
 	})
 	res, err := d.Discover()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("discovered %s (RTT %v)\n", res.Selected.LogicalAddress, res.SelectedRTT)
 	addr := res.Selected.Endpoint("tcp")
@@ -52,13 +61,13 @@ func main() {
 	subBroker := tb.BrokerByName("broker-fsu")
 	subClient, err := broker.Connect(subNode, subBroker.StreamAddr(), "consumer")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer subClient.Close()
 	sub := reliable.NewSubscriber(subClient)
 	defer sub.Close()
 	if err := sub.Subscribe("datasets/climate/*"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tb.Net.Clock().Sleep(200 * time.Millisecond)
 
@@ -67,7 +76,7 @@ func main() {
 	pubNode := tb.ClientNode(simnet.SiteBloomington, "producer")
 	pubClient, err := broker.Connect(pubNode, addr, "producer")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer pubClient.Close()
 	pub, err := reliable.NewPublisher(pubNode, pubClient, reliable.PublisherConfig{
@@ -75,14 +84,14 @@ func main() {
 		RedeliverAfter: 1 * time.Second,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer pub.Close()
 
 	// 4. A large "dataset" — structured rows with varying readings, so it
 	// compresses usefully but still spans multiple fragments.
 	var sb bytes.Buffer
-	for i := 0; i < 40000; i++ {
+	for i := 0; i < rows; i++ {
 		fmt.Fprintf(&sb, "station-%04d,temp=%d.%d,pressure=%d,humidity=%d\n",
 			i%512, 15+i%20, i%10, 990+i%40, 40+(i*7)%55)
 	}
@@ -92,7 +101,7 @@ func main() {
 		FragmentSize: 16 * 1024,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	carried := 0
 	for _, f := range frags {
@@ -103,7 +112,7 @@ func main() {
 
 	for _, f := range frags {
 		if err := pub.Publish("datasets/climate/run42", fragment.Encode(f)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -112,19 +121,19 @@ func main() {
 	for {
 		env, err := sub.Next(20 * time.Second)
 		if err != nil {
-			log.Fatalf("stream stalled: %v", err)
+			return fmt.Errorf("stream stalled: %w", err)
 		}
 		f, err := fragment.Decode(env.Payload)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		payload, done, err := co.Add(f)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if done {
 			if !bytes.Equal(payload, dataset) {
-				log.Fatal("reassembled dataset differs from the original")
+				return errors.New("reassembled dataset differs from the original")
 			}
 			fmt.Printf("consumer reassembled %d bytes intact across the broker network\n",
 				len(payload))
@@ -132,4 +141,5 @@ func main() {
 		}
 	}
 	fmt.Println("discovery + reliable delivery + fragmentation: end-to-end OK")
+	return nil
 }

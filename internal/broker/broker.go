@@ -101,9 +101,6 @@ type Config struct {
 	// event headers and followed across links). nil never samples; the
 	// unsampled path stays allocation-free either way.
 	PublishSampler *obs.Sampler
-	// FlowK overrides the per-topic flow sketch width (top-K heaviest
-	// topics tracked; default obs.DefaultFlowK).
-	FlowK int
 }
 
 // RoutingMode selects the broker network's dissemination strategy for
@@ -225,7 +222,7 @@ func New(node transport.Node, ntp *ntptime.Service, cfg Config) (*Broker, error)
 	}
 	b.initTelemetry(cfg.Metrics, cfg.Tracer)
 	b.frames = newFramePool(b.tel.framePoolHit, b.tel.framePoolMiss)
-	b.flows = obs.NewFlowTable(cfg.FlowK)
+	b.flows = obs.NewFlowTable(obs.DefaultFlowK)
 	b.egTel = egressTel{
 		dropQueueFull: b.tel.egressDropQueueFull,
 		dropConnDown:  b.tel.egressDropConnDown,
@@ -497,7 +494,6 @@ func (b *Broker) Publish(topic string, payload []byte) error {
 	ev := event.New(event.TypePublish, topic, payload)
 	ev.Source = b.cfg.LogicalAddress
 	ev.Timestamp = b.now()
-	b.evDedup.Seen(ev.ID)
-	b.routePublish(ev, "")
+	b.publishEvent(ev, "")
 	return nil
 }

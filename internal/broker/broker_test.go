@@ -12,6 +12,7 @@ import (
 	"narada/internal/metrics"
 	"narada/internal/ntptime"
 	"narada/internal/simnet"
+	"narada/internal/topics"
 	"narada/internal/transport"
 	"narada/internal/uuid"
 )
@@ -94,7 +95,7 @@ func TestLocalPubSub(t *testing.T) {
 	if err := c.Subscribe("sports/*"); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(50 * time.Millisecond) // let the subscribe land
+	waitFor(t, "the subscription", func() bool { return b.subs.Match("sports/cricket") != nil })
 
 	pub, err := Connect(node, b.StreamAddr(), "publisher")
 	if err != nil {
@@ -198,7 +199,7 @@ func TestFloodDedupNoDuplicateDelivery(t *testing.T) {
 	c, _ := Connect(node, b3.StreamAddr(), "sub")
 	defer c.Close()
 	_ = c.Subscribe("x/y")
-	waitFor(t, "the subscription", func() bool { return b3.subs.HasMatch("x/y") })
+	waitFor(t, "the subscription", func() bool { return b3.subs.Match("x/y") != nil })
 
 	if err := b1.Publish("x/y", []byte("once")); err != nil {
 		t.Fatal(err)
@@ -486,8 +487,8 @@ func TestAdvertisementRelayViaClient(t *testing.T) {
 	node, _ := e.node(simnet.SiteUMN, "watcher")
 	watcher, _ := Connect(node, b.StreamAddr(), "watcher")
 	defer watcher.Close()
-	_ = watcher.Subscribe("Services/BrokerDiscoveryNodes/BrokerAdvertisement")
-	e.net.Clock().Sleep(100 * time.Millisecond)
+	_ = watcher.Subscribe(topics.AdvertisementTopic)
+	waitFor(t, "the subscription", func() bool { return b.subs.Match(topics.AdvertisementTopic) != nil })
 
 	adv := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: "announced"}}
 	relayNode, _ := e.node(simnet.SiteUMN, "relay")

@@ -116,7 +116,8 @@ func (b *Broker) handleClientFrame(c *clientConn, f *sharedFrame) {
 	switch {
 	case !ok:
 	case v.Type == event.TypePublish:
-		b.clientPublish(c, &v, f)
+		b.tel.framesPublish.Inc()
+		b.admitPublish(&v, f, c.id, "")
 	default:
 		if ev := b.decodeFrame(f); ev != nil {
 			b.handleClientEvent(c, ev)
@@ -144,39 +145,6 @@ func (b *Broker) decodeFrame(f *sharedFrame) *event.Event {
 		return nil
 	}
 	return ev
-}
-
-// clientPublish admits one publish from a client: topic validation and
-// duplicate suppression on the view, then the fan-out. The ingress frame
-// itself is what subscribers receive whenever the bytes to deliver equal the
-// bytes received — the publisher named its Source, carries no sampling flag,
-// the sampler (consulted exactly once per admitted publish, here or in
-// routePublish) passes on it, and replay history is off. Otherwise the event
-// is decoded, amended and re-encoded by routePublish.
-func (b *Broker) clientPublish(c *clientConn, v *event.View, f *sharedFrame) {
-	b.tel.framesPublish.Inc()
-	if topics.Validate(v.Topic) != nil || b.evDedup.Seen(v.ID) {
-		f.release()
-		return
-	}
-	sample := false
-	if v.Source != "" && b.history == nil && !v.MsgSampled() {
-		if sample = b.cfg.PublishSampler.Decide(v.Topic); !sample {
-			b.fanOut(v, f, "", nil)
-			return
-		}
-	}
-	ev := b.decodeFrame(f)
-	if ev == nil {
-		return
-	}
-	if ev.Source == "" {
-		ev.Source = c.id
-	}
-	if sample {
-		ev.SetMsgTrace(b.cfg.LogicalAddress, 0)
-	}
-	b.routePublish(ev, "")
 }
 
 func (b *Broker) handleClientEvent(c *clientConn, ev *event.Event) {
@@ -207,7 +175,9 @@ func (b *Broker) handleClientEvent(c *clientConn, ev *event.Event) {
 				limit = 0
 			}
 			for _, past := range b.history.Replay(ev.Topic, limit) {
-				c.out.sendData(b.frames.encode(past, 1))
+				f := b.frames.get()
+				f.buf = past // Replay hands out copies
+				c.out.sendData(f)
 			}
 		}
 	case event.TypeDiscoveryRequest:
@@ -218,13 +188,9 @@ func (b *Broker) handleClientEvent(c *clientConn, ev *event.Event) {
 	case event.TypeAdvertisement:
 		// Clients relaying advertisements publish them on the public topic.
 		b.tel.framesOther.Inc()
-		if b.evDedup.Seen(ev.ID) {
-			return
-		}
-		fwd := ev.Clone()
-		fwd.Type = event.TypePublish
-		fwd.Topic = topics.AdvertisementTopic
-		b.routePublish(fwd, "")
+		ev.Type = event.TypePublish
+		ev.Topic = topics.AdvertisementTopic
+		b.publishEvent(ev, c.id)
 	default:
 		// Ignore unsupported client events.
 	}

@@ -106,7 +106,7 @@ func newEgress(conn transport.Conn, tel *egressTel, dest string) *egress {
 }
 
 // drop accounts one dropped frame — counter by reason, per-topic flow tally
-// via the entry handle routePublish stamped (no topic re-hashing: overflow
+// via the entry handle fanOut stamped (no topic re-hashing: overflow
 // eviction runs inside the publish hot loop), and an msg-drop trace event
 // when the frame was sampled — then releases the caller's reference.
 func (q *egress) drop(f *sharedFrame, reason int) {

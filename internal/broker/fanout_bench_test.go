@@ -29,7 +29,7 @@ func (nopConn) RemoteAddr() string                        { return "bench/nop:0"
 func (nopConn) Close() error                              { return nil }
 
 // newFanoutBroker builds an unstarted broker suitable for driving
-// routePublish directly. mut, when non-nil, adjusts the config before New.
+// publishEvent directly. mut, when non-nil, adjusts the config before New.
 func newFanoutBroker(b testing.TB, mut func(*Config)) *Broker {
 	b.Helper()
 	net := simnet.NewPaperWAN(simnet.Config{Scale: 20000, Seed: 1})
@@ -78,8 +78,22 @@ func BenchmarkPublishFanout(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		br.routePublish(ev, "")
+		// Encode and route, without admission: the scope this benchmark's
+		// recorded trajectory (BENCH_fanout.json) has always had.
+		if v, f, ok := br.frameEvent(ev); ok {
+			br.fanOut(&v, f, "")
+		}
 	}
+}
+
+// benchSeq numbers the fan-out benchmarks' events across every b.N round.
+var benchSeq uint64
+
+// freshID gives a reused event an id the dedup window has not seen, as every
+// real publish has; little-endian, so the ids spread over the dedup shards.
+func freshID(ev *event.Event) {
+	benchSeq++
+	binary.LittleEndian.PutUint64(ev.ID[:], benchSeq)
 }
 
 // subscribeFanout registers the benchmark's 64-subscriber interest mix.
@@ -127,11 +141,8 @@ func BenchmarkPublishFanoutSampled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Fresh header map view per publish: a real stream decodes a new
-		// event per frame, so a prior iteration's sampling verdict must not
-		// leak into the next.
-		ev.Headers = nil
-		br.routePublish(ev, "")
+		freshID(ev)
+		br.publishEvent(ev, "")
 	}
 }
 

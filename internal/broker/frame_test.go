@@ -92,14 +92,15 @@ func TestPublishFrameLifecycleUnderChurn(t *testing.T) {
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
-			ev := event.New(event.TypePublish, "churn/fan/topic", []byte("stress"))
-			ev.Source = fmt.Sprintf("pub%d", p)
 			for i := 0; i < 500; i++ {
-				br.routePublish(ev, "")
+				if err := br.Publish("churn/fan/topic", []byte("stress")); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}(p)
+		}()
 	}
 	// Churner: resubscribes a rotating slice of the population while the
 	// publishers run, forcing snapshot swaps and value refreshes mid-match.
@@ -152,17 +153,15 @@ func TestSampledPublishFrameLifecycle(t *testing.T) {
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				// Fresh event per publish: each gets its own UUID (trace
-				// key) and a clean header map for the sampling stamp.
-				ev := event.New(event.TypePublish, "sampled/fan/topic", []byte("stress"))
-				ev.Source = fmt.Sprintf("pub%d", p)
-				ev.Timestamp = br.now()
-				br.routePublish(ev, "")
+				if err := br.Publish("sampled/fan/topic", []byte("stress")); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}(p)
+		}()
 	}
 	wg.Wait()
 

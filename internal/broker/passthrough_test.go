@@ -180,12 +180,13 @@ func TestPassThroughFloodingHopPatchesInPlace(t *testing.T) {
 	sameEvent(t, "two hops away", got, want)
 }
 
-// TestIneligiblePublishesKeepTheirBehaviour walks every case the pass-through
-// must leave to the decode → rewrite → encode path, or reject, exactly as
-// before. Each probe is followed by a sentinel on the same connection: TCP
-// order and FIFO egress mean "the sentinel arrived first" proves the probe
-// was dropped without waiting out a timeout.
-func TestIneligiblePublishesKeepTheirBehaviour(t *testing.T) {
+// TestPublishAdmissionEdges walks the cases around the
+// admission rule's edges: the two a broker rewrites (no Source, picked by the
+// sampler), the ones it rejects, and the ones that used to be rewritten and
+// now pass through. Each rejected probe is followed by a sentinel on the same
+// connection: TCP order and FIFO egress mean "the sentinel arrived first"
+// proves the probe was dropped without waiting out a timeout.
+func TestPublishAdmissionEdges(t *testing.T) {
 	tracer := obs.NewTracer(obs.DefaultTraceCapacity, nil)
 	sampleAll := func(cfg *Config) {
 		cfg.PublishSampler = obs.NewSampler(1, 0)
@@ -248,15 +249,21 @@ func TestIneligiblePublishesKeepTheirBehaviour(t *testing.T) {
 		}
 	})
 
-	t.Run("sampler is consulted exactly once per admitted publish", func(t *testing.T) {
-		a := realBroker(t, "in-rate", func(cfg *Config) { cfg.PublishSampler = obs.NewSampler(4, 0) })
+	t.Run("sampler is consulted once per unsampled client publish, never for a link frame", func(t *testing.T) {
+		a := realBroker(t, "in-rate-a", func(cfg *Config) { cfg.PublishSampler = obs.NewSampler(4, 0) })
+		b := realBroker(t, "in-rate-b", func(cfg *Config) { cfg.PublishSampler = obs.NewSampler(1, 0) })
+		linkReal(t, b, a)
 		sub := rawSubscriber(t, a, "in/**")
+		remote := rawSubscriber(t, b, "in/**")
 		pub := rawConn(t, a)
-		sampled := 0
-		for i := 0; i < 40; i++ {
+		sampled, remoteSampled := 0, 0
+		for i := 0; i < 45; i++ {
 			ev := publishEvent("in/x", strconv.Itoa(i))
 			if i%5 == 0 {
-				ev.Source = "" // the stamping path must not consult it a second time
+				ev.Source = "" // stamping must not cost a second consultation
+			}
+			if i >= 40 {
+				ev.SetMsgTrace("publisher", 0) // a verdict already made is never re-decided
 			}
 			if err := pub.Send(event.Encode(ev)); err != nil {
 				t.Fatal(err)
@@ -264,9 +271,79 @@ func TestIneligiblePublishesKeepTheirBehaviour(t *testing.T) {
 			if _, got := nextFrame(t, sub); got.MsgSampled() {
 				sampled++
 			}
+			if _, got := nextFrame(t, remote); got.MsgSampled() {
+				remoteSampled++
+			}
 		}
-		if seen := a.cfg.PublishSampler.Seen(); seen != 40 || sampled != 10 {
-			t.Fatalf("1-in-4 sampler over 40 publishes: consulted %d times, %d sampled", seen, sampled)
+		if seen := a.cfg.PublishSampler.Seen(); seen != 40 || sampled != 10+5 {
+			t.Fatalf("1-in-4 sampler over 40 undecided publishes (+5 pre-sampled): consulted %d times, %d delivered sampled", seen, sampled)
+		}
+		if seen := b.cfg.PublishSampler.Seen(); seen != 0 || remoteSampled != sampled {
+			t.Fatalf("link side: its sample-everything sampler was consulted %d times, %d of %d verdicts arrived", seen, remoteSampled, sampled)
+		}
+	})
+
+	t.Run("publisher-sampled publish passes through; the link copy advances msg-hop", func(t *testing.T) {
+		a := realBroker(t, "in-pre-a", func(cfg *Config) { cfg.Tracer = tracer })
+		b := realBroker(t, "in-pre-b", nil)
+		linkReal(t, b, a)
+		local := rawSubscriber(t, a, "in/**")
+		remote := rawSubscriber(t, b, "in/**")
+		pub := rawConn(t, a)
+		ev := publishEvent("in/x", "traced by its publisher")
+		ev.SetMsgTrace("publisher", 0)
+		sent := event.Encode(ev)
+		if err := pub.Send(sent); err != nil {
+			t.Fatal(err)
+		}
+		if frame, _ := nextFrame(t, local); !bytes.Equal(frame, sent) {
+			t.Fatal("co-located subscriber did not receive the bytes the publisher sent")
+		}
+		_, got := nextFrame(t, remote)
+		if origin, hop, ok := got.MsgTrace(); !ok || origin != "publisher" || hop != 1 {
+			t.Fatalf("link delivery: sampled=%v origin=%q hop=%d", ok, origin, hop)
+		}
+		want := *ev
+		want.TTL = event.DefaultTTL - 1
+		want.Headers = map[string]string{"content-type": "text/plain", "app-seq": "42",
+			event.HeaderMsgSampled: "1", event.HeaderMsgOrigin: "publisher", event.HeaderMsgHop: "1"}
+		sameEvent(t, "subscriber behind the link", got, &want)
+	})
+
+	t.Run("replay capacity does not cost the pass-through", func(t *testing.T) {
+		a := realBroker(t, "in-replay-pt", func(cfg *Config) { cfg.ReplayCapacity = 8 })
+		sub := rawSubscriber(t, a, "in/**")
+		pub := rawConn(t, a)
+		sent := event.Encode(publishEvent("in/x", "retained and delivered"))
+		if err := pub.Send(sent); err != nil {
+			t.Fatal(err)
+		}
+		if frame, _ := nextFrame(t, sub); !bytes.Equal(frame, sent) {
+			t.Fatal("subscriber received re-encoded bytes because replay history is on")
+		}
+	})
+
+	t.Run("replayed frame carries the TTL that arrived, though the live copy was hop-patched in place", func(t *testing.T) {
+		a := realBroker(t, "in-replay-a", func(cfg *Config) { cfg.ReplayCapacity = 8 })
+		b := realBroker(t, "in-replay-b", nil)
+		linkReal(t, b, a)
+		remote := rawSubscriber(t, b, "in/**") // a has no local subscriber: the hop is spent on the ingress frame
+		pub := rawConn(t, a)
+		sent := event.Encode(publishEvent("in/x", "missed by the late joiner"))
+		if err := pub.Send(sent); err != nil {
+			t.Fatal(err)
+		}
+		if _, got := nextFrame(t, remote); got.TTL != event.DefaultTTL-1 {
+			t.Fatalf("link delivery TTL = %d, want %d", got.TTL, event.DefaultTTL-1)
+		}
+		late := rawConn(t, a)
+		ask := event.New(event.TypeControl, "in/*", nil)
+		ask.SetHeader(controlOpHeader, opReplay)
+		if err := late.Send(event.Encode(ask)); err != nil {
+			t.Fatal(err)
+		}
+		if frame, _ := nextFrame(t, late); !bytes.Equal(frame, sent) {
+			t.Fatal("replayed frame differs from the frame that arrived")
 		}
 	})
 

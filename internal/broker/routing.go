@@ -2,6 +2,7 @@ package broker
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -89,41 +90,13 @@ func (b *Broker) handleLinkFrame(lk *link, f *sharedFrame) {
 	switch {
 	case !ok:
 	case v.Type == event.TypePublish:
-		b.linkPublish(lk, &v, f)
+		b.tel.framesPublish.Inc()
+		b.admitPublish(&v, f, "", lk.peer)
 	default:
 		if ev := b.decodeFrame(f); ev != nil {
 			b.handleLinkEvent(lk, ev)
 		}
 	}
-}
-
-// linkPublish admits one publish forwarded by a peer broker. The frame passes
-// through untouched unless it is sampled (the hop is recorded and the hop
-// header advances) or replay history retains it.
-func (b *Broker) linkPublish(lk *link, v *event.View, f *sharedFrame) {
-	b.tel.framesPublish.Inc()
-	if b.evDedup.Seen(v.ID) {
-		f.release()
-		return
-	}
-	if b.history == nil && !v.MsgSampled() {
-		b.fanOut(v, f, lk.peer, nil)
-		return
-	}
-	ev := b.decodeFrame(f)
-	if ev == nil {
-		return
-	}
-	// A sampled message crossing a link records the hop, so the assembled
-	// trace shows which broker-to-broker edges it travelled.
-	if origin, hop, ok := ev.MsgTrace(); ok {
-		b.traceFor(ev.ID.String()).Event("msg-hop", b.now(),
-			obs.A("broker", b.cfg.LogicalAddress),
-			obs.A("from", lk.peer),
-			obs.A("origin", origin),
-			obs.A("hop", strconv.Itoa(int(hop))))
-	}
-	b.routePublish(ev, lk.peer)
 }
 
 // heartbeatLink sends periodic keepalives on a link and tears it down after
@@ -211,63 +184,91 @@ func containsString(ss []string, s string) bool {
 	return false
 }
 
-// routePublish routes a publish the broker authored or had to rewrite — an
-// in-process Publish, a relayed advertisement, a client publish that needed
-// its Source or a sampling verdict stamped, any publish while replay history
-// retains events: it records, samples and encodes the event, then hands the
-// frame to the same fan-out the socket path feeds directly. Duplicate
-// suppression has already happened at the ingress point.
-func (b *Broker) routePublish(ev *event.Event, fromPeer string) {
-	if b.history != nil {
-		b.history.Add(ev)
+// publishEvent admits a publish this broker framed itself — the in-process
+// Publish, an advertisement a client relays — exactly as if it had been read
+// off a client's socket (client names the relaying session, "" for Publish).
+func (b *Broker) publishEvent(ev *event.Event, client string) {
+	if v, f, ok := b.frameEvent(ev); ok {
+		b.admitPublish(&v, f, client, "")
 	}
-	// Decision-at-publish sampling: the ingress broker rolls the dice once;
-	// events arriving over a link already carry the verdict in their headers
-	// and are never re-decided. The unsampled path costs one nil-map header
-	// check plus the sampler's atomic counter — no clock read, no allocation.
-	sampled := ev.MsgSampled()
-	if !sampled && fromPeer == "" && b.cfg.PublishSampler.Decide(ev.Topic) {
-		sampled = true
-		ev.SetMsgTrace(b.cfg.LogicalAddress, 0)
-	}
+}
+
+// frameEvent encodes ev into a pooled frame and parses it back in place.
+func (b *Broker) frameEvent(ev *event.Event) (event.View, *sharedFrame, bool) {
 	f := b.frames.encode(ev, 1)
 	v, err := event.Parse(f.buf)
 	if err != nil {
 		// A topic or payload past the codec's limits: no peer could decode it.
 		f.release()
+	}
+	return v, f, err == nil
+}
+
+// admitPublish is the one admission rule for a publish, consuming the caller's
+// reference on f. From a client session (fromPeer == "") the topic must be
+// publishable; from anywhere the ID must be new to this broker. An admitted
+// frame goes to the router as the bytes it arrived in unless the broker has
+// to change them, which only happens at the ingress broker: a client frame
+// without a Source is stamped with the session's id, and one the sampler
+// picks gets the msg-* headers — the sampler is consulted here and nowhere
+// else, once per admitted client publish that does not already carry a
+// verdict. Those two are materialised, amended and re-encoded; link frames
+// always pass through.
+func (b *Broker) admitPublish(v *event.View, f *sharedFrame, client, fromPeer string) {
+	if (fromPeer == "" && topics.Validate(v.Topic) != nil) || b.evDedup.Seen(v.ID) {
+		f.release()
 		return
 	}
-	if !sampled {
-		ev = nil
+	if fromPeer == "" {
+		sample := !v.MsgSampled() && b.cfg.PublishSampler.Decide(v.Topic)
+		if sample || v.Source == "" {
+			ev := v.Event()
+			f.release()
+			if ev.Source == "" {
+				ev.Source = client
+			}
+			if sample {
+				ev.SetMsgTrace(b.cfg.LogicalAddress, 0)
+			}
+			rewritten, rf, ok := b.frameEvent(ev)
+			if !ok {
+				return
+			}
+			v, f = &rewritten, rf
+		}
 	}
-	b.fanOut(&v, f, fromPeer, ev)
+	b.fanOut(v, f, fromPeer)
 }
 
 // fanOut is the publish router: it delivers the encoded publish in f to every
 // matching local subscriber and forwards it over links (except the one it
 // arrived on) with one hop spent. In RouteFlood mode every link is used; in
 // RouteSubscriptions mode only links whose peer registered a matching
-// interest. v is f parsed in place; sampled is the decoded event when the
-// message is traced, nil otherwise. The caller's reference on f is consumed.
+// interest. v is f parsed in place. The caller's reference on f is consumed.
 //
 // This is the substrate's hottest loop, and it is lock-free and copies
 // nothing it does not have to: matching walks the immutable COW trie snapshot
 // (each registration hands back its egress queue directly, so there is no
 // client-map lookup), forwarding links come from an atomically swapped
-// snapshot, and the frame — as received from the socket, or as routePublish
+// snapshot, and the frame — as received from the socket, or as frameEvent
 // encoded it — is shared by reference count with every local queue. Links
 // share one more frame, a pooled copy with the TTL byte decremented; when no
 // local subscriber matched, the hop is spent on f in place and nothing is
-// copied at all. Actual writes happen on the per-connection egress writers,
-// so a slow peer cannot stall routing.
-func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string, sampled *event.Event) {
+// copied at all. Only a sampled message is materialised, to advance the hop
+// header on its link copy. Actual writes happen on the per-connection egress
+// writers, so a slow peer cannot stall routing.
+func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string) {
 	// The returned entry handle is stamped onto every frame of this fan-out,
 	// so delivered/dropped tallies on the egress side are plain atomic adds.
 	// born feeds the delivery-latency histogram observed at egress flush;
 	// control/replay frames never carry either.
 	f.flow, f.born = b.flows.Published(v.Topic, len(v.Payload)), v.Timestamp
+	if b.history != nil {
+		b.history.Add(v.Topic, f.buf) // copied now: with the TTL that arrived
+	}
+	origin, hop, sampled := v.MsgTrace()
 	var matchStart time.Time
-	if sampled != nil {
+	if sampled {
 		matchStart = time.Now()
 	}
 
@@ -289,17 +290,20 @@ func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string, sampled 
 		}
 	}
 	nLocals, nLinks := int32(len(sc.locals)), int32(len(sc.links))
-	if sampled != nil {
-		f.traceID, f.enqueuedNs = b.traceRoute(sampled, fromPeer, matchStart, nLocals, nLinks)
+	if sampled {
+		f.traceID, f.enqueuedNs = b.traceRoute(v, fromPeer, origin, hop, matchStart, nLocals, nLinks)
 	}
 
 	// Network dissemination: one frame with a hop spent, shared by every link.
 	fwd := f
 	if nLinks > 0 {
 		switch {
-		case sampled != nil:
+		case sampled:
 			// The hop counter in the headers advances too: re-encode.
-			fwd = b.frames.encode(hopForward(sampled), nLinks)
+			next := v.Event()
+			next.TTL--
+			next.SetHeader(event.HeaderMsgHop, strconv.Itoa(int(hop)+1))
+			fwd = b.frames.encode(next, nLinks)
 			fwd.stampFrom(f)
 		case nLocals > 0:
 			// Local subscribers must read the TTL that arrived: patch a copy.
@@ -338,22 +342,29 @@ func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string, sampled 
 // stamps its frames carry to the egress writers (trace id, enqueue wall
 // clock). The ingress broker records the origin span — whether it rolled the
 // dice itself or the publisher pre-stamped the sampled headers (e.g. loadgen
-// -sample-every). Link-forwarded messages record msg-hop events instead, at
-// the link ingress.
-func (b *Broker) traceRoute(ev *event.Event, fromPeer string, matchStart time.Time, locals, links int32) (traceID string, enqueuedNs int64) {
-	traceID = ev.ID.String()
+// -sample-every); a broker the message reached over a link records the hop
+// instead, so the assembled trace shows which broker-to-broker edges it
+// travelled. v aliases a pooled frame, so every string a span keeps is cloned.
+func (b *Broker) traceRoute(v *event.View, fromPeer, origin string, hop uint8, matchStart time.Time, locals, links int32) (traceID string, enqueuedNs int64) {
+	traceID = v.ID.String()
 	enqueuedNs = time.Now().UnixNano()
-	_, hop, _ := ev.MsgTrace()
-	tr := b.traceFor(traceID)
+	// A nil tracer hands back a nil *Trace, and both record nothing.
+	tr := b.tel.tracer.Trace(traceID)
 	if fromPeer == "" {
-		at := ev.Timestamp
-		if at.IsZero() {
+		at := time.Unix(0, v.Timestamp).UTC()
+		if v.Timestamp == 0 {
 			at = b.now()
 		}
 		tr.Span("msg-publish", at, 0,
 			obs.A("broker", b.cfg.LogicalAddress),
-			obs.A("topic", ev.Topic),
-			obs.A("source", ev.Source))
+			obs.A("topic", strings.Clone(v.Topic)),
+			obs.A("source", strings.Clone(v.Source)))
+	} else {
+		tr.Event("msg-hop", b.now(),
+			obs.A("broker", b.cfg.LogicalAddress),
+			obs.A("from", fromPeer),
+			obs.A("origin", strings.Clone(origin)),
+			obs.A("hop", strconv.Itoa(int(hop))))
 	}
 	tr.Span("msg-match", b.now(), time.Since(matchStart),
 		obs.A("broker", b.cfg.LogicalAddress),
@@ -361,27 +372,6 @@ func (b *Broker) traceRoute(ev *event.Event, fromPeer string, matchStart time.Ti
 		obs.A("locals", strconv.Itoa(int(locals))),
 		obs.A("links", strconv.Itoa(int(links))))
 	return traceID, enqueuedNs
-}
-
-// hopForward returns the link-bound form of a sampled event: one hop spent
-// and the msg-hop header advanced, on a header map of its own so the event
-// local subscribers saw is not mutated.
-func hopForward(ev *event.Event) *event.Event {
-	fwd := *ev
-	fwd.TTL--
-	_, hop, _ := ev.MsgTrace()
-	fwd.Headers = make(map[string]string, len(ev.Headers)+1)
-	for k, v := range ev.Headers {
-		fwd.Headers[k] = v
-	}
-	fwd.Headers[event.HeaderMsgHop] = strconv.Itoa(int(hop) + 1)
-	return &fwd
-}
-
-// traceFor returns the trace recorder for a sampled message. Both the nil
-// tracer and the returned nil *Trace record nothing, so callers don't branch.
-func (b *Broker) traceFor(traceID string) *obs.Trace {
-	return b.tel.tracer.Trace(traceID)
 }
 
 // linksExcept returns the broker links excluding one peer; BDN-role

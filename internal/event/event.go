@@ -10,6 +10,7 @@ package event
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 	"unsafe"
 
@@ -118,10 +119,15 @@ func (e *Event) Trace() (id, origin string, hop uint8, ok bool) {
 	if id == "" {
 		return "", "", 0, false
 	}
-	if h, err := strconv.Atoi(e.Header(HeaderTraceHop)); err == nil && h >= 0 && h <= 255 {
-		hop = uint8(h)
+	return id, e.Header(HeaderTraceOrigin), parseHop(e.Header(HeaderTraceHop)), true
+}
+
+// parseHop reads a hop-count header value; missing or malformed reads as 0.
+func parseHop(s string) uint8 {
+	if h, err := strconv.Atoi(s); err == nil && h >= 0 && h <= 255 {
+		return uint8(h)
 	}
-	return id, e.Header(HeaderTraceOrigin), hop, true
+	return 0
 }
 
 // Message-trace headers. A broker (or an instrumented publisher) that
@@ -146,13 +152,10 @@ func (e *Event) SetMsgTrace(origin string, hop uint8) {
 // unsampled message (possibly with a nil header map); a missing or malformed
 // hop header reads as 0.
 func (e *Event) MsgTrace() (origin string, hop uint8, sampled bool) {
-	if e.Headers == nil || e.Headers[HeaderMsgSampled] != "1" {
+	if !e.MsgSampled() {
 		return "", 0, false
 	}
-	if h, err := strconv.Atoi(e.Headers[HeaderMsgHop]); err == nil && h >= 0 && h <= 255 {
-		hop = uint8(h)
-	}
-	return e.Headers[HeaderMsgOrigin], hop, true
+	return e.Headers[HeaderMsgOrigin], parseHop(e.Headers[HeaderMsgHop]), true
 }
 
 // MsgSampled reports whether the event carries the sampled flag, without
@@ -170,21 +173,6 @@ func (e *Event) SetHeader(k, v string) {
 		e.Headers = make(map[string]string, 4)
 	}
 	e.Headers[k] = v
-}
-
-// Clone returns a deep copy (used when fanning an event out over links).
-func (e *Event) Clone() *Event {
-	c := *e
-	if e.Headers != nil {
-		c.Headers = make(map[string]string, len(e.Headers))
-		for k, v := range e.Headers {
-			c.Headers[k] = v
-		}
-	}
-	if e.Payload != nil {
-		c.Payload = append([]byte(nil), e.Payload...)
-	}
-	return &c
 }
 
 // Codec framing constants.
@@ -233,31 +221,15 @@ func EncodeTo(w *wire.Writer, e *Event) {
 	w.BytesField(e.Payload)
 }
 
-// Decode parses an encoded event, validating framing and type.
+// Decode parses an encoded event, validating framing and type, and copies it
+// out of the frame: Parse, then View.Event. The two accept exactly the same
+// frames because there is only the one walk.
 func Decode(b []byte) (*Event, error) {
-	r := wire.NewReader(b)
-	if m := r.Byte(); r.Err() == nil && m != magic {
-		return nil, fmt.Errorf("event: bad magic 0x%02x", m)
+	v, err := Parse(b)
+	if err != nil {
+		return nil, err
 	}
-	if v := r.Byte(); r.Err() == nil && v != version {
-		return nil, fmt.Errorf("event: unsupported version %d", v)
-	}
-	e := &Event{}
-	e.Type = Type(r.Byte())
-	e.ID = uuid.UUID(r.Bytes16())
-	e.Topic = r.String()
-	e.Source = r.String()
-	e.Timestamp = r.Time()
-	e.TTL = r.Byte()
-	e.Headers = r.StringMap()
-	e.Payload = r.BytesField()
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("event: %w", err)
-	}
-	if !e.Type.Valid() {
-		return nil, fmt.Errorf("event: invalid type %d", e.Type)
-	}
-	return e, nil
+	return v.Event(), nil
 }
 
 // View is an encoded event parsed in place: the scalar fields by value, the
@@ -281,10 +253,9 @@ type View struct {
 	headers []byte // the encoded header map, count included
 }
 
-// Parse walks an encoded event once with exactly the checks Decode applies —
-// framing, field bounds and limits, no trailing bytes, a defined type — and
-// returns a View instead of materialising an Event. Parse accepts a frame if
-// and only if Decode does.
+// Parse walks an encoded event once — framing, field bounds and limits, no
+// trailing bytes, a defined type — and returns a View instead of materialising
+// an Event. It is the codec's only walk of the layout; Decode is built on it.
 func Parse(b []byte) (View, error) {
 	r := wire.NewReader(b)
 	if m := r.Byte(); r.Err() == nil && m != magic {
@@ -314,6 +285,24 @@ func Parse(b []byte) (View, error) {
 	return v, nil
 }
 
+// Event materialises the view: every field copied out of the frame, so the
+// result outlives it and may be amended and re-encoded.
+func (v *View) Event() *Event {
+	e := &Event{
+		Type:    v.Type,
+		ID:      v.ID,
+		Topic:   strings.Clone(v.Topic),
+		Source:  strings.Clone(v.Source),
+		TTL:     v.TTL,
+		Headers: wire.NewReader(v.headers).StringMap(),
+		Payload: append([]byte(nil), v.Payload...),
+	}
+	if v.Timestamp != 0 {
+		e.Timestamp = time.Unix(0, v.Timestamp).UTC()
+	}
+	return e
+}
+
 // aliasString views b as a string without copying it.
 func aliasString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
@@ -336,4 +325,13 @@ func (v *View) Header(k string) string {
 // MsgSampled reports whether the frame carries the message-trace sampled flag.
 func (v *View) MsgSampled() bool {
 	return v.NumHeaders > 0 && v.Header(HeaderMsgSampled) == "1"
+}
+
+// MsgTrace reads the message-trace headers in place, as Event.MsgTrace reads
+// them off the map; origin aliases the frame.
+func (v *View) MsgTrace() (origin string, hop uint8, sampled bool) {
+	if !v.MsgSampled() {
+		return "", 0, false
+	}
+	return v.Header(HeaderMsgOrigin), parseHop(v.Header(HeaderMsgHop)), true
 }

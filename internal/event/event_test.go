@@ -116,19 +116,6 @@ func TestDecodeRejectsTrailing(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	e := sampleEvent()
-	c := e.Clone()
-	c.Payload[0] = 'X'
-	c.SetHeader("geo", "elsewhere")
-	if e.Payload[0] == 'X' {
-		t.Fatal("payload aliased")
-	}
-	if e.Header("geo") != "Tallahassee, FL" {
-		t.Fatal("headers aliased")
-	}
-}
-
 func TestTypeString(t *testing.T) {
 	if TypeDiscoveryRequest.String() != "discovery-request" {
 		t.Fatalf("String = %q", TypeDiscoveryRequest.String())

@@ -59,6 +59,10 @@ func checkParseMatchesDecode(t testing.TB, b []byte) {
 	if v.MsgSampled() != ev.MsgSampled() {
 		t.Fatalf("MsgSampled: view %v, event %v", v.MsgSampled(), ev.MsgSampled())
 	}
+	vo, vh, vs := v.MsgTrace()
+	if eo, eh, es := ev.MsgTrace(); vo != eo || vh != eh || vs != es {
+		t.Fatalf("MsgTrace: view (%q, %d, %v), event (%q, %d, %v)", vo, vh, vs, eo, eh, es)
+	}
 }
 
 // parseSeeds is the seed corpus shared by the fuzzer and the plain test:
@@ -163,5 +167,25 @@ func TestParseDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Parse + header lookup allocates %.0f times per frame", allocs)
+	}
+}
+
+// TestViewEventOwnsItsMemory: the materialised event shares nothing with the
+// frame — the broker releases the pooled frame (which then carries another
+// event) before it amends and re-encodes what View.Event returned.
+func TestViewEventOwnsItsMemory(t *testing.T) {
+	want := sampledEvent()
+	frame := Encode(want)
+	v, err := Parse(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.Event()
+	for i := range frame {
+		frame[i] = 0xAA
+	}
+	if got.Topic != want.Topic || got.Source != want.Source || !bytes.Equal(got.Payload, want.Payload) ||
+		got.Header(HeaderMsgOrigin) != "broker-1" || len(got.Headers) != len(want.Headers) {
+		t.Fatalf("materialised event changed with the frame: %+v", got)
 	}
 }

@@ -1,38 +1,47 @@
 // Package replay implements the event-replay service the paper lists among
 // the NaradaBrokering substrate's capabilities ("reliable delivery, replays,
 // (de)compression of large payloads ..."): brokers retain a bounded window
-// of recent events per topic, and late-joining subscribers can request the
-// events they missed.
+// of recent publishes per topic, and late-joining subscribers can request the
+// ones they missed. The store keeps each publish as the encoded frame the
+// broker routed, so a replay re-sends bytes and never re-encodes.
 package replay
 
 import (
+	"sort"
+	"strings"
 	"sync"
 
-	"narada/internal/event"
 	"narada/internal/topics"
 )
 
-// DefaultCapacity is the default retained events per topic.
+// DefaultCapacity is the default retained frames per topic.
 const DefaultCapacity = 64
 
-// Store is a bounded per-topic ring buffer of recent events. It is safe for
-// concurrent use by the broker's routing goroutines.
+// Store is a bounded per-topic ring buffer of recent publish frames. It is
+// safe for concurrent use by the broker's routing goroutines.
 type Store struct {
 	capacity int
 
 	mu     sync.Mutex
 	byTop  map[string]*ring
-	stored uint64
+	stored uint64 // also the arrival sequence of the last frame added
 	served uint64
 }
 
+// retained is one stored frame with its store-wide arrival sequence, which
+// orders frames across topics.
+type retained struct {
+	seq   uint64
+	frame []byte
+}
+
 type ring struct {
-	buf  []*event.Event
+	buf  []retained
 	head int // next slot to overwrite
 	full bool
 }
 
-// NewStore creates a Store retaining capacity events per topic
+// NewStore creates a Store retaining capacity frames per topic
 // (<= 0 means DefaultCapacity).
 func NewStore(capacity int) *Store {
 	if capacity <= 0 {
@@ -44,64 +53,58 @@ func NewStore(capacity int) *Store {
 // Capacity returns the per-topic retention window.
 func (s *Store) Capacity() int { return s.capacity }
 
-// Add retains one published event (a defensive clone, so later mutation of
-// the routed event cannot corrupt history).
-func (s *Store) Add(ev *event.Event) {
-	if ev == nil || ev.Type != event.TypePublish || ev.Topic == "" {
+// Add retains one publish frame under its topic. Both are copied: the caller's
+// frame is a pooled buffer (and its topic usually a window onto it) that will
+// carry another event as soon as the fan-out ends.
+func (s *Store) Add(topic string, frame []byte) {
+	if topic == "" {
 		return
 	}
-	c := ev.Clone()
+	frame = append([]byte(nil), frame...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.byTop[ev.Topic]
+	r, ok := s.byTop[topic]
 	if !ok {
-		r = &ring{buf: make([]*event.Event, s.capacity)}
-		s.byTop[ev.Topic] = r
+		r = &ring{buf: make([]retained, s.capacity)}
+		s.byTop[strings.Clone(topic)] = r
 	}
-	r.buf[r.head] = c
+	s.stored++
+	r.buf[r.head] = retained{seq: s.stored, frame: frame}
 	r.head++
 	if r.head == len(r.buf) {
 		r.head = 0
 		r.full = true
 	}
-	s.stored++
 }
 
-// events returns a ring's contents oldest-first. Caller holds mu.
-func (r *ring) events() []*event.Event {
-	if !r.full {
-		return append([]*event.Event(nil), r.buf[:r.head]...)
-	}
-	out := make([]*event.Event, 0, len(r.buf))
-	out = append(out, r.buf[r.head:]...)
-	out = append(out, r.buf[:r.head]...)
-	return out
-}
-
-// Replay returns up to limit retained events whose topic matches the
-// subscription pattern, oldest first (limit <= 0 means no limit). Events
-// from different topics interleave in per-topic order.
-func (s *Store) Replay(pattern string, limit int) []*event.Event {
+// Replay returns copies of up to limit retained frames whose topic matches
+// the subscription pattern — the most recently added ones across all matching
+// topics — oldest first (limit <= 0 means no limit).
+func (s *Store) Replay(pattern string, limit int) [][]byte {
 	if topics.ValidatePattern(pattern) != nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []*event.Event
+	var hits []retained
 	for topic, r := range s.byTop {
 		if !topics.Match(pattern, topic) {
 			continue
 		}
-		out = append(out, r.events()...)
+		if r.full {
+			hits = append(hits, r.buf...)
+		} else {
+			hits = append(hits, r.buf[:r.head]...)
+		}
 	}
-	// Trim to the most recent `limit` (they are the ones a late joiner
-	// missed most recently).
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
+	sort.Slice(hits, func(i, j int) bool { return hits[i].seq < hits[j].seq })
+	if limit > 0 && len(hits) > limit {
+		hits = hits[len(hits)-limit:]
 	}
-	// Hand out clones so callers cannot corrupt retained history.
-	for i, ev := range out {
-		out[i] = ev.Clone()
+	// Hand out copies so callers cannot corrupt retained history.
+	out := make([][]byte, len(hits))
+	for i, h := range hits {
+		out[i] = append([]byte(nil), h.frame...)
 	}
 	s.served += uint64(len(out))
 	return out
@@ -114,7 +117,7 @@ func (s *Store) TopicCount() int {
 	return len(s.byTop)
 }
 
-// Stats returns total events stored and served.
+// Stats returns total frames stored and served.
 func (s *Store) Stats() (stored, served uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -69,13 +69,6 @@ func (t *Table) Subscribe(id, pattern string) error {
 	return err
 }
 
-// SubscribeAdded registers the subscriber id for the pattern and reports
-// whether a new registration was created (false for idempotent duplicates) —
-// the signal interest propagation needs.
-func (t *Table) SubscribeAdded(id, pattern string) (bool, error) {
-	return t.SubscribeValue(id, pattern, nil)
-}
-
 // SubscribeValue registers the subscriber id for the pattern with an opaque
 // attachment that the match path returns alongside the id (MatchEachUnique).
 // Duplicate (id, pattern) registrations are idempotent but refresh a non-nil
@@ -298,33 +291,14 @@ func without(old []entry, id string) []entry {
 }
 
 // Match returns the sorted, de-duplicated subscriber ids whose patterns
-// match the concrete topic. It is a convenience wrapper over MatchAppend;
-// hot paths that can reuse a scratch buffer should call MatchAppend,
-// MatchEach or MatchEachUnique instead.
+// match the concrete topic (nil when none do). It is a convenience wrapper
+// over MatchEachUnique that pays for a fresh Scratch and the result slice;
+// hot paths call MatchEachUnique with a Scratch they keep.
 func (t *Table) Match(topic string) []string {
-	ids := t.MatchAppend(topic, nil)
-	if len(ids) == 0 {
-		return nil
-	}
+	var ids []string
+	t.MatchEachUnique(topic, new(Scratch), func(id string, _ any) { ids = append(ids, id) })
 	sort.Strings(ids)
 	return ids
-}
-
-// MatchAppend appends the de-duplicated (but unsorted) subscriber ids whose
-// patterns match the concrete topic to dst and returns the extended slice.
-// Passing a caller-owned scratch buffer with sufficient capacity makes the
-// whole match allocation-free; ids already present in dst are not appended
-// again, so dst doubles as the de-duplication window.
-func (t *Table) MatchAppend(topic string, dst []string) []string {
-	return matchAppendTrie(t.snap.Load().root, topic, 0, dst)
-}
-
-// MatchEach invokes visit for every subscriber id whose pattern matches the
-// concrete topic, without allocating. An id registered under several
-// patterns that all match is visited once per matching pattern; callers
-// needing exactly-once semantics use MatchEachUnique with a Scratch.
-func (t *Table) MatchEach(topic string, visit func(id string)) {
-	matchEachTrie(t.snap.Load().root, topic, 0, visit)
 }
 
 // Scratch is the reusable dedup state for MatchEachUnique: an epoch-stamped
@@ -383,89 +357,6 @@ func matchUniqueTrie(node *trieNode, topic string, start int, sc *Scratch, visit
 	if child, ok := node.children[WildcardOne]; ok {
 		matchUniqueTrie(child, topic, next, sc, visit)
 	}
-}
-
-func matchAppendTrie(node *trieNode, topic string, start int, dst []string) []string {
-	if start > len(topic) {
-		for i := range node.ids {
-			dst = appendUnique(dst, node.ids[i].id)
-		}
-		return dst
-	}
-	for i := range node.anyIDs {
-		dst = appendUnique(dst, node.anyIDs[i].id)
-	}
-	if node.children == nil {
-		return dst
-	}
-	seg, next := nextSegment(topic, start)
-	if child, ok := node.children[seg]; ok {
-		dst = matchAppendTrie(child, topic, next, dst)
-	}
-	if child, ok := node.children[WildcardOne]; ok {
-		dst = matchAppendTrie(child, topic, next, dst)
-	}
-	return dst
-}
-
-// appendUnique appends id unless dst already holds it. The linear scan is
-// cheaper than a map for the small fan-out sets a single event matches, and
-// it allocates nothing.
-func appendUnique(dst []string, id string) []string {
-	for _, have := range dst {
-		if have == id {
-			return dst
-		}
-	}
-	return append(dst, id)
-}
-
-func matchEachTrie(node *trieNode, topic string, start int, visit func(id string)) {
-	if start > len(topic) {
-		for i := range node.ids {
-			visit(node.ids[i].id)
-		}
-		return
-	}
-	for i := range node.anyIDs {
-		visit(node.anyIDs[i].id)
-	}
-	if node.children == nil {
-		return
-	}
-	seg, next := nextSegment(topic, start)
-	if child, ok := node.children[seg]; ok {
-		matchEachTrie(child, topic, next, visit)
-	}
-	if child, ok := node.children[WildcardOne]; ok {
-		matchEachTrie(child, topic, next, visit)
-	}
-}
-
-// HasMatch reports whether any subscriber matches the topic (cheaper than
-// Match when only a boolean is needed, e.g. deciding whether to forward).
-func (t *Table) HasMatch(topic string) bool {
-	return hasMatchTrie(t.snap.Load().root, topic, 0)
-}
-
-func hasMatchTrie(node *trieNode, topic string, start int) bool {
-	if start > len(topic) {
-		return len(node.ids) > 0
-	}
-	if len(node.anyIDs) > 0 {
-		return true
-	}
-	if node.children == nil {
-		return false
-	}
-	seg, next := nextSegment(topic, start)
-	if child, ok := node.children[seg]; ok && hasMatchTrie(child, topic, next) {
-		return true
-	}
-	if child, ok := node.children[WildcardOne]; ok && hasMatchTrie(child, topic, next) {
-		return true
-	}
-	return false
 }
 
 // Patterns returns the sorted patterns registered by a subscriber.

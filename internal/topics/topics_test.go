@@ -192,18 +192,33 @@ func TestPatterns(t *testing.T) {
 	}
 }
 
-func TestHasMatch(t *testing.T) {
+// TestMatchPresence: Match is nil exactly when no registration matches, which
+// is how callers ask whether anyone wants a topic at all.
+func TestMatchPresence(t *testing.T) {
 	tbl := NewTable()
 	_ = tbl.Subscribe("s", "a/*/c")
-	if !tbl.HasMatch("a/b/c") {
-		t.Fatal("HasMatch missed a/b/c")
+	if tbl.Match("a/b/c") == nil {
+		t.Fatal("Match missed a/b/c")
 	}
-	if tbl.HasMatch("a/b") {
-		t.Fatal("HasMatch false positive")
+	if got := tbl.Match("a/b"); got != nil {
+		t.Fatalf("Match(a/b) = %v, want nil", got)
 	}
 	_ = tbl.Subscribe("w", "x/**")
-	if !tbl.HasMatch("x/anything") {
-		t.Fatal("HasMatch missed x/**")
+	if tbl.Match("x/anything") == nil {
+		t.Fatal("Match missed x/**")
+	}
+}
+
+// TestMatchDedupsAcrossPatterns: a subscriber whose several patterns all match
+// is reported once.
+func TestMatchDedupsAcrossPatterns(t *testing.T) {
+	tbl := NewTable()
+	for _, p := range []string{"a/b", "a/*", "a/**", "**"} {
+		_ = tbl.Subscribe("s", p)
+	}
+	_ = tbl.Subscribe("other", "*/b")
+	if got := tbl.Match("a/b"); fmt.Sprint(got) != fmt.Sprint([]string{"other", "s"}) {
+		t.Fatalf("Match(a/b) = %v, want [other s]", got)
 	}
 }
 
@@ -298,7 +313,6 @@ func TestTableConcurrency(t *testing.T) {
 				p := fmt.Sprintf("a/b%d/c%d", i%3, g%2)
 				_ = tbl.Subscribe(id, p)
 				tbl.Match("a/b1/c0")
-				tbl.HasMatch("a/b2/c1")
 				tbl.Unsubscribe(id, p)
 			}
 		}(g)
@@ -329,35 +343,27 @@ func BenchmarkMatchFunc(b *testing.B) {
 	}
 }
 
-func BenchmarkTableMatchAppend(b *testing.B) {
+// BenchmarkTableMatchEachUnique is the walk the broker runs per publish: a
+// kept Scratch, a visit closure built once, nothing allocated.
+func BenchmarkTableMatchEachUnique(b *testing.B) {
 	tbl := NewTable()
 	for i := 0; i < 1000; i++ {
 		_ = tbl.Subscribe(fmt.Sprintf("s%d", i), fmt.Sprintf("a/b%d/c%d", i%50, i%7))
 	}
 	_ = tbl.Subscribe("wild", "a/*/c1")
 	_ = tbl.Subscribe("any", "a/**")
-	scratch := make([]string, 0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scratch = tbl.MatchAppend("a/b17/c3", scratch[:0])
-	}
-	_ = scratch
-}
-
-func BenchmarkTableMatchEach(b *testing.B) {
-	tbl := NewTable()
-	for i := 0; i < 1000; i++ {
-		_ = tbl.Subscribe(fmt.Sprintf("s%d", i), fmt.Sprintf("a/b%d/c%d", i%50, i%7))
-	}
-	_ = tbl.Subscribe("wild", "a/*/c1")
-	_ = tbl.Subscribe("any", "a/**")
+	var sc Scratch
 	n := 0
-	visit := func(string) { n++ }
+	visit := func(string, any) { n++ }
+	match := func() { tbl.MatchEachUnique("a/b17/c3", &sc, visit) }
+	match() // grow the scratch
+	if allocs := testing.AllocsPerRun(100, match); allocs != 0 {
+		b.Fatalf("MatchEachUnique allocates %.0f times per match", allocs)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.MatchEach("a/b17/c3", visit)
+		match()
 	}
 	_ = n
 }

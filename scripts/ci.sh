@@ -2,7 +2,9 @@
 # ci.sh is the complete pre-merge gate: the tier-1 verify target (build, vet,
 # gofmt, tests, and the whole tree again under the race detector), every
 # benchmark in the tree run for one iteration (a benchmark that no longer
-# runs is a bug, and nothing else would notice), the publish fast-path performance gate (>2% ns/op regression
+# runs is a bug, and nothing else would notice), the repository benchmark's
+# own module (bench/ is nested, so ./... never reaches it, and an API rename
+# that breaks it would otherwise pass), the publish fast-path performance gate (>2% ns/op regression
 # on the fan-out, or any new allocation on the fan-out, its sampled variant or
 # the socket ingress path, fails), and finally the eight real-socket smoke
 # tests (collector/prober trace assembly, per-topic flow accounting +
@@ -19,6 +21,9 @@ make verify
 
 echo "ci: go test -run '^\$' -bench . -benchtime=1x ./..."
 go test -run '^$' -bench . -benchtime=1x ./...
+
+echo "ci: (cd bench && go vet . && go test .)"
+(cd bench && go vet . && go test .)
 
 echo "ci: make bench-gate"
 make bench-gate
