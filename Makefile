@@ -92,7 +92,9 @@ profiles-smoke:
 durability-smoke:
 	sh scripts/durability_smoke.sh
 
-# ci is the full pre-merge pipeline: verify + obs-smoke.
+# ci is the full pre-merge pipeline (scripts/ci.sh): verify, every benchmark
+# for one iteration, the bench/ module's own tests, bench-gate, then the eight
+# smoke lanes.
 ci:
 	sh scripts/ci.sh
 

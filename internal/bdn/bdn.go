@@ -23,7 +23,6 @@ import (
 	"narada/internal/obs"
 	"narada/internal/topics"
 	"narada/internal/transport"
-	"narada/internal/uuid"
 	"narada/internal/wal"
 )
 
@@ -362,50 +361,50 @@ func (d *BDN) untrackConn(conn transport.Conn) {
 	d.mu.Unlock()
 }
 
+// handleConn classifies one accepted connection by its first event and runs
+// its session; the connection is closed when the session returns.
 func (d *BDN) handleConn(conn transport.Conn) {
+	defer conn.Close() //nolint:errcheck
 	if !d.trackConn(conn) {
-		_ = conn.Close()
 		return
 	}
 	defer d.untrackConn(conn)
 	frame, err := conn.Recv()
 	if err != nil {
-		_ = conn.Close()
 		return
 	}
 	ev, err := event.Decode(frame)
 	if err != nil {
-		_ = conn.Close()
 		return
 	}
 	switch ev.Type {
 	case event.TypeLinkHello:
-		d.serveBrokerRegistration(conn)
+		d.serveBrokerRegistration(conn, "")
 	case event.TypeDiscoveryRequest:
 		d.serveRequester(conn, ev)
 	case event.TypeAdvertisement:
 		// Bare advertisement without hello (fire-and-forget re-advertise).
 		d.storeAdvertisement(ev, nil)
-		_ = conn.Close()
-	default:
-		_ = conn.Close()
 	}
 }
 
-// serveBrokerRegistration owns a broker's registration connection: it stores
-// the advertisement(s) the broker sends and keeps the connection available
-// for request injection until the broker disconnects.
-func (d *BDN) serveBrokerRegistration(conn transport.Conn) {
-	var logical string
+// serveBrokerRegistration owns a broker's registration connection — accepted
+// from the broker, or dialled by inject and adopted (logical is then known up
+// front; an accepted connection names its broker with its first stored
+// advertisement). It stores the advertisement(s) the broker sends and keeps
+// the connection available for request injection until it dies; then, and
+// only here, the registration lets go of it: r.conn is cleared if it is still
+// this connection (a re-registration may have replaced it), and the
+// connection is untracked and closed.
+func (d *BDN) serveBrokerRegistration(conn transport.Conn, logical string) {
 	defer func() {
-		_ = conn.Close()
-		if logical != "" {
-			d.mu.Lock()
-			if r, ok := d.brokers[logical]; ok && r.conn == conn {
-				r.conn = nil
-			}
-			d.mu.Unlock()
+		d.mu.Lock()
+		if r, ok := d.brokers[logical]; ok && r.conn == conn {
+			r.conn = nil
 		}
+		delete(d.conns, conn)
+		d.mu.Unlock()
+		_ = conn.Close()
 	}()
 	for {
 		frame, err := conn.Recv()
@@ -493,7 +492,6 @@ func (d *BDN) storeAdvertisement(ev *event.Event, conn transport.Conn) string {
 // Retransmissions of the same UUID are idempotent — re-acknowledged without
 // re-injection.
 func (d *BDN) serveRequester(conn transport.Conn, first *event.Event) {
-	defer conn.Close() //nolint:errcheck
 	ev := first
 	for {
 		if ev.Type == event.TypeDiscoveryRequest {
@@ -522,14 +520,9 @@ func (d *BDN) processRequest(conn transport.Conn, ev *event.Event, req *core.Dis
 		authorized = string(req.Credentials) == string(cred)
 	}
 
-	// Normalise trace context: instrumented requesters stamp it on the
-	// event; for anyone else it heals here from the request body, so every
-	// frame the BDN emits downstream carries it.
-	traceID, origin, hop, hasTrace := ev.Trace()
-	if !hasTrace {
-		traceID, origin, hop = req.ID.String(), req.Requester, 0
-		ev.SetTrace(traceID, origin, hop)
-	}
+	// Normalise trace context (healed onto ev when the requester stamped
+	// none), so every frame the BDN emits downstream carries it.
+	traceID, origin, hop := core.RequestTrace(ev, req)
 
 	// "A BDN is expected to acknowledge the receipt of a discovery request
 	// in a timely manner."
@@ -559,8 +552,7 @@ func (d *BDN) processRequest(conn transport.Conn, ev *event.Event, req *core.Dis
 // inject propagates the discovery request into the broker network according
 // to the configured policy. Each transmission pays the BDN's InjectOverhead
 // serially — the source of the unconnected topology's O(N) inefficiency.
-// reqID keys the trace events ("" disables tracing for this injection);
-// origin names the request's issuing node for the trace.
+// reqID keys the trace events; origin names the request's issuing node.
 func (d *BDN) inject(ev *event.Event, reqID, origin string) {
 	targets := d.injectionTargets()
 	frame := event.Encode(ev)
@@ -569,10 +561,7 @@ func (d *BDN) inject(ev *event.Event, reqID, origin string) {
 			d.node.Clock().Sleep(d.cfg.InjectOverhead)
 		}
 		d.tel.injects.Inc()
-		if reqID != "" {
-			d.traceEvent(reqID, "bdn-inject", "broker", r.ad.Broker.LogicalAddress,
-				"origin", origin)
-		}
+		d.traceEvent(reqID, "bdn-inject", "broker", r.ad.Broker.LogicalAddress, "origin", origin)
 		if r.conn != nil {
 			_ = r.conn.Send(frame)
 			continue
@@ -593,72 +582,50 @@ func (d *BDN) inject(ev *event.Event, reqID, origin string) {
 }
 
 // adoptInjectionConn installs a freshly dialed injection connection as the
-// broker's registration connection, with a watcher goroutine that clears it
-// again when the session dies — the same lifecycle a broker-initiated
-// registration gets from serveBrokerRegistration. When adoption loses the
-// race (the broker re-registered, or was dropped, or the BDN is shutting
-// down) the connection is closed only after a model-time linger, so the
-// request frame just sent on it still reaches the broker.
+// broker's registration connection and hands it to serveBrokerRegistration,
+// the same owner a broker-initiated registration gets. (The broker side
+// treats the session as an idle client and never sends on it, so the owner
+// just waits for it to die.) When adoption loses the race (the broker
+// re-registered, or was dropped, or the BDN is shutting down) the connection
+// is closed only after a model-time linger, so the request frame just sent
+// on it still reaches the broker.
 func (d *BDN) adoptInjectionConn(logical string, conn transport.Conn) {
-	lingerClose := func() {
-		d.node.Clock().Sleep(time.Second)
-		_ = conn.Close()
-	}
-	if !d.trackConn(conn) {
-		go lingerClose()
-		return
-	}
-	d.mu.Lock()
-	r, ok := d.brokers[logical]
-	if !ok || r.conn != nil {
+	adopted := false
+	if d.trackConn(conn) {
+		d.mu.Lock()
+		if r, ok := d.brokers[logical]; ok && r.conn == nil {
+			r.conn, adopted = conn, true
+		}
 		d.mu.Unlock()
+	}
+	if !adopted {
 		d.untrackConn(conn)
-		go lingerClose()
+		go func() {
+			d.node.Clock().Sleep(time.Second)
+			_ = conn.Close()
+		}()
 		return
 	}
-	r.conn = conn
-	d.mu.Unlock()
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		// The broker side treats this session as an idle client and never
-		// sends on it; a Recv return means the session (or the broker) died.
-		for {
-			if _, err := conn.Recv(); err != nil {
-				break
-			}
-		}
-		d.untrackConn(conn)
-		d.mu.Lock()
-		if r, ok := d.brokers[logical]; ok && r.conn == conn {
-			r.conn = nil
-		}
-		d.mu.Unlock()
-		_ = conn.Close()
+		d.serveBrokerRegistration(conn, logical)
 	}()
-}
-
-// injectTarget is a value snapshot of a registration, taken under d.mu, so
-// inject can send without holding the lock and without racing registration
-// teardown (which nils the conn) or advertisement refreshes.
-type injectTarget struct {
-	ad       *core.Advertisement
-	conn     transport.Conn
-	distance time.Duration
 }
 
 // injectionTargets snapshots the unexpired brokers to inject into under the
 // policy — an expired registration must never receive a request, or a dead
-// broker could still be shortlisted between sweeps.
-func (d *BDN) injectionTargets() []injectTarget {
+// broker could still be shortlisted between sweeps. The registrations are
+// copied by value under d.mu, so inject can send without holding the lock and
+// without racing registration teardown (which nils the conn) or refreshes.
+func (d *BDN) injectionTargets() []registration {
 	now := d.node.Clock().Now()
 	d.mu.Lock()
-	all := make([]injectTarget, 0, len(d.brokers))
+	all := make([]registration, 0, len(d.brokers))
 	for _, r := range d.brokers {
-		if r.expired(now) {
-			continue
+		if !r.expired(now) {
+			all = append(all, *r)
 		}
-		all = append(all, injectTarget{ad: r.ad, conn: r.conn, distance: r.distance})
 	}
 	d.mu.Unlock()
 	// Deterministic order: by logical address.
@@ -670,7 +637,7 @@ func (d *BDN) injectionTargets() []injectTarget {
 	}
 	// Closest and farthest by measured distance; unmeasured brokers sort
 	// after measured ones so fresh registrations are still reachable.
-	byDist := append([]injectTarget(nil), all...)
+	byDist := append([]registration(nil), all...)
 	sort.SliceStable(byDist, func(i, j int) bool {
 		di, dj := byDist[i].distance, byDist[j].distance
 		switch {
@@ -682,7 +649,7 @@ func (d *BDN) injectionTargets() []injectTarget {
 			return di < dj
 		}
 	})
-	return []injectTarget{byDist[0], byDist[len(byDist)-1]}
+	return []registration{byDist[0], byDist[len(byDist)-1]}
 }
 
 // MeasureDistances pings every registered broker's UDP endpoint and records
@@ -690,71 +657,30 @@ func (d *BDN) injectionTargets() []injectTarget {
 // could easily be constructed by issuing ping request to brokers and
 // computing the delays from the issued responses."
 func (d *BDN) MeasureDistances() map[string]time.Duration {
-	clock := d.node.Clock()
-	type probe struct {
-		logical string
-		sentAt  time.Time
-	}
-	probes := make(map[uuid.UUID]probe)
-
-	now := clock.Now()
+	now := d.node.Clock().Now()
 	d.mu.Lock()
-	targets := make(map[string]string, len(d.brokers)) // logical -> udp addr
+	logicals := make([]string, 0, len(d.brokers))
+	addrs := make([]string, 0, len(d.brokers)) // udp endpoints, parallel to logicals
 	for logical, r := range d.brokers {
-		if r.expired(now) {
-			continue
-		}
-		if udp := r.ad.Broker.Endpoint("udp"); udp != "" {
-			targets[logical] = udp
+		if !r.expired(now) {
+			logicals = append(logicals, logical)
+			addrs = append(addrs, r.ad.Broker.Endpoint("udp"))
 		}
 	}
 	d.mu.Unlock()
 
-	for logical, udp := range targets {
-		id := uuid.New()
-		now := clock.Now()
-		ping := &core.Ping{ID: id, SentAt: now}
-		ev := event.New(event.TypePing, "", core.EncodePing(ping))
-		ev.Source = d.cfg.Name
-		if err := d.udp.Send(udp, event.Encode(ev)); err != nil {
-			continue
-		}
-		probes[id] = probe{logical: logical, sentAt: now}
-	}
+	// One ping per broker, no trace context: this is not part of a request.
+	rtts := core.MeasureRTT(d.udp, d.node.Clock(), d.cfg.Name, "", addrs, 1, d.cfg.PingWindow)
 
-	results := make(map[string]time.Duration, len(probes))
-	deadline := clock.Now().Add(d.cfg.PingWindow)
-	for len(results) < len(probes) {
-		remaining := deadline.Sub(clock.Now())
-		if remaining <= 0 {
-			break
-		}
-		payload, _, err := d.udp.RecvTimeout(remaining)
-		if err != nil {
-			break
-		}
-		ev, err := event.Decode(payload)
-		if err != nil || ev.Type != event.TypePong {
-			continue
-		}
-		pong, err := core.DecodePong(ev.Payload)
-		if err != nil {
-			continue
-		}
-		p, ok := probes[pong.ID]
-		if !ok {
-			continue
-		}
-		if _, dup := results[p.logical]; dup {
-			continue
-		}
-		results[p.logical] = clock.Now().Sub(p.sentAt)
-	}
-
+	results := make(map[string]time.Duration, len(rtts))
 	d.mu.Lock()
-	for logical, rtt := range results {
-		if r, ok := d.brokers[logical]; ok {
-			r.distance = rtt
+	for i, rtt := range rtts {
+		if rtt.Count == 0 {
+			continue
+		}
+		results[logicals[i]] = rtt.Mean
+		if r, ok := d.brokers[logicals[i]]; ok {
+			r.distance = rtt.Mean
 		}
 	}
 	d.mu.Unlock()

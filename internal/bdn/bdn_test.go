@@ -11,6 +11,7 @@ import (
 	"narada/internal/event"
 	"narada/internal/metrics"
 	"narada/internal/ntptime"
+	"narada/internal/obs"
 	"narada/internal/simnet"
 	"narada/internal/transport"
 	"narada/internal/uuid"
@@ -59,6 +60,12 @@ func (e *env) bdn(cfg Config) *BDN {
 
 func (e *env) broker(site, name string) *broker.Broker {
 	e.t.Helper()
+	return e.brokerOn(site, name, obs.Handle{})
+}
+
+// brokerOn starts a broker that reports through h.
+func (e *env) brokerOn(site, name string, h obs.Handle) *broker.Broker {
+	e.t.Helper()
 	node, ntp := e.node(site, name)
 	b, err := broker.New(node, ntp, broker.Config{
 		LogicalAddress: name,
@@ -66,6 +73,7 @@ func (e *env) broker(site, name string) *broker.Broker {
 		Sampler: metrics.NewStaticSampler(metrics.Usage{
 			TotalMemBytes: 512 * mib, UsedMemBytes: 64 * mib,
 		}),
+		Handle: h,
 	})
 	if err != nil {
 		e.t.Fatal(err)
@@ -75,6 +83,17 @@ func (e *env) broker(site, name string) *broker.Broker {
 	}
 	e.t.Cleanup(b.Close)
 	return b
+}
+
+// waitFor polls cond (wall clock, 5 s budget) — the tests wait on the state a
+// step leaves behind, never on a model-time sleep that stands for it.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 func TestNewRequiresName(t *testing.T) {
@@ -92,7 +111,7 @@ func TestBrokerRegistrationStored(t *testing.T) {
 	if err := b.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitBrokers(t, d, 1)
 	if d.BrokerCount() != 1 {
 		t.Fatalf("BrokerCount = %d", d.BrokerCount())
 	}
@@ -116,7 +135,9 @@ func TestAdmitFilterRejects(t *testing.T) {
 	uk := e.broker(simnet.SiteCardiff, "broker-cardiff")
 	_ = us.RegisterWithBDN(d.Addr())
 	_ = uk.RegisterWithBDN(d.Addr())
-	e.net.Clock().Sleep(500 * time.Millisecond)
+	awaitBrokers(t, d, 1)
+	waitFor(t, "the UK advertisement to be rejected",
+		func() bool { return d.tel.adsRejected.Value() == 1 })
 	if d.BrokerCount() != 1 {
 		t.Fatalf("BrokerCount = %d, want 1 (UK filtered)", d.BrokerCount())
 	}
@@ -175,7 +196,7 @@ func TestInjectionReachesBroker(t *testing.T) {
 	if err := b.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitBrokers(t, d, 1)
 
 	node, _ := e.node(simnet.SiteBloomington, "client")
 	pc, _ := node.ListenPacket(0)
@@ -195,12 +216,45 @@ func TestInjectionReachesBroker(t *testing.T) {
 	}
 }
 
+// TestInjectedRequestCountsAsDiscoveryFrame: a request a BDN injects over a
+// registration connection — the paper's primary ingress — is a discovery
+// frame like one arriving by UDP, client session or broker link.
+func TestInjectedRequestCountsAsDiscoveryFrame(t *testing.T) {
+	e := newEnv(t, 11)
+	d := e.bdn(Config{Name: "gsl.org"})
+	reg := obs.NewRegistry()
+	b := e.brokerOn(simnet.SiteIndianapolis, "broker-indy", obs.Handle{Metrics: reg})
+	if err := b.RegisterWithBDN(d.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	awaitBrokers(t, d, 1)
+
+	node, _ := e.node(simnet.SiteBloomington, "client")
+	pc, _ := node.ListenPacket(0)
+	defer pc.Close()
+	req := &core.DiscoveryRequest{ID: uuid.New(), Requester: "client",
+		ResponseAddr: pc.LocalAddr()}
+	if ack := requestViaBDN(t, e, d, req); ack == nil {
+		t.Fatal("no ack")
+	}
+	if _, _, err := pc.RecvTimeout(3 * time.Second); err != nil {
+		t.Fatal("no discovery response after injection")
+	}
+	who := obs.L("broker", "broker-indy")
+	responses := reg.Counter("narada_broker_discovery_responses_total", "", who)
+	waitFor(t, "the response to be counted", func() bool { return responses.Value() == 1 })
+	frames := reg.Counter("narada_broker_frames_total", "", who, obs.L("kind", "discovery")).Value()
+	if frames != 1 {
+		t.Fatalf(`frames_total{kind="discovery"} = %d with 1 response sent; want 1`, frames)
+	}
+}
+
 func TestIdempotentRequests(t *testing.T) {
 	e := newEnv(t, 6)
 	d := e.bdn(Config{Name: "gsl.org"})
 	b := e.broker(simnet.SiteIndianapolis, "broker-indy")
 	_ = b.RegisterWithBDN(d.Addr())
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitBrokers(t, d, 1)
 
 	node, _ := e.node(simnet.SiteBloomington, "client")
 	pc, _ := node.ListenPacket(0)
@@ -230,7 +284,7 @@ func TestPrivateBDNRequiresCredential(t *testing.T) {
 		RequiredCredential: []byte("badge")})
 	b := e.broker(simnet.SiteIndianapolis, "broker-indy")
 	_ = b.RegisterWithBDN(d.Addr())
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitBrokers(t, d, 1)
 
 	node, _ := e.node(simnet.SiteBloomington, "client")
 	pc, _ := node.ListenPacket(0)
@@ -264,7 +318,7 @@ func TestMeasureDistances(t *testing.T) {
 	far := e.broker(simnet.SiteCardiff, "broker-far")
 	_ = near.RegisterWithBDN(d.Addr())
 	_ = far.RegisterWithBDN(d.Addr())
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitBrokers(t, d, 2)
 
 	dists := d.MeasureDistances()
 	if len(dists) != 2 {
@@ -290,7 +344,7 @@ func TestClosestFarthestInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
+	awaitBrokers(t, d, 3)
 	d.MeasureDistances()
 
 	node, _ := e.node(simnet.SiteBloomington, "client")
@@ -339,11 +393,13 @@ func TestSubscribeViaBrokerLearnsAdvertisements(t *testing.T) {
 	if err := b2.LinkTo(b1.StreamAddr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(200 * time.Millisecond)
+	waitFor(t, "the hub-spoke link on both sides",
+		func() bool { return b1.LinkCount() == 1 && b2.LinkCount() == 1 })
 	if err := d.SubscribeViaBroker(b1.StreamAddr()); err != nil {
 		t.Fatal(err)
 	}
-	e.net.Clock().Sleep(200 * time.Millisecond)
+	waitFor(t, "the BDN's subscriber session at the hub",
+		func() bool { return b1.ClientCount() == 1 })
 	if err := b2.PublishAdvertisement(); err != nil {
 		t.Fatal(err)
 	}

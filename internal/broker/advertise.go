@@ -3,8 +3,6 @@ package broker
 import (
 	"fmt"
 
-	"narada/internal/obs"
-
 	"narada/internal/core"
 	"narada/internal/event"
 	"narada/internal/topics"
@@ -20,109 +18,35 @@ import (
 // runner redials it and the fresh dial re-sends the advertisement, so the
 // broker reappears at the BDN without operator action.
 func (b *Broker) RegisterWithBDN(addr string) error {
-	if b.cfg.Supervise != nil {
-		return b.superviseDial(SuperviseBDN, addr, b.dialRegistration)
-	}
-	_, err := b.dialRegistration(addr)
-	return err
+	return b.superviseDial(SuperviseBDN, addr, b.dialRegistration)
 }
 
-// dialRegistration performs one registration dial: hello, advertisement,
-// then a pump goroutine that accepts BDN request injections and (with
-// HeartbeatInterval set) exchanges keepalives so a silently dead BDN is
-// detected — registration links previously had no liveness at all. The
-// returned channel closes when the registration session ends.
+// dialRegistration performs one registration dial: hello (from the BDN's view
+// we are a broker link), advertisement, then the same link session every
+// other link runs — serveLink accepts the BDN's request injections and, with
+// HeartbeatInterval set, exchanges keepalives so a silently dead BDN is
+// detected. The returned channel closes when the registration session ends.
 func (b *Broker) dialRegistration(addr string) (<-chan struct{}, error) {
 	conn, err := b.node.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	hello := event.New(event.TypeLinkHello, "", nil)
-	hello.Source = b.cfg.LogicalAddress
-	hello.SetHeader(helloRoleHeader, roleLink) // from the BDN's view we are a broker link
-	hello.Timestamp = b.now()
-	if err := conn.Send(event.Encode(hello)); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-
-	if err := conn.Send(event.Encode(b.advertisement())); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-
-	lk := &link{peer: "bdn:" + addr, role: roleBDN, conn: conn}
-	lk.out = b.newEgress(conn, "link")
-	if !b.registerLink(lk) {
-		_ = conn.Close()
-		return nil, errClosed
-	}
-	b.startEgress(lk.out)
-	b.connectionsChanged()
-	b.cfg.Journal.Emit(obs.EventLinkUp, lk.peer, "role="+lk.role)
-	b.noteAdvertised(lk.peer)
-	lk.touch(b.node.Clock().Now())
-	if b.cfg.HeartbeatInterval > 0 {
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			b.heartbeatLink(lk)
-		}()
-	}
-
-	done := make(chan struct{})
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		defer close(done)
-		defer func() {
-			lk.out.close()
+	for _, frame := range [][]byte{b.helloFrame(), event.Encode(b.advertisement())} {
+		if err := conn.Send(frame); err != nil {
 			_ = conn.Close()
-			b.mu.Lock()
-			wasCurrent := b.links[lk.peer] == lk
-			if wasCurrent {
-				delete(b.links, lk.peer)
-				b.rebuildLinkSnap()
-			}
-			b.mu.Unlock()
-			if wasCurrent {
-				b.cfg.Journal.Emit(obs.EventLinkDown, lk.peer, "role="+lk.role)
-			}
-			b.connectionsChanged()
-		}()
-		for {
-			frame, err := conn.Recv()
-			if err != nil {
-				return
-			}
-			if b.cfg.HeartbeatInterval > 0 { // only the heartbeat reads lastRecv
-				lk.touch(b.node.Clock().Now())
-			}
-			ev, err := event.Decode(frame)
-			if err != nil {
-				b.tel.framesMalformed.Inc()
-				continue
-			}
-			switch ev.Type {
-			case event.TypeDiscoveryRequest:
-				// BDN injection: fromPeer is this BDN connection so the
-				// flood covers every true broker link.
-				b.handleDiscoveryRequest(ev, lk.peer)
-			case event.TypeLinkHeartbeat:
-				// BDN's keepalive echo; the touch above is the point.
-				b.tel.framesControl.Inc()
-			}
+			return nil, err
 		}
-	}()
-	return done, nil
+	}
+	peer := "bdn:" + addr
+	b.noteAdvertised(peer)
+	return b.goServeLink(&link{peer: peer, role: roleBDN, conn: conn}), nil
 }
 
 // PublishAdvertisement disseminates this broker's advertisement on the public
 // topic all BDNs subscribe to (paper §2.3, second form) — useful when the
 // broker does not know any BDN address directly.
 func (b *Broker) PublishAdvertisement() error {
-	adv := &core.Advertisement{Broker: b.Info(), IssuedAt: b.now(), TTL: b.cfg.AdvertiseTTL}
-	return b.Publish(topics.AdvertisementTopic, core.EncodeAdvertisement(adv))
+	return b.Publish(topics.AdvertisementTopic, b.advertisement().Payload)
 }
 
 // JoinNetwork adds this broker to an existing broker network the way the

@@ -183,7 +183,6 @@ func (b *Broker) handleClientEvent(c *clientConn, ev *event.Event) {
 	case event.TypeDiscoveryRequest:
 		// Injection from a connected entity (e.g. a BDN speaking the client
 		// protocol, or a test harness).
-		b.tel.framesDiscovery.Inc()
 		b.handleDiscoveryRequest(ev, "")
 	case event.TypeAdvertisement:
 		// Clients relaying advertisements publish them on the public topic.
@@ -203,26 +202,17 @@ func (b *Broker) handleClientEvent(c *clientConn, ev *event.Event) {
 // table to the peer. The initial dial still runs synchronously so the
 // caller sees its error either way.
 func (b *Broker) LinkTo(addr string) error {
-	if b.cfg.Supervise != nil {
-		return b.superviseDial(SuperviseLink, addr, b.dialLink)
-	}
-	_, err := b.dialLink(addr)
-	return err
+	return b.superviseDial(SuperviseLink, addr, b.dialLink)
 }
 
 // dialLink performs one link dial + hello handshake and hands the link to
-// serveLink on its own goroutine. The returned channel closes when the link
-// session ends (however it ends), which is what a supervise runner watches.
+// goServeLink; the channel it returns is what a supervise runner watches.
 func (b *Broker) dialLink(addr string) (<-chan struct{}, error) {
 	conn, err := b.node.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	hello := event.New(event.TypeLinkHello, "", nil)
-	hello.Source = b.cfg.LogicalAddress
-	hello.SetHeader(helloRoleHeader, roleLink)
-	hello.Timestamp = b.now()
-	if err := conn.Send(event.Encode(hello)); err != nil {
+	if err := conn.Send(b.helloFrame()); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
@@ -237,7 +227,12 @@ func (b *Broker) dialLink(addr string) (<-chan struct{}, error) {
 		_ = conn.Close()
 		return nil, errors.New("broker: link handshake failed")
 	}
-	lk := &link{peer: reply.Source, role: roleLink, conn: conn}
+	return b.goServeLink(&link{peer: reply.Source, role: roleLink, conn: conn}), nil
+}
+
+// goServeLink runs a dialled link's session on its own goroutine. The returned
+// channel closes when the session ends (however it ends).
+func (b *Broker) goServeLink(lk *link) <-chan struct{} {
 	done := make(chan struct{})
 	b.wg.Add(1)
 	go func() {
@@ -245,5 +240,5 @@ func (b *Broker) dialLink(addr string) (<-chan struct{}, error) {
 		defer close(done)
 		b.serveLink(lk, false)
 	}()
-	return done, nil
+	return done
 }

@@ -27,7 +27,6 @@ func (b *Broker) udpLoop() {
 			b.tel.framesControl.Inc()
 			b.answerPing(ev, from)
 		case event.TypeDiscoveryRequest:
-			b.tel.framesDiscovery.Inc()
 			b.handleDiscoveryRequest(ev, "")
 		default:
 			// Other datagram traffic is not part of the protocol.
@@ -75,6 +74,7 @@ func (b *Broker) answerPing(ev *event.Event, from string) {
 // fromPeer names the link the request arrived on ("" for UDP/client/BDN
 // ingress) so the flood does not echo straight back.
 func (b *Broker) handleDiscoveryRequest(ev *event.Event, fromPeer string) {
+	b.tel.framesDiscovery.Inc() // here, so no ingress can forget to count
 	req, err := core.DecodeDiscoveryRequest(ev.Payload)
 	if err != nil {
 		return
@@ -86,15 +86,9 @@ func (b *Broker) handleDiscoveryRequest(ev *event.Event, fromPeer string) {
 		b.tel.discoveryDup.Inc()
 		return
 	}
-	// Wire trace context: requests issued by instrumented requesters carry
-	// it in headers; requests from pre-propagation peers fall back to the
-	// body's request UUID and requester name so the context heals here.
-	traceID, origin, _, hasTrace := ev.Trace()
-	if !hasTrace {
-		traceID, origin = req.ID.String(), req.Requester
-	}
-	// Trace the request's passage through this broker; resolve the trace
-	// once.
+	// Trace the request's passage through this broker under the context it
+	// arrived with (or healed from its body); resolve the trace once.
+	traceID, origin, _ := core.RequestTrace(ev, req)
 	var tr reqTrace
 	if b.tel.tracer != nil {
 		tr = reqTrace{b.tel.tracer.Trace(traceID)}
@@ -105,22 +99,16 @@ func (b *Broker) handleDiscoveryRequest(ev *event.Event, fromPeer string) {
 	// lets downstream brokers overlap their work with ours. The forwarded
 	// copy carries an incremented hop count for diagnostics.
 	if ev.TTL > 0 {
-		fwdReq := *req
-		fwdReq.Hops++
-		// Shallow event copy: only the TTL, payload and trace headers differ,
-		// and Encode does not retain the event. The headers map is re-made so
-		// the hop bump cannot alias the inbound event's map.
-		fwd := *ev
-		fwd.TTL--
-		fwd.Payload = core.EncodeDiscoveryRequest(&fwdReq)
-		fwd.Headers = make(map[string]string, len(ev.Headers)+3)
-		for k, v := range ev.Headers {
-			fwd.Headers[k] = v
-		}
-		fwd.SetTrace(traceID, origin, fwdReq.Hops)
 		links := b.linksExcept(fromPeer)
 		if len(links) > 0 {
-			f := b.frames.encode(&fwd, int32(len(links)))
+			// ev is this handler's own decoded copy and is not read again
+			// below, so the forwarded frame is ev itself with a hop spent.
+			fwdReq := *req
+			fwdReq.Hops++
+			ev.TTL--
+			ev.Payload = core.EncodeDiscoveryRequest(&fwdReq)
+			ev.SetTrace(traceID, origin, fwdReq.Hops)
+			f := b.frames.encode(ev, int32(len(links)))
 			for _, lk := range links {
 				lk.out.sendData(f)
 			}

@@ -14,16 +14,23 @@ import (
 // helloTimeout bounds link handshakes (model time; generous for WAN paths).
 const helloTimeout = 10 * time.Second
 
-// serveLink runs one broker link: when replyHello is set (we are the accept
-// side) it first answers the peer's hello, then pumps incoming events into
-// the routing fabric until the link drops.
+// helloFrame encodes this broker's link hello. The role it states is always
+// roleLink: to a peer broker and to a BDN alike, this side is a broker.
+func (b *Broker) helloFrame() []byte {
+	hello := event.New(event.TypeLinkHello, "", nil)
+	hello.Source = b.cfg.LogicalAddress
+	hello.SetHeader(helloRoleHeader, roleLink)
+	hello.Timestamp = b.now()
+	return event.Encode(hello)
+}
+
+// serveLink runs one link session — a broker link, or a BDN registration
+// (roleBDN): when replyHello is set (we are the accept side) it first answers
+// the peer's hello, then pumps incoming events into the routing fabric until
+// the link drops.
 func (b *Broker) serveLink(lk *link, replyHello bool) {
 	if replyHello {
-		hello := event.New(event.TypeLinkHello, "", nil)
-		hello.Source = b.cfg.LogicalAddress
-		hello.SetHeader(helloRoleHeader, roleLink)
-		hello.Timestamp = b.now()
-		if err := lk.conn.Send(event.Encode(hello)); err != nil {
+		if err := lk.conn.Send(b.helloFrame()); err != nil {
 			_ = lk.conn.Close()
 			return
 		}
@@ -42,7 +49,7 @@ func (b *Broker) serveLink(lk *link, replyHello bool) {
 	if lk.role == roleLink {
 		b.announceInterestTo(lk)
 	}
-	if b.cfg.HeartbeatInterval > 0 && lk.role == roleLink {
+	if b.cfg.HeartbeatInterval > 0 {
 		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()
@@ -84,11 +91,17 @@ func (b *Broker) serveLink(lk *link, replyHello bool) {
 	}
 }
 
-// handleLinkFrame is handleClientFrame for a broker link.
+// handleLinkFrame is handleClientFrame for a link. A roleBDN link is
+// request-only: a BDN injects discovery requests and echoes keepalives, and
+// must not gain a way to publish or plant interest in the fabric, so anything
+// else arriving on one is counted "other" and dropped here.
 func (b *Broker) handleLinkFrame(lk *link, f *sharedFrame) {
 	v, ok := b.viewFrame(f)
 	switch {
 	case !ok:
+	case lk.role == roleBDN && v.Type != event.TypeDiscoveryRequest && v.Type != event.TypeLinkHeartbeat:
+		b.tel.framesOther.Inc()
+		f.release()
 	case v.Type == event.TypePublish:
 		b.tel.framesPublish.Inc()
 		b.admitPublish(&v, f, "", lk.peer)
@@ -123,10 +136,12 @@ func (b *Broker) heartbeatLink(lk *link) {
 	}
 }
 
+// handleLinkEvent dispatches a link's control-rate traffic. For a request a
+// BDN injected, fromPeer is its connection, so the flood covers every true
+// broker link.
 func (b *Broker) handleLinkEvent(lk *link, ev *event.Event) {
 	switch ev.Type {
 	case event.TypeDiscoveryRequest:
-		b.tel.framesDiscovery.Inc()
 		b.handleDiscoveryRequest(ev, lk.peer)
 	case event.TypeControl:
 		b.tel.framesControl.Inc()

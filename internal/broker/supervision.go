@@ -18,13 +18,18 @@ const (
 	SuperviseBDN  = "bdn"
 )
 
-// superviseDial establishes one supervised relationship: the first dial runs
-// synchronously so the caller sees its error, and on success a supervise
-// runner owns the relationship for the broker's lifetime — every time the
-// session dies it redials under the configured backoff policy. dial must
-// return a channel that closes when the session ends. Calling again for a
-// relationship that is already supervised is a no-op.
+// superviseDial establishes one long-lived relationship: the first dial runs
+// synchronously so the caller sees its error, and that is all there is to it
+// without Config.Supervise (the legacy dial-once behaviour). With it, on
+// success a supervise runner owns the relationship for the broker's lifetime —
+// every time the session dies it redials under the configured backoff policy.
+// dial must return a channel that closes when the session ends. Calling again
+// for a relationship that is already supervised is a no-op.
 func (b *Broker) superviseDial(kind, addr string, dial func(string) (<-chan struct{}, error)) error {
+	if b.cfg.Supervise == nil {
+		_, err := dial(addr)
+		return err
+	}
 	key := kind + ":" + addr
 	b.mu.Lock()
 	select {

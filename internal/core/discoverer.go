@@ -187,6 +187,15 @@ func (d *Discoverer) Discover() (*Result, error) {
 	return res, err
 }
 
+// now is NTP-corrected UTC — what latency estimation compares a response's
+// timestamp with — or the node clock while the service is unsynchronized.
+func (d *Discoverer) now() time.Time {
+	if t, err := d.ntp.UTC(); err == nil {
+		return t
+	}
+	return d.node.Clock().Now()
+}
+
 func (d *Discoverer) discover() (*Result, error) {
 	clock := d.node.Clock()
 	res := &Result{}
@@ -204,48 +213,34 @@ func (d *Discoverer) discover() (*Result, error) {
 		ResponseAddr: pc.LocalAddr(),
 		Protocols:    d.cfg.Protocols,
 		Credentials:  d.cfg.Credentials,
-	}
-	if t, err := d.ntp.UTC(); err == nil {
-		req.IssuedAt = t
-	} else {
-		req.IssuedAt = clock.Now()
+		IssuedAt:     d.now(),
 	}
 	res.RequestID = req.ID
 	// Nil tracer yields a nil trace; every method on it is a no-op.
 	tr := d.tel.tracer.Trace(req.ID.String())
 
-	// Phase 1: issue the request.
-	start := clock.Now()
+	rec := phaseRecorder{clock: clock, timing: &res.Timing, tr: tr}
+
+	rec.begin(PhaseRequestIssue)
 	via, bdnName, retransmits, err := d.issue(req, pc)
-	dur := clock.Now().Sub(start)
-	res.Timing.Set(PhaseRequestIssue, dur)
-	tr.Span(PhaseRequestIssue.String(), start, dur,
-		obs.A("node", d.cfg.NodeName), obs.A("via", string(via)))
+	rec.end(obs.A("node", d.cfg.NodeName), obs.A("via", string(via)))
 	if err != nil {
 		return res, err
 	}
 	res.Via, res.BDN, res.Retransmits = via, bdnName, retransmits
 
-	// Phase 2: wait for the initial set of responses. Pongs can also land on
-	// this endpoint (stray late ones from earlier runs); they are skipped.
-	start = clock.Now()
-	responses := d.collect(pc, req.ID, tr)
-	dur = clock.Now().Sub(start)
-	res.Timing.Set(PhaseWaitResponses, dur)
-	tr.Span(PhaseWaitResponses.String(), start, dur,
-		obs.A("responses", strconv.Itoa(len(responses))))
-	res.Responses = responses
-	if len(responses) == 0 {
+	// Pongs can also land on this endpoint while responses are awaited (stray
+	// late ones from earlier runs); they are skipped.
+	rec.begin(PhaseWaitResponses)
+	res.Responses = d.collect(pc, req.ID, tr)
+	rec.end(obs.A("responses", strconv.Itoa(len(res.Responses))))
+	if len(res.Responses) == 0 {
 		return res, ErrNoResponses
 	}
 
-	// Phase 3: shortlist the target set.
-	start = clock.Now()
-	res.TargetSet = Shortlist(responses, d.cfg.Selection)
-	dur = clock.Now().Sub(start)
-	res.Timing.Set(PhaseShortlist, dur)
-	tr.Span(PhaseShortlist.String(), start, dur,
-		obs.A("target-set", strconv.Itoa(len(res.TargetSet))))
+	rec.begin(PhaseShortlist)
+	res.TargetSet = Shortlist(res.Responses, d.cfg.Selection)
+	rec.end(obs.A("target-set", strconv.Itoa(len(res.TargetSet))))
 
 	d.mu.Lock()
 	d.lastTargets = d.lastTargets[:0]
@@ -254,15 +249,12 @@ func (d *Discoverer) discover() (*Result, error) {
 	}
 	d.mu.Unlock()
 
-	// Phase 4: UDP ping refinement.
-	start = clock.Now()
+	// UDP ping refinement of the target set.
+	rec.begin(PhasePing)
 	d.ping(pc, res.TargetSet, req.ID.String())
-	dur = clock.Now().Sub(start)
-	res.Timing.Set(PhasePing, dur)
-	tr.Span(PhasePing.String(), start, dur)
+	rec.end()
 
-	// Phase 5: decide.
-	start = clock.Now()
+	rec.begin(PhaseDecide)
 	idx, pinged := PickByPing(res.TargetSet)
 	if idx < 0 {
 		return res, ErrNoResponses
@@ -270,10 +262,7 @@ func (d *Discoverer) discover() (*Result, error) {
 	res.Selected = res.TargetSet[idx].Response.Broker
 	res.SelectedRTT = res.TargetSet[idx].PingRTT
 	res.PingDecided = pinged
-	dur = clock.Now().Sub(start)
-	res.Timing.Set(PhaseDecide, dur)
-	tr.Span(PhaseDecide.String(), start, dur,
-		obs.A("selected", res.Selected.LogicalAddress),
+	rec.end(obs.A("selected", res.Selected.LogicalAddress),
 		obs.A("rtt", res.SelectedRTT.String()))
 	return res, nil
 }
@@ -394,10 +383,7 @@ func (d *Discoverer) collect(pc transport.PacketConn, id uuid.UUID, tr *obs.Trac
 			continue
 		}
 		seen[key] = struct{}{}
-		receivedAt, err := d.ntp.UTC()
-		if err != nil {
-			receivedAt = clock.Now()
-		}
+		receivedAt := d.now()
 		_, _, hop, _ := ev.Trace()
 		tr.Event("response-received", clock.Now(),
 			obs.A("node", d.cfg.NodeName),
@@ -414,85 +400,16 @@ func (d *Discoverer) collect(pc transport.PacketConn, id uuid.UUID, tr *obs.Trac
 	}
 }
 
-// ping sends PingCount UDP pings to every target broker and collects pongs
-// until the ping window closes or every expected pong has arrived, filling
-// each candidate's PingRTT/PingCount. Pings carry the discovery's trace
-// context so the pinged brokers record their ping handling into the same
-// cross-node trace.
+// ping refines the target set: MeasureRTT sends PingCount UDP pings to every
+// target broker under the discovery's trace context and fills each
+// candidate's PingRTT/PingCount from the pongs that made the ping window.
 func (d *Discoverer) ping(pc transport.PacketConn, targets []Candidate, traceID string) {
-	clock := d.node.Clock()
-	type slot struct {
-		idx  int
-		sent map[uint32]time.Time // seq -> local send time
-	}
-	byID := make(map[uuid.UUID]*slot, len(targets))
-	expected := 0
-
+	addrs := make([]string, len(targets))
 	for i := range targets {
-		udp := targets[i].Response.Broker.Endpoint("udp")
-		if udp == "" {
-			continue
-		}
-		s := &slot{idx: i, sent: make(map[uint32]time.Time, d.cfg.PingCount)}
-		pid := uuid.New()
-		byID[pid] = s
-		for seq := 0; seq < d.cfg.PingCount; seq++ {
-			now := clock.Now()
-			body := EncodePing(&Ping{ID: pid, SentAt: now, Seq: uint32(seq)})
-			ev := event.New(event.TypePing, "", body)
-			ev.Source = d.cfg.NodeName
-			ev.SetTrace(traceID, d.cfg.NodeName, 0)
-			if err := pc.Send(udp, event.Encode(ev)); err != nil {
-				continue
-			}
-			s.sent[uint32(seq)] = now
-			expected++
-		}
+		addrs[i] = targets[i].Response.Broker.Endpoint("udp")
 	}
-	if expected == 0 {
-		return
-	}
-
-	sums := make(map[int]time.Duration)
-	counts := make(map[int]int)
-	deadline := clock.Now().Add(d.cfg.PingWindow)
-	received := 0
-	for received < expected {
-		remaining := deadline.Sub(clock.Now())
-		if remaining <= 0 {
-			break
-		}
-		payload, _, err := pc.RecvTimeout(remaining)
-		if err != nil {
-			break
-		}
-		ev, err := event.Decode(payload)
-		if err != nil || ev.Type != event.TypePong {
-			continue
-		}
-		pong, err := DecodePong(ev.Payload)
-		if err != nil {
-			continue
-		}
-		s, ok := byID[pong.ID]
-		if !ok {
-			continue
-		}
-		sentAt, ok := s.sent[pong.Seq]
-		if !ok {
-			continue
-		}
-		delete(s.sent, pong.Seq) // one RTT sample per (id, seq)
-		rtt := clock.Now().Sub(sentAt)
-		if rtt < 0 {
-			rtt = 0
-		}
-		sums[s.idx] += rtt
-		counts[s.idx]++
-		received++
-	}
-	for idx, n := range counts {
-		targets[idx].PingCount = n
-		targets[idx].PingRTT = sums[idx] / time.Duration(n)
+	rtts := MeasureRTT(pc, d.node.Clock(), d.cfg.NodeName, traceID, addrs, d.cfg.PingCount, d.cfg.PingWindow)
+	for i, rtt := range rtts {
+		targets[i].PingRTT, targets[i].PingCount = rtt.Mean, rtt.Count
 	}
 }

@@ -34,28 +34,9 @@ SMOKE_BIN="$(mktemp -d)"
 export SMOKE_BIN
 trap 'rm -rf "$SMOKE_BIN"' EXIT
 
-echo "ci: make loadgen-smoke"
-make loadgen-smoke
-
-echo "ci: make obs-smoke"
-make obs-smoke
-
-echo "ci: make flows-smoke"
-make flows-smoke
-
-echo "ci: make health-smoke"
-make health-smoke
-
-echo "ci: make chaos-smoke"
-make chaos-smoke
-
-echo "ci: make events-smoke"
-make events-smoke
-
-echo "ci: make profiles-smoke"
-make profiles-smoke
-
-echo "ci: make durability-smoke"
-make durability-smoke
+for lane in loadgen obs flows health chaos events profiles durability; do
+	echo "ci: make $lane-smoke"
+	make "$lane-smoke"
+done
 
 echo "ci: ok"
