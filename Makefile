@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check verify bench bench-gate fuzz obs-smoke health-smoke chaos-smoke loadgen-smoke flows-smoke events-smoke profiles-smoke durability-smoke ci
+.PHONY: all build test race vet fmt-check verify loc bench bench-gate fuzz obs-smoke health-smoke chaos-smoke loadgen-smoke flows-smoke events-smoke profiles-smoke durability-smoke ci
 
 all: build
 
@@ -22,6 +22,12 @@ fmt-check:
 
 # verify is the tier-1 gate: everything must pass before a merge.
 verify: build vet fmt-check test race
+
+# loc prints non-test *.go lines per package directory of the working tree;
+# `scripts/loc.sh <rev> [path...]` reads any revision without a checkout and
+# -f lists per file — the before/after tables of simplification PRs.
+loc:
+	@sh scripts/loc.sh .
 
 # bench runs the publish path's per-stage rungs (fan-out, the sorted Match
 # wrapper and the MatchEachUnique walk under it, codec, dedup) — the numbers

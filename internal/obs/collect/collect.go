@@ -23,6 +23,7 @@ import (
 
 	"narada/internal/obs"
 	"narada/internal/obs/collect/health"
+	"narada/internal/obs/profile"
 )
 
 // DefaultTraceCapacity bounds the assembled-trace ring.
@@ -40,12 +41,6 @@ type Config struct {
 	// Registry receives the collector's own metrics; nil creates a private
 	// one (still served on /metrics, labelled node="obscollect").
 	Registry *obs.Registry
-	// Resolutions configures the series store's retention tiers, finest
-	// first; nil uses DefaultResolutions (1s/10s/60s).
-	Resolutions []Resolution
-	// MaxSeries bounds the tracked (node, metric, label-set) series
-	// (<= 0 uses DefaultMaxSeries); excess series are dropped and counted.
-	MaxSeries int
 	// Health parameterises the health engine's rules and sinks; nil runs
 	// the engine with its documented defaults. The engine's Registry and
 	// Logger default to the collector's own.
@@ -73,6 +68,11 @@ type Config struct {
 	FlightCPUSeconds int
 	// DisableFlightRecorder turns off alert-triggered profile capture.
 	DisableFlightRecorder bool
+
+	// resolutions overrides the series store's retention tiers
+	// (DefaultResolutions: 1s/10s/60s) — no binary does; this package's
+	// tests shorten them.
+	resolutions []Resolution
 }
 
 // span is one recorded span with its provenance: which node recorded it and
@@ -134,7 +134,7 @@ type Collector struct {
 	journal *obs.Journal
 
 	// profiles is the collector-side profile plane (store + puller + flight
-	// recorder); nil only when the store could not be created.
+	// recorder).
 	profiles *profilePlane
 
 	packetsRx       *obs.Counter
@@ -156,8 +156,20 @@ func New(cfg Config) (*Collector, error) {
 	if cfg.EventCapacity <= 0 {
 		cfg.EventCapacity = DefaultEventCapacity
 	}
+	if cfg.ProfileMaxCount <= 0 {
+		cfg.ProfileMaxCount = DefaultProfileMaxCount
+	}
+	if cfg.ProfileMaxBytes <= 0 {
+		cfg.ProfileMaxBytes = DefaultProfileMaxBytes
+	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
+	}
+	// The profile store opens first: a spool directory that cannot be made
+	// or read is a configuration error, reported before any socket binds.
+	pstore, err := profile.NewStore(cfg.ProfileDir, cfg.ProfileMaxCount, cfg.ProfileMaxBytes)
+	if err != nil {
+		return nil, fmt.Errorf("collect: %w", err)
 	}
 	addr, err := net.ResolveUDPAddr("udp", cfg.Listen)
 	if err != nil {
@@ -176,7 +188,7 @@ func New(cfg Config) (*Collector, error) {
 		pc:         pc,
 		reg:        reg,
 		log:        cfg.Logger.With("component", "obscollect"),
-		store:      newSeriesStore(cfg.Resolutions, cfg.MaxSeries),
+		store:      newSeriesStore(cfg.resolutions, MaxSeries),
 		nodes:      make(map[string]*nodeState),
 		traces:     make(map[string]*trace),
 		order:      obs.NewRing[*trace](cfg.TraceCapacity),
@@ -200,11 +212,6 @@ func New(cfg Config) (*Collector, error) {
 	reg.CounterFunc("narada_collect_series_dropped_total",
 		"Series discarded at the store's capacity cap.", c.store.DroppedSeries, who)
 
-	pstore, err := newProfileStore(cfg.ProfileDir, cfg.ProfileMaxCount, cfg.ProfileMaxBytes)
-	if err != nil {
-		_ = pc.Close()
-		return nil, err
-	}
 	c.profiles = newProfilePlane(c, pstore, cfg.FlightCPUSeconds)
 	c.profilesStored = reg.Counter("narada_collect_profiles_total",
 		"Profiles stored (pulled or flight-recorded).", who)
@@ -272,6 +279,21 @@ func (c *Collector) Close() error {
 		c.health.Flush()
 	})
 	return nil
+}
+
+// nodeStates returns a copy of every node's state, sorted by name — how
+// every view reads the nodes. The copies share their families and flows
+// slices with the live state; ingest replaces those whole and never writes
+// into them.
+func (c *Collector) nodeStates() []nodeState {
+	c.mu.Lock()
+	out := make([]nodeState, 0, len(c.nodes))
+	for _, ns := range c.nodes {
+		out = append(out, *ns)
+	}
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }
 
 // NodeCount returns the number of distinct exporting nodes seen.
@@ -430,20 +452,14 @@ func (t *trace) nodes() []string {
 func (c *Collector) Trace(id string) (TraceInfo, bool) {
 	c.mu.Lock()
 	tr := c.traces[id]
-	var spans []span
-	var kind string
-	if tr != nil {
-		spans = append(spans, tr.spans...)
-		kind = tr.kind()
-	}
-	c.mu.Unlock()
 	if tr == nil {
+		c.mu.Unlock()
 		return TraceInfo{}, false
 	}
-	out := TraceInfo{ID: id, Kind: kind}
-	nodes := make(map[string]struct{}, 4)
+	spans := append([]span(nil), tr.spans...)
+	out := TraceInfo{ID: id, Kind: tr.kind(), Nodes: tr.nodes()}
+	c.mu.Unlock()
 	for _, s := range spans {
-		nodes[s.Node] = struct{}{}
 		out.Spans = append(out.Spans, SpanInfo{
 			Node:      s.Node,
 			Name:      s.View.Name,
@@ -471,10 +487,6 @@ func (c *Collector) Trace(id string) (TraceInfo, bool) {
 	sort.SliceStable(out.Hops, func(i, j int) bool {
 		return out.Hops[i].At.Before(out.Hops[j].At)
 	})
-	for n := range nodes {
-		out.Nodes = append(out.Nodes, n)
-	}
-	sort.Strings(out.Nodes)
 	if len(out.Spans) > 0 {
 		first := out.Spans[0].AtAligned
 		last := out.Spans[len(out.Spans)-1].AtAligned

@@ -13,7 +13,7 @@ import (
 // receive loop: a valid snapshot sent afterwards still reaches the series
 // store.
 func TestCollectorDropsCorruptDatagrams(t *testing.T) {
-	c := newTestCollector(t, Config{Resolutions: testResolutions(), HealthInterval: -1})
+	c := newTestCollector(t, Config{resolutions: testResolutions(), HealthInterval: -1})
 	conn, err := net.Dial("udp", c.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)

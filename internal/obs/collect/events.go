@@ -52,13 +52,10 @@ func (c *Collector) ingestEventsLocked(pkt *obs.ExportPacket) {
 		if ev.Seq > l.lastSeq+1 && l.lastSeq != 0 {
 			l.gaps.Add(ev.Seq - l.lastSeq - 1)
 		}
-		if ev.Seq <= l.lastSeq {
-			// Restart (seq reset) or duplicate: re-baseline, don't count.
-			if ev.Seq == l.lastSeq {
-				continue
-			}
+		if ev.Seq == l.lastSeq {
+			continue // duplicate
 		}
-		l.lastSeq = ev.Seq
+		l.lastSeq = ev.Seq // a lower seq is an emitter restart: re-baseline
 		l.ring.Push(NodeEvent{
 			Node:      pkt.Node,
 			Seq:       ev.Seq,
@@ -211,32 +208,14 @@ func adTTL(detail string) time.Duration {
 	return 0
 }
 
-// TopologyAt replays every journal event with aligned time <= at (in merged
-// aligned order) into a fabric graph. Replay is stateless and idempotent:
-// the same store and instant always reconstruct the same graph, and any
-// instant within the retained window can be queried — the "time-travel" in
-// the timeline. live marks the reconstruction instant as "now".
+// TopologyAt replays every journal event with aligned time <= at, in the
+// order Events merges them, into a fabric graph. Replay is stateless and
+// idempotent: the same store and instant always reconstruct the same graph,
+// and any instant within the retained window can be queried — the
+// "time-travel" in the timeline. live marks the reconstruction instant as
+// "now".
 func (c *Collector) TopologyAt(at time.Time, live bool) TopologyView {
-	c.drainOwnEvents()
-	c.mu.Lock()
-	var events []NodeEvent
-	for _, l := range c.events {
-		l.ring.Each(func(ev NodeEvent) {
-			if !ev.AtAligned.After(at) {
-				events = append(events, ev)
-			}
-		})
-	}
-	c.mu.Unlock()
-	sort.SliceStable(events, func(i, j int) bool {
-		if !events[i].AtAligned.Equal(events[j].AtAligned) {
-			return events[i].AtAligned.Before(events[j].AtAligned)
-		}
-		if events[i].Node != events[j].Node {
-			return events[i].Node < events[j].Node
-		}
-		return events[i].Seq < events[j].Seq
-	})
+	events := c.Events(EventFilter{Until: at}).Events
 
 	type linkKey struct{ from, to string }
 	type adKey struct{ bdn, broker string }
@@ -397,15 +376,4 @@ func (c *Collector) EventCount() int {
 		n += l.ring.Len()
 	}
 	return n
-}
-
-// EventGaps returns the total sequence gaps observed across all nodes.
-func (c *Collector) EventGaps() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var gaps uint64
-	for _, l := range c.events {
-		gaps += l.gaps.Value()
-	}
-	return gaps
 }

@@ -2,7 +2,9 @@ package collect
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,23 +81,23 @@ func TestEventSeqGapDetection(t *testing.T) {
 	at := time.Unix(3000, 0)
 
 	c.ingest(eventPkt("broker-1", 0, ev(1, obs.EventNodeStart, at, "addr", "")))
-	if g := c.EventGaps(); g != 0 {
+	if g := c.Events(EventFilter{}).Gaps; g != 0 {
 		t.Fatalf("gaps = %d after contiguous ingest, want 0", g)
 	}
 	// Seqs 2..4 lost: a gap of 3.
 	c.ingest(eventPkt("broker-1", 0, ev(5, obs.EventLinkUp, at.Add(time.Second), "peer", "")))
-	if g := c.EventGaps(); g != 3 {
+	if g := c.Events(EventFilter{}).Gaps; g != 3 {
 		t.Fatalf("gaps = %d after losing seqs 2-4, want 3", g)
 	}
 	// Duplicate delivery: neither stored nor counted.
 	c.ingest(eventPkt("broker-1", 0, ev(5, obs.EventLinkUp, at.Add(time.Second), "peer", "")))
-	if g, n := c.EventGaps(), c.EventCount(); g != 3 || n != 2 {
+	if g, n := c.Events(EventFilter{}).Gaps, c.EventCount(); g != 3 || n != 2 {
 		t.Fatalf("after dup: gaps=%d count=%d, want 3/2", g, n)
 	}
 	// Emitter restart (seq resets to 1): re-baseline, no spurious gap.
 	c.ingest(eventPkt("broker-1", 0, ev(1, obs.EventNodeStart, at.Add(2*time.Second), "addr", "")))
 	c.ingest(eventPkt("broker-1", 0, ev(2, obs.EventLinkUp, at.Add(3*time.Second), "peer", "")))
-	if g := c.EventGaps(); g != 3 {
+	if g := c.Events(EventFilter{}).Gaps; g != 3 {
 		t.Fatalf("gaps = %d after restart re-baseline, want still 3", g)
 	}
 }
@@ -293,5 +295,81 @@ func TestEventsAndTopologyEndpoints(t *testing.T) {
 	}
 	if code := get("/topology?at=bogus", nil); code != 400 {
 		t.Fatalf("/topology?at=bogus: code=%d, want 400", code)
+	}
+}
+
+// TestTopologyReplaysEventsOrder pins /topology to /events: TopologyAt(at)
+// is a replay of exactly the events Events(Until: at) returns, in that
+// order. Three nodes with opposite clock skews record events at one aligned
+// instant, and broker-a's link_up/link_down pair arrives seq-reversed, so a
+// replay in any order but (aligned time, node, seq) ends with a different
+// link set.
+func TestTopologyReplaysEventsOrder(t *testing.T) {
+	c := newTestCollector(t, Config{HealthInterval: -1})
+	base := time.Date(2005, 7, 1, 12, 0, 0, 0, time.UTC)
+	tie := base.Add(5 * time.Second)
+
+	c.ingest(eventPkt("broker-a", 400*time.Millisecond,
+		ev(1, obs.EventLinkUp, base.Add(400*time.Millisecond), "broker-c", "role=link"),
+		ev(3, obs.EventLinkDown, tie.Add(400*time.Millisecond), "broker-b", "read error"),
+		ev(2, obs.EventLinkUp, tie.Add(400*time.Millisecond), "broker-b", "role=link")))
+	c.ingest(eventPkt("broker-b", -300*time.Millisecond,
+		ev(1, obs.EventLinkUp, base.Add(time.Second-300*time.Millisecond), "broker-a", "role=link"),
+		ev(2, obs.EventLinkDown, tie.Add(-300*time.Millisecond), "broker-a", "read error")))
+	c.ingest(eventPkt("broker-c", 0,
+		ev(1, obs.EventLinkUp, tie, "broker-a", "role=link"),
+		ev(2, obs.EventNodeStop, base.Add(9*time.Second), "broker-c", "")))
+
+	replay := func(events []NodeEvent) map[[2]string]bool {
+		links := make(map[[2]string]bool)
+		for _, e := range events {
+			switch e.Type {
+			case obs.EventLinkUp:
+				links[[2]string{e.Node, e.Subject}] = true
+			case obs.EventLinkDown:
+				delete(links, [2]string{e.Node, e.Subject})
+			case obs.EventNodeStop:
+				for k := range links {
+					if k[0] == e.Node {
+						delete(links, k)
+					}
+				}
+			}
+		}
+		return links
+	}
+	for _, tc := range []struct {
+		name   string
+		at     time.Time
+		events int
+		links  int
+	}{
+		{"before", base.Add(-time.Second), 0, 0},
+		{"between", base.Add(2 * time.Second), 2, 2}, // a→c, b→a
+		{"at the tie", tie, 6, 2},                    // a→c, c→a; a→b went up then down, b→a down
+		{"after", base.Add(10 * time.Second), 7, 1},  // c stopped: a→c only
+	} {
+		events := c.Events(EventFilter{Until: tc.at}).Events
+		v := c.TopologyAt(tc.at, false)
+		if len(events) != tc.events || v.Events != len(events) {
+			t.Fatalf("%s: %d events, eventsReplayed %d, want %d for both", tc.name, len(events), v.Events, tc.events)
+		}
+		want := replay(events)
+		if len(want) != tc.links || len(v.Links) != len(want) {
+			t.Fatalf("%s: topology has %d links, replay of /events %d, want %d: %+v", tc.name, len(v.Links), len(want), tc.links, v.Links)
+		}
+		for _, l := range v.Links {
+			if !want[[2]string{l.From, l.To}] {
+				t.Fatalf("%s: topology link %s→%s is not in the replay of /events", tc.name, l.From, l.To)
+			}
+		}
+	}
+	// The merged order itself: at the tie, node then seq.
+	var got []string
+	for _, e := range c.Events(EventFilter{Since: tie, Until: tie}).Events {
+		got = append(got, fmt.Sprintf("%s/%d", e.Node, e.Seq))
+	}
+	if want := "broker-a/2 broker-a/3 broker-b/2 broker-c/1"; strings.Join(got, " ") != want {
+		t.Fatalf("order at the tie = %v, want %s", got, want)
 	}
 }

@@ -27,19 +27,12 @@ type FlowsView struct {
 // estimate of its own traffic — and sorts by published count descending, the
 // <other> fold bucket last.
 func (c *Collector) Flows() FlowsView {
-	c.mu.Lock()
 	view := FlowsView{}
-	for _, ns := range c.nodes {
-		if len(ns.flows) == 0 {
-			continue
+	for _, ns := range c.nodeStates() {
+		if len(ns.flows) > 0 {
+			view.Nodes = append(view.Nodes, NodeFlows{Node: ns.name, At: ns.flowsAt, Flows: ns.flows})
 		}
-		flows := make([]obs.FlowSnapshot, len(ns.flows))
-		copy(flows, ns.flows)
-		view.Nodes = append(view.Nodes, NodeFlows{Node: ns.name, At: ns.flowsAt, Flows: flows})
 	}
-	c.mu.Unlock()
-
-	sort.Slice(view.Nodes, func(i, j int) bool { return view.Nodes[i].Node < view.Nodes[j].Node })
 	merged := make(map[string]*obs.FlowSnapshot)
 	for _, nf := range view.Nodes {
 		for _, f := range nf.Flows {

@@ -85,6 +85,25 @@ type Sink interface {
 	Publish(Alert)
 }
 
+// Rule thresholds nothing has ever configured.
+const (
+	// fastBurnMax / slowBurnMax are the burn-rate thresholds: an SLO alert
+	// fires when BOTH windows burn error budget faster than their bound
+	// (the SRE-workbook page thresholds).
+	fastBurnMax, slowBurnMax = 14.4, 6.0
+	// goroutineLeakGrowth is the absolute goroutine growth (last − min over
+	// the window) above which the leak rule may fire.
+	goroutineLeakGrowth = 500.0
+	// goroutineLeakRatio is the relative guard: last/min must also exceed
+	// this so a large node's normal churn cannot alert on an absolute delta
+	// that is small relative to its baseline.
+	goroutineLeakRatio = 1.5
+	// GCBurnWindow is the averaging window for the GC CPU fraction.
+	GCBurnWindow = 2 * time.Minute
+	// gcBurnMax is the tolerated average GC CPU fraction.
+	gcBurnMax = 0.25
+)
+
 // Config parameterises the engine. Zero values fall back to the documented
 // defaults.
 type Config struct {
@@ -125,10 +144,6 @@ type Config struct {
 	// FastWindow / SlowWindow are the multi-window burn-rate windows
 	// (defaults 5m / 1h).
 	FastWindow, SlowWindow time.Duration
-	// FastBurnMax / SlowBurnMax are the burn-rate thresholds: the alert
-	// fires when BOTH windows burn error budget faster than their bound
-	// (defaults 14.4 / 6 — the SRE-workbook page thresholds).
-	FastBurnMax, SlowBurnMax float64
 
 	// DeliverySLOTarget is the delivery-latency objective ratio: the fraction
 	// of delivered messages that must beat DeliveryLatencySLO (default 0.99).
@@ -148,18 +163,6 @@ type Config struct {
 	// GoroutineLeakWindow is the trend window of the goroutine-leak rule
 	// (default 5m — the finest series-store tier's full span).
 	GoroutineLeakWindow time.Duration
-	// GoroutineLeakGrowth is the absolute goroutine growth (last − min over
-	// the window) above which the leak rule may fire (default 500).
-	GoroutineLeakGrowth float64
-	// GoroutineLeakRatio is the relative guard: last/min must also exceed
-	// this (default 1.5) so a large node's normal churn cannot alert on an
-	// absolute delta that is small relative to its baseline.
-	GoroutineLeakRatio float64
-	// GCBurnWindow is the averaging window for the GC CPU fraction
-	// (default 2m).
-	GCBurnWindow time.Duration
-	// GCBurnMax is the tolerated average GC CPU fraction (default 0.25).
-	GCBurnMax float64
 
 	// ReplicationLagMax is the tolerated BDN replication lag in WAL
 	// records (default 256 — a quarter of the default snapshot interval,
@@ -231,12 +234,6 @@ func (c *Config) fillDefaults() {
 	if c.SlowWindow <= 0 {
 		c.SlowWindow = time.Hour
 	}
-	if c.FastBurnMax <= 0 {
-		c.FastBurnMax = 14.4
-	}
-	if c.SlowBurnMax <= 0 {
-		c.SlowBurnMax = 6
-	}
 	if c.DeliverySLOTarget <= 0 || c.DeliverySLOTarget >= 1 {
 		c.DeliverySLOTarget = 0.99
 	}
@@ -251,18 +248,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.GoroutineLeakWindow <= 0 {
 		c.GoroutineLeakWindow = 5 * time.Minute
-	}
-	if c.GoroutineLeakGrowth <= 0 {
-		c.GoroutineLeakGrowth = 500
-	}
-	if c.GoroutineLeakRatio <= 0 {
-		c.GoroutineLeakRatio = 1.5
-	}
-	if c.GCBurnWindow <= 0 {
-		c.GCBurnWindow = 2 * time.Minute
-	}
-	if c.GCBurnMax <= 0 {
-		c.GCBurnMax = 0.25
 	}
 	if c.ReplicationLagMax <= 0 {
 		c.ReplicationLagMax = 256
@@ -311,7 +296,7 @@ type NodeInput struct {
 	// Runtime telemetry, derived from the RuntimeSampler families: the
 	// goroutine gauge's minimum and latest values over
 	// Config.GoroutineLeakWindow, and the average GC CPU fraction over
-	// Config.GCBurnWindow.
+	// GCBurnWindow.
 	HasGoroutines                 bool
 	GoroutinesMin, GoroutinesLast float64
 	HasGCCPU                      bool
@@ -429,8 +414,8 @@ func (e *Engine) Evaluate(in Input) {
 			fastBurn := burnRate(n.DeliveryFastSlow, n.DeliveryFastTotal, deliveryBudget)
 			slowBurn := burnRate(n.DeliverySlowSlow, n.DeliverySlowTotal, deliveryBudget)
 			e.apply(RuleDeliveryLatencyBurn, n.Name,
-				fastBurn >= e.cfg.FastBurnMax && slowBurn >= e.cfg.SlowBurnMax,
-				fastBurn, e.cfg.FastBurnMax,
+				fastBurn >= fastBurnMax && slowBurn >= slowBurnMax,
+				fastBurn, fastBurnMax,
 				fmt.Sprintf("delivery latency SLO (p<%s) burning %.1fx budget over %s and %.1fx over %s (SLO %.2f%%)",
 					e.cfg.DeliveryLatencySLO, fastBurn, e.cfg.FastWindow, slowBurn, e.cfg.SlowWindow,
 					e.cfg.DeliverySLOTarget*100), now)
@@ -448,9 +433,9 @@ func (e *Engine) Evaluate(in Input) {
 			if n.GoroutinesMin > 0 {
 				ratio = n.GoroutinesLast / n.GoroutinesMin
 			}
-			active := growth > e.cfg.GoroutineLeakGrowth && ratio > e.cfg.GoroutineLeakRatio
+			active := growth > goroutineLeakGrowth && ratio > goroutineLeakRatio
 			e.apply(RuleGoroutineLeak, n.Name, active,
-				growth, e.cfg.GoroutineLeakGrowth,
+				growth, goroutineLeakGrowth,
 				fmt.Sprintf("goroutines grew by %.0f (%.0f → %.0f, %.2fx) over %s: likely leak — diff the flight-recorded goroutine profiles",
 					growth, n.GoroutinesMin, n.GoroutinesLast, ratio, e.cfg.GoroutineLeakWindow), now)
 		}
@@ -469,10 +454,10 @@ func (e *Engine) Evaluate(in Input) {
 					n.LeaderAge, e.cfg.StalePrimaryAfter), now)
 		}
 		if n.HasGCCPU {
-			e.apply(RuleGCBurn, n.Name, n.GCCPUFraction > e.cfg.GCBurnMax,
-				n.GCCPUFraction, e.cfg.GCBurnMax,
+			e.apply(RuleGCBurn, n.Name, n.GCCPUFraction > gcBurnMax,
+				n.GCCPUFraction, gcBurnMax,
 				fmt.Sprintf("GC consumed %.0f%% of CPU over %s (max %.0f%%): allocation pressure is stealing cycles from routing — check the flight-recorded profiles",
-					n.GCCPUFraction*100, e.cfg.GCBurnWindow, e.cfg.GCBurnMax*100), now)
+					n.GCCPUFraction*100, GCBurnWindow, gcBurnMax*100), now)
 		}
 	}
 
@@ -481,16 +466,16 @@ func (e *Engine) Evaluate(in Input) {
 		fastBurn := burnRate(p.FastErr, p.FastOK+p.FastErr, budget)
 		slowBurn := burnRate(p.SlowErr, p.SlowOK+p.SlowErr, budget)
 		e.apply(RuleProbeSLOBurn, p.Node,
-			fastBurn >= e.cfg.FastBurnMax && slowBurn >= e.cfg.SlowBurnMax,
-			fastBurn, e.cfg.FastBurnMax,
+			fastBurn >= fastBurnMax && slowBurn >= slowBurnMax,
+			fastBurn, fastBurnMax,
 			fmt.Sprintf("probe success SLO burning %.1fx budget over %s and %.1fx over %s (SLO %.2f%%)",
 				fastBurn, e.cfg.FastWindow, slowBurn, e.cfg.SlowWindow, e.cfg.SLOTarget*100), now)
 
 		fastLatBurn := burnRate(p.FastSlow, p.FastTotal, budget)
 		slowLatBurn := burnRate(p.SlowSlow, p.SlowTotal, budget)
 		e.apply(RuleProbeLatencyBurn, p.Node,
-			fastLatBurn >= e.cfg.FastBurnMax && slowLatBurn >= e.cfg.SlowBurnMax,
-			fastLatBurn, e.cfg.FastBurnMax,
+			fastLatBurn >= fastBurnMax && slowLatBurn >= slowBurnMax,
+			fastLatBurn, fastBurnMax,
 			fmt.Sprintf("probe latency SLO (p<%s) burning %.1fx budget over %s and %.1fx over %s",
 				e.cfg.LatencySLO, fastLatBurn, e.cfg.FastWindow, slowLatBurn, e.cfg.SlowWindow), now)
 	}
@@ -530,6 +515,11 @@ func (e *Engine) apply(rule, node string, active bool, value, threshold float64,
 	}
 	st.Value, st.Threshold, st.Message = value, threshold, msg
 
+	if st.State == StateResolved && active {
+		// A fresh violation re-arms the same alert entry (dedup by key).
+		st.State, st.Since = StatePending, now
+		st.FiredAt, st.ResolvedAt, st.clearSince = nil, nil, time.Time{}
+	}
 	var fired, resolved *Alert
 	switch st.State {
 	case StatePending:
@@ -539,7 +529,7 @@ func (e *Engine) apply(rule, node string, active bool, value, threshold float64,
 		case now.Sub(st.Since) >= e.cfg.PendingFor:
 			st.State = StateFiring
 			at := now
-			st.FiredAt, st.ResolvedAt = &at, nil
+			st.FiredAt = &at
 			if st.gauge != nil {
 				st.gauge.Set(1)
 			}
@@ -562,23 +552,6 @@ func (e *Engine) apply(rule, node string, active bool, value, threshold float64,
 				}
 				a := st.Alert
 				resolved = &a
-			}
-		}
-	case StateResolved:
-		if active {
-			// A fresh violation re-arms the same alert entry (dedup by key).
-			st.State, st.Since = StatePending, now
-			st.FiredAt, st.ResolvedAt = nil, nil
-			st.clearSince = time.Time{}
-			if now.Sub(st.Since) >= e.cfg.PendingFor {
-				st.State = StateFiring
-				at := now
-				st.FiredAt = &at
-				if st.gauge != nil {
-					st.gauge.Set(1)
-				}
-				a := st.Alert
-				fired = &a
 			}
 		}
 	}
@@ -668,24 +641,14 @@ func (e *Engine) count(state string) int {
 // Firing returns the number of alerts currently firing.
 func (e *Engine) Firing() int { return e.count(StateFiring) }
 
-// Flush publishes every currently-firing alert to the sinks — called on
-// collector shutdown so in-flight incidents are not lost with the process.
+// Flush publishes every currently-firing alert to the sinks, in Alerts'
+// order — called on collector shutdown so in-flight incidents are not lost
+// with the process.
 func (e *Engine) Flush() {
-	e.mu.Lock()
-	var firing []Alert
-	for _, st := range e.alerts {
-		if st.State == StateFiring {
-			firing = append(firing, st.Alert)
+	for _, a := range e.Alerts() {
+		if a.State != StateFiring {
+			break // firing sorts first
 		}
-	}
-	e.mu.Unlock()
-	sort.Slice(firing, func(i, j int) bool {
-		if firing[i].Rule != firing[j].Rule {
-			return firing[i].Rule < firing[j].Rule
-		}
-		return firing[i].Node < firing[j].Node
-	})
-	for _, a := range firing {
 		for _, s := range e.cfg.Sinks {
 			s.Publish(a)
 		}

@@ -67,8 +67,9 @@ func TestGCBurnRule(t *testing.T) {
 func TestRuntimeRuleDefaults(t *testing.T) {
 	cfg := Config{}
 	cfg.fillDefaults()
-	if cfg.GoroutineLeakWindow != 5*time.Minute || cfg.GoroutineLeakGrowth != 500 ||
-		cfg.GoroutineLeakRatio != 1.5 || cfg.GCBurnWindow != 2*time.Minute || cfg.GCBurnMax != 0.25 {
+	if cfg.GoroutineLeakWindow != 5*time.Minute || goroutineLeakGrowth != 500 ||
+		goroutineLeakRatio != 1.5 || GCBurnWindow != 2*time.Minute || gcBurnMax != 0.25 ||
+		fastBurnMax != 14.4 || slowBurnMax != 6 {
 		t.Fatalf("runtime rule defaults = %+v", cfg)
 	}
 }

@@ -31,11 +31,6 @@ func (c *Collector) Query(metric, node string, step time.Duration, since, now ti
 	return c.store.Query(metric, node, step, since, now)
 }
 
-// StoreResolutions returns the configured retention tiers, finest first.
-func (c *Collector) StoreResolutions() []Resolution {
-	return c.store.Resolutions()
-}
-
 func (c *Collector) healthLoop(interval time.Duration) {
 	defer c.wg.Done()
 	ticker := time.NewTicker(interval)
@@ -57,20 +52,11 @@ func (c *Collector) EvaluateHealthNow() {
 	now := time.Now()
 	hcfg := c.health.Config()
 
-	c.mu.Lock()
-	nodes := make([]health.NodeInput, 0, len(c.nodes))
-	for _, ns := range c.nodes {
-		nodes = append(nodes, health.NodeInput{
-			Name:        ns.name,
-			LastSeen:    ns.lastSeen,
-			ClockOffset: ns.offset,
-		})
-	}
-	c.mu.Unlock()
-
 	staleAfter := time.Duration(hcfg.DeadmanIntervals) * hcfg.ExportInterval
-	for i := range nodes {
-		n := &nodes[i]
+	var nodes []health.NodeInput
+	for _, ns := range c.nodeStates() {
+		nodes = append(nodes, health.NodeInput{Name: ns.name, LastSeen: ns.lastSeen, ClockOffset: ns.offset})
+		n := &nodes[len(nodes)-1]
 		if depth, ok := c.store.LastGauge(metricEgressDepth, n.Name, staleAfter, now); ok {
 			n.HasEgress = true
 			n.EgressDepth = depth
@@ -107,7 +93,7 @@ func (c *Collector) EvaluateHealthNow() {
 			n.HasGoroutines = true
 			n.GoroutinesMin, n.GoroutinesLast = minG, lastG
 		}
-		if _, _, avgGC, ok := c.store.GaugeWindowStats(metricGCCPU, n.Name, hcfg.GCBurnWindow, now); ok {
+		if _, _, avgGC, ok := c.store.GaugeWindowStats(metricGCCPU, n.Name, health.GCBurnWindow, now); ok {
 			n.HasGCCPU = true
 			n.GCCPUFraction = avgGC
 		}
@@ -137,8 +123,8 @@ func (c *Collector) EvaluateHealthNow() {
 			SlowOK:  slow["ok"],
 			SlowErr: slow["error"],
 		}
-		pi.FastTotal, pi.FastSlow = c.latencySLI(pn, hcfg.FastWindow, hcfg.LatencySLO, now)
-		pi.SlowTotal, pi.SlowSlow = c.latencySLI(pn, hcfg.SlowWindow, hcfg.LatencySLO, now)
+		pi.FastTotal, pi.FastSlow = c.windowLatencySLI(metricProbeLatency, pn, hcfg.FastWindow, hcfg.LatencySLO, now)
+		pi.SlowTotal, pi.SlowSlow = c.windowLatencySLI(metricProbeLatency, pn, hcfg.SlowWindow, hcfg.LatencySLO, now)
 		probes = append(probes, pi)
 	}
 
@@ -147,12 +133,6 @@ func (c *Collector) EvaluateHealthNow() {
 	// own journal; fold them into the event store immediately so /events and
 	// /topology reads never trail the /alerts view.
 	c.drainOwnEvents()
-}
-
-// latencySLI reads the probe latency histogram window and splits it into
-// total observations and those slower than the SLO.
-func (c *Collector) latencySLI(node string, window, slo time.Duration, now time.Time) (total, slowOnes float64) {
-	return c.windowLatencySLI(metricProbeLatency, node, window, slo, now)
 }
 
 // windowLatencySLI reads a latency histogram's window and splits it into
@@ -171,11 +151,4 @@ func (c *Collector) windowLatencySLI(metric, node string, window, slo time.Durat
 		}
 	}
 	return float64(count), float64(count - min(good, count))
-}
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -45,7 +45,7 @@ func healthTestCollector(t *testing.T, hc health.Config) (*Collector, *recordSin
 		hc.ExportInterval = 20 * time.Millisecond
 	}
 	c := newTestCollector(t, Config{
-		Resolutions:    testResolutions(),
+		resolutions:    testResolutions(),
 		Health:         &hc,
 		HealthInterval: -1,
 	})
@@ -304,7 +304,7 @@ func TestCloseFlushesAlerts(t *testing.T) {
 	sink := &recordSink{}
 	c, err := New(Config{
 		Listen:         "127.0.0.1:0",
-		Resolutions:    testResolutions(),
+		resolutions:    testResolutions(),
 		HealthInterval: -1,
 		Health: &health.Config{
 			ExportInterval:   10 * time.Millisecond,

@@ -11,6 +11,7 @@ import (
 
 	"narada/internal/obs"
 	"narada/internal/obs/collect/health"
+	"narada/internal/obs/profile"
 )
 
 // Handler assembles the collector's HTTP API:
@@ -71,13 +72,6 @@ func (c *Collector) Handler() http.Handler {
 // when they do not already carry one (per-node registries label their own
 // series with the same identity, so collisions cannot arise).
 func (c *Collector) federatedFamilies() []obs.ExportFamily {
-	c.mu.Lock()
-	nodes := make([]*nodeState, 0, len(c.nodes))
-	for _, ns := range c.nodes {
-		nodes = append(nodes, ns)
-	}
-	c.mu.Unlock()
-
 	merged := make(map[string]*obs.ExportFamily)
 	add := func(fams []obs.ExportFamily, node string) {
 		for _, f := range fams {
@@ -94,19 +88,14 @@ func (c *Collector) federatedFamilies() []obs.ExportFamily {
 		}
 	}
 	add(c.reg.ExportSnapshot(), "")
-	// Deterministic order across nodes so the exposition is stable.
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].name < nodes[j].name })
-	for _, ns := range nodes {
-		c.mu.Lock()
-		fams := ns.families
-		c.mu.Unlock()
-		add(fams, ns.name)
+	for _, ns := range c.nodeStates() { // by name, so the exposition is stable
+		add(ns.families, ns.name)
 	}
 
 	out := make([]obs.ExportFamily, 0, len(merged))
 	for _, f := range merged {
 		sort.SliceStable(f.Series, func(i, j int) bool {
-			return seriesKey(f.Series[i]) < seriesKey(f.Series[j])
+			return obs.LabelKey(f.Series[i].Labels) < obs.LabelKey(f.Series[j].Labels)
 		})
 		out = append(out, *f)
 	}
@@ -131,17 +120,6 @@ func labelled(s obs.ExportSeries, node string) obs.ExportSeries {
 	sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
 	s.Labels = labels
 	return s
-}
-
-func seriesKey(s obs.ExportSeries) string {
-	var sb strings.Builder
-	for _, l := range s.Labels {
-		sb.WriteString(l.Key)
-		sb.WriteByte('\xff')
-		sb.WriteString(l.Value)
-		sb.WriteByte('\xfe')
-	}
-	return sb.String()
 }
 
 func (c *Collector) serveMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -193,26 +171,15 @@ type FabricView struct {
 
 // Fabric summarises every exporting node's health and load.
 func (c *Collector) Fabric() FabricView {
-	c.mu.Lock()
-	nodes := make([]*nodeState, 0, len(c.nodes))
-	for _, ns := range c.nodes {
-		nodes = append(nodes, ns)
-	}
-	traces := len(c.traces)
-	c.mu.Unlock()
-
-	view := FabricView{Traces: traces}
-	for _, ns := range nodes {
-		c.mu.Lock()
+	view := FabricView{Traces: c.TraceCount()}
+	for _, ns := range c.nodeStates() {
 		fn := FabricNode{
 			Name:          ns.name,
 			LastSeen:      ns.lastSeen,
 			ClockOffsetMs: float64(ns.offset) / float64(time.Millisecond),
 			Spans:         ns.spans,
 		}
-		fams := ns.families
-		c.mu.Unlock()
-		for _, f := range fams {
+		for _, f := range ns.families {
 			switch f.Name {
 			case "narada_broker_egress_queue_depth":
 				for _, s := range f.Series {
@@ -246,7 +213,6 @@ func (c *Collector) Fabric() FabricView {
 		}
 		view.Nodes = append(view.Nodes, fn)
 	}
-	sort.Slice(view.Nodes, func(i, j int) bool { return view.Nodes[i].Name < view.Nodes[j].Name })
 	return view
 }
 
@@ -299,7 +265,7 @@ type AlertView struct {
 	EventWindow *EventWindow `json:"eventWindow,omitempty"`
 	// Profiles links the flight-recorder evidence captured when this alert
 	// fired (or, for a dead node, its freshest retained captures).
-	Profiles []ProfileRef `json:"profiles,omitempty"`
+	Profiles []profile.Capture `json:"profiles,omitempty"`
 }
 
 // AlertsView is the /alerts payload.
@@ -325,21 +291,12 @@ func (c *Collector) serveAlerts(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, AlertsView{Firing: c.health.Firing(), Alerts: out})
 }
 
-// parseWhen accepts a duration ("30s", meaning that long ago) or an RFC3339
-// instant.
-func parseWhen(s string, now time.Time) (time.Time, error) {
-	if d, err := time.ParseDuration(s); err == nil {
-		return now.Add(-d), nil
-	}
-	return time.Parse(time.RFC3339, s)
-}
-
 func (c *Collector) serveEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	f := EventFilter{Node: q.Get("node"), Type: q.Get("type")}
 	now := time.Now()
 	if s := q.Get("since"); s != "" {
-		t, err := parseWhen(s, now)
+		t, err := obs.ParseWhen(s, now)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest,
 				map[string]string{"error": "since must be a duration (30s) or RFC3339 time"})
@@ -348,7 +305,7 @@ func (c *Collector) serveEvents(w http.ResponseWriter, r *http.Request) {
 		f.Since = t
 	}
 	if s := q.Get("until"); s != "" {
-		t, err := parseWhen(s, now)
+		t, err := obs.ParseWhen(s, now)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest,
 				map[string]string{"error": "until must be a duration (30s) or RFC3339 time"})
@@ -368,7 +325,7 @@ func (c *Collector) serveEvents(w http.ResponseWriter, r *http.Request) {
 func (c *Collector) serveTopology(w http.ResponseWriter, r *http.Request) {
 	at, live := time.Now(), true
 	if s := r.URL.Query().Get("at"); s != "" && s != "live" {
-		t, err := parseWhen(s, at)
+		t, err := obs.ParseWhen(s, at)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest,
 				map[string]string{"error": "at must be a duration (30s ago), an RFC3339 time, or live"})
@@ -423,15 +380,13 @@ func (c *Collector) serveQuery(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	since := now.Add(-span)
 	if s := q.Get("since"); s != "" {
-		if d, err := time.ParseDuration(s); err == nil {
-			since = now.Add(-d)
-		} else if t, err := time.Parse(time.RFC3339, s); err == nil {
-			since = t
-		} else {
+		t, err := obs.ParseWhen(s, now)
+		if err != nil {
 			writeJSON(w, http.StatusBadRequest,
 				map[string]string{"error": "since must be a duration (5m) or RFC3339 time"})
 			return
 		}
+		since = t
 	}
 	series := c.store.Query(metric, q.Get("node"), step, since, now)
 	if series == nil {

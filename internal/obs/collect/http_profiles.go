@@ -4,18 +4,19 @@ import (
 	"net/http"
 	"time"
 
+	"narada/internal/obs"
 	"narada/internal/obs/profile"
 )
 
 func (c *Collector) serveProfiles(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	f := ProfileFilter{
+	f := profile.Filter{
 		Node:    q.Get("node"),
-		Kind:    q.Get("kind"),
+		Kind:    profile.Kind(q.Get("kind")),
 		Trigger: q.Get("trigger"),
 	}
 	if s := q.Get("since"); s != "" {
-		t, err := parseWhen(s, time.Now())
+		t, err := obs.ParseWhen(s, time.Now())
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest,
 				map[string]string{"error": "since must be a duration (5m) or RFC3339 time"})
@@ -23,37 +24,19 @@ func (c *Collector) serveProfiles(w http.ResponseWriter, r *http.Request) {
 		}
 		f.Since = t
 	}
-	refs := c.Profiles(f)
-	if refs == nil {
-		refs = []ProfileRef{}
-	}
-	writeJSON(w, http.StatusOK, refs)
+	writeJSON(w, http.StatusOK, c.Profiles(f))
 }
 
 func (c *Collector) serveProfile(w http.ResponseWriter, r *http.Request) {
-	ref, data, ok := c.profiles.store.Get(r.PathValue("id"))
+	cp, ok := c.profiles.store.Get(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "profile not found"})
 		return
 	}
-	if r.URL.Query().Get("view") == "top" {
-		s, err := profile.ParseText(data)
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]string{
-				"error": "not a text-parseable profile (cpu profiles are binary; download raw): " + err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		profile.WriteTop(w, s, 30)
-		return
+	if err := cp.WriteHTTP(w, r); err != nil {
+		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{
+			"error": "not a text-parseable profile (cpu profiles are binary; download raw): " + err.Error()})
 	}
-	if ref.Kind == "cpu" {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	} else {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	}
-	w.Header().Set("Content-Disposition", `attachment; filename="`+ref.ID+`.pprof"`)
-	_, _ = w.Write(data)
 }
 
 // serveProfileDiff renders the dep-free site diff of two stored text-mode
@@ -66,18 +49,18 @@ func (c *Collector) serveProfileDiff(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "a and b profile ids are required"})
 		return
 	}
-	_, aData, aOK := c.profiles.store.Get(aID)
-	_, bData, bOK := c.profiles.store.Get(bID)
+	aCap, aOK := c.profiles.store.Get(aID)
+	bCap, bOK := c.profiles.store.Get(bID)
 	if !aOK || !bOK {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "profile not found"})
 		return
 	}
-	a, err := profile.ParseText(aData)
+	a, err := profile.ParseText(aCap.Data)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": "a: " + err.Error()})
 		return
 	}
-	b, err := profile.ParseText(bData)
+	b, err := profile.ParseText(bCap.Data)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": "b: " + err.Error()})
 		return

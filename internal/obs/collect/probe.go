@@ -18,6 +18,9 @@ import (
 // its spans and SLIs are labelled with it.
 const ProberNodeName = "obsprobe"
 
+// probeBindIP is the local interface probe traffic leaves from.
+const probeBindIP = "127.0.0.1"
+
 // ProbeConfig parameterises a Prober.
 type ProbeConfig struct {
 	// Interval between synthetic discoveries.
@@ -32,8 +35,6 @@ type ProbeConfig struct {
 	// on an in-flight probe against an unreachable fabric, so tests and
 	// fast-shutdown deployments set it low.
 	AckTimeout time.Duration
-	// BindIP is the local interface for probe traffic (default 127.0.0.1).
-	BindIP string
 	// Export, when non-empty, is the collector UDP address the prober's own
 	// spans are exported to — normally the owning collector's Addr(), which
 	// is how probe traces become visible end to end.
@@ -78,14 +79,11 @@ func NewProber(cfg ProbeConfig) (*Prober, error) {
 	if cfg.CollectWindow <= 0 {
 		cfg.CollectWindow = time.Second
 	}
-	if cfg.BindIP == "" {
-		cfg.BindIP = "127.0.0.1"
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
 	}
 
-	node := transport.NewRealNode(cfg.BindIP, nil)
+	node := transport.NewRealNode(probeBindIP, nil)
 	// The prober runs on the collector host's honest wall clock: zero true
 	// skew, and the residual models a real NTP peering.
 	ntp := ntptime.NewService(node.Clock(), 0, rand.New(rand.NewSource(time.Now().UnixNano())))

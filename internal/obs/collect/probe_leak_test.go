@@ -1,9 +1,15 @@
 package collect
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"narada/internal/obs/collect/health"
+	"narada/internal/obs/profile"
 )
 
 // goroutineCount samples runtime.NumGoroutine after giving exiting goroutines
@@ -63,4 +69,56 @@ func TestProberStartStopLeaksNoGoroutines(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// TestCloseWaitsForFlightCapture fires an alert against a node whose CPU
+// pprof endpoint never answers. The flight capture is then parked inside an
+// HTTP request; Close must cancel that request rather than wait it out, and
+// must return only once the capture can no longer touch the store.
+func TestCloseWaitsForFlightCapture(t *testing.T) {
+	entered := make(chan struct{})
+	cancelled := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/goroutine", func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte("goroutine profile: total 0\n"))
+	})
+	mux.HandleFunc("/debug/pprof/profile", func(_ http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-r.Context().Done()
+		close(cancelled)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	c := newTestCollector(t, Config{HealthInterval: -1})
+	announce(c, "b1", strings.TrimPrefix(srv.URL, "http://"))
+	c.profiles.Publish(health.Alert{Rule: health.RuleDeadman, Node: "b1", State: health.StateFiring})
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flight capture never reached the node's CPU endpoint")
+	}
+	before := c.profiles.store.Count() // the goroutine dump, stored before the CPU request
+
+	start := time.Now()
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	// Uncancelled, the request would hold for FlightCPUSeconds+5 = 7s.
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("Close took %v: it waited out the capture instead of cancelling it", took)
+	}
+	select {
+	case <-cancelled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the node never saw its request cancelled")
+	}
+	if before != 1 || c.profiles.store.Count() != before {
+		t.Fatalf("store count %d before Close, %d after, want 1 and unchanged", before, c.profiles.store.Count())
+	}
+	if got := c.Profiles(profile.Filter{Kind: profile.KindCPU}); len(got) != 0 {
+		t.Fatalf("a cancelled CPU capture was stored: %+v", got)
+	}
+	// A firing alert after Close starts nothing.
+	c.profiles.Publish(health.Alert{Rule: health.RuleDeadman, Node: "b1", State: health.StateFiring})
 }

@@ -1,18 +1,17 @@
 package collect
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"narada/internal/obs/collect/health"
+	"narada/internal/obs/profile"
 )
 
 // Profile-plane defaults.
@@ -28,242 +27,56 @@ const (
 	// alert so /alerts links the evidence of the latest firing, not an
 	// unbounded history.
 	flightLinkCap = 6
+	// pullTimeout bounds one listing, download or goroutine-dump request to
+	// a node; a CPU flight capture gets this on top of its sampling window.
+	pullTimeout = 5 * time.Second
 )
 
-// ProfileRef is one stored profile's metadata: what /profiles lists and what
-// alert views link to. URL is the collector-relative download path.
-type ProfileRef struct {
-	ID      string    `json:"id"`
-	Node    string    `json:"node"`
-	Kind    string    `json:"kind"`
-	Trigger string    `json:"trigger"`
-	At      time.Time `json:"at"`
-	Size    int       `json:"size"`
-	URL     string    `json:"url"`
-}
-
-// storedProfile is one retained capture. Exactly one of data (in-memory) or
-// path (on-disk spool) is populated.
-type storedProfile struct {
-	ref  ProfileRef
-	data []byte
-	path string
-}
-
-// profileStore is the bounded profile retention layer: newest-wins eviction
-// by count and total bytes, optionally spooled to a directory so captures
-// survive collector restarts of the in-memory state (the index itself is
-// rebuilt empty — the directory is a spool, not a database).
-type profileStore struct {
-	mu         sync.Mutex
-	dir        string // "" = in-memory only
-	maxCount   int
-	maxBytes   int64
-	totalBytes int64
-	seq        uint64
-	order      []*storedProfile // oldest first
-	byID       map[string]*storedProfile
-}
-
-func newProfileStore(dir string, maxCount int, maxBytes int64) (*profileStore, error) {
-	if maxCount <= 0 {
-		maxCount = DefaultProfileMaxCount
-	}
-	if maxBytes <= 0 {
-		maxBytes = DefaultProfileMaxBytes
-	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("collect: profile dir: %w", err)
-		}
-	}
-	return &profileStore{dir: dir, maxCount: maxCount, maxBytes: maxBytes,
-		byID: make(map[string]*storedProfile)}, nil
-}
-
-// sanitizeID keeps node names URL- and filename-safe inside profile IDs.
-func sanitizeID(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			return r
-		}
-		return '_'
-	}, s)
-}
-
-// Add stores one capture, evicting oldest entries past the count/bytes
-// bounds. A capture larger than the whole byte budget is rejected.
-func (ps *profileStore) Add(node, kind, trigger string, at time.Time, data []byte) (ProfileRef, error) {
-	if int64(len(data)) > ps.maxBytes {
-		return ProfileRef{}, fmt.Errorf("collect: profile of %d bytes exceeds the %d-byte store budget", len(data), ps.maxBytes)
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ps.seq++
-	ref := ProfileRef{
-		ID:      fmt.Sprintf("%06d-%s-%s", ps.seq, sanitizeID(node), sanitizeID(kind)),
-		Node:    node,
-		Kind:    kind,
-		Trigger: trigger,
-		At:      at,
-		Size:    len(data),
-	}
-	ref.URL = "/profiles/" + ref.ID
-	sp := &storedProfile{ref: ref}
-	if ps.dir != "" {
-		sp.path = filepath.Join(ps.dir, ref.ID+".pprof")
-		if err := os.WriteFile(sp.path, data, 0o644); err != nil {
-			return ProfileRef{}, fmt.Errorf("collect: spool profile: %w", err)
-		}
-	} else {
-		sp.data = data
-	}
-	ps.order = append(ps.order, sp)
-	ps.byID[ref.ID] = sp
-	ps.totalBytes += int64(len(data))
-	for len(ps.order) > ps.maxCount || ps.totalBytes > ps.maxBytes {
-		old := ps.order[0]
-		ps.order = ps.order[1:]
-		delete(ps.byID, old.ref.ID)
-		ps.totalBytes -= int64(old.ref.Size)
-		if old.path != "" {
-			_ = os.Remove(old.path)
-		}
-	}
-	return ref, nil
-}
-
-// ProfileFilter narrows a profile listing.
-type ProfileFilter struct {
-	Node    string
-	Kind    string
-	Trigger string // prefix match, so "flight" selects every flight capture
-	Since   time.Time
-}
-
-// List returns matching refs, newest first.
-func (ps *profileStore) List(f ProfileFilter) []ProfileRef {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	out := make([]ProfileRef, 0, len(ps.order))
-	for _, sp := range ps.order {
-		r := sp.ref
-		if f.Node != "" && r.Node != f.Node {
-			continue
-		}
-		if f.Kind != "" && r.Kind != f.Kind {
-			continue
-		}
-		if f.Trigger != "" && !strings.HasPrefix(r.Trigger, f.Trigger) {
-			continue
-		}
-		if !f.Since.IsZero() && !r.At.After(f.Since) {
-			continue
-		}
-		out = append(out, r)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At.After(out[j].At) })
-	return out
-}
-
-// Get returns one capture's ref and bytes.
-func (ps *profileStore) Get(id string) (ProfileRef, []byte, bool) {
-	ps.mu.Lock()
-	sp := ps.byID[id]
-	ps.mu.Unlock()
-	if sp == nil {
-		return ProfileRef{}, nil, false
-	}
-	if sp.path != "" {
-		data, err := os.ReadFile(sp.path)
-		if err != nil {
-			return ProfileRef{}, nil, false
-		}
-		return sp.ref, data, true
-	}
-	return sp.ref, sp.data, true
-}
-
-// Count returns the number of retained profiles.
-func (ps *profileStore) Count() int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return len(ps.order)
-}
-
-// Bytes returns the total retained payload size.
-func (ps *profileStore) Bytes() int64 {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.totalBytes
-}
-
-// remoteCapture mirrors the obs/profile capturer's listing entry.
-type remoteCapture struct {
-	ID      string    `json:"id"`
-	Kind    string    `json:"kind"`
-	Trigger string    `json:"trigger"`
-	At      time.Time `json:"at"`
-	Size    int       `json:"size"`
-}
-
-// profilePlane is the collector's profile subsystem: the store, the periodic
-// puller draining node capturer rings, and the flight recorder capturing
-// evidence when alerts fire.
+// profilePlane is the collector's profile subsystem: the store (a
+// profile.Store, the same type a node's capturer keeps its captures in), the
+// periodic puller draining node capturers into it, and the flight recorder
+// capturing evidence when alerts fire.
 type profilePlane struct {
-	c     *Collector
-	store *profileStore
-
-	client     *http.Client // listing/downloads and goroutine dumps
+	c          *Collector
+	store      *profile.Store
 	cpuSeconds int
 
-	mu       sync.Mutex
-	lastPull map[string]time.Time    // node → newest capture At already pulled
-	links    map[string][]ProfileRef // rule+node → linked flight evidence
+	// ctx ends with the collector: it stops the pull loop and cancels every
+	// request to a node still in flight, so Close does not wait out a CPU
+	// capture's sampling window.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	stop chan struct{}
+	mu       sync.Mutex
+	lastPull map[string]time.Time         // node → newest capture At already pulled
+	links    map[string][]profile.Capture // rule+node → linked flight evidence
 }
 
-func newProfilePlane(c *Collector, store *profileStore, cpuSeconds int) *profilePlane {
+func newProfilePlane(c *Collector, store *profile.Store, cpuSeconds int) *profilePlane {
 	if cpuSeconds <= 0 {
 		cpuSeconds = DefaultFlightCPUSeconds
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	return &profilePlane{
 		c:          c,
 		store:      store,
-		client:     &http.Client{Timeout: 5 * time.Second},
 		cpuSeconds: cpuSeconds,
+		ctx:        ctx,
+		cancel:     cancel,
 		lastPull:   make(map[string]time.Time),
-		links:      make(map[string][]ProfileRef),
-		stop:       make(chan struct{}),
+		links:      make(map[string][]profile.Capture),
 	}
 }
 
-// nodeEndpoint returns a node's announced telemetry base URL and whether an
-// obs/profile capturer is mounted there.
-func (c *Collector) nodeEndpoint(node string) (base string, profilesOn bool, ok bool) {
+// nodeEndpoint returns a node's announced telemetry base URL.
+func (c *Collector) nodeEndpoint(node string) (base string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ns := c.nodes[node]
 	if ns == nil || ns.telemetryAddr == "" {
-		return "", false, false
+		return "", false
 	}
-	return "http://" + ns.telemetryAddr, ns.profilesOn, true
-}
-
-// announcedNodes returns every node that has announced a telemetry endpoint.
-func (c *Collector) announcedNodes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []string
-	for name, ns := range c.nodes {
-		if ns.telemetryAddr != "" {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return "http://" + ns.telemetryAddr, true
 }
 
 func (pp *profilePlane) pullLoop(interval time.Duration) {
@@ -274,22 +87,20 @@ func (pp *profilePlane) pullLoop(interval time.Duration) {
 		select {
 		case <-t.C:
 			pp.pullAll()
-		case <-pp.stop:
+		case <-pp.ctx.Done():
 			return
 		}
 	}
 }
 
-// pullAll drains every announced capturer ring of captures newer than the
-// last pull. Periodic pulling is how node-side captures survive the node:
-// when a broker dies, its last profiles are already here.
+// pullAll drains every announced capturer of captures newer than the last
+// pull. Periodic pulling is how node-side captures survive the node: when a
+// broker dies, its last profiles are already here.
 func (pp *profilePlane) pullAll() {
-	for _, node := range pp.c.announcedNodes() {
-		base, profilesOn, ok := pp.c.nodeEndpoint(node)
-		if !ok || !profilesOn {
-			continue
+	for _, ns := range pp.c.nodeStates() {
+		if ns.telemetryAddr != "" && ns.profilesOn {
+			pp.pullNode(ns.name, "http://"+ns.telemetryAddr)
 		}
-		pp.pullNode(node, base)
 	}
 }
 
@@ -301,28 +112,31 @@ func (pp *profilePlane) pullNode(node, base string) {
 	if !since.IsZero() {
 		url += "?since=" + since.UTC().Format(time.RFC3339Nano)
 	}
-	var listing []remoteCapture
-	if err := pp.getJSON(url, &listing); err != nil {
+	var listing []profile.Capture
+	body, err := pp.get(url, pullTimeout)
+	if err == nil {
+		err = json.Unmarshal(body, &listing)
+	}
+	if err != nil {
 		pp.c.log.Debug("profile pull: listing", "node", node, "err", err)
 		pp.c.profilePullErrs.Inc()
 		return
 	}
 	newest := since
 	for i := len(listing) - 1; i >= 0; i-- { // oldest first so eviction order is sane
-		rc := listing[i]
-		data, err := pp.getRaw(base + "/profiles/" + rc.ID)
+		cp := listing[i]
+		data, err := pp.get(base+"/profiles/"+cp.ID, pullTimeout)
 		if err != nil {
-			pp.c.log.Debug("profile pull: download", "node", node, "id", rc.ID, "err", err)
+			pp.c.log.Debug("profile pull: download", "node", node, "id", cp.ID, "err", err)
 			pp.c.profilePullErrs.Inc()
 			continue
 		}
-		if _, err := pp.store.Add(node, rc.Kind, rc.Trigger, rc.At, data); err != nil {
-			pp.c.log.Warn("profile pull: store", "node", node, "id", rc.ID, "err", err)
+		if _, err := pp.add(node, cp.Kind, cp.Trigger, cp.At, data); err != nil {
+			pp.c.log.Warn("profile pull: store", "node", node, "id", cp.ID, "err", err)
 			continue
 		}
-		pp.c.profilesStored.Inc()
-		if rc.At.After(newest) {
-			newest = rc.At
+		if cp.At.After(newest) {
+			newest = cp.At
 		}
 	}
 	if newest.After(since) {
@@ -332,20 +146,25 @@ func (pp *profilePlane) pullNode(node, base string) {
 	}
 }
 
-func (pp *profilePlane) getJSON(url string, v any) error {
-	resp, err := pp.client.Get(url)
-	if err != nil {
-		return err
+// add stores one capture of node and counts it.
+func (pp *profilePlane) add(node string, kind profile.Kind, trigger string, at time.Time, data []byte) (profile.Capture, error) {
+	ref, err := pp.store.Add(profile.Capture{Node: node, Kind: kind, Trigger: trigger, At: at, Data: data})
+	if err == nil {
+		pp.c.profilesStored.Inc()
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %s", resp.Status)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(v)
+	return ref, err
 }
 
-func (pp *profilePlane) getRaw(url string) ([]byte, error) {
-	resp, err := pp.client.Get(url)
+// get fetches url from a node, bounded by timeout, by the plane's context
+// (cancelled on Close) and to 16 MiB of body.
+func (pp *profilePlane) get(url string, timeout time.Duration) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(pp.ctx, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -357,8 +176,10 @@ func (pp *profilePlane) getRaw(url string) ([]byte, error) {
 }
 
 // Publish implements health.Sink: every alert that transitions to firing
-// triggers a flight capture of the affected node. Runs async — sinks are
-// called from the evaluation tick and profile capture takes seconds.
+// triggers a flight capture of the affected node. The capture runs async —
+// sinks are called from the evaluation tick and profile capture takes
+// seconds — inside the collector's wait group, so Close returns only once no
+// capture can touch the store any more; pp.mu orders the Add against close.
 func (pp *profilePlane) Publish(a health.Alert) {
 	if a.State != health.StateFiring {
 		return
@@ -366,55 +187,53 @@ func (pp *profilePlane) Publish(a health.Alert) {
 	if a.Node == "" || a.Node == "obscollect" {
 		return
 	}
-	select {
-	case <-pp.stop:
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	if pp.ctx.Err() != nil {
 		return
-	default:
 	}
-	go pp.captureFlight(a)
+	pp.c.wg.Add(1)
+	go func() {
+		defer pp.c.wg.Done()
+		pp.captureFlight(a)
+	}()
 }
 
-// captureFlight pulls CPU + goroutine profiles from the alerted node's
+// captureFlight pulls goroutine + CPU profiles from the alerted node's
 // pprof endpoint and links them to the alert. When the node is unreachable
 // (the deadman case: the process is gone), the most recent retained captures
 // for that node become the linked evidence instead — that is exactly what
 // the periodic pull was for.
 func (pp *profilePlane) captureFlight(a health.Alert) {
-	trigger := "flight:" + a.Rule
-	var refs []ProfileRef
-	if base, _, ok := pp.c.nodeEndpoint(a.Node); ok {
+	var refs []profile.Capture
+	if base, ok := pp.c.nodeEndpoint(a.Node); ok {
 		// Goroutine dump first: it is instant, so even if the CPU capture
 		// times out the pileup evidence is saved.
-		if data, err := pp.getRaw(base + "/debug/pprof/goroutine?debug=1"); err == nil {
-			if ref, err := pp.store.Add(a.Node, "goroutine", trigger, time.Now(), data); err == nil {
+		for _, f := range []struct {
+			kind    profile.Kind
+			url     string
+			timeout time.Duration
+		}{
+			{profile.KindGoroutine, base + "/debug/pprof/goroutine?debug=1", pullTimeout},
+			{profile.KindCPU, fmt.Sprintf("%s/debug/pprof/profile?seconds=%d", base, pp.cpuSeconds),
+				time.Duration(pp.cpuSeconds)*time.Second + pullTimeout},
+		} {
+			data, err := pp.get(f.url, f.timeout)
+			if err != nil {
+				pp.c.log.Debug("flight capture", "kind", string(f.kind), "node", a.Node, "rule", a.Rule, "err", err)
+				continue
+			}
+			if ref, err := pp.add(a.Node, f.kind, "flight:"+a.Rule, time.Now(), data); err == nil {
 				refs = append(refs, ref)
-				pp.c.profilesStored.Inc()
 			}
-		} else {
-			pp.c.log.Debug("flight capture: goroutine", "node", a.Node, "rule", a.Rule, "err", err)
-		}
-		cpuClient := &http.Client{Timeout: time.Duration(pp.cpuSeconds+5) * time.Second}
-		cpuURL := fmt.Sprintf("%s/debug/pprof/profile?seconds=%d", base, pp.cpuSeconds)
-		if resp, err := cpuClient.Get(cpuURL); err == nil {
-			data, rerr := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-			resp.Body.Close()
-			if rerr == nil && resp.StatusCode == http.StatusOK {
-				if ref, err := pp.store.Add(a.Node, "cpu", trigger, time.Now(), data); err == nil {
-					refs = append(refs, ref)
-					pp.c.profilesStored.Inc()
-				}
-			}
-		} else {
-			pp.c.log.Debug("flight capture: cpu", "node", a.Node, "rule", a.Rule, "err", err)
 		}
 	}
 	if len(refs) == 0 {
 		// Node unreachable — fall back to its freshest retained captures.
-		recent := pp.store.List(ProfileFilter{Node: a.Node})
-		if len(recent) > 2 {
-			recent = recent[:2]
+		refs = pp.store.List(profile.Filter{Node: a.Node})
+		if len(refs) > 2 {
+			refs = refs[:2]
 		}
-		refs = recent
 		pp.c.log.Info("flight capture: node unreachable, linking retained profiles",
 			"node", a.Node, "rule", a.Rule, "profiles", len(refs))
 	} else {
@@ -435,35 +254,31 @@ func (pp *profilePlane) captureFlight(a health.Alert) {
 
 // linksFor returns the flight-recorder evidence linked to one (rule, node)
 // alert, newest first.
-func (pp *profilePlane) linksFor(rule, node string) []ProfileRef {
+func (pp *profilePlane) linksFor(rule, node string) []profile.Capture {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	linked := pp.links[rule+"\xff"+node]
 	if len(linked) == 0 {
 		return nil
 	}
-	out := append([]ProfileRef(nil), linked...)
+	out := append([]profile.Capture(nil), linked...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At.After(out[j].At) })
 	return out
 }
 
+// close cancels the plane's context; Publish starts nothing after it returns.
 func (pp *profilePlane) close() {
-	close(pp.stop)
+	pp.mu.Lock()
+	pp.cancel()
+	pp.mu.Unlock()
 }
 
 // Profiles returns matching stored profile refs, newest first — testbed and
 // smoke assertions read through this.
-func (c *Collector) Profiles(f ProfileFilter) []ProfileRef {
-	if c.profiles == nil {
-		return nil
-	}
+func (c *Collector) Profiles(f profile.Filter) []profile.Capture {
 	return c.profiles.store.List(f)
 }
 
 // PullProfilesNow forces one synchronous pull sweep over every announced
 // capturer (tests use this instead of waiting out the pull interval).
-func (c *Collector) PullProfilesNow() {
-	if c.profiles != nil {
-		c.profiles.pullAll()
-	}
-}
+func (c *Collector) PullProfilesNow() { c.profiles.pullAll() }

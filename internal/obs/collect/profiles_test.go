@@ -1,11 +1,11 @@
 package collect
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	rpprof "runtime/pprof"
 	"strings"
 	"testing"
@@ -46,13 +46,13 @@ func TestProfilePullAndServe(t *testing.T) {
 	announce(c, "b1", addr)
 	c.PullProfilesNow()
 
-	refs := c.Profiles(ProfileFilter{Node: "b1"})
+	refs := c.Profiles(profile.Filter{Node: "b1"})
 	if len(refs) != 2 {
 		t.Fatalf("pulled %d profiles, want 2: %+v", len(refs), refs)
 	}
 	// A second sweep must not re-download already-pulled captures.
 	c.PullProfilesNow()
-	if got := len(c.Profiles(ProfileFilter{})); got != 2 {
+	if got := len(c.Profiles(profile.Filter{})); got != 2 {
 		t.Fatalf("after second pull: %d profiles, want 2 (pull not idempotent)", got)
 	}
 	// A fresh node-side capture is picked up incrementally.
@@ -60,7 +60,7 @@ func TestProfilePullAndServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.PullProfilesNow()
-	gor := c.Profiles(ProfileFilter{Node: "b1", Kind: "goroutine"})
+	gor := c.Profiles(profile.Filter{Node: "b1", Kind: "goroutine"})
 	if len(gor) != 2 {
 		t.Fatalf("goroutine profiles after incremental pull = %d, want 2", len(gor))
 	}
@@ -68,7 +68,7 @@ func TestProfilePullAndServe(t *testing.T) {
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
-	var listed []ProfileRef
+	var listed []profile.Capture
 	resp, err := srv.Client().Get(srv.URL + "/profiles?node=b1&kind=goroutine")
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +178,8 @@ func TestFlightRecorderOnGoroutineLeak(t *testing.T) {
 // retained captures instead of fresh ones.
 func TestFlightRecorderDeadNodeFallback(t *testing.T) {
 	c := newTestCollector(t, Config{HealthInterval: -1})
-	ref, err := c.profiles.store.Add("b2", "goroutine", "periodic", time.Now(),
-		[]byte("goroutine profile: total 1\n1 @ 0x1\n#\t0x1\tmain.f+0x1\tf.go:1\n"))
+	ref, err := c.profiles.store.Add(profile.Capture{Node: "b2", Kind: profile.KindGoroutine, Trigger: "periodic", At: time.Now(),
+		Data: []byte("goroutine profile: total 1\n1 @ 0x1\n#\t0x1\tmain.f+0x1\tf.go:1\n")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,50 +200,84 @@ func TestFlightRecorderDeadNodeFallback(t *testing.T) {
 	}
 }
 
-func TestProfileStoreBoundsAndSpool(t *testing.T) {
-	dir := t.TempDir()
-	ps, err := newProfileStore(dir, 3, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+// TestProfileViewsAgree serves the same captures from a node's
+// /profiles/{id} and, after a pull, from the collector's: the bodies are
+// byte-identical and the headers the same shape, raw and under ?view=top —
+// both handlers end in profile.Capture.WriteHTTP.
+func TestProfileViewsAgree(t *testing.T) {
+	// An Interval with no Start: it only clamps the CPU sampling window
+	// (a quarter of it) so the CPU capture below takes 10ms, not 1s.
+	capt := profile.New(profile.Config{Interval: 40 * time.Millisecond})
+	nodeSrv := httptest.NewServer(capt.Handler())
+	defer nodeSrv.Close()
+	caps, err := capt.CaptureNow("manual", profile.KindGoroutine, profile.KindCPU)
+	if err != nil || len(caps) != 2 {
+		t.Fatalf("CaptureNow: %v, %d captures", err, len(caps))
 	}
-	var refs []ProfileRef
-	for i := 0; i < 5; i++ {
-		r, err := ps.Add("b1", "goroutine", "periodic", time.Now(), []byte("goroutine profile: total 1\n"))
+	c := newTestCollector(t, Config{HealthInterval: -1})
+	announce(c, "b1", strings.TrimPrefix(nodeSrv.URL, "http://"))
+	c.PullProfilesNow()
+	colSrv := httptest.NewServer(c.Handler())
+	defer colSrv.Close()
+
+	get := func(url string) (int, http.Header, []byte) {
+		t.Helper()
+		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs = append(refs, r)
-	}
-	if ps.Count() != 3 {
-		t.Fatalf("retained %d, want 3", ps.Count())
-	}
-	if _, _, ok := ps.Get(refs[0].ID); ok {
-		t.Error("oldest profile not evicted")
-	}
-	if _, err := os.Stat(filepath.Join(dir, refs[0].ID+".pprof")); !os.IsNotExist(err) {
-		t.Error("evicted profile's spool file not removed")
-	}
-	_, data, ok := ps.Get(refs[4].ID)
-	if !ok || !strings.HasPrefix(string(data), "goroutine profile:") {
-		t.Fatalf("newest profile not readable from spool: ok=%v data=%q", ok, data)
-	}
-
-	// Byte budget: a capture bigger than the whole budget is rejected.
-	small, err := newProfileStore("", 10, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := small.Add("b1", "heap", "periodic", time.Now(), make([]byte, 64)); err == nil {
-		t.Error("oversized capture accepted")
-	}
-	// And the running total evicts older entries.
-	for i := 0; i < 4; i++ {
-		if _, err := small.Add("b1", "heap", "periodic", time.Now(), make([]byte, 8)); err != nil {
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return resp.StatusCode, resp.Header, body
 	}
-	if small.Bytes() > 16 {
-		t.Fatalf("store holds %d bytes past its 16-byte budget", small.Bytes())
+	const text = "text/plain; charset=utf-8"
+	for _, nodeCap := range caps {
+		pulled := c.Profiles(profile.Filter{Node: "b1", Kind: nodeCap.Kind})
+		if len(pulled) != 1 {
+			t.Fatalf("collector holds %d %s captures of b1, want 1", len(pulled), nodeCap.Kind)
+		}
+		nodeURL, colURL := nodeSrv.URL+"/profiles/"+nodeCap.ID, colSrv.URL+pulled[0].URL
+
+		rawType := text
+		if nodeCap.Kind == profile.KindCPU {
+			rawType = "application/octet-stream"
+		}
+		nStatus, nHdr, nBody := get(nodeURL)
+		cStatus, cHdr, cBody := get(colURL)
+		if nStatus != 200 || cStatus != 200 || !bytes.Equal(nBody, nodeCap.Data) || !bytes.Equal(cBody, nodeCap.Data) {
+			t.Errorf("%s raw: status %d/%d, bodies %d/%d bytes, want the capture's %d on both",
+				nodeCap.Kind, nStatus, cStatus, len(nBody), len(cBody), len(nodeCap.Data))
+		}
+		if nt, ct := nHdr.Get("Content-Type"), cHdr.Get("Content-Type"); nt != rawType || ct != rawType {
+			t.Errorf("%s raw: Content-Type %q/%q, want %q", nodeCap.Kind, nt, ct, rawType)
+		}
+		if nd, want := nHdr.Get("Content-Disposition"), `attachment; filename="`+nodeCap.ID+`.pprof"`; nd != want {
+			t.Errorf("%s raw: node Content-Disposition %q, want %q", nodeCap.Kind, nd, want)
+		}
+		if cd, want := cHdr.Get("Content-Disposition"), `attachment; filename="`+pulled[0].ID+`.pprof"`; cd != want {
+			t.Errorf("%s raw: collector Content-Disposition %q, want %q", nodeCap.Kind, cd, want)
+		}
+
+		nStatus, nHdr, nBody = get(nodeURL + "?view=top")
+		cStatus, cHdr, cBody = get(colURL + "?view=top")
+		if nodeCap.Kind == profile.KindCPU { // a binary profile has no text summary, on either side
+			if nStatus != http.StatusUnprocessableEntity || cStatus != http.StatusUnprocessableEntity {
+				t.Errorf("cpu top: status %d/%d, want 422 on both", nStatus, cStatus)
+			}
+			continue
+		}
+		if nStatus != 200 || cStatus != 200 || len(nBody) == 0 || !bytes.Equal(nBody, cBody) {
+			t.Errorf("%s top: status %d/%d, bodies %d/%d bytes, want equal", nodeCap.Kind, nStatus, cStatus, len(nBody), len(cBody))
+		}
+		if nt, ct := nHdr.Get("Content-Type"), cHdr.Get("Content-Type"); nt != text || ct != text {
+			t.Errorf("%s top: Content-Type %q/%q, want %q", nodeCap.Kind, nt, ct, text)
+		}
+		if nd, cd := nHdr.Get("Content-Disposition"), cHdr.Get("Content-Disposition"); nd != "" || cd != "" {
+			t.Errorf("%s top: Content-Disposition %q/%q on a rendered view", nodeCap.Kind, nd, cd)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package collect
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -30,10 +29,10 @@ func DefaultResolutions() []Resolution {
 	}
 }
 
-// DefaultMaxSeries bounds the number of distinct (node, metric, label-set)
+// MaxSeries bounds the number of distinct (node, metric, label-set)
 // series the store tracks; excess series are dropped and counted, never
 // allowed to grow collector memory without bound.
-const DefaultMaxSeries = 8192
+const MaxSeries = 8192
 
 // slot is one downsampled window of one series at one resolution. The
 // populated fields follow the series kind: counters accumulate the windowed
@@ -125,7 +124,7 @@ func newSeriesStore(res []Resolution, maxSeries int) *seriesStore {
 		res = DefaultResolutions()
 	}
 	if maxSeries <= 0 {
-		maxSeries = DefaultMaxSeries
+		maxSeries = MaxSeries
 	}
 	return &seriesStore{
 		res:       res,
@@ -135,25 +134,9 @@ func newSeriesStore(res []Resolution, maxSeries int) *seriesStore {
 	}
 }
 
-func storeKey(parts ...string) string {
-	var sb strings.Builder
-	for _, p := range parts {
-		sb.WriteString(p)
-		sb.WriteByte('\xff')
-	}
-	return sb.String()
-}
-
-func labelsKey(labels []obs.Label) string {
-	var sb strings.Builder
-	for _, l := range labels {
-		sb.WriteString(l.Key)
-		sb.WriteByte('\xfe')
-		sb.WriteString(l.Value)
-		sb.WriteByte('\xfd')
-	}
-	return sb.String()
-}
+// metricKey is the byMetric index key (a series key is this plus the
+// series' obs.LabelKey).
+func metricKey(node, metric string) string { return node + "\xff" + metric }
 
 // Resolutions returns the configured retention tiers, finest first.
 func (st *seriesStore) Resolutions() []Resolution { return st.res }
@@ -175,7 +158,8 @@ func (st *seriesStore) SeriesCount() int {
 // entryFor returns (creating on first use) the series entry, or nil when the
 // store is at capacity.
 func (st *seriesStore) entryFor(node string, f obs.ExportFamily, s obs.ExportSeries) *seriesEntry {
-	key := storeKey(node, f.Name, labelsKey(s.Labels))
+	mk := metricKey(node, f.Name)
+	key := mk + "\xff" + obs.LabelKey(s.Labels)
 	e := st.series[key]
 	if e != nil {
 		return e
@@ -198,7 +182,6 @@ func (st *seriesStore) entryFor(node string, f obs.ExportFamily, s obs.ExportSer
 		e.rings[i] = ring{step: r.Step, slots: make([]slot, r.Slots)}
 	}
 	st.series[key] = e
-	mk := storeKey(node, f.Name)
 	st.byMetric[mk] = append(st.byMetric[mk], e)
 	return e
 }
@@ -311,25 +294,20 @@ func (e *seriesEntry) windowSlots(ri int, now time.Time, window time.Duration, f
 // label sets over the trailing window. ok is false when the series is
 // unknown (no data at all — distinct from a known-idle zero).
 func (st *seriesStore) WindowSum(metric, node string, window time.Duration, now time.Time) (float64, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	entries := st.byMetric[storeKey(node, metric)]
-	if len(entries) == 0 {
-		return 0, false
-	}
-	ri := st.resolutionFor(window)
 	total := 0.0
-	for _, e := range entries {
-		e.windowSlots(ri, now, window, func(s *slot) { total += s.inc })
+	by := st.WindowSumBy(metric, node, "", window, now)
+	for _, v := range by {
+		total += v
 	}
-	return total, true
+	return total, by != nil
 }
 
-// WindowSumBy is WindowSum grouped by the value of one label key.
+// WindowSumBy is WindowSum grouped by the value of one label key (nil for
+// an unknown series).
 func (st *seriesStore) WindowSumBy(metric, node, labelKey string, window time.Duration, now time.Time) map[string]float64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	entries := st.byMetric[storeKey(node, metric)]
+	entries := st.byMetric[metricKey(node, metric)]
 	if len(entries) == 0 {
 		return nil
 	}
@@ -354,7 +332,7 @@ func (st *seriesStore) WindowSumBy(metric, node, labelKey string, window time.Du
 func (st *seriesStore) LastGauge(metric, node string, maxAge time.Duration, now time.Time) (float64, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	entries := st.byMetric[storeKey(node, metric)]
+	entries := st.byMetric[metricKey(node, metric)]
 	if len(entries) == 0 {
 		return 0, false
 	}
@@ -382,7 +360,7 @@ func (st *seriesStore) LastGauge(metric, node string, maxAge time.Duration, now 
 func (st *seriesStore) GaugeWindowStats(metric, node string, window time.Duration, now time.Time) (minV, lastV, avgV float64, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	entries := st.byMetric[storeKey(node, metric)]
+	entries := st.byMetric[metricKey(node, metric)]
 	if len(entries) == 0 {
 		return 0, 0, 0, false
 	}
@@ -428,7 +406,7 @@ func (st *seriesStore) GaugeWindowStats(metric, node string, window time.Duratio
 func (st *seriesStore) WindowHist(metric, node string, window time.Duration, now time.Time) (bounds []float64, buckets []uint64, count uint64, sum float64, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	entries := st.byMetric[storeKey(node, metric)]
+	entries := st.byMetric[metricKey(node, metric)]
 	ri := st.resolutionFor(window)
 	for _, e := range entries {
 		if e.kind != "histogram" {
@@ -515,11 +493,20 @@ func (st *seriesStore) Query(metric, node string, step time.Duration, since, now
 	if window < 0 {
 		window = 0
 	}
-	var out []QuerySeries
+	var matched []*seriesEntry
 	for _, e := range st.series {
-		if e.metric != metric || (node != "" && e.node != node) {
-			continue
+		if e.metric == metric && (node == "" || e.node == node) {
+			matched = append(matched, e)
 		}
+	}
+	sort.Slice(matched, func(i, j int) bool {
+		if matched[i].node != matched[j].node {
+			return matched[i].node < matched[j].node
+		}
+		return obs.LabelKey(matched[i].labels) < obs.LabelKey(matched[j].labels)
+	})
+	var out []QuerySeries
+	for _, e := range matched {
 		qs := QuerySeries{Metric: e.metric, Node: e.node, Kind: e.kind}
 		if len(e.labels) > 0 {
 			qs.Labels = make(map[string]string, len(e.labels))
@@ -554,27 +541,5 @@ func (st *seriesStore) Query(metric, node string, step time.Duration, since, now
 			out = append(out, qs)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return labelsKeyMap(out[i].Labels) < labelsKeyMap(out[j].Labels)
-	})
 	return out
-}
-
-func labelsKeyMap(m map[string]string) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('\xfe')
-		sb.WriteString(m[k])
-		sb.WriteByte('\xfd')
-	}
-	return sb.String()
 }

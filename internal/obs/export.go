@@ -472,47 +472,50 @@ type ExporterConfig struct {
 	// MetricsInterval is the metric-snapshot period (default 1s; < 0
 	// disables periodic snapshots — a final one still ships on Close).
 	MetricsInterval time.Duration
-	// SpanBuffer bounds the in-flight span queue (default 256). When the
-	// buffer is full new spans are dropped and counted, never blocked on.
-	SpanBuffer int
-	// FlushInterval bounds how long a partial span batch waits before being
-	// sent (default 25ms).
-	FlushInterval time.Duration
-	// MaxBatch is the span count that triggers an immediate send (default 64).
-	MaxBatch int
 	// Journal, when set, is drained alongside every metrics snapshot and
 	// shipped as event packets. The final drain on Close ships terminal
 	// events (node_stop) from short-lived processes.
 	Journal *Journal
-	// RedialAfter is the number of failed sends (accumulated since the last
+	// Dial overrides how Addr is resolved and dialled (tests move the
+	// collector mid-run; production leaves it nil for net.Dial("udp", …)).
+	Dial func(addr string) (net.Conn, error)
+
+	// The rest no binary sets; unexported so only this package's tests can
+	// change them from their defaults.
+
+	// spanBuffer bounds the in-flight span queue (default 256). When the
+	// buffer is full new spans are dropped and counted, never blocked on.
+	spanBuffer int
+	// flushInterval bounds how long a partial span batch waits before being
+	// sent (default 25ms).
+	flushInterval time.Duration
+	// maxBatch is the span count that triggers an immediate send (default 64).
+	maxBatch int
+	// redialAfter is the number of failed sends (accumulated since the last
 	// redial attempt) after which the exporter re-resolves and redials Addr —
 	// so a collector that restarted on a new address behind the same name (a
 	// re-scheduled pod, a DNS flip) is picked up without restarting the
 	// exporting broker. Failures are not required to be consecutive: ICMP
 	// port-unreachable surfaces on a connected UDP socket only every other
-	// write, so a dead collector alternates error and success. Default 8;
-	// < 0 disables re-resolution.
-	RedialAfter int
-	// Dial overrides how Addr is resolved and dialled (tests move the
-	// collector mid-run; production leaves it nil for net.Dial("udp", …)).
-	Dial func(addr string) (net.Conn, error)
+	// write, so a dead collector alternates error and success. Default 8.
+	redialAfter int
 }
 
 func (c *ExporterConfig) fillDefaults() {
 	if c.MetricsInterval == 0 {
 		c.MetricsInterval = time.Second
 	}
-	if c.SpanBuffer <= 0 {
-		c.SpanBuffer = 256
+	if c.spanBuffer <= 0 {
+		c.spanBuffer = 256
 	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 25 * time.Millisecond
+	if c.flushInterval <= 0 {
+		c.flushInterval = 25 * time.Millisecond
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
+	if c.maxBatch <= 0 {
+		c.maxBatch = 64
 	}
-	if c.RedialAfter == 0 {
-		c.RedialAfter = 8
+	if c.redialAfter <= 0 {
+		c.redialAfter = 8
 	}
 }
 
@@ -577,7 +580,7 @@ func newExporterWithSink(cfg ExporterConfig, sink io.Writer) *Exporter {
 	e := &Exporter{
 		cfg:  cfg,
 		sink: sink,
-		ch:   make(chan SpanRecord, cfg.SpanBuffer),
+		ch:   make(chan SpanRecord, cfg.spanBuffer),
 		done: make(chan struct{}),
 	}
 	reg := cfg.Registry
@@ -647,7 +650,7 @@ func (e *Exporter) send(pkt []byte) {
 	if _, err := e.sink.Write(pkt); err != nil {
 		e.packetsErr.Inc()
 		e.sendFails++
-		if e.cfg.RedialAfter > 0 && e.sendFails >= e.cfg.RedialAfter {
+		if e.sendFails >= e.cfg.redialAfter {
 			e.redialLocked()
 		}
 		return
@@ -665,7 +668,7 @@ func (e *Exporter) redialLocked() {
 	}
 	conn, err := e.cfg.Dial(e.cfg.Addr)
 	if err != nil {
-		e.sendFails = 0 // back off: give the next RedialAfter sends a chance
+		e.sendFails = 0 // back off: give the next redialAfter sends a chance
 		return
 	}
 	if c, ok := e.sink.(io.Closer); ok {
@@ -695,14 +698,14 @@ func (e *Exporter) flushSpans(batch []SpanRecord) []SpanRecord {
 
 func (e *Exporter) spanLoop() {
 	defer e.wg.Done()
-	ticker := time.NewTicker(e.cfg.FlushInterval)
+	ticker := time.NewTicker(e.cfg.flushInterval)
 	defer ticker.Stop()
-	batch := make([]SpanRecord, 0, e.cfg.MaxBatch)
+	batch := make([]SpanRecord, 0, e.cfg.maxBatch)
 	for {
 		select {
 		case r := <-e.ch:
 			batch = append(batch, r)
-			if len(batch) >= e.cfg.MaxBatch {
+			if len(batch) >= e.cfg.maxBatch {
 				batch = e.flushSpans(batch)
 			}
 		case <-ticker.C:
@@ -713,7 +716,7 @@ func (e *Exporter) spanLoop() {
 				select {
 				case r := <-e.ch:
 					batch = append(batch, r)
-					if len(batch) >= e.cfg.MaxBatch {
+					if len(batch) >= e.cfg.maxBatch {
 						batch = e.flushSpans(batch)
 					}
 				default:

@@ -29,7 +29,7 @@ func udpListener(t *testing.T) *net.UDPConn {
 }
 
 // TestExporterRedialsMovedCollector kills the collector socket mid-run and
-// rebinds it on a fresh port: after RedialAfter consecutive send failures the
+// rebinds it on a fresh port: after redialAfter consecutive send failures the
 // exporter re-resolves the address and traffic flows to the new port without
 // restarting the exporter.
 func TestExporterRedialsMovedCollector(t *testing.T) {
@@ -41,7 +41,7 @@ func TestExporterRedialsMovedCollector(t *testing.T) {
 		Addr:            "collector", // logical name; mp.dial resolves it
 		Node:            "b1",
 		MetricsInterval: -1,
-		RedialAfter:     3,
+		redialAfter:     3,
 		Dial:            mp.dial,
 	})
 	if err != nil {
@@ -59,7 +59,7 @@ func TestExporterRedialsMovedCollector(t *testing.T) {
 
 	// The collector "restarts" on a different port. Writes to the dead port
 	// fail (ICMP port-unreachable surfaces as ECONNREFUSED on the connected
-	// socket), and after RedialAfter of them the exporter must follow.
+	// socket), and after redialAfter of them the exporter must follow.
 	second := udpListener(t)
 	defer second.Close()
 	first.Close()
@@ -87,7 +87,7 @@ func TestExporterRedialsMovedCollector(t *testing.T) {
 }
 
 // TestExporterRedialBackoff checks a failing Dial does not spin: the failure
-// counter resets so another full RedialAfter window passes before the next
+// counter resets so another full redialAfter window passes before the next
 // attempt, and the exporter keeps counting send errors in the meantime.
 func TestExporterRedialBackoff(t *testing.T) {
 	dead := udpListener(t)
@@ -99,7 +99,7 @@ func TestExporterRedialBackoff(t *testing.T) {
 		Addr:            addr,
 		Node:            "b1",
 		MetricsInterval: -1,
-		RedialAfter:     2,
+		redialAfter:     2,
 		Dial: func(a string) (net.Conn, error) {
 			dials++
 			if dials > 1 { // first dial (construction) succeeds
@@ -121,7 +121,7 @@ func TestExporterRedialBackoff(t *testing.T) {
 	if e.Redials() != 0 {
 		t.Fatalf("redials = %d with a failing dial, want 0", e.Redials())
 	}
-	// 10 sends with RedialAfter=2: at most 5 dial attempts, not one per send.
+	// 10 sends with redialAfter=2: at most 5 dial attempts, not one per send.
 	if dials < 2 || dials > 6 {
 		t.Fatalf("dial attempts = %d, want a handful (backoff), not per-send", dials)
 	}

@@ -190,7 +190,7 @@ func TestExporterNeverBlocksWithoutCollector(t *testing.T) {
 	sink := &blockingSink{release: make(chan struct{})}
 	e := newExporterWithSink(ExporterConfig{
 		Addr: "sink", Node: "b1",
-		SpanBuffer: 8, MaxBatch: 4, FlushInterval: time.Millisecond,
+		spanBuffer: 8, maxBatch: 4, flushInterval: time.Millisecond,
 	}, sink)
 	defer func() {
 		sink.Release()
@@ -282,7 +282,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 func TestExporterSinkErrorsCounted(t *testing.T) {
 	fail := writerFunc(func(p []byte) (int, error) { return 0, errors.New("icmp unreachable") })
 	e := newExporterWithSink(ExporterConfig{
-		Addr: "sink", Node: "b1", FlushInterval: time.Millisecond,
+		Addr: "sink", Node: "b1", flushInterval: time.Millisecond,
 	}, fail)
 	e.RecordSpan("t", SpanView{Name: "x"})
 	if err := e.Close(); err != nil {
@@ -297,8 +297,8 @@ func TestExporterSinkErrorsCounted(t *testing.T) {
 // the exporter must stay invisible on the broker's publish path.
 func TestRecordSpanAllocFree(t *testing.T) {
 	e := newExporterWithSink(ExporterConfig{
-		Addr: "sink", Node: "b1", SpanBuffer: 1 << 16,
-		FlushInterval: time.Hour, MaxBatch: 1 << 20, // hold everything: measure enqueue only
+		Addr: "sink", Node: "b1", spanBuffer: 1 << 16,
+		flushInterval: time.Hour, maxBatch: 1 << 20, // hold everything: measure enqueue only
 	}, writerFunc(func(p []byte) (int, error) { return len(p), nil }))
 	defer e.Close()
 	sv := SpanView{Name: "alloc", At: time.Unix(0, 0), Attrs: []Attr{{Key: "k", Value: "v"}}}
@@ -312,7 +312,7 @@ func TestRecordSpanAllocFree(t *testing.T) {
 
 func BenchmarkRecordSpan(b *testing.B) {
 	e := newExporterWithSink(ExporterConfig{
-		Addr: "sink", Node: "b1", SpanBuffer: 64, FlushInterval: time.Millisecond,
+		Addr: "sink", Node: "b1", spanBuffer: 64, flushInterval: time.Millisecond,
 	}, writerFunc(func(p []byte) (int, error) { return len(p), nil }))
 	defer e.Close()
 	sv := SpanView{Name: "bench", At: time.Unix(0, 0)}

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // WritePrometheus renders every registered family in the Prometheus text
@@ -145,6 +146,16 @@ func escapeHelp(s string) string {
 	}
 	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 	return r.Replace(s)
+}
+
+// ParseWhen reads the time parameter every telemetry endpoint accepts
+// (since=, until=, at=): a duration meaning "that long before now" ("30s",
+// "5m") or an RFC 3339 instant.
+func ParseWhen(s string, now time.Time) (time.Time, error) {
+	if d, err := time.ParseDuration(s); err == nil {
+		return now.Add(-d), nil
+	}
+	return time.Parse(time.RFC3339, s)
 }
 
 // Handler returns the /metrics HTTP handler for this registry.

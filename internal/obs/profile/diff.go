@@ -20,18 +20,12 @@ type Summary struct {
 }
 
 // Site is one aggregation bucket: all stacks sharing the same anchor frame
-// (the first non-runtime frame, where the code under suspicion lives).
+// (the first non-runtime frame, where the code under suspicion lives). In a
+// Diff it holds the site's change between two summaries (b − a).
 type Site struct {
 	Name  string `json:"name"`
 	Count int64  `json:"count"` // goroutines, or in-use objects
 	Bytes int64  `json:"bytes"` // heap only
-}
-
-// Delta is one site's change between two summaries (b − a).
-type Delta struct {
-	Name  string `json:"name"`
-	Count int64  `json:"count"`
-	Bytes int64  `json:"bytes"`
 }
 
 // ParseText parses a legacy text-format (debug=1) goroutine or heap profile.
@@ -127,13 +121,7 @@ func parseRecords(sc *bufio.Scanner, kind string, total int64, parse func(string
 				continue // park/wait plumbing; anchor on the code that blocked
 			}
 			anchored = true
-			site := agg[fn]
-			if site == nil {
-				site = &Site{Name: fn}
-				agg[fn] = site
-			}
-			site.Count += cur.Count
-			site.Bytes += cur.Bytes
+			addTo(agg, fn, cur.Count, cur.Bytes)
 			cur = nil
 		case strings.TrimSpace(line) == "":
 			finishRecord(agg, cur, anchored)
@@ -150,27 +138,26 @@ func parseRecords(sc *bufio.Scanner, kind string, total int64, parse func(string
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	s := &Summary{Kind: kind, Total: total, Sites: make([]Site, 0, len(agg))}
-	for _, site := range agg {
-		s.Sites = append(s.Sites, *site)
-	}
-	sortSites(s.Sites)
-	return s, nil
+	return &Summary{Kind: kind, Total: total, Sites: sortedSites(agg)}, nil
 }
 
 // finishRecord flushes a record whose stack was all runtime frames (or had
 // no frames at all) into the catch-all site.
 func finishRecord(agg map[string]*Site, cur *Site, anchored bool) {
-	if cur == nil || anchored {
-		return
+	if cur != nil && !anchored {
+		addTo(agg, "(runtime)", cur.Count, cur.Bytes)
 	}
-	site := agg["(runtime)"]
+}
+
+// addTo adds count and bytes to the named site, creating it on first use.
+func addTo(agg map[string]*Site, name string, count, bytes int64) {
+	site := agg[name]
 	if site == nil {
-		site = &Site{Name: "(runtime)"}
-		agg["(runtime)"] = site
+		site = &Site{Name: name}
+		agg[name] = site
 	}
-	site.Count += cur.Count
-	site.Bytes += cur.Bytes
+	site.Count += count
+	site.Bytes += bytes
 }
 
 // frameFunc extracts the function name from a "#\t0xADDR\tfunc+0xOFF\t..."
@@ -187,7 +174,12 @@ func frameFunc(line string) (string, bool) {
 	return fn, true
 }
 
-func sortSites(sites []Site) {
+// sortedSites flattens agg, hottest (in a diff: largest growth) first.
+func sortedSites(agg map[string]*Site) []Site {
+	sites := make([]Site, 0, len(agg))
+	for _, site := range agg {
+		sites = append(sites, *site)
+	}
 	sort.Slice(sites, func(i, j int) bool {
 		if sites[i].Bytes != sites[j].Bytes {
 			return sites[i].Bytes > sites[j].Bytes
@@ -197,41 +189,25 @@ func sortSites(sites []Site) {
 		}
 		return sites[i].Name < sites[j].Name
 	})
+	return sites
 }
 
 // Diff returns per-site changes b − a, largest growth first. Sites present
 // on only one side count as fully added/removed.
-func Diff(a, b *Summary) []Delta {
-	m := map[string]*Delta{}
+func Diff(a, b *Summary) []Site {
+	m := map[string]*Site{}
 	for _, s := range b.Sites {
-		m[s.Name] = &Delta{Name: s.Name, Count: s.Count, Bytes: s.Bytes}
+		addTo(m, s.Name, s.Count, s.Bytes)
 	}
 	for _, s := range a.Sites {
-		d := m[s.Name]
-		if d == nil {
-			d = &Delta{Name: s.Name}
-			m[s.Name] = d
-		}
-		d.Count -= s.Count
-		d.Bytes -= s.Bytes
+		addTo(m, s.Name, -s.Count, -s.Bytes)
 	}
-	out := make([]Delta, 0, len(m))
-	for _, d := range m {
+	for name, d := range m {
 		if d.Count == 0 && d.Bytes == 0 {
-			continue
+			delete(m, name) // unchanged
 		}
-		out = append(out, *d)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
-		}
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
+	return sortedSites(m)
 }
 
 // WriteTop renders the n hottest sites of a summary as aligned text.

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"narada/internal/obs"
 )
 
 // SetRuntimeRates applies the process-wide mutex and block profiling rates
@@ -55,17 +57,17 @@ func (c *Capturer) Handler() http.Handler {
 }
 
 func (c *Capturer) serveList(w http.ResponseWriter, r *http.Request) {
-	var since time.Time
+	var f Filter
 	if s := r.URL.Query().Get("since"); s != "" {
-		t, err := parseWhen(s, time.Now())
+		t, err := obs.ParseWhen(s, time.Now())
 		if err != nil {
 			http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		since = t
+		f.Since = t
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(c.List(since))
+	_ = json.NewEncoder(w).Encode(c.store.List(f))
 }
 
 func (c *Capturer) serveCapture(w http.ResponseWriter, r *http.Request) {
@@ -95,20 +97,30 @@ func (c *Capturer) serveCapture(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Capturer) serveOne(w http.ResponseWriter, r *http.Request, id string) {
-	cp, ok := c.Get(id)
+	cp, ok := c.store.Get(id)
 	if !ok {
 		http.Error(w, "no such capture", http.StatusNotFound)
 		return
 	}
+	if err := cp.WriteHTTP(w, r); err != nil {
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+	}
+}
+
+// WriteHTTP answers a GET for one capture — a node's /profiles/{id} and the
+// collector's both end here. ?view=top renders the dep-free site summary; a
+// capture that is not a text profile (CPU captures are binary) returns the
+// parse error with nothing written, for the caller to report. Otherwise the
+// raw bytes go out as a download, typed by the capture's kind.
+func (cp Capture) WriteHTTP(w http.ResponseWriter, r *http.Request) error {
 	if r.URL.Query().Get("view") == "top" {
 		s, err := ParseText(cp.Data)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
+			return err
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		WriteTop(w, s, 30)
-		return
+		return nil
 	}
 	if cp.Kind == KindCPU {
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -117,13 +129,5 @@ func (c *Capturer) serveOne(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	w.Header().Set("Content-Disposition", `attachment; filename="`+cp.ID+`.pprof"`)
 	_, _ = w.Write(cp.Data)
-}
-
-// parseWhen accepts an RFC3339 instant or a duration meaning "that long
-// ago" — the same grammar the collector's /events endpoint uses.
-func parseWhen(s string, now time.Time) (time.Time, error) {
-	if d, err := time.ParseDuration(s); err == nil {
-		return now.Add(-d), nil
-	}
-	return time.Parse(time.RFC3339, s)
+	return nil
 }

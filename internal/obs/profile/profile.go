@@ -1,7 +1,8 @@
 // Package profile is a dependency-free continuous profiler: a Capturer takes
 // periodic low-overhead CPU/heap/goroutine (and opt-in mutex/block) profiles
-// of its own process, keeps them in a bounded in-memory ring, and serves
-// them over the node's telemetry mux so the fabric collector can pull them.
+// of its own process, keeps them in a bounded in-memory Store, and serves
+// them over the node's telemetry mux so the fabric collector can pull them
+// into its own Store.
 // Heap, goroutine, mutex and block captures use the legacy debug=1 text
 // format — parseable by the dep-free diff in this package and still accepted
 // by `go tool pprof`; CPU captures are the binary proto format.
@@ -12,7 +13,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"time"
 
@@ -30,17 +30,6 @@ const (
 	KindBlock     Kind = "block"
 )
 
-// Capture is one stored profile. Listings carry metadata only (Data nil);
-// Get returns the bytes.
-type Capture struct {
-	ID      string    `json:"id"`
-	Kind    Kind      `json:"kind"`
-	Trigger string    `json:"trigger"` // "periodic", "manual", "flight:<rule>", ...
-	At      time.Time `json:"at"`
-	Size    int       `json:"size"`
-	Data    []byte    `json:"-"`
-}
-
 // Config parameterises a Capturer. The zero value is usable: manual captures
 // only, default bounds.
 type Config struct {
@@ -48,30 +37,26 @@ type Config struct {
 	// (CaptureNow still works — the collector's flight recorder and the
 	// /profiles handler are manual paths).
 	Interval time.Duration
-	// CPUDuration is how long each CPU capture samples. Defaulted to 1s and
-	// clamped to a quarter of Interval so the profiler's own duty cycle
-	// stays bounded no matter how aggressive the configuration.
-	CPUDuration time.Duration
-	// MaxCaptureBytes drops any single capture larger than this
-	// (default 4 MiB) — a truncated pprof profile is garbage, so oversized
-	// captures are discarded whole, not clipped.
-	MaxCaptureBytes int
-	// MaxCaptures bounds the ring (default 64, oldest evicted).
-	MaxCaptures int
 	// Mutex / Block include contention profiles in periodic rounds. They
 	// only carry data when runtime.SetMutexProfileFraction /
 	// runtime.SetBlockProfileRate are enabled (the cmd flags).
 	Mutex, Block bool
 	Logger       *slog.Logger
+
+	// Bounds no binary sets; unexported so only this package's tests can
+	// shrink them. cpuDuration (default 1s) is clamped to a quarter of
+	// Interval so the profiler's own duty cycle stays bounded; a capture
+	// over maxCaptureBytes (default 4 MiB) is dropped whole — a truncated
+	// pprof profile is garbage; maxCaptures (default 64) bounds the store.
+	cpuDuration     time.Duration
+	maxCaptureBytes int
+	maxCaptures     int
 }
 
 // Capturer takes and retains profiles of its own process.
 type Capturer struct {
-	cfg Config
-
-	mu   sync.Mutex
-	ring []Capture // oldest first
-	seq  uint64
+	cfg   Config
+	store *Store
 
 	stop chan struct{}
 	done chan struct{}
@@ -80,22 +65,25 @@ type Capturer struct {
 
 // New returns a Capturer; call Start to run the periodic loop.
 func New(cfg Config) *Capturer {
-	if cfg.CPUDuration <= 0 {
-		cfg.CPUDuration = time.Second
+	if cfg.cpuDuration <= 0 {
+		cfg.cpuDuration = time.Second
 	}
-	if cfg.Interval > 0 && cfg.CPUDuration > cfg.Interval/4 {
-		cfg.CPUDuration = cfg.Interval / 4
+	if cfg.Interval > 0 && cfg.cpuDuration > cfg.Interval/4 {
+		cfg.cpuDuration = cfg.Interval / 4
 	}
-	if cfg.MaxCaptureBytes <= 0 {
-		cfg.MaxCaptureBytes = 4 << 20
+	if cfg.maxCaptureBytes <= 0 {
+		cfg.maxCaptureBytes = 4 << 20
 	}
-	if cfg.MaxCaptures <= 0 {
-		cfg.MaxCaptures = 64
+	if cfg.maxCaptures <= 0 {
+		cfg.maxCaptures = 64
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
 	}
-	return &Capturer{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
+	// The count bound is the one that binds: every capture is at most
+	// maxCaptureBytes, so the byte budget below is never reached first.
+	store, _ := NewStore("", cfg.maxCaptures, int64(cfg.maxCaptures)*int64(cfg.maxCaptureBytes)) // in memory: no error
+	return &Capturer{cfg: cfg, store: store, stop: make(chan struct{}), done: make(chan struct{})}
 }
 
 // Start launches the periodic capture loop (no-op when Interval is 0).
@@ -139,7 +127,7 @@ func (c *Capturer) Close() error {
 
 // CaptureNow takes the requested profile kinds immediately (all errors are
 // joined; kinds that succeed are stored regardless). A CPU capture blocks
-// for CPUDuration; an error from a concurrently running CPU profile (e.g. a
+// for the CPU sampling window; an error from a concurrently running CPU profile (e.g. a
 // /debug/pprof/profile scrape in flight) is reported, not fatal.
 func (c *Capturer) CaptureNow(trigger string, kinds ...Kind) ([]Capture, error) {
 	var out []Capture
@@ -152,12 +140,18 @@ func (c *Capturer) CaptureNow(trigger string, kinds ...Kind) ([]Capture, error) 
 			}
 			continue
 		}
-		if len(data) > c.cfg.MaxCaptureBytes {
+		if len(data) > c.cfg.maxCaptureBytes {
 			c.cfg.Logger.Warn("profile: capture over size bound, dropped",
-				"kind", string(k), "size", len(data), "max", c.cfg.MaxCaptureBytes)
+				"kind", string(k), "size", len(data), "max", c.cfg.maxCaptureBytes)
 			continue
 		}
-		out = append(out, c.store(k, trigger, data))
+		cp, err := c.store.Add(Capture{Kind: k, Trigger: trigger, At: time.Now(), Data: data})
+		if err != nil { // unreachable while data fits maxCaptureBytes
+			c.cfg.Logger.Warn("profile: store", "kind", string(k), "err", err)
+			continue
+		}
+		cp.Data = data
+		out = append(out, cp)
 	}
 	return out, firstErr
 }
@@ -170,7 +164,7 @@ func (c *Capturer) capture(k Kind) ([]byte, error) {
 			return nil, err
 		}
 		select {
-		case <-time.After(c.cfg.CPUDuration):
+		case <-time.After(c.cfg.cpuDuration):
 		case <-c.stop:
 		}
 		pprof.StopCPUProfile()
@@ -189,52 +183,4 @@ func (c *Capturer) capture(k Kind) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("unknown profile kind %q", k)
 	}
-}
-
-func (c *Capturer) store(k Kind, trigger string, data []byte) Capture {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	cp := Capture{
-		ID:      fmt.Sprintf("p%06d-%s", c.seq, k),
-		Kind:    k,
-		Trigger: trigger,
-		At:      time.Now(),
-		Size:    len(data),
-		Data:    data,
-	}
-	c.ring = append(c.ring, cp)
-	if over := len(c.ring) - c.cfg.MaxCaptures; over > 0 {
-		c.ring = append(c.ring[:0], c.ring[over:]...)
-	}
-	return cp
-}
-
-// List returns capture metadata (Data stripped), newest first, filtered to
-// captures taken strictly after since (zero = all).
-func (c *Capturer) List(since time.Time) []Capture {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Capture, 0, len(c.ring))
-	for _, cp := range c.ring {
-		if !since.IsZero() && !cp.At.After(since) {
-			continue
-		}
-		cp.Data = nil
-		out = append(out, cp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At.After(out[j].At) })
-	return out
-}
-
-// Get returns the capture with its bytes.
-func (c *Capturer) Get(id string) (Capture, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cp := range c.ring {
-		if cp.ID == id {
-			return cp, true
-		}
-	}
-	return Capture{}, false
 }

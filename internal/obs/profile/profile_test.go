@@ -36,7 +36,7 @@ func TestCaptureGoroutineAndParse(t *testing.T) {
 	if len(caps) != 1 || caps[0].Kind != KindGoroutine {
 		t.Fatalf("caps = %+v", caps)
 	}
-	got, ok := c.Get(caps[0].ID)
+	got, ok := c.store.Get(caps[0].ID)
 	if !ok {
 		t.Fatal("Get: capture vanished")
 	}
@@ -80,28 +80,34 @@ func TestCaptureHeapAndParse(t *testing.T) {
 	}
 }
 
+// TestRingBound checks the capturer hands its count bound to its store (the
+// store's own eviction rules are TestStore's).
 func TestRingBound(t *testing.T) {
-	c := New(Config{MaxCaptures: 3})
+	c := New(Config{maxCaptures: 3})
+	var first Capture
 	for i := 0; i < 5; i++ {
-		if _, err := c.CaptureNow("manual", KindGoroutine); err != nil {
+		caps, err := c.CaptureNow("manual", KindGoroutine)
+		if err != nil {
 			t.Fatalf("CaptureNow: %v", err)
 		}
+		if i == 0 {
+			first = caps[0]
+		}
 	}
-	list := c.List(time.Time{})
+	list := c.store.List(Filter{})
 	if len(list) != 3 {
 		t.Fatalf("retained %d captures, want 3", len(list))
 	}
-	// Oldest evicted: the first two IDs are gone.
-	if _, ok := c.Get("p000001-goroutine"); ok {
+	if _, ok := c.store.Get(first.ID); ok {
 		t.Error("oldest capture not evicted")
 	}
-	if _, ok := c.Get(list[0].ID); !ok {
+	if _, ok := c.store.Get(list[0].ID); !ok {
 		t.Error("newest capture not retrievable")
 	}
 }
 
 func TestOversizedCaptureDropped(t *testing.T) {
-	c := New(Config{MaxCaptureBytes: 1})
+	c := New(Config{maxCaptureBytes: 1})
 	caps, err := c.CaptureNow("manual", KindGoroutine)
 	if err != nil {
 		t.Fatalf("CaptureNow: %v", err)
@@ -146,7 +152,7 @@ func TestGoroutineDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var leak *Delta
+	var leak *Site
 	for _, d := range Diff(a, b) {
 		if strings.Contains(d.Name, "leakForDiffTest") {
 			leak = &d
@@ -213,14 +219,14 @@ func TestHandlerListGetAndTop(t *testing.T) {
 }
 
 func TestPeriodicLoopCaptures(t *testing.T) {
-	c := New(Config{Interval: 30 * time.Millisecond, CPUDuration: 5 * time.Millisecond})
+	c := New(Config{Interval: 30 * time.Millisecond, cpuDuration: 5 * time.Millisecond})
 	c.Start()
 	defer c.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(c.List(time.Time{})) >= 3 {
+		if list := c.store.List(Filter{}); len(list) >= 3 {
 			byKind := map[Kind]bool{}
-			for _, cp := range c.List(time.Time{}) {
+			for _, cp := range list {
 				byKind[cp.Kind] = true
 				if cp.Trigger != "periodic" {
 					t.Fatalf("unexpected trigger %q", cp.Trigger)

@@ -97,8 +97,13 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// labelKey serialises a sorted copy of labels into a map key.
-func labelKey(labels []Label) string {
+// LabelKey serialises a label set, in the order given, into a string that is
+// both its identity (a map key) and its sort key. It is the only such
+// serialisation: the registry, the collector's series store and every
+// exposition that orders series (a node's /metrics, the federated /metrics,
+// /query) go through it, so one label set cannot sort two ways. The
+// separators are bytes no valid UTF-8 string contains.
+func LabelKey(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
@@ -150,7 +155,7 @@ func (f *family) childFor(labels []Label, mk func(*child)) *child {
 	for _, l := range labels {
 		mustValidName("label", l.Key)
 	}
-	key := labelKey(labels)
+	key := LabelKey(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	c := f.byKey[key]
@@ -230,7 +235,7 @@ func (f *family) snapshotChildren() []*child {
 	out := append([]*child(nil), f.ordered...)
 	f.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
-		return labelKey(out[i].labels) < labelKey(out[j].labels)
+		return LabelKey(out[i].labels) < LabelKey(out[j].labels)
 	})
 	return out
 }

@@ -15,17 +15,12 @@ import (
 	"narada/internal/topology"
 )
 
-// healthCollector builds a collector with fast retention tiers and a fast
-// health ticker, suitable for the wall-clock testbed exporters.
+// healthCollector builds a collector with a fast health ticker, suitable for
+// the wall-clock testbed exporters.
 func healthCollector(t *testing.T) *collect.Collector {
 	t.Helper()
 	col, err := collect.New(collect.Config{
 		Listen: "127.0.0.1:0",
-		Resolutions: []collect.Resolution{
-			{Step: 100 * time.Millisecond, Slots: 100},
-			{Step: 300 * time.Millisecond, Slots: 50},
-			{Step: 900 * time.Millisecond, Slots: 20},
-		},
 		Health: &health.Config{
 			// The fabric exports every 20ms; a 100ms × 3 deadman horizon
 			// keeps scheduler hiccups from false-firing a live node.
@@ -267,7 +262,7 @@ func TestQueryServesProbeSeries(t *testing.T) {
 	// Let a couple of coarse windows fill.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		series := query("narada_probe_runs_total", "100ms")
+		series := query("narada_probe_runs_total", "1s")
 		total := 0.0
 		for _, s := range series {
 			for _, p := range s.Points {
@@ -283,7 +278,7 @@ func TestQueryServesProbeSeries(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	for _, res := range []string{"100ms", "300ms", "900ms"} {
+	for _, res := range []string{"1s", "10s", "1m"} {
 		runs := query("narada_probe_runs_total", res)
 		if len(runs) != 2 { // outcome=ok and outcome=error
 			t.Fatalf("res=%s: %d run series, want 2 (ok+error): %+v", res, len(runs), runs)

@@ -134,11 +134,6 @@ func TestSampledPublishAssemblesMessageTrace(t *testing.T) {
 func TestDropStormFiresDropRatioAlert(t *testing.T) {
 	col, err := collect.New(collect.Config{
 		Listen: "127.0.0.1:0",
-		Resolutions: []collect.Resolution{
-			{Step: 100 * time.Millisecond, Slots: 100},
-			{Step: 300 * time.Millisecond, Slots: 50},
-			{Step: 900 * time.Millisecond, Slots: 20},
-		},
 		Health: &health.Config{
 			ExportInterval: 100 * time.Millisecond,
 			EgressWindow:   1500 * time.Millisecond,

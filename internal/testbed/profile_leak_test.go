@@ -18,16 +18,12 @@ import (
 )
 
 // leakCollector is healthCollector plus the profile plane: a short
-// goroutine-leak window matched to the fast retention tiers, an aggressive
-// pull cadence and a 1s flight CPU capture so the whole story fits in a test.
+// goroutine-leak window, an aggressive pull cadence and a 1s flight CPU
+// capture so the whole story fits in a test.
 func leakCollector(t *testing.T) *collect.Collector {
 	t.Helper()
 	col, err := collect.New(collect.Config{
 		Listen: "127.0.0.1:0",
-		Resolutions: []collect.Resolution{
-			{Step: 100 * time.Millisecond, Slots: 100},
-			{Step: 300 * time.Millisecond, Slots: 50},
-		},
 		Health: &health.Config{
 			ExportInterval:      100 * time.Millisecond,
 			DeadmanIntervals:    5,
@@ -134,7 +130,7 @@ func TestGoroutineLeakFlightRecorder(t *testing.T) {
 
 	// The flight recorder captures asynchronously (its CPU pull samples for
 	// a full second); poll until the alert links a flight capture.
-	var flight collect.ProfileRef
+	var flight profile.Capture
 	deadline := time.Now().Add(15 * time.Second)
 	for flight.ID == "" {
 		for _, al := range fetchAlerts(t, srv.URL).Alerts {
@@ -175,7 +171,7 @@ func TestGoroutineLeakFlightRecorder(t *testing.T) {
 	// the collector store independently of any alert.
 	pullDeadline := time.Now().Add(10 * time.Second)
 	for {
-		if pulled := col.Profiles(collect.ProfileFilter{Node: "broker-leaky", Trigger: "periodic"}); len(pulled) > 0 {
+		if pulled := col.Profiles(profile.Filter{Node: "broker-leaky", Trigger: "periodic"}); len(pulled) > 0 {
 			break
 		}
 		if time.Now().After(pullDeadline) {
