@@ -131,14 +131,25 @@ func BenchmarkAblationBrokerScale(b *testing.B)   { benchAblation(b, "abl-scale"
 func BenchmarkAblationPingCount(b *testing.B)     { benchAblation(b, "abl-pings") }
 func BenchmarkAblationBDNFailover(b *testing.B)   { benchAblation(b, "abl-failover") }
 func BenchmarkAblationRouting(b *testing.B)       { benchAblation(b, "abl-routing") }
+func BenchmarkAblationRediscover(b *testing.B)    { benchAblation(b, "abl-rediscover") }
 
 // BenchmarkDiscoverLoopback is the discovery ladder's end-to-end rung: one
 // complete Discover() per iteration in wall-clock time over real loopback
-// TCP/UDP — the quantity of the paper's Figs 3–7 minus the WAN. The fleet is
-// the repository benchmark's discover_loopback in one process: a BDN injecting
-// at two brokers, six brokers registered with it and linked in a star, each
-// sampling its usage from the runtime as cmd/broker does.
-func BenchmarkDiscoverLoopback(b *testing.B) {
+// TCP/UDP — the quantity of the paper's Figs 3–7 minus the WAN — on a warm
+// requester: the endpoint and the BDN session of the first discovery serve
+// all the others, as in the repository benchmark's discover_loopback.
+func BenchmarkDiscoverLoopback(b *testing.B) { benchDiscoverLoopback(b, false) }
+
+// BenchmarkDiscoverLoopbackCold is the same discovery by a requester that has
+// just started: Close() after every iteration, so each one pays the listen
+// and the dial. First-join cost keeps a number of its own.
+func BenchmarkDiscoverLoopbackCold(b *testing.B) { benchDiscoverLoopback(b, true) }
+
+// benchDiscoverLoopback runs the repository benchmark's discover_loopback
+// fleet in one process: a BDN injecting at two brokers, six brokers registered
+// with it and linked in a star, each sampling its usage from the runtime as
+// cmd/broker does.
+func benchDiscoverLoopback(b *testing.B, cold bool) {
 	const brokers = 6
 	node := transport.NewRealNode("127.0.0.1", nil)
 	ntp := ntptime.NewService(node.Clock(), 0, nil)
@@ -180,11 +191,13 @@ func BenchmarkDiscoverLoopback(b *testing.B) {
 		CollectWindow: 2 * time.Second,
 	}
 	requester := core.NewDiscoverer(node, ntp, cfg)
+	b.Cleanup(requester.Close)
 	// Ready when a probe with a short collection window hears every broker:
 	// registrations and links settle asynchronously, and an incomplete fleet
 	// then costs 50 ms per attempt instead of the full window.
 	cfg.NodeName, cfg.CollectWindow = "bench-probe", 50*time.Millisecond
 	probe := core.NewDiscoverer(node, ntp, cfg)
+	b.Cleanup(probe.Close)
 	for deadline := time.Now().Add(20 * time.Second); ; {
 		res, err := probe.Discover()
 		if err == nil && len(res.Responses) == brokers {
@@ -203,6 +216,9 @@ func BenchmarkDiscoverLoopback(b *testing.B) {
 			b.Fatal(err)
 		}
 		responses += len(res.Responses)
+		if cold {
+			requester.Close()
+		}
 	}
 	b.ReportMetric(float64(responses)/float64(b.N), "responses/op")
 }

@@ -122,6 +122,7 @@ func run(args []string) error {
 	}
 
 	d := core.NewDiscoverer(node, ntp, cfg)
+	defer d.Close()
 	if *cacheFile != "" {
 		if brokers, err := loadBrokerCache(*cacheFile); err != nil {
 			log.Printf("discover: ignoring broker cache: %v", err)

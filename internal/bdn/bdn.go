@@ -487,8 +487,16 @@ func (d *BDN) storeAdvertisement(ev *event.Event, conn transport.Conn) string {
 	return ad.Broker.LogicalAddress
 }
 
-// serveRequester processes one discovery-request session: acknowledge, check
-// private-BDN credentials, and inject the request into the broker network.
+// requesterIdle is how long, on the node clock, a requester session may stay
+// silent before the BDN closes it. Requesters keep their session between
+// discoveries and redial when it is gone, so without the bound a BDN would
+// hold one goroutine and one tracked connection for every requester that ever
+// asked.
+const requesterIdle = 30 * time.Second
+
+// serveRequester processes one discovery-request session, which lasts for as
+// many requests as the requester sends on it: acknowledge, check private-BDN
+// credentials, and inject the request into the broker network.
 // Retransmissions of the same UUID are idempotent — re-acknowledged without
 // re-injection.
 func (d *BDN) serveRequester(conn transport.Conn, first *event.Event) {
@@ -500,7 +508,7 @@ func (d *BDN) serveRequester(conn transport.Conn, first *event.Event) {
 				d.processRequest(conn, ev, req)
 			}
 		}
-		frame, err := conn.Recv()
+		frame, err := conn.RecvTimeout(requesterIdle)
 		if err != nil {
 			return
 		}

@@ -414,3 +414,137 @@ func TestSubscribeViaBrokerLearnsAdvertisements(t *testing.T) {
 		t.Fatalf("learned %+v", d.Brokers()[0])
 	}
 }
+
+// TestRequesterSessionServesManyRequests: a requester keeps its session
+// between discoveries, so every request on it is acknowledged and injected,
+// not just the first.
+func TestRequesterSessionServesManyRequests(t *testing.T) {
+	e := newEnv(t, 12)
+	d := e.bdn(Config{Name: "gsl.org"})
+	for _, name := range []string{"broker-a", "broker-b"} {
+		if err := e.broker(simnet.SiteIndianapolis, name).RegisterWithBDN(d.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitBrokers(t, d, 2)
+
+	node, _ := e.node(simnet.SiteBloomington, "client")
+	conn, err := node.Dial(d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < 2; i++ {
+		req := &core.DiscoveryRequest{ID: uuid.New(), Requester: "client"}
+		ev := event.New(event.TypeDiscoveryRequest, "", core.EncodeDiscoveryRequest(req))
+		if err := conn.Send(event.Encode(ev)); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := conn.RecvTimeout(2 * time.Second)
+		if err != nil {
+			t.Fatalf("request %d: no ack: %v", i, err)
+		}
+		reply, err := event.Decode(frame)
+		if err != nil || reply.Type != event.TypeDiscoveryAck {
+			t.Fatalf("request %d: reply %v, %v", i, reply, err)
+		}
+		if ack, err := core.DecodeAck(reply.Payload); err != nil || ack.RequestID != req.ID {
+			t.Fatalf("request %d: ack %+v, %v", i, ack, err)
+		}
+	}
+	waitFor(t, "both requests to be injected at both brokers",
+		func() bool { return d.tel.injects.Value() == 4 })
+	if acked := d.tel.reqAcked.Value(); acked != 2 {
+		t.Fatalf("reqAcked = %d, want 2", acked)
+	}
+}
+
+// TestIdleRequesterSessionIsReaped: the BDN closes a requester session that
+// has been silent for requesterIdle, and the requester's next discovery
+// redials without counting a retransmission.
+func TestIdleRequesterSessionIsReaped(t *testing.T) {
+	// requesterIdle is half a second of wall time at this scale: long enough
+	// to see the live session first, short enough to wait out.
+	e := newEnv(t, 13)
+	e.net = simnet.NewPaperWAN(simnet.Config{Scale: 60, Seed: 13})
+	d := e.bdn(Config{Name: "gsl.org"})
+	if err := e.broker(simnet.SiteIndianapolis, "broker-indy").RegisterWithBDN(d.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	awaitBrokers(t, d, 1)
+	tracked := func() int {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.conns)
+	}
+	waitFor(t, "the registration to be the one tracked connection", func() bool { return tracked() == 1 })
+
+	node, ntp := e.node(simnet.SiteBloomington, "client")
+	req := core.NewDiscoverer(node, ntp, core.Config{
+		NodeName: "client", BDNAddrs: []string{d.Addr()},
+		MaxResponses: 1, AckTimeout: 20 * time.Second, CollectWindow: 20 * time.Second,
+	})
+	defer req.Close()
+	if _, err := req.Discover(); err != nil {
+		t.Fatal(err)
+	}
+	if n := tracked(); n != 2 {
+		t.Fatalf("%d tracked connections with a live requester session, want registration + session", n)
+	}
+	waitFor(t, "the idle requester session to be closed and untracked", func() bool { return tracked() == 1 })
+	res, err := req.Discover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Retransmits != 0 || res.BDN != "gsl.org" {
+		t.Fatalf("after the reap: %d retransmits via %q, want 0 via gsl.org", res.Retransmits, res.BDN)
+	}
+}
+
+// scriptedConn is a registration or requester connection whose peer is the
+// benchmark: Send counts what the BDN writes and drops it.
+type scriptedConn struct {
+	transport.Conn
+	sent int
+}
+
+func (c *scriptedConn) Send([]byte) error { c.sent++; return nil }
+
+// BenchmarkBDNProcessRequest is the BDN's rung of the discovery ladder: one
+// decoded request acknowledged on its session and injected at two registered
+// brokers, every connection scripted so only the BDN's own work is timed.
+func BenchmarkBDNProcessRequest(b *testing.B) {
+	net := simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: 1})
+	node := transport.NewSimNode(net, simnet.SiteBloomington, "bench-bdn", 0)
+	ntp := ntptime.NewService(node.Clock(), 0, nil)
+	ntp.InitImmediately()
+	d, err := New(node, ntp, Config{Name: "bench-bdn", DedupCapacity: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var regs [2]scriptedConn
+	for i := range regs {
+		ad := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: "broker-" + string(rune('a'+i))}}
+		ev := event.New(event.TypeAdvertisement, "", core.EncodeAdvertisement(ad))
+		if d.storeAdvertisement(ev, &regs[i]) == "" {
+			b.Fatal("advertisement not stored")
+		}
+	}
+	req := &core.DiscoveryRequest{Requester: "bench-req", ResponseAddr: "127.0.0.1:4000",
+		Protocols: []string{"tcp", "udp"}}
+	ev := event.New(event.TypeDiscoveryRequest, "", nil)
+	ev.Source = req.Requester
+	var session scriptedConn
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.ID = uuid.New() // a repeated UUID would be acknowledged but not injected
+		ev.Payload = core.EncodeDiscoveryRequest(req)
+		ev.SetTrace(req.ID.String(), req.Requester, 0)
+		d.processRequest(&session, ev, req)
+	}
+	b.StopTimer()
+	if session.sent != b.N || regs[0].sent != b.N || regs[1].sent != b.N {
+		b.Fatalf("%d requests: %d acks, %d + %d injections", b.N, session.sent, regs[0].sent, regs[1].sent)
+	}
+}

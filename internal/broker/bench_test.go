@@ -196,3 +196,50 @@ func BenchmarkSubscriptionChurn(b *testing.B) {
 		}
 	}
 }
+
+// pingFeed is a datagram endpoint whose far side is the benchmark: Recv hands
+// out the same ping left times and then closes, Send counts the pongs.
+type pingFeed struct {
+	transport.PacketConn
+	ping  []byte
+	left  int
+	pongs int
+}
+
+func (c *pingFeed) Recv() ([]byte, string, error) {
+	if c.left == 0 {
+		return nil, "", transport.ErrClosed
+	}
+	c.left--
+	return c.ping, "requester:1", nil
+}
+
+func (c *pingFeed) Send(string, []byte) error { c.pongs++; return nil }
+
+// BenchmarkAnswerPing is the broker's UDP rung of the discovery ladder: one
+// ping datagram, carrying a discovery's trace context as the refinement
+// phase's pings do, through udpLoop to the pong handed to the endpoint. The
+// ping is parsed in place; what is allocated is the pong (gated in
+// scripts/bench_gate.sh so a header map per datagram cannot come back).
+func BenchmarkAnswerPing(b *testing.B) {
+	_, mk := benchEnv(b)
+	node, ntp := mk("bench")
+	br, err := New(node, ntp, Config{LogicalAddress: "bench",
+		Sampler: metrics.NewStaticSampler(metrics.Usage{TotalMemBytes: 1 << 30})})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ping := event.New(event.TypePing, "", core.EncodePing(&core.Ping{ID: uuid.New(), SentAt: time.Unix(1, 0), Seq: 2}))
+	ping.Source = "bench-req"
+	ping.SetTrace(uuid.New().String(), "bench-req", 0)
+	feed := &pingFeed{ping: event.Encode(ping), left: b.N}
+	br.udp = feed
+	br.wg.Add(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	br.udpLoop()
+	b.StopTimer()
+	if feed.pongs != b.N {
+		b.Fatalf("%d pings answered with %d pongs", b.N, feed.pongs)
+	}
+}

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"strconv"
+	"strings"
 
 	"narada/internal/core"
 	"narada/internal/event"
@@ -18,16 +19,17 @@ func (b *Broker) udpLoop() {
 		if err != nil {
 			return
 		}
-		ev, err := event.Decode(payload)
+		v, err := event.Parse(payload)
 		if err != nil {
 			continue
 		}
-		switch ev.Type {
+		switch v.Type {
 		case event.TypePing:
 			b.tel.framesControl.Inc()
-			b.answerPing(ev, from)
+			b.answerPing(&v, from)
 		case event.TypeDiscoveryRequest:
-			b.handleDiscoveryRequest(ev, "")
+			// The handler amends and re-encodes the request: it needs a copy.
+			b.handleDiscoveryRequest(v.Event(), "")
 		default:
 			// Other datagram traffic is not part of the protocol.
 			b.tel.framesOther.Inc()
@@ -38,9 +40,10 @@ func (b *Broker) udpLoop() {
 // answerPing echoes the ping's timestamp in a pong so the requester can
 // compute the RTT purely from its own clock (paper §6). Pings and pongs
 // travel over UDP for the §5.2 reasons: constant requester-side resources
-// and loss-as-signal filtering of remote brokers.
-func (b *Broker) answerPing(ev *event.Event, from string) {
-	ping, err := core.DecodePing(ev.Payload)
+// and loss-as-signal filtering of remote brokers. The ping is read in place:
+// v aliases the datagram, which this call owns until it returns.
+func (b *Broker) answerPing(v *event.View, from string) {
+	ping, err := core.DecodePing(v.Payload)
 	if err != nil {
 		return
 	}
@@ -55,11 +58,12 @@ func (b *Broker) answerPing(ev *event.Event, from string) {
 	reply.Timestamp = b.now()
 	// Pings sent by a discovery's refinement phase carry the request's trace
 	// context; echo it on the pong and record the handling against the trace.
-	if id, origin, hop, ok := ev.Trace(); ok {
+	if id, origin, hop, ok := v.Trace(); ok {
 		reply.SetTrace(id, origin, hop)
 		if b.tel.tracer != nil {
-			tr := reqTrace{b.tel.tracer.Trace(id)}
-			tr.event(b, "broker-ping", "seq", strconv.Itoa(int(ping.Seq)), "origin", origin)
+			// The trace store keeps both strings past the datagram.
+			tr := reqTrace{b.tel.tracer.Trace(strings.Clone(id))}
+			tr.event(b, "broker-ping", "seq", strconv.Itoa(int(ping.Seq)), "origin", strings.Clone(origin))
 		}
 	}
 	_ = b.udp.Send(from, event.Encode(reply))

@@ -134,7 +134,12 @@ var (
 	ErrNoPath      = errors.New("core: no BDN reachable, no multicast group, no cached target set")
 )
 
-// Discoverer drives broker discovery for one requesting node.
+// Discoverer drives broker discovery for one requesting node. It is warm: the
+// datagram endpoint opened by the first Discover and the stream session to the
+// BDN that last acknowledged are kept for the next one, so a re-discovery
+// (the paper's §7 "after prolonged disconnects" case) pays no listen and no
+// dial. Between discoveries it holds those two and no goroutine; Close lets
+// both go.
 type Discoverer struct {
 	node transport.Node
 	ntp  *ntptime.Service
@@ -142,6 +147,12 @@ type Discoverer struct {
 
 	mu          sync.Mutex
 	lastTargets []BrokerInfo // "Every node keeps track of its last target set of brokers"
+
+	// runMu serialises Discover and Close, which share what follows.
+	runMu    sync.Mutex
+	pc       transport.PacketConn // response and ping endpoint; nil while cold
+	sess     transport.Conn       // session to the BDN at sessAddr; nil while cold
+	sessAddr string
 
 	tel telemetry
 }
@@ -181,10 +192,56 @@ func (d *Discoverer) SeedTargetSet(brokers []BrokerInfo) {
 // Every run is folded into the discovery metric families, and — when a tracer
 // is configured — recorded as a per-request trace keyed by the request UUID:
 // one span per Phase plus point events for the responses and the selection.
+//
+// Calls on one Discoverer run one at a time.
 func (d *Discoverer) Discover() (*Result, error) {
+	d.runMu.Lock()
 	res, err := d.discover()
+	d.runMu.Unlock()
 	d.observeOutcome(res, err)
 	return res, err
+}
+
+// Close releases the datagram endpoint and the BDN session. The Discoverer
+// stays usable: the next Discover opens both again, as the first one did.
+func (d *Discoverer) Close() {
+	d.runMu.Lock()
+	defer d.runMu.Unlock()
+	d.dropSession()
+	if d.pc != nil {
+		_ = d.pc.Close()
+		d.pc = nil
+	}
+}
+
+// endpoint returns the datagram endpoint, opening it on first use.
+func (d *Discoverer) endpoint() (transport.PacketConn, error) {
+	if d.pc == nil {
+		pc, err := d.node.ListenPacket(0)
+		if err != nil {
+			return nil, fmt.Errorf("core: opening response endpoint: %w", err)
+		}
+		d.pc = pc
+	}
+	return d.pc, nil
+}
+
+// dial replaces the session with a fresh one to the BDN at addr.
+func (d *Discoverer) dial(addr string) error {
+	d.dropSession()
+	conn, err := d.node.Dial(addr)
+	if err != nil {
+		return err
+	}
+	d.sess, d.sessAddr = conn, addr
+	return nil
+}
+
+func (d *Discoverer) dropSession() {
+	if d.sess != nil {
+		_ = d.sess.Close()
+		d.sess, d.sessAddr = nil, ""
+	}
 }
 
 // now is NTP-corrected UTC — what latency estimation compares a response's
@@ -200,11 +257,10 @@ func (d *Discoverer) discover() (*Result, error) {
 	clock := d.node.Clock()
 	res := &Result{}
 
-	pc, err := d.node.ListenPacket(0)
+	pc, err := d.endpoint()
 	if err != nil {
-		return nil, fmt.Errorf("core: opening response endpoint: %w", err)
+		return nil, err
 	}
-	defer pc.Close() //nolint:errcheck
 
 	req := &DiscoveryRequest{
 		ID:           uuid.New(),
@@ -229,8 +285,9 @@ func (d *Discoverer) discover() (*Result, error) {
 	}
 	res.Via, res.BDN, res.Retransmits = via, bdnName, retransmits
 
-	// Pongs can also land on this endpoint while responses are awaited (stray
-	// late ones from earlier runs); they are skipped.
+	// The endpoint outlives a discovery, so what the previous one left on it
+	// (responses past MaxResponses, late pongs) is read here and skipped: it
+	// carries that discovery's request and probe UUIDs.
 	rec.begin(PhaseWaitResponses)
 	res.Responses = d.collect(pc, req.ID, tr)
 	rec.end(obs.A("responses", strconv.Itoa(len(res.Responses))))
@@ -272,14 +329,9 @@ func (d *Discoverer) discover() (*Result, error) {
 // cached last target set.
 func (d *Discoverer) issue(req *DiscoveryRequest, pc transport.PacketConn) (Via, string, int, error) {
 	retransmits := 0
-	body := EncodeDiscoveryRequest(req)
-	ev := event.New(event.TypeDiscoveryRequest, "", body)
-	ev.Source = d.cfg.NodeName
-	ev.Timestamp = req.IssuedAt
-	ev.SetTrace(req.ID.String(), d.cfg.NodeName, 0)
-	frame := event.Encode(ev)
+	frame := d.requestFrame(req)
 
-	for _, addr := range d.cfg.BDNAddrs {
+	for _, addr := range d.bdnOrder() {
 		bdnName, tries, err := d.issueToBDN(addr, frame, req.ID)
 		retransmits += tries
 		if err == nil {
@@ -312,42 +364,106 @@ func (d *Discoverer) issue(req *DiscoveryRequest, pc transport.PacketConn) (Via,
 	return "", "", retransmits, ErrNoPath
 }
 
-// issueToBDN sends the request over a stream to one BDN and waits for the
-// acknowledgement, retransmitting after AckTimeout of inactivity. It returns
-// the number of retransmissions performed.
-func (d *Discoverer) issueToBDN(addr string, frame []byte, id uuid.UUID) (string, int, error) {
-	conn, err := d.node.Dial(addr)
-	if err != nil {
-		return "", 0, err
-	}
-	defer conn.Close() //nolint:errcheck
+// requestFrame encodes the request as it goes on the wire, to a BDN or
+// straight to brokers: the body in an event that carries the trace context.
+func (d *Discoverer) requestFrame(req *DiscoveryRequest) []byte {
+	ev := event.New(event.TypeDiscoveryRequest, "", EncodeDiscoveryRequest(req))
+	ev.Source = d.cfg.NodeName
+	ev.Timestamp = req.IssuedAt
+	ev.SetTrace(req.ID.String(), d.cfg.NodeName, 0)
+	return event.Encode(ev)
+}
 
-	tries := 0
-	for attempt := 0; attempt <= d.cfg.MaxRetransmits; attempt++ {
-		if attempt > 0 {
-			tries++
+// bdnOrder is the order BDNs are asked in: the one holding the session, then
+// the configured list.
+func (d *Discoverer) bdnOrder() []string {
+	addrs := d.cfg.BDNAddrs
+	if d.sess == nil || (len(addrs) > 0 && addrs[0] == d.sessAddr) {
+		return addrs
+	}
+	order := append(make([]string, 0, len(addrs)), d.sessAddr)
+	for _, a := range addrs {
+		if a != d.sessAddr {
+			order = append(order, a)
 		}
-		if err := conn.Send(frame); err != nil {
-			return "", tries, err
+	}
+	return order
+}
+
+// issueToBDN sends the request to one BDN — on the standing session when it
+// is to that BDN, else on a fresh dial — and waits for the acknowledgement,
+// retransmitting after AckTimeout of inactivity. It returns the number of
+// retransmissions performed. A session that acknowledged is kept; one that
+// failed is closed.
+//
+// A reused session may have died since the last discovery (the BDN restarted,
+// or reaped it as idle): its first failure, of whatever kind, is answered
+// with one fresh dial, and only silence for a whole AckTimeout makes the send
+// that follows a retransmission. A BDN that is silently gone therefore fails
+// over to the next address after the same MaxRetransmits+1 timeouts a cold
+// requester waits.
+func (d *Discoverer) issueToBDN(addr string, frame []byte, id uuid.UUID) (string, int, error) {
+	reused := d.sess != nil && d.sessAddr == addr
+	if !reused {
+		if err := d.dial(addr); err != nil {
+			return "", 0, err
 		}
-		reply, err := conn.RecvTimeout(d.cfg.AckTimeout)
-		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue // retransmission after predefined period of inactivity
+	}
+	retransmits := 0
+	for {
+		bdnName, err := d.requestAck(frame, id)
+		if err == nil {
+			return bdnName, retransmits, nil
+		}
+		timedOut := errors.Is(err, transport.ErrTimeout)
+		switch {
+		case timedOut && retransmits == d.cfg.MaxRetransmits:
+			d.dropSession()
+			return "", retransmits, fmt.Errorf("core: BDN %s: %w", addr, transport.ErrTimeout)
+		case reused:
+			reused = false
+			if err := d.dial(addr); err != nil {
+				return "", retransmits, err
 			}
-			return "", tries, err
+		case !timedOut:
+			d.dropSession()
+			return "", retransmits, err
 		}
-		ev, err := event.Decode(reply)
-		if err != nil || ev.Type != event.TypeDiscoveryAck {
+		if timedOut {
+			retransmits++ // retransmission after predefined period of inactivity
+		}
+	}
+}
+
+// requestAck sends the request frame on the session and waits up to
+// AckTimeout for this request's acknowledgement. Anything else read meanwhile
+// — a late duplicate ack of an earlier request, a frame that does not parse —
+// is skipped without ending the wait.
+func (d *Discoverer) requestAck(frame []byte, id uuid.UUID) (string, error) {
+	if err := d.sess.Send(frame); err != nil {
+		return "", err
+	}
+	clock := d.node.Clock()
+	deadline := clock.Now().Add(d.cfg.AckTimeout)
+	for {
+		remaining := deadline.Sub(clock.Now())
+		if remaining <= 0 {
+			return "", transport.ErrTimeout
+		}
+		reply, err := d.sess.RecvTimeout(remaining)
+		if err != nil {
+			return "", err
+		}
+		v, err := event.Parse(reply)
+		if err != nil || v.Type != event.TypeDiscoveryAck {
 			continue
 		}
-		ack, err := DecodeAck(ev.Payload)
+		ack, err := DecodeAck(v.Payload)
 		if err != nil || ack.RequestID != id {
 			continue
 		}
-		return ack.BDN, tries, nil
+		return ack.BDN, nil
 	}
-	return "", tries, fmt.Errorf("core: BDN %s: %w", addr, transport.ErrTimeout)
 }
 
 // collect gathers discovery responses for the collection window, ending early
@@ -370,11 +486,11 @@ func (d *Discoverer) collect(pc transport.PacketConn, id uuid.UUID, tr *obs.Trac
 		if err != nil {
 			return out
 		}
-		ev, err := event.Decode(payload)
-		if err != nil || ev.Type != event.TypeDiscoveryResponse {
+		v, err := event.Parse(payload)
+		if err != nil || v.Type != event.TypeDiscoveryResponse {
 			continue
 		}
-		resp, err := DecodeDiscoveryResponse(ev.Payload)
+		resp, err := DecodeDiscoveryResponse(v.Payload)
 		if err != nil || resp.RequestID != id {
 			continue
 		}
@@ -384,7 +500,7 @@ func (d *Discoverer) collect(pc transport.PacketConn, id uuid.UUID, tr *obs.Trac
 		}
 		seen[key] = struct{}{}
 		receivedAt := d.now()
-		_, _, hop, _ := ev.Trace()
+		_, _, hop, _ := v.Trace()
 		tr.Event("response-received", clock.Now(),
 			obs.A("node", d.cfg.NodeName),
 			obs.A("broker", key),

@@ -81,11 +81,11 @@ func MeasureRTT(pc transport.PacketConn, clock ntptime.Clock, source, traceID st
 		if err != nil {
 			break
 		}
-		ev, err := event.Decode(payload)
-		if err != nil || ev.Type != event.TypePong {
+		v, err := event.Parse(payload)
+		if err != nil || v.Type != event.TypePong {
 			continue
 		}
-		pong, err := DecodePong(ev.Payload)
+		pong, err := DecodePong(v.Payload)
 		if err != nil {
 			continue
 		}

@@ -213,3 +213,23 @@ func BenchmarkDecodeDiscoveryResponse(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEncodeRequest is the requester's first rung: the request body and
+// the event frame around it, trace context included.
+func BenchmarkEncodeRequest(b *testing.B) {
+	d := &Discoverer{cfg: Config{NodeName: "bench-req"}}
+	req := &DiscoveryRequest{
+		ID:           uuid.New(),
+		Requester:    "bench-req",
+		Realm:        "bloomington",
+		ResponseAddr: "127.0.0.1:40000",
+		Protocols:    []string{"tcp", "udp"},
+		IssuedAt:     time.Now(),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(d.requestFrame(req)) == 0 {
+			b.Fatal("empty frame")
+		}
+	}
+}

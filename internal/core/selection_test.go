@@ -227,3 +227,28 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// BenchmarkShortlist is the selection rung at the benchmark fleet's size and
+// at a crowd's: score, sort and cut the responses to the target set.
+func BenchmarkShortlist(b *testing.B) {
+	for _, n := range []int{6, 100} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			cands := make([]Candidate, n)
+			for i := range cands {
+				cands[i] = candidate(fmt.Sprintf("broker-%d", i), rng.Intn(200), metrics.Usage{
+					TotalMemBytes: 512 * mib, UsedMemBytes: uint64(rng.Intn(512)) * mib,
+					Links: rng.Intn(8), CPULoad: rng.Float64(),
+				})
+			}
+			cfg := DefaultSelectionConfig()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(Shortlist(cands, cfg)) == 0 {
+					b.Fatal("empty target set")
+				}
+			}
+		})
+	}
+}

@@ -322,6 +322,19 @@ func (v *View) Header(k string) string {
 	return val
 }
 
+// Trace reads the trace-context headers in place, as Event.Trace reads them
+// off the map; id and origin alias the frame.
+func (v *View) Trace() (id, origin string, hop uint8, ok bool) {
+	if v.NumHeaders == 0 {
+		return "", "", 0, false
+	}
+	id = v.Header(HeaderTraceID)
+	if id == "" {
+		return "", "", 0, false
+	}
+	return id, v.Header(HeaderTraceOrigin), parseHop(v.Header(HeaderTraceHop)), true
+}
+
 // MsgSampled reports whether the frame carries the message-trace sampled flag.
 func (v *View) MsgSampled() bool {
 	return v.NumHeaders > 0 && v.Header(HeaderMsgSampled) == "1"

@@ -63,6 +63,10 @@ func checkParseMatchesDecode(t testing.TB, b []byte) {
 	if eo, eh, es := ev.MsgTrace(); vo != eo || vh != eh || vs != es {
 		t.Fatalf("MsgTrace: view (%q, %d, %v), event (%q, %d, %v)", vo, vh, vs, eo, eh, es)
 	}
+	vi, vo, vh, vs := v.Trace()
+	if ei, eo, eh, es := ev.Trace(); vi != ei || vo != eo || vh != eh || vs != es {
+		t.Fatalf("Trace: view (%q, %q, %d, %v), event (%q, %q, %d, %v)", vi, vo, vh, vs, ei, eo, eh, es)
+	}
 }
 
 // parseSeeds is the seed corpus shared by the fuzzer and the plain test:
@@ -87,7 +91,7 @@ func parseSeeds() [][]byte {
 
 	plain := New(TypePublish, "a/b", []byte("x")) // no source, headers or timestamp
 	seeds = append(seeds, Encode(plain))
-	seeds = append(seeds, Encode(sampledEvent()))
+	seeds = append(seeds, Encode(sampledEvent()), Encode(tracedEvent()))
 	empty := New(TypeControl, "", nil)
 	seeds = append(seeds, Encode(empty))
 
@@ -103,6 +107,14 @@ func parseSeeds() [][]byte {
 func sampledEvent() *Event {
 	e := sampleEvent()
 	e.SetMsgTrace("broker-1", 3)
+	return e
+}
+
+// tracedEvent carries a discovery's trace context, as every frame of the
+// discovery path does.
+func tracedEvent() *Event {
+	e := New(TypePing, "", []byte("ping-body"))
+	e.SetTrace("6f1c1d3e-trace", "requester-1", 2)
 	return e
 }
 
@@ -135,7 +147,7 @@ func TestParseMatchesDecode(t *testing.T) {
 	// Random mutations of valid frames reach the deep branches (a corrupted
 	// length, a count that overruns) far more often than random bytes do.
 	rng := rand.New(rand.NewSource(78))
-	valid := [][]byte{Encode(sampleEvent()), Encode(sampledEvent()), repeatedKeyFrame()}
+	valid := [][]byte{Encode(sampleEvent()), Encode(sampledEvent()), Encode(tracedEvent()), repeatedKeyFrame()}
 	for trial := 0; trial < 20000; trial++ {
 		b := append([]byte(nil), valid[trial%len(valid)]...)
 		for flips := 1 + rng.Intn(3); flips > 0; flips-- {

@@ -3,11 +3,14 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"narada/internal/core"
+	"narada/internal/ntptime"
 	"narada/internal/simnet"
 	"narada/internal/topology"
+	"narada/internal/transport"
 )
 
 // quickOpts keeps test runtime modest while leaving enough samples for the
@@ -29,7 +32,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig11", "fig12", "fig13", "fig14",
 		"abl-timeout", "abl-maxresp", "abl-target", "abl-weights",
 		"abl-loss", "abl-inject", "abl-scale", "abl-pings", "abl-failover",
-		"abl-routing",
+		"abl-routing", "abl-rediscover",
 	}
 	for _, id := range want {
 		if _, ok := Registry[id]; !ok {
@@ -263,5 +266,45 @@ func TestAllAblationsRun(t *testing.T) {
 		if !strings.Contains(buf.String(), id) {
 			t.Errorf("%s: report missing id:\n%s", id, buf.String())
 		}
+	}
+}
+
+// dialCounter counts the stream sessions a requester opens.
+type dialCounter struct {
+	transport.Node
+	dials atomic.Int64
+}
+
+func (n *dialCounter) Dial(addr string) (transport.Conn, error) {
+	n.dials.Add(1)
+	return n.Node.Dial(addr)
+}
+
+// TestFiguresMeasureColdDiscoveries: a Discoverer is warm, but a paper
+// measurement is a client that has just started — a figure of five runs dials
+// its BDN five times, so the simulator's handshake is in every run of every
+// table as it was before requesters kept their session.
+func TestFiguresMeasureColdDiscoveries(t *testing.T) {
+	opts := quickOpts(10)
+	opts.Runs, opts.Keep = 5, 5
+	tb, err := figTestbed(topology.Unconnected, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	node := &dialCounter{Node: tb.ClientNode(simnet.SiteFSU, "client-fsu")}
+	ntp := ntptime.NewService(node.Clock(), 0, nil)
+	ntp.InitImmediately()
+	cfg := figDiscoveryConfig()
+	cfg.NodeName, cfg.BDNAddrs = "client-fsu", []string{tb.BDN.Addr()}
+	r, err := siteTiming(core.NewDiscoverer(node, ntp, cfg), simnet.SiteFSU, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Failed != 0 || r.Summary.N != 5 {
+		t.Fatalf("%d of 5 runs failed, %d summarised", r.Failed, r.Summary.N)
+	}
+	if dials := node.dials.Load(); dials != 5 {
+		t.Fatalf("a 5-run figure dialled its BDN %d times, want once per run", dials)
 	}
 }

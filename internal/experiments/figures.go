@@ -33,6 +33,17 @@ func figDiscoveryConfig() core.Config {
 	}
 }
 
+// measure is one paper measurement: a discovery by a client that has just
+// started. A Discoverer keeps its endpoint and its BDN session between
+// discoveries, and the simulator charges a dial three one-way delays, so
+// every figure and ablation loop measures through here and lets both go after
+// the run; only abl-rediscover measures the warm case.
+func measure(d *core.Discoverer) (*core.Result, error) {
+	res, err := d.Discover()
+	d.Close()
+	return res, err
+}
+
 // figTestbed deploys the paper's 5 brokers in the named topology. For the
 // linear topology only the first broker registers with the BDN (Figure 10);
 // otherwise all register. The injection policy is O(N) for unconnected and
@@ -83,7 +94,7 @@ func RunBreakdown(topo string, opts Options) (*BreakdownResult, error) {
 
 	out := &BreakdownResult{Topology: topo}
 	for i := 0; i < opts.Runs; i++ {
-		res, err := d.Discover()
+		res, err := measure(d)
 		if err != nil {
 			out.Failed++
 			continue
@@ -130,13 +141,16 @@ func RunSiteTiming(site string, opts Options) (*SiteTimingResult, error) {
 		return nil, err
 	}
 	defer tb.Close()
-	d := tb.NewDiscoverer(site, "client-"+site, figDiscoveryConfig())
+	return siteTiming(tb.NewDiscoverer(site, "client-"+site, figDiscoveryConfig()), site, opts)
+}
 
+// siteTiming is RunSiteTiming's measurement loop over a deployed testbed.
+func siteTiming(d *core.Discoverer, site string, opts Options) (*SiteTimingResult, error) {
 	totals := make([]float64, 0, opts.Runs)
 	selected := make(map[string]int)
 	failed := 0
 	for i := 0; i < opts.Runs; i++ {
-		res, err := d.Discover()
+		res, err := measure(d)
 		if err != nil {
 			failed++
 			continue
@@ -203,7 +217,7 @@ func RunMulticast(opts Options) (*MulticastResult, error) {
 	totals := make([]float64, 0, opts.Runs)
 	out := &MulticastResult{}
 	for i := 0; i < opts.Runs; i++ {
-		res, err := d.Discover()
+		res, err := measure(d)
 		if err != nil {
 			out.Failed++
 			continue

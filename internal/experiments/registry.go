@@ -80,6 +80,8 @@ var Registry = map[string]Runner{
 	"abl-pings":    RunPingCountSweep,
 	"abl-failover": RunBDNFailover,
 	"abl-routing":  RunRoutingComparison,
+
+	"abl-rediscover": RunRediscovery,
 }
 
 func siteRunner(id, site string) Runner {

@@ -164,6 +164,7 @@ func (p *Prober) Close() error {
 	p.closeOnce.Do(func() {
 		close(p.closed)
 		p.wg.Wait()
+		p.disc.Close()
 		p.plane.Close()
 	})
 	return nil

@@ -166,3 +166,48 @@ func TestBDNRestartRecoversFromWAL(t *testing.T) {
 		tb.Net.Clock().Sleep(250 * time.Millisecond)
 	}
 }
+
+// TestDiscovererSurvivesBDNRestart: a requester keeps its session to the BDN
+// between discoveries; when the BDN is gone and back in between, the next
+// discovery finds the session dead, dials once more and succeeds without
+// counting a retransmission.
+func TestDiscovererSurvivesBDNRestart(t *testing.T) {
+	tb, err := New(Options{
+		Seed:       8,
+		Topology:   topology.Unconnected,
+		BDNDataDir: t.TempDir(),
+		Brokers: []BrokerSpec{
+			{Site: simnet.SiteFSU, Name: "broker-fsu", Register: true},
+			{Site: simnet.SiteCardiff, Name: "broker-cardiff", Register: true},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	if err := tb.WaitConverged(ConvergeOptions{Timeout: 10 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	name := tb.BDN.Name()
+	cfg := discoveryConfig()
+	cfg.MaxResponses = 2
+	disc := tb.NewDiscoverer(simnet.SiteBloomington, "client-across-restart", cfg)
+	if _, err := disc.Discover(); err != nil {
+		t.Fatalf("discovery before the restart: %v", err)
+	}
+
+	if !tb.KillBDN(name) {
+		t.Fatalf("KillBDN(%s) found nothing to kill", name)
+	}
+	if err := tb.RestartBDN(name); err != nil {
+		t.Fatalf("RestartBDN: %v", err)
+	}
+	res, err := disc.Discover()
+	if err != nil {
+		t.Fatalf("discovery after the restart: %v", err)
+	}
+	if res.BDN != name || res.Retransmits != 0 || len(res.Responses) != 2 {
+		t.Fatalf("answered by %q with %d retransmits and %d responses, want %q, 0 and 2",
+			res.BDN, res.Retransmits, len(res.Responses), name)
+	}
+}

@@ -198,6 +198,8 @@ type Testbed struct {
 	// replicas maps BDN name to its replication agent (Options.Replicate).
 	replicas map[string]*replica.Replica
 
+	discoverers []*core.Discoverer // handed out by NewDiscoverer; Close releases what they hold
+
 	opts      Options
 	rng       *rand.Rand
 	ntps      []*ntptime.Service // broker (and BDN) time services, for inspection
@@ -469,7 +471,9 @@ func (tb *Testbed) NewDiscoverer(site, name string, cfg core.Config) *core.Disco
 		}
 		cfg.Handle = h
 	}
-	return core.NewDiscoverer(node, ntp, cfg)
+	d := core.NewDiscoverer(node, ntp, cfg)
+	tb.discoverers = append(tb.discoverers, d)
+	return d
 }
 
 // ClientNode creates a plain transport node at a site (for broker.Connect).
@@ -791,6 +795,9 @@ func (tb *Testbed) RestartBDN(name string) error {
 // Close tears the deployment down. Per-node planes are closed last so every
 // component's final spans and metric snapshot still flush out.
 func (tb *Testbed) Close() {
+	for _, d := range tb.discoverers {
+		d.Close()
+	}
 	for _, b := range tb.Brokers {
 		b.Close()
 	}

@@ -3,10 +3,12 @@
 # BenchmarkPublishFanout COUNT times, takes the best (minimum) ns/op — the
 # run least disturbed by scheduler noise — and compares it against the
 # gate_ns_op / gate_allocs_op recorded in BENCH_fanout.json. More than a 2%
-# ns/op regression, or any allocs/op above the recorded gate, fails. Three
+# ns/op regression, or any allocs/op above the recorded gate, fails. Five
 # allocation-only gates follow: the sampled fan-out and the socket ingress
-# path in allocs/op (gate_sampled_allocs_op / gate_ingress_allocs_op), and
-# the UDP receive in B/op (gate_udp_recv_bytes_op).
+# path in allocs/op (gate_sampled_allocs_op / gate_ingress_allocs_op), the
+# UDP receive in B/op (gate_udp_recv_bytes_op), and the discovery path's
+# ping handler and whole loopback discovery in allocs/op
+# (gate_answer_ping_allocs_op / gate_discover_allocs_op).
 #
 #   sh scripts/bench_gate.sh            # defaults: COUNT=8, 2% threshold
 #   COUNT=12 REGRESSION_PCT=5 sh scripts/bench_gate.sh
@@ -27,6 +29,8 @@ GATE_ALLOCS=$(sed -n 's/.*"gate_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*
 GATE_SAMPLED_ALLOCS=$(sed -n 's/.*"gate_sampled_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_INGRESS_ALLOCS=$(sed -n 's/.*"gate_ingress_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_UDP_RECV_BYTES=$(sed -n 's/.*"gate_udp_recv_bytes_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
+GATE_ANSWER_PING_ALLOCS=$(sed -n 's/.*"gate_answer_ping_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
+GATE_DISCOVER_ALLOCS=$(sed -n 's/.*"gate_discover_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 if [ -z "$GATE_NS" ] || [ -z "$GATE_ALLOCS" ]; then
     echo "bench-gate: $BENCH_FILE carries no gate_ns_op / gate_allocs_op" >&2
     exit 1
@@ -114,6 +118,20 @@ fi
 # figure includes the send side's allocations).
 if [ -n "$GATE_UDP_RECV_BYTES" ]; then
     allocs_gate ./internal/transport/ BenchmarkRealPacketRecv B/op "$GATE_UDP_RECV_BYTES"
+fi
+
+# Ping-handler gate: a broker answers a UDP ping from a view parsed in place;
+# what it allocates is the pong. A header map built per datagram (15 allocs/op
+# when the handler decoded the ping) must not come back.
+if [ -n "$GATE_ANSWER_PING_ALLOCS" ]; then
+    allocs_gate ./internal/broker/ BenchmarkAnswerPing allocs/op "$GATE_ANSWER_PING_ALLOCS"
+fi
+
+# Discovery gate: one whole warm discovery over loopback (1 BDN, 6 brokers,
+# 52 messages) across every process it touches. 1 241 allocs/op when every
+# discovery opened its own socket and session and decoded every datagram.
+if [ -n "$GATE_DISCOVER_ALLOCS" ]; then
+    allocs_gate . BenchmarkDiscoverLoopback allocs/op "$GATE_DISCOVER_ALLOCS"
 fi
 
 echo "bench-gate: ok"
