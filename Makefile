@@ -40,8 +40,9 @@ bench:
 
 # bench-gate re-runs the publish fan-out benchmark and fails on a >2% ns/op
 # regression or any allocs/op above the gates recorded in BENCH_fanout.json
-# (fan-out, sampled fan-out, and BenchmarkIngressToEgress's socket path), or
-# on more B/op than gate_udp_recv_bytes_op in BenchmarkRealPacketRecv.
+# (fan-out, sampled fan-out, BenchmarkIngressToEgress's socket path, the ping
+# handler, a whole loopback discovery, and a registration refresh at a durable
+# BDN), or on more B/op than gate_udp_recv_bytes_op in BenchmarkRealPacketRecv.
 bench-gate:
 	sh scripts/bench_gate.sh
 
@@ -110,3 +111,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTableCOWvsLocked -fuzztime 30s ./internal/topics/
 	$(GO) test -run '^$$' -fuzz FuzzParseMatchesDecode -fuzztime 30s ./internal/event/
 	$(GO) test -run '^$$' -fuzz FuzzCoreDecoders -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzRegistryRecord -fuzztime 30s ./internal/bdn/
+	$(GO) test -run '^$$' -fuzz FuzzReplicaMessage -fuzztime 30s ./internal/bdn/replica/

@@ -61,10 +61,10 @@ type Config struct {
 	AdmitFilter func(*core.Advertisement) bool
 	// Private marks a private BDN: discovery requests must carry the
 	// required credential before the BDN will disseminate them (paper §2.4).
+	// The credential is configuration: what the running binary was given
+	// wins over anything a data directory remembers.
 	Private            bool
 	RequiredCredential []byte
-	// PingWindow bounds broker distance measurement.
-	PingWindow time.Duration
 	// AdTTL is the registration validity applied to advertisements that do
 	// not carry their own TTL; a registration not refreshed within its TTL
 	// is pruned so dead brokers stop appearing in target sets. 0 keeps
@@ -75,8 +75,6 @@ type Config struct {
 	// between sweeps, so the sweep cadence only bounds memory, not
 	// correctness.
 	SweepInterval time.Duration
-	// DedupCapacity sizes the idempotency cache.
-	DedupCapacity int
 	// DataDir, when set, makes the registry durable: every table mutation
 	// is appended to a write-ahead log under this directory and periodic
 	// snapshots capture the full table, so a restart recovers every live
@@ -97,6 +95,9 @@ type Config struct {
 
 // DefaultInjectOverhead is the default per-injection cost.
 const DefaultInjectOverhead = 40 * time.Millisecond
+
+// pingWindow bounds one round of broker distance measurement.
+const pingWindow = 2 * time.Second
 
 // registration is one broker known to the BDN.
 type registration struct {
@@ -125,16 +126,17 @@ type BDN struct {
 	conns   map[transport.Conn]struct{}
 	started bool
 
-	// Durable-registry state, all guarded by mu. credential is the runtime
-	// private-BDN credential (seeded from Config.RequiredCredential, then
-	// durably updatable); epoch is the highest replication election epoch
-	// seen; applied tracks per-source replication watermarks; mutHook is
-	// fired with every locally-originated WAL record.
-	persist    *persistence
-	credential []byte
-	epoch      uint64
-	applied    map[string]uint64
-	mutHook    func([]byte)
+	// Durable-registry state, all guarded by mu: log is the open WAL (nil
+	// when not durable) and sinceSnap the records appended since snapCh was
+	// last signalled; epoch is the highest replication election epoch seen;
+	// applied tracks per-source replication watermarks; mutHook is fired with
+	// every registration accepted here.
+	log       *wal.Log
+	sinceSnap uint64
+	snapCh    chan struct{} // wakes the snapshot loop
+	epoch     uint64
+	applied   map[string]uint64
+	mutHook   func([]byte)
 
 	reqDedup *dedup.Cache
 	tel      telemetry
@@ -152,26 +154,23 @@ func New(node transport.Node, ntp *ntptime.Service, cfg Config) (*BDN, error) {
 	if cfg.InjectOverhead < 0 {
 		cfg.InjectOverhead = DefaultInjectOverhead
 	}
-	if cfg.PingWindow <= 0 {
-		cfg.PingWindow = 2 * time.Second
-	}
-	if cfg.DedupCapacity <= 0 {
-		cfg.DedupCapacity = dedup.DefaultCapacity
-	}
 	if cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = time.Second
 	}
+	if cfg.SnapshotEvery <= 0 {
+		cfg.SnapshotEvery = 1024
+	}
 	cfg.Handle = cfg.Handle.Scoped("bdn", cfg.Name)
 	d := &BDN{
-		node:       node,
-		ntp:        ntp,
-		cfg:        cfg,
-		brokers:    make(map[string]*registration),
-		conns:      make(map[transport.Conn]struct{}),
-		reqDedup:   dedup.New(cfg.DedupCapacity),
-		credential: cfg.RequiredCredential,
-		applied:    make(map[string]uint64),
-		closed:     make(chan struct{}),
+		node:     node,
+		ntp:      ntp,
+		cfg:      cfg,
+		brokers:  make(map[string]*registration),
+		conns:    make(map[transport.Conn]struct{}),
+		reqDedup: dedup.New(dedup.DefaultCapacity),
+		applied:  make(map[string]uint64),
+		snapCh:   make(chan struct{}, 1),
+		closed:   make(chan struct{}),
 	}
 	d.initTelemetry(cfg.Metrics, cfg.Tracer)
 	return d, nil
@@ -208,7 +207,7 @@ func (d *BDN) Start() error {
 	d.wg.Add(2)
 	go d.acceptLoop()
 	go d.sweepLoop()
-	if d.persist != nil {
+	if d.Durable() {
 		d.wg.Add(1)
 		go d.snapshotLoop()
 	}
@@ -227,30 +226,35 @@ func (d *BDN) sweepLoop() {
 		case <-d.closed:
 			return
 		case <-clock.After(d.cfg.SweepInterval):
+			d.sweep()
 		}
-		// Expiry runs on the local node clock — the same base the deadlines
-		// were stamped against — never the NTP-corrected wall clock, so an
-		// NTP step can't mass-sweep live registrations.
-		now := clock.Now()
-		d.mu.Lock()
-		var expired []string
-		for logical, r := range d.brokers {
-			if r.expired(now) {
-				expired = append(expired, logical)
-				delete(d.brokers, logical)
-				d.appendRecordLocked(encodeDelete(logical, "expired"))
-			}
+	}
+}
+
+// sweep commits a delete for every expired registration. Expiry runs on the
+// local node clock — the same base the deadlines were stamped against — never
+// the NTP-corrected wall clock, so an NTP step can't mass-sweep live
+// registrations.
+func (d *BDN) sweep() {
+	now := d.node.Clock().Now()
+	d.mu.Lock()
+	var expired []string
+	for logical, r := range d.brokers {
+		if r.expired(now) {
+			expired = append(expired, logical)
 		}
-		d.mu.Unlock()
-		for _, logical := range expired {
-			d.tel.adsExpired.Inc()
-			d.cfg.Logger.Info("registration expired", "broker", logical)
-			d.cfg.Journal.Emit(obs.EventAdExpired, logical, "")
-		}
-		if len(expired) > 0 {
-			d.cfg.Journal.Emit(obs.EventAdSwept, d.cfg.Name,
-				fmt.Sprintf("expired=%d", len(expired)))
-		}
+	}
+	for _, logical := range expired {
+		d.commitLocked(deleteRecord(logical, "expired"), local)
+	}
+	d.mu.Unlock()
+	for _, logical := range expired {
+		d.tel.adsExpired.Inc()
+		d.cfg.Logger.Info("registration expired", "broker", logical)
+	}
+	if len(expired) > 0 {
+		d.cfg.Journal.Emit(obs.EventAdSwept, d.cfg.Name,
+			fmt.Sprintf("expired=%d", len(expired)))
 	}
 }
 
@@ -284,34 +288,39 @@ func (d *BDN) UDPAddr() string { return d.udp.LocalAddr() }
 // Name returns the BDN's name.
 func (d *BDN) Name() string { return d.cfg.Name }
 
-// BrokerCount returns the number of stored, unexpired advertisements.
-func (d *BDN) BrokerCount() int {
+// live is the one reader of the table for everything that acts on it: the
+// unexpired registrations, sorted by logical address — an expired one must
+// never be listed, pinged or injected into, or a dead broker could still be
+// shortlisted between sweeps. They are copied by value under d.mu, so the
+// caller works without the lock and without racing registration teardown
+// (which nils the conn) or refreshes.
+func (d *BDN) live() []registration {
 	now := d.node.Clock().Now()
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
+	all := make([]registration, 0, len(d.brokers))
 	for _, r := range d.brokers {
 		if !r.expired(now) {
-			n++
+			all = append(all, *r)
 		}
 	}
-	return n
+	d.mu.Unlock()
+	sort.Slice(all, func(i, j int) bool {
+		return all[i].ad.Broker.LogicalAddress < all[j].ad.Broker.LogicalAddress
+	})
+	return all
 }
+
+// BrokerCount returns the number of stored, unexpired advertisements.
+func (d *BDN) BrokerCount() int { return len(d.live()) }
 
 // Brokers returns the unexpired advertised broker infos, sorted by logical
 // address.
 func (d *BDN) Brokers() []core.BrokerInfo {
-	now := d.node.Clock().Now()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]core.BrokerInfo, 0, len(d.brokers))
-	for _, r := range d.brokers {
-		if r.expired(now) {
-			continue
-		}
-		out = append(out, r.ad.Broker)
+	live := d.live()
+	out := make([]core.BrokerInfo, len(live))
+	for i := range live {
+		out[i] = live[i].ad.Broker
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LogicalAddress < out[j].LogicalAddress })
 	return out
 }
 
@@ -322,8 +331,7 @@ func (d *BDN) now() time.Time {
 	return d.node.Clock().Now()
 }
 
-// acceptLoop classifies incoming stream connections by their first event:
-// broker registrations (LinkHello) or discovery-request sessions.
+// acceptLoop hands every accepted stream connection to serve.
 func (d *BDN) acceptLoop() {
 	defer d.wg.Done()
 	for {
@@ -331,73 +339,34 @@ func (d *BDN) acceptLoop() {
 		if err != nil {
 			return
 		}
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			d.handleConn(conn)
-		}()
+		d.serve(conn, func() string { return d.handleConn(conn) })
 	}
 }
 
-// trackConn records a live connection so Close can tear it down; it returns
-// false when the BDN is already closed (the closed-check and insert share the
-// mutex, and Close closes the channel before sweeping, so no connection can
-// slip past the sweep).
-func (d *BDN) trackConn(conn transport.Conn) bool {
+// serve is the one owner of a BDN connection — accepted, dialled to inject and
+// adopted, or dialled to subscribe. It tracks conn so Close can tear it down
+// (the closed-check, the insert and the WaitGroup count share the mutex, and
+// Close closes the channel before sweeping, so no connection slips past the
+// sweep or the wait; a closed BDN serves nothing and reports false), runs
+// session on its own goroutine until the connection is done, and then, and
+// only here, lets go of it: the registration session names, if it still holds
+// this connection (a re-registration may have replaced it), drops it, and the
+// connection is untracked and closed.
+func (d *BDN) serve(conn transport.Conn, session func() (logical string)) bool {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	select {
 	case <-d.closed:
+		d.mu.Unlock()
+		_ = conn.Close()
 		return false
 	default:
 	}
 	d.conns[conn] = struct{}{}
-	return true
-}
-
-func (d *BDN) untrackConn(conn transport.Conn) {
-	d.mu.Lock()
-	delete(d.conns, conn)
+	d.wg.Add(1)
 	d.mu.Unlock()
-}
-
-// handleConn classifies one accepted connection by its first event and runs
-// its session; the connection is closed when the session returns.
-func (d *BDN) handleConn(conn transport.Conn) {
-	defer conn.Close() //nolint:errcheck
-	if !d.trackConn(conn) {
-		return
-	}
-	defer d.untrackConn(conn)
-	frame, err := conn.Recv()
-	if err != nil {
-		return
-	}
-	ev, err := event.Decode(frame)
-	if err != nil {
-		return
-	}
-	switch ev.Type {
-	case event.TypeLinkHello:
-		d.serveBrokerRegistration(conn, "")
-	case event.TypeDiscoveryRequest:
-		d.serveRequester(conn, ev)
-	case event.TypeAdvertisement:
-		// Bare advertisement without hello (fire-and-forget re-advertise).
-		d.storeAdvertisement(ev, nil)
-	}
-}
-
-// serveBrokerRegistration owns a broker's registration connection — accepted
-// from the broker, or dialled by inject and adopted (logical is then known up
-// front; an accepted connection names its broker with its first stored
-// advertisement). It stores the advertisement(s) the broker sends and keeps
-// the connection available for request injection until it dies; then, and
-// only here, the registration lets go of it: r.conn is cleared if it is still
-// this connection (a re-registration may have replaced it), and the
-// connection is untracked and closed.
-func (d *BDN) serveBrokerRegistration(conn transport.Conn, logical string) {
-	defer func() {
+	go func() {
+		defer d.wg.Done()
+		logical := session()
 		d.mu.Lock()
 		if r, ok := d.brokers[logical]; ok && r.conn == conn {
 			r.conn = nil
@@ -406,10 +375,43 @@ func (d *BDN) serveBrokerRegistration(conn transport.Conn, logical string) {
 		d.mu.Unlock()
 		_ = conn.Close()
 	}()
+	return true
+}
+
+// handleConn classifies one accepted connection by its first event — a broker
+// registration (LinkHello), a discovery-request session, or a bare
+// fire-and-forget advertisement — and runs its session.
+func (d *BDN) handleConn(conn transport.Conn) (logical string) {
+	frame, err := conn.Recv()
+	if err != nil {
+		return ""
+	}
+	ev, err := event.Decode(frame)
+	if err != nil {
+		return ""
+	}
+	switch ev.Type {
+	case event.TypeLinkHello:
+		return d.serveBrokerRegistration(conn, "")
+	case event.TypeDiscoveryRequest:
+		d.serveRequester(conn, ev)
+	case event.TypeAdvertisement:
+		d.storeAdvertisement(ev, nil)
+	}
+	return ""
+}
+
+// serveBrokerRegistration reads a broker's registration connection until it
+// dies: it stores the advertisement(s) the broker sends, which also keeps the
+// connection available for request injection, and returns the broker the
+// connection registered. logical is known up front for a connection inject
+// dialled; an accepted one names its broker with its first stored
+// advertisement.
+func (d *BDN) serveBrokerRegistration(conn transport.Conn, logical string) string {
 	for {
 		frame, err := conn.Recv()
 		if err != nil {
-			return
+			return logical
 		}
 		ev, err := event.Decode(frame)
 		if err != nil {
@@ -425,14 +427,15 @@ func (d *BDN) serveBrokerRegistration(conn transport.Conn, logical string) {
 			// Echo the broker's keepalive so its liveness clock sees inbound
 			// traffic; a BDN that stops echoing gets torn down and redialed.
 			if conn.Send(frame) != nil {
-				return
+				return logical
 			}
 		}
 	}
 }
 
-// storeAdvertisement applies the admit filter and records the advertisement.
-// It returns the broker's logical address when stored ("" when rejected).
+// storeAdvertisement applies the admit filter and commits the advertisement
+// as an upsert, attaching conn (when given) to the registration. It returns
+// the broker's logical address when stored ("" when rejected).
 func (d *BDN) storeAdvertisement(ev *event.Event, conn transport.Conn) string {
 	ad, err := core.DecodeAdvertisement(ev.Payload)
 	if err != nil {
@@ -453,34 +456,19 @@ func (d *BDN) storeAdvertisement(ev *event.Event, conn transport.Conn) string {
 	if ttl <= 0 {
 		ttl = d.cfg.AdTTL
 	}
-	var expiresAt time.Time
-	if ttl > 0 {
-		expiresAt = d.node.Clock().Now().Add(ttl)
-	}
-	rec := encodeUpsert(ev.Payload, ttl > 0, ttl)
+	rec := upsertRecord(ad, ev.Payload, ttl > 0, ttl)
 	d.mu.Lock()
-	r, ok := d.brokers[ad.Broker.LogicalAddress]
-	if !ok {
-		r = &registration{}
-		d.brokers[ad.Broker.LogicalAddress] = r
-		d.cfg.Journal.Emit(obs.EventAdRegistered, ad.Broker.LogicalAddress,
-			fmt.Sprintf("realm=%s ttl=%s", ad.Broker.Realm, ttl))
-	} else {
-		d.cfg.Journal.Emit(obs.EventAdRefreshed, ad.Broker.LogicalAddress,
-			fmt.Sprintf("ttl=%s", ttl))
-	}
-	r.ad = ad
-	r.expiresAt = expiresAt
+	forward := d.commitLocked(rec, local)
 	if conn != nil {
+		// Not part of the record: a connection is not replicated state.
+		r := d.brokers[ad.Broker.LogicalAddress]
 		r.conn = conn
 	}
-	d.appendRecordLocked(rec)
-	hook := d.mutHook
 	d.mu.Unlock()
-	if hook != nil {
+	if forward != nil {
 		// A standby forwards direct registrations to the primary so the
 		// whole cluster learns them; fired outside the table lock.
-		hook(rec)
+		forward(rec.enc)
 	}
 	d.cfg.Logger.Info("advertisement stored",
 		"broker", ad.Broker.LogicalAddress, "realm", ad.Broker.Realm)
@@ -589,57 +577,36 @@ func (d *BDN) inject(ev *event.Event, reqID, origin string) {
 	}
 }
 
-// adoptInjectionConn installs a freshly dialed injection connection as the
-// broker's registration connection and hands it to serveBrokerRegistration,
-// the same owner a broker-initiated registration gets. (The broker side
-// treats the session as an idle client and never sends on it, so the owner
-// just waits for it to die.) When adoption loses the race (the broker
-// re-registered, or was dropped, or the BDN is shutting down) the connection
-// is closed only after a model-time linger, so the request frame just sent
-// on it still reaches the broker.
+// adoptInjectionConn serves a freshly dialed injection connection as the
+// broker's registration connection, the same way a broker-initiated
+// registration is served. (The broker side treats the session as an idle
+// client and never sends on it, so the session just waits for it to die.)
+// When adoption loses the race (the broker re-registered, or was dropped) the
+// session is a model-time linger instead, so the request frame just sent on
+// the connection still reaches the broker before serve closes it.
 func (d *BDN) adoptInjectionConn(logical string, conn transport.Conn) {
-	adopted := false
-	if d.trackConn(conn) {
+	d.serve(conn, func() string {
 		d.mu.Lock()
-		if r, ok := d.brokers[logical]; ok && r.conn == nil {
-			r.conn, adopted = conn, true
+		r, ok := d.brokers[logical]
+		adopted := ok && r.conn == nil
+		if adopted {
+			r.conn = conn
 		}
 		d.mu.Unlock()
-	}
-	if !adopted {
-		d.untrackConn(conn)
-		go func() {
-			d.node.Clock().Sleep(time.Second)
-			_ = conn.Close()
-		}()
-		return
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		d.serveBrokerRegistration(conn, logical)
-	}()
+		if adopted {
+			return d.serveBrokerRegistration(conn, logical)
+		}
+		select {
+		case <-d.node.Clock().After(time.Second):
+		case <-d.closed:
+		}
+		return ""
+	})
 }
 
-// injectionTargets snapshots the unexpired brokers to inject into under the
-// policy — an expired registration must never receive a request, or a dead
-// broker could still be shortlisted between sweeps. The registrations are
-// copied by value under d.mu, so inject can send without holding the lock and
-// without racing registration teardown (which nils the conn) or refreshes.
+// injectionTargets picks the live brokers to inject into under the policy.
 func (d *BDN) injectionTargets() []registration {
-	now := d.node.Clock().Now()
-	d.mu.Lock()
-	all := make([]registration, 0, len(d.brokers))
-	for _, r := range d.brokers {
-		if !r.expired(now) {
-			all = append(all, *r)
-		}
-	}
-	d.mu.Unlock()
-	// Deterministic order: by logical address.
-	sort.Slice(all, func(i, j int) bool {
-		return all[i].ad.Broker.LogicalAddress < all[j].ad.Broker.LogicalAddress
-	})
+	all := d.live()
 	if d.cfg.Policy == InjectAll || len(all) <= 2 {
 		return all
 	}
@@ -665,20 +632,14 @@ func (d *BDN) injectionTargets() []registration {
 // could easily be constructed by issuing ping request to brokers and
 // computing the delays from the issued responses."
 func (d *BDN) MeasureDistances() map[string]time.Duration {
-	now := d.node.Clock().Now()
-	d.mu.Lock()
-	logicals := make([]string, 0, len(d.brokers))
-	addrs := make([]string, 0, len(d.brokers)) // udp endpoints, parallel to logicals
-	for logical, r := range d.brokers {
-		if !r.expired(now) {
-			logicals = append(logicals, logical)
-			addrs = append(addrs, r.ad.Broker.Endpoint("udp"))
-		}
+	live := d.live()
+	addrs := make([]string, len(live))
+	for i := range live {
+		addrs[i] = live[i].ad.Broker.Endpoint("udp")
 	}
-	d.mu.Unlock()
 
 	// One ping per broker, no trace context: this is not part of a request.
-	rtts := core.MeasureRTT(d.udp, d.node.Clock(), d.cfg.Name, "", addrs, 1, d.cfg.PingWindow)
+	rtts := core.MeasureRTT(d.udp, d.node.Clock(), d.cfg.Name, "", addrs, 1, pingWindow)
 
 	results := make(map[string]time.Duration, len(rtts))
 	d.mu.Lock()
@@ -686,8 +647,9 @@ func (d *BDN) MeasureDistances() map[string]time.Duration {
 		if rtt.Count == 0 {
 			continue
 		}
-		results[logicals[i]] = rtt.Mean
-		if r, ok := d.brokers[logicals[i]]; ok {
+		logical := live[i].ad.Broker.LogicalAddress
+		results[logical] = rtt.Mean
+		if r, ok := d.brokers[logical]; ok {
 			r.distance = rtt.Mean
 		}
 	}
@@ -710,19 +672,11 @@ func (d *BDN) SubscribeViaBroker(brokerAddr string) error {
 		_ = conn.Close()
 		return err
 	}
-	if !d.trackConn(conn) {
-		_ = conn.Close()
-		return errors.New("bdn: closed")
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer d.untrackConn(conn)
-		defer conn.Close() //nolint:errcheck
+	served := d.serve(conn, func() string {
 		for {
 			frame, err := conn.Recv()
 			if err != nil {
-				return
+				return ""
 			}
 			ev, err := event.Decode(frame)
 			if err != nil {
@@ -733,6 +687,9 @@ func (d *BDN) SubscribeViaBroker(brokerAddr string) error {
 				d.storeAdvertisement(ev, nil)
 			}
 		}
-	}()
+	})
+	if !served {
+		return errors.New("bdn: closed")
+	}
 	return nil
 }

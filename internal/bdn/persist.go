@@ -1,16 +1,17 @@
 package bdn
 
-// Durable advertisement registry: every mutation of the broker table —
-// registration, refresh, sweep, credential or epoch change — is appended to
-// a write-ahead log, and periodic snapshots capture the full table so a
-// restarted BDN recovers its registry instead of forcing a fleet-wide
-// re-registration storm.
+// Durable advertisement registry. The broker table, the election epoch and
+// the replication watermarks change only by records, and only in commitLocked:
+// a registration accepted here, a sweep, a record streamed from another
+// member and a record read back from disk all take that one road. The same
+// records are what the write-ahead log holds, what a snapshot lists and what
+// the replica stream carries, so a restarted BDN recovers its registry
+// instead of forcing a fleet-wide re-registration storm.
 //
-// TTL deadlines are never persisted as absolute wall times. Records and
-// snapshots carry the *remaining* validity at write time, measured against
-// the local node clock (the monotonic base recorded in the snapshot
-// header), and recovery rebases each deadline to now+remaining — so clock
-// steps or downtime between crash and restart can't mass-expire live ads.
+// TTL deadlines are never persisted as absolute times. An upsert carries the
+// validity *remaining* when it was written, measured on the local node clock,
+// and applying it sets the deadline to now+remaining — so clock steps or
+// downtime between crash and restart can't mass-expire live ads.
 
 import (
 	"errors"
@@ -23,32 +24,31 @@ import (
 	"narada/internal/wire"
 )
 
-// WAL record payloads: [recVersion][type][body...], encoded with the wire
-// package. The advertisement body is the already-encoded core.Advertisement
-// frame payload, stored verbatim.
+// Record encoding: [recVersion][type][body...] with the wire package. An
+// upsert stores the encoded core.Advertisement verbatim. Type 3 was a durable
+// credential; the credential is configuration (Config.RequiredCredential),
+// and a log that still holds one skips it as undecodable.
 const (
 	recVersion byte = 1
 
-	recUpsert     byte = 1 // BytesField(ad) Bool(hasDeadline) Duration(remaining)
-	recDelete     byte = 2 // String(logical) String(reason)
-	recCredential byte = 3 // Bool(set) BytesField(credential)
-	recEpoch      byte = 4 // Uvarint(epoch)
-	recApplied    byte = 5 // String(source) Uvarint(index)
+	recUpsert  byte = 1 // BytesField(ad) Bool(hasDeadline) Duration(remaining)
+	recDelete  byte = 2 // String(logical) String(reason)
+	recEpoch   byte = 4 // Uvarint(epoch)
+	recApplied byte = 5 // String(source) Uvarint(index)
 )
 
-// record is a decoded WAL record.
+// record is one registry mutation: its encoding (what the WAL, the mutation
+// hook and the replica stream carry) beside the decoded fields of its type.
 type record struct {
 	typ byte
+	enc []byte
 
-	adPayload   []byte // recUpsert: encoded core.Advertisement
+	ad          *core.Advertisement // recUpsert
 	hasDeadline bool
 	remaining   time.Duration
 
 	logical string // recDelete
 	reason  string
-
-	credSet bool // recCredential
-	cred    []byte
 
 	epoch uint64 // recEpoch
 
@@ -56,39 +56,34 @@ type record struct {
 	index  uint64
 }
 
-func encodeUpsert(adPayload []byte, hasDeadline bool, remaining time.Duration) []byte {
+// upsertRecord takes the advertisement both ways, decoded and encoded: the
+// registration path has both in hand and must not pay for either twice.
+func upsertRecord(ad *core.Advertisement, adPayload []byte, hasDeadline bool, remaining time.Duration) record {
 	w := newRecWriter(recUpsert, 16+len(adPayload))
 	w.BytesField(adPayload)
 	w.Bool(hasDeadline)
 	w.Duration(remaining)
-	return w.Detach()
+	return record{typ: recUpsert, enc: w.Detach(), ad: ad, hasDeadline: hasDeadline, remaining: remaining}
 }
 
-func encodeDelete(logical, reason string) []byte {
+func deleteRecord(logical, reason string) record {
 	w := newRecWriter(recDelete, 8+len(logical)+len(reason))
 	w.String(logical)
 	w.String(reason)
-	return w.Detach()
+	return record{typ: recDelete, enc: w.Detach(), logical: logical, reason: reason}
 }
 
-func encodeCredential(cred []byte) []byte {
-	w := newRecWriter(recCredential, 4+len(cred))
-	w.Bool(len(cred) > 0)
-	w.BytesField(cred)
-	return w.Detach()
-}
-
-func encodeEpoch(epoch uint64) []byte {
+func epochRecord(epoch uint64) record {
 	w := newRecWriter(recEpoch, 12)
 	w.Uvarint(epoch)
-	return w.Detach()
+	return record{typ: recEpoch, enc: w.Detach(), epoch: epoch}
 }
 
-func encodeApplied(source string, index uint64) []byte {
+func appliedRecord(source string, index uint64) record {
 	w := newRecWriter(recApplied, 12+len(source))
 	w.String(source)
 	w.Uvarint(index)
-	return w.Detach()
+	return record{typ: recApplied, enc: w.Detach(), source: source, index: index}
 }
 
 func newRecWriter(typ byte, capacity int) *wire.Writer {
@@ -98,153 +93,86 @@ func newRecWriter(typ byte, capacity int) *wire.Writer {
 	return w
 }
 
-func decodeRecord(b []byte) (*record, error) {
+// decodeRecord parses one record; the result keeps b as its encoding.
+func decodeRecord(b []byte) (record, error) {
 	r := wire.NewReader(b)
 	if len(b) < 2 {
-		return nil, errors.New("bdn: short wal record")
+		return record{}, errors.New("bdn: short wal record")
 	}
 	if v := r.Byte(); v != recVersion {
-		return nil, fmt.Errorf("bdn: wal record version %d", v)
+		return record{}, fmt.Errorf("bdn: wal record version %d", v)
 	}
-	rec := &record{typ: r.Byte()}
+	rec := record{typ: r.Byte(), enc: b}
 	switch rec.typ {
 	case recUpsert:
-		rec.adPayload = r.BytesField()
+		adPayload := r.BytesSpan()
 		rec.hasDeadline = r.Bool()
 		rec.remaining = r.Duration()
+		if r.Err() == nil {
+			var err error
+			if rec.ad, err = core.DecodeAdvertisement(adPayload); err != nil {
+				return record{}, err
+			}
+		}
 	case recDelete:
 		rec.logical = r.String()
 		rec.reason = r.String()
-	case recCredential:
-		rec.credSet = r.Bool()
-		rec.cred = r.BytesField()
 	case recEpoch:
 		rec.epoch = r.Uvarint()
 	case recApplied:
 		rec.source = r.String()
 		rec.index = r.Uvarint()
 	default:
-		return nil, fmt.Errorf("bdn: unknown wal record type %d", rec.typ)
+		return record{}, fmt.Errorf("bdn: unknown wal record type %d", rec.typ)
 	}
 	if err := r.Finish(); err != nil {
-		return nil, err
+		return record{}, err
 	}
 	return rec, nil
 }
 
-// persistState is the decoded snapshot body.
+// A snapshot body (wrapped in wal's CRC envelope, and the state of a replica
+// snapshot message) is the table said in the same records:
 //
-// Snapshot schema (wire-encoded, wrapped in wal's CRC envelope):
+//	Byte(stateVersion) Uvarint(#records) { BytesField(record) }
 //
-//	Byte(stateVersion)
-//	Varint(monotonic base, ns)  — local-clock reading the remainders were
-//	                              computed against; journal/debug only
-//	Time(wall)                  — NTP wall time at capture; journal/debug only
-//	Uvarint(epoch)
-//	Bool(credSet) BytesField(credential)
-//	Uvarint(#applied) { String(source) Uvarint(index) }
-//	Uvarint(#ads) { BytesField(ad) Bool(hasDeadline) Duration(remaining)
-//	                Duration(distance) }
-const stateVersion byte = 1
+// one epoch, one applied per source, one upsert per unexpired registration
+// with the validity remaining at capture. Version 1 was a second encoding of
+// the table; a snapshot in it is undecodable and recovery falls back to the
+// log.
+const stateVersion byte = 2
 
-type stateAd struct {
-	payload     []byte
-	hasDeadline bool
-	remaining   time.Duration
-	distance    time.Duration
-}
-
-type persistState struct {
-	monoBase time.Time
-	wall     time.Time
-	epoch    uint64
-	credSet  bool
-	cred     []byte
-	applied  map[string]uint64
-	ads      []stateAd
-}
-
-func encodeState(s *persistState) []byte {
+func encodeState(recs []record) []byte {
 	w := wire.NewWriter(256)
 	w.Byte(stateVersion)
-	w.Varint(s.monoBase.UnixNano())
-	w.Time(s.wall)
-	w.Uvarint(s.epoch)
-	w.Bool(s.credSet)
-	w.BytesField(s.cred)
-	w.Uvarint(uint64(len(s.applied)))
-	for src, idx := range s.applied {
-		w.String(src)
-		w.Uvarint(idx)
-	}
-	w.Uvarint(uint64(len(s.ads)))
-	for _, ad := range s.ads {
-		w.BytesField(ad.payload)
-		w.Bool(ad.hasDeadline)
-		w.Duration(ad.remaining)
-		w.Duration(ad.distance)
+	w.Uvarint(uint64(len(recs)))
+	for i := range recs {
+		w.BytesField(recs[i].enc)
 	}
 	return w.Detach()
 }
 
-func decodeState(b []byte) (*persistState, error) {
+func decodeState(b []byte) ([]record, error) {
 	r := wire.NewReader(b)
-	if len(b) < 1 {
-		return nil, errors.New("bdn: empty snapshot state")
-	}
-	if v := r.Byte(); v != stateVersion {
+	if v := r.Byte(); r.Err() != nil || v != stateVersion {
 		return nil, fmt.Errorf("bdn: snapshot state version %d", v)
 	}
-	s := &persistState{}
-	s.monoBase = time.Unix(0, r.Varint())
-	s.wall = r.Time()
-	s.epoch = r.Uvarint()
-	s.credSet = r.Bool()
-	s.cred = r.BytesField()
-	nApplied := r.Uvarint()
-	if nApplied > 1<<16 {
-		return nil, errors.New("bdn: snapshot applied table too large")
+	n := r.Uvarint()
+	if n > uint64(r.Remaining()) { // a record is longer than a byte
+		return nil, errors.New("bdn: snapshot record count exceeds its body")
 	}
-	s.applied = make(map[string]uint64, nApplied)
-	for i := uint64(0); i < nApplied; i++ {
-		src := r.String()
-		s.applied[src] = r.Uvarint()
-	}
-	nAds := r.Uvarint()
-	if nAds > 1<<24 {
-		return nil, errors.New("bdn: snapshot ad table too large")
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	s.ads = make([]stateAd, 0, nAds)
-	for i := uint64(0); i < nAds; i++ {
-		ad := stateAd{
-			payload:     r.BytesField(),
-			hasDeadline: r.Bool(),
-			remaining:   r.Duration(),
-			distance:    r.Duration(),
+	recs := make([]record, 0, n)
+	for i := uint64(0); i < n; i++ {
+		rec, err := decodeRecord(r.BytesSpan())
+		if err != nil {
+			return nil, err
 		}
-		if r.Err() != nil {
-			break
-		}
-		s.ads = append(s.ads, ad)
+		recs = append(recs, rec)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// persistence holds the open WAL and compaction bookkeeping. All fields are
-// guarded by the owning BDN's mutex except the log, which is internally
-// synchronized.
-type persistence struct {
-	log       *wal.Log
-	dir       string
-	every     uint64 // records between snapshots
-	sinceSnap uint64
-	snapCh    chan struct{} // signals the snapshot loop; buffered(1)
+	return recs, nil
 }
 
 // initPersistence opens the WAL in cfg.DataDir and rebuilds the table from
@@ -254,34 +182,23 @@ func (d *BDN) initPersistence() error {
 	if d.cfg.DataDir == "" {
 		return nil
 	}
-	every := uint64(d.cfg.SnapshotEvery)
-	if every == 0 {
-		every = 1024
-	}
-	log, recovered, truncated, err := wal.Open(wal.Options{
-		Dir:  d.cfg.DataDir,
-		Sync: d.cfg.Fsync,
-	})
+	log, intact, truncated, err := wal.Open(wal.Options{Dir: d.cfg.DataDir, Sync: d.cfg.Fsync})
 	if err != nil {
 		return fmt.Errorf("bdn %s: wal: %w", d.cfg.Name, err)
 	}
-	d.persist = &persistence{
-		log:    log,
-		dir:    d.cfg.DataDir,
-		every:  every,
-		snapCh: make(chan struct{}, 1),
-	}
+	// Under d.mu throughout: nothing is listening yet, and a metrics scrape
+	// that asks for the table waits for the whole of it.
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.log = log
 
-	now := d.node.Clock().Now()
 	snapIdx := uint64(0)
 	if idx, state, err := wal.LoadSnapshot(d.cfg.DataDir); err == nil {
-		st, derr := decodeState(state)
+		recs, derr := decodeState(state)
 		if derr != nil {
 			d.cfg.Logger.Warn("snapshot undecodable, replaying full wal", "err", derr)
 		} else {
-			d.mu.Lock()
-			d.installStateLocked(st, now)
-			d.mu.Unlock()
+			d.installLocked(recs)
 			snapIdx = idx
 		}
 	} else if err != wal.ErrNoSnapshot {
@@ -299,9 +216,7 @@ func (d *BDN) initPersistence() error {
 			d.cfg.Logger.Warn("skipping undecodable wal record", "err", derr)
 			return nil
 		}
-		d.mu.Lock()
-		d.applyRecordLocked(rec, now, false)
-		d.mu.Unlock()
+		d.commitLocked(rec, recovered)
 		replayed++
 		return nil
 	})
@@ -312,91 +227,66 @@ func (d *BDN) initPersistence() error {
 		log.Close()
 		return fmt.Errorf("bdn %s: wal replay: %w", d.cfg.Name, err)
 	}
-	d.mu.Lock()
-	n := len(d.brokers)
-	d.mu.Unlock()
 	d.tel.walReplayed.Add(uint64(replayed))
 	d.cfg.Logger.Info("registry recovered",
-		"snapshot", snapIdx, "wal_records", recovered, "replayed", replayed,
-		"brokers", n, "truncated", truncated)
+		"snapshot", snapIdx, "wal_records", intact, "replayed", replayed,
+		"brokers", len(d.brokers), "truncated", truncated)
 	d.cfg.Journal.Emit(obs.EventWALReplay, d.cfg.Name,
 		fmt.Sprintf("snapshot=%d replayed=%d brokers=%d truncated=%v",
-			snapIdx, replayed, n, truncated))
+			snapIdx, replayed, len(d.brokers), truncated))
 	return nil
 }
 
-// installStateLocked replaces the table (and epoch/credential/applied maps)
-// with a decoded snapshot, rebasing every deadline to now+remaining. Live
-// registration connections for brokers present in both tables survive.
-func (d *BDN) installStateLocked(st *persistState, now time.Time) {
-	old := d.brokers
-	d.brokers = make(map[string]*registration, len(st.ads))
-	for _, sa := range st.ads {
-		ad, err := core.DecodeAdvertisement(sa.payload)
-		if err != nil {
-			continue
-		}
-		r := &registration{ad: ad, distance: sa.distance}
-		if sa.hasDeadline {
-			r.expiresAt = now.Add(sa.remaining)
-		}
-		if prev, ok := old[ad.Broker.LogicalAddress]; ok {
-			r.conn = prev.conn
-		}
-		d.brokers[ad.Broker.LogicalAddress] = r
-	}
-	if st.credSet {
-		d.credential = st.cred
-	}
-	if st.epoch > d.epoch {
-		d.epoch = st.epoch
-	}
-	for src, idx := range st.applied {
-		if idx > d.applied[src] {
-			d.applied[src] = idx
-		}
-	}
-}
+// origin says where a record came from. It decides whether commitLocked
+// appends, journals and offers the record to the mutation hook — never what
+// the table becomes:
+//
+//	origin      append  journal  hook
+//	local       yes     yes      upserts (a sweep is this member's own clock's
+//	                             verdict, the epoch the replica layer's own)
+//	replicated  yes     yes      no: a forward must not loop
+//	recovered   no      no       no: it is already on disk, and already told
+type origin int
 
-// applyRecordLocked applies one decoded record to the in-memory table.
-// During recovery (replicate=false) nothing is re-appended; when a standby
-// applies a replicated record (replicate=true) the caller is responsible
-// for appending it to the local WAL.
-func (d *BDN) applyRecordLocked(rec *record, now time.Time, journal bool) {
+const (
+	local      origin = iota // accepted or decided by this member
+	replicated               // streamed or forwarded from another member
+	recovered                // read back from a snapshot or this member's own WAL
+)
+
+// commitLocked is the one road into d.brokers, d.epoch and d.applied: it
+// applies rec, then appends it to the WAL and journals it as o says. A
+// connection and a measured distance are not in any record — they are soft
+// state a registration keeps across upserts. It returns the mutation hook
+// when rec is one the hook must see; the caller fires it after releasing
+// d.mu, because the hook sends on a replica session.
+func (d *BDN) commitLocked(rec record, o origin) (forward func([]byte)) {
 	switch rec.typ {
 	case recUpsert:
-		ad, err := core.DecodeAdvertisement(rec.adPayload)
-		if err != nil {
-			return
-		}
-		r, ok := d.brokers[ad.Broker.LogicalAddress]
-		if !ok {
+		logical := rec.ad.Broker.LogicalAddress
+		r, known := d.brokers[logical]
+		if !known {
 			r = &registration{}
-			d.brokers[ad.Broker.LogicalAddress] = r
-			if journal {
-				d.cfg.Journal.Emit(obs.EventAdRegistered, ad.Broker.LogicalAddress,
-					fmt.Sprintf("realm=%s replicated", ad.Broker.Realm))
-			}
+			d.brokers[logical] = r
 		}
-		r.ad = ad
+		r.ad, r.expiresAt = rec.ad, time.Time{}
 		if rec.hasDeadline {
-			r.expiresAt = now.Add(rec.remaining)
+			r.expiresAt = d.node.Clock().Now().Add(rec.remaining)
+		}
+		if o == recovered {
+			break
+		}
+		if known {
+			d.cfg.Journal.Emit(obs.EventAdRefreshed, logical, fmt.Sprintf("ttl=%s", rec.remaining))
 		} else {
-			r.expiresAt = time.Time{}
+			d.cfg.Journal.Emit(obs.EventAdRegistered, logical,
+				fmt.Sprintf("realm=%s ttl=%s", rec.ad.Broker.Realm, rec.remaining))
 		}
 	case recDelete:
-		if _, ok := d.brokers[rec.logical]; ok {
-			delete(d.brokers, rec.logical)
-			if journal {
-				d.cfg.Journal.Emit(obs.EventAdExpired, rec.logical, rec.reason)
-			}
+		if _, known := d.brokers[rec.logical]; known && o != recovered {
+			d.cfg.Journal.Emit(obs.EventAdExpired, rec.logical, rec.reason)
 		}
-	case recCredential:
-		if rec.credSet {
-			d.credential = rec.cred
-		} else {
-			d.credential = nil
-		}
+		delete(d.brokers, rec.logical)
 	case recEpoch:
 		if rec.epoch > d.epoch {
 			d.epoch = rec.epoch
@@ -406,81 +296,63 @@ func (d *BDN) applyRecordLocked(rec *record, now time.Time, journal bool) {
 			d.applied[rec.source] = rec.index
 		}
 	}
+	if o == recovered {
+		return nil
+	}
+	d.appendRecordLocked(rec.enc)
+	if o == local && rec.typ == recUpsert {
+		return d.mutHook
+	}
+	return nil
+}
+
+// installLocked replaces the broker table with the one recs list (a decoded
+// snapshot body): clear, then commit each. Epoch and watermarks only ever
+// advance, and the soft state of a broker in both tables survives.
+func (d *BDN) installLocked(recs []record) {
+	old := d.brokers
+	d.brokers = make(map[string]*registration, len(recs))
+	for _, rec := range recs {
+		d.commitLocked(rec, recovered)
+	}
+	for logical, r := range d.brokers {
+		if prev, ok := old[logical]; ok {
+			r.conn, r.distance = prev.conn, prev.distance
+		}
+	}
 }
 
 // appendRecordLocked appends one record to the WAL (no-op when the BDN is
 // not durable) and schedules a snapshot when enough records accumulated.
 // Must be called with d.mu held so WAL order matches table order.
 func (d *BDN) appendRecordLocked(payload []byte) {
-	p := d.persist
-	if p == nil {
+	if d.log == nil {
 		return
 	}
-	if _, err := p.log.Append(payload); err != nil {
+	if _, err := d.log.Append(payload); err != nil {
 		d.tel.walErrors.Inc()
 		d.cfg.Logger.Error("wal append failed", "err", err)
 		return
 	}
 	d.tel.walAppends.Inc()
-	p.sinceSnap++
-	if p.sinceSnap >= p.every {
-		p.sinceSnap = 0
+	if d.sinceSnap++; d.sinceSnap >= uint64(d.cfg.SnapshotEvery) {
+		d.sinceSnap = 0
 		select {
-		case p.snapCh <- struct{}{}:
+		case d.snapCh <- struct{}{}:
 		default:
 		}
 	}
-}
-
-// buildStateLocked captures the full table as a snapshot body. Must be
-// called with d.mu held; returns the WAL index the state covers.
-func (d *BDN) buildStateLocked() (state []byte, index uint64) {
-	now := d.node.Clock().Now()
-	st := &persistState{
-		monoBase: now,
-		wall:     d.now(),
-		epoch:    d.epoch,
-		credSet:  len(d.credential) > 0,
-		cred:     d.credential,
-		applied:  make(map[string]uint64, len(d.applied)),
-		ads:      make([]stateAd, 0, len(d.brokers)),
-	}
-	for src, idx := range d.applied {
-		st.applied[src] = idx
-	}
-	for _, r := range d.brokers {
-		if r.expired(now) {
-			continue
-		}
-		sa := stateAd{
-			payload:  core.EncodeAdvertisement(r.ad),
-			distance: r.distance,
-		}
-		if !r.expiresAt.IsZero() {
-			sa.hasDeadline = true
-			sa.remaining = r.expiresAt.Sub(now)
-		}
-		st.ads = append(st.ads, sa)
-	}
-	index = uint64(0)
-	if d.persist != nil {
-		index = d.persist.log.LastIndex()
-	}
-	return encodeState(st), index
 }
 
 // snapshotLoop persists a snapshot each time enough WAL records accumulate,
 // then prunes the covered segments.
 func (d *BDN) snapshotLoop() {
 	defer d.wg.Done()
-	d.mu.Lock()
-	p := d.persist
-	d.mu.Unlock()
 	for {
 		select {
 		case <-d.closed:
 			return
-		case <-p.snapCh:
+		case <-d.snapCh:
 		}
 		if err := d.SnapshotNow(); err != nil {
 			d.cfg.Logger.Error("snapshot failed", "err", err)
@@ -491,22 +363,19 @@ func (d *BDN) snapshotLoop() {
 // SnapshotNow captures the table, persists it as the latest snapshot, and
 // prunes WAL segments it covers. No-op for non-durable BDNs.
 func (d *BDN) SnapshotNow() error {
-	d.mu.Lock()
-	p := d.persist
-	if p == nil {
-		d.mu.Unlock()
+	log := d.walLog()
+	if log == nil {
 		return nil
 	}
-	state, index := d.buildStateLocked()
-	d.mu.Unlock()
+	index, state := d.ReplicaSnapshot()
 	if index == 0 {
 		return nil
 	}
-	if err := wal.SaveSnapshot(p.dir, index, state); err != nil {
+	if err := wal.SaveSnapshot(d.cfg.DataDir, index, state); err != nil {
 		d.tel.walErrors.Inc()
 		return err
 	}
-	if err := p.log.TruncateFront(index + 1); err != nil {
+	if err := log.TruncateFront(index + 1); err != nil {
 		return err
 	}
 	d.tel.walSnapshots.Inc()
@@ -518,42 +387,43 @@ func (d *BDN) SnapshotNow() error {
 // Durable reports whether the BDN persists its registry.
 func (d *BDN) Durable() bool { return d.cfg.DataDir != "" }
 
-func (d *BDN) persistence() *persistence {
+// walLog returns the open log: nil when the BDN is not durable.
+func (d *BDN) walLog() *wal.Log {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.persist
+	return d.log
 }
 
 // WALRange returns the retained WAL index range (0,0 when empty or not
 // durable). Used by the replication layer.
 func (d *BDN) WALRange() (first, last uint64) {
-	p := d.persistence()
-	if p == nil {
+	log := d.walLog()
+	if log == nil {
 		return 0, 0
 	}
-	return p.log.FirstIndex(), p.log.LastIndex()
+	return log.FirstIndex(), log.LastIndex()
 }
 
 // WALNotify returns a channel closed at the next WAL append, or nil when
 // not durable. Used by the replication layer to tail the log.
 func (d *BDN) WALNotify() <-chan struct{} {
-	p := d.persistence()
-	if p == nil {
+	log := d.walLog()
+	if log == nil {
 		return nil
 	}
-	return p.log.Notify()
+	return log.Notify()
 }
 
 // ReadRecords returns up to max WAL record payloads starting at index from.
 // It returns wal.ErrNotFound when from has been compacted away (the caller
 // should fall back to ReplicaSnapshot).
 func (d *BDN) ReadRecords(from uint64, max int) ([][]byte, error) {
-	p := d.persistence()
-	if p == nil {
+	log := d.walLog()
+	if log == nil {
 		return nil, errors.New("bdn: not durable")
 	}
 	var out [][]byte
-	err := p.log.Replay(from, func(_ uint64, payload []byte) error {
+	err := log.Replay(from, func(_ uint64, payload []byte) error {
 		out = append(out, append([]byte(nil), payload...))
 		if len(out) >= max {
 			return errEnough
@@ -580,33 +450,14 @@ func (d *BDN) Epoch() uint64 {
 func (d *BDN) SetEpoch(epoch uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if epoch <= d.epoch {
-		return
-	}
-	d.epoch = epoch
-	d.appendRecordLocked(encodeEpoch(epoch))
-}
-
-// Credential returns the credential private discovery requests must carry.
-func (d *BDN) Credential() []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.credential
-}
-
-// SetRequiredCredential durably replaces the private-BDN credential.
-func (d *BDN) SetRequiredCredential(cred []byte) {
-	var hook func([]byte)
-	rec := encodeCredential(cred)
-	d.mu.Lock()
-	d.credential = append([]byte(nil), cred...)
-	d.appendRecordLocked(rec)
-	hook = d.mutHook
-	d.mu.Unlock()
-	if hook != nil {
-		hook(rec)
+	if epoch > d.epoch {
+		d.commitLocked(epochRecord(epoch), local)
 	}
 }
+
+// Credential returns the credential private discovery requests must carry:
+// configuration, never recovered state.
+func (d *BDN) Credential() []byte { return d.cfg.RequiredCredential }
 
 // AppliedIndex returns how far into source's WAL this node has applied.
 func (d *BDN) AppliedIndex(source string) uint64 {
@@ -624,45 +475,55 @@ func (d *BDN) ApplyReplicated(source string, index uint64, payload []byte) error
 	if err != nil {
 		return err
 	}
-	now := d.node.Clock().Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if index > 0 && index <= d.applied[source] {
 		return nil // duplicate delivery
 	}
-	d.applyRecordLocked(rec, now, true)
-	d.appendRecordLocked(payload)
+	d.commitLocked(rec, replicated)
 	if index > 0 {
-		d.applied[source] = index
-		d.appendRecordLocked(encodeApplied(source, index))
+		d.commitLocked(appliedRecord(source, index), local)
 	}
 	d.tel.walApplied.Inc()
 	return nil
 }
 
-// ReplicaSnapshot captures the full table for transfer to a far-behind
-// standby, returning the WAL index the state covers.
+// ReplicaSnapshot captures the full table as a snapshot body — for the local
+// snapshot file, or for transfer to a far-behind standby — and returns the WAL
+// index the state covers.
 func (d *BDN) ReplicaSnapshot() (index uint64, state []byte) {
+	now := d.node.Clock().Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	state, index = d.buildStateLocked()
-	return index, state
+	recs := make([]record, 0, 1+len(d.applied)+len(d.brokers))
+	recs = append(recs, epochRecord(d.epoch))
+	for src, idx := range d.applied {
+		recs = append(recs, appliedRecord(src, idx))
+	}
+	for _, r := range d.brokers {
+		if !r.expired(now) {
+			recs = append(recs, upsertRecord(r.ad, core.EncodeAdvertisement(r.ad),
+				!r.expiresAt.IsZero(), r.expiresAt.Sub(now)))
+		}
+	}
+	if d.log != nil {
+		index = d.log.LastIndex()
+	}
+	return index, encodeState(recs)
 }
 
 // InstallReplicaState replaces the table with a snapshot streamed from
 // source (covering source's WAL through index), then persists a local
 // snapshot immediately so the installed state survives a crash.
 func (d *BDN) InstallReplicaState(source string, index uint64, state []byte) error {
-	st, err := decodeState(state)
+	recs, err := decodeState(state)
 	if err != nil {
 		return err
 	}
-	now := d.node.Clock().Now()
 	d.mu.Lock()
-	d.installStateLocked(st, now)
+	d.installLocked(recs)
 	if index > d.applied[source] {
-		d.applied[source] = index
-		d.appendRecordLocked(encodeApplied(source, index))
+		d.commitLocked(appliedRecord(source, index), local)
 	}
 	d.mu.Unlock()
 	return d.SnapshotNow()
@@ -680,12 +541,12 @@ func (d *BDN) SetMutationHook(fn func(rec []byte)) {
 
 // closePersistence writes a final snapshot and closes the WAL.
 func (d *BDN) closePersistence() {
-	p := d.persistence()
-	if p == nil {
+	log := d.walLog()
+	if log == nil {
 		return
 	}
 	if err := d.SnapshotNow(); err != nil {
 		d.cfg.Logger.Warn("final snapshot failed", "err", err)
 	}
-	_ = p.log.Close()
+	_ = log.Close()
 }

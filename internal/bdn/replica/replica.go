@@ -232,10 +232,7 @@ func (r *Replica) Close() {
 		_ = r.listener.Close()
 		r.mu.Lock()
 		runners := r.runners
-		sessions := make([]*session, 0, len(r.sessions))
-		for _, s := range r.sessions {
-			sessions = append(sessions, s)
-		}
+		sessions := r.liveSessionsLocked()
 		r.mu.Unlock()
 		for _, runner := range runners {
 			runner.Stop()
@@ -411,6 +408,16 @@ func (r *Replica) addSession(conn transport.Conn, peerName, peerAddr string) *se
 	return s
 }
 
+// liveSessionsLocked copies the session set, so its user can send on or close
+// the sessions without holding r.mu.
+func (r *Replica) liveSessionsLocked() []*session {
+	sessions := make([]*session, 0, len(r.sessions))
+	for _, s := range r.sessions {
+		sessions = append(sessions, s)
+	}
+	return sessions
+}
+
 func (r *Replica) dropSession(s *session) {
 	r.mu.Lock()
 	if r.sessions[s.peerAddr] == s {
@@ -540,10 +547,7 @@ func (r *Replica) sendBeats() {
 		return
 	}
 	epoch := r.epoch
-	sessions := make([]*session, 0, len(r.sessions))
-	for _, s := range r.sessions {
-		sessions = append(sessions, s)
-	}
+	sessions := r.liveSessionsLocked()
 	r.mu.Unlock()
 	_, last := r.d.WALRange()
 	beat := encodeBeat(r.cfg.Name, r.addr, epoch, r.lease, last)
@@ -688,12 +692,18 @@ func (r *Replica) stream(s *session, from uint64, epoch uint64) {
 	}
 }
 
+// following is the one guard in front of streamed state: a records or
+// snapshot message is applied only when it comes from my leader, in my epoch,
+// while I am a standby. It returns the leader's name, the watermark's key.
+func (r *Replica) following(s *session, m *message) (leaderName string, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.leaderName, !r.primary && m.epoch == r.epoch && s.peerAddr == r.leaderAddr
+}
+
 // handleRecords applies a streamed batch on a standby and acks it.
 func (r *Replica) handleRecords(s *session, m *message) {
-	r.mu.Lock()
-	ok := !r.primary && m.epoch == r.epoch && s.peerAddr == r.leaderAddr
-	leaderName := r.leaderName
-	r.mu.Unlock()
+	leaderName, ok := r.following(s, m)
 	if !ok || len(m.recs) == 0 {
 		r.cfg.Logger.Debug("records dropped", "peer", s.peerAddr, "epoch", m.epoch, "n", len(m.recs))
 		return
@@ -713,10 +723,7 @@ func (r *Replica) handleRecords(s *session, m *message) {
 
 // handleSnapshot installs a full-state transfer on a standby and acks it.
 func (r *Replica) handleSnapshot(s *session, m *message) {
-	r.mu.Lock()
-	ok := !r.primary && m.epoch == r.epoch && s.peerAddr == r.leaderAddr
-	leaderName := r.leaderName
-	r.mu.Unlock()
+	leaderName, ok := r.following(s, m)
 	if !ok {
 		return
 	}

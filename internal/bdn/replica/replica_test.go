@@ -173,54 +173,47 @@ func primaryOf(members []*member) *member {
 	return got
 }
 
-// waitPrimary spins simulated time until exactly one of members is primary.
-func (e *env) waitPrimary(members []*member, within time.Duration) *member {
+// waitFor polls cond against a wall-clock deadline: the tests wait on the
+// state a step leaves behind, not on a count of model-time leases that a busy
+// host stretches (the awaitBrokers shape of internal/bdn).
+func (e *env) waitFor(cond func() bool, format string, args ...any) {
 	e.t.Helper()
-	deadline := e.net.Clock().Now().Add(within)
-	for e.net.Clock().Now().Before(deadline) {
-		if p := primaryOf(members); p != nil {
-			return p
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			e.t.Fatalf(format, args...)
 		}
-		e.sleep(100 * time.Millisecond)
 	}
-	e.t.Fatalf("no single primary within %v", within)
-	return nil
 }
 
-// waitFollow spins until m acknowledges leader as its primary.
-func (e *env) waitFollow(m, leader *member, within time.Duration) {
+// waitPrimary waits until exactly one of members is primary.
+func (e *env) waitPrimary(members []*member) *member {
 	e.t.Helper()
-	deadline := e.net.Clock().Now().Add(within)
-	for e.net.Clock().Now().Before(deadline) {
-		if m.r.LeaderAddr() == leader.r.Addr() && !m.r.IsPrimary() {
-			return
-		}
-		e.sleep(100 * time.Millisecond)
-	}
-	e.t.Fatalf("%s: LeaderAddr = %q, want %q", m.name, m.r.LeaderAddr(), leader.r.Addr())
+	var p *member
+	e.waitFor(func() bool { p = primaryOf(members); return p != nil }, "no single primary")
+	return p
 }
 
-func (e *env) waitCount(m *member, want int, within time.Duration) {
+// waitFollow waits until m acknowledges leader as its primary.
+func (e *env) waitFollow(m, leader *member) {
 	e.t.Helper()
-	deadline := e.net.Clock().Now().Add(within)
-	for e.net.Clock().Now().Before(deadline) {
-		if m.d.BrokerCount() == want {
-			return
-		}
-		e.sleep(100 * time.Millisecond)
-	}
-	e.t.Fatalf("%s: BrokerCount = %d, want %d", m.name, m.d.BrokerCount(), want)
+	e.waitFor(func() bool { return m.r.LeaderAddr() == leader.r.Addr() && !m.r.IsPrimary() },
+		"%s does not follow %q", m.name, leader.r.Addr())
+}
+
+func (e *env) waitCount(m *member, want int) {
+	e.t.Helper()
+	e.waitFor(func() bool { return m.d.BrokerCount() == want }, "%s: BrokerCount never reached %d", m.name, want)
 }
 
 func TestBootstrapElectsLowestAddress(t *testing.T) {
 	e := newEnv(t, 101)
 	members := e.cluster(3)
-	p := e.waitPrimary(members, 10*testLease)
+	p := e.waitPrimary(members)
 	if p != members[0] {
 		t.Fatalf("primary = %s, want %s (lowest address)", p.name, members[0].name)
 	}
 	for _, m := range members[1:] {
-		e.waitFollow(m, p, 6*testLease)
+		e.waitFollow(m, p)
 	}
 	if p.r.Epoch() == 0 {
 		t.Fatal("promotion did not advance the epoch")
@@ -230,20 +223,20 @@ func TestBootstrapElectsLowestAddress(t *testing.T) {
 func TestPrimaryStreamsRegistrationsToStandbys(t *testing.T) {
 	e := newEnv(t, 102)
 	members := e.cluster(3)
-	p := e.waitPrimary(members, 10*testLease)
+	p := e.waitPrimary(members)
 	b := e.broker(simnet.SiteFSU, "broker-fsu")
 	if err := b.RegisterWithBDN(p.d.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range members {
-		e.waitCount(m, 1, 6*testLease)
+		e.waitCount(m, 1)
 	}
 }
 
 func TestStandbyForwardsRegistrationsToPrimary(t *testing.T) {
 	e := newEnv(t, 103)
 	members := e.cluster(3)
-	p := e.waitPrimary(members, 10*testLease)
+	p := e.waitPrimary(members)
 	var standby *member
 	for _, m := range members {
 		if m != p {
@@ -257,14 +250,14 @@ func TestStandbyForwardsRegistrationsToPrimary(t *testing.T) {
 	}
 	// The record forwards to the primary, which streams it to everyone.
 	for _, m := range members {
-		e.waitCount(m, 1, 8*testLease)
+		e.waitCount(m, 1)
 	}
 }
 
 func TestFailoverPromotesStandbyWithFullTable(t *testing.T) {
 	e := newEnv(t, 104)
 	members := e.cluster(3)
-	p := e.waitPrimary(members, 10*testLease)
+	p := e.waitPrimary(members)
 	oldEpoch := p.r.Epoch()
 
 	b := e.broker(simnet.SiteFSU, "broker-fsu")
@@ -272,7 +265,7 @@ func TestFailoverPromotesStandbyWithFullTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range members {
-		e.waitCount(m, 1, 6*testLease)
+		e.waitCount(m, 1)
 	}
 
 	p.stop()
@@ -282,7 +275,7 @@ func TestFailoverPromotesStandbyWithFullTable(t *testing.T) {
 			survivors = append(survivors, m)
 		}
 	}
-	next := e.waitPrimary(survivors, 20*testLease)
+	next := e.waitPrimary(survivors)
 	if next.r.Epoch() <= oldEpoch {
 		t.Fatalf("promoted epoch %d not above old %d", next.r.Epoch(), oldEpoch)
 	}
@@ -292,7 +285,7 @@ func TestFailoverPromotesStandbyWithFullTable(t *testing.T) {
 	}
 	for _, m := range survivors {
 		if m != next {
-			e.waitFollow(m, next, 6*testLease)
+			e.waitFollow(m, next)
 		}
 	}
 }
@@ -300,14 +293,14 @@ func TestFailoverPromotesStandbyWithFullTable(t *testing.T) {
 func TestRestartedPrimaryRejoinsAsStandby(t *testing.T) {
 	e := newEnv(t, 105)
 	members := e.cluster(3)
-	p := e.waitPrimary(members, 10*testLease)
+	p := e.waitPrimary(members)
 
 	b := e.broker(simnet.SiteFSU, "broker-fsu")
 	if err := b.RegisterWithBDN(p.d.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range members {
-		e.waitCount(m, 1, 6*testLease)
+		e.waitCount(m, 1)
 	}
 
 	p.stop()
@@ -317,7 +310,7 @@ func TestRestartedPrimaryRejoinsAsStandby(t *testing.T) {
 			survivors = append(survivors, m)
 		}
 	}
-	next := e.waitPrimary(survivors, 20*testLease)
+	next := e.waitPrimary(survivors)
 
 	// Bring the old primary back on its original data dir: it recovers its
 	// table from the WAL, hears the new leader's higher epoch, and stays a
@@ -339,7 +332,7 @@ func TestRestartedPrimaryRejoinsAsStandby(t *testing.T) {
 		t.Fatal("dual primary persisted after rejoin")
 	}
 	all := append(append([]*member{}, survivors...), back)
-	final := e.waitPrimary(all, 20*testLease)
+	final := e.waitPrimary(all)
 	if got := back.r.LeaderAddr(); back != final && got != final.r.Addr() {
 		t.Fatalf("rejoined member follows %q, want %q", got, final.r.Addr())
 	}
@@ -363,12 +356,12 @@ func TestLateStarterCatchesUpViaSnapshot(t *testing.T) {
 	t.Cleanup(a.stop)
 	t.Cleanup(b.stop)
 
-	p := e.waitPrimary([]*member{a, b}, 10*testLease)
+	p := e.waitPrimary([]*member{a, b})
 	bk := e.broker(simnet.SiteFSU, "broker-fsu")
 	if err := bk.RegisterWithBDN(p.d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	e.waitCount(p, 1, 6*testLease)
+	e.waitCount(p, 1)
 	if err := p.d.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -377,5 +370,5 @@ func TestLateStarterCatchesUpViaSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(z.stop)
-	e.waitCount(z, 1, 20*testLease)
+	e.waitCount(z, 1)
 }

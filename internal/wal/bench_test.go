@@ -1,16 +1,13 @@
 package wal
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // benchPayload is sized like an encoded registration record: a broker
 // advertisement with a couple of endpoints lands around 200 bytes.
 var benchPayload = make([]byte, 200)
 
 func benchAppend(b *testing.B, sync SyncPolicy) {
-	l, _, _, err := Open(Options{Dir: b.TempDir(), Sync: sync, SyncEvery: 10 * time.Millisecond})
+	l, _, _, err := Open(Options{Dir: b.TempDir(), Sync: sync})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,6 +83,33 @@ func BenchmarkReplay(b *testing.B) {
 		}
 		if n != records {
 			b.Fatalf("replayed %d, want %d", n, records)
+		}
+	}
+}
+
+// BenchmarkTailRead is one step of a replication stream: the primary appends
+// a record and the stream reads it back by index, on one growing segment,
+// under the policy the simulated testbed runs (an fsync's wall cost is
+// seconds of model time there, so Replay must not pay one).
+func BenchmarkTailRead(b *testing.B) {
+	l, _, _, err := Open(Options{Dir: b.TempDir(), Sync: SyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx, err := l.Append(benchPayload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		if err := l.Replay(idx, func(uint64, []byte) error { n++; return nil }); err != nil {
+			b.Fatal(err)
+		}
+		if n != 1 {
+			b.Fatalf("replayed %d records from the tail, want 1", n)
 		}
 	}
 }

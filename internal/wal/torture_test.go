@@ -209,6 +209,53 @@ func TestZeroedTailRecovers(t *testing.T) {
 	}
 }
 
+// TestZeroLengthTailNeverSurfaced: the zero-length rule is one rule for both
+// readers. A live log whose last record was zeroed on disk (header and
+// payload — the zero-filled block of TestZeroedTailRecovers, under a log that
+// has not been reopened) must not hand Replay's caller an empty record that
+// CRC-matches; reopening truncates at the same place.
+func TestZeroLengthTailNeverSurfaced(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("registration")
+	for i := 0; i < 5; i++ {
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recLen := int64(recHeaderLen + len(payload))
+	f, err := os.OpenFile(segPaths(t, dir)[0], os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, recLen), 4*recLen); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var n int
+	err = l.Replay(1, func(i uint64, p []byte) error {
+		if !bytes.Equal(p, payload) {
+			t.Errorf("Replay surfaced record %d = %q", i, p)
+		}
+		n++
+		return nil
+	})
+	if n != 4 || err == nil {
+		t.Fatalf("Replay over a zeroed tail: %d records, err %v; want 4 and a corruption error", n, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64][]byte{1: payload, 2: payload, 3: payload, 4: payload}
+	if last := verifyPrefix(t, dir, want, true); last != 4 {
+		t.Fatalf("LastIndex after reopening = %d, want 4", last)
+	}
+}
+
 func TestInsaneLengthRejected(t *testing.T) {
 	dir := t.TempDir()
 	want := fillLog(t, dir, 5, 1<<20)

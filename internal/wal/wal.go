@@ -21,11 +21,13 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,7 +43,7 @@ type SyncPolicy int
 const (
 	// SyncAlways fsyncs the active segment after every Append.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background timer (Options.SyncEvery).
+	// SyncInterval fsyncs on a background timer, every syncEvery.
 	SyncInterval
 	// SyncNever never fsyncs explicitly; the OS decides.
 	SyncNever
@@ -81,14 +83,14 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy. Default SyncAlways.
 	Sync SyncPolicy
-	// SyncEvery is the flush period under SyncInterval. Default 50ms.
-	SyncEvery time.Duration
 }
 
 const (
 	recHeaderLen       = 8 // uint32 length + uint32 crc
 	defaultSegmentSize = 1 << 20
-	maxRecordLen       = 1 << 26 // 64 MiB sanity bound; larger lengths are corruption
+	maxRecordLen       = 1 << 26               // 64 MiB sanity bound; larger lengths are corruption
+	syncEvery          = 50 * time.Millisecond // flush period under SyncInterval
+	readBufSize        = 64 << 10              // segment reads: one read(2) per ~300 registry records
 	segPrefix          = "seg-"
 	segSuffix          = ".wal"
 )
@@ -135,9 +137,6 @@ func Open(opts Options) (l *Log, recovered uint64, truncated bool, err error) {
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentSize
-	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 50 * time.Millisecond
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, 0, false, fmt.Errorf("wal: %w", err)
@@ -194,14 +193,11 @@ func (l *Log) recover() (truncated bool, err error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
 
 	for i, s := range segs {
-		count, goodBytes, clean, scanErr := scanSegment(s.path)
+		count, goodBytes, clean, scanErr := walkSegment(s.path, math.MaxUint64, nil)
 		if scanErr != nil {
 			return truncated, scanErr
 		}
 		s.count = count
-		if clean && count > 0 && i < len(segs)-1 {
-			continue
-		}
 		if !clean {
 			truncated = true
 			if err := truncateFile(s.path, goodBytes); err != nil {
@@ -251,57 +247,68 @@ func (l *Log) recover() (truncated bool, err error) {
 	l.active = f
 	l.size = fi.Size()
 	l.first = segs[0].first
-	l.last = tail.first + tail.count - 1
-	if tail.count == 0 {
-		l.last = tail.first - 1
-	}
-	if l.last < l.first {
-		// Empty log.
-		l.first = segs[0].first
-	}
+	l.last = tail.first + tail.count - 1 // first-1 when the log is empty
 	return truncated, nil
 }
 
-// scanSegment walks records in one file. It returns how many intact records
-// it found, the byte offset just past the last intact record, and whether
-// the file ends cleanly (no trailing garbage).
-func scanSegment(path string) (count uint64, goodBytes int64, clean bool, err error) {
+// errCorrupt is what readRecord says of anything that is not one intact
+// record or a clean end of file.
+var errCorrupt = errors.New("wal: torn or corrupt record")
+
+// readRecord reads the next [length][crc][payload] record into buf (grown
+// when too small) and is the only place the format's validity rule is
+// written: a whole header, a length in [1, maxRecordLen] — a zero length would
+// CRC-match zero-filled tail blocks (crc32("") == 0), so empty records are
+// forbidden — a whole payload, and a matching CRC. It returns io.EOF at a
+// clean end of file and errCorrupt for everything else.
+func readRecord(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(recHeaderLen) // in place: a header array would escape through io.Reader
+	if err != nil {
+		if len(hdr) == 0 && err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, errCorrupt
+	}
+	length, crc := binary.LittleEndian.Uint32(hdr[0:4]), binary.LittleEndian.Uint32(hdr[4:8])
+	if length == 0 || length > maxRecordLen {
+		return nil, errCorrupt
+	}
+	_, _ = r.Discard(recHeaderLen) // cannot fail: Peek buffered these bytes
+	if int(length) > cap(buf) {
+		buf = make([]byte, length)
+	}
+	buf = buf[:length]
+	if _, err := io.ReadFull(r, buf); err != nil || crc32.ChecksumIEEE(buf) != crc {
+		return nil, errCorrupt
+	}
+	return buf, nil
+}
+
+// walkSegment reads up to limit records of one file, in order, handing each
+// (by its position in the file) to fn when there is one. It returns how many
+// intact records it read, the byte offset just past the last of them, and
+// whether it stopped at limit or a clean end of file rather than at garbage.
+func walkSegment(path string, limit uint64, fn func(n uint64, payload []byte) error) (count uint64, goodBytes int64, clean bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	var hdr [recHeaderLen]byte
-	buf := make([]byte, 4096)
-	for {
-		n, err := io.ReadFull(f, hdr[:])
-		if err == io.EOF {
-			return count, goodBytes, true, nil
+	r := bufio.NewReaderSize(f, readBufSize)
+	var buf []byte
+	for count < limit {
+		if buf, err = readRecord(r, buf[:0]); err != nil {
+			return count, goodBytes, err == io.EOF, nil
 		}
-		if err != nil {
-			// Partial header: torn tail.
-			_ = n
-			return count, goodBytes, false, nil
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		// length 0 would CRC-match zero-filled tail blocks (crc32("") == 0),
-		// so empty records are forbidden and a zero length is corruption.
-		if length == 0 || length > maxRecordLen {
-			return count, goodBytes, false, nil
-		}
-		if int(length) > len(buf) {
-			buf = make([]byte, length)
-		}
-		if _, err := io.ReadFull(f, buf[:length]); err != nil {
-			return count, goodBytes, false, nil
-		}
-		if crc32.ChecksumIEEE(buf[:length]) != crc {
-			return count, goodBytes, false, nil
+		if fn != nil {
+			if err := fn(count, buf); err != nil {
+				return count, goodBytes, false, err
+			}
 		}
 		count++
-		goodBytes += recHeaderLen + int64(length)
+		goodBytes += recHeaderLen + int64(len(buf))
 	}
+	return count, goodBytes, true, nil
 }
 
 func truncateFile(path string, size int64) error {
@@ -406,7 +413,7 @@ func (l *Log) Sync() error {
 
 func (l *Log) syncLoop() {
 	defer close(l.syncDone)
-	t := time.NewTicker(l.opts.SyncEvery)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -456,7 +463,9 @@ func (l *Log) Notify() <-chan struct{} {
 // Replay calls fn for every record with index >= from, in order. It returns
 // ErrNotFound when from has been compacted away (callers should fall back to
 // a snapshot). Replay of an empty range is a no-op. fn returning an error
-// stops the walk.
+// stops the walk; the payload is valid only until fn returns. Append writes
+// straight to the file, so every record it has returned an index for is
+// readable here whatever the sync policy: Replay does not fsync.
 func (l *Log) Replay(from uint64, fn func(index uint64, payload []byte) error) error {
 	l.mu.Lock()
 	if l.closed {
@@ -474,69 +483,32 @@ func (l *Log) Replay(from uint64, fn func(index uint64, payload []byte) error) e
 		l.mu.Unlock()
 		return ErrNotFound
 	}
-	// Snapshot the segment list and flush so reads see every record.
-	if l.dirty {
-		if err := l.active.Sync(); err != nil {
-			l.mu.Unlock()
-			return fmt.Errorf("wal: %w", err)
-		}
-		l.dirty = false
-	}
 	// By value: Append bumps the tail segment's count under the lock while
 	// the walk below runs outside it.
 	segs := make([]segment, len(l.segs))
 	for i, s := range l.segs {
 		segs[i] = *s
 	}
-	last := l.last
 	l.mu.Unlock()
 
 	for _, s := range segs {
 		if s.count == 0 || s.first+s.count-1 < from {
 			continue
 		}
-		if err := replaySegment(s, from, last, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func replaySegment(s segment, from, last uint64, fn func(uint64, []byte) error) error {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	var hdr [recHeaderLen]byte
-	idx := s.first
-	for idx <= last {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil // concurrent tail not yet visible; caller bounded by last
+		// All s.count records were fully written before the lock was let go,
+		// so one that does not read back intact is corruption, never a tail
+		// still in flight.
+		n, _, _, err := walkSegment(s.path, s.count, func(n uint64, payload []byte) error {
+			if idx := s.first + n; idx >= from {
+				return fn(idx, payload)
 			}
-			return fmt.Errorf("wal: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > maxRecordLen {
-			return fmt.Errorf("wal: corrupt record at index %d in %s", idx, s.path)
-		}
-		buf := make([]byte, length)
-		if _, err := io.ReadFull(f, buf); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		if crc32.ChecksumIEEE(buf) != crc {
-			return fmt.Errorf("wal: corrupt record at index %d in %s", idx, s.path)
-		}
-		if idx >= from {
-			if err := fn(idx, buf); err != nil {
-				return err
-			}
-		}
-		idx++
-		if idx >= s.first+s.count {
 			return nil
+		})
+		if err == nil && n < s.count {
+			err = fmt.Errorf("wal: record %d in %s: %w", s.first+n, s.path, errCorrupt)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

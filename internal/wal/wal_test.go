@@ -239,7 +239,7 @@ func TestNotifyWakesFollower(t *testing.T) {
 
 func TestSyncIntervalFlushes(t *testing.T) {
 	dir := t.TempDir()
-	l := openT(t, dir, Options{Sync: SyncInterval, SyncEvery: 5 * time.Millisecond})
+	l := openT(t, dir, Options{Sync: SyncInterval})
 	if _, err := l.Append([]byte("interval")); err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,13 @@
 # BenchmarkPublishFanout COUNT times, takes the best (minimum) ns/op — the
 # run least disturbed by scheduler noise — and compares it against the
 # gate_ns_op / gate_allocs_op recorded in BENCH_fanout.json. More than a 2%
-# ns/op regression, or any allocs/op above the recorded gate, fails. Five
+# ns/op regression, or any allocs/op above the recorded gate, fails. Six
 # allocation-only gates follow: the sampled fan-out and the socket ingress
 # path in allocs/op (gate_sampled_allocs_op / gate_ingress_allocs_op), the
-# UDP receive in B/op (gate_udp_recv_bytes_op), and the discovery path's
+# UDP receive in B/op (gate_udp_recv_bytes_op), the discovery path's
 # ping handler and whole loopback discovery in allocs/op
-# (gate_answer_ping_allocs_op / gate_discover_allocs_op).
+# (gate_answer_ping_allocs_op / gate_discover_allocs_op), and a registration
+# refresh at a durable BDN in allocs/op (gate_store_ad_allocs_op).
 #
 #   sh scripts/bench_gate.sh            # defaults: COUNT=8, 2% threshold
 #   COUNT=12 REGRESSION_PCT=5 sh scripts/bench_gate.sh
@@ -31,6 +32,7 @@ GATE_INGRESS_ALLOCS=$(sed -n 's/.*"gate_ingress_allocs_op"[[:space:]]*:[[:space:
 GATE_UDP_RECV_BYTES=$(sed -n 's/.*"gate_udp_recv_bytes_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_ANSWER_PING_ALLOCS=$(sed -n 's/.*"gate_answer_ping_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_DISCOVER_ALLOCS=$(sed -n 's/.*"gate_discover_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
+GATE_STORE_AD_ALLOCS=$(sed -n 's/.*"gate_store_ad_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 if [ -z "$GATE_NS" ] || [ -z "$GATE_ALLOCS" ]; then
     echo "bench-gate: $BENCH_FILE carries no gate_ns_op / gate_allocs_op" >&2
     exit 1
@@ -132,6 +134,15 @@ fi
 # discovery opened its own socket and session and decoded every datagram.
 if [ -n "$GATE_DISCOVER_ALLOCS" ]; then
     allocs_gate . BenchmarkDiscoverLoopback allocs/op "$GATE_DISCOVER_ALLOCS"
+fi
+
+# Registry gate: one broker refreshing its registration at a durable BDN
+# (decode, admit, commit the upsert, append it to the WAL). The upsert is
+# committed from the advertisement the handler already decoded and the payload
+# it already holds; a second decode or encode on the way to the table shows
+# here.
+if [ -n "$GATE_STORE_AD_ALLOCS" ]; then
+    allocs_gate ./internal/bdn/ BenchmarkStoreAdvertisement allocs/op "$GATE_STORE_AD_ALLOCS"
 fi
 
 echo "bench-gate: ok"
