@@ -113,3 +113,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCoreDecoders -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRegistryRecord -fuzztime 30s ./internal/bdn/
 	$(GO) test -run '^$$' -fuzz FuzzReplicaMessage -fuzztime 30s ./internal/bdn/replica/
+	$(GO) test -run '^$$' -fuzz FuzzSegmentRecovery -fuzztime 30s ./internal/wal/

@@ -1,7 +1,7 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
+// Benchmark harness: one sub-benchmark per table and figure of the paper's
 // evaluation (section 9), plus the ablation studies from DESIGN.md. Each
-// benchmark executes the corresponding experiment end-to-end on the
-// simulated WAN and reports the headline quantity as a custom metric, so
+// executes the corresponding experiment end-to-end on the simulated WAN and
+// reports the headline quantity as a custom metric, so
 //
 //	go test -bench=. -benchmem
 //
@@ -22,8 +22,6 @@ import (
 	"narada/internal/core"
 	"narada/internal/experiments"
 	"narada/internal/ntptime"
-	"narada/internal/simnet"
-	"narada/internal/topology"
 	"narada/internal/transport"
 )
 
@@ -34,104 +32,30 @@ func benchOpts(i int) experiments.Options {
 	return experiments.Options{Runs: 10, Keep: 8, Scale: 200, Seed: int64(i + 1)}
 }
 
-func BenchmarkTable1Sites(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table1Report(benchOpts(i))
-		if _, err := r.WriteTo(io.Discard); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiment runs the evaluation as the registry lists it — one
+// sub-benchmark per table, figure and ablation, BenchmarkExperiment/<id> —
+// and reports a figure's headline quantity (wait-% for Figures 2/9/11, mean
+// model-ms per discovery for Figures 3-7 and 12, host ms for 13/14).
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			headline, unit := 0.0, ""
+			for i := 0; i < b.N; i++ {
+				r, err := e.Run(benchOpts(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.WriteTo(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+				headline, unit = headline+r.Headline, r.Unit
+			}
+			if unit != "" {
+				b.ReportMetric(headline/float64(b.N), unit)
+			}
+		})
 	}
 }
-
-func benchBreakdown(b *testing.B, topo string) {
-	waitPct := 0.0
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunBreakdown(topo, benchOpts(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		waitPct += r.Mean.Percent(core.PhaseWaitResponses)
-	}
-	b.ReportMetric(waitPct/float64(b.N), "wait-%")
-}
-
-func BenchmarkFig2UnconnectedBreakdown(b *testing.B) { benchBreakdown(b, topology.Unconnected) }
-func BenchmarkFig9StarBreakdown(b *testing.B)        { benchBreakdown(b, topology.Star) }
-func BenchmarkFig11LinearBreakdown(b *testing.B)     { benchBreakdown(b, topology.Linear) }
-
-func benchSiteTiming(b *testing.B, site string) {
-	mean := 0.0
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunSiteTiming(site, benchOpts(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean += r.Summary.Mean
-	}
-	b.ReportMetric(mean/float64(b.N), "model-ms/discovery")
-}
-
-func BenchmarkFig3DiscoveryFSU(b *testing.B)         { benchSiteTiming(b, simnet.SiteFSU) }
-func BenchmarkFig4DiscoveryCardiff(b *testing.B)     { benchSiteTiming(b, simnet.SiteCardiff) }
-func BenchmarkFig5DiscoveryUMN(b *testing.B)         { benchSiteTiming(b, simnet.SiteUMN) }
-func BenchmarkFig6DiscoveryNCSA(b *testing.B)        { benchSiteTiming(b, simnet.SiteNCSA) }
-func BenchmarkFig7DiscoveryBloomington(b *testing.B) { benchSiteTiming(b, simnet.SiteBloomington) }
-
-func BenchmarkFig12MulticastOnly(b *testing.B) {
-	mean := 0.0
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunMulticast(benchOpts(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean += r.Summary.Mean
-	}
-	b.ReportMetric(mean/float64(b.N), "model-ms/discovery")
-}
-
-func BenchmarkFig13CertValidation(b *testing.B) {
-	mean := 0.0
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunCertValidation(benchOpts(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean += r.Summary.Mean
-	}
-	b.ReportMetric(mean/float64(b.N), "ms/validation")
-}
-
-func BenchmarkFig14SignEncrypt(b *testing.B) {
-	mean := 0.0
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunSignEncrypt(benchOpts(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean += r.Summary.Mean
-	}
-	b.ReportMetric(mean/float64(b.N), "ms/roundtrip")
-}
-
-func benchAblation(b *testing.B, id string) {
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Run(id, benchOpts(i), io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationTimeoutSweep(b *testing.B)  { benchAblation(b, "abl-timeout") }
-func BenchmarkAblationMaxResponses(b *testing.B)  { benchAblation(b, "abl-maxresp") }
-func BenchmarkAblationTargetSetSize(b *testing.B) { benchAblation(b, "abl-target") }
-func BenchmarkAblationLoadWeights(b *testing.B)   { benchAblation(b, "abl-weights") }
-func BenchmarkAblationPacketLoss(b *testing.B)    { benchAblation(b, "abl-loss") }
-func BenchmarkAblationInjection(b *testing.B)     { benchAblation(b, "abl-inject") }
-func BenchmarkAblationBrokerScale(b *testing.B)   { benchAblation(b, "abl-scale") }
-func BenchmarkAblationPingCount(b *testing.B)     { benchAblation(b, "abl-pings") }
-func BenchmarkAblationBDNFailover(b *testing.B)   { benchAblation(b, "abl-failover") }
-func BenchmarkAblationRouting(b *testing.B)       { benchAblation(b, "abl-routing") }
-func BenchmarkAblationRediscover(b *testing.B)    { benchAblation(b, "abl-rediscover") }
 
 // BenchmarkDiscoverLoopback is the discovery ladder's end-to-end rung: one
 // complete Discover() per iteration in wall-clock time over real loopback

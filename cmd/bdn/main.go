@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strings"
@@ -118,8 +117,8 @@ func run() error {
 	}
 
 	node := transport.NewRealNode(*bind, nil)
-	ntp := ntptime.NewService(node.Clock(), 0, rand.New(rand.NewSource(time.Now().UnixNano())))
-	go ntp.Init()
+	ntp := ntptime.NewService(node.Clock(), 0, nil)
+	ntp.InitImmediately() // host clock assumed NTP-disciplined
 
 	p, err := plane.Start(plane.Config{Flags: *tf, Prog: "bdn", Node: cfg.Name, Offset: ntp.Offset})
 	if err != nil {

@@ -14,12 +14,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"narada/internal/broker"
 	"narada/internal/config"
@@ -119,8 +117,8 @@ func run() error {
 	}
 	// Real deployment: the system clock is assumed NTP-disciplined by the
 	// host; the service models the residual synchronisation error.
-	ntp := ntptime.NewService(node.Clock(), 0, rand.New(rand.NewSource(time.Now().UnixNano())))
-	go ntp.Init()
+	ntp := ntptime.NewService(node.Clock(), 0, nil)
+	ntp.InitImmediately() // host clock assumed NTP-disciplined
 
 	p, err := plane.Start(plane.Config{Flags: *tf, Prog: "broker", Node: cfg.LogicalAddress, Offset: ntp.Offset})
 	if err != nil {

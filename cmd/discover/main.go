@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
@@ -103,7 +102,7 @@ func run(args []string) error {
 	}
 
 	node := transport.NewRealNode(*bind, nil)
-	ntp := ntptime.NewService(node.Clock(), 0, rand.New(rand.NewSource(time.Now().UnixNano())))
+	ntp := ntptime.NewService(node.Clock(), 0, nil)
 	ntp.InitImmediately() // host clock assumed NTP-disciplined
 
 	p, err := plane.Start(plane.Config{Flags: *tf, Prog: "discover", Node: cfg.NodeName, Offset: ntp.Offset})

@@ -57,22 +57,13 @@ func run() error {
 
 	opts := experiments.Options{Runs: *runs, Keep: *keep, Scale: *scale, Seed: *seed}
 	var ids []string
-	switch *exp {
-	case "all":
-		ids = experiments.IDs()
-	case "figures":
-		for _, id := range experiments.IDs() {
-			if !strings.HasPrefix(id, "abl-") {
-				ids = append(ids, id)
-			}
+	for _, e := range experiments.Registry {
+		if *exp == "all" || *exp == "figures" && e.Kind == experiments.Figure ||
+			*exp == "ablations" && e.Kind == experiments.Ablation {
+			ids = append(ids, e.ID)
 		}
-	case "ablations":
-		for _, id := range experiments.IDs() {
-			if strings.HasPrefix(id, "abl-") {
-				ids = append(ids, id)
-			}
-		}
-	default:
+	}
+	if ids == nil {
 		ids = strings.Split(*exp, ",")
 	}
 

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"narada/internal/core"
 	"narada/internal/ntptime"
 	"narada/internal/simnet"
+	"narada/internal/testbed"
 	"narada/internal/topology"
 	"narada/internal/transport"
 )
@@ -26,7 +29,7 @@ func quickOpts(seed int64) Options {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	// Every experiment from DESIGN.md's index must be registered.
+	// The independent list: every experiment, in paper order.
 	want := []string{
 		"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig9",
 		"fig11", "fig12", "fig13", "fig14",
@@ -34,13 +37,36 @@ func TestRegistryComplete(t *testing.T) {
 		"abl-loss", "abl-inject", "abl-scale", "abl-pings", "abl-failover",
 		"abl-routing", "abl-rediscover",
 	}
-	for _, id := range want {
-		if _, ok := Registry[id]; !ok {
-			t.Errorf("experiment %q not registered", id)
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Errorf("registry lists\n  %v\nwant\n  %v", got, want)
+	}
+}
+
+// TestDesignIndexMatchesRegistry reads the ID column of the two tables of
+// DESIGN.md §2 and requires the registry's ids in the registry's order, so the
+// document is checked against the list rather than copied from it.
+func TestDesignIndexMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## 2. Experiment index")
+	if !ok {
+		t.Fatal("DESIGN.md has no §2 Experiment index")
+	}
+	section, _, _ = strings.Cut(section, "\n## 3.")
+	var got []string
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || cells[0] != "" {
+			continue
+		}
+		if id := strings.TrimSpace(cells[1]); id != "ID" && strings.Trim(id, "-") != "" {
+			got = append(got, id)
 		}
 	}
-	if len(Registry) != len(want) {
-		t.Errorf("registry has %d entries, want %d", len(Registry), len(want))
+	if want := IDs(); !slices.Equal(got, want) {
+		t.Errorf("DESIGN.md §2 lists\n  %v\nthe registry\n  %v", got, want)
 	}
 }
 
@@ -50,11 +76,11 @@ func TestIDsOrdering(t *testing.T) {
 		t.Fatalf("IDs() returned %d, registry has %d", len(ids), len(Registry))
 	}
 	sawAblation := false
-	for _, id := range ids {
-		if strings.HasPrefix(id, "abl-") {
+	for _, e := range Registry {
+		if e.Kind == Ablation {
 			sawAblation = true
 		} else if sawAblation {
-			t.Fatalf("figure %q listed after ablations", id)
+			t.Fatalf("figure %q listed after ablations", e.ID)
 		}
 	}
 }
@@ -67,7 +93,10 @@ func TestRunUnknownID(t *testing.T) {
 }
 
 func TestTable1Report(t *testing.T) {
-	r := Table1Report(quickOpts(1))
+	r, err := table1(quickOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(r.Body, "complexity.ucs.indiana.edu") ||
 		!strings.Contains(r.Body, "bouscat.cs.cf.ac.uk") {
 		t.Fatalf("Table 1 machines missing:\n%s", r.Body)
@@ -85,20 +114,22 @@ func TestBreakdownShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-topology sweep")
 	}
-	results := map[string]*BreakdownResult{}
+	results := map[string]samples{}
 	for _, topo := range []string{topology.Unconnected, topology.Star, topology.Linear} {
-		r, err := RunBreakdown(topo, quickOpts(3))
+		r, err := breakdownSamples(topo, quickOpts(3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		results[topo] = r
-		if pct := r.Mean.Percent(core.PhaseWaitResponses); pct < 40 {
+		sum := r.breakdown()
+		if pct := sum.Percent(core.PhaseWaitResponses); pct < 40 {
 			t.Errorf("%s: wait share %.1f%%, expected the dominant phase", topo, pct)
 		}
 	}
 	waitOf := func(topo string) float64 {
 		r := results[topo]
-		return float64(r.Mean.Get(core.PhaseWaitResponses)) / float64(r.Runs)
+		sum := r.breakdown()
+		return float64(sum.Get(core.PhaseWaitResponses)) / float64(len(r.ok()))
 	}
 	un, star, lin := waitOf(topology.Unconnected), waitOf(topology.Star), waitOf(topology.Linear)
 	// The robust paper claim: the unconnected O(N) fan-out waits far longer
@@ -133,21 +164,20 @@ func TestSiteTimingShape(t *testing.T) {
 	}
 	means := map[string]float64{}
 	for site, want := range nearest {
-		r, err := RunSiteTiming(site, quickOpts(4))
+		opts := quickOpts(4)
+		r, err := siteSamples(site, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		means[site] = r.Summary.Mean
-		top, n := "", 0
-		for name, c := range r.Selected {
-			if c > n {
-				top, n = name, c
-			}
+		sum, err := r.summary(opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if top != want {
-			t.Errorf("%s: selected %s most often, want %s (%v)", site, top, want, r.Selected)
+		means[site] = sum.Mean
+		if top := ranked(r.selection())[0]; top != want {
+			t.Errorf("%s: selected %s most often, want %s (%s)", site, top, want, r.selectionLine())
 		}
-		if r.Summary.Mean <= 0 {
+		if sum.Mean <= 0 {
 			t.Errorf("%s: non-positive mean", site)
 		}
 	}
@@ -160,40 +190,48 @@ func TestSiteTimingShape(t *testing.T) {
 // TestMulticastShape asserts Figure 12: discovery works with no BDN, finds
 // only realm-local brokers, and is much faster than the BDN path.
 func TestMulticastShape(t *testing.T) {
-	mc, err := RunMulticast(quickOpts(5))
+	opts := quickOpts(5)
+	mc, err := multicastSamples(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.ReachedLocal != mc.Runs {
-		t.Errorf("%d/%d runs leaked outside the realm", mc.Runs-mc.ReachedLocal, mc.Runs)
+	if runs, local := len(mc.ok()), realmLocal(mc); local != runs {
+		t.Errorf("%d/%d runs leaked outside the realm", runs-local, runs)
 	}
-	bdnPath, err := RunSiteTiming(simnet.SiteBloomington, quickOpts(5))
+	bdnPath, err := siteSamples(simnet.SiteBloomington, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.Summary.Mean >= bdnPath.Summary.Mean {
-		t.Errorf("multicast (%.0f ms) not faster than BDN path (%.0f ms)",
-			mc.Summary.Mean, bdnPath.Summary.Mean)
+	mcSum, err := mc.summary(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bdnSum, err := bdnPath.summary(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mcSum.Mean >= bdnSum.Mean {
+		t.Errorf("multicast (%.0f ms) not faster than BDN path (%.0f ms)", mcSum.Mean, bdnSum.Mean)
 	}
 }
 
 func TestSecurityExperiments(t *testing.T) {
 	opts := quickOpts(6)
 	opts.Runs, opts.Keep = 20, 15
-	cert, err := RunCertValidation(opts)
+	cert, err := certValidation(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cert.Summary.Mean <= 0 || cert.Summary.Mean > 1000 {
-		t.Errorf("cert validation mean %.3f ms implausible", cert.Summary.Mean)
+	if cert.Headline <= 0 || cert.Headline > 1000 {
+		t.Errorf("cert validation mean %.3f ms implausible", cert.Headline)
 	}
-	se, err := RunSignEncrypt(opts)
+	se, err := signEncrypt(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if se.Summary.Mean <= cert.Summary.Mean {
+	if se.Headline <= cert.Headline {
 		t.Errorf("sign+encrypt (%.3f ms) should cost more than validation (%.3f ms)",
-			se.Summary.Mean, cert.Summary.Mean)
+			se.Headline, cert.Headline)
 	}
 }
 
@@ -209,11 +247,11 @@ func TestRunWritesReport(t *testing.T) {
 }
 
 func TestBreakdownReportRendering(t *testing.T) {
-	r, err := RunBreakdown(topology.Star, quickOpts(8))
+	r, err := breakdownSamples(topology.Star, quickOpts(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := r.report("fig9", "ref")
+	rep := breakdownReport(topology.Star, "ref", r)
 	if !strings.Contains(rep.Body, "wait-initial-responses") {
 		t.Fatalf("report body missing phases:\n%s", rep.Body)
 	}
@@ -254,17 +292,17 @@ func TestAllAblationsRun(t *testing.T) {
 	ablationRuns = 3
 	defer func() { ablationRuns = saved }()
 
-	for _, id := range IDs() {
-		if !strings.HasPrefix(id, "abl-") {
+	for _, e := range Registry {
+		if e.Kind != Ablation {
 			continue
 		}
 		var buf bytes.Buffer
-		if err := Run(id, quickOpts(9), &buf); err != nil {
-			t.Errorf("%s: %v", id, err)
+		if err := Run(e.ID, quickOpts(9), &buf); err != nil {
+			t.Errorf("%s: %v", e.ID, err)
 			continue
 		}
-		if !strings.Contains(buf.String(), id) {
-			t.Errorf("%s: report missing id:\n%s", id, buf.String())
+		if !strings.Contains(buf.String(), e.ID) {
+			t.Errorf("%s: report missing id:\n%s", e.ID, buf.String())
 		}
 	}
 }
@@ -287,24 +325,26 @@ func (n *dialCounter) Dial(addr string) (transport.Conn, error) {
 func TestFiguresMeasureColdDiscoveries(t *testing.T) {
 	opts := quickOpts(10)
 	opts.Runs, opts.Keep = 5, 5
-	tb, err := figTestbed(topology.Unconnected, opts)
+	err := onDeployment(paperDeployment(topology.Unconnected, opts), func(tb *testbed.Testbed) error {
+		node := &dialCounter{Node: tb.ClientNode(simnet.SiteFSU, "client-fsu")}
+		ntp := ntptime.NewService(node.Clock(), 0, nil)
+		ntp.InitImmediately()
+		cfg := figDiscoveryConfig()
+		cfg.NodeName, cfg.BDNAddrs = "client-fsu", []string{tb.BDN.Addr()}
+		r := collect(core.NewDiscoverer(node, ntp, cfg), opts.Runs)
+		sum, err := r.summary(opts)
+		if err != nil {
+			return err
+		}
+		if r.failed() != 0 || sum.N != 5 {
+			t.Errorf("%d of 5 runs failed, %d summarised", r.failed(), sum.N)
+		}
+		if dials := node.dials.Load(); dials != 5 {
+			t.Errorf("a 5-run figure dialled its BDN %d times, want once per run", dials)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer tb.Close()
-	node := &dialCounter{Node: tb.ClientNode(simnet.SiteFSU, "client-fsu")}
-	ntp := ntptime.NewService(node.Clock(), 0, nil)
-	ntp.InitImmediately()
-	cfg := figDiscoveryConfig()
-	cfg.NodeName, cfg.BDNAddrs = "client-fsu", []string{tb.BDN.Addr()}
-	r, err := siteTiming(core.NewDiscoverer(node, ntp, cfg), simnet.SiteFSU, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Failed != 0 || r.Summary.N != 5 {
-		t.Fatalf("%d of 5 runs failed, %d summarised", r.Failed, r.Summary.N)
-	}
-	if dials := node.dials.Load(); dials != 5 {
-		t.Fatalf("a 5-run figure dialled its BDN %d times, want once per run", dials)
 	}
 }

@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"narada/internal/bdn"
 	"narada/internal/core"
 	"narada/internal/simnet"
-	"narada/internal/stats"
 	"narada/internal/testbed"
 	"narada/internal/topology"
 )
@@ -33,233 +31,165 @@ func figDiscoveryConfig() core.Config {
 	}
 }
 
-// measure is one paper measurement: a discovery by a client that has just
-// started. A Discoverer keeps its endpoint and its BDN session between
-// discoveries, and the simulator charges a dial three one-way delays, so
-// every figure and ablation loop measures through here and lets both go after
-// the run; only abl-rediscover measures the warm case.
-func measure(d *core.Discoverer) (*core.Result, error) {
-	res, err := d.Discover()
-	d.Close()
-	return res, err
-}
-
-// figTestbed deploys the paper's 5 brokers in the named topology. For the
-// linear topology only the first broker registers with the BDN (Figure 10);
-// otherwise all register. The injection policy is O(N) for unconnected and
-// closest+farthest for connected topologies (paper §4).
-func figTestbed(topo string, opts Options) (*testbed.Testbed, error) {
-	specs := testbed.PaperBrokers()
-	policy := bdn.InjectAll
-	switch topo {
-	case topology.Linear:
-		for i := range specs {
-			specs[i].Register = i == 0
-		}
-		policy = bdn.InjectClosestFarthest
-	case topology.Star:
-		policy = bdn.InjectClosestFarthest
-	}
-	return testbed.New(testbed.Options{
+// paperDeployment is the one base every experiment's testbed derives from:
+// the paper's five brokers in the named topology under the figure tuning. For
+// the linear topology only the first broker registers with the BDN (Figure
+// 10); otherwise all register. The injection policy is O(N) for unconnected
+// and closest+farthest for connected topologies (paper §4).
+func paperDeployment(topo string, opts Options) testbed.Options {
+	o := testbed.Options{
 		Scale:            opts.Scale,
 		Seed:             opts.Seed,
 		Topology:         topo,
-		Brokers:          specs,
-		InjectPolicy:     policy,
+		Brokers:          testbed.PaperBrokers(),
+		InjectPolicy:     bdn.InjectAll,
 		InjectOverhead:   figInjectOverhead,
 		BrokerProcessing: figBrokerProcessing,
-	})
-}
-
-// BreakdownResult holds the per-phase shares for one topology (Figures 2, 9
-// and 11).
-type BreakdownResult struct {
-	Topology string
-	Mean     core.Breakdown // summed over runs; Percent() gives the figure
-	Runs     int
-	Failed   int
-}
-
-// RunBreakdown measures the percentage of time spent in each discovery
-// sub-activity for a topology, averaged over opts.Runs discoveries issued
-// from Bloomington (where the paper ran its client).
-func RunBreakdown(topo string, opts Options) (*BreakdownResult, error) {
-	opts.fillDefaults()
-	tb, err := figTestbed(topo, opts)
-	if err != nil {
-		return nil, err
 	}
-	defer tb.Close()
-	d := tb.NewDiscoverer(simnet.SiteBloomington, "client", figDiscoveryConfig())
-
-	out := &BreakdownResult{Topology: topo}
-	for i := 0; i < opts.Runs; i++ {
-		res, err := measure(d)
-		if err != nil {
-			out.Failed++
-			continue
+	switch topo {
+	case topology.Linear:
+		for i := range o.Brokers {
+			o.Brokers[i].Register = i == 0
 		}
-		out.Mean.Add(&res.Timing)
-		out.Runs++
+		o.InjectPolicy = bdn.InjectClosestFarthest
+	case topology.Star:
+		o.InjectPolicy = bdn.InjectClosestFarthest
 	}
-	if out.Runs == 0 {
-		return nil, fmt.Errorf("experiments: every discovery failed on %s", topo)
-	}
-	return out, nil
+	return o
 }
 
-func (r *BreakdownResult) report(id, paperRef string) *Report {
+// breakdownSamples measures opts.Runs discoveries from Bloomington (where the
+// paper ran its client) on a topology: Figures 2, 9 and 11.
+func breakdownSamples(topo string, opts Options) (samples, error) {
+	s, _, err := point{deploy: paperDeployment(topo, opts), cfg: figDiscoveryConfig(), runs: opts.Runs}.run()
+	if err == nil && len(s.ok()) == 0 {
+		err = fmt.Errorf("experiments: every discovery failed on %s", topo)
+	}
+	return s, err
+}
+
+// breakdownReport renders the percentage of time spent in each discovery
+// sub-activity, averaged over the completed runs.
+func breakdownReport(topo, paperRef string, s samples) *Report {
+	sum, runs := s.breakdown(), len(s.ok())
 	rows := make([][]string, 0, 8)
 	for _, p := range core.Phases() {
 		rows = append(rows, []string{
 			p.String(),
-			fmt.Sprintf("%.2f", r.Mean.Percent(p)),
-			fmt.Sprintf("%.1f", ms(r.Mean.Get(p))/float64(r.Runs)),
+			fmt.Sprintf("%.2f", sum.Percent(p)),
+			fmt.Sprintf("%.1f", ms(sum.Get(p))/float64(runs)),
 		})
 	}
 	body := table([]string{"Sub-activity", "% of total", "mean ms/run"}, rows)
-	body += fmt.Sprintf("\nruns=%d failed=%d topology=%s\n", r.Runs, r.Failed, r.Topology)
-	return &Report{ID: id, Title: "Discovery sub-activity breakdown (" + r.Topology + ")",
-		PaperRef: paperRef, Body: body}
+	body += fmt.Sprintf("\nruns=%d failed=%d topology=%s\n", runs, s.failed(), topo)
+	return &Report{Title: "Discovery sub-activity breakdown (" + topo + ")", PaperRef: paperRef, Body: body,
+		Headline: sum.Percent(core.PhaseWaitResponses), Unit: "wait-%"}
 }
 
-// SiteTimingResult holds the total-discovery-time statistics for one client
-// site (Figures 3-7).
-type SiteTimingResult struct {
-	Site     string
-	Summary  stats.Summary
-	Selected map[string]int // selected broker -> count
-	Failed   int
-}
-
-// RunSiteTiming measures total discovery time from one client site on the
-// unconnected topology, applying the paper's 120-run/keep-100 sampling.
-func RunSiteTiming(site string, opts Options) (*SiteTimingResult, error) {
-	opts.fillDefaults()
-	tb, err := figTestbed(topology.Unconnected, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer tb.Close()
-	return siteTiming(tb.NewDiscoverer(site, "client-"+site, figDiscoveryConfig()), site, opts)
-}
-
-// siteTiming is RunSiteTiming's measurement loop over a deployed testbed.
-func siteTiming(d *core.Discoverer, site string, opts Options) (*SiteTimingResult, error) {
-	totals := make([]float64, 0, opts.Runs)
-	selected := make(map[string]int)
-	failed := 0
-	for i := 0; i < opts.Runs; i++ {
-		res, err := measure(d)
+func breakdown(topo, paperRef string) runner {
+	return func(opts Options) (*Report, error) {
+		s, err := breakdownSamples(topo, opts)
 		if err != nil {
-			failed++
-			continue
+			return nil, err
 		}
-		totals = append(totals, ms(res.Timing.Total()))
-		selected[res.Selected.LogicalAddress]++
+		return breakdownReport(topo, paperRef, s), nil
 	}
-	summary, err := paperSummary(totals, opts)
+}
+
+// siteSamples measures total discovery time from one client site on the
+// unconnected topology: Figures 3-7.
+func siteSamples(site string, opts Options) (samples, error) {
+	s, _, err := point{deploy: paperDeployment(topology.Unconnected, opts), site: site,
+		cfg: figDiscoveryConfig(), runs: opts.Runs}.run()
+	return s, err
+}
+
+// siteTimingReport applies the paper's 120-run/keep-100 sampling to a site's
+// totals.
+func siteTimingReport(site string, s samples, opts Options) (*Report, error) {
+	sum, err := s.summary(opts)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: site %s: %w", site, err)
 	}
-	return &SiteTimingResult{Site: site, Summary: summary, Selected: selected, Failed: failed}, nil
-}
-
-func (r *SiteTimingResult) report(id string) *Report {
-	body := metricTable("ms", r.Summary)
-	var sel []string
-	for name, n := range r.Selected {
-		sel = append(sel, fmt.Sprintf("%s×%d", name, n))
-	}
-	body += fmt.Sprintf("\nselected brokers: %s  (failed runs: %d)\n",
-		strings.Join(sel, " "), r.Failed)
+	body := metricTable("ms", sum)
+	body += fmt.Sprintf("\nselected brokers: %s  (failed runs: %d)\n", s.selectionLine(), s.failed())
 	return &Report{
-		ID:    id,
-		Title: "Total discovery time, client at " + r.Site + " (unconnected topology)",
+		Title: "Total discovery time, client at " + site + " (unconnected topology)",
 		PaperRef: "mean dominated by the wait for initial responses; " +
 			"per-site variation tracks WAN RTTs",
-		Body: body,
+		Body: body, Headline: sum.Mean, Unit: "model-ms/discovery",
+	}, nil
+}
+
+func siteTiming(site string) runner {
+	return func(opts Options) (*Report, error) {
+		s, err := siteSamples(site, opts)
+		if err != nil {
+			return nil, err
+		}
+		return siteTimingReport(site, s, opts)
 	}
 }
 
-// MulticastResult holds the multicast-only discovery statistics (Figure 12).
-type MulticastResult struct {
-	Summary      stats.Summary
-	ReachedLocal int // runs that found only realm-local brokers (expected all)
-	Runs         int
-	Failed       int
-}
-
-// RunMulticast measures discovery with no BDN at all: the request is
-// multicast and — since multicast does not cross realms, reproducing
-// "multicast was disabled for network traffic outside the lab" — only the
-// Indiana broker is discoverable from the Bloomington client.
-func RunMulticast(opts Options) (*MulticastResult, error) {
-	opts.fillDefaults()
-	tb, err := testbed.New(testbed.Options{
-		Scale:            opts.Scale,
-		Seed:             opts.Seed,
-		Topology:         topology.Unconnected,
-		NoBDN:            true,
-		Multicast:        true,
-		BrokerProcessing: figBrokerProcessing,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer tb.Close()
-
+// multicastSamples measures discovery with no BDN at all (Figure 12): the
+// request is multicast and — since multicast does not cross realms,
+// reproducing "multicast was disabled for network traffic outside the lab" —
+// only the Indiana broker is discoverable from the Bloomington client.
+func multicastSamples(opts Options) (samples, error) {
+	o := paperDeployment(topology.Unconnected, opts)
+	o.NoBDN, o.Multicast = true, true
 	cfg := figDiscoveryConfig()
 	cfg.MaxResponses = 1 // only the lab broker can answer
 	cfg.CollectWindow = 1 * time.Second
-	d := tb.NewDiscoverer(simnet.SiteBloomington, "client", cfg)
+	s, _, err := point{deploy: o, cfg: cfg, runs: opts.Runs}.run()
+	return s, err
+}
 
-	totals := make([]float64, 0, opts.Runs)
-	out := &MulticastResult{}
-	for i := 0; i < opts.Runs; i++ {
-		res, err := measure(d)
-		if err != nil {
-			out.Failed++
-			continue
-		}
-		totals = append(totals, ms(res.Timing.Total()))
-		out.Runs++
+// realmLocal counts the runs that heard only realm-local brokers (expected:
+// all of them).
+func realmLocal(s samples) int {
+	n := 0
+	for _, r := range s.ok() {
 		local := true
-		for _, c := range res.Responses {
+		for _, c := range r.Responses {
 			if c.Response.Broker.Realm != simnet.SiteIndianapolis &&
 				c.Response.Broker.Realm != simnet.SiteBloomington {
 				local = false
 			}
 		}
 		if local {
-			out.ReachedLocal++
+			n++
 		}
 	}
-	summary, err := paperSummary(totals, opts)
+	return n
+}
+
+func multicastReport(s samples, opts Options) (*Report, error) {
+	sum, err := s.summary(opts)
 	if err != nil {
 		return nil, err
 	}
-	out.Summary = summary
-	return out, nil
-}
-
-func (r *MulticastResult) report() *Report {
-	body := metricTable("ms", r.Summary)
-	body += fmt.Sprintf("\nruns=%d realm-local-only=%d failed=%d\n",
-		r.Runs, r.ReachedLocal, r.Failed)
+	body := metricTable("ms", sum)
+	body += fmt.Sprintf("\nruns=%d realm-local-only=%d failed=%d\n", len(s.ok()), realmLocal(s), s.failed())
 	return &Report{
-		ID:    "fig12",
 		Title: "Broker discovery times using ONLY multicast (no BDN)",
 		PaperRef: "multicast requests could only reach brokers inside the lab " +
 			"realm; discovery is much faster but finds only local brokers",
-		Body: body,
-	}
+		Body: body, Headline: sum.Mean, Unit: "model-ms/discovery",
+	}, nil
 }
 
-// Table1Report renders the testbed machine summary (Table 1) together with
-// the simulator's RTT matrix standing in for the physical WAN.
-func Table1Report(opts Options) *Report {
-	opts.fillDefaults()
+func multicast(opts Options) (*Report, error) {
+	s, err := multicastSamples(opts)
+	if err != nil {
+		return nil, err
+	}
+	return multicastReport(s, opts)
+}
+
+// table1 renders the testbed machine summary (Table 1) together with the
+// simulator's RTT matrix standing in for the physical WAN.
+func table1(opts Options) (*Report, error) {
 	rows := make([][]string, 0, 8)
 	for _, m := range simnet.Table1Machines() {
 		rows = append(rows, []string{m.Hostname, m.Location, m.Spec, m.JVM})
@@ -284,9 +214,8 @@ func Table1Report(opts Options) *Report {
 	body += "\nSimulated RTT matrix (ms):\n"
 	body += table(append([]string{"site"}, sites...), rttRows)
 	return &Report{
-		ID:       "table1",
 		Title:    "Summary of machines used in the testing process",
 		PaperRef: "five WAN-separated machines (Indiana, UMN, NCSA, FSU, Cardiff)",
 		Body:     body,
-	}
+	}, nil
 }

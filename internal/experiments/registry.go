@@ -3,123 +3,93 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"narada/internal/simnet"
 	"narada/internal/topology"
 )
 
-// Runner executes one experiment and returns its report.
-type Runner func(opts Options) (*Report, error)
+// Kind says which half of the evaluation an experiment belongs to.
+type Kind int
 
-// Registry maps experiment ids (table/figure numbers and ablations) to
-// runners. The ids match DESIGN.md's experiment index.
-var Registry = map[string]Runner{
-	"table1": func(opts Options) (*Report, error) { return Table1Report(opts), nil },
-	"fig2": func(opts Options) (*Report, error) {
-		r, err := RunBreakdown(topology.Unconnected, opts)
-		if err != nil {
-			return nil, err
-		}
-		return r.report("fig2", "about 83% of the time is spent waiting for the "+
-			"initial responses; BDN O(N) distribution is inefficient"), nil
-	},
-	"fig3": siteRunner("fig3", simnet.SiteFSU),
-	"fig4": siteRunner("fig4", simnet.SiteCardiff),
-	"fig5": siteRunner("fig5", simnet.SiteUMN),
-	"fig6": siteRunner("fig6", simnet.SiteNCSA),
-	"fig7": siteRunner("fig7", simnet.SiteBloomington),
-	"fig9": func(opts Options) (*Report, error) {
-		r, err := RunBreakdown(topology.Star, opts)
-		if err != nil {
-			return nil, err
-		}
-		return r.report("fig9", "time waiting for the initial set of responses "+
-			"decreases significantly versus the unconnected topology"), nil
-	},
-	"fig11": func(opts Options) (*Report, error) {
-		r, err := RunBreakdown(topology.Linear, opts)
-		if err != nil {
-			return nil, err
-		}
-		return r.report("fig11", "wait share better than unconnected but still "+
-			"poor compared to the star: the request needs finite time to reach "+
-			"the last broker in the chain"), nil
-	},
-	"fig12": func(opts Options) (*Report, error) {
-		r, err := RunMulticast(opts)
-		if err != nil {
-			return nil, err
-		}
-		return r.report(), nil
-	},
-	"fig13": func(opts Options) (*Report, error) {
-		r, err := RunCertValidation(opts)
-		if err != nil {
-			return nil, err
-		}
-		return r.report("fig13", "Time required in validating a X.509 Certificate",
-			"costs are acceptable in most systems requiring the feature"), nil
-	},
-	"fig14": func(opts Options) (*Report, error) {
-		r, err := RunSignEncrypt(opts)
-		if err != nil {
-			return nil, err
-		}
-		return r.report("fig14", "Time to digitally sign and encrypt and later "+
-			"extract the BrokerDiscoveryRequest",
-			"costs are acceptable in most systems requiring the feature"), nil
-	},
-	"abl-timeout":  RunTimeoutSweep,
-	"abl-maxresp":  RunMaxResponsesSweep,
-	"abl-target":   RunTargetSetSweep,
-	"abl-weights":  RunLoadWeights,
-	"abl-loss":     RunLossSweep,
-	"abl-inject":   RunInjectionComparison,
-	"abl-scale":    RunBrokerScale,
-	"abl-pings":    RunPingCountSweep,
-	"abl-failover": RunBDNFailover,
-	"abl-routing":  RunRoutingComparison,
+const (
+	Figure   Kind = iota // a table or figure of the paper's §9
+	Ablation             // a design choice the paper calls out, swept
+)
 
-	"abl-rediscover": RunRediscovery,
+type runner func(opts Options) (*Report, error)
+
+// Experiment is one entry of the evaluation.
+type Experiment struct {
+	ID   string
+	Kind Kind
+	run  runner
 }
 
-func siteRunner(id, site string) Runner {
-	return func(opts Options) (*Report, error) {
-		r, err := RunSiteTiming(site, opts)
-		if err != nil {
-			return nil, err
-		}
-		return r.report(id), nil
-	}
+// Registry is the evaluation in paper order: Table 1, Figures 2-14, then the
+// ablations. Every other list of experiments — nbexp -list, the benchmark
+// suite, DESIGN.md §2 — is read from or checked against this one.
+var Registry = []Experiment{
+	{"table1", Figure, table1},
+	{"fig2", Figure, breakdown(topology.Unconnected, "about 83% of the time is spent waiting for the "+
+		"initial responses; BDN O(N) distribution is inefficient")},
+	{"fig3", Figure, siteTiming(simnet.SiteFSU)},
+	{"fig4", Figure, siteTiming(simnet.SiteCardiff)},
+	{"fig5", Figure, siteTiming(simnet.SiteUMN)},
+	{"fig6", Figure, siteTiming(simnet.SiteNCSA)},
+	{"fig7", Figure, siteTiming(simnet.SiteBloomington)},
+	{"fig9", Figure, breakdown(topology.Star, "time waiting for the initial set of responses "+
+		"decreases significantly versus the unconnected topology")},
+	{"fig11", Figure, breakdown(topology.Linear, "wait share better than unconnected but still "+
+		"poor compared to the star: the request needs finite time to reach "+
+		"the last broker in the chain")},
+	{"fig12", Figure, multicast},
+	{"fig13", Figure, certValidation},
+	{"fig14", Figure, signEncrypt},
+	{"abl-timeout", Ablation, timeoutSweep},
+	{"abl-maxresp", Ablation, maxResponsesSweep},
+	{"abl-target", Ablation, targetSetSweep},
+	{"abl-weights", Ablation, loadWeights},
+	{"abl-loss", Ablation, lossSweep},
+	{"abl-inject", Ablation, injectionComparison},
+	{"abl-scale", Ablation, brokerScale},
+	{"abl-pings", Ablation, pingCountSweep},
+	{"abl-failover", Ablation, bdnFailover},
+	{"abl-routing", Ablation, routingComparison},
+	{"abl-rediscover", Ablation, rediscovery},
 }
 
-// IDs returns the registered experiment ids: figures first (paper order),
-// then ablations, both lexically sorted within their group.
+// IDs returns the experiment ids in registry order.
 func IDs() []string {
-	var figs, abls []string
-	for id := range Registry {
-		if len(id) > 3 && id[:4] == "abl-" {
-			abls = append(abls, id)
-		} else {
-			figs = append(figs, id)
-		}
+	ids := make([]string, len(Registry))
+	for i, e := range Registry {
+		ids[i] = e.ID
 	}
-	sort.Strings(figs)
-	sort.Strings(abls)
-	return append(figs, abls...)
+	return ids
+}
+
+// Run executes the experiment and returns its report.
+func (e Experiment) Run(opts Options) (*Report, error) {
+	opts.fillDefaults()
+	report, err := e.run(opts)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
+	}
+	report.ID = e.ID
+	return report, nil
 }
 
 // Run executes one experiment by id and writes its report to w.
 func Run(id string, opts Options, w io.Writer) error {
-	runner, ok := Registry[id]
-	if !ok {
-		return fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
+	for _, e := range Registry {
+		if e.ID != id {
+			continue
+		}
+		report, err := e.Run(opts)
+		if err != nil {
+			return err
+		}
+		_, err = report.WriteTo(w)
+		return err
 	}
-	report, err := runner(opts)
-	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", id, err)
-	}
-	_, err = report.WriteTo(w)
-	return err
+	return fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
 }

@@ -2,7 +2,8 @@
 // evaluation (section 9), plus ablations over the design choices the paper
 // calls out. Each experiment is addressable by id ("fig2", "fig7",
 // "abl-timeout", ...) through the Registry, runnable from cmd/nbexp and from
-// the repository's benchmark suite.
+// the repository's benchmark suite. A run holds its samples — one record per
+// discovery (samples.go) — and every table is a view of them.
 package experiments
 
 import (
@@ -26,11 +27,6 @@ type Options struct {
 	Scale float64
 	// Seed drives all randomness.
 	Seed int64
-}
-
-// DefaultOptions mirrors the paper's sampling recipe.
-func DefaultOptions() Options {
-	return Options{Runs: 120, Keep: 100, Scale: 200, Seed: 1}
 }
 
 func (o *Options) fillDefaults() {
@@ -60,10 +56,14 @@ func paperSummary(samples []float64, opts Options) (stats.Summary, error) {
 
 // Report is a rendered experiment result.
 type Report struct {
-	ID       string
+	ID       string // set by Experiment.Run
 	Title    string
 	PaperRef string // the qualitative claim from the paper to compare against
 	Body     string // pre-rendered table(s)
+	// Headline is the figure's one quantity (the benchmark suite reports it
+	// as a custom metric), in Unit; Unit is "" where a table is the result.
+	Headline float64
+	Unit     string
 }
 
 // WriteTo renders the report to w.

@@ -143,32 +143,22 @@ func TestServiceBeforeSync(t *testing.T) {
 	}
 }
 
-func TestServiceInitDurationEnvelope(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 100; i++ {
-		s := NewService(NewManualClock(time.Unix(0, 0)), 0, rng)
-		d := s.InitDuration()
-		if d < MinInit || d > MaxInit {
-			t.Fatalf("init duration %v outside [%v, %v]", d, MinInit, MaxInit)
-		}
+// TestHonestClockIsNotMadeWorse: a real process has an honest clock and no
+// modelled peering, so its service must hand that clock back untouched — no
+// residual, no offset, UTC equal to the clock's own reading.
+func TestHonestClockIsNotMadeWorse(t *testing.T) {
+	c := NewManualClock(time.Date(2026, 10, 3, 12, 0, 0, 0, time.UTC))
+	s := NewService(c, 0, nil)
+	s.InitImmediately()
+	if got := s.Offset(); got != 0 {
+		t.Errorf("Offset() = %v, want 0", got)
 	}
-}
-
-func TestServiceInitBlocksForInitDuration(t *testing.T) {
-	// Run Init against a fast scaled clock so the 3-5 s model delay is ms.
-	clock := NewScaledClock(time.Unix(0, 0), 1000)
-	s := NewService(clock, 0, rand.New(rand.NewSource(3)))
-	done := make(chan struct{})
-	go func() { s.Init(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Init did not complete")
+	if got := s.Residual(); got != 0 {
+		t.Errorf("Residual() = %v, want 0", got)
 	}
-	if !s.Synchronized() {
-		t.Fatal("service not synchronized after Init")
+	if utc, err := s.UTC(); err != nil || !utc.Equal(c.Now()) {
+		t.Errorf("UTC() = %v, %v; clock reads %v", utc, err, c.Now())
 	}
-	s.MustUTC() // must not panic
 }
 
 func TestTwoNodesWithinPaperBound(t *testing.T) {
@@ -182,7 +172,11 @@ func TestTwoNodesWithinPaperBound(t *testing.T) {
 		return s
 	}
 	a, b := mk(300*time.Millisecond), mk(-450*time.Millisecond)
-	ta, tb := a.MustUTC(), b.MustUTC()
+	ta, errA := a.UTC()
+	tb, errB := b.UTC()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	diff := ta.Sub(tb)
 	if diff < 0 {
 		diff = -diff

@@ -13,23 +13,18 @@ const (
 	// "every node in NaradaBrokering is within 1-20 msecs of each other".
 	MinResidual = 1 * time.Millisecond
 	MaxResidual = 20 * time.Millisecond
-
-	// MinInit / MaxInit bound the synchronisation start-up delay: "generally
-	// take between 3-5 seconds before the local clock offsets are computed".
-	MinInit = 3 * time.Second
-	MaxInit = 5 * time.Second
 )
 
 // ErrNotSynchronized is returned by UTC before initialization completes.
 var ErrNotSynchronized = errors.New("ntptime: service not yet synchronized")
 
 // Service models a node's NTP client. It owns the node's (possibly skewed)
-// local clock and, once initialized, serves UTC timestamps whose error
-// against true time lies within the paper's 1-20 ms envelope.
+// local clock and, once initialized, serves UTC timestamps.
 //
 // In a simulation the "true" offset is known (the SkewedClock's skew) and the
-// Service estimates it imperfectly; against the system clock the offset is
-// zero and the residual models the quality of a real NTP peering.
+// Service estimates it imperfectly, erring within the paper's 1-20 ms
+// envelope. A real process models nothing: its system clock is whatever the
+// host's own NTP daemon made of it, and the Service hands it back unchanged.
 type Service struct {
 	local Clock
 
@@ -37,55 +32,30 @@ type Service struct {
 	synced   bool
 	estimate time.Duration // estimated local-clock offset from UTC
 	residual time.Duration // signed estimation error, for introspection
-	initTook time.Duration
 }
 
 // NewService creates an NTP service for a node with the given local clock.
 // trueSkew is the actual offset of the local clock from UTC (the skew of a
-// SkewedClock, or 0 for an honest clock). rng drives the simulated residual
-// error and initialization time; a nil rng uses a fixed mid-range residual.
+// SkewedClock, or 0 for an honest clock). rng draws the simulated residual
+// error; a nil rng means no modelled residual, so the estimate is trueSkew
+// itself — what every real process passes, with trueSkew 0.
 func NewService(local Clock, trueSkew time.Duration, rng *rand.Rand) *Service {
-	s := &Service{local: local}
-	s.plan(trueSkew, rng)
-	return s
-}
-
-func (s *Service) plan(trueSkew time.Duration, rng *rand.Rand) {
-	residual := (MinResidual + MaxResidual) / 2
-	initTook := (MinInit + MaxInit) / 2
+	var residual time.Duration
 	if rng != nil {
 		span := int64(MaxResidual - MinResidual)
 		residual = MinResidual + time.Duration(rng.Int63n(span+1))
 		if rng.Intn(2) == 0 {
 			residual = -residual
 		}
-		initSpan := int64(MaxInit - MinInit)
-		initTook = MinInit + time.Duration(rng.Int63n(initSpan+1))
 	}
-	s.mu.Lock()
 	// The service's estimate of its own skew misses the truth by residual;
 	// corrected time therefore errs from UTC by exactly -residual.
-	s.estimate = trueSkew + residual
-	s.residual = residual
-	s.initTook = initTook
-	s.mu.Unlock()
+	return &Service{local: local, estimate: trueSkew + residual, residual: residual}
 }
 
-// Init blocks for the simulated 3-5 s synchronisation delay (in the local
-// clock's timescale) and then marks the service synchronized. It is intended
-// to be run from the node's start-up goroutine.
-func (s *Service) Init() {
-	s.mu.Lock()
-	took := s.initTook
-	s.mu.Unlock()
-	s.local.Sleep(took)
-	s.mu.Lock()
-	s.synced = true
-	s.mu.Unlock()
-}
-
-// InitImmediately marks the service synchronized without the start-up delay;
-// used by tests and by experiments that begin after the warm-up phase.
+// InitImmediately marks the service synchronized. The paper's "3-5 seconds
+// before the local clock offsets are computed" is not modelled: no simulation
+// ever ran it, and a real process has nothing to wait for.
 func (s *Service) InitImmediately() {
 	s.mu.Lock()
 	s.synced = true
@@ -109,15 +79,6 @@ func (s *Service) UTC() (time.Time, error) {
 		return s.local.Now(), ErrNotSynchronized
 	}
 	return s.local.Now().Add(-est), nil
-}
-
-// MustUTC is UTC for callers that have ensured synchronisation.
-func (s *Service) MustUTC() time.Time {
-	t, err := s.UTC()
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // Residual returns the signed error of the corrected clock against true UTC.
@@ -146,10 +107,3 @@ func (s *Service) Offset() time.Duration {
 // Local returns the node's local clock (used for interval timing, which must
 // not jump when offsets are re-estimated).
 func (s *Service) Local() Clock { return s.local }
-
-// InitDuration returns the simulated synchronisation delay.
-func (s *Service) InitDuration() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.initTook
-}

@@ -3,7 +3,6 @@ package collect
 import (
 	"errors"
 	"log/slog"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -86,7 +85,7 @@ func NewProber(cfg ProbeConfig) (*Prober, error) {
 	node := transport.NewRealNode(probeBindIP, nil)
 	// The prober runs on the collector host's honest wall clock: zero true
 	// skew, and the residual models a real NTP peering.
-	ntp := ntptime.NewService(node.Clock(), 0, rand.New(rand.NewSource(time.Now().UnixNano())))
+	ntp := ntptime.NewService(node.Clock(), 0, nil)
 	ntp.InitImmediately()
 
 	// A private registry (cfg.Registry nil) ships its SLI snapshots over the

@@ -12,8 +12,8 @@ type Packet struct {
 
 // PacketConn is an unreliable, unordered datagram endpoint (UDP semantics):
 // sends may be silently lost on lossy inter-site paths, arrival order follows
-// jittered delays, and a full receive buffer drops newest packets exactly as
-// a saturated socket buffer would.
+// each packet's own delay, and a full receive buffer drops newest packets
+// exactly as a saturated socket buffer would.
 type PacketConn struct {
 	net  *Network
 	addr Addr
@@ -123,38 +123,32 @@ func (n *Network) deliverPacket(to Addr, p Packet) {
 	}
 }
 
-// Recv blocks until a datagram arrives or the endpoint closes.
-func (pc *PacketConn) Recv() (Packet, error) {
+// recv is the one receive wait, for datagrams and stream frames alike: an item
+// already queued wins over closure (what was in flight is still delivered),
+// and a nil expire never fires.
+func recv[T any](in <-chan T, closed <-chan struct{}, expire <-chan time.Time) (T, error) {
+	var none T
 	select {
-	case p := <-pc.in:
-		return p, nil
-	case <-pc.closed:
-		// Drain anything already queued before reporting closure.
+	case v := <-in:
+		return v, nil
+	case <-closed:
 		select {
-		case p := <-pc.in:
-			return p, nil
+		case v := <-in:
+			return v, nil
 		default:
-			return Packet{}, ErrClosed
+			return none, ErrClosed
 		}
+	case <-expire:
+		return none, ErrTimeout
 	}
 }
 
+// Recv blocks until a datagram arrives or the endpoint closes.
+func (pc *PacketConn) Recv() (Packet, error) { return recv(pc.in, pc.closed, nil) }
+
 // RecvTimeout blocks for at most d of model time.
 func (pc *PacketConn) RecvTimeout(d time.Duration) (Packet, error) {
-	timer := pc.net.clock.After(d)
-	select {
-	case p := <-pc.in:
-		return p, nil
-	case <-pc.closed:
-		select {
-		case p := <-pc.in:
-			return p, nil
-		default:
-			return Packet{}, ErrClosed
-		}
-	case <-timer:
-		return Packet{}, ErrTimeout
-	}
+	return recv(pc.in, pc.closed, pc.net.clock.After(d))
 }
 
 // Close releases the endpoint and leaves all multicast groups.

@@ -1,7 +1,10 @@
 // Package simnet is an in-process wide-area network simulator. It stands in
 // for the paper's physical five-site testbed (Table 1): named sites joined by
-// a configurable round-trip-time matrix, with jitter, datagram loss,
-// realm-scoped multicast, site partitions and node failures.
+// a configurable round-trip-time matrix, with datagram loss and duplication,
+// realm-scoped multicast, site partitions and node failures. A path's delay is
+// fixed (half its RTT plus serialisation): no Config ever asked for jitter, and
+// what varies between two runs is the host's scheduling, which ScaledClock
+// turns into model time.
 //
 // Two delivery services are provided, mirroring the paper's transport usage:
 //
@@ -64,14 +67,8 @@ type Config struct {
 	// Scale is model-seconds per wall-second for the network clock; <=0
 	// means 1 (real time).
 	Scale float64
-	// Epoch is the model time at creation; zero means 2005-07-01 UTC, the
-	// paper's era.
-	Epoch time.Time
-	// Seed drives all randomness (jitter, loss, skews); 0 means 1.
+	// Seed drives all randomness (loss, duplication, skews); 0 means 1.
 	Seed int64
-	// JitterFrac is the +/- fractional jitter applied to each one-way delay
-	// (e.g. 0.1 = up to 10% deviation). Negative means the default 0.08.
-	JitterFrac float64
 	// DefaultLoss is the datagram loss probability applied to inter-site
 	// paths with no explicit override. Same-site datagrams never use it.
 	DefaultLoss float64
@@ -86,6 +83,9 @@ type Config struct {
 	// protocol's dedup layers must absorb it.
 	DuplicateProb float64
 }
+
+// epoch is the model time at creation: the paper's era.
+var epoch = time.Date(2005, 7, 1, 0, 0, 0, 0, time.UTC)
 
 type pathKey struct{ a, b string }
 
@@ -104,7 +104,6 @@ type groupKey struct {
 // Network is the simulated WAN. All methods are safe for concurrent use.
 type Network struct {
 	clock     *ntptime.ScaledClock
-	jitter    float64
 	localRTT  time.Duration
 	defLoss   float64
 	bandwidth float64
@@ -133,21 +132,14 @@ func New(cfg Config) *Network {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
 	}
-	if cfg.Epoch.IsZero() {
-		cfg.Epoch = time.Date(2005, 7, 1, 0, 0, 0, 0, time.UTC)
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.JitterFrac < 0 {
-		cfg.JitterFrac = 0.08
 	}
 	if cfg.LocalRTT == 0 {
 		cfg.LocalRTT = 400 * time.Microsecond
 	}
 	return &Network{
-		clock:       ntptime.NewScaledClock(cfg.Epoch, cfg.Scale),
-		jitter:      cfg.JitterFrac,
+		clock:       ntptime.NewScaledClock(epoch, cfg.Scale),
 		localRTT:    cfg.LocalRTT,
 		defLoss:     cfg.DefaultLoss,
 		bandwidth:   cfg.BandwidthBps,
@@ -270,31 +262,17 @@ func (n *Network) Counters() (datagramsSent, datagramsDropped, framesSent uint64
 	return n.datagramsSent, n.datagramsDropped, n.framesSent
 }
 
-// oneWay computes a jittered one-way delay between two sites for a message
-// of the given size, or an error if no path exists. Caller must not hold
-// n.mu.
+// oneWay computes the one-way delay between two sites for a message of the
+// given size — half the path's RTT plus serialisation — or an error if no path
+// exists. Caller must not hold n.mu.
 func (n *Network) oneWay(from, to string, size int) (time.Duration, error) {
-	var base time.Duration
-	if from == to {
-		base = n.localRTT / 2
-	} else {
-		n.mu.Lock()
-		rtt, ok := n.rtt[orderedPath(from, to)]
-		n.mu.Unlock()
-		if !ok {
-			return 0, fmt.Errorf("%w: %s <-> %s", ErrUnknownSite, from, to)
-		}
-		base = rtt / 2
+	rtt, ok := n.RTT(from, to)
+	if !ok {
+		return 0, fmt.Errorf("%w: %s <-> %s", ErrUnknownSite, from, to)
 	}
-	n.mu.Lock()
-	j := 1 + (n.rng.Float64()*2-1)*n.jitter
-	n.mu.Unlock()
-	d := time.Duration(float64(base) * j)
+	d := rtt / 2
 	if n.bandwidth > 0 && size > 0 {
 		d += time.Duration(float64(size) / n.bandwidth * float64(time.Second))
-	}
-	if d < 0 {
-		d = 0
 	}
 	return d, nil
 }

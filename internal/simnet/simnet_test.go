@@ -87,7 +87,7 @@ func TestPacketDelayMatchesRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := n.Clock().Now().Sub(start)
-	// One way Bloomington->Cardiff is ~60ms +/- jitter; allow wide envelope
+	// One way Bloomington->Cardiff is ~60ms; allow wide envelope
 	// for wall-clock scheduling noise at scale.
 	if elapsed < 40*time.Millisecond || elapsed > 400*time.Millisecond {
 		t.Fatalf("one-way delay = %v, want around 60ms model time", elapsed)

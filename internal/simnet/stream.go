@@ -7,7 +7,7 @@ import (
 
 // Conn is a reliable, ordered, message-framed connection (TCP semantics with
 // length-prefixed frames, as the real transport uses). Frames are delivered
-// exactly once, in order, after the path's jittered one-way delay.
+// exactly once, in order, after the path's one-way delay.
 type Conn struct {
 	net    *Network
 	local  Addr
@@ -186,7 +186,7 @@ func (c *Conn) Send(payload []byte) error {
 	c.sendMu.Lock()
 	at := c.net.clock.Now().Add(delay)
 	if at.Before(c.lastAt) {
-		at = c.lastAt // preserve FIFO under jitter
+		at = c.lastAt // preserve FIFO: a small frame must not overtake a large one
 	}
 	c.lastAt = at
 	frame := timedFrame{at: at, payload: buf}
@@ -206,36 +206,11 @@ func (c *Conn) Send(payload []byte) error {
 
 // Recv blocks until a frame arrives or the connection closes. Frames already
 // in flight are still delivered after a close on the other side.
-func (c *Conn) Recv() ([]byte, error) {
-	select {
-	case p := <-c.in:
-		return p, nil
-	case <-c.link.closed:
-		select {
-		case p := <-c.in:
-			return p, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
-}
+func (c *Conn) Recv() ([]byte, error) { return recv(c.in, c.link.closed, nil) }
 
 // RecvTimeout blocks for at most d of model time.
 func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
-	timer := c.net.clock.After(d)
-	select {
-	case p := <-c.in:
-		return p, nil
-	case <-c.link.closed:
-		select {
-		case p := <-c.in:
-			return p, nil
-		default:
-			return nil, ErrClosed
-		}
-	case <-timer:
-		return nil, ErrTimeout
-	}
+	return recv(c.in, c.link.closed, c.net.clock.After(d))
 }
 
 // Close tears down both directions of the connection.

@@ -126,9 +126,9 @@ func TestRunnerBacksOffThroughFailures(t *testing.T) {
 	if got := r.Attempts(); got < 4 {
 		t.Fatalf("attempts = %d, want >= 4 (3 failures + success)", got)
 	}
-	if r.State() != Connected {
-		t.Fatalf("state = %v, want Connected", r.State())
-	}
+	// The dial returning its session and the runner publishing Connected are
+	// two steps; wait for the second instead of racing it.
+	waitFor(t, "connected", func() bool { return r.State() == Connected })
 }
 
 func TestRunnerGivesUpAtMaxAttempts(t *testing.T) {

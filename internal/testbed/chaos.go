@@ -8,6 +8,7 @@ import (
 
 	"narada/internal/broker"
 	"narada/internal/obs"
+	"narada/internal/transport"
 )
 
 // Fault is one scripted event in a chaos schedule: at model-time offset At
@@ -93,14 +94,19 @@ func (tb *Testbed) RunSchedule(schedule []Fault) error {
 type ConvergeOptions struct {
 	// Timeout is the total convergence budget (default 30s).
 	Timeout time.Duration
-	// Poll is the re-check interval while unconverged (default 250ms).
-	Poll time.Duration
 	// Publish additionally requires an end-to-end probe publish to flow from
 	// the last live broker to a subscriber on the first.
 	Publish bool
-	// PublishTimeout bounds one probe delivery attempt (default 5s).
-	PublishTimeout time.Duration
 }
+
+// WaitConverged re-checks every convergePoll while unconverged and gives one
+// probe attempt probeTimeout, within which publishFlows publishes a probe every
+// probeEvery until one is delivered (all model time).
+const (
+	convergePoll = 250 * time.Millisecond
+	probeTimeout = 5 * time.Second
+	probeEvery   = 300 * time.Millisecond
+)
 
 // WaitConverged polls the fabric until the self-healing invariants hold or
 // the budget runs out:
@@ -119,18 +125,12 @@ func (tb *Testbed) WaitConverged(o ConvergeOptions) error {
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
 	}
-	if o.Poll <= 0 {
-		o.Poll = 250 * time.Millisecond
-	}
-	if o.PublishTimeout <= 0 {
-		o.PublishTimeout = 5 * time.Second
-	}
 	clock := tb.Net.Clock()
 	deadline := clock.Now().Add(o.Timeout)
 	for {
 		err := tb.convergenceError()
 		if err == nil && o.Publish {
-			err = tb.publishFlows(o.PublishTimeout)
+			err = tb.publishFlows(probeTimeout)
 		}
 		if err == nil {
 			return nil
@@ -138,7 +138,7 @@ func (tb *Testbed) WaitConverged(o ConvergeOptions) error {
 		if clock.Now().After(deadline) {
 			return fmt.Errorf("testbed: not converged after %v: %w", o.Timeout, err)
 		}
-		clock.Sleep(o.Poll)
+		clock.Sleep(convergePoll)
 	}
 }
 
@@ -158,7 +158,7 @@ func (tb *Testbed) convergenceError() error {
 		}
 	}
 	// Dead-broker expiry only holds once registrations actually carry TTLs.
-	ttls := tb.opts.AdTTL > 0 || tb.opts.AdvertiseTTL > 0 || tb.opts.AdvertiseInterval > 0
+	ttls := tb.opts.AdTTL > 0 || tb.opts.AdvertiseInterval > 0
 	for _, d := range tb.BDNs {
 		listed := make(map[string]bool)
 		for _, info := range d.Brokers() {
@@ -188,10 +188,7 @@ func (tb *Testbed) publishFlows(timeout time.Duration) error {
 	tb.probeSeq++
 	topic := fmt.Sprintf("chaos/probe/%d", tb.probeSeq)
 	clock := tb.Net.Clock()
-
-	subSite := tb.brokerDeps[sub.LogicalAddress()].spec.Site
-	pubSite := tb.brokerDeps[pub.LogicalAddress()].spec.Site
-	rc, err := broker.Connect(tb.ClientNode(subSite, fmt.Sprintf("chaos-sub%d", tb.probeSeq)),
+	rc, err := broker.Connect(tb.ClientNode(sub.Info().Realm, fmt.Sprintf("chaos-sub%d", tb.probeSeq)),
 		sub.StreamAddr(), "chaos-sub")
 	if err != nil {
 		return fmt.Errorf("probe subscriber: %w", err)
@@ -200,31 +197,26 @@ func (tb *Testbed) publishFlows(timeout time.Duration) error {
 	if err := rc.Subscribe(topic); err != nil {
 		return fmt.Errorf("probe subscribe: %w", err)
 	}
-	// Give the subscription time to propagate through the routed fabric.
-	clock.Sleep(300 * time.Millisecond)
-
-	pc, err := broker.Connect(tb.ClientNode(pubSite, fmt.Sprintf("chaos-pub%d", tb.probeSeq)),
+	pc, err := broker.Connect(tb.ClientNode(pub.Info().Realm, fmt.Sprintf("chaos-pub%d", tb.probeSeq)),
 		pub.StreamAddr(), "chaos-pub")
 	if err != nil {
 		return fmt.Errorf("probe publisher: %w", err)
 	}
 	defer pc.Close()
-	if err := pc.Publish(topic, []byte("chaos-probe")); err != nil {
-		return fmt.Errorf("probe publish: %w", err)
-	}
 
+	// How long a subscription takes to propagate through a routed fabric is
+	// the fabric's business: publish the probe again until one arrives.
 	deadline := clock.Now().Add(timeout)
-	for {
-		remaining := deadline.Sub(clock.Now())
-		if remaining <= 0 {
-			return fmt.Errorf("probe on %s: no delivery within %v", topic, timeout)
+	for clock.Now().Before(deadline) {
+		if err := pc.Publish(topic, []byte("chaos-probe")); err != nil {
+			return fmt.Errorf("probe publish: %w", err)
 		}
-		ev, err := rc.Next(remaining)
-		if err != nil {
+		switch ev, err := rc.Next(probeEvery); {
+		case err == nil && ev.Topic == topic:
+			return nil
+		case err != nil && !errors.Is(err, transport.ErrTimeout):
 			return fmt.Errorf("probe on %s: %w", topic, err)
 		}
-		if ev.Topic == topic {
-			return nil
-		}
 	}
+	return fmt.Errorf("probe on %s: no delivery within %v", topic, timeout)
 }

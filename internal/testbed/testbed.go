@@ -30,6 +30,15 @@ const MulticastGroup = "narada/discovery"
 
 const mib = 1024 * 1024
 
+// replicaLease is the replication leader lease in model time — generous,
+// because the simulation clock leaps while goroutines do real work (WAL
+// writes), and a tight lease would churn elections.
+const replicaLease = 4 * time.Second
+
+// settleTimeout bounds, in wall time, how long New waits for the deployment it
+// started to become the deployment it was asked for.
+const settleTimeout = 10 * time.Second
+
 // BrokerSpec describes one broker to deploy.
 type BrokerSpec struct {
 	Site       string        // simulator site
@@ -58,10 +67,8 @@ type Options struct {
 	// Brokers lists the brokers to deploy; nil deploys the paper's five
 	// (one per Table 1 machine), all registered.
 	Brokers []BrokerSpec
-	// BDNSite places the first BDN (default Bloomington, as in the paper).
-	BDNSite string
-	// BDNCount deploys that many BDNs (default 1): the first at BDNSite,
-	// the rest spread over the other sites — the paper's
+	// BDNCount deploys that many BDNs (default 1): the first at Bloomington
+	// (as in the paper), the rest spread over the other sites — the paper's
 	// gridservicelocator.org/.com/.net/.info replication. Brokers register
 	// with every BDN; discovery clients receive all addresses in order.
 	BDNCount int
@@ -90,11 +97,9 @@ type Options struct {
 	// Heartbeat is the brokers' link keepalive interval (0 disables).
 	Heartbeat time.Duration
 	// AdvertiseInterval is the brokers' registration refresh period
-	// (0 disables periodic re-advertisement).
+	// (0 disables periodic re-advertisement); advertisements are then valid
+	// for three periods.
 	AdvertiseInterval time.Duration
-	// AdvertiseTTL is the validity window brokers stamp on advertisements
-	// (0 defaults to 3×AdvertiseInterval when refresh is enabled).
-	AdvertiseTTL time.Duration
 	// AdTTL is the BDN-side registration validity for advertisements that
 	// carry no TTL of their own (0 = registrations never expire).
 	AdTTL time.Duration
@@ -110,10 +115,6 @@ type Options struct {
 	// each runs a replication agent streaming the primary's WAL, with
 	// lease-based failover. Requires BDNDataDir and BDNCount > 1.
 	Replicate bool
-	// Lease is the replication leader lease (default 4s of model time —
-	// generous, because the simulation clock leaps while goroutines do
-	// real work).
-	Lease time.Duration
 	// MaxSkew bounds each node's hardware clock error (default 20 ms).
 	MaxSkew time.Duration
 	// Metrics, when set, is shared by every deployed broker, BDN and
@@ -147,9 +148,6 @@ func (o *Options) fillDefaults() {
 	if o.Topology == "" {
 		o.Topology = topology.Unconnected
 	}
-	if o.BDNSite == "" {
-		o.BDNSite = simnet.SiteBloomington
-	}
 	if o.InjectOverhead == 0 {
 		o.InjectOverhead = bdn.DefaultInjectOverhead
 	}
@@ -167,10 +165,7 @@ func (o *Options) fillDefaults() {
 // PaperBrokers returns the five Table 1 brokers, registered, with modestly
 // varied load profiles.
 func PaperBrokers() []BrokerSpec {
-	sites := []string{
-		simnet.SiteIndianapolis, simnet.SiteUMN, simnet.SiteNCSA,
-		simnet.SiteFSU, simnet.SiteCardiff,
-	}
+	sites := simnet.PaperSiteNames()[1:] // every site but the client's Bloomington
 	specs := make([]BrokerSpec, len(sites))
 	for i, site := range sites {
 		specs[i] = BrokerSpec{
@@ -202,9 +197,8 @@ type Testbed struct {
 
 	opts      Options
 	rng       *rand.Rand
-	ntps      []*ntptime.Service // broker (and BDN) time services, for inspection
-	ntpByName map[string]*ntptime.Service
-	planes    map[string]*plane.Plane // per-node telemetry planes when ExportAddr is set
+	ntpByName map[string]*ntptime.Service // every node's time service, for NTPOffset
+	planes    map[string]*plane.Plane     // per-node telemetry planes when ExportAddr is set
 
 	// journal records testbed-level control-plane events (chaos fault
 	// injection) under the node identity "testbed" when ExportAddr is set,
@@ -285,13 +279,9 @@ func New(opts Options) (*Testbed, error) {
 			opts.BDNCount = 1
 		}
 		tlds := []string{"org", "com", "net", "info"}
-		sites := simnet.PaperSiteNames()
+		sites := simnet.PaperSiteNames() // Bloomington first, as in the paper
 		for i := 0; i < opts.BDNCount; i++ {
-			site := opts.BDNSite
-			if i > 0 {
-				site = sites[i%len(sites)]
-			}
-			node, ntp := tb.newNode(site, fmt.Sprintf("bdn%d", i))
+			node, ntp := tb.newNode(sites[i%len(sites)], fmt.Sprintf("bdn%d", i), 0)
 			name := "gridservicelocator." + tlds[i%len(tlds)]
 			dcfg := bdn.Config{
 				Name:           name,
@@ -332,11 +322,7 @@ func New(opts Options) (*Testbed, error) {
 			usage.TotalMemBytes = 512 * mib
 			usage.UsedMemBytes = 64 * mib
 		}
-		skew := spec.ClockSkew
-		if skew == 0 {
-			skew = tb.Net.RandomSkew(tb.opts.MaxSkew)
-		}
-		node, ntp := tb.newNodeWithSkew(spec.Site, spec.Name, skew)
+		node, ntp := tb.newNode(spec.Site, spec.Name, spec.ClockSkew)
 		cfg := broker.Config{
 			LogicalAddress:  spec.Name,
 			Hostname:        spec.Name + "." + spec.Site,
@@ -357,7 +343,6 @@ func New(opts Options) (*Testbed, error) {
 		cfg.Supervise = opts.Supervise
 		cfg.HeartbeatInterval = opts.Heartbeat
 		cfg.AdvertiseInterval = opts.AdvertiseInterval
-		cfg.AdvertiseTTL = opts.AdvertiseTTL
 		tb.brokerDeps[spec.Name] = &brokerDeployment{spec: spec, node: node, ntp: ntp, cfg: cfg}
 		if _, err := tb.startBroker(spec.Name); err != nil {
 			tb.Close()
@@ -378,13 +363,35 @@ func New(opts Options) (*Testbed, error) {
 	}
 	tb.Edges = edges
 
-	// Let registrations and link handshakes settle, then measure distances
-	// for the closest/farthest injection policy.
-	net.Clock().Sleep(200 * time.Millisecond)
+	// Ready is a state — every edge up in both directions, every registering
+	// broker listed by every BDN — not an interval of model time: 200 ms at
+	// Scale 200 is one wall millisecond, which goroutines not yet scheduled
+	// outlast. Then measure distances for the closest/farthest injection policy.
+	if err := tb.settle(); err != nil {
+		tb.Close()
+		return nil, err
+	}
 	for _, d := range tb.BDNs {
 		d.MeasureDistances()
 	}
 	return tb, nil
+}
+
+// settle polls convergenceError against a wall-clock bound (the model clock
+// runs Scale times faster than the goroutines it would be timing) and fails
+// with the invariant still unmet.
+func (tb *Testbed) settle() error {
+	deadline := time.Now().Add(settleTimeout)
+	for {
+		err := tb.convergenceError()
+		if err == nil {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("testbed: deployment not settled after %v: %w", settleTimeout, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // obsFor returns the telemetry handle a component named name should use.
@@ -417,19 +424,16 @@ func (tb *Testbed) startPlane(cfg plane.Config) (obs.Handle, error) {
 	return p.Handle(), nil
 }
 
-// newNode creates a transport node with a random hardware-clock skew and a
-// synchronized NTP service for it.
-func (tb *Testbed) newNode(site, host string) (*transport.SimNode, *ntptime.Service) {
-	return tb.newNodeWithSkew(site, host, tb.Net.RandomSkew(tb.opts.MaxSkew))
-}
-
-// newNodeWithSkew is newNode with the hardware-clock skew pinned (fault
-// injection for clock-drift scenarios).
-func (tb *Testbed) newNodeWithSkew(site, host string, skew time.Duration) (*transport.SimNode, *ntptime.Service) {
+// newNode creates a transport node and a synchronized NTP service for it.
+// skew pins the node's hardware-clock error (fault injection for clock-drift
+// scenarios); 0 draws one within MaxSkew.
+func (tb *Testbed) newNode(site, host string, skew time.Duration) (*transport.SimNode, *ntptime.Service) {
+	if skew == 0 {
+		skew = tb.Net.RandomSkew(tb.opts.MaxSkew)
+	}
 	node := transport.NewSimNode(tb.Net, site, host, skew)
 	ntp := ntptime.NewService(node.Clock(), skew, tb.rng)
 	ntp.InitImmediately()
-	tb.ntps = append(tb.ntps, ntp)
 	tb.ntpByName[host] = ntp
 	return node, ntp
 }
@@ -449,7 +453,7 @@ func (tb *Testbed) NTPOffset(name string) (time.Duration, bool) {
 // config's zero fields are filled with defaults wired to this testbed (BDN
 // address, multicast group, realm).
 func (tb *Testbed) NewDiscoverer(site, name string, cfg core.Config) *core.Discoverer {
-	node, ntp := tb.newNode(site, name)
+	node, ntp := tb.newNode(site, name, 0)
 	if cfg.NodeName == "" {
 		cfg.NodeName = name
 	}
@@ -478,7 +482,7 @@ func (tb *Testbed) NewDiscoverer(site, name string, cfg core.Config) *core.Disco
 
 // ClientNode creates a plain transport node at a site (for broker.Connect).
 func (tb *Testbed) ClientNode(site, name string) *transport.SimNode {
-	node, _ := tb.newNode(site, name)
+	node, _ := tb.newNode(site, name, 0)
 	return node
 }
 
@@ -591,19 +595,13 @@ func (tb *Testbed) startBDN(name string) (*bdn.BDN, error) {
 // BDN, on the replication port it bound last time.
 func (tb *Testbed) newReplica(d *bdn.BDN) (*replica.Replica, error) {
 	dep := tb.bdnDeps[d.Name()]
-	lease := tb.opts.Lease
-	if lease <= 0 {
-		// Generous default: the model clock leaps while goroutines do real
-		// work (WAL writes), and a tight lease would churn elections.
-		lease = 4 * time.Second
-	}
 	r, err := replica.New(replica.Config{
 		Name:       d.Name(),
 		Node:       dep.node,
 		Store:      d,
 		ListenPort: dep.replicaPort,
 		Peers:      dep.replicaPeers,
-		Lease:      lease,
+		Lease:      replicaLease,
 		Handle:     dep.cfg.Handle,
 	})
 	if err != nil {
@@ -684,42 +682,20 @@ func (tb *Testbed) startReplicas() error {
 	return nil
 }
 
-// Replica returns the named BDN's replication agent (nil unless the testbed
-// was deployed with Options.Replicate).
-func (tb *Testbed) Replica(name string) *replica.Replica {
-	return tb.replicas[name]
-}
-
-// PrimaryBDN returns the BDN whose replication agent currently holds the
-// leader lease, or nil when no member is primary (mid-election, or the
-// testbed is not replicated).
-func (tb *Testbed) PrimaryBDN() *bdn.BDN {
-	for name, r := range tb.replicas {
-		if r.IsPrimary() {
-			return tb.BDNByName(name)
-		}
-	}
-	return nil
-}
-
 // WaitPrimaryBDN polls until exactly one live replicated member is primary,
 // returning it, or nil when the budget runs out.
 func (tb *Testbed) WaitPrimaryBDN(within time.Duration) *bdn.BDN {
 	clock := tb.Net.Clock()
 	deadline := clock.Now().Add(within)
 	for clock.Now().Before(deadline) {
-		var got *bdn.BDN
-		dual := false
+		var primaries []*bdn.BDN
 		for name, r := range tb.replicas {
-			if r.IsPrimary() && tb.BDNByName(name) != nil {
-				if got != nil {
-					dual = true
-				}
-				got = tb.BDNByName(name)
+			if d := tb.BDNByName(name); d != nil && r.IsPrimary() {
+				primaries = append(primaries, d)
 			}
 		}
-		if got != nil && !dual {
-			return got
+		if len(primaries) == 1 {
+			return primaries[0]
 		}
 		clock.Sleep(100 * time.Millisecond)
 	}

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -112,6 +113,36 @@ func TestLinearDiscoveryViaChain(t *testing.T) {
 	}
 	if len(res.Responses) != 5 {
 		t.Fatalf("responses = %d, want all 5 via the chain", len(res.Responses))
+	}
+}
+
+// TestNewReturnsSettled: the moment New returns, the deployment is the one
+// asked for — no sleep, no poll. Twenty seeds of the linear five-broker
+// deployment of Figure 10: the one registering broker is listed and every
+// edge of the chain is up in both directions.
+func TestNewReturnsSettled(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		specs := PaperBrokers()
+		for i := range specs {
+			specs[i].Register = i == 0
+		}
+		tb, err := New(Options{Topology: topology.Linear, Seed: seed, Brokers: specs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := tb.BDN.BrokerCount(); n != 1 {
+			t.Errorf("seed %d: BDN knows %d brokers, want 1", seed, n)
+		}
+		if len(tb.Edges) != 4 {
+			t.Errorf("seed %d: %d edges, want 4", seed, len(tb.Edges))
+		}
+		for _, e := range tb.Edges {
+			if !slices.Contains(tb.BrokerByName(e.From).Peers(), e.To) ||
+				!slices.Contains(tb.BrokerByName(e.To).Peers(), e.From) {
+				t.Errorf("seed %d: link %s<->%s not up in both directions", seed, e.From, e.To)
+			}
+		}
+		tb.Close()
 	}
 }
 
@@ -312,10 +343,9 @@ func TestBDNFailoverToSecondary(t *testing.T) {
 	defer tb.Close()
 	tb.BDNs[0].Close() // primary gone
 
-	cfg := discoveryConfig()
-	cfg.AckTimeout = 300 * time.Millisecond
-	cfg.MaxRetransmits = 1
-	d := tb.NewDiscoverer(simnet.SiteBloomington, "client", cfg)
+	// Default ack timeout and retransmits: this asserts who served, and
+	// abl-failover measures how fast.
+	d := tb.NewDiscoverer(simnet.SiteBloomington, "client", discoveryConfig())
 	res, err := d.Discover()
 	if err != nil {
 		t.Fatal(err)
