@@ -114,3 +114,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRegistryRecord -fuzztime 30s ./internal/bdn/
 	$(GO) test -run '^$$' -fuzz FuzzReplicaMessage -fuzztime 30s ./internal/bdn/replica/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentRecovery -fuzztime 30s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzScrape -fuzztime 30s ./internal/obs/collect/

@@ -35,7 +35,7 @@ func main() {
 }
 
 // run is main's body, so that every exit path runs the deferred plane Close
-// and the final span flush and metric snapshot ship on failures too.
+// and a collector scraping the node gets its last snapshot on failures too.
 func run() error {
 	var (
 		configPath = flag.String("config", "", "broker configuration file (JSON)")
@@ -108,7 +108,7 @@ func run() error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	tf.Default(cfg.TelemetryAddr, cfg.ObsExportAddr, cfg.LogLevel)
+	tf.Default(cfg.TelemetryAddr, cfg.LogLevel)
 
 	node := transport.NewRealNode(*bind, nil)
 	hostname, _ := os.Hostname()

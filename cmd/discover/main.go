@@ -34,8 +34,9 @@ func main() {
 
 // run is main's body: every exit path after the telemetry plane starts —
 // above all a failed discovery, the run an operator most wants to trace —
-// goes through the deferred node_stop and plane Close, so the final span
-// flush, outcome counters and node_stop still reach the collector.
+// goes through the deferred node_stop and plane Close, so a collector
+// scraping the requester (-telemetry-addr, kept up with -linger) still gets
+// its spans, outcome counters and node_stop.
 func run(args []string) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
@@ -112,12 +113,20 @@ func run(args []string) error {
 	defer p.Close()
 	cfg.Handle = p.Handle()
 	// The requester is short-lived: its node_start/node_stop pair bounds the
-	// discovery on the collector's timeline, and the plane's Close ships the
-	// final journal drain so node_stop arrives even without a metrics tick.
+	// discovery on the collector's timeline, and once scraped the plane's
+	// Close waits for the scrape that carries node_stop.
 	cfg.Journal.Emit(obs.EventNodeStart, cfg.NodeName, "discovery requester")
 	defer cfg.Journal.Emit(obs.EventNodeStop, cfg.NodeName, "")
 	if err := p.Serve(); err != nil {
 		return err
+	}
+	if *linger > 0 {
+		// On every exit path, a failed discovery included: a collector
+		// watching -telemetry-addr scrapes a requester only while it is up.
+		defer func() {
+			log.Printf("discover: lingering %v (trace at /debug/traces)", *linger)
+			time.Sleep(*linger)
+		}()
 	}
 
 	d := core.NewDiscoverer(node, ntp, cfg)
@@ -170,10 +179,5 @@ func run(args []string) error {
 		fmt.Println("  (no pongs received; selected by weight)")
 	}
 	fmt.Printf("\ntiming:\n%s\n", res.Timing.String())
-
-	if *linger > 0 {
-		log.Printf("discover: lingering %v (trace at /debug/traces)", *linger)
-		time.Sleep(*linger)
-	}
 	return nil
 }

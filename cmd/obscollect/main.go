@@ -1,6 +1,6 @@
-// Command obscollect runs the fabric-wide observability collector: a UDP
-// sink for the span batches and metric snapshots every broker, BDN and
-// requester exports, serving the assembled view over HTTP —
+// Command obscollect runs the fabric-wide observability collector: it
+// scrapes the /telemetry document every broker, BDN and requester in -nodes
+// serves on its -telemetry-addr, and serves the assembled view over HTTP —
 //
 //	/metrics       federated Prometheus exposition (node label per source)
 //	/traces        retained cross-node trace summaries
@@ -19,10 +19,11 @@
 //	/profiles      pulled + flight-recorded pprof captures, downloadable by
 //	               id; /profiles/diff renders a text-mode site diff
 //
-// Every ingested snapshot also feeds the in-memory time-series store and the
-// health engine, which evaluates deadman / clock-drift / egress / SLO
-// burn-rate rules each -health-interval and publishes alert transitions to
-// the log and, with -alert-webhook, to a JSON webhook.
+// Every node is scraped each -scrape-interval; each scrape also feeds the
+// in-memory time-series store and the health engine, which evaluates
+// deadman / clock-drift / egress / SLO burn-rate rules each -health-interval
+// and publishes alert transitions to the log and, with -alert-webhook, to a
+// JSON webhook.
 //
 // With -probe-interval it also runs the synthetic prober: periodic
 // end-to-end discoveries against the live fabric whose traces and
@@ -30,9 +31,9 @@
 //
 // Usage:
 //
-//	obscollect -listen 127.0.0.1:9310 -http 127.0.0.1:9311
-//	obscollect -listen :9310 -http :9311 -probe-interval 10s -probe-bdn 127.0.0.1:7000
-//	obscollect -listen :9310 -http :9311 -deadman-intervals 3 -alert-webhook http://ops/hook
+//	obscollect -nodes 127.0.0.1:9401,127.0.0.1:9402 -http 127.0.0.1:9311
+//	obscollect -nodes 127.0.0.1:9401 -http :9311 -probe-interval 10s -probe-bdn 127.0.0.1:7000
+//	obscollect -nodes 127.0.0.1:9401 -http :9311 -deadman-intervals 3 -alert-webhook http://ops/hook
 //
 // On SIGINT/SIGTERM the prober stops first, then the collector (flushing
 // still-firing alerts to the sinks), then the HTTP server drains.
@@ -66,7 +67,7 @@ func main() {
 
 func run() error {
 	var (
-		listen        = flag.String("listen", "127.0.0.1:9310", "UDP listen addr for export packets")
+		nodes         = flag.String("nodes", "", "comma-separated telemetry addrs (host:port) of the nodes to scrape")
 		httpAddr      = flag.String("http", "127.0.0.1:9311", "HTTP listen addr for /metrics, /traces, /fabric, /alerts, /events, /topology, /query")
 		traceCap      = flag.Int("trace-capacity", collect.DefaultTraceCapacity, "assembled traces retained (oldest evicted)")
 		eventCap      = flag.Int("event-capacity", collect.DefaultEventCapacity, "control-plane events retained per node (oldest evicted)")
@@ -75,8 +76,8 @@ func run() error {
 		probeWindow   = flag.Duration("probe-window", time.Second, "per-probe response collection window")
 
 		healthInterval = flag.Duration("health-interval", time.Second, "health rule evaluation period")
-		exportInterval = flag.Duration("export-interval", time.Second, "fabric metric export period (deadman unit of silence)")
-		deadmanAfter   = flag.Int("deadman-intervals", 3, "export intervals of silence before a node is declared vanished")
+		scrapeInterval = flag.Duration("scrape-interval", time.Second, "how often every node is scraped (deadman unit of silence)")
+		deadmanAfter   = flag.Int("deadman-intervals", 3, "scrape intervals without a successful scrape before a node is declared vanished")
 		clockEnvelope  = flag.Duration("clock-envelope", 20*time.Millisecond, "acceptable NTP clock-offset envelope (±)")
 		sloTarget      = flag.Float64("slo-target", 0.99, "probe success-rate SLO for burn-rate alerting")
 		latencySLO     = flag.Duration("latency-slo", time.Second, "probe latency SLO (slower probes burn latency budget)")
@@ -88,7 +89,6 @@ func run() error {
 		webhook        = flag.String("alert-webhook", "", "URL POSTed one JSON document per alert transition (optional)")
 
 		profileDir   = flag.String("profile-dir", "", "spool pulled and flight-recorded profiles to this directory ('' = in-memory only)")
-		profilePull  = flag.Duration("profile-pull", 15*time.Second, "how often to drain announced node capturer rings (0 = flight recorder only)")
 		profileCount = flag.Int("profile-max-count", collect.DefaultProfileMaxCount, "profiles retained before oldest eviction")
 		profileBytes = flag.Int64("profile-max-bytes", collect.DefaultProfileMaxBytes, "total profile bytes retained before oldest eviction")
 		flightCPU    = flag.Int("flight-cpu-seconds", collect.DefaultFlightCPUSeconds, "CPU sampling window of an alert-triggered flight capture")
@@ -110,7 +110,7 @@ func run() error {
 	logger := p.Handle().Logger
 
 	hc := &health.Config{
-		ExportInterval:     *exportInterval,
+		ScrapeInterval:     *scrapeInterval,
 		DeadmanIntervals:   *deadmanAfter,
 		ClockEnvelope:      *clockEnvelope,
 		SLOTarget:          *sloTarget,
@@ -127,7 +127,6 @@ func run() error {
 	}
 
 	col, err := collect.New(collect.Config{
-		Listen:                *listen,
 		TraceCapacity:         *traceCap,
 		EventCapacity:         *eventCap,
 		Logger:                logger,
@@ -135,7 +134,6 @@ func run() error {
 		Health:                hc,
 		HealthInterval:        *healthInterval,
 		ProfileDir:            *profileDir,
-		ProfilePullInterval:   *profilePull,
 		ProfileMaxCount:       *profileCount,
 		ProfileMaxBytes:       *profileBytes,
 		FlightCPUSeconds:      *flightCPU,
@@ -144,7 +142,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	log.Printf("obscollect: receiving export packets on udp://%s", col.Addr())
+	for _, addr := range splitNonEmpty(*nodes) {
+		col.Watch(addr)
+	}
+	log.Printf("obscollect: scraping %s every %s", *nodes, *scrapeInterval)
 
 	lis, err := net.Listen("tcp", *httpAddr)
 	if err != nil {
@@ -165,16 +166,13 @@ func run() error {
 		if len(addrs) == 0 {
 			return errors.New("-probe-interval requires -probe-bdn")
 		}
-		// No Registry: the prober keeps a private one and ships SLI snapshots
-		// through the export plane like any other node, so probe series land
-		// in the retention store — /query and the SLO burn-rate rules read
-		// them from there. (A collector-shared registry would sit only on the
-		// federated /metrics, invisible to retention and alerting.)
-		prober, err = collect.NewProber(collect.ProbeConfig{
+		// The collector scrapes the prober's plane in process like any other
+		// node, so probe series land in the retention store — /query and the
+		// SLO burn-rate rules read them from there.
+		prober, err = col.NewProber(collect.ProbeConfig{
 			Interval:      *probeInterval,
 			BDNAddrs:      addrs,
 			CollectWindow: *probeWindow,
-			Export:        col.Addr(),
 			Logger:        logger,
 		})
 		if err != nil {
@@ -188,10 +186,11 @@ func run() error {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Print("obscollect: shutting down")
-	// Shutdown order matters: the prober stops exporting first, then the
-	// collector stops ingesting and evaluating (flushing still-firing alerts
-	// to the sinks), and only then does the HTTP plane drain — so a final
-	// scrape of /alerts during shutdown still sees the flushed state.
+	// Shutdown order matters: the prober stops first (scraped one last
+	// time), then the collector stops scraping and evaluating (flushing
+	// still-firing alerts to the sinks), and only then does the HTTP plane
+	// drain — so a final read of /alerts during shutdown still sees the
+	// flushed state.
 	if prober != nil {
 		_ = prober.Close()
 	}

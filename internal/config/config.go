@@ -49,7 +49,6 @@ type Broker struct {
 	AdvertiseTTLMs         int  `json:"advertiseTtlMs,omitempty"`         // advertised validity (0 = 3x refresh)
 	// Telemetry.
 	TelemetryAddr string `json:"telemetryAddr,omitempty"` // /metrics + pprof listen addr
-	ObsExportAddr string `json:"obsExportAddr,omitempty"` // obscollect UDP addr for span/metric export
 	LogLevel      string `json:"logLevel,omitempty"`      // debug, info, warn, error
 	// Message-path sampling: trace roughly 1 in SampleEvery publishes
 	// originating at this broker (0 = off), capped per topic hash at
@@ -145,7 +144,6 @@ type BDN struct {
 	LeaseMs     int      `json:"leaseMs,omitempty"`
 	// Telemetry.
 	TelemetryAddr string `json:"telemetryAddr,omitempty"` // /metrics + pprof listen addr
-	ObsExportAddr string `json:"obsExportAddr,omitempty"` // obscollect UDP addr for span/metric export
 	LogLevel      string `json:"logLevel,omitempty"`      // debug, info, warn, error
 }
 

@@ -280,7 +280,7 @@ func servedByNote(_ *testbed.Testbed, s samples) string {
 	for _, r := range s.ok() {
 		via[r.BDN]++
 	}
-	return fmt.Sprintf("served by %v", via) // fmt prints a map in key order
+	return "served by " + countLine(via)
 }
 
 // rediscovery measures the paper's §7 case — "after prolonged disconnects" a

@@ -24,9 +24,9 @@ func fixtureSamples(runs []fixtureRun) samples {
 // TestRenderersMatchParentGoldens pins every figure and sweep renderer to the
 // text the commit before the sample record printed for the same hand-built
 // discoveries (no simulator, no clock). testdata/*.golden were written there,
-// by replaying that commit's measurement-loop bodies over fixtureRuns; the one
-// liberty taken is that its "selected brokers" line came out in map order and
-// the rendering recorded is the one in count order.
+// by replaying that commit's measurement-loop bodies over fixtureRuns. Two
+// liberties are taken: its "selected brokers" line came out in map order, and
+// its "served by" note printed a Go map; both are recorded in count order.
 func TestRenderersMatchParentGoldens(t *testing.T) {
 	opts := Options{Runs: 12, Keep: 8, Scale: 200, Seed: 1}
 	all := fixtureSamples(fixtureRuns(12))

@@ -123,12 +123,14 @@ func ranked(sel map[string]int) []string {
 	return names
 }
 
-// selectionLine renders "name×n name×n ...".
-func (s samples) selectionLine() string {
-	sel := s.selection()
-	parts := ranked(sel)
+// selectionLine renders the selection as countLine does.
+func (s samples) selectionLine() string { return countLine(s.selection()) }
+
+// countLine renders counts as "name×n name×n ..." in ranked order.
+func countLine(counts map[string]int) string {
+	parts := ranked(counts)
 	for i, name := range parts {
-		parts[i] = fmt.Sprintf("%s×%d", name, sel[name])
+		parts[i] = fmt.Sprintf("%s×%d", name, counts[name])
 	}
 	return strings.Join(parts, " ")
 }

@@ -1,21 +1,24 @@
-// Package collect implements the fabric-wide observability collector: a
-// connectionless UDP sink for the span batches and metric snapshots every
-// broker, BDN and requester exports (internal/obs Exporter), assembling
-// per-request cross-node traces and a federated metrics view.
+// Package collect implements the fabric-wide observability collector: it
+// scrapes the /telemetry document every watched broker, BDN and requester
+// serves (plane.Scrape), assembling per-request cross-node traces, a
+// federated metrics view, the event timeline and the health rules' inputs.
 //
 // Clock alignment: span timestamps are recorded on each node's local clock,
-// which may be skewed from UTC. Every export packet carries the sending
-// node's ntptime-estimated offset (local − UTC); the collector subtracts it
-// — aligned = recorded − offset — which places all spans on one best-effort
+// which may be skewed from UTC. Every scrape carries the node's
+// ntptime-estimated offset (local − UTC); the collector subtracts it —
+// aligned = recorded − offset — which places all spans on one best-effort
 // UTC timeline, accurate to each node's 1-20 ms NTP residual. That is enough
 // to render dissemination steps separated by network or processing delays in
 // true causal order.
 package collect
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
-	"net"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -23,16 +26,15 @@ import (
 
 	"narada/internal/obs"
 	"narada/internal/obs/collect/health"
+	"narada/internal/obs/plane"
 	"narada/internal/obs/profile"
 )
 
 // DefaultTraceCapacity bounds the assembled-trace ring.
 const DefaultTraceCapacity = 512
 
-// Config parameterises a Collector.
+// Config parameterises a Collector. Nodes are added with Watch.
 type Config struct {
-	// Listen is the UDP bind address for export packets (port 0 = auto).
-	Listen string
 	// TraceCapacity bounds the assembled-trace ring; the oldest trace is
 	// evicted when full (<= 0 uses DefaultTraceCapacity).
 	TraceCapacity int
@@ -41,9 +43,10 @@ type Config struct {
 	// Registry receives the collector's own metrics; nil creates a private
 	// one (still served on /metrics, labelled node="obscollect").
 	Registry *obs.Registry
-	// Health parameterises the health engine's rules and sinks; nil runs
-	// the engine with its documented defaults. The engine's Registry and
-	// Logger default to the collector's own.
+	// Health parameterises the health engine's rules and sinks, and its
+	// ScrapeInterval is how often every node is scraped; nil runs the engine
+	// with its documented defaults. The engine's Registry and Logger default
+	// to the collector's own.
 	Health *health.Config
 	// HealthInterval is the rule-evaluation period (0 uses 1s; < 0
 	// disables the ticker — tests call EvaluateHealthNow directly).
@@ -55,10 +58,6 @@ type Config struct {
 	// ProfileDir spools pulled and flight-recorded profiles to disk; ""
 	// keeps them in memory only.
 	ProfileDir string
-	// ProfilePullInterval is the period of the loop that drains announced
-	// node capturer rings into the collector's store (0 disables periodic
-	// pulling; the flight recorder still works).
-	ProfilePullInterval time.Duration
 	// ProfileMaxCount / ProfileMaxBytes bound the profile store (<= 0 uses
 	// DefaultProfileMaxCount / DefaultProfileMaxBytes).
 	ProfileMaxCount int
@@ -76,7 +75,7 @@ type Config struct {
 }
 
 // span is one recorded span with its provenance: which node recorded it and
-// that node's clock offset at export time.
+// that node's clock offset when it was scraped.
 type span struct {
 	Node   string
 	Offset time.Duration
@@ -94,61 +93,73 @@ type trace struct {
 	spans     []span
 }
 
-// nodeState is everything known about one exporting node.
+// nodeState is everything known about one scraped node.
 type nodeState struct {
-	name      string
-	offset    time.Duration // last reported clock offset
-	lastSeen  time.Time     // collector wall clock
-	metricsAt time.Time     // node-local capture time of families
-	seq       uint64        // exporter snapshot sequence (restart detection)
-	families  []obs.ExportFamily
-	spans     uint64 // spans received from this node
-	flowsAt   time.Time
-	flows     []obs.FlowSnapshot // last per-topic flow snapshot (top-k)
-
-	// Announced via node-info packets: where the node's telemetry
-	// HTTP endpoint lives and whether a profile capturer is mounted there.
-	telemetryAddr string
-	profilesOn    bool
+	name          string
+	telemetryAddr string        // host:port it was scraped at ("" in process)
+	boot          int64         // plane start of the last document (restart detection)
+	seq           uint64        // documents since boot: the series store's snapshot sequence
+	offset        time.Duration // last reported clock offset
+	lastSeen      time.Time     // collector wall clock of the last successful scrape
+	at            time.Time     // node-local build time of the last document
+	families      []obs.ExportFamily
+	flows         []obs.FlowSnapshot // last per-topic flow snapshot (top-k)
+	spans         uint64             // spans received from this node
+	lastSpan      uint64             // span sequence number of the newest one
 }
 
-// Collector receives export packets and assembles the fabric view.
+// target is one node the collector scrapes: a telemetry endpoint over HTTP,
+// or a plane in this process (the collector's own journal, its prober).
+type target struct {
+	addr  string // host:port of the node's telemetry endpoint; "" for a local plane
+	local *plane.Plane
+	stop  chan struct{} // closed to stop its scrape loop
+
+	mu   sync.Mutex // one scrape at a time
+	next string     // the cursor the last ingested document handed back
+}
+
+// Collector scrapes nodes and assembles the fabric view.
 type Collector struct {
 	cfg    Config
-	pc     *net.UDPConn
 	reg    *obs.Registry
 	log    *slog.Logger
 	store  *seriesStore
 	health *health.Engine
 
-	mu     sync.Mutex
-	nodes  map[string]*nodeState
-	traces map[string]*trace
-	order  *obs.Ring[*trace] // retained traces, oldest first
-	events map[string]*eventLog
+	// ctx ends with Close: it stops every loop and cancels every request to
+	// a node still in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	// journal records the collector's own control-plane events (the health
-	// engine's alert transitions), drained into the event store under the
-	// collector's identity so alerts sit on the same timeline as the link
-	// and advertisement events that explain them.
-	journal *obs.Journal
+	mu      sync.Mutex
+	targets map[string]*target // watched endpoints by address
+	nodes   map[string]*nodeState
+	traces  map[string]*trace
+	order   *obs.Ring[*trace] // retained traces, oldest first
+	events  map[string]*eventLog
 
-	// profiles is the collector-side profile plane (store + puller + flight
+	// self is the collector's own plane: its journal records the health
+	// engine's alert transitions, read like any node's so alerts sit on the
+	// same timeline as the link and advertisement events that explain them.
+	self *target
+
+	// profiles is the collector-side profile plane (store + flight
 	// recorder).
 	profiles *profilePlane
 
-	packetsRx       *obs.Counter
-	packetsBad      *obs.Counter
+	scrapesOK       *obs.Counter
+	scrapesBad      *obs.Counter
 	spansRx         *obs.Counter
+	spansLost       *obs.Counter
 	profilesStored  *obs.Counter
 	profilePullErrs *obs.Counter
 
-	healthStop chan struct{}
-	wg         sync.WaitGroup
-	closeOnce  sync.Once
+	wg        sync.WaitGroup
+	closeOnce sync.Once
 }
 
-// New binds the UDP endpoint and starts receiving export packets.
+// New builds a collector watching nothing yet.
 func New(cfg Config) (*Collector, error) {
 	if cfg.TraceCapacity <= 0 {
 		cfg.TraceCapacity = DefaultTraceCapacity
@@ -165,45 +176,45 @@ func New(cfg Config) (*Collector, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
 	}
-	// The profile store opens first: a spool directory that cannot be made
-	// or read is a configuration error, reported before any socket binds.
+	// A spool directory that cannot be made or read is a configuration
+	// error, reported before anything starts.
 	pstore, err := profile.NewStore(cfg.ProfileDir, cfg.ProfileMaxCount, cfg.ProfileMaxBytes)
 	if err != nil {
 		return nil, fmt.Errorf("collect: %w", err)
-	}
-	addr, err := net.ResolveUDPAddr("udp", cfg.Listen)
-	if err != nil {
-		return nil, fmt.Errorf("collect: resolve %s: %w", cfg.Listen, err)
-	}
-	pc, err := net.ListenUDP("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("collect: listen %s: %w", cfg.Listen, err)
 	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	self, err := plane.Start(plane.Config{Node: "obscollect", Registry: reg, Embedded: true})
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
 	c := &Collector{
-		cfg:        cfg,
-		pc:         pc,
-		reg:        reg,
-		log:        cfg.Logger.With("component", "obscollect"),
-		store:      newSeriesStore(cfg.resolutions, MaxSeries),
-		nodes:      make(map[string]*nodeState),
-		traces:     make(map[string]*trace),
-		order:      obs.NewRing[*trace](cfg.TraceCapacity),
-		events:     make(map[string]*eventLog),
-		journal:    obs.NewJournal(cfg.EventCapacity, nil),
-		healthStop: make(chan struct{}),
+		cfg:     cfg,
+		reg:     reg,
+		log:     cfg.Logger.With("component", "obscollect"),
+		store:   newSeriesStore(cfg.resolutions, MaxSeries),
+		ctx:     ctx,
+		cancel:  cancel,
+		targets: make(map[string]*target),
+		nodes:   make(map[string]*nodeState),
+		traces:  make(map[string]*trace),
+		order:   obs.NewRing[*trace](cfg.TraceCapacity),
+		events:  make(map[string]*eventLog),
+		self:    &target{local: self},
 	}
 	who := obs.L("node", "obscollect")
-	const pkts = "narada_collect_packets_total"
-	const pktsHelp = "Export packets received, by result."
-	c.packetsRx = reg.Counter(pkts, pktsHelp, who, obs.L("result", "ok"))
-	c.packetsBad = reg.Counter(pkts, pktsHelp, who, obs.L("result", "error"))
+	const scrapes = "narada_collect_scrapes_total"
+	const scrapesHelp = "Node scrapes, by result."
+	c.scrapesOK = reg.Counter(scrapes, scrapesHelp, who, obs.L("result", "ok"))
+	c.scrapesBad = reg.Counter(scrapes, scrapesHelp, who, obs.L("result", "error"))
 	c.spansRx = reg.Counter("narada_collect_spans_total",
-		"Spans received from exporting nodes.", who)
-	reg.GaugeFunc("narada_collect_nodes", "Exporting nodes seen.",
+		"Spans received from scraped nodes.", who)
+	c.spansLost = reg.Counter("narada_collect_spans_lost_total",
+		"Spans a node's span log evicted before a scrape read them.", who)
+	reg.GaugeFunc("narada_collect_nodes", "Scraped nodes seen.",
 		func() float64 { return float64(c.NodeCount()) }, who)
 	reg.GaugeFunc("narada_collect_traces", "Traces currently retained.",
 		func() float64 { return float64(c.TraceCount()) }, who)
@@ -216,7 +227,7 @@ func New(cfg Config) (*Collector, error) {
 	c.profilesStored = reg.Counter("narada_collect_profiles_total",
 		"Profiles stored (pulled or flight-recorded).", who)
 	c.profilePullErrs = reg.Counter("narada_collect_profile_pull_errors_total",
-		"Failed profile listing or download requests to nodes.", who)
+		"Failed profile download requests to nodes.", who)
 	reg.GaugeFunc("narada_collect_profile_bytes", "Total bytes of retained profiles.",
 		func() float64 { return float64(pstore.Bytes()) }, who)
 	reg.GaugeFunc("narada_collect_profiles", "Profiles currently retained.",
@@ -236,47 +247,141 @@ func New(cfg Config) (*Collector, error) {
 		hc.Sinks = []health.Sink{health.NewLogSink(c.log)}
 	}
 	if hc.Journal == nil {
-		hc.Journal = c.journal
+		hc.Journal = self.Handle().Journal
 	}
 	if !cfg.DisableFlightRecorder {
 		hc.Sinks = append(hc.Sinks, c.profiles)
 	}
 	c.health = health.New(hc)
 
-	c.wg.Add(1)
-	go c.recvLoop()
 	if cfg.HealthInterval >= 0 {
 		interval := cfg.HealthInterval
 		if interval == 0 {
 			interval = time.Second
 		}
-		c.wg.Add(1)
-		go c.healthLoop(interval)
-	}
-	if cfg.ProfilePullInterval > 0 {
-		c.wg.Add(1)
-		go c.profiles.pullLoop(cfg.ProfilePullInterval)
+		c.spawn(func() { c.healthLoop(interval) })
 	}
 	return c, nil
 }
 
-// Addr returns the bound UDP address (what exporters dial).
-func (c *Collector) Addr() string { return c.pc.LocalAddr().String() }
-
-// Registry returns the collector's own metric registry — the prober records
-// its SLIs here so they appear on the federated exposition.
+// Registry returns the collector's own metric registry — served on the
+// federated /metrics beside every node's families.
 func (c *Collector) Registry() *obs.Registry { return c.reg }
 
-// Close stops the receive and health-evaluation loops, releases the socket
-// and flushes still-firing alerts to the sinks so in-flight incidents
-// survive the collector's own shutdown.
+// Watch starts scraping the telemetry endpoint at addr (host:port) every
+// scrape interval, on a goroutine of its own so a node that hangs delays no
+// other node's scrape. Watching an address twice is a no-op.
+func (c *Collector) Watch(addr string) {
+	t := &target{addr: addr}
+	c.mu.Lock()
+	known := c.targets[addr] != nil
+	if !known {
+		c.targets[addr] = t
+	}
+	c.mu.Unlock()
+	if !known {
+		c.startLoop(t)
+	}
+}
+
+// watchLocal starts scraping a plane in this process; unwatch stops it.
+func (c *Collector) watchLocal(p *plane.Plane) *target {
+	t := &target{local: p}
+	c.startLoop(t)
+	return t
+}
+
+// unwatch stops t's scrape loop and scrapes it one last time.
+func (c *Collector) unwatch(t *target) {
+	close(t.stop)
+	_ = c.scrape(t)
+}
+
+// startLoop scrapes t now and then once per scrape interval until it is
+// unwatched or the collector closes.
+func (c *Collector) startLoop(t *target) {
+	t.stop = make(chan struct{})
+	c.spawn(func() {
+		tick := time.NewTicker(c.health.Config().ScrapeInterval)
+		defer tick.Stop()
+		for {
+			_ = c.scrape(t)
+			select {
+			case <-tick.C:
+			case <-t.stop:
+				return
+			case <-c.ctx.Done():
+				return
+			}
+		}
+	})
+}
+
+// spawn runs f on a goroutine Close waits for, unless Close has begun.
+func (c *Collector) spawn(f func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ctx.Err() != nil {
+		return
+	}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		f()
+	}()
+}
+
+// scrape reads one document from t, ingests it and pulls the profile
+// captures it lists. Every node's telemetry reaches the collector here.
+func (c *Collector) scrape(t *target) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var doc *plane.Scrape
+	if t.local != nil {
+		s := t.local.Scrape(t.next)
+		doc = &s
+	} else {
+		body, err := c.profiles.get("http://"+t.addr+"/telemetry?since="+url.QueryEscape(t.next), pullTimeout)
+		if err == nil {
+			doc, err = decodeScrape(body)
+		}
+		if err != nil {
+			c.scrapesBad.Inc()
+			c.log.Debug("scrape failed", "addr", t.addr, "err", err)
+			return err
+		}
+	}
+	c.scrapesOK.Inc()
+	c.ingest(doc, t.addr)
+	t.next = doc.Next
+	c.profiles.pull(doc.Node, t.addr, doc.Profiles)
+	return nil
+}
+
+// decodeScrape parses a /telemetry body. A document that names no node is
+// refused: everything it carries is filed under that name.
+func decodeScrape(body []byte) (*plane.Scrape, error) {
+	var s plane.Scrape
+	if err := json.Unmarshal(body, &s); err != nil {
+		return nil, err
+	}
+	if s.Node == "" {
+		return nil, errors.New("scrape names no node")
+	}
+	return &s, nil
+}
+
+// Close stops scraping and health evaluation, cancels every request to a node
+// still in flight and flushes still-firing alerts to the sinks so in-flight
+// incidents survive the collector's own shutdown.
 func (c *Collector) Close() error {
 	c.closeOnce.Do(func() {
-		_ = c.pc.Close()
-		close(c.healthStop)
-		c.profiles.close()
+		c.mu.Lock()
+		c.cancel()
+		c.mu.Unlock()
 		c.wg.Wait()
 		c.health.Flush()
+		c.self.local.Close()
 	})
 	return nil
 }
@@ -296,7 +401,7 @@ func (c *Collector) nodeStates() []nodeState {
 	return out
 }
 
-// NodeCount returns the number of distinct exporting nodes seen.
+// NodeCount returns the number of distinct scraped nodes seen.
 func (c *Collector) NodeCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -310,54 +415,36 @@ func (c *Collector) TraceCount() int {
 	return len(c.traces)
 }
 
-func (c *Collector) recvLoop() {
-	defer c.wg.Done()
-	buf := make([]byte, 64*1024)
-	for {
-		n, _, err := c.pc.ReadFromUDP(buf)
-		if err != nil {
-			return // socket closed
-		}
-		pkt, err := obs.DecodeExportPacket(buf[:n])
-		if err != nil {
-			c.packetsBad.Inc()
-			c.log.Debug("bad export packet", "err", err)
-			continue
-		}
-		c.packetsRx.Inc()
-		c.ingest(pkt)
-	}
-}
-
-func (c *Collector) ingest(pkt *obs.ExportPacket) {
+// ingest files one node's document: its state, metric snapshot, flows,
+// events and spans. addr is where it was scraped ("" in process).
+func (c *Collector) ingest(doc *plane.Scrape, addr string) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ns := c.nodes[pkt.Node]
+	ns := c.nodes[doc.Node]
 	if ns == nil {
-		ns = &nodeState{name: pkt.Node}
-		c.nodes[pkt.Node] = ns
+		ns = &nodeState{name: doc.Node}
+		c.nodes[doc.Node] = ns
 	}
-	ns.offset = pkt.Offset
+	if doc.Boot != ns.boot {
+		// A restart: the node's sequences start over, and the series store
+		// re-baselines cumulative values when the snapshot sequence drops.
+		ns.boot, ns.seq, ns.lastSpan = doc.Boot, 0, 0
+	}
+	ns.seq++
+	ns.telemetryAddr = addr
+	ns.offset = doc.Offset
 	ns.lastSeen = now
-	if pkt.NodeInfo {
-		ns.telemetryAddr = pkt.TelemetryAddr
-		ns.profilesOn = pkt.ProfilesOn
-	}
-	if pkt.Families != nil {
-		ns.families = pkt.Families
-		ns.metricsAt = pkt.MetricsAt
-		ns.seq = pkt.Seq
-		c.store.Observe(now, pkt.Node, pkt.Seq, pkt.Families)
-	}
-	if pkt.Flows != nil {
-		ns.flows = pkt.Flows
-		ns.flowsAt = pkt.FlowsAt
-	}
-	if pkt.Events != nil {
-		c.ingestEventsLocked(pkt)
-	}
-	for _, rec := range pkt.Spans {
+	ns.at = doc.At
+	ns.families = doc.Families
+	ns.flows = doc.Flows
+	c.store.Observe(now, doc.Node, ns.seq, doc.Families)
+	c.ingestEventsLocked(doc)
+	for _, rec := range doc.Spans {
+		if ns.lastSpan != 0 && rec.Seq > ns.lastSpan+1 {
+			c.spansLost.Add(rec.Seq - ns.lastSpan - 1)
+		}
+		ns.lastSpan = rec.Seq
 		ns.spans++
 		c.spansRx.Inc()
 		tr := c.traces[rec.TraceID]
@@ -368,7 +455,7 @@ func (c *Collector) ingest(pkt *obs.ExportPacket) {
 			}
 			c.traces[rec.TraceID] = tr
 		}
-		tr.spans = append(tr.spans, span{Node: pkt.Node, Offset: pkt.Offset, View: rec.Span})
+		tr.spans = append(tr.spans, span{Node: doc.Node, Offset: doc.Offset, View: rec.Span})
 	}
 }
 

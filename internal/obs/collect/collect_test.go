@@ -2,20 +2,19 @@ package collect
 
 import (
 	"io"
-	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"narada/internal/obs"
+	"narada/internal/obs/collect/health"
+	"narada/internal/obs/plane"
 )
 
 func newTestCollector(t *testing.T, cfg Config) *Collector {
 	t.Helper()
-	if cfg.Listen == "" {
-		cfg.Listen = "127.0.0.1:0"
-	}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("collector: %v", err)
@@ -24,8 +23,8 @@ func newTestCollector(t *testing.T, cfg Config) *Collector {
 	return c
 }
 
-func spanPkt(node string, offset time.Duration, traceID, name string, at time.Time) *obs.ExportPacket {
-	return &obs.ExportPacket{
+func spanDoc(node string, offset time.Duration, traceID, name string, at time.Time) *plane.Scrape {
+	return &plane.Scrape{
 		Node:   node,
 		Offset: offset,
 		Spans:  []obs.SpanRecord{{TraceID: traceID, Span: obs.SpanView{Name: name, At: at}}},
@@ -42,9 +41,9 @@ func TestIngestAlignsAcrossSkewedClocks(t *testing.T) {
 	// True order: issue (t+0, node fast by +400ms), inject (t+100ms, node
 	// slow by -300ms), respond (t+200ms, honest clock). Raw timestamps
 	// reverse the first two.
-	c.ingest(spanPkt("requester", 400*time.Millisecond, "t1", "request-issue", base.Add(400*time.Millisecond)))
-	c.ingest(spanPkt("bdn0", -300*time.Millisecond, "t1", "bdn-inject", base.Add(100*time.Millisecond-300*time.Millisecond)))
-	c.ingest(spanPkt("broker-1", 0, "t1", "broker-respond", base.Add(200*time.Millisecond)))
+	c.ingest(spanDoc("requester", 400*time.Millisecond, "t1", "request-issue", base.Add(400*time.Millisecond)), "")
+	c.ingest(spanDoc("bdn0", -300*time.Millisecond, "t1", "bdn-inject", base.Add(100*time.Millisecond-300*time.Millisecond)), "")
+	c.ingest(spanDoc("broker-1", 0, "t1", "broker-respond", base.Add(200*time.Millisecond)), "")
 
 	tr, ok := c.Trace("t1")
 	if !ok {
@@ -81,9 +80,9 @@ func spanNames(tr TraceInfo) []string {
 func TestTraceRingEviction(t *testing.T) {
 	c := newTestCollector(t, Config{TraceCapacity: 2})
 	at := time.Unix(1000, 0)
-	c.ingest(spanPkt("n", 0, "t1", "a", at))
-	c.ingest(spanPkt("n", 0, "t2", "b", at))
-	c.ingest(spanPkt("n", 0, "t3", "c", at))
+	c.ingest(spanDoc("n", 0, "t1", "a", at), "")
+	c.ingest(spanDoc("n", 0, "t2", "b", at), "")
+	c.ingest(spanDoc("n", 0, "t3", "c", at), "")
 
 	if n := c.TraceCount(); n != 2 {
 		t.Fatalf("TraceCount = %d, want 2", n)
@@ -96,7 +95,7 @@ func TestTraceRingEviction(t *testing.T) {
 		t.Fatalf("summaries = %+v, want t2 then t3", sums)
 	}
 	// A new span for the evicted id re-creates it (and evicts t2).
-	c.ingest(spanPkt("n", 0, "t1", "a2", at))
+	c.ingest(spanDoc("n", 0, "t1", "a2", at), "")
 	if _, ok := c.Trace("t2"); ok {
 		t.Fatal("t2 should have been evicted on t1's return")
 	}
@@ -106,22 +105,22 @@ func TestTraceRingEviction(t *testing.T) {
 // registry and checks the node label discipline.
 func TestFederatedMetrics(t *testing.T) {
 	c := newTestCollector(t, Config{})
-	c.ingest(&obs.ExportPacket{
-		Node: "broker-1", MetricsAt: time.Unix(2000, 0),
+	c.ingest(&plane.Scrape{
+		Node: "broker-1", At: time.Unix(2000, 0),
 		Families: []obs.ExportFamily{
 			// No node label: federation must add node="broker-1".
 			{Name: "narada_broker_links", Help: "Links.", Kind: "gauge",
 				Series: []obs.ExportSeries{{Gauge: 4}}},
 		},
-	})
-	c.ingest(&obs.ExportPacket{
-		Node: "broker-2", MetricsAt: time.Unix(2000, 0),
+	}, "")
+	c.ingest(&plane.Scrape{
+		Node: "broker-2", At: time.Unix(2000, 0),
 		Families: []obs.ExportFamily{
 			// Already labelled (per-node registries stamp identity): kept as-is.
 			{Name: "narada_broker_links", Help: "Links.", Kind: "gauge",
 				Series: []obs.ExportSeries{{Labels: []obs.Label{obs.L("node", "broker-2")}, Gauge: 7}}},
 		},
-	})
+	}, "")
 
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -136,7 +135,7 @@ func TestFederatedMetrics(t *testing.T) {
 	for _, want := range []string{
 		`narada_broker_links{node="broker-1"} 4`,
 		`narada_broker_links{node="broker-2"} 7`,
-		`narada_collect_packets_total{node="obscollect",result="ok"}`,
+		`narada_collect_scrapes_total{node="obscollect",result="ok"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("federated exposition missing %q:\n%s", want, body)
@@ -151,8 +150,8 @@ func TestFederatedMetrics(t *testing.T) {
 // latency percentiles.
 func TestFabricView(t *testing.T) {
 	c := newTestCollector(t, Config{})
-	c.ingest(&obs.ExportPacket{
-		Node: "broker-1", Offset: 250 * time.Millisecond, MetricsAt: time.Unix(2000, 0),
+	c.ingest(&plane.Scrape{
+		Node: "broker-1", Offset: 250 * time.Millisecond, At: time.Unix(2000, 0),
 		Families: []obs.ExportFamily{
 			{Name: "narada_broker_egress_queue_depth", Kind: "gauge",
 				Series: []obs.ExportSeries{{Gauge: 3}, {Gauge: 2}}},
@@ -161,9 +160,9 @@ func TestFabricView(t *testing.T) {
 			{Name: "narada_broker_links", Kind: "gauge", Series: []obs.ExportSeries{{Gauge: 4}}},
 			{Name: "narada_broker_clients", Kind: "gauge", Series: []obs.ExportSeries{{Gauge: 9}}},
 		},
-	})
-	c.ingest(&obs.ExportPacket{
-		Node: "requester", MetricsAt: time.Unix(2000, 0),
+	}, "")
+	c.ingest(&plane.Scrape{
+		Node: "requester", At: time.Unix(2000, 0),
 		Families: []obs.ExportFamily{
 			{Name: "narada_discovery_total_seconds", Kind: "histogram",
 				Series: []obs.ExportSeries{{
@@ -172,7 +171,7 @@ func TestFabricView(t *testing.T) {
 					Sum:     1.5, Count: 10,
 				}}},
 		},
-	})
+	}, "")
 
 	view := c.Fabric()
 	if len(view.Nodes) != 2 {
@@ -221,48 +220,57 @@ func TestHistQuantile(t *testing.T) {
 	}
 }
 
-// TestCollectorOverUDP exercises the real datagram path: encoded packets in,
-// assembled state out, and garbage counted without wedging the loop.
-func TestCollectorOverUDP(t *testing.T) {
-	c := newTestCollector(t, Config{})
-	conn, err := net.Dial("udp", c.Addr())
+// TestCollectorOverHTTP exercises the real scrape path: a node's plane
+// serving /telemetry in, assembled state out, and an endpoint that answers
+// garbage counted without disturbing the node watched beside it.
+func TestCollectorOverHTTP(t *testing.T) {
+	c := newTestCollector(t, Config{Health: &health.Config{ScrapeInterval: 10 * time.Millisecond}, HealthInterval: -1})
+	p, err := plane.Start(plane.Config{
+		Flags: plane.Flags{TelemetryAddr: "127.0.0.1:0"}, Node: "broker-1", Embedded: true,
+		Offset: func() time.Duration { return 10 * time.Millisecond },
+	})
 	if err != nil {
-		t.Fatalf("dial: %v", err)
+		t.Fatalf("plane: %v", err)
 	}
-	defer conn.Close()
+	if err := p.Serve(); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	t.Cleanup(p.Close)
+	p.Handle().Tracer.Trace("http-1").Event("broker-respond", time.Unix(3000, 0))
+	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte("not a scrape document"))
+	}))
+	defer garbage.Close()
 
-	if _, err := conn.Write([]byte("not an export packet")); err != nil {
-		t.Fatalf("write garbage: %v", err)
-	}
-	frame := obs.EncodeSpanPacket("broker-1", 10*time.Millisecond,
-		[]obs.SpanRecord{{TraceID: "udp-1", Span: obs.SpanView{Name: "broker-respond", At: time.Unix(3000, 0)}}})
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatalf("write frame: %v", err)
-	}
+	c.Watch(strings.TrimPrefix(garbage.URL, "http://"))
+	c.Watch(p.Addr())
+	c.Watch(p.Addr()) // a second Watch of one address is a no-op
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, ok := c.Trace("udp-1"); ok {
+		if _, ok := c.Trace("http-1"); ok && c.scrapesBad.Value() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("UDP span packet never ingested")
+			t.Fatalf("span never ingested or garbage never counted (bad scrapes %d)", c.scrapesBad.Value())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if c.packetsBad.Value() != 1 {
-		t.Fatalf("bad-packet counter = %d, want 1", c.packetsBad.Value())
+	tr, _ := c.Trace("http-1")
+	if s := tr.Spans[0]; s.Node != "broker-1" || !s.AtAligned.Equal(time.Unix(3000, 0).Add(-10*time.Millisecond)) {
+		t.Fatalf("span = %+v, want broker-1's, aligned by its 10ms offset", s)
 	}
-	if c.NodeCount() != 1 {
-		t.Fatalf("NodeCount = %d, want 1", c.NodeCount())
+	if c.NodeCount() != 1 || len(c.targets) != 2 {
+		t.Fatalf("NodeCount = %d over %d targets, want 1 over 2", c.NodeCount(), len(c.targets))
 	}
 }
 
 func TestProberConfigValidation(t *testing.T) {
-	if _, err := NewProber(ProbeConfig{BDNAddrs: []string{"127.0.0.1:1"}}); err == nil {
+	c := newTestCollector(t, Config{HealthInterval: -1})
+	if _, err := c.NewProber(ProbeConfig{BDNAddrs: []string{"127.0.0.1:1"}}); err == nil {
 		t.Error("zero interval accepted")
 	}
-	if _, err := NewProber(ProbeConfig{Interval: time.Second}); err == nil {
+	if _, err := c.NewProber(ProbeConfig{Interval: time.Second}); err == nil {
 		t.Error("missing BDN addrs accepted")
 	}
 }

@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"narada/internal/obs"
+	"narada/internal/obs/plane"
 )
 
 // DefaultEventCapacity bounds the per-node journal-event ring.
 const DefaultEventCapacity = 4096
 
 // NodeEvent is one control-plane event as stored by the collector: the
-// emitter's record plus provenance (which node shipped it) and the
+// emitter's record plus provenance (which node it was scraped from) and the
 // offset-corrected timestamp that places it on the fabric-wide timeline.
 type NodeEvent struct {
 	Node      string    `json:"node"`
@@ -32,23 +33,26 @@ type eventLog struct {
 	gaps    *obs.Counter // narada_collector_event_gaps_total{node=...}
 }
 
-// ingestEventsLocked stores one event packet's batch under the sending node,
-// counting sequence gaps — events lost to UDP drops or to emitter ring
-// overwrite are visible as a counter, never silently absorbed. A sequence
-// that goes backwards marks an emitter restart and re-baselines instead of
+// ingestEventsLocked stores one document's events under its node, counting
+// sequence gaps — events the node's journal overwrote before a scrape read
+// them are visible as a counter, never silently absorbed. A sequence that
+// goes backwards marks an emitter restart and re-baselines instead of
 // counting a (huge) spurious gap. Requires c.mu.
-func (c *Collector) ingestEventsLocked(pkt *obs.ExportPacket) {
-	l := c.events[pkt.Node]
+func (c *Collector) ingestEventsLocked(doc *plane.Scrape) {
+	if len(doc.Events) == 0 {
+		return
+	}
+	l := c.events[doc.Node]
 	if l == nil {
 		l = &eventLog{
 			ring: obs.NewRing[NodeEvent](c.cfg.EventCapacity),
 			gaps: c.reg.Counter("narada_collector_event_gaps_total",
-				"Journal sequence gaps observed per node (events lost in transit or to emitter overwrite).",
-				obs.L("node", pkt.Node)),
+				"Journal sequence gaps observed per node (events overwritten before a scrape read them).",
+				obs.L("node", doc.Node)),
 		}
-		c.events[pkt.Node] = l
+		c.events[doc.Node] = l
 	}
-	for _, ev := range pkt.Events {
+	for _, ev := range doc.Events {
 		if ev.Seq > l.lastSeq+1 && l.lastSeq != 0 {
 			l.gaps.Add(ev.Seq - l.lastSeq - 1)
 		}
@@ -57,29 +61,15 @@ func (c *Collector) ingestEventsLocked(pkt *obs.ExportPacket) {
 		}
 		l.lastSeq = ev.Seq // a lower seq is an emitter restart: re-baseline
 		l.ring.Push(NodeEvent{
-			Node:      pkt.Node,
+			Node:      doc.Node,
 			Seq:       ev.Seq,
 			Type:      ev.Type,
 			Subject:   ev.Subject,
 			Detail:    ev.Detail,
 			At:        ev.At,
-			AtAligned: ev.At.Add(-pkt.Offset),
+			AtAligned: ev.At.Add(-doc.Offset),
 		})
 	}
-}
-
-// drainOwnEvents moves the collector's own journal (alert lifecycle events
-// from the health engine) into the event store under the collector's
-// identity. The collector's clock is the reference timeline, so the offset
-// is zero. Called on every health evaluation and before event reads.
-func (c *Collector) drainOwnEvents() {
-	events := c.journal.Drain()
-	if len(events) == 0 {
-		return
-	}
-	c.mu.Lock()
-	c.ingestEventsLocked(&obs.ExportPacket{Node: "obscollect", Events: events})
-	c.mu.Unlock()
 }
 
 // EventFilter selects events for the /events view. Zero fields match
@@ -104,7 +94,6 @@ type EventsView struct {
 // Events returns journal events matching the filter, merged across nodes and
 // sorted by aligned time.
 func (c *Collector) Events(f EventFilter) EventsView {
-	c.drainOwnEvents()
 	c.mu.Lock()
 	var out []NodeEvent
 	var gaps uint64
@@ -368,7 +357,6 @@ func (c *Collector) eventWindowFor(node string, anchor time.Time) *EventWindow {
 
 // EventCount returns the number of retained events across all nodes.
 func (c *Collector) EventCount() int {
-	c.drainOwnEvents()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0

@@ -10,10 +10,11 @@ import (
 
 	"narada/internal/obs"
 	"narada/internal/obs/collect/health"
+	"narada/internal/obs/plane"
 )
 
-func eventPkt(node string, offset time.Duration, events ...obs.Event) *obs.ExportPacket {
-	return &obs.ExportPacket{Node: node, Offset: offset, EventsAt: time.Now(), Events: events}
+func eventDoc(node string, offset time.Duration, events ...obs.Event) *plane.Scrape {
+	return &plane.Scrape{Node: node, Offset: offset, At: time.Now(), Events: events}
 }
 
 func ev(seq uint64, typ string, at time.Time, subject, detail string) obs.Event {
@@ -29,11 +30,11 @@ func TestEventsMergedAlignedOrder(t *testing.T) {
 
 	// True order: a's link_up (t+0), b's link_up (t+1s), a's link_down (t+2s).
 	// a runs 400ms fast and b 300ms slow, so raw stamps misorder the first two.
-	c.ingest(eventPkt("broker-a", 400*time.Millisecond,
+	c.ingest(eventDoc("broker-a", 400*time.Millisecond,
 		ev(1, obs.EventLinkUp, base.Add(400*time.Millisecond), "broker-b", "role=link"),
-		ev(2, obs.EventLinkDown, base.Add(2*time.Second+400*time.Millisecond), "broker-b", "read error")))
-	c.ingest(eventPkt("broker-b", -300*time.Millisecond,
-		ev(1, obs.EventLinkUp, base.Add(time.Second-300*time.Millisecond), "broker-a", "role=link")))
+		ev(2, obs.EventLinkDown, base.Add(2*time.Second+400*time.Millisecond), "broker-b", "read error")), "")
+	c.ingest(eventDoc("broker-b", -300*time.Millisecond,
+		ev(1, obs.EventLinkUp, base.Add(time.Second-300*time.Millisecond), "broker-a", "role=link")), "")
 
 	v := c.Events(EventFilter{})
 	if v.Total != 3 || len(v.Events) != 3 {
@@ -74,29 +75,30 @@ func TestEventsMergedAlignedOrder(t *testing.T) {
 }
 
 // TestEventSeqGapDetection checks the collector counts journal sequence gaps
-// (UDP loss, emitter ring overwrite), skips duplicates, and re-baselines on
-// an emitter restart instead of counting a huge spurious gap.
+// (events the emitter's ring overwrote before a scrape), skips duplicates,
+// and re-baselines on an emitter restart instead of counting a huge
+// spurious gap.
 func TestEventSeqGapDetection(t *testing.T) {
 	c := newTestCollector(t, Config{})
 	at := time.Unix(3000, 0)
 
-	c.ingest(eventPkt("broker-1", 0, ev(1, obs.EventNodeStart, at, "addr", "")))
+	c.ingest(eventDoc("broker-1", 0, ev(1, obs.EventNodeStart, at, "addr", "")), "")
 	if g := c.Events(EventFilter{}).Gaps; g != 0 {
 		t.Fatalf("gaps = %d after contiguous ingest, want 0", g)
 	}
 	// Seqs 2..4 lost: a gap of 3.
-	c.ingest(eventPkt("broker-1", 0, ev(5, obs.EventLinkUp, at.Add(time.Second), "peer", "")))
+	c.ingest(eventDoc("broker-1", 0, ev(5, obs.EventLinkUp, at.Add(time.Second), "peer", "")), "")
 	if g := c.Events(EventFilter{}).Gaps; g != 3 {
 		t.Fatalf("gaps = %d after losing seqs 2-4, want 3", g)
 	}
 	// Duplicate delivery: neither stored nor counted.
-	c.ingest(eventPkt("broker-1", 0, ev(5, obs.EventLinkUp, at.Add(time.Second), "peer", "")))
+	c.ingest(eventDoc("broker-1", 0, ev(5, obs.EventLinkUp, at.Add(time.Second), "peer", "")), "")
 	if g, n := c.Events(EventFilter{}).Gaps, c.EventCount(); g != 3 || n != 2 {
 		t.Fatalf("after dup: gaps=%d count=%d, want 3/2", g, n)
 	}
 	// Emitter restart (seq resets to 1): re-baseline, no spurious gap.
-	c.ingest(eventPkt("broker-1", 0, ev(1, obs.EventNodeStart, at.Add(2*time.Second), "addr", "")))
-	c.ingest(eventPkt("broker-1", 0, ev(2, obs.EventLinkUp, at.Add(3*time.Second), "peer", "")))
+	c.ingest(eventDoc("broker-1", 0, ev(1, obs.EventNodeStart, at.Add(2*time.Second), "addr", "")), "")
+	c.ingest(eventDoc("broker-1", 0, ev(2, obs.EventLinkUp, at.Add(3*time.Second), "peer", "")), "")
 	if g := c.Events(EventFilter{}).Gaps; g != 3 {
 		t.Fatalf("gaps = %d after restart re-baseline, want still 3", g)
 	}
@@ -110,20 +112,20 @@ func TestTopologyTimeTravel(t *testing.T) {
 	c := newTestCollector(t, Config{})
 	base := time.Date(2005, 7, 1, 12, 0, 0, 0, time.UTC)
 
-	c.ingest(eventPkt("broker-a", 0,
+	c.ingest(eventDoc("broker-a", 0,
 		ev(1, obs.EventNodeStart, base, "127.0.0.1:7001", ""),
 		ev(2, obs.EventLinkUp, base.Add(time.Second), "broker-b", "role=link"),
 		// Broker-side advertisement send: subject is the BDN target, must
 		// not appear as a registration on the graph.
-		ev(3, obs.EventAdRefreshed, base.Add(time.Second), "bdn:127.0.0.1:9001", "")))
-	c.ingest(eventPkt("gsl", 0,
-		ev(1, obs.EventAdRegistered, base.Add(2*time.Second), "broker-a", "realm=r1 ttl=30s")))
-	c.ingest(eventPkt("broker-b", 0,
+		ev(3, obs.EventAdRefreshed, base.Add(time.Second), "bdn:127.0.0.1:9001", "")), "")
+	c.ingest(eventDoc("gsl", 0,
+		ev(1, obs.EventAdRegistered, base.Add(2*time.Second), "broker-a", "realm=r1 ttl=30s")), "")
+	c.ingest(eventDoc("broker-b", 0,
 		ev(1, obs.EventNodeStart, base, "127.0.0.1:7002", ""),
 		ev(2, obs.EventLinkUp, base.Add(time.Second), "broker-a", "role=link"),
-		ev(3, obs.EventNodeStop, base.Add(10*time.Second), "broker-b", "")))
-	c.ingest(eventPkt("broker-a", 0,
-		ev(4, obs.EventLinkDown, base.Add(11*time.Second), "broker-b", "read error")))
+		ev(3, obs.EventNodeStop, base.Add(10*time.Second), "broker-b", "")), "")
+	c.ingest(eventDoc("broker-a", 0,
+		ev(4, obs.EventLinkDown, base.Add(11*time.Second), "broker-b", "read error")), "")
 
 	link := func(v TopologyView, from, to string) bool {
 		for _, l := range v.Links {
@@ -186,14 +188,14 @@ func TestTopologyTimeTravel(t *testing.T) {
 func TestAlertEventWindowCorrelation(t *testing.T) {
 	c, _ := healthTestCollector(t, health.Config{DeadmanIntervals: 2})
 
-	c.ingest(metricsPkt("broker-1", 1, 0))
+	c.ingest(metricsDoc("broker-1", 0), "")
 	// The surviving peer's journal names the dead node.
-	c.ingest(eventPkt("broker-2", 0,
+	c.ingest(eventDoc("broker-2", 0,
 		ev(1, obs.EventLinkDown, time.Now(), "broker-1", "read error"),
-		ev(2, obs.EventReconnectAttempt, time.Now(), "broker-1", "fail: connection refused")))
+		ev(2, obs.EventReconnectAttempt, time.Now(), "broker-1", "fail: connection refused")), "")
 	time.Sleep(60 * time.Millisecond)
 	c.EvaluateHealthNow()
-	// Both nodes went silent (the event packet registered broker-2 too), so
+	// Both nodes went silent (the event document registered broker-2 too), so
 	// both deadman — the test follows broker-1's alert.
 	if c.Health().Firing() == 0 {
 		t.Fatalf("setup: deadman not firing: %+v", c.Health().Alerts())
@@ -248,9 +250,9 @@ func TestAlertEventWindowCorrelation(t *testing.T) {
 func TestEventsAndTopologyEndpoints(t *testing.T) {
 	c := newTestCollector(t, Config{})
 	now := time.Now()
-	c.ingest(eventPkt("broker-1", 0,
+	c.ingest(eventDoc("broker-1", 0,
 		ev(1, obs.EventNodeStart, now.Add(-time.Minute), "addr", ""),
-		ev(2, obs.EventLinkUp, now.Add(-30*time.Second), "broker-2", "role=link")))
+		ev(2, obs.EventLinkUp, now.Add(-30*time.Second), "broker-2", "role=link")), "")
 
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -309,16 +311,16 @@ func TestTopologyReplaysEventsOrder(t *testing.T) {
 	base := time.Date(2005, 7, 1, 12, 0, 0, 0, time.UTC)
 	tie := base.Add(5 * time.Second)
 
-	c.ingest(eventPkt("broker-a", 400*time.Millisecond,
+	c.ingest(eventDoc("broker-a", 400*time.Millisecond,
 		ev(1, obs.EventLinkUp, base.Add(400*time.Millisecond), "broker-c", "role=link"),
 		ev(3, obs.EventLinkDown, tie.Add(400*time.Millisecond), "broker-b", "read error"),
-		ev(2, obs.EventLinkUp, tie.Add(400*time.Millisecond), "broker-b", "role=link")))
-	c.ingest(eventPkt("broker-b", -300*time.Millisecond,
+		ev(2, obs.EventLinkUp, tie.Add(400*time.Millisecond), "broker-b", "role=link")), "")
+	c.ingest(eventDoc("broker-b", -300*time.Millisecond,
 		ev(1, obs.EventLinkUp, base.Add(time.Second-300*time.Millisecond), "broker-a", "role=link"),
-		ev(2, obs.EventLinkDown, tie.Add(-300*time.Millisecond), "broker-a", "read error")))
-	c.ingest(eventPkt("broker-c", 0,
+		ev(2, obs.EventLinkDown, tie.Add(-300*time.Millisecond), "broker-a", "read error")), "")
+	c.ingest(eventDoc("broker-c", 0,
 		ev(1, obs.EventLinkUp, tie, "broker-a", "role=link"),
-		ev(2, obs.EventNodeStop, base.Add(9*time.Second), "broker-c", "")))
+		ev(2, obs.EventNodeStop, base.Add(9*time.Second), "broker-c", "")), "")
 
 	replay := func(events []NodeEvent) map[[2]string]bool {
 		links := make(map[[2]string]bool)

@@ -30,7 +30,7 @@ func (c *Collector) Flows() FlowsView {
 	view := FlowsView{}
 	for _, ns := range c.nodeStates() {
 		if len(ns.flows) > 0 {
-			view.Nodes = append(view.Nodes, NodeFlows{Node: ns.name, At: ns.flowsAt, Flows: ns.flows})
+			view.Nodes = append(view.Nodes, NodeFlows{Node: ns.name, At: ns.at, Flows: ns.flows})
 		}
 	}
 	merged := make(map[string]*obs.FlowSnapshot)
@@ -51,9 +51,6 @@ func (c *Collector) Flows() FlowsView {
 			dst.DropQueue += f.DropQueue
 			dst.DropConn += f.DropConn
 			dst.DropLarge += f.DropLarge
-			for i := range dst.Drops {
-				dst.Drops[i] += f.Drops[i]
-			}
 		}
 	}
 	view.Fabric = make([]obs.FlowSnapshot, 0, len(merged))

@@ -8,19 +8,19 @@ import (
 	"time"
 
 	"narada/internal/obs"
+	"narada/internal/obs/plane"
 )
 
-func flowsPkt(node string, at time.Time, flows []obs.FlowSnapshot) *obs.ExportPacket {
+func flowsDoc(node string, at time.Time, flows []obs.FlowSnapshot) *plane.Scrape {
 	for i := range flows {
-		// Mirror the decoder: the wire carries Drops; the convenience
-		// fields are derived on receipt.
+		// Mirror FlowTable.Snapshot: the per-reason fields derive from Drops.
 		s := &flows[i]
 		s.DropQueue = s.Drops[obs.DropQueueFull]
 		s.DropConn = s.Drops[obs.DropConnDown]
 		s.DropLarge = s.Drops[obs.DropFrameTooLarge]
 		s.DropMsgs = s.DropQueue + s.DropConn + s.DropLarge
 	}
-	return &obs.ExportPacket{Node: node, FlowsAt: at, Flows: flows}
+	return &plane.Scrape{Node: node, At: at, Flows: flows}
 }
 
 // TestFlowsViewMergesNodes feeds two brokers' flow snapshots and checks the
@@ -30,15 +30,15 @@ func TestFlowsViewMergesNodes(t *testing.T) {
 	c := newTestCollector(t, Config{})
 	at := time.Date(2026, 8, 7, 9, 0, 0, 0, time.UTC)
 
-	c.ingest(flowsPkt("broker-a", at, []obs.FlowSnapshot{
+	c.ingest(flowsDoc("broker-a", at, []obs.FlowSnapshot{
 		{Topic: "sensors/temp", PubMsgs: 500, PubBytes: 50_000, DelMsgs: 490, DelBytes: 49_000,
 			Drops: [obs.NumDropReasons]uint64{10, 0, 0}},
 		{Topic: "logs/app", PubMsgs: 100, DelMsgs: 100},
-	}))
-	c.ingest(flowsPkt("broker-b", at.Add(time.Second), []obs.FlowSnapshot{
+	}), "")
+	c.ingest(flowsDoc("broker-b", at.Add(time.Second), []obs.FlowSnapshot{
 		{Topic: "sensors/temp", PubMsgs: 300, PubBytes: 30_000, DelMsgs: 300, DelBytes: 30_000, ErrBound: 7},
 		{Topic: obs.FlowOther, DelMsgs: 5, Drops: [obs.NumDropReasons]uint64{0, 2, 0}},
-	}))
+	}), "")
 
 	view := c.Flows()
 	if len(view.Nodes) != 2 {
@@ -71,14 +71,14 @@ func TestFlowsViewMergesNodes(t *testing.T) {
 	}
 }
 
-// TestFlowsSnapshotReplacesNotAccumulates: each flows packet is a full
-// snapshot of the node's table, so a later packet replaces the earlier one
+// TestFlowsSnapshotReplacesNotAccumulates: each scrape carries a full
+// snapshot of the node's table, so a later one replaces the earlier one
 // rather than double counting.
 func TestFlowsSnapshotReplacesNotAccumulates(t *testing.T) {
 	c := newTestCollector(t, Config{})
 	at := time.Date(2026, 8, 7, 9, 0, 0, 0, time.UTC)
-	c.ingest(flowsPkt("b1", at, []obs.FlowSnapshot{{Topic: "a", PubMsgs: 10}}))
-	c.ingest(flowsPkt("b1", at.Add(time.Second), []obs.FlowSnapshot{{Topic: "a", PubMsgs: 25}}))
+	c.ingest(flowsDoc("b1", at, []obs.FlowSnapshot{{Topic: "a", PubMsgs: 10}}), "")
+	c.ingest(flowsDoc("b1", at.Add(time.Second), []obs.FlowSnapshot{{Topic: "a", PubMsgs: 25}}), "")
 	view := c.Flows()
 	if len(view.Fabric) != 1 || view.Fabric[0].PubMsgs != 25 {
 		t.Fatalf("fabric = %+v, want the latest snapshot only", view.Fabric)
@@ -88,9 +88,9 @@ func TestFlowsSnapshotReplacesNotAccumulates(t *testing.T) {
 // TestFlowsHTTPEndpoint round-trips the view through the /flows handler.
 func TestFlowsHTTPEndpoint(t *testing.T) {
 	c := newTestCollector(t, Config{})
-	c.ingest(flowsPkt("b1", time.Now(), []obs.FlowSnapshot{
+	c.ingest(flowsDoc("b1", time.Now(), []obs.FlowSnapshot{
 		{Topic: "sensors/temp", PubMsgs: 42, DelMsgs: 40, Drops: [obs.NumDropReasons]uint64{2, 0, 0}},
-	}))
+	}), "")
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/flows")

@@ -107,11 +107,11 @@ const (
 // Config parameterises the engine. Zero values fall back to the documented
 // defaults.
 type Config struct {
-	// ExportInterval is the fabric's metric export period — the deadman
-	// rule's unit of silence (default 1s).
-	ExportInterval time.Duration
-	// DeadmanIntervals is how many export intervals a node may stay silent
-	// before it is declared vanished (default 3).
+	// ScrapeInterval is how often the collector scrapes every node — the
+	// deadman rule's unit of silence (default 1s).
+	ScrapeInterval time.Duration
+	// DeadmanIntervals is how many scrape intervals may pass without a
+	// successful scrape of a node before it is declared vanished (default 3).
 	DeadmanIntervals int
 	// ClockEnvelope bounds a node's acceptable clock offset estimate; the
 	// paper's NTP scheme keeps nodes within 1-20 ms, so an offset beyond
@@ -179,7 +179,7 @@ type Config struct {
 	// than flap suppression at fabric scale; raise it for noisy fabrics).
 	PendingFor time.Duration
 	// ResolveAfter is how long a condition must stay clear before a firing
-	// alert resolves (default 3 × ExportInterval).
+	// alert resolves (default 3 × ScrapeInterval).
 	ResolveAfter time.Duration
 	// RetainResolved keeps resolved alerts visible on /alerts (default 10m).
 	RetainResolved time.Duration
@@ -198,8 +198,8 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.ExportInterval <= 0 {
-		c.ExportInterval = time.Second
+	if c.ScrapeInterval <= 0 {
+		c.ScrapeInterval = time.Second
 	}
 	if c.DeadmanIntervals <= 0 {
 		c.DeadmanIntervals = 3
@@ -256,7 +256,7 @@ func (c *Config) fillDefaults() {
 		c.StalePrimaryAfter = 10 * time.Second
 	}
 	if c.ResolveAfter <= 0 {
-		c.ResolveAfter = 3 * c.ExportInterval
+		c.ResolveAfter = 3 * c.ScrapeInterval
 	}
 	if c.RetainResolved <= 0 {
 		c.RetainResolved = 10 * time.Minute
@@ -270,7 +270,7 @@ func (c *Config) fillDefaults() {
 // by the collector from ingest state and the series store.
 type NodeInput struct {
 	Name        string
-	LastSeen    time.Time     // collector wall clock of the last export packet
+	LastSeen    time.Time     // collector wall clock of the last successful scrape
 	ClockOffset time.Duration // node's own NTP offset estimate
 
 	EgressDepth    float64 // current egress queue depth (summed over links)
@@ -374,13 +374,13 @@ func (e *Engine) Evaluate(in Input) {
 		e.evals.Inc()
 	}
 	now := in.Now
-	deadmanAfter := time.Duration(e.cfg.DeadmanIntervals) * e.cfg.ExportInterval
+	deadmanAfter := time.Duration(e.cfg.DeadmanIntervals) * e.cfg.ScrapeInterval
 	for _, n := range in.Nodes {
 		silent := now.Sub(n.LastSeen)
 		e.apply(RuleDeadman, n.Name, silent > deadmanAfter,
 			silent.Seconds(), deadmanAfter.Seconds(),
-			fmt.Sprintf("node silent for %s (deadman after %s = %d × %s export interval)",
-				silent.Round(time.Millisecond), deadmanAfter, e.cfg.DeadmanIntervals, e.cfg.ExportInterval), now)
+			fmt.Sprintf("no successful scrape for %s (deadman after %s = %d × %s scrape interval)",
+				silent.Round(time.Millisecond), deadmanAfter, e.cfg.DeadmanIntervals, e.cfg.ScrapeInterval), now)
 
 		off := n.ClockOffset
 		if off < 0 {

@@ -39,7 +39,7 @@ func liveNode(name string, now time.Time) NodeInput {
 func TestDeadmanLifecycle(t *testing.T) {
 	sink := &captureSink{}
 	e := New(Config{
-		ExportInterval:   time.Second,
+		ScrapeInterval:   time.Second,
 		DeadmanIntervals: 3,
 		ResolveAfter:     2 * time.Second,
 		Sinks:            []Sink{sink},
@@ -90,7 +90,7 @@ func TestDeadmanLifecycle(t *testing.T) {
 func TestPendingHysteresis(t *testing.T) {
 	sink := &captureSink{}
 	e := New(Config{
-		ExportInterval:   time.Second,
+		ScrapeInterval:   time.Second,
 		DeadmanIntervals: 3,
 		PendingFor:       5 * time.Second,
 		Sinks:            []Sink{sink},
@@ -121,7 +121,7 @@ func TestPendingHysteresis(t *testing.T) {
 }
 
 func TestClockDriftRule(t *testing.T) {
-	e := New(Config{ExportInterval: time.Second})
+	e := New(Config{ScrapeInterval: time.Second})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 
 	in := func(off time.Duration, lastSeen time.Time) Input {
@@ -146,7 +146,7 @@ func TestClockDriftRule(t *testing.T) {
 	}
 
 	// A deadman-silent node's stale offset must not raise clock drift.
-	e2 := New(Config{ExportInterval: time.Second})
+	e2 := New(Config{ScrapeInterval: time.Second})
 	e2.Evaluate(Input{Now: base.Add(10 * time.Second),
 		Nodes: []NodeInput{{Name: "b2", LastSeen: base, ClockOffset: 30 * time.Millisecond}}})
 	for _, a := range e2.Alerts() {
@@ -280,7 +280,7 @@ func TestLatencyBurnRule(t *testing.T) {
 // new violation instead of accumulating duplicate entries.
 func TestRearmAfterResolve(t *testing.T) {
 	sink := &captureSink{}
-	e := New(Config{ExportInterval: time.Second, ResolveAfter: time.Second, Sinks: []Sink{sink}})
+	e := New(Config{ScrapeInterval: time.Second, ResolveAfter: time.Second, Sinks: []Sink{sink}})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 
 	dead := func(at time.Time) Input {
@@ -313,7 +313,7 @@ func TestRearmAfterResolve(t *testing.T) {
 }
 
 func TestResolvedGC(t *testing.T) {
-	e := New(Config{ExportInterval: time.Second, ResolveAfter: time.Second, RetainResolved: time.Minute})
+	e := New(Config{ScrapeInterval: time.Second, ResolveAfter: time.Second, RetainResolved: time.Minute})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	e.Evaluate(Input{Now: base.Add(10 * time.Second), Nodes: []NodeInput{{Name: "b1", LastSeen: base}}})
 	e.Evaluate(Input{Now: base.Add(11 * time.Second), Nodes: []NodeInput{liveNode("b1", base.Add(11*time.Second))}})
@@ -329,7 +329,7 @@ func TestResolvedGC(t *testing.T) {
 
 func TestFiringGauges(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := New(Config{ExportInterval: time.Second, Registry: reg})
+	e := New(Config{ScrapeInterval: time.Second, Registry: reg})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	e.Evaluate(Input{Now: base.Add(10 * time.Second), Nodes: []NodeInput{{Name: "b1", LastSeen: base}}})
 
@@ -366,7 +366,7 @@ func firingGauge(reg *obs.Registry, node string) (float64, bool) {
 
 func TestFlushPublishesFiring(t *testing.T) {
 	sink := &captureSink{}
-	e := New(Config{ExportInterval: time.Second})
+	e := New(Config{ScrapeInterval: time.Second})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	e.Evaluate(Input{Now: base.Add(10 * time.Second), Nodes: []NodeInput{
 		{Name: "b1", LastSeen: base}, {Name: "b2", LastSeen: base}}})
@@ -622,7 +622,7 @@ func TestReplicationLagRule(t *testing.T) {
 }
 
 func TestStalePrimaryRule(t *testing.T) {
-	e := New(Config{StalePrimaryAfter: 10 * time.Second, ExportInterval: time.Second,
+	e := New(Config{StalePrimaryAfter: 10 * time.Second, ScrapeInterval: time.Second,
 		DeadmanIntervals: 3, ResolveAfter: 2 * time.Second})
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 

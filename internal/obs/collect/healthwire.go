@@ -32,14 +32,13 @@ func (c *Collector) Query(metric, node string, step time.Duration, since, now ti
 }
 
 func (c *Collector) healthLoop(interval time.Duration) {
-	defer c.wg.Done()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ticker.C:
 			c.EvaluateHealthNow()
-		case <-c.healthStop:
+		case <-c.ctx.Done():
 			return
 		}
 	}
@@ -49,10 +48,14 @@ func (c *Collector) healthLoop(interval time.Duration) {
 // series store and runs the rule evaluator. The ticker calls this every
 // HealthInterval; tests call it directly for deterministic evaluation.
 func (c *Collector) EvaluateHealthNow() {
+	// The collector is a node too, scraped in process: before the rules, so
+	// it is never silent, and after, so /events and /topology never trail the
+	// /alerts the evaluation just changed.
+	_ = c.scrape(c.self)
 	now := time.Now()
 	hcfg := c.health.Config()
 
-	staleAfter := time.Duration(hcfg.DeadmanIntervals) * hcfg.ExportInterval
+	staleAfter := time.Duration(hcfg.DeadmanIntervals) * hcfg.ScrapeInterval
 	var nodes []health.NodeInput
 	for _, ns := range c.nodeStates() {
 		nodes = append(nodes, health.NodeInput{Name: ns.name, LastSeen: ns.lastSeen, ClockOffset: ns.offset})
@@ -129,10 +132,7 @@ func (c *Collector) EvaluateHealthNow() {
 	}
 
 	c.health.Evaluate(health.Input{Now: now, Nodes: nodes, Probes: probes})
-	// Alert transitions the evaluation just produced land in the collector's
-	// own journal; fold them into the event store immediately so /events and
-	// /topology reads never trail the /alerts view.
-	c.drainOwnEvents()
+	_ = c.scrape(c.self)
 }
 
 // windowLatencySLI reads a latency histogram's window and splits it into

@@ -10,6 +10,7 @@ import (
 
 	"narada/internal/obs"
 	"narada/internal/obs/collect/health"
+	"narada/internal/obs/plane"
 )
 
 // recordSink captures published alert transitions for assertions.
@@ -30,9 +31,8 @@ func (s *recordSink) alerts() []health.Alert {
 	return append([]health.Alert(nil), s.got...)
 }
 
-func metricsPkt(node string, seq uint64, offset time.Duration, fams ...obs.ExportFamily) *obs.ExportPacket {
-	return &obs.ExportPacket{Node: node, Offset: offset, Seq: seq,
-		MetricsAt: time.Now(), Families: fams}
+func metricsDoc(node string, offset time.Duration, fams ...obs.ExportFamily) *plane.Scrape {
+	return &plane.Scrape{Node: node, Offset: offset, At: time.Now(), Families: fams}
 }
 
 // healthTestCollector builds a collector with a fast deadman horizon and the
@@ -41,8 +41,8 @@ func healthTestCollector(t *testing.T, hc health.Config) (*Collector, *recordSin
 	t.Helper()
 	sink := &recordSink{}
 	hc.Sinks = append(hc.Sinks, sink)
-	if hc.ExportInterval == 0 {
-		hc.ExportInterval = 20 * time.Millisecond
+	if hc.ScrapeInterval == 0 {
+		hc.ScrapeInterval = 20 * time.Millisecond
 	}
 	c := newTestCollector(t, Config{
 		resolutions:    testResolutions(),
@@ -52,12 +52,12 @@ func healthTestCollector(t *testing.T, hc health.Config) (*Collector, *recordSin
 	return c, sink
 }
 
-// TestDeadmanFromIngest drives the full path: UDP-shaped ingest state →
+// TestDeadmanFromIngest drives the full path: scrape-shaped ingest state →
 // EvaluateHealthNow → deadman firing on silence and resolving on return.
 func TestDeadmanFromIngest(t *testing.T) {
 	c, sink := healthTestCollector(t, health.Config{DeadmanIntervals: 2})
 
-	c.ingest(metricsPkt("broker-1", 1, 0))
+	c.ingest(metricsDoc("broker-1", 0), "")
 	c.EvaluateHealthNow()
 	if got := c.Health().Firing(); got != 0 {
 		t.Fatalf("firing = %d for a live node", got)
@@ -73,7 +73,7 @@ func TestDeadmanFromIngest(t *testing.T) {
 	// Node comes back and stays back past ResolveAfter (3 × 20ms): resolves.
 	deadline := time.Now().Add(2 * time.Second)
 	for c.Health().Firing() != 0 {
-		c.ingest(metricsPkt("broker-1", 2, 0))
+		c.ingest(metricsDoc("broker-1", 0), "")
 		c.EvaluateHealthNow()
 		if time.Now().After(deadline) {
 			t.Fatalf("deadman never resolved; alerts=%+v", c.Health().Alerts())
@@ -93,7 +93,7 @@ func TestDeadmanFromIngest(t *testing.T) {
 
 func TestClockDriftFromIngest(t *testing.T) {
 	c, _ := healthTestCollector(t, health.Config{})
-	c.ingest(metricsPkt("broker-1", 1, 25*time.Millisecond))
+	c.ingest(metricsDoc("broker-1", 25*time.Millisecond), "")
 	c.EvaluateHealthNow()
 	var drift *health.Alert
 	for _, a := range c.Health().Alerts() {
@@ -127,14 +127,14 @@ func TestEgressInputsFromStore(t *testing.T) {
 			Series: []obs.ExportSeries{{Counter: v}}}
 	}
 
-	c.ingest(metricsPkt("broker-1", 1, 0, depth(50), drops(0)))
+	c.ingest(metricsDoc("broker-1", 0, depth(50), drops(0)), "")
 	c.EvaluateHealthNow()
 	if got := c.Health().Firing(); got != 0 {
 		t.Fatalf("healthy broker fired %d alerts: %+v", got, c.Health().Alerts())
 	}
 
 	// Saturated queue + 30 drops in the 10s window (3/s > 1/s).
-	c.ingest(metricsPkt("broker-1", 2, 0, depth(150), drops(30)))
+	c.ingest(metricsDoc("broker-1", 0, depth(150), drops(30)), "")
 	c.EvaluateHealthNow()
 	firing := map[string]bool{}
 	for _, a := range c.Health().Alerts() {
@@ -168,7 +168,7 @@ func TestProbeSLOFromStore(t *testing.T) {
 				Bounds: []float64{0.5, 1, 5}, Buckets: buckets, Sum: sum, Count: count}}}
 	}
 
-	c.ingest(metricsPkt("obsprobe", 1, 0, runs(0, 0), lat([]uint64{0, 0, 0, 0}, 0, 0)))
+	c.ingest(metricsDoc("obsprobe", 0, runs(0, 0), lat([]uint64{0, 0, 0, 0}, 0, 0)), "")
 	c.EvaluateHealthNow()
 	if got := c.Health().Firing(); got != 0 {
 		t.Fatalf("baseline fired %d alerts", got)
@@ -176,8 +176,8 @@ func TestProbeSLOFromStore(t *testing.T) {
 
 	// 50% probe errors and 75% of latency observations beyond the 1s SLO:
 	// both burn rates blow through 14.4x/6x of the 1% budget.
-	c.ingest(metricsPkt("obsprobe", 2, 0,
-		runs(10, 10), lat([]uint64{5, 0, 10, 5}, 40, 20)))
+	c.ingest(metricsDoc("obsprobe", 0,
+		runs(10, 10), lat([]uint64{5, 0, 10, 5}, 40, 20)), "")
 	c.EvaluateHealthNow()
 	firing := map[string]bool{}
 	for _, a := range c.Health().Alerts() {
@@ -214,7 +214,7 @@ func TestAlertsEndpoint(t *testing.T) {
 		t.Fatalf("empty engine served %+v", v)
 	}
 
-	c.ingest(metricsPkt("broker-1", 1, 0))
+	c.ingest(metricsDoc("broker-1", 0), "")
 	time.Sleep(60 * time.Millisecond)
 	c.EvaluateHealthNow()
 	v := get()
@@ -238,8 +238,8 @@ func TestQueryEndpoint(t *testing.T) {
 		return obs.ExportFamily{Name: "narada_probe_runs_total", Kind: "counter",
 			Series: []obs.ExportSeries{{Labels: []obs.Label{obs.L("outcome", "ok")}, Counter: n}}}
 	}
-	c.ingest(metricsPkt("obsprobe", 1, 0, runs(0)))
-	c.ingest(metricsPkt("obsprobe", 2, 0, runs(42)))
+	c.ingest(metricsDoc("obsprobe", 0, runs(0)), "")
+	c.ingest(metricsDoc("obsprobe", 0, runs(42)), "")
 
 	get := func(query string) (int, QueryView) {
 		t.Helper()
@@ -303,11 +303,10 @@ func TestQueryEndpoint(t *testing.T) {
 func TestCloseFlushesAlerts(t *testing.T) {
 	sink := &recordSink{}
 	c, err := New(Config{
-		Listen:         "127.0.0.1:0",
 		resolutions:    testResolutions(),
 		HealthInterval: -1,
 		Health: &health.Config{
-			ExportInterval:   10 * time.Millisecond,
+			ScrapeInterval:   10 * time.Millisecond,
 			DeadmanIntervals: 2,
 			Sinks:            []health.Sink{sink},
 		},
@@ -315,7 +314,7 @@ func TestCloseFlushesAlerts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collector: %v", err)
 	}
-	c.ingest(metricsPkt("broker-1", 1, 0))
+	c.ingest(metricsDoc("broker-1", 0), "")
 	time.Sleep(40 * time.Millisecond)
 	c.EvaluateHealthNow()
 	if c.Health().Firing() != 1 {

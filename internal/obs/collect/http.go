@@ -16,7 +16,7 @@ import (
 
 // Handler assembles the collector's HTTP API:
 //
-//	/metrics       federated Prometheus exposition — every exporting node's
+//	/metrics       federated Prometheus exposition — every scraped node's
 //	               last snapshot plus the collector's own metrics, with a
 //	               node label identifying the source
 //	/traces        JSON listing of retained trace summaries
@@ -68,7 +68,7 @@ func (c *Collector) Handler() http.Handler {
 }
 
 // federatedFamilies merges the last snapshot of every node with the
-// collector's own registry. Series gain a node label naming their exporter
+// collector's own registry. Series gain a node label naming their node
 // when they do not already carry one (per-node registries label their own
 // series with the same identity, so collisions cannot arise).
 func (c *Collector) federatedFamilies() []obs.ExportFamily {
@@ -103,7 +103,7 @@ func (c *Collector) federatedFamilies() []obs.ExportFamily {
 	return out
 }
 
-// labelled returns s with a node label naming the exporter, added when the
+// labelled returns s with a node label naming its node, added when the
 // series does not already carry one, and labels re-sorted by key.
 func labelled(s obs.ExportSeries, node string) obs.ExportSeries {
 	if node == "" {
@@ -148,8 +148,8 @@ type LatencySummary struct {
 	P99   float64 `json:"p99Seconds"`
 }
 
-// FabricNode is the /fabric entry for one exporting node. The load fields
-// are populated from whichever families the node exports (brokers report
+// FabricNode is the /fabric entry for one scraped node. The load fields
+// are populated from whichever families the node serves (brokers report
 // egress and link gauges; requesters report discovery latency).
 type FabricNode struct {
 	Name          string          `json:"name"`
@@ -169,7 +169,7 @@ type FabricView struct {
 	Traces int          `json:"traces"`
 }
 
-// Fabric summarises every exporting node's health and load.
+// Fabric summarises every scraped node's health and load.
 func (c *Collector) Fabric() FabricView {
 	view := FabricView{Traces: c.TraceCount()}
 	for _, ns := range c.nodeStates() {

@@ -34,29 +34,22 @@ type ProbeConfig struct {
 	// on an in-flight probe against an unreachable fabric, so tests and
 	// fast-shutdown deployments set it low.
 	AckTimeout time.Duration
-	// Export, when non-empty, is the collector UDP address the prober's own
-	// spans are exported to — normally the owning collector's Addr(), which
-	// is how probe traces become visible end to end.
-	Export string
-	// Registry receives the prober's SLIs (probe run counts and latency) —
-	// normally the owning collector's registry, which serves them on the
-	// federated /metrics directly. When nil the prober keeps a private
-	// registry and ships snapshots through the export plane instead (the
-	// standalone-prober shape, probing one fabric for a remote collector).
-	Registry *obs.Registry
 	// Logger receives per-probe outcomes; nil discards them.
 	Logger *slog.Logger
 }
 
 // Prober runs periodic end-to-end synthetic discoveries against a live
 // fabric, recording success-rate and latency SLIs — regressions surface
-// without real client traffic. Probe traces export to the collector like any
-// other requester's, so every probe is inspectable at /traces/{id}.
+// without real client traffic. Its collector scrapes its plane in process,
+// like any requester's, so every probe is inspectable at /traces/{id} and
+// its SLIs land in the series store the burn-rate rules read.
 type Prober struct {
-	cfg   ProbeConfig
-	disc  *core.Discoverer
-	plane *plane.Plane
-	log   *slog.Logger
+	cfg    ProbeConfig
+	disc   *core.Discoverer
+	plane  *plane.Plane
+	col    *Collector
+	target *target
+	log    *slog.Logger
 
 	runsOK   *obs.Counter
 	runsFail *obs.Counter
@@ -67,8 +60,9 @@ type Prober struct {
 	wg        sync.WaitGroup
 }
 
-// NewProber assembles a prober; call Run to start the probe loop.
-func NewProber(cfg ProbeConfig) (*Prober, error) {
+// NewProber assembles a prober this collector scrapes; call Run to start the
+// probe loop.
+func (c *Collector) NewProber(cfg ProbeConfig) (*Prober, error) {
 	if cfg.Interval <= 0 {
 		return nil, errors.New("collect: probe Interval must be positive")
 	}
@@ -88,22 +82,11 @@ func NewProber(cfg ProbeConfig) (*Prober, error) {
 	ntp := ntptime.NewService(node.Clock(), 0, nil)
 	ntp.InitImmediately()
 
-	// A private registry (cfg.Registry nil) ships its SLI snapshots over the
-	// wire; a collector-owned one is already on the federated exposition,
-	// and exporting it back would duplicate every series — the plane never
-	// ships a borrowed registry.
-	pl, err := plane.Start(plane.Config{
-		Flags:          plane.Flags{ExportAddr: cfg.Export},
-		Node:           ProberNodeName,
-		ExportInterval: cfg.Interval,
-		Offset:         ntp.Offset,
-		Registry:       cfg.Registry,
-		Embedded:       true,
-	})
+	pl, err := plane.Start(plane.Config{Node: ProberNodeName, Offset: ntp.Offset, Embedded: true})
 	if err != nil {
 		return nil, err
 	}
-	p := &Prober{cfg: cfg, plane: pl, log: cfg.Logger.With("component", "obsprobe"), closed: make(chan struct{})}
+	p := &Prober{cfg: cfg, plane: pl, col: c, log: cfg.Logger.With("component", "obsprobe"), closed: make(chan struct{})}
 	p.disc = core.NewDiscoverer(node, ntp, core.Config{
 		NodeName:      ProberNodeName,
 		BDNAddrs:      cfg.BDNAddrs,
@@ -120,6 +103,7 @@ func NewProber(cfg ProbeConfig) (*Prober, error) {
 	p.runsFail = reg.Counter(runs, runsHelp, who, obs.L("outcome", "error"))
 	p.latency = reg.Histogram("narada_probe_latency_seconds",
 		"End-to-end synthetic discovery latency.", nil, who)
+	p.target = c.watchLocal(pl)
 	return p, nil
 }
 
@@ -158,12 +142,14 @@ func (p *Prober) probe() {
 		"trace", res.RequestID.String())
 }
 
-// Close stops the probe loop and flushes the prober's exporter.
+// Close stops the probe loop; the collector scrapes the prober's plane one
+// last time and stops.
 func (p *Prober) Close() error {
 	p.closeOnce.Do(func() {
 		close(p.closed)
 		p.wg.Wait()
 		p.disc.Close()
+		p.col.unwatch(p.target)
 		p.plane.Close()
 	})
 	return nil

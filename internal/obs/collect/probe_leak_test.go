@@ -21,20 +21,19 @@ func goroutineCount() int {
 }
 
 // TestProberStartStopLeaksNoGoroutines cycles a prober against an unreachable
-// fabric — probes fail, the exporter keeps shipping — and asserts repeated
-// Run/Close cycles return the process to its baseline goroutine count. This
-// pins the shutdown ordering: probe loop drained, exporter flushed and
-// socket released, no ticker or pump goroutine left behind.
+// fabric — probes fail, the collector keeps scraping its plane — and asserts
+// repeated Run/Close cycles return the process to its baseline goroutine
+// count. This pins the shutdown ordering: probe loop drained, the
+// collector's scrape loop for the prober stopped, no ticker left behind.
 func TestProberStartStopLeaksNoGoroutines(t *testing.T) {
 	col := newTestCollector(t, Config{HealthInterval: -1})
 
 	cycle := func() {
-		p, err := NewProber(ProbeConfig{
+		p, err := col.NewProber(ProbeConfig{
 			Interval:      10 * time.Millisecond,
 			BDNAddrs:      []string{"127.0.0.1:1"}, // nothing listening
 			CollectWindow: 20 * time.Millisecond,
 			AckTimeout:    30 * time.Millisecond,
-			Export:        col.Addr(),
 		})
 		if err != nil {
 			t.Fatalf("prober: %v", err)
@@ -54,7 +53,7 @@ func TestProberStartStopLeaksNoGoroutines(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cycle()
 	}
-	// Poll: exporter goroutines unwind asynchronously after Close returns.
+	// Poll: goroutines unwind asynchronously after Close returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		after := goroutineCount()
@@ -91,7 +90,7 @@ func TestCloseWaitsForFlightCapture(t *testing.T) {
 	defer srv.Close()
 
 	c := newTestCollector(t, Config{HealthInterval: -1})
-	announce(c, "b1", strings.TrimPrefix(srv.URL, "http://"))
+	scrapedAt(c, "b1", strings.TrimPrefix(srv.URL, "http://"))
 	c.profiles.Publish(health.Alert{Rule: health.RuleDeadman, Node: "b1", State: health.StateFiring})
 	select {
 	case <-entered:

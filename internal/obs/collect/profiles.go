@@ -2,10 +2,10 @@ package collect
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"sync"
 	"time"
@@ -27,48 +27,32 @@ const (
 	// alert so /alerts links the evidence of the latest firing, not an
 	// unbounded history.
 	flightLinkCap = 6
-	// pullTimeout bounds one listing, download or goroutine-dump request to
+	// pullTimeout bounds one scrape, download or goroutine-dump request to
 	// a node; a CPU flight capture gets this on top of its sampling window.
 	pullTimeout = 5 * time.Second
 )
 
 // profilePlane is the collector's profile subsystem: the store (a
 // profile.Store, the same type a node's capturer keeps its captures in), the
-// periodic puller draining node capturers into it, and the flight recorder
+// downloads of the captures every scrape lists, and the flight recorder
 // capturing evidence when alerts fire.
 type profilePlane struct {
 	c          *Collector
 	store      *profile.Store
 	cpuSeconds int
 
-	// ctx ends with the collector: it stops the pull loop and cancels every
-	// request to a node still in flight, so Close does not wait out a CPU
-	// capture's sampling window.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu       sync.Mutex
-	lastPull map[string]time.Time         // node → newest capture At already pulled
-	links    map[string][]profile.Capture // rule+node → linked flight evidence
+	mu    sync.Mutex
+	links map[string][]profile.Capture // rule+node → linked flight evidence
 }
 
 func newProfilePlane(c *Collector, store *profile.Store, cpuSeconds int) *profilePlane {
 	if cpuSeconds <= 0 {
 		cpuSeconds = DefaultFlightCPUSeconds
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &profilePlane{
-		c:          c,
-		store:      store,
-		cpuSeconds: cpuSeconds,
-		ctx:        ctx,
-		cancel:     cancel,
-		lastPull:   make(map[string]time.Time),
-		links:      make(map[string][]profile.Capture),
-	}
+	return &profilePlane{c: c, store: store, cpuSeconds: cpuSeconds, links: make(map[string][]profile.Capture)}
 }
 
-// nodeEndpoint returns a node's announced telemetry base URL.
+// nodeEndpoint returns the base URL a node was scraped at.
 func (c *Collector) nodeEndpoint(node string) (base string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -79,53 +63,14 @@ func (c *Collector) nodeEndpoint(node string) (base string, ok bool) {
 	return "http://" + ns.telemetryAddr, true
 }
 
-func (pp *profilePlane) pullLoop(interval time.Duration) {
-	defer pp.c.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			pp.pullAll()
-		case <-pp.ctx.Done():
-			return
-		}
-	}
-}
-
-// pullAll drains every announced capturer of captures newer than the last
-// pull. Periodic pulling is how node-side captures survive the node: when a
+// pull downloads the captures a scrape of node at addr listed (newest first)
+// into the store, oldest first so eviction order is sane. The listing rides
+// every scrape, which is how node-side captures survive the node: when a
 // broker dies, its last profiles are already here.
-func (pp *profilePlane) pullAll() {
-	for _, ns := range pp.c.nodeStates() {
-		if ns.telemetryAddr != "" && ns.profilesOn {
-			pp.pullNode(ns.name, "http://"+ns.telemetryAddr)
-		}
-	}
-}
-
-func (pp *profilePlane) pullNode(node, base string) {
-	pp.mu.Lock()
-	since := pp.lastPull[node]
-	pp.mu.Unlock()
-	url := base + "/profiles"
-	if !since.IsZero() {
-		url += "?since=" + since.UTC().Format(time.RFC3339Nano)
-	}
-	var listing []profile.Capture
-	body, err := pp.get(url, pullTimeout)
-	if err == nil {
-		err = json.Unmarshal(body, &listing)
-	}
-	if err != nil {
-		pp.c.log.Debug("profile pull: listing", "node", node, "err", err)
-		pp.c.profilePullErrs.Inc()
-		return
-	}
-	newest := since
-	for i := len(listing) - 1; i >= 0; i-- { // oldest first so eviction order is sane
-		cp := listing[i]
-		data, err := pp.get(base+"/profiles/"+cp.ID, pullTimeout)
+func (pp *profilePlane) pull(node, addr string, refs []profile.Capture) {
+	for i := len(refs) - 1; i >= 0; i-- {
+		cp := refs[i]
+		data, err := pp.get("http://"+addr+"/profiles/"+url.PathEscape(cp.ID), pullTimeout)
 		if err != nil {
 			pp.c.log.Debug("profile pull: download", "node", node, "id", cp.ID, "err", err)
 			pp.c.profilePullErrs.Inc()
@@ -133,16 +78,7 @@ func (pp *profilePlane) pullNode(node, base string) {
 		}
 		if _, err := pp.add(node, cp.Kind, cp.Trigger, cp.At, data); err != nil {
 			pp.c.log.Warn("profile pull: store", "node", node, "id", cp.ID, "err", err)
-			continue
 		}
-		if cp.At.After(newest) {
-			newest = cp.At
-		}
-	}
-	if newest.After(since) {
-		pp.mu.Lock()
-		pp.lastPull[node] = newest
-		pp.mu.Unlock()
 	}
 }
 
@@ -155,10 +91,11 @@ func (pp *profilePlane) add(node string, kind profile.Kind, trigger string, at t
 	return ref, err
 }
 
-// get fetches url from a node, bounded by timeout, by the plane's context
-// (cancelled on Close) and to 16 MiB of body.
+// get fetches url from a node, bounded by timeout, by the collector's
+// context (cancelled on Close) and to 16 MiB of body — scrapes, profile
+// downloads and flight captures alike.
 func (pp *profilePlane) get(url string, timeout time.Duration) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(pp.ctx, timeout)
+	ctx, cancel := context.WithTimeout(pp.c.ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -179,31 +116,19 @@ func (pp *profilePlane) get(url string, timeout time.Duration) ([]byte, error) {
 // triggers a flight capture of the affected node. The capture runs async —
 // sinks are called from the evaluation tick and profile capture takes
 // seconds — inside the collector's wait group, so Close returns only once no
-// capture can touch the store any more; pp.mu orders the Add against close.
+// capture can touch the store any more, and none starts after Close.
 func (pp *profilePlane) Publish(a health.Alert) {
-	if a.State != health.StateFiring {
+	if a.State != health.StateFiring || a.Node == "" || a.Node == "obscollect" {
 		return
 	}
-	if a.Node == "" || a.Node == "obscollect" {
-		return
-	}
-	pp.mu.Lock()
-	defer pp.mu.Unlock()
-	if pp.ctx.Err() != nil {
-		return
-	}
-	pp.c.wg.Add(1)
-	go func() {
-		defer pp.c.wg.Done()
-		pp.captureFlight(a)
-	}()
+	pp.c.spawn(func() { pp.captureFlight(a) })
 }
 
 // captureFlight pulls goroutine + CPU profiles from the alerted node's
 // pprof endpoint and links them to the alert. When the node is unreachable
 // (the deadman case: the process is gone), the most recent retained captures
 // for that node become the linked evidence instead — that is exactly what
-// the periodic pull was for.
+// pulling every scrape's captures was for.
 func (pp *profilePlane) captureFlight(a health.Alert) {
 	var refs []profile.Capture
 	if base, ok := pp.c.nodeEndpoint(a.Node); ok {
@@ -266,19 +191,8 @@ func (pp *profilePlane) linksFor(rule, node string) []profile.Capture {
 	return out
 }
 
-// close cancels the plane's context; Publish starts nothing after it returns.
-func (pp *profilePlane) close() {
-	pp.mu.Lock()
-	pp.cancel()
-	pp.mu.Unlock()
-}
-
 // Profiles returns matching stored profile refs, newest first — testbed and
 // smoke assertions read through this.
 func (c *Collector) Profiles(f profile.Filter) []profile.Capture {
 	return c.profiles.store.List(f)
 }
-
-// PullProfilesNow forces one synchronous pull sweep over every announced
-// capturer (tests use this instead of waiting out the pull interval).
-func (c *Collector) PullProfilesNow() { c.profiles.pullAll() }

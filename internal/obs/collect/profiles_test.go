@@ -7,59 +7,88 @@ import (
 	"net/http"
 	"net/http/httptest"
 	rpprof "runtime/pprof"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"narada/internal/obs"
 	"narada/internal/obs/collect/health"
+	"narada/internal/obs/plane"
 	"narada/internal/obs/profile"
 )
 
-// nodeTelemetry fakes one node's telemetry HTTP server: an obs/profile
-// capturer mounted at /profiles plus the goroutine pprof endpoint the flight
-// recorder pulls. Returns the capturer and the announced host:port.
-func nodeTelemetry(t *testing.T) (*profile.Capturer, string) {
+// nodeTelemetry fakes one node's telemetry HTTP server: the capturer mounted
+// at /profiles, the goroutine pprof endpoint the flight recorder pulls, and a
+// /telemetry document listing the captures newer than the since= it is sent
+// (a cursor of its own, the newest listed capture's Unix ns — the collector
+// only echoes it). Returns the host:port.
+func nodeTelemetry(t *testing.T, capt *profile.Capturer) string {
 	t.Helper()
-	capt := profile.New(profile.Config{})
 	mux := http.NewServeMux()
 	mux.Handle("/profiles", capt.Handler())
 	mux.Handle("/profiles/", capt.Handler())
 	mux.HandleFunc("/debug/pprof/goroutine", func(w http.ResponseWriter, _ *http.Request) {
 		_ = rpprof.Lookup("goroutine").WriteTo(w, 1)
 	})
+	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, r *http.Request) {
+		since := r.URL.Query().Get("since")
+		var f profile.Filter
+		if ns, err := strconv.ParseInt(since, 10, 64); err == nil {
+			f.Since = time.Unix(0, ns)
+		}
+		doc := plane.Scrape{Node: "b1", Boot: 1, Next: since, Profiles: capt.List(f)}
+		if len(doc.Profiles) > 0 {
+			doc.Next = strconv.FormatInt(doc.Profiles[0].At.UnixNano(), 10)
+		}
+		_ = json.NewEncoder(w).Encode(doc)
+	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return capt, strings.TrimPrefix(srv.URL, "http://")
+	return strings.TrimPrefix(srv.URL, "http://")
 }
 
-func announce(c *Collector, node, addr string) {
-	c.ingest(&obs.ExportPacket{Node: node, NodeInfo: true, TelemetryAddr: addr, ProfilesOn: true})
+// scrapeNow watches addr and scrapes it once, synchronously.
+func scrapeNow(t *testing.T, c *Collector, addr string) {
+	t.Helper()
+	c.Watch(addr)
+	c.mu.Lock()
+	tg := c.targets[addr]
+	c.mu.Unlock()
+	if err := c.scrape(tg); err != nil {
+		t.Fatalf("scrape %s: %v", addr, err)
+	}
+}
+
+// scrapedAt files node as scraped at addr, as a scrape of a node that lists
+// nothing would.
+func scrapedAt(c *Collector, node, addr string) {
+	c.ingest(&plane.Scrape{Node: node}, addr)
 }
 
 func TestProfilePullAndServe(t *testing.T) {
-	capt, addr := nodeTelemetry(t)
+	capt := profile.New(profile.Config{})
+	addr := nodeTelemetry(t, capt)
 	if _, err := capt.CaptureNow("periodic", profile.KindGoroutine, profile.KindHeap); err != nil {
 		t.Fatal(err)
 	}
 	c := newTestCollector(t, Config{HealthInterval: -1})
-	announce(c, "b1", addr)
-	c.PullProfilesNow()
+	scrapeNow(t, c, addr)
 
 	refs := c.Profiles(profile.Filter{Node: "b1"})
 	if len(refs) != 2 {
 		t.Fatalf("pulled %d profiles, want 2: %+v", len(refs), refs)
 	}
-	// A second sweep must not re-download already-pulled captures.
-	c.PullProfilesNow()
+	// A second scrape must not re-download already-pulled captures.
+	scrapeNow(t, c, addr)
 	if got := len(c.Profiles(profile.Filter{})); got != 2 {
-		t.Fatalf("after second pull: %d profiles, want 2 (pull not idempotent)", got)
+		t.Fatalf("after second scrape: %d profiles, want 2 (pull not idempotent)", got)
 	}
 	// A fresh node-side capture is picked up incrementally.
 	if _, err := capt.CaptureNow("periodic", profile.KindGoroutine); err != nil {
 		t.Fatal(err)
 	}
-	c.PullProfilesNow()
+	scrapeNow(t, c, addr)
 	gor := c.Profiles(profile.Filter{Node: "b1", Kind: "goroutine"})
 	if len(gor) != 2 {
 		t.Fatalf("goroutine profiles after incremental pull = %d, want 2", len(gor))
@@ -125,9 +154,9 @@ func TestProfilePullAndServe(t *testing.T) {
 // the series store breach the leak rule, the engine fires, the flight
 // recorder pulls a goroutine profile from the node and /alerts links it.
 func TestFlightRecorderOnGoroutineLeak(t *testing.T) {
-	_, addr := nodeTelemetry(t)
+	addr := nodeTelemetry(t, profile.New(profile.Config{}))
 	c := newTestCollector(t, Config{HealthInterval: -1})
-	announce(c, "b1", addr)
+	scrapedAt(c, "b1", addr)
 
 	fams := func(g float64) []obs.ExportFamily {
 		return []obs.ExportFamily{{
@@ -201,22 +230,20 @@ func TestFlightRecorderDeadNodeFallback(t *testing.T) {
 }
 
 // TestProfileViewsAgree serves the same captures from a node's
-// /profiles/{id} and, after a pull, from the collector's: the bodies are
+// /profiles/{id} and, after a scrape, from the collector's: the bodies are
 // byte-identical and the headers the same shape, raw and under ?view=top —
 // both handlers end in profile.Capture.WriteHTTP.
 func TestProfileViewsAgree(t *testing.T) {
 	// An Interval with no Start: it only clamps the CPU sampling window
 	// (a quarter of it) so the CPU capture below takes 10ms, not 1s.
 	capt := profile.New(profile.Config{Interval: 40 * time.Millisecond})
-	nodeSrv := httptest.NewServer(capt.Handler())
-	defer nodeSrv.Close()
+	addr := nodeTelemetry(t, capt)
 	caps, err := capt.CaptureNow("manual", profile.KindGoroutine, profile.KindCPU)
 	if err != nil || len(caps) != 2 {
 		t.Fatalf("CaptureNow: %v, %d captures", err, len(caps))
 	}
 	c := newTestCollector(t, Config{HealthInterval: -1})
-	announce(c, "b1", strings.TrimPrefix(nodeSrv.URL, "http://"))
-	c.PullProfilesNow()
+	scrapeNow(t, c, addr)
 	colSrv := httptest.NewServer(c.Handler())
 	defer colSrv.Close()
 
@@ -239,7 +266,7 @@ func TestProfileViewsAgree(t *testing.T) {
 		if len(pulled) != 1 {
 			t.Fatalf("collector holds %d %s captures of b1, want 1", len(pulled), nodeCap.Kind)
 		}
-		nodeURL, colURL := nodeSrv.URL+"/profiles/"+nodeCap.ID, colSrv.URL+pulled[0].URL
+		nodeURL, colURL := "http://"+addr+"/profiles/"+nodeCap.ID, colSrv.URL+pulled[0].URL
 
 		rawType := text
 		if nodeCap.Kind == profile.KindCPU {

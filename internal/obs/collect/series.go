@@ -187,7 +187,7 @@ func (st *seriesStore) entryFor(node string, f obs.ExportFamily, s obs.ExportSer
 }
 
 // Observe folds one node's metrics snapshot into every resolution ring. seq
-// is the exporter's snapshot sequence number: a decrease marks a process
+// numbers the node's snapshots since its boot: a decrease marks a process
 // restart, so cumulative values are re-baselined instead of producing a
 // bogus negative (or enormous) delta.
 func (st *seriesStore) Observe(now time.Time, node string, seq uint64, fams []obs.ExportFamily) {

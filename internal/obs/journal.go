@@ -30,11 +30,11 @@ const (
 	EventReplicaDemoted   = "replica_demoted"
 )
 
-// Event is one journal entry. The node identity is carried at the transport
-// layer (one journal per process), not per event. Seq is assigned by the
+// Event is one journal entry. The node identity is carried by the scrape
+// document (one journal per process), not per event. Seq is assigned by the
 // emitting journal and is strictly monotonic per node, so the collector can
-// detect dropped packets as sequence gaps. At is the emitter's local clock;
-// NTP alignment happens downstream using the per-packet offset.
+// detect events lost to ring overwrite as sequence gaps. At is the emitter's
+// local clock; NTP alignment happens downstream using the document's offset.
 type Event struct {
 	Seq     uint64
 	Type    string
@@ -48,21 +48,21 @@ const DefaultJournalCapacity = 1024
 
 // Journal is a bounded ring of control-plane events. Emit is cheap (one
 // short mutex hold, no allocation beyond the amortised ring) and never
-// blocks on I/O: the exporter drains the ring on its own schedule, and when
-// producers outrun the drain the oldest events are overwritten. Overwrites
-// surface downstream as sequence gaps, so loss is visible rather than
-// silent. All methods are nil-safe so call sites need no journal-enabled
-// branch.
+// blocks on I/O: a collector reads the ring on its own schedule (Since), and
+// when producers outrun the reads the oldest events are overwritten.
+// Overwrites surface downstream as sequence gaps, so loss is visible rather
+// than silent. All methods are nil-safe so call sites need no
+// journal-enabled branch.
 type Journal struct {
 	clock func() time.Time
 
 	mu      sync.Mutex
-	ring    *Ring[Event] // undrained events
+	ring    *Ring[Event]
 	seq     uint64
 	dropped uint64
 }
 
-// NewJournal returns a journal holding at most capacity undrained events.
+// NewJournal returns a journal holding at most capacity events.
 // A nil clock means time.Now.
 func NewJournal(capacity int, clock func() time.Time) *Journal {
 	if capacity <= 0 {
@@ -75,8 +75,8 @@ func NewJournal(capacity int, clock func() time.Time) *Journal {
 }
 
 // Emit appends a typed event stamped with the next sequence number and the
-// journal's clock. When the ring is full the oldest undrained event is
-// overwritten and counted as dropped.
+// journal's clock. When the ring is full the oldest event is overwritten and
+// counted as dropped.
 func (j *Journal) Emit(typ, subject, detail string) {
 	if j == nil {
 		return
@@ -91,18 +91,25 @@ func (j *Journal) Emit(typ, subject, detail string) {
 	j.mu.Unlock()
 }
 
-// Drain returns all buffered events in sequence order and clears the ring.
-// It returns nil when the journal is nil or empty.
-func (j *Journal) Drain() []Event {
+// Since returns the retained events with a sequence number above seq, in
+// sequence order, leaving the ring as it was. It returns nil when the journal
+// is nil or holds nothing newer.
+func (j *Journal) Since(seq uint64) []Event {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.ring.Drain()
+	var out []Event
+	j.ring.Each(func(ev Event) {
+		if ev.Seq > seq {
+			out = append(out, ev)
+		}
+	})
+	return out
 }
 
-// Len reports the number of buffered (undrained) events.
+// Len reports the number of retained events.
 func (j *Journal) Len() int {
 	if j == nil {
 		return 0
@@ -112,7 +119,7 @@ func (j *Journal) Len() int {
 	return j.ring.Len()
 }
 
-// Dropped reports how many events have been overwritten before a drain.
+// Dropped reports how many events have been overwritten.
 func (j *Journal) Dropped() uint64 {
 	if j == nil {
 		return 0

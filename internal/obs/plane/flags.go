@@ -5,29 +5,26 @@ import (
 	"time"
 )
 
-// FlagSet selects which of the six telemetry flags a binary takes.
+// FlagSet selects which of the five telemetry flags a binary takes.
 type FlagSet uint
 
 const (
 	FlagTelemetryAddr FlagSet = 1 << iota // -telemetry-addr
-	FlagObsExport                         // -obs-export
 	FlagProfileEvery                      // -profile-every
 	FlagProfileRates                      // -mutex-profile-fraction, -block-profile-rate
 	FlagLogLevel                          // -log-level
 
-	FlagsAll = FlagTelemetryAddr | FlagObsExport | FlagProfileEvery | FlagProfileRates | FlagLogLevel
+	FlagsAll = FlagTelemetryAddr | FlagProfileEvery | FlagProfileRates | FlagLogLevel
 )
 
-// Flags is the operator-facing part of a plane's Config: what the six
+// Flags is the operator-facing part of a plane's Config: what the five
 // telemetry flags (and the matching config-file keys) set. A flag the binary
 // did not take keeps its zero value, which switches that part off.
 type Flags struct {
 	// TelemetryAddr is where Serve binds /metrics, /healthz, /debug/traces,
-	// pprof and /profiles ("" = Serve does nothing).
+	// pprof, /profiles and the /telemetry document obscollect scrapes
+	// ("" = Serve does nothing).
 	TelemetryAddr string
-	// ExportAddr is the obscollect UDP address spans, metric snapshots,
-	// flows and journal events ship to ("" = no exporter).
-	ExportAddr string
 	// ProfileEvery is the periodic capture interval of the /profiles
 	// capturer (0 = on-demand captures only).
 	ProfileEvery time.Duration
@@ -40,12 +37,9 @@ type Flags struct {
 }
 
 // Default fills the settings no flag gave from the binary's config file.
-func (f *Flags) Default(telemetryAddr, exportAddr, logLevel string) {
+func (f *Flags) Default(telemetryAddr, logLevel string) {
 	if f.TelemetryAddr == "" {
 		f.TelemetryAddr = telemetryAddr
-	}
-	if f.ExportAddr == "" {
-		f.ExportAddr = exportAddr
 	}
 	if f.LogLevel == "" {
 		f.LogLevel = logLevel
@@ -66,9 +60,6 @@ func RegisterFlags(fs *flag.FlagSet, which FlagSet, overridesConfig bool) *Flags
 	f := &Flags{}
 	if which&FlagTelemetryAddr != 0 {
 		fs.StringVar(&f.TelemetryAddr, "telemetry-addr", "", "listen addr for /metrics, /healthz, /debug/traces and pprof "+off)
-	}
-	if which&FlagObsExport != 0 {
-		fs.StringVar(&f.ExportAddr, "obs-export", "", "obscollect UDP addr to export spans + metric snapshots to "+off)
 	}
 	if which&FlagProfileEvery != 0 {
 		fs.DurationVar(&f.ProfileEvery, "profile-every", 0, "periodic cpu+heap+goroutine profile capture interval (0 = on-demand only; needs -telemetry-addr)")

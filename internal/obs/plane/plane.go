@@ -1,18 +1,21 @@
 // Package plane stands a node's telemetry up, hands it out and tears it down:
 // one place that knows the order registry → process metrics → tracer →
-// journal → exporter → capturer → HTTP endpoint → address announce, and the
-// reverse on the way out. Every binary, every testbed node and the
-// collector's prober run under one Plane; components see only the obs.Handle
-// it hands out.
+// journal → capturer → HTTP endpoint, and the reverse on the way out. Every
+// binary, every testbed node, the collector and its prober run under one
+// Plane; components see only the obs.Handle it hands out, and a collector
+// sees only the Scrape document it builds.
 package plane
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
+	"maps"
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"narada/internal/obs"
@@ -20,30 +23,28 @@ import (
 )
 
 // Config parameterises a Plane: the operator's Flags plus what the binary
-// knows about itself. The zero value is a process-wide plane that neither
-// exports nor serves: a registry with process metrics, a tracer, a journal
-// and an info-level stderr logger.
+// knows about itself. The zero value is a process-wide plane that does not
+// serve: a registry with process metrics, a tracer, a journal and an
+// info-level stderr logger.
 type Config struct {
 	Flags
 	// Prog prefixes the operator log lines the plane prints through the
 	// standard logger ("broker: telemetry on http://…/metrics"); empty
 	// prints none.
 	Prog string
-	// Node is this node's identity on the export stream.
+	// Node is this node's identity in its scrape document.
 	Node string
-	// ExportInterval is the metric-snapshot period (0 = the exporter's 1s).
-	ExportInterval time.Duration
 	// Offset reports the node's estimated clock offset from UTC
-	// (ntptime.Service.Offset), stamped on every export packet.
+	// (ntptime.Service.Offset), carried in every scrape document.
 	Offset func() time.Duration
 	// Clock stamps journal events; nil is time.Now (testbed nodes pass
 	// their skewed model clock).
 	Clock func() time.Time
 
 	// Registry, when set, is a registry the caller already exposes some
-	// other way (the collector lends its own to its prober): components
-	// record into it, and the plane neither adds process metrics to it nor
-	// ships it. Nil gives the plane its own, which the exporter ships.
+	// other way (the collector's own): components record into it, and the
+	// plane neither adds process metrics to it nor puts it in a scrape. Nil
+	// gives the plane its own, which every scrape carries.
 	Registry *obs.Registry
 	// Embedded marks a plane that shares its OS process with others (a
 	// testbed node, the prober): its registry carries no process metrics and
@@ -55,6 +56,9 @@ type Config struct {
 	MetricsOnly bool
 }
 
+// lastScrapeWait bounds how long Close waits for a collector's last scrape.
+const lastScrapeWait = 2 * time.Second
+
 // Plane is one node's running telemetry. Start it, give its Handle to the
 // component, late-bind what only exists afterwards (SetFlows, Serve), and
 // Close it after the component has stopped. Those calls belong to the one
@@ -62,19 +66,24 @@ type Config struct {
 type Plane struct {
 	cfg    Config
 	handle obs.Handle
-	exp    *obs.Exporter     // nil without ExportAddr
+	own    *obs.Registry // what a scrape carries: never a borrowed registry
+	boot   int64         // Unix ns of Start: a new value tells a collector the node restarted
+	flows  atomic.Pointer[func() []obs.FlowSnapshot]
 	srv    *obs.Server       // nil until Serve binds
 	prof   *profile.Capturer // nil until Serve binds
 
+	scraped   atomic.Bool // a collector has read /telemetry
+	mu        sync.Mutex
+	final     chan struct{} // made by Close, closed by the first scrape served after
+	finalOnce sync.Once
 	closeOnce sync.Once
 }
 
-// Start builds the plane's recorders and, with ExportAddr, dials the
-// collector. Nothing listens yet: Serve binds the HTTP endpoint once the
-// component's metric families are registered.
+// Start builds the plane's recorders. Nothing listens yet: Serve binds the
+// HTTP endpoint once the component's metric families are registered.
 func Start(cfg Config) (*Plane, error) {
 	profile.SetRuntimeRates(cfg.MutexFraction, cfg.BlockRate)
-	p := &Plane{cfg: cfg}
+	p := &Plane{cfg: cfg, boot: time.Now().UnixNano()}
 	h := obs.Handle{Metrics: cfg.Registry}
 	if !cfg.Embedded {
 		level, err := obs.ParseLevel(cfg.LogLevel)
@@ -83,10 +92,9 @@ func Start(cfg Config) (*Plane, error) {
 		}
 		h.Logger = obs.NewLogger(os.Stderr, level)
 	}
-	var shipped *obs.Registry // what the exporter snapshots: never a borrowed registry
 	if h.Metrics == nil {
 		h.Metrics = obs.NewRegistry()
-		shipped = h.Metrics
+		p.own = h.Metrics
 		if !cfg.Embedded {
 			obs.RegisterProcessMetrics(h.Metrics)
 		}
@@ -94,22 +102,10 @@ func Start(cfg Config) (*Plane, error) {
 	if !cfg.MetricsOnly {
 		h.Tracer = obs.NewTracer(0, h.Logger)
 		h.Journal = obs.NewJournal(0, cfg.Clock)
-	}
-	if cfg.ExportAddr != "" {
-		exp, err := obs.NewExporter(obs.ExporterConfig{
-			Addr:            cfg.ExportAddr,
-			Node:            cfg.Node,
-			Offset:          cfg.Offset,
-			Registry:        shipped,
-			Journal:         h.Journal,
-			MetricsInterval: cfg.ExportInterval,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("obs export: %w", err)
+		if cfg.TelemetryAddr != "" || cfg.Embedded {
+			// A collector reads this plane, over HTTP or in process.
+			h.Tracer.KeepSpans(obs.DefaultSpanLog)
 		}
-		p.exp = exp
-		h.Tracer.SetExporter(exp)
-		p.logf("exporting observability to udp://%s", cfg.ExportAddr)
 	}
 	p.handle = h
 	return p, nil
@@ -118,53 +114,45 @@ func Start(cfg Config) (*Plane, error) {
 // Handle returns what components under this plane report through.
 func (p *Plane) Handle() obs.Handle { return p.handle }
 
-// Exporter returns the plane's exporter: nil without ExportAddr or on a nil
-// plane, and every exporter method is nil-safe.
-func (p *Plane) Exporter() *obs.Exporter {
-	if p == nil {
-		return nil
+// SetFlows binds the flow-table snapshot every scrape carries — the broker's,
+// which does not exist yet when the plane starts. A no-op on a nil plane.
+func (p *Plane) SetFlows(f func() []obs.FlowSnapshot) {
+	if p != nil {
+		p.flows.Store(&f)
 	}
-	return p.exp
 }
 
-// SetFlows binds the flow-table snapshot shipped with every metrics tick —
-// the broker's, which does not exist yet when the plane starts. A plane that
-// does not export (or a nil one) ignores it.
-func (p *Plane) SetFlows(f func() []obs.FlowSnapshot) { p.Exporter().SetFlows(f) }
-
-// Serve binds the telemetry HTTP endpoint on TelemetryAddr, starts the
-// profile capturer mounted on it and announces the bound address on the
-// export stream, so the collector can pull profiles and flight-record this
-// node. It does nothing without a TelemetryAddr.
+// Serve binds the telemetry HTTP endpoint on TelemetryAddr — the node's
+// /telemetry document among the rest — with the profile capturer mounted on
+// it. It does nothing without a TelemetryAddr.
 func (p *Plane) Serve() error {
 	if p.cfg.TelemetryAddr == "" {
 		return nil
 	}
-	var prof *profile.Capturer
-	var mounts map[string]http.Handler
+	mounts := map[string]http.Handler{"/telemetry": http.HandlerFunc(p.serveScrape)}
 	if !p.cfg.MetricsOnly {
-		prof = profile.New(profile.Config{
+		p.prof = profile.New(profile.Config{
 			Interval: p.cfg.ProfileEvery,
 			Mutex:    p.cfg.MutexFraction > 0,
 			Block:    p.cfg.BlockRate > 0,
 			Logger:   p.handle.Logger,
 		})
-		prof.Start()
-		mounts = prof.Mount()
+		p.prof.Start()
+		maps.Copy(mounts, p.prof.Mount())
 	}
 	srv, err := obs.ServeWith(p.cfg.TelemetryAddr, p.handle.Metrics, p.handle.Tracer, mounts)
 	if err != nil {
-		if prof != nil {
-			_ = prof.Close() // stops the capture loop; nothing to report
+		if p.prof != nil {
+			_ = p.prof.Close() // stops the capture loop; nothing to report
+			p.prof = nil
 		}
 		return fmt.Errorf("telemetry: %w", err)
 	}
-	p.srv, p.prof = srv, prof
+	p.srv = srv
 	p.logf("telemetry on http://%s/metrics", srv.Addr())
-	if prof != nil && p.cfg.ProfileEvery > 0 {
+	if p.prof != nil && p.cfg.ProfileEvery > 0 {
 		p.logf("capturing profiles every %s", p.cfg.ProfileEvery)
 	}
-	p.exp.AnnounceTelemetry(srv.Addr(), prof != nil)
 	return nil
 }
 
@@ -176,28 +164,54 @@ func (p *Plane) Addr() string {
 	return p.srv.Addr()
 }
 
-// Close tears the plane down after its component has stopped producing:
-// the HTTP endpoint drains first, then the capturer stops, and the exporter
-// closes last — its Close flushes buffered spans and ships a final metric,
-// flow and journal snapshot, so the collector keeps the node's last moments
-// instead of losing them with the socket. Safe to call more than once and on
-// a nil plane.
+// serveScrape answers GET /telemetry?since=<next>. The first one served after
+// Close began is the node's last, and releases Close.
+func (p *Plane) serveScrape(w http.ResponseWriter, r *http.Request) {
+	p.mu.Lock()
+	final := p.final
+	p.mu.Unlock()
+	body, err := json.Marshal(p.Scrape(r.URL.Query().Get("since")))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
+	p.scraped.Store(true)
+	if final != nil {
+		p.finalOnce.Do(func() { close(final) })
+	}
+}
+
+// Close tears the plane down after its component has stopped producing. A
+// plane a collector has scraped first waits, up to lastScrapeWait, for one
+// more scrape, so the collector keeps the node's last snapshot and node_stop
+// instead of losing them with the endpoint; one nobody scrapes closes at
+// once. Then the HTTP endpoint drains and the capturer stops. Safe to call
+// more than once and on a nil plane.
 func (p *Plane) Close() {
 	if p == nil {
 		return
 	}
 	p.closeOnce.Do(func() {
 		if p.srv != nil {
+			if p.scraped.Load() {
+				final := make(chan struct{})
+				p.mu.Lock()
+				p.final = final
+				p.mu.Unlock()
+				select {
+				case <-final:
+					p.logf("final telemetry scraped")
+				case <-time.After(lastScrapeWait):
+				}
+			}
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			_ = p.srv.Shutdown(ctx) // a scrape still in flight at the deadline is abandoned
 			cancel()
 		}
 		if p.prof != nil {
 			_ = p.prof.Close() // always nil
-		}
-		if p.exp != nil {
-			_ = p.exp.Close() // always nil
-			p.logf("final telemetry snapshot exported")
 		}
 	})
 }

@@ -1,12 +1,13 @@
 package plane_test
 
 import (
+	"encoding/json"
 	"io"
-	"net"
+	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,84 +15,44 @@ import (
 	"narada/internal/obs/plane"
 )
 
-// sink is a loopback UDP endpoint standing in for obscollect: it decodes
-// every export datagram it receives and keeps it for the test to inspect.
-type sink struct {
-	pc *net.UDPConn
-
-	mu      sync.Mutex
-	packets []*obs.ExportPacket
-	arrived chan struct{} // 1-slot wake-up, sent to on every packet
-}
-
-func newSink(t *testing.T) *sink {
+// scrape GETs a plane's /telemetry the way obscollect does.
+func scrape(t *testing.T, addr, since string) plane.Scrape {
 	t.Helper()
-	pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	resp, err := http.Get("http://" + addr + "/telemetry?since=" + url.QueryEscape(since))
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		t.Fatalf("GET /telemetry: %v", err)
 	}
-	s := &sink{pc: pc, arrived: make(chan struct{}, 1)}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 65536)
-		for {
-			n, _, err := pc.ReadFromUDP(buf)
-			if err != nil {
-				return // closed
-			}
-			pkt, err := obs.DecodeExportPacket(buf[:n])
-			if err != nil {
-				t.Errorf("undecodable export packet: %v", err)
-				continue
-			}
-			s.mu.Lock()
-			s.packets = append(s.packets, pkt)
-			s.mu.Unlock()
-			select {
-			case s.arrived <- struct{}{}:
-			default:
-			}
-		}
-	}()
-	t.Cleanup(func() {
-		_ = pc.Close()
-		<-done
-	})
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /telemetry: %s: %s", resp.Status, body)
+	}
+	var s plane.Scrape
+	if err := json.Unmarshal(body, &s); err != nil {
+		t.Fatalf("decode /telemetry: %v\n%s", err, body)
+	}
 	return s
 }
 
-// await blocks until some received packet satisfies match and returns it.
-func (s *sink) await(t *testing.T, what string, match func(*obs.ExportPacket) bool) *obs.ExportPacket {
-	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		s.mu.Lock()
-		for _, p := range s.packets {
-			if match(p) {
-				s.mu.Unlock()
-				return p
-			}
-		}
-		s.mu.Unlock()
-		select {
-		case <-s.arrived:
-		case <-deadline:
-			t.Fatalf("collector never received %s", what)
+func family(s plane.Scrape, name string) *obs.ExportFamily {
+	for i := range s.Families {
+		if s.Families[i].Name == name {
+			return &s.Families[i]
 		}
 	}
+	return nil
 }
 
-// TestPlaneLifecycle drives one plane over real loopback sockets with both
-// the exporter and the telemetry endpoint on: the collector must see the
-// endpoint announced, a span recorded before Close, and — only once Close
-// has run — the final metrics snapshot and journal drain.
+// TestPlaneLifecycle drives one plane over a real loopback endpoint: a scrape
+// carries the node, its metrics and its late-bound flows; the next scrape
+// carries only what is newer than the cursor the first one handed back; and
+// Close on a plane that has been scraped waits for one more scrape, which
+// delivers the span, counter and node_stop recorded just before it.
 func TestPlaneLifecycle(t *testing.T) {
-	col := newSink(t)
 	p, err := plane.Start(plane.Config{
-		Flags:          plane.Flags{ExportAddr: col.pc.LocalAddr().String(), TelemetryAddr: "127.0.0.1:0"},
-		Node:           "node-1",
-		ExportInterval: time.Hour, // nothing but Close ships a snapshot
+		Flags:  plane.Flags{TelemetryAddr: "127.0.0.1:0"},
+		Node:   "node-1",
+		Offset: func() time.Duration { return 3 * time.Millisecond },
 	})
 	if err != nil {
 		t.Fatalf("start: %v", err)
@@ -108,98 +69,145 @@ func TestPlaneLifecycle(t *testing.T) {
 		t.Fatal("Addr is empty after Serve")
 	}
 
-	info := col.await(t, "the node-info announce", func(pkt *obs.ExportPacket) bool { return pkt.NodeInfo })
-	if info.Node != "node-1" || info.TelemetryAddr != p.Addr() || !info.ProfilesOn {
-		t.Errorf("announce = node %q addr %q profiles %v, want node-1 %s true",
-			info.Node, info.TelemetryAddr, info.ProfilesOn, p.Addr())
-	}
-
 	resp, err := http.Get("http://" + p.Addr() + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	_ = resp.Body.Close()
-	for _, fam := range []string{"narada_plane_test_runs_total", "narada_process_uptime_seconds", "narada_obs_export_packets_total"} {
+	for _, fam := range []string{"narada_plane_test_runs_total", "narada_process_uptime_seconds"} {
 		if !strings.Contains(string(body), "# TYPE "+fam+" ") {
 			t.Errorf("/metrics lacks family %s", fam)
 		}
+	}
+
+	h.Journal.Emit(obs.EventNodeStart, "node-1", "")
+	first := scrape(t, p.Addr(), "")
+	if first.Node != "node-1" || first.Offset != 3*time.Millisecond || first.Boot == 0 || first.Next == "" {
+		t.Errorf("scrape header = node %q offset %v boot %d next %q", first.Node, first.Offset, first.Boot, first.Next)
+	}
+	if family(first, "narada_plane_test_runs_total") == nil || family(first, "narada_process_uptime_seconds") == nil {
+		t.Errorf("scrape lacks the node's families: %+v", first.Families)
+	}
+	if len(first.Flows) != 1 || first.Flows[0].Topic != "t/1" {
+		t.Errorf("scrape flows = %+v, want the late-bound t/1", first.Flows)
+	}
+	if len(first.Events) != 1 || first.Events[0].Type != obs.EventNodeStart {
+		t.Errorf("scrape events = %+v, want node_start", first.Events)
+	}
+	if again := scrape(t, p.Addr(), first.Next); len(again.Events) != 0 || len(again.Spans) != 0 {
+		t.Errorf("a scrape from the cursor repeated events %+v / spans %+v", again.Events, again.Spans)
+	}
+	if other := scrape(t, p.Addr(), "1.9.9.0"); len(other.Events) != 1 {
+		t.Errorf("a cursor from another boot got events %+v, want all of them again", other.Events)
 	}
 
 	h.Tracer.Trace("req-1").Event("before-close", time.Now())
 	h.Journal.Emit(obs.EventNodeStop, "node-1", "")
 	runs.Add(7)
 
-	col.mu.Lock()
-	for _, pkt := range col.packets {
-		if pkt.Families != nil || pkt.Events != nil || pkt.Flows != nil {
-			t.Errorf("a snapshot shipped before Close: %+v", pkt)
-		}
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		p.Close() // idempotent
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close of a scraped plane returned before its last scrape")
+	case <-time.After(100 * time.Millisecond):
 	}
-	col.mu.Unlock()
-
-	p.Close()
-	p.Close() // idempotent
-
-	col.await(t, "the span recorded before Close", func(pkt *obs.ExportPacket) bool {
-		for _, r := range pkt.Spans {
-			if r.TraceID == "req-1" && r.Span.Name == "before-close" {
-				return true
-			}
-		}
-		return false
-	})
-	col.await(t, "the final metrics snapshot", func(pkt *obs.ExportPacket) bool {
-		for _, f := range pkt.Families {
-			if f.Name == "narada_plane_test_runs_total" {
-				return len(f.Series) == 1 && f.Series[0].Counter == 7
-			}
-		}
-		return false
-	})
-	col.await(t, "the final journal drain", func(pkt *obs.ExportPacket) bool {
-		return len(pkt.Events) == 1 && pkt.Events[0].Type == obs.EventNodeStop
-	})
-	col.await(t, "the late-bound flow snapshot", func(pkt *obs.ExportPacket) bool {
-		return len(pkt.Flows) == 1 && pkt.Flows[0].Topic == "t/1"
-	})
+	last := scrape(t, p.Addr(), first.Next)
+	<-closed
+	if len(last.Spans) != 1 || last.Spans[0].TraceID != "req-1" || last.Spans[0].Span.Name != "before-close" {
+		t.Errorf("last scrape spans = %+v, want the span recorded before Close", last.Spans)
+	}
+	if len(last.Events) != 1 || last.Events[0].Type != obs.EventNodeStop {
+		t.Errorf("last scrape events = %+v, want node_stop", last.Events)
+	}
+	if f := family(last, "narada_plane_test_runs_total"); f == nil || f.Series[0].Counter != 7 {
+		t.Errorf("last scrape counter = %+v, want 7", f)
+	}
 	if _, err := http.Get("http://" + p.Addr() + "/healthz"); err == nil {
 		t.Error("telemetry endpoint still answers after Close")
 	}
 }
 
+// TestCloseUnscrapedIsImmediate: a plane nobody has scraped — every bench
+// child — does not wait for a collector on its way out.
+func TestCloseUnscrapedIsImmediate(t *testing.T) {
+	p, err := plane.Start(plane.Config{Flags: plane.Flags{TelemetryAddr: "127.0.0.1:0"}, Node: "quiet"})
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	if err := p.Serve(); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	start := time.Now()
+	p.Close()
+	if took := time.Since(start); took >= 50*time.Millisecond {
+		t.Fatalf("Close of a never-scraped plane took %v, want < 50ms", took)
+	}
+}
+
+// TestScrapeCarriesNonFiniteGauges: a GaugeFunc may return NaN or ±Inf,
+// which encoding/json refuses; the document /telemetry marshals must still
+// encode, and the values must decode as themselves.
+func TestScrapeCarriesNonFiniteGauges(t *testing.T) {
+	p, err := plane.Start(plane.Config{Node: "odd", Embedded: true})
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer p.Close()
+	reg := p.Handle().Metrics
+	for name, v := range map[string]float64{"nan": math.NaN(), "pos": math.Inf(1), "neg": math.Inf(-1), "one": 1.5} {
+		v := v
+		reg.GaugeFunc("narada_plane_test_odd", "Odd values.", func() float64 { return v }, obs.L("v", name))
+	}
+	body, err := json.Marshal(p.Scrape(""))
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var s plane.Scrape
+	if err := json.Unmarshal(body, &s); err != nil {
+		t.Fatalf("unmarshal: %v\n%s", err, body)
+	}
+	f := family(s, "narada_plane_test_odd")
+	if f == nil || len(f.Series) != 4 {
+		t.Fatalf("family = %+v, want 4 series", f)
+	}
+	got := map[string]float64{}
+	for _, s := range f.Series {
+		got[s.Labels[0].Value] = s.Gauge
+	}
+	if !math.IsNaN(got["nan"]) || !math.IsInf(got["pos"], 1) || !math.IsInf(got["neg"], -1) || got["one"] != 1.5 {
+		t.Fatalf("gauges arrived as %v", got)
+	}
+}
+
 // TestPlaneVariants pins what the non-default planes leave out: an embedded
 // plane carries no process metrics, a borrowed registry is used but never
-// shipped, and a metrics-only plane has no tracer, journal or /profiles.
+// put in a scrape, and a metrics-only plane has no tracer, journal or
+// /profiles.
 func TestPlaneVariants(t *testing.T) {
-	col := newSink(t)
-
 	lent := obs.NewRegistry()
-	p, err := plane.Start(plane.Config{
-		Flags: plane.Flags{ExportAddr: col.pc.LocalAddr().String()},
-		Node:  "probe", ExportInterval: time.Hour, Registry: lent, Embedded: true,
-	})
+	p, err := plane.Start(plane.Config{Node: "probe", Registry: lent, Embedded: true})
 	if err != nil {
 		t.Fatalf("start: %v", err)
 	}
 	if p.Handle().Metrics != lent {
 		t.Error("a lent registry is not the one handed out")
 	}
+	lent.Counter("narada_plane_test_lent_total", "Lent.").Inc()
 	p.Handle().Journal.Emit(obs.EventNodeStop, "probe", "")
+	s := p.Scrape("")
+	if s.Node != "probe" || len(s.Events) != 1 {
+		t.Errorf("borrowed-registry plane's scrape = %+v, want its journal", s)
+	}
+	if s.Families != nil {
+		t.Errorf("a borrowed registry was put in a scrape: %+v", s.Families)
+	}
 	p.Close()
-	col.await(t, "the borrowed-registry plane's journal drain", func(pkt *obs.ExportPacket) bool {
-		return pkt.Node == "probe" && len(pkt.Events) == 1
-	})
-	col.mu.Lock()
-	for _, pkt := range col.packets {
-		if pkt.Families != nil {
-			t.Errorf("a borrowed registry was shipped: %+v", pkt.Families)
-		}
-	}
-	col.mu.Unlock()
-	if len(lent.ExportSnapshot()) != 0 {
-		t.Errorf("the plane registered families on a lent registry: %+v", lent.ExportSnapshot())
-	}
 
 	p, err = plane.Start(plane.Config{Embedded: true})
 	if err != nil {
@@ -241,19 +249,14 @@ func TestPlaneVariants(t *testing.T) {
 	}
 }
 
-// TestPlaneLeaksNoGoroutines cycles full planes — exporter, capturer, HTTP
-// endpoint — and asserts the process returns to its baseline goroutine count:
-// Close waits for everything Start and Serve launched.
+// TestPlaneLeaksNoGoroutines cycles full planes — span log, capturer, HTTP
+// endpoint — and asserts the process returns to its baseline goroutine
+// count: Close waits for everything Start and Serve launched.
 func TestPlaneLeaksNoGoroutines(t *testing.T) {
-	col := newSink(t)
 	cycle := func() {
 		p, err := plane.Start(plane.Config{
-			Flags: plane.Flags{
-				ExportAddr:    col.pc.LocalAddr().String(),
-				TelemetryAddr: "127.0.0.1:0",
-				ProfileEvery:  time.Hour,
-			},
-			Node: "leak",
+			Flags: plane.Flags{TelemetryAddr: "127.0.0.1:0", ProfileEvery: time.Hour},
+			Node:  "leak",
 		})
 		if err != nil {
 			t.Fatalf("start: %v", err)

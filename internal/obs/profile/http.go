@@ -67,7 +67,7 @@ func (c *Capturer) serveList(w http.ResponseWriter, r *http.Request) {
 		f.Since = t
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(c.store.List(f))
+	_ = json.NewEncoder(w).Encode(c.List(f))
 }
 
 func (c *Capturer) serveCapture(w http.ResponseWriter, r *http.Request) {

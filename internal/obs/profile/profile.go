@@ -125,6 +125,9 @@ func (c *Capturer) Close() error {
 	return nil
 }
 
+// List returns the metadata of matching retained captures, newest first.
+func (c *Capturer) List(f Filter) []Capture { return c.store.List(f) }
+
 // CaptureNow takes the requested profile kinds immediately (all errors are
 // joined; kinds that succeed are stored regardless). A CPU capture blocks
 // for the CPU sampling window; an error from a concurrently running CPU profile (e.g. a

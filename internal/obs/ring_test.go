@@ -22,16 +22,6 @@ func TestRingEvictsOldestInOrder(t *testing.T) {
 	if want := []int{6, 7, 8}; !reflect.DeepEqual(seen, want) || r.Len() != 3 {
 		t.Fatalf("Each = %v (len %d), want %v", seen, r.Len(), want)
 	}
-	if got := r.Drain(); !reflect.DeepEqual(got, []int{6, 7, 8}) {
-		t.Fatalf("Drain = %v", got)
-	}
-	if r.Len() != 0 || r.Drain() != nil {
-		t.Fatal("ring not empty after Drain")
-	}
-	r.Push(9)
-	if got := r.Drain(); !reflect.DeepEqual(got, []int{9}) {
-		t.Fatalf("Drain after reuse = %v", got)
-	}
 	one := NewRing[int](0) // non-positive capacity clamps to 1
 	one.Push(1)
 	if old, evicted := one.Push(2); !evicted || old != 1 || one.Len() != 1 {

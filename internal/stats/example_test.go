@@ -11,16 +11,3 @@ func ExampleSummarize() {
 	fmt.Printf("mean %.1f min %.0f max %.0f\n", s.Mean, s.Min, s.Max)
 	// Output: mean 496.0 min 480 max 515
 }
-
-func ExamplePaperSample() {
-	// The paper's recipe: run 120 times, drop outliers, keep the first 100.
-	runs := make([]float64, 120)
-	for i := range runs {
-		runs[i] = 500 + float64(i%9)
-	}
-	runs[7] = 99999 // a network hiccup
-	kept := stats.PaperSample(runs)
-	s, _ := stats.Summarize(kept)
-	fmt.Printf("n=%d max=%.0f\n", s.N, s.Max)
-	// Output: n=100 max=508
-}

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -114,42 +113,4 @@ func TrimOutliers(xs []float64, keep int, k float64) []float64 {
 		}
 	}
 	return out
-}
-
-// PaperSample applies the paper's exact recipe: run 120 times, remove
-// outliers (k=2), keep the first 100.
-func PaperSample(xs []float64) []float64 { return TrimOutliers(xs, 100, 2) }
-
-// String renders the Summary as the metric table printed under each of the
-// paper's timing figures.
-func (s Summary) String() string {
-	return fmt.Sprintf(
-		"Mean %.2f  StdDev %.2f  Max %.2f  Min %.2f  Err %.2f  (n=%d)",
-		s.Mean, s.StdDev, s.Max, s.Min, s.Err, s.N)
-}
-
-// Histogram builds a fixed-width histogram with the given number of buckets
-// spanning [min, max]. It returns bucket upper bounds and counts.
-func Histogram(xs []float64, buckets int) (bounds []float64, counts []int) {
-	if len(xs) == 0 || buckets <= 0 {
-		return nil, nil
-	}
-	s, _ := Summarize(xs)
-	width := (s.Max - s.Min) / float64(buckets)
-	if width == 0 {
-		return []float64{s.Max}, []int{len(xs)}
-	}
-	bounds = make([]float64, buckets)
-	counts = make([]int, buckets)
-	for i := range bounds {
-		bounds[i] = s.Min + width*float64(i+1)
-	}
-	for _, x := range xs {
-		idx := int((x - s.Min) / width)
-		if idx >= buckets {
-			idx = buckets - 1
-		}
-		counts[idx]++
-	}
-	return bounds, counts
 }

@@ -140,49 +140,6 @@ func TestTrimOutliersEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPaperSample(t *testing.T) {
-	xs := make([]float64, 120)
-	for i := range xs {
-		xs[i] = 5000 + float64(i%7)
-	}
-	got := PaperSample(xs)
-	if len(got) != 100 {
-		t.Fatalf("PaperSample kept %d, want 100", len(got))
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	bounds, counts := Histogram(xs, 5)
-	if len(bounds) != 5 || len(counts) != 5 {
-		t.Fatalf("got %d bounds / %d counts, want 5/5", len(bounds), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram counts sum to %d, want %d", total, len(xs))
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	bounds, counts := Histogram([]float64{3, 3, 3}, 4)
-	if len(bounds) != 1 || counts[0] != 3 {
-		t.Fatalf("degenerate histogram wrong: %v %v", bounds, counts)
-	}
-	if b, c := Histogram(nil, 3); b != nil || c != nil {
-		t.Fatal("empty histogram should be nil, nil")
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	s := MustSummarize([]float64{1, 2, 3})
-	if str := s.String(); str == "" {
-		t.Fatal("empty String()")
-	}
-}
-
 func BenchmarkSummarize(b *testing.B) {
 	xs := make([]float64, 1000)
 	for i := range xs {

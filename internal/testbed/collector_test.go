@@ -12,6 +12,7 @@ import (
 	"narada/internal/bdn"
 	"narada/internal/core"
 	"narada/internal/obs/collect"
+	"narada/internal/obs/collect/health"
 	"narada/internal/simnet"
 	"narada/internal/topology"
 )
@@ -30,8 +31,7 @@ func collectorDeployment(t *testing.T, col *collect.Collector) *Testbed {
 		InjectOverhead:   80 * time.Millisecond,
 		BrokerProcessing: 100 * time.Millisecond,
 		MaxSkew:          500 * time.Millisecond,
-		ExportAddr:       col.Addr(),
-		ExportInterval:   20 * time.Millisecond,
+		Watch:            col.Watch,
 	})
 	if err != nil {
 		t.Fatalf("testbed: %v", err)
@@ -41,16 +41,11 @@ func collectorDeployment(t *testing.T, col *collect.Collector) *Testbed {
 }
 
 // TestCollectorAssemblesCrossNodeTrace runs one discovery over a multi-broker
-// ring with a live UDP collector attached and asserts the assembled trace
+// ring with a live collector scraping it and asserts the assembled trace
 // spans requester, BDN and at least two brokers in causally consistent
 // (offset-corrected) order, despite per-node clock skews up to 500 ms.
 func TestCollectorAssemblesCrossNodeTrace(t *testing.T) {
-	col, err := collect.New(collect.Config{Listen: "127.0.0.1:0", TraceCapacity: 64})
-	if err != nil {
-		t.Fatalf("collector: %v", err)
-	}
-	defer col.Close()
-
+	col := fastCollector(t, collect.Config{TraceCapacity: 64})
 	tb := collectorDeployment(t, col)
 	d := tb.NewDiscoverer(simnet.SiteCardiff, "requester", core.Config{})
 	res, err := d.Discover()
@@ -59,7 +54,7 @@ func TestCollectorAssemblesCrossNodeTrace(t *testing.T) {
 	}
 	id := res.RequestID.String()
 
-	// Span batches flush on a short wall-clock interval; poll until the
+	// Nodes are scraped on a short wall-clock interval; poll until the
 	// trace covers requester + BDN + >= 2 brokers.
 	tr := waitForTrace(t, col, id, func(tr collect.TraceInfo) bool {
 		return len(spanNodes(tr)) >= 4
@@ -154,12 +149,7 @@ func TestCollectorAssemblesCrossNodeTrace(t *testing.T) {
 // TestCollectorFabricAndFederatedMetrics asserts /fabric lists every fabric
 // node and the federated /metrics exposition carries per-broker series.
 func TestCollectorFabricAndFederatedMetrics(t *testing.T) {
-	col, err := collect.New(collect.Config{Listen: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatalf("collector: %v", err)
-	}
-	defer col.Close()
-
+	col := fastCollector(t, collect.Config{})
 	tb := collectorDeployment(t, col)
 	d := tb.NewDiscoverer(simnet.SiteCardiff, "requester", core.Config{})
 	if _, err := d.Discover(); err != nil {
@@ -223,12 +213,31 @@ func TestCollectorFabricAndFederatedMetrics(t *testing.T) {
 		}
 	}
 	for _, family := range []string{
-		"narada_broker_links", "narada_discovery_total_seconds", "narada_collect_packets_total",
+		"narada_broker_links", "narada_discovery_total_seconds", "narada_collect_scrapes_total",
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("federated /metrics missing family %s", family)
 		}
 	}
+}
+
+// fastCollector builds a collector scraping every 50ms, closed when the test
+// ends — after the testbed registered later, whose planes then get their
+// last scrape instead of waiting it out.
+func fastCollector(t *testing.T, cfg collect.Config) *collect.Collector {
+	t.Helper()
+	if cfg.Health == nil {
+		cfg.Health = &health.Config{}
+	}
+	if cfg.Health.ScrapeInterval == 0 {
+		cfg.Health.ScrapeInterval = 50 * time.Millisecond
+	}
+	col, err := collect.New(cfg)
+	if err != nil {
+		t.Fatalf("collector: %v", err)
+	}
+	t.Cleanup(func() { _ = col.Close() })
+	return col
 }
 
 func waitForTrace(t *testing.T, col *collect.Collector, id string, ready func(collect.TraceInfo) bool) collect.TraceInfo {

@@ -1,11 +1,13 @@
 package testbed
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"narada/internal/obs"
 	"narada/internal/obs/collect"
+	"narada/internal/simnet"
 )
 
 // TestChaosEventTimeline runs a supervised fabric against a live collector,
@@ -14,22 +16,16 @@ import (
 // timeline beside the testbed's fault_injected marker, and /topology
 // time-travel shows the link present just before the kill and absent after.
 func TestChaosEventTimeline(t *testing.T) {
-	col, err := collect.New(collect.Config{Listen: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatalf("collector: %v", err)
-	}
-	defer col.Close()
-
+	col := fastCollector(t, collect.Config{})
 	opts := chaosOptions()
-	opts.ExportAddr = col.Addr()
-	opts.ExportInterval = 20 * time.Millisecond
+	opts.Watch = col.Watch
 	tb, err := New(opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer tb.Close()
-	// Export shipping plus the race detector slow the fabric well below its
-	// usual pace; give convergence the same budget as the post-fault waits.
+	// Scrapes plus the race detector slow the fabric well below its usual
+	// pace; give convergence the same budget as the post-fault waits.
 	if err := tb.WaitConverged(ConvergeOptions{Timeout: 30 * time.Second}); err != nil {
 		t.Fatalf("initial state: %v", err)
 	}
@@ -58,8 +54,8 @@ func TestChaosEventTimeline(t *testing.T) {
 		return false
 	}
 
-	// Wait for the link_up journal batch to reach the collector before the
-	// kill, so the timeline holds the link's establishment.
+	// Wait for the link_up event to reach the collector before the kill, so
+	// the timeline holds the link's establishment.
 	deadline := time.Now().Add(10 * time.Second)
 	for !hasLink(col.TopologyAt(tb.Net.Clock().Now(), true)) {
 		if time.Now().After(deadline) {
@@ -127,5 +123,52 @@ func TestChaosEventTimeline(t *testing.T) {
 	}
 	if v := col.TopologyAt(lastDown, false); hasLink(v) {
 		t.Errorf("topology at teardown %v still shows the link: %+v", lastDown, v.Links)
+	}
+}
+
+// TestKillLosesAtMostOneInterval emits a burst of journal events on a broker
+// inside its last scrape interval and kills it at once. A scraped node's
+// Close waits for one more scrape, so the collector must hold every event
+// the broker emitted, node_stop last, with no sequence gap: a kill loses at
+// most one interval of events, and here none.
+func TestKillLosesAtMostOneInterval(t *testing.T) {
+	col := fastCollector(t, collect.Config{})
+	tb, err := New(Options{
+		Scale: 50, Seed: 42, NoBDN: true,
+		Brokers: []BrokerSpec{{Site: simnet.SiteIndianapolis, Name: "broker-k"}},
+		Watch:   col.Watch,
+	})
+	if err != nil {
+		t.Fatalf("testbed: %v", err)
+	}
+	defer tb.Close()
+	journal := tb.brokerDeps["broker-k"].cfg.Journal
+	deadline := time.Now().Add(10 * time.Second)
+	for col.EventCount() == 0 { // the first scrape carried node_start
+		if time.Now().After(deadline) {
+			t.Fatal("broker-k never scraped")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	for i := 0; i < 100; i++ {
+		journal.Emit(obs.EventReconnectAttempt, "burst-peer", fmt.Sprintf("attempt=%d", i))
+	}
+	if !tb.KillBroker("broker-k") {
+		t.Fatal("KillBroker(broker-k) found no broker")
+	}
+	last := journal.Seq()
+	for {
+		v := col.Events(collect.EventFilter{Node: "broker-k"})
+		if n := len(v.Events); n > 0 && v.Events[n-1].Seq == last {
+			if uint64(n) != last || v.Gaps != 0 || v.Events[n-1].Type != obs.EventNodeStop {
+				t.Fatalf("collector holds %d of %d events (gaps %d), last %s", n, last, v.Gaps, v.Events[n-1].Type)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("collector never received broker-k's event %d: %+v", last, v)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -14,17 +14,12 @@ import (
 )
 
 // TestSampledPublishAssemblesMessageTrace publishes one sampled message
-// through a two-broker fabric with a live collector attached and asserts the
+// through a two-broker fabric with a live collector scraping it and asserts the
 // end-to-end story: the sampled flag crosses the link in the event headers,
 // and the collector assembles a message-kind trace whose spans cover both
 // brokers (publish, match, link hop) with a per-hop queue-wait breakdown.
 func TestSampledPublishAssemblesMessageTrace(t *testing.T) {
-	col, err := collect.New(collect.Config{Listen: "127.0.0.1:0", TraceCapacity: 256})
-	if err != nil {
-		t.Fatalf("collector: %v", err)
-	}
-	defer col.Close()
-
+	col := fastCollector(t, collect.Config{TraceCapacity: 256})
 	tb, err := New(Options{
 		Scale: 50,
 		Seed:  42,
@@ -32,10 +27,9 @@ func TestSampledPublishAssemblesMessageTrace(t *testing.T) {
 			{Site: simnet.SiteIndianapolis, Name: "broker-a", Register: true},
 			{Site: simnet.SiteUMN, Name: "broker-b", Register: true},
 		},
-		Topology:       topology.Linear,
-		ExportAddr:     col.Addr(),
-		ExportInterval: 20 * time.Millisecond,
-		SampleEvery:    1, // every publish traced: one message is enough
+		Topology:    topology.Linear,
+		Watch:       col.Watch,
+		SampleEvery: 1, // every publish traced: one message is enough
 	})
 	if err != nil {
 		t.Fatalf("testbed: %v", err)
@@ -128,14 +122,13 @@ func TestSampledPublishAssemblesMessageTrace(t *testing.T) {
 
 // TestDropStormFiresDropRatioAlert wedges a broker's egress with a subscriber
 // that never reads, floods the topic until drop-oldest eviction dominates,
-// and asserts the collector's drop_ratio rule fires from the exported flow of
+// and asserts the collector's drop_ratio rule fires from the scraped flow of
 // delivered/dropped counters — then resolves once healthy traffic replaces
 // the storm in the evaluation window.
 func TestDropStormFiresDropRatioAlert(t *testing.T) {
-	col, err := collect.New(collect.Config{
-		Listen: "127.0.0.1:0",
+	col := fastCollector(t, collect.Config{
 		Health: &health.Config{
-			ExportInterval: 100 * time.Millisecond,
+			ScrapeInterval: 100 * time.Millisecond,
 			EgressWindow:   1500 * time.Millisecond,
 			DropRatioMax:   0.05,
 			DropMinVolume:  50,
@@ -143,10 +136,6 @@ func TestDropStormFiresDropRatioAlert(t *testing.T) {
 		},
 		HealthInterval: 10 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatalf("collector: %v", err)
-	}
-	defer col.Close()
 
 	tb, err := New(Options{
 		Scale: 50,
@@ -154,9 +143,8 @@ func TestDropStormFiresDropRatioAlert(t *testing.T) {
 		Brokers: []BrokerSpec{
 			{Site: simnet.SiteIndianapolis, Name: "broker-storm", Register: true},
 		},
-		Topology:       topology.Unconnected,
-		ExportAddr:     col.Addr(),
-		ExportInterval: 20 * time.Millisecond,
+		Topology: topology.Unconnected,
+		Watch:    col.Watch,
 	})
 	if err != nil {
 		t.Fatalf("testbed: %v", err)
@@ -187,9 +175,9 @@ func TestDropStormFiresDropRatioAlert(t *testing.T) {
 
 	// The storm runs continuously in wall time: the collector's rate store
 	// baselines each counter at its first snapshot, so a burst that finishes
-	// before the first export tick would read as a zero rate. A paced flood
-	// keeps the egress queue (512) wedged and drop-oldest evicting across
-	// many export intervals. delivered counts at enqueue, so ratio =
+	// before the first scrape would read as a zero rate. A paced flood keeps
+	// the egress queue (512) wedged and drop-oldest evicting across many
+	// scrape intervals. delivered counts at enqueue, so ratio =
 	// drops/delivered.
 	payload := make([]byte, 64)
 	stormStop := make(chan struct{})

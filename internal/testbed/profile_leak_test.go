@@ -18,35 +18,28 @@ import (
 )
 
 // leakCollector is healthCollector plus the profile plane: a short
-// goroutine-leak window, an aggressive pull cadence and a 1s flight CPU
-// capture so the whole story fits in a test.
+// goroutine-leak window and a 1s flight CPU capture so the whole story fits
+// in a test.
 func leakCollector(t *testing.T) *collect.Collector {
 	t.Helper()
-	col, err := collect.New(collect.Config{
-		Listen: "127.0.0.1:0",
+	return fastCollector(t, collect.Config{
 		Health: &health.Config{
-			ExportInterval:      100 * time.Millisecond,
+			ScrapeInterval:      100 * time.Millisecond,
 			DeadmanIntervals:    5,
 			GoroutineLeakWindow: 3 * time.Second,
 		},
-		HealthInterval:      20 * time.Millisecond,
-		ProfilePullInterval: 250 * time.Millisecond,
-		FlightCPUSeconds:    1,
+		HealthInterval:   20 * time.Millisecond,
+		FlightCPUSeconds: 1,
 	})
-	if err != nil {
-		t.Fatalf("collector: %v", err)
-	}
-	t.Cleanup(func() { _ = col.Close() })
-	return col
 }
 
 // TestGoroutineLeakFlightRecorder injects a goroutine leak into a testbed
-// broker and follows it end to end: the leaking gauge ships over the real
-// export wire, the collector's goroutine_leak rule fires, the flight recorder
-// pulls pprof captures from the node's announced (real, loopback) telemetry
-// endpoint, and the /alerts view links the captured profiles. The node's
-// periodic captures must also have been drained into the collector store by
-// the pull loop along the way.
+// broker and follows it end to end: the leaking gauge is scraped from the
+// node's real loopback telemetry endpoint, the collector's goroutine_leak
+// rule fires, the flight recorder pulls pprof captures from that endpoint,
+// and the /alerts view links the captured profiles. A capture the node took
+// on its own must also have been pulled into the collector store along the
+// way, listed by a scrape.
 func TestGoroutineLeakFlightRecorder(t *testing.T) {
 	col := leakCollector(t)
 	tb, err := New(Options{
@@ -60,8 +53,7 @@ func TestGoroutineLeakFlightRecorder(t *testing.T) {
 			{Site: simnet.SiteUMN, Name: "broker-quiet",
 				Usage: metrics.Usage{TotalMemBytes: 512 * mib, UsedMemBytes: 64 * mib}},
 		},
-		ExportAddr:     col.Addr(),
-		ExportInterval: 20 * time.Millisecond,
+		Watch: col.Watch,
 	})
 	if err != nil {
 		t.Fatalf("testbed: %v", err)
@@ -70,27 +62,23 @@ func TestGoroutineLeakFlightRecorder(t *testing.T) {
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 
-	// The leaky broker gets a REAL telemetry endpoint on loopback: its
-	// private testbed registry plus a periodically-capturing profiler,
-	// announced to the collector over the node's own export stream — the
-	// same wiring cmd/broker uses, just with the HTTP side outside simnet.
+	// The leaky broker serves a REAL telemetry endpoint on loopback: its
+	// private testbed registry, a profile capturer and pprof — the same
+	// wiring cmd/broker uses, just with the HTTP side outside simnet. It
+	// takes a capture of its own, as an operator's POST asks it to.
 	reg, ok := tb.BrokerRegistry("broker-leaky")
 	if !ok {
 		t.Fatal("no registry for broker-leaky")
 	}
-	prof := profile.New(profile.Config{Interval: 500 * time.Millisecond})
-	prof.Start()
-	defer prof.Close()
-	tsrv, err := obs.ServeWith("127.0.0.1:0", reg, nil, prof.Mount())
-	if err != nil {
-		t.Fatalf("telemetry: %v", err)
-	}
-	defer func() { _ = tsrv.Close() }()
-	exp, ok := tb.Exporter("broker-leaky")
+	addr, ok := tb.TelemetryAddr("broker-leaky")
 	if !ok {
-		t.Fatal("no exporter for broker-leaky")
+		t.Fatal("no telemetry endpoint for broker-leaky")
 	}
-	exp.AnnounceTelemetry(tsrv.Addr(), true)
+	resp, err := http.Post("http://"+addr+"/profiles/capture?kinds=goroutine", "", nil)
+	if err != nil {
+		t.Fatalf("capture: %v", err)
+	}
+	_ = resp.Body.Close()
 
 	// Inject the leak: the testbed shares one OS process, so the per-node
 	// goroutine count is a synthetic gauge — steady baseline long enough to
@@ -121,7 +109,7 @@ func TestGoroutineLeakFlightRecorder(t *testing.T) {
 	if a.Value <= 500 {
 		t.Fatalf("goroutine_leak growth = %v, want > 500", a.Value)
 	}
-	// The quiet broker exports no goroutine gauge and must stay clean.
+	// The quiet broker serves no goroutine gauge and must stay clean.
 	for _, al := range fetchAlerts(t, srv.URL).Alerts {
 		if al.Rule == health.RuleGoroutineLeak && al.Node != "broker-leaky" {
 			t.Fatalf("unexpected goroutine_leak on %s: %+v", al.Node, al)
@@ -154,7 +142,7 @@ func TestGoroutineLeakFlightRecorder(t *testing.T) {
 
 	// The linked capture is a real goroutine dump of the telemetry process,
 	// downloadable from the collector by the URL the alert carries.
-	resp, err := http.Get(srv.URL + flight.URL)
+	resp, err = http.Get(srv.URL + flight.URL)
 	if err != nil {
 		t.Fatalf("GET %s: %v", flight.URL, err)
 	}
@@ -167,15 +155,15 @@ func TestGoroutineLeakFlightRecorder(t *testing.T) {
 		t.Fatalf("flight capture is not a goroutine dump: %.120q", string(body))
 	}
 
-	// And the pull loop must have drained the node's periodic captures into
-	// the collector store independently of any alert.
+	// And the scrapes must have pulled the node's own capture into the
+	// collector store independently of any alert.
 	pullDeadline := time.Now().Add(10 * time.Second)
 	for {
-		if pulled := col.Profiles(profile.Filter{Node: "broker-leaky", Trigger: "periodic"}); len(pulled) > 0 {
+		if pulled := col.Profiles(profile.Filter{Node: "broker-leaky", Trigger: "manual"}); len(pulled) > 0 {
 			break
 		}
 		if time.Now().After(pullDeadline) {
-			t.Fatal("periodic captures never pulled into the collector")
+			t.Fatal("the node's capture was never pulled into the collector")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"narada/internal/bdn"
@@ -123,15 +124,13 @@ type Options struct {
 	// Tracer, when set, records per-request discovery traces across the
 	// whole deployment (BDN injection, broker fan-out, requester phases).
 	Tracer *obs.Tracer
-	// ExportAddr, when set, is an obscollect UDP address: every deployed
-	// component then runs under its OWN telemetry plane — registry, tracer,
-	// journal and exporter (overriding Metrics/Tracer) — so the deployment
-	// behaves like separate processes whose telemetry meets only at the
-	// collector.
-	ExportAddr string
-	// ExportInterval is the per-component metric snapshot period when
-	// ExportAddr is set (default 1s; tests use a few ms).
-	ExportInterval time.Duration
+	// Watch, when set, runs every deployed component under its OWN
+	// telemetry plane — registry, tracer and journal (overriding
+	// Metrics/Tracer) — serving a loopback telemetry endpoint whose address
+	// is handed to Watch (a collector's), so the deployment behaves like
+	// separate processes whose telemetry meets only at the collector. A
+	// restarted node serves on the port it had.
+	Watch func(addr string)
 	// SampleEvery, when > 0, gives every broker a publish sampler tracing
 	// roughly 1 in N messages originating at it (decision-at-publish; events
 	// arriving over links keep the origin's verdict).
@@ -198,11 +197,12 @@ type Testbed struct {
 	opts      Options
 	rng       *rand.Rand
 	ntpByName map[string]*ntptime.Service // every node's time service, for NTPOffset
-	planes    map[string]*plane.Plane     // per-node telemetry planes when ExportAddr is set
+	planes    map[string]*plane.Plane     // per-node telemetry planes when Watch is set
+	telemetry map[string]string           // node → the telemetry address its planes serve on
 
 	// journal records testbed-level control-plane events (chaos fault
-	// injection) under the node identity "testbed" when ExportAddr is set,
-	// so a collector's timeline shows the faults beside their consequences.
+	// injection) under the node identity "testbed" when Watch is set, so a
+	// collector's timeline shows the faults beside their consequences.
 	journal *obs.Journal
 
 	// Deployment records let chaos schedules restart a killed component on
@@ -247,6 +247,7 @@ func New(opts Options) (*Testbed, error) {
 		rng:        rand.New(rand.NewSource(opts.Seed + 7)),
 		ntpByName:  make(map[string]*ntptime.Service),
 		planes:     make(map[string]*plane.Plane),
+		telemetry:  make(map[string]string),
 		brokerDeps: make(map[string]*brokerDeployment),
 		bdnDeps:    make(map[string]*bdnDeployment),
 		replicas:   make(map[string]*replica.Replica),
@@ -255,12 +256,12 @@ func New(opts Options) (*Testbed, error) {
 		return nil, fmt.Errorf("testbed: Replicate requires BDNDataDir")
 	}
 
-	if opts.ExportAddr != "" {
-		// The schedule driver exports its own journal: fault injections are
+	if opts.Watch != nil {
+		// The schedule driver serves its own journal: fault injections are
 		// control-plane events too. The model clock is the true timeline, so
 		// no offset correction applies. It is not a node with metrics of its
 		// own, so it lends its plane a registry nobody reads: a borrowed
-		// registry is never shipped, and only the journal travels.
+		// registry is never scraped, and only the journal travels.
 		h, err := tb.startPlane(plane.Config{
 			Node:     "testbed",
 			Clock:    net.Clock().Now,
@@ -395,32 +396,40 @@ func (tb *Testbed) settle() error {
 }
 
 // obsFor returns the telemetry handle a component named name should use.
-// Without ExportAddr registry and tracer come from Options (possibly shared,
-// possibly nil) and there is no journal — no collector to drain it. With
-// ExportAddr each component runs under its own plane — private registry,
-// tracer, journal and exporter keyed by its NTP service — the same shape as
-// one process per node. Journal events are stamped on the node's local
-// (skewed) clock, like spans, so the collector's offset alignment applies to
-// both.
+// Without Watch registry and tracer come from Options (possibly shared,
+// possibly nil) and there is no journal — no collector to read it. With
+// Watch each component runs under its own plane — private registry, tracer
+// and journal, offset by its NTP service — the same shape as one process per
+// node. Journal events are stamped on the node's local (skewed) clock, like
+// spans, so the collector's offset alignment applies to both.
 func (tb *Testbed) obsFor(name string, ntp *ntptime.Service) (obs.Handle, error) {
-	if tb.opts.ExportAddr == "" {
+	if tb.opts.Watch == nil {
 		return obs.Handle{Metrics: tb.opts.Metrics, Tracer: tb.opts.Tracer}, nil
 	}
 	return tb.startPlane(plane.Config{Node: name, Offset: ntp.Offset, Clock: ntp.Local().Now})
 }
 
-// startPlane starts one node's exporting plane and keeps it for Close (or a
-// Kill of that node) to tear down. Testbed nodes share one OS process, so
-// their registries carry no process metrics.
+// startPlane starts one node's plane serving on loopback — on the port its
+// previous plane had, if any, so the collector keeps reaching a restarted
+// node — hands the address to Watch and keeps the plane for Close (or a Kill
+// of that node) to tear down. Testbed nodes share one OS process, so their
+// registries carry no process metrics.
 func (tb *Testbed) startPlane(cfg plane.Config) (obs.Handle, error) {
-	cfg.ExportAddr = tb.opts.ExportAddr
-	cfg.ExportInterval = tb.opts.ExportInterval
+	cfg.TelemetryAddr = tb.telemetry[cfg.Node]
+	if cfg.TelemetryAddr == "" {
+		cfg.TelemetryAddr = "127.0.0.1:0"
+	}
 	cfg.Embedded = true
 	p, err := plane.Start(cfg)
+	if err == nil {
+		err = p.Serve()
+	}
 	if err != nil {
 		return obs.Handle{}, fmt.Errorf("testbed: telemetry for %s: %w", cfg.Node, err)
 	}
 	tb.planes[cfg.Node] = p
+	tb.telemetry[cfg.Node] = p.Addr()
+	tb.opts.Watch(p.Addr())
 	return p.Handle(), nil
 }
 
@@ -439,8 +448,7 @@ func (tb *Testbed) newNode(site, host string, skew time.Duration) (*transport.Si
 }
 
 // NTPOffset returns the named node's current NTP offset estimate (what its
-// exporter stamps on packets) — tests assert fault-injection preconditions
-// through this.
+// scrapes carry) — tests assert fault-injection preconditions through this.
 func (tb *Testbed) NTPOffset(name string) (time.Duration, bool) {
 	ntp, ok := tb.ntpByName[name]
 	if !ok {
@@ -471,7 +479,7 @@ func (tb *Testbed) NewDiscoverer(site, name string, cfg core.Config) *core.Disco
 	if cfg.Metrics == nil && cfg.Tracer == nil {
 		h, err := tb.obsFor(cfg.NodeName, ntp)
 		if err != nil {
-			panic(err) // ExportAddr was accepted at New; a dial failure here is a test bug
+			panic(err) // a loopback listen failing here is a test bug
 		}
 		cfg.Handle = h
 	}
@@ -496,18 +504,16 @@ func (tb *Testbed) BrokerByName(name string) *broker.Broker {
 	return nil
 }
 
-// Exporter returns the named node's telemetry exporter, created when the
-// testbed was deployed with ExportAddr. Tests use it to announce a real
-// loopback telemetry endpoint for a simulated node (the collector's profile
-// pull and flight-recorder planes dial whatever address is announced, so a
-// node simulated on simnet can still serve real pprof over localhost).
-func (tb *Testbed) Exporter(name string) (*obs.Exporter, bool) {
-	p, ok := tb.planes[name]
-	return p.Exporter(), ok
+// TelemetryAddr returns the loopback address the named node's telemetry
+// endpoint serves on when the testbed was deployed with Watch: a node
+// simulated on simnet still serves real pprof and /profiles over localhost.
+func (tb *Testbed) TelemetryAddr(name string) (string, bool) {
+	addr, ok := tb.telemetry[name]
+	return addr, ok
 }
 
 // BrokerRegistry returns the private metric registry of a deployed broker
-// (only distinct per node when ExportAddr is set). Fault-injection tests
+// (only distinct per node when Watch is set). Fault-injection tests
 // write synthetic runtime gauges into it — the testbed shares one OS process,
 // so per-node "process" metrics must be injected rather than sampled.
 func (tb *Testbed) BrokerRegistry(name string) (*obs.Registry, bool) {
@@ -519,8 +525,8 @@ func (tb *Testbed) BrokerRegistry(name string) (*obs.Registry, bool) {
 }
 
 // KillBroker abruptly removes the named broker from the fabric: the broker
-// stops AND its telemetry exporter dies with it, exactly like a crashed
-// process — the collector hears nothing further from the node (deadman
+// stops AND its telemetry endpoint dies with it, exactly like a crashed
+// process — the collector reaches nothing further at the node (deadman
 // fault injection). Returns false if no such broker is deployed.
 func (tb *Testbed) KillBroker(name string) bool {
 	for i, b := range tb.Brokers {
@@ -529,8 +535,8 @@ func (tb *Testbed) KillBroker(name string) bool {
 		}
 		b.Close()
 		tb.Brokers = append(tb.Brokers[:i], tb.Brokers[i+1:]...)
-		// Close ships a final snapshot; acceptable — a real crash's last
-		// export also races its death.
+		// Close waits for the collector's next scrape; acceptable — a real
+		// crash's last scrape also races its death.
 		tb.planes[name].Close()
 		delete(tb.planes, name)
 		return true
@@ -768,8 +774,9 @@ func (tb *Testbed) RestartBDN(name string) error {
 	return nil
 }
 
-// Close tears the deployment down. Per-node planes are closed last so every
-// component's final spans and metric snapshot still flush out.
+// Close tears the deployment down. Per-node planes are closed last, and
+// together, so a watching collector takes every component's final spans and
+// metric snapshot in one scrape interval.
 func (tb *Testbed) Close() {
 	for _, d := range tb.discoverers {
 		d.Close()
@@ -783,7 +790,13 @@ func (tb *Testbed) Close() {
 	for _, d := range tb.BDNs {
 		d.Close()
 	}
+	var wg sync.WaitGroup
 	for _, p := range tb.planes {
-		p.Close()
+		wg.Add(1)
+		go func(p *plane.Plane) {
+			defer wg.Done()
+			p.Close()
+		}(p)
 	}
+	wg.Wait()
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # events_smoke.sh smoke-tests the control-plane event journal on real sockets:
-# a BDN and two linked brokers export their journals into an obscollect. After
+# a BDN and two linked brokers serve their journals to an obscollect. After
 # kill -9 on the dialed broker, the survivor's link_down and a burst of failed
 # reconnect_attempt events must appear on /events, /topology?at= must answer
 # differently for instants before and after the teardown (time travel), and
@@ -14,7 +14,9 @@ SMOKE=events-smoke
 
 BDN_STREAM="127.0.0.1:17610"
 BROKER_B_STREAM="127.0.0.1:17621"
-COLLECT_UDP="127.0.0.1:17710"
+BDN_TELEMETRY="127.0.0.1:17712"
+BROKER_A_TELEMETRY="127.0.0.1:17713"
+BROKER_B_TELEMETRY="127.0.0.1:17714"
 COLLECT_HTTP="127.0.0.1:17711"
 
 # flat fetches a JSON endpoint with whitespace stripped so multi-line objects
@@ -26,12 +28,12 @@ flat() {
 build broker bdn obscollect
 
 "$BIN/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17610 \
-    -obs-export "$COLLECT_UDP" >"$TMP/bdn.log" 2>&1 &
+    -telemetry-addr "$BDN_TELEMETRY" >"$TMP/bdn.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
 
 "$BIN/broker" -bind 127.0.0.1 -logical events-b -stream-port 17621 \
-    -bdn "$BDN_STREAM" -obs-export "$COLLECT_UDP" >"$TMP/broker-b.log" 2>&1 &
+    -bdn "$BDN_STREAM" -telemetry-addr "$BROKER_B_TELEMETRY" >"$TMP/broker-b.log" 2>&1 &
 BPID=$!
 PIDS="$PIDS $BPID"
 sleep 0.3
@@ -40,11 +42,11 @@ sleep 0.3
 # link_down and the reconnect_attempt burst.
 "$BIN/broker" -bind 127.0.0.1 -logical events-a -bdn "$BDN_STREAM" \
     -link "$BROKER_B_STREAM" -supervise \
-    -obs-export "$COLLECT_UDP" >"$TMP/broker-a.log" 2>&1 &
+    -telemetry-addr "$BROKER_A_TELEMETRY" >"$TMP/broker-a.log" 2>&1 &
 PIDS="$PIDS $!"
 
-"$BIN/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
-    -export-interval 1s -deadman-intervals 3 -health-interval 200ms \
+"$BIN/obscollect" -nodes "$BDN_TELEMETRY,$BROKER_A_TELEMETRY,$BROKER_B_TELEMETRY" \
+    -http "$COLLECT_HTTP" -scrape-interval 1s -deadman-intervals 3 -health-interval 200ms \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
 
@@ -63,7 +65,7 @@ until flat "http://$COLLECT_HTTP/topology" | grep -q '"from":"events-a","to":"ev
     sleep 0.1
 done
 
-# Pin the pre-kill instant, let one more export flush past it, then kill.
+# Pin the pre-kill instant, let one more scrape pass it, then kill.
 T_PRE=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 sleep 1.5
 kill -9 "$BPID"

@@ -1,7 +1,7 @@
 #!/bin/sh
 # flows_smoke.sh smoke-tests per-topic flow accounting and message-path
-# sampling on real processes: an obscollect, a broker exporting with the
-# publish sampler enabled, and the open-loop load generator driving traffic.
+# sampling on real processes: an obscollect scraping a broker that runs the
+# publish sampler, and the open-loop load generator driving traffic.
 # Passing means:
 #
 #  1. The collector's /flows endpoint lists the loadgen topic in the
@@ -15,13 +15,13 @@ SMOKE=flows-smoke
 . "$(dirname "$0")/lib.sh"
 
 BROKER_STREAM=17420
-COLLECT_UDP="127.0.0.1:17421"
+BROKER_TELEMETRY="127.0.0.1:17421"
 COLLECT_HTTP="127.0.0.1:17422"
 TOPIC="flows/smoke/topic"
 
 build broker obscollect loadgen
 
-"$BIN/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
+"$BIN/obscollect" -nodes "$BROKER_TELEMETRY" -http "$COLLECT_HTTP" \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
 
@@ -30,7 +30,7 @@ wait_for "http://$COLLECT_HTTP/healthz" "collector" "$TMP/obscollect.log" "$TMP/
 # Sampling compiled in AND enabled: every 8th origin publish gets a message
 # trace, capped per topic so the storm cannot flood the collector.
 "$BIN/broker" -bind 127.0.0.1 -logical flows-broker -stream-port "$BROKER_STREAM" \
-    -obs-export "$COLLECT_UDP" -sample-every 8 -sample-topic-persec 50 \
+    -telemetry-addr "$BROKER_TELEMETRY" -sample-every 8 -sample-topic-persec 50 \
     >"$TMP/broker.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
@@ -44,8 +44,8 @@ sleep 0.3
     exit 1
 }
 
-# The broker ships its flow table with every metrics snapshot; poll until the
-# topic shows up fabric-wide with real delivered volume.
+# Every scrape carries the broker's flow table; poll until the topic shows up
+# fabric-wide with real delivered volume.
 i=0
 while :; do
     fetch "http://$COLLECT_HTTP/flows" >"$TMP/flows" 2>/dev/null || true

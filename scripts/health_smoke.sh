@@ -1,9 +1,10 @@
 #!/bin/sh
 # health_smoke.sh smoke-tests the fabric health engine on real sockets: a BDN
-# and two brokers export into an obscollect whose deadman horizon is three
-# 1-second export intervals. Killing one broker must raise a firing deadman
-# alert on /alerts (and the narada_alerts_firing gauge on /metrics); restarting
-# a broker under the same logical identity must resolve it.
+# and two brokers are scraped by an obscollect whose deadman horizon is three
+# 1-second scrape intervals. Killing one broker must raise a firing deadman
+# alert on /alerts (and the narada_alerts_firing gauge on /metrics);
+# restarting a broker under the same logical identity and telemetry address
+# must resolve it.
 #
 # Uses curl or wget, whichever the host has.
 set -eu
@@ -11,7 +12,9 @@ SMOKE=health-smoke
 . "$(dirname "$0")/lib.sh"
 
 BDN_STREAM="127.0.0.1:17410"
-COLLECT_UDP="127.0.0.1:17510"
+BDN_TELEMETRY="127.0.0.1:17510"
+A_TELEMETRY="127.0.0.1:17512"
+B_TELEMETRY="127.0.0.1:17513"
 COLLECT_HTTP="127.0.0.1:17511"
 
 # flat_alerts fetches /alerts with whitespace stripped, so one alert object's
@@ -23,21 +26,21 @@ flat_alerts() {
 build broker bdn obscollect
 
 "$BIN/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17410 \
-    -obs-export "$COLLECT_UDP" >"$TMP/bdn.log" 2>&1 &
+    -telemetry-addr "$BDN_TELEMETRY" >"$TMP/bdn.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
 
 "$BIN/broker" -bind 127.0.0.1 -logical health-a -bdn "$BDN_STREAM" \
-    -obs-export "$COLLECT_UDP" >"$TMP/broker-a.log" 2>&1 &
+    -telemetry-addr "$A_TELEMETRY" >"$TMP/broker-a.log" 2>&1 &
 PIDS="$PIDS $!"
 
 "$BIN/broker" -bind 127.0.0.1 -logical health-b -bdn "$BDN_STREAM" \
-    -obs-export "$COLLECT_UDP" >"$TMP/broker-b.log" 2>&1 &
+    -telemetry-addr "$B_TELEMETRY" >"$TMP/broker-b.log" 2>&1 &
 BPID=$!
 PIDS="$PIDS $BPID"
 
-"$BIN/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
-    -export-interval 1s -deadman-intervals 3 -health-interval 200ms \
+"$BIN/obscollect" -nodes "$BDN_TELEMETRY,$A_TELEMETRY,$B_TELEMETRY" -http "$COLLECT_HTTP" \
+    -scrape-interval 1s -deadman-intervals 3 -health-interval 200ms \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
 
@@ -67,8 +70,9 @@ if flat_alerts | grep -q '"rule":"deadman","node":"health-[ab]","state":"firing"
     exit 1
 fi
 
-# Fault: kill broker b. Deadman horizon is 3 x 1s of silence; allow eval and
-# scheduling slack on top before declaring the detector broken.
+# Fault: kill broker b. Deadman horizon is 3 x 1s without a successful
+# scrape; allow eval and scheduling slack on top before declaring the
+# detector broken.
 kill -9 "$BPID"
 wait "$BPID" 2>/dev/null || true
 KILLED_AT=$(date +%s)
@@ -99,10 +103,11 @@ if flat_alerts | grep -q '"rule":"deadman","node":"health-a","state":"firing"'; 
     exit 1
 fi
 
-# Recovery: restart the broker under the same logical identity; fresh
-# snapshots must resolve the alert (hysteresis: 3 export intervals).
+# Recovery: restart the broker under the same logical identity on the same
+# telemetry address; fresh scrapes must resolve the alert (hysteresis: 3
+# scrape intervals).
 "$BIN/broker" -bind 127.0.0.1 -logical health-b -bdn "$BDN_STREAM" \
-    -obs-export "$COLLECT_UDP" >"$TMP/broker-b2.log" 2>&1 &
+    -telemetry-addr "$B_TELEMETRY" >"$TMP/broker-b2.log" 2>&1 &
 PIDS="$PIDS $!"
 i=0
 until flat_alerts | grep -q '"rule":"deadman","node":"health-b","state":"resolved"'; do

@@ -4,10 +4,11 @@
 #
 #  1. Node telemetry: one broker with -telemetry-addr must serve /healthz,
 #     >= 12 narada_ metric families on /metrics, and /debug/traces.
-#  2. Fabric observability: a BDN + broker (both exporting via -obs-export)
-#     and an obscollect running the synthetic prober; one probe trace must
-#     assemble end to end — spans from the prober, the BDN and the broker on
-#     the collector's /traces/{id} — and /fabric must list all three nodes.
+#  2. Fabric observability: a BDN + broker (each serving -telemetry-addr)
+#     and an obscollect scraping them (-nodes) and running the synthetic
+#     prober; one probe trace must assemble end to end — spans from the
+#     prober, the BDN and the broker on the collector's /traces/{id} — and
+#     /fabric must list all three nodes.
 #
 # Uses curl or wget, whichever the host has.
 set -eu
@@ -16,7 +17,8 @@ SMOKE=obs-smoke
 
 ADDR="127.0.0.1:18081"
 BDN_STREAM="127.0.0.1:17010"
-COLLECT_UDP="127.0.0.1:17310"
+BDN_TELEMETRY="127.0.0.1:17312"
+BROKER_TELEMETRY="127.0.0.1:17313"
 COLLECT_HTTP="127.0.0.1:17311"
 
 build broker bdn obscollect
@@ -47,16 +49,16 @@ fetch "http://$ADDR/debug/traces" >/dev/null
 # --- Part 2: collector + prober end to end -------------------------------
 
 "$BIN/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17010 \
-    -obs-export "$COLLECT_UDP" >"$TMP/bdn.log" 2>&1 &
+    -telemetry-addr "$BDN_TELEMETRY" >"$TMP/bdn.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
 
 "$BIN/broker" -bind 127.0.0.1 -logical fabric-broker -bdn "$BDN_STREAM" \
-    -obs-export "$COLLECT_UDP" >"$TMP/fabric-broker.log" 2>&1 &
+    -telemetry-addr "$BROKER_TELEMETRY" >"$TMP/fabric-broker.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
 
-"$BIN/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
+"$BIN/obscollect" -nodes "$BDN_TELEMETRY,$BROKER_TELEMETRY" -http "$COLLECT_HTTP" \
     -probe-interval 1s -probe-bdn "$BDN_STREAM" -probe-window 500ms \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
@@ -99,10 +101,10 @@ for node in obsprobe gridservicelocator.org fabric-broker; do
     }
 done
 
-# The prober keeps a private registry and ships SLI snapshots over the export
-# plane one probe interval after startup — poll for the first one, then insist
-# the series appears exactly once (shipping a collector-shared registry back
-# through ingest would duplicate it).
+# The prober keeps a private registry the collector scrapes in process like
+# any node's — poll for the first scrape, then insist the series appears
+# exactly once (scraping a collector-shared registry back through ingest
+# would duplicate it).
 i=0
 while :; do
     fetch "http://$COLLECT_HTTP/metrics" >"$TMP/fedmetrics"
@@ -118,8 +120,8 @@ while :; do
 done
 
 # Probe SLIs must also land in the retention store and serve on /query. The
-# first snapshot only establishes the counter baseline; deltas (points) appear
-# once a later snapshot shows the counter moved, so poll a few more intervals.
+# first scrape only establishes the counter baseline; deltas (points) appear
+# once a later scrape shows the counter moved, so poll a few more intervals.
 i=0
 while :; do
     QUERY=$(fetch "http://$COLLECT_HTTP/query?metric=narada_probe_runs_total&node=obsprobe&res=1s&since=60s" | tr -d ' \n\t')

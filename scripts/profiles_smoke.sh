@@ -1,8 +1,9 @@
 #!/bin/sh
 # profiles_smoke.sh smoke-tests the continuous-profiling plane on real
-# processes: a BDN and two brokers run with -profile-every and an announced
+# processes: a BDN and two brokers run with -profile-every on a
 # -telemetry-addr, a loadgen stage keeps one broker genuinely busy, and an
-# obscollect pulls their periodic pprof captures into its spool. The collector
+# obscollect scraping them (-nodes) pulls the periodic pprof captures each
+# scrape lists into its spool. The collector
 # must (1) serve the pulled captures on /profiles with a working ?view=top
 # rendering, (2) spool them to -profile-dir, and (3) when a broker is killed,
 # attach that node's freshest retained captures to the firing deadman alert —
@@ -14,8 +15,8 @@ set -eu
 SMOKE=profiles-smoke
 . "$(dirname "$0")/lib.sh"
 
-COLLECT_UDP="127.0.0.1:17810"
 COLLECT_HTTP="127.0.0.1:17811"
+BDN_TELEMETRY="127.0.0.1:17810"
 BDN_STREAM="127.0.0.1:17812"
 A_STREAM=17813
 A_UDP=17814
@@ -28,26 +29,26 @@ flat() { tr -d ' \n\t'; }
 
 build broker bdn loadgen obscollect
 
-"$BIN/obscollect" -listen "$COLLECT_UDP" -http "$COLLECT_HTTP" \
-    -export-interval 1s -deadman-intervals 3 -health-interval 200ms \
-    -profile-pull 500ms -flight-cpu-seconds 1 -profile-dir "$TMP/spool" \
+"$BIN/obscollect" -nodes "$BDN_TELEMETRY,$A_TELEMETRY,$B_TELEMETRY" -http "$COLLECT_HTTP" \
+    -scrape-interval 1s -deadman-intervals 3 -health-interval 200ms \
+    -flight-cpu-seconds 1 -profile-dir "$TMP/spool" \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
 
 "$BIN/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17812 \
-    -obs-export "$COLLECT_UDP" >"$TMP/bdn.log" 2>&1 &
+    -telemetry-addr "$BDN_TELEMETRY" >"$TMP/bdn.log" 2>&1 &
 PIDS="$PIDS $!"
 sleep 0.3
 
 "$BIN/broker" -bind 127.0.0.1 -logical prof-a -bdn "$BDN_STREAM" \
     -stream-port "$A_STREAM" -udp-port "$A_UDP" \
-    -obs-export "$COLLECT_UDP" -telemetry-addr "$A_TELEMETRY" \
+    -telemetry-addr "$A_TELEMETRY" \
     -profile-every 1s >"$TMP/broker-a.log" 2>&1 &
 PIDS="$PIDS $!"
 
 "$BIN/broker" -bind 127.0.0.1 -logical prof-b -bdn "$BDN_STREAM" \
     -stream-port "$B_STREAM" -udp-port "$B_UDP" \
-    -obs-export "$COLLECT_UDP" -telemetry-addr "$B_TELEMETRY" \
+    -telemetry-addr "$B_TELEMETRY" \
     -profile-every 1s >"$TMP/broker-b.log" 2>&1 &
 BPID=$!
 PIDS="$PIDS $BPID"
@@ -81,8 +82,8 @@ done
     -out "$TMP/load.json" >"$TMP/loadgen.log" 2>&1 &
 PIDS="$PIDS $!"
 
-# Periodic captures from BOTH brokers must land in the collector via the pull
-# loop (prof-b's are the post-mortem evidence for the kill below).
+# Periodic captures from BOTH brokers must land in the collector via the
+# scrapes (prof-b's are the post-mortem evidence for the kill below).
 for node in prof-a prof-b; do
     i=0
     until fetch "http://$COLLECT_HTTP/profiles?node=$node&trigger=periodic" | flat | grep -q '"id":"'; do
