@@ -93,7 +93,7 @@ profiles-smoke:
 
 # durability-smoke boots a 3-member replicated BDN cluster (-data-dir,
 # -peers, -lease) + 2 supervised brokers on real sockets, SIGKILLs the
-# primary, and asserts a standby promotes with the full replicated table,
+# primary, and asserts a standby promotes still listing every broker,
 # discovery keeps answering, and the brokers' bdn reconnect counters stay
 # at zero — failover without a single re-registration.
 durability-smoke:

@@ -129,14 +129,12 @@ type BDN struct {
 	// Durable-registry state, all guarded by mu: log is the open WAL (nil
 	// when not durable) and sinceSnap the records appended since snapCh was
 	// last signalled; epoch is the highest replication election epoch seen;
-	// applied tracks per-source replication watermarks; mutHook is fired with
-	// every registration accepted here.
+	// applied tracks per-source replication watermarks.
 	log       *wal.Log
 	sinceSnap uint64
 	snapCh    chan struct{} // wakes the snapshot loop
 	epoch     uint64
 	applied   map[string]uint64
-	mutHook   func([]byte)
 
 	reqDedup *dedup.Cache
 	tel      telemetry
@@ -245,7 +243,7 @@ func (d *BDN) sweep() {
 		}
 	}
 	for _, logical := range expired {
-		d.commitLocked(deleteRecord(logical, "expired"), local)
+		d.commitLocked(deleteRecord(logical, "expired"), false)
 	}
 	d.mu.Unlock()
 	for _, logical := range expired {
@@ -456,20 +454,13 @@ func (d *BDN) storeAdvertisement(ev *event.Event, conn transport.Conn) string {
 	if ttl <= 0 {
 		ttl = d.cfg.AdTTL
 	}
-	rec := upsertRecord(ad, ev.Payload, ttl > 0, ttl)
 	d.mu.Lock()
-	forward := d.commitLocked(rec, local)
+	d.commitLocked(upsertRecord(ad, ev.Payload, ttl > 0, ttl), false)
 	if conn != nil {
 		// Not part of the record: a connection is not replicated state.
-		r := d.brokers[ad.Broker.LogicalAddress]
-		r.conn = conn
+		d.brokers[ad.Broker.LogicalAddress].conn = conn
 	}
 	d.mu.Unlock()
-	if forward != nil {
-		// A standby forwards direct registrations to the primary so the
-		// whole cluster learns them; fired outside the table lock.
-		forward(rec.enc)
-	}
 	d.cfg.Logger.Info("advertisement stored",
 		"broker", ad.Broker.LogicalAddress, "realm", ad.Broker.Realm)
 	return ad.Broker.LogicalAddress

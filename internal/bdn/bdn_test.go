@@ -405,12 +405,15 @@ func TestSubscribeViaBrokerLearnsAdvertisements(t *testing.T) {
 	}
 	waitFor(t, "the BDN's subscriber session at the hub",
 		func() bool { return b1.ClientCount() == 1 })
-	if err := b2.PublishAdvertisement(); err != nil {
-		t.Fatal(err)
-	}
+	// The session is counted before the hub has read its subscription, so an
+	// advertisement published at once can find no subscriber: publish again
+	// until one arrives, as a refreshing broker would.
 	deadline := time.Now().Add(5 * time.Second)
 	for d.BrokerCount() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+		if err := b2.PublishAdvertisement(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 	if d.BrokerCount() != 1 {
 		t.Fatalf("BrokerCount = %d, want 1 via topic", d.BrokerCount())

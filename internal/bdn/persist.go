@@ -37,8 +37,8 @@ const (
 	recApplied byte = 5 // String(source) Uvarint(index)
 )
 
-// record is one registry mutation: its encoding (what the WAL, the mutation
-// hook and the replica stream carry) beside the decoded fields of its type.
+// record is one registry mutation: its encoding (what the WAL and the replica
+// stream carry) beside the decoded fields of its type.
 type record struct {
 	typ byte
 	enc []byte
@@ -216,7 +216,7 @@ func (d *BDN) initPersistence() error {
 			d.cfg.Logger.Warn("skipping undecodable wal record", "err", derr)
 			return nil
 		}
-		d.commitLocked(rec, recovered)
+		d.commitLocked(rec, true)
 		replayed++
 		return nil
 	})
@@ -237,30 +237,15 @@ func (d *BDN) initPersistence() error {
 	return nil
 }
 
-// origin says where a record came from. It decides whether commitLocked
-// appends, journals and offers the record to the mutation hook — never what
-// the table becomes:
-//
-//	origin      append  journal  hook
-//	local       yes     yes      upserts (a sweep is this member's own clock's
-//	                             verdict, the epoch the replica layer's own)
-//	replicated  yes     yes      no: a forward must not loop
-//	recovered   no      no       no: it is already on disk, and already told
-type origin int
-
-const (
-	local      origin = iota // accepted or decided by this member
-	replicated               // streamed or forwarded from another member
-	recovered                // read back from a snapshot or this member's own WAL
-)
-
 // commitLocked is the one road into d.brokers, d.epoch and d.applied: it
-// applies rec, then appends it to the WAL and journals it as o says. A
-// connection and a measured distance are not in any record — they are soft
-// state a registration keeps across upserts. It returns the mutation hook
-// when rec is one the hook must see; the caller fires it after releasing
-// d.mu, because the hook sends on a replica session.
-func (d *BDN) commitLocked(rec record, o origin) (forward func([]byte)) {
+// applies rec, then appends it to the WAL and journals it — unless rec was
+// recovered, read back from a snapshot or this member's own WAL, and so is
+// already on disk and was told when it happened. A record accepted or decided
+// here and one streamed from another member are committed alike. Where a
+// record came from never decides what the table becomes. A connection and a
+// measured distance are not in any record — they are soft state a
+// registration keeps across upserts.
+func (d *BDN) commitLocked(rec record, recovered bool) {
 	switch rec.typ {
 	case recUpsert:
 		logical := rec.ad.Broker.LogicalAddress
@@ -273,7 +258,7 @@ func (d *BDN) commitLocked(rec record, o origin) (forward func([]byte)) {
 		if rec.hasDeadline {
 			r.expiresAt = d.node.Clock().Now().Add(rec.remaining)
 		}
-		if o == recovered {
+		if recovered {
 			break
 		}
 		if known {
@@ -283,7 +268,7 @@ func (d *BDN) commitLocked(rec record, o origin) (forward func([]byte)) {
 				fmt.Sprintf("realm=%s ttl=%s", rec.ad.Broker.Realm, rec.remaining))
 		}
 	case recDelete:
-		if _, known := d.brokers[rec.logical]; known && o != recovered {
+		if _, known := d.brokers[rec.logical]; known && !recovered {
 			d.cfg.Journal.Emit(obs.EventAdExpired, rec.logical, rec.reason)
 		}
 		delete(d.brokers, rec.logical)
@@ -296,14 +281,9 @@ func (d *BDN) commitLocked(rec record, o origin) (forward func([]byte)) {
 			d.applied[rec.source] = rec.index
 		}
 	}
-	if o == recovered {
-		return nil
+	if !recovered {
+		d.appendRecordLocked(rec.enc)
 	}
-	d.appendRecordLocked(rec.enc)
-	if o == local && rec.typ == recUpsert {
-		return d.mutHook
-	}
-	return nil
 }
 
 // installLocked replaces the broker table with the one recs list (a decoded
@@ -313,7 +293,7 @@ func (d *BDN) installLocked(recs []record) {
 	old := d.brokers
 	d.brokers = make(map[string]*registration, len(recs))
 	for _, rec := range recs {
-		d.commitLocked(rec, recovered)
+		d.commitLocked(rec, true)
 	}
 	for logical, r := range d.brokers {
 		if prev, ok := old[logical]; ok {
@@ -451,7 +431,7 @@ func (d *BDN) SetEpoch(epoch uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if epoch > d.epoch {
-		d.commitLocked(epochRecord(epoch), local)
+		d.commitLocked(epochRecord(epoch), false)
 	}
 }
 
@@ -467,9 +447,8 @@ func (d *BDN) AppliedIndex(source string) uint64 {
 }
 
 // ApplyReplicated applies one record streamed from source's WAL (at the
-// given index in source's index space), records it in the local WAL, and
-// advances the applied watermark. Replicated records never re-trigger the
-// mutation hook, so forwarding cannot loop.
+// given index in source's index space, which starts at 1), records it in the
+// local WAL, and advances the applied watermark.
 func (d *BDN) ApplyReplicated(source string, index uint64, payload []byte) error {
 	rec, err := decodeRecord(payload)
 	if err != nil {
@@ -477,13 +456,11 @@ func (d *BDN) ApplyReplicated(source string, index uint64, payload []byte) error
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if index > 0 && index <= d.applied[source] {
+	if index <= d.applied[source] {
 		return nil // duplicate delivery
 	}
-	d.commitLocked(rec, replicated)
-	if index > 0 {
-		d.commitLocked(appliedRecord(source, index), local)
-	}
+	d.commitLocked(rec, false)
+	d.commitLocked(appliedRecord(source, index), false)
 	d.tel.walApplied.Inc()
 	return nil
 }
@@ -523,20 +500,10 @@ func (d *BDN) InstallReplicaState(source string, index uint64, state []byte) err
 	d.mu.Lock()
 	d.installLocked(recs)
 	if index > d.applied[source] {
-		d.commitLocked(appliedRecord(source, index), local)
+		d.commitLocked(appliedRecord(source, index), false)
 	}
 	d.mu.Unlock()
 	return d.SnapshotNow()
-}
-
-// SetMutationHook registers a function invoked (outside the table lock)
-// with the encoded WAL record of every locally-originated mutation — the
-// replication layer uses it to forward direct registrations to the primary.
-// Replicated and recovered records never fire the hook.
-func (d *BDN) SetMutationHook(fn func(rec []byte)) {
-	d.mu.Lock()
-	d.mutHook = fn
-	d.mu.Unlock()
 }
 
 // closePersistence writes a final snapshot and closes the WAL.

@@ -8,13 +8,13 @@
 // supervised connections; a standby whose lease expires promotes itself
 // after a deterministic per-rank stagger (rank among the sorted member
 // addresses, excluding the expired leader) and bumps the election epoch.
-// Epochs fence stale primaries — a primary hearing a higher epoch, or an
-// equal epoch from a lower address (the dual-primary tie-break), demotes
-// itself. Standbys forward locally-accepted registrations to the primary,
-// so a broker registered with any member is visible cluster-wide; after a
-// primary death the brokers' existing supervised registration links to the
-// surviving members keep refreshing the promoted standby's table directly —
-// zero re-registration round-trips.
+// A primary hearing a higher epoch, or an equal epoch from a lower address
+// (the dual-primary tie-break), demotes itself; a beat from a lower epoch is
+// ignored, so a stale primary steps down when the real primary's beat
+// reaches it. No member relays a registration to another: brokers register
+// with every member (the paper's "set of BDNs"), so each member learns a
+// broker from the broker itself, and the stream carries what a member missed
+// while it was down.
 package replica
 
 import (
@@ -52,7 +52,7 @@ type Config struct {
 	// Peers lists the other members' replication addresses.
 	Peers []string
 	// Lease is the leader lease duration (default 2s). Failover takes
-	// between one and roughly two leases depending on rank.
+	// between one and roughly two leases, by rank.
 	Lease time.Duration
 	// Policy tunes the supervised redial of peer connections.
 	Policy supervise.Policy
@@ -83,20 +83,10 @@ type Replica struct {
 	acked      map[string]uint64 // primary view: applied index per peer addr
 	peers      []string
 	started    bool
-	// pending holds locally-originated mutation records not yet confirmed
-	// by the primary, keyed by their encoded bytes. A forward sent while no
-	// leader is known (mid-election) would otherwise be lost until the
-	// broker's next periodic re-advertisement; instead entries are retried
-	// on each beat and cleared when the record echoes back down the
-	// leader's stream.
-	pending map[string][]byte
-	flushAt time.Time
 
 	promotions *obs.Counter
 	demotions  *obs.Counter
-	fencesSent *obs.Counter
 	streamed   *obs.Counter
-	forwards   *obs.Counter
 
 	runners   []*supervise.Runner
 	closed    chan struct{}
@@ -105,15 +95,15 @@ type Replica struct {
 }
 
 // session is one live connection to a peer member, either accepted or
-// dialed. fetchedEpoch tracks which epoch this session has requested the
-// leader's stream under (guarded by the replica mutex).
+// dialed. epoch is the epoch of the stream on it (guarded by the replica
+// mutex): on a standby, the epoch in which it asked its leader for the
+// stream; on the primary, the epoch its stream to the peer runs in.
 type session struct {
-	conn         transport.Conn
-	peerAddr     string
-	peerName     string // learned from the peer's hello ("" until then)
-	fetchedEpoch uint64
-	closed       chan struct{}
-	closeOnce    sync.Once
+	conn      transport.Conn
+	peerAddr  string
+	epoch     uint64
+	closed    chan struct{}
+	closeOnce sync.Once
 }
 
 func (s *session) close() {
@@ -149,7 +139,6 @@ func New(cfg Config) (*Replica, error) {
 		lease:    cfg.Lease,
 		sessions: make(map[string]*session),
 		acked:    make(map[string]uint64),
-		pending:  make(map[string][]byte),
 		peers:    append([]string(nil), cfg.Peers...),
 		closed:   make(chan struct{}),
 	}
@@ -185,9 +174,6 @@ func (r *Replica) Start(peers []string) error {
 	r.lastBeatAt = now
 	peerList := append([]string(nil), r.peers...)
 	r.mu.Unlock()
-
-	// Standby-accepted registrations must reach the primary.
-	r.d.SetMutationHook(r.forwardMutation)
 
 	r.wg.Add(1)
 	go r.acceptLoop()
@@ -227,7 +213,6 @@ func (r *Replica) Start(peers []string) error {
 // Close leaves the cluster and releases the listener.
 func (r *Replica) Close() {
 	r.closeOnce.Do(func() {
-		r.d.SetMutationHook(nil)
 		close(r.closed)
 		_ = r.listener.Close()
 		r.mu.Lock()
@@ -271,13 +256,9 @@ func (r *Replica) initTelemetry(reg *obs.Registry) {
 	r.promotions = reg.Counter("narada_replica_promotions_total",
 		"Lease-expiry promotions to primary.", who)
 	r.demotions = reg.Counter("narada_replica_demotions_total",
-		"Step-downs after hearing a superior leader (epoch fencing).", who)
-	r.fencesSent = reg.Counter("narada_replica_fences_total",
-		"Fence messages sent to stale primaries.", who)
+		"Step-downs after hearing a superior leader.", who)
 	r.streamed = reg.Counter("narada_replica_records_streamed_total",
 		"WAL records streamed to standbys.", who)
-	r.forwards = reg.Counter("narada_replica_forwards_total",
-		"Locally-accepted mutations forwarded to the primary.", who)
 	reg.GaugeFunc("narada_replica_role",
 		"1 when this member is the primary, 0 for standbys.",
 		func() float64 {
@@ -336,11 +317,11 @@ func (r *Replica) dialPeer(peer string) (<-chan struct{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := conn.Send(encodeHello(r.cfg.Name, r.addr)); err != nil {
+	if err := conn.Send(encodeHello(r.addr)); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
-	s := r.addSession(conn, "", peer)
+	s := r.addSession(conn, peer)
 	if s == nil {
 		_ = conn.Close()
 		return nil, errors.New("replica: closed")
@@ -375,11 +356,11 @@ func (r *Replica) acceptLoop() {
 				_ = conn.Close()
 				return
 			}
-			if err := conn.Send(encodeHello(r.cfg.Name, r.addr)); err != nil {
+			if err := conn.Send(encodeHello(r.addr)); err != nil {
 				_ = conn.Close()
 				return
 			}
-			s := r.addSession(conn, m.name, m.addr)
+			s := r.addSession(conn, m.addr)
 			if s == nil {
 				_ = conn.Close()
 				return
@@ -391,8 +372,8 @@ func (r *Replica) acceptLoop() {
 
 // addSession registers a live peer session, replacing any stale one to the
 // same address. Returns nil when the replica is closed.
-func (r *Replica) addSession(conn transport.Conn, peerName, peerAddr string) *session {
-	s := &session{conn: conn, peerAddr: peerAddr, peerName: peerName, closed: make(chan struct{})}
+func (r *Replica) addSession(conn transport.Conn, peerAddr string) *session {
+	s := &session{conn: conn, peerAddr: peerAddr, closed: make(chan struct{})}
 	r.mu.Lock()
 	select {
 	case <-r.closed:
@@ -442,28 +423,14 @@ func (r *Replica) readLoop(s *session) {
 			continue
 		}
 		switch m.typ {
-		case msgHello:
-			r.mu.Lock()
-			s.peerName = m.name
-			r.mu.Unlock()
 		case msgBeat:
 			r.handleBeat(s, m)
-		case msgFetch:
-			r.handleFetch(s, m)
 		case msgRecords:
 			r.handleRecords(s, m)
 		case msgSnapshot:
 			r.handleSnapshot(s, m)
-		case msgAck:
-			r.mu.Lock()
-			if m.index > r.acked[s.peerAddr] {
-				r.acked[s.peerAddr] = m.index
-			}
-			r.mu.Unlock()
-		case msgForward:
-			r.handleForward(s, m)
-		case msgFence:
-			r.handleFence(m)
+		case msgApplied:
+			r.handleApplied(s, m)
 		}
 	}
 }
@@ -507,9 +474,6 @@ func (r *Replica) electionLoop() {
 		r.primary = true
 		r.leaderName, r.leaderAddr = r.cfg.Name, r.addr
 		r.acked = make(map[string]uint64)
-		// Anything pending is already in our own WAL; as primary we
-		// stream it ourselves.
-		r.pending = make(map[string][]byte)
 		r.mu.Unlock()
 
 		r.d.SetEpoch(epoch) // durable before the first beat announces it
@@ -561,10 +525,9 @@ func (r *Replica) handleBeat(s *session, m *message) {
 	now := r.node.Clock().Now()
 	r.mu.Lock()
 	if m.epoch < r.epoch {
-		// Stale primary: fence it.
-		r.fencesSent.Inc()
+		// A stale primary: ignored. It steps down when the real primary's
+		// beat reaches it.
 		r.mu.Unlock()
-		_ = s.conn.Send(encodeFence(r.Epoch()))
 		return
 	}
 	demoted := false
@@ -576,7 +539,6 @@ func (r *Replica) handleBeat(s *session, m *message) {
 		r.primary = false
 		r.epoch = m.epoch
 		r.leaderName, r.leaderAddr = m.name, m.addr
-		s.peerName = m.name
 	} else if r.primary {
 		// Equal epoch from a higher address: ignore; our beat will win.
 		r.mu.Unlock()
@@ -586,9 +548,9 @@ func (r *Replica) handleBeat(s *session, m *message) {
 	r.lastBeatAt = now
 	r.leaderLast = m.lastIndex
 	epoch := r.epoch
-	needFetch := s.peerAddr == r.leaderAddr && s.fetchedEpoch != epoch
-	if needFetch {
-		s.fetchedEpoch = epoch
+	adopted := s.peerAddr == r.leaderAddr && s.epoch != epoch
+	if adopted {
+		s.epoch = epoch
 	}
 	leaderName := r.leaderName
 	r.mu.Unlock()
@@ -600,38 +562,47 @@ func (r *Replica) handleBeat(s *session, m *message) {
 			fmt.Sprintf("leader=%s epoch=%d", m.name, m.epoch))
 	}
 	r.d.SetEpoch(epoch)
-	if needFetch {
-		from := r.d.AppliedIndex(leaderName) + 1
-		r.cfg.Logger.Debug("fetching", "leader", m.name, "epoch", epoch, "from", from)
-		_ = s.conn.Send(encodeFetch(from))
+	if adopted {
+		// The leader streams from just past what this member applied. A
+		// request a partition refused is made again on the next beat.
+		applied := r.d.AppliedIndex(leaderName)
+		r.cfg.Logger.Debug("following", "leader", m.name, "epoch", epoch, "applied", applied)
+		if s.conn.Send(encodeApplied(applied)) != nil {
+			r.mu.Lock()
+			s.epoch = 0
+			r.mu.Unlock()
+		}
 	}
-	r.flushPending(s)
 }
 
-// handleFetch starts streaming this primary's WAL to a standby.
-func (r *Replica) handleFetch(s *session, m *message) {
+// handleApplied records a standby's watermark on the primary, and starts the
+// stream to it when its session has none in this epoch.
+func (r *Replica) handleApplied(s *session, m *message) {
 	r.mu.Lock()
 	if !r.primary {
 		r.mu.Unlock()
 		return
 	}
+	if m.index > r.acked[s.peerAddr] {
+		r.acked[s.peerAddr] = m.index
+	}
 	epoch := r.epoch
+	start := s.epoch != epoch
+	s.epoch = epoch
 	r.mu.Unlock()
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		r.stream(s, m.from, epoch)
-	}()
+	if start {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			r.stream(s, m.index+1, epoch)
+		}()
+	}
 }
 
 // stream ships WAL records to one standby, live-tailing new appends, until
-// the session dies or this member loses (or re-wins) leadership. A fetch
+// the session dies or this member loses (or re-wins) leadership. A start
 // below the compaction horizon falls back to a full snapshot transfer.
 func (r *Replica) stream(s *session, from uint64, epoch uint64) {
-	clock := r.node.Clock()
-	if from == 0 {
-		from = 1
-	}
 	for {
 		select {
 		case <-s.closed:
@@ -655,41 +626,52 @@ func (r *Replica) stream(s *session, from uint64, epoch uint64) {
 		} else {
 			recs, err = r.d.ReadRecords(from, maxBatchRecords)
 		}
-		if err == wal.ErrNotFound {
+		var frame []byte
+		next := from + uint64(len(recs))
+		switch {
+		case err == wal.ErrNotFound:
 			index, state := r.d.ReplicaSnapshot()
-			if sendErr := s.conn.Send(encodeSnapshot(epoch, index, state)); sendErr != nil {
-				return
-			}
-			from = index + 1
-			continue
-		}
-		if err != nil {
+			frame, next = encodeSnapshot(epoch, index, state), index+1
+		case err != nil:
 			r.cfg.Logger.Warn("stream read failed", "err", err)
 			return
+		case len(recs) > 0:
+			frame = encodeRecords(epoch, from, recs)
 		}
-		if len(recs) > 0 {
-			if sendErr := s.conn.Send(encodeRecords(epoch, from, recs)); sendErr != nil {
+		if frame != nil {
+			if s.conn.Send(frame) == nil {
+				r.streamed.Add(uint64(len(recs)))
+				from = next
+				continue
+			}
+			// A partitioned path refuses the frame but keeps the session:
+			// offer it again after a beat interval.
+			if !r.pause(s, nil, r.lease/4) {
 				return
 			}
-			r.streamed.Add(uint64(len(recs)))
-			from += uint64(len(recs))
 			continue
 		}
-		// Caught up: wait for the next append (or recheck leadership after
-		// a lease, in case we were fenced while idle).
+		// Caught up: wait for the next append (or recheck leadership after a
+		// lease, in case it changed while idle).
 		notify := r.d.WALNotify()
-		if notify == nil {
+		if notify == nil || !r.pause(s, notify, r.lease) {
 			return
-		}
-		select {
-		case <-notify:
-		case <-s.closed:
-			return
-		case <-r.closed:
-			return
-		case <-clock.After(r.lease):
 		}
 	}
+}
+
+// pause waits for wake (nil waits for nothing) or d of model time; false
+// means the session or the replica closed first.
+func (r *Replica) pause(s *session, wake <-chan struct{}, d time.Duration) bool {
+	select {
+	case <-wake:
+	case <-r.node.Clock().After(d):
+	case <-s.closed:
+		return false
+	case <-r.closed:
+		return false
+	}
+	return true
 }
 
 // following is the one guard in front of streamed state: a records or
@@ -701,7 +683,7 @@ func (r *Replica) following(s *session, m *message) (leaderName string, ok bool)
 	return r.leaderName, !r.primary && m.epoch == r.epoch && s.peerAddr == r.leaderAddr
 }
 
-// handleRecords applies a streamed batch on a standby and acks it.
+// handleRecords applies a streamed batch on a standby and reports it applied.
 func (r *Replica) handleRecords(s *session, m *message) {
 	leaderName, ok := r.following(s, m)
 	if !ok || len(m.recs) == 0 {
@@ -713,15 +695,11 @@ func (r *Replica) handleRecords(s *session, m *message) {
 			r.cfg.Logger.Warn("apply failed", "index", m.from+uint64(i), "err", err)
 		}
 	}
-	r.mu.Lock()
-	for _, rec := range m.recs {
-		delete(r.pending, string(rec)) // forwarded mutations echoed back
-	}
-	r.mu.Unlock()
-	_ = s.conn.Send(encodeAck(m.from + uint64(len(m.recs)) - 1))
+	_ = s.conn.Send(encodeApplied(m.from + uint64(len(m.recs)) - 1))
 }
 
-// handleSnapshot installs a full-state transfer on a standby and acks it.
+// handleSnapshot installs a full-state transfer on a standby and reports it
+// applied.
 func (r *Replica) handleSnapshot(s *session, m *message) {
 	leaderName, ok := r.following(s, m)
 	if !ok {
@@ -731,89 +709,5 @@ func (r *Replica) handleSnapshot(s *session, m *message) {
 		r.cfg.Logger.Warn("snapshot install failed", "err", err)
 		return
 	}
-	_ = s.conn.Send(encodeAck(m.index))
-}
-
-// handleForward applies a standby-accepted mutation on the primary; the
-// resulting WAL append streams it back out to every standby.
-func (r *Replica) handleForward(_ *session, m *message) {
-	if !r.IsPrimary() || len(m.rec) == 0 {
-		return
-	}
-	if err := r.d.ApplyReplicated("", 0, m.rec); err != nil {
-		r.cfg.Logger.Warn("forwarded mutation rejected", "err", err)
-	}
-}
-
-// handleFence demotes this member when a peer proves a higher epoch.
-func (r *Replica) handleFence(m *message) {
-	r.mu.Lock()
-	if m.epoch <= r.epoch || !r.primary {
-		if m.epoch > r.epoch {
-			r.epoch = m.epoch
-		}
-		r.mu.Unlock()
-		return
-	}
-	r.primary = false
-	r.epoch = m.epoch
-	r.leaderName, r.leaderAddr = "", ""
-	// Restart the lease countdown as an ordinary standby; the real leader's
-	// next beat will identify itself.
-	r.leaseUntil = r.node.Clock().Now().Add(r.lease)
-	r.mu.Unlock()
-	r.demotions.Inc()
-	r.cfg.Journal.Emit(obs.EventReplicaDemoted, r.cfg.Name,
-		fmt.Sprintf("fenced epoch=%d", m.epoch))
-	r.d.SetEpoch(m.epoch)
-}
-
-// maxPending bounds the unconfirmed-forward set; overflow drops the new
-// record (soft state: the broker's periodic re-advertisement recreates it).
-const maxPending = 4096
-
-// forwardMutation is the BDN's mutation hook: on a standby, ship the record
-// to the primary so the whole cluster learns registrations accepted here.
-// The record stays pending until it echoes back down the leader's stream.
-func (r *Replica) forwardMutation(rec []byte) {
-	r.mu.Lock()
-	if r.primary {
-		// A primary's own WAL append streams out directly.
-		r.mu.Unlock()
-		return
-	}
-	if len(r.pending) < maxPending {
-		r.pending[string(rec)] = rec
-	}
-	s := r.sessions[r.leaderAddr]
-	r.mu.Unlock()
-	if s == nil {
-		return // no leader yet; retried on the next beat
-	}
-	if err := s.conn.Send(encodeForward(rec)); err == nil {
-		r.forwards.Inc()
-	}
-}
-
-// flushPending re-sends unconfirmed forwards to the leader, at most once
-// per lease. Called on each beat, with the leader's session.
-func (r *Replica) flushPending(s *session) {
-	now := r.node.Clock().Now()
-	r.mu.Lock()
-	if len(r.pending) == 0 || now.Sub(r.flushAt) < r.lease {
-		r.mu.Unlock()
-		return
-	}
-	r.flushAt = now
-	recs := make([][]byte, 0, len(r.pending))
-	for _, rec := range r.pending {
-		recs = append(recs, rec)
-	}
-	r.mu.Unlock()
-	for _, rec := range recs {
-		if err := s.conn.Send(encodeForward(rec)); err != nil {
-			return
-		}
-		r.forwards.Inc()
-	}
+	_ = s.conn.Send(encodeApplied(m.index))
 }

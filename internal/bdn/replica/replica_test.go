@@ -34,16 +34,18 @@ var testPolicy = supervise.Policy{
 }
 
 type env struct {
-	net *simnet.Network
-	t   *testing.T
-	rng *rand.Rand
+	net   *simnet.Network
+	t     *testing.T
+	rng   *rand.Rand
+	lease time.Duration // of the members built from here on
 }
 
 func newEnv(t *testing.T, seed int64) *env {
 	return &env{
-		net: simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: seed}),
-		t:   t,
-		rng: rand.New(rand.NewSource(seed)),
+		net:   simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: seed}),
+		t:     t,
+		rng:   rand.New(rand.NewSource(seed)),
+		lease: testLease,
 	}
 }
 
@@ -61,8 +63,13 @@ type member struct {
 
 func (e *env) newMember(name, dir string) *member {
 	e.t.Helper()
+	return e.newMemberAt(simnet.SiteBloomington, name, dir)
+}
+
+func (e *env) newMemberAt(site, name, dir string) *member {
+	e.t.Helper()
 	skew := e.net.RandomSkew(20 * time.Millisecond)
-	node := transport.NewSimNode(e.net, simnet.SiteBloomington, name, skew)
+	node := transport.NewSimNode(e.net, site, name, skew)
 	ntp := ntptime.NewService(node.Clock(), skew, e.rng)
 	ntp.InitImmediately()
 	return e.newMemberOn(node, ntp, name, dir)
@@ -97,7 +104,7 @@ func (e *env) newMemberOn(node *transport.SimNode, ntp *ntptime.Service, name, d
 		Name:   name,
 		Node:   node,
 		Store:  d,
-		Lease:  testLease,
+		Lease:  e.lease,
 		Policy: testPolicy,
 		Handle: obs.Handle{Logger: logger},
 	})
@@ -112,13 +119,25 @@ func (m *member) stop() {
 	m.d.Close()
 }
 
-// cluster builds n members, wires the full peer mesh, and starts them.
+// cluster builds n members at one site, wires the full peer mesh, and starts
+// them.
 func (e *env) cluster(n int) []*member {
 	e.t.Helper()
+	sites := make([]string, n)
+	for i := range sites {
+		sites[i] = simnet.SiteBloomington
+	}
+	return e.clusterAt(sites...)
+}
+
+// clusterAt is cluster with member i at sites[i].
+func (e *env) clusterAt(sites ...string) []*member {
+	e.t.Helper()
+	n := len(sites)
 	members := make([]*member, n)
 	for i := range members {
 		name := fmt.Sprintf("repl-%c", 'a'+i)
-		members[i] = e.newMember(name, filepath.Join(e.t.TempDir(), name))
+		members[i] = e.newMemberAt(sites[i], name, filepath.Join(e.t.TempDir(), name))
 	}
 	for i, m := range members {
 		peers := make([]string, 0, n-1)
@@ -233,24 +252,38 @@ func TestPrimaryStreamsRegistrationsToStandbys(t *testing.T) {
 	}
 }
 
-func TestStandbyForwardsRegistrationsToPrimary(t *testing.T) {
+// TestStandbyCatchesUpAfterPartition: a record the primary appends while a
+// standby is cut off reaches that standby once the path heals, in the same
+// epoch. The broker registers with the primary only, so the stream is the
+// standby's one way to learn it.
+func TestStandbyCatchesUpAfterPartition(t *testing.T) {
 	e := newEnv(t, 103)
-	members := e.cluster(3)
+	// The partition must not outlast a lease even when the host stalls: a
+	// promotion would change what this test is about.
+	e.lease = 8 * testLease
+	members := e.clusterAt(simnet.SiteBloomington, simnet.SiteIndianapolis, simnet.SiteUMN)
 	p := e.waitPrimary(members)
-	var standby *member
-	for _, m := range members {
-		if m != p {
-			standby = m
-			break
-		}
+	cut := members[1]
+	if p != members[0] {
+		t.Fatalf("primary = %s, want %s (lowest address)", p.name, members[0].name)
 	}
+	e.waitFollow(cut, p)
+	epoch := p.r.Epoch()
+
+	// Cut for well under a lease, so nobody promotes, but until the other
+	// standby has the record: the stream's send to the cut one, woken by
+	// the same append, has met the partition by then.
+	e.net.Partition(simnet.SiteBloomington, simnet.SiteIndianapolis)
 	b := e.broker(simnet.SiteFSU, "broker-fsu")
-	if err := b.RegisterWithBDN(standby.d.Addr()); err != nil {
+	if err := b.RegisterWithBDN(p.d.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	// The record forwards to the primary, which streams it to everyone.
-	for _, m := range members {
-		e.waitCount(m, 1)
+	e.waitCount(members[2], 1)
+	e.net.Heal(simnet.SiteBloomington, simnet.SiteIndianapolis)
+
+	e.waitCount(cut, 1)
+	if !p.r.IsPrimary() || cut.r.Epoch() != epoch {
+		t.Fatalf("leadership changed across the partition: primary %v, epoch %d → %d", p.r.IsPrimary(), epoch, cut.r.Epoch())
 	}
 }
 
@@ -314,7 +347,7 @@ func TestRestartedPrimaryRejoinsAsStandby(t *testing.T) {
 
 	// Bring the old primary back on its original data dir: it recovers its
 	// table from the WAL, hears the new leader's higher epoch, and stays a
-	// standby (the dual-primary fence in action).
+	// standby.
 	back := e.newMemberOn(p.node, p.ntp, p.name, p.dir)
 	peers := make([]string, 0, 2)
 	for _, m := range survivors {

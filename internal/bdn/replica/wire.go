@@ -4,18 +4,18 @@ package replica
 // repo's wire framing on a dedicated replication listener (separate from
 // the BDN's discovery/registration endpoint):
 //
-//	[magic 0xBE][version 1][type][body...]
+//	[magic 0xBE][version 2][type][body...]
 //
-// hello     — session handshake, both directions: name + advertised addr.
-//	beat      — primary → all: epoch, lease duration, WAL last index.
-//	fetch     — standby → primary: stream my leader's WAL from this index.
+// hello     — session handshake, both directions: advertised addr.
+//	beat      — primary → all: name, addr, epoch, lease duration, WAL last index.
 //	records   — primary → standby: a batch of WAL records starting at from.
 //	snapshot  — primary → standby: full-state transfer when the requested
 //	            index was compacted away.
-//	ack       — standby → primary: applied through this index.
-//	forward   — standby → primary: a locally-originated mutation record, so
-//	            registrations accepted by any member reach the whole cluster.
-//	fence     — anyone → stale primary: your epoch is behind mine.
+//	applied   — standby → primary: applied through this index. It starts the
+//	            stream when the session has none in the primary's epoch.
+//
+// A frame of any other version is refused at the header, so a mixed-version
+// cluster fails there instead of misreading a renumbered type.
 
 import (
 	"errors"
@@ -27,16 +27,13 @@ import (
 
 const (
 	wireMagic   byte = 0xBE
-	wireVersion byte = 1
+	wireVersion byte = 2
 
 	msgHello    byte = 1
 	msgBeat     byte = 2
-	msgFetch    byte = 3
-	msgRecords  byte = 4
-	msgSnapshot byte = 5
-	msgAck      byte = 6
-	msgForward  byte = 7
-	msgFence    byte = 8
+	msgRecords  byte = 3
+	msgSnapshot byte = 4
+	msgApplied  byte = 5
 )
 
 // maxBatchRecords bounds one records message.
@@ -45,20 +42,18 @@ const maxBatchRecords = 256
 type message struct {
 	typ byte
 
-	name string // hello, beat: sender identity
+	name string // beat: sender identity
 	addr string // hello, beat: sender's advertised replication addr
 
-	epoch     uint64        // beat, records, snapshot, fence
+	epoch     uint64        // beat, records, snapshot
 	lease     time.Duration // beat
 	lastIndex uint64        // beat: primary's WAL last index
 
-	from uint64   // fetch: first wanted; records: index of recs[0]
+	from uint64   // records: index of recs[0]
 	recs [][]byte // records
 
-	index uint64 // snapshot: covered WAL index; ack: applied through
+	index uint64 // snapshot: covered WAL index; applied: applied through
 	state []byte // snapshot body
-
-	rec []byte // forward: one WAL record
 }
 
 func newMsgWriter(typ byte, capacity int) *wire.Writer {
@@ -69,9 +64,8 @@ func newMsgWriter(typ byte, capacity int) *wire.Writer {
 	return w
 }
 
-func encodeHello(name, addr string) []byte {
-	w := newMsgWriter(msgHello, 8+len(name)+len(addr))
-	w.String(name)
+func encodeHello(addr string) []byte {
+	w := newMsgWriter(msgHello, 4+len(addr))
 	w.String(addr)
 	return w.Detach()
 }
@@ -83,12 +77,6 @@ func encodeBeat(name, addr string, epoch uint64, lease time.Duration, lastIndex 
 	w.Uvarint(epoch)
 	w.Duration(lease)
 	w.Uvarint(lastIndex)
-	return w.Detach()
-}
-
-func encodeFetch(from uint64) []byte {
-	w := newMsgWriter(msgFetch, 12)
-	w.Uvarint(from)
 	return w.Detach()
 }
 
@@ -115,21 +103,9 @@ func encodeSnapshot(epoch, index uint64, state []byte) []byte {
 	return w.Detach()
 }
 
-func encodeAck(index uint64) []byte {
-	w := newMsgWriter(msgAck, 12)
+func encodeApplied(index uint64) []byte {
+	w := newMsgWriter(msgApplied, 12)
 	w.Uvarint(index)
-	return w.Detach()
-}
-
-func encodeForward(rec []byte) []byte {
-	w := newMsgWriter(msgForward, 8+len(rec))
-	w.BytesField(rec)
-	return w.Detach()
-}
-
-func encodeFence(epoch uint64) []byte {
-	w := newMsgWriter(msgFence, 12)
-	w.Uvarint(epoch)
 	return w.Detach()
 }
 
@@ -144,7 +120,6 @@ func decodeMessage(b []byte) (*message, error) {
 	m := &message{typ: b[2]}
 	switch m.typ {
 	case msgHello:
-		m.name = r.String()
 		m.addr = r.String()
 	case msgBeat:
 		m.name = r.String()
@@ -152,8 +127,6 @@ func decodeMessage(b []byte) (*message, error) {
 		m.epoch = r.Uvarint()
 		m.lease = r.Duration()
 		m.lastIndex = r.Uvarint()
-	case msgFetch:
-		m.from = r.Uvarint()
 	case msgRecords:
 		m.epoch = r.Uvarint()
 		m.from = r.Uvarint()
@@ -172,12 +145,8 @@ func decodeMessage(b []byte) (*message, error) {
 		m.epoch = r.Uvarint()
 		m.index = r.Uvarint()
 		m.state = r.BytesField()
-	case msgAck:
+	case msgApplied:
 		m.index = r.Uvarint()
-	case msgForward:
-		m.rec = r.BytesField()
-	case msgFence:
-		m.epoch = r.Uvarint()
 	default:
 		return nil, fmt.Errorf("replica: unknown message type %d", m.typ)
 	}

@@ -13,9 +13,12 @@ import (
 
 // TestReplicatedBDNFailover is the headline durability scenario: a 3-node
 // replicated BDN cluster loses its primary to a hard kill, a standby
-// promotes, discovery keeps answering — and not one broker re-registers,
-// because the survivors already hold the full replicated table. The brokers
-// run WITH supervision, so re-registration would happen if it were needed;
+// promotes, discovery keeps answering — and not one broker re-registers. The
+// survivors' tables are full because every broker registers with every
+// member, as the paper prescribes, so all of it but the promotion also holds
+// for three independent durable BDNs (Replicate: false); replication adds a
+// registration a member missed while it was down. The brokers run WITH
+// supervision, so re-registration would happen if it were needed;
 // Successes() == 0 proves it never was.
 func TestReplicatedBDNFailover(t *testing.T) {
 	tb, err := New(Options{
@@ -78,10 +81,10 @@ func TestReplicatedBDNFailover(t *testing.T) {
 		t.Fatal("no broker responses after failover")
 	}
 
-	// The whole point of replication: ZERO broker re-registrations. Each
-	// broker keeps a supervised registration link per BDN; a Successes()
-	// increment means the supervisor had to re-dial (and re-advertise)
-	// after losing the session. The surviving BDNs never dropped theirs.
+	// ZERO broker re-registrations. Each broker keeps a supervised
+	// registration link per BDN; a Successes() increment means the
+	// supervisor had to re-dial (and re-advertise) after losing the session.
+	// The surviving BDNs never dropped theirs.
 	for _, b := range tb.Brokers {
 		for name, addr := range survivors {
 			r := b.Supervisor(broker.SuperviseBDN, addr)

@@ -1,6 +1,8 @@
 #!/bin/sh
 # ci.sh is the complete pre-merge gate: the tier-1 verify target (build, vet,
-# gofmt, tests, and the whole tree again under the race detector), every
+# gofmt, tests, and the whole tree again under the race detector), the
+# registry history checker ten times and the replication packages three times
+# under the race detector, every
 # benchmark in the tree run for one iteration (a benchmark that no longer
 # runs is a bug, and nothing else would notice), the repository benchmark's
 # own module (bench/ is nested, so ./... never reaches it, and an API rename
@@ -18,6 +20,13 @@ cd "$(dirname "$0")/.."
 
 echo "ci: make verify"
 make verify
+
+# The replicated registry's history checker and the replication packages under
+# the race detector, repeated: a protocol race shows up as a rare red.
+echo "ci: go test -count=10 -run TestRegistryHistory ./internal/testbed"
+go test -count=10 -run TestRegistryHistory ./internal/testbed
+echo "ci: go test -race -count=3 ./internal/bdn/..."
+go test -race -count=3 ./internal/bdn/...
 
 echo "ci: go test -run '^\$' -bench . -benchtime=1x ./..."
 go test -run '^$' -bench . -benchtime=1x ./...

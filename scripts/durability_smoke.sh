@@ -2,12 +2,11 @@
 # durability_smoke.sh smoke-tests the replicated BDN registry on real
 # sockets: three BDNs form a primary/standby cluster (-data-dir, -peers,
 # -lease), two supervised brokers register with all of them, and the primary
-# is killed with SIGKILL. A standby must promote itself, keep the full
-# replicated registration table, and keep answering discovery — with ZERO
-# broker re-registrations: the brokers' narada_broker_reconnects_total
-# metric for kind="bdn" must stay at zero, because the survivors never
-# dropped their registration links and the replicated WAL already holds the
-# table.
+# is killed with SIGKILL. A standby must promote itself, still list every
+# broker, and keep answering discovery — with ZERO broker re-registrations:
+# the brokers' narada_broker_reconnects_total metric for kind="bdn" must stay
+# at zero, because the survivors never dropped their registration links and
+# every broker registered with every member.
 #
 # Uses curl or wget, whichever the host has.
 set -eu
@@ -139,8 +138,7 @@ SURVIVOR_STREAMS="${SURVIVOR_STREAMS#,}"
 NEW_PRIMARY="$(wait_primary "after the kill" $SURVIVORS)"
 echo "durability-smoke: standby promoted ($NEW_PRIMARY)"
 
-# The promoted member holds the FULL replicated table without anyone
-# re-registering.
+# The promoted member lists every broker without anyone re-registering.
 wait_brokers "$NEW_PRIMARY" 2 "after the failover"
 
 # Discovery against the survivors still answers.
