@@ -308,8 +308,20 @@ func (d *BDN) live() []registration {
 	return all
 }
 
-// BrokerCount returns the number of stored, unexpired advertisements.
-func (d *BDN) BrokerCount() int { return len(d.live()) }
+// BrokerCount returns the number of stored, unexpired advertisements. It
+// counts in place: /metrics reads it on every scrape.
+func (d *BDN) BrokerCount() int {
+	now := d.node.Clock().Now()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	for _, r := range d.brokers {
+		if !r.expired(now) {
+			n++
+		}
+	}
+	return n
+}
 
 // Brokers returns the unexpired advertised broker infos, sorted by logical
 // address.

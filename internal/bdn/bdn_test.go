@@ -518,6 +518,31 @@ type scriptedConn struct {
 
 func (c *scriptedConn) Send([]byte) error { c.sent++; return nil }
 
+// TestBrokerCountAllocFree: the registry gauge reads BrokerCount on every
+// /metrics scrape, so counting must not copy or sort the table.
+func TestBrokerCountAllocFree(t *testing.T) {
+	net := simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: 1})
+	node := transport.NewSimNode(net, simnet.SiteBloomington, "count-bdn", 0)
+	ntp := ntptime.NewService(node.Clock(), 0, nil)
+	ntp.InitImmediately()
+	d, err := New(node, ntp, Config{Name: "count-bdn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"broker-c", "broker-a", "broker-b"} {
+		ad := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: name}}
+		if d.storeAdvertisement(event.New(event.TypeAdvertisement, "", core.EncodeAdvertisement(ad)), nil) == "" {
+			t.Fatalf("advertisement of %s not stored", name)
+		}
+	}
+	if n := d.BrokerCount(); n != 3 {
+		t.Fatalf("BrokerCount = %d, want 3", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.BrokerCount() }); allocs != 0 {
+		t.Fatalf("BrokerCount allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // BenchmarkBDNProcessRequest is the BDN's rung of the discovery ladder: one
 // decoded request acknowledged on its session and injected at two registered
 // brokers, every connection scripted so only the BDN's own work is timed.

@@ -7,10 +7,15 @@
 // count is within [count−errBound, count], and any topic with true frequency
 // above N/K is guaranteed to be present).
 //
-// The counting fast path is lock-free: the entry map lives behind an atomic
-// pointer and hits only do a map lookup plus atomic adds, so the publish
-// fan-out can account every message. Insertions and evictions copy the map
-// under a mutex and swap — rare once the heavy hitters are established.
+// The entries live in an open-addressed table of atomic pointers, four slots
+// per tracked topic. A hit is lock-free and allocation-free (hash, probe,
+// compare, two atomic adds), so the publish fan-out can account every
+// message. A miss is not rare: traffic spread evenly over more than K topics
+// misses on every publish. So a miss costs O(K) under a mutex and two
+// allocations: it scans the K live entries for the minimum, tombstones that
+// entry's slot in place and stores the newcomer. When tombstones pass a
+// quarter of the slots the table is rebuilt from the live entries and
+// swapped in, which keeps probes short.
 package obs
 
 import (
@@ -94,9 +99,12 @@ type FlowSnapshot struct {
 // FlowTable is the space-saving sketch. A nil *FlowTable ignores all updates,
 // so call sites don't branch on whether flow accounting is enabled.
 type FlowTable struct {
-	k   int
-	cur atomic.Pointer[map[string]*FlowEntry]
-	mu  sync.Mutex // guards insert/evict (map copy + swap)
+	k     int
+	slots atomic.Pointer[[]atomic.Pointer[FlowEntry]] // len a power of two >= 4k
+
+	mu    sync.Mutex   // guards misses: live, tombs and every slot store
+	live  []*FlowEntry // the tracked entries, at most k
+	tombs int          // slots of the current table holding flowTomb
 
 	// Fold bucket for delivered/dropped traffic on untracked topics.
 	otherDelMsgs  atomic.Uint64
@@ -104,27 +112,70 @@ type FlowTable struct {
 	otherDrops    [NumDropReasons]atomic.Uint64
 }
 
+// flowTomb fills the slot of an evicted entry: probes pass over it, and a
+// newcomer may take it.
+var flowTomb = new(FlowEntry)
+
 // NewFlowTable returns a sketch tracking up to k topics (DefaultFlowK if
 // k <= 0).
 func NewFlowTable(k int) *FlowTable {
 	if k <= 0 {
 		k = DefaultFlowK
 	}
-	t := &FlowTable{k: k}
-	m := make(map[string]*FlowEntry, k)
-	t.cur.Store(&m)
+	t := &FlowTable{k: k, live: make([]*FlowEntry, 0, k)}
+	t.rebuild()
 	return t
 }
 
+// rebuild places the live entries in a fresh slot table without tombstones
+// and swaps it in. Called with t.mu held, or before t is shared.
+func (t *FlowTable) rebuild() {
+	n := 4
+	for n < 4*t.k {
+		n <<= 1
+	}
+	slots := make([]atomic.Pointer[FlowEntry], n)
+	for _, e := range t.live {
+		_, free := findFlow(slots, e.topic)
+		slots[free].Store(e)
+	}
+	t.slots.Store(&slots)
+	t.tombs = 0
+}
+
+// findFlow probes slots for topic. It returns the topic's entry and slot, or
+// nil and the first slot a new entry for the topic may take: a tombstone, or
+// the empty slot that ended the probe. At most k entries and a quarter of
+// the slots in tombstones leave at least one slot empty, so probes end.
+func findFlow(slots []atomic.Pointer[FlowEntry], topic string) (*FlowEntry, int) {
+	mask := uint64(len(slots) - 1)
+	free := -1
+	for i := topicHash(topic) & mask; ; i = (i + 1) & mask {
+		e := slots[i].Load()
+		if e != nil && e != flowTomb {
+			if e.topic == topic {
+				return e, int(i)
+			}
+			continue
+		}
+		if free < 0 {
+			free = int(i)
+		}
+		if e == nil {
+			return nil, free
+		}
+	}
+}
+
 // Published accounts one published message of n bytes on topic and returns
-// the topic's entry for frame stamping. Hits are lock-free (map lookup + two
+// the topic's entry for frame stamping. Hits are lock-free (probe + two
 // atomic adds); a topic not yet tracked takes the mutex-guarded insert/evict
-// slow path. Returns nil on a nil table.
+// path. Returns nil on a nil table.
 func (t *FlowTable) Published(topic string, n int) *FlowEntry {
 	if t == nil {
 		return nil
 	}
-	if e, ok := (*t.cur.Load())[topic]; ok {
+	if e, _ := findFlow(*t.slots.Load(), topic); e != nil {
 		e.pubMsgs.Add(1)
 		e.pubBytes.Add(uint64(n))
 		return e
@@ -135,30 +186,30 @@ func (t *FlowTable) Published(topic string, n int) *FlowEntry {
 func (t *FlowTable) insert(topic string, n int) *FlowEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := *t.cur.Load()
-	if e, ok := old[topic]; ok { // raced with another inserter
+	slots := *t.slots.Load()
+	e, free := findFlow(slots, topic)
+	if e != nil { // raced with another inserter
 		e.pubMsgs.Add(1)
 		e.pubBytes.Add(uint64(n))
 		return e
 	}
 	// The entry outlives the call; the caller's topic may alias a frame buffer.
-	topic = strings.Clone(topic)
-	e := &FlowEntry{topic: topic}
-	next := make(map[string]*FlowEntry, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	if len(old) >= t.k {
+	e = &FlowEntry{topic: strings.Clone(topic)}
+	if len(t.live) >= t.k {
 		// Space-saving eviction: replace the minimum-count entry; the
 		// newcomer inherits its count as both starting point and error bound.
-		var min *FlowEntry
-		var minCount uint64
-		for _, v := range next {
-			if c := v.pubMsgs.Load(); min == nil || c < minCount {
-				min, minCount = v, c
+		mi, minCount := 0, t.live[0].pubMsgs.Load()
+		for i, v := range t.live {
+			if c := v.pubMsgs.Load(); c < minCount {
+				mi, minCount = i, c
 			}
 		}
-		delete(next, min.topic)
+		min := t.live[mi]
+		_, at := findFlow(slots, min.topic)
+		slots[at].Store(flowTomb)
+		t.tombs++
+		t.live[mi] = t.live[len(t.live)-1]
+		t.live = t.live[:len(t.live)-1]
 		e.errBound = minCount
 		e.pubMsgs.Store(minCount)
 		// The evicted topic's delivered/dropped tallies fold into <other> so
@@ -171,8 +222,16 @@ func (t *FlowTable) insert(topic string, n int) *FlowEntry {
 	}
 	e.pubMsgs.Add(1)
 	e.pubBytes.Add(uint64(n))
-	next[topic] = e
-	t.cur.Store(&next)
+	// free is still free: the eviction above only turned an entry into a
+	// tombstone. Counters are set before the store publishes the entry.
+	if slots[free].Load() == flowTomb {
+		t.tombs--
+	}
+	slots[free].Store(e)
+	t.live = append(t.live, e)
+	if t.tombs > len(slots)/4 {
+		t.rebuild()
+	}
 	return e
 }
 
@@ -182,9 +241,11 @@ func (t *FlowTable) Snapshot() []FlowSnapshot {
 	if t == nil {
 		return nil
 	}
-	m := *t.cur.Load()
-	out := make([]FlowSnapshot, 0, len(m)+1)
-	for _, e := range m {
+	t.mu.Lock()
+	live := append([]*FlowEntry(nil), t.live...)
+	t.mu.Unlock()
+	out := make([]FlowSnapshot, 0, len(live)+1)
+	for _, e := range live {
 		s := FlowSnapshot{
 			Topic:    e.topic,
 			PubMsgs:  e.pubMsgs.Load(),

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -136,7 +137,7 @@ func TestFlowTableHeavyHitterGuarantee(t *testing.T) {
 	}
 }
 
-// TestFlowTableConcurrent hits the lock-free fast path and the copy-on-write
+// TestFlowTableConcurrent hits the lock-free fast path and the mutex-guarded
 // insert path from many goroutines (run with -race). The topic set fits the
 // table, so no evictions occur and every tally must be exact.
 func TestFlowTableConcurrent(t *testing.T) {
@@ -178,6 +179,163 @@ func TestFlowTableConcurrent(t *testing.T) {
 	}
 }
 
+// checkSketch holds a table's snapshot to the space-saving guarantees, given
+// the true per-topic publish counts, their total n and the delivered and
+// dropped totals: at most k rows, counts summing to n, every count within
+// [true, true+errBound], every topic above n/k tracked, and delivered and
+// dropped exact once <other> is added in.
+func checkSketch(ft *FlowTable, k int, truth map[string]uint64, n, delivered, dropped uint64) error {
+	var sum, del, drop uint64
+	tracked := make(map[string]bool)
+	for _, s := range ft.Snapshot() {
+		del += s.DelMsgs
+		drop += s.DropMsgs
+		if s.Topic == FlowOther {
+			continue
+		}
+		tracked[s.Topic] = true
+		sum += s.PubMsgs
+		if tr := truth[s.Topic]; tr > s.PubMsgs || s.PubMsgs-s.ErrBound > tr {
+			return fmt.Errorf("%s: true count %d outside [count-errBound, count] = [%d, %d]",
+				s.Topic, tr, s.PubMsgs-s.ErrBound, s.PubMsgs)
+		}
+	}
+	if len(tracked) > k {
+		return fmt.Errorf("%d rows, k = %d", len(tracked), k)
+	}
+	if sum != n {
+		return fmt.Errorf("counts sum to %d, %d published", sum, n)
+	}
+	for topic, tr := range truth {
+		if tr*uint64(k) > n && !tracked[topic] {
+			return fmt.Errorf("%s (true %d > N/k = %d/%d) not tracked", topic, tr, n, k)
+		}
+	}
+	if del != delivered || drop != dropped {
+		return fmt.Errorf("delivered/dropped = %d/%d with <other>, want %d/%d", del, drop, delivered, dropped)
+	}
+	return nil
+}
+
+// TestFlowTableEvictionInvariants drives the eviction path with eight times
+// more topics than the table holds — uniform cycling on even seeds, Zipf
+// traffic on odd ones — and checks the sketch after every operation.
+func TestFlowTableEvictionInvariants(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := 2 + int(seed%7)
+		topics := 8 * k
+		next := func(i int) int { return i % topics }
+		if seed%2 == 1 {
+			z := rand.NewZipf(rng, 1.1, 1, uint64(topics-1))
+			next = func(int) int { return int(z.Uint64()) }
+		}
+		ft := NewFlowTable(k)
+		truth := make(map[string]uint64)
+		var n, delivered, dropped uint64
+		for i := 0; i < 400; i++ {
+			topic := fmt.Sprintf("t/%d", next(i))
+			e := ft.Published(topic, 1)
+			truth[topic]++
+			n++
+			if rng.Intn(2) == 0 {
+				e.Delivered(1)
+				delivered++
+			}
+			if rng.Intn(5) == 0 {
+				e.Dropped(DropQueueFull)
+				dropped++
+			}
+			if err := checkSketch(ft, k, truth, n, delivered, dropped); err != nil {
+				t.Fatalf("seed %d, op %d (%s): %v", seed, i, topic, err)
+			}
+		}
+	}
+}
+
+// TestFlowTableConcurrentEvictions runs the eviction path from many
+// goroutines while another takes snapshots (run with -race): one topic
+// carries half the traffic, the rest churns through eight times more topics
+// than the table holds. Updates to evicted handles are lost, so delivered may
+// only fall short of the truth.
+func TestFlowTableConcurrentEvictions(t *testing.T) {
+	const (
+		goroutines = 8
+		perG       = 2_000
+		k          = 8
+	)
+	ft := NewFlowTable(k)
+	check := func(snaps []FlowSnapshot) error {
+		rows := len(snaps)
+		if rows > 0 && snaps[rows-1].Topic == FlowOther {
+			rows--
+		}
+		if rows > k {
+			return fmt.Errorf("%d rows, k = %d", rows, k)
+		}
+		for i := 1; i < rows; i++ {
+			if snaps[i].PubMsgs > snaps[i-1].PubMsgs || snaps[i].Topic == FlowOther {
+				return fmt.Errorf("row %d out of order: %+v", i, snaps)
+			}
+		}
+		return nil
+	}
+	done := make(chan struct{})
+	snapErr := make(chan error, 1)
+	go func() {
+		defer close(snapErr)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := check(ft.Snapshot()); err != nil {
+				snapErr <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			churn := make([]string, 8*k)
+			for i := range churn {
+				churn[i] = fmt.Sprintf("churn/%d/%d", g, i)
+			}
+			for i := 0; i < perG; i++ {
+				topic := "heavy"
+				if i%2 == 1 {
+					topic = churn[i%len(churn)]
+				}
+				ft.Published(topic, 8).Delivered(8)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	if err := <-snapErr; err != nil {
+		t.Fatalf("concurrent snapshot: %v", err)
+	}
+
+	snaps := ft.Snapshot()
+	if err := check(snaps); err != nil {
+		t.Fatal(err)
+	}
+	var del uint64
+	for _, s := range snaps {
+		del += s.DelMsgs
+	}
+	if del > goroutines*perG {
+		t.Fatalf("delivered %d, only %d happened", del, goroutines*perG)
+	}
+	if _, ok := snapshotByTopic(ft)["heavy"]; !ok {
+		t.Fatalf("heavy hitter (half the traffic) not tracked: %+v", snaps)
+	}
+}
+
 // TestFlowEntryInvalidDropReasonIgnored: out-of-range reasons are discarded,
 // not a panic or a misattributed bucket.
 func TestFlowEntryInvalidDropReasonIgnored(t *testing.T) {
@@ -197,5 +355,20 @@ func BenchmarkFlowPublishedHit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ft.Published("bench/topic", 256).Delivered(256)
+	}
+}
+
+// BenchmarkFlowPublishedChurn is the miss path: 256 topics cycled through a
+// DefaultFlowK table, so every publish evicts the oldest entry.
+func BenchmarkFlowPublishedChurn(b *testing.B) {
+	ft := NewFlowTable(DefaultFlowK)
+	topics := make([]string, 256)
+	for i := range topics {
+		topics[i] = fmt.Sprintf("bench/topic/%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ft.Published(topics[i%len(topics)], 256).Delivered(256)
 	}
 }

@@ -59,13 +59,7 @@ func (s *Sampler) Decide(topic string) bool {
 		return false
 	}
 	if s.limit != 0 {
-		// FNV-1a over the topic bytes; masks into the slot array.
-		h := uint64(14695981039346656037)
-		for i := 0; i < len(topic); i++ {
-			h ^= uint64(topic[i])
-			h *= 1099511628211
-		}
-		slot := &s.slots[h&(samplerSlots-1)]
+		slot := &s.slots[topicHash(topic)&(samplerSlots-1)]
 		sec := time.Now().Unix()
 		if w := slot.windowSec.Load(); w != sec {
 			// First decision of a new second resets the window. A lost race
@@ -80,6 +74,18 @@ func (s *Sampler) Decide(topic string) bool {
 	}
 	s.taken.Add(1)
 	return true
+}
+
+// topicHash is FNV-1a over the topic bytes, the one topic hash in obs: it
+// picks a sampler rate window and a flow sketch slot. It is the same in every
+// process, so a topic's window and probe sequence do not depend on the run.
+func topicHash(topic string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(topic); i++ {
+		h ^= uint64(topic[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Taken returns the number of positive sampling decisions made.

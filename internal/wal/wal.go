@@ -284,6 +284,11 @@ func readRecord(r *bufio.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// readerPool recycles segment read buffers: a replica stream replays from the
+// tail on every append, and a fresh 64 KiB buffer per walk would be most of
+// what that costs in allocation.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readBufSize) }}
+
 // walkSegment reads up to limit records of one file, in order, handing each
 // (by its position in the file) to fn when there is one. It returns how many
 // intact records it read, the byte offset just past the last of them, and
@@ -294,7 +299,12 @@ func walkSegment(path string, limit uint64, fn func(n uint64, payload []byte) er
 		return 0, 0, false, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, readBufSize)
+	r := readerPool.Get().(*bufio.Reader)
+	r.Reset(f)
+	defer func() {
+		r.Reset(nil)
+		readerPool.Put(r)
+	}()
 	var buf []byte
 	for count < limit {
 		if buf, err = readRecord(r, buf[:0]); err != nil {

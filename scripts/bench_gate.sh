@@ -3,13 +3,15 @@
 # BenchmarkPublishFanout COUNT times, takes the best (minimum) ns/op — the
 # run least disturbed by scheduler noise — and compares it against the
 # gate_ns_op / gate_allocs_op recorded in BENCH_fanout.json. More than a 2%
-# ns/op regression, or any allocs/op above the recorded gate, fails. Six
+# ns/op regression, or any allocs/op above the recorded gate, fails. Eight
 # allocation-only gates follow: the sampled fan-out and the socket ingress
 # path in allocs/op (gate_sampled_allocs_op / gate_ingress_allocs_op), the
 # UDP receive in B/op (gate_udp_recv_bytes_op), the discovery path's
 # ping handler and whole loopback discovery in allocs/op
 # (gate_answer_ping_allocs_op / gate_discover_allocs_op), and a registration
-# refresh at a durable BDN in allocs/op (gate_store_ad_allocs_op).
+# refresh at a durable BDN in allocs/op (gate_store_ad_allocs_op), and the
+# flow sketch's miss and hit in allocs/op (gate_flow_churn_allocs_op /
+# gate_flow_hit_allocs_op).
 #
 #   sh scripts/bench_gate.sh            # defaults: COUNT=8, 2% threshold
 #   COUNT=12 REGRESSION_PCT=5 sh scripts/bench_gate.sh
@@ -33,6 +35,8 @@ GATE_UDP_RECV_BYTES=$(sed -n 's/.*"gate_udp_recv_bytes_op"[[:space:]]*:[[:space:
 GATE_ANSWER_PING_ALLOCS=$(sed -n 's/.*"gate_answer_ping_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_DISCOVER_ALLOCS=$(sed -n 's/.*"gate_discover_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_STORE_AD_ALLOCS=$(sed -n 's/.*"gate_store_ad_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
+GATE_FLOW_CHURN_ALLOCS=$(sed -n 's/.*"gate_flow_churn_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
+GATE_FLOW_HIT_ALLOCS=$(sed -n 's/.*"gate_flow_hit_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 if [ -z "$GATE_NS" ] || [ -z "$GATE_ALLOCS" ]; then
     echo "bench-gate: $BENCH_FILE carries no gate_ns_op / gate_allocs_op" >&2
     exit 1
@@ -143,6 +147,17 @@ fi
 # here.
 if [ -n "$GATE_STORE_AD_ALLOCS" ]; then
     allocs_gate ./internal/bdn/ BenchmarkStoreAdvertisement allocs/op "$GATE_STORE_AD_ALLOCS"
+fi
+
+# Flow sketch gates: every publish accounts its topic in obs.FlowTable. A hit
+# is two atomic adds; a miss (256 topics cycled through the 64-entry table, so
+# every publish evicts) allocates the new entry and its topic and nothing
+# else. 7 allocs/op when a miss copied the whole table.
+if [ -n "$GATE_FLOW_CHURN_ALLOCS" ]; then
+    allocs_gate ./internal/obs/ BenchmarkFlowPublishedChurn allocs/op "$GATE_FLOW_CHURN_ALLOCS"
+fi
+if [ -n "$GATE_FLOW_HIT_ALLOCS" ]; then
+    allocs_gate ./internal/obs/ BenchmarkFlowPublishedHit allocs/op "$GATE_FLOW_HIT_ALLOCS"
 fi
 
 echo "bench-gate: ok"
