@@ -10,8 +10,10 @@
 package bdn
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -467,14 +469,24 @@ func (d *BDN) storeAdvertisement(ev *event.Event, conn transport.Conn) string {
 		ttl = d.cfg.AdTTL
 	}
 	d.mu.Lock()
+	_, known := d.brokers[ad.Broker.LogicalAddress]
 	d.commitLocked(upsertRecord(ad, ev.Payload, ttl > 0, ttl), false)
 	if conn != nil {
 		// Not part of the record: a connection is not replicated state.
 		d.brokers[ad.Broker.LogicalAddress].conn = conn
 	}
 	d.mu.Unlock()
-	d.cfg.Logger.Info("advertisement stored",
-		"broker", ad.Broker.LogicalAddress, "realm", ad.Broker.Realm)
+	// A refresh arrives every AdvertiseInterval from every broker and the
+	// journal's ad_refreshed already records it: only a new registration is
+	// worth an Info line. Checked first, so a dropped line boxes nothing.
+	level := slog.LevelInfo
+	if known {
+		level = slog.LevelDebug
+	}
+	if ctx := context.Background(); d.cfg.Logger.Enabled(ctx, level) {
+		d.cfg.Logger.Log(ctx, level, "advertisement stored",
+			"broker", ad.Broker.LogicalAddress, "realm", ad.Broker.Realm)
+	}
 	return ad.Broker.LogicalAddress
 }
 

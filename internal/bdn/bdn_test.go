@@ -1,8 +1,12 @@
 package bdn
 
 import (
+	"context"
+	"fmt"
+	"log/slog"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -540,6 +544,48 @@ func TestBrokerCountAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { d.BrokerCount() }); allocs != 0 {
 		t.Fatalf("BrokerCount allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// levelRecorder is a slog.Handler that keeps each record's level and message.
+type levelRecorder struct {
+	mu   sync.Mutex
+	recs []string
+}
+
+func (h *levelRecorder) Enabled(context.Context, slog.Level) bool { return true }
+func (h *levelRecorder) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	h.recs = append(h.recs, r.Level.String()+" "+r.Message)
+	h.mu.Unlock()
+	return nil
+}
+func (h *levelRecorder) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *levelRecorder) WithGroup(string) slog.Handler      { return h }
+
+// TestRefreshLogsAtDebug: a new registration is an Info line, a refresh of
+// one the BDN already holds only a Debug line.
+func TestRefreshLogsAtDebug(t *testing.T) {
+	net := simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: 1})
+	node := transport.NewSimNode(net, simnet.SiteBloomington, "log-bdn", 0)
+	ntp := ntptime.NewService(node.Clock(), 0, nil)
+	ntp.InitImmediately()
+	rec := &levelRecorder{}
+	cfg := Config{Name: "log-bdn"}
+	cfg.Logger = slog.New(rec)
+	d, err := New(node, ntp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: "broker-a"}}
+	for i := 0; i < 3; i++ {
+		if d.storeAdvertisement(event.New(event.TypeAdvertisement, "", core.EncodeAdvertisement(ad)), nil) == "" {
+			t.Fatal("advertisement not stored")
+		}
+	}
+	want := []string{"INFO advertisement stored", "DEBUG advertisement stored", "DEBUG advertisement stored"}
+	if fmt.Sprint(rec.recs) != fmt.Sprint(want) {
+		t.Fatalf("logged %q, want %q", rec.recs, want)
 	}
 }
 

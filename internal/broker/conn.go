@@ -18,6 +18,9 @@ type link struct {
 	conn transport.Conn
 	out  *egress // asynchronous outbound queue (set before registration)
 
+	// pending holds the queues this link's reader routed into and writes next.
+	pending flushSet
+
 	// lastRecv is when the last inbound frame arrived, in clock
 	// nanoseconds: the reader stores it, the heartbeat goroutine loads it.
 	lastRecv atomic.Int64
@@ -32,6 +35,9 @@ type clientConn struct {
 	id   string // remote address, used as subscriber identity
 	conn transport.Conn
 	out  *egress // asynchronous outbound queue (set before registration)
+
+	// pending holds the queues this client's reader routed into and writes next.
+	pending flushSet
 }
 
 // acceptLoop admits stream connections and classifies them by their first
@@ -86,6 +92,7 @@ func (b *Broker) handleConn(conn transport.Conn) {
 // serveClient pumps a client session until it disconnects.
 func (b *Broker) serveClient(c *clientConn) {
 	defer func() {
+		c.pending.flush()
 		c.out.close()
 		_ = c.conn.Close()
 		patterns := b.subs.Patterns(c.id)
@@ -99,6 +106,9 @@ func (b *Broker) serveClient(c *clientConn) {
 		b.connectionsChanged()
 	}()
 	for {
+		if mayBlock(c.conn) {
+			c.pending.flush()
+		}
 		f := b.frames.get()
 		if f.recv(c.conn) != nil {
 			f.release()
@@ -106,6 +116,14 @@ func (b *Broker) serveClient(c *clientConn) {
 		}
 		b.handleClientFrame(c, f)
 	}
+}
+
+// mayBlock reports whether the next receive on conn may wait for the socket:
+// the moment a reader writes out what it routed (flushSet). A transport that
+// cannot tell may always block.
+func mayBlock(conn transport.Conn) bool {
+	fr, ok := conn.(transport.FrameReader)
+	return !ok || !fr.FrameBuffered()
 }
 
 // handleClientFrame dispatches one frame from a client, consuming the
@@ -117,7 +135,7 @@ func (b *Broker) handleClientFrame(c *clientConn, f *sharedFrame) {
 	case !ok:
 	case v.Type == event.TypePublish:
 		b.tel.framesPublish.Inc()
-		b.admitPublish(&v, f, c.id, "")
+		b.admitPublish(&v, f, c.id, "", &c.pending)
 	default:
 		if ev := b.decodeFrame(f); ev != nil {
 			b.handleClientEvent(c, ev)
@@ -183,7 +201,7 @@ func (b *Broker) handleClientEvent(c *clientConn, ev *event.Event) {
 	case event.TypeDiscoveryRequest:
 		// Injection from a connected entity (e.g. a BDN speaking the client
 		// protocol, or a test harness).
-		b.handleDiscoveryRequest(ev, "")
+		b.handleDiscoveryRequest(ev, "", &c.pending)
 	case event.TypeAdvertisement:
 		// Clients relaying advertisements publish them on the public topic.
 		b.tel.framesOther.Inc()

@@ -29,7 +29,7 @@ func (b *Broker) udpLoop() {
 			b.answerPing(&v, from)
 		case event.TypeDiscoveryRequest:
 			// The handler amends and re-encodes the request: it needs a copy.
-			b.handleDiscoveryRequest(v.Event(), "")
+			b.handleDiscoveryRequest(v.Event(), "", nil)
 		default:
 			// Other datagram traffic is not part of the protocol.
 			b.tel.framesOther.Inc()
@@ -76,8 +76,10 @@ func (b *Broker) answerPing(v *event.View, from string) {
 // construction + UDP delivery of the discovery response.
 //
 // fromPeer names the link the request arrived on ("" for UDP/client/BDN
-// ingress) so the flood does not echo straight back.
-func (b *Broker) handleDiscoveryRequest(ev *event.Event, fromPeer string) {
+// ingress) so the flood does not echo straight back. set is the flush set of
+// the connection reader handling the request (nil for UDP ingress): the
+// flood leaves on it before the response is built.
+func (b *Broker) handleDiscoveryRequest(ev *event.Event, fromPeer string, set *flushSet) {
 	b.tel.framesDiscovery.Inc() // here, so no ingress can forget to count
 	req, err := core.DecodeDiscoveryRequest(ev.Payload)
 	if err != nil {
@@ -100,8 +102,9 @@ func (b *Broker) handleDiscoveryRequest(ev *event.Event, fromPeer string) {
 
 	// Propagate through the broker network before responding: dissemination
 	// latency dominates discovery time (Figures 2/9/11), so forwarding first
-	// lets downstream brokers overlap their work with ours. The forwarded
-	// copy carries an incremented hop count for diagnostics.
+	// lets downstream brokers overlap their work with ours; the forwards are
+	// written (set.flush) before the response is built, not after it. The
+	// forwarded copy carries an incremented hop count for diagnostics.
 	if ev.TTL > 0 {
 		links := b.linksExcept(fromPeer)
 		if len(links) > 0 {
@@ -114,8 +117,9 @@ func (b *Broker) handleDiscoveryRequest(ev *event.Event, fromPeer string) {
 			ev.SetTrace(traceID, origin, fwdReq.Hops)
 			f := b.frames.encode(ev, int32(len(links)))
 			for _, lk := range links {
-				lk.out.sendData(f)
+				lk.out.sendDataBatch(f, nil, set)
 			}
+			set.flush()
 		}
 		tr.event(b, "broker-fanout", "links", strconv.Itoa(len(links)),
 			"hops", strconv.Itoa(int(req.Hops)), "origin", origin)

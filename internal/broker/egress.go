@@ -2,7 +2,6 @@ package broker
 
 import (
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,10 +15,11 @@ import (
 // memory instead of a stalled routing loop.
 const egressQueueSize = 512
 
-// maxCoalesce bounds how many queued frames one writer wakeup drains into a
-// single flush. Large enough to amortise the per-write cost (syscall on real
-// sockets) under load, small enough that one flush cannot monopolise the
-// connection against control traffic queued behind it.
+// maxCoalesce bounds how many queued frames leave in one vectored write, and
+// so what a connection reader writes itself. Large enough to amortise the
+// per-write cost (syscall on real sockets) under load, small enough that one
+// flush cannot monopolise the connection against control traffic queued
+// behind it.
 const maxCoalesce = 64
 
 // maxEgressFrame is the largest encoded frame an egress queue accepts; bigger
@@ -51,14 +51,37 @@ func (t *egressTel) clock() time.Time {
 	return time.Now()
 }
 
+// inlineMax is the frame size from which a frame is never written by a
+// reader: a frame this large is bulk, its write takes long enough to be worth
+// a writer of its own, and a reader that made it would stall its own input.
+// The bound is on the frame, an observable input property; it puts 16 KiB
+// bulk payloads on the writer goroutine and small publishes on the reader.
+const inlineMax = 16 << 10
+
+// Write token states. Whoever holds the token is the connection's one writer.
+const (
+	tokenFree   int32 = iota
+	tokenHeld         // a reader's inline flush or the writer goroutine writes
+	tokenHanded       // passed, with the batch in hand, to the writer goroutine
+)
+
 // egress is the bounded asynchronous outbound queue in front of every link
 // and client connection. The routing loop enqueues ref-counted shared frames
-// and moves on; a dedicated writer goroutine drains the queue into the
-// connection, so one slow or dead peer no longer head-of-line-blocks
-// delivery to everyone else. Each wakeup the writer drains every queued
-// frame (up to maxCoalesce) and writes them as one batch — a single
-// vectored write on transports that support it — so under load the
-// per-frame syscall cost amortises away.
+// and moves on; nothing that enqueues ever waits for a peer's socket, so one
+// slow or dead peer cannot head-of-line-block delivery to everyone else.
+//
+// Frames reach the socket one of two ways, never both at once (the write
+// token):
+//
+//   - A connection reader that routed a publish or a discovery flood into
+//     the queue writes it itself once it has run out of buffered input
+//     (flushSet): one non-blocking vectored write of up to maxCoalesce
+//     frames, no goroutine woken.
+//   - The writer goroutine, woken only when a reader cannot finish — the
+//     socket took part of the batch, more than one batch is queued, a frame
+//     is inlineMax or larger — or by every other enqueue (heartbeats,
+//     interest control, replay, UDP-ingress discovery, in-process Publish).
+//     It writes with blocking calls, up to maxCoalesce frames per write.
 //
 // Two enqueue disciplines implement the fabric's policies:
 //
@@ -69,34 +92,42 @@ func (t *egressTel) clock() time.Time {
 //     until queued, applying bounded backpressure for the small volume of
 //     correctness-critical control traffic.
 //
-// Every frame enqueued transfers one reference to the queue; the writer (or
-// the teardown drain) releases it after the write. A frame rejected at
-// enqueue time is released immediately, so callers never need to track
-// whether the queue accepted it.
+// Every frame enqueued transfers one reference to the queue; whoever writes
+// it (or the teardown drain) releases it after its last byte is written. A
+// frame rejected at enqueue time is released immediately, so callers never
+// need to track whether the queue accepted it.
 type egress struct {
-	conn  transport.Conn
-	batch transport.BatchSender // non-nil when conn supports vectored writes
-	ch    chan *sharedFrame
+	conn transport.Conn
+	bw   transport.BatchWriter // vectored, resumable, non-blocking writes; nil: per-frame Send
+	ch   chan *sharedFrame
+	kick chan struct{} // 1 slot: wakes the writer goroutine
 
-	stopOnce sync.Once
-	stop     chan struct{} // ask the writer to flush and exit
-	dead     chan struct{} // closed when the writer has exited
-	down     atomic.Bool   // writer gone: reject new frames without queuing
+	token   atomic.Int32             // the write token (tokenFree, ...)
+	mark    atomic.Pointer[flushSet] // the flush set that last took this queue
+	closing atomic.Bool              // close asked: flush and exit
+	dead    chan struct{}            // closed when the writer has exited
+	down    atomic.Bool              // writer gone: reject new frames without queuing
 
-	frames []*sharedFrame // writer-local coalescing scratch
-	bufs   [][]byte       // writer-local batch view of frames
+	// The token holder's batch: frames taken off the queue and not yet
+	// wholly written, their write view, their size on the wire and how many
+	// of those bytes are already written.
+	frames []*sharedFrame
+	bufs   [][]byte
+	wire   int
+	sent   int
+	large  bool // a frame of the batch is inlineMax or larger
 
 	tel  *egressTel // shared instruments; never nil
 	dest string     // "local" (client) or "link", stamped on spans
 }
 
 func newEgress(conn transport.Conn, tel *egressTel, dest string) *egress {
-	b, _ := conn.(transport.BatchSender)
+	bw, _ := conn.(transport.BatchWriter)
 	return &egress{
 		conn:   conn,
-		batch:  b,
+		bw:     bw,
 		ch:     make(chan *sharedFrame, egressQueueSize),
-		stop:   make(chan struct{}),
+		kick:   make(chan struct{}, 1),
 		dead:   make(chan struct{}),
 		frames: make([]*sharedFrame, 0, maxCoalesce),
 		bufs:   make([][]byte, 0, maxCoalesce),
@@ -126,74 +157,181 @@ func (q *egress) drop(f *sharedFrame, reason int) {
 	f.release()
 }
 
-// run drains the queue into the connection until the connection fails or a
-// close flushes the queue. A failed send closes the connection so the
-// owning recv loop tears the session down. On exit the queue is marked down
-// and drained, releasing every undelivered frame back to its pool.
+// wake makes the writer goroutine run soon. It never blocks: a kick already
+// pending covers this one.
+func (q *egress) wake() {
+	select {
+	case q.kick <- struct{}{}:
+	default:
+	}
+}
+
+// unlock gives the write token back. Frames queued meanwhile by someone who
+// found the token taken, and a close asked meanwhile, are the writer
+// goroutine's: whoever unlocks last sees them. Without a BatchWriter the
+// token is never contended: the writer keeps it.
+func (q *egress) unlock() {
+	if q.bw == nil {
+		return
+	}
+	q.token.Store(tokenFree)
+	if len(q.ch) > 0 || q.closing.Load() {
+		q.wake()
+	}
+}
+
+// take is the writer goroutine's claim on the token: free, or handed to it.
+func (q *egress) take() bool {
+	return q.bw == nil || q.token.CompareAndSwap(tokenFree, tokenHeld) ||
+		q.token.CompareAndSwap(tokenHanded, tokenHeld)
+}
+
+// run is the writer goroutine. It sleeps until woken, then writes with
+// blocking calls whatever it finds — a batch a reader handed over, then the
+// queue — and gives the token back. A failed write closes the connection so
+// the owning recv loop tears the session down. On close it waits for the
+// token, flushes and exits still holding it, so no reader writes after it;
+// on exit the queue is marked down and drained, releasing every undelivered
+// frame back to its pool.
 func (q *egress) run() {
 	defer close(q.dead)
 	defer q.drainRelease()
+	// Without a BatchWriter no reader ever writes here, so the writer sleeps
+	// on the queue itself and an enqueue wakes it with one channel operation.
+	var queue <-chan *sharedFrame
+	if q.bw == nil {
+		queue = q.ch
+	}
 	for {
+		var first *sharedFrame
 		select {
-		case f := <-q.ch:
-			if !q.writeCoalesced(f) {
-				return
+		case <-q.kick:
+		case first = <-queue:
+		}
+		stopping := q.closing.Load()
+		if stopping {
+			for !q.take() {
+				<-q.kick // a reader's flush is finishing; its unlock wakes us
 			}
-		case <-q.stop:
-			q.flush()
+		} else if !q.take() {
+			continue // the holder's unlock sees what woke us
+		}
+		if first != nil {
+			q.frames = append(q.frames, first)
+		}
+		if !q.drain(true) || stopping {
 			return
+		}
+		q.unlock()
+	}
+}
+
+// flushInline is a reader's write: unless someone else is writing, what is
+// queued leaves in one non-blocking write, and what that cannot finish goes
+// to the writer goroutine with the token.
+func (q *egress) flushInline() {
+	if !q.token.CompareAndSwap(tokenFree, tokenHeld) {
+		return // the holder's unlock sees what we queued
+	}
+	if q.drain(false) {
+		q.unlock()
+		return
+	}
+	q.token.Store(tokenHanded)
+	q.wake()
+}
+
+// drain writes the batch in hand and then the queue, taking up to
+// maxCoalesce frames per vectored write. The caller holds the token.
+//
+// With wait it blocks until the queue is empty, and reports false when the
+// connection failed: the batch is then dropped and the connection closed.
+// Without wait it makes at most one non-blocking write, and reports false
+// when what is left — the rest of a batch, more than one batch, a frame of
+// inlineMax or more, or a failure — is the writer goroutine's.
+func (q *egress) drain(wait bool) bool {
+	for {
+		if len(q.frames) == 0 && !q.collect() {
+			return true
+		}
+		if !wait && (q.large || len(q.ch) > 0) {
+			return false
+		}
+		if err := q.write(wait); err != nil {
+			if !wait {
+				return false
+			}
+			// Frames a per-frame loop already wrote are conservatively
+			// counted with the rest: a failed flush means the peer cannot be
+			// assumed to have received any of it.
+			for i, f := range q.frames {
+				q.drop(f, obs.DropConnDown)
+				q.frames[i] = nil
+			}
+			q.frames = q.frames[:0]
+			_ = q.conn.Close()
+			return false
+		}
+		if q.sent < q.wire {
+			return false // a full socket, without wait
+		}
+		q.flushed()
+		if !wait {
+			return true
 		}
 	}
 }
 
-// writeCoalesced drains whatever else is already queued behind first (up to
-// maxCoalesce) and writes the run as one batch. It reports false when the
-// connection failed.
-func (q *egress) writeCoalesced(first *sharedFrame) bool {
-	q.frames = append(q.frames[:0], first)
-drain:
+// collect takes up to maxCoalesce queued frames as the new batch and reports
+// whether there were any.
+func (q *egress) collect() bool {
+	q.wire, q.sent, q.large = 0, 0, false
 	for len(q.frames) < maxCoalesce {
 		select {
 		case f := <-q.ch:
 			q.frames = append(q.frames, f)
+			q.wire += transport.PrefixLen + len(f.buf)
+			q.large = q.large || len(f.buf) >= inlineMax
 		default:
-			break drain
+			return len(q.frames) > 0
 		}
 	}
-	if q.tel.perFlush != nil {
-		q.tel.perFlush.Observe(float64(len(q.frames)))
-	}
-	var err error
-	if q.batch != nil && len(q.frames) > 1 {
-		q.bufs = q.bufs[:0]
+	return true
+}
+
+// write writes what is left of the batch: in one vectored write, resumable
+// and, without wait, non-blocking on a BatchWriter; frame by frame, whole and
+// blocking otherwise.
+func (q *egress) write(wait bool) error {
+	if q.bw == nil {
 		for _, f := range q.frames {
-			q.bufs = append(q.bufs, f.bytes())
-		}
-		err = q.batch.SendBatch(q.bufs)
-	} else {
-		for _, f := range q.frames {
-			if err = q.conn.Send(f.bytes()); err != nil {
-				break
+			if err := q.conn.Send(f.bytes()); err != nil {
+				return err
 			}
 		}
+		q.sent = q.wire
+		return nil
 	}
-	if err != nil {
-		// The connection failed mid-flush. Frames already written by the
-		// per-frame loop are conservatively counted with the rest: a failed
-		// flush means the peer cannot be assumed to have received any of it.
-		for i, f := range q.frames {
-			q.drop(f, obs.DropConnDown)
-			q.frames[i] = nil
-		}
-		_ = q.conn.Close()
-		return false
+	q.bufs = q.bufs[:0]
+	for _, f := range q.frames {
+		q.bufs = append(q.bufs, f.bytes())
+	}
+	n, err := q.bw.WriteBatch(q.bufs, q.sent, wait)
+	q.sent += n
+	return err
+}
+
+// flushed accounts and releases a wholly written batch.
+func (q *egress) flushed() {
+	if q.tel.perFlush != nil {
+		q.tel.perFlush.Observe(float64(len(q.frames)))
 	}
 	q.observeFlushed()
 	for i, f := range q.frames {
 		f.release()
 		q.frames[i] = nil
 	}
-	return true
+	q.frames = q.frames[:0]
 }
 
 // observeFlushed records delivery accounting for a successfully written
@@ -235,21 +373,6 @@ func (q *egress) observeFlushed() {
 	}
 }
 
-// flush best-effort drains whatever is queued at close time; frames that
-// fail to send (connection already down) are released by the exit drain.
-func (q *egress) flush() {
-	for {
-		select {
-		case f := <-q.ch:
-			if !q.writeCoalesced(f) {
-				return
-			}
-		default:
-			return
-		}
-	}
-}
-
 // drainRelease marks the queue down and releases every frame still queued,
 // so no reference leaks when a connection dies with frames in flight. The
 // undelivered frames are accounted as conn-down drops.
@@ -268,7 +391,8 @@ func (q *egress) drainRelease() {
 // close asks the writer to flush queued frames and exit. Safe to call more
 // than once and concurrently with enqueues.
 func (q *egress) close() {
-	q.stopOnce.Do(func() { close(q.stop) })
+	q.closing.Store(true)
+	q.wake()
 }
 
 // dropBatch accumulates queue-full eviction accounting across one fan-out's
@@ -314,14 +438,16 @@ func (d *dropBatch) settle() {
 }
 
 // sendData enqueues an application/dissemination frame with the drop-oldest
-// overflow policy, consuming the caller's reference either way.
-func (q *egress) sendData(f *sharedFrame) { q.sendDataBatch(f, nil) }
+// overflow policy, consuming the caller's reference either way. The writer
+// goroutine writes it.
+func (q *egress) sendData(f *sharedFrame) { q.sendDataBatch(f, nil, nil) }
 
-// sendDataBatch is sendData with optional batched eviction accounting: a
-// non-nil db absorbs queue-full evictions for a later settle instead of
-// counting each one immediately. The publish fan-out passes its per-scratch
-// batch; everyone else passes nil.
-func (q *egress) sendDataBatch(f *sharedFrame, db *dropBatch) {
+// sendDataBatch is sendData with optional batched eviction accounting and an
+// optional flush set: a non-nil db absorbs queue-full evictions for a later
+// settle instead of counting each one immediately; a non-nil set takes the
+// write (see queued). The publish fan-out passes its per-scratch batch and
+// its reader's set; everyone else passes nil.
+func (q *egress) sendDataBatch(f *sharedFrame, db *dropBatch, set *flushSet) {
 	if q.down.Load() {
 		q.drop(f, obs.DropConnDown)
 		return
@@ -330,9 +456,11 @@ func (q *egress) sendDataBatch(f *sharedFrame, db *dropBatch) {
 		q.drop(f, obs.DropFrameTooLarge)
 		return
 	}
+	// Decided before the frame is queued: once it is, a writer may release it.
+	small := len(f.buf) < inlineMax
 	select {
 	case q.ch <- f:
-		q.reapIfDown()
+		q.queued(small, set)
 		return
 	default:
 	}
@@ -349,7 +477,7 @@ func (q *egress) sendDataBatch(f *sharedFrame, db *dropBatch) {
 	}
 	select {
 	case q.ch <- f:
-		q.reapIfDown()
+		q.queued(small, set)
 	default:
 		if db != nil {
 			db.evicted(q, f)
@@ -357,6 +485,22 @@ func (q *egress) sendDataBatch(f *sharedFrame, db *dropBatch) {
 			q.drop(f, obs.DropQueueFull)
 		}
 	}
+}
+
+// queued arranges the write of the frame just queued. Without a BatchWriter
+// the writer goroutine, asleep on the queue, has already been woken. With
+// one the reader that queued it writes it (set takes the queue) when it
+// passed a set, the frame is small (below inlineMax) and the queue holds no
+// more than one batch; in every other case the writer goroutine is woken now.
+func (q *egress) queued(small bool, set *flushSet) {
+	switch {
+	case q.bw == nil:
+	case set != nil && small && len(q.ch) <= maxCoalesce:
+		set.add(q)
+	default:
+		q.wake()
+	}
+	q.reapIfDown()
 }
 
 // reapIfDown closes the enqueue/teardown race: if the writer exited between
@@ -386,6 +530,9 @@ func (q *egress) sendControl(f *sharedFrame) bool {
 	}
 	select {
 	case q.ch <- f:
+		if q.bw != nil { // without one the writer sleeps on the queue
+			q.wake()
+		}
 		if q.down.Load() { // writer exited concurrently; reap our frame
 			q.drainRelease()
 			return false
@@ -395,4 +542,33 @@ func (q *egress) sendControl(f *sharedFrame) bool {
 		q.drop(f, obs.DropConnDown)
 		return false
 	}
+}
+
+// flushSet is the set of queues one connection's reader has queued frames
+// into without waking their writers. The reader flushes it before its next
+// receive can block on the socket, and before a discovery request's response.
+type flushSet struct{ qs []*egress }
+
+// add takes q into the set unless it is already there. A queue's mark names
+// the set that took it last, so marks only ever point at sets holding the
+// queue; two readers feeding one queue may each list it, which costs one
+// empty flush.
+func (s *flushSet) add(q *egress) {
+	if q.mark.Load() != s {
+		q.mark.Store(s)
+		s.qs = append(s.qs, q)
+	}
+}
+
+// flush writes every queue in the set and empties it. A nil set holds none.
+func (s *flushSet) flush() {
+	if s == nil {
+		return
+	}
+	for i, q := range s.qs {
+		q.mark.CompareAndSwap(s, nil)
+		q.flushInline()
+		s.qs[i] = nil
+	}
+	s.qs = s.qs[:0]
 }

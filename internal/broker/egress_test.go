@@ -1,10 +1,17 @@
 package broker
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"narada/internal/event"
 	"narada/internal/obs"
 	"narada/internal/transport"
 )
@@ -262,8 +269,9 @@ func TestEgressDropReasons(t *testing.T) {
 	}
 }
 
-// batchRecConn implements transport.BatchSender and records batch sizes. The
-// gate stalls the first write so a backlog can build behind it.
+// batchRecConn implements transport.BatchWriter and records batch sizes. The
+// gate stalls the first write so a backlog can build behind it; every write
+// takes its whole batch.
 type batchRecConn struct {
 	gate chan struct{}
 
@@ -280,7 +288,15 @@ func (c *batchRecConn) record(n int) {
 
 func (c *batchRecConn) Send([]byte) error               { c.record(1); return nil }
 func (c *batchRecConn) SendBatch(frames [][]byte) error { c.record(len(frames)); return nil }
-func (c *batchRecConn) Recv() ([]byte, error)           { select {} }
+func (c *batchRecConn) WriteBatch(frames [][]byte, skip int, _ bool) (int, error) {
+	c.record(len(frames))
+	n := -skip
+	for _, f := range frames {
+		n += transport.PrefixLen + len(f)
+	}
+	return n, nil
+}
+func (c *batchRecConn) Recv() ([]byte, error) { select {} }
 func (c *batchRecConn) RecvTimeout(time.Duration) ([]byte, error) {
 	return nil, transport.ErrTimeout
 }
@@ -302,4 +318,313 @@ func (c *batchRecConn) batches() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.sizes)
+}
+
+// scriptConn is a transport.BatchWriter whose non-blocking writes take a
+// scripted number of bytes per call, cycling through script (-1: all); a
+// blocking write takes everything. It records the byte stream it accepted.
+type scriptConn struct {
+	mu     sync.Mutex
+	script []int
+	rng    *rand.Rand // when set, each non-blocking call takes a random amount instead
+	calls  int
+	stream []byte
+}
+
+func (c *scriptConn) WriteBatch(frames [][]byte, skip int, wait bool) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var wire []byte
+	for _, p := range frames {
+		wire = binary.BigEndian.AppendUint32(wire, uint32(len(p)))
+		wire = append(wire, p...)
+	}
+	wire = wire[skip:]
+	n := len(wire)
+	if !wait {
+		k := -1
+		if c.rng != nil {
+			k = c.rng.Intn(n + 1)
+		} else if len(c.script) > 0 {
+			k = c.script[c.calls%len(c.script)]
+		}
+		c.calls++
+		if k >= 0 && k < n {
+			n = k
+		}
+	}
+	c.stream = append(c.stream, wire[:n]...)
+	return n, nil
+}
+
+func (c *scriptConn) SendBatch(frames [][]byte) error {
+	_, err := c.WriteBatch(frames, 0, true)
+	return err
+}
+func (c *scriptConn) Send(p []byte) error                       { return c.SendBatch([][]byte{p}) }
+func (c *scriptConn) Recv() ([]byte, error)                     { select {} }
+func (c *scriptConn) RecvTimeout(time.Duration) ([]byte, error) { return nil, transport.ErrTimeout }
+func (c *scriptConn) LocalAddr() string                         { return "test/script:0" }
+func (c *scriptConn) RemoteAddr() string                        { return "test/script:0" }
+func (c *scriptConn) Close() error                              { return nil }
+
+// frames parses the accepted stream back into sequence numbers, failing on
+// a torn or malformed frame.
+func (c *scriptConn) frames(t *testing.T) []uint64 {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var seqs []uint64
+	for s := c.stream; len(s) > 0; {
+		if len(s) < 4 {
+			t.Fatalf("stream ends inside a length prefix")
+		}
+		n := int(binary.BigEndian.Uint32(s))
+		if len(s) < 4+n {
+			t.Fatalf("stream ends inside a %d-byte frame", n)
+		}
+		seq := binary.BigEndian.Uint64(s[4:])
+		if !bytes.Equal(s[4:4+n], seqPayload(seq)) {
+			t.Fatalf("frame %d arrived corrupted", seq)
+		}
+		seqs = append(seqs, seq)
+		s = s[4+n:]
+	}
+	return seqs
+}
+
+// seqPayload is frame seq's bytes: the sequence number, then a filler whose
+// length varies, so prefixes and payloads fall at every kind of offset.
+func seqPayload(seq uint64) []byte {
+	p := binary.BigEndian.AppendUint64(nil, seq)
+	return append(p, bytes.Repeat([]byte{byte(seq)}, int(seq%13))...)
+}
+
+// feedInline queues n frames the way a connection reader does — into q with
+// a flush set, flushing after every burst of 1..70 frames (so some bursts
+// exceed a batch) — until n are queued or q is down. It returns how many
+// frames it queued. A socket reader cannot outrun the writer by a whole
+// queue the way this loop could, so it waits while half the queue is full.
+func feedInline(q *egress, pool *framePool, n int, rng *rand.Rand) int {
+	var set flushSet
+	seq := 0
+	for seq < n && !q.down.Load() {
+		for q.depth() > egressQueueSize/2 && !q.down.Load() {
+			runtime.Gosched()
+		}
+		for burst := 1 + rng.Intn(70); burst > 0 && seq < n; burst-- {
+			q.sendDataBatch(frameOf(pool, seqPayload(uint64(seq)), 1), nil, &set)
+			seq++
+		}
+		set.flush()
+	}
+	return seq
+}
+
+// TestEgressInlineShortWrites drives the reader's inline flush against
+// non-blocking writes that take nothing, part of a length prefix, part of a
+// payload, or everything, so batches are handed to the writer goroutine at
+// every kind of offset. Every frame must arrive byte-exact, in order and
+// once, and every reference must come back.
+func TestEgressInlineShortWrites(t *testing.T) {
+	scripts := map[string]*scriptConn{
+		"0,prefix,payload,all": {script: []int{0, 2, 7, -1}},
+		"all":                  {script: []int{-1}},
+		"none":                 {script: []int{0}},
+		"random":               {rng: rand.New(rand.NewSource(3))},
+	}
+	for name, conn := range scripts {
+		t.Run(name, func(t *testing.T) {
+			tt := newTestTel()
+			pool := newTestPool()
+			q := newEgress(conn, &tt.tel, "local")
+			go q.run()
+			const frames = 3000
+			feedInline(q, pool, frames, rand.New(rand.NewSource(1)))
+			q.close()
+			<-q.dead
+			seqs := conn.frames(t)
+			if len(seqs) != frames || tt.dropped() != 0 {
+				t.Fatalf("%d frames written, %d dropped, of %d", len(seqs), tt.dropped(), frames)
+			}
+
+			for i, seq := range seqs {
+				if seq != uint64(i) {
+					t.Fatalf("frame %d arrived as number %d", seq, i)
+				}
+			}
+			if live := pool.Live(); live != 0 {
+				t.Fatalf("%d frame references leaked", live)
+			}
+		})
+	}
+}
+
+// TestEgressHandOffIsTheWriters: once a reader has handed a part-written
+// batch over, no reader touches the connection until the writer goroutine
+// has finished it — readers would only spin non-blocking writes against a
+// socket that is pushing back.
+func TestEgressHandOffIsTheWriters(t *testing.T) {
+	tt := newTestTel()
+	pool := newTestPool()
+	conn := &scriptConn{script: []int{2}} // every non-blocking write takes 2 bytes
+	q := newEgress(conn, &tt.tel, "local")
+	var set flushSet
+	for seq := uint64(0); seq < 3; seq++ {
+		q.sendDataBatch(frameOf(pool, seqPayload(seq), 1), nil, &set)
+	}
+	set.flush()     // writes 2 bytes and hands the batch over
+	q.flushInline() // a reader's later flushes must not write
+	q.flushInline()
+	if conn.calls != 1 || len(conn.stream) != 2 {
+		t.Fatalf("readers made %d writes (%d bytes) around a handed batch, want 1 (2)", conn.calls, len(conn.stream))
+	}
+	go q.run()
+	q.close()
+	<-q.dead
+	if seqs := conn.frames(t); len(seqs) != 3 || seqs[2] != 2 {
+		t.Fatalf("writer delivered %v, want [0 1 2]", seqs)
+	}
+	if live := pool.Live(); live != 0 {
+		t.Fatalf("%d frame references leaked", live)
+	}
+}
+
+// TestEgressCloseRacesHandOff closes the queue while a reader is queuing,
+// flushing inline and handing batches part-written to the writer goroutine.
+// What was written must be whole frames, in order, each once: a prefix of
+// what was queued, the rest counted as conn_down; no reference may leak.
+func TestEgressCloseRacesHandOff(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		conn := &scriptConn{rng: rand.New(rand.NewSource(seed))}
+		tt := newTestTel()
+		pool := newTestPool()
+		q := newEgress(conn, &tt.tel, "local")
+		go q.run()
+		queued := make(chan int, 1)
+		go func() { queued <- feedInline(q, pool, 5000, rand.New(rand.NewSource(seed))) }()
+		time.Sleep(time.Duration(seed%5) * 300 * time.Microsecond)
+		q.close()
+		<-q.dead
+		n := <-queued
+		seqs := conn.frames(t)
+		for i, seq := range seqs {
+			if seq != uint64(i) {
+				t.Fatalf("seed %d: frame %d arrived as number %d", seed, seq, i)
+			}
+		}
+		if got := uint64(len(seqs)) + tt.connDown.Value(); got != uint64(n) || tt.queueFull.Value() != 0 {
+			t.Fatalf("seed %d: %d queued, %d written + %d conn_down, %d queue_full",
+				seed, n, len(seqs), tt.connDown.Value(), tt.queueFull.Value())
+		}
+		if live := pool.Live(); live != 0 {
+			t.Fatalf("seed %d: %d frame references leaked", seed, live)
+		}
+	}
+}
+
+// TestSlowConsumerIsolationOnSockets puts a subscriber that never reads next
+// to one that does, all over loopback TCP, and publishes until the stalled
+// one's socket and its whole queue are full, then keeps going. The reading
+// subscriber must get every frame in order while the publisher's sends never
+// stall — a reader of the broker that blocked on the stalled socket would
+// stop both — and every frame the stalled subscriber lost must be counted as
+// queue_full.
+func TestSlowConsumerIsolationOnSockets(t *testing.T) {
+	br := realBroker(t, "iso", nil)
+	const topic = "iso/feed"
+	stalled := rawSubscriber(t, br, topic)
+	reader := rawSubscriber(t, br, topic)
+	pub := rawConn(t, br)
+
+	// The reading subscriber checks order and counts.
+	var got atomic.Int64
+	fail := make(chan error, 1)
+	go func() {
+		for i := uint64(0); ; i++ {
+			frame, err := reader.RecvTimeout(30 * time.Second)
+			if err == nil {
+				var ev *event.Event
+				if ev, err = event.Decode(frame); err == nil && binary.BigEndian.Uint64(ev.Payload) != i {
+					err = fmt.Errorf("frame %d arrived as number %d", binary.BigEndian.Uint64(ev.Payload), i)
+				}
+			}
+			if err != nil {
+				fail <- err
+				return
+			}
+			got.Add(1)
+		}
+	}()
+	// waitReader waits, within bound, for the reader to get all but window
+	// of the frames sent.
+	waitReader := func(sent, window int64, bound time.Duration) {
+		t.Helper()
+		for deadline := time.Now().Add(bound); sent-got.Load() > window; time.Sleep(100 * time.Microsecond) {
+			select {
+			case err := <-fail:
+				t.Fatalf("reading subscriber: %v", err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("reading subscriber has %d of %d frames after %v", got.Load(), sent, bound)
+			}
+		}
+	}
+
+	// Frames of 8 KiB — below inlineMax, so the readers write them — fill
+	// the stalled socket in few publishes; more than a queue's worth follow
+	// the first overflow.
+	payload := make([]byte, 8<<10)
+	var sent, afterFull int64
+	for afterFull < 2*egressQueueSize {
+		if sent > 200000 {
+			t.Fatal("the stalled subscriber's queue never overflowed")
+		}
+		waitReader(sent, 256, 10*time.Second)
+		binary.BigEndian.PutUint64(payload, uint64(sent))
+		start := time.Now()
+		if err := pub.Send(event.Encode(event.New(event.TypePublish, topic, payload))); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("publish %d stalled for %v", sent, d)
+		}
+		sent++
+		if br.tel.egressDropQueueFull.Value() > 0 {
+			afterFull++
+		}
+	}
+	waitReader(sent, 0, 10*time.Second)
+
+	// Now the stalled subscriber reads: it must get, in order, exactly the
+	// frames not counted as queue_full.
+	lost := int64(br.tel.egressDropQueueFull.Value())
+	prev := int64(-1)
+	for n := int64(0); n < sent-lost; n++ {
+		frame, err := stalled.RecvTimeout(10 * time.Second)
+		if err != nil {
+			t.Fatalf("stalled subscriber got %d of the %d frames not dropped: %v", n, sent-lost, err)
+		}
+		ev, err := event.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq := int64(binary.BigEndian.Uint64(ev.Payload)); seq <= prev {
+			t.Fatalf("stalled subscriber got frame %d after %d", seq, prev)
+		} else {
+			prev = seq
+		}
+	}
+	if extra, err := stalled.RecvTimeout(100 * time.Millisecond); err == nil {
+		t.Fatalf("stalled subscriber got a frame beyond the %d not dropped (%d bytes)", sent-lost, len(extra))
+	}
+	if down, tooLarge := br.tel.egressDropConnDown.Value(), br.tel.egressDropTooLarge.Value(); down+tooLarge != 0 {
+		t.Fatalf("drops other than queue_full: %d conn_down, %d frame_too_large", down, tooLarge)
+	}
+
+	for _, c := range []transport.Conn{pub, stalled, reader} {
+		c.Close()
+	}
+	waitFor(t, "every frame back in the pool", func() bool { return br.frames.Live() == 0 })
 }

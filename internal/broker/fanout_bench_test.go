@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,7 +82,7 @@ func BenchmarkPublishFanout(b *testing.B) {
 		// Encode and route, without admission: the scope this benchmark's
 		// recorded trajectory (BENCH_fanout.json) has always had.
 		if v, f, ok := br.frameEvent(ev); ok {
-			br.fanOut(&v, f, "")
+			br.fanOut(&v, f, "", nil)
 		}
 	}
 }
@@ -149,25 +150,49 @@ func BenchmarkPublishFanoutSampled(b *testing.B) {
 // BenchmarkIngressToEgress measures what a publish really pays inside the
 // broker: pre-encoded frames written to a real loopback connection, received
 // by serveClient into pooled frames, parsed in place, deduplicated, matched
-// and handed by reference to 4 or 64 subscriber egress queues. Subscribers
-// are discard-everything queues and the publisher reuses one batch of frames
-// (patching a fresh event id into each), so every allocation the benchmark
-// reports is made on the broker's side of the socket — and in steady state
-// there must be none (the bench gate holds it at 0 allocs/op).
+// and handed by reference to 4 or 64 subscriber egress queues. The publisher
+// reuses one batch of frames (patching a fresh event id into each), so every
+// allocation the benchmark reports is made on the broker's side of the socket
+// — and in steady state there must be none (the bench gate holds every
+// sub-benchmark at 0 allocs/op). In subs=4 and subs=64 the subscribers are
+// discard-everything queues; in subs=4/sockets they are real loopback
+// connections drained by reader goroutines, so the rung includes the writev
+// the broker's reader makes for them.
 func BenchmarkIngressToEgress(b *testing.B) {
 	for _, subs := range []int{4, 64} {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) { benchIngressToEgress(b, subs) })
+		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) { benchIngressToEgress(b, subs, false) })
 	}
+	b.Run("subs=4/sockets", func(b *testing.B) { benchIngressToEgress(b, 4, true) })
 }
 
-func benchIngressToEgress(b *testing.B, subs int) {
+func benchIngressToEgress(b *testing.B, subs int, sockets bool) {
+	const topic = "bench/ingress/topic"
 	br := realBroker(b, "ingress", nil)
+	// delivered counts what the subscribers got: frames read off their
+	// sockets, or frames routed to their queues.
+	delivered := br.tel.deliveredLocal.Value
+	var received atomic.Uint64
 	for i := 0; i < subs; i++ {
-		id := fmt.Sprintf("sub-%d", i)
-		c := addBenchClient(br, id)
-		if _, err := br.subs.SubscribeValue(id, "bench/ingress/topic", c.out); err != nil {
-			b.Fatal(err)
+		if !sockets {
+			id := fmt.Sprintf("sub-%d", i)
+			c := addBenchClient(br, id)
+			if _, err := br.subs.SubscribeValue(id, topic, c.out); err != nil {
+				b.Fatal(err)
+			}
+			continue
 		}
+		fr := rawSubscriber(b, br, topic).(transport.FrameReader)
+		go func() {
+			buf := make([]byte, 0, 4096)
+			for {
+				var err error
+				if buf, err = fr.RecvInto(buf); err != nil {
+					return
+				}
+				received.Add(1)
+			}
+		}()
+		delivered = received.Load
 	}
 	pub := rawConn(b, br).(transport.BatchSender)
 
@@ -176,7 +201,7 @@ func benchIngressToEgress(b *testing.B, subs int) {
 	frames := make([][]byte, batch)
 	idOff := make([]int, batch)
 	for i := range frames {
-		ev := event.New(event.TypePublish, "bench/ingress/topic", payload)
+		ev := event.New(event.TypePublish, topic, payload)
 		ev.Source = "bench-publisher"
 		frames[i] = event.Encode(ev)
 		idOff[i] = bytes.Index(frames[i], ev.ID[:])
@@ -185,6 +210,11 @@ func benchIngressToEgress(b *testing.B, subs int) {
 	publish := func(n int) {
 		for sent := 0; sent < n; sent += batch {
 			k := min(batch, n-sent)
+			// Sockets push back: keep each subscriber's queue short of
+			// drop-oldest, which would lose frames the count waits for.
+			for sockets && seq*uint64(subs)-delivered() > egressQueueSize/2*uint64(subs) {
+				runtime.Gosched()
+			}
 			for i := 0; i < k; i++ {
 				seq++
 				binary.BigEndian.PutUint64(frames[i][idOff[i]:], seq) // a fresh id: no dedup hit
@@ -193,9 +223,9 @@ func benchIngressToEgress(b *testing.B, subs int) {
 				b.Fatal(err)
 			}
 		}
-		// Flow-control on the broker's own delivery count so the timed region
-		// covers the routing of every frame, not just the writes.
-		for br.tel.deliveredLocal.Value() < seq*uint64(subs) {
+		// Flow-control on the delivery count so the timed region covers the
+		// routing (and with sockets the writing) of every frame.
+		for delivered() < seq*uint64(subs) {
 			runtime.Gosched()
 		}
 	}

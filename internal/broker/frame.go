@@ -23,10 +23,10 @@ const maxPooledFrame = 1 << 16
 // The lifetime rules every holder must follow:
 //
 //  1. A frame handed to you carries exactly one reference for you.
-//  2. Release exactly once — after the transport write returns, or
-//     immediately when you drop the frame. The transports do not retain the
-//     payload slice past Send (simnet copies; TCP writes synchronously), so
-//     releasing after Send is safe.
+//  2. Release exactly once — after the write that takes its last byte
+//     returns, or immediately when you drop the frame. The transports do not
+//     retain the payload slice past a write (simnet copies; TCP writes
+//     synchronously), so releasing then is safe.
 //  3. Never touch f.buf after your release: the buffer may already be
 //     carrying a different event.
 //  4. The reader owns a frame until it hands it to the router, and the

@@ -57,6 +57,7 @@ func (b *Broker) serveLink(lk *link, replyHello bool) {
 		}()
 	}
 	defer func() {
+		lk.pending.flush()
 		lk.out.close()
 		_ = lk.conn.Close()
 		b.mu.Lock()
@@ -79,6 +80,9 @@ func (b *Broker) serveLink(lk *link, replyHello bool) {
 	}()
 
 	for {
+		if mayBlock(lk.conn) {
+			lk.pending.flush()
+		}
 		f := b.frames.get()
 		if f.recv(lk.conn) != nil {
 			f.release()
@@ -104,7 +108,7 @@ func (b *Broker) handleLinkFrame(lk *link, f *sharedFrame) {
 		f.release()
 	case v.Type == event.TypePublish:
 		b.tel.framesPublish.Inc()
-		b.admitPublish(&v, f, "", lk.peer)
+		b.admitPublish(&v, f, "", lk.peer, &lk.pending)
 	default:
 		if ev := b.decodeFrame(f); ev != nil {
 			b.handleLinkEvent(lk, ev)
@@ -142,7 +146,7 @@ func (b *Broker) heartbeatLink(lk *link) {
 func (b *Broker) handleLinkEvent(lk *link, ev *event.Event) {
 	switch ev.Type {
 	case event.TypeDiscoveryRequest:
-		b.handleDiscoveryRequest(ev, lk.peer)
+		b.handleDiscoveryRequest(ev, lk.peer, &lk.pending)
 	case event.TypeControl:
 		b.tel.framesControl.Inc()
 		b.handleInterestControl(lk, ev)
@@ -204,7 +208,7 @@ func containsString(ss []string, s string) bool {
 // off a client's socket (client names the relaying session, "" for Publish).
 func (b *Broker) publishEvent(ev *event.Event, client string) {
 	if v, f, ok := b.frameEvent(ev); ok {
-		b.admitPublish(&v, f, client, "")
+		b.admitPublish(&v, f, client, "", nil)
 	}
 }
 
@@ -229,7 +233,7 @@ func (b *Broker) frameEvent(ev *event.Event) (event.View, *sharedFrame, bool) {
 // else, once per admitted client publish that does not already carry a
 // verdict. Those two are materialised, amended and re-encoded; link frames
 // always pass through.
-func (b *Broker) admitPublish(v *event.View, f *sharedFrame, client, fromPeer string) {
+func (b *Broker) admitPublish(v *event.View, f *sharedFrame, client, fromPeer string, set *flushSet) {
 	if (fromPeer == "" && topics.Validate(v.Topic) != nil) || b.evDedup.Seen(v.ID) {
 		f.release()
 		return
@@ -252,7 +256,7 @@ func (b *Broker) admitPublish(v *event.View, f *sharedFrame, client, fromPeer st
 			v, f = &rewritten, rf
 		}
 	}
-	b.fanOut(v, f, fromPeer)
+	b.fanOut(v, f, fromPeer, set)
 }
 
 // fanOut is the publish router: it delivers the encoded publish in f to every
@@ -270,9 +274,10 @@ func (b *Broker) admitPublish(v *event.View, f *sharedFrame, client, fromPeer st
 // share one more frame, a pooled copy with the TTL byte decremented; when no
 // local subscriber matched, the hop is spent on f in place and nothing is
 // copied at all. Only a sampled message is materialised, to advance the hop
-// header on its link copy. Actual writes happen on the per-connection egress
-// writers, so a slow peer cannot stall routing.
-func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string) {
+// header on its link copy. Nothing here writes to a socket: the frames wait in
+// the egress queues until the reader flushes set (set nil: until the woken
+// writer goroutines write them), and neither ever blocks on a slow peer.
+func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string, set *flushSet) {
 	// The returned entry handle is stamped onto every frame of this fan-out,
 	// so delivered/dropped tallies on the egress side are plain atomic adds.
 	// born feeds the delivery-latency histogram observed at egress flush;
@@ -330,17 +335,17 @@ func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string) {
 		}
 	}
 	// Local delivery: the frame itself, one reference per matched subscriber;
-	// the last egress writer to flush it returns it to the pool.
+	// the last egress queue to write it returns it to the pool.
 	if nLocals > 0 {
 		f.refs.Add(nLocals)
 		for _, q := range sc.locals {
-			q.sendDataBatch(f, &sc.drops)
+			q.sendDataBatch(f, &sc.drops, set)
 		}
 		b.tel.deliveredLocal.Add(uint64(nLocals))
 	}
 	if nLinks > 0 {
 		for _, q := range sc.links {
-			q.sendDataBatch(fwd, &sc.drops)
+			q.sendDataBatch(fwd, &sc.drops, set)
 		}
 		b.tel.deliveredLink.Add(uint64(nLinks))
 	}

@@ -102,7 +102,7 @@ func (b *Broker) initTelemetry(reg *obs.Registry, tracer *obs.Tracer) {
 	t.framePoolHit = reg.Counter(framePool, framePoolHelp, who, obs.L("result", "hit"))
 	t.framePoolMiss = reg.Counter(framePool, framePoolHelp, who, obs.L("result", "miss"))
 	t.framesPerFlush = reg.Histogram("narada_broker_egress_frames_per_flush",
-		"Frames coalesced into a single egress writer flush.",
+		"Frames coalesced into a single egress write.",
 		[]float64{1, 2, 4, 8, 16, 32, 64}, who)
 	t.deliveryLatency = reg.Histogram("narada_delivery_latency_seconds",
 		"End-to-end delivery latency: event origin timestamp to egress flush, NTP-aligned.",

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -228,7 +229,8 @@ func (tr *Trace) record(sv SpanView) {
 		t.log.Push(SpanRecord{Seq: t.spanSeq, TraceID: tr.id, Span: sv})
 		t.mu.Unlock()
 	}
-	if lg := tr.t.logger; lg != nil {
+	// At the usual Info level the debug line is dropped: build nothing for it.
+	if lg := tr.t.logger; lg != nil && lg.Enabled(context.Background(), slog.LevelDebug) {
 		args := make([]any, 0, 6+2*len(sv.Attrs))
 		args = append(args, "trace", tr.id, "span", sv.Name)
 		if sv.Dur != 0 {

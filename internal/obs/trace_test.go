@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
 	"sync"
 	"testing"
 	"time"
@@ -208,5 +210,19 @@ func TestRecordSpanAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("recording a span allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestRecordSpanInfoLoggerAllocFree: a tracer logging to an Info-level logger
+// drops every span's debug line, so recording must not build one.
+func TestRecordSpanInfoLoggerAllocFree(t *testing.T) {
+	tr := NewTracer(8, NewLogger(io.Discard, slog.LevelInfo))
+	h := tr.Trace("trace-id")
+	at := testTime()
+	allocs := testing.AllocsPerRun(1000, func() {
+		h.Span("alloc", at, time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("recording a span under an Info logger allocates %.1f times per op, want 0", allocs)
 	}
 }

@@ -277,7 +277,11 @@ const recvBufSize = 32 << 10
 // it back when its receive side ends.
 var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, recvBufSize) }}
 
-// realConn frames messages over TCP with a 4-byte big-endian length prefix.
+// PrefixLen is the size of the big-endian length prefix in front of every
+// frame on a real stream: what a BatchWriter's skip counts besides payloads.
+const PrefixLen = 4
+
+// realConn frames messages over TCP with a PrefixLen-byte length prefix.
 type realConn struct {
 	c       net.Conn
 	readMu  sync.Mutex
@@ -294,12 +298,18 @@ type realConn struct {
 	readErr error
 
 	// Batch-write scratch, guarded by writeMu: headers for every frame of a
-	// batch and the vectored-write view over headers and payloads.
+	// batch, the vectored-write view over headers and payloads, and the
+	// non-blocking write path.
 	batchHdrs []byte
 	batchBufs net.Buffers
+	raw       rawWriter
 }
 
-func newRealConn(c net.Conn) *realConn { return &realConn{c: c} }
+func newRealConn(c net.Conn) *realConn {
+	rc := &realConn{c: c}
+	rc.raw.init(c)
+	return rc
+}
 
 // endRecv makes err what every later receive returns and hands the read
 // buffer back to the pool. Caller holds readMu.
@@ -321,26 +331,50 @@ func (c *realConn) Send(payload []byte) error {
 
 // SendBatch implements BatchSender: all frames (each with its length prefix)
 // leave in one vectored write, so a coalescing egress writer pays one
-// syscall per flush instead of two per frame. The header scratch may regrow
-// mid-loop; slices into the old backing array keep their bytes, so the
-// already-collected views stay valid.
+// syscall per flush instead of two per frame.
 func (c *realConn) SendBatch(frames [][]byte) error {
-	c.writeMu.Lock()
+	_, err := c.WriteBatch(frames, 0, true)
+	return err
+}
+
+// WriteBatch implements BatchWriter. A non-blocking call never waits for the
+// write lock either: a concurrent writer counts as a full socket. The header
+// scratch may regrow mid-loop; slices into the old backing array keep their
+// bytes, so the already-collected views stay valid.
+func (c *realConn) WriteBatch(frames [][]byte, skip int, wait bool) (int, error) {
+	if wait {
+		c.writeMu.Lock()
+	} else if !c.writeMu.TryLock() {
+		return 0, nil
+	}
 	defer c.writeMu.Unlock()
 	hdrs := c.batchHdrs[:0]
 	bufs := c.batchBufs[:0]
 	for _, p := range frames {
 		if len(p) > MaxFrame {
-			return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(p))
+			return 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", len(p))
 		}
 		off := len(hdrs)
 		hdrs = binary.BigEndian.AppendUint32(hdrs, uint32(len(p)))
-		bufs = append(bufs, hdrs[off:off+4], p)
+		for _, b := range [2][]byte{hdrs[off : off+PrefixLen], p} {
+			if skip >= len(b) {
+				skip -= len(b)
+				continue
+			}
+			bufs = append(bufs, b[skip:])
+			skip = 0
+		}
 	}
 	c.batchHdrs = hdrs[:0]
 	c.batchBufs = bufs[:0]
-	_, err := bufs.WriteTo(c.c)
-	return translateNetErr(err)
+	if len(bufs) == 0 {
+		return 0, nil
+	}
+	if !wait {
+		return c.raw.writev(bufs)
+	}
+	n, err := bufs.WriteTo(c.c)
+	return int(n), translateNetErr(err)
 }
 
 func (c *realConn) Recv() ([]byte, error) { return c.recvInto(nil, 0) }
@@ -404,6 +438,17 @@ func (c *realConn) recvInto(buf []byte, d time.Duration) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// FrameBuffered implements FrameReader.
+func (c *realConn) FrameBuffered() bool {
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
+	if c.br == nil || c.readErr != nil || c.br.Buffered() < PrefixLen {
+		return false
+	}
+	hdr, _ := c.br.Peek(PrefixLen) // buffered: no read, no error
+	return int(binary.BigEndian.Uint32(hdr))+PrefixLen <= c.br.Buffered()
 }
 
 func (c *realConn) LocalAddr() string  { return c.c.LocalAddr().String() }

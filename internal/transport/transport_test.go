@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -532,6 +533,120 @@ func TestRealStreamReadBufferIsNotSharedAcrossConns(t *testing.T) {
 		c.Close() // one frame unread
 		if _, err := c.RecvTimeout(50 * time.Millisecond); !errors.Is(err, ErrClosed) {
 			t.Fatalf("round %d: receive on a closed connection: %v, want ErrClosed", round, err)
+		}
+	}
+}
+
+// TestRealStreamFrameBuffered: FrameBuffered is true exactly while the next
+// frame is whole in the read buffer — not for part of a prefix or a payload.
+func TestRealStreamFrameBuffered(t *testing.T) {
+	raw, c := rawPair(t)
+	fr := c.(FrameReader)
+	if fr.FrameBuffered() {
+		t.Fatal("FrameBuffered before any receive")
+	}
+	third := framed([]byte("third"))
+	burst := append(append(framed([]byte("one")), framed([]byte("two"))...), third[:6]...)
+	if _, err := raw.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{true, false} {
+		if _, err := c.RecvTimeout(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if got := fr.FrameBuffered(); got != want {
+			t.Fatalf("after frame %d: FrameBuffered = %v, want %v", i+1, got, want)
+		}
+	}
+	if _, err := raw.Write(third[6:]); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.RecvTimeout(2 * time.Second); err != nil || string(got) != "third" {
+		t.Fatalf("got %q, %v", got, err)
+	}
+}
+
+// TestRealWriteBatchSkip resumes a batch at every byte offset of its stream —
+// inside a length prefix, on a prefix/payload boundary, inside a payload, on
+// an empty frame — blocking and non-blocking. The bytes before skip go out by
+// hand first; the peer must read the batch's stream exactly once, and
+// WriteBatch must report the bytes after skip.
+func TestRealWriteBatchSkip(t *testing.T) {
+	raw, c := rawPair(t)
+	rc := c.(*realConn)
+	frames := [][]byte{[]byte("first"), {}, []byte("0123456789"), {0xff}}
+	var stream []byte
+	for _, f := range frames {
+		stream = append(stream, framed(f)...)
+	}
+	got := make([]byte, len(stream))
+	for _, wait := range []bool{true, false} {
+		for skip := 0; skip <= len(stream); skip++ {
+			if _, err := rc.c.Write(stream[:skip]); err != nil {
+				t.Fatal(err)
+			}
+			n, err := rc.WriteBatch(frames, skip, wait)
+			if err != nil || n != len(stream)-skip {
+				t.Fatalf("wait=%v skip=%d: wrote %d, %v; want %d", wait, skip, n, err, len(stream)-skip)
+			}
+			if _, err := io.ReadFull(raw, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, stream) {
+				t.Fatalf("wait=%v skip=%d: peer read %x, want %x", wait, skip, got, stream)
+			}
+		}
+	}
+}
+
+// TestRealWriteBatchNonBlocking fills a socket nobody reads with
+// non-blocking writes: none may wait, and the socket must eventually take
+// less than asked. A blocking resume then finishes that batch while the peer
+// drains, and the stream must be every batch whole and in order.
+func TestRealWriteBatchNonBlocking(t *testing.T) {
+	raw, c := rawPair(t)
+	bw := c.(BatchWriter)
+	batch := make([][]byte, 16)
+	for i := range batch {
+		batch[i] = bytes.Repeat([]byte{byte(i)}, 4000)
+	}
+	var want []byte
+	for _, f := range batch {
+		want = append(want, framed(f)...)
+	}
+	written, n := 0, len(want)
+	for calls := 0; n == len(want); calls++ {
+		if calls > 100000 {
+			t.Fatal("the socket never pushed back")
+		}
+		start := time.Now()
+		var err error
+		if n, err = bw.WriteBatch(batch, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("a non-blocking write took %v", d)
+		}
+		written += n
+	}
+	total := written - n // whole batches
+	if n > 0 {
+		total += len(want)
+	}
+	got := make([]byte, total)
+	read := make(chan error, 1)
+	go func() { _, err := io.ReadFull(raw, got); read <- err }()
+	if n > 0 { // finish the batch part-way through, as an egress hand-off does
+		if rest, err := bw.WriteBatch(batch, n, true); err != nil || n+rest != len(want) {
+			t.Fatalf("resume at %d wrote %d, %v", n, rest, err)
+		}
+	}
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(got); off += len(want) {
+		if !bytes.Equal(got[off:off+len(want)], want) {
+			t.Fatalf("batch at byte %d arrived corrupted", off)
 		}
 	}
 }

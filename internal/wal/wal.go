@@ -108,6 +108,10 @@ type segment struct {
 	count uint64 // number of records
 }
 
+// maxKeptRecord caps the record scratch a Log keeps between appends, so one
+// large record does not pin its size for the life of the log.
+const maxKeptRecord = 64 << 10
+
 // Log is a segmented append-only record log. All methods are safe for
 // concurrent use.
 type Log struct {
@@ -122,6 +126,7 @@ type Log struct {
 	dirty    bool       // appended since last fsync
 	closed   bool
 	notifyCh chan struct{} // closed and replaced on every append
+	rec      []byte        // Append's record scratch, kept up to maxKeptRecord
 
 	syncStop chan struct{}
 	syncDone chan struct{}
@@ -349,13 +354,14 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	var hdr [recHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := l.active.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+	// Header and payload leave in one write: one syscall per record.
+	rec := binary.LittleEndian.AppendUint32(l.rec[:0], uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+	rec = append(rec, payload...)
+	if cap(rec) <= maxKeptRecord {
+		l.rec = rec
 	}
-	if _, err := l.active.Write(payload); err != nil {
+	if _, err := l.active.Write(rec); err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	l.size += recHeaderLen + int64(len(payload))

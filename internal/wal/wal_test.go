@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -277,5 +279,41 @@ func TestEmptyLogOpens(t *testing.T) {
 	}
 	if err := l.Replay(1, func(uint64, []byte) error { t.Fatal("fn called"); return nil }); err != nil {
 		t.Fatalf("Replay on empty log: %v", err)
+	}
+}
+
+// writeSyscalls reads this process's write(2) count from /proc/self/io.
+func writeSyscalls(t *testing.T) int {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skipf("no per-process I/O counters here: %v", err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscw: "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Skip("/proc/self/io has no syscw line")
+	return 0
+}
+
+// TestAppendIsOneWrite: a record's header and payload leave in one write.
+func TestAppendIsOneWrite(t *testing.T) {
+	l := openT(t, t.TempDir(), Options{Sync: SyncNever})
+	const records = 200
+	before := writeSyscalls(t)
+	for i := 0; i < records; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("record-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A little slack for whatever else the test binary writes meanwhile.
+	if n := writeSyscalls(t) - before; n > records+records/10 {
+		t.Fatalf("%d records took %d writes", records, n)
 	}
 }

@@ -110,7 +110,8 @@ fi
 
 # Ingress gate: a publish entering through a real socket (buffered receive
 # into a pooled frame, in-place parse, pass-through fan-out to 4 and 64
-# subscribers) must not allocate on the broker's side in steady state. Wall
+# subscribers; with subs=4/sockets also the reader's own writev to 4 real
+# subscriber sockets) must not allocate on the broker's side in steady state. Wall
 # time through a loopback socket is too noisy to gate here; the repository
 # benchmark (bench/) measures it end to end.
 if [ -n "$GATE_INGRESS_ALLOCS" ]; then
