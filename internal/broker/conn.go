@@ -106,7 +106,7 @@ func (b *Broker) serveClient(c *clientConn) {
 		b.connectionsChanged()
 	}()
 	for {
-		if mayBlock(c.conn) {
+		if !c.conn.FrameBuffered() { // the next receive may wait: write first
 			c.pending.flush()
 		}
 		f := b.frames.get()
@@ -116,14 +116,6 @@ func (b *Broker) serveClient(c *clientConn) {
 		}
 		b.handleClientFrame(c, f)
 	}
-}
-
-// mayBlock reports whether the next receive on conn may wait for the socket:
-// the moment a reader writes out what it routed (flushSet). A transport that
-// cannot tell may always block.
-func mayBlock(conn transport.Conn) bool {
-	fr, ok := conn.(transport.FrameReader)
-	return !ok || !fr.FrameBuffered()
 }
 
 // handleClientFrame dispatches one frame from a client, consuming the

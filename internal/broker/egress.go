@@ -70,16 +70,16 @@ const (
 // and moves on; nothing that enqueues ever waits for a peer's socket, so one
 // slow or dead peer cannot head-of-line-block delivery to everyone else.
 //
-// Frames reach the socket one of two ways, never both at once (the write
-// token):
+// Frames reach the connection one of two ways, never both at once (the
+// write token), on either transport:
 //
 //   - A connection reader that routed a publish or a discovery flood into
 //     the queue writes it itself once it has run out of buffered input
 //     (flushSet): one non-blocking vectored write of up to maxCoalesce
 //     frames, no goroutine woken.
 //   - The writer goroutine, woken only when a reader cannot finish — the
-//     socket took part of the batch, more than one batch is queued, a frame
-//     is inlineMax or larger — or by every other enqueue (heartbeats,
+//     connection took part of the batch, more than one batch is queued, a
+//     frame is inlineMax or larger — or by every other enqueue (heartbeats,
 //     interest control, replay, UDP-ingress discovery, in-process Publish).
 //     It writes with blocking calls, up to maxCoalesce frames per write.
 //
@@ -98,7 +98,6 @@ const (
 // need to track whether the queue accepted it.
 type egress struct {
 	conn transport.Conn
-	bw   transport.BatchWriter // vectored, resumable, non-blocking writes; nil: per-frame Send
 	ch   chan *sharedFrame
 	kick chan struct{} // 1 slot: wakes the writer goroutine
 
@@ -122,10 +121,8 @@ type egress struct {
 }
 
 func newEgress(conn transport.Conn, tel *egressTel, dest string) *egress {
-	bw, _ := conn.(transport.BatchWriter)
 	return &egress{
 		conn:   conn,
-		bw:     bw,
 		ch:     make(chan *sharedFrame, egressQueueSize),
 		kick:   make(chan struct{}, 1),
 		dead:   make(chan struct{}),
@@ -168,12 +165,8 @@ func (q *egress) wake() {
 
 // unlock gives the write token back. Frames queued meanwhile by someone who
 // found the token taken, and a close asked meanwhile, are the writer
-// goroutine's: whoever unlocks last sees them. Without a BatchWriter the
-// token is never contended: the writer keeps it.
+// goroutine's: whoever unlocks last sees them.
 func (q *egress) unlock() {
-	if q.bw == nil {
-		return
-	}
 	q.token.Store(tokenFree)
 	if len(q.ch) > 0 || q.closing.Load() {
 		q.wake()
@@ -182,13 +175,14 @@ func (q *egress) unlock() {
 
 // take is the writer goroutine's claim on the token: free, or handed to it.
 func (q *egress) take() bool {
-	return q.bw == nil || q.token.CompareAndSwap(tokenFree, tokenHeld) ||
+	return q.token.CompareAndSwap(tokenFree, tokenHeld) ||
 		q.token.CompareAndSwap(tokenHanded, tokenHeld)
 }
 
-// run is the writer goroutine. It sleeps until woken, then writes with
-// blocking calls whatever it finds — a batch a reader handed over, then the
-// queue — and gives the token back. A failed write closes the connection so
+// run is the writer goroutine. It sleeps until kicked — by a reader handing
+// over a batch, or by an enqueue no reader writes (see queued) — then writes
+// with blocking calls what it finds, the handed batch and then the queue,
+// and gives the token back. A failed write closes the connection so
 // the owning recv loop tears the session down. On close it waits for the
 // token, flushes and exits still holding it, so no reader writes after it;
 // on exit the queue is marked down and drained, releasing every undelivered
@@ -196,18 +190,7 @@ func (q *egress) take() bool {
 func (q *egress) run() {
 	defer close(q.dead)
 	defer q.drainRelease()
-	// Without a BatchWriter no reader ever writes here, so the writer sleeps
-	// on the queue itself and an enqueue wakes it with one channel operation.
-	var queue <-chan *sharedFrame
-	if q.bw == nil {
-		queue = q.ch
-	}
-	for {
-		var first *sharedFrame
-		select {
-		case <-q.kick:
-		case first = <-queue:
-		}
+	for range q.kick {
 		stopping := q.closing.Load()
 		if stopping {
 			for !q.take() {
@@ -215,9 +198,6 @@ func (q *egress) run() {
 			}
 		} else if !q.take() {
 			continue // the holder's unlock sees what woke us
-		}
-		if first != nil {
-			q.frames = append(q.frames, first)
 		}
 		if !q.drain(true) || stopping {
 			return
@@ -261,7 +241,7 @@ func (q *egress) drain(wait bool) bool {
 			if !wait {
 				return false
 			}
-			// Frames a per-frame loop already wrote are conservatively
+			// Frames the failed write already took are conservatively
 			// counted with the rest: a failed flush means the peer cannot be
 			// assumed to have received any of it.
 			for i, f := range q.frames {
@@ -299,24 +279,14 @@ func (q *egress) collect() bool {
 	return true
 }
 
-// write writes what is left of the batch: in one vectored write, resumable
-// and, without wait, non-blocking on a BatchWriter; frame by frame, whole and
-// blocking otherwise.
+// write writes what is left of the batch in one WriteBatch call: resumable
+// and, without wait, non-blocking.
 func (q *egress) write(wait bool) error {
-	if q.bw == nil {
-		for _, f := range q.frames {
-			if err := q.conn.Send(f.bytes()); err != nil {
-				return err
-			}
-		}
-		q.sent = q.wire
-		return nil
-	}
 	q.bufs = q.bufs[:0]
 	for _, f := range q.frames {
 		q.bufs = append(q.bufs, f.bytes())
 	}
-	n, err := q.bw.WriteBatch(q.bufs, q.sent, wait)
+	n, err := q.conn.WriteBatch(q.bufs, q.sent, wait)
 	q.sent += n
 	return err
 }
@@ -487,17 +457,14 @@ func (q *egress) sendDataBatch(f *sharedFrame, db *dropBatch, set *flushSet) {
 	}
 }
 
-// queued arranges the write of the frame just queued. Without a BatchWriter
-// the writer goroutine, asleep on the queue, has already been woken. With
-// one the reader that queued it writes it (set takes the queue) when it
-// passed a set, the frame is small (below inlineMax) and the queue holds no
-// more than one batch; in every other case the writer goroutine is woken now.
+// queued arranges the write of the frame just queued: the reader that queued
+// it writes it (set takes the queue) when it passed a set, the frame is small
+// (below inlineMax) and the queue holds no more than one batch; in every
+// other case the writer goroutine is woken now.
 func (q *egress) queued(small bool, set *flushSet) {
-	switch {
-	case q.bw == nil:
-	case set != nil && small && len(q.ch) <= maxCoalesce:
+	if set != nil && small && len(q.ch) <= maxCoalesce {
 		set.add(q)
-	default:
+	} else {
 		q.wake()
 	}
 	q.reapIfDown()
@@ -530,9 +497,7 @@ func (q *egress) sendControl(f *sharedFrame) bool {
 	}
 	select {
 	case q.ch <- f:
-		if q.bw != nil { // without one the writer sleeps on the queue
-			q.wake()
-		}
+		q.wake()
 		if q.down.Load() { // writer exited concurrently; reap our frame
 			q.drainRelease()
 			return false
@@ -546,7 +511,8 @@ func (q *egress) sendControl(f *sharedFrame) bool {
 
 // flushSet is the set of queues one connection's reader has queued frames
 // into without waking their writers. The reader flushes it before its next
-// receive can block on the socket, and before a discovery request's response.
+// receive can wait on the connection, and before a discovery request's
+// response.
 type flushSet struct{ qs []*egress }
 
 // add takes q into the set unless it is already there. A queue's mark names

@@ -12,56 +12,85 @@ import (
 	"time"
 
 	"narada/internal/event"
+	"narada/internal/ntptime"
 	"narada/internal/obs"
+	"narada/internal/simnet"
 	"narada/internal/transport"
 )
 
-// blockConn blocks every Send until released, simulating a stalled peer.
-type blockConn struct {
-	release chan struct{}
-	closed  chan struct{}
-	once    sync.Once
+// fakeConn is the transport.Conn every broker test fake is: nothing to
+// receive, and every send made of write, the one call a fake decides.
+type fakeConn struct {
+	write func(frames [][]byte, skip int, wait bool) (int, error)
 }
 
-func newBlockConn() *blockConn {
-	return &blockConn{release: make(chan struct{}), closed: make(chan struct{})}
+func (c fakeConn) WriteBatch(frames [][]byte, skip int, wait bool) (int, error) {
+	return c.write(frames, skip, wait)
+}
+func (c fakeConn) SendBatch(frames [][]byte) error         { _, err := c.write(frames, 0, true); return err }
+func (c fakeConn) Send(p []byte) error                     { return c.SendBatch([][]byte{p}) }
+func (fakeConn) Recv() ([]byte, error)                     { select {} }
+func (fakeConn) RecvInto([]byte) ([]byte, error)           { select {} }
+func (fakeConn) RecvTimeout(time.Duration) ([]byte, error) { return nil, transport.ErrTimeout }
+func (fakeConn) FrameBuffered() bool                       { return false }
+func (fakeConn) LocalAddr() string                         { return "test/fake:0" }
+func (fakeConn) RemoteAddr() string                        { return "test/fake:0" }
+func (fakeConn) Close() error                              { return nil }
+
+// frameConn is a fakeConn that writes a batch one send per whole frame,
+// blocking with or without wait, past the frames an earlier call wrote.
+func frameConn(send func([]byte) error) fakeConn {
+	return fakeConn{write: func(frames [][]byte, skip int, _ bool) (int, error) {
+		n := 0
+		for _, p := range frames {
+			if size := transport.PrefixLen + len(p); skip >= size {
+				skip -= size
+			} else if err := send(p); err != nil {
+				return n, err
+			} else {
+				n += size
+			}
+		}
+		return n, nil
+	}}
 }
 
-func (c *blockConn) Send([]byte) error {
-	select {
-	case <-c.release:
-		return nil
-	case <-c.closed:
-		return transport.ErrClosed
+// discard is the write of a peer that takes every batch whole at once.
+func discard(frames [][]byte, skip int, _ bool) (int, error) {
+	n := -skip
+	for _, p := range frames {
+		n += transport.PrefixLen + len(p)
 	}
+	return n, nil
 }
-func (c *blockConn) Recv() ([]byte, error)                     { select {} }
-func (c *blockConn) RecvTimeout(time.Duration) ([]byte, error) { return nil, transport.ErrTimeout }
-func (c *blockConn) LocalAddr() string                         { return "test/block:0" }
-func (c *blockConn) RemoteAddr() string                        { return "test/block:0" }
+
+// blockConn's sends block until it is closed, simulating a stalled peer.
+type blockConn struct {
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newBlockConn() *blockConn { return &blockConn{closed: make(chan struct{})} }
+
+func (c *blockConn) send([]byte) error { <-c.closed; return transport.ErrClosed }
 func (c *blockConn) Close() error {
 	c.once.Do(func() { close(c.closed) })
 	return nil
 }
 
 // recConn records every frame it is asked to send. Frames are copied: the
-// shared buffer handed to Send is recycled once the egress releases it.
+// shared buffer handed to send is recycled once the egress releases it.
 type recConn struct {
 	mu     sync.Mutex
 	frames [][]byte
 }
 
-func (c *recConn) Send(f []byte) error {
+func (c *recConn) send(f []byte) error {
 	c.mu.Lock()
 	c.frames = append(c.frames, append([]byte(nil), f...))
 	c.mu.Unlock()
 	return nil
 }
-func (c *recConn) Recv() ([]byte, error)                     { select {} }
-func (c *recConn) RecvTimeout(time.Duration) ([]byte, error) { return nil, transport.ErrTimeout }
-func (c *recConn) LocalAddr() string                         { return "test/rec:0" }
-func (c *recConn) RemoteAddr() string                        { return "test/rec:0" }
-func (c *recConn) Close() error                              { return nil }
 
 func (c *recConn) count() int {
 	c.mu.Lock()
@@ -115,7 +144,7 @@ func TestEgressOverflowDropsOldest(t *testing.T) {
 	tt := newTestTel()
 	pool := newTestPool()
 	conn := newBlockConn()
-	q := newEgress(conn, &tt.tel, "local")
+	q := newEgress(frameConn(conn.send), &tt.tel, "local")
 	go q.run()
 
 	done := make(chan struct{})
@@ -146,7 +175,7 @@ func TestEgressFlushesOnClose(t *testing.T) {
 	tt := newTestTel()
 	pool := newTestPool()
 	conn := &recConn{}
-	q := newEgress(conn, &tt.tel, "local")
+	q := newEgress(frameConn(conn.send), &tt.tel, "local")
 	const frames = 100
 	for i := 0; i < frames; i++ {
 		q.sendData(frameOf(pool, []byte{byte(i)}, 1))
@@ -172,7 +201,7 @@ func TestEgressControlFailsAfterDeath(t *testing.T) {
 	pool := newTestPool()
 	conn := newBlockConn()
 	_ = conn.Close() // sends fail immediately
-	q := newEgress(conn, &tt.tel, "local")
+	q := newEgress(frameConn(conn.send), &tt.tel, "local")
 	q.sendData(frameOf(pool, []byte{1}, 1)) // give the writer a frame so it hits the send error
 	go q.run()
 	<-q.dead
@@ -199,14 +228,14 @@ func TestEgressControlFailsAfterDeath(t *testing.T) {
 	}
 }
 
-// TestEgressCoalescesBatches proves the writer drains a backlog through the
-// vectored-write capability when the connection offers one: frames queued
-// while the connection is stalled leave in batches, not one write per frame.
+// TestEgressCoalescesBatches proves the writer drains a backlog in batches:
+// frames queued while the connection is stalled leave in WriteBatch calls of
+// many frames, not one write per frame.
 func TestEgressCoalescesBatches(t *testing.T) {
 	tt := newTestTel()
 	pool := newTestPool()
 	conn := &batchRecConn{gate: make(chan struct{})}
-	q := newEgress(conn, &tt.tel, "local")
+	q := newEgress(fakeConn{write: conn.writeBatch}, &tt.tel, "local")
 	go q.run()
 
 	const frames = 100
@@ -239,7 +268,7 @@ func TestEgressDropReasons(t *testing.T) {
 	tt := newTestTel()
 	pool := newTestPool()
 	conn := newBlockConn()
-	q := newEgress(conn, &tt.tel, "local")
+	q := newEgress(frameConn(conn.send), &tt.tel, "local")
 
 	q.sendData(frameOf(pool, make([]byte, maxEgressFrame+1), 1))
 	if got := tt.tooLarge.Value(); got != 1 {
@@ -269,9 +298,8 @@ func TestEgressDropReasons(t *testing.T) {
 	}
 }
 
-// batchRecConn implements transport.BatchWriter and records batch sizes. The
-// gate stalls the first write so a backlog can build behind it; every write
-// takes its whole batch.
+// batchRecConn records batch sizes. The gate stalls the first write so a
+// backlog can build behind it; every write takes its whole batch.
 type batchRecConn struct {
 	gate chan struct{}
 
@@ -279,30 +307,13 @@ type batchRecConn struct {
 	sizes []int
 }
 
-func (c *batchRecConn) record(n int) {
+func (c *batchRecConn) writeBatch(frames [][]byte, skip int, wait bool) (int, error) {
 	<-c.gate
 	c.mu.Lock()
-	c.sizes = append(c.sizes, n)
+	c.sizes = append(c.sizes, len(frames))
 	c.mu.Unlock()
+	return discard(frames, skip, wait)
 }
-
-func (c *batchRecConn) Send([]byte) error               { c.record(1); return nil }
-func (c *batchRecConn) SendBatch(frames [][]byte) error { c.record(len(frames)); return nil }
-func (c *batchRecConn) WriteBatch(frames [][]byte, skip int, _ bool) (int, error) {
-	c.record(len(frames))
-	n := -skip
-	for _, f := range frames {
-		n += transport.PrefixLen + len(f)
-	}
-	return n, nil
-}
-func (c *batchRecConn) Recv() ([]byte, error) { select {} }
-func (c *batchRecConn) RecvTimeout(time.Duration) ([]byte, error) {
-	return nil, transport.ErrTimeout
-}
-func (c *batchRecConn) LocalAddr() string  { return "test/batch:0" }
-func (c *batchRecConn) RemoteAddr() string { return "test/batch:0" }
-func (c *batchRecConn) Close() error       { return nil }
 
 func (c *batchRecConn) total() int {
 	c.mu.Lock()
@@ -320,7 +331,7 @@ func (c *batchRecConn) batches() int {
 	return len(c.sizes)
 }
 
-// scriptConn is a transport.BatchWriter whose non-blocking writes take a
+// scriptConn is a connection whose non-blocking writes take a
 // scripted number of bytes per call, cycling through script (-1: all); a
 // blocking write takes everything. It records the byte stream it accepted.
 type scriptConn struct {
@@ -331,7 +342,7 @@ type scriptConn struct {
 	stream []byte
 }
 
-func (c *scriptConn) WriteBatch(frames [][]byte, skip int, wait bool) (int, error) {
+func (c *scriptConn) writeBatch(frames [][]byte, skip int, wait bool) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var wire []byte
@@ -356,17 +367,6 @@ func (c *scriptConn) WriteBatch(frames [][]byte, skip int, wait bool) (int, erro
 	c.stream = append(c.stream, wire[:n]...)
 	return n, nil
 }
-
-func (c *scriptConn) SendBatch(frames [][]byte) error {
-	_, err := c.WriteBatch(frames, 0, true)
-	return err
-}
-func (c *scriptConn) Send(p []byte) error                       { return c.SendBatch([][]byte{p}) }
-func (c *scriptConn) Recv() ([]byte, error)                     { select {} }
-func (c *scriptConn) RecvTimeout(time.Duration) ([]byte, error) { return nil, transport.ErrTimeout }
-func (c *scriptConn) LocalAddr() string                         { return "test/script:0" }
-func (c *scriptConn) RemoteAddr() string                        { return "test/script:0" }
-func (c *scriptConn) Close() error                              { return nil }
 
 // frames parses the accepted stream back into sequence numbers, failing on
 // a torn or malformed frame.
@@ -437,7 +437,7 @@ func TestEgressInlineShortWrites(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			tt := newTestTel()
 			pool := newTestPool()
-			q := newEgress(conn, &tt.tel, "local")
+			q := newEgress(fakeConn{write: conn.writeBatch}, &tt.tel, "local")
 			go q.run()
 			const frames = 3000
 			feedInline(q, pool, frames, rand.New(rand.NewSource(1)))
@@ -468,7 +468,7 @@ func TestEgressHandOffIsTheWriters(t *testing.T) {
 	tt := newTestTel()
 	pool := newTestPool()
 	conn := &scriptConn{script: []int{2}} // every non-blocking write takes 2 bytes
-	q := newEgress(conn, &tt.tel, "local")
+	q := newEgress(fakeConn{write: conn.writeBatch}, &tt.tel, "local")
 	var set flushSet
 	for seq := uint64(0); seq < 3; seq++ {
 		q.sendDataBatch(frameOf(pool, seqPayload(seq), 1), nil, &set)
@@ -499,7 +499,7 @@ func TestEgressCloseRacesHandOff(t *testing.T) {
 		conn := &scriptConn{rng: rand.New(rand.NewSource(seed))}
 		tt := newTestTel()
 		pool := newTestPool()
-		q := newEgress(conn, &tt.tel, "local")
+		q := newEgress(fakeConn{write: conn.writeBatch}, &tt.tel, "local")
 		go q.run()
 		queued := make(chan int, 1)
 		go func() { queued <- feedInline(q, pool, 5000, rand.New(rand.NewSource(seed))) }()
@@ -524,14 +524,25 @@ func TestEgressCloseRacesHandOff(t *testing.T) {
 }
 
 // TestSlowConsumerIsolationOnSockets puts a subscriber that never reads next
-// to one that does, all over loopback TCP, and publishes until the stalled
-// one's socket and its whole queue are full, then keeps going. The reading
-// subscriber must get every frame in order while the publisher's sends never
-// stall — a reader of the broker that blocked on the stalled socket would
-// stop both — and every frame the stalled subscriber lost must be counted as
-// queue_full.
+// to one that does, over loopback TCP and over simnet, and publishes until
+// the stalled one's connection and its whole queue are full, then keeps
+// going. The reading subscriber must get every frame in order while the
+// publisher's sends never stall — a reader of the broker that blocked on the
+// stalled connection would stop both — and every frame the stalled subscriber
+// lost must be counted as queue_full.
 func TestSlowConsumerIsolationOnSockets(t *testing.T) {
-	br := realBroker(t, "iso", nil)
+	t.Run("loopback", func(t *testing.T) { slowConsumerIsolation(t, realBroker(t, "iso", nil), 1) })
+	t.Run("simnet", func(t *testing.T) {
+		e := newEnv(t, 1)
+		scale := e.net.Clock().(*ntptime.ScaledClock).Scale()
+		slowConsumerIsolation(t, e.broker(simnet.SiteUMN, "iso", Config{}), scale)
+	})
+}
+
+// slowConsumerIsolation runs the isolation test against br, whose clock runs
+// scale model seconds to the wall second (receive timeouts are model time).
+func slowConsumerIsolation(t *testing.T, br *Broker, scale float64) {
+	within := func(d time.Duration) time.Duration { return time.Duration(float64(d) * scale) }
 	const topic = "iso/feed"
 	stalled := rawSubscriber(t, br, topic)
 	reader := rawSubscriber(t, br, topic)
@@ -542,7 +553,7 @@ func TestSlowConsumerIsolationOnSockets(t *testing.T) {
 	fail := make(chan error, 1)
 	go func() {
 		for i := uint64(0); ; i++ {
-			frame, err := reader.RecvTimeout(30 * time.Second)
+			frame, err := reader.RecvTimeout(within(30 * time.Second))
 			if err == nil {
 				var ev *event.Event
 				if ev, err = event.Decode(frame); err == nil && binary.BigEndian.Uint64(ev.Payload) != i {
@@ -573,8 +584,9 @@ func TestSlowConsumerIsolationOnSockets(t *testing.T) {
 	}
 
 	// Frames of 8 KiB — below inlineMax, so the readers write them — fill
-	// the stalled socket in few publishes; more than a queue's worth follow
-	// the first overflow.
+	// the stalled socket in few publishes (simnet counts frames: its
+	// 1024-frame receive backlog, then its transmit queue); more than a
+	// queue's worth follow the first overflow.
 	payload := make([]byte, 8<<10)
 	var sent, afterFull int64
 	for afterFull < 2*egressQueueSize {
@@ -602,7 +614,7 @@ func TestSlowConsumerIsolationOnSockets(t *testing.T) {
 	lost := int64(br.tel.egressDropQueueFull.Value())
 	prev := int64(-1)
 	for n := int64(0); n < sent-lost; n++ {
-		frame, err := stalled.RecvTimeout(10 * time.Second)
+		frame, err := stalled.RecvTimeout(within(10 * time.Second))
 		if err != nil {
 			t.Fatalf("stalled subscriber got %d of the %d frames not dropped: %v", n, sent-lost, err)
 		}
@@ -616,7 +628,7 @@ func TestSlowConsumerIsolationOnSockets(t *testing.T) {
 			prev = seq
 		}
 	}
-	if extra, err := stalled.RecvTimeout(100 * time.Millisecond); err == nil {
+	if extra, err := stalled.RecvTimeout(within(100 * time.Millisecond)); err == nil {
 		t.Fatalf("stalled subscriber got a frame beyond the %d not dropped (%d bytes)", sent-lost, len(extra))
 	}
 	if down, tooLarge := br.tel.egressDropConnDown.Value(), br.tel.egressDropTooLarge.Value(); down+tooLarge != 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,18 +17,6 @@ import (
 	"narada/internal/simnet"
 	"narada/internal/transport"
 )
-
-// nopConn is a transport.Conn that discards every frame, so the fan-out
-// benchmark measures the broker's own publish pipeline (matching, locking,
-// encoding, queueing) rather than a peer's consumption speed.
-type nopConn struct{}
-
-func (nopConn) Send([]byte) error                         { return nil }
-func (nopConn) Recv() ([]byte, error)                     { select {} }
-func (nopConn) RecvTimeout(time.Duration) ([]byte, error) { return nil, transport.ErrTimeout }
-func (nopConn) LocalAddr() string                         { return "bench/nop:0" }
-func (nopConn) RemoteAddr() string                        { return "bench/nop:0" }
-func (nopConn) Close() error                              { return nil }
 
 // newFanoutBroker builds an unstarted broker suitable for driving
 // publishEvent directly. mut, when non-nil, adjusts the config before New.
@@ -52,9 +41,11 @@ func newFanoutBroker(b testing.TB, mut func(*Config)) *Broker {
 }
 
 // addBenchClient registers a discard-everything client straight into the
-// broker's client table, with a running egress writer like a real session.
+// broker's client table, with a running egress writer like a real session, so
+// the fan-out benchmarks measure the broker's own publish pipeline (matching,
+// locking, encoding, queueing, writing) rather than a peer's consumption.
 func addBenchClient(br *Broker, id string) *clientConn {
-	c := &clientConn{id: id, conn: nopConn{}}
+	c := &clientConn{id: id, conn: fakeConn{write: discard}}
 	c.out = br.newEgress(c.conn, "local")
 	br.startEgress(c.out)
 	br.mu.Lock()
@@ -181,12 +172,12 @@ func benchIngressToEgress(b *testing.B, subs int, sockets bool) {
 			}
 			continue
 		}
-		fr := rawSubscriber(b, br, topic).(transport.FrameReader)
+		conn := rawSubscriber(b, br, topic)
 		go func() {
 			buf := make([]byte, 0, 4096)
 			for {
 				var err error
-				if buf, err = fr.RecvInto(buf); err != nil {
+				if buf, err = conn.RecvInto(buf); err != nil {
 					return
 				}
 				received.Add(1)
@@ -194,7 +185,7 @@ func benchIngressToEgress(b *testing.B, subs int, sockets bool) {
 		}()
 		delivered = received.Load
 	}
-	pub := rawConn(b, br).(transport.BatchSender)
+	pub := rawConn(b, br)
 
 	const batch = 32 // frames per vectored write, as an egress flush would coalesce
 	payload := make([]byte, 256)
@@ -207,13 +198,24 @@ func benchIngressToEgress(b *testing.B, subs int, sockets bool) {
 		idOff[i] = bytes.Index(frames[i], ev.ID[:])
 	}
 	var seq uint64
+	// await spins until the subscribers have want frames. One that waits 10 s
+	// has a frame stranded in the broker (a lost wake-up of a queue's
+	// writer, say): it fails with every queue's state instead of hanging.
+	await := func(want uint64) {
+		for deadline := time.Now().Add(10 * time.Second); delivered() < want; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				b.Fatalf("%d frames sent to %d subscribers: %d of %d deliveries after 10s; queues: %s",
+					seq, subs, delivered(), want, queueStates(br))
+			}
+		}
+	}
 	publish := func(n int) {
 		for sent := 0; sent < n; sent += batch {
 			k := min(batch, n-sent)
 			// Sockets push back: keep each subscriber's queue short of
 			// drop-oldest, which would lose frames the count waits for.
-			for sockets && seq*uint64(subs)-delivered() > egressQueueSize/2*uint64(subs) {
-				runtime.Gosched()
+			if lag := egressQueueSize / 2 * uint64(subs); sockets && seq*uint64(subs) > lag {
+				await(seq*uint64(subs) - lag)
 			}
 			for i := 0; i < k; i++ {
 				seq++
@@ -225,9 +227,7 @@ func benchIngressToEgress(b *testing.B, subs int, sockets bool) {
 		}
 		// Flow-control on the delivery count so the timed region covers the
 		// routing (and with sockets the writing) of every frame.
-		for delivered() < seq*uint64(subs) {
-			runtime.Gosched()
-		}
+		await(seq * uint64(subs))
 	}
 	publish(20000) // fill the frame pool, the dedup ring and the scratch slices
 
@@ -236,4 +236,17 @@ func benchIngressToEgress(b *testing.B, subs int, sockets bool) {
 	b.ResetTimer()
 	publish(b.N)
 	b.StopTimer()
+}
+
+// queueStates describes every client queue of br: its depth and who holds
+// its write token.
+func queueStates(br *Broker) string {
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	var sb strings.Builder
+	for id, c := range br.clients {
+		token := [...]string{"free", "held", "handed"}[c.out.token.Load()]
+		fmt.Fprintf(&sb, "[%s depth=%d token=%s] ", id, c.out.depth(), token)
+	}
+	return sb.String()
 }

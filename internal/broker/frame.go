@@ -74,17 +74,10 @@ func (f *sharedFrame) release() {
 // reference.
 func (f *sharedFrame) bytes() []byte { return f.buf }
 
-// recv fills the frame with the next message from conn: received straight
-// into the frame's recycled buffer when the transport can (FrameReader),
-// otherwise adopting the slice Recv allocated.
+// recv fills the frame with the next message from conn, received into the
+// frame's recycled buffer where the transport can.
 func (f *sharedFrame) recv(conn transport.Conn) error {
-	var buf []byte
-	var err error
-	if into, ok := conn.(transport.FrameReader); ok {
-		buf, err = into.RecvInto(f.buf)
-	} else {
-		buf, err = conn.Recv()
-	}
+	buf, err := conn.RecvInto(f.buf)
 	if err == nil {
 		f.buf = buf
 	}

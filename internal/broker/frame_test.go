@@ -231,9 +231,8 @@ func TestPublishFrameLifecycleUnderChurnSocket(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			out := conn.(transport.BatchSender)
 			for round := 0; round < 25; round++ {
-				if err := out.SendBatch(burst(p, 40)); err != nil {
+				if err := conn.SendBatch(burst(p, 40)); err != nil {
 					t.Error(err)
 					return
 				}

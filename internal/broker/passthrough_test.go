@@ -64,10 +64,11 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 	}
 }
 
-// rawConn dials br and speaks raw frames: no client pump, no decoding.
+// rawConn dials br over its own transport and speaks raw frames: no client
+// pump, no decoding.
 func rawConn(t testing.TB, br *Broker) transport.Conn {
 	t.Helper()
-	conn, err := transport.NewRealNode("127.0.0.1", nil).Dial(br.StreamAddr())
+	conn, err := br.node.Dial(br.StreamAddr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func (b *Broker) serveLink(lk *link, replyHello bool) {
 	}()
 
 	for {
-		if mayBlock(lk.conn) {
+		if !lk.conn.FrameBuffered() { // the next receive may wait: write first
 			lk.pending.flush()
 		}
 		f := b.frames.get()

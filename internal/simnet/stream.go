@@ -169,40 +169,60 @@ func (c *Conn) RemoteAddr() Addr { return c.remote }
 // transmit queue is full (backpressure) and fails if the connection is closed
 // or the path is partitioned.
 func (c *Conn) Send(payload []byte) error {
+	_, err := c.send(payload, true)
+	return err
+}
+
+// TrySend is Send that never waits for room in the transmit queue, nor for
+// another sender: it reports false, having sent nothing, when the queue is
+// full or a Send is in progress.
+func (c *Conn) TrySend(payload []byte) (bool, error) { return c.send(payload, false) }
+
+func (c *Conn) send(payload []byte, wait bool) (bool, error) {
 	select {
 	case <-c.link.closed:
-		return ErrClosed
+		return false, ErrClosed
 	default:
 	}
 	if err := c.net.pathBlocked(c.local, c.remote); err != nil {
-		return err
+		return false, err
 	}
 	delay, err := c.net.oneWay(c.local.Site, c.remote.Site, len(payload))
 	if err != nil {
-		return err
+		return false, err
 	}
-	buf := append([]byte(nil), payload...)
-
-	c.sendMu.Lock()
+	// Stamp and enqueue are one step, so frames queue in stamp order. A Send
+	// waiting for room holds sendMu; a close frees it and those behind it.
+	if wait {
+		c.sendMu.Lock()
+	} else if !c.sendMu.TryLock() {
+		return false, nil
+	}
+	defer c.sendMu.Unlock()
+	if !wait && len(c.out) == cap(c.out) {
+		return false, nil
+	}
 	at := c.net.clock.Now().Add(delay)
 	if at.Before(c.lastAt) {
 		at = c.lastAt // preserve FIFO: a small frame must not overtake a large one
 	}
 	c.lastAt = at
-	frame := timedFrame{at: at, payload: buf}
-	c.sendMu.Unlock()
 
 	c.net.mu.Lock()
 	c.net.framesSent++
 	c.net.mu.Unlock()
 
 	select {
-	case c.out <- frame:
-		return nil
+	case c.out <- timedFrame{at: at, payload: append([]byte(nil), payload...)}:
+		return true, nil
 	case <-c.link.closed:
-		return ErrClosed
+		return false, ErrClosed
 	}
 }
+
+// Buffered reports whether a frame has been delivered and not yet received,
+// so that the next Recv returns without waiting.
+func (c *Conn) Buffered() bool { return len(c.in) > 0 }
 
 // Recv blocks until a frame arrives or the connection closes. Frames already
 // in flight are still delivered after a close on the other side.

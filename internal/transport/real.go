@@ -278,7 +278,8 @@ const recvBufSize = 32 << 10
 var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, recvBufSize) }}
 
 // PrefixLen is the size of the big-endian length prefix in front of every
-// frame on a real stream: what a BatchWriter's skip counts besides payloads.
+// frame on a real stream: what WriteBatch counts per frame besides its
+// payload, on either transport.
 const PrefixLen = 4
 
 // realConn frames messages over TCP with a PrefixLen-byte length prefix.
@@ -329,7 +330,7 @@ func (c *realConn) Send(payload []byte) error {
 	return c.SendBatch(one[:])
 }
 
-// SendBatch implements BatchSender: all frames (each with its length prefix)
+// SendBatch implements Conn: all frames (each with its length prefix)
 // leave in one vectored write, so a coalescing egress writer pays one
 // syscall per flush instead of two per frame.
 func (c *realConn) SendBatch(frames [][]byte) error {
@@ -337,7 +338,7 @@ func (c *realConn) SendBatch(frames [][]byte) error {
 	return err
 }
 
-// WriteBatch implements BatchWriter. A non-blocking call never waits for the
+// WriteBatch implements Conn. A non-blocking call never waits for the
 // write lock either: a concurrent writer counts as a full socket. The header
 // scratch may regrow mid-loop; slices into the old backing array keep their
 // bytes, so the already-collected views stay valid.
@@ -381,7 +382,7 @@ func (c *realConn) Recv() ([]byte, error) { return c.recvInto(nil, 0) }
 
 func (c *realConn) RecvTimeout(d time.Duration) ([]byte, error) { return c.recvInto(nil, d) }
 
-// RecvInto implements FrameReader.
+// RecvInto implements Conn.
 func (c *realConn) RecvInto(buf []byte) ([]byte, error) { return c.recvInto(buf, 0) }
 
 // recvInto reads the next frame into buf's storage when its capacity
@@ -440,7 +441,7 @@ func (c *realConn) recvInto(buf []byte, d time.Duration) ([]byte, error) {
 	return buf, nil
 }
 
-// FrameBuffered implements FrameReader.
+// FrameBuffered implements Conn.
 func (c *realConn) FrameBuffered() bool {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()

@@ -145,6 +145,34 @@ type simConn struct{ c *simnet.Conn }
 
 func (c *simConn) Send(payload []byte) error { return translateSimErr(c.c.Send(payload)) }
 
+func (c *simConn) SendBatch(frames [][]byte) error {
+	_, err := c.WriteBatch(frames, 0, true)
+	return err
+}
+
+// WriteBatch implements Conn. simnet carries frames, not bytes: a call sends
+// whole frames, a non-blocking one stops at the first frame the transmit
+// queue has no room for, and so skip always falls on a frame boundary.
+func (c *simConn) WriteBatch(frames [][]byte, skip int, wait bool) (int, error) {
+	n := 0
+	for _, p := range frames {
+		size := PrefixLen + len(p)
+		if skip >= size {
+			skip -= size
+			continue
+		}
+		if wait {
+			if err := c.c.Send(p); err != nil {
+				return n, translateSimErr(err)
+			}
+		} else if sent, err := c.c.TrySend(p); !sent {
+			return n, translateSimErr(err)
+		}
+		n += size
+	}
+	return n, nil
+}
+
 func (c *simConn) Recv() ([]byte, error) {
 	b, err := c.c.Recv()
 	return b, translateSimErr(err)
@@ -155,9 +183,14 @@ func (c *simConn) RecvTimeout(d time.Duration) ([]byte, error) {
 	return b, translateSimErr(err)
 }
 
-func (c *simConn) LocalAddr() string  { return FormatSimAddr(c.c.LocalAddr()) }
-func (c *simConn) RemoteAddr() string { return FormatSimAddr(c.c.RemoteAddr()) }
-func (c *simConn) Close() error       { return translateSimErr(c.c.Close()) }
+// RecvInto implements Conn with the copy simnet made at send, which the
+// caller adopts.
+func (c *simConn) RecvInto([]byte) ([]byte, error) { return c.Recv() }
+
+func (c *simConn) FrameBuffered() bool { return c.c.Buffered() }
+func (c *simConn) LocalAddr() string   { return FormatSimAddr(c.c.LocalAddr()) }
+func (c *simConn) RemoteAddr() string  { return FormatSimAddr(c.c.RemoteAddr()) }
+func (c *simConn) Close() error        { return translateSimErr(c.c.Close()) }
 
 type simListener struct{ l *simnet.Listener }
 

@@ -9,7 +9,9 @@
 //   - PacketConn: unreliable datagrams (UDP) — discovery responses, pings
 //     and multicast fallback;
 //   - Conn/Listener: reliable ordered message frames (TCP) — client/broker
-//     connections, broker links, BDN registrations.
+//     connections, broker links, BDN registrations. Both transports implement
+//     all of Conn — batched, non-blocking and receive-into calls included —
+//     so a broker runs the same receive and write code on either.
 package transport
 
 import (
@@ -49,43 +51,35 @@ type PacketConn interface {
 // Conn is a reliable, ordered, message-framed connection.
 type Conn interface {
 	Send(payload []byte) error
+	BatchSender
+	// WriteBatch writes frames, each behind its PrefixLen-byte length prefix,
+	// starting skip bytes into that stream (bytes an earlier call already
+	// wrote), and returns how many bytes this call wrote. With wait it blocks
+	// until all are written, as SendBatch does; without, it writes only what
+	// there is room for now — possibly nothing, with a nil error, when the
+	// connection is full or another write is in progress. simnet, which
+	// carries whole frames, only ever stops and resumes on a frame boundary.
+	WriteBatch(frames [][]byte, skip int, wait bool) (int, error)
 	Recv() ([]byte, error)
 	RecvTimeout(d time.Duration) ([]byte, error)
+	// RecvInto receives the next frame into storage the caller owns when it
+	// can: in buf's backing array when its capacity suffices (buf's length
+	// and contents are ignored), otherwise in a slice the caller adopts
+	// (simnet always returns the copy it made at send).
+	RecvInto(buf []byte) ([]byte, error)
+	// FrameBuffered reports whether the next frame has already arrived
+	// whole, so that the next receive returns without waiting.
+	FrameBuffered() bool
 	LocalAddr() string
 	RemoteAddr() string
 	Close() error
 }
 
-// BatchSender is an optional Conn capability: transmit several frames in one
-// operation (a single vectored write on real sockets). The frames slice and
-// its buffers are only borrowed for the duration of the call.
+// BatchSender transmits several frames in one operation (a single vectored
+// write on real sockets). The frames slice and its buffers are only borrowed
+// for the duration of the call.
 type BatchSender interface {
 	SendBatch(frames [][]byte) error
-}
-
-// BatchWriter is the BatchSender that can also write without blocking and
-// resume a batch part-way; broker egress queues type-assert for it and fall
-// back to per-frame Send. WriteBatch writes frames, each behind its length
-// prefix, starting skip bytes into that stream (bytes an earlier call already
-// wrote), and returns how many bytes this call wrote. With wait it blocks
-// until all are written, as SendBatch does. Without it makes at most one
-// non-blocking write and returns what the socket took — possibly nothing,
-// with a nil error, when the socket is full or another write is in progress.
-type BatchWriter interface {
-	BatchSender
-	WriteBatch(frames [][]byte, skip int, wait bool) (int, error)
-}
-
-// FrameReader is an optional Conn capability: receive the next frame into
-// storage the caller owns. The frame is returned in buf's backing array when
-// its capacity suffices (buf's length and contents are ignored), otherwise in
-// a freshly allocated slice the caller adopts. Receive loops that recycle
-// frame buffers type-assert for it and fall back to Recv. FrameBuffered
-// reports whether the next frame is already whole in the receive buffer, so
-// that the next receive returns without reading the socket.
-type FrameReader interface {
-	RecvInto(buf []byte) ([]byte, error)
-	FrameBuffered() bool
 }
 
 // Listener accepts incoming Conns.

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -419,6 +418,84 @@ func framed(payload []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
+// streamPair is a connection under test, a, and its peer, b. partial is true
+// where the transport carries a byte stream, which can deliver part of a
+// frame, and false where it carries whole frames (simnet).
+type streamPair struct {
+	a, b    Conn
+	partial bool
+}
+
+// eachTransport runs test over a loopback TCP pair and over a simnet pair:
+// Conn is one contract, and both transports must keep it.
+func eachTransport(t *testing.T, test func(t *testing.T, p streamPair)) {
+	t.Run("loopback", func(t *testing.T) {
+		raw, c := rawPair(t)
+		test(t, streamPair{a: c, b: newRealConn(raw), partial: true})
+	})
+	t.Run("simnet", func(t *testing.T) {
+		na, nb := newSimPair(t)
+		l, err := nb.Listen(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		a, err := na.Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { a.Close() })
+		b, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		test(t, streamPair{a: a, b: b})
+	})
+}
+
+// writeWire puts stream — frames behind their length prefixes — on c's
+// sending side: as raw bytes on a socket, where a frame may be cut anywhere,
+// and as the whole frames it holds on simnet.
+func writeWire(c Conn, stream []byte) error {
+	if rc, ok := c.(*realConn); ok {
+		_, err := rc.c.Write(stream)
+		return err
+	}
+	for len(stream) > 0 {
+		n := PrefixLen + int(binary.BigEndian.Uint32(stream))
+		if err := c.Send(stream[PrefixLen:n]); err != nil {
+			return err
+		}
+		stream = stream[n:]
+	}
+	return nil
+}
+
+// recvWithin receives the next frame on c, failing if none comes within 10 s
+// of wall clock (RecvTimeout counts simnet's model time).
+func recvWithin(t *testing.T, c Conn) []byte {
+	t.Helper()
+	type result struct {
+		frame []byte
+		err   error
+	}
+	got := make(chan result, 1)
+	go func() {
+		frame, err := c.Recv()
+		got <- result{frame, err}
+	}()
+	select {
+	case r := <-got:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r.frame
+	case <-time.After(10 * time.Second):
+		t.Fatal("no frame within 10s")
+		return nil
+	}
+}
+
 // TestRealStreamMidFrameTimeoutFailsClosed: a read deadline that expires
 // after the length prefix was consumed loses the stream position. The
 // connection must then fail every later receive — never hand back the rest of
@@ -476,42 +553,42 @@ func TestRealStreamTimeoutBetweenFramesResumes(t *testing.T) {
 // TestRealStreamBurstFraming drains one written burst of mixed-size frames —
 // empty, tiny, straddling the read buffer's edge, and larger than the whole
 // buffer — through Recv and RecvInto alternately. Every frame must come back
-// intact, and RecvInto must use the caller's storage when it fits and a fresh
-// slice when it does not.
+// intact, and on a socket RecvInto must use the caller's storage when it fits
+// and a fresh slice when it does not (simnet hands over the copy it made).
 func TestRealStreamBurstFraming(t *testing.T) {
-	raw, c := rawPair(t)
-	fr := c.(FrameReader)
-	sizes := []int{0, 1, 100, recvBufSize - 150, 300, recvBufSize, 7, 3 * recvBufSize, 64, 0, 5000}
-	rng := rand.New(rand.NewSource(5))
-	var burst []byte
-	frames := make([][]byte, len(sizes))
-	for i, n := range sizes {
-		frames[i] = make([]byte, n)
-		rng.Read(frames[i])
-		burst = append(burst, framed(frames[i])...)
-	}
-	go raw.Write(burst) //nolint:errcheck // a failed write fails the reads below
+	eachTransport(t, func(t *testing.T, p streamPair) {
+		sizes := []int{0, 1, 100, recvBufSize - 150, 300, recvBufSize, 7, 3 * recvBufSize, 64, 0, 5000}
+		rng := rand.New(rand.NewSource(5))
+		var burst []byte
+		frames := make([][]byte, len(sizes))
+		for i, n := range sizes {
+			frames[i] = make([]byte, n)
+			rng.Read(frames[i])
+			burst = append(burst, framed(frames[i])...)
+		}
+		go writeWire(p.b, burst) //nolint:errcheck // a failed write fails the reads below
 
-	store := make([]byte, 0, 4096)
-	for i, want := range frames {
-		var got []byte
-		var err error
-		if i%2 == 0 {
-			got, err = fr.RecvInto(store)
-			inStore := cap(got) > 0 && &got[:1][0] == &store[:1][0]
-			if fits := len(want) <= cap(store); len(want) > 0 && inStore != fits {
-				t.Fatalf("frame %d (%d bytes): in caller storage = %v, want %v", i, len(want), inStore, fits)
+		store := make([]byte, 0, 4096)
+		for i, want := range frames {
+			var got []byte
+			var err error
+			if i%2 == 0 {
+				got, err = p.a.RecvInto(store)
+				inStore := cap(got) > 0 && &got[:1][0] == &store[:1][0]
+				if fits := len(want) <= cap(store); p.partial && len(want) > 0 && inStore != fits {
+					t.Fatalf("frame %d (%d bytes): in caller storage = %v, want %v", i, len(want), inStore, fits)
+				}
+			} else {
+				got, err = p.a.Recv()
 			}
-		} else {
-			got, err = c.RecvTimeout(2 * time.Second)
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("frame %d: %d bytes differ from the %d sent", i, len(got), len(want))
+			}
 		}
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame %d: %d bytes differ from the %d sent", i, len(got), len(want))
-		}
-	}
+	})
 }
 
 // TestRealStreamReadBufferIsNotSharedAcrossConns: read buffers are pooled, so
@@ -538,117 +615,143 @@ func TestRealStreamReadBufferIsNotSharedAcrossConns(t *testing.T) {
 }
 
 // TestRealStreamFrameBuffered: FrameBuffered is true exactly while the next
-// frame is whole in the read buffer — not for part of a prefix or a payload.
+// frame has arrived whole — not before anything has, and not for part of a
+// prefix or a payload, which a byte stream can deliver.
 func TestRealStreamFrameBuffered(t *testing.T) {
-	raw, c := rawPair(t)
-	fr := c.(FrameReader)
-	if fr.FrameBuffered() {
-		t.Fatal("FrameBuffered before any receive")
-	}
-	third := framed([]byte("third"))
-	burst := append(append(framed([]byte("one")), framed([]byte("two"))...), third[:6]...)
-	if _, err := raw.Write(burst); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []bool{true, false} {
-		if _, err := c.RecvTimeout(2 * time.Second); err != nil {
+	eachTransport(t, func(t *testing.T, p streamPair) {
+		if p.a.FrameBuffered() {
+			t.Fatal("FrameBuffered before any receive")
+		}
+		third := framed([]byte("third"))
+		cut := 0 // what of the third frame arrives with the first two
+		if p.partial {
+			cut = 6
+		}
+		burst := append(append(framed([]byte("one")), framed([]byte("two"))...), third[:cut]...)
+		if err := writeWire(p.b, burst); err != nil {
 			t.Fatal(err)
 		}
-		if got := fr.FrameBuffered(); got != want {
-			t.Fatalf("after frame %d: FrameBuffered = %v, want %v", i+1, got, want)
+		recvWithin(t, p.a)
+		for deadline := time.Now().Add(10 * time.Second); !p.a.FrameBuffered(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("after frame 1: the second frame never counts as buffered")
+			}
 		}
-	}
-	if _, err := raw.Write(third[6:]); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.RecvTimeout(2 * time.Second); err != nil || string(got) != "third" {
-		t.Fatalf("got %q, %v", got, err)
-	}
+		recvWithin(t, p.a)
+		if p.a.FrameBuffered() {
+			t.Fatal("after frame 2: FrameBuffered with no whole frame waiting")
+		}
+		if err := writeWire(p.b, third[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		if got := recvWithin(t, p.a); string(got) != "third" {
+			t.Fatalf("got %q", got)
+		}
+	})
 }
 
-// TestRealWriteBatchSkip resumes a batch at every byte offset of its stream —
-// inside a length prefix, on a prefix/payload boundary, inside a payload, on
-// an empty frame — blocking and non-blocking. The bytes before skip go out by
-// hand first; the peer must read the batch's stream exactly once, and
-// WriteBatch must report the bytes after skip.
+// TestRealWriteBatchSkip resumes a batch at every offset of its stream that
+// the transport can stop at — on a socket every byte: inside a length prefix,
+// on a prefix/payload boundary, inside a payload, on an empty frame; on
+// simnet every frame boundary — blocking and non-blocking. The bytes before
+// skip go out by hand first; the peer must receive the batch exactly once,
+// and WriteBatch must report the bytes after skip.
 func TestRealWriteBatchSkip(t *testing.T) {
-	raw, c := rawPair(t)
-	rc := c.(*realConn)
-	frames := [][]byte{[]byte("first"), {}, []byte("0123456789"), {0xff}}
-	var stream []byte
-	for _, f := range frames {
-		stream = append(stream, framed(f)...)
-	}
-	got := make([]byte, len(stream))
-	for _, wait := range []bool{true, false} {
-		for skip := 0; skip <= len(stream); skip++ {
-			if _, err := rc.c.Write(stream[:skip]); err != nil {
-				t.Fatal(err)
-			}
-			n, err := rc.WriteBatch(frames, skip, wait)
-			if err != nil || n != len(stream)-skip {
-				t.Fatalf("wait=%v skip=%d: wrote %d, %v; want %d", wait, skip, n, err, len(stream)-skip)
-			}
-			if _, err := io.ReadFull(raw, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, stream) {
-				t.Fatalf("wait=%v skip=%d: peer read %x, want %x", wait, skip, got, stream)
+	eachTransport(t, func(t *testing.T, p streamPair) {
+		frames := [][]byte{[]byte("first"), {}, []byte("0123456789"), {0xff}}
+		var stream []byte
+		bounds := map[int]bool{0: true}
+		for _, f := range frames {
+			stream = append(stream, framed(f)...)
+			bounds[len(stream)] = true
+		}
+		for _, wait := range []bool{true, false} {
+			for skip := 0; skip <= len(stream); skip++ {
+				if !p.partial && !bounds[skip] {
+					continue
+				}
+				if err := writeWire(p.a, stream[:skip]); err != nil {
+					t.Fatal(err)
+				}
+				n, err := p.a.WriteBatch(frames, skip, wait)
+				if err != nil || n != len(stream)-skip {
+					t.Fatalf("wait=%v skip=%d: wrote %d, %v; want %d", wait, skip, n, err, len(stream)-skip)
+				}
+				for i, want := range frames {
+					if got := recvWithin(t, p.b); !bytes.Equal(got, want) {
+						t.Fatalf("wait=%v skip=%d: frame %d arrived as %x, want %x", wait, skip, i, got, want)
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
-// TestRealWriteBatchNonBlocking fills a socket nobody reads with
-// non-blocking writes: none may wait, and the socket must eventually take
-// less than asked. A blocking resume then finishes that batch while the peer
-// drains, and the stream must be every batch whole and in order.
+// TestRealWriteBatchNonBlocking fills a connection whose peer does not
+// receive with non-blocking writes: none may wait, and the connection must
+// eventually take less than asked — on simnet, a whole number of frames. A
+// blocking resume then finishes that batch while the peer drains, and the
+// peer must receive every batch whole and in order.
 func TestRealWriteBatchNonBlocking(t *testing.T) {
-	raw, c := rawPair(t)
-	bw := c.(BatchWriter)
-	batch := make([][]byte, 16)
-	for i := range batch {
-		batch[i] = bytes.Repeat([]byte{byte(i)}, 4000)
-	}
-	var want []byte
-	for _, f := range batch {
-		want = append(want, framed(f)...)
-	}
-	written, n := 0, len(want)
-	for calls := 0; n == len(want); calls++ {
-		if calls > 100000 {
-			t.Fatal("the socket never pushed back")
+	eachTransport(t, func(t *testing.T, p streamPair) {
+		batch := make([][]byte, 16)
+		bounds := map[int]bool{0: true}
+		wire := 0
+		for i := range batch {
+			batch[i] = bytes.Repeat([]byte{byte(i)}, 4000)
+			wire += PrefixLen + len(batch[i])
+			bounds[wire] = true
 		}
-		start := time.Now()
-		var err error
-		if n, err = bw.WriteBatch(batch, 0, false); err != nil {
-			t.Fatal(err)
+		written, n := 0, wire
+		for calls := 0; n == wire; calls++ {
+			if calls > 100000 {
+				t.Fatal("the connection never pushed back")
+			}
+			start := time.Now()
+			var err error
+			if n, err = p.a.WriteBatch(batch, 0, false); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("a non-blocking write took %v", d)
+			}
+			written += n
 		}
-		if d := time.Since(start); d > time.Second {
-			t.Fatalf("a non-blocking write took %v", d)
+		if !p.partial && !bounds[n] {
+			t.Fatalf("a non-blocking write stopped %d bytes in, inside a frame", n)
 		}
-		written += n
-	}
-	total := written - n // whole batches
-	if n > 0 {
-		total += len(want)
-	}
-	got := make([]byte, total)
-	read := make(chan error, 1)
-	go func() { _, err := io.ReadFull(raw, got); read <- err }()
-	if n > 0 { // finish the batch part-way through, as an egress hand-off does
-		if rest, err := bw.WriteBatch(batch, n, true); err != nil || n+rest != len(want) {
-			t.Fatalf("resume at %d wrote %d, %v", n, rest, err)
+		frames := (written - n) / wire * len(batch) // whole batches
+		if n > 0 {
+			frames += len(batch)
 		}
-	}
-	if err := <-read; err != nil {
-		t.Fatal(err)
-	}
-	for off := 0; off < len(got); off += len(want) {
-		if !bytes.Equal(got[off:off+len(want)], want) {
-			t.Fatalf("batch at byte %d arrived corrupted", off)
+		read := make(chan error, 1)
+		go func() {
+			for i := 0; i < frames; i++ {
+				got, err := p.b.Recv()
+				if err == nil && !bytes.Equal(got, batch[i%len(batch)]) {
+					err = fmt.Errorf("frame %d of %d arrived corrupted", i, frames)
+				}
+				if err != nil {
+					read <- err
+					return
+				}
+			}
+			read <- nil
+		}()
+		if n > 0 { // finish the batch part-way through, as an egress hand-off does
+			if rest, err := p.a.WriteBatch(batch, n, true); err != nil || n+rest != wire {
+				t.Fatalf("resume at %d wrote %d, %v", n, rest, err)
+			}
 		}
-	}
+		select {
+		case err := <-read:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("the peer did not receive every frame within 30s")
+		}
+	})
 }
 
 func TestRealStreamClosedPeer(t *testing.T) {
