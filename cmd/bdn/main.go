@@ -10,7 +10,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -19,7 +18,6 @@ import (
 	"time"
 
 	"narada/internal/bdn"
-	"narada/internal/bdn/replica"
 	"narada/internal/config"
 	"narada/internal/ntptime"
 	"narada/internal/obs/plane"
@@ -49,9 +47,7 @@ func run() error {
 		dataDir    = flag.String("data-dir", "", "durable registry directory: WAL + snapshots; registrations survive restarts (overrides config; '' = in-memory only)")
 		fsync      = flag.String("fsync", "", "WAL durability policy: always | interval | never (overrides config)")
 		snapEvery  = flag.Int("snapshot-every", 0, "WAL records between registry snapshots (overrides config; 0 = 1024)")
-		replPort   = flag.Int("replica-port", 0, "TCP port for the replication endpoint (0 = auto; needs -data-dir and -peers)")
-		peers      = flag.String("peers", "", "comma-separated replication addresses of the other cluster members (overrides config)")
-		lease      = flag.Duration("lease", 0, "replication leader lease; standbys promote after it expires (overrides config; 0 = 2s)")
+		peers      = flag.String("peers", "", "comma-separated stream addresses of the other BDNs of this set, whose tables this one pulls (overrides config)")
 		tf         = plane.RegisterFlags(flag.CommandLine, plane.FlagsAll, true)
 	)
 	flag.Parse()
@@ -92,9 +88,6 @@ func run() error {
 	if *snapEvery > 0 {
 		cfg.SnapshotEvery = *snapEvery
 	}
-	if *replPort != 0 {
-		cfg.ReplicaPort = *replPort
-	}
 	if *peers != "" {
 		cfg.Peers = nil
 		for _, p := range strings.Split(*peers, ",") {
@@ -102,9 +95,6 @@ func run() error {
 				cfg.Peers = append(cfg.Peers, p)
 			}
 		}
-	}
-	if *lease > 0 {
-		cfg.LeaseMs = int(lease.Milliseconds())
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -140,6 +130,7 @@ func run() error {
 		DataDir:            cfg.DataDir,
 		Fsync:              cfg.SyncPolicy(),
 		SnapshotEvery:      cfg.SnapshotEvery,
+		Peers:              cfg.Peers,
 	})
 	if err != nil {
 		return err
@@ -153,25 +144,8 @@ func run() error {
 	if cfg.DataDir != "" {
 		log.Printf("bdn: durable registry in %s (fsync=%s)", cfg.DataDir, cfg.SyncPolicy())
 	}
-
 	if len(cfg.Peers) > 0 {
-		rep, err := replica.New(replica.Config{
-			Name:       cfg.Name,
-			Node:       node,
-			Store:      d,
-			ListenPort: cfg.ReplicaPort,
-			Peers:      cfg.Peers,
-			Lease:      cfg.Lease(),
-			Handle:     p.Handle(),
-		})
-		if err != nil {
-			return fmt.Errorf("replica: %w", err)
-		}
-		defer rep.Close()
-		if err := rep.Start(nil); err != nil {
-			return fmt.Errorf("replica: %w", err)
-		}
-		log.Printf("bdn: replicating on %s with %d peers", rep.Addr(), len(cfg.Peers))
+		log.Printf("bdn: exchanging tables with %d peers", len(cfg.Peers))
 	}
 
 	if err := p.Serve(); err != nil {

@@ -6,7 +6,9 @@
 // propagates each request into the broker network — either to every
 // registered broker (O(N) distribution, the unconnected-topology mode) or
 // simultaneously to the closest and farthest brokers as measured by UDP
-// pings (paper §4's efficient scheme).
+// pings (paper §4's efficient scheme). A set of BDNs has no leader: each
+// member pulls the others' live tables (Config.Peers), so a registration one
+// member missed while it was down or cut off reaches it anyway.
 package bdn
 
 import (
@@ -88,6 +90,10 @@ type Config struct {
 	// SnapshotEvery is how many WAL records accumulate between snapshots
 	// (default 1024). Each snapshot prunes the log segments it covers.
 	SnapshotEvery int
+	// Peers lists the stream addresses of the other members of this BDN's
+	// set. Every exchangeEvery the BDN pulls each peer's live table and
+	// merges what it would have taken from the broker itself (merge).
+	Peers []string
 	// Handle is where the BDN reports: operational logs, its metric
 	// families, per-request discovery spans, and registration lifecycle
 	// journal events (ad_registered/ad_refreshed/ad_expired/ad_swept, node
@@ -100,6 +106,9 @@ const DefaultInjectOverhead = 40 * time.Millisecond
 
 // pingWindow bounds one round of broker distance measurement.
 const pingWindow = 2 * time.Second
+
+// exchangeEvery is how often a member pulls each peer's table.
+const exchangeEvery = 2 * time.Second
 
 // registration is one broker known to the BDN.
 type registration struct {
@@ -114,6 +123,15 @@ func (r *registration) expired(now time.Time) bool {
 	return !r.expiresAt.IsZero() && now.After(r.expiresAt)
 }
 
+// tombstone is what a delete leaves behind: the IssuedAt of the advertisement
+// it removed, so a peer's copy of that advertisement is not merged back. It
+// lasts one TTL after the delete; past that, a copy of the advertisement (one
+// a peer recovered from disk included) fails merge's liveness test instead.
+type tombstone struct {
+	issued time.Time
+	until  time.Time
+}
+
 // BDN is a broker discovery node.
 type BDN struct {
 	node transport.Node
@@ -125,18 +143,16 @@ type BDN struct {
 
 	mu      sync.Mutex
 	brokers map[string]*registration // by broker logical address
+	gone    map[string]tombstone     // deleted brokers, by logical address
 	conns   map[transport.Conn]struct{}
 	started bool
 
-	// Durable-registry state, all guarded by mu: log is the open WAL (nil
-	// when not durable) and sinceSnap the records appended since snapCh was
-	// last signalled; epoch is the highest replication election epoch seen;
-	// applied tracks per-source replication watermarks.
+	// Durable-registry state, guarded by mu: log is the open WAL (nil when
+	// not durable) and sinceSnap the records appended since snapCh was last
+	// signalled.
 	log       *wal.Log
 	sinceSnap uint64
 	snapCh    chan struct{} // wakes the snapshot loop
-	epoch     uint64
-	applied   map[string]uint64
 
 	reqDedup *dedup.Cache
 	tel      telemetry
@@ -166,9 +182,9 @@ func New(node transport.Node, ntp *ntptime.Service, cfg Config) (*BDN, error) {
 		ntp:      ntp,
 		cfg:      cfg,
 		brokers:  make(map[string]*registration),
+		gone:     make(map[string]tombstone),
 		conns:    make(map[transport.Conn]struct{}),
 		reqDedup: dedup.New(dedup.DefaultCapacity),
-		applied:  make(map[string]uint64),
 		snapCh:   make(chan struct{}, 1),
 		closed:   make(chan struct{}),
 	}
@@ -211,6 +227,10 @@ func (d *BDN) Start() error {
 		d.wg.Add(1)
 		go d.snapshotLoop()
 	}
+	for _, peer := range d.cfg.Peers {
+		d.wg.Add(1)
+		go d.exchangeLoop(peer)
+	}
 	return nil
 }
 
@@ -231,9 +251,10 @@ func (d *BDN) sweepLoop() {
 	}
 }
 
-// sweep commits a delete for every expired registration. Expiry runs on the
-// local node clock — the same base the deadlines were stamped against — never
-// the NTP-corrected wall clock, so an NTP step can't mass-sweep live
+// sweep commits a delete for every expired registration and forgets the
+// tombstones no peer's copy can outlive any more. Expiry runs on the local
+// node clock — the same base the deadlines were stamped against — never the
+// NTP-corrected wall clock, so an NTP step can't mass-sweep live
 // registrations.
 func (d *BDN) sweep() {
 	now := d.node.Clock().Now()
@@ -245,7 +266,13 @@ func (d *BDN) sweep() {
 		}
 	}
 	for _, logical := range expired {
-		d.commitLocked(deleteRecord(logical, "expired"), false)
+		ad := d.brokers[logical].ad
+		d.commitLocked(deleteRecord(logical, "expired", ad.IssuedAt, d.ttl(ad)), false)
+	}
+	for logical, t := range d.gone {
+		if now.After(t.until) {
+			delete(d.gone, logical)
+		}
 	}
 	d.mu.Unlock()
 	for _, logical := range expired {
@@ -356,14 +383,15 @@ func (d *BDN) acceptLoop() {
 }
 
 // serve is the one owner of a BDN connection — accepted, dialled to inject and
-// adopted, or dialled to subscribe. It tracks conn so Close can tear it down
-// (the closed-check, the insert and the WaitGroup count share the mutex, and
-// Close closes the channel before sweeping, so no connection slips past the
-// sweep or the wait; a closed BDN serves nothing and reports false), runs
-// session on its own goroutine until the connection is done, and then, and
-// only here, lets go of it: the registration session names, if it still holds
-// this connection (a re-registration may have replaced it), drops it, and the
-// connection is untracked and closed.
+// adopted, dialled to subscribe, or dialled to pull a peer's table. It tracks
+// conn so Close can tear it down (the closed-check, the insert and the
+// WaitGroup count share the mutex, and Close closes the channel before
+// sweeping, so no connection slips past the sweep or the wait; a closed BDN
+// serves nothing and reports false), runs session on its own goroutine until
+// the connection is done, and then, and only here, lets go of it: the
+// registration session names, if it still holds this connection (a
+// re-registration may have replaced it), drops it, and the connection is
+// untracked and closed.
 func (d *BDN) serve(conn transport.Conn, session func() (logical string)) bool {
 	d.mu.Lock()
 	select {
@@ -390,8 +418,9 @@ func (d *BDN) serve(conn transport.Conn, session func() (logical string)) bool {
 	return true
 }
 
-// handleConn classifies one accepted connection by its first event — a broker
-// registration (LinkHello), a discovery-request session, or a bare
+// handleConn classifies one accepted connection by its first event — a peer
+// member's table pull (LinkHello in the table role), a broker registration
+// (any other LinkHello), a discovery-request session, or a bare
 // fire-and-forget advertisement — and runs its session.
 func (d *BDN) handleConn(conn transport.Conn) (logical string) {
 	frame, err := conn.Recv()
@@ -404,6 +433,10 @@ func (d *BDN) handleConn(conn transport.Conn) (logical string) {
 	}
 	switch ev.Type {
 	case event.TypeLinkHello:
+		if ev.Header(event.HeaderRole) == event.RoleTable {
+			d.serveTable(conn, ev.Payload)
+			return ""
+		}
 		return d.serveBrokerRegistration(conn, "")
 	case event.TypeDiscoveryRequest:
 		d.serveRequester(conn, ev)
@@ -453,21 +486,15 @@ func (d *BDN) storeAdvertisement(ev *event.Event, conn transport.Conn) string {
 	if err != nil {
 		return ""
 	}
-	// "Upon receipt of an advertisement at the BDN, this BDN may choose to
-	// store the advertisement or ignore it."
-	if d.cfg.AdmitFilter != nil && !d.cfg.AdmitFilter(ad) {
+	if !d.admits(ad) {
 		d.tel.adsRejected.Inc()
 		return ""
 	}
 	d.tel.adsStored.Inc()
-	// The advertisement's own TTL wins; the BDN's AdTTL covers brokers that
-	// do not stamp one. Either way the deadline is measured from receipt on
-	// the local node clock — the broker's IssuedAt clock may be skewed, and
-	// the NTP-corrected clock may step.
-	ttl := ad.TTL
-	if ttl <= 0 {
-		ttl = d.cfg.AdTTL
-	}
+	// The deadline is measured from receipt on the local node clock — the
+	// broker's IssuedAt clock may be skewed, and the NTP-corrected clock may
+	// step.
+	ttl := d.ttl(ad)
 	d.mu.Lock()
 	_, known := d.brokers[ad.Broker.LogicalAddress]
 	d.commitLocked(upsertRecord(ad, ev.Payload, ttl > 0, ttl), false)
@@ -488,6 +515,34 @@ func (d *BDN) storeAdvertisement(ev *event.Event, conn transport.Conn) string {
 			"broker", ad.Broker.LogicalAddress, "realm", ad.Broker.Realm)
 	}
 	return ad.Broker.LogicalAddress
+}
+
+// admits is the acceptance policy every advertisement passes, whether a broker
+// sent it or a peer's table listed it: "Upon receipt of an advertisement at
+// the BDN, this BDN may choose to store the advertisement or ignore it." Only
+// a refusal of what a broker sent is counted: a peer lists the same entry on
+// every pull.
+func (d *BDN) admits(ad *core.Advertisement) bool {
+	return d.cfg.AdmitFilter == nil || d.cfg.AdmitFilter(ad)
+}
+
+// ttl is how long this BDN keeps a registration of ad: the advertisement's
+// own TTL wins, and the BDN's AdTTL covers brokers that do not stamp one (0:
+// forever).
+func (d *BDN) ttl(ad *core.Advertisement) time.Duration {
+	if ad.TTL > 0 {
+		return ad.TTL
+	}
+	return d.cfg.AdTTL
+}
+
+// authorized reports whether cred is what this BDN requires: "A private BDN
+// must also require the presentation of appropriate credentials before it
+// decides whether it will disseminate the broker discovery request." A peer
+// pulling the table presents it too.
+func (d *BDN) authorized(cred []byte) bool {
+	want := d.Credential()
+	return !d.cfg.Private || len(want) == 0 || string(cred) == string(want)
 }
 
 // requesterIdle is how long, on the node clock, a requester session may stay
@@ -523,14 +578,6 @@ func (d *BDN) serveRequester(conn transport.Conn, first *event.Event) {
 }
 
 func (d *BDN) processRequest(conn transport.Conn, ev *event.Event, req *core.DiscoveryRequest) {
-	// "A private BDN must also require the presentation of appropriate
-	// credentials before it decides whether it will disseminate the broker
-	// discovery request."
-	authorized := true
-	if cred := d.Credential(); d.cfg.Private && len(cred) > 0 {
-		authorized = string(req.Credentials) == string(cred)
-	}
-
 	// Normalise trace context (healed onto ev when the requester stamped
 	// none), so every frame the BDN emits downstream carries it.
 	traceID, origin, hop := core.RequestTrace(ev, req)
@@ -546,7 +593,7 @@ func (d *BDN) processRequest(conn transport.Conn, ev *event.Event, req *core.Dis
 	d.tel.reqAcked.Inc()
 	d.traceEvent(traceID, "bdn-ack", "requester", req.Requester, "origin", origin)
 
-	if !authorized {
+	if !d.authorized(req.Credentials) {
 		d.tel.reqDenied.Inc()
 		return
 	}

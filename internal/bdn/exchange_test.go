@@ -1,0 +1,307 @@
+package bdn
+
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"narada/internal/broker"
+	"narada/internal/core"
+	"narada/internal/event"
+	"narada/internal/metrics"
+	"narada/internal/ntptime"
+	"narada/internal/simnet"
+	"narada/internal/supervise"
+	"narada/internal/transport"
+	"narada/internal/wal"
+)
+
+// memberPort is the stream port of every BDN these tests wire into a set.
+const memberPort = 7000
+
+// memberAddr is the stream address e.member gives the BDN named name at site.
+func memberAddr(site, name string) string {
+	return transport.FormatSimAddr(simnet.Addr{Site: site, Host: "bdn-" + name, Port: memberPort})
+}
+
+// member starts a BDN named name at site, on memberPort, that pulls the
+// tables of peers.
+func (e *env) member(site string, cfg Config, peers ...string) *BDN {
+	e.t.Helper()
+	node, ntp := e.node(site, "bdn-"+cfg.Name)
+	cfg.StreamPort, cfg.Peers = memberPort, peers
+	d, err := New(node, ntp, cfg)
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		e.t.Fatal(err)
+	}
+	e.t.Cleanup(d.Close)
+	return d
+}
+
+// manualStart is where a manual clock starts.
+var manualStart = time.Unix(1_000_000, 0)
+
+// openManual starts a BDN named name on clock, whose NTP service reads clock
+// too, with a sweeper that never fires on its own.
+func openManual(t *testing.T, e *env, clock *ntptime.ManualClock, name string, cfg Config) *BDN {
+	t.Helper()
+	node := transport.NewSimNode(e.net, simnet.SiteBloomington, "bdn-"+name, 0)
+	cfg.Name, cfg.SweepInterval, cfg.Fsync = name, 1000*time.Hour, wal.SyncNever
+	d, err := New(manualNode{node, clock}, ntptime.NewService(clock, 0, nil), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	return d
+}
+
+// manualPair is two BDNs on one clock the test moves by hand: a member and
+// the peer whose table it merges.
+func manualPair(t *testing.T, e *env, cfg Config) (member, peer *BDN, clock *ntptime.ManualClock) {
+	t.Helper()
+	clock = ntptime.NewManualClock(manualStart)
+	return openManual(t, e, clock, "member", cfg), openManual(t, e, clock, "peer", Config{}), clock
+}
+
+// register hands ad to d the way a broker's registration connection does.
+func register(d *BDN, ad *core.Advertisement) {
+	d.storeAdvertisement(event.New(event.TypeAdvertisement, "", core.EncodeAdvertisement(ad)), nil)
+}
+
+// brokerAd is an advertisement issued at manualStart+issued.
+func brokerAd(logical, realm string, issued, ttl time.Duration) *core.Advertisement {
+	return &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: logical, Realm: realm},
+		IssuedAt: manualStart.Add(issued), TTL: ttl}
+}
+
+// TestMergeSkipsWhatThisMemberExpired: a member that expired a registration
+// does not take it back from a peer that heard the same advertisement later
+// and still lists it — not before a restart and not after one — but takes the
+// broker's next advertisement. The broker's clock runs 5 s ahead, so the
+// advertisement could still be live and only the tombstone refuses it.
+func TestMergeSkipsWhatThisMemberExpired(t *testing.T) {
+	e := newEnv(t, 50)
+	dir := t.TempDir()
+	m, p, clock := manualPair(t, e, Config{DataDir: dir})
+	ad := brokerAd("b1", "r", 5*time.Second, 10*time.Second)
+	register(m, ad)
+	clock.Advance(5 * time.Second)
+	register(p, ad) // the same advertisement, five seconds later
+	clock.Advance(6 * time.Second)
+	m.sweep()
+	if m.BrokerCount() != 0 || p.BrokerCount() != 1 {
+		t.Fatalf("member lists %d, peer %d; want 0 and 1", m.BrokerCount(), p.BrokerCount())
+	}
+	pullInto(t, m, p)
+	if m.BrokerCount() != 0 {
+		t.Fatalf("expired registration merged back from the peer: %v", m.Brokers())
+	}
+
+	// The tombstone is a record: a restart over the data directory keeps it.
+	m.Close()
+	m2 := openManual(t, e, clock, "member-again", Config{DataDir: dir})
+	pullInto(t, m2, p)
+	if m2.BrokerCount() != 0 {
+		t.Fatalf("expired registration merged back after a restart: %v", m2.Brokers())
+	}
+
+	register(p, brokerAd("b1", "r", 16*time.Second, 10*time.Second))
+	pullInto(t, m2, p)
+	if left := remainingTTLs(m2)["b1"]; left != 10*time.Second {
+		t.Fatalf("the broker's next advertisement merged with %s left, want 10s", left)
+	}
+}
+
+// TestMergeSkipsRecoveredCopyOfDeadBroker: a peer restarted from disk lists
+// what it recovered with the validity it had left, however long it was down.
+// A copy whose advertisement was issued more than a TTL ago cannot be live,
+// and a member that never heard of the broker does not take it.
+func TestMergeSkipsRecoveredCopyOfDeadBroker(t *testing.T) {
+	e := newEnv(t, 58)
+	clock := ntptime.NewManualClock(manualStart)
+	dir := t.TempDir()
+	p := openManual(t, e, clock, "peer", Config{DataDir: dir})
+	register(p, brokerAd("dead", "r", 0, 10*time.Second))
+	p.Close()
+	clock.Advance(time.Minute) // the broker died; the peer was down
+	p = openManual(t, e, clock, "peer-again", Config{DataDir: dir})
+	register(p, brokerAd("live", "r", time.Minute, 10*time.Second))
+	if p.BrokerCount() != 2 {
+		t.Fatalf("restarted peer lists %v, want dead and live", p.Brokers())
+	}
+	m := openManual(t, e, clock, "member", Config{})
+	pullInto(t, m, p)
+	if got := m.Brokers(); len(got) != 1 || got[0].LogicalAddress != "live" {
+		t.Fatalf("merged %v, want live alone", got)
+	}
+}
+
+// TestMergeCapsValidity: a merged entry keeps what the peer had left, and
+// never more than this member's own TTL for the broker.
+func TestMergeCapsValidity(t *testing.T) {
+	e := newEnv(t, 51)
+	m, p, clock := manualPair(t, e, Config{AdTTL: 20 * time.Second})
+	register(p, brokerAd("forever", "r", 1, 0))       // no TTL of its own: the peer keeps it forever
+	register(p, brokerAd("short", "r", 2, time.Hour)) // an hour at the peer, as here
+	clock.Advance(15 * time.Second)
+	pullInto(t, m, p)
+	ttls := remainingTTLs(m)
+	if ttls["forever"] != 20*time.Second || ttls["short"] != time.Hour-15*time.Second {
+		t.Fatalf("merged validity %v, want forever: 20s (this member's AdTTL), short: 59m45s", ttls)
+	}
+}
+
+// TestMergePassesAdmitFilter: an entry this member would refuse from the
+// broker itself it refuses from a peer's table too. The refusal is counted
+// once, when the broker advertised here, and not again on every pull.
+func TestMergePassesAdmitFilter(t *testing.T) {
+	e := newEnv(t, 52)
+	m, p, _ := manualPair(t, e, Config{AdmitFilter: func(ad *core.Advertisement) bool {
+		return !strings.Contains(ad.Broker.Realm, "cardiff")
+	}})
+	cardiff := brokerAd("broker-cardiff", "cardiff", 2, time.Minute)
+	register(p, brokerAd("broker-fsu", "fsu", 1, time.Minute))
+	register(p, cardiff)
+	register(m, cardiff)
+	for pull := 1; pull <= 2; pull++ {
+		pullInto(t, m, p)
+		if got := m.Brokers(); len(got) != 1 || got[0].LogicalAddress != "broker-fsu" {
+			t.Fatalf("pull %d: merged %v, want broker-fsu alone", pull, got)
+		}
+		if m.tel.adsRejected.Value() != 1 || m.tel.adsMerged.Value() != 1 {
+			t.Fatalf("pull %d: rejected %d, merged %d; want 1 and 1", pull, m.tel.adsRejected.Value(), m.tel.adsMerged.Value())
+		}
+	}
+}
+
+// pullFrom asks d for its table with cred, as a peer's exchange does, and
+// returns the answer (nil when d closed the connection unanswered).
+func pullFrom(t *testing.T, e *env, d *BDN, cred string) []record {
+	t.Helper()
+	node, _ := e.node(simnet.SiteBloomington, "puller")
+	conn, err := node.Dial(d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := event.New(event.TypeLinkHello, "", []byte(cred))
+	hello.SetHeader(event.HeaderRole, event.RoleTable)
+	if err := conn.Send(event.Encode(hello)); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := conn.RecvTimeout(2 * time.Second)
+	if err != nil {
+		return nil
+	}
+	recs, err := decodeState(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestPrivateBDNRefusesPullWithoutCredential: a private BDN serves its table
+// only to a peer holding the credential its discovery requests need.
+func TestPrivateBDNRefusesPullWithoutCredential(t *testing.T) {
+	e := newEnv(t, 53)
+	d := e.bdn(Config{Name: "private.corp", Private: true, RequiredCredential: []byte("badge")})
+	b := e.broker(simnet.SiteIndianapolis, "broker-indy")
+	if err := b.RegisterWithBDN(d.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	awaitBrokers(t, d, 1)
+	for _, cred := range []string{"", "forged"} {
+		if recs := pullFrom(t, e, d, cred); recs != nil {
+			t.Fatalf("pull with credential %q answered: %d records", cred, len(recs))
+		}
+	}
+	if got := d.tel.pullsDenied.Value(); got != 2 {
+		t.Fatalf("pulls denied = %d, want 2", got)
+	}
+	if recs := pullFrom(t, e, d, "badge"); len(recs) != 1 || recs[0].ad.Broker.LogicalAddress != "broker-indy" {
+		t.Fatalf("pull with the credential answered %+v", recs)
+	}
+}
+
+// TestMembersExchangeTables: a broker registered with one member of a set is
+// listed by the other, which pulls it.
+func TestMembersExchangeTables(t *testing.T) {
+	e := newEnv(t, 54)
+	a := e.member(simnet.SiteBloomington, Config{Name: "a.org"}, memberAddr(simnet.SiteIndianapolis, "b.org"))
+	b := e.member(simnet.SiteIndianapolis, Config{Name: "b.org"}, memberAddr(simnet.SiteBloomington, "a.org"))
+	if err := e.broker(simnet.SiteFSU, "broker-fsu").RegisterWithBDN(a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "b.org to pull broker-fsu", func() bool { return b.BrokerCount() == 1 })
+	if b.tel.adsMerged.Value() == 0 {
+		t.Fatal("b.org lists the broker without having merged it")
+	}
+}
+
+// TestMemberCatchesUpAfterPartition: a registration made while two members
+// could not reach each other reaches the cut-off one once the cut heals.
+func TestMemberCatchesUpAfterPartition(t *testing.T) {
+	e := newEnv(t, 55)
+	a := e.member(simnet.SiteBloomington, Config{Name: "a.org"}, memberAddr(simnet.SiteIndianapolis, "b.org"))
+	b := e.member(simnet.SiteIndianapolis, Config{Name: "b.org"}, memberAddr(simnet.SiteBloomington, "a.org"))
+	e.net.Partition(simnet.SiteBloomington, simnet.SiteIndianapolis)
+	if err := e.broker(simnet.SiteFSU, "broker-fsu").RegisterWithBDN(a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	awaitBrokers(t, a, 1)
+	e.net.Clock().Sleep(3 * exchangeEvery)
+	if b.BrokerCount() != 0 {
+		t.Fatalf("b.org pulled across the partition: %v", b.Brokers())
+	}
+	e.net.Heal(simnet.SiteBloomington, simnet.SiteIndianapolis)
+	waitFor(t, "b.org to pull broker-fsu after the heal", func() bool { return b.BrokerCount() == 1 })
+}
+
+// TestRestartedMemberPullsWhatItMissed: a member that was down while a broker
+// registered with the others lists that broker after it restarts, from its
+// first pull.
+func TestRestartedMemberPullsWhatItMissed(t *testing.T) {
+	e := newEnv(t, 56)
+	cfg := Config{Name: "b.org", DataDir: filepath.Join(t.TempDir(), "b")}
+	a := e.member(simnet.SiteBloomington, Config{Name: "a.org"}, memberAddr(simnet.SiteIndianapolis, "b.org"))
+	b := e.member(simnet.SiteIndianapolis, cfg, memberAddr(simnet.SiteBloomington, "a.org"))
+	b.Close()
+	if err := e.broker(simnet.SiteFSU, "broker-fsu").RegisterWithBDN(a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	awaitBrokers(t, a, 1)
+	b = e.member(simnet.SiteIndianapolis, cfg, memberAddr(simnet.SiteBloomington, "a.org"))
+	waitFor(t, "the restarted b.org to pull broker-fsu", func() bool { return b.BrokerCount() == 1 })
+}
+
+// TestSupervisedRegistrationWaitsForLateBDN: a supervised broker that
+// registers with a BDN before anything listens at its address gets the error,
+// and is listed once a BDN comes up there — its supervisor kept dialling.
+func TestSupervisedRegistrationWaitsForLateBDN(t *testing.T) {
+	e := newEnv(t, 57)
+	node, ntp := e.node(simnet.SiteFSU, "broker-early")
+	b, err := broker.New(node, ntp, broker.Config{
+		LogicalAddress: "broker-early",
+		Sampler:        metrics.NewStaticSampler(metrics.Usage{TotalMemBytes: 512 * mib, UsedMemBytes: 64 * mib}),
+		Supervise:      &supervise.Policy{BaseBackoff: 50 * time.Millisecond, MaxBackoff: 200 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	if err := b.RegisterWithBDN(memberAddr(simnet.SiteBloomington, "late.org")); err == nil {
+		t.Fatal("registration with nothing listening reported success")
+	}
+	d := e.member(simnet.SiteBloomington, Config{Name: "late.org"})
+	waitFor(t, "the late BDN to list the broker", func() bool { return d.BrokerCount() == 1 })
+}

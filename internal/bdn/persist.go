@@ -1,12 +1,12 @@
 package bdn
 
-// Durable advertisement registry. The broker table, the election epoch and
-// the replication watermarks change only by records, and only in commitLocked:
-// a registration accepted here, a sweep, a record streamed from another
-// member and a record read back from disk all take that one road. The same
-// records are what the write-ahead log holds, what a snapshot lists and what
-// the replica stream carries, so a restarted BDN recovers its registry
-// instead of forcing a fleet-wide re-registration storm.
+// Durable advertisement registry. The broker table changes only by records,
+// and only in commitLocked: a registration accepted here, a sweep, an entry
+// merged from a peer member's table and a record read back from disk all take
+// that one road. The same records are what the write-ahead log holds, what a
+// snapshot lists and what a member serves a peer that pulls its table, so a
+// restarted BDN recovers its registry instead of forcing a fleet-wide
+// re-registration storm.
 //
 // TTL deadlines are never persisted as absolute times. An upsert carries the
 // validity *remaining* when it was written, measured on the local node clock,
@@ -25,20 +25,25 @@ import (
 )
 
 // Record encoding: [recVersion][type][body...] with the wire package. An
-// upsert stores the encoded core.Advertisement verbatim. Type 3 was a durable
-// credential; the credential is configuration (Config.RequiredCredential),
-// and a log that still holds one skips it as undecodable.
+// upsert stores the encoded core.Advertisement verbatim. Types 3 (a durable
+// credential), 4 (an election epoch) and 5 (a replication watermark) are
+// retired: a data directory written before may hold them, and recovery skips
+// each. A delete written before the tombstone fields leaves a tombstone that
+// has already lapsed.
 const (
 	recVersion byte = 1
 
-	recUpsert  byte = 1 // BytesField(ad) Bool(hasDeadline) Duration(remaining)
-	recDelete  byte = 2 // String(logical) String(reason)
-	recEpoch   byte = 4 // Uvarint(epoch)
-	recApplied byte = 5 // String(source) Uvarint(index)
+	recUpsert byte = 1 // BytesField(ad) Bool(hasDeadline) Duration(remaining)
+	recDelete byte = 2 // String(logical) String(reason) [Time(issued) Duration(remaining)]
 )
 
-// record is one registry mutation: its encoding (what the WAL and the replica
-// stream carry) beside the decoded fields of its type.
+// errRetired is decodeRecord's answer to a record of a retired type.
+var errRetired = errors.New("bdn: retired wal record type")
+
+// record is one registry mutation: its encoding (what the WAL, a snapshot and
+// a served table carry) beside the decoded fields of its type. An upsert's
+// remaining is the registration's validity left; a delete's is how long the
+// tombstone it leaves still shadows the deleted advertisement (issued).
 type record struct {
 	typ byte
 	enc []byte
@@ -49,11 +54,7 @@ type record struct {
 
 	logical string // recDelete
 	reason  string
-
-	epoch uint64 // recEpoch
-
-	source string // recApplied
-	index  uint64
+	issued  time.Time
 }
 
 // upsertRecord takes the advertisement both ways, decoded and encoded: the
@@ -66,24 +67,13 @@ func upsertRecord(ad *core.Advertisement, adPayload []byte, hasDeadline bool, re
 	return record{typ: recUpsert, enc: w.Detach(), ad: ad, hasDeadline: hasDeadline, remaining: remaining}
 }
 
-func deleteRecord(logical, reason string) record {
-	w := newRecWriter(recDelete, 8+len(logical)+len(reason))
+func deleteRecord(logical, reason string, issued time.Time, remaining time.Duration) record {
+	w := newRecWriter(recDelete, 28+len(logical)+len(reason))
 	w.String(logical)
 	w.String(reason)
-	return record{typ: recDelete, enc: w.Detach(), logical: logical, reason: reason}
-}
-
-func epochRecord(epoch uint64) record {
-	w := newRecWriter(recEpoch, 12)
-	w.Uvarint(epoch)
-	return record{typ: recEpoch, enc: w.Detach(), epoch: epoch}
-}
-
-func appliedRecord(source string, index uint64) record {
-	w := newRecWriter(recApplied, 12+len(source))
-	w.String(source)
-	w.Uvarint(index)
-	return record{typ: recApplied, enc: w.Detach(), source: source, index: index}
+	w.Time(issued)
+	w.Duration(remaining)
+	return record{typ: recDelete, enc: w.Detach(), logical: logical, reason: reason, issued: issued, remaining: remaining}
 }
 
 func newRecWriter(typ byte, capacity int) *wire.Writer {
@@ -117,11 +107,12 @@ func decodeRecord(b []byte) (record, error) {
 	case recDelete:
 		rec.logical = r.String()
 		rec.reason = r.String()
-	case recEpoch:
-		rec.epoch = r.Uvarint()
-	case recApplied:
-		rec.source = r.String()
-		rec.index = r.Uvarint()
+		if r.Remaining() > 0 {
+			rec.issued = r.Time()
+			rec.remaining = r.Duration()
+		}
+	case 3, 4, 5:
+		return record{}, errRetired
 	default:
 		return record{}, fmt.Errorf("bdn: unknown wal record type %d", rec.typ)
 	}
@@ -131,13 +122,13 @@ func decodeRecord(b []byte) (record, error) {
 	return rec, nil
 }
 
-// A snapshot body (wrapped in wal's CRC envelope, and the state of a replica
-// snapshot message) is the table said in the same records:
+// A snapshot body (wrapped in wal's CRC envelope), and the table a member
+// serves a peer, is the table said in the same records:
 //
 //	Byte(stateVersion) Uvarint(#records) { BytesField(record) }
 //
-// one epoch, one applied per source, one upsert per unexpired registration
-// with the validity remaining at capture. Version 1 was a second encoding of
+// one upsert per unexpired registration with the validity remaining at
+// capture, one delete per live tombstone. Version 1 was a second encoding of
 // the table; a snapshot in it is undecodable and recovery falls back to the
 // log.
 const stateVersion byte = 2
@@ -164,6 +155,9 @@ func decodeState(b []byte) ([]record, error) {
 	recs := make([]record, 0, n)
 	for i := uint64(0); i < n; i++ {
 		rec, err := decodeRecord(r.BytesSpan())
+		if err == errRetired {
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +192,9 @@ func (d *BDN) initPersistence() error {
 		if derr != nil {
 			d.cfg.Logger.Warn("snapshot undecodable, replaying full wal", "err", derr)
 		} else {
-			d.installLocked(recs)
+			for _, rec := range recs {
+				d.commitLocked(rec, true)
+			}
 			snapIdx = idx
 		}
 	} else if err != wal.ErrNoSnapshot {
@@ -209,6 +205,9 @@ func (d *BDN) initPersistence() error {
 	replayed := 0
 	err = log.Replay(snapIdx+1, func(_ uint64, payload []byte) error {
 		rec, derr := decodeRecord(payload)
+		if derr == errRetired {
+			return nil
+		}
 		if derr != nil {
 			// A record we wrote but can no longer parse is a bug, not a disk
 			// fault (the CRC already passed); skip it rather than refuse to
@@ -237,14 +236,13 @@ func (d *BDN) initPersistence() error {
 	return nil
 }
 
-// commitLocked is the one road into d.brokers, d.epoch and d.applied: it
-// applies rec, then appends it to the WAL and journals it — unless rec was
-// recovered, read back from a snapshot or this member's own WAL, and so is
-// already on disk and was told when it happened. A record accepted or decided
-// here and one streamed from another member are committed alike. Where a
-// record came from never decides what the table becomes. A connection and a
-// measured distance are not in any record — they are soft state a
-// registration keeps across upserts.
+// commitLocked is the one road into d.brokers and d.gone: it applies rec,
+// then appends it to the WAL and journals it — unless rec was recovered, read
+// back from a snapshot or this member's own WAL, and so is already on disk and
+// was told when it happened. A registration accepted here and an entry merged
+// from a peer's table are committed alike. Where a record came from never
+// decides what the table becomes. A connection and a measured distance are
+// not in any record — they are soft state a registration keeps across upserts.
 func (d *BDN) commitLocked(rec record, recovered bool) {
 	switch rec.typ {
 	case recUpsert:
@@ -258,6 +256,7 @@ func (d *BDN) commitLocked(rec record, recovered bool) {
 		if rec.hasDeadline {
 			r.expiresAt = d.node.Clock().Now().Add(rec.remaining)
 		}
+		delete(d.gone, logical)
 		if recovered {
 			break
 		}
@@ -272,33 +271,10 @@ func (d *BDN) commitLocked(rec record, recovered bool) {
 			d.cfg.Journal.Emit(obs.EventAdExpired, rec.logical, rec.reason)
 		}
 		delete(d.brokers, rec.logical)
-	case recEpoch:
-		if rec.epoch > d.epoch {
-			d.epoch = rec.epoch
-		}
-	case recApplied:
-		if rec.index > d.applied[rec.source] {
-			d.applied[rec.source] = rec.index
-		}
+		d.gone[rec.logical] = tombstone{issued: rec.issued, until: d.node.Clock().Now().Add(rec.remaining)}
 	}
 	if !recovered {
 		d.appendRecordLocked(rec.enc)
-	}
-}
-
-// installLocked replaces the broker table with the one recs list (a decoded
-// snapshot body): clear, then commit each. Epoch and watermarks only ever
-// advance, and the soft state of a broker in both tables survives.
-func (d *BDN) installLocked(recs []record) {
-	old := d.brokers
-	d.brokers = make(map[string]*registration, len(recs))
-	for _, rec := range recs {
-		d.commitLocked(rec, true)
-	}
-	for logical, r := range d.brokers {
-		if prev, ok := old[logical]; ok {
-			r.conn, r.distance = prev.conn, prev.distance
-		}
 	}
 }
 
@@ -347,7 +323,7 @@ func (d *BDN) SnapshotNow() error {
 	if log == nil {
 		return nil
 	}
-	index, state := d.ReplicaSnapshot()
+	index, state := d.capture()
 	if index == 0 {
 		return nil
 	}
@@ -364,6 +340,31 @@ func (d *BDN) SnapshotNow() error {
 	return nil
 }
 
+// capture says the table as a snapshot body — for the local snapshot file, or
+// for a peer that pulls it — and returns the WAL index the state covers (0
+// when not durable).
+func (d *BDN) capture() (index uint64, state []byte) {
+	now := d.node.Clock().Now()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	recs := make([]record, 0, len(d.brokers)+len(d.gone))
+	for _, r := range d.brokers {
+		if !r.expired(now) {
+			recs = append(recs, upsertRecord(r.ad, core.EncodeAdvertisement(r.ad),
+				!r.expiresAt.IsZero(), r.expiresAt.Sub(now)))
+		}
+	}
+	for logical, t := range d.gone {
+		if now.Before(t.until) {
+			recs = append(recs, deleteRecord(logical, "tombstone", t.issued, t.until.Sub(now)))
+		}
+	}
+	if d.log != nil {
+		index = d.log.LastIndex()
+	}
+	return index, encodeState(recs)
+}
+
 // Durable reports whether the BDN persists its registry.
 func (d *BDN) Durable() bool { return d.cfg.DataDir != "" }
 
@@ -374,137 +375,9 @@ func (d *BDN) walLog() *wal.Log {
 	return d.log
 }
 
-// WALRange returns the retained WAL index range (0,0 when empty or not
-// durable). Used by the replication layer.
-func (d *BDN) WALRange() (first, last uint64) {
-	log := d.walLog()
-	if log == nil {
-		return 0, 0
-	}
-	return log.FirstIndex(), log.LastIndex()
-}
-
-// WALNotify returns a channel closed at the next WAL append, or nil when
-// not durable. Used by the replication layer to tail the log.
-func (d *BDN) WALNotify() <-chan struct{} {
-	log := d.walLog()
-	if log == nil {
-		return nil
-	}
-	return log.Notify()
-}
-
-// ReadRecords returns up to max WAL record payloads starting at index from.
-// It returns wal.ErrNotFound when from has been compacted away (the caller
-// should fall back to ReplicaSnapshot).
-func (d *BDN) ReadRecords(from uint64, max int) ([][]byte, error) {
-	log := d.walLog()
-	if log == nil {
-		return nil, errors.New("bdn: not durable")
-	}
-	var out [][]byte
-	err := log.Replay(from, func(_ uint64, payload []byte) error {
-		out = append(out, append([]byte(nil), payload...))
-		if len(out) >= max {
-			return errEnough
-		}
-		return nil
-	})
-	if err == errEnough {
-		err = nil
-	}
-	return out, err
-}
-
-var errEnough = errors.New("bdn: enough records")
-
-// Epoch returns the highest election epoch this node has persisted.
-func (d *BDN) Epoch() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.epoch
-}
-
-// SetEpoch durably records a new election epoch (monotonic; lower values
-// are ignored).
-func (d *BDN) SetEpoch(epoch uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if epoch > d.epoch {
-		d.commitLocked(epochRecord(epoch), false)
-	}
-}
-
-// Credential returns the credential private discovery requests must carry:
-// configuration, never recovered state.
+// Credential returns the credential private discovery requests and table
+// pulls must carry: configuration, never recovered state.
 func (d *BDN) Credential() []byte { return d.cfg.RequiredCredential }
-
-// AppliedIndex returns how far into source's WAL this node has applied.
-func (d *BDN) AppliedIndex(source string) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.applied[source]
-}
-
-// ApplyReplicated applies one record streamed from source's WAL (at the
-// given index in source's index space, which starts at 1), records it in the
-// local WAL, and advances the applied watermark.
-func (d *BDN) ApplyReplicated(source string, index uint64, payload []byte) error {
-	rec, err := decodeRecord(payload)
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if index <= d.applied[source] {
-		return nil // duplicate delivery
-	}
-	d.commitLocked(rec, false)
-	d.commitLocked(appliedRecord(source, index), false)
-	d.tel.walApplied.Inc()
-	return nil
-}
-
-// ReplicaSnapshot captures the full table as a snapshot body — for the local
-// snapshot file, or for transfer to a far-behind standby — and returns the WAL
-// index the state covers.
-func (d *BDN) ReplicaSnapshot() (index uint64, state []byte) {
-	now := d.node.Clock().Now()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	recs := make([]record, 0, 1+len(d.applied)+len(d.brokers))
-	recs = append(recs, epochRecord(d.epoch))
-	for src, idx := range d.applied {
-		recs = append(recs, appliedRecord(src, idx))
-	}
-	for _, r := range d.brokers {
-		if !r.expired(now) {
-			recs = append(recs, upsertRecord(r.ad, core.EncodeAdvertisement(r.ad),
-				!r.expiresAt.IsZero(), r.expiresAt.Sub(now)))
-		}
-	}
-	if d.log != nil {
-		index = d.log.LastIndex()
-	}
-	return index, encodeState(recs)
-}
-
-// InstallReplicaState replaces the table with a snapshot streamed from
-// source (covering source's WAL through index), then persists a local
-// snapshot immediately so the installed state survives a crash.
-func (d *BDN) InstallReplicaState(source string, index uint64, state []byte) error {
-	recs, err := decodeState(state)
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.installLocked(recs)
-	if index > d.applied[source] {
-		d.commitLocked(appliedRecord(source, index), false)
-	}
-	d.mu.Unlock()
-	return d.SnapshotNow()
-}
 
 // closePersistence writes a final snapshot and closes the WAL.
 func (d *BDN) closePersistence() {

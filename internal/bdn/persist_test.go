@@ -18,6 +18,7 @@ import (
 	"narada/internal/transport"
 	"narada/internal/uuid"
 	"narada/internal/wal"
+	"narada/internal/wire"
 )
 
 // restart closes the BDN and brings up a fresh one over the same data
@@ -121,22 +122,35 @@ func remainingTTLs(d *BDN) map[string]time.Duration {
 
 // TestSnapshotReplayEquivalence is the differential test behind "a registry
 // mutation is a record": every road into the table yields the same table. A
-// seeded random sequence of register / refresh / expiry sweep / epoch bump /
-// snapshot / upstream-replicated record runs live on L, on a clock only the
-// test moves. R is fed L's records through ApplyReplicated as they are
-// written; I installs L's ReplicaSnapshot at a random point and is fed the
-// suffix; W restarts over L's WAL alone and S over its snapshot plus the WAL
-// suffix. All five must agree on Brokers, Epoch and the upstream watermark,
-// no deleted broker may be back on any road, and redelivering R's whole
-// stream must change nothing. Remaining TTLs are equal on the live roads; a
-// restart re-anchors each deadline at recovery + the validity its last record
-// (or the snapshot) carried, and the test says exactly that of W and S.
+// seeded random sequence of register / refresh / expiry sweep / snapshot /
+// entry merged from a peer's table runs live on L, on a clock only the test
+// moves. X is fed by table exchange alone: after every step it merges L's
+// table. W restarts over L's WAL alone and S over its snapshot plus the WAL
+// suffix. All four must agree on Brokers, no deleted broker may be back on
+// any road, and merging L's table into X once more must change nothing.
+// Remaining TTLs are equal on the live roads; a restart re-anchors each
+// deadline at recovery + the validity its last record (or the snapshot)
+// carried, and the test says exactly that of W and S.
 func TestSnapshotReplayEquivalence(t *testing.T) {
 	e := newEnv(t, 41)
 	for seed := int64(0); seed < 200; seed++ {
 		differentialRun(t, e, seed)
 	}
 }
+
+// pullInto merges src's table into dst, as dst's exchange with src does.
+func pullInto(t *testing.T, dst, src *BDN) {
+	t.Helper()
+	_, state := src.capture()
+	recs, err := decodeState(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst.merge(recs)
+}
+
+// walLast is the index of d's last WAL record.
+func walLast(d *BDN) uint64 { return d.walLog().LastIndex() }
 
 func differentialRun(t *testing.T, e *env, seed int64) {
 	t.Helper()
@@ -158,23 +172,9 @@ func differentialRun(t *testing.T, e *env, seed int64) {
 		}
 		return d
 	}
-	L, R, I := open("L", "L"), open("R", "R"), open("I", "I")
+	L, X := open("L", "L"), open("X", "X")
 	defer L.Close()
-	defer R.Close()
-	defer I.Close()
-
-	// feed streams L's records past dst's watermark, as a replica stream does.
-	feed := func(dst *BDN, from uint64) {
-		recs, err := L.ReadRecords(from, 1<<20)
-		if err != nil {
-			t.Fatalf("seed %d: ReadRecords(%d): %v", seed, from, err)
-		}
-		for i, rec := range recs {
-			if err := dst.ApplyReplicated("L", from+uint64(i), rec); err != nil {
-				t.Fatalf("seed %d: ApplyReplicated(%d): %v", seed, from+uint64(i), err)
-			}
-		}
-	}
+	defer X.Close()
 
 	// The model: what each broker's last upsert said, and when.
 	type upsert struct {
@@ -183,31 +183,27 @@ func differentialRun(t *testing.T, e *env, seed int64) {
 		ttl time.Duration // 0 = no deadline
 	}
 	var (
-		model    = map[string]upsert{}
-		gone     = map[string]bool{} // deleted and not registered again
-		snapAt   time.Time
-		snapped  map[string]upsert
-		upstream uint64
-		seq      int
+		model   = map[string]upsert{}
+		gone    = map[string]bool{} // deleted and not registered again
+		snapAt  time.Time
+		snapped map[string]upsert
+		seq     int
 	)
+	// put is a broker's next advertisement, issued now and after the last.
 	put := func(logical string, ttl time.Duration) record {
-		ad := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: logical, Realm: "r"}, TTL: ttl}
 		seq++
+		ad := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: logical, Realm: "r"},
+			IssuedAt: clock.Now().Add(time.Duration(seq)), TTL: ttl}
 		model[logical] = upsert{seq, clock.Now(), ttl}
 		delete(gone, logical)
 		return upsertRecord(ad, core.EncodeAdvertisement(ad), ttl > 0, ttl)
-	}
-	drop := func(logical string) {
-		if _, ok := model[logical]; ok {
-			delete(model, logical)
-			gone[logical] = true
-		}
 	}
 	sweep := func() {
 		now := clock.Now()
 		for logical, u := range model {
 			if u.ttl > 0 && now.After(u.at.Add(u.ttl)) {
-				drop(logical)
+				delete(model, logical)
+				gone[logical] = true
 			}
 		}
 		L.sweep()
@@ -222,14 +218,7 @@ func differentialRun(t *testing.T, e *env, seed int64) {
 	// The run ends on a sweep: a registration that lapsed but was never swept
 	// has no delete on disk, and a restart gives it its validity back.
 	const ops = 40
-	installAt := rng.Intn(ops)
 	for op := 0; op <= ops; op++ {
-		if op == installAt {
-			idx, state := L.ReplicaSnapshot()
-			if err := I.InstallReplicaState("L", idx, state); err != nil {
-				t.Fatalf("seed %d: InstallReplicaState: %v", seed, err)
-			}
-		}
 		switch k := rng.Intn(10); {
 		case op == ops:
 			sweep()
@@ -241,8 +230,6 @@ func differentialRun(t *testing.T, e *env, seed int64) {
 			clock.Advance(time.Duration(rng.Intn(30)) * time.Second)
 			sweep()
 		case k < 7:
-			L.SetEpoch(L.Epoch() + 1 + uint64(rng.Intn(3)))
-		case k < 8:
 			if err := L.SnapshotNow(); err != nil {
 				t.Fatalf("seed %d: SnapshotNow: %v", seed, err)
 			}
@@ -250,23 +237,11 @@ func differentialRun(t *testing.T, e *env, seed int64) {
 			for logical, u := range model {
 				snapped[logical] = u
 			}
-		default: // L is itself a standby of "up": an upsert or a delete streams in
-			upstream++
-			logical := fmt.Sprintf("u%d", rng.Intn(4))
-			rec := deleteRecord(logical, "expired")
-			if rng.Intn(3) > 0 {
-				rec = put(logical, randomTTL())
-			} else {
-				drop(logical)
-			}
-			if err := L.ApplyReplicated("up", upstream, rec.enc); err != nil {
-				t.Fatal(err)
-			}
+		default: // a broker L only hears of from a peer's table
+			rec := put(fmt.Sprintf("u%d", rng.Intn(4)), randomTTL())
+			L.merge([]record{rec})
 		}
-		feed(R, R.AppliedIndex("L")+1)
-		if op >= installAt {
-			feed(I, I.AppliedIndex("L")+1)
-		}
+		pullInto(t, X, L)
 	}
 
 	// Restart roads: W over the WAL alone, S over snapshot + suffix.
@@ -292,12 +267,11 @@ func differentialRun(t *testing.T, e *env, seed int64) {
 	defer W.Close()
 	defer S.Close()
 
-	_, lastL := L.WALRange()
 	want, live := L.Brokers(), remainingTTLs(L)
 	if len(want) != len(model) {
 		t.Fatalf("seed %d: L lists %d brokers, the model %d", seed, len(want), len(model))
 	}
-	for road, d := range map[string]*BDN{"W": W, "S": S, "R": R, "I": I} {
+	for road, d := range map[string]*BDN{"W": W, "S": S, "X": X} {
 		if got := d.Brokers(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: road %s table differs:\n L %+v\n %s %+v", seed, road, want, road, got)
 		}
@@ -305,12 +279,6 @@ func differentialRun(t *testing.T, e *env, seed int64) {
 			if gone[b.LogicalAddress] {
 				t.Fatalf("seed %d: road %s: deleted broker %s is back", seed, road, b.LogicalAddress)
 			}
-		}
-		if d.Epoch() != L.Epoch() {
-			t.Fatalf("seed %d: road %s epoch %d, L %d", seed, road, d.Epoch(), L.Epoch())
-		}
-		if got := d.AppliedIndex("up"); got != upstream || L.AppliedIndex("up") != upstream {
-			t.Fatalf("seed %d: road %s applied %d of upstream's %d (L %d)", seed, road, got, upstream, L.AppliedIndex("up"))
 		}
 		ttls := remainingTTLs(d)
 		for logical, u := range model {
@@ -330,17 +298,12 @@ func differentialRun(t *testing.T, e *env, seed int64) {
 			}
 		}
 	}
-	for road, d := range map[string]*BDN{"R": R, "I": I} {
-		if got := d.AppliedIndex("L"); got != lastL {
-			t.Fatalf("seed %d: road %s applied %d of L's %d records", seed, road, got, lastL)
-		}
-	}
 
-	// Redelivery of the whole stream is a no-op: nothing applied, nothing logged.
-	_, before := R.WALRange()
-	feed(R, 1)
-	if _, after := R.WALRange(); after != before || !reflect.DeepEqual(remainingTTLs(R), live) {
-		t.Fatalf("seed %d: replaying R's stream changed it: wal %d → %d", seed, before, after)
+	// Another pull of the same table is a no-op: nothing merged, nothing logged.
+	before := walLast(X)
+	pullInto(t, X, L)
+	if after := walLast(X); after != before || !reflect.DeepEqual(remainingTTLs(X), live) {
+		t.Fatalf("seed %d: pulling L's table again changed X: wal %d → %d", seed, before, after)
 	}
 }
 
@@ -355,7 +318,7 @@ func TestSweepDeleteIsDurable(t *testing.T) {
 	}
 	// The registration lives 2s of model time, a few wall milliseconds: wait
 	// for its record in the log, not for a poll to catch it listed.
-	waitFor(t, "the registration's record", func() bool { _, last := d.WALRange(); return last > 0 })
+	waitFor(t, "the registration's record", func() bool { return walLast(d) > 0 })
 	b.Close() // stop refreshes so the registration ages out
 	e.net.Clock().Sleep(5 * time.Second)
 	if d.BrokerCount() != 0 {
@@ -405,15 +368,10 @@ func TestClockJumpAcrossRestartDoesNotMassSweep(t *testing.T) {
 
 // reencode builds rec again from its decoded fields alone.
 func reencode(rec record) record {
-	switch rec.typ {
-	case recUpsert:
+	if rec.typ == recUpsert {
 		return upsertRecord(rec.ad, core.EncodeAdvertisement(rec.ad), rec.hasDeadline, rec.remaining)
-	case recDelete:
-		return deleteRecord(rec.logical, rec.reason)
-	case recEpoch:
-		return epochRecord(rec.epoch)
 	}
-	return appliedRecord(rec.source, rec.index)
+	return deleteRecord(rec.logical, rec.reason, rec.issued, rec.remaining)
 }
 
 // codecCases is one record of every type; the fuzzers start from them.
@@ -423,9 +381,8 @@ func codecCases() []record {
 	return []record{
 		upsertRecord(ad, payload, true, 42*time.Second),
 		upsertRecord(ad, payload, false, 0),
-		deleteRecord("b1", "expired"),
-		epochRecord(99),
-		appliedRecord("gsl.org", 1234),
+		deleteRecord("b1", "expired", time.Unix(0, 7), time.Minute),
+		deleteRecord("b2", "tombstone", time.Time{}, 0),
 	}
 }
 
@@ -439,31 +396,104 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: re-encode mismatch", i)
 		}
 	}
-	// {recVersion, 3, ...} is the durable credential a parent-written log may
-	// still hold: undecodable now, so recovery warns and skips it.
 	for _, garbage := range [][]byte{nil, {}, {recVersion}, {recVersion, 99}, {7, recUpsert, 0},
-		{recVersion, 3, 1, 4, 'c', 'r', 'e', 'd'}} {
-		if _, err := decodeRecord(garbage); err == nil {
-			t.Fatalf("decodeRecord(%v) accepted garbage", garbage)
+		{recVersion, recDelete, 2, 'b', '1', 0, 1}} {
+		if _, err := decodeRecord(garbage); err == nil || err == errRetired {
+			t.Fatalf("decodeRecord(%v) accepted garbage (%v)", garbage, err)
 		}
+	}
+	// A durable credential, an election epoch and a replication watermark
+	// are retired types a data directory may still hold.
+	for _, retired := range [][]byte{{recVersion, 3, 1, 4, 'c', 'r', 'e', 'd'}, {recVersion, 4, 99}, {recVersion, 5, 1, 'a', 7}} {
+		if _, err := decodeRecord(retired); err != errRetired {
+			t.Fatalf("decodeRecord(%v) = %v, want errRetired", retired, err)
+		}
+	}
+	// A delete written before the tombstone fields reads as one whose
+	// tombstone has lapsed.
+	rec, err := decodeRecord(legacyDelete("b1"))
+	if err != nil || rec.logical != "b1" || !rec.issued.IsZero() || rec.remaining != 0 {
+		t.Fatalf("legacy delete decoded as %+v, %v", rec, err)
+	}
+}
+
+// legacyDelete and epochRecord encode records as a BDN wrote them before a set
+// of BDNs exchanged tables: a delete without the tombstone fields, and the
+// election epoch that began every snapshot.
+func legacyDelete(logical string) []byte {
+	w := newRecWriter(recDelete, 16)
+	w.String(logical)
+	w.String("expired")
+	return w.Detach()
+}
+
+func epochRecord(epoch uint64) []byte {
+	w := newRecWriter(4, 12)
+	w.Uvarint(epoch)
+	return w.Detach()
+}
+
+// TestRecoversDataDirWithRetiredRecords: a data directory written before the
+// exchange — its snapshot led by an epoch record, its log suffix holding an
+// epoch and a delete without the tombstone fields — recovers the table it
+// held: the snapshot's registrations, less the one the suffix deleted.
+func TestRecoversDataDirWithRetiredRecords(t *testing.T) {
+	dir := t.TempDir()
+	log, _, _, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap [][]byte
+	for _, logical := range []string{"kept", "deleted"} {
+		ad := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: logical}}
+		snap = append(snap, upsertRecord(ad, core.EncodeAdvertisement(ad), true, time.Minute).enc)
+	}
+	snap = append([][]byte{epochRecord(3)}, snap...)
+	for _, enc := range snap {
+		if _, err := log.Append(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := wire.NewWriter(256)
+	w.Byte(stateVersion)
+	w.Uvarint(uint64(len(snap)))
+	for _, enc := range snap {
+		w.BytesField(enc)
+	}
+	if err := wal.SaveSnapshot(dir, log.LastIndex(), w.Detach()); err != nil {
+		t.Fatal(err)
+	}
+	for _, enc := range [][]byte{legacyDelete("deleted"), epochRecord(4)} {
+		if _, err := log.Append(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e := newEnv(t, 48)
+	d := e.bdn(Config{Name: "upgraded.org", DataDir: dir})
+	if got := d.Brokers(); len(got) != 1 || got[0].LogicalAddress != "kept" {
+		t.Fatalf("recovered %v, want kept alone", got)
 	}
 }
 
 // TestStateCodecRebasesDeadlines: a snapshot body is the table in records, an
-// upsert in it carries the validity left at capture, and installing it
-// anchors the deadline at the installer's now.
+// upsert in it carries the validity left at capture, and merging it anchors
+// the deadline at the merger's now.
 func TestStateCodecRebasesDeadlines(t *testing.T) {
-	ad := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: "b1"}}
-	body := encodeState([]record{epochRecord(3), appliedRecord("p", 12),
+	ad := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: "b1"}, IssuedAt: time.Unix(0, 1)}
+	body := encodeState([]record{deleteRecord("b0", "tombstone", time.Unix(0, 5), 12*time.Second),
 		upsertRecord(ad, core.EncodeAdvertisement(ad), true, 30*time.Second)})
 	got, err := decodeState(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[0].epoch != 3 || got[1].source != "p" || got[1].index != 12 {
-		t.Fatalf("decoded header %+v", got)
+	if len(got) != 2 || got[0].logical != "b0" || !got[0].issued.Equal(time.Unix(0, 5)) || got[0].remaining != 12*time.Second {
+		t.Fatalf("decoded tombstone %+v", got)
 	}
-	if up := got[2]; up.ad.Broker.LogicalAddress != "b1" || !up.hasDeadline || up.remaining != 30*time.Second {
+	if up := got[1]; up.ad.Broker.LogicalAddress != "b1" || !up.hasDeadline || up.remaining != 30*time.Second {
 		t.Fatalf("decoded upsert %+v", up)
 	}
 	for _, garbage := range [][]byte{nil, {0xFF, 0x01}, {1, 0}, {stateVersion, 200}, body[:len(body)-1]} {
@@ -475,19 +505,18 @@ func TestStateCodecRebasesDeadlines(t *testing.T) {
 	e := newEnv(t, 47)
 	d := e.bdn(Config{Name: "install.org", DataDir: t.TempDir()})
 	before := d.node.Clock().Now()
-	if err := d.InstallReplicaState("p", 12, body); err != nil {
-		t.Fatal(err)
-	}
+	d.merge(got)
 	left := remainingTTLs(d)["b1"]
 	if elapsed := d.node.Clock().Now().Sub(before); left > 30*time.Second || left < 30*time.Second-elapsed {
-		t.Fatalf("installed deadline leaves %s, want 30s from the install (%s ago)", left, elapsed)
+		t.Fatalf("merged deadline leaves %s, want 30s from the merge (%s ago)", left, elapsed)
 	}
-	if d.Epoch() != 3 || d.AppliedIndex("p") != 12 {
-		t.Fatalf("installed epoch %d, applied %d", d.Epoch(), d.AppliedIndex("p"))
+	if d.BrokerCount() != 1 {
+		t.Fatalf("merged table lists %v", d.Brokers())
 	}
 }
 
 // FuzzRegistryRecord: the two decoders that read what a disk or a peer holds
+// — a record, and a snapshot body, which is also what a table pull answers —
 // never panic, an accepted record re-encodes to one that decodes the same,
 // and a snapshot body cannot claim more records than it has bytes.
 func FuzzRegistryRecord(f *testing.F) {
@@ -497,6 +526,7 @@ func FuzzRegistryRecord(f *testing.F) {
 	}
 	f.Add(encodeState(cases))
 	f.Add([]byte{stateVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	f.Add(servedTable())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if rec, err := decodeRecord(data); err == nil {
 			again := reencode(rec)
@@ -523,63 +553,22 @@ func FuzzRegistryRecord(f *testing.F) {
 	})
 }
 
-func TestApplyReplicatedIsIdempotent(t *testing.T) {
-	e := newEnv(t, 44)
-	cfg := Config{Name: "apply.org", DataDir: t.TempDir()}
-	d := e.bdn(cfg)
-
-	ad := &core.Advertisement{
-		Broker:   core.BrokerInfo{LogicalAddress: "replicated-broker"},
-		IssuedAt: time.Unix(0, 0),
-		TTL:      time.Hour,
+// servedTable is what a member answers a pull with: a live registration and
+// a tombstone, captured off a BDN on a clock the caller does not move.
+func servedTable() []byte {
+	clock := ntptime.NewManualClock(time.Unix(1_000_000, 0))
+	node := transport.NewSimNode(simnet.NewPaperWAN(simnet.Config{Seed: 1}), simnet.SiteBloomington, "served", 0)
+	d, err := New(manualNode{node, clock}, nil, Config{Name: "served.org"})
+	if err != nil {
+		panic(err)
 	}
-	rec := upsertRecord(ad, core.EncodeAdvertisement(ad), true, time.Hour).enc
-	if err := d.ApplyReplicated("primary", 5, rec); err != nil {
-		t.Fatal(err)
-	}
-	if d.BrokerCount() != 1 {
-		t.Fatalf("BrokerCount = %d", d.BrokerCount())
-	}
-	// Duplicate delivery of the same index is a no-op: nothing applied, nothing logged.
-	_, before := d.WALRange()
-	if err := d.ApplyReplicated("primary", 5, rec); err != nil {
-		t.Fatal(err)
-	}
-	if _, after := d.WALRange(); d.AppliedIndex("primary") != 5 || after != before {
-		t.Fatalf("AppliedIndex = %d, wal %d → %d", d.AppliedIndex("primary"), before, after)
-	}
-	// Replicated delete removes it.
-	if err := d.ApplyReplicated("primary", 6, deleteRecord("replicated-broker", "expired").enc); err != nil {
-		t.Fatal(err)
-	}
-	if d.BrokerCount() != 0 {
-		t.Fatal("replicated delete ignored")
-	}
-}
-
-func TestReplicaSnapshotInstallTransfersTable(t *testing.T) {
-	e := newEnv(t, 45)
-	src := e.bdn(Config{Name: "src.org", DataDir: t.TempDir(), AdTTL: time.Hour})
-	b := e.broker(simnet.SiteFSU, "broker-xfer")
-	if err := b.RegisterWithBDN(src.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	awaitBrokers(t, src, 1)
-	idx, state := src.ReplicaSnapshot()
-	if idx == 0 || len(state) == 0 {
-		t.Fatalf("ReplicaSnapshot = (%d, %d bytes)", idx, len(state))
-	}
-
-	dst := e.bdn(Config{Name: "dst.org", DataDir: t.TempDir()})
-	if err := dst.InstallReplicaState("src.org", idx, state); err != nil {
-		t.Fatal(err)
-	}
-	if dst.BrokerCount() != 1 || dst.Brokers()[0].LogicalAddress != "broker-xfer" {
-		t.Fatalf("installed table %v", dst.Brokers())
-	}
-	if dst.AppliedIndex("src.org") != idx {
-		t.Fatalf("AppliedIndex = %d, want %d", dst.AppliedIndex("src.org"), idx)
-	}
+	ad := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: "b1", Realm: "x"}, IssuedAt: time.Unix(0, 3), TTL: time.Minute}
+	d.mu.Lock()
+	d.commitLocked(upsertRecord(ad, core.EncodeAdvertisement(ad), true, time.Minute), false)
+	d.commitLocked(deleteRecord("b2", "expired", time.Unix(0, 2), time.Minute), false)
+	d.mu.Unlock()
+	_, state := d.capture()
+	return state
 }
 
 // TestConfigCredentialWinsAfterRestart: the credential is configuration. A

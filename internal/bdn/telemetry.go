@@ -12,6 +12,8 @@ type telemetry struct {
 	adsStored   *obs.Counter // advertisements admitted and stored
 	adsRejected *obs.Counter // advertisements dropped by the admit filter
 	adsExpired  *obs.Counter // registrations pruned by the TTL sweeper
+	adsMerged   *obs.Counter // newer advertisements taken from a peer's table
+	pullsDenied *obs.Counter // table pulls refused for a missing credential
 
 	framesMalformed *obs.Counter // inbound frames that failed to decode
 
@@ -22,7 +24,6 @@ type telemetry struct {
 	injects *obs.Counter // per-broker request transmissions
 
 	walAppends   *obs.Counter // records appended to the write-ahead log
-	walApplied   *obs.Counter // replicated records applied to the table
 	walSnapshots *obs.Counter // snapshots persisted (compaction points)
 	walReplayed  *obs.Counter // records replayed during recovery
 	walErrors    *obs.Counter // append/snapshot failures
@@ -43,6 +44,9 @@ func (d *BDN) initTelemetry(reg *obs.Registry, tracer *obs.Tracer) {
 	t.adsStored = reg.Counter(ads, adsHelp, who, obs.L("outcome", "stored"))
 	t.adsRejected = reg.Counter(ads, adsHelp, who, obs.L("outcome", "rejected"))
 	t.adsExpired = reg.Counter(ads, adsHelp, who, obs.L("outcome", "expired"))
+	t.adsMerged = reg.Counter(ads, adsHelp, who, obs.L("outcome", "merged"))
+	t.pullsDenied = reg.Counter("narada_bdn_table_pulls_denied_total",
+		"Peer table pulls refused for a missing or wrong credential.", who)
 
 	t.framesMalformed = reg.Counter("narada_bdn_frames_malformed_total",
 		"Inbound frames that failed to decode and were discarded.", who)
@@ -59,7 +63,6 @@ func (d *BDN) initTelemetry(reg *obs.Registry, tracer *obs.Tracer) {
 	const walOps = "narada_bdn_wal_records_total"
 	const walOpsHelp = "Durable-registry write-ahead log records, by operation."
 	t.walAppends = reg.Counter(walOps, walOpsHelp, who, obs.L("op", "append"))
-	t.walApplied = reg.Counter(walOps, walOpsHelp, who, obs.L("op", "apply"))
 	t.walReplayed = reg.Counter(walOps, walOpsHelp, who, obs.L("op", "replay"))
 	t.walSnapshots = reg.Counter("narada_bdn_wal_snapshots_total",
 		"Registry snapshots persisted (WAL compaction points).", who)
@@ -67,7 +70,12 @@ func (d *BDN) initTelemetry(reg *obs.Registry, tracer *obs.Tracer) {
 		"WAL append or snapshot failures (registry durability at risk).", who)
 	reg.GaugeFunc("narada_bdn_wal_last_index",
 		"Highest write-ahead log index appended by this BDN.",
-		func() float64 { _, last := d.WALRange(); return float64(last) }, who)
+		func() float64 {
+			if log := d.walLog(); log != nil {
+				return float64(log.LastIndex())
+			}
+			return 0
+		}, who)
 
 	reg.GaugeFunc("narada_bdn_brokers",
 		"Broker advertisements currently stored.",

@@ -29,12 +29,9 @@ import (
 // errClosed reports an operation attempted on a closed broker.
 var errClosed = errors.New("broker: closed")
 
-// Role header values distinguishing peer kinds on stream connections.
-const (
-	helloRoleHeader = "role"
-	roleLink        = "link" // another broker
-	roleBDN         = "bdn"  // a broker discovery node
-)
+// roleBDN is the role of a link to a broker discovery node. A link to
+// another broker has the role its hello states, event.RoleLink.
+const roleBDN = "bdn"
 
 // Config parameterises a Broker.
 type Config struct {

@@ -14,7 +14,7 @@ import (
 // link is an established broker-to-broker (or BDN-to-broker) connection.
 type link struct {
 	peer string // peer logical address
-	role string // roleLink or roleBDN
+	role string // event.RoleLink or roleBDN
 	conn transport.Conn
 	out  *egress // asynchronous outbound queue (set before registration)
 
@@ -72,7 +72,7 @@ func (b *Broker) handleConn(conn transport.Conn) {
 		return
 	}
 	if ev.Type == event.TypeLinkHello {
-		b.serveLink(&link{peer: ev.Source, role: ev.Header(helloRoleHeader), conn: conn}, true)
+		b.serveLink(&link{peer: ev.Source, role: ev.Header(event.HeaderRole), conn: conn}, true)
 		return
 	}
 	c := &clientConn{id: conn.RemoteAddr(), conn: conn}
@@ -237,7 +237,7 @@ func (b *Broker) dialLink(addr string) (<-chan struct{}, error) {
 		_ = conn.Close()
 		return nil, errors.New("broker: link handshake failed")
 	}
-	return b.goServeLink(&link{peer: reply.Source, role: roleLink, conn: conn}), nil
+	return b.goServeLink(&link{peer: reply.Source, role: event.RoleLink, conn: conn}), nil
 }
 
 // goServeLink runs a dialled link's session on its own goroutine. The returned

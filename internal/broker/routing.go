@@ -15,11 +15,11 @@ import (
 const helloTimeout = 10 * time.Second
 
 // helloFrame encodes this broker's link hello. The role it states is always
-// roleLink: to a peer broker and to a BDN alike, this side is a broker.
+// event.RoleLink: to a peer broker and to a BDN alike, this side is a broker.
 func (b *Broker) helloFrame() []byte {
 	hello := event.New(event.TypeLinkHello, "", nil)
 	hello.Source = b.cfg.LogicalAddress
-	hello.SetHeader(helloRoleHeader, roleLink)
+	hello.SetHeader(event.HeaderRole, event.RoleLink)
 	hello.Timestamp = b.now()
 	return event.Encode(hello)
 }
@@ -46,7 +46,7 @@ func (b *Broker) serveLink(lk *link, replyHello bool) {
 	b.cfg.Logger.Info("link up", "peer", lk.peer, "role", lk.role)
 	b.cfg.Journal.Emit(obs.EventLinkUp, lk.peer, "role="+lk.role)
 	lk.touch(b.node.Clock().Now())
-	if lk.role == roleLink {
+	if lk.role == event.RoleLink {
 		b.announceInterestTo(lk)
 	}
 	if b.cfg.HeartbeatInterval > 0 {
@@ -69,7 +69,7 @@ func (b *Broker) serveLink(lk *link, replyHello bool) {
 		b.mu.Unlock()
 		// Only the currently registered link owns the peer's interest; a
 		// link replaced by a duplicate must not wipe its successor's state.
-		if wasCurrent && lk.role == roleLink {
+		if wasCurrent && lk.role == event.RoleLink {
 			b.dropLinkInterest(lk.peer)
 		}
 		if wasCurrent {

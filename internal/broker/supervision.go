@@ -20,11 +20,12 @@ const (
 
 // superviseDial establishes one long-lived relationship: the first dial runs
 // synchronously so the caller sees its error, and that is all there is to it
-// without Config.Supervise (the legacy dial-once behaviour). With it, on
-// success a supervise runner owns the relationship for the broker's lifetime —
-// every time the session dies it redials under the configured backoff policy.
-// dial must return a channel that closes when the session ends. Calling again
-// for a relationship that is already supervised is a no-op.
+// without Config.Supervise (the legacy dial-once behaviour). With it, a
+// supervise runner owns the relationship for the broker's lifetime whether or
+// not the first dial succeeded — every time the session dies, or while it
+// cannot be made, it redials under the configured backoff policy. dial must
+// return a channel that closes when the session ends. Calling again for a
+// relationship that is already supervised is a no-op.
 func (b *Broker) superviseDial(kind, addr string, dial func(string) (<-chan struct{}, error)) error {
 	if b.cfg.Supervise == nil {
 		_, err := dial(addr)
@@ -45,14 +46,8 @@ func (b *Broker) superviseDial(kind, addr string, dial func(string) (<-chan stru
 	b.supervisors[key] = nil // reserve against a concurrent call
 	b.mu.Unlock()
 
+	// A failed first dial leaves Initial nil: the runner starts by dialling.
 	initial, err := dial(addr)
-	if err != nil {
-		b.mu.Lock()
-		delete(b.supervisors, key)
-		b.mu.Unlock()
-		return err
-	}
-
 	r := supervise.New(supervise.RunnerConfig{
 		Target:  addr,
 		Policy:  *b.cfg.Supervise,
@@ -69,7 +64,7 @@ func (b *Broker) superviseDial(kind, addr string, dial func(string) (<-chan stru
 			}
 		},
 	})
-	b.tel.setLinkState(kind, addr, supervise.Connected)
+	b.tel.setLinkState(kind, addr, r.State())
 
 	b.mu.Lock()
 	select {
@@ -89,7 +84,7 @@ func (b *Broker) superviseDial(kind, addr string, dial func(string) (<-chan stru
 		defer b.wg.Done()
 		r.Run()
 	}()
-	return nil
+	return err
 }
 
 // Supervisor returns the runner owning the supervised relationship of the

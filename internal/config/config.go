@@ -136,12 +136,9 @@ type BDN struct {
 	Fsync string `json:"fsync,omitempty"`
 	// SnapshotEvery is the WAL-records-between-snapshots compaction knob.
 	SnapshotEvery int `json:"snapshotEvery,omitempty"`
-	// Replication: Peers lists the other cluster members' replication
-	// addresses; ReplicaPort binds this member's replication endpoint and
-	// LeaseMs tunes the leader lease (0 = 2s). Requires DataDir.
-	ReplicaPort int      `json:"replicaPort,omitempty"`
-	Peers       []string `json:"peers,omitempty"`
-	LeaseMs     int      `json:"leaseMs,omitempty"`
+	// Peers lists the stream addresses of the other BDNs of this set; the
+	// BDN pulls their live tables.
+	Peers []string `json:"peers,omitempty"`
 	// Telemetry.
 	TelemetryAddr string `json:"telemetryAddr,omitempty"` // /metrics + pprof listen addr
 	LogLevel      string `json:"logLevel,omitempty"`      // debug, info, warn, error
@@ -163,9 +160,6 @@ func (d *BDN) Validate() error {
 	if _, err := wal.ParseSyncPolicy(d.Fsync); err != nil {
 		return fmt.Errorf("config: bdn: %w", err)
 	}
-	if len(d.Peers) > 0 && d.DataDir == "" {
-		return fmt.Errorf("config: bdn: replication (peers) requires dataDir")
-	}
 	if _, err := obs.ParseLevel(d.LogLevel); err != nil {
 		return fmt.Errorf("config: bdn: %w", err)
 	}
@@ -176,11 +170,6 @@ func (d *BDN) Validate() error {
 func (d *BDN) SyncPolicy() wal.SyncPolicy {
 	p, _ := wal.ParseSyncPolicy(d.Fsync)
 	return p
-}
-
-// Lease returns the replication leader-lease duration (0 = package default).
-func (d *BDN) Lease() time.Duration {
-	return time.Duration(d.LeaseMs) * time.Millisecond
 }
 
 // InjectOverhead returns the configured per-injection cost.

@@ -104,6 +104,14 @@ const (
 	HeaderTraceHop    = "trace-hop"    // dissemination hops from the origin
 )
 
+// The role header of a LinkHello says who dials: a broker, to another broker
+// or to a BDN alike, or a BDN member pulling a peer member's table.
+const (
+	HeaderRole = "role"
+	RoleLink   = "link"
+	RoleTable  = "table"
+)
+
 // SetTrace stamps the trace-context headers onto the event.
 func (e *Event) SetTrace(id, origin string, hop uint8) {
 	e.SetHeader(HeaderTraceID, id)

@@ -45,15 +45,6 @@ const (
 	// an excessive fraction of CPU over the window: allocation pressure
 	// stealing cycles from message routing.
 	RuleGCBurn = "gc_burn"
-	// RuleReplicationLag fires when a replicated BDN member's WAL lag —
-	// records a standby trails the primary, or the primary's
-	// worst-trailing peer — exceeds the bound: a promotion now would lose
-	// that many registry mutations.
-	RuleReplicationLag = "replication_lag"
-	// RuleStalePrimary fires when a standby has gone too long without a
-	// primary beat: the primary is dead or partitioned and no successor
-	// has claimed the lease, so registry mutations are stalling.
-	RuleStalePrimary = "stale_primary"
 )
 
 // Alert states.
@@ -164,16 +155,6 @@ type Config struct {
 	// (default 5m — the finest series-store tier's full span).
 	GoroutineLeakWindow time.Duration
 
-	// ReplicationLagMax is the tolerated BDN replication lag in WAL
-	// records (default 256 — a quarter of the default snapshot interval,
-	// so the rule fires well before a promotion could lose a snapshot's
-	// worth of registry mutations).
-	ReplicationLagMax float64
-	// StalePrimaryAfter is how long a standby may go without a primary
-	// beat before the cluster counts as leaderless (default 10s — five
-	// default 2s leases, past any orderly failover).
-	StalePrimaryAfter time.Duration
-
 	// PendingFor is the hysteresis before a violated rule fires (default 0:
 	// fire on first evaluation — deadman detection latency matters more
 	// than flap suppression at fabric scale; raise it for noisy fabrics).
@@ -249,12 +230,6 @@ func (c *Config) fillDefaults() {
 	if c.GoroutineLeakWindow <= 0 {
 		c.GoroutineLeakWindow = 5 * time.Minute
 	}
-	if c.ReplicationLagMax <= 0 {
-		c.ReplicationLagMax = 256
-	}
-	if c.StalePrimaryAfter <= 0 {
-		c.StalePrimaryAfter = 10 * time.Second
-	}
 	if c.ResolveAfter <= 0 {
 		c.ResolveAfter = 3 * c.ScrapeInterval
 	}
@@ -301,14 +276,6 @@ type NodeInput struct {
 	GoroutinesMin, GoroutinesLast float64
 	HasGCCPU                      bool
 	GCCPUFraction                 float64
-
-	// Replication telemetry, derived from the narada_replica gauges a
-	// replicated BDN member exports: its role, WAL lag in records, and how
-	// long a standby has gone without a primary beat.
-	HasReplication bool
-	ReplicaPrimary bool
-	ReplicationLag float64
-	LeaderAge      float64 // seconds; 0 on the primary itself
 }
 
 // ProbeInput is one probe source's windowed SLI snapshot: success and
@@ -438,20 +405,6 @@ func (e *Engine) Evaluate(in Input) {
 				growth, goroutineLeakGrowth,
 				fmt.Sprintf("goroutines grew by %.0f (%.0f → %.0f, %.2fx) over %s: likely leak — diff the flight-recorded goroutine profiles",
 					growth, n.GoroutinesMin, n.GoroutinesLast, ratio, e.cfg.GoroutineLeakWindow), now)
-		}
-		if n.HasReplication {
-			e.apply(RuleReplicationLag, n.Name, n.ReplicationLag > e.cfg.ReplicationLagMax,
-				n.ReplicationLag, e.cfg.ReplicationLagMax,
-				fmt.Sprintf("BDN replication lagging %.0f WAL records (max %.0f): a failover now loses registry mutations",
-					n.ReplicationLag, e.cfg.ReplicationLagMax), now)
-			// A vanished member's last reported leader age is stale, like
-			// its clock offset; and the primary hears no beats by design.
-			staleActive := silent <= deadmanAfter && !n.ReplicaPrimary &&
-				n.LeaderAge > e.cfg.StalePrimaryAfter.Seconds()
-			e.apply(RuleStalePrimary, n.Name, staleActive,
-				n.LeaderAge, e.cfg.StalePrimaryAfter.Seconds(),
-				fmt.Sprintf("standby heard no primary beat for %.1fs (max %s): BDN cluster leaderless or partitioned",
-					n.LeaderAge, e.cfg.StalePrimaryAfter), now)
 		}
 		if n.HasGCCPU {
 			e.apply(RuleGCBurn, n.Name, n.GCCPUFraction > gcBurnMax,

@@ -573,114 +573,3 @@ func TestDropRatioRule(t *testing.T) {
 		}
 	}
 }
-
-func TestReplicationLagRule(t *testing.T) {
-	e := New(Config{ReplicationLagMax: 100, ResolveAfter: 2 * time.Second})
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-
-	// Not a replica (HasReplication false): silent at any lag.
-	e.Evaluate(Input{Now: base, Nodes: []NodeInput{{
-		Name: "b1", LastSeen: base, ReplicationLag: 1e6}}})
-	if len(e.Alerts()) != 0 {
-		t.Fatalf("non-replica raised %+v", e.Alerts())
-	}
-
-	// Standby trailing within the bound: healthy.
-	e.Evaluate(Input{Now: base, Nodes: []NodeInput{{
-		Name: "bdn-1", LastSeen: base, HasReplication: true, ReplicationLag: 40}}})
-	if e.Firing() != 0 {
-		t.Fatalf("in-bound lag fired: %+v", e.Alerts())
-	}
-
-	// Lag past the bound fires — on primaries too (they report their
-	// worst-trailing peer).
-	e.Evaluate(Input{Now: base.Add(time.Second), Nodes: []NodeInput{{
-		Name: "bdn-1", LastSeen: base.Add(time.Second), HasReplication: true,
-		ReplicaPrimary: true, ReplicationLag: 5000}}})
-	if e.Firing() != 1 {
-		t.Fatalf("lag did not fire: %+v", e.Alerts())
-	}
-	var fired Alert
-	for _, a := range e.Alerts() {
-		if a.Rule == RuleReplicationLag {
-			fired = a
-		}
-	}
-	if fired.State != StateFiring || fired.Value != 5000 || fired.Threshold != 100 {
-		t.Fatalf("replication_lag alert = %+v", fired)
-	}
-
-	// Caught up: resolves after the hysteresis window.
-	for _, dt := range []time.Duration{2 * time.Second, 5 * time.Second} {
-		at := base.Add(dt)
-		e.Evaluate(Input{Now: at, Nodes: []NodeInput{{
-			Name: "bdn-1", LastSeen: at, HasReplication: true, ReplicaPrimary: true}}})
-	}
-	if e.Firing() != 0 {
-		t.Fatalf("caught-up replica still firing: %+v", e.Alerts())
-	}
-}
-
-func TestStalePrimaryRule(t *testing.T) {
-	e := New(Config{StalePrimaryAfter: 10 * time.Second, ScrapeInterval: time.Second,
-		DeadmanIntervals: 3, ResolveAfter: 2 * time.Second})
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-
-	// The primary itself reports leader age 0 and must never trip the rule;
-	// a huge age on a PRIMARY input is equally ignored (the primary hears
-	// no beats by design).
-	e.Evaluate(Input{Now: base, Nodes: []NodeInput{{
-		Name: "bdn-1", LastSeen: base, HasReplication: true,
-		ReplicaPrimary: true, LeaderAge: 999}}})
-	if e.Firing() != 0 {
-		t.Fatalf("primary tripped stale_primary: %+v", e.Alerts())
-	}
-
-	// Standby freshly beaten: healthy.
-	e.Evaluate(Input{Now: base, Nodes: []NodeInput{{
-		Name: "bdn-2", LastSeen: base, HasReplication: true, LeaderAge: 1.5}}})
-	if e.Firing() != 0 {
-		t.Fatalf("fresh standby fired: %+v", e.Alerts())
-	}
-
-	// Standby without a beat past the bound: fires.
-	e.Evaluate(Input{Now: base.Add(time.Second), Nodes: []NodeInput{{
-		Name: "bdn-2", LastSeen: base.Add(time.Second), HasReplication: true,
-		LeaderAge: 25}}})
-	if e.Firing() != 1 {
-		t.Fatalf("leaderless standby did not fire: %+v", e.Alerts())
-	}
-	var fired Alert
-	for _, a := range e.Alerts() {
-		if a.Rule == RuleStalePrimary {
-			fired = a
-		}
-	}
-	if fired.State != StateFiring || fired.Value != 25 || fired.Threshold != 10 {
-		t.Fatalf("stale_primary alert = %+v", fired)
-	}
-
-	// A VANISHED standby's last reported age is stale data, not a live
-	// leaderless signal — deadman owns that page. The condition reads as
-	// clear, so the alert resolves after the hysteresis window.
-	for _, dt := range []time.Duration{10 * time.Second, 13 * time.Second} {
-		e.Evaluate(Input{Now: base.Add(dt), Nodes: []NodeInput{{
-			Name: "bdn-2", LastSeen: base, HasReplication: true, LeaderAge: 60}}})
-	}
-	for _, a := range e.Alerts() {
-		if a.Rule == RuleStalePrimary && a.State == StateFiring {
-			t.Fatalf("vanished standby kept stale_primary firing: %+v", a)
-		}
-	}
-
-	// A promoted member (now primary) keeps the rule clear; only the
-	// deadman alert from the vanish above may still be winding down.
-	e.Evaluate(Input{Now: base.Add(14 * time.Second), Nodes: []NodeInput{{
-		Name: "bdn-2", LastSeen: base.Add(14 * time.Second), HasReplication: true,
-		ReplicaPrimary: true, LeaderAge: 0}}})
-	for _, a := range e.Alerts() {
-		if a.Rule == RuleStalePrimary && a.State == StateFiring {
-			t.Fatalf("promoted member still firing stale_primary: %+v", a)
-		}
-	}
-}

@@ -17,9 +17,6 @@ const (
 	metricDeliveryLatency = "narada_delivery_latency_seconds"
 	metricGoroutines      = "narada_process_goroutines"
 	metricGCCPU           = "narada_runtime_gc_cpu_fraction"
-	metricReplicaRole     = "narada_replica_role"
-	metricReplicaLag      = "narada_replica_lag_records"
-	metricReplicaLeadAge  = "narada_replica_leader_age_seconds"
 )
 
 // Health returns the collector's health engine (alert listing, Firing count).
@@ -99,19 +96,6 @@ func (c *Collector) EvaluateHealthNow() {
 		if _, _, avgGC, ok := c.store.GaugeWindowStats(metricGCCPU, n.Name, health.GCBurnWindow, now); ok {
 			n.HasGCCPU = true
 			n.GCCPUFraction = avgGC
-		}
-		// Replication rules: role, WAL lag and leader age from the gauges a
-		// replicated BDN member exports. Role is the presence marker — the
-		// other two legitimately sit at zero on a healthy member.
-		if role, ok := c.store.LastGauge(metricReplicaRole, n.Name, staleAfter, now); ok {
-			n.HasReplication = true
-			n.ReplicaPrimary = role >= 1
-			if lag, ok := c.store.LastGauge(metricReplicaLag, n.Name, staleAfter, now); ok {
-				n.ReplicationLag = lag
-			}
-			if age, ok := c.store.LastGauge(metricReplicaLeadAge, n.Name, staleAfter, now); ok {
-				n.LeaderAge = age
-			}
 		}
 	}
 

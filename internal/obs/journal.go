@@ -26,8 +26,6 @@ const (
 	EventNodeStop         = "node_stop"
 	EventWALSnapshot      = "wal_snapshot"
 	EventWALReplay        = "wal_replay"
-	EventReplicaPromoted  = "replica_promoted"
-	EventReplicaDemoted   = "replica_demoted"
 )
 
 // Event is one journal entry. The node identity is carried by the scrape

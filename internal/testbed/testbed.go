@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"narada/internal/bdn"
-	"narada/internal/bdn/replica"
 	"narada/internal/broker"
 	"narada/internal/core"
 	"narada/internal/metrics"
@@ -31,10 +30,9 @@ const MulticastGroup = "narada/discovery"
 
 const mib = 1024 * 1024
 
-// replicaLease is the replication leader lease in model time — generous,
-// because the simulation clock leaps while goroutines do real work (WAL
-// writes), and a tight lease would churn elections.
-const replicaLease = 4 * time.Second
+// bdnPort is the stream port of every BDN of a Replicate deployment, so that
+// each member's peer list is known before any member starts.
+const bdnPort = 7000
 
 // settleTimeout bounds, in wall time, how long New waits for the deployment it
 // started to become the deployment it was asked for.
@@ -112,9 +110,8 @@ type Options struct {
 	// empty. Fsync is disabled — a real fsync's wall-clock cost becomes
 	// whole seconds of accelerated model time.
 	BDNDataDir string
-	// Replicate wires the deployed BDNs into a primary/standby cluster:
-	// each runs a replication agent streaming the primary's WAL, with
-	// lease-based failover. Requires BDNDataDir and BDNCount > 1.
+	// Replicate makes the deployed BDNs one set: each lists the others in
+	// bdn.Config.Peers and pulls their live tables.
 	Replicate bool
 	// MaxSkew bounds each node's hardware clock error (default 20 ms).
 	MaxSkew time.Duration
@@ -189,9 +186,6 @@ type Testbed struct {
 	Brokers []*broker.Broker
 	Edges   []topology.Edge
 
-	// replicas maps BDN name to its replication agent (Options.Replicate).
-	replicas map[string]*replica.Replica
-
 	discoverers []*core.Discoverer // handed out by NewDiscoverer; Close releases what they hold
 
 	opts      Options
@@ -226,10 +220,6 @@ type bdnDeployment struct {
 	node *transport.SimNode
 	ntp  *ntptime.Service
 	cfg  bdn.Config // Handle and ports as of the last (re)start
-	// Replication wiring, recorded at first Start so a restarted member
-	// rebinds the same replication port and redials the same peers.
-	replicaPort  int
-	replicaPeers []string
 }
 
 // New builds and starts a testbed.
@@ -250,10 +240,6 @@ func New(opts Options) (*Testbed, error) {
 		telemetry:  make(map[string]string),
 		brokerDeps: make(map[string]*brokerDeployment),
 		bdnDeps:    make(map[string]*bdnDeployment),
-		replicas:   make(map[string]*replica.Replica),
-	}
-	if opts.Replicate && opts.BDNDataDir == "" {
-		return nil, fmt.Errorf("testbed: Replicate requires BDNDataDir")
 	}
 
 	if opts.Watch != nil {
@@ -281,6 +267,11 @@ func New(opts Options) (*Testbed, error) {
 		}
 		tlds := []string{"org", "com", "net", "info"}
 		sites := simnet.PaperSiteNames() // Bloomington first, as in the paper
+		members := make([]string, opts.BDNCount)
+		for i := range members {
+			members[i] = transport.FormatSimAddr(simnet.Addr{
+				Site: sites[i%len(sites)], Host: fmt.Sprintf("bdn%d", i), Port: bdnPort})
+		}
 		for i := 0; i < opts.BDNCount; i++ {
 			node, ntp := tb.newNode(sites[i%len(sites)], fmt.Sprintf("bdn%d", i), 0)
 			name := "gridservicelocator." + tlds[i%len(tlds)]
@@ -291,21 +282,16 @@ func New(opts Options) (*Testbed, error) {
 				AdTTL:          opts.AdTTL,
 				SweepInterval:  opts.SweepInterval,
 			}
+			if opts.Replicate {
+				dcfg.StreamPort = bdnPort
+				dcfg.Peers = append(append([]string(nil), members[:i]...), members[i+1:]...)
+			}
 			if opts.BDNDataDir != "" {
 				dcfg.DataDir = filepath.Join(opts.BDNDataDir, name)
 				dcfg.Fsync = wal.SyncNever
 			}
 			tb.bdnDeps[name] = &bdnDeployment{node: node, ntp: ntp, cfg: dcfg}
 			if _, err := tb.startBDN(name); err != nil {
-				tb.Close()
-				return nil, err
-			}
-		}
-
-		// Replication: bind every member's replication listener first, then
-		// start them with the full peer mesh.
-		if opts.Replicate {
-			if err := tb.startReplicas(); err != nil {
 				tb.Close()
 				return nil, err
 			}
@@ -597,27 +583,6 @@ func (tb *Testbed) startBDN(name string) (*bdn.BDN, error) {
 	return d, nil
 }
 
-// newReplica creates (without starting) the replication agent of a deployed
-// BDN, on the replication port it bound last time.
-func (tb *Testbed) newReplica(d *bdn.BDN) (*replica.Replica, error) {
-	dep := tb.bdnDeps[d.Name()]
-	r, err := replica.New(replica.Config{
-		Name:       d.Name(),
-		Node:       dep.node,
-		Store:      d,
-		ListenPort: dep.replicaPort,
-		Peers:      dep.replicaPeers,
-		Lease:      replicaLease,
-		Handle:     dep.cfg.Handle,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("testbed: replica %s: %w", d.Name(), err)
-	}
-	tb.replicas[d.Name()] = r
-	dep.replicaPort = simPort(r.Addr())
-	return r, nil
-}
-
 // simPort extracts the port of a simulator address (0 if it does not parse).
 func simPort(addr string) int {
 	a, err := transport.ParseSimAddr(addr)
@@ -659,55 +624,6 @@ func (tb *Testbed) RestartBroker(name string) error {
 	return nil
 }
 
-// startReplicas wires the deployed BDNs into a replicated cluster: every
-// member gets a replication agent; listeners all bind before any member
-// starts dialing, so the mesh forms regardless of deployment order.
-func (tb *Testbed) startReplicas() error {
-	reps := make([]*replica.Replica, 0, len(tb.BDNs))
-	for _, d := range tb.BDNs {
-		r, err := tb.newReplica(d)
-		if err != nil {
-			return err
-		}
-		reps = append(reps, r)
-	}
-	for i, r := range reps {
-		name := tb.BDNs[i].Name()
-		dep := tb.bdnDeps[name]
-		peers := make([]string, 0, len(reps)-1)
-		for j, p := range reps {
-			if j != i {
-				peers = append(peers, p.Addr())
-			}
-		}
-		dep.replicaPeers = peers
-		if err := r.Start(peers); err != nil {
-			return fmt.Errorf("testbed: replica %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// WaitPrimaryBDN polls until exactly one live replicated member is primary,
-// returning it, or nil when the budget runs out.
-func (tb *Testbed) WaitPrimaryBDN(within time.Duration) *bdn.BDN {
-	clock := tb.Net.Clock()
-	deadline := clock.Now().Add(within)
-	for clock.Now().Before(deadline) {
-		var primaries []*bdn.BDN
-		for name, r := range tb.replicas {
-			if d := tb.BDNByName(name); d != nil && r.IsPrimary() {
-				primaries = append(primaries, d)
-			}
-		}
-		if len(primaries) == 1 {
-			return primaries[0]
-		}
-		clock.Sleep(100 * time.Millisecond)
-	}
-	return nil
-}
-
 // BDNByName returns the deployed BDN with the given name, or nil.
 func (tb *Testbed) BDNByName(name string) *bdn.BDN {
 	for _, d := range tb.BDNs {
@@ -725,10 +641,6 @@ func (tb *Testbed) KillBDN(name string) bool {
 	for i, d := range tb.BDNs {
 		if d.Name() != name {
 			continue
-		}
-		if r, ok := tb.replicas[name]; ok {
-			r.Close()
-			delete(tb.replicas, name)
 		}
 		d.Close()
 		tb.BDNs = append(tb.BDNs[:i], tb.BDNs[i+1:]...)
@@ -748,9 +660,8 @@ func (tb *Testbed) KillBDN(name string) bool {
 // SAME ports. Without a data dir it comes back empty and registrations
 // repopulate from the brokers' own supervision (re-registration on
 // reconnect) and periodic advertisement refresh; with BDNDataDir it
-// recovers the full table from its snapshot + WAL first. A replicated
-// member also restarts its replication agent on the old replication port,
-// rejoining the cluster as a standby of whoever got promoted meanwhile.
+// recovers the full table from its snapshot + WAL first. A member of a
+// Replicate set also pulls from its peers what it missed while down.
 func (tb *Testbed) RestartBDN(name string) error {
 	if _, ok := tb.bdnDeps[name]; !ok {
 		return fmt.Errorf("testbed: no deployment record for bdn %s", name)
@@ -758,20 +669,8 @@ func (tb *Testbed) RestartBDN(name string) error {
 	if tb.BDNByName(name) != nil {
 		return fmt.Errorf("testbed: bdn %s is still running", name)
 	}
-	d, err := tb.startBDN(name)
-	if err != nil {
-		return err
-	}
-	if tb.opts.Replicate {
-		r, err := tb.newReplica(d)
-		if err != nil {
-			return err
-		}
-		if err := r.Start(nil); err != nil {
-			return fmt.Errorf("testbed: restarting replica %s: %w", name, err)
-		}
-	}
-	return nil
+	_, err := tb.startBDN(name)
+	return err
 }
 
 // Close tears the deployment down. Per-node planes are closed last, and
@@ -783,9 +682,6 @@ func (tb *Testbed) Close() {
 	}
 	for _, b := range tb.Brokers {
 		b.Close()
-	}
-	for _, r := range tb.replicas {
-		r.Close()
 	}
 	for _, d := range tb.BDNs {
 		d.Close()

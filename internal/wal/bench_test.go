@@ -58,8 +58,8 @@ func BenchmarkRecover(b *testing.B) {
 	}
 }
 
-// BenchmarkReplay measures streaming 10k records out of the log — the cost
-// of bringing a fresh standby up to date from the primary's WAL.
+// BenchmarkReplay measures reading 10k records out of the log — the cost of
+// replaying a WAL suffix at recovery.
 func BenchmarkReplay(b *testing.B) {
 	l, _, _, err := Open(Options{Dir: b.TempDir(), Sync: SyncNever})
 	if err != nil {
@@ -83,33 +83,6 @@ func BenchmarkReplay(b *testing.B) {
 		}
 		if n != records {
 			b.Fatalf("replayed %d, want %d", n, records)
-		}
-	}
-}
-
-// BenchmarkTailRead is one step of a replication stream: the primary appends
-// a record and the stream reads it back by index, on one growing segment,
-// under the policy the simulated testbed runs (an fsync's wall cost is
-// seconds of model time there, so Replay must not pay one).
-func BenchmarkTailRead(b *testing.B) {
-	l, _, _, err := Open(Options{Dir: b.TempDir(), Sync: SyncNever})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx, err := l.Append(benchPayload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		if err := l.Replay(idx, func(uint64, []byte) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if n != 1 {
-			b.Fatalf("replayed %d records from the tail, want 1", n)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"strings"
 )
 
-// Snapshots are full-state captures used for snapshot-then-prune compaction
-// and for bringing a far-behind replica up to date. A snapshot at index i
+// Snapshots are full-state captures used for snapshot-then-prune compaction.
+// A snapshot at index i
 // covers every record <= i; after persisting one, TruncateFront(i+1) may
 // drop the covered segments.
 //

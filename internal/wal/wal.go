@@ -117,16 +117,15 @@ const maxKeptRecord = 64 << 10
 type Log struct {
 	opts Options
 
-	mu       sync.Mutex
-	segs     []*segment // closed segments plus the active one (last)
-	active   *os.File   // file handle for segs[len(segs)-1]
-	size     int64      // byte size of the active segment
-	first    uint64     // first retained index (0 when empty)
-	last     uint64     // last appended index (0 when empty)
-	dirty    bool       // appended since last fsync
-	closed   bool
-	notifyCh chan struct{} // closed and replaced on every append
-	rec      []byte        // Append's record scratch, kept up to maxKeptRecord
+	mu     sync.Mutex
+	segs   []*segment // closed segments plus the active one (last)
+	active *os.File   // file handle for segs[len(segs)-1]
+	size   int64      // byte size of the active segment
+	first  uint64     // first retained index (0 when empty)
+	last   uint64     // last appended index (0 when empty)
+	dirty  bool       // appended since last fsync
+	closed bool
+	rec    []byte // Append's record scratch, kept up to maxKeptRecord
 
 	syncStop chan struct{}
 	syncDone chan struct{}
@@ -146,7 +145,7 @@ func Open(opts Options) (l *Log, recovered uint64, truncated bool, err error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, 0, false, fmt.Errorf("wal: %w", err)
 	}
-	l = &Log{opts: opts, notifyCh: make(chan struct{})}
+	l = &Log{opts: opts}
 	truncated, err = l.recover()
 	if err != nil {
 		return nil, 0, false, err
@@ -289,9 +288,9 @@ func readRecord(r *bufio.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// readerPool recycles segment read buffers: a replica stream replays from the
-// tail on every append, and a fresh 64 KiB buffer per walk would be most of
-// what that costs in allocation.
+// readerPool recycles segment read buffers: recovery and every Replay walk
+// segments, and a fresh 64 KiB buffer per walk would be most of what a short
+// walk costs in allocation.
 var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readBufSize) }}
 
 // walkSegment reads up to limit records of one file, in order, handing each
@@ -379,9 +378,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		}
 		l.dirty = false
 	}
-	// Wake tail-followers.
-	close(l.notifyCh)
-	l.notifyCh = make(chan struct{})
 	return idx, nil
 }
 
@@ -466,14 +462,6 @@ func (l *Log) Segments() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.segs)
-}
-
-// Notify returns a channel closed on the next Append, letting tail-followers
-// block until new records exist. Grab a fresh channel after each wake-up.
-func (l *Log) Notify() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.notifyCh
 }
 
 // Replay calls fn for every record with index >= from, in order. It returns

@@ -220,25 +220,6 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
-func TestNotifyWakesFollower(t *testing.T) {
-	dir := t.TempDir()
-	l := openT(t, dir, Options{})
-	ch := l.Notify()
-	done := make(chan struct{})
-	go func() {
-		<-ch
-		close(done)
-	}()
-	if _, err := l.Append([]byte("wake")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Notify channel not closed by Append")
-	}
-}
-
 func TestSyncIntervalFlushes(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{Sync: SyncInterval})

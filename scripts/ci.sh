@@ -1,9 +1,10 @@
 #!/bin/sh
 # ci.sh is the complete pre-merge gate: the tier-1 verify target (build, vet,
-# gofmt, tests, and the whole tree again under the race detector), the
-# registry history checker ten times, and the replication packages and the
-# broker, transport and simnet packages (every simulated broker test runs the
-# egress write token) three times under the race detector, every
+# gofmt, tests, and the whole tree again under the race detector), the BDN
+# set's registry history checker ten times, and the BDN package (its table
+# exchange included) and the broker, transport and simnet packages (every
+# simulated broker test runs the egress write token) three times under the
+# race detector, every
 # benchmark in the tree run for one iteration (a benchmark that no longer
 # runs is a bug, and nothing else would notice), the repository benchmark's
 # own module (bench/ is nested, so ./... never reaches it, and an API rename
@@ -14,17 +15,16 @@
 # message sampling, health-engine failure detection, self-healing BDN
 # re-registration, the open-loop load generator, the control-plane event
 # journal with topology time-travel, the continuous-profiling plane with its
-# flight-recorder fallback, and the replicated-BDN failover with zero
-# re-registrations).
+# flight-recorder fallback, and a BDN set losing a member with zero
+# re-registrations, then the member pulling what it missed).
 set -eu
 cd "$(dirname "$0")/.."
 
 echo "ci: make verify"
 make verify
 
-# The replicated registry's history checker, the replication packages and the
-# broker's egress path under the race detector, repeated: a protocol race shows
-# up as a rare red.
+# The BDN set's history checker, the BDN package and the broker's egress path
+# under the race detector, repeated: a protocol race shows up as a rare red.
 echo "ci: go test -count=10 -run TestRegistryHistory ./internal/testbed"
 go test -count=10 -run TestRegistryHistory ./internal/testbed
 echo "ci: go test -race -count=3 ./internal/bdn/..."

@@ -1,12 +1,14 @@
 #!/bin/sh
-# durability_smoke.sh smoke-tests the replicated BDN registry on real
-# sockets: three BDNs form a primary/standby cluster (-data-dir, -peers,
-# -lease), two supervised brokers register with all of them, and the primary
-# is killed with SIGKILL. A standby must promote itself, still list every
-# broker, and keep answering discovery — with ZERO broker re-registrations:
-# the brokers' narada_broker_reconnects_total metric for kind="bdn" must stay
-# at zero, because the survivors never dropped their registration links and
-# every broker registered with every member.
+# durability_smoke.sh smoke-tests a leaderless BDN set on real sockets: three
+# durable BDNs (-data-dir) each list the other two in -peers and pull their
+# tables, and two supervised brokers register with all of them. One member is
+# killed with SIGKILL. Discovery must still answer through the others, which
+# still list every broker, with ZERO broker re-registrations: the brokers'
+# narada_broker_reconnects_total metric for kind="bdn" must stay at zero,
+# because the survivors never dropped their registration links and every
+# broker registered with every member. A third broker then registers with the
+# survivors only; the killed member restarts and must list it within one
+# exchange period, merged from a peer's table.
 #
 # Uses curl or wget, whichever the host has.
 set -eu
@@ -21,47 +23,21 @@ BDN3_STREAM="127.0.0.1:17640"
 BDN3_HTTP="127.0.0.1:17642"
 BROKER1_HTTP="127.0.0.1:17650"
 BROKER2_HTTP="127.0.0.1:17651"
-LEASE="1s"
+BROKER3_HTTP="127.0.0.1:17652"
 
-# role reports a member's narada_replica_role gauge (1 = primary), empty on
-# fetch failure.
-role() { # role <http-addr>
-    fetch "http://$1/metrics" 2>/dev/null | awk '/^narada_replica_role/ {print $NF}' || true
+# listed reports whether a BDN's broker-count gauge reads want.
+listed() { # listed <http-addr> <want>
+    fetch "http://$1/metrics" 2>/dev/null | grep '^narada_bdn_brokers' | grep -q " $2\$"
 }
 
-# wait_primary polls the given members until one reports role 1; prints the
-# winner's http addr.
-wait_primary() { # wait_primary <what> <http-addr>...
-    what="$1"
-    shift
+# wait_brokers polls a BDN's broker-count gauge until it reaches want, for at
+# most tries × 0.1 s.
+wait_brokers() { # wait_brokers <http-addr> <want> <what> [tries]
     i=0
-    while :; do
-        for m in "$@"; do
-            if [ "$(role "$m")" = "1" ]; then
-                echo "$m"
-                return 0
-            fi
-        done
+    until listed "$1" "$2"; do
         i=$((i + 1))
-        if [ "$i" -ge 100 ]; then
-            echo "durability-smoke: no primary elected $what" >&2
-            for m in "$@"; do
-                echo "--- $m:" >&2
-                fetch "http://$m/metrics" | grep narada_replica >&2 || true
-            done
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
-
-# wait_brokers polls a BDN's broker-count gauge until it reaches the want.
-wait_brokers() { # wait_brokers <http-addr> <want> <what>
-    i=0
-    until fetch "http://$1/metrics" | grep '^narada_bdn_brokers' | grep -q " $2\$"; do
-        i=$((i + 1))
-        if [ "$i" -ge 100 ]; then
-            echo "durability-smoke: $1 never reached $2 registrations $3" >&2
+        if [ "$i" -ge "${4:-100}" ]; then
+            echo "durability-smoke: $1 did not list $2 brokers $3" >&2
             fetch "http://$1/metrics" | grep narada_bdn >&2 || true
             exit 1
         fi
@@ -69,25 +45,31 @@ wait_brokers() { # wait_brokers <http-addr> <want> <what>
     done
 }
 
-start_bdn() { # start_bdn <name> <stream> <udp> <http> <replica> <peers> <datadir> <logfile>
-    "$BIN/bdn" -bind 127.0.0.1 -name "$1" -stream-port "$2" -udp-port "$3" \
-        -telemetry-addr "127.0.0.1:$4" -replica-port "$5" -peers "$6" \
-        -data-dir "$7" -lease "$LEASE" >"$8" 2>&1 &
+start_bdn() { # start_bdn <n> <name> <stream> <udp> <http> <peers>
+    "$BIN/bdn" -bind 127.0.0.1 -name "$2" -stream-port "$3" -udp-port "$4" \
+        -telemetry-addr "127.0.0.1:$5" -peers "$6" -data-dir "$TMP/data/$2" \
+        >>"$TMP/bdn$1.log" 2>&1 &
     PIDS="$PIDS $!"
-    eval "BDN_PID_$4=$!"
+    eval "BDN_PID_$1=$!"
+}
+
+discover() { # discover <bdn-addrs> <name> <what>
+    "$BIN/discover" -bind 127.0.0.1 -bdn "$1" -window 2s -name "$2" >"$TMP/$2.log" 2>&1 &&
+        grep -q 'selected broker: dur-' "$TMP/$2.log" || {
+        echo "durability-smoke: discovery $3 failed" >&2
+        cat "$TMP/$2.log" >&2
+        exit 1
+    }
 }
 
 build broker bdn discover
 
-start_bdn gridservicelocator.org 17620 17621 17622 17623 "127.0.0.1:17633,127.0.0.1:17643" "$TMP/data/org" "$TMP/bdn1.log"
-start_bdn gridservicelocator.com 17630 17631 17632 17633 "127.0.0.1:17623,127.0.0.1:17643" "$TMP/data/com" "$TMP/bdn2.log"
-start_bdn gridservicelocator.net 17640 17641 17642 17643 "127.0.0.1:17623,127.0.0.1:17633" "$TMP/data/net" "$TMP/bdn3.log"
+start_bdn 1 gridservicelocator.org 17620 17621 17622 "$BDN2_STREAM,$BDN3_STREAM"
+start_bdn 2 gridservicelocator.com 17630 17631 17632 "$BDN1_STREAM,$BDN3_STREAM"
+start_bdn 3 gridservicelocator.net 17640 17641 17642 "$BDN1_STREAM,$BDN2_STREAM"
 wait_for "http://$BDN1_HTTP/healthz" "bdn1" "$TMP/bdn1.log"
 wait_for "http://$BDN2_HTTP/healthz" "bdn2" "$TMP/bdn2.log"
 wait_for "http://$BDN3_HTTP/healthz" "bdn3" "$TMP/bdn3.log"
-
-PRIMARY_HTTP="$(wait_primary "at bootstrap" "$BDN1_HTTP" "$BDN2_HTTP" "$BDN3_HTTP")"
-echo "durability-smoke: primary elected ($PRIMARY_HTTP)"
 
 "$BIN/broker" -bind 127.0.0.1 -logical dur-a -bdn "$BDN1_STREAM,$BDN2_STREAM,$BDN3_STREAM" \
     -supervise -heartbeat 500ms -telemetry-addr "$BROKER1_HTTP" >"$TMP/broker1.log" 2>&1 &
@@ -97,72 +79,47 @@ PIDS="$PIDS $!"
 PIDS="$PIDS $!"
 wait_for "http://$BROKER1_HTTP/healthz" "broker dur-a" "$TMP/broker1.log"
 wait_for "http://$BROKER2_HTTP/healthz" "broker dur-b" "$TMP/broker2.log"
-wait_brokers "$BDN1_HTTP" 2 "at bootstrap"
-wait_brokers "$BDN2_HTTP" 2 "at bootstrap"
-wait_brokers "$BDN3_HTTP" 2 "at bootstrap"
-
-# Baseline: discovery over the healthy cluster answers.
-"$BIN/discover" -bind 127.0.0.1 -bdn "$BDN1_STREAM,$BDN2_STREAM,$BDN3_STREAM" \
-    -window 2s -name dur-req1 >"$TMP/discover1.log" 2>&1 || {
-    echo "durability-smoke: initial discovery failed" >&2
-    cat "$TMP/discover1.log" >&2
-    exit 1
-}
-grep -q 'selected broker: dur-' "$TMP/discover1.log" || {
-    echo "durability-smoke: initial discovery selected nothing" >&2
-    cat "$TMP/discover1.log" >&2
-    exit 1
-}
-
-# Fault: SIGKILL the primary — no goodbye, no final snapshot, exactly like a
-# crashed discovery-node process.
-eval "PRIMARY_PID=\$BDN_PID_$(echo "$PRIMARY_HTTP" | sed 's/.*://')"
-kill -9 "$PRIMARY_PID"
-wait "$PRIMARY_PID" 2>/dev/null || true
-echo "durability-smoke: primary killed (pid $PRIMARY_PID)"
-
-SURVIVORS=""
-SURVIVOR_STREAMS=""
-for pair in "$BDN1_HTTP=$BDN1_STREAM" "$BDN2_HTTP=$BDN2_STREAM" "$BDN3_HTTP=$BDN3_STREAM"; do
-    http="${pair%%=*}"
-    stream="${pair#*=}"
-    if [ "$http" != "$PRIMARY_HTTP" ]; then
-        SURVIVORS="$SURVIVORS $http"
-        SURVIVOR_STREAMS="$SURVIVOR_STREAMS,$stream"
-    fi
+for m in "$BDN1_HTTP" "$BDN2_HTTP" "$BDN3_HTTP"; do
+    wait_brokers "$m" 2 "at bootstrap"
 done
-SURVIVOR_STREAMS="${SURVIVOR_STREAMS#,}"
+discover "$BDN1_STREAM,$BDN2_STREAM,$BDN3_STREAM" dur-req1 "over the whole set"
 
-# Recovery: a standby claims the lease and promotes itself.
-# shellcheck disable=SC2086
-NEW_PRIMARY="$(wait_primary "after the kill" $SURVIVORS)"
-echo "durability-smoke: standby promoted ($NEW_PRIMARY)"
+# Fault: SIGKILL a member — no goodbye, no final snapshot, exactly like a
+# crashed discovery-node process.
+kill -9 "$BDN_PID_1"
+wait "$BDN_PID_1" 2>/dev/null || true
+echo "durability-smoke: gridservicelocator.org killed (pid $BDN_PID_1)"
 
-# The promoted member lists every broker without anyone re-registering.
-wait_brokers "$NEW_PRIMARY" 2 "after the failover"
-
-# Discovery against the survivors still answers.
-"$BIN/discover" -bind 127.0.0.1 -bdn "$SURVIVOR_STREAMS" \
-    -window 2s -name dur-req2 >"$TMP/discover2.log" 2>&1 || {
-    echo "durability-smoke: post-failover discovery failed" >&2
-    cat "$TMP/discover2.log" >&2
-    exit 1
-}
-grep -q 'selected broker: dur-' "$TMP/discover2.log" || {
-    echo "durability-smoke: post-failover discovery selected nothing" >&2
-    cat "$TMP/discover2.log" >&2
-    exit 1
-}
-
-# The whole point: zero broker re-registrations. The reconnects counter for
-# kind="bdn" counts successful registration REDIALS; the surviving BDNs
-# never dropped a session, so it must still read 0 on both brokers.
+# The survivors list every broker and answer discovery, with nobody
+# re-registering.
+wait_brokers "$BDN2_HTTP" 2 "after the kill"
+wait_brokers "$BDN3_HTTP" 2 "after the kill"
+discover "$BDN2_STREAM,$BDN3_STREAM" dur-req2 "through the survivors"
 for b in "$BROKER1_HTTP" "$BROKER2_HTTP"; do
     if fetch "http://$b/metrics" | grep 'narada_broker_reconnects_total' | grep 'kind="bdn"' | grep -qv ' 0$'; then
-        echo "durability-smoke: broker $b re-registered after the failover" >&2
+        echo "durability-smoke: broker $b re-registered after the kill" >&2
         fetch "http://$b/metrics" | grep narada_broker_reconnect >&2 || true
         exit 1
     fi
 done
 
-echo "durability-smoke: ok (primary killed, standby promoted with full table, discovery healthy, zero re-registrations)"
+# A broker registers while the member is down, with the survivors only.
+"$BIN/broker" -bind 127.0.0.1 -logical dur-c -bdn "$BDN2_STREAM,$BDN3_STREAM" \
+    -supervise -telemetry-addr "$BROKER3_HTTP" >"$TMP/broker3.log" 2>&1 &
+PIDS="$PIDS $!"
+wait_for "http://$BROKER3_HTTP/healthz" "broker dur-c" "$TMP/broker3.log"
+wait_brokers "$BDN2_HTTP" 3 "after dur-c registered"
+wait_brokers "$BDN3_HTTP" 3 "after dur-c registered"
+
+# The member restarts over its data directory: it recovers dur-a and dur-b
+# from disk and must pull dur-c within the 2 s exchange period (+1 s slack).
+start_bdn 1 gridservicelocator.org 17620 17621 17622 "$BDN2_STREAM,$BDN3_STREAM"
+wait_for "http://$BDN1_HTTP/healthz" "restarted bdn1" "$TMP/bdn1.log"
+wait_brokers "$BDN1_HTTP" 3 "within an exchange period of its restart" 30
+if ! fetch "http://$BDN1_HTTP/metrics" | grep 'narada_bdn_advertisements_total' | grep 'outcome="merged"' | grep -qv ' 0$'; then
+    echo "durability-smoke: the restarted member lists dur-c without having merged it" >&2
+    fetch "http://$BDN1_HTTP/metrics" | grep narada_bdn_advertisements >&2 || true
+    exit 1
+fi
+
+echo "durability-smoke: ok (member killed, survivors full and answering, zero re-registrations, restarted member pulled what it missed)"
