@@ -9,7 +9,6 @@ import (
 	"narada/internal/core"
 	"narada/internal/obs"
 	"narada/internal/obs/collect"
-	"narada/internal/obs/collect/health"
 )
 
 // TestFailedDiscoveryStillShipsTelemetry runs the command body with
@@ -20,7 +19,7 @@ import (
 // scraped, and the plane's Close waits for the scrape that carries
 // node_stop.
 func TestFailedDiscoveryStillShipsTelemetry(t *testing.T) {
-	col, err := collect.New(collect.Config{Health: &health.Config{ScrapeInterval: 20 * time.Millisecond}, HealthInterval: -1})
+	col, err := collect.New(collect.Config{ScrapeInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("collector: %v", err)
 	}

@@ -21,9 +21,10 @@
 //
 // Every node is scraped each -scrape-interval; each scrape also feeds the
 // in-memory time-series store and the health engine, which evaluates
-// deadman / clock-drift / egress / SLO burn-rate rules each -health-interval
-// and publishes alert transitions to the log and, with -alert-webhook, to a
-// JSON webhook.
+// deadman / clock-drift / egress / SLO burn-rate rules once per scrape
+// interval and publishes alert transitions to the log and, with
+// -alert-webhook, to a JSON webhook. -scrape-interval is the collector's only
+// clock: every rule window and hold is a fixed count of scrape intervals.
 //
 // With -probe-interval it also runs the synthetic prober: periodic
 // end-to-end discoveries against the live fabric whose traces and
@@ -33,7 +34,7 @@
 //
 //	obscollect -nodes 127.0.0.1:9401,127.0.0.1:9402 -http 127.0.0.1:9311
 //	obscollect -nodes 127.0.0.1:9401 -http :9311 -probe-interval 10s -probe-bdn 127.0.0.1:7000
-//	obscollect -nodes 127.0.0.1:9401 -http :9311 -deadman-intervals 3 -alert-webhook http://ops/hook
+//	obscollect -nodes 127.0.0.1:9401 -http :9311 -alert-webhook http://ops/hook
 //
 // On SIGINT/SIGTERM the prober stops first, then the collector (flushing
 // still-firing alerts to the sinks), then the HTTP server drains.
@@ -67,33 +68,14 @@ func main() {
 
 func run() error {
 	var (
-		nodes         = flag.String("nodes", "", "comma-separated telemetry addrs (host:port) of the nodes to scrape")
-		httpAddr      = flag.String("http", "127.0.0.1:9311", "HTTP listen addr for /metrics, /traces, /fabric, /alerts, /events, /topology, /query")
-		traceCap      = flag.Int("trace-capacity", collect.DefaultTraceCapacity, "assembled traces retained (oldest evicted)")
-		eventCap      = flag.Int("event-capacity", collect.DefaultEventCapacity, "control-plane events retained per node (oldest evicted)")
-		probeInterval = flag.Duration("probe-interval", 0, "synthetic discovery probe interval (0 = no prober)")
-		probeBDN      = flag.String("probe-bdn", "", "comma-separated BDN stream addrs the prober discovers through")
-		probeWindow   = flag.Duration("probe-window", time.Second, "per-probe response collection window")
-
-		healthInterval = flag.Duration("health-interval", time.Second, "health rule evaluation period")
-		scrapeInterval = flag.Duration("scrape-interval", time.Second, "how often every node is scraped (deadman unit of silence)")
-		deadmanAfter   = flag.Int("deadman-intervals", 3, "scrape intervals without a successful scrape before a node is declared vanished")
-		clockEnvelope  = flag.Duration("clock-envelope", 20*time.Millisecond, "acceptable NTP clock-offset envelope (±)")
-		sloTarget      = flag.Float64("slo-target", 0.99, "probe success-rate SLO for burn-rate alerting")
-		latencySLO     = flag.Duration("latency-slo", time.Second, "probe latency SLO (slower probes burn latency budget)")
-		deliveryTarget = flag.Float64("delivery-slo-target", 0.99, "delivery-latency SLO target for burn-rate alerting")
-		deliverySLO    = flag.Duration("delivery-latency-slo", 100*time.Millisecond, "end-to-end delivery latency SLO (slower deliveries burn budget)")
-		dropRatioMax   = flag.Float64("drop-ratio-max", 0.01, "egress drops / delivery attempts ratio that fires drop_ratio")
-		dropMinVolume  = flag.Float64("drop-min-volume", 100, "delivery attempts per window before drop_ratio may fire")
-		pendingFor     = flag.Duration("alert-pending-for", 0, "how long a violation must persist before firing")
+		nodes          = flag.String("nodes", "", "comma-separated telemetry addrs (host:port) of the nodes to scrape")
+		httpAddr       = flag.String("http", "127.0.0.1:9311", "HTTP listen addr for /metrics, /traces, /fabric, /alerts, /events, /topology, /query")
+		scrapeInterval = flag.Duration("scrape-interval", time.Second, "how often every node is scraped and the health rules evaluated; every rule window is a fixed count of it")
+		probeInterval  = flag.Duration("probe-interval", 0, "synthetic discovery probe interval (0 = no prober)")
+		probeBDN       = flag.String("probe-bdn", "", "comma-separated BDN stream addrs the prober discovers through")
 		webhook        = flag.String("alert-webhook", "", "URL POSTed one JSON document per alert transition (optional)")
-
-		profileDir   = flag.String("profile-dir", "", "spool pulled and flight-recorded profiles to this directory ('' = in-memory only)")
-		profileCount = flag.Int("profile-max-count", collect.DefaultProfileMaxCount, "profiles retained before oldest eviction")
-		profileBytes = flag.Int64("profile-max-bytes", collect.DefaultProfileMaxBytes, "total profile bytes retained before oldest eviction")
-		flightCPU    = flag.Int("flight-cpu-seconds", collect.DefaultFlightCPUSeconds, "CPU sampling window of an alert-triggered flight capture")
-		noFlight     = flag.Bool("no-flight-recorder", false, "disable alert-triggered profile capture")
-		tf           = plane.RegisterFlags(flag.CommandLine, plane.FlagProfileRates|plane.FlagLogLevel, false)
+		profileDir     = flag.String("profile-dir", "", "spool pulled and flight-recorded profiles to this directory ('' = in-memory only)")
+		tf             = plane.RegisterFlags(flag.CommandLine, plane.FlagProfileRates|plane.FlagLogLevel, false)
 	)
 	flag.Lookup("mutex-profile-fraction").Usage = "record ~1/N mutex contention events in this process (0 = off)"
 	flag.Lookup("block-profile-rate").Usage = "record goroutine blocking events >= N ns in this process (0 = off)"
@@ -109,35 +91,17 @@ func run() error {
 	defer p.Close()
 	logger := p.Handle().Logger
 
-	hc := &health.Config{
-		ScrapeInterval:     *scrapeInterval,
-		DeadmanIntervals:   *deadmanAfter,
-		ClockEnvelope:      *clockEnvelope,
-		SLOTarget:          *sloTarget,
-		LatencySLO:         *latencySLO,
-		DeliverySLOTarget:  *deliveryTarget,
-		DeliveryLatencySLO: *deliverySLO,
-		DropRatioMax:       *dropRatioMax,
-		DropMinVolume:      *dropMinVolume,
-		PendingFor:         *pendingFor,
-	}
-	hc.Sinks = append(hc.Sinks, health.NewLogSink(logger))
+	sinks := []health.Sink{health.NewLogSink(logger)}
 	if *webhook != "" {
-		hc.Sinks = append(hc.Sinks, health.NewWebhookSink(*webhook, 0, logger))
+		sinks = append(sinks, health.NewWebhookSink(*webhook, 0, logger))
 	}
 
 	col, err := collect.New(collect.Config{
-		TraceCapacity:         *traceCap,
-		EventCapacity:         *eventCap,
-		Logger:                logger,
-		Registry:              p.Handle().Metrics,
-		Health:                hc,
-		HealthInterval:        *healthInterval,
-		ProfileDir:            *profileDir,
-		ProfileMaxCount:       *profileCount,
-		ProfileMaxBytes:       *profileBytes,
-		FlightCPUSeconds:      *flightCPU,
-		DisableFlightRecorder: *noFlight,
+		Logger:         logger,
+		Registry:       p.Handle().Metrics,
+		ScrapeInterval: *scrapeInterval,
+		Sinks:          sinks,
+		ProfileDir:     *profileDir,
 	})
 	if err != nil {
 		return err
@@ -170,10 +134,9 @@ func run() error {
 		// node, so probe series land in the retention store — /query and the
 		// SLO burn-rate rules read them from there.
 		prober, err = col.NewProber(collect.ProbeConfig{
-			Interval:      *probeInterval,
-			BDNAddrs:      addrs,
-			CollectWindow: *probeWindow,
-			Logger:        logger,
+			Interval: *probeInterval,
+			BDNAddrs: addrs,
+			Logger:   logger,
 		})
 		if err != nil {
 			return fmt.Errorf("prober: %w", err)

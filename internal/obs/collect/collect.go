@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,48 +31,41 @@ import (
 	"narada/internal/obs/profile"
 )
 
-// DefaultTraceCapacity bounds the assembled-trace ring.
-const DefaultTraceCapacity = 512
+// Ring capacities.
+const (
+	// traceCapacity bounds the assembled-trace ring; the oldest trace is
+	// evicted when full.
+	traceCapacity = 512
+	// eventCapacity bounds each node's journal-event ring, and with it how
+	// far back /topology can time-travel.
+	eventCapacity = 4096
+)
 
 // Config parameterises a Collector. Nodes are added with Watch.
 type Config struct {
-	// TraceCapacity bounds the assembled-trace ring; the oldest trace is
-	// evicted when full (<= 0 uses DefaultTraceCapacity).
-	TraceCapacity int
 	// Logger receives operational events; nil discards them.
 	Logger *slog.Logger
 	// Registry receives the collector's own metrics; nil creates a private
 	// one (still served on /metrics, labelled node="obscollect").
 	Registry *obs.Registry
-	// Health parameterises the health engine's rules and sinks, and its
-	// ScrapeInterval is how often every node is scraped; nil runs the engine
-	// with its documented defaults. The engine's Registry and Logger default
-	// to the collector's own.
-	Health *health.Config
-	// HealthInterval is the rule-evaluation period (0 uses 1s; < 0
-	// disables the ticker — tests call EvaluateHealthNow directly).
-	HealthInterval time.Duration
-	// EventCapacity bounds the per-node journal-event ring (<= 0 uses
-	// DefaultEventCapacity). The ring also bounds how far back /topology
-	// can time-travel.
-	EventCapacity int
+	// ScrapeInterval is how often every node is scraped and the health
+	// rules evaluated (<= 0 uses 1s). It is the collector's only clock:
+	// every rule window and hold (health.WindowsAt), the series store's
+	// tiers (resolutionsAt) and the flight recorder's CPU window
+	// (flightCPUSeconds) are fixed multiples of it.
+	ScrapeInterval time.Duration
+	// Sinks receive alert transitions; nil logs them. The flight recorder
+	// rides along either way.
+	Sinks []health.Sink
 	// ProfileDir spools pulled and flight-recorded profiles to disk; ""
 	// keeps them in memory only.
 	ProfileDir string
-	// ProfileMaxCount / ProfileMaxBytes bound the profile store (<= 0 uses
-	// DefaultProfileMaxCount / DefaultProfileMaxBytes).
-	ProfileMaxCount int
-	ProfileMaxBytes int64
-	// FlightCPUSeconds is the CPU-sampling window of an alert-triggered
-	// flight capture (<= 0 uses DefaultFlightCPUSeconds).
-	FlightCPUSeconds int
-	// DisableFlightRecorder turns off alert-triggered profile capture.
-	DisableFlightRecorder bool
 
-	// resolutions overrides the series store's retention tiers
-	// (DefaultResolutions: 1s/10s/60s) — no binary does; this package's
-	// tests shorten them.
-	resolutions []Resolution
+	// traceCap and eventCap shrink the rings, and manual stops the rule
+	// ticker so a test calls evaluate itself — hooks for this package's
+	// tests only.
+	traceCap, eventCap int
+	manual             bool
 }
 
 // span is one recorded span with its provenance: which node recorded it and
@@ -122,6 +116,7 @@ type target struct {
 // Collector scrapes nodes and assembles the fabric view.
 type Collector struct {
 	cfg    Config
+	win    health.Windows
 	reg    *obs.Registry
 	log    *slog.Logger
 	store  *seriesStore
@@ -161,24 +156,21 @@ type Collector struct {
 
 // New builds a collector watching nothing yet.
 func New(cfg Config) (*Collector, error) {
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = DefaultTraceCapacity
+	if cfg.ScrapeInterval <= 0 {
+		cfg.ScrapeInterval = time.Second
 	}
-	if cfg.EventCapacity <= 0 {
-		cfg.EventCapacity = DefaultEventCapacity
+	if cfg.traceCap <= 0 {
+		cfg.traceCap = traceCapacity
 	}
-	if cfg.ProfileMaxCount <= 0 {
-		cfg.ProfileMaxCount = DefaultProfileMaxCount
-	}
-	if cfg.ProfileMaxBytes <= 0 {
-		cfg.ProfileMaxBytes = DefaultProfileMaxBytes
+	if cfg.eventCap <= 0 {
+		cfg.eventCap = eventCapacity
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
 	}
 	// A spool directory that cannot be made or read is a configuration
 	// error, reported before anything starts.
-	pstore, err := profile.NewStore(cfg.ProfileDir, cfg.ProfileMaxCount, cfg.ProfileMaxBytes)
+	pstore, err := profile.NewStore(cfg.ProfileDir, profileMaxCount, profileMaxBytes)
 	if err != nil {
 		return nil, fmt.Errorf("collect: %w", err)
 	}
@@ -193,15 +185,16 @@ func New(cfg Config) (*Collector, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Collector{
 		cfg:     cfg,
+		win:     health.WindowsAt(cfg.ScrapeInterval),
 		reg:     reg,
 		log:     cfg.Logger.With("component", "obscollect"),
-		store:   newSeriesStore(cfg.resolutions, MaxSeries),
+		store:   newSeriesStore(resolutionsAt(cfg.ScrapeInterval), MaxSeries),
 		ctx:     ctx,
 		cancel:  cancel,
 		targets: make(map[string]*target),
 		nodes:   make(map[string]*nodeState),
 		traces:  make(map[string]*trace),
-		order:   obs.NewRing[*trace](cfg.TraceCapacity),
+		order:   obs.NewRing[*trace](cfg.traceCap),
 		events:  make(map[string]*eventLog),
 		self:    &target{local: self},
 	}
@@ -223,7 +216,7 @@ func New(cfg Config) (*Collector, error) {
 	reg.CounterFunc("narada_collect_series_dropped_total",
 		"Series discarded at the store's capacity cap.", c.store.DroppedSeries, who)
 
-	c.profiles = newProfilePlane(c, pstore, cfg.FlightCPUSeconds)
+	c.profiles = newProfilePlane(c, pstore, flightCPUSeconds(cfg.ScrapeInterval))
 	c.profilesStored = reg.Counter("narada_collect_profiles_total",
 		"Profiles stored (pulled or flight-recorded).", who)
 	c.profilePullErrs = reg.Counter("narada_collect_profile_pull_errors_total",
@@ -233,33 +226,18 @@ func New(cfg Config) (*Collector, error) {
 	reg.GaugeFunc("narada_collect_profiles", "Profiles currently retained.",
 		func() float64 { return float64(pstore.Count()) }, who)
 
-	hc := health.Config{}
-	if cfg.Health != nil {
-		hc = *cfg.Health
+	sinks := cfg.Sinks
+	if len(sinks) == 0 {
+		sinks = []health.Sink{health.NewLogSink(c.log)}
 	}
-	if hc.Registry == nil {
-		hc.Registry = reg
-	}
-	if hc.Logger == nil {
-		hc.Logger = c.log
-	}
-	if len(hc.Sinks) == 0 {
-		hc.Sinks = []health.Sink{health.NewLogSink(c.log)}
-	}
-	if hc.Journal == nil {
-		hc.Journal = self.Handle().Journal
-	}
-	if !cfg.DisableFlightRecorder {
-		hc.Sinks = append(hc.Sinks, c.profiles)
-	}
-	c.health = health.New(hc)
-
-	if cfg.HealthInterval >= 0 {
-		interval := cfg.HealthInterval
-		if interval == 0 {
-			interval = time.Second
-		}
-		c.spawn(func() { c.healthLoop(interval) })
+	c.health = health.New(c.win, health.Config{
+		Sinks:    append(slices.Clip(sinks), c.profiles),
+		Registry: reg,
+		Journal:  self.Handle().Journal,
+		Logger:   c.log,
+	})
+	if !cfg.manual {
+		c.spawn(c.healthLoop)
 	}
 	return c, nil
 }
@@ -302,7 +280,7 @@ func (c *Collector) unwatch(t *target) {
 func (c *Collector) startLoop(t *target) {
 	t.stop = make(chan struct{})
 	c.spawn(func() {
-		tick := time.NewTicker(c.health.Config().ScrapeInterval)
+		tick := time.NewTicker(c.win.Scrape)
 		defer tick.Stop()
 		for {
 			_ = c.scrape(t)

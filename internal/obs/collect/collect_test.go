@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"narada/internal/obs"
-	"narada/internal/obs/collect/health"
 	"narada/internal/obs/plane"
 )
 
@@ -78,7 +77,7 @@ func spanNames(tr TraceInfo) []string {
 // TestTraceRingEviction fills the bounded trace ring past capacity and
 // asserts the oldest trace is fully forgotten — listing, lookup and count.
 func TestTraceRingEviction(t *testing.T) {
-	c := newTestCollector(t, Config{TraceCapacity: 2})
+	c := newTestCollector(t, Config{traceCap: 2})
 	at := time.Unix(1000, 0)
 	c.ingest(spanDoc("n", 0, "t1", "a", at), "")
 	c.ingest(spanDoc("n", 0, "t2", "b", at), "")
@@ -224,7 +223,7 @@ func TestHistQuantile(t *testing.T) {
 // serving /telemetry in, assembled state out, and an endpoint that answers
 // garbage counted without disturbing the node watched beside it.
 func TestCollectorOverHTTP(t *testing.T) {
-	c := newTestCollector(t, Config{Health: &health.Config{ScrapeInterval: 10 * time.Millisecond}, HealthInterval: -1})
+	c := newTestCollector(t, Config{ScrapeInterval: 10 * time.Millisecond, manual: true})
 	p, err := plane.Start(plane.Config{
 		Flags: plane.Flags{TelemetryAddr: "127.0.0.1:0"}, Node: "broker-1", Embedded: true,
 		Offset: func() time.Duration { return 10 * time.Millisecond },
@@ -266,11 +265,43 @@ func TestCollectorOverHTTP(t *testing.T) {
 }
 
 func TestProberConfigValidation(t *testing.T) {
-	c := newTestCollector(t, Config{HealthInterval: -1})
+	c := newTestCollector(t, Config{manual: true})
 	if _, err := c.NewProber(ProbeConfig{BDNAddrs: []string{"127.0.0.1:1"}}); err == nil {
 		t.Error("zero interval accepted")
 	}
 	if _, err := c.NewProber(ProbeConfig{Interval: time.Second}); err == nil {
 		t.Error("missing BDN addrs accepted")
+	}
+}
+
+// TestTimeParametersShareOneError sends an unparseable time to each of the
+// five time parameters and expects the one 400 body they share.
+func TestTimeParametersShareOneError(t *testing.T) {
+	c := newTestCollector(t, Config{manual: true})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	var first string
+	for _, path := range []string{
+		"/events?since=yesterday",
+		"/events?until=yesterday",
+		"/topology?at=yesterday",
+		"/query?metric=m&since=yesterday",
+		"/profiles?since=yesterday",
+	} {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("GET %s: status %d, want 400", path, resp.StatusCode)
+		}
+		if first == "" {
+			first = string(body)
+		}
+		if string(body) != first || !strings.Contains(first, "RFC3339") {
+			t.Fatalf("GET %s: body %q, want the shared %q", path, body, first)
+		}
 	}
 }

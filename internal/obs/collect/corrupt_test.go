@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"narada/internal/obs"
-	"narada/internal/obs/collect/health"
 	"narada/internal/obs/plane"
 	"narada/internal/obs/profile"
 )
@@ -21,8 +20,7 @@ import (
 // stopping it: the valid document served afterwards still reaches the
 // series store.
 func TestCollectorRejectsCorruptScrapes(t *testing.T) {
-	c := newTestCollector(t, Config{resolutions: testResolutions(), HealthInterval: -1,
-		Health: &health.Config{ScrapeInterval: 5 * time.Millisecond}})
+	c := newTestCollector(t, Config{ScrapeInterval: 5 * time.Millisecond, manual: true})
 	good, err := json.Marshal(plane.Scrape{Node: "b1", Boot: 1, Families: []obs.ExportFamily{
 		{Name: "narada_broker_links", Kind: "gauge", Series: []obs.ExportSeries{{Gauge: 4}}},
 	}})
@@ -88,14 +86,14 @@ func FuzzScrape(f *testing.F) {
 	f.Add([]byte(`{"node":"n","events":[{"Seq":5},{"Seq":1},{"Seq":1}],"spans":[{"seq":9},{"seq":2}]}`))
 	f.Add([]byte("not json"))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		c := newTestCollector(t, Config{TraceCapacity: 4, EventCapacity: 8, HealthInterval: -1, DisableFlightRecorder: true})
+		c := newTestCollector(t, Config{traceCap: 4, eventCap: 8, manual: true})
 		doc, err := decodeScrape(body)
 		if err != nil {
 			return
 		}
 		c.ingest(doc, "")
 		c.ingest(doc, "")
-		c.EvaluateHealthNow()
+		c.evaluate()
 		if n, traces, events := c.NodeCount(), c.TraceCount(), c.EventCount(); n > 2 || traces > 4 || events > 2*8 {
 			t.Fatalf("%d nodes, %d traces, %d events from one document: unbounded", n, traces, events)
 		}

@@ -10,9 +10,6 @@ import (
 	"narada/internal/obs/plane"
 )
 
-// DefaultEventCapacity bounds the per-node journal-event ring.
-const DefaultEventCapacity = 4096
-
 // NodeEvent is one control-plane event as stored by the collector: the
 // emitter's record plus provenance (which node it was scraped from) and the
 // offset-corrected timestamp that places it on the fabric-wide timeline.
@@ -45,7 +42,7 @@ func (c *Collector) ingestEventsLocked(doc *plane.Scrape) {
 	l := c.events[doc.Node]
 	if l == nil {
 		l = &eventLog{
-			ring: obs.NewRing[NodeEvent](c.cfg.EventCapacity),
+			ring: obs.NewRing[NodeEvent](c.cfg.eventCap),
 			gaps: c.reg.Counter("narada_collector_event_gaps_total",
 				"Journal sequence gaps observed per node (events overwritten before a scrape read them).",
 				obs.L("node", doc.Node)),

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"narada/internal/obs"
-	"narada/internal/obs/collect/health"
 	"narada/internal/obs/plane"
 )
 
@@ -186,7 +185,7 @@ func TestTopologyTimeTravel(t *testing.T) {
 // events, and (b) /alerts embeds the correlated event window holding the
 // peers' evidence about the vanished node.
 func TestAlertEventWindowCorrelation(t *testing.T) {
-	c, _ := healthTestCollector(t, health.Config{DeadmanIntervals: 2})
+	c, _ := healthTestCollector(t)
 
 	c.ingest(metricsDoc("broker-1", 0), "")
 	// The surviving peer's journal names the dead node.
@@ -194,7 +193,7 @@ func TestAlertEventWindowCorrelation(t *testing.T) {
 		ev(1, obs.EventLinkDown, time.Now(), "broker-1", "read error"),
 		ev(2, obs.EventReconnectAttempt, time.Now(), "broker-1", "fail: connection refused")), "")
 	time.Sleep(60 * time.Millisecond)
-	c.EvaluateHealthNow()
+	c.evaluate()
 	// Both nodes went silent (the event document registered broker-2 too), so
 	// both deadman — the test follows broker-1's alert.
 	if c.Health().Firing() == 0 {
@@ -307,7 +306,7 @@ func TestEventsAndTopologyEndpoints(t *testing.T) {
 // replay in any order but (aligned time, node, seq) ends with a different
 // link set.
 func TestTopologyReplaysEventsOrder(t *testing.T) {
-	c := newTestCollector(t, Config{HealthInterval: -1})
+	c := newTestCollector(t, Config{manual: true})
 	base := time.Date(2005, 7, 1, 12, 0, 0, 0, time.UTC)
 	tie := base.Add(5 * time.Second)
 

@@ -2,8 +2,8 @@
 // state machine. The collector feeds it one Input per evaluation tick —
 // per-node liveness, clock offsets and windowed rates derived from the
 // series store — and the engine turns rule violations into deduplicated
-// alerts with a pending → firing → resolved lifecycle, published to
-// pluggable sinks and exposed as narada_alerts_firing gauges.
+// alerts with a firing → resolved lifecycle, published to pluggable sinks
+// and exposed as narada_alerts_firing gauges.
 //
 // The engine is deliberately decoupled from the collector: it sees only the
 // Input snapshot, so every rule is unit-testable with hand-built inputs and
@@ -47,9 +47,9 @@ const (
 	RuleGCBurn = "gc_burn"
 )
 
-// Alert states.
+// Alert states. A violation fires at once and resolves once its condition
+// has stayed clear for Windows.Resolve.
 const (
-	StatePending  = "pending"
 	StateFiring   = "firing"
 	StateResolved = "resolved"
 )
@@ -64,20 +64,52 @@ type Alert struct {
 	Message    string     `json:"message"`
 	Value      float64    `json:"value"`
 	Threshold  float64    `json:"threshold"`
-	Since      time.Time  `json:"since"` // condition first observed (this cycle)
+	Since      time.Time  `json:"since"` // when this firing cycle began (= FiredAt)
 	FiredAt    *time.Time `json:"firedAt,omitempty"`
 	ResolvedAt *time.Time `json:"resolvedAt,omitempty"`
 }
 
-// Sink receives alert lifecycle transitions (firing and resolved; pending
-// transitions are internal). Publish must tolerate being called from the
-// evaluation tick — keep it fast or buffer internally.
+// Sink receives alert lifecycle transitions (firing and resolved). Publish
+// must tolerate being called from the evaluation tick — keep it fast or
+// buffer internally.
 type Sink interface {
 	Publish(Alert)
 }
 
-// Rule thresholds nothing has ever configured.
+// Rule thresholds and objectives. Each is fixed; only the windows they are
+// measured over follow the scrape interval (Windows).
 const (
+	// clockEnvelope bounds a node's clock offset estimate: the paper's NTP
+	// scheme keeps nodes within 1-20 ms, so an offset beyond ±20 ms silently
+	// corrupts one-way latency estimates.
+	clockEnvelope = 20 * time.Millisecond
+	// egressDepthMax is the egress queue depth (summed across links) above
+	// which a broker counts as saturated — the per-connection data queue
+	// bound.
+	egressDepthMax = 512.0
+	// egressDropRateMax is the tolerated egress drop rate, events/second
+	// over the egress window.
+	egressDropRateMax = 1.0
+	// flapRateMax is the tolerated supervised-reconnect rate, reconnects/
+	// second over the flap window (15 relinks in 5 minutes). A steady-state
+	// fabric reconnects rarely; a link cycling faster than this is flapping —
+	// a path or peer problem the supervision layer is papering over.
+	flapRateMax = 0.05
+	// sloTarget is every SLO's objective: the fraction of probes that must
+	// succeed, of probes that must beat ProbeLatencySLO and of deliveries
+	// that must beat DeliveryLatencySLO.
+	sloTarget = 0.99
+	// ProbeLatencySLO is the probe latency objective: slower probes consume
+	// latency error budget.
+	ProbeLatencySLO = time.Second
+	// DeliveryLatencySLO is the end-to-end delivery latency objective. LAN
+	// fabrics deliver in microseconds; a sustained breach means queueing.
+	DeliveryLatencySLO = 100 * time.Millisecond
+	// dropRatioMax is the tolerated dropped/(delivered+dropped) ratio over
+	// the egress window, evaluated only once that window carries
+	// dropMinVolume deliveries: ratios over tiny denominators are noise, not
+	// outages.
+	dropRatioMax, dropMinVolume = 0.01, 100.0
 	// fastBurnMax / slowBurnMax are the burn-rate thresholds: an SLO alert
 	// fires when BOTH windows burn error budget faster than their bound
 	// (the SRE-workbook page thresholds).
@@ -89,156 +121,48 @@ const (
 	// this so a large node's normal churn cannot alert on an absolute delta
 	// that is small relative to its baseline.
 	goroutineLeakRatio = 1.5
-	// GCBurnWindow is the averaging window for the GC CPU fraction.
-	GCBurnWindow = 2 * time.Minute
 	// gcBurnMax is the tolerated average GC CPU fraction.
 	gcBurnMax = 0.25
 )
 
-// Config parameterises the engine. Zero values fall back to the documented
-// defaults.
+// Windows are the engine's rule windows and holds. Each is a fixed count of
+// scrape intervals, so the collector's scrape interval is its only clock;
+// the comments give each count and its value at the default 1 s interval.
+type Windows struct {
+	Scrape        time.Duration // 1: one rule evaluation per scrape
+	Deadman       time.Duration // 3: silence before a node is declared vanished
+	Resolve       time.Duration // 3: how long a firing condition stays clear before it resolves
+	Retain        time.Duration // 600 (10 min): how long a resolved alert stays listed
+	Egress        time.Duration // 60 (1 min): egress drop rate and drop ratio
+	Flap          time.Duration // 300 (5 min): supervised link reconnect rate
+	FastBurn      time.Duration // 300 (5 min): the fast SLO burn window
+	SlowBurn      time.Duration // 3 600 (1 h): the slow SLO burn window
+	GoroutineLeak time.Duration // 300 (5 min): the goroutine growth trend
+	GCBurn        time.Duration // 120 (2 min): the average GC CPU fraction
+}
+
+// WindowsAt returns the windows at scrape interval d.
+func WindowsAt(d time.Duration) Windows {
+	return Windows{
+		Scrape: d, Deadman: 3 * d, Resolve: 3 * d, Retain: 600 * d,
+		Egress: 60 * d, Flap: 300 * d, FastBurn: 300 * d, SlowBurn: 3600 * d,
+		GoroutineLeak: 300 * d, GCBurn: 120 * d,
+	}
+}
+
+// Config wires the engine to its outputs.
 type Config struct {
-	// ScrapeInterval is how often the collector scrapes every node — the
-	// deadman rule's unit of silence (default 1s).
-	ScrapeInterval time.Duration
-	// DeadmanIntervals is how many scrape intervals may pass without a
-	// successful scrape of a node before it is declared vanished (default 3).
-	DeadmanIntervals int
-	// ClockEnvelope bounds a node's acceptable clock offset estimate; the
-	// paper's NTP scheme keeps nodes within 1-20 ms, so an offset beyond
-	// ±20 ms (the default) silently corrupts one-way latency estimates.
-	ClockEnvelope time.Duration
-	// EgressDepthMax is the egress queue depth (summed across links) above
-	// which a broker counts as saturated (default 512 — the default
-	// per-connection data queue bound).
-	EgressDepthMax float64
-	// EgressDropRateMax is the tolerated egress drop rate in events/second
-	// over EgressWindow (default 1/s).
-	EgressDropRateMax float64
-	// EgressWindow is the averaging window for the drop rate (default 1m).
-	EgressWindow time.Duration
-	// FlapWindow is the averaging window for supervised link reconnects
-	// (default 5m).
-	FlapWindow time.Duration
-	// FlapRateMax is the tolerated supervised-reconnect rate in
-	// reconnects/second over FlapWindow (default 0.05/s, i.e. 15 relinks in
-	// 5 minutes). A steady-state fabric reconnects rarely; a link cycling
-	// up and down faster than this is flapping — a path or peer problem the
-	// supervision layer is papering over.
-	FlapRateMax float64
-
-	// SLOTarget is the probe success-rate objective (default 0.99).
-	SLOTarget float64
-	// LatencySLO is the probe latency objective: probes slower than this
-	// consume latency error budget (default 1s).
-	LatencySLO time.Duration
-	// FastWindow / SlowWindow are the multi-window burn-rate windows
-	// (defaults 5m / 1h).
-	FastWindow, SlowWindow time.Duration
-
-	// DeliverySLOTarget is the delivery-latency objective ratio: the fraction
-	// of delivered messages that must beat DeliveryLatencySLO (default 0.99).
-	DeliverySLOTarget float64
-	// DeliveryLatencySLO is the end-to-end delivery latency objective:
-	// deliveries slower than this consume error budget (default 100ms — LAN
-	// fabrics deliver in microseconds; a sustained breach means queueing).
-	DeliveryLatencySLO time.Duration
-	// DropRatioMax is the tolerated dropped/(delivered+dropped) ratio over
-	// EgressWindow (default 0.01).
-	DropRatioMax float64
-	// DropMinVolume is the minimum delivered+dropped volume over EgressWindow
-	// before the drop-ratio rule evaluates (default 100): ratios over tiny
-	// denominators are noise, not outages.
-	DropMinVolume float64
-
-	// GoroutineLeakWindow is the trend window of the goroutine-leak rule
-	// (default 5m — the finest series-store tier's full span).
-	GoroutineLeakWindow time.Duration
-
-	// PendingFor is the hysteresis before a violated rule fires (default 0:
-	// fire on first evaluation — deadman detection latency matters more
-	// than flap suppression at fabric scale; raise it for noisy fabrics).
-	PendingFor time.Duration
-	// ResolveAfter is how long a condition must stay clear before a firing
-	// alert resolves (default 3 × ScrapeInterval).
-	ResolveAfter time.Duration
-	// RetainResolved keeps resolved alerts visible on /alerts (default 10m).
-	RetainResolved time.Duration
-
 	// Sinks receive firing and resolved transitions.
 	Sinks []Sink
 	// Registry, when set, carries narada_alerts_firing{rule,node} gauges.
 	Registry *obs.Registry
 	// Journal, when set, records alert lifecycle transitions
-	// (alert_pending/alert_firing/alert_resolved) for the fabric timeline;
-	// the collector wires its own journal here so alert events sit beside
-	// the link and advertisement events that explain them.
+	// (alert_firing/alert_resolved) for the fabric timeline; the collector
+	// wires its own journal here so alert events sit beside the link and
+	// advertisement events that explain them.
 	Journal *obs.Journal
 	// Logger receives evaluation diagnostics; nil discards them.
 	Logger *slog.Logger
-}
-
-func (c *Config) fillDefaults() {
-	if c.ScrapeInterval <= 0 {
-		c.ScrapeInterval = time.Second
-	}
-	if c.DeadmanIntervals <= 0 {
-		c.DeadmanIntervals = 3
-	}
-	if c.ClockEnvelope <= 0 {
-		c.ClockEnvelope = 20 * time.Millisecond
-	}
-	if c.EgressDepthMax <= 0 {
-		c.EgressDepthMax = 512
-	}
-	if c.EgressDropRateMax <= 0 {
-		c.EgressDropRateMax = 1
-	}
-	if c.EgressWindow <= 0 {
-		c.EgressWindow = time.Minute
-	}
-	if c.FlapWindow <= 0 {
-		c.FlapWindow = 5 * time.Minute
-	}
-	if c.FlapRateMax <= 0 {
-		c.FlapRateMax = 0.05
-	}
-	if c.SLOTarget <= 0 || c.SLOTarget >= 1 {
-		c.SLOTarget = 0.99
-	}
-	if c.LatencySLO <= 0 {
-		c.LatencySLO = time.Second
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 5 * time.Minute
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = time.Hour
-	}
-	if c.DeliverySLOTarget <= 0 || c.DeliverySLOTarget >= 1 {
-		c.DeliverySLOTarget = 0.99
-	}
-	if c.DeliveryLatencySLO <= 0 {
-		c.DeliveryLatencySLO = 100 * time.Millisecond
-	}
-	if c.DropRatioMax <= 0 {
-		c.DropRatioMax = 0.01
-	}
-	if c.DropMinVolume <= 0 {
-		c.DropMinVolume = 100
-	}
-	if c.GoroutineLeakWindow <= 0 {
-		c.GoroutineLeakWindow = 5 * time.Minute
-	}
-	if c.ResolveAfter <= 0 {
-		c.ResolveAfter = 3 * c.ScrapeInterval
-	}
-	if c.RetainResolved <= 0 {
-		c.RetainResolved = 10 * time.Minute
-	}
-	if c.Logger == nil {
-		c.Logger = obs.Nop()
-	}
 }
 
 // NodeInput is one node's health snapshot for an evaluation tick, assembled
@@ -250,19 +174,19 @@ type NodeInput struct {
 
 	EgressDepth    float64 // current egress queue depth (summed over links)
 	HasEgress      bool    // node exports egress gauges (i.e. is a broker)
-	EgressDropRate float64 // drops/second over Config.EgressWindow
+	EgressDropRate float64 // drops/second over Windows.Egress
 
-	LinkFlapRate float64 // supervised reconnects/second over Config.FlapWindow
+	LinkFlapRate float64 // supervised reconnects/second over Windows.Flap
 	HasFlaps     bool    // node exports supervision reconnect counters
 
 	// Delivery SLIs, derived from narada_delivery_latency_seconds: total
-	// deliveries and deliveries slower than Config.DeliveryLatencySLO, over
+	// deliveries and deliveries slower than DeliveryLatencySLO, over
 	// the fast and slow burn windows.
 	HasDelivery                         bool
 	DeliveryFastTotal, DeliveryFastSlow float64
 	DeliverySlowTotal, DeliverySlowSlow float64
 
-	// Drop ratio: dropped/(delivered+dropped) over Config.EgressWindow, and
+	// Drop ratio: dropped/(delivered+dropped) over Windows.Egress, and
 	// the denominator volume for the minimum-volume guard.
 	HasDropRatio bool
 	DropRatio    float64
@@ -270,8 +194,8 @@ type NodeInput struct {
 
 	// Runtime telemetry, derived from the RuntimeSampler families: the
 	// goroutine gauge's minimum and latest values over
-	// Config.GoroutineLeakWindow, and the average GC CPU fraction over
-	// GCBurnWindow.
+	// Windows.GoroutineLeak, and the average GC CPU fraction over
+	// Windows.GCBurn.
 	HasGoroutines                 bool
 	GoroutinesMin, GoroutinesLast float64
 	HasGCCPU                      bool
@@ -305,6 +229,7 @@ type alertState struct {
 // Engine evaluates the rule set against successive Inputs and runs the alert
 // state machine. Safe for concurrent use.
 type Engine struct {
+	win Windows
 	cfg Config
 
 	mu     sync.Mutex
@@ -314,25 +239,21 @@ type Engine struct {
 	transitions *obs.Counter
 }
 
-// New assembles an engine.
-func New(cfg Config) *Engine {
-	cfg.fillDefaults()
-	e := &Engine{cfg: cfg, alerts: make(map[string]*alertState)}
+// New assembles an engine measuring its rules over w.
+func New(w Windows, cfg Config) *Engine {
+	if cfg.Logger == nil {
+		cfg.Logger = obs.Nop()
+	}
+	e := &Engine{win: w, cfg: cfg, alerts: make(map[string]*alertState)}
 	if cfg.Registry != nil {
 		who := obs.L("node", "obscollect")
 		e.evals = cfg.Registry.Counter("narada_health_evaluations_total",
 			"Health rule evaluation ticks.", who)
 		e.transitions = cfg.Registry.Counter("narada_health_transitions_total",
 			"Alert state transitions (to firing or resolved).", who)
-		cfg.Registry.GaugeFunc("narada_alerts_pending",
-			"Alerts currently pending.", func() float64 { return float64(e.count(StatePending)) }, who)
 	}
 	return e
 }
-
-// Config returns the effective (default-filled) configuration — the
-// collector reads the windows back when assembling Input.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Evaluate runs every rule against one input snapshot and advances the alert
 // state machine.
@@ -340,59 +261,56 @@ func (e *Engine) Evaluate(in Input) {
 	if e.evals != nil {
 		e.evals.Inc()
 	}
-	now := in.Now
-	deadmanAfter := time.Duration(e.cfg.DeadmanIntervals) * e.cfg.ScrapeInterval
+	now, w := in.Now, e.win
 	for _, n := range in.Nodes {
 		silent := now.Sub(n.LastSeen)
-		e.apply(RuleDeadman, n.Name, silent > deadmanAfter,
-			silent.Seconds(), deadmanAfter.Seconds(),
-			fmt.Sprintf("no successful scrape for %s (deadman after %s = %d × %s scrape interval)",
-				silent.Round(time.Millisecond), deadmanAfter, e.cfg.DeadmanIntervals, e.cfg.ScrapeInterval), now)
+		e.apply(RuleDeadman, n.Name, silent > w.Deadman,
+			silent.Seconds(), w.Deadman.Seconds(),
+			fmt.Sprintf("no successful scrape for %s (deadman after %s at a %s scrape interval)",
+				silent.Round(time.Millisecond), w.Deadman, w.Scrape), now)
 
 		off := n.ClockOffset
 		if off < 0 {
 			off = -off
 		}
 		// A vanished node's last reported offset is stale, not drifting.
-		driftActive := silent <= deadmanAfter && off > e.cfg.ClockEnvelope
+		driftActive := silent <= w.Deadman && off > clockEnvelope
 		e.apply(RuleClockDrift, n.Name, driftActive,
-			n.ClockOffset.Seconds(), e.cfg.ClockEnvelope.Seconds(),
+			n.ClockOffset.Seconds(), clockEnvelope.Seconds(),
 			fmt.Sprintf("clock offset %s outside the ±%s NTP envelope: one-way latency estimates are suspect",
-				n.ClockOffset.Round(time.Millisecond), e.cfg.ClockEnvelope), now)
+				n.ClockOffset.Round(time.Millisecond), clockEnvelope), now)
 
 		if n.HasEgress {
-			e.apply(RuleEgressSaturation, n.Name, n.EgressDepth > e.cfg.EgressDepthMax,
-				n.EgressDepth, e.cfg.EgressDepthMax,
+			e.apply(RuleEgressSaturation, n.Name, n.EgressDepth > egressDepthMax,
+				n.EgressDepth, egressDepthMax,
 				fmt.Sprintf("egress queue depth %.0f above %.0f: broker saturated, data frames at risk",
-					n.EgressDepth, e.cfg.EgressDepthMax), now)
-			e.apply(RuleEgressDrops, n.Name, n.EgressDropRate > e.cfg.EgressDropRateMax,
-				n.EgressDropRate, e.cfg.EgressDropRateMax,
+					n.EgressDepth, egressDepthMax), now)
+			e.apply(RuleEgressDrops, n.Name, n.EgressDropRate > egressDropRateMax,
+				n.EgressDropRate, egressDropRateMax,
 				fmt.Sprintf("egress dropping %.2f events/s over %s (max %.2f/s)",
-					n.EgressDropRate, e.cfg.EgressWindow, e.cfg.EgressDropRateMax), now)
+					n.EgressDropRate, w.Egress, egressDropRateMax), now)
 		}
 		if n.HasFlaps {
-			e.apply(RuleLinkFlapping, n.Name, n.LinkFlapRate > e.cfg.FlapRateMax,
-				n.LinkFlapRate, e.cfg.FlapRateMax,
+			e.apply(RuleLinkFlapping, n.Name, n.LinkFlapRate > flapRateMax,
+				n.LinkFlapRate, flapRateMax,
 				fmt.Sprintf("supervised links reconnecting %.3f/s over %s (max %.3f/s): link or peer flapping",
-					n.LinkFlapRate, e.cfg.FlapWindow, e.cfg.FlapRateMax), now)
+					n.LinkFlapRate, w.Flap, flapRateMax), now)
 		}
 		if n.HasDelivery {
-			deliveryBudget := 1 - e.cfg.DeliverySLOTarget
-			fastBurn := burnRate(n.DeliveryFastSlow, n.DeliveryFastTotal, deliveryBudget)
-			slowBurn := burnRate(n.DeliverySlowSlow, n.DeliverySlowTotal, deliveryBudget)
+			fastBurn := burnRate(n.DeliveryFastSlow, n.DeliveryFastTotal)
+			slowBurn := burnRate(n.DeliverySlowSlow, n.DeliverySlowTotal)
 			e.apply(RuleDeliveryLatencyBurn, n.Name,
 				fastBurn >= fastBurnMax && slowBurn >= slowBurnMax,
 				fastBurn, fastBurnMax,
 				fmt.Sprintf("delivery latency SLO (p<%s) burning %.1fx budget over %s and %.1fx over %s (SLO %.2f%%)",
-					e.cfg.DeliveryLatencySLO, fastBurn, e.cfg.FastWindow, slowBurn, e.cfg.SlowWindow,
-					e.cfg.DeliverySLOTarget*100), now)
+					DeliveryLatencySLO, fastBurn, w.FastBurn, slowBurn, w.SlowBurn, sloTarget*100), now)
 		}
 		if n.HasDropRatio {
-			active := n.DropVolume >= e.cfg.DropMinVolume && n.DropRatio > e.cfg.DropRatioMax
+			active := n.DropVolume >= dropMinVolume && n.DropRatio > dropRatioMax
 			e.apply(RuleDropRatio, n.Name, active,
-				n.DropRatio, e.cfg.DropRatioMax,
+				n.DropRatio, dropRatioMax,
 				fmt.Sprintf("dropping %.1f%% of egress traffic over %s (max %.1f%%, volume %.0f)",
-					n.DropRatio*100, e.cfg.EgressWindow, e.cfg.DropRatioMax*100, n.DropVolume), now)
+					n.DropRatio*100, w.Egress, dropRatioMax*100, n.DropVolume), now)
 		}
 		if n.HasGoroutines {
 			growth := n.GoroutinesLast - n.GoroutinesMin
@@ -404,45 +322,44 @@ func (e *Engine) Evaluate(in Input) {
 			e.apply(RuleGoroutineLeak, n.Name, active,
 				growth, goroutineLeakGrowth,
 				fmt.Sprintf("goroutines grew by %.0f (%.0f → %.0f, %.2fx) over %s: likely leak — diff the flight-recorded goroutine profiles",
-					growth, n.GoroutinesMin, n.GoroutinesLast, ratio, e.cfg.GoroutineLeakWindow), now)
+					growth, n.GoroutinesMin, n.GoroutinesLast, ratio, w.GoroutineLeak), now)
 		}
 		if n.HasGCCPU {
 			e.apply(RuleGCBurn, n.Name, n.GCCPUFraction > gcBurnMax,
 				n.GCCPUFraction, gcBurnMax,
 				fmt.Sprintf("GC consumed %.0f%% of CPU over %s (max %.0f%%): allocation pressure is stealing cycles from routing — check the flight-recorded profiles",
-					n.GCCPUFraction*100, GCBurnWindow, gcBurnMax*100), now)
+					n.GCCPUFraction*100, w.GCBurn, gcBurnMax*100), now)
 		}
 	}
 
-	budget := 1 - e.cfg.SLOTarget
 	for _, p := range in.Probes {
-		fastBurn := burnRate(p.FastErr, p.FastOK+p.FastErr, budget)
-		slowBurn := burnRate(p.SlowErr, p.SlowOK+p.SlowErr, budget)
+		fastBurn := burnRate(p.FastErr, p.FastOK+p.FastErr)
+		slowBurn := burnRate(p.SlowErr, p.SlowOK+p.SlowErr)
 		e.apply(RuleProbeSLOBurn, p.Node,
 			fastBurn >= fastBurnMax && slowBurn >= slowBurnMax,
 			fastBurn, fastBurnMax,
 			fmt.Sprintf("probe success SLO burning %.1fx budget over %s and %.1fx over %s (SLO %.2f%%)",
-				fastBurn, e.cfg.FastWindow, slowBurn, e.cfg.SlowWindow, e.cfg.SLOTarget*100), now)
+				fastBurn, w.FastBurn, slowBurn, w.SlowBurn, sloTarget*100), now)
 
-		fastLatBurn := burnRate(p.FastSlow, p.FastTotal, budget)
-		slowLatBurn := burnRate(p.SlowSlow, p.SlowTotal, budget)
+		fastLatBurn := burnRate(p.FastSlow, p.FastTotal)
+		slowLatBurn := burnRate(p.SlowSlow, p.SlowTotal)
 		e.apply(RuleProbeLatencyBurn, p.Node,
 			fastLatBurn >= fastBurnMax && slowLatBurn >= slowBurnMax,
 			fastLatBurn, fastBurnMax,
 			fmt.Sprintf("probe latency SLO (p<%s) burning %.1fx budget over %s and %.1fx over %s",
-				e.cfg.LatencySLO, fastLatBurn, e.cfg.FastWindow, slowLatBurn, e.cfg.SlowWindow), now)
+				ProbeLatencySLO, fastLatBurn, w.FastBurn, slowLatBurn, w.SlowBurn), now)
 	}
 
 	e.gc(now)
 }
 
-// burnRate is errors/total divided by the error budget; zero totals burn
-// nothing (no data is not an outage).
-func burnRate(errs, total, budget float64) float64 {
-	if total <= 0 || budget <= 0 {
+// burnRate is errors/total divided by the error budget (1 − sloTarget); zero
+// totals burn nothing (no data is not an outage).
+func burnRate(errs, total float64) float64 {
+	if total <= 0 {
 		return 0
 	}
-	return (errs / total) / budget
+	return (errs / total) / (1 - sloTarget)
 }
 
 // apply advances one (rule, node) through the state machine given whether
@@ -457,8 +374,7 @@ func (e *Engine) apply(rule, node string, active bool, value, threshold float64,
 			e.mu.Unlock()
 			return
 		}
-		st = &alertState{Alert: Alert{Rule: rule, Node: node, State: StatePending, Since: now}}
-		e.cfg.Journal.Emit(obs.EventAlertPending, node, rule)
+		st = &alertState{Alert: Alert{Rule: rule, Node: node}}
 		if e.cfg.Registry != nil {
 			st.gauge = e.cfg.Registry.Gauge("narada_alerts_firing",
 				"Health alerts currently firing, by rule and node.",
@@ -468,53 +384,40 @@ func (e *Engine) apply(rule, node string, active bool, value, threshold float64,
 	}
 	st.Value, st.Threshold, st.Message = value, threshold, msg
 
-	if st.State == StateResolved && active {
-		// A fresh violation re-arms the same alert entry (dedup by key).
-		st.State, st.Since = StatePending, now
-		st.FiredAt, st.ResolvedAt, st.clearSince = nil, nil, time.Time{}
-	}
-	var fired, resolved *Alert
-	switch st.State {
-	case StatePending:
-		switch {
-		case !active:
-			delete(e.alerts, key) // condition cleared before firing: drop silently
-		case now.Sub(st.Since) >= e.cfg.PendingFor:
-			st.State = StateFiring
+	var changed *Alert
+	switch {
+	case active && st.State != StateFiring:
+		// A new violation fires at once; one after a resolve re-arms the
+		// same alert entry (dedup by key).
+		at := now
+		st.State, st.Since, st.FiredAt = StateFiring, now, &at
+		st.ResolvedAt, st.clearSince = nil, time.Time{}
+		if st.gauge != nil {
+			st.gauge.Set(1)
+		}
+		a := st.Alert
+		changed = &a
+	case active:
+		st.clearSince = time.Time{}
+	case st.State == StateFiring:
+		if st.clearSince.IsZero() {
+			st.clearSince = now
+		}
+		if now.Sub(st.clearSince) >= e.win.Resolve {
+			st.State = StateResolved
 			at := now
-			st.FiredAt = &at
+			st.ResolvedAt = &at
 			if st.gauge != nil {
-				st.gauge.Set(1)
+				st.gauge.Set(0)
 			}
 			a := st.Alert
-			fired = &a
-		}
-	case StateFiring:
-		if active {
-			st.clearSince = time.Time{}
-		} else {
-			if st.clearSince.IsZero() {
-				st.clearSince = now
-			}
-			if now.Sub(st.clearSince) >= e.cfg.ResolveAfter {
-				st.State = StateResolved
-				at := now
-				st.ResolvedAt = &at
-				if st.gauge != nil {
-					st.gauge.Set(0)
-				}
-				a := st.Alert
-				resolved = &a
-			}
+			changed = &a
 		}
 	}
 	e.mu.Unlock()
 
-	if fired != nil {
-		e.publish(*fired)
-	}
-	if resolved != nil {
-		e.publish(*resolved)
+	if changed != nil {
+		e.publish(*changed)
 	}
 }
 
@@ -541,22 +444,18 @@ func (e *Engine) gc(now time.Time) {
 	defer e.mu.Unlock()
 	for key, st := range e.alerts {
 		if st.State == StateResolved && st.ResolvedAt != nil &&
-			now.Sub(*st.ResolvedAt) > e.cfg.RetainResolved {
+			now.Sub(*st.ResolvedAt) > e.win.Retain {
 			delete(e.alerts, key)
 		}
 	}
 }
 
-// stateRank orders /alerts output: firing first, then pending, then resolved.
+// stateRank orders /alerts output: firing first, then resolved.
 func stateRank(s string) int {
-	switch s {
-	case StateFiring:
+	if s == StateFiring {
 		return 0
-	case StatePending:
-		return 1
-	default:
-		return 2
 	}
+	return 1
 }
 
 // Alerts returns every retained alert, firing first, then by rule and node.
@@ -579,20 +478,18 @@ func (e *Engine) Alerts() []Alert {
 	return out
 }
 
-func (e *Engine) count(state string) int {
+// Firing returns the number of alerts currently firing.
+func (e *Engine) Firing() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0
 	for _, st := range e.alerts {
-		if st.State == state {
+		if st.State == StateFiring {
 			n++
 		}
 	}
 	return n
 }
-
-// Firing returns the number of alerts currently firing.
-func (e *Engine) Firing() int { return e.count(StateFiring) }
 
 // Flush publishes every currently-firing alert to the sinks, in Alerts'
 // order — called on collector shutdown so in-flight incidents are not lost

@@ -34,16 +34,15 @@ func liveNode(name string, now time.Time) NodeInput {
 	return NodeInput{Name: name, LastSeen: now}
 }
 
+// at1s are the windows at the default 1 s scrape interval: deadman and
+// resolve 3 s, retention 10 min.
+var at1s = WindowsAt(time.Second)
+
 // TestDeadmanLifecycle walks one node through silent → firing → back →
 // resolved, checking the hysteresis on both edges.
 func TestDeadmanLifecycle(t *testing.T) {
 	sink := &captureSink{}
-	e := New(Config{
-		ScrapeInterval:   time.Second,
-		DeadmanIntervals: 3,
-		ResolveAfter:     2 * time.Second,
-		Sinks:            []Sink{sink},
-	})
+	e := New(at1s, Config{Sinks: []Sink{sink}})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	lastSeen := base
 
@@ -53,7 +52,7 @@ func TestDeadmanLifecycle(t *testing.T) {
 		t.Fatalf("firing after 2s silence, deadman is 3 intervals")
 	}
 
-	// Past the deadman horizon: fires (PendingFor defaults to 0).
+	// Past the deadman horizon: fires at once.
 	e.Evaluate(Input{Now: base.Add(4 * time.Second), Nodes: []NodeInput{{Name: "b1", LastSeen: lastSeen}}})
 	if e.Firing() != 1 {
 		t.Fatalf("firing = %d, want 1", e.Firing())
@@ -63,14 +62,15 @@ func TestDeadmanLifecycle(t *testing.T) {
 		t.Fatalf("sink saw %+v", got)
 	}
 
-	// Node returns; condition clear but within ResolveAfter — still firing.
+	// Node returns; condition clear but within the 3s resolve hold — still
+	// firing.
 	lastSeen = base.Add(5 * time.Second)
 	e.Evaluate(Input{Now: base.Add(5 * time.Second), Nodes: []NodeInput{{Name: "b1", LastSeen: lastSeen}}})
 	if e.Firing() != 1 {
 		t.Fatal("alert resolved without hysteresis")
 	}
 
-	// Clear for ResolveAfter: resolves.
+	// Clear for the resolve hold: resolves.
 	e.Evaluate(Input{Now: base.Add(8 * time.Second), Nodes: []NodeInput{{Name: "b1", LastSeen: base.Add(7 * time.Second)}}})
 	if e.Firing() != 0 {
 		t.Fatalf("firing = %d after recovery, want 0", e.Firing())
@@ -85,43 +85,8 @@ func TestDeadmanLifecycle(t *testing.T) {
 	}
 }
 
-// TestPendingHysteresis checks a violation must persist for PendingFor before
-// firing, and that a blip shorter than that never reaches the sinks.
-func TestPendingHysteresis(t *testing.T) {
-	sink := &captureSink{}
-	e := New(Config{
-		ScrapeInterval:   time.Second,
-		DeadmanIntervals: 3,
-		PendingFor:       5 * time.Second,
-		Sinks:            []Sink{sink},
-	})
-	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-
-	// Violation appears: pending, not firing.
-	e.Evaluate(Input{Now: base.Add(4 * time.Second), Nodes: []NodeInput{{Name: "b1", LastSeen: base}}})
-	if e.Firing() != 0 {
-		t.Fatal("fired without waiting out PendingFor")
-	}
-	if alerts := e.Alerts(); len(alerts) != 1 || alerts[0].State != StatePending {
-		t.Fatalf("alerts = %+v, want one pending", alerts)
-	}
-
-	// Blip clears before PendingFor: dropped silently.
-	e.Evaluate(Input{Now: base.Add(5 * time.Second), Nodes: []NodeInput{liveNode("b1", base.Add(5*time.Second))}})
-	if len(e.Alerts()) != 0 || len(sink.alerts()) != 0 {
-		t.Fatalf("blip left state: alerts=%+v sink=%+v", e.Alerts(), sink.alerts())
-	}
-
-	// Sustained violation fires after PendingFor.
-	e.Evaluate(Input{Now: base.Add(10 * time.Second), Nodes: []NodeInput{{Name: "b1", LastSeen: base.Add(5 * time.Second)}}})
-	e.Evaluate(Input{Now: base.Add(15 * time.Second), Nodes: []NodeInput{{Name: "b1", LastSeen: base.Add(5 * time.Second)}}})
-	if e.Firing() != 1 {
-		t.Fatalf("firing = %d after sustained violation, want 1", e.Firing())
-	}
-}
-
 func TestClockDriftRule(t *testing.T) {
-	e := New(Config{ScrapeInterval: time.Second})
+	e := New(at1s, Config{})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 
 	in := func(off time.Duration, lastSeen time.Time) Input {
@@ -146,7 +111,7 @@ func TestClockDriftRule(t *testing.T) {
 	}
 
 	// A deadman-silent node's stale offset must not raise clock drift.
-	e2 := New(Config{ScrapeInterval: time.Second})
+	e2 := New(at1s, Config{})
 	e2.Evaluate(Input{Now: base.Add(10 * time.Second),
 		Nodes: []NodeInput{{Name: "b2", LastSeen: base, ClockOffset: 30 * time.Millisecond}}})
 	for _, a := range e2.Alerts() {
@@ -157,7 +122,7 @@ func TestClockDriftRule(t *testing.T) {
 }
 
 func TestEgressRules(t *testing.T) {
-	e := New(Config{EgressDepthMax: 100, EgressDropRateMax: 2})
+	e := New(at1s, Config{}) // depth max 512, drop rate max 1/s
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 
 	// Non-broker (HasEgress false) with huge numbers: no egress alerts.
@@ -167,8 +132,15 @@ func TestEgressRules(t *testing.T) {
 		t.Fatalf("non-broker raised egress alerts: %+v", e.Alerts())
 	}
 
+	// A broker just under both bounds stays quiet.
 	e.Evaluate(Input{Now: base, Nodes: []NodeInput{{
-		Name: "b1", LastSeen: base, HasEgress: true, EgressDepth: 150, EgressDropRate: 5}}})
+		Name: "b1", LastSeen: base, HasEgress: true, EgressDepth: 500, EgressDropRate: 0.9}}})
+	if len(e.Alerts()) != 0 {
+		t.Fatalf("broker under the egress bounds raised %+v", e.Alerts())
+	}
+
+	e.Evaluate(Input{Now: base, Nodes: []NodeInput{{
+		Name: "b1", LastSeen: base, HasEgress: true, EgressDepth: 600, EgressDropRate: 5}}})
 	rules := map[string]bool{}
 	for _, a := range e.Alerts() {
 		if a.State == StateFiring {
@@ -182,9 +154,9 @@ func TestEgressRules(t *testing.T) {
 
 // TestLinkFlappingRule checks the supervision-rate rule: a node without
 // reconnect counters never evaluates, occasional relinks stay quiet, and a
-// link cycling faster than FlapRateMax fires and resolves once it calms.
+// link cycling faster than 0.05/s fires and resolves once it calms.
 func TestLinkFlappingRule(t *testing.T) {
-	e := New(Config{FlapWindow: 5 * time.Minute, FlapRateMax: 0.05, ResolveAfter: time.Second})
+	e := New(at1s, Config{})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 
 	// Non-supervised node (HasFlaps false) with a huge rate: no alert.
@@ -217,11 +189,11 @@ func TestLinkFlappingRule(t *testing.T) {
 		t.Fatalf("no firing link_flapping alert: %+v", e.Alerts())
 	}
 
-	// Rate back under the bound for ResolveAfter: resolves.
+	// Rate back under the bound for the resolve hold: resolves.
 	e.Evaluate(Input{Now: base.Add(time.Second), Nodes: []NodeInput{{
 		Name: "b1", LastSeen: base.Add(time.Second), HasFlaps: true, LinkFlapRate: 0}}})
-	e.Evaluate(Input{Now: base.Add(3 * time.Second), Nodes: []NodeInput{{
-		Name: "b1", LastSeen: base.Add(3 * time.Second), HasFlaps: true, LinkFlapRate: 0}}})
+	e.Evaluate(Input{Now: base.Add(4 * time.Second), Nodes: []NodeInput{{
+		Name: "b1", LastSeen: base.Add(4 * time.Second), HasFlaps: true, LinkFlapRate: 0}}})
 	if e.Firing() != 0 {
 		t.Fatalf("flap alert did not resolve: %+v", e.Alerts())
 	}
@@ -231,7 +203,7 @@ func TestLinkFlappingRule(t *testing.T) {
 // spike alone (slow window healthy) must not fire, and a genuine sustained
 // burn (both windows hot) must.
 func TestBurnRateBothWindows(t *testing.T) {
-	e := New(Config{SLOTarget: 0.99}) // budget 0.01; thresholds 14.4 / 6
+	e := New(at1s, Config{}) // budget 0.01; thresholds 14.4 / 6
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 
 	// Fast window 50% errors (burn 50x) but slow window clean (burn ~1x).
@@ -249,7 +221,7 @@ func TestBurnRateBothWindows(t *testing.T) {
 	}
 
 	// No data burns nothing.
-	e2 := New(Config{})
+	e2 := New(at1s, Config{})
 	e2.Evaluate(Input{Now: base, Probes: []ProbeInput{{Node: "idle"}}})
 	if len(e2.Alerts()) != 0 {
 		t.Fatalf("zero-total probe raised alerts: %+v", e2.Alerts())
@@ -257,8 +229,16 @@ func TestBurnRateBothWindows(t *testing.T) {
 }
 
 func TestLatencyBurnRule(t *testing.T) {
-	e := New(Config{SLOTarget: 0.99})
+	e := New(at1s, Config{})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	// 10% slow in the fast window (burn 10x) is under the 14.4x bound.
+	e.Evaluate(Input{Now: base, Probes: []ProbeInput{{
+		Node: "p", FastOK: 100, SlowOK: 1000,
+		FastSlow: 10, FastTotal: 100, SlowSlow: 100, SlowTotal: 1000,
+	}}})
+	if len(e.Alerts()) != 0 {
+		t.Fatalf("latency burn under the fast bound raised %+v", e.Alerts())
+	}
 	e.Evaluate(Input{Now: base, Probes: []ProbeInput{{
 		Node:   "p",
 		FastOK: 100, SlowOK: 1000, // success SLI healthy
@@ -280,7 +260,7 @@ func TestLatencyBurnRule(t *testing.T) {
 // new violation instead of accumulating duplicate entries.
 func TestRearmAfterResolve(t *testing.T) {
 	sink := &captureSink{}
-	e := New(Config{ScrapeInterval: time.Second, ResolveAfter: time.Second, Sinks: []Sink{sink}})
+	e := New(at1s, Config{Sinks: []Sink{sink}})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 
 	dead := func(at time.Time) Input {
@@ -291,9 +271,9 @@ func TestRearmAfterResolve(t *testing.T) {
 	}
 	e.Evaluate(dead(base.Add(10 * time.Second)))  // fire
 	e.Evaluate(alive(base.Add(11 * time.Second))) // clear...
-	e.Evaluate(alive(base.Add(13 * time.Second))) // ...resolved
+	e.Evaluate(alive(base.Add(14 * time.Second))) // ...resolved
 	e.Evaluate(Input{Now: base.Add(30 * time.Second),
-		Nodes: []NodeInput{{Name: "b1", LastSeen: base.Add(13 * time.Second)}}}) // fire again
+		Nodes: []NodeInput{{Name: "b1", LastSeen: base.Add(14 * time.Second)}}}) // fire again
 	if e.Firing() != 1 || len(e.Alerts()) != 1 {
 		t.Fatalf("firing=%d alerts=%d, want one deduped alert", e.Firing(), len(e.Alerts()))
 	}
@@ -313,23 +293,27 @@ func TestRearmAfterResolve(t *testing.T) {
 }
 
 func TestResolvedGC(t *testing.T) {
-	e := New(Config{ScrapeInterval: time.Second, ResolveAfter: time.Second, RetainResolved: time.Minute})
+	e := New(at1s, Config{}) // resolved alerts retained 10 min
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	e.Evaluate(Input{Now: base.Add(10 * time.Second), Nodes: []NodeInput{{Name: "b1", LastSeen: base}}})
 	e.Evaluate(Input{Now: base.Add(11 * time.Second), Nodes: []NodeInput{liveNode("b1", base.Add(11*time.Second))}})
-	e.Evaluate(Input{Now: base.Add(13 * time.Second), Nodes: []NodeInput{liveNode("b1", base.Add(13*time.Second))}})
+	e.Evaluate(Input{Now: base.Add(14 * time.Second), Nodes: []NodeInput{liveNode("b1", base.Add(14*time.Second))}})
 	if len(e.Alerts()) != 1 {
 		t.Fatalf("want one resolved alert retained, got %+v", e.Alerts())
 	}
-	e.Evaluate(Input{Now: base.Add(2 * time.Minute), Nodes: []NodeInput{liveNode("b1", base.Add(2*time.Minute))}})
+	e.Evaluate(Input{Now: base.Add(10 * time.Minute), Nodes: []NodeInput{liveNode("b1", base.Add(10*time.Minute))}})
+	if len(e.Alerts()) != 1 {
+		t.Fatalf("resolved alert dropped inside its retention: %+v", e.Alerts())
+	}
+	e.Evaluate(Input{Now: base.Add(11 * time.Minute), Nodes: []NodeInput{liveNode("b1", base.Add(11*time.Minute))}})
 	if len(e.Alerts()) != 0 {
-		t.Fatalf("resolved alert survived RetainResolved: %+v", e.Alerts())
+		t.Fatalf("resolved alert survived its retention: %+v", e.Alerts())
 	}
 }
 
 func TestFiringGauges(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := New(Config{ScrapeInterval: time.Second, Registry: reg})
+	e := New(at1s, Config{Registry: reg})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	e.Evaluate(Input{Now: base.Add(10 * time.Second), Nodes: []NodeInput{{Name: "b1", LastSeen: base}}})
 
@@ -366,7 +350,7 @@ func firingGauge(reg *obs.Registry, node string) (float64, bool) {
 
 func TestFlushPublishesFiring(t *testing.T) {
 	sink := &captureSink{}
-	e := New(Config{ScrapeInterval: time.Second})
+	e := New(at1s, Config{})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	e.Evaluate(Input{Now: base.Add(10 * time.Second), Nodes: []NodeInput{
 		{Name: "b1", LastSeen: base}, {Name: "b2", LastSeen: base}}})
@@ -456,10 +440,9 @@ func TestWebhookSinkRetryRecovers(t *testing.T) {
 
 // TestDeliveryLatencyBurnRule drives the delivery-latency SLI through fire
 // and resolve: both burn windows must exceed their thresholds to fire, and a
-// recovered SLI must stay clear for ResolveAfter before resolving.
+// recovered SLI must stay clear for the resolve hold before resolving.
 func TestDeliveryLatencyBurnRule(t *testing.T) {
-	e := New(Config{DeliverySLOTarget: 0.99, DeliveryLatencySLO: 100 * time.Millisecond,
-		ResolveAfter: 2 * time.Second})
+	e := New(at1s, Config{})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 
 	// A node without the delivery histogram (HasDelivery false) never
@@ -496,7 +479,7 @@ func TestDeliveryLatencyBurnRule(t *testing.T) {
 		t.Fatalf("both windows burning, firing = %v", firing)
 	}
 
-	// Healthy again: clears only after ResolveAfter of continuous calm.
+	// Healthy again: clears only after 3s of continuous calm.
 	healthy := func(at time.Time) Input {
 		return Input{Now: at, Nodes: []NodeInput{{
 			Name: "b1", LastSeen: at, HasDelivery: true,
@@ -517,8 +500,7 @@ func TestDeliveryLatencyBurnRule(t *testing.T) {
 // no evaluation without the SLI, no fire below the volume floor, fire above
 // ratio+volume, resolve on healthy volume.
 func TestDropRatioRule(t *testing.T) {
-	e := New(Config{DropRatioMax: 0.05, DropMinVolume: 100, ResolveAfter: 2 * time.Second,
-		EgressWindow: time.Minute})
+	e := New(at1s, Config{}) // ratio max 0.01 over at least 100 deliveries
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 
 	// No SLI (HasDropRatio false): silent even at ratio 1.0.
@@ -536,6 +518,13 @@ func TestDropRatioRule(t *testing.T) {
 		t.Fatalf("low-volume ratio fired: %+v", e.Alerts())
 	}
 
+	// Volume over, ratio just under: quiet.
+	e.Evaluate(Input{Now: base, Nodes: []NodeInput{{
+		Name: "b1", LastSeen: base, HasDropRatio: true, DropRatio: 0.009, DropVolume: 4000}}})
+	if e.Firing() != 0 {
+		t.Fatalf("ratio under the bound fired: %+v", e.Alerts())
+	}
+
 	// Volume and ratio both over: fires, carrying the ratio as the value.
 	e.Evaluate(Input{Now: base.Add(time.Second), Nodes: []NodeInput{{
 		Name: "b1", LastSeen: base.Add(time.Second), HasDropRatio: true,
@@ -549,7 +538,7 @@ func TestDropRatioRule(t *testing.T) {
 			fired = a
 		}
 	}
-	if fired.State != StateFiring || fired.Value != 0.25 || fired.Threshold != 0.05 {
+	if fired.State != StateFiring || fired.Value != 0.25 || fired.Threshold != 0.01 {
 		t.Fatalf("drop_ratio alert = %+v", fired)
 	}
 

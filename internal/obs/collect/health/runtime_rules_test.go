@@ -10,7 +10,7 @@ import (
 // and the relative ratio: a big node's churn (large delta, small ratio) and a
 // tiny node's startup (large ratio, small delta) both stay quiet.
 func TestGoroutineLeakRule(t *testing.T) {
-	e := New(Config{})
+	e := New(at1s, Config{})
 	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	in := func(minG, lastG float64) Input {
 		return Input{Now: now, Nodes: []NodeInput{{
@@ -44,7 +44,7 @@ func TestGoroutineLeakRule(t *testing.T) {
 }
 
 func TestGCBurnRule(t *testing.T) {
-	e := New(Config{})
+	e := New(at1s, Config{})
 	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	in := func(frac float64) Input {
 		return Input{Now: now, Nodes: []NodeInput{{
@@ -65,11 +65,9 @@ func TestGCBurnRule(t *testing.T) {
 }
 
 func TestRuntimeRuleDefaults(t *testing.T) {
-	cfg := Config{}
-	cfg.fillDefaults()
-	if cfg.GoroutineLeakWindow != 5*time.Minute || goroutineLeakGrowth != 500 ||
-		goroutineLeakRatio != 1.5 || GCBurnWindow != 2*time.Minute || gcBurnMax != 0.25 ||
+	if at1s.GoroutineLeak != 5*time.Minute || goroutineLeakGrowth != 500 ||
+		goroutineLeakRatio != 1.5 || at1s.GCBurn != 2*time.Minute || gcBurnMax != 0.25 ||
 		fastBurnMax != 14.4 || slowBurnMax != 6 {
-		t.Fatalf("runtime rule defaults = %+v", cfg)
+		t.Fatalf("runtime rule defaults = %+v", at1s)
 	}
 }

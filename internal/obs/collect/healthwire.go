@@ -28,51 +28,50 @@ func (c *Collector) Query(metric, node string, step time.Duration, since, now ti
 	return c.store.Query(metric, node, step, since, now)
 }
 
-func (c *Collector) healthLoop(interval time.Duration) {
-	ticker := time.NewTicker(interval)
+// healthLoop evaluates the rules once per scrape interval.
+func (c *Collector) healthLoop() {
+	ticker := time.NewTicker(c.win.Scrape)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ticker.C:
-			c.EvaluateHealthNow()
+			c.evaluate()
 		case <-c.ctx.Done():
 			return
 		}
 	}
 }
 
-// EvaluateHealthNow assembles one health Input from ingest state and the
-// series store and runs the rule evaluator. The ticker calls this every
-// HealthInterval; tests call it directly for deterministic evaluation.
-func (c *Collector) EvaluateHealthNow() {
+// evaluate assembles one health Input from ingest state and the series store
+// and runs the rule evaluator. healthLoop calls it every scrape interval;
+// this package's tests call it directly for deterministic evaluation.
+func (c *Collector) evaluate() {
 	// The collector is a node too, scraped in process: before the rules, so
 	// it is never silent, and after, so /events and /topology never trail the
 	// /alerts the evaluation just changed.
 	_ = c.scrape(c.self)
-	now := time.Now()
-	hcfg := c.health.Config()
+	now, w := time.Now(), c.win
 
-	staleAfter := time.Duration(hcfg.DeadmanIntervals) * hcfg.ScrapeInterval
 	var nodes []health.NodeInput
 	for _, ns := range c.nodeStates() {
 		nodes = append(nodes, health.NodeInput{Name: ns.name, LastSeen: ns.lastSeen, ClockOffset: ns.offset})
 		n := &nodes[len(nodes)-1]
-		if depth, ok := c.store.LastGauge(metricEgressDepth, n.Name, staleAfter, now); ok {
+		if depth, ok := c.store.LastGauge(metricEgressDepth, n.Name, w.Deadman, now); ok {
 			n.HasEgress = true
 			n.EgressDepth = depth
 		}
-		if drops, ok := c.store.WindowSum(metricEgressDrops, n.Name, hcfg.EgressWindow, now); ok {
+		if drops, ok := c.store.WindowSum(metricEgressDrops, n.Name, w.Egress, now); ok {
 			n.HasEgress = true
-			n.EgressDropRate = drops / hcfg.EgressWindow.Seconds()
+			n.EgressDropRate = drops / w.Egress.Seconds()
 		}
-		if reconns, ok := c.store.WindowSum(metricReconnects, n.Name, hcfg.FlapWindow, now); ok {
+		if reconns, ok := c.store.WindowSum(metricReconnects, n.Name, w.Flap, now); ok {
 			n.HasFlaps = true
-			n.LinkFlapRate = reconns / hcfg.FlapWindow.Seconds()
+			n.LinkFlapRate = reconns / w.Flap.Seconds()
 		}
 		// Delivery-latency burn: split the e2e latency histogram at the SLO
 		// over both burn windows, exactly like the probe latency SLI.
-		fastTotal, fastSlow := c.windowLatencySLI(metricDeliveryLatency, n.Name, hcfg.FastWindow, hcfg.DeliveryLatencySLO, now)
-		slowTotal, slowSlow := c.windowLatencySLI(metricDeliveryLatency, n.Name, hcfg.SlowWindow, hcfg.DeliveryLatencySLO, now)
+		fastTotal, fastSlow := c.windowLatencySLI(metricDeliveryLatency, n.Name, w.FastBurn, health.DeliveryLatencySLO, now)
+		slowTotal, slowSlow := c.windowLatencySLI(metricDeliveryLatency, n.Name, w.SlowBurn, health.DeliveryLatencySLO, now)
 		if fastTotal > 0 || slowTotal > 0 {
 			n.HasDelivery = true
 			n.DeliveryFastTotal, n.DeliveryFastSlow = fastTotal, fastSlow
@@ -81,19 +80,19 @@ func (c *Collector) EvaluateHealthNow() {
 		// Drop ratio: drops over delivery attempts. The delivered counter is
 		// recorded at egress enqueue, so every dropped data frame is already
 		// in the denominator — no double counting.
-		if delivered, ok := c.store.WindowSum(metricDelivered, n.Name, hcfg.EgressWindow, now); ok && delivered > 0 {
-			drops, _ := c.store.WindowSum(metricEgressDrops, n.Name, hcfg.EgressWindow, now)
+		if delivered, ok := c.store.WindowSum(metricDelivered, n.Name, w.Egress, now); ok && delivered > 0 {
+			drops, _ := c.store.WindowSum(metricEgressDrops, n.Name, w.Egress, now)
 			n.HasDropRatio = true
 			n.DropVolume = delivered
 			n.DropRatio = drops / delivered
 		}
 		// Runtime-telemetry rules: goroutine trend and GC CPU pressure, from
 		// the RuntimeSampler gauges every node exports.
-		if minG, lastG, _, ok := c.store.GaugeWindowStats(metricGoroutines, n.Name, hcfg.GoroutineLeakWindow, now); ok {
+		if minG, lastG, _, ok := c.store.GaugeWindowStats(metricGoroutines, n.Name, w.GoroutineLeak, now); ok {
 			n.HasGoroutines = true
 			n.GoroutinesMin, n.GoroutinesLast = minG, lastG
 		}
-		if _, _, avgGC, ok := c.store.GaugeWindowStats(metricGCCPU, n.Name, health.GCBurnWindow, now); ok {
+		if _, _, avgGC, ok := c.store.GaugeWindowStats(metricGCCPU, n.Name, w.GCBurn, now); ok {
 			n.HasGCCPU = true
 			n.GCCPUFraction = avgGC
 		}
@@ -101,8 +100,8 @@ func (c *Collector) EvaluateHealthNow() {
 
 	var probes []health.ProbeInput
 	for _, pn := range c.store.NodesWith(metricProbeRuns) {
-		fast := c.store.WindowSumBy(metricProbeRuns, pn, "outcome", hcfg.FastWindow, now)
-		slow := c.store.WindowSumBy(metricProbeRuns, pn, "outcome", hcfg.SlowWindow, now)
+		fast := c.store.WindowSumBy(metricProbeRuns, pn, "outcome", w.FastBurn, now)
+		slow := c.store.WindowSumBy(metricProbeRuns, pn, "outcome", w.SlowBurn, now)
 		pi := health.ProbeInput{
 			Node:    pn,
 			FastOK:  fast["ok"],
@@ -110,8 +109,8 @@ func (c *Collector) EvaluateHealthNow() {
 			SlowOK:  slow["ok"],
 			SlowErr: slow["error"],
 		}
-		pi.FastTotal, pi.FastSlow = c.windowLatencySLI(metricProbeLatency, pn, hcfg.FastWindow, hcfg.LatencySLO, now)
-		pi.SlowTotal, pi.SlowSlow = c.windowLatencySLI(metricProbeLatency, pn, hcfg.SlowWindow, hcfg.LatencySLO, now)
+		pi.FastTotal, pi.FastSlow = c.windowLatencySLI(metricProbeLatency, pn, w.FastBurn, health.ProbeLatencySLO, now)
+		pi.SlowTotal, pi.SlowSlow = c.windowLatencySLI(metricProbeLatency, pn, w.SlowBurn, health.ProbeLatencySLO, now)
 		probes = append(probes, pi)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -35,46 +36,84 @@ func metricsDoc(node string, offset time.Duration, fams ...obs.ExportFamily) *pl
 	return &plane.Scrape{Node: node, Offset: offset, At: time.Now(), Families: fams}
 }
 
-// healthTestCollector builds a collector with a fast deadman horizon and the
-// evaluation ticker disabled — tests drive EvaluateHealthNow directly.
-func healthTestCollector(t *testing.T, hc health.Config) (*Collector, *recordSink) {
+// healthTestCollector builds a collector on a 15ms scrape interval — a 45ms
+// deadman horizon, a 0.9s egress window, 4.5s and 54s burn windows — with the
+// evaluation ticker stopped: tests drive evaluate directly.
+func healthTestCollector(t *testing.T) (*Collector, *recordSink) {
 	t.Helper()
 	sink := &recordSink{}
-	hc.Sinks = append(hc.Sinks, sink)
-	if hc.ScrapeInterval == 0 {
-		hc.ScrapeInterval = 20 * time.Millisecond
-	}
 	c := newTestCollector(t, Config{
-		resolutions:    testResolutions(),
-		Health:         &hc,
-		HealthInterval: -1,
+		ScrapeInterval: 15 * time.Millisecond,
+		Sinks:          []health.Sink{sink},
+		manual:         true,
 	})
 	return c, sink
 }
 
+// TestScrapeIntervalSetsEveryWindow pins everything the scrape interval
+// derives. At the default 1s each window, hold, store tier, the flight CPU
+// window and the evaluation period equal the defaults they had when each was
+// a setting of its own; at 100ms each is a tenth of that, the flight window
+// held at its 1s floor.
+func TestScrapeIntervalSetsEveryWindow(t *testing.T) {
+	const s, ms = time.Second, time.Millisecond
+	at1s := health.Windows{
+		Scrape: s, Deadman: 3 * s, Resolve: 3 * s, Retain: 10 * time.Minute,
+		Egress: time.Minute, Flap: 5 * time.Minute, FastBurn: 5 * time.Minute, SlowBurn: time.Hour,
+		GoroutineLeak: 5 * time.Minute, GCBurn: 2 * time.Minute,
+	}
+	tiers1s := []Resolution{{Step: s, Slots: 300}, {Step: 10 * s, Slots: 360}, {Step: time.Minute, Slots: 240}}
+	for _, tc := range []struct {
+		scrape    time.Duration
+		win       health.Windows
+		tiers     []Resolution
+		flightCPU int
+	}{
+		{0, at1s, tiers1s, 2}, // unset: the 1s default
+		{s, at1s, tiers1s, 2},
+		{100 * ms, health.Windows{
+			Scrape: 100 * ms, Deadman: 300 * ms, Resolve: 300 * ms, Retain: time.Minute,
+			Egress: 6 * s, Flap: 30 * s, FastBurn: 30 * s, SlowBurn: 6 * time.Minute,
+			GoroutineLeak: 30 * s, GCBurn: 12 * s,
+		}, []Resolution{{Step: 100 * ms, Slots: 300}, {Step: s, Slots: 360}, {Step: 6 * s, Slots: 240}}, 1},
+	} {
+		c := newTestCollector(t, Config{ScrapeInterval: tc.scrape, manual: true})
+		if c.win != tc.win {
+			t.Errorf("scrape %v: windows = %+v, want %+v", tc.scrape, c.win, tc.win)
+		}
+		if got := c.store.Resolutions(); !reflect.DeepEqual(got, tc.tiers) {
+			t.Errorf("scrape %v: store tiers = %+v, want %+v", tc.scrape, got, tc.tiers)
+		}
+		if c.profiles.cpuSeconds != tc.flightCPU {
+			t.Errorf("scrape %v: flight CPU window = %ds, want %ds", tc.scrape, c.profiles.cpuSeconds, tc.flightCPU)
+		}
+	}
+}
+
 // TestDeadmanFromIngest drives the full path: scrape-shaped ingest state →
-// EvaluateHealthNow → deadman firing on silence and resolving on return.
+// evaluate → deadman firing on silence and resolving on return.
 func TestDeadmanFromIngest(t *testing.T) {
-	c, sink := healthTestCollector(t, health.Config{DeadmanIntervals: 2})
+	c, sink := healthTestCollector(t)
 
 	c.ingest(metricsDoc("broker-1", 0), "")
-	c.EvaluateHealthNow()
+	c.evaluate()
 	if got := c.Health().Firing(); got != 0 {
 		t.Fatalf("firing = %d for a live node", got)
 	}
 
-	// Stay silent past 2 × 20ms: deadman fires.
+	// Stay silent past 3 × 15ms: deadman fires.
 	time.Sleep(60 * time.Millisecond)
-	c.EvaluateHealthNow()
+	c.evaluate()
 	if got := c.Health().Firing(); got != 1 {
 		t.Fatalf("firing = %d after silence, want 1; alerts=%+v", got, c.Health().Alerts())
 	}
 
-	// Node comes back and stays back past ResolveAfter (3 × 20ms): resolves.
+	// Node comes back and stays back past the resolve hold (3 × 15ms):
+	// resolves.
 	deadline := time.Now().Add(2 * time.Second)
 	for c.Health().Firing() != 0 {
 		c.ingest(metricsDoc("broker-1", 0), "")
-		c.EvaluateHealthNow()
+		c.evaluate()
 		if time.Now().After(deadline) {
 			t.Fatalf("deadman never resolved; alerts=%+v", c.Health().Alerts())
 		}
@@ -92,9 +131,9 @@ func TestDeadmanFromIngest(t *testing.T) {
 }
 
 func TestClockDriftFromIngest(t *testing.T) {
-	c, _ := healthTestCollector(t, health.Config{})
+	c, _ := healthTestCollector(t)
 	c.ingest(metricsDoc("broker-1", 25*time.Millisecond), "")
-	c.EvaluateHealthNow()
+	c.evaluate()
 	var drift *health.Alert
 	for _, a := range c.Health().Alerts() {
 		if a.Rule == health.RuleClockDrift {
@@ -113,11 +152,7 @@ func TestClockDriftFromIngest(t *testing.T) {
 // TestEgressInputsFromStore checks the health input assembly reads the egress
 // gauge and windowed drop rate out of the series store.
 func TestEgressInputsFromStore(t *testing.T) {
-	c, _ := healthTestCollector(t, health.Config{
-		EgressDepthMax:    100,
-		EgressDropRateMax: 1,
-		EgressWindow:      10 * time.Second,
-	})
+	c, _ := healthTestCollector(t)
 	depth := func(v float64) obs.ExportFamily {
 		return obs.ExportFamily{Name: "narada_broker_egress_queue_depth", Kind: "gauge",
 			Series: []obs.ExportSeries{{Gauge: v}}}
@@ -127,15 +162,15 @@ func TestEgressInputsFromStore(t *testing.T) {
 			Series: []obs.ExportSeries{{Counter: v}}}
 	}
 
-	c.ingest(metricsDoc("broker-1", 0, depth(50), drops(0)), "")
-	c.EvaluateHealthNow()
+	c.ingest(metricsDoc("broker-1", 0, depth(500), drops(0)), "")
+	c.evaluate()
 	if got := c.Health().Firing(); got != 0 {
 		t.Fatalf("healthy broker fired %d alerts: %+v", got, c.Health().Alerts())
 	}
 
-	// Saturated queue + 30 drops in the 10s window (3/s > 1/s).
-	c.ingest(metricsDoc("broker-1", 0, depth(150), drops(30)), "")
-	c.EvaluateHealthNow()
+	// Saturated queue (600 > 512) + 30 drops in the 0.9s window (33/s > 1/s).
+	c.ingest(metricsDoc("broker-1", 0, depth(600), drops(30)), "")
+	c.evaluate()
 	firing := map[string]bool{}
 	for _, a := range c.Health().Alerts() {
 		if a.State == health.StateFiring {
@@ -150,11 +185,7 @@ func TestEgressInputsFromStore(t *testing.T) {
 // TestProbeSLOFromStore feeds probe SLI counters and latency histograms
 // through ingest and checks both burn-rate rules read them back correctly.
 func TestProbeSLOFromStore(t *testing.T) {
-	c, _ := healthTestCollector(t, health.Config{
-		FastWindow: 10 * time.Second,
-		SlowWindow: time.Minute,
-		LatencySLO: time.Second,
-	})
+	c, _ := healthTestCollector(t)
 	runs := func(ok, errs uint64) obs.ExportFamily {
 		return obs.ExportFamily{Name: "narada_probe_runs_total", Kind: "counter",
 			Series: []obs.ExportSeries{
@@ -169,7 +200,7 @@ func TestProbeSLOFromStore(t *testing.T) {
 	}
 
 	c.ingest(metricsDoc("obsprobe", 0, runs(0, 0), lat([]uint64{0, 0, 0, 0}, 0, 0)), "")
-	c.EvaluateHealthNow()
+	c.evaluate()
 	if got := c.Health().Firing(); got != 0 {
 		t.Fatalf("baseline fired %d alerts", got)
 	}
@@ -178,7 +209,7 @@ func TestProbeSLOFromStore(t *testing.T) {
 	// both burn rates blow through 14.4x/6x of the 1% budget.
 	c.ingest(metricsDoc("obsprobe", 0,
 		runs(10, 10), lat([]uint64{5, 0, 10, 5}, 40, 20)), "")
-	c.EvaluateHealthNow()
+	c.evaluate()
 	firing := map[string]bool{}
 	for _, a := range c.Health().Alerts() {
 		if a.State == health.StateFiring {
@@ -192,7 +223,7 @@ func TestProbeSLOFromStore(t *testing.T) {
 
 // TestAlertsEndpoint checks /alerts serves the firing count and alert list.
 func TestAlertsEndpoint(t *testing.T) {
-	c, _ := healthTestCollector(t, health.Config{DeadmanIntervals: 2})
+	c, _ := healthTestCollector(t)
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -216,7 +247,7 @@ func TestAlertsEndpoint(t *testing.T) {
 
 	c.ingest(metricsDoc("broker-1", 0), "")
 	time.Sleep(60 * time.Millisecond)
-	c.EvaluateHealthNow()
+	c.evaluate()
 	v := get()
 	if v.Firing != 1 || len(v.Alerts) != 1 {
 		t.Fatalf("/alerts = %+v, want one firing", v)
@@ -230,7 +261,7 @@ func TestAlertsEndpoint(t *testing.T) {
 // TestQueryEndpoint checks parameter validation, resolution selection and the
 // downsampled payload of /query.
 func TestQueryEndpoint(t *testing.T) {
-	c, _ := healthTestCollector(t, health.Config{})
+	c, _ := healthTestCollector(t)
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -270,8 +301,8 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("bad since: status %d, want 400", code)
 	}
 
-	// Every configured resolution tier serves the series.
-	for _, res := range []string{"1s", "10s", "1m0s"} {
+	// Every resolution tier (15ms, 10 × and 60 × that) serves the series.
+	for _, res := range []string{"15ms", "150ms", "900ms"} {
 		code, v := get("?metric=narada_probe_runs_total&node=obsprobe&res=" + res + "&since=30s")
 		if code != http.StatusOK {
 			t.Fatalf("res=%s: status %d", res, code)
@@ -303,20 +334,16 @@ func TestQueryEndpoint(t *testing.T) {
 func TestCloseFlushesAlerts(t *testing.T) {
 	sink := &recordSink{}
 	c, err := New(Config{
-		resolutions:    testResolutions(),
-		HealthInterval: -1,
-		Health: &health.Config{
-			ScrapeInterval:   10 * time.Millisecond,
-			DeadmanIntervals: 2,
-			Sinks:            []health.Sink{sink},
-		},
+		ScrapeInterval: 10 * time.Millisecond,
+		Sinks:          []health.Sink{sink},
+		manual:         true,
 	})
 	if err != nil {
 		t.Fatalf("collector: %v", err)
 	}
 	c.ingest(metricsDoc("broker-1", 0), "")
 	time.Sleep(40 * time.Millisecond)
-	c.EvaluateHealthNow()
+	c.evaluate()
 	if c.Health().Firing() != 1 {
 		t.Fatalf("setup: expected one firing alert, got %+v", c.Health().Alerts())
 	}

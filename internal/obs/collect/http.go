@@ -278,13 +278,9 @@ func (c *Collector) serveAlerts(w http.ResponseWriter, _ *http.Request) {
 	alerts := c.health.Alerts()
 	out := make([]AlertView, 0, len(alerts))
 	for _, a := range alerts {
-		anchor := a.Since
-		if a.FiredAt != nil {
-			anchor = *a.FiredAt
-		}
 		out = append(out, AlertView{
 			Alert:       a,
-			EventWindow: c.eventWindowFor(a.Node, anchor),
+			EventWindow: c.eventWindowFor(a.Node, a.Since),
 			Profiles:    c.profiles.linksFor(a.Rule, a.Node),
 		})
 	}
@@ -294,24 +290,16 @@ func (c *Collector) serveAlerts(w http.ResponseWriter, _ *http.Request) {
 func (c *Collector) serveEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	f := EventFilter{Node: q.Get("node"), Type: q.Get("type")}
-	now := time.Now()
+	now, ok := time.Now(), true
 	if s := q.Get("since"); s != "" {
-		t, err := obs.ParseWhen(s, now)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				map[string]string{"error": "since must be a duration (30s) or RFC3339 time"})
+		if f.Since, ok = parseWhen(w, s, now); !ok {
 			return
 		}
-		f.Since = t
 	}
 	if s := q.Get("until"); s != "" {
-		t, err := obs.ParseWhen(s, now)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				map[string]string{"error": "until must be a duration (30s) or RFC3339 time"})
+		if f.Until, ok = parseWhen(w, s, now); !ok {
 			return
 		}
-		f.Until = t
 	}
 	if s := q.Get("limit"); s != "" {
 		if _, err := fmt.Sscanf(s, "%d", &f.Limit); err != nil {
@@ -325,13 +313,11 @@ func (c *Collector) serveEvents(w http.ResponseWriter, r *http.Request) {
 func (c *Collector) serveTopology(w http.ResponseWriter, r *http.Request) {
 	at, live := time.Now(), true
 	if s := r.URL.Query().Get("at"); s != "" && s != "live" {
-		t, err := obs.ParseWhen(s, at)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				map[string]string{"error": "at must be a duration (30s ago), an RFC3339 time, or live"})
+		var ok bool
+		if at, ok = parseWhen(w, s, at); !ok {
 			return
 		}
-		at, live = t, false
+		live = false
 	}
 	writeJSON(w, http.StatusOK, c.TopologyAt(at, live))
 }
@@ -380,13 +366,10 @@ func (c *Collector) serveQuery(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	since := now.Add(-span)
 	if s := q.Get("since"); s != "" {
-		t, err := obs.ParseWhen(s, now)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				map[string]string{"error": "since must be a duration (5m) or RFC3339 time"})
+		var ok bool
+		if since, ok = parseWhen(w, s, now); !ok {
 			return
 		}
-		since = t
 	}
 	series := c.store.Query(metric, q.Get("node"), step, since, now)
 	if series == nil {
@@ -395,6 +378,20 @@ func (c *Collector) serveQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, QueryView{
 		Metric: metric, Step: step.String(), Since: since, Series: series,
 	})
+}
+
+// parseWhen reads the value of a time parameter (/events since and until,
+// /topology at, /query and /profiles since): a duration ago or an RFC3339
+// time. Anything else is answered with one 400 for all of them, and ok is
+// false.
+func parseWhen(w http.ResponseWriter, s string, now time.Time) (t time.Time, ok bool) {
+	t, err := obs.ParseWhen(s, now)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{
+			"error": "a time parameter is a duration ago (30s) or an RFC3339 time; /topology's at may also be live"})
+		return t, false
+	}
+	return t, true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

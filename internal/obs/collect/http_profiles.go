@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"time"
 
-	"narada/internal/obs"
 	"narada/internal/obs/profile"
 )
 
@@ -16,13 +15,10 @@ func (c *Collector) serveProfiles(w http.ResponseWriter, r *http.Request) {
 		Trigger: q.Get("trigger"),
 	}
 	if s := q.Get("since"); s != "" {
-		t, err := obs.ParseWhen(s, time.Now())
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				map[string]string{"error": "since must be a duration (5m) or RFC3339 time"})
+		var ok bool
+		if f.Since, ok = parseWhen(w, s, time.Now()); !ok {
 			return
 		}
-		f.Since = t
 	}
 	writeJSON(w, http.StatusOK, c.Profiles(f))
 }

@@ -20,15 +20,16 @@ const ProberNodeName = "obsprobe"
 // probeBindIP is the local interface probe traffic leaves from.
 const probeBindIP = "127.0.0.1"
 
+// probeWindow bounds each probe's response collection: probes favour tight
+// SLIs over exhaustive response sets.
+const probeWindow = time.Second
+
 // ProbeConfig parameterises a Prober.
 type ProbeConfig struct {
 	// Interval between synthetic discoveries.
 	Interval time.Duration
 	// BDNAddrs to discover through (the fabric under test).
 	BDNAddrs []string
-	// CollectWindow bounds each probe's response collection (default 1s —
-	// probes favour tight SLIs over exhaustive response sets).
-	CollectWindow time.Duration
 	// AckTimeout bounds each probe's wait for a BDN acknowledgement (0 uses
 	// the discoverer default of 1s). It also bounds how long Close can block
 	// on an in-flight probe against an unreachable fabric, so tests and
@@ -69,9 +70,6 @@ func (c *Collector) NewProber(cfg ProbeConfig) (*Prober, error) {
 	if len(cfg.BDNAddrs) == 0 {
 		return nil, errors.New("collect: probe needs at least one BDN address")
 	}
-	if cfg.CollectWindow <= 0 {
-		cfg.CollectWindow = time.Second
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
 	}
@@ -90,7 +88,7 @@ func (c *Collector) NewProber(cfg ProbeConfig) (*Prober, error) {
 	p.disc = core.NewDiscoverer(node, ntp, core.Config{
 		NodeName:      ProberNodeName,
 		BDNAddrs:      cfg.BDNAddrs,
-		CollectWindow: cfg.CollectWindow,
+		CollectWindow: probeWindow,
 		AckTimeout:    cfg.AckTimeout,
 		Handle:        pl.Handle(),
 	})

@@ -26,14 +26,13 @@ func goroutineCount() int {
 // count. This pins the shutdown ordering: probe loop drained, the
 // collector's scrape loop for the prober stopped, no ticker left behind.
 func TestProberStartStopLeaksNoGoroutines(t *testing.T) {
-	col := newTestCollector(t, Config{HealthInterval: -1})
+	col := newTestCollector(t, Config{manual: true})
 
 	cycle := func() {
 		p, err := col.NewProber(ProbeConfig{
-			Interval:      10 * time.Millisecond,
-			BDNAddrs:      []string{"127.0.0.1:1"}, // nothing listening
-			CollectWindow: 20 * time.Millisecond,
-			AckTimeout:    30 * time.Millisecond,
+			Interval:   10 * time.Millisecond,
+			BDNAddrs:   []string{"127.0.0.1:1"}, // nothing listening
+			AckTimeout: 30 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("prober: %v", err)
@@ -89,7 +88,7 @@ func TestCloseWaitsForFlightCapture(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	c := newTestCollector(t, Config{HealthInterval: -1})
+	c := newTestCollector(t, Config{manual: true})
 	scrapedAt(c, "b1", strings.TrimPrefix(srv.URL, "http://"))
 	c.profiles.Publish(health.Alert{Rule: health.RuleDeadman, Node: "b1", State: health.StateFiring})
 	select {
@@ -103,7 +102,7 @@ func TestCloseWaitsForFlightCapture(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Uncancelled, the request would hold for FlightCPUSeconds+5 = 7s.
+	// Uncancelled, the request would hold for the 2s flight CPU window + 5s.
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("Close took %v: it waited out the capture instead of cancelling it", took)
 	}

@@ -14,15 +14,12 @@ import (
 	"narada/internal/obs/profile"
 )
 
-// Profile-plane defaults.
+// Profile-plane bounds.
 const (
-	// DefaultProfileMaxCount bounds the collector's profile store by count.
-	DefaultProfileMaxCount = 256
-	// DefaultProfileMaxBytes bounds the store by total payload size (64 MiB).
-	DefaultProfileMaxBytes = 64 << 20
-	// DefaultFlightCPUSeconds is how long the flight recorder samples a
-	// node's CPU when an alert fires.
-	DefaultFlightCPUSeconds = 2
+	// profileMaxCount bounds the collector's profile store by count.
+	profileMaxCount = 256
+	// profileMaxBytes bounds the store by total payload size (64 MiB).
+	profileMaxBytes = 64 << 20
 	// flightLinkCap bounds the profile refs remembered per (rule, node)
 	// alert so /alerts links the evidence of the latest firing, not an
 	// unbounded history.
@@ -45,10 +42,13 @@ type profilePlane struct {
 	links map[string][]profile.Capture // rule+node → linked flight evidence
 }
 
+// flightCPUSeconds is how long the flight recorder samples a node's CPU when
+// an alert fires: two scrape intervals in whole seconds, at least one.
+func flightCPUSeconds(scrape time.Duration) int {
+	return max(1, int(2*scrape/time.Second))
+}
+
 func newProfilePlane(c *Collector, store *profile.Store, cpuSeconds int) *profilePlane {
-	if cpuSeconds <= 0 {
-		cpuSeconds = DefaultFlightCPUSeconds
-	}
 	return &profilePlane{c: c, store: store, cpuSeconds: cpuSeconds, links: make(map[string][]profile.Capture)}
 }
 

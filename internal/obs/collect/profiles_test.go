@@ -72,7 +72,7 @@ func TestProfilePullAndServe(t *testing.T) {
 	if _, err := capt.CaptureNow("periodic", profile.KindGoroutine, profile.KindHeap); err != nil {
 		t.Fatal(err)
 	}
-	c := newTestCollector(t, Config{HealthInterval: -1})
+	c := newTestCollector(t, Config{manual: true})
 	scrapeNow(t, c, addr)
 
 	refs := c.Profiles(profile.Filter{Node: "b1"})
@@ -155,7 +155,7 @@ func TestProfilePullAndServe(t *testing.T) {
 // recorder pulls a goroutine profile from the node and /alerts links it.
 func TestFlightRecorderOnGoroutineLeak(t *testing.T) {
 	addr := nodeTelemetry(t, profile.New(profile.Config{}))
-	c := newTestCollector(t, Config{HealthInterval: -1})
+	c := newTestCollector(t, Config{manual: true})
 	scrapedAt(c, "b1", addr)
 
 	fams := func(g float64) []obs.ExportFamily {
@@ -168,7 +168,7 @@ func TestFlightRecorderOnGoroutineLeak(t *testing.T) {
 	c.store.Observe(now.Add(-3*time.Minute), "b1", 1, fams(100))
 	c.store.Observe(now, "b1", 2, fams(900))
 
-	c.EvaluateHealthNow()
+	c.evaluate()
 	if c.health.Firing() < 1 {
 		t.Fatalf("goroutine_leak did not fire; alerts: %+v", c.health.Alerts())
 	}
@@ -206,7 +206,7 @@ func TestFlightRecorderOnGoroutineLeak(t *testing.T) {
 // (deadman — the process is gone), the alert links the node's freshest
 // retained captures instead of fresh ones.
 func TestFlightRecorderDeadNodeFallback(t *testing.T) {
-	c := newTestCollector(t, Config{HealthInterval: -1})
+	c := newTestCollector(t, Config{manual: true})
 	ref, err := c.profiles.store.Add(profile.Capture{Node: "b2", Kind: profile.KindGoroutine, Trigger: "periodic", At: time.Now(),
 		Data: []byte("goroutine profile: total 1\n1 @ 0x1\n#\t0x1\tmain.f+0x1\tf.go:1\n")})
 	if err != nil {
@@ -242,7 +242,7 @@ func TestProfileViewsAgree(t *testing.T) {
 	if err != nil || len(caps) != 2 {
 		t.Fatalf("CaptureNow: %v, %d captures", err, len(caps))
 	}
-	c := newTestCollector(t, Config{HealthInterval: -1})
+	c := newTestCollector(t, Config{manual: true})
 	scrapeNow(t, c, addr)
 	colSrv := httptest.NewServer(c.Handler())
 	defer colSrv.Close()
@@ -309,7 +309,7 @@ func TestProfileViewsAgree(t *testing.T) {
 }
 
 func TestGaugeWindowStats(t *testing.T) {
-	st := newSeriesStore(nil, 0)
+	st := newSeriesStore(resolutionsAt(time.Second), 0)
 	fams := func(g float64) []obs.ExportFamily {
 		return []obs.ExportFamily{{
 			Name: "narada_process_goroutines", Kind: "gauge",

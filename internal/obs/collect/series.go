@@ -9,9 +9,7 @@ import (
 )
 
 // Resolution is one retention tier of the series store: Slots ring-buffer
-// windows of Step each. The default tiers keep 5 min at 1 s, 1 h at 10 s and
-// 4 h at 60 s — enough history for the health engine's fast (5 min) and slow
-// (1 h) SLO burn windows plus a few hours of dashboard context.
+// windows of Step each.
 type Resolution struct {
 	Step  time.Duration
 	Slots int
@@ -20,13 +18,13 @@ type Resolution struct {
 // Span returns the wall-clock history a resolution retains.
 func (r Resolution) Span() time.Duration { return r.Step * time.Duration(r.Slots) }
 
-// DefaultResolutions returns the standard 1s/10s/60s retention tiers.
-func DefaultResolutions() []Resolution {
-	return []Resolution{
-		{Step: time.Second, Slots: 300},
-		{Step: 10 * time.Second, Slots: 360},
-		{Step: time.Minute, Slots: 240},
-	}
+// resolutionsAt returns the store's tiers at scrape interval d: 300 slots of
+// d, 360 of 10 d and 240 of 60 d. At the default 1 s that is 5 min at 1 s,
+// 1 h at 10 s and 4 h at 1 min — enough history for the health engine's fast
+// (300 d) and slow (3 600 d) SLO burn windows plus a few hours of dashboard
+// context.
+func resolutionsAt(d time.Duration) []Resolution {
+	return []Resolution{{Step: d, Slots: 300}, {Step: 10 * d, Slots: 360}, {Step: 60 * d, Slots: 240}}
 }
 
 // MaxSeries bounds the number of distinct (node, metric, label-set)
@@ -120,9 +118,6 @@ type seriesStore struct {
 }
 
 func newSeriesStore(res []Resolution, maxSeries int) *seriesStore {
-	if len(res) == 0 {
-		res = DefaultResolutions()
-	}
 	if maxSeries <= 0 {
 		maxSeries = MaxSeries
 	}

@@ -197,9 +197,10 @@ func NewMuxWith(reg *Registry, tracer *Tracer, extra map[string]http.Handler) *h
 
 // Server is a running telemetry HTTP endpoint.
 type Server struct {
-	lis  net.Listener
-	http *http.Server
-	done chan struct{} // closed when the serve goroutine exits
+	lis    net.Listener
+	http   *http.Server
+	cancel context.CancelFunc // ends every request's context: Shutdown calls it
+	done   chan struct{}      // closed when the serve goroutine exits
 }
 
 // ServeWith binds addr (host:port; port 0 picks a free one) and serves the
@@ -210,7 +211,11 @@ func ServeWith(addr string, reg *Registry, tracer *Tracer, extra map[string]http
 	if err != nil {
 		return nil, fmt.Errorf("obs: telemetry listen %s: %w", addr, err)
 	}
-	s := &Server{lis: lis, http: &http.Server{Handler: NewMuxWith(reg, tracer, extra)}, done: make(chan struct{})}
+	base, cancel := context.WithCancel(context.Background())
+	s := &Server{lis: lis, cancel: cancel, done: make(chan struct{}), http: &http.Server{
+		Handler:     NewMuxWith(reg, tracer, extra),
+		BaseContext: func(net.Listener) context.Context { return base },
+	}}
 	go func() {
 		defer close(s.done)
 		_ = s.http.Serve(lis)
@@ -223,8 +228,12 @@ func (s *Server) Addr() string { return s.lis.Addr().String() }
 
 // Shutdown stops the server gracefully: the listener closes immediately,
 // in-flight requests get until ctx's deadline to finish, and the serve
-// goroutine is waited for so a clean process exit leaks nothing.
+// goroutine is waited for so a clean process exit leaks nothing. Their
+// contexts end first, so a handler that only waits on its request — a CPU
+// profile or trace sampling its window for a collector's flight capture —
+// writes what it has now instead of holding the node's shutdown.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.cancel()
 	err := s.http.Shutdown(ctx)
 	select {
 	case <-s.done:

@@ -192,6 +192,44 @@ func TestServerShutdownNoLeak(t *testing.T) {
 	}
 }
 
+// TestServerShutdownEndsWaitingRequests pins that a handler which only waits
+// on its request — a CPU profile sampling its window for a collector's
+// flight capture — cannot hold Shutdown: the request's context ends first.
+func TestServerShutdownEndsWaitingRequests(t *testing.T) {
+	entered := make(chan struct{})
+	srv, err := ServeWith("127.0.0.1:0", NewRegistry(), nil, map[string]http.Handler{
+		"/wait": http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+			close(entered)
+			select {
+			case <-r.Context().Done():
+			case <-time.After(30 * time.Second):
+			}
+		}),
+	})
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.Get("http://" + srv.Addr() + "/wait"); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("Shutdown took %v: it waited out the request instead of ending it", took)
+	}
+	<-done
+}
+
 // TestDebugTracesByID pins the single-trace lookup: ?id= returns exactly that
 // trace, and an unknown id is a JSON 404.
 func TestDebugTracesByID(t *testing.T) {

@@ -18,7 +18,6 @@ const (
 	EventAdRefreshed      = "ad_refreshed"
 	EventAdExpired        = "ad_expired"
 	EventAdSwept          = "ad_swept"
-	EventAlertPending     = "alert_pending"
 	EventAlertFiring      = "alert_firing"
 	EventAlertResolved    = "alert_resolved"
 	EventFaultInjected    = "fault_injected"

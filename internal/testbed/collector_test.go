@@ -12,7 +12,6 @@ import (
 	"narada/internal/bdn"
 	"narada/internal/core"
 	"narada/internal/obs/collect"
-	"narada/internal/obs/collect/health"
 	"narada/internal/simnet"
 	"narada/internal/topology"
 )
@@ -45,7 +44,7 @@ func collectorDeployment(t *testing.T, col *collect.Collector) *Testbed {
 // spans requester, BDN and at least two brokers in causally consistent
 // (offset-corrected) order, despite per-node clock skews up to 500 ms.
 func TestCollectorAssemblesCrossNodeTrace(t *testing.T) {
-	col := fastCollector(t, collect.Config{TraceCapacity: 64})
+	col := fastCollector(t, collect.Config{})
 	tb := collectorDeployment(t, col)
 	d := tb.NewDiscoverer(simnet.SiteCardiff, "requester", core.Config{})
 	res, err := d.Discover()
@@ -54,10 +53,12 @@ func TestCollectorAssemblesCrossNodeTrace(t *testing.T) {
 	}
 	id := res.RequestID.String()
 
-	// Nodes are scraped on a short wall-clock interval; poll until the
-	// trace covers requester + BDN + >= 2 brokers.
+	// Nodes are scraped on a short wall-clock interval, each on its own
+	// loop; poll until the trace covers requester + BDN + >= 2 brokers,
+	// whichever of them is scraped first.
 	tr := waitForTrace(t, col, id, func(tr collect.TraceInfo) bool {
-		return len(spanNodes(tr)) >= 4
+		nodes := spanNodes(tr)
+		return nodes["requester"] && nodes["gridservicelocator.org"] && len(nodes) >= 4
 	})
 	nodes := spanNodes(tr)
 	if !nodes["requester"] {
@@ -226,11 +227,8 @@ func TestCollectorFabricAndFederatedMetrics(t *testing.T) {
 // last scrape instead of waiting it out.
 func fastCollector(t *testing.T, cfg collect.Config) *collect.Collector {
 	t.Helper()
-	if cfg.Health == nil {
-		cfg.Health = &health.Config{}
-	}
-	if cfg.Health.ScrapeInterval == 0 {
-		cfg.Health.ScrapeInterval = 50 * time.Millisecond
+	if cfg.ScrapeInterval == 0 {
+		cfg.ScrapeInterval = 50 * time.Millisecond
 	}
 	col, err := collect.New(cfg)
 	if err != nil {

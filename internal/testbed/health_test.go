@@ -16,20 +16,6 @@ import (
 	"narada/internal/topology"
 )
 
-// healthCollector builds a collector with a fast health ticker, suitable for
-// the wall-clock testbed: a 100ms × 3 deadman horizon keeps scheduler
-// hiccups from false-firing a live node. Its alerts capture no flight
-// profiles: a 2 s CPU capture in flight would hold the alerted node's Close
-// for its whole window (leakCollector tests the recorder).
-func healthCollector(t *testing.T) *collect.Collector {
-	t.Helper()
-	return fastCollector(t, collect.Config{
-		Health:                &health.Config{ScrapeInterval: 100 * time.Millisecond, DeadmanIntervals: 3},
-		HealthInterval:        10 * time.Millisecond,
-		DisableFlightRecorder: true,
-	})
-}
-
 // healthDeployment deploys a 3-broker fabric scraped by col, with the first
 // broker's hardware clock pinned 25ms off UTC.
 func healthDeployment(t *testing.T, col *collect.Collector) *Testbed {
@@ -96,7 +82,7 @@ func awaitAlertState(t *testing.T, url, rule, node, state string, deadline time.
 // broker raises deadman within the detection horizon, and the broker
 // restarted under the same identity and telemetry port resolves it.
 func TestFabricHealthAlerts(t *testing.T) {
-	col := healthCollector(t)
+	col := fastCollector(t, collect.Config{}) // a 3 × 50ms deadman horizon
 	tb := healthDeployment(t, col)
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
@@ -132,7 +118,7 @@ func TestFabricHealthAlerts(t *testing.T) {
 	if dead.FiredAt == nil {
 		t.Fatalf("firing deadman has no FiredAt: %+v", dead)
 	}
-	// Detection latency: the horizon is 300ms; allow generous CI scheduling
+	// Detection latency: the horizon is 150ms; allow generous CI scheduling
 	// slack on top, but a multi-second detection would mean the evaluator
 	// is not running at its configured cadence.
 	if latency := dead.FiredAt.Sub(killedAt); latency > 3*time.Second {
@@ -185,10 +171,10 @@ func firingGaugeValue(col *collect.Collector, rule, node string) (float64, bool)
 
 // TestQueryServesProbeSeries carries probe SLIs (success counters and a
 // latency histogram) through the real scrape → ingest → store path and
-// asserts /query serves the downsampled series at every configured
-// resolution.
+// asserts /query serves the downsampled series at every resolution: at the
+// 50ms scrape interval, 50ms, 500ms and 3s.
 func TestQueryServesProbeSeries(t *testing.T) {
-	col := healthCollector(t)
+	col := fastCollector(t, collect.Config{})
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 
@@ -250,7 +236,7 @@ func TestQueryServesProbeSeries(t *testing.T) {
 	// Let a couple of coarse windows fill.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		series := query("narada_probe_runs_total", "1s")
+		series := query("narada_probe_runs_total", "50ms")
 		total := 0.0
 		for _, s := range series {
 			for _, p := range s.Points {
@@ -266,7 +252,7 @@ func TestQueryServesProbeSeries(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	for _, res := range []string{"1s", "10s", "1m"} {
+	for _, res := range []string{"50ms", "500ms", "3s"} {
 		runs := query("narada_probe_runs_total", res)
 		if len(runs) != 2 { // outcome=ok and outcome=error
 			t.Fatalf("res=%s: %d run series, want 2 (ok+error): %+v", res, len(runs), runs)

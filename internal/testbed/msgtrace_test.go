@@ -19,7 +19,7 @@ import (
 // and the collector assembles a message-kind trace whose spans cover both
 // brokers (publish, match, link hop) with a per-hop queue-wait breakdown.
 func TestSampledPublishAssemblesMessageTrace(t *testing.T) {
-	col := fastCollector(t, collect.Config{TraceCapacity: 256})
+	col := fastCollector(t, collect.Config{})
 	tb, err := New(Options{
 		Scale: 50,
 		Seed:  42,
@@ -126,16 +126,8 @@ func TestSampledPublishAssemblesMessageTrace(t *testing.T) {
 // delivered/dropped counters — then resolves once healthy traffic replaces
 // the storm in the evaluation window.
 func TestDropStormFiresDropRatioAlert(t *testing.T) {
-	col := fastCollector(t, collect.Config{
-		Health: &health.Config{
-			ScrapeInterval: 100 * time.Millisecond,
-			EgressWindow:   1500 * time.Millisecond,
-			DropRatioMax:   0.05,
-			DropMinVolume:  50,
-			ResolveAfter:   100 * time.Millisecond,
-		},
-		HealthInterval: 10 * time.Millisecond,
-	})
+	// A 25ms scrape interval makes the drop-ratio window 60 × 25ms = 1.5s.
+	col := fastCollector(t, collect.Config{ScrapeInterval: 25 * time.Millisecond})
 
 	tb, err := New(Options{
 		Scale: 50,
@@ -206,8 +198,8 @@ func TestDropStormFiresDropRatioAlert(t *testing.T) {
 	}
 
 	fired := awaitEngineAlert(t, col, health.RuleDropRatio, "broker-storm", health.StateFiring, 15*time.Second)
-	if fired.Value <= 0.05 {
-		t.Fatalf("drop_ratio fired with value %v, want > threshold 0.05", fired.Value)
+	if fired.Value <= 0.01 {
+		t.Fatalf("drop_ratio fired with value %v, want > threshold 0.01", fired.Value)
 	}
 
 	// Recovery: the storm ends, the wedged consumer disconnects and healthy

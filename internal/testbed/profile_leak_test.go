@@ -17,22 +17,6 @@ import (
 	"narada/internal/topology"
 )
 
-// leakCollector is healthCollector plus the profile plane: a short
-// goroutine-leak window and a 1s flight CPU capture so the whole story fits
-// in a test.
-func leakCollector(t *testing.T) *collect.Collector {
-	t.Helper()
-	return fastCollector(t, collect.Config{
-		Health: &health.Config{
-			ScrapeInterval:      100 * time.Millisecond,
-			DeadmanIntervals:    5,
-			GoroutineLeakWindow: 3 * time.Second,
-		},
-		HealthInterval:   20 * time.Millisecond,
-		FlightCPUSeconds: 1,
-	})
-}
-
 // TestGoroutineLeakFlightRecorder injects a goroutine leak into a testbed
 // broker and follows it end to end: the leaking gauge is scraped from the
 // node's real loopback telemetry endpoint, the collector's goroutine_leak
@@ -41,7 +25,10 @@ func leakCollector(t *testing.T) *collect.Collector {
 // on its own must also have been pulled into the collector store along the
 // way, listed by a scrape.
 func TestGoroutineLeakFlightRecorder(t *testing.T) {
-	col := leakCollector(t)
+	// At fastCollector's 50ms scrape interval the goroutine-leak window (300
+	// intervals) is 15s, holding the whole test, baseline included, and a
+	// flight CPU capture takes its 1s floor: the story fits in a test.
+	col := fastCollector(t, collect.Config{})
 	tb, err := New(Options{
 		Scale:    50,
 		Seed:     42,

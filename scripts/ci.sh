@@ -16,7 +16,9 @@
 # re-registration, the open-loop load generator, the control-plane event
 # journal with topology time-travel, the continuous-profiling plane with its
 # flight-recorder fallback, and a BDN set losing a member with zero
-# re-registrations, then the member pulling what it missed).
+# re-registrations, then the member pulling what it missed). The collector
+# lanes run obscollect at -scrape-interval 1s, its only clock: every rule
+# window and hold they wait on is the default deployment's.
 set -eu
 cd "$(dirname "$0")/.."
 

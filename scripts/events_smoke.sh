@@ -46,7 +46,7 @@ sleep 0.3
 PIDS="$PIDS $!"
 
 "$BIN/obscollect" -nodes "$BDN_TELEMETRY,$BROKER_A_TELEMETRY,$BROKER_B_TELEMETRY" \
-    -http "$COLLECT_HTTP" -scrape-interval 1s -deadman-intervals 3 -health-interval 200ms \
+    -http "$COLLECT_HTTP" -scrape-interval 1s \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
 
@@ -65,7 +65,11 @@ until flat "http://$COLLECT_HTTP/topology" | grep -q '"from":"events-a","to":"ev
     sleep 0.1
 done
 
-# Pin the pre-kill instant, let one more scrape pass it, then kill.
+# Pin the pre-kill instant a whole second after the link was seen live:
+# `date` truncates to the second, and a link that came up inside the second
+# T_PRE names is rightly absent from /topology?at=T_PRE. Then let one more
+# scrape pass it, and kill.
+sleep 1
 T_PRE=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 sleep 1.5
 kill -9 "$BPID"

@@ -40,7 +40,7 @@ BPID=$!
 PIDS="$PIDS $BPID"
 
 "$BIN/obscollect" -nodes "$BDN_TELEMETRY,$A_TELEMETRY,$B_TELEMETRY" -http "$COLLECT_HTTP" \
-    -scrape-interval 1s -deadman-intervals 3 -health-interval 200ms \
+    -scrape-interval 1s \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
 

@@ -59,7 +59,7 @@ PIDS="$PIDS $!"
 sleep 0.3
 
 "$BIN/obscollect" -nodes "$BDN_TELEMETRY,$BROKER_TELEMETRY" -http "$COLLECT_HTTP" \
-    -probe-interval 1s -probe-bdn "$BDN_STREAM" -probe-window 500ms \
+    -probe-interval 1s -probe-bdn "$BDN_STREAM" \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
 

@@ -30,8 +30,7 @@ flat() { tr -d ' \n\t'; }
 build broker bdn loadgen obscollect
 
 "$BIN/obscollect" -nodes "$BDN_TELEMETRY,$A_TELEMETRY,$B_TELEMETRY" -http "$COLLECT_HTTP" \
-    -scrape-interval 1s -deadman-intervals 3 -health-interval 200ms \
-    -flight-cpu-seconds 1 -profile-dir "$TMP/spool" \
+    -scrape-interval 1s -profile-dir "$TMP/spool" \
     >"$TMP/obscollect.log" 2>&1 &
 PIDS="$PIDS $!"
 
