@@ -46,7 +46,6 @@ func run() error {
 		sweepEvery = flag.Duration("sweep-every", 0, "expired-registration sweep period (overrides config; 0 = 1s)")
 		dataDir    = flag.String("data-dir", "", "durable registry directory: WAL + snapshots; registrations survive restarts (overrides config; '' = in-memory only)")
 		fsync      = flag.String("fsync", "", "WAL durability policy: always | interval | never (overrides config)")
-		snapEvery  = flag.Int("snapshot-every", 0, "WAL records between registry snapshots (overrides config; 0 = 1024)")
 		peers      = flag.String("peers", "", "comma-separated stream addresses of the other BDNs of this set, whose tables this one pulls (overrides config)")
 		tf         = plane.RegisterFlags(flag.CommandLine, plane.FlagsAll, true)
 	)
@@ -84,9 +83,6 @@ func run() error {
 	}
 	if *fsync != "" {
 		cfg.Fsync = *fsync
-	}
-	if *snapEvery > 0 {
-		cfg.SnapshotEvery = *snapEvery
 	}
 	if *peers != "" {
 		cfg.Peers = nil
@@ -129,7 +125,6 @@ func run() error {
 		RequiredCredential: []byte(cfg.RequiredCredential),
 		DataDir:            cfg.DataDir,
 		Fsync:              cfg.SyncPolicy(),
-		SnapshotEvery:      cfg.SnapshotEvery,
 		Peers:              cfg.Peers,
 	})
 	if err != nil {

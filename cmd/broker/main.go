@@ -50,7 +50,6 @@ func run() error {
 		superviseF = flag.Bool("supervise", false, "self-heal links and BDN registrations with backoff redial")
 		heartbeat  = flag.Duration("heartbeat", 0, "link keepalive interval (overrides config; 0 = off)")
 		advEvery   = flag.Duration("advertise-every", 0, "registration refresh period (overrides config; 0 = off)")
-		advTTL     = flag.Duration("ad-ttl", 0, "advertised validity window (overrides config; 0 = 3x refresh period)")
 		sampleN    = flag.Int("sample-every", 0, "trace ~1 in N publishes originating here (overrides config; 0 = off)")
 		samplePS   = flag.Int("sample-topic-persec", 0, "per-topic cap on traced messages/second (overrides config; 0 = uncapped)")
 		tf         = plane.RegisterFlags(flag.CommandLine, plane.FlagsAll, true)
@@ -96,9 +95,6 @@ func run() error {
 	if *advEvery > 0 {
 		cfg.AdvertiseIntervalMs = int(advEvery.Milliseconds())
 	}
-	if *advTTL > 0 {
-		cfg.AdvertiseTTLMs = int(advTTL.Milliseconds())
-	}
 	if *sampleN > 0 {
 		cfg.SampleEvery = *sampleN
 	}
@@ -138,10 +134,9 @@ func run() error {
 		DedupCapacity:     cfg.DedupCapacity,
 		Policy:            cfg.Policy(),
 		MulticastGroup:    cfg.MulticastGroup,
-		Supervise:         cfg.SupervisePolicy(),
+		Supervise:         cfg.Supervise,
 		HeartbeatInterval: cfg.HeartbeatInterval(),
 		AdvertiseInterval: cfg.AdvertiseInterval(),
-		AdvertiseTTL:      cfg.AdvertiseTTL(),
 		PublishSampler:    obs.NewSampler(uint64(cfg.SampleEvery), uint64(cfg.SampleTopicPerSec)),
 	})
 	if err != nil {

@@ -87,9 +87,6 @@ type Config struct {
 	DataDir string
 	// Fsync selects the WAL durability policy (always/interval/never).
 	Fsync wal.SyncPolicy
-	// SnapshotEvery is how many WAL records accumulate between snapshots
-	// (default 1024). Each snapshot prunes the log segments it covers.
-	SnapshotEvery int
 	// Peers lists the stream addresses of the other members of this BDN's
 	// set. Every exchangeEvery the BDN pulls each peer's live table and
 	// merges what it would have taken from the broker itself (merge).
@@ -149,9 +146,11 @@ type BDN struct {
 
 	// Durable-registry state, guarded by mu: log is the open WAL (nil when
 	// not durable) and sinceSnap the records appended since snapCh was last
-	// signalled.
+	// signalled, which it is every snapEvery records (snapshotEvery; a
+	// benchmark keeps snapshots out of its loop by raising it).
 	log       *wal.Log
 	sinceSnap uint64
+	snapEvery uint64
 	snapCh    chan struct{} // wakes the snapshot loop
 
 	reqDedup *dedup.Cache
@@ -173,20 +172,18 @@ func New(node transport.Node, ntp *ntptime.Service, cfg Config) (*BDN, error) {
 	if cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = time.Second
 	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 1024
-	}
 	cfg.Handle = cfg.Handle.Scoped("bdn", cfg.Name)
 	d := &BDN{
-		node:     node,
-		ntp:      ntp,
-		cfg:      cfg,
-		brokers:  make(map[string]*registration),
-		gone:     make(map[string]tombstone),
-		conns:    make(map[transport.Conn]struct{}),
-		reqDedup: dedup.New(dedup.DefaultCapacity),
-		snapCh:   make(chan struct{}, 1),
-		closed:   make(chan struct{}),
+		node:      node,
+		ntp:       ntp,
+		cfg:       cfg,
+		brokers:   make(map[string]*registration),
+		gone:      make(map[string]tombstone),
+		conns:     make(map[transport.Conn]struct{}),
+		reqDedup:  dedup.New(dedup.DefaultCapacity),
+		snapEvery: snapshotEvery,
+		snapCh:    make(chan struct{}, 1),
+		closed:    make(chan struct{}),
 	}
 	d.initTelemetry(cfg.Metrics, cfg.Tracer)
 	return d, nil

@@ -638,10 +638,11 @@ func BenchmarkStoreAdvertisement(b *testing.B) {
 	ntp := ntptime.NewService(node.Clock(), 0, nil)
 	ntp.InitImmediately()
 	d, err := New(node, ntp, Config{Name: "bench-bdn", DataDir: b.TempDir(), Fsync: wal.SyncNever,
-		AdTTL: time.Minute, SnapshotEvery: 1 << 30})
+		AdTTL: time.Minute})
 	if err != nil {
 		b.Fatal(err)
 	}
+	d.snapEvery = 1 << 30
 	if err := d.Start(); err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"narada/internal/metrics"
 	"narada/internal/ntptime"
 	"narada/internal/simnet"
-	"narada/internal/supervise"
 	"narada/internal/transport"
 	"narada/internal/wal"
 )
@@ -290,7 +289,7 @@ func TestSupervisedRegistrationWaitsForLateBDN(t *testing.T) {
 	b, err := broker.New(node, ntp, broker.Config{
 		LogicalAddress: "broker-early",
 		Sampler:        metrics.NewStaticSampler(metrics.Usage{TotalMemBytes: 512 * mib, UsedMemBytes: 64 * mib}),
-		Supervise:      &supervise.Policy{BaseBackoff: 50 * time.Millisecond, MaxBackoff: 200 * time.Millisecond},
+		Supervise:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,6 +37,10 @@ const (
 	recDelete byte = 2 // String(logical) String(reason) [Time(issued) Duration(remaining)]
 )
 
+// snapshotEvery is how many WAL records accumulate between snapshots. Each
+// snapshot prunes the log segments it covers.
+const snapshotEvery = 1024
+
 // errRetired is decodeRecord's answer to a record of a retired type.
 var errRetired = errors.New("bdn: retired wal record type")
 
@@ -291,7 +295,7 @@ func (d *BDN) appendRecordLocked(payload []byte) {
 		return
 	}
 	d.tel.walAppends.Inc()
-	if d.sinceSnap++; d.sinceSnap >= uint64(d.cfg.SnapshotEvery) {
+	if d.sinceSnap++; d.sinceSnap >= d.snapEvery {
 		d.sinceSnap = 0
 		select {
 		case d.snapCh <- struct{}{}:

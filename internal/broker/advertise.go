@@ -14,8 +14,8 @@ import (
 // open: the BDN uses it as one of its "active concurrent connections to one
 // or more brokers" for injecting discovery requests into the network. With
 // Config.Supervise set the registration becomes self-healing: when the
-// connection dies (BDN restart, heartbeat teardown, partition) a supervise
-// runner redials it and the fresh dial re-sends the advertisement, so the
+// connection dies (BDN restart, heartbeat teardown, partition) it is
+// redialed and the fresh dial re-sends the advertisement, so the
 // broker reappears at the BDN without operator action.
 func (b *Broker) RegisterWithBDN(addr string) error {
 	return b.superviseDial(SuperviseBDN, addr, b.dialRegistration)

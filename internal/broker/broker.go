@@ -21,7 +21,6 @@ import (
 	"narada/internal/ntptime"
 	"narada/internal/obs"
 	"narada/internal/replay"
-	"narada/internal/supervise"
 	"narada/internal/topics"
 	"narada/internal/transport"
 )
@@ -66,20 +65,16 @@ type Config struct {
 	// and leave at arbitrary times") sheds dead links. 0 disables.
 	// Applies to broker-to-broker links and to BDN registration links.
 	HeartbeatInterval time.Duration
-	// Supervise, when set, makes LinkTo and RegisterWithBDN self-healing:
-	// a torn-down link or dead BDN registration is redialed under the
-	// policy's backoff until Close, with interest resync and
-	// re-advertisement on every successful relink. nil keeps the legacy
-	// dial-once behaviour.
-	Supervise *supervise.Policy
+	// Supervise makes LinkTo and RegisterWithBDN self-healing: a torn-down
+	// link or dead BDN registration is redialed on a fixed backoff ladder
+	// until Close, with interest resync and re-advertisement on every
+	// successful relink. Without it each relationship is dialled once.
+	Supervise bool
 	// AdvertiseInterval re-sends this broker's advertisement over every BDN
 	// registration link on the interval, refreshing the registration before
-	// its TTL lapses. 0 disables periodic refresh.
+	// its TTL lapses. Advertisements are valid for three intervals; 0
+	// disables periodic refresh, and they never expire.
 	AdvertiseInterval time.Duration
-	// AdvertiseTTL is the validity window stamped into advertisements;
-	// BDNs prune registrations older than this. 0 defaults to
-	// 3×AdvertiseInterval when refresh is enabled, otherwise no expiry.
-	AdvertiseTTL time.Duration
 	// Routing selects how publish events cross links; discovery requests
 	// are always flooded (control traffic must reach every broker).
 	Routing RoutingMode
@@ -142,8 +137,8 @@ type Broker struct {
 	mu          sync.Mutex
 	links       map[string]*link // peer logical address -> link
 	clients     map[string]*clientConn
-	supervisors map[string]*supervise.Runner // "link:addr"/"bdn:addr" -> runner
-	lastAd      map[string]time.Time         // BDN addr -> last successful advertise
+	supervisors map[string]*Supervisor // "link:addr"/"bdn:addr" -> relationship
+	lastAd      map[string]time.Time   // BDN addr -> last successful advertise
 	started     bool
 
 	// tel holds the broker's metric handles and trace recorder; the
@@ -199,9 +194,6 @@ func New(node transport.Node, ntp *ntptime.Service, cfg Config) (*Broker, error)
 		history = replay.NewStore(cfg.ReplayCapacity)
 	}
 	cfg.Handle = cfg.Handle.Scoped("broker", cfg.LogicalAddress)
-	if cfg.AdvertiseTTL <= 0 && cfg.AdvertiseInterval > 0 {
-		cfg.AdvertiseTTL = 3 * cfg.AdvertiseInterval
-	}
 	b := &Broker{
 		history:     history,
 		node:        node,
@@ -213,7 +205,7 @@ func New(node transport.Node, ntp *ntptime.Service, cfg Config) (*Broker, error)
 		interest:    newInterestState(),
 		links:       make(map[string]*link),
 		clients:     make(map[string]*clientConn),
-		supervisors: make(map[string]*supervise.Runner),
+		supervisors: make(map[string]*Supervisor),
 		lastAd:      make(map[string]time.Time),
 		closed:      make(chan struct{}),
 	}
@@ -303,19 +295,9 @@ const closeFlushTimeout = 2 * time.Second
 func (b *Broker) Close() {
 	b.closeOnce.Do(func() {
 		b.cfg.Journal.Emit(obs.EventNodeStop, b.cfg.LogicalAddress, "")
+		// Closing b.closed stops every redial loop before the teardown below
+		// ends the sessions they watch.
 		close(b.closed)
-		// Stop the supervisors first so nothing redials while we tear down.
-		b.mu.Lock()
-		runners := make([]*supervise.Runner, 0, len(b.supervisors))
-		for _, r := range b.supervisors {
-			if r != nil {
-				runners = append(runners, r)
-			}
-		}
-		b.mu.Unlock()
-		for _, r := range runners {
-			r.Stop()
-		}
 		if b.listener != nil {
 			_ = b.listener.Close()
 		}

@@ -206,8 +206,8 @@ func (b *Broker) handleClientEvent(c *clientConn, ev *event.Event) {
 }
 
 // LinkTo establishes a broker link to a peer broker's stream address. With
-// Config.Supervise set the link becomes self-healing: a supervise runner
-// redials it whenever the session dies (heartbeat teardown, peer restart,
+// Config.Supervise set the link becomes self-healing: it is redialed
+// whenever the session dies (heartbeat teardown, peer restart,
 // healed partition), and every fresh link re-announces this side's interest
 // table to the peer. The initial dial still runs synchronously so the
 // caller sees its error either way.
@@ -216,7 +216,7 @@ func (b *Broker) LinkTo(addr string) error {
 }
 
 // dialLink performs one link dial + hello handshake and hands the link to
-// goServeLink; the channel it returns is what a supervise runner watches.
+// goServeLink; the channel it returns is what a redial loop watches.
 func (b *Broker) dialLink(addr string) (<-chan struct{}, error) {
 	conn, err := b.node.Dial(addr)
 	if err != nil {

@@ -1,12 +1,13 @@
 package broker
 
 import (
+	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"narada/internal/core"
 	"narada/internal/event"
 	"narada/internal/obs"
-	"narada/internal/supervise"
 	"narada/internal/topics"
 )
 
@@ -18,20 +19,81 @@ const (
 	SuperviseBDN  = "bdn"
 )
 
+// The redial ladder. The first wait after a failed dial is superviseBase and
+// each further failure doubles it, up to superviseCap; a session that dies
+// rests one superviseBase before its first redial, so a link that dies at
+// once cannot spin, and a session that is made resets the ladder. Every wait
+// is jittered by ±superviseJitter so brokers that lost the same peer do not
+// redial in step.
+const (
+	superviseBase   = 100 * time.Millisecond
+	superviseCap    = 30 * time.Second
+	superviseJitter = 0.2
+)
+
+// LinkState is a supervised relationship's health; its value is the
+// narada_broker_link_state gauge.
+type LinkState int32
+
+// Supervised relationship states.
+const (
+	LinkConnected    LinkState = iota // a live session
+	LinkDegraded                      // the session just died; a redial follows one rest
+	LinkReconnecting                  // dials are failing; the loop is backing off
+	LinkStopped                       // the broker closed
+)
+
+// String renders the state for logs and test failures.
+func (s LinkState) String() string {
+	switch s {
+	case LinkConnected:
+		return "connected"
+	case LinkDegraded:
+		return "degraded"
+	case LinkReconnecting:
+		return "reconnecting"
+	default:
+		return "stopped"
+	}
+}
+
+// Supervisor is the read side of one supervised relationship: its state and
+// how many redials it made. The redial loop is its only writer.
+type Supervisor struct {
+	state     atomic.Int32
+	attempts  atomic.Uint64
+	successes atomic.Uint64
+	gauge     *obs.Gauge
+}
+
+// State returns the relationship's current health.
+func (s *Supervisor) State() LinkState { return LinkState(s.state.Load()) }
+
+// Attempts returns the number of redials the loop has made.
+func (s *Supervisor) Attempts() uint64 { return s.attempts.Load() }
+
+// Successes returns the number of redials that produced a session.
+func (s *Supervisor) Successes() uint64 { return s.successes.Load() }
+
+func (s *Supervisor) set(st LinkState) {
+	s.state.Store(int32(st))
+	s.gauge.Set(float64(st))
+}
+
 // superviseDial establishes one long-lived relationship: the first dial runs
 // synchronously so the caller sees its error, and that is all there is to it
-// without Config.Supervise (the legacy dial-once behaviour). With it, a
-// supervise runner owns the relationship for the broker's lifetime whether or
-// not the first dial succeeded — every time the session dies, or while it
-// cannot be made, it redials under the configured backoff policy. dial must
-// return a channel that closes when the session ends. Calling again for a
-// relationship that is already supervised is a no-op.
+// without Config.Supervise. With it, a redial loop owns the relationship
+// until Close whether or not the first dial succeeded: every time the
+// session dies, or while it cannot be made, it redials on the ladder. dial
+// must return a channel that closes when the session ends. Calling again for
+// a relationship that is already supervised is a no-op.
 func (b *Broker) superviseDial(kind, addr string, dial func(string) (<-chan struct{}, error)) error {
-	if b.cfg.Supervise == nil {
+	if !b.cfg.Supervise {
 		_, err := dial(addr)
 		return err
 	}
 	key := kind + ":" + addr
+	s := &Supervisor{}
 	b.mu.Lock()
 	select {
 	case <-b.closed:
@@ -43,62 +105,110 @@ func (b *Broker) superviseDial(kind, addr string, dial func(string) (<-chan stru
 		b.mu.Unlock()
 		return nil
 	}
-	b.supervisors[key] = nil // reserve against a concurrent call
+	b.supervisors[key] = s
 	b.mu.Unlock()
 
-	// A failed first dial leaves Initial nil: the runner starts by dialling.
-	initial, err := dial(addr)
-	r := supervise.New(supervise.RunnerConfig{
-		Target:  addr,
-		Policy:  *b.cfg.Supervise,
-		Clock:   b.node.Clock(),
-		Dial:    func() (<-chan struct{}, error) { return dial(addr) },
-		Initial: initial,
-		Logger:  b.cfg.Logger.With("kind", kind),
-		Journal: b.cfg.Journal,
-		OnState: func(s supervise.State) { b.tel.setLinkState(kind, addr, s) },
-		OnAttempt: func(ok bool) {
-			b.tel.reconnectAttempt(kind)
-			if ok {
-				b.tel.reconnected(kind)
-			}
-		},
-	})
-	b.tel.setLinkState(kind, addr, r.State())
-
+	session, err := dial(addr)
+	s.gauge = b.tel.linkStateGauge(kind, addr)
+	if session != nil {
+		s.set(LinkConnected)
+	} else {
+		s.set(LinkReconnecting)
+	}
+	// Close takes b.mu after closing b.closed and before it waits on b.wg,
+	// so a loop added here is either waited for or never started.
 	b.mu.Lock()
 	select {
 	case <-b.closed:
-		// Close already swept the supervisor map; this runner would never be
-		// stopped, so do not start it.
-		delete(b.supervisors, key)
 		b.mu.Unlock()
-		r.Stop()
+		s.set(LinkStopped)
 		return errClosed
 	default:
 	}
-	b.supervisors[key] = r
-	b.mu.Unlock()
 	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		r.Run()
-	}()
+	b.mu.Unlock()
+	go b.redialLoop(s, kind, addr, session, dial)
 	return err
 }
 
-// Supervisor returns the runner owning the supervised relationship of the
-// given kind ("link" or "bdn") to addr, or nil when none exists.
-func (b *Broker) Supervisor(kind, addr string) *supervise.Runner {
+// redialLoop keeps one relationship up until Close: it watches the live
+// session, and once that ends, or while there is none, it redials on the
+// ladder. It starts with a dial when session is nil.
+func (b *Broker) redialLoop(s *Supervisor, kind, addr string, session <-chan struct{},
+	dial func(string) (<-chan struct{}, error)) {
+	defer b.wg.Done()
+	defer s.set(LinkStopped)
+	log := b.cfg.Logger.With("kind", kind, "target", addr)
+	attempted, reconnected := b.tel.reconnAttemptLink, b.tel.reconnLink
+	if kind == SuperviseBDN {
+		attempted, reconnected = b.tel.reconnAttemptBDN, b.tel.reconnBDN
+	}
+	backoff := superviseBase
+	for {
+		if session != nil {
+			s.set(LinkConnected)
+			select {
+			case <-session:
+			case <-b.closed:
+				return
+			}
+			s.set(LinkDegraded)
+			log.Info("supervised session died")
+			if !b.rest(superviseBase) {
+				return
+			}
+		}
+		select {
+		case <-b.closed: // Close ended the session: no redial
+			return
+		default:
+		}
+		s.attempts.Add(1)
+		attempted.Inc()
+		var err error
+		if session, err = dial(addr); err == nil {
+			s.successes.Add(1)
+			reconnected.Inc()
+			b.cfg.Journal.Emit(obs.EventReconnectAttempt, addr, "ok")
+			log.Info("supervised session established")
+			backoff = superviseBase
+			continue
+		}
+		b.cfg.Journal.Emit(obs.EventReconnectAttempt, addr, "fail: "+err.Error())
+		s.set(LinkReconnecting)
+		log.Debug("supervised dial failed", "retry-in", backoff, "err", err)
+		if !b.rest(backoff) {
+			return
+		}
+		backoff = min(2*backoff, superviseCap)
+	}
+}
+
+// rest waits d, jittered by ±superviseJitter, on the broker's clock; false
+// means the broker closed first.
+func (b *Broker) rest(d time.Duration) bool {
+	d = time.Duration(float64(d) * (1 + superviseJitter*(2*rand.Float64()-1))) //nolint:gosec
+	select {
+	case <-b.node.Clock().After(d):
+		return true
+	case <-b.closed:
+		return false
+	}
+}
+
+// Supervisor returns the supervised relationship of the given kind ("link"
+// or "bdn") to addr, or nil when there is none.
+func (b *Broker) Supervisor(kind, addr string) *Supervisor {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.supervisors[kind+":"+addr]
 }
 
-// advertisement assembles this broker's current advertisement, stamped with
-// the configured TTL so BDN registrations age out unless refreshed.
+// advertisement assembles this broker's current advertisement. It is valid
+// for three refresh periods, so a BDN keeps the registration across two lost
+// refreshes and ages it out after that; without refresh it never expires.
 func (b *Broker) advertisement() *event.Event {
-	adv := &core.Advertisement{Broker: b.Info(), IssuedAt: b.now(), TTL: b.cfg.AdvertiseTTL}
+	adv := &core.Advertisement{Broker: b.Info(), IssuedAt: b.now(), TTL: 3 * b.cfg.AdvertiseInterval}
 	ev := event.New(event.TypeAdvertisement, topics.AdvertisementTopic, core.EncodeAdvertisement(adv))
 	ev.Source = b.cfg.LogicalAddress
 	ev.Timestamp = adv.IssuedAt

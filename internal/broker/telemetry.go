@@ -1,9 +1,6 @@
 package broker
 
-import (
-	"narada/internal/obs"
-	"narada/internal/supervise"
-)
+import "narada/internal/obs"
 
 // telemetry bundles the broker's metric handles. Handles are resolved once
 // in initTelemetry, so recording on the publish fast path is a single atomic
@@ -142,32 +139,12 @@ func (b *Broker) initTelemetry(reg *obs.Registry, tracer *obs.Tracer) {
 		}, node)
 }
 
-// reconnectAttempt counts one supervised redial attempt of the given kind.
-func (t *telemetry) reconnectAttempt(kind string) {
-	if kind == SuperviseBDN {
-		t.reconnAttemptBDN.Inc()
-		return
-	}
-	t.reconnAttemptLink.Inc()
-}
-
-// reconnected counts one successful supervised redial of the given kind.
-func (t *telemetry) reconnected(kind string) {
-	if kind == SuperviseBDN {
-		t.reconnBDN.Inc()
-		return
-	}
-	t.reconnLink.Inc()
-}
-
-// setLinkState publishes a supervised relationship's health as a gauge:
-// 0 connected, 1 degraded, 2 reconnecting, 3 stopped. The per-target series
-// is created on the relationship's first transition; re-registration returns
-// the same handle, so this is safe to call on every transition.
-func (t *telemetry) setLinkState(kind, target string, s supervise.State) {
-	t.reg.Gauge("narada_broker_link_state",
+// linkStateGauge returns the health gauge of one supervised relationship:
+// 0 connected, 1 degraded, 2 reconnecting, 3 stopped (LinkState).
+func (t *telemetry) linkStateGauge(kind, target string) *obs.Gauge {
+	return t.reg.Gauge("narada_broker_link_state",
 		"Supervised relationship state (0 connected, 1 degraded, 2 reconnecting, 3 stopped).",
-		t.who, obs.L("kind", kind), obs.L("target", target)).Set(float64(s))
+		t.who, obs.L("kind", kind), obs.L("target", target))
 }
 
 // registrationAgeGauge registers the registration-age series for one BDN

@@ -17,7 +17,6 @@ import (
 	"narada/internal/dedup"
 	"narada/internal/metrics"
 	"narada/internal/obs"
-	"narada/internal/supervise"
 	"narada/internal/wal"
 )
 
@@ -38,15 +37,10 @@ type Broker struct {
 	RequiredCredential string   `json:"requiredCredential,omitempty"`
 	AllowedRealms      []string `json:"allowedRealms,omitempty"`
 	// Self-healing: supervised links/registrations, keepalives and
-	// registration refresh. Zero backoff fields take supervise defaults.
-	Supervise              bool `json:"supervise,omitempty"`              // redial dead links and registrations
-	SuperviseBaseBackoffMs int  `json:"superviseBaseBackoffMs,omitempty"` // first redial delay
-	SuperviseMaxBackoffMs  int  `json:"superviseMaxBackoffMs,omitempty"`  // backoff ceiling
-	SuperviseMaxAttempts   int  `json:"superviseMaxAttempts,omitempty"`   // give-up threshold (0 = never)
-	SuperviseBreakerEvery  int  `json:"superviseBreakerEvery,omitempty"`  // failures per breaker trip (0 = off)
-	HeartbeatMs            int  `json:"heartbeatMs,omitempty"`            // link keepalive interval (0 = off)
-	AdvertiseIntervalMs    int  `json:"advertiseIntervalMs,omitempty"`    // registration refresh period (0 = off)
-	AdvertiseTTLMs         int  `json:"advertiseTtlMs,omitempty"`         // advertised validity (0 = 3x refresh)
+	// registration refresh (advertisements are valid three periods).
+	Supervise           bool `json:"supervise,omitempty"`           // redial dead links and registrations
+	HeartbeatMs         int  `json:"heartbeatMs,omitempty"`         // link keepalive interval (0 = off)
+	AdvertiseIntervalMs int  `json:"advertiseIntervalMs,omitempty"` // registration refresh period (0 = off)
 	// Telemetry.
 	TelemetryAddr string `json:"telemetryAddr,omitempty"` // /metrics + pprof listen addr
 	LogLevel      string `json:"logLevel,omitempty"`      // debug, info, warn, error
@@ -77,21 +71,6 @@ func (b *Broker) Validate() error {
 	return nil
 }
 
-// SupervisePolicy assembles the self-healing policy, or nil when supervision
-// is disabled. Unset backoff fields stay zero and take the supervise
-// package's defaults.
-func (b *Broker) SupervisePolicy() *supervise.Policy {
-	if !b.Supervise {
-		return nil
-	}
-	return &supervise.Policy{
-		BaseBackoff:      time.Duration(b.SuperviseBaseBackoffMs) * time.Millisecond,
-		MaxBackoff:       time.Duration(b.SuperviseMaxBackoffMs) * time.Millisecond,
-		MaxAttempts:      b.SuperviseMaxAttempts,
-		BreakerThreshold: b.SuperviseBreakerEvery,
-	}
-}
-
 // HeartbeatInterval returns the configured link keepalive interval.
 func (b *Broker) HeartbeatInterval() time.Duration {
 	return time.Duration(b.HeartbeatMs) * time.Millisecond
@@ -100,11 +79,6 @@ func (b *Broker) HeartbeatInterval() time.Duration {
 // AdvertiseInterval returns the configured registration refresh period.
 func (b *Broker) AdvertiseInterval() time.Duration {
 	return time.Duration(b.AdvertiseIntervalMs) * time.Millisecond
-}
-
-// AdvertiseTTL returns the configured advertisement validity window.
-func (b *Broker) AdvertiseTTL() time.Duration {
-	return time.Duration(b.AdvertiseTTLMs) * time.Millisecond
 }
 
 // Policy assembles the broker's response policy.
@@ -134,8 +108,6 @@ type BDN struct {
 	DataDir string `json:"dataDir,omitempty"`
 	// Fsync is the WAL durability policy: always (default), interval, never.
 	Fsync string `json:"fsync,omitempty"`
-	// SnapshotEvery is the WAL-records-between-snapshots compaction knob.
-	SnapshotEvery int `json:"snapshotEvery,omitempty"`
 	// Peers lists the stream addresses of the other BDNs of this set; the
 	// BDN pulls their live tables.
 	Peers []string `json:"peers,omitempty"`

@@ -320,8 +320,8 @@ const alertWindow = 30 * time.Second
 const maxWindowEvents = 20
 
 // EventWindow links an alert (or trace) to the journal events surrounding
-// it: the root-cause view — "deadman at T ⇐ 3 reconnect_gaveup on link X in
-// [T−30s, T]" — without a second query.
+// it: the root-cause view — "deadman at T ⇐ 3 failed reconnect_attempt on
+// link X in [T−30s, T]" — without a second query.
 type EventWindow struct {
 	From   time.Time   `json:"from"`
 	To     time.Time   `json:"to"`

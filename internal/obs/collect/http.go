@@ -259,7 +259,7 @@ func histQuantile(q float64, bounds []float64, buckets []uint64) float64 {
 
 // AlertView is one /alerts entry: the alert plus the journal-event window
 // surrounding its anchor — the root-cause correlation ("deadman at T ⇐ 3
-// reconnect_gaveup on link X in [T−30s, T]").
+// failed reconnect_attempt on link X in [T−30s, T]").
 type AlertView struct {
 	health.Alert
 	EventWindow *EventWindow `json:"eventWindow,omitempty"`

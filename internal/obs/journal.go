@@ -13,7 +13,6 @@ const (
 	EventLinkUp           = "link_up"
 	EventLinkDown         = "link_down"
 	EventReconnectAttempt = "reconnect_attempt"
-	EventReconnectGaveup  = "reconnect_gaveup"
 	EventAdRegistered     = "ad_registered"
 	EventAdRefreshed      = "ad_refreshed"
 	EventAdExpired        = "ad_expired"

@@ -62,7 +62,7 @@ func TestJournalWraparound(t *testing.T) {
 		}
 	}
 	// Post-wrap emissions continue the sequence.
-	j.Emit(EventReconnectGaveup, "target", "")
+	j.Emit(EventReconnectAttempt, "target", "")
 	if evs := j.Since(10); len(evs) != 1 || evs[0].Seq != 11 {
 		t.Fatalf("post-wrap read = %+v, want single seq-11 event", evs)
 	}

@@ -14,6 +14,7 @@ import (
 	"maps"
 	"net/http"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,7 +83,14 @@ type Plane struct {
 // Start builds the plane's recorders. Nothing listens yet: Serve binds the
 // HTTP endpoint once the component's metric families are registered.
 func Start(cfg Config) (*Plane, error) {
-	profile.SetRuntimeRates(cfg.MutexFraction, cfg.BlockRate)
+	// The -mutex-profile-fraction / -block-profile-rate rates are process
+	// wide; zero leaves that profiler off, its default.
+	if cfg.MutexFraction > 0 {
+		runtime.SetMutexProfileFraction(cfg.MutexFraction)
+	}
+	if cfg.BlockRate > 0 {
+		runtime.SetBlockProfileRate(cfg.BlockRate)
+	}
 	p := &Plane{cfg: cfg, boot: time.Now().UnixNano()}
 	h := obs.Handle{Metrics: cfg.Registry}
 	if !cfg.Embedded {

@@ -3,26 +3,11 @@ package profile
 import (
 	"encoding/json"
 	"net/http"
-	"runtime"
 	"strings"
 	"time"
 
 	"narada/internal/obs"
 )
-
-// SetRuntimeRates applies the process-wide mutex and block profiling rates
-// the -mutex-profile-fraction / -block-profile-rate flags carry: mutex
-// records ~1/fraction contention events, block records blocking events of at
-// least rate nanoseconds. Zero leaves the corresponding profiler off (its
-// default), so the flags cost nothing unless set.
-func SetRuntimeRates(mutexFraction, blockRate int) {
-	if mutexFraction > 0 {
-		runtime.SetMutexProfileFraction(mutexFraction)
-	}
-	if blockRate > 0 {
-		runtime.SetBlockProfileRate(blockRate)
-	}
-}
 
 // Mount returns the extra-handler map obs.ServeWith expects, exposing the
 // capturer at /profiles on a node's telemetry mux.

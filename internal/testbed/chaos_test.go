@@ -1,12 +1,13 @@
 package testbed
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"narada/internal/broker"
+	"narada/internal/obs"
 	"narada/internal/simnet"
-	"narada/internal/supervise"
 	"narada/internal/topology"
 )
 
@@ -16,12 +17,8 @@ import (
 // convergence budget costs ~150ms of wall clock.
 func chaosOptions() Options {
 	return Options{
-		Topology: topology.Linear,
-		Supervise: &supervise.Policy{
-			BaseBackoff: 50 * time.Millisecond,
-			MaxBackoff:  2 * time.Second,
-			Multiplier:  2,
-		},
+		Topology:          topology.Linear,
+		Supervise:         true,
 		Heartbeat:         200 * time.Millisecond,
 		AdvertiseInterval: 500 * time.Millisecond, // TTL defaults to 1.5s
 		SweepInterval:     250 * time.Millisecond,
@@ -136,9 +133,12 @@ func TestChaosRepeatedBDNRestarts(t *testing.T) {
 
 // TestChaosSupervisionMetrics asserts the healing left an audit trail: after
 // a broker outage the surviving dialer's supervisor recorded reconnect
-// attempts and at least one successful reconnect.
+// attempts and at least one successful reconnect, and so did the metrics an
+// operator reads — the reconnect counters and the link-state gauge.
 func TestChaosSupervisionMetrics(t *testing.T) {
-	tb, err := New(chaosOptions())
+	opts := chaosOptions()
+	opts.Metrics = obs.NewRegistry()
+	tb, err := New(opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -175,13 +175,49 @@ func TestChaosSupervisionMetrics(t *testing.T) {
 	if err := tb.WaitConverged(ConvergeOptions{Timeout: 30 * time.Second, Publish: true}); err != nil {
 		t.Fatalf("after schedule: %v", err)
 	}
+	// Read the gauge beside the state it mirrors, before anything slower.
+	reg, ok := tb.BrokerRegistry(dialer)
+	if !ok {
+		t.Fatalf("broker %s has no registry", dialer)
+	}
+	who, link := obs.L("broker", dialer), obs.L("kind", broker.SuperviseLink)
+	state, stateOK := exportedSeries(reg, "narada_broker_link_state", who, link, obs.L("target", targetAddr))
+	if got := r.State(); got != broker.LinkConnected {
+		t.Errorf("supervisor state after healing = %v, want connected", got)
+	}
+	if !stateOK || state.Gauge != 0 {
+		t.Errorf("narada_broker_link_state{target=%s} = %v (present %v) after healing, want 0 (connected)",
+			targetAddr, state.Gauge, stateOK)
+	}
 	if r.Attempts() == 0 {
 		t.Error("supervisor recorded no reconnect attempts across the outage")
 	}
 	if r.Successes() == 0 {
 		t.Error("supervisor recorded no successful reconnects")
 	}
-	if got := r.State(); got != supervise.Connected {
-		t.Errorf("supervisor state after healing = %v, want Connected", got)
+	for _, name := range []string{"narada_broker_reconnect_attempts_total", "narada_broker_reconnects_total"} {
+		if s, ok := exportedSeries(reg, name, who, link); !ok || s.Counter == 0 {
+			t.Errorf("%s{broker=%s,kind=link} = %d (present %v) after the outage, want > 0", name, dialer, s.Counter, ok)
+		}
 	}
+}
+
+// exportedSeries finds the series of family name that carries every label
+// in want, as a scrape would read it.
+func exportedSeries(reg *obs.Registry, name string, want ...obs.Label) (obs.ExportSeries, bool) {
+	for _, f := range reg.ExportSnapshot() {
+		if f.Name != name {
+			continue
+		}
+	series:
+		for _, s := range f.Series {
+			for _, w := range want {
+				if !slices.Contains(s.Labels, w) {
+					continue series
+				}
+			}
+			return s, true
+		}
+	}
+	return obs.ExportSeries{}, false
 }

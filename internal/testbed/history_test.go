@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"narada/internal/simnet"
-	"narada/internal/supervise"
 	"narada/internal/topology"
 	"narada/internal/transport"
 )
@@ -170,7 +169,7 @@ func runHistory(t *testing.T, seed int64, sc historySchedule) *history {
 		BDNDataDir:        t.TempDir(),
 		Replicate:         true,
 		AdvertiseInterval: historyAdvertise,
-		Supervise:         &supervise.Policy{BaseBackoff: 200 * time.Millisecond, MaxBackoff: 2 * time.Second},
+		Supervise:         true,
 	})
 	if err != nil {
 		t.Fatal(err)

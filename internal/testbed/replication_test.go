@@ -7,7 +7,6 @@ import (
 	"narada/internal/broker"
 	"narada/internal/core"
 	"narada/internal/simnet"
-	"narada/internal/supervise"
 	"narada/internal/topology"
 )
 
@@ -26,7 +25,7 @@ func TestReplicatedBDNFailover(t *testing.T) {
 		BDNCount:   3,
 		BDNDataDir: t.TempDir(),
 		Replicate:  true,
-		Supervise:  &supervise.Policy{BaseBackoff: 200 * time.Millisecond, MaxBackoff: 2 * time.Second},
+		Supervise:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,6 @@ import (
 	"narada/internal/obs"
 	"narada/internal/obs/plane"
 	"narada/internal/simnet"
-	"narada/internal/supervise"
 	"narada/internal/topology"
 	"narada/internal/transport"
 	"narada/internal/wal"
@@ -90,9 +89,9 @@ type Options struct {
 	// Routing selects the broker network's dissemination mode for
 	// application events (flooding by default).
 	Routing broker.RoutingMode
-	// Supervise, when set, makes every broker's links and BDN registrations
-	// self-healing under the policy (see broker.Config.Supervise).
-	Supervise *supervise.Policy
+	// Supervise makes every broker's links and BDN registrations
+	// self-healing (see broker.Config.Supervise).
+	Supervise bool
 	// Heartbeat is the brokers' link keepalive interval (0 disables).
 	Heartbeat time.Duration
 	// AdvertiseInterval is the brokers' registration refresh period
