@@ -41,8 +41,7 @@ func run() error {
 		streamPort = flag.Int("stream-port", 0, "TCP port (0 = auto)")
 		udpPort    = flag.Int("udp-port", 0, "UDP port (0 = auto)")
 		policy     = flag.String("policy", "", "injection policy: all | closest-farthest")
-		measure    = flag.Duration("measure-every", time.Minute, "broker distance measurement interval (0 = never)")
-		adTTL      = flag.Duration("ad-ttl", 0, "registration validity for advertisements without their own TTL (overrides config; 0 = forever)")
+		measure    = flag.Duration("measure-every", time.Minute, "broker distance measurement interval under closest-farthest injection (0 = never)")
 		sweepEvery = flag.Duration("sweep-every", 0, "expired-registration sweep period (overrides config; 0 = 1s)")
 		dataDir    = flag.String("data-dir", "", "durable registry directory: WAL + snapshots; registrations survive restarts (overrides config; '' = in-memory only)")
 		fsync      = flag.String("fsync", "", "WAL durability policy: always | interval | never (overrides config)")
@@ -71,9 +70,6 @@ func run() error {
 	}
 	if *policy != "" {
 		cfg.Policy = *policy
-	}
-	if *adTTL > 0 {
-		cfg.AdTTLMs = int(adTTL.Milliseconds())
 	}
 	if *sweepEvery > 0 {
 		cfg.SweepIntervalMs = int(sweepEvery.Milliseconds())
@@ -119,7 +115,6 @@ func run() error {
 		UDPPort:            cfg.UDPPort,
 		Policy:             injection,
 		InjectOverhead:     cfg.InjectOverhead(),
-		AdTTL:              cfg.AdTTL(),
 		SweepInterval:      cfg.SweepInterval(),
 		Private:            cfg.Private,
 		RequiredCredential: []byte(cfg.RequiredCredential),
@@ -148,7 +143,8 @@ func run() error {
 	}
 
 	stop := make(chan struct{})
-	if *measure > 0 {
+	// Only closest-farthest injection reads a broker's distance.
+	if *measure > 0 && injection == bdn.InjectClosestFarthest {
 		go func() {
 			ticker := time.NewTicker(*measure)
 			defer ticker.Stop()

@@ -16,7 +16,7 @@
 //	/topology      fabric graph reconstructed from the journal; ?at=<time>
 //	               replays the topology as of any past instant
 //	/query         range queries over the retained multi-resolution series
-//	/profiles      pulled + flight-recorded pprof captures, downloadable by
+//	/profiles      periodic + flight-recorded pprof captures, downloadable by
 //	               id; /profiles/diff renders a text-mode site diff
 //
 // Every node is scraped each -scrape-interval; each scrape also feeds the

@@ -69,11 +69,6 @@ type Config struct {
 	// wins over anything a data directory remembers.
 	Private            bool
 	RequiredCredential []byte
-	// AdTTL is the registration validity applied to advertisements that do
-	// not carry their own TTL; a registration not refreshed within its TTL
-	// is pruned so dead brokers stop appearing in target sets. 0 keeps
-	// registrations forever (the legacy behaviour).
-	AdTTL time.Duration
 	// SweepInterval is how often expired registrations are pruned
 	// (default 1s). Expired entries are also filtered out of every read
 	// between sweeps, so the sweep cadence only bounds memory, not
@@ -264,7 +259,7 @@ func (d *BDN) sweep() {
 	}
 	for _, logical := range expired {
 		ad := d.brokers[logical].ad
-		d.commitLocked(deleteRecord(logical, "expired", ad.IssuedAt, d.ttl(ad)), false)
+		d.commitLocked(deleteRecord(logical, "expired", ad.IssuedAt, ad.TTL), false)
 	}
 	for logical, t := range d.gone {
 		if now.After(t.until) {
@@ -491,10 +486,9 @@ func (d *BDN) storeAdvertisement(ev *event.Event, conn transport.Conn) string {
 	// The deadline is measured from receipt on the local node clock — the
 	// broker's IssuedAt clock may be skewed, and the NTP-corrected clock may
 	// step.
-	ttl := d.ttl(ad)
 	d.mu.Lock()
 	_, known := d.brokers[ad.Broker.LogicalAddress]
-	d.commitLocked(upsertRecord(ad, ev.Payload, ttl > 0, ttl), false)
+	d.commitLocked(upsertRecord(ad, ev.Payload, ad.TTL > 0, ad.TTL), false)
 	if conn != nil {
 		// Not part of the record: a connection is not replicated state.
 		d.brokers[ad.Broker.LogicalAddress].conn = conn
@@ -521,16 +515,6 @@ func (d *BDN) storeAdvertisement(ev *event.Event, conn transport.Conn) string {
 // every pull.
 func (d *BDN) admits(ad *core.Advertisement) bool {
 	return d.cfg.AdmitFilter == nil || d.cfg.AdmitFilter(ad)
-}
-
-// ttl is how long this BDN keeps a registration of ad: the advertisement's
-// own TTL wins, and the BDN's AdTTL covers brokers that do not stamp one (0:
-// forever).
-func (d *BDN) ttl(ad *core.Advertisement) time.Duration {
-	if ad.TTL > 0 {
-		return ad.TTL
-	}
-	return d.cfg.AdTTL
 }
 
 // authorized reports whether cred is what this BDN requires: "A private BDN

@@ -65,11 +65,19 @@ func (e *env) bdn(cfg Config) *BDN {
 
 func (e *env) broker(site, name string) *broker.Broker {
 	e.t.Helper()
-	return e.brokerOn(site, name, obs.Handle{})
+	return e.brokerOn(site, name, obs.Handle{}, 0)
 }
 
-// brokerOn starts a broker that reports through h.
-func (e *env) brokerOn(site, name string, h obs.Handle) *broker.Broker {
+// brokerTTL starts a broker whose advertisements carry ttl: it refreshes
+// them every ttl/3, the period a broker stamps its TTL from.
+func (e *env) brokerTTL(site, name string, ttl time.Duration) *broker.Broker {
+	e.t.Helper()
+	return e.brokerOn(site, name, obs.Handle{}, ttl/3)
+}
+
+// brokerOn starts a broker that reports through h and refreshes its
+// advertisement every advertise (0: never, and it carries no TTL).
+func (e *env) brokerOn(site, name string, h obs.Handle, advertise time.Duration) *broker.Broker {
 	e.t.Helper()
 	node, ntp := e.node(site, name)
 	b, err := broker.New(node, ntp, broker.Config{
@@ -78,7 +86,8 @@ func (e *env) brokerOn(site, name string, h obs.Handle) *broker.Broker {
 		Sampler: metrics.NewStaticSampler(metrics.Usage{
 			TotalMemBytes: 512 * mib, UsedMemBytes: 64 * mib,
 		}),
-		Handle: h,
+		Handle:            h,
+		AdvertiseInterval: advertise,
 	})
 	if err != nil {
 		e.t.Fatal(err)
@@ -228,7 +237,7 @@ func TestInjectedRequestCountsAsDiscoveryFrame(t *testing.T) {
 	e := newEnv(t, 11)
 	d := e.bdn(Config{Name: "gsl.org"})
 	reg := obs.NewRegistry()
-	b := e.brokerOn(simnet.SiteIndianapolis, "broker-indy", obs.Handle{Metrics: reg})
+	b := e.brokerOn(simnet.SiteIndianapolis, "broker-indy", obs.Handle{Metrics: reg}, 0)
 	if err := b.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -637,8 +646,7 @@ func BenchmarkStoreAdvertisement(b *testing.B) {
 	node := transport.NewSimNode(net, simnet.SiteBloomington, "bench-bdn", 0)
 	ntp := ntptime.NewService(node.Clock(), 0, nil)
 	ntp.InitImmediately()
-	d, err := New(node, ntp, Config{Name: "bench-bdn", DataDir: b.TempDir(), Fsync: wal.SyncNever,
-		AdTTL: time.Minute})
+	d, err := New(node, ntp, Config{Name: "bench-bdn", DataDir: b.TempDir(), Fsync: wal.SyncNever})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -649,7 +657,7 @@ func BenchmarkStoreAdvertisement(b *testing.B) {
 	defer d.Close()
 	ad := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: "broker-a", Realm: "bloomington",
 		Endpoints: []core.TransportEndpoint{{Protocol: "tcp", Address: "127.0.0.1:5045"},
-			{Protocol: "udp", Address: "127.0.0.1:5046"}}}}
+			{Protocol: "udp", Address: "127.0.0.1:5046"}}}, TTL: time.Minute}
 	ev := event.New(event.TypeAdvertisement, "", core.EncodeAdvertisement(ad))
 	var reg scriptedConn
 	b.ReportAllocs()

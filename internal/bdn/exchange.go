@@ -78,22 +78,22 @@ func (d *BDN) serveTable(conn transport.Conn, cred []byte) {
 
 // merge takes from a peer's table what this member would have taken from the
 // broker itself. An upsert is committed only when its advertisement can still
-// be live — issued, on the NTP clock the broker stamped it by, less than this
-// member's TTL for the broker ago — and is newer, by IssuedAt, than any of
-// that broker this member has applied: a live registration's, or the one a
-// delete left as a tombstone. So a merge never brings back what this member
-// expired, nor a copy a peer recovered from disk after the broker died. Such
-// an entry then passes the admit filter a registration passes, and keeps the
-// validity the peer had left, never more than this member's own TTL for the
-// broker. The peer's deletes and tombstones are not applied: expiry is each
-// member's own verdict.
+// be live — issued, on the NTP clock the broker stamped it by, less than its
+// own TTL ago — and is newer, by IssuedAt, than any of that broker this
+// member has applied: a live registration's, or the one a delete left as a
+// tombstone. So a merge never brings back what this member expired, nor a
+// copy a peer recovered from disk after the broker died. Such an entry then
+// passes the admit filter a registration passes, and keeps the validity the
+// peer had left, never more than the advertisement's own TTL. The peer's
+// deletes and tombstones are not applied: expiry is each member's own
+// verdict.
 func (d *BDN) merge(recs []record) {
 	now := d.now()
 	for _, rec := range recs {
 		if rec.typ != recUpsert {
 			continue
 		}
-		ttl := d.ttl(rec.ad)
+		ttl := rec.ad.TTL
 		if ttl > 0 && !rec.ad.IssuedAt.Add(ttl).After(now) {
 			continue
 		}

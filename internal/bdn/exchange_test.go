@@ -143,17 +143,15 @@ func TestMergeSkipsRecoveredCopyOfDeadBroker(t *testing.T) {
 }
 
 // TestMergeCapsValidity: a merged entry keeps what the peer had left, and
-// never more than this member's own TTL for the broker.
+// never more than the advertisement's own TTL.
 func TestMergeCapsValidity(t *testing.T) {
 	e := newEnv(t, 51)
-	m, p, clock := manualPair(t, e, Config{AdTTL: 20 * time.Second})
-	register(p, brokerAd("forever", "r", 1, 0))       // no TTL of its own: the peer keeps it forever
+	m, p, clock := manualPair(t, e, Config{})
 	register(p, brokerAd("short", "r", 2, time.Hour)) // an hour at the peer, as here
 	clock.Advance(15 * time.Second)
 	pullInto(t, m, p)
-	ttls := remainingTTLs(m)
-	if ttls["forever"] != 20*time.Second || ttls["short"] != time.Hour-15*time.Second {
-		t.Fatalf("merged validity %v, want forever: 20s (this member's AdTTL), short: 59m45s", ttls)
+	if ttls := remainingTTLs(m); ttls["short"] != time.Hour-15*time.Second {
+		t.Fatalf("merged validity %v, want short: 59m45s", ttls)
 	}
 }
 

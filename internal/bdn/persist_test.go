@@ -59,10 +59,10 @@ func awaitBrokers(t *testing.T, d *BDN, n int) {
 
 func TestRestartRecoversRegistry(t *testing.T) {
 	e := newEnv(t, 40)
-	cfg := Config{Name: "durable.org", DataDir: t.TempDir(), AdTTL: time.Hour}
+	cfg := Config{Name: "durable.org", DataDir: t.TempDir()}
 	d := e.bdn(cfg)
-	b1 := e.broker(simnet.SiteFSU, "broker-fsu")
-	b2 := e.broker(simnet.SiteIndianapolis, "broker-indy")
+	b1 := e.brokerTTL(simnet.SiteFSU, "broker-fsu", time.Hour)
+	b2 := e.brokerTTL(simnet.SiteIndianapolis, "broker-indy", time.Hour)
 	if err := b1.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -309,10 +309,9 @@ func differentialRun(t *testing.T, e *env, seed int64) {
 
 func TestSweepDeleteIsDurable(t *testing.T) {
 	e := newEnv(t, 42)
-	cfg := Config{Name: "sweep.org", DataDir: t.TempDir(),
-		AdTTL: 2 * time.Second, SweepInterval: 200 * time.Millisecond}
+	cfg := Config{Name: "sweep.org", DataDir: t.TempDir(), SweepInterval: 200 * time.Millisecond}
 	d := e.bdn(cfg)
-	b := e.broker(simnet.SiteFSU, "broker-gone")
+	b := e.brokerTTL(simnet.SiteFSU, "broker-gone", 2*time.Second)
 	if err := b.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +336,9 @@ func TestClockJumpAcrossRestartDoesNotMassSweep(t *testing.T) {
 	// and restart must NOT sweep the recovered ads — they get their
 	// remaining TTL back.
 	e := newEnv(t, 43)
-	cfg := Config{Name: "jump.org", DataDir: t.TempDir(),
-		AdTTL: 10 * time.Second, SweepInterval: 100 * time.Millisecond}
+	cfg := Config{Name: "jump.org", DataDir: t.TempDir(), SweepInterval: 100 * time.Millisecond}
 	d := e.bdn(cfg)
-	b := e.broker(simnet.SiteFSU, "broker-jump")
+	b := e.brokerTTL(simnet.SiteFSU, "broker-jump", 10*time.Second)
 	if err := b.RegisterWithBDN(d.Addr()); err != nil {
 		t.Fatal(err)
 	}

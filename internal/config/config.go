@@ -99,9 +99,7 @@ type BDN struct {
 	InjectOverheadMs   int    `json:"injectOverheadMs,omitempty"`
 	Private            bool   `json:"private,omitempty"`
 	RequiredCredential string `json:"requiredCredential,omitempty"`
-	// Registration expiry: advertisements that carry no TTL of their own
-	// stay valid this long (0 = forever); the sweeper prunes at this cadence.
-	AdTTLMs         int `json:"adTtlMs,omitempty"`
+	// SweepIntervalMs is how often expired registrations are pruned.
 	SweepIntervalMs int `json:"sweepIntervalMs,omitempty"`
 	// Durability: DataDir enables the write-ahead-logged registry; every
 	// registration survives a crash and recovers with its remaining TTL.
@@ -147,11 +145,6 @@ func (d *BDN) SyncPolicy() wal.SyncPolicy {
 // InjectOverhead returns the configured per-injection cost.
 func (d *BDN) InjectOverhead() time.Duration {
 	return time.Duration(d.InjectOverheadMs) * time.Millisecond
-}
-
-// AdTTL returns the default registration validity window.
-func (d *BDN) AdTTL() time.Duration {
-	return time.Duration(d.AdTTLMs) * time.Millisecond
 }
 
 // SweepInterval returns the expired-registration sweep period.

@@ -17,7 +17,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"net/http"
 	"net/url"
 	"slices"
 	"sort"
@@ -39,6 +41,8 @@ const (
 	// eventCapacity bounds each node's journal-event ring, and with it how
 	// far back /topology can time-travel.
 	eventCapacity = 4096
+	// maxScrapeBytes bounds one /telemetry document.
+	maxScrapeBytes = 16 << 20
 )
 
 // Config parameterises a Collector. Nodes are added with Watch.
@@ -57,7 +61,7 @@ type Config struct {
 	// Sinks receive alert transitions; nil logs them. The flight recorder
 	// rides along either way.
 	Sinks []health.Sink
-	// ProfileDir spools pulled and flight-recorded profiles to disk; ""
+	// ProfileDir spools periodic and flight-recorded profiles to disk; ""
 	// keeps them in memory only.
 	ProfileDir string
 
@@ -218,9 +222,9 @@ func New(cfg Config) (*Collector, error) {
 
 	c.profiles = newProfilePlane(c, pstore, flightCPUSeconds(cfg.ScrapeInterval))
 	c.profilesStored = reg.Counter("narada_collect_profiles_total",
-		"Profiles stored (pulled or flight-recorded).", who)
+		"Profiles stored (periodic or flight-recorded).", who)
 	c.profilePullErrs = reg.Counter("narada_collect_profile_pull_errors_total",
-		"Failed profile download requests to nodes.", who)
+		"Profile requests to nodes that failed or answered over 4 MiB.", who)
 	reg.GaugeFunc("narada_collect_profile_bytes", "Total bytes of retained profiles.",
 		func() float64 { return float64(pstore.Bytes()) }, who)
 	reg.GaugeFunc("narada_collect_profiles", "Profiles currently retained.",
@@ -309,8 +313,8 @@ func (c *Collector) spawn(f func()) {
 	}()
 }
 
-// scrape reads one document from t, ingests it and pulls the profile
-// captures it lists. Every node's telemetry reaches the collector here.
+// scrape reads one document from t, ingests it and schedules the profile
+// round it asks for. Every node's telemetry reaches the collector here.
 func (c *Collector) scrape(t *target) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -319,7 +323,7 @@ func (c *Collector) scrape(t *target) error {
 		s := t.local.Scrape(t.next)
 		doc = &s
 	} else {
-		body, err := c.profiles.get("http://"+t.addr+"/telemetry?since="+url.QueryEscape(t.next), pullTimeout)
+		body, err := c.get("http://"+t.addr+"/telemetry?since="+url.QueryEscape(t.next), pullTimeout, maxScrapeBytes)
 		if err == nil {
 			doc, err = decodeScrape(body)
 		}
@@ -332,8 +336,35 @@ func (c *Collector) scrape(t *target) error {
 	c.scrapesOK.Inc()
 	c.ingest(doc, t.addr)
 	t.next = doc.Next
-	c.profiles.pull(doc.Node, t.addr, doc.Profiles)
+	if doc.ProfileEvery > 0 {
+		c.profiles.schedule(doc.Node, doc.ProfileEvery, doc.Contention)
+	}
 	return nil
+}
+
+// get fetches url from a node, bounded by timeout and by the collector's
+// context (cancelled on Close). A body over limit bytes is an error, not a
+// truncation: a clipped document or profile is garbage.
+func (c *Collector) get(url string, timeout time.Duration, limit int64) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(c.ctx, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %s", resp.Status)
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(len(body)) > limit {
+		err = fmt.Errorf("body over %d bytes", limit)
+	}
+	return body, err
 }
 
 // decodeScrape parses a /telemetry body. A document that names no node is

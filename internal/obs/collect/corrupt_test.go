@@ -66,16 +66,17 @@ func TestCollectorRejectsCorruptScrapes(t *testing.T) {
 func FuzzScrape(f *testing.F) {
 	at := time.Date(2026, 10, 15, 12, 0, 0, 0, time.UTC)
 	good, err := json.Marshal(plane.Scrape{
-		Node: "b1", Boot: 7, At: at, Offset: 3 * time.Millisecond, Next: "7.2.1.0",
+		Node: "b1", Boot: 7, At: at, Offset: 3 * time.Millisecond, Next: "7.2.1",
 		Families: []obs.ExportFamily{
 			{Name: "narada_broker_links", Kind: "gauge", Series: []obs.ExportSeries{{Gauge: 2}}},
 			{Name: "narada_discovery_total_seconds", Kind: "histogram", Series: []obs.ExportSeries{
 				{Bounds: []float64{0.1, 1}, Buckets: []uint64{3, 1, 0}, Sum: 0.9, Count: 4}}},
 		},
-		Flows:    []obs.FlowSnapshot{{Topic: "t", PubMsgs: 3, DelMsgs: 2}},
-		Events:   []obs.Event{{Seq: 1, Type: obs.EventNodeStart, At: at}, {Seq: 2, Type: obs.EventLinkUp, At: at, Subject: "b2"}},
-		Spans:    []obs.SpanRecord{{Seq: 1, TraceID: "t1", Span: obs.SpanView{Name: "msg-flush", At: at, Dur: time.Millisecond}}},
-		Profiles: []profile.Capture{{ID: "000001-goroutine", Kind: profile.KindGoroutine, At: at}},
+		Flows:        []obs.FlowSnapshot{{Topic: "t", PubMsgs: 3, DelMsgs: 2}},
+		Events:       []obs.Event{{Seq: 1, Type: obs.EventNodeStart, At: at}, {Seq: 2, Type: obs.EventLinkUp, At: at, Subject: "b2"}},
+		Spans:        []obs.SpanRecord{{Seq: 1, TraceID: "t1", Span: obs.SpanView{Name: "msg-flush", At: at, Dur: time.Millisecond}}},
+		ProfileEvery: 30 * time.Second,
+		Contention:   []profile.Kind{profile.KindMutex},
 	})
 	if err != nil {
 		f.Fatal(err)

@@ -37,7 +37,7 @@ import (
 //	               absent or at=live reconstructs the present
 //	/query         range query over the retained series store:
 //	               ?metric= (required) &node= &res=10s &since=5m|RFC3339
-//	/profiles      JSON listing of retained profiles (pulled + flight):
+//	/profiles      JSON listing of retained profiles (periodic + flight):
 //	               ?node= &kind= &trigger= &since=5m|RFC3339
 //	/profiles/{id} raw pprof download; ?view=top renders the dep-free text
 //	               summary for goroutine/heap captures

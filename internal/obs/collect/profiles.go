@@ -1,11 +1,7 @@
 package collect
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"net/http"
-	"net/url"
 	"sort"
 	"sync"
 	"time"
@@ -20,26 +16,42 @@ const (
 	profileMaxCount = 256
 	// profileMaxBytes bounds the store by total payload size (64 MiB).
 	profileMaxBytes = 64 << 20
+	// maxCaptureBytes bounds one capture: a larger one is dropped whole, as
+	// a truncated pprof profile is garbage.
+	maxCaptureBytes = 4 << 20
 	// flightLinkCap bounds the profile refs remembered per (rule, node)
 	// alert so /alerts links the evidence of the latest firing, not an
 	// unbounded history.
 	flightLinkCap = 6
-	// pullTimeout bounds one scrape, download or goroutine-dump request to
-	// a node; a CPU flight capture gets this on top of its sampling window.
+	// pullTimeout bounds one scrape or profile request to a node; a CPU
+	// profile gets this on top of its sampling window.
 	pullTimeout = 5 * time.Second
+	// periodicCPUSeconds is a periodic round's CPU window. A round takes it
+	// only when it is at most a quarter of the node's period, so profiling
+	// never samples the node more than a quarter of the time; pprof takes
+	// whole seconds, so a period under 4s gets no CPU profile.
+	periodicCPUSeconds = 1
 )
 
-// profilePlane is the collector's profile subsystem: the store (a
-// profile.Store, the same type a node's capturer keeps its captures in), the
-// downloads of the captures every scrape lists, and the flight recorder
-// capturing evidence when alerts fire.
+// profilePlane is the collector's profile subsystem: the one store every
+// profile lands in, the periodic rounds the nodes' scrapes ask for, and the
+// flight recorder capturing evidence when alerts fire. Both take profiles
+// the one way, capture, from the node's net/http/pprof endpoints.
 type profilePlane struct {
 	c          *Collector
 	store      *profile.Store
-	cpuSeconds int
+	cpuSeconds int // a flight capture's CPU window
 
 	mu    sync.Mutex
 	links map[string][]profile.Capture // rule+node → linked flight evidence
+	nodes map[string]*nodeProfiler
+}
+
+// nodeProfiler is what the profile plane keeps per node.
+type nodeProfiler struct {
+	busy  sync.Mutex // held through a capture: one process's CPU profiles never overlap
+	last  time.Time  // start of the last periodic round, or first announcement
+	round bool       // a periodic round is queued or running
 }
 
 // flightCPUSeconds is how long the flight recorder samples a node's CPU when
@@ -49,7 +61,8 @@ func flightCPUSeconds(scrape time.Duration) int {
 }
 
 func newProfilePlane(c *Collector, store *profile.Store, cpuSeconds int) *profilePlane {
-	return &profilePlane{c: c, store: store, cpuSeconds: cpuSeconds, links: make(map[string][]profile.Capture)}
+	return &profilePlane{c: c, store: store, cpuSeconds: cpuSeconds,
+		links: make(map[string][]profile.Capture), nodes: make(map[string]*nodeProfiler)}
 }
 
 // nodeEndpoint returns the base URL a node was scraped at.
@@ -63,53 +76,97 @@ func (c *Collector) nodeEndpoint(node string) (base string, ok bool) {
 	return "http://" + ns.telemetryAddr, true
 }
 
-// pull downloads the captures a scrape of node at addr listed (newest first)
-// into the store, oldest first so eviction order is sane. The listing rides
-// every scrape, which is how node-side captures survive the node: when a
-// broker dies, its last profiles are already here.
-func (pp *profilePlane) pull(node, addr string, refs []profile.Capture) {
-	for i := len(refs) - 1; i >= 0; i-- {
-		cp := refs[i]
-		data, err := pp.get("http://"+addr+"/profiles/"+url.PathEscape(cp.ID), pullTimeout)
+// nodeLocked returns node's profiler, making it on first use. Requires pp.mu.
+func (pp *profilePlane) nodeLocked(node string) *nodeProfiler {
+	np := pp.nodes[node]
+	if np == nil {
+		np = &nodeProfiler{}
+		pp.nodes[node] = np
+	}
+	return np
+}
+
+// schedule is called with every scrape of a node that asks to be profiled
+// every period: it starts the node's next periodic round once a period has
+// passed since the last one started, unless that one is still running. The
+// scrapes are the clock, so a round lands within a scrape interval of its
+// time; the first lands a period after the node first asked. A round takes
+// goroutine, heap and the contention kinds the node turned on, then the CPU
+// profile when the period allows one.
+func (pp *profilePlane) schedule(node string, every time.Duration, contention []profile.Kind) {
+	now := time.Now()
+	pp.mu.Lock()
+	np := pp.nodeLocked(node)
+	if np.last.IsZero() {
+		np.last = now
+	}
+	start := !np.round && now.Sub(np.last) >= every
+	if start {
+		np.round, np.last = true, now
+	}
+	pp.mu.Unlock()
+	if !start {
+		return
+	}
+	kinds := []profile.Kind{profile.KindGoroutine, profile.KindHeap}
+	for _, k := range contention {
+		if k == profile.KindMutex || k == profile.KindBlock {
+			kinds = append(kinds, k)
+		}
+	}
+	cpu := 0
+	if every >= 4*periodicCPUSeconds*time.Second {
+		cpu = periodicCPUSeconds
+	}
+	pp.c.spawn(func() {
+		pp.capture(node, "periodic", cpu, kinds...)
+		pp.mu.Lock()
+		np.round = false
+		pp.mu.Unlock()
+	})
+}
+
+// capture takes the text profiles kinds (debug=1) and then, for cpuSeconds
+// > 0, a CPU profile of node from its pprof endpoints, and stores each under
+// trigger. The text profiles are instant and go first, so their evidence is
+// saved even when the CPU window times out. Captures of one node run one at
+// a time: a flight capture arriving during a periodic round waits for it. A
+// failed request, or a body over maxCaptureBytes, stores nothing and is
+// counted.
+func (pp *profilePlane) capture(node, trigger string, cpuSeconds int, kinds ...profile.Kind) []profile.Capture {
+	base, ok := pp.c.nodeEndpoint(node)
+	if !ok {
+		return nil
+	}
+	pp.mu.Lock()
+	np := pp.nodeLocked(node)
+	pp.mu.Unlock()
+	np.busy.Lock()
+	defer np.busy.Unlock()
+	var refs []profile.Capture
+	take := func(kind profile.Kind, url string, timeout time.Duration) {
+		data, err := pp.c.get(url, timeout, maxCaptureBytes)
 		if err != nil {
-			pp.c.log.Debug("profile pull: download", "node", node, "id", cp.ID, "err", err)
+			pp.c.log.Debug("profile capture", "node", node, "kind", string(kind), "trigger", trigger, "err", err)
 			pp.c.profilePullErrs.Inc()
-			continue
+			return
 		}
-		if _, err := pp.add(node, cp.Kind, cp.Trigger, cp.At, data); err != nil {
-			pp.c.log.Warn("profile pull: store", "node", node, "id", cp.ID, "err", err)
+		ref, err := pp.store.Add(profile.Capture{Node: node, Kind: kind, Trigger: trigger, At: time.Now(), Data: data})
+		if err != nil {
+			pp.c.log.Warn("profile capture: store", "node", node, "kind", string(kind), "err", err)
+			return
 		}
-	}
-}
-
-// add stores one capture of node and counts it.
-func (pp *profilePlane) add(node string, kind profile.Kind, trigger string, at time.Time, data []byte) (profile.Capture, error) {
-	ref, err := pp.store.Add(profile.Capture{Node: node, Kind: kind, Trigger: trigger, At: at, Data: data})
-	if err == nil {
 		pp.c.profilesStored.Inc()
+		refs = append(refs, ref)
 	}
-	return ref, err
-}
-
-// get fetches url from a node, bounded by timeout, by the collector's
-// context (cancelled on Close) and to 16 MiB of body — scrapes, profile
-// downloads and flight captures alike.
-func (pp *profilePlane) get(url string, timeout time.Duration) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(pp.c.ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
+	for _, k := range kinds {
+		take(k, base+"/debug/pprof/"+string(k)+"?debug=1", pullTimeout)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
+	if cpuSeconds > 0 {
+		take(profile.KindCPU, fmt.Sprintf("%s/debug/pprof/profile?seconds=%d", base, cpuSeconds),
+			time.Duration(cpuSeconds)*time.Second+pullTimeout)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	return refs
 }
 
 // Publish implements health.Sink: every alert that transitions to firing
@@ -124,35 +181,13 @@ func (pp *profilePlane) Publish(a health.Alert) {
 	pp.c.spawn(func() { pp.captureFlight(a) })
 }
 
-// captureFlight pulls goroutine + CPU profiles from the alerted node's
-// pprof endpoint and links them to the alert. When the node is unreachable
-// (the deadman case: the process is gone), the most recent retained captures
-// for that node become the linked evidence instead — that is exactly what
-// pulling every scrape's captures was for.
+// captureFlight captures goroutine + CPU profiles of the alerted node and
+// links them to the alert. When the node is unreachable (the deadman case:
+// the process is gone), the most recent retained captures for that node
+// become the linked evidence instead — the periodic rounds took them while
+// it lived.
 func (pp *profilePlane) captureFlight(a health.Alert) {
-	var refs []profile.Capture
-	if base, ok := pp.c.nodeEndpoint(a.Node); ok {
-		// Goroutine dump first: it is instant, so even if the CPU capture
-		// times out the pileup evidence is saved.
-		for _, f := range []struct {
-			kind    profile.Kind
-			url     string
-			timeout time.Duration
-		}{
-			{profile.KindGoroutine, base + "/debug/pprof/goroutine?debug=1", pullTimeout},
-			{profile.KindCPU, fmt.Sprintf("%s/debug/pprof/profile?seconds=%d", base, pp.cpuSeconds),
-				time.Duration(pp.cpuSeconds)*time.Second + pullTimeout},
-		} {
-			data, err := pp.get(f.url, f.timeout)
-			if err != nil {
-				pp.c.log.Debug("flight capture", "kind", string(f.kind), "node", a.Node, "rule", a.Rule, "err", err)
-				continue
-			}
-			if ref, err := pp.add(a.Node, f.kind, "flight:"+a.Rule, time.Now(), data); err == nil {
-				refs = append(refs, ref)
-			}
-		}
-	}
+	refs := pp.capture(a.Node, "flight:"+a.Rule, pp.cpuSeconds, profile.KindGoroutine)
 	if len(refs) == 0 {
 		// Node unreachable — fall back to its freshest retained captures.
 		refs = pp.store.List(profile.Filter{Node: a.Node})

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"net/http/pprof"
 	rpprof "runtime/pprof"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,34 +20,40 @@ import (
 	"narada/internal/obs/profile"
 )
 
-// nodeTelemetry fakes one node's telemetry HTTP server: the capturer mounted
-// at /profiles, the goroutine pprof endpoint the flight recorder pulls, and a
-// /telemetry document listing the captures newer than the since= it is sent
-// (a cursor of its own, the newest listed capture's Unix ns — the collector
-// only echoes it). Returns the host:port.
-func nodeTelemetry(t *testing.T, capt *profile.Capturer) string {
+// pprofNode fakes one node's telemetry HTTP server: net/http/pprof's named
+// profiles under /debug/pprof/ (no CPU profile), the handlers given in place
+// of some of its paths, and a /telemetry document naming the node b1.
+// Returns the host:port.
+func pprofNode(t *testing.T, handlers map[string]http.HandlerFunc) string {
 	t.Helper()
+	routes := map[string]http.HandlerFunc{"/debug/pprof/": pprof.Index}
+	maps.Copy(routes, handlers)
 	mux := http.NewServeMux()
-	mux.Handle("/profiles", capt.Handler())
-	mux.Handle("/profiles/", capt.Handler())
-	mux.HandleFunc("/debug/pprof/goroutine", func(w http.ResponseWriter, _ *http.Request) {
-		_ = rpprof.Lookup("goroutine").WriteTo(w, 1)
-	})
-	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, r *http.Request) {
-		since := r.URL.Query().Get("since")
-		var f profile.Filter
-		if ns, err := strconv.ParseInt(since, 10, 64); err == nil {
-			f.Since = time.Unix(0, ns)
-		}
-		doc := plane.Scrape{Node: "b1", Boot: 1, Next: since, Profiles: capt.List(f)}
-		if len(doc.Profiles) > 0 {
-			doc.Next = strconv.FormatInt(doc.Profiles[0].At.UnixNano(), 10)
-		}
-		_ = json.NewEncoder(w).Encode(doc)
+	for path, h := range routes {
+		mux.HandleFunc(path, h)
+	}
+	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, _ *http.Request) {
+		_ = json.NewEncoder(w).Encode(plane.Scrape{Node: "b1", Boot: 1})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return strings.TrimPrefix(srv.URL, "http://")
+}
+
+// servePlane serves a node's own telemetry plane on loopback, asking to be
+// profiled every period (0: never). Returns the host:port.
+func servePlane(t *testing.T, node string, every time.Duration) string {
+	t.Helper()
+	p, err := plane.Start(plane.Config{Flags: plane.Flags{TelemetryAddr: "127.0.0.1:0", ProfileEvery: every},
+		Node: node, Embedded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	return p.Addr()
 }
 
 // scrapeNow watches addr and scrapes it once, synchronously.
@@ -60,38 +68,202 @@ func scrapeNow(t *testing.T, c *Collector, addr string) {
 	}
 }
 
-// scrapedAt files node as scraped at addr, as a scrape of a node that lists
-// nothing would.
+// scrapedAt files node as scraped at addr, as a scrape of a node that asks
+// for no profiles would.
 func scrapedAt(c *Collector, node, addr string) {
 	c.ingest(&plane.Scrape{Node: node}, addr)
 }
 
-func TestProfilePullAndServe(t *testing.T) {
-	capt := profile.New(profile.Config{})
-	addr := nodeTelemetry(t, capt)
-	if _, err := capt.CaptureNow("periodic", profile.KindGoroutine, profile.KindHeap); err != nil {
-		t.Fatal(err)
+// dueRound has a scrape of node ask for a round every period after one has
+// passed since the last: the round starts.
+func dueRound(c *Collector, node string, every time.Duration, contention ...profile.Kind) {
+	c.profiles.mu.Lock()
+	c.profiles.nodeLocked(node).last = time.Now().Add(-every)
+	c.profiles.mu.Unlock()
+	c.profiles.schedule(node, every, contention)
+}
+
+// TestPeriodicLoopCaptures: a node that asks to be profiled every period
+// gets a round at that period, each capture stored with trigger periodic;
+// below 4s a round takes no CPU profile. A node that asks for none is never
+// captured.
+func TestPeriodicLoopCaptures(t *testing.T) {
+	const every = 300 * time.Millisecond
+	c := newTestCollector(t, Config{ScrapeInterval: 20 * time.Millisecond, manual: true})
+	asks, quiet := servePlane(t, "asks", every), servePlane(t, "quiet", 0)
+	start := time.Now()
+	c.Watch(asks)
+	c.Watch(quiet)
+
+	var rounds []profile.Capture // newest first
+	for deadline := time.Now().Add(10 * time.Second); len(rounds) < 2; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d periodic rounds in 10s, want 2", len(rounds))
+		}
+		rounds = c.Profiles(profile.Filter{Node: "asks", Kind: profile.KindGoroutine})
 	}
+	first, second := rounds[len(rounds)-1], rounds[len(rounds)-2]
+	if first.At.Before(start.Add(every)) || second.At.Before(start.Add(2*every)) {
+		t.Fatalf("rounds at %v and %v after the first scrape, want >= %v and >= %v",
+			first.At.Sub(start), second.At.Sub(start), every, 2*every)
+	}
+	kinds := map[profile.Kind]int{}
+	for _, cp := range c.Profiles(profile.Filter{Node: "asks"}) {
+		if cp.Trigger != "periodic" {
+			t.Fatalf("capture %s has trigger %q, want periodic", cp.ID, cp.Trigger)
+		}
+		kinds[cp.Kind]++
+	}
+	if kinds[profile.KindHeap] < 1 || kinds[profile.KindCPU] != 0 {
+		t.Fatalf("kinds captured: %v, want goroutine and heap, no cpu under a 4s period", kinds)
+	}
+	for _, cp := range c.Profiles(profile.Filter{Node: "asks", Kind: profile.KindHeap}) {
+		got, _ := c.profiles.store.Get(cp.ID)
+		if s, err := profile.ParseText(got.Data); err != nil || s.Kind != "heap" {
+			t.Fatalf("periodic heap capture does not parse as heap: %v", err)
+		}
+	}
+	if got := c.Profiles(profile.Filter{Node: "quiet"}); len(got) != 0 {
+		t.Fatalf("a node that asked for no profiles was captured: %+v", got)
+	}
+}
+
+// TestPeriodicRoundKinds pins what one round asks a node's pprof for: the
+// text kinds first, the contention kinds the node announced (and no other
+// name it sent), then a 1s CPU profile — only when the period is 4s or more.
+// A node's first scrape starts no round.
+func TestPeriodicRoundKinds(t *testing.T) {
+	var mu sync.Mutex
+	var asked []string
+	record := func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		asked = append(asked, r.URL.RequestURI())
+		mu.Unlock()
+		_, _ = w.Write([]byte("profile"))
+	}
+	addr := pprofNode(t, map[string]http.HandlerFunc{"/debug/pprof/": record, "/debug/pprof/profile": record})
+	c := newTestCollector(t, Config{manual: true})
+	scrapedAt(c, "b1", addr)
+	roundOf := func(every time.Duration, contention ...profile.Kind) []string {
+		t.Helper()
+		mu.Lock()
+		asked = nil
+		mu.Unlock()
+		dueRound(c, "b1", every, contention...)
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			c.profiles.mu.Lock()
+			running := c.profiles.nodes["b1"].round
+			c.profiles.mu.Unlock()
+			if !running {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("round never finished")
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), asked...)
+	}
+	want := []string{"/debug/pprof/goroutine?debug=1", "/debug/pprof/heap?debug=1",
+		"/debug/pprof/mutex?debug=1", "/debug/pprof/block?debug=1", "/debug/pprof/profile?seconds=1"}
+	got := roundOf(4*time.Second, profile.KindMutex, profile.KindBlock, profile.KindCPU, "../telemetry")
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("4s round asked %q, want %q", got, want)
+	}
+	if got := roundOf(3999 * time.Millisecond); strings.Join(got, " ") != strings.Join(want[:2], " ") {
+		t.Fatalf("3.999s round asked %q, want %q", got, want[:2])
+	}
+
+	c.profiles.schedule("b2", time.Second, nil)
+	c.profiles.mu.Lock()
+	firstStarted := c.profiles.nodes["b2"].round
+	c.profiles.mu.Unlock()
+	if firstStarted {
+		t.Fatal("a node's first scrape asking for profiles started a round")
+	}
+}
+
+// TestFlightWaitsForPeriodicCPU: a flight capture that arrives while the
+// node's periodic CPU profile is being taken waits for it, and still stores
+// a CPU profile of its own — two CPU profiles of one process never overlap,
+// where pprof would refuse the second.
+func TestFlightWaitsForPeriodicCPU(t *testing.T) {
+	entered := make(chan struct{}, 2) // one send per CPU request: the round's and the flight's
+	addr := pprofNode(t, map[string]http.HandlerFunc{"/debug/pprof/profile": func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		pprof.Profile(w, r)
+	}})
+	// At a 100ms scrape interval a flight CPU profile takes its 1s floor.
+	c := newTestCollector(t, Config{ScrapeInterval: 100 * time.Millisecond, manual: true})
+	scrapedAt(c, "b1", addr)
+	dueRound(c, "b1", 4*time.Second)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the periodic round never asked for a CPU profile")
+	}
+	c.profiles.Publish(health.Alert{Rule: health.RuleGoroutineLeak, Node: "b1", State: health.StateFiring})
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		flight := c.Profiles(profile.Filter{Node: "b1", Kind: profile.KindCPU, Trigger: "flight:"})
+		periodic := c.Profiles(profile.Filter{Node: "b1", Kind: profile.KindCPU, Trigger: "periodic"})
+		if len(flight) == 1 && len(periodic) == 1 {
+			if !flight[0].At.After(periodic[0].At) {
+				t.Fatalf("flight CPU profile at %v, not after the periodic one at %v", flight[0].At, periodic[0].At)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("CPU profiles: %d flight, %d periodic, want 1 each (pull errors: %d)",
+				len(flight), len(periodic), c.profilePullErrs.Value())
+		}
+	}
+	if n := c.profilePullErrs.Value(); n != 0 {
+		t.Fatalf("%d profile requests failed, want none", n)
+	}
+}
+
+// TestOversizedCaptureDropped: a profile over maxCaptureBytes is dropped
+// whole and counted, never stored cut; one of exactly maxCaptureBytes is
+// kept.
+func TestOversizedCaptureDropped(t *testing.T) {
+	body := func(n int) http.HandlerFunc {
+		return func(w http.ResponseWriter, _ *http.Request) { _, _ = w.Write(bytes.Repeat([]byte("g"), n)) }
+	}
+	addr := pprofNode(t, map[string]http.HandlerFunc{
+		"/debug/pprof/goroutine": body(maxCaptureBytes + 1),
+		"/debug/pprof/heap":      body(maxCaptureBytes),
+	})
+	c := newTestCollector(t, Config{manual: true})
+	scrapedAt(c, "b1", addr)
+	refs := c.profiles.capture("b1", "periodic", 0, profile.KindGoroutine, profile.KindHeap)
+	if len(refs) != 1 || refs[0].Kind != profile.KindHeap || refs[0].Size != maxCaptureBytes {
+		t.Fatalf("stored %+v, want the %d-byte heap profile alone", refs, maxCaptureBytes)
+	}
+	if got := c.Profiles(profile.Filter{Kind: profile.KindGoroutine}); len(got) != 0 {
+		t.Fatalf("oversized goroutine profile stored: %+v", got)
+	}
+	if n := c.profilePullErrs.Value(); n != 1 {
+		t.Fatalf("pull errors = %d, want 1", n)
+	}
+}
+
+// TestProfilePullAndServe takes profiles of a node from its pprof endpoints
+// and serves them: the listing, a download, the ?view=top summary, a diff
+// and a miss.
+func TestProfilePullAndServe(t *testing.T) {
+	addr := pprofNode(t, nil)
 	c := newTestCollector(t, Config{manual: true})
 	scrapeNow(t, c, addr)
-
-	refs := c.Profiles(profile.Filter{Node: "b1"})
-	if len(refs) != 2 {
-		t.Fatalf("pulled %d profiles, want 2: %+v", len(refs), refs)
+	for i := 0; i < 2; i++ {
+		if refs := c.profiles.capture("b1", "periodic", 0, profile.KindGoroutine, profile.KindHeap); len(refs) != 2 {
+			t.Fatalf("round %d stored %+v, want goroutine and heap", i, refs)
+		}
 	}
-	// A second scrape must not re-download already-pulled captures.
+	// A scrape of a node that asks for no profiles takes none.
 	scrapeNow(t, c, addr)
-	if got := len(c.Profiles(profile.Filter{})); got != 2 {
-		t.Fatalf("after second scrape: %d profiles, want 2 (pull not idempotent)", got)
-	}
-	// A fresh node-side capture is picked up incrementally.
-	if _, err := capt.CaptureNow("periodic", profile.KindGoroutine); err != nil {
-		t.Fatal(err)
-	}
-	scrapeNow(t, c, addr)
-	gor := c.Profiles(profile.Filter{Node: "b1", Kind: "goroutine"})
-	if len(gor) != 2 {
-		t.Fatalf("goroutine profiles after incremental pull = %d, want 2", len(gor))
+	if got := len(c.Profiles(profile.Filter{})); got != 4 {
+		t.Fatalf("%d profiles, want 4", got)
 	}
 
 	srv := httptest.NewServer(c.Handler())
@@ -106,8 +278,8 @@ func TestProfilePullAndServe(t *testing.T) {
 		t.Fatalf("list decode: %v", err)
 	}
 	resp.Body.Close()
-	if len(listed) != 2 {
-		t.Fatalf("/profiles listed %d, want 2", len(listed))
+	if len(listed) != 2 || listed[0].Trigger != "periodic" {
+		t.Fatalf("/profiles listed %+v, want 2 periodic", listed)
 	}
 
 	resp, err = srv.Client().Get(srv.URL + listed[0].URL)
@@ -154,7 +326,7 @@ func TestProfilePullAndServe(t *testing.T) {
 // the series store breach the leak rule, the engine fires, the flight
 // recorder pulls a goroutine profile from the node and /alerts links it.
 func TestFlightRecorderOnGoroutineLeak(t *testing.T) {
-	addr := nodeTelemetry(t, profile.New(profile.Config{}))
+	addr := pprofNode(t, nil)
 	c := newTestCollector(t, Config{manual: true})
 	scrapedAt(c, "b1", addr)
 
@@ -229,21 +401,26 @@ func TestFlightRecorderDeadNodeFallback(t *testing.T) {
 	}
 }
 
-// TestProfileViewsAgree serves the same captures from a node's
-// /profiles/{id} and, after a scrape, from the collector's: the bodies are
-// byte-identical and the headers the same shape, raw and under ?view=top —
-// both handlers end in profile.Capture.WriteHTTP.
+// TestProfileViewsAgree serves a node's goroutine and CPU profiles from the
+// collector after a capture: a download is byte-identical to what the node's
+// pprof answered, typed by kind, and ?view=top renders the same summary the
+// node's bytes parse to; a binary CPU profile has none.
 func TestProfileViewsAgree(t *testing.T) {
-	// An Interval with no Start: it only clamps the CPU sampling window
-	// (a quarter of it) so the CPU capture below takes 10ms, not 1s.
-	capt := profile.New(profile.Config{Interval: 40 * time.Millisecond})
-	addr := nodeTelemetry(t, capt)
-	caps, err := capt.CaptureNow("manual", profile.KindGoroutine, profile.KindCPU)
-	if err != nil || len(caps) != 2 {
-		t.Fatalf("CaptureNow: %v, %d captures", err, len(caps))
+	var dump bytes.Buffer
+	if err := rpprof.Lookup("goroutine").WriteTo(&dump, 1); err != nil {
+		t.Fatal(err)
 	}
+	cpu := []byte("\x1f\x8b not text")
+	served := map[profile.Kind][]byte{profile.KindGoroutine: dump.Bytes(), profile.KindCPU: cpu}
+	addr := pprofNode(t, map[string]http.HandlerFunc{
+		"/debug/pprof/goroutine": func(w http.ResponseWriter, _ *http.Request) { _, _ = w.Write(dump.Bytes()) },
+		"/debug/pprof/profile":   func(w http.ResponseWriter, _ *http.Request) { _, _ = w.Write(cpu) },
+	})
 	c := newTestCollector(t, Config{manual: true})
-	scrapeNow(t, c, addr)
+	scrapedAt(c, "b1", addr)
+	if refs := c.profiles.capture("b1", "periodic", 1, profile.KindGoroutine); len(refs) != 2 {
+		t.Fatalf("captured %+v, want goroutine and cpu", refs)
+	}
 	colSrv := httptest.NewServer(c.Handler())
 	defer colSrv.Close()
 
@@ -261,49 +438,46 @@ func TestProfileViewsAgree(t *testing.T) {
 		return resp.StatusCode, resp.Header, body
 	}
 	const text = "text/plain; charset=utf-8"
-	for _, nodeCap := range caps {
-		pulled := c.Profiles(profile.Filter{Node: "b1", Kind: nodeCap.Kind})
+	for kind, data := range served {
+		pulled := c.Profiles(profile.Filter{Node: "b1", Kind: kind})
 		if len(pulled) != 1 {
-			t.Fatalf("collector holds %d %s captures of b1, want 1", len(pulled), nodeCap.Kind)
+			t.Fatalf("collector holds %d %s captures of b1, want 1", len(pulled), kind)
 		}
-		nodeURL, colURL := "http://"+addr+"/profiles/"+nodeCap.ID, colSrv.URL+pulled[0].URL
+		colURL := colSrv.URL + pulled[0].URL
 
 		rawType := text
-		if nodeCap.Kind == profile.KindCPU {
+		if kind == profile.KindCPU {
 			rawType = "application/octet-stream"
 		}
-		nStatus, nHdr, nBody := get(nodeURL)
-		cStatus, cHdr, cBody := get(colURL)
-		if nStatus != 200 || cStatus != 200 || !bytes.Equal(nBody, nodeCap.Data) || !bytes.Equal(cBody, nodeCap.Data) {
-			t.Errorf("%s raw: status %d/%d, bodies %d/%d bytes, want the capture's %d on both",
-				nodeCap.Kind, nStatus, cStatus, len(nBody), len(cBody), len(nodeCap.Data))
+		status, hdr, body := get(colURL)
+		if status != 200 || !bytes.Equal(body, data) {
+			t.Errorf("%s raw: status %d, %d bytes, want the node's %d", kind, status, len(body), len(data))
 		}
-		if nt, ct := nHdr.Get("Content-Type"), cHdr.Get("Content-Type"); nt != rawType || ct != rawType {
-			t.Errorf("%s raw: Content-Type %q/%q, want %q", nodeCap.Kind, nt, ct, rawType)
+		if ct := hdr.Get("Content-Type"); ct != rawType {
+			t.Errorf("%s raw: Content-Type %q, want %q", kind, ct, rawType)
 		}
-		if nd, want := nHdr.Get("Content-Disposition"), `attachment; filename="`+nodeCap.ID+`.pprof"`; nd != want {
-			t.Errorf("%s raw: node Content-Disposition %q, want %q", nodeCap.Kind, nd, want)
-		}
-		if cd, want := cHdr.Get("Content-Disposition"), `attachment; filename="`+pulled[0].ID+`.pprof"`; cd != want {
-			t.Errorf("%s raw: collector Content-Disposition %q, want %q", nodeCap.Kind, cd, want)
+		if cd, want := hdr.Get("Content-Disposition"), `attachment; filename="`+pulled[0].ID+`.pprof"`; cd != want {
+			t.Errorf("%s raw: Content-Disposition %q, want %q", kind, cd, want)
 		}
 
-		nStatus, nHdr, nBody = get(nodeURL + "?view=top")
-		cStatus, cHdr, cBody = get(colURL + "?view=top")
-		if nodeCap.Kind == profile.KindCPU { // a binary profile has no text summary, on either side
-			if nStatus != http.StatusUnprocessableEntity || cStatus != http.StatusUnprocessableEntity {
-				t.Errorf("cpu top: status %d/%d, want 422 on both", nStatus, cStatus)
+		status, hdr, body = get(colURL + "?view=top")
+		if kind == profile.KindCPU { // a binary profile has no text summary
+			if status != http.StatusUnprocessableEntity {
+				t.Errorf("cpu top: status %d, want 422", status)
 			}
 			continue
 		}
-		if nStatus != 200 || cStatus != 200 || len(nBody) == 0 || !bytes.Equal(nBody, cBody) {
-			t.Errorf("%s top: status %d/%d, bodies %d/%d bytes, want equal", nodeCap.Kind, nStatus, cStatus, len(nBody), len(cBody))
+		s, err := profile.ParseText(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if nt, ct := nHdr.Get("Content-Type"), cHdr.Get("Content-Type"); nt != text || ct != text {
-			t.Errorf("%s top: Content-Type %q/%q, want %q", nodeCap.Kind, nt, ct, text)
+		var want bytes.Buffer
+		profile.WriteTop(&want, s, 30)
+		if status != 200 || !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s top: status %d, %d bytes, want the node's summary (%d bytes)", kind, status, len(body), want.Len())
 		}
-		if nd, cd := nHdr.Get("Content-Disposition"), cHdr.Get("Content-Disposition"); nd != "" || cd != "" {
-			t.Errorf("%s top: Content-Disposition %q/%q on a rendered view", nodeCap.Kind, nd, cd)
+		if ct, cd := hdr.Get("Content-Type"), hdr.Get("Content-Disposition"); ct != text || cd != "" {
+			t.Errorf("%s top: Content-Type %q, Content-Disposition %q on a rendered view", kind, ct, cd)
 		}
 	}
 }

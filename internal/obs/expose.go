@@ -169,9 +169,9 @@ func (r *Registry) Handler() http.Handler {
 // NewMuxWith assembles the telemetry endpoint set: /metrics (Prometheus
 // text), /healthz (JSON liveness), /debug/traces (recent discovery traces,
 // when a tracer is supplied) and the net/http/pprof handlers under
-// /debug/pprof/, plus extra pattern → handler mounts (the obs/profile
-// capturer's /profiles endpoints). Extra mounts must not collide with the
-// built-in telemetry patterns.
+// /debug/pprof/, plus extra pattern → handler mounts (a plane's /telemetry
+// document). Extra mounts must not collide with the built-in telemetry
+// patterns.
 func NewMuxWith(reg *Registry, tracer *Tracer, extra map[string]http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	if reg != nil {

@@ -22,14 +22,14 @@ const (
 // did not take keeps its zero value, which switches that part off.
 type Flags struct {
 	// TelemetryAddr is where Serve binds /metrics, /healthz, /debug/traces,
-	// pprof, /profiles and the /telemetry document obscollect scrapes
-	// ("" = Serve does nothing).
+	// pprof and the /telemetry document obscollect scrapes ("" = Serve does
+	// nothing).
 	TelemetryAddr string
-	// ProfileEvery is the periodic capture interval of the /profiles
-	// capturer (0 = on-demand captures only).
+	// ProfileEvery is how often a collector scraping this node takes a
+	// profile round of it (0 = never).
 	ProfileEvery time.Duration
 	// MutexFraction and BlockRate are the process-wide contention profiling
-	// rates (0 = off); when set, periodic captures include those profiles.
+	// rates (0 = off); when set, periodic rounds take those profiles too.
 	MutexFraction, BlockRate int
 	// LogLevel selects the stderr logger a process-wide plane builds when
 	// its Config names none: debug | info | warn | error ("" = info).
@@ -62,7 +62,7 @@ func RegisterFlags(fs *flag.FlagSet, which FlagSet, overridesConfig bool) *Flags
 		fs.StringVar(&f.TelemetryAddr, "telemetry-addr", "", "listen addr for /metrics, /healthz, /debug/traces and pprof "+off)
 	}
 	if which&FlagProfileEvery != 0 {
-		fs.DurationVar(&f.ProfileEvery, "profile-every", 0, "periodic cpu+heap+goroutine profile capture interval (0 = on-demand only; needs -telemetry-addr)")
+		fs.DurationVar(&f.ProfileEvery, "profile-every", 0, "profile this node every d: a collector scraping it takes goroutine, heap and enabled mutex/block profiles, and a 1s cpu profile when d >= 4s (0 = never; needs -telemetry-addr)")
 	}
 	if which&FlagProfileRates != 0 {
 		fs.IntVar(&f.MutexFraction, "mutex-profile-fraction", 0, "record ~1/N mutex contention events (0 = off)")

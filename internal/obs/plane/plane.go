@@ -1,6 +1,6 @@
 // Package plane stands a node's telemetry up, hands it out and tears it down:
 // one place that knows the order registry → process metrics → tracer →
-// journal → capturer → HTTP endpoint, and the reverse on the way out. Every
+// journal → HTTP endpoint, and the reverse on the way out. Every
 // binary, every testbed node, the collector and its prober run under one
 // Plane; components see only the obs.Handle it hands out, and a collector
 // sees only the Scrape document it builds.
@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"maps"
 	"net/http"
 	"os"
 	"runtime"
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"narada/internal/obs"
-	"narada/internal/obs/profile"
 )
 
 // Config parameterises a Plane: the operator's Flags plus what the binary
@@ -49,11 +47,11 @@ type Config struct {
 	Registry *obs.Registry
 	// Embedded marks a plane that shares its OS process with others (a
 	// testbed node, the prober): its registry carries no process metrics and
-	// it builds no logger — spans and capturer warnings go unlogged.
+	// it builds no logger — spans go unlogged.
 	Embedded bool
-	// MetricsOnly drops the tracer, journal and capturer, leaving /metrics,
-	// /healthz and pprof — nbexp and obscollect, which have no node identity
-	// to trace or journal under.
+	// MetricsOnly drops the tracer and journal, leaving /metrics, /healthz
+	// and pprof — nbexp and obscollect, which have no node identity to trace
+	// or journal under.
 	MetricsOnly bool
 }
 
@@ -70,8 +68,7 @@ type Plane struct {
 	own    *obs.Registry // what a scrape carries: never a borrowed registry
 	boot   int64         // Unix ns of Start: a new value tells a collector the node restarted
 	flows  atomic.Pointer[func() []obs.FlowSnapshot]
-	srv    *obs.Server       // nil until Serve binds
-	prof   *profile.Capturer // nil until Serve binds
+	srv    *obs.Server // nil until Serve binds
 
 	scraped   atomic.Bool // a collector has read /telemetry
 	mu        sync.Mutex
@@ -131,35 +128,21 @@ func (p *Plane) SetFlows(f func() []obs.FlowSnapshot) {
 }
 
 // Serve binds the telemetry HTTP endpoint on TelemetryAddr — the node's
-// /telemetry document among the rest — with the profile capturer mounted on
-// it. It does nothing without a TelemetryAddr.
+// /telemetry document and pprof among the rest. It does nothing without a
+// TelemetryAddr.
 func (p *Plane) Serve() error {
 	if p.cfg.TelemetryAddr == "" {
 		return nil
 	}
-	mounts := map[string]http.Handler{"/telemetry": http.HandlerFunc(p.serveScrape)}
-	if !p.cfg.MetricsOnly {
-		p.prof = profile.New(profile.Config{
-			Interval: p.cfg.ProfileEvery,
-			Mutex:    p.cfg.MutexFraction > 0,
-			Block:    p.cfg.BlockRate > 0,
-			Logger:   p.handle.Logger,
-		})
-		p.prof.Start()
-		maps.Copy(mounts, p.prof.Mount())
-	}
-	srv, err := obs.ServeWith(p.cfg.TelemetryAddr, p.handle.Metrics, p.handle.Tracer, mounts)
+	srv, err := obs.ServeWith(p.cfg.TelemetryAddr, p.handle.Metrics, p.handle.Tracer,
+		map[string]http.Handler{"/telemetry": http.HandlerFunc(p.serveScrape)})
 	if err != nil {
-		if p.prof != nil {
-			_ = p.prof.Close() // stops the capture loop; nothing to report
-			p.prof = nil
-		}
 		return fmt.Errorf("telemetry: %w", err)
 	}
 	p.srv = srv
 	p.logf("telemetry on http://%s/metrics", srv.Addr())
-	if p.prof != nil && p.cfg.ProfileEvery > 0 {
-		p.logf("capturing profiles every %s", p.cfg.ProfileEvery)
+	if p.cfg.ProfileEvery > 0 {
+		p.logf("asking collectors for profiles every %s", p.cfg.ProfileEvery)
 	}
 	return nil
 }
@@ -195,8 +178,8 @@ func (p *Plane) serveScrape(w http.ResponseWriter, r *http.Request) {
 // plane a collector has scraped first waits, up to lastScrapeWait, for one
 // more scrape, so the collector keeps the node's last snapshot and node_stop
 // instead of losing them with the endpoint; one nobody scrapes closes at
-// once. Then the HTTP endpoint drains and the capturer stops. Safe to call
-// more than once and on a nil plane.
+// once. Then the HTTP endpoint drains. Safe to call more than once and on a
+// nil plane.
 func (p *Plane) Close() {
 	if p == nil {
 		return
@@ -217,9 +200,6 @@ func (p *Plane) Close() {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			_ = p.srv.Shutdown(ctx) // a scrape still in flight at the deadline is abandoned
 			cancel()
-		}
-		if p.prof != nil {
-			_ = p.prof.Close() // always nil
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"narada/internal/obs"
 	"narada/internal/obs/plane"
+	"narada/internal/obs/profile"
 )
 
 // scrape GETs a plane's /telemetry the way obscollect does.
@@ -98,7 +100,7 @@ func TestPlaneLifecycle(t *testing.T) {
 	if again := scrape(t, p.Addr(), first.Next); len(again.Events) != 0 || len(again.Spans) != 0 {
 		t.Errorf("a scrape from the cursor repeated events %+v / spans %+v", again.Events, again.Spans)
 	}
-	if other := scrape(t, p.Addr(), "1.9.9.0"); len(other.Events) != 1 {
+	if other := scrape(t, p.Addr(), "1.9.9"); len(other.Events) != 1 {
 		t.Errorf("a cursor from another boot got events %+v, want all of them again", other.Events)
 	}
 
@@ -130,6 +132,48 @@ func TestPlaneLifecycle(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + p.Addr() + "/healthz"); err == nil {
 		t.Error("telemetry endpoint still answers after Close")
+	}
+}
+
+// TestNodeAsksForProfiles: a node's -profile-every, and the contention
+// kinds its rates turn on, travel in its scrape document for a collector to
+// take profiles by; the node keeps none itself and serves no /profiles.
+func TestNodeAsksForProfiles(t *testing.T) {
+	t.Cleanup(func() { // the rates are process wide; 0 is their default
+		runtime.SetMutexProfileFraction(0)
+		runtime.SetBlockProfileRate(0)
+	})
+	rates := plane.Flags{TelemetryAddr: "127.0.0.1:0", MutexFraction: 5, BlockRate: 1000}
+	asks := rates
+	asks.ProfileEvery = 30 * time.Second
+	p, err := plane.Start(plane.Config{Flags: asks, Node: "asks", Embedded: true})
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer p.Close()
+	if err := p.Serve(); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	s := p.Scrape("") // in process: a scraped plane's Close would wait for one more
+	if want := []profile.Kind{profile.KindMutex, profile.KindBlock}; s.ProfileEvery != 30*time.Second || !reflect.DeepEqual(s.Contention, want) {
+		t.Errorf("scrape asks for profiles every %v with %v, want 30s with %v", s.ProfileEvery, s.Contention, want)
+	}
+	resp, err := http.Get("http://" + p.Addr() + "/profiles")
+	if err != nil {
+		t.Fatalf("GET /profiles: %v", err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /profiles = %d, want 404", resp.StatusCode)
+	}
+
+	quiet, err := plane.Start(plane.Config{Flags: rates, Node: "quiet", Embedded: true})
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer quiet.Close()
+	if s := quiet.Scrape(""); s.ProfileEvery != 0 || s.Contention != nil {
+		t.Errorf("a node without -profile-every asks for profiles every %v with %v", s.ProfileEvery, s.Contention)
 	}
 }
 
@@ -187,8 +231,7 @@ func TestScrapeCarriesNonFiniteGauges(t *testing.T) {
 
 // TestPlaneVariants pins what the non-default planes leave out: an embedded
 // plane carries no process metrics, a borrowed registry is used but never
-// put in a scrape, and a metrics-only plane has no tracer, journal or
-// /profiles.
+// put in a scrape, and a metrics-only plane has no tracer or journal.
 func TestPlaneVariants(t *testing.T) {
 	lent := obs.NewRegistry()
 	p, err := plane.Start(plane.Config{Node: "probe", Registry: lent, Embedded: true})
@@ -249,8 +292,8 @@ func TestPlaneVariants(t *testing.T) {
 	}
 }
 
-// TestPlaneLeaksNoGoroutines cycles full planes — span log, capturer, HTTP
-// endpoint — and asserts the process returns to its baseline goroutine
+// TestPlaneLeaksNoGoroutines cycles full planes — span log, HTTP endpoint —
+// and asserts the process returns to its baseline goroutine
 // count: Close waits for everything Start and Serve launched.
 func TestPlaneLeaksNoGoroutines(t *testing.T) {
 	cycle := func() {

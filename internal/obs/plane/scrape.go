@@ -10,10 +10,10 @@ import (
 
 // Scrape is the one document a node's telemetry plane serves per scrape, at
 // GET /telemetry?since=<the Next of the previous one>: who the node is, its
-// clock offset, its current metric and flow snapshots, and the journal
-// events, spans and profile captures newer than the cursor the collector
-// sent. Reads leave the node as it was, so a response that is lost is sent
-// again by the next scrape.
+// clock offset, its current metric and flow snapshots, the journal events
+// and spans newer than the cursor the collector sent, and the profiles it
+// asks the collector to take of it. Reads leave the node as it was, so a
+// response that is lost is sent again by the next scrape.
 type Scrape struct {
 	Node     string             `json:"node"`
 	Boot     int64              `json:"boot"`     // Unix ns the plane started: a new value marks a restart
@@ -24,15 +24,20 @@ type Scrape struct {
 	Flows    []obs.FlowSnapshot `json:"flows,omitempty"`
 	Events   []obs.Event        `json:"events,omitempty"`
 	Spans    []obs.SpanRecord   `json:"spans,omitempty"`
-	Profiles []profile.Capture  `json:"profiles,omitempty"` // newest first; bytes at /profiles/{id}
+	// ProfileEvery is the node's -profile-every: the collector takes a
+	// profile round of it from its pprof endpoints at this period (0: none),
+	// with the Contention kinds its -mutex-profile-fraction and
+	// -block-profile-rate turned on.
+	ProfileEvery time.Duration  `json:"profileEveryNs,omitempty"`
+	Contention   []profile.Kind `json:"contention,omitempty"`
 }
 
-// cursor is where a collector's last scrape ended: the boot it read, the last
-// journal event and span it was sent and the newest capture it was listed.
-// It travels as the opaque Next, "boot.events.spans.profiles".
+// cursor is where a collector's last scrape ended: the boot it read and the
+// last journal event and span it was sent. It travels as the opaque Next,
+// "boot.events.spans".
 type cursor struct {
-	boot, profiles int64
-	events, spans  uint64
+	boot          int64
+	events, spans uint64
 }
 
 // Scrape builds the document for a collector whose last one carried
@@ -41,7 +46,7 @@ type cursor struct {
 // calls it in process for the planes it owns.
 func (p *Plane) Scrape(since string) Scrape {
 	var c cursor
-	if _, err := fmt.Sscanf(since, "%d.%d.%d.%d", &c.boot, &c.events, &c.spans, &c.profiles); err != nil || c.boot != p.boot {
+	if _, err := fmt.Sscanf(since, "%d.%d.%d", &c.boot, &c.events, &c.spans); err != nil || c.boot != p.boot {
 		c = cursor{boot: p.boot}
 	}
 	s := Scrape{
@@ -60,12 +65,13 @@ func (p *Plane) Scrape(since string) Scrape {
 	if f := p.flows.Load(); f != nil {
 		s.Flows = (*f)()
 	}
-	if p.prof != nil {
-		var f profile.Filter
-		if c.profiles != 0 {
-			f.Since = time.Unix(0, c.profiles)
+	if s.ProfileEvery = p.cfg.ProfileEvery; s.ProfileEvery > 0 {
+		if p.cfg.MutexFraction > 0 {
+			s.Contention = append(s.Contention, profile.KindMutex)
 		}
-		s.Profiles = p.prof.List(f)
+		if p.cfg.BlockRate > 0 {
+			s.Contention = append(s.Contention, profile.KindBlock)
+		}
 	}
 	if n := len(s.Events); n > 0 {
 		c.events = s.Events[n-1].Seq
@@ -73,9 +79,6 @@ func (p *Plane) Scrape(since string) Scrape {
 	if n := len(s.Spans); n > 0 {
 		c.spans = s.Spans[n-1].Seq
 	}
-	if len(s.Profiles) > 0 {
-		c.profiles = s.Profiles[0].At.UnixNano()
-	}
-	s.Next = fmt.Sprintf("%d.%d.%d.%d", c.boot, c.events, c.spans, c.profiles)
+	s.Next = fmt.Sprintf("%d.%d.%d", c.boot, c.events, c.spans)
 	return s
 }

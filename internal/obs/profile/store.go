@@ -13,13 +13,12 @@ import (
 
 // Capture is one stored profile. Listings carry metadata only (Data nil);
 // Get returns the bytes. Node and URL (the collector-relative download path)
-// are set where captures of many nodes share a store — the collector — and
-// empty in a node's own.
+// are set for a capture of a node, and empty for one that names none.
 type Capture struct {
 	ID      string    `json:"id"`
 	Node    string    `json:"node,omitempty"`
 	Kind    Kind      `json:"kind"`
-	Trigger string    `json:"trigger"` // "periodic", "manual", "flight:<rule>", "recovered"
+	Trigger string    `json:"trigger"` // "periodic", "flight:<rule>", "recovered"
 	At      time.Time `json:"at"`
 	Size    int       `json:"size"`
 	URL     string    `json:"url,omitempty"`
@@ -34,10 +33,10 @@ type Filter struct {
 	Since   time.Time // strictly after
 }
 
-// Store is the one bounded profile store — a node's Capturer keeps its own
-// captures in one, the collector keeps pulled and flight-recorded captures
-// of the whole fabric in another. It is a FIFO bounded by count and by total
-// bytes: adding past either bound evicts oldest-first.
+// Store is the one bounded profile store: the collector keeps the periodic
+// and flight-recorded captures of the whole fabric in it. It is a FIFO
+// bounded by count and by total bytes: adding past either bound evicts
+// oldest-first.
 //
 // With a spool directory each capture's bytes live in <dir>/<id>.pprof, not
 // in memory, and eviction removes the file, so the bounds also bound the

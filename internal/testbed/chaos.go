@@ -158,7 +158,7 @@ func (tb *Testbed) convergenceError() error {
 		}
 	}
 	// Dead-broker expiry only holds once registrations actually carry TTLs.
-	ttls := tb.opts.AdTTL > 0 || tb.opts.AdvertiseInterval > 0
+	ttls := tb.opts.AdvertiseInterval > 0
 	for _, d := range tb.BDNs {
 		listed := make(map[string]bool)
 		for _, info := range d.Brokers() {

@@ -20,10 +20,8 @@ import (
 // TestGoroutineLeakFlightRecorder injects a goroutine leak into a testbed
 // broker and follows it end to end: the leaking gauge is scraped from the
 // node's real loopback telemetry endpoint, the collector's goroutine_leak
-// rule fires, the flight recorder pulls pprof captures from that endpoint,
-// and the /alerts view links the captured profiles. A capture the node took
-// on its own must also have been pulled into the collector store along the
-// way, listed by a scrape.
+// rule fires, the flight recorder takes pprof captures from that endpoint,
+// and the /alerts view links the captured profiles.
 func TestGoroutineLeakFlightRecorder(t *testing.T) {
 	// At fastCollector's 50ms scrape interval the goroutine-leak window (300
 	// intervals) is 15s, holding the whole test, baseline included, and a
@@ -50,22 +48,12 @@ func TestGoroutineLeakFlightRecorder(t *testing.T) {
 	defer srv.Close()
 
 	// The leaky broker serves a REAL telemetry endpoint on loopback: its
-	// private testbed registry, a profile capturer and pprof — the same
-	// wiring cmd/broker uses, just with the HTTP side outside simnet. It
-	// takes a capture of its own, as an operator's POST asks it to.
+	// private testbed registry and pprof — the same wiring cmd/broker uses,
+	// just with the HTTP side outside simnet.
 	reg, ok := tb.BrokerRegistry("broker-leaky")
 	if !ok {
 		t.Fatal("no registry for broker-leaky")
 	}
-	addr, ok := tb.TelemetryAddr("broker-leaky")
-	if !ok {
-		t.Fatal("no telemetry endpoint for broker-leaky")
-	}
-	resp, err := http.Post("http://"+addr+"/profiles/capture?kinds=goroutine", "", nil)
-	if err != nil {
-		t.Fatalf("capture: %v", err)
-	}
-	_ = resp.Body.Close()
 
 	// Inject the leak: the testbed shares one OS process, so the per-node
 	// goroutine count is a synthetic gauge — steady baseline long enough to
@@ -129,7 +117,7 @@ func TestGoroutineLeakFlightRecorder(t *testing.T) {
 
 	// The linked capture is a real goroutine dump of the telemetry process,
 	// downloadable from the collector by the URL the alert carries.
-	resp, err = http.Get(srv.URL + flight.URL)
+	resp, err := http.Get(srv.URL + flight.URL)
 	if err != nil {
 		t.Fatalf("GET %s: %v", flight.URL, err)
 	}
@@ -140,18 +128,5 @@ func TestGoroutineLeakFlightRecorder(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "goroutine profile:") {
 		t.Fatalf("flight capture is not a goroutine dump: %.120q", string(body))
-	}
-
-	// And the scrapes must have pulled the node's own capture into the
-	// collector store independently of any alert.
-	pullDeadline := time.Now().Add(10 * time.Second)
-	for {
-		if pulled := col.Profiles(profile.Filter{Node: "broker-leaky", Trigger: "manual"}); len(pulled) > 0 {
-			break
-		}
-		if time.Now().After(pullDeadline) {
-			t.Fatal("the node's capture was never pulled into the collector")
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }

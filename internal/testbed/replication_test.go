@@ -83,16 +83,17 @@ func TestReplicatedBDNFailover(t *testing.T) {
 
 // TestBDNRestartRecoversFromWAL kills a single durable BDN and restarts it:
 // the registration table must come back from WAL + snapshot alone — the
-// brokers have no supervision and no advertisement refresh, so nothing can
-// repopulate it over the network — and the recovered registrations must keep
-// their original TTL deadlines (still valid right after restart, still
-// swept once the original validity window lapses).
+// brokers have no supervision, so their refreshes ride the dead links and
+// nothing can repopulate it over the network — and the recovered
+// registrations must keep their original TTL deadlines (still valid right
+// after restart, still swept once the original validity window lapses).
 func TestBDNRestartRecoversFromWAL(t *testing.T) {
 	tb, err := New(Options{
 		Seed:       7,
 		Topology:   topology.Unconnected,
 		BDNDataDir: t.TempDir(),
-		AdTTL:      5 * time.Minute,
+		// Advertisements are valid for three periods: 5 minutes.
+		AdvertiseInterval: 100 * time.Second,
 		Brokers: []BrokerSpec{
 			{Site: simnet.SiteFSU, Name: "broker-fsu", Register: true},
 			{Site: simnet.SiteCardiff, Name: "broker-cardiff", Register: true},

@@ -98,9 +98,6 @@ type Options struct {
 	// (0 disables periodic re-advertisement); advertisements are then valid
 	// for three periods.
 	AdvertiseInterval time.Duration
-	// AdTTL is the BDN-side registration validity for advertisements that
-	// carry no TTL of their own (0 = registrations never expire).
-	AdTTL time.Duration
 	// SweepInterval is the BDNs' expired-registration sweep period.
 	SweepInterval time.Duration
 	// BDNDataDir, when set, makes every deployed BDN durable: each gets a
@@ -278,7 +275,6 @@ func New(opts Options) (*Testbed, error) {
 				Name:           name,
 				Policy:         opts.InjectPolicy,
 				InjectOverhead: opts.InjectOverhead,
-				AdTTL:          opts.AdTTL,
 				SweepInterval:  opts.SweepInterval,
 			}
 			if opts.Replicate {

@@ -34,7 +34,7 @@ wait_registered() { # wait_registered <what> <logfile>
 
 start_bdn() { # start_bdn <logfile>
     "$BIN/bdn" -bind 127.0.0.1 -name gridservicelocator.org -stream-port 17610 \
-        -udp-port 17611 -telemetry-addr "$BDN_HTTP" -ad-ttl 5s -sweep-every 500ms \
+        -udp-port 17611 -telemetry-addr "$BDN_HTTP" -sweep-every 500ms \
         >"$1" 2>&1 &
     BDN_PID=$!
     PIDS="$PIDS $BDN_PID"

@@ -1,14 +1,16 @@
 #!/bin/sh
 # profiles_smoke.sh smoke-tests the continuous-profiling plane on real
-# processes: a BDN and two brokers run with -profile-every on a
-# -telemetry-addr, a loadgen stage keeps one broker genuinely busy, and an
-# obscollect scraping them (-nodes) pulls the periodic pprof captures each
-# scrape lists into its spool. The collector
-# must (1) serve the pulled captures on /profiles with a working ?view=top
-# rendering, (2) spool them to -profile-dir, and (3) when a broker is killed,
-# attach that node's freshest retained captures to the firing deadman alert —
-# the flight recorder's dead-node fallback, which is the whole point of
-# pulling continuously: the post-mortem evidence was collected pre-mortem.
+# processes: two brokers run with -profile-every on a -telemetry-addr, a BDN
+# without it, a loadgen stage keeps one broker genuinely busy, and an
+# obscollect scraping them (-nodes) takes the periodic rounds the brokers'
+# scrapes ask for from their pprof endpoints into its spool. The collector
+# must (1) hold periodic captures of both brokers and none of the BDN, (2)
+# serve them on /profiles with a working ?view=top rendering, (3) spool them
+# to -profile-dir, and (4) when a broker is killed, attach that node's
+# freshest retained captures to the firing deadman alert — the flight
+# recorder's dead-node fallback, which is the whole point of profiling
+# continuously: the post-mortem evidence was collected pre-mortem. No node
+# serves /profiles of its own.
 #
 # Uses curl or wget, whichever the host has.
 set -eu
@@ -26,6 +28,14 @@ B_UDP=17817
 B_TELEMETRY="127.0.0.1:17818"
 
 flat() { tr -d ' \n\t'; }
+
+status() { # status <url>: the HTTP status code a GET of url answers
+    if command -v curl >/dev/null 2>&1; then
+        curl -s -o /dev/null -w '%{http_code}' "$1"
+    else
+        wget -S -qO /dev/null "$1" 2>&1 | awk '/^  HTTP\//{code = $2} END {print code}'
+    fi
+}
 
 build broker bdn loadgen obscollect
 
@@ -81,14 +91,14 @@ done
     -out "$TMP/load.json" >"$TMP/loadgen.log" 2>&1 &
 PIDS="$PIDS $!"
 
-# Periodic captures from BOTH brokers must land in the collector via the
-# scrapes (prof-b's are the post-mortem evidence for the kill below).
+# Periodic captures of BOTH brokers must land in the collector (prof-b's are
+# the post-mortem evidence for the kill below).
 for node in prof-a prof-b; do
     i=0
     until fetch "http://$COLLECT_HTTP/profiles?node=$node&trigger=periodic" | flat | grep -q '"id":"'; do
         i=$((i + 1))
         if [ "$i" -ge 150 ]; then
-            echo "profiles-smoke: no periodic captures pulled from $node" >&2
+            echo "profiles-smoke: no periodic captures of $node" >&2
             fetch "http://$COLLECT_HTTP/profiles" >&2 || true
             cat "$TMP/obscollect.log" >&2
             exit 1
@@ -97,14 +107,28 @@ for node in prof-a prof-b; do
     done
 done
 
-# The spool directory holds the pulled captures on disk.
+# The BDN asked for no profiles, so the collector took none of it.
+if fetch "http://$COLLECT_HTTP/profiles?node=gridservicelocator.org" | flat | grep -q '"id":"'; then
+    echo "profiles-smoke: the collector profiled the BDN, which asked for nothing" >&2
+    fetch "http://$COLLECT_HTTP/profiles?node=gridservicelocator.org" >&2 || true
+    exit 1
+fi
+
+# A node keeps no profiles: a broker's /profiles is not found.
+code=$(status "http://$A_TELEMETRY/profiles")
+if [ "$code" != 404 ]; then
+    echo "profiles-smoke: broker prof-a answered /profiles with $code, want 404" >&2
+    exit 1
+fi
+
+# The spool directory holds the captures on disk.
 if ! ls "$TMP/spool"/*.pprof >/dev/null 2>&1; then
     echo "profiles-smoke: spool directory has no .pprof files" >&2
     ls -la "$TMP/spool" >&2 || true
     exit 1
 fi
 
-# A pulled goroutine capture renders through the dep-free ?view=top path.
+# A periodic goroutine capture renders through the dep-free ?view=top path.
 GID=$(fetch "http://$COLLECT_HTTP/profiles?node=prof-a&kind=goroutine" | flat |
     sed -n 's/.*"id":"\([^"]*\)".*/\1/p' | head -1)
 if [ -z "$GID" ]; then
@@ -120,7 +144,7 @@ fetch "http://$COLLECT_HTTP/profiles/$GID?view=top" | grep -q 'goroutine profile
 
 # Fault: kill prof-b. Deadman must fire, and because the node is gone the
 # flight recorder cannot capture live — it must fall back to linking the
-# captures it already pulled, so the alert still carries pprof evidence.
+# captures it already took, so the alert still carries pprof evidence.
 kill -9 "$BPID"
 wait "$BPID" 2>/dev/null || true
 i=0
@@ -151,4 +175,4 @@ until fetch "http://$COLLECT_HTTP/alerts" | flat |
     sleep 0.1
 done
 
-echo "profiles-smoke: ok (periodic captures pulled + spooled, view=top rendered, dead-node alert linked retained profiles)"
+echo "profiles-smoke: ok (periodic captures of the brokers alone, spooled, view=top rendered, no node /profiles, dead-node alert linked retained profiles)"
