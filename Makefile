@@ -41,8 +41,9 @@ bench:
 # bench-gate re-runs the publish fan-out benchmark and fails on a >2% ns/op
 # regression or any allocs/op above the gates recorded in BENCH_fanout.json
 # (fan-out, sampled fan-out, BenchmarkIngressToEgress's socket path, the ping
-# handler, a whole loopback discovery, and a registration refresh at a durable
-# BDN), or on more B/op than gate_udp_recv_bytes_op in BenchmarkRealPacketRecv.
+# handler, a whole loopback discovery, a registration refresh at a durable
+# BDN, the flow sketch and the dedup window), or on more B/op than
+# gate_udp_recv_bytes_op in BenchmarkRealPacketRecv.
 bench-gate:
 	sh scripts/bench_gate.sh
 

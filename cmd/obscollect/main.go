@@ -74,7 +74,7 @@ func run() error {
 		probeInterval  = flag.Duration("probe-interval", 0, "synthetic discovery probe interval (0 = no prober)")
 		probeBDN       = flag.String("probe-bdn", "", "comma-separated BDN stream addrs the prober discovers through")
 		webhook        = flag.String("alert-webhook", "", "URL POSTed one JSON document per alert transition (optional)")
-		profileDir     = flag.String("profile-dir", "", "spool pulled and flight-recorded profiles to this directory ('' = in-memory only)")
+		profileDir     = flag.String("profile-dir", "", "spool periodic and flight-recorded profiles to this directory ('' = in-memory only)")
 		tf             = plane.RegisterFlags(flag.CommandLine, plane.FlagProfileRates|plane.FlagLogLevel, false)
 	)
 	flag.Lookup("mutex-profile-fraction").Usage = "record ~1/N mutex contention events in this process (0 = off)"

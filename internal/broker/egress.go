@@ -134,7 +134,7 @@ func newEgress(conn transport.Conn, tel *egressTel, dest string) *egress {
 }
 
 // drop accounts one dropped frame — counter by reason, per-topic flow tally
-// via the entry handle fanOut stamped (no topic re-hashing: overflow
+// via the flow handle fanOut stamped (no topic re-hashing: overflow
 // eviction runs inside the publish hot loop), and an msg-drop trace event
 // when the frame was sampled — then releases the caller's reference.
 func (q *egress) drop(f *sharedFrame, reason int) {
@@ -317,7 +317,7 @@ func (q *egress) observeFlushed() {
 	var wallNs int64
 	batch := len(q.frames)
 	for _, f := range q.frames {
-		if f.flow == nil && f.traceID == "" {
+		if f.flow == (obs.FlowHandle{}) && f.traceID == "" {
 			continue
 		}
 		if wallNs == 0 {
@@ -329,9 +329,7 @@ func (q *egress) observeFlushed() {
 				q.tel.latency.Observe(time.Duration(d).Seconds())
 			}
 		}
-		if f.flow != nil {
-			f.flow.Delivered(len(f.buf))
-		}
+		f.flow.Delivered(len(f.buf))
 		if f.traceID != "" && q.tel.tracer != nil {
 			wait := time.Duration(wallNs - f.enqueuedNs)
 			if wait <= 0 {
@@ -374,7 +372,7 @@ func (q *egress) close() {
 // the counter and flow-tally adds are deferred until settle.
 type dropBatch struct {
 	tel  *egressTel
-	flow *obs.FlowEntry
+	flow obs.FlowHandle
 	n    uint64
 }
 

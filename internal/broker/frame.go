@@ -45,7 +45,7 @@ type sharedFrame struct {
 	// (control/replay frames leave them zero). None of these fields affect
 	// the reference count: sampling observes a frame's life, never extends
 	// or shortens it.
-	flow       *obs.FlowEntry // topic's flow counters, for flush/drop tallies
+	flow       obs.FlowHandle // topic's flow counters, for flush/drop tallies
 	born       int64          // event-origin NTP UnixNano; 0 = latency not tracked
 	traceID    string         // non-empty when the message is sampled for tracing
 	enqueuedNs int64          // wall clock at egress enqueue (queue-wait); sampled only
@@ -141,7 +141,7 @@ func (p *framePool) put(f *sharedFrame) {
 	}
 	// Clear the accounting stamps so a recycled frame never reports the
 	// previous event's flow or trace.
-	f.flow, f.traceID = nil, ""
+	f.flow, f.traceID = obs.FlowHandle{}, ""
 	f.born, f.enqueuedNs = 0, 0
 	p.pool.Put(f)
 }

@@ -278,8 +278,8 @@ func (b *Broker) admitPublish(v *event.View, f *sharedFrame, client, fromPeer st
 // the egress queues until the reader flushes set (set nil: until the woken
 // writer goroutines write them), and neither ever blocks on a slow peer.
 func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string, set *flushSet) {
-	// The returned entry handle is stamped onto every frame of this fan-out,
-	// so delivered/dropped tallies on the egress side are plain atomic adds.
+	// The returned flow handle is stamped onto every frame of this fan-out,
+	// so delivered/dropped tallies on the egress side need no topic hashing.
 	// born feeds the delivery-latency histogram observed at egress flush;
 	// control/replay frames never carry either.
 	f.flow, f.born = b.flows.Published(v.Topic, len(v.Payload)), v.Timestamp

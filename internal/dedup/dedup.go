@@ -9,14 +9,16 @@
 // structure is safe for concurrent use by the broker's transport goroutines.
 //
 // Large caches (the broker's event-flood window) are split into shards
-// indexed by the first UUID byte, so concurrent ingress goroutines stop
-// serialising on a single mutex. UUIDs are uniformly random, so each shard
-// holds a fair 1/N slice of the stream and the aggregate keeps the paper's
-// last-N window semantics per shard; small caches stay single-sharded and
-// exactly FIFO.
+// indexed by a keyed hash of the whole ID (hash/maphash, seeded per cache),
+// so concurrent ingress goroutines stop serialising on a single mutex. IDs
+// that share most of their bytes — a sequence number in the leading bytes —
+// still spread, so each shard holds a fair 1/N slice of the stream and the
+// aggregate keeps the paper's last-N window semantics per shard; small
+// caches stay single-sharded and exactly FIFO.
 package dedup
 
 import (
+	"hash/maphash"
 	"sync"
 
 	"narada/internal/uuid"
@@ -27,7 +29,7 @@ const DefaultCapacity = 1000
 
 const (
 	// numShards is the shard count for large caches; a power of two so the
-	// shard index is a mask of the (uniformly random) first UUID byte.
+	// shard index is a mask of the ID's hash.
 	numShards = 16
 	// shardedMinCapacity is the capacity at which sharding kicks in. Below
 	// it the per-shard windows would be too small to approximate the global
@@ -50,6 +52,7 @@ type shard struct {
 // Cache remembers the most recent Capacity UUIDs it has seen.
 type Cache struct {
 	cap    int
+	seed   maphash.Seed
 	shards []shard // length 1 or numShards
 }
 
@@ -64,7 +67,7 @@ func New(capacity int) *Cache {
 		n = numShards
 	}
 	per := (capacity + n - 1) / n
-	c := &Cache{cap: per * n, shards: make([]shard, n)}
+	c := &Cache{cap: per * n, seed: maphash.MakeSeed(), shards: make([]shard, n)}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.cap = per
@@ -74,8 +77,14 @@ func New(capacity int) *Cache {
 	return c
 }
 
-func (c *Cache) shardFor(id uuid.UUID) *shard {
-	return &c.shards[int(id[0])&(len(c.shards)-1)]
+func (c *Cache) shardFor(id uuid.UUID) *shard { return &c.shards[c.shardIndex(id)] }
+
+// shardIndex is the shard that remembers id.
+func (c *Cache) shardIndex(id uuid.UUID) int {
+	if len(c.shards) == 1 {
+		return 0
+	}
+	return int(maphash.Bytes(c.seed, id[:]) & uint64(len(c.shards)-1))
 }
 
 // Seen records id and reports whether it had already been seen (and is still

@@ -1,6 +1,8 @@
 package dedup
 
 import (
+	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -161,31 +163,71 @@ func TestExactlyOneFirstSeenUnderConcurrency(t *testing.T) {
 	}
 }
 
+// BenchmarkSeen feeds fresh IDs to a full window, so every call inserts one
+// ID and evicts another: the single-shard request cache the paper specifies
+// and the broker's sharded 4000-ID event window.
 func BenchmarkSeen(b *testing.B) {
-	c := New(1000)
-	ids := make([]uuid.UUID, 4096)
-	for i := range ids {
-		ids[i] = uuid.New()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Seen(ids[i%len(ids)])
+	for _, capacity := range []int{DefaultCapacity, 4 * DefaultCapacity} {
+		b.Run(fmt.Sprintf("cap=%d", capacity), func(b *testing.B) {
+			c := New(capacity)
+			id := uuid.New()
+			seq := uint64(0)
+			for ; seq < uint64(c.Capacity()); seq++ {
+				binary.BigEndian.PutUint64(id[8:], seq)
+				c.Seen(id)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				binary.BigEndian.PutUint64(id[8:], seq)
+				seq++
+				if c.Seen(id) {
+					b.Fatal("a fresh id was reported seen")
+				}
+			}
+		})
 	}
 }
 
-// shardedIDs generates ids that cycle shards round-robin, so a sharded
-// cache behaves exactly like a global FIFO and eviction is deterministic.
-func shardedIDs(n int) []uuid.UUID {
+// shardedIDs generates ids for c that cycle its shards round-robin, so a
+// sharded cache behaves exactly like a global FIFO and eviction is
+// deterministic.
+func shardedIDs(c *Cache, n int) []uuid.UUID {
 	ids := make([]uuid.UUID, n)
+	var cand uuid.UUID
+	cand[15] = 0xA5 // avoid the zero UUID
+	seq := uint64(0)
 	for i := range ids {
-		ids[i][0] = byte(i % numShards)
-		ids[i][1] = byte(i >> 16)
-		ids[i][2] = byte(i >> 8)
-		ids[i][3] = byte(i)
-		ids[i][4] = 0xA5 // avoid the zero UUID
+		for {
+			binary.BigEndian.PutUint64(cand[:], seq)
+			seq++
+			if c.shardIndex(cand) == i%len(c.shards) {
+				break
+			}
+		}
+		ids[i] = cand
 	}
 	return ids
+}
+
+// TestSequentialIDsSpreadOverShards: IDs that differ only in a big-endian
+// sequence number in their leading bytes share their first byte, and must
+// still reach every shard, none with more than twice its fair share.
+func TestSequentialIDsSpreadOverShards(t *testing.T) {
+	const n = 16_000
+	c := New(4 * DefaultCapacity)
+	var per [numShards]int
+	var id uuid.UUID
+	id[15] = 0xA5
+	for seq := uint64(0); seq < n; seq++ {
+		binary.BigEndian.PutUint64(id[:], seq)
+		per[c.shardIndex(id)]++
+	}
+	for i, got := range per {
+		if got == 0 || got > 2*n/numShards {
+			t.Fatalf("shard %d holds %d of %d ids (fair share %d): %v", i, got, n, n/numShards, per)
+		}
+	}
 }
 
 func TestShardedEvictionKeepsLastN(t *testing.T) {
@@ -197,7 +239,7 @@ func TestShardedEvictionKeepsLastN(t *testing.T) {
 	if c.Capacity() != capacity {
 		t.Fatalf("Capacity = %d, want %d", c.Capacity(), capacity)
 	}
-	ids := shardedIDs(2 * capacity)
+	ids := shardedIDs(c, 2*capacity)
 	for _, id := range ids {
 		c.Seen(id)
 	}

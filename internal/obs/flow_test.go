@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -17,15 +18,15 @@ func snapshotByTopic(t *FlowTable) map[string]FlowSnapshot {
 
 func TestFlowTableNilSafe(t *testing.T) {
 	var ft *FlowTable
-	if e := ft.Published("a", 10); e != nil {
-		t.Fatal("nil table returned an entry")
+	if h := ft.Published("a", 10); h != (FlowHandle{}) {
+		t.Fatal("nil table returned a handle")
 	}
 	if s := ft.Snapshot(); s != nil {
 		t.Fatalf("nil table snapshot = %v", s)
 	}
-	var e *FlowEntry
-	e.Delivered(5)          // must not panic
-	e.Dropped(DropConnDown) // must not panic
+	var h FlowHandle
+	h.Delivered(5)          // must not panic
+	h.Dropped(DropConnDown) // must not panic
 }
 
 func TestFlowTableAccounting(t *testing.T) {
@@ -97,8 +98,8 @@ func TestFlowTableEvictionInheritsErrBound(t *testing.T) {
 		t.Fatalf("<other> fold = %+v, want the evicted topic's 1 delivered / 1 dropped", other)
 	}
 
-	// The evicted entry handle stays safe: frames in flight may still hold
-	// it, and its updates must not panic (they are simply lost to snapshots).
+	// The evicted topic's handle stays safe: frames in flight may still hold
+	// it, and its updates fold into <other> (TestFlowTableEvictedHandleFoldsIntoOther).
 	small.Delivered(10)
 	small.Dropped(DropConnDown)
 }
@@ -256,8 +257,33 @@ func TestFlowTableEvictionInvariants(t *testing.T) {
 // TestFlowTableConcurrentEvictions runs the eviction path from many
 // goroutines while another takes snapshots (run with -race): one topic
 // carries half the traffic, the rest churns through eight times more topics
-// than the table holds. Updates to evicted handles are lost, so delivered may
-// only fall short of the truth.
+// than the table holds. Delivered may not exceed the truth;
+// TestFlowTallyRefusesOtherGeneration: the CAS that counts a tally also
+// checks its generation, so an add that passed a handle's generation check
+// just before a recycle cannot land in the next generation's count; and a
+// count that would overflow is refused rather than spilling into the tag.
+func TestFlowTallyRefusesOtherGeneration(t *testing.T) {
+	var c flowTally
+	c.reset(1)
+	if !c.add(1, 5) {
+		t.Fatal("add refused in its own generation")
+	}
+	if got := c.reset(2); got != 5 {
+		t.Fatalf("reset returned %d, want generation 1's 5", got)
+	}
+	if c.add(1, 1) {
+		t.Fatal("an add of generation 1 landed in generation 2")
+	}
+	if !c.add(2, 3) || c.load() != 3 {
+		t.Fatalf("generation 2 holds %d, want 3", c.load())
+	}
+	c.reset(3)
+	if !c.add(3, flowCountMask) || c.add(3, 1) {
+		t.Fatal("a full count accepted one more")
+	}
+}
+
+// TestFlowTableHandlesAcrossEvictions holds it to the truth exactly.
 func TestFlowTableConcurrentEvictions(t *testing.T) {
 	const (
 		goroutines = 8
@@ -336,6 +362,127 @@ func TestFlowTableConcurrentEvictions(t *testing.T) {
 	}
 }
 
+// TestFlowTableEvictedHandleFoldsIntoOther: once a topic's entry is recycled
+// for another topic, what frames still holding the old handle report lands
+// in <other>, never on the newcomer's row — also after the entry has been
+// recycled so often that the tallies' generation tag has wrapped.
+func TestFlowTableEvictedHandleFoldsIntoOther(t *testing.T) {
+	ft := NewFlowTable(1)
+	old := ft.Published("old", 10)
+	old.Delivered(10) // on old's row until the eviction folds it
+	ft.Published("new", 10)
+	old.Delivered(7)
+	old.Dropped(DropQueueFull)
+	old.DroppedN(DropConnDown, 2)
+	ft.Published("new", 10).Delivered(5)
+
+	byTopic := snapshotByTopic(ft)
+	if _, ok := byTopic["old"]; ok {
+		t.Fatalf("evicted topic still has a row: %+v", byTopic)
+	}
+	if nw := byTopic["new"]; nw.DelMsgs != 1 || nw.DelBytes != 5 || nw.DropMsgs != 0 {
+		t.Fatalf("newcomer row = %+v, want only its own 1 delivered / 5 bytes", nw)
+	}
+	other := byTopic[FlowOther]
+	if other.DelMsgs != 2 || other.DelBytes != 17 || other.DropQueue != 1 || other.DropConn != 2 {
+		t.Fatalf("<other> = %+v, want 2 delivered / 17 bytes, 1 queue-full and 2 conn-down drops", other)
+	}
+
+	// 1<<flowTagBits more recycles bring the entry back to old's tag.
+	stale := ft.Published("stale", 1)
+	for i := 0; i < 1<<flowTagBits; i++ {
+		ft.Published(fmt.Sprintf("cycle/%d", i), 1)
+	}
+	stale.Delivered(3)
+	stale.Dropped(DropFrameTooLarge)
+	byTopic = snapshotByTopic(ft)
+	if row := byTopic[fmt.Sprintf("cycle/%d", 1<<flowTagBits-1)]; row.DelMsgs != 0 || row.DropMsgs != 0 {
+		t.Fatalf("a handle 256 recycles old credited the current topic: %+v", row)
+	}
+	// <other> gains new's row, folded at its eviction, and the stale handle's.
+	if other := byTopic[FlowOther]; other.DelMsgs != 4 || other.DelBytes != 25 || other.DropLarge != 1 {
+		t.Fatalf("<other> = %+v, want 4 delivered / 25 bytes and 1 frame-too-large drop", other)
+	}
+}
+
+// TestFlowTableHandlesAcrossEvictions holds handles across many evictions
+// from several goroutines while another takes snapshots (run with -race):
+// each goroutine keeps its last handles in a ring and accounts deliveries
+// and drops on one picked at random, some of them long recycled. Delivered
+// and dropped totals, rows plus <other>, must equal the truth exactly.
+func TestFlowTableHandlesAcrossEvictions(t *testing.T) {
+	const (
+		goroutines = 6
+		perG       = 3_000
+		k          = 4
+		held       = 16
+	)
+	ft := NewFlowTable(k)
+	topics := make([]string, 8*k)
+	for i := range topics {
+		topics[i] = fmt.Sprintf("t/%d", i)
+	}
+	done := make(chan struct{})
+	var snapWG sync.WaitGroup
+	snapWG.Add(1)
+	go func() {
+		defer snapWG.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			ft.Snapshot()
+		}
+	}()
+	var del, delBytes, drops [goroutines]uint64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var ring [held]FlowHandle
+			for i := 0; i < perG; i++ {
+				ring[i%held] = ft.Published(topics[rng.Intn(len(topics))], 1)
+				h := ring[rng.Intn(held)]
+				if h == (FlowHandle{}) {
+					continue
+				}
+				n := 1 + rng.Intn(100)
+				h.Delivered(n)
+				del[g]++
+				delBytes[g] += uint64(n)
+				if rng.Intn(3) == 0 {
+					h.DroppedN(rng.Intn(NumDropReasons), 2)
+					drops[g] += 2
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	snapWG.Wait()
+
+	var wantDel, wantBytes, wantDrops uint64
+	for g := range del {
+		wantDel += del[g]
+		wantBytes += delBytes[g]
+		wantDrops += drops[g]
+	}
+	var gotDel, gotBytes, gotDrops uint64
+	for _, s := range ft.Snapshot() {
+		gotDel += s.DelMsgs
+		gotBytes += s.DelBytes
+		gotDrops += s.DropMsgs
+	}
+	if gotDel != wantDel || gotBytes != wantBytes || gotDrops != wantDrops {
+		t.Fatalf("delivered msgs/bytes, dropped = %d/%d, %d with <other>; want %d/%d, %d",
+			gotDel, gotBytes, gotDrops, wantDel, wantBytes, wantDrops)
+	}
+}
+
 // TestFlowEntryInvalidDropReasonIgnored: out-of-range reasons are discarded,
 // not a panic or a misattributed bucket.
 func TestFlowEntryInvalidDropReasonIgnored(t *testing.T) {
@@ -371,4 +518,28 @@ func BenchmarkFlowPublishedChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ft.Published(topics[i%len(topics)], 256).Delivered(256)
 	}
+}
+
+// BenchmarkFlowPublishedParallel races lock-free hits against misses: half
+// the goroutines republish one hot topic, the other half churn 256 topics
+// through a DefaultFlowK table.
+func BenchmarkFlowPublishedParallel(b *testing.B) {
+	ft := NewFlowTable(DefaultFlowK)
+	topics := make([]string, 256)
+	for i := range topics {
+		topics[i] = fmt.Sprintf("bench/topic/%d", i)
+	}
+	var workers atomic.Int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		churn := workers.Add(1)%2 == 0
+		for i := 0; pb.Next(); i++ {
+			topic := "bench/hot"
+			if churn {
+				topic = topics[i%len(topics)]
+			}
+			ft.Published(topic, 256).Delivered(256)
+		}
+	})
 }

@@ -76,9 +76,9 @@ func (s *Sampler) Decide(topic string) bool {
 	return true
 }
 
-// topicHash is FNV-1a over the topic bytes, the one topic hash in obs: it
-// picks a sampler rate window and a flow sketch slot. It is the same in every
-// process, so a topic's window and probe sequence do not depend on the run.
+// topicHash is FNV-1a over the topic bytes: it picks a sampler rate window.
+// It is the same in every process, so a topic's window does not depend on
+// the run.
 func topicHash(topic string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(topic); i++ {

@@ -9,9 +9,11 @@
 # UDP receive in B/op (gate_udp_recv_bytes_op), the discovery path's
 # ping handler and whole loopback discovery in allocs/op
 # (gate_answer_ping_allocs_op / gate_discover_allocs_op), and a registration
-# refresh at a durable BDN in allocs/op (gate_store_ad_allocs_op), and the
-# flow sketch's miss and hit in allocs/op (gate_flow_churn_allocs_op /
-# gate_flow_hit_allocs_op).
+# refresh at a durable BDN in allocs/op (gate_store_ad_allocs_op), the
+# flow sketch's miss, hit and the two racing in allocs/op
+# (gate_flow_churn_allocs_op / gate_flow_hit_allocs_op /
+# gate_flow_parallel_allocs_op), and the dedup window's insert-and-evict in
+# allocs/op (gate_seen_allocs_op).
 #
 #   sh scripts/bench_gate.sh            # defaults: COUNT=8, 2% threshold
 #   COUNT=12 REGRESSION_PCT=5 sh scripts/bench_gate.sh
@@ -37,6 +39,8 @@ GATE_DISCOVER_ALLOCS=$(sed -n 's/.*"gate_discover_allocs_op"[[:space:]]*:[[:spac
 GATE_STORE_AD_ALLOCS=$(sed -n 's/.*"gate_store_ad_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_FLOW_CHURN_ALLOCS=$(sed -n 's/.*"gate_flow_churn_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_FLOW_HIT_ALLOCS=$(sed -n 's/.*"gate_flow_hit_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
+GATE_FLOW_PARALLEL_ALLOCS=$(sed -n 's/.*"gate_flow_parallel_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
+GATE_SEEN_ALLOCS=$(sed -n 's/.*"gate_seen_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 if [ -z "$GATE_NS" ] || [ -z "$GATE_ALLOCS" ]; then
     echo "bench-gate: $BENCH_FILE carries no gate_ns_op / gate_allocs_op" >&2
     exit 1
@@ -152,13 +156,25 @@ fi
 
 # Flow sketch gates: every publish accounts its topic in obs.FlowTable. A hit
 # is two atomic adds; a miss (256 topics cycled through the 64-entry table, so
-# every publish evicts) allocates the new entry and its topic and nothing
-# else. 7 allocs/op when a miss copied the whole table.
+# every publish evicts) recycles the evicted entry in place and allocates
+# nothing. 7 allocs/op when a miss copied the whole table, 2 when it
+# allocated the new entry and its topic. The parallel rung races hits on one
+# hot topic against that churn.
 if [ -n "$GATE_FLOW_CHURN_ALLOCS" ]; then
     allocs_gate ./internal/obs/ BenchmarkFlowPublishedChurn allocs/op "$GATE_FLOW_CHURN_ALLOCS"
 fi
 if [ -n "$GATE_FLOW_HIT_ALLOCS" ]; then
     allocs_gate ./internal/obs/ BenchmarkFlowPublishedHit allocs/op "$GATE_FLOW_HIT_ALLOCS"
+fi
+if [ -n "$GATE_FLOW_PARALLEL_ALLOCS" ]; then
+    allocs_gate ./internal/obs/ BenchmarkFlowPublishedParallel allocs/op "$GATE_FLOW_PARALLEL_ALLOCS"
+fi
+# Dedup gate: every publish a broker admits passes its event window. Fresh IDs
+# into a full window, the 1000-ID request cache and the sharded 4000-ID event
+# window (BenchmarkSeen/cap=*), insert one ID and evict another without
+# allocating.
+if [ -n "$GATE_SEEN_ALLOCS" ]; then
+    allocs_gate ./internal/dedup/ BenchmarkSeen allocs/op "$GATE_SEEN_ALLOCS"
 fi
 
 echo "bench-gate: ok"
