@@ -20,7 +20,6 @@ import (
 	"narada/internal/metrics"
 	"narada/internal/ntptime"
 	"narada/internal/obs"
-	"narada/internal/replay"
 	"narada/internal/topics"
 	"narada/internal/transport"
 )
@@ -78,10 +77,6 @@ type Config struct {
 	// Routing selects how publish events cross links; discovery requests
 	// are always flooded (control traffic must reach every broker).
 	Routing RoutingMode
-	// ReplayCapacity enables the event-replay service: the broker retains
-	// that many recent events per topic and serves them to clients that
-	// request a replay after subscribing. 0 disables.
-	ReplayCapacity int
 	// Handle is where the broker reports: operational logs, its metric
 	// families (labelled with its logical address), discovery and
 	// message-path spans, and control-plane journal events (node and link
@@ -124,7 +119,6 @@ type Broker struct {
 	evDedup  *dedup.Cache // flooded event UUIDs
 	subs     *topics.Table
 	interest *interestState // link interest refcounts (RouteSubscriptions)
-	history  *replay.Store  // nil unless ReplayCapacity > 0
 	frames   *framePool     // ref-counted shared egress frames
 	flows    *obs.FlowTable // per-topic flow accounting (top-k sketch)
 	egTel    egressTel      // instruments shared by every egress queue
@@ -189,13 +183,8 @@ func New(node transport.Node, ntp *ntptime.Service, cfg Config) (*Broker, error)
 	if cfg.Sampler == nil {
 		cfg.Sampler = metrics.NewRuntimeSampler()
 	}
-	var history *replay.Store
-	if cfg.ReplayCapacity > 0 {
-		history = replay.NewStore(cfg.ReplayCapacity)
-	}
 	cfg.Handle = cfg.Handle.Scoped("broker", cfg.LogicalAddress)
 	b := &Broker{
-		history:     history,
 		node:        node,
 		ntp:         ntp,
 		cfg:         cfg,

@@ -67,6 +67,14 @@ func (e *env) broker(site, name string, cfg Config) *Broker {
 	return b
 }
 
+// matchIDs returns the ids of the registrations in subs that match topic
+// (nil when none do).
+func matchIDs(subs *topics.Table, topic string) []string {
+	var ids []string
+	subs.MatchEachUnique(topic, new(topics.Scratch), func(id string, _ any) { ids = append(ids, id) })
+	return ids
+}
+
 func TestNewRequiresLogicalAddress(t *testing.T) {
 	e := newEnv(t, 1)
 	node, ntp := e.node(simnet.SiteUMN, "x")
@@ -95,7 +103,7 @@ func TestLocalPubSub(t *testing.T) {
 	if err := c.Subscribe("sports/*"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the subscription", func() bool { return b.subs.Match("sports/cricket") != nil })
+	waitFor(t, "the subscription", func() bool { return matchIDs(b.subs, "sports/cricket") != nil })
 
 	pub, err := Connect(node, b.StreamAddr(), "publisher")
 	if err != nil {
@@ -199,7 +207,7 @@ func TestFloodDedupNoDuplicateDelivery(t *testing.T) {
 	c, _ := Connect(node, b3.StreamAddr(), "sub")
 	defer c.Close()
 	_ = c.Subscribe("x/y")
-	waitFor(t, "the subscription", func() bool { return b3.subs.Match("x/y") != nil })
+	waitFor(t, "the subscription", func() bool { return matchIDs(b3.subs, "x/y") != nil })
 
 	if err := b1.Publish("x/y", []byte("once")); err != nil {
 		t.Fatal(err)
@@ -488,7 +496,7 @@ func TestAdvertisementRelayViaClient(t *testing.T) {
 	watcher, _ := Connect(node, b.StreamAddr(), "watcher")
 	defer watcher.Close()
 	_ = watcher.Subscribe(topics.AdvertisementTopic)
-	waitFor(t, "the subscription", func() bool { return b.subs.Match(topics.AdvertisementTopic) != nil })
+	waitFor(t, "the subscription", func() bool { return matchIDs(b.subs, topics.AdvertisementTopic) != nil })
 
 	adv := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: "announced"}}
 	relayNode, _ := e.node(simnet.SiteUMN, "relay")
@@ -571,51 +579,5 @@ func TestPublishTTLBoundsFlood(t *testing.T) {
 	}
 	if _, err := c.Next(500 * time.Millisecond); err == nil {
 		t.Fatal("TTL-1 event crossed two links")
-	}
-}
-
-func TestReplayServiceDeliversMissedEvents(t *testing.T) {
-	e := newEnv(t, 26)
-	b := e.broker(simnet.SiteUMN, "replay-broker", Config{ReplayCapacity: 16})
-
-	// Publish before any subscriber exists.
-	for i := 0; i < 5; i++ {
-		if err := b.Publish("history/log", []byte(fmt.Sprintf("e%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	node, _ := e.node(simnet.SiteUMN, "late")
-	c, _ := Connect(node, b.StreamAddr(), "late")
-	defer c.Close()
-	_ = c.Subscribe("history/log")
-	e.net.Clock().Sleep(100 * time.Millisecond)
-
-	if err := c.RequestReplay("history/log", 3); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		ev, err := c.Next(5 * time.Second)
-		if err != nil {
-			t.Fatalf("replayed event %d missing: %v", i, err)
-		}
-		want := fmt.Sprintf("e%d", 2+i) // most recent 3, oldest first
-		if string(ev.Payload) != want {
-			t.Fatalf("replayed %q, want %q", ev.Payload, want)
-		}
-	}
-}
-
-func TestReplayDisabledIsNoOp(t *testing.T) {
-	e := newEnv(t, 27)
-	b := e.broker(simnet.SiteUMN, "noreplay", Config{})
-	_ = b.Publish("history/log", []byte("lost"))
-	node, _ := e.node(simnet.SiteUMN, "late")
-	c, _ := Connect(node, b.StreamAddr(), "late")
-	defer c.Close()
-	if err := c.RequestReplay("history/log", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Next(300 * time.Millisecond); err == nil {
-		t.Fatal("replay served with the service disabled")
 	}
 }

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -133,19 +132,4 @@ func (c *Client) Close() {
 		close(c.done)
 		_ = c.conn.Close()
 	})
-}
-
-// RequestReplay asks the broker to re-deliver up to limit retained events
-// matching the pattern (0 = broker's full retained window). Replayed events
-// arrive through Next like live deliveries. The broker must have the replay
-// service enabled (Config.ReplayCapacity > 0); otherwise this is a no-op.
-func (c *Client) RequestReplay(pattern string, limit int) error {
-	if err := topics.ValidatePattern(pattern); err != nil {
-		return err
-	}
-	ev := event.New(event.TypeControl, pattern, nil)
-	ev.Source = c.name
-	ev.SetHeader("op", "replay")
-	ev.SetHeader("limit", fmt.Sprintf("%d", limit))
-	return c.conn.Send(event.Encode(ev))
 }

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"errors"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -174,22 +173,8 @@ func (b *Broker) handleClientEvent(c *clientConn, ev *event.Event) {
 			b.localInterestChanged(ev.Topic, -1)
 		}
 	case event.TypeControl:
+		// Clients send no control the broker acts on.
 		b.tel.framesControl.Inc()
-		// Replay request: re-deliver retained history matching the pattern
-		// straight to this client.
-		if ev.Header(controlOpHeader) == opReplay && b.history != nil {
-			// strconv.Atoi is far cheaper than fmt.Sscanf and, unlike it,
-			// rejects trailing garbage instead of silently accepting it.
-			limit, err := strconv.Atoi(ev.Header(replayLimitHeader))
-			if err != nil || limit < 0 {
-				limit = 0
-			}
-			for _, past := range b.history.Replay(ev.Topic, limit) {
-				f := b.frames.get()
-				f.buf = past // Replay hands out copies
-				c.out.sendData(f)
-			}
-		}
 	case event.TypeDiscoveryRequest:
 		// Injection from a connected entity (e.g. a BDN speaking the client
 		// protocol, or a test harness).

@@ -117,7 +117,7 @@ func (b *Broker) handleDiscoveryRequest(ev *event.Event, fromPeer string, set *f
 			ev.SetTrace(traceID, origin, fwdReq.Hops)
 			f := b.frames.encode(ev, int32(len(links)))
 			for _, lk := range links {
-				lk.out.sendDataBatch(f, nil, set)
+				lk.out.sendData(f, set)
 			}
 			set.flush()
 		}

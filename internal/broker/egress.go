@@ -80,7 +80,7 @@ const (
 //   - The writer goroutine, woken only when a reader cannot finish — the
 //     connection took part of the batch, more than one batch is queued, a
 //     frame is inlineMax or larger — or by every other enqueue (heartbeats,
-//     interest control, replay, UDP-ingress discovery, in-process Publish).
+//     interest control, UDP-ingress discovery, in-process Publish).
 //     It writes with blocking calls, up to maxCoalesce frames per write.
 //
 // Two enqueue disciplines implement the fabric's policies:
@@ -309,7 +309,7 @@ func (q *egress) flushed() {
 // histogram (event origin → flush, on the NTP-aligned clock), and an
 // msg-flush span per sampled frame whose duration is the wall-clock
 // queue wait from egress enqueue to this flush. Clock reads happen once per
-// batch, not per frame. Control and replay frames (no flow handle, no trace)
+// batch, not per frame. Control frames (no flow handle, no trace)
 // are skipped entirely; the latency histogram additionally needs a born
 // stamp, which publishers that set no Timestamp don't provide.
 func (q *egress) observeFlushed() {
@@ -363,59 +363,12 @@ func (q *egress) close() {
 	q.wake()
 }
 
-// dropBatch accumulates queue-full eviction accounting across one fan-out's
-// enqueues. When a publish overflows many egress queues at once — the storm
-// case: every subscriber queue backed up behind the same hot topic — the
-// per-eviction cost collapses to one atomic add per topic run instead of one
-// per evicted frame, which matters because eviction happens inside the
-// publish hot loop. Frames are still traced and released immediately; only
-// the counter and flow-tally adds are deferred until settle.
-type dropBatch struct {
-	tel  *egressTel
-	flow obs.FlowHandle
-	n    uint64
-}
-
-// evicted absorbs one queue-full eviction from queue q: the msg-drop trace
-// event (sampled frames only) and the frame release happen now, the counting
-// is batched.
-func (d *dropBatch) evicted(q *egress, f *sharedFrame) {
-	if f.flow != d.flow {
-		d.settle()
-		d.flow = f.flow
-	}
-	d.tel = q.tel
-	d.n++
-	if f.traceID != "" && q.tel.tracer != nil {
-		q.tel.tracer.Trace(f.traceID).Event("msg-drop", q.tel.clock(),
-			obs.A("dest", q.dest),
-			obs.A("reason", obs.DropReasonNames[obs.DropQueueFull]))
-	}
-	f.release()
-}
-
-// settle flushes the accumulated evictions into the reason counter and the
-// flow table. Must be called before the batch's owner releases it.
-func (d *dropBatch) settle() {
-	if d.n == 0 {
-		return
-	}
-	d.tel.dropQueueFull.Add(d.n)
-	d.flow.DroppedN(obs.DropQueueFull, d.n)
-	d.n = 0
-}
-
 // sendData enqueues an application/dissemination frame with the drop-oldest
-// overflow policy, consuming the caller's reference either way. The writer
-// goroutine writes it.
-func (q *egress) sendData(f *sharedFrame) { q.sendDataBatch(f, nil, nil) }
-
-// sendDataBatch is sendData with optional batched eviction accounting and an
-// optional flush set: a non-nil db absorbs queue-full evictions for a later
-// settle instead of counting each one immediately; a non-nil set takes the
-// write (see queued). The publish fan-out passes its per-scratch batch and
-// its reader's set; everyone else passes nil.
-func (q *egress) sendDataBatch(f *sharedFrame, db *dropBatch, set *flushSet) {
+// overflow policy, consuming the caller's reference either way. A non-nil set
+// takes the write (see queued): the publish fan-out and the discovery flood
+// pass their reader's set; everyone else passes nil and the writer goroutine
+// writes the frame.
+func (q *egress) sendData(f *sharedFrame, set *flushSet) {
 	if q.down.Load() {
 		q.drop(f, obs.DropConnDown)
 		return
@@ -436,22 +389,14 @@ func (q *egress) sendDataBatch(f *sharedFrame, db *dropBatch, set *flushSet) {
 	// writer drain can make room in between, in which case nothing is lost.
 	select {
 	case old := <-q.ch:
-		if db != nil {
-			db.evicted(q, old)
-		} else {
-			q.drop(old, obs.DropQueueFull)
-		}
+		q.drop(old, obs.DropQueueFull)
 	default:
 	}
 	select {
 	case q.ch <- f:
 		q.queued(small, set)
 	default:
-		if db != nil {
-			db.evicted(q, f)
-		} else {
-			q.drop(f, obs.DropQueueFull)
-		}
+		q.drop(f, obs.DropQueueFull)
 	}
 }
 

@@ -151,7 +151,7 @@ func TestEgressOverflowDropsOldest(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 4*egressQueueSize; i++ {
-			q.sendData(frameOf(pool, []byte{byte(i)}, 1))
+			q.sendData(frameOf(pool, []byte{byte(i)}, 1), nil)
 		}
 	}()
 	select {
@@ -178,7 +178,7 @@ func TestEgressFlushesOnClose(t *testing.T) {
 	q := newEgress(frameConn(conn.send), &tt.tel, "local")
 	const frames = 100
 	for i := 0; i < frames; i++ {
-		q.sendData(frameOf(pool, []byte{byte(i)}, 1))
+		q.sendData(frameOf(pool, []byte{byte(i)}, 1), nil)
 	}
 	q.close()
 	q.run() // synchronous: drains everything, then exits via flush
@@ -202,7 +202,7 @@ func TestEgressControlFailsAfterDeath(t *testing.T) {
 	conn := newBlockConn()
 	_ = conn.Close() // sends fail immediately
 	q := newEgress(frameConn(conn.send), &tt.tel, "local")
-	q.sendData(frameOf(pool, []byte{1}, 1)) // give the writer a frame so it hits the send error
+	q.sendData(frameOf(pool, []byte{1}, 1), nil) // give the writer a frame so it hits the send error
 	go q.run()
 	<-q.dead
 	successes := 0
@@ -240,7 +240,7 @@ func TestEgressCoalescesBatches(t *testing.T) {
 
 	const frames = 100
 	for i := 0; i < frames; i++ {
-		q.sendData(frameOf(pool, []byte{byte(i)}, 1))
+		q.sendData(frameOf(pool, []byte{byte(i)}, 1), nil)
 	}
 	close(conn.gate) // un-stall: the writer should now drain in bursts
 	deadline := time.After(10 * time.Second)
@@ -270,15 +270,15 @@ func TestEgressDropReasons(t *testing.T) {
 	conn := newBlockConn()
 	q := newEgress(frameConn(conn.send), &tt.tel, "local")
 
-	q.sendData(frameOf(pool, make([]byte, maxEgressFrame+1), 1))
+	q.sendData(frameOf(pool, make([]byte, maxEgressFrame+1), 1), nil)
 	if got := tt.tooLarge.Value(); got != 1 {
 		t.Fatalf("oversized frame counted as frame_too_large %d times, want 1", got)
 	}
 
 	// Two queued frames, writer running against a closed connection: the
 	// failed flush and the exit drain both classify as conn_down.
-	q.sendData(frameOf(pool, []byte{1}, 1))
-	q.sendData(frameOf(pool, []byte{2}, 1))
+	q.sendData(frameOf(pool, []byte{1}, 1), nil)
+	q.sendData(frameOf(pool, []byte{2}, 1), nil)
 	_ = conn.Close()
 	q.run() // synchronous: send error tears the queue down
 	if got := tt.connDown.Value(); got != 2 {
@@ -286,7 +286,7 @@ func TestEgressDropReasons(t *testing.T) {
 	}
 
 	// A frame offered after death is conn_down too, never queue_full.
-	q.sendData(frameOf(pool, []byte{3}, 1))
+	q.sendData(frameOf(pool, []byte{3}, 1), nil)
 	if got := tt.connDown.Value(); got != 3 {
 		t.Fatalf("post-death sendData counted conn_down %d times, want 3", got)
 	}
@@ -413,7 +413,7 @@ func feedInline(q *egress, pool *framePool, n int, rng *rand.Rand) int {
 			runtime.Gosched()
 		}
 		for burst := 1 + rng.Intn(70); burst > 0 && seq < n; burst-- {
-			q.sendDataBatch(frameOf(pool, seqPayload(uint64(seq)), 1), nil, &set)
+			q.sendData(frameOf(pool, seqPayload(uint64(seq)), 1), &set)
 			seq++
 		}
 		set.flush()
@@ -471,7 +471,7 @@ func TestEgressHandOffIsTheWriters(t *testing.T) {
 	q := newEgress(fakeConn{write: conn.writeBatch}, &tt.tel, "local")
 	var set flushSet
 	for seq := uint64(0); seq < 3; seq++ {
-		q.sendDataBatch(frameOf(pool, seqPayload(seq), 1), nil, &set)
+		q.sendData(frameOf(pool, seqPayload(seq), 1), &set)
 	}
 	set.flush()     // writes 2 bytes and hands the batch over
 	q.flushInline() // a reader's later flushes must not write
@@ -633,6 +633,16 @@ func slowConsumerIsolation(t *testing.T, br *Broker, scale float64) {
 	}
 	if down, tooLarge := br.tel.egressDropConnDown.Value(), br.tel.egressDropTooLarge.Value(); down+tooLarge != 0 {
 		t.Fatalf("drops other than queue_full: %d conn_down, %d frame_too_large", down, tooLarge)
+	}
+	// Every eviction is on the topic's flow row as well as on the counter.
+	var row obs.FlowSnapshot
+	for _, s := range br.Flows() {
+		if s.Topic == topic {
+			row = s
+		}
+	}
+	if row.DropQueue != uint64(lost) {
+		t.Fatalf("flow row %q has %d queue_full drops, the counter %d", topic, row.DropQueue, lost)
 	}
 
 	for _, c := range []transport.Conn{pub, stalled, reader} {

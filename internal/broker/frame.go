@@ -42,7 +42,7 @@ type sharedFrame struct {
 	pool *framePool
 
 	// Delivery accounting, stamped by the publish fan-out on publish frames only
-	// (control/replay frames leave them zero). None of these fields affect
+	// (control frames leave them zero). None of these fields affect
 	// the reference count: sampling observes a frame's life, never extends
 	// or shortens it.
 	flow       obs.FlowHandle // topic's flow counters, for flush/drop tallies

@@ -32,13 +32,11 @@ func isLinkSubscriber(id string) (peer string, ok bool) {
 	return "", false
 }
 
-// Control-event headers used for interest propagation and replay.
+// Control-event headers used for interest propagation.
 const (
-	controlOpHeader   = "op"
-	opSubAdd          = "sub-add"
-	opSubDel          = "sub-del"
-	opReplay          = "replay"
-	replayLimitHeader = "limit"
+	controlOpHeader = "op"
+	opSubAdd        = "sub-add"
+	opSubDel        = "sub-del"
 )
 
 // interestState tracks pattern references per contribution source.

@@ -40,7 +40,7 @@ func routedChain(t *testing.T, e *env, n int) []*Broker {
 func awaitInterest(t *testing.T, br *Broker, topic string, want bool) {
 	t.Helper()
 	waitFor(t, fmt.Sprintf("interest in %q at %s to become %v", topic, br.LogicalAddress(), want),
-		func() bool { return (br.subs.Match(topic) != nil) == want })
+		func() bool { return (matchIDs(br.subs, topic) != nil) == want })
 }
 
 func TestRoutedDeliveryAcrossChain(t *testing.T) {

@@ -311,66 +311,6 @@ func TestPublishAdmissionEdges(t *testing.T) {
 		sameEvent(t, "subscriber behind the link", got, &want)
 	})
 
-	t.Run("replay capacity does not cost the pass-through", func(t *testing.T) {
-		a := realBroker(t, "in-replay-pt", func(cfg *Config) { cfg.ReplayCapacity = 8 })
-		sub := rawSubscriber(t, a, "in/**")
-		pub := rawConn(t, a)
-		sent := event.Encode(publishEvent("in/x", "retained and delivered"))
-		if err := pub.Send(sent); err != nil {
-			t.Fatal(err)
-		}
-		if frame, _ := nextFrame(t, sub); !bytes.Equal(frame, sent) {
-			t.Fatal("subscriber received re-encoded bytes because replay history is on")
-		}
-	})
-
-	t.Run("replayed frame carries the TTL that arrived, though the live copy was hop-patched in place", func(t *testing.T) {
-		a := realBroker(t, "in-replay-a", func(cfg *Config) { cfg.ReplayCapacity = 8 })
-		b := realBroker(t, "in-replay-b", nil)
-		linkReal(t, b, a)
-		remote := rawSubscriber(t, b, "in/**") // a has no local subscriber: the hop is spent on the ingress frame
-		pub := rawConn(t, a)
-		sent := event.Encode(publishEvent("in/x", "missed by the late joiner"))
-		if err := pub.Send(sent); err != nil {
-			t.Fatal(err)
-		}
-		if _, got := nextFrame(t, remote); got.TTL != event.DefaultTTL-1 {
-			t.Fatalf("link delivery TTL = %d, want %d", got.TTL, event.DefaultTTL-1)
-		}
-		late := rawConn(t, a)
-		ask := event.New(event.TypeControl, "in/*", nil)
-		ask.SetHeader(controlOpHeader, opReplay)
-		if err := late.Send(event.Encode(ask)); err != nil {
-			t.Fatal(err)
-		}
-		if frame, _ := nextFrame(t, late); !bytes.Equal(frame, sent) {
-			t.Fatal("replayed frame differs from the frame that arrived")
-		}
-	})
-
-	t.Run("replay history still replays", func(t *testing.T) {
-		a := realBroker(t, "in-replay", func(cfg *Config) { cfg.ReplayCapacity = 8 })
-		pub := rawConn(t, a)
-		ev := publishEvent("in/replayed", "missed")
-		if err := pub.Send(event.Encode(ev)); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, "event retained", func() bool { stored, _ := a.history.Stats(); return stored == 1 })
-		late, err := Connect(transport.NewRealNode("127.0.0.1", nil), a.StreamAddr(), "late-joiner")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer late.Close()
-		if err := late.RequestReplay("in/*", 0); err != nil {
-			t.Fatal(err)
-		}
-		got, err := late.Next(5 * time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameEvent(t, "replayed event", got, ev)
-	})
-
 	t.Run("TTL 0 is delivered locally and not forwarded", func(t *testing.T) {
 		a := realBroker(t, "in-ttl-a", nil)
 		b := realBroker(t, "in-ttl-b", nil)

@@ -98,9 +98,9 @@ func TestRegistrationLinkAcceptsOnlyRequestsAndHeartbeats(t *testing.T) {
 	br.interest.mu.Lock()
 	planted := len(br.interest.remote)
 	br.interest.mu.Unlock()
-	if planted != 0 || br.subs.Match("planted/x") != nil {
+	if planted != 0 || matchIDs(br.subs, "planted/x") != nil {
 		t.Fatalf("an interest update sent down a registration link changed the table (%d remote sources, match %v)",
-			planted, br.subs.Match("planted/x"))
+			planted, matchIDs(br.subs, "planted/x"))
 	}
 	if got := br.tel.framesOther.Value() - otherBefore; got != 2 {
 		t.Fatalf(`frames_total{kind="other"} moved by %d, want 2 (the publish and the interest update)`, got)

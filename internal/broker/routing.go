@@ -169,7 +169,6 @@ type pubScratch struct {
 	peers  []string       // link peers with matching remote interest
 	locals []*egress      // matched local client queues
 	links  []*egress      // forwarding targets
-	drops  dropBatch      // batched queue-full accounting for this fan-out
 	visit  func(id string, val any)
 }
 
@@ -281,11 +280,8 @@ func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string, set *flu
 	// The returned flow handle is stamped onto every frame of this fan-out,
 	// so delivered/dropped tallies on the egress side need no topic hashing.
 	// born feeds the delivery-latency histogram observed at egress flush;
-	// control/replay frames never carry either.
+	// control frames never carry either.
 	f.flow, f.born = b.flows.Published(v.Topic, len(v.Payload)), v.Timestamp
-	if b.history != nil {
-		b.history.Add(v.Topic, f.buf) // copied now: with the TTL that arrived
-	}
 	origin, hop, sampled := v.MsgTrace()
 	var matchStart time.Time
 	if sampled {
@@ -339,22 +335,18 @@ func (b *Broker) fanOut(v *event.View, f *sharedFrame, fromPeer string, set *flu
 	if nLocals > 0 {
 		f.refs.Add(nLocals)
 		for _, q := range sc.locals {
-			q.sendDataBatch(f, &sc.drops, set)
+			q.sendData(f, set)
 		}
 		b.tel.deliveredLocal.Add(uint64(nLocals))
 	}
 	if nLinks > 0 {
 		for _, q := range sc.links {
-			q.sendDataBatch(fwd, &sc.drops, set)
+			q.sendData(fwd, set)
 		}
 		b.tel.deliveredLink.Add(uint64(nLinks))
 	}
 	// The caller's reference kept f (and with it v) alive through the fan-out.
 	f.release()
-	// Flush batched eviction accounting and shed the pointers it holds before
-	// the scratch goes back in the pool.
-	sc.drops.settle()
-	sc.drops = dropBatch{}
 	pubScratchPool.Put(sc)
 }
 

@@ -45,7 +45,7 @@ func TestConcurrentPubSubStress(t *testing.T) {
 	// Wait until the interest has actually propagated down the chain to b1
 	// (a fixed sleep flakes when the race detector slows the control path).
 	interestDeadline := time.Now().Add(10 * time.Second)
-	for b1.subs.Match("stress/probe") == nil {
+	for matchIDs(b1.subs, "stress/probe") == nil {
 		if time.Now().After(interestDeadline) {
 			t.Fatal("stable subscriber's interest never reached b1")
 		}

@@ -220,12 +220,3 @@ func Load(path string, cfg interface{ Validate() error }) error {
 	}
 	return cfg.Validate()
 }
-
-// Save writes a configuration as indented JSON.
-func Save(path string, cfg any) error {
-	data, err := json.MarshalIndent(cfg, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}

@@ -1,6 +1,8 @@
 package config
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -114,6 +116,18 @@ func TestNodeDiscoveryConfig(t *testing.T) {
 	}
 }
 
+// writeJSON writes v to path as a configuration file.
+func writeJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLoadSaveRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "broker.json")
@@ -123,9 +137,7 @@ func TestLoadSaveRoundTrip(t *testing.T) {
 		BDNs:           []string{"bloomington/bdn:7000"},
 		Links:          []string{"umn/broker-umn:10001"},
 	}
-	if err := Save(path, orig); err != nil {
-		t.Fatal(err)
-	}
+	writeJSON(t, path, orig)
 	var got Broker
 	if err := Load(path, &got); err != nil {
 		t.Fatal(err)
@@ -145,16 +157,12 @@ func TestLoadErrors(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.json")
-	if err := Save(bad, "not an object"); err != nil {
-		t.Fatal(err)
-	}
+	writeJSON(t, bad, "not an object")
 	if err := Load(bad, &b); err == nil {
 		t.Fatal("malformed config accepted")
 	}
 	empty := filepath.Join(dir, "empty.json")
-	if err := Save(empty, map[string]string{}); err != nil {
-		t.Fatal(err)
-	}
+	writeJSON(t, empty, map[string]string{})
 	if err := Load(empty, &b); err == nil {
 		t.Fatal("invalid (empty) broker config accepted")
 	}

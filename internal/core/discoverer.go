@@ -96,7 +96,7 @@ func (c *Config) fillDefaults() {
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = DefaultAckTimeout
 	}
-	if c.MaxRetransmits < 0 {
+	if c.MaxRetransmits <= 0 {
 		c.MaxRetransmits = DefaultMaxRetransmits
 	}
 	if len(c.Protocols) == 0 {

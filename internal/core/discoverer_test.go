@@ -330,7 +330,8 @@ func TestConfigDefaultsFilled(t *testing.T) {
 	if cfg.CollectWindow != DefaultCollectWindow ||
 		cfg.Selection.TargetSetSize != DefaultTargetSetSize ||
 		cfg.PingCount != DefaultPingCount ||
-		cfg.AckTimeout != DefaultAckTimeout {
+		cfg.AckTimeout != DefaultAckTimeout ||
+		cfg.MaxRetransmits != DefaultMaxRetransmits {
 		t.Fatalf("defaults not filled: %+v", cfg)
 	}
 	if cfg.Selection.Weights == (metrics.Weights{}) {

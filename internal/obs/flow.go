@@ -135,17 +135,13 @@ func (h FlowHandle) Delivered(n int) {
 }
 
 // Dropped accounts one dropped message with the given reason.
-func (h FlowHandle) Dropped(reason int) { h.DroppedN(reason, 1) }
-
-// DroppedN accounts n dropped messages with the given reason, for callers
-// that batch eviction storms into one update.
-func (h FlowHandle) DroppedN(reason int, n uint64) {
+func (h FlowHandle) Dropped(reason int) {
 	e := h.e
-	if e == nil || n == 0 || reason < 0 || reason >= NumDropReasons {
+	if e == nil || reason < 0 || reason >= NumDropReasons {
 		return
 	}
-	if e.gen.Load() != h.gen || !e.drops[reason].add(h.gen, n) {
-		e.t.otherDrops[reason].Add(n)
+	if e.gen.Load() != h.gen || !e.drops[reason].add(h.gen, 1) {
+		e.t.otherDrops[reason].Add(1)
 	}
 }
 

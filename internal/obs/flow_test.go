@@ -37,7 +37,8 @@ func TestFlowTableAccounting(t *testing.T) {
 	}
 	e := ft.Published("sensors/humidity", 40)
 	e.Dropped(DropQueueFull)
-	e.DroppedN(DropConnDown, 2)
+	e.Dropped(DropConnDown)
+	e.Dropped(DropConnDown)
 
 	snaps := ft.Snapshot()
 	if len(snaps) != 2 {
@@ -373,7 +374,8 @@ func TestFlowTableEvictedHandleFoldsIntoOther(t *testing.T) {
 	ft.Published("new", 10)
 	old.Delivered(7)
 	old.Dropped(DropQueueFull)
-	old.DroppedN(DropConnDown, 2)
+	old.Dropped(DropConnDown)
+	old.Dropped(DropConnDown)
 	ft.Published("new", 10).Delivered(5)
 
 	byTopic := snapshotByTopic(ft)
@@ -455,7 +457,9 @@ func TestFlowTableHandlesAcrossEvictions(t *testing.T) {
 				del[g]++
 				delBytes[g] += uint64(n)
 				if rng.Intn(3) == 0 {
-					h.DroppedN(rng.Intn(NumDropReasons), 2)
+					reason := rng.Intn(NumDropReasons)
+					h.Dropped(reason)
+					h.Dropped(reason)
 					drops[g] += 2
 				}
 			}
@@ -490,7 +494,6 @@ func TestFlowEntryInvalidDropReasonIgnored(t *testing.T) {
 	e := ft.Published("a", 1)
 	e.Dropped(-1)
 	e.Dropped(NumDropReasons)
-	e.DroppedN(DropQueueFull, 0)
 	if s := snapshotByTopic(ft)["a"]; s.DropMsgs != 0 {
 		t.Fatalf("invalid reasons counted: %+v", s)
 	}

@@ -13,26 +13,6 @@ var DefBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// LinearBuckets returns count bounds starting at start, spaced by width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns count bounds starting at start, each factor
-// times the previous.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // Histogram is a fixed-bucket histogram with atomic buckets. Observe is
 // allocation-free: a linear scan over the (small, immutable) bound slice,
 // one atomic bucket increment, one atomic count increment and a CAS loop for

@@ -70,14 +70,3 @@ func TestHistogramRejectsUnsortedBuckets(t *testing.T) {
 	}()
 	newHistogram([]float64{1, 1})
 }
-
-func TestBucketGenerators(t *testing.T) {
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
-	exp := ExponentialBuckets(1, 10, 3)
-	if exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
-		t.Errorf("ExponentialBuckets = %v", exp)
-	}
-}

@@ -2,6 +2,7 @@ package topics_test
 
 import (
 	"fmt"
+	"sort"
 
 	"narada/internal/topics"
 )
@@ -20,9 +21,15 @@ func ExampleTable() {
 	t := topics.NewTable()
 	_ = t.Subscribe("alice", "market/nasdaq/*")
 	_ = t.Subscribe("bob", "market/**")
-	fmt.Println(t.Match("market/nasdaq/GOOG"))
-	fmt.Println(t.Match("market/nyse/IBM"))
+	_ = t.Subscribe("bob", "market/nasdaq/GOOG") // a second match for bob, visited once
+	var sc topics.Scratch                        // kept across matches: no allocation per match
+	for _, topic := range []string{"market/nasdaq/GOOG", "market/nyse/IBM"} {
+		var ids []string
+		t.MatchEachUnique(topic, &sc, func(id string, _ any) { ids = append(ids, id) })
+		sort.Strings(ids)
+		fmt.Println(topic, ids)
+	}
 	// Output:
-	// [alice bob]
-	// [bob]
+	// market/nasdaq/GOOG [alice bob]
+	// market/nyse/IBM [bob]
 }

@@ -27,7 +27,6 @@ type Table struct {
 	index map[string]int32               // subscriber -> dense dedup index
 	free  []int32                        // recycled dedup indexes
 	width int32                          // high-water dedup index bound
-	subs  int                            // total (id, pattern) registrations
 }
 
 // snapshot is one immutable generation of the subscription trie.
@@ -94,7 +93,6 @@ func (t *Table) SubscribeValue(id, pattern string, val any) (bool, error) {
 		t.byID[id] = pats
 	}
 	pats[pattern] = struct{}{}
-	t.subs++
 
 	e := entry{id: id, idx: t.indexLocked(id), val: val}
 	t.publishLocked(insertPath(t.snap.Load().root, pattern, e))
@@ -172,7 +170,6 @@ func (t *Table) removeLocked(id, pattern string) bool {
 			t.free = append(t.free, idx)
 		}
 	}
-	t.subs--
 	t.publishLocked(removePath(t.snap.Load().root, pattern, id))
 	return true
 }
@@ -290,17 +287,6 @@ func without(old []entry, id string) []entry {
 	return old
 }
 
-// Match returns the sorted, de-duplicated subscriber ids whose patterns
-// match the concrete topic (nil when none do). It is a convenience wrapper
-// over MatchEachUnique that pays for a fresh Scratch and the result slice;
-// hot paths call MatchEachUnique with a Scratch they keep.
-func (t *Table) Match(topic string) []string {
-	var ids []string
-	t.MatchEachUnique(topic, new(Scratch), func(id string, _ any) { ids = append(ids, id) })
-	sort.Strings(ids)
-	return ids
-}
-
 // Scratch is the reusable dedup state for MatchEachUnique: an epoch-stamped
 // array indexed by the table's dense subscriber indexes, so de-duplicating a
 // visit costs one array load instead of a string comparison sweep. The zero
@@ -373,18 +359,4 @@ func (t *Table) Patterns(id string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Len returns the total number of (subscriber, pattern) registrations.
-func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.subs
-}
-
-// Subscribers returns the number of distinct subscriber ids.
-func (t *Table) Subscribers() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byID)
 }

@@ -1,13 +1,12 @@
 // Package topology wires brokers into the broker-network shapes the paper
 // evaluates — unconnected (Figure 1), star (Figure 8) and linear (Figure 10)
-// — plus ring, tree, full-mesh and random graphs for wider experiments.
+// — plus ring, tree and full-mesh graphs for wider experiments.
 // Builders return the edge list they created so tests and reports can assert
 // and display the wiring.
 package topology
 
 import (
 	"fmt"
-	"math/rand"
 
 	"narada/internal/broker"
 )
@@ -31,8 +30,7 @@ const (
 	Tree        = "tree"
 )
 
-// ByName returns the Builder for a named topology (tree has arity 2;
-// random graphs need parameters, use BuildRandom directly).
+// ByName returns the Builder for a named topology (tree has arity 2).
 func ByName(name string) (Builder, error) {
 	switch name {
 	case Unconnected:
@@ -138,56 +136,6 @@ func BuildTree(brokers []*broker.Broker, arity int) ([]Edge, error) {
 			return edges, err
 		}
 		edges = append(edges, e)
-	}
-	return edges, nil
-}
-
-// BuildRandom links each broker pair independently with probability p,
-// then guarantees connectivity by chaining any isolated components onto the
-// first broker. Deterministic for a given seed.
-func BuildRandom(brokers []*broker.Broker, p float64, seed int64) ([]Edge, error) {
-	rng := rand.New(rand.NewSource(seed))
-	var edges []Edge
-	adj := make(map[int][]int)
-	for i := range brokers {
-		for j := i + 1; j < len(brokers); j++ {
-			if rng.Float64() >= p {
-				continue
-			}
-			e, err := link(brokers[j], brokers[i])
-			if err != nil {
-				return edges, err
-			}
-			edges = append(edges, e)
-			adj[i] = append(adj[i], j)
-			adj[j] = append(adj[j], i)
-		}
-	}
-	// Connect stragglers: BFS from 0, attach unreachable nodes to node 0.
-	if len(brokers) > 1 {
-		seen := map[int]bool{0: true}
-		queue := []int{0}
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			for _, m := range adj[n] {
-				if !seen[m] {
-					seen[m] = true
-					queue = append(queue, m)
-				}
-			}
-		}
-		for i := 1; i < len(brokers); i++ {
-			if seen[i] {
-				continue
-			}
-			e, err := link(brokers[i], brokers[0])
-			if err != nil {
-				return edges, err
-			}
-			edges = append(edges, e)
-			seen[i] = true
-		}
 	}
 	return edges, nil
 }

@@ -171,19 +171,6 @@ func TestTreeShape(t *testing.T) {
 	}
 }
 
-func TestRandomConnected(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		bs := makeBrokers(t, 6, 100+seed)
-		edges, err := BuildRandom(bs, 0.3, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := Diameter(len(bs), edges, indexOf(bs)); d < 0 {
-			t.Fatalf("seed %d: random graph disconnected", seed)
-		}
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range []string{Unconnected, Star, Linear, Ring, Mesh, Tree} {
 		if _, err := ByName(name); err != nil {

@@ -13,7 +13,8 @@
 # flow sketch's miss, hit and the two racing in allocs/op
 # (gate_flow_churn_allocs_op / gate_flow_hit_allocs_op /
 # gate_flow_parallel_allocs_op), and the dedup window's insert-and-evict in
-# allocs/op (gate_seen_allocs_op).
+# allocs/op (gate_seen_allocs_op). Every gate runs: each failure prints a
+# FAIL line, and the script exits non-zero after the last gate if any failed.
 #
 #   sh scripts/bench_gate.sh            # defaults: COUNT=8, 2% threshold
 #   COUNT=12 REGRESSION_PCT=5 sh scripts/bench_gate.sh
@@ -48,6 +49,7 @@ fi
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
+fails=0
 
 echo "bench-gate: running BenchmarkPublishFanout x$COUNT (gate: ${GATE_NS} ns/op +${REGRESSION_PCT}%, ${GATE_ALLOCS} allocs/op)"
 go test -run '^$' -bench 'BenchmarkPublishFanout$' -benchmem -benchtime=1s \
@@ -77,7 +79,7 @@ END {
         failed = 1
     }
     exit failed
-}' "$OUT"
+}' "$OUT" || fails=$((fails + 1))
 
 # allocs_gate PKG NAME UNIT GATE: run benchmark NAME of package PKG twice and
 # fail if the best UNIT (allocs/op or B/op) of any of its (sub-)benchmarks
@@ -102,7 +104,7 @@ allocs_gate() {
             }
         }
         exit failed
-    }' "$OUT"
+    }' "$OUT" || fails=$((fails + 1))
 }
 
 # Sampled-path gate: with message tracing live (1-in-N sampler + tracer) the
@@ -177,4 +179,8 @@ if [ -n "$GATE_SEEN_ALLOCS" ]; then
     allocs_gate ./internal/dedup/ BenchmarkSeen allocs/op "$GATE_SEEN_ALLOCS"
 fi
 
+if [ "$fails" -gt 0 ]; then
+    echo "bench-gate: FAIL: $fails gate(s) failed" >&2
+    exit 1
+fi
 echo "bench-gate: ok"
