@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check verify loc bench bench-gate fuzz obs-smoke health-smoke chaos-smoke loadgen-smoke flows-smoke events-smoke profiles-smoke durability-smoke ci
+.PHONY: all build test race vet fmt-check verify exact exact-nbexp loc bench bench-gate fuzz obs-smoke health-smoke chaos-smoke loadgen-smoke flows-smoke events-smoke profiles-smoke durability-smoke ci
 
 all: build
 
@@ -20,8 +20,32 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# verify is the tier-1 gate: everything must pass before a merge.
-verify: build vet fmt-check test race
+# verify is the tier-1 gate: everything must pass before a merge. `test` and
+# `race` each run the exact lane once (TestExactLane, under the detector in
+# `race`), so of exact it adds only the nbexp comparison.
+verify: build vet fmt-check test race exact-nbexp
+
+# exact runs the exact lane: the tests in files tagged goexperiment.synctest,
+# each in a synctest bubble where model time is the bubble's clock
+# (TestExactLane runs them with GOEXPERIMENT=synctest, and with -race when it
+# is itself built with -race), after exact-nbexp.
+exact: exact-nbexp
+	$(GO) test -count=1 -run '^TestExactLane$$' .
+
+# exact-nbexp builds nbexp with the experiment, plain and with -race, and runs
+# its model-time experiments at GOMAXPROCS 1 and 8 and under -race; the three
+# outputs must be identical. fig13 and fig14 time the host's CPU and are left
+# out of the comparison.
+exact-nbexp:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	GOEXPERIMENT=synctest $(GO) build -o "$$dir/nbexp" ./cmd/nbexp && \
+	GOEXPERIMENT=synctest $(GO) build -race -o "$$dir/nbexp-race" ./cmd/nbexp && \
+	ids=$$("$$dir/nbexp" -list | grep -vx -e fig13 -e fig14 | paste -sd, -) && \
+	GOMAXPROCS=1 "$$dir/nbexp" -exp "$$ids" -seed 1 > "$$dir/procs1" && \
+	GOMAXPROCS=8 "$$dir/nbexp" -exp "$$ids" -seed 1 > "$$dir/procs8" && \
+	"$$dir/nbexp-race" -exp "$$ids" -seed 1 > "$$dir/race" && \
+	cmp "$$dir/procs1" "$$dir/procs8" && cmp "$$dir/procs1" "$$dir/race" && \
+	echo "exact: nbexp -seed 1 is byte-identical at GOMAXPROCS 1 and 8 and under -race"
 
 # loc prints non-test *.go lines per package directory of the working tree;
 # `scripts/loc.sh <rev> [path...]` reads any revision without a checkout and

@@ -19,6 +19,11 @@ import (
 	"narada/internal/obs/plane"
 )
 
+// runExperiment runs one experiment and writes its report. A build with
+// GOEXPERIMENT=synctest runs the model-time ones in a synctest bubble
+// (exact.go).
+var runExperiment = experiments.Run
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintf(os.Stderr, "nbexp: %v\n", err)
@@ -69,7 +74,7 @@ func run() error {
 
 	failed := 0
 	for _, id := range ids {
-		if err := experiments.Run(strings.TrimSpace(id), opts, os.Stdout); err != nil {
+		if err := runExperiment(strings.TrimSpace(id), opts, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "nbexp: %v\n", err)
 			failed++
 		}

@@ -1,7 +1,12 @@
+//go:build goexperiment.synctest
+
+//go:debug asynctimerchan=0
+
 package narada
 
 import (
 	"testing"
+	"testing/synctest"
 	"time"
 
 	"narada/internal/bdn"
@@ -16,13 +21,18 @@ import (
 // exercising the complete life of an entity in the messaging infrastructure —
 // discovery of the nearest broker, connection, subscription, cross-network
 // delivery and survival of a BDN failure. (The reliable-stream and
-// fragmentation leg lives with those services, in examples/datastreams.)
+// fragmentation leg lives with those services, in examples/datastreams.) It
+// runs in a synctest bubble at Scale 1, so every model-time wait in it is exact.
 func TestFullSystemStory(t *testing.T) {
+	synctest.Run(func() { t.Run("bubble", fullSystemStory) })
+}
+
+func fullSystemStory(t *testing.T) {
 	specs := testbed.PaperBrokers()
 	tb, err := testbed.New(testbed.Options{
 		Topology:     topology.Star,
 		InjectPolicy: bdn.InjectClosestFarthest,
-		Scale:        200,
+		Scale:        1,
 		Seed:         2026,
 		Brokers:      specs,
 		BDNCount:     2,
@@ -41,8 +51,8 @@ func TestFullSystemStory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Responses) != 5 || res.Via != core.ViaBDN {
-		t.Fatalf("discovery degraded: %d responses via %s", len(res.Responses), res.Via)
+	if len(res.Responses) != 5 || res.Via != core.ViaBDN || res.Selected.LogicalAddress != "broker-indianapolis" {
+		t.Fatalf("discovery degraded: %d responses via %s, selected %s", len(res.Responses), res.Via, res.Selected.LogicalAddress)
 	}
 
 	// Act 2 — pub/sub across the network: subscribe at the discovered
@@ -70,15 +80,16 @@ func TestFullSystemStory(t *testing.T) {
 
 	// Act 3 — the primary BDN dies; rediscovery succeeds via the secondary.
 	tb.BDNs[0].Close()
-	cfg := d.Config()
-	cfg.AckTimeout = 300 * time.Millisecond
-	cfg.MaxRetransmits = 1
-	d2 := tb.NewDiscoverer(simnet.SiteBloomington, "story-client-2", cfg)
+	d2 := tb.NewDiscoverer(simnet.SiteBloomington, "story-client-2", d.Config())
 	res2, err := d2.Discover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Via != core.ViaBDN || res2.BDN == res.BDN {
 		t.Fatalf("failover did not engage: via=%s bdn=%s", res2.Via, res2.BDN)
+	}
+	// The dead primary refuses the dial, so no ack timeout is waited out.
+	if got, want := res2.Timing.Get(core.PhaseRequestIssue), 7500*time.Microsecond; got != want {
+		t.Fatalf("failover issued the request in %v, want %v", got, want)
 	}
 }

@@ -41,16 +41,13 @@ func (e *env) member(site string, cfg Config, peers ...string) *BDN {
 	return d
 }
 
-// manualStart is where a manual clock starts.
-var manualStart = time.Unix(1_000_000, 0)
-
-// openManual starts a BDN named name on clock, whose NTP service reads clock
-// too, with a sweeper that never fires on its own.
-func openManual(t *testing.T, e *env, clock *ntptime.ManualClock, name string, cfg Config) *BDN {
+// openQuiet starts a BDN named name whose sweeper never fires on its own and
+// whose NTP service reads its node's clock.
+func openQuiet(t *testing.T, e *env, name string, cfg Config) *BDN {
 	t.Helper()
 	node := transport.NewSimNode(e.net, simnet.SiteBloomington, "bdn-"+name, 0)
 	cfg.Name, cfg.SweepInterval, cfg.Fsync = name, 1000*time.Hour, wal.SyncNever
-	d, err := New(manualNode{node, clock}, ntptime.NewService(clock, 0, nil), cfg)
+	d, err := New(node, ntptime.NewService(node.Clock(), 0, nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +58,10 @@ func openManual(t *testing.T, e *env, clock *ntptime.ManualClock, name string, c
 	return d
 }
 
-// manualPair is two BDNs on one clock the test moves by hand: a member and
-// the peer whose table it merges.
-func manualPair(t *testing.T, e *env, cfg Config) (member, peer *BDN, clock *ntptime.ManualClock) {
+// quietPair is two quiet BDNs: a member and the peer whose table it merges.
+func quietPair(t *testing.T, e *env, cfg Config) (member, peer *BDN) {
 	t.Helper()
-	clock = ntptime.NewManualClock(manualStart)
-	return openManual(t, e, clock, "member", cfg), openManual(t, e, clock, "peer", Config{}), clock
+	return openQuiet(t, e, "member", cfg), openQuiet(t, e, "peer", Config{})
 }
 
 // register hands ad to d the way a broker's registration connection does.
@@ -74,85 +69,10 @@ func register(d *BDN, ad *core.Advertisement) {
 	d.storeAdvertisement(event.New(event.TypeAdvertisement, "", core.EncodeAdvertisement(ad)), nil)
 }
 
-// brokerAd is an advertisement issued at manualStart+issued.
-func brokerAd(logical, realm string, issued, ttl time.Duration) *core.Advertisement {
+// brokerAd is an advertisement issued at issued.
+func brokerAd(logical, realm string, issued time.Time, ttl time.Duration) *core.Advertisement {
 	return &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: logical, Realm: realm},
-		IssuedAt: manualStart.Add(issued), TTL: ttl}
-}
-
-// TestMergeSkipsWhatThisMemberExpired: a member that expired a registration
-// does not take it back from a peer that heard the same advertisement later
-// and still lists it — not before a restart and not after one — but takes the
-// broker's next advertisement. The broker's clock runs 5 s ahead, so the
-// advertisement could still be live and only the tombstone refuses it.
-func TestMergeSkipsWhatThisMemberExpired(t *testing.T) {
-	e := newEnv(t, 50)
-	dir := t.TempDir()
-	m, p, clock := manualPair(t, e, Config{DataDir: dir})
-	ad := brokerAd("b1", "r", 5*time.Second, 10*time.Second)
-	register(m, ad)
-	clock.Advance(5 * time.Second)
-	register(p, ad) // the same advertisement, five seconds later
-	clock.Advance(6 * time.Second)
-	m.sweep()
-	if m.BrokerCount() != 0 || p.BrokerCount() != 1 {
-		t.Fatalf("member lists %d, peer %d; want 0 and 1", m.BrokerCount(), p.BrokerCount())
-	}
-	pullInto(t, m, p)
-	if m.BrokerCount() != 0 {
-		t.Fatalf("expired registration merged back from the peer: %v", m.Brokers())
-	}
-
-	// The tombstone is a record: a restart over the data directory keeps it.
-	m.Close()
-	m2 := openManual(t, e, clock, "member-again", Config{DataDir: dir})
-	pullInto(t, m2, p)
-	if m2.BrokerCount() != 0 {
-		t.Fatalf("expired registration merged back after a restart: %v", m2.Brokers())
-	}
-
-	register(p, brokerAd("b1", "r", 16*time.Second, 10*time.Second))
-	pullInto(t, m2, p)
-	if left := remainingTTLs(m2)["b1"]; left != 10*time.Second {
-		t.Fatalf("the broker's next advertisement merged with %s left, want 10s", left)
-	}
-}
-
-// TestMergeSkipsRecoveredCopyOfDeadBroker: a peer restarted from disk lists
-// what it recovered with the validity it had left, however long it was down.
-// A copy whose advertisement was issued more than a TTL ago cannot be live,
-// and a member that never heard of the broker does not take it.
-func TestMergeSkipsRecoveredCopyOfDeadBroker(t *testing.T) {
-	e := newEnv(t, 58)
-	clock := ntptime.NewManualClock(manualStart)
-	dir := t.TempDir()
-	p := openManual(t, e, clock, "peer", Config{DataDir: dir})
-	register(p, brokerAd("dead", "r", 0, 10*time.Second))
-	p.Close()
-	clock.Advance(time.Minute) // the broker died; the peer was down
-	p = openManual(t, e, clock, "peer-again", Config{DataDir: dir})
-	register(p, brokerAd("live", "r", time.Minute, 10*time.Second))
-	if p.BrokerCount() != 2 {
-		t.Fatalf("restarted peer lists %v, want dead and live", p.Brokers())
-	}
-	m := openManual(t, e, clock, "member", Config{})
-	pullInto(t, m, p)
-	if got := m.Brokers(); len(got) != 1 || got[0].LogicalAddress != "live" {
-		t.Fatalf("merged %v, want live alone", got)
-	}
-}
-
-// TestMergeCapsValidity: a merged entry keeps what the peer had left, and
-// never more than the advertisement's own TTL.
-func TestMergeCapsValidity(t *testing.T) {
-	e := newEnv(t, 51)
-	m, p, clock := manualPair(t, e, Config{})
-	register(p, brokerAd("short", "r", 2, time.Hour)) // an hour at the peer, as here
-	clock.Advance(15 * time.Second)
-	pullInto(t, m, p)
-	if ttls := remainingTTLs(m); ttls["short"] != time.Hour-15*time.Second {
-		t.Fatalf("merged validity %v, want short: 59m45s", ttls)
-	}
+		IssuedAt: issued, TTL: ttl}
 }
 
 // TestMergePassesAdmitFilter: an entry this member would refuse from the
@@ -160,11 +80,12 @@ func TestMergeCapsValidity(t *testing.T) {
 // once, when the broker advertised here, and not again on every pull.
 func TestMergePassesAdmitFilter(t *testing.T) {
 	e := newEnv(t, 52)
-	m, p, _ := manualPair(t, e, Config{AdmitFilter: func(ad *core.Advertisement) bool {
+	m, p := quietPair(t, e, Config{AdmitFilter: func(ad *core.Advertisement) bool {
 		return !strings.Contains(ad.Broker.Realm, "cardiff")
 	}})
-	cardiff := brokerAd("broker-cardiff", "cardiff", 2, time.Minute)
-	register(p, brokerAd("broker-fsu", "fsu", 1, time.Minute))
+	now := e.net.Clock().Now()
+	cardiff := brokerAd("broker-cardiff", "cardiff", now, time.Minute)
+	register(p, brokerAd("broker-fsu", "fsu", now, time.Minute))
 	register(p, cardiff)
 	register(m, cardiff)
 	for pull := 1; pull <= 2; pull++ {
@@ -202,29 +123,6 @@ func pullFrom(t *testing.T, e *env, d *BDN, cred string) []record {
 		t.Fatal(err)
 	}
 	return recs
-}
-
-// TestPrivateBDNRefusesPullWithoutCredential: a private BDN serves its table
-// only to a peer holding the credential its discovery requests need.
-func TestPrivateBDNRefusesPullWithoutCredential(t *testing.T) {
-	e := newEnv(t, 53)
-	d := e.bdn(Config{Name: "private.corp", Private: true, RequiredCredential: []byte("badge")})
-	b := e.broker(simnet.SiteIndianapolis, "broker-indy")
-	if err := b.RegisterWithBDN(d.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	awaitBrokers(t, d, 1)
-	for _, cred := range []string{"", "forged"} {
-		if recs := pullFrom(t, e, d, cred); recs != nil {
-			t.Fatalf("pull with credential %q answered: %d records", cred, len(recs))
-		}
-	}
-	if got := d.tel.pullsDenied.Value(); got != 2 {
-		t.Fatalf("pulls denied = %d, want 2", got)
-	}
-	if recs := pullFrom(t, e, d, "badge"); len(recs) != 1 || recs[0].ad.Broker.LogicalAddress != "broker-indy" {
-		t.Fatalf("pull with the credential answered %+v", recs)
-	}
 }
 
 // TestMembersExchangeTables: a broker registered with one member of a set is

@@ -2,18 +2,11 @@ package bdn
 
 import (
 	"bytes"
-	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"narada/internal/core"
-	"narada/internal/event"
-	"narada/internal/ntptime"
 	"narada/internal/simnet"
 	"narada/internal/transport"
 	"narada/internal/uuid"
@@ -94,14 +87,6 @@ func TestRestartRecoversRegistry(t *testing.T) {
 	d2.mu.Unlock()
 }
 
-// manualNode is a sim node whose clock the test moves by hand.
-type manualNode struct {
-	*transport.SimNode
-	clock *ntptime.ManualClock
-}
-
-func (n manualNode) Clock() ntptime.Clock { return n.clock }
-
 // remainingTTLs reads every unexpired registration's remaining validity (-1
 // for one without a deadline) off d's clock.
 func remainingTTLs(d *BDN) map[string]time.Duration {
@@ -120,24 +105,6 @@ func remainingTTLs(d *BDN) map[string]time.Duration {
 	return out
 }
 
-// TestSnapshotReplayEquivalence is the differential test behind "a registry
-// mutation is a record": every road into the table yields the same table. A
-// seeded random sequence of register / refresh / expiry sweep / snapshot /
-// entry merged from a peer's table runs live on L, on a clock only the test
-// moves. X is fed by table exchange alone: after every step it merges L's
-// table. W restarts over L's WAL alone and S over its snapshot plus the WAL
-// suffix. All four must agree on Brokers, no deleted broker may be back on
-// any road, and merging L's table into X once more must change nothing.
-// Remaining TTLs are equal on the live roads; a restart re-anchors each
-// deadline at recovery + the validity its last record (or the snapshot)
-// carried, and the test says exactly that of W and S.
-func TestSnapshotReplayEquivalence(t *testing.T) {
-	e := newEnv(t, 41)
-	for seed := int64(0); seed < 200; seed++ {
-		differentialRun(t, e, seed)
-	}
-}
-
 // pullInto merges src's table into dst, as dst's exchange with src does.
 func pullInto(t *testing.T, dst, src *BDN) {
 	t.Helper()
@@ -151,161 +118,6 @@ func pullInto(t *testing.T, dst, src *BDN) {
 
 // walLast is the index of d's last WAL record.
 func walLast(d *BDN) uint64 { return d.walLog().LastIndex() }
-
-func differentialRun(t *testing.T, e *env, seed int64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	clock := ntptime.NewManualClock(time.Unix(1_000_000, 0))
-	root := t.TempDir()
-	open := func(road, name string) *BDN {
-		node := transport.NewSimNode(e.net, simnet.SiteBloomington, fmt.Sprintf("bdn-%d-%s", seed, road), 0)
-		ntp := ntptime.NewService(clock, 0, nil)
-		ntp.InitImmediately()
-		// The sweeper never fires on its own: only L sweeps, when the test says.
-		d, err := New(manualNode{node, clock}, ntp, Config{Name: name, DataDir: filepath.Join(root, road),
-			Fsync: wal.SyncNever, SweepInterval: 1000 * time.Hour, InjectOverhead: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Start(); err != nil {
-			t.Fatalf("seed %d: road %s: %v", seed, road, err)
-		}
-		return d
-	}
-	L, X := open("L", "L"), open("X", "X")
-	defer L.Close()
-	defer X.Close()
-
-	// The model: what each broker's last upsert said, and when.
-	type upsert struct {
-		seq int
-		at  time.Time
-		ttl time.Duration // 0 = no deadline
-	}
-	var (
-		model   = map[string]upsert{}
-		gone    = map[string]bool{} // deleted and not registered again
-		snapAt  time.Time
-		snapped map[string]upsert
-		seq     int
-	)
-	// put is a broker's next advertisement, issued now and after the last.
-	put := func(logical string, ttl time.Duration) record {
-		seq++
-		ad := &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: logical, Realm: "r"},
-			IssuedAt: clock.Now().Add(time.Duration(seq)), TTL: ttl}
-		model[logical] = upsert{seq, clock.Now(), ttl}
-		delete(gone, logical)
-		return upsertRecord(ad, core.EncodeAdvertisement(ad), ttl > 0, ttl)
-	}
-	sweep := func() {
-		now := clock.Now()
-		for logical, u := range model {
-			if u.ttl > 0 && now.After(u.at.Add(u.ttl)) {
-				delete(model, logical)
-				gone[logical] = true
-			}
-		}
-		L.sweep()
-	}
-	randomTTL := func() time.Duration {
-		if rng.Intn(5) == 0 {
-			return 0
-		}
-		return time.Duration(1+rng.Intn(60)) * time.Second
-	}
-
-	// The run ends on a sweep: a registration that lapsed but was never swept
-	// has no delete on disk, and a restart gives it its validity back.
-	const ops = 40
-	for op := 0; op <= ops; op++ {
-		switch k := rng.Intn(10); {
-		case op == ops:
-			sweep()
-		case k < 4: // a broker registers, or refreshes, with L
-			logical := fmt.Sprintf("b%d", rng.Intn(8))
-			rec := put(logical, randomTTL())
-			L.storeAdvertisement(event.New(event.TypeAdvertisement, "", core.EncodeAdvertisement(rec.ad)), nil)
-		case k < 6: // time passes and L sweeps
-			clock.Advance(time.Duration(rng.Intn(30)) * time.Second)
-			sweep()
-		case k < 7:
-			if err := L.SnapshotNow(); err != nil {
-				t.Fatalf("seed %d: SnapshotNow: %v", seed, err)
-			}
-			snapAt, snapped = clock.Now(), map[string]upsert{}
-			for logical, u := range model {
-				snapped[logical] = u
-			}
-		default: // a broker L only hears of from a peer's table
-			rec := put(fmt.Sprintf("u%d", rng.Intn(4)), randomTTL())
-			L.merge([]record{rec})
-		}
-		pullInto(t, X, L)
-	}
-
-	// Restart roads: W over the WAL alone, S over snapshot + suffix.
-	for _, road := range []string{"W", "S"} {
-		if err := os.Mkdir(filepath.Join(root, road), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		files, _ := os.ReadDir(filepath.Join(root, "L"))
-		for _, f := range files {
-			if road == "W" && strings.HasPrefix(f.Name(), "snap-") {
-				continue
-			}
-			raw, err := os.ReadFile(filepath.Join(root, "L", f.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(root, road, f.Name()), raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	W, S := open("W", "L"), open("S", "L")
-	defer W.Close()
-	defer S.Close()
-
-	want, live := L.Brokers(), remainingTTLs(L)
-	if len(want) != len(model) {
-		t.Fatalf("seed %d: L lists %d brokers, the model %d", seed, len(want), len(model))
-	}
-	for road, d := range map[string]*BDN{"W": W, "S": S, "X": X} {
-		if got := d.Brokers(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: road %s table differs:\n L %+v\n %s %+v", seed, road, want, road, got)
-		}
-		for _, b := range d.Brokers() {
-			if gone[b.LogicalAddress] {
-				t.Fatalf("seed %d: road %s: deleted broker %s is back", seed, road, b.LogicalAddress)
-			}
-		}
-		ttls := remainingTTLs(d)
-		for logical, u := range model {
-			wantTTL := live[logical] // the live roads: same clock, same deadline
-			switch {
-			case u.ttl == 0:
-				wantTTL = -1
-			case road == "W" || road == "S":
-				wantTTL = u.ttl // re-anchored at recovery
-				if road == "S" && snapped[logical].seq == u.seq {
-					wantTTL = u.at.Add(u.ttl).Sub(snapAt) // what was left at capture
-				}
-			}
-			if ttls[logical] != wantTTL {
-				t.Fatalf("seed %d: road %s: %s has %s left, want %s (L %s)",
-					seed, road, logical, ttls[logical], wantTTL, live[logical])
-			}
-		}
-	}
-
-	// Another pull of the same table is a no-op: nothing merged, nothing logged.
-	before := walLast(X)
-	pullInto(t, X, L)
-	if after := walLast(X); after != before || !reflect.DeepEqual(remainingTTLs(X), live) {
-		t.Fatalf("seed %d: pulling L's table again changed X: wal %d → %d", seed, before, after)
-	}
-}
 
 func TestSweepDeleteIsDurable(t *testing.T) {
 	e := newEnv(t, 42)
@@ -326,41 +138,6 @@ func TestSweepDeleteIsDurable(t *testing.T) {
 	d2 := e.restart(d, cfg)
 	if d2.BrokerCount() != 0 {
 		t.Fatalf("swept broker resurrected by recovery (%d)", d2.BrokerCount())
-	}
-}
-
-func TestClockJumpAcrossRestartDoesNotMassSweep(t *testing.T) {
-	// Regression for the sweep/restart interaction: deadlines are persisted
-	// as remaining-duration against the snapshot's monotonic base, so a
-	// clock step (here: two minutes of downtime, 12× the TTL) between crash
-	// and restart must NOT sweep the recovered ads — they get their
-	// remaining TTL back.
-	e := newEnv(t, 43)
-	cfg := Config{Name: "jump.org", DataDir: t.TempDir(), SweepInterval: 100 * time.Millisecond}
-	d := e.bdn(cfg)
-	b := e.brokerTTL(simnet.SiteFSU, "broker-jump", 10*time.Second)
-	if err := b.RegisterWithBDN(d.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	awaitBrokers(t, d, 1)
-	d.Close()
-	b.Close() // no refreshes during or after the jump
-
-	// The clock leaps two minutes while the BDN is down.
-	e.net.Clock().Sleep(2 * time.Minute)
-
-	d2 := e.bdn(cfg)
-	// Give the sweeper several cycles: with absolute-deadline persistence
-	// the recovered ad would be about 110s past its deadline and swept at once.
-	e.net.Clock().Sleep(time.Second)
-	if d2.BrokerCount() != 1 {
-		t.Fatalf("clock jump swept recovered registration (count=%d)", d2.BrokerCount())
-	}
-	// And the rebased deadline still works: with no refreshes the ad ages
-	// out after its remaining TTL.
-	e.net.Clock().Sleep(15 * time.Second)
-	if d2.BrokerCount() != 0 {
-		t.Fatal("rebased deadline never expired")
 	}
 }
 
@@ -552,11 +329,10 @@ func FuzzRegistryRecord(f *testing.F) {
 }
 
 // servedTable is what a member answers a pull with: a live registration and
-// a tombstone, captured off a BDN on a clock the caller does not move.
+// a tombstone, captured off a BDN that was never started.
 func servedTable() []byte {
-	clock := ntptime.NewManualClock(time.Unix(1_000_000, 0))
 	node := transport.NewSimNode(simnet.NewPaperWAN(simnet.Config{Seed: 1}), simnet.SiteBloomington, "served", 0)
-	d, err := New(manualNode{node, clock}, nil, Config{Name: "served.org"})
+	d, err := New(node, nil, Config{Name: "served.org"})
 	if err != nil {
 		panic(err)
 	}

@@ -57,24 +57,42 @@ func addBenchClient(br *Broker, id string) *clientConn {
 // BenchmarkPublishFanout measures the core publish fan-out path: one event
 // delivered to 64 local subscribers (a mix of exact and wildcard interest).
 // This is the hot loop behind every advertisement, discovery request and
-// application publish in the substrate.
+// application publish in the substrate. It times delivery: every half queue
+// of publishes it waits for the writers to empty every queue, so no queue
+// fills and no frame is evicted, and it fails if one is.
 func BenchmarkPublishFanout(b *testing.B) {
 	br := newFanoutBroker(b, nil)
-	subscribeFanout(b, br)
+	queues := subscribeFanout(b, br)
+	drain := func() {
+		for _, q := range queues {
+			for len(q.ch) > 0 {
+				runtime.Gosched()
+			}
+		}
+	}
 
 	payload := make([]byte, 256)
 	ev := event.New(event.TypePublish, "bench/fan/topic", payload)
 	ev.Source = "fan"
 
+	dropped := br.tel.egressDropQueueFull.Value()
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 1; i <= b.N; i++ {
 		// Encode and route, without admission: the scope this benchmark's
 		// recorded trajectory (BENCH_fanout.json) has always had.
 		if v, f, ok := br.frameEvent(ev); ok {
 			br.fanOut(&v, f, "", nil)
 		}
+		if i%(egressQueueSize/2) == 0 {
+			drain()
+		}
+	}
+	drain()
+	b.StopTimer()
+	if n := br.tel.egressDropQueueFull.Value() - dropped; n != 0 {
+		b.Fatalf("%d frames evicted from full egress queues", n)
 	}
 }
 
@@ -88,10 +106,12 @@ func freshID(ev *event.Event) {
 	binary.LittleEndian.PutUint64(ev.ID[:], benchSeq)
 }
 
-// subscribeFanout registers the benchmark's 64-subscriber interest mix.
-func subscribeFanout(b testing.TB, br *Broker) {
+// subscribeFanout registers the benchmark's 64-subscriber interest mix and
+// returns their egress queues.
+func subscribeFanout(b testing.TB, br *Broker) []*egress {
 	b.Helper()
 	const subscribers = 64
+	var queues []*egress
 	for i := 0; i < subscribers; i++ {
 		id := fmt.Sprintf("sub-%d", i)
 		c := addBenchClient(br, id)
@@ -107,7 +127,9 @@ func subscribeFanout(b testing.TB, br *Broker) {
 		if _, err := br.subs.SubscribeValue(id, pattern, c.out); err != nil {
 			b.Fatal(err)
 		}
+		queues = append(queues, c.out)
 	}
+	return queues
 }
 
 // BenchmarkPublishFanoutSampled measures the fan-out with message-path

@@ -1,3 +1,5 @@
+//go:build goexperiment.synctest
+
 package broker
 
 import (
@@ -33,10 +35,8 @@ func routedChain(t *testing.T, e *env, n int) []*Broker {
 }
 
 // awaitInterest blocks until br would (want) or would no longer (!want) route
-// a publish on topic somewhere. The model-time sleeps in these tests are about
-// a millisecond of wall time, which a busy host does not always grant the
-// hop-by-hop interest propagation, so tests wait on the state itself before
-// they publish.
+// a publish on topic somewhere: tests wait on the state that the hop-by-hop
+// interest propagation reaches before they publish.
 func awaitInterest(t *testing.T, br *Broker, topic string, want bool) {
 	t.Helper()
 	waitFor(t, fmt.Sprintf("interest in %q at %s to become %v", topic, br.LogicalAddress(), want),
@@ -44,182 +44,198 @@ func awaitInterest(t *testing.T, br *Broker, topic string, want bool) {
 }
 
 func TestRoutedDeliveryAcrossChain(t *testing.T) {
-	e := newEnv(t, 40)
-	brokers := routedChain(t, e, 4)
+	exact(t, func(t *testing.T) {
+		e := laneEnv(t, 40)
+		brokers := routedChain(t, e, 4)
 
-	node, _ := e.node(simnet.SiteFSU, "sub")
-	c, err := Connect(node, brokers[3].StreamAddr(), "sub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Subscribe("routed/data"); err != nil {
-		t.Fatal(err)
-	}
-	// Interest must propagate hop by hop back to broker 0.
-	awaitInterest(t, brokers[0], "routed/data", true)
+		node, _ := e.node(simnet.SiteFSU, "sub")
+		c, err := Connect(node, brokers[3].StreamAddr(), "sub")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Subscribe("routed/data"); err != nil {
+			t.Fatal(err)
+		}
+		// Interest must propagate hop by hop back to broker 0.
+		awaitInterest(t, brokers[0], "routed/data", true)
 
-	if err := brokers[0].Publish("routed/data", []byte("via-interest")); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := c.Next(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ev.Payload) != "via-interest" {
-		t.Fatalf("payload = %q", ev.Payload)
-	}
+		if err := brokers[0].Publish("routed/data", []byte("via-interest")); err != nil {
+			t.Fatal(err)
+		}
+		ev, err := c.Next(10 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(ev.Payload) != "via-interest" {
+			t.Fatalf("payload = %q", ev.Payload)
+		}
+	})
 }
 
 func TestRoutedModeSavesTraffic(t *testing.T) {
-	// With no subscribers anywhere, a published event must not cross any
-	// link in RouteSubscriptions mode — the whole point versus flooding.
-	e := newEnv(t, 41)
-	brokers := routedChain(t, e, 4)
+	exact(t, func(t *testing.T) {
+		// With no subscribers anywhere, a published event must not cross any
+		// link in RouteSubscriptions mode — the whole point versus flooding.
+		e := laneEnv(t, 41)
+		brokers := routedChain(t, e, 4)
 
-	_, _, framesBefore := e.net.Counters()
-	if err := brokers[0].Publish("nobody/listens", []byte("waste?")); err != nil {
-		t.Fatal(err)
-	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
-	_, _, framesAfter := e.net.Counters()
-	if framesAfter != framesBefore {
-		t.Fatalf("%d frames sent for an event nobody wants", framesAfter-framesBefore)
-	}
+		_, _, framesBefore := e.net.Counters()
+		if err := brokers[0].Publish("nobody/listens", []byte("waste?")); err != nil {
+			t.Fatal(err)
+		}
+		e.net.Clock().Sleep(300 * time.Millisecond)
+		_, _, framesAfter := e.net.Counters()
+		if framesAfter != framesBefore {
+			t.Fatalf("%d frames sent for an event nobody wants", framesAfter-framesBefore)
+		}
+	})
 }
 
 func TestRoutedPartialPath(t *testing.T) {
-	// Subscriber at broker 1 of a 4-chain: a publish at broker 0 crosses
-	// exactly one link; brokers 2 and 3 never see it.
-	e := newEnv(t, 42)
-	brokers := routedChain(t, e, 4)
+	exact(t, func(t *testing.T) {
+		// Subscriber at broker 1 of a 4-chain: a publish at broker 0 crosses
+		// exactly one link; brokers 2 and 3 never see it.
+		e := laneEnv(t, 42)
+		brokers := routedChain(t, e, 4)
 
-	node, _ := e.node(simnet.SiteUMN, "sub")
-	c, _ := Connect(node, brokers[1].StreamAddr(), "sub")
-	defer c.Close()
-	_ = c.Subscribe("partial/topic")
-	awaitInterest(t, brokers[0], "partial/topic", true)
+		node, _ := e.node(simnet.SiteUMN, "sub")
+		c, _ := Connect(node, brokers[1].StreamAddr(), "sub")
+		defer c.Close()
+		_ = c.Subscribe("partial/topic")
+		awaitInterest(t, brokers[0], "partial/topic", true)
 
-	_, _, framesBefore := e.net.Counters()
-	if err := brokers[0].Publish("partial/topic", []byte("one-hop")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Next(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	e.net.Clock().Sleep(300 * time.Millisecond)
-	_, _, framesAfter := e.net.Counters()
-	// One link frame (b0 -> b1) plus one client frame (b1 -> sub).
-	if got := framesAfter - framesBefore; got != 2 {
-		t.Fatalf("frames = %d, want 2 (link + client delivery)", got)
-	}
+		_, _, framesBefore := e.net.Counters()
+		if err := brokers[0].Publish("partial/topic", []byte("one-hop")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Next(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		e.net.Clock().Sleep(300 * time.Millisecond)
+		_, _, framesAfter := e.net.Counters()
+		// One link frame (b0 -> b1) plus one client frame (b1 -> sub).
+		if got := framesAfter - framesBefore; got != 2 {
+			t.Fatalf("frames = %d, want 2 (link + client delivery)", got)
+		}
+	})
 }
 
 func TestRoutedUnsubscribeWithdrawsInterest(t *testing.T) {
-	e := newEnv(t, 43)
-	brokers := routedChain(t, e, 3)
+	exact(t, func(t *testing.T) {
+		e := laneEnv(t, 43)
+		brokers := routedChain(t, e, 3)
 
-	node, _ := e.node(simnet.SiteNCSA, "sub")
-	c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
-	defer c.Close()
-	_ = c.Subscribe("w/x")
-	awaitInterest(t, brokers[0], "w/x", true)
-	_ = c.Unsubscribe("w/x")
-	awaitInterest(t, brokers[0], "w/x", false)
+		node, _ := e.node(simnet.SiteNCSA, "sub")
+		c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
+		defer c.Close()
+		_ = c.Subscribe("w/x")
+		awaitInterest(t, brokers[0], "w/x", true)
+		_ = c.Unsubscribe("w/x")
+		awaitInterest(t, brokers[0], "w/x", false)
 
-	_, _, framesBefore := e.net.Counters()
-	_ = brokers[0].Publish("w/x", []byte("stale"))
-	e.net.Clock().Sleep(300 * time.Millisecond)
-	_, _, framesAfter := e.net.Counters()
-	if framesAfter != framesBefore {
-		t.Fatalf("%d frames sent after interest withdrawn", framesAfter-framesBefore)
-	}
+		_, _, framesBefore := e.net.Counters()
+		_ = brokers[0].Publish("w/x", []byte("stale"))
+		e.net.Clock().Sleep(300 * time.Millisecond)
+		_, _, framesAfter := e.net.Counters()
+		if framesAfter != framesBefore {
+			t.Fatalf("%d frames sent after interest withdrawn", framesAfter-framesBefore)
+		}
+	})
 }
 
 func TestRoutedClientDisconnectWithdrawsInterest(t *testing.T) {
-	e := newEnv(t, 44)
-	brokers := routedChain(t, e, 3)
+	exact(t, func(t *testing.T) {
+		e := laneEnv(t, 44)
+		brokers := routedChain(t, e, 3)
 
-	node, _ := e.node(simnet.SiteNCSA, "sub")
-	c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
-	_ = c.Subscribe("gone/client")
-	awaitInterest(t, brokers[0], "gone/client", true)
-	c.Close()
-	awaitInterest(t, brokers[0], "gone/client", false)
+		node, _ := e.node(simnet.SiteNCSA, "sub")
+		c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
+		_ = c.Subscribe("gone/client")
+		awaitInterest(t, brokers[0], "gone/client", true)
+		c.Close()
+		awaitInterest(t, brokers[0], "gone/client", false)
 
-	_, _, framesBefore := e.net.Counters()
-	_ = brokers[0].Publish("gone/client", []byte("stale"))
-	e.net.Clock().Sleep(300 * time.Millisecond)
-	_, _, framesAfter := e.net.Counters()
-	if framesAfter != framesBefore {
-		t.Fatalf("%d frames sent after subscriber disconnected", framesAfter-framesBefore)
-	}
+		_, _, framesBefore := e.net.Counters()
+		_ = brokers[0].Publish("gone/client", []byte("stale"))
+		e.net.Clock().Sleep(300 * time.Millisecond)
+		_, _, framesAfter := e.net.Counters()
+		if framesAfter != framesBefore {
+			t.Fatalf("%d frames sent after subscriber disconnected", framesAfter-framesBefore)
+		}
+	})
 }
 
 func TestRoutedWildcardInterest(t *testing.T) {
-	e := newEnv(t, 45)
-	brokers := routedChain(t, e, 3)
+	exact(t, func(t *testing.T) {
+		e := laneEnv(t, 45)
+		brokers := routedChain(t, e, 3)
 
-	node, _ := e.node(simnet.SiteNCSA, "sub")
-	c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
-	defer c.Close()
-	_ = c.Subscribe("wild/**")
-	awaitInterest(t, brokers[0], "wild/a/b/c", true)
+		node, _ := e.node(simnet.SiteNCSA, "sub")
+		c, _ := Connect(node, brokers[2].StreamAddr(), "sub")
+		defer c.Close()
+		_ = c.Subscribe("wild/**")
+		awaitInterest(t, brokers[0], "wild/a/b/c", true)
 
-	if err := brokers[0].Publish("wild/a/b/c", []byte("deep")); err != nil {
-		t.Fatal(err)
-	}
-	ev, err := c.Next(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Topic != "wild/a/b/c" {
-		t.Fatalf("topic = %q", ev.Topic)
-	}
+		if err := brokers[0].Publish("wild/a/b/c", []byte("deep")); err != nil {
+			t.Fatal(err)
+		}
+		ev, err := c.Next(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Topic != "wild/a/b/c" {
+			t.Fatalf("topic = %q", ev.Topic)
+		}
+	})
 }
 
 func TestRoutedTwoSubscribersSharedPattern(t *testing.T) {
-	// Two clients at the far end share a pattern; one unsubscribing must
-	// not withdraw the link interest while the other remains.
-	e := newEnv(t, 46)
-	brokers := routedChain(t, e, 2)
+	exact(t, func(t *testing.T) {
+		// Two clients at the far end share a pattern; one unsubscribing must
+		// not withdraw the link interest while the other remains.
+		e := laneEnv(t, 46)
+		brokers := routedChain(t, e, 2)
 
-	node, _ := e.node(simnet.SiteUMN, "clients")
-	c1, _ := Connect(node, brokers[1].StreamAddr(), "c1")
-	defer c1.Close()
-	c2, _ := Connect(node, brokers[1].StreamAddr(), "c2")
-	defer c2.Close()
-	_ = c1.Subscribe("shared/p")
-	_ = c2.Subscribe("shared/p")
-	e.net.Clock().Sleep(300 * time.Millisecond)
-	_ = c1.Unsubscribe("shared/p")
-	e.net.Clock().Sleep(300 * time.Millisecond)
-	awaitInterest(t, brokers[0], "shared/p", true)
+		node, _ := e.node(simnet.SiteUMN, "clients")
+		c1, _ := Connect(node, brokers[1].StreamAddr(), "c1")
+		defer c1.Close()
+		c2, _ := Connect(node, brokers[1].StreamAddr(), "c2")
+		defer c2.Close()
+		_ = c1.Subscribe("shared/p")
+		_ = c2.Subscribe("shared/p")
+		e.net.Clock().Sleep(300 * time.Millisecond)
+		_ = c1.Unsubscribe("shared/p")
+		e.net.Clock().Sleep(300 * time.Millisecond)
+		awaitInterest(t, brokers[0], "shared/p", true)
 
-	if err := brokers[0].Publish("shared/p", []byte("still-flowing")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Next(5 * time.Second); err != nil {
-		t.Fatalf("remaining subscriber starved: %v", err)
-	}
+		if err := brokers[0].Publish("shared/p", []byte("still-flowing")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c2.Next(5 * time.Second); err != nil {
+			t.Fatalf("remaining subscriber starved: %v", err)
+		}
+	})
 }
 
 func TestRoutedDiscoveryStillFloods(t *testing.T) {
-	// Discovery requests must reach every broker regardless of routing
-	// mode — they are control traffic, not content.
-	e := newEnv(t, 47)
-	brokers := routedChain(t, e, 3)
+	exact(t, func(t *testing.T) {
+		// Discovery requests must reach every broker regardless of routing
+		// mode — they are control traffic, not content.
+		e := laneEnv(t, 47)
+		brokers := routedChain(t, e, 3)
 
-	node, _ := e.node(simnet.SiteBloomington, "probe")
-	pc, err := node.ListenPacket(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	resp := sendDiscoveryRequestTo(t, e, brokers[0], pc)
-	if resp < 3 {
-		t.Fatalf("only %d brokers responded in routed mode, want 3", resp)
-	}
+		node, _ := e.node(simnet.SiteBloomington, "probe")
+		pc, err := node.ListenPacket(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pc.Close()
+		resp := sendDiscoveryRequestTo(t, e, brokers[0], pc)
+		if resp < 3 {
+			t.Fatalf("only %d brokers responded in routed mode, want 3", resp)
+		}
+	})
 }
 
 // sendDiscoveryRequestTo injects a request at b and counts distinct

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,8 @@ const (
 // rests one superviseBase before its first redial, so a link that dies at
 // once cannot spin, and a session that is made resets the ladder. Every wait
 // is jittered by ±superviseJitter so brokers that lost the same peer do not
-// redial in step.
+// redial in step; the jitter is drawn from a stream seeded by the broker's
+// logical address and the relationship, so a run's redials repeat with it.
 const (
 	superviseBase   = 100 * time.Millisecond
 	superviseCap    = 30 * time.Second
@@ -143,6 +145,9 @@ func (b *Broker) redialLoop(s *Supervisor, kind, addr string, session <-chan str
 	if kind == SuperviseBDN {
 		attempted, reconnected = b.tel.reconnAttemptBDN, b.tel.reconnBDN
 	}
+	h := fnv.New64a()
+	h.Write([]byte(b.cfg.LogicalAddress + " " + kind + ":" + addr))
+	jitter := rand.New(rand.NewSource(int64(h.Sum64()))) //nolint:gosec
 	backoff := superviseBase
 	for {
 		if session != nil {
@@ -154,7 +159,7 @@ func (b *Broker) redialLoop(s *Supervisor, kind, addr string, session <-chan str
 			}
 			s.set(LinkDegraded)
 			log.Info("supervised session died")
-			if !b.rest(superviseBase) {
+			if !b.rest(superviseBase, jitter) {
 				return
 			}
 		}
@@ -177,7 +182,7 @@ func (b *Broker) redialLoop(s *Supervisor, kind, addr string, session <-chan str
 		b.cfg.Journal.Emit(obs.EventReconnectAttempt, addr, "fail: "+err.Error())
 		s.set(LinkReconnecting)
 		log.Debug("supervised dial failed", "retry-in", backoff, "err", err)
-		if !b.rest(backoff) {
+		if !b.rest(backoff, jitter) {
 			return
 		}
 		backoff = min(2*backoff, superviseCap)
@@ -186,8 +191,8 @@ func (b *Broker) redialLoop(s *Supervisor, kind, addr string, session <-chan str
 
 // rest waits d, jittered by ±superviseJitter, on the broker's clock; false
 // means the broker closed first.
-func (b *Broker) rest(d time.Duration) bool {
-	d = time.Duration(float64(d) * (1 + superviseJitter*(2*rand.Float64()-1))) //nolint:gosec
+func (b *Broker) rest(d time.Duration, jitter *rand.Rand) bool {
+	d = time.Duration(float64(d) * (1 + superviseJitter*(2*jitter.Float64()-1)))
 	select {
 	case <-b.node.Clock().After(d):
 		return true

@@ -148,8 +148,11 @@ type Discoverer struct {
 	mu          sync.Mutex
 	lastTargets []BrokerInfo // "Every node keeps track of its last target set of brokers"
 
-	// runMu serialises Discover and Close, which share what follows.
-	runMu    sync.Mutex
+	// run is a one-slot semaphore that serialises Discover and Close, which
+	// share what follows. Its holder may sleep model time in a dial or a
+	// window; a waiter on a channel counts as blocked in a synctest bubble,
+	// where a waiter on a mutex would keep the bubble's clock from moving.
+	run      chan struct{}
 	pc       transport.PacketConn // response and ping endpoint; nil while cold
 	sess     transport.Conn       // session to the BDN at sessAddr; nil while cold
 	sessAddr string
@@ -162,7 +165,7 @@ type Discoverer struct {
 func NewDiscoverer(node transport.Node, ntp *ntptime.Service, cfg Config) *Discoverer {
 	cfg.fillDefaults()
 	cfg.Handle = cfg.Handle.Scoped("node", cfg.NodeName)
-	d := &Discoverer{node: node, ntp: ntp, cfg: cfg}
+	d := &Discoverer{node: node, ntp: ntp, cfg: cfg, run: make(chan struct{}, 1)}
 	d.initTelemetry(cfg.Metrics, cfg.Tracer)
 	return d
 }
@@ -195,9 +198,9 @@ func (d *Discoverer) SeedTargetSet(brokers []BrokerInfo) {
 //
 // Calls on one Discoverer run one at a time.
 func (d *Discoverer) Discover() (*Result, error) {
-	d.runMu.Lock()
+	d.run <- struct{}{}
 	res, err := d.discover()
-	d.runMu.Unlock()
+	<-d.run
 	d.observeOutcome(res, err)
 	return res, err
 }
@@ -205,8 +208,8 @@ func (d *Discoverer) Discover() (*Result, error) {
 // Close releases the datagram endpoint and the BDN session. The Discoverer
 // stays usable: the next Discover opens both again, as the first one did.
 func (d *Discoverer) Close() {
-	d.runMu.Lock()
-	defer d.runMu.Unlock()
+	d.run <- struct{}{}
+	defer func() { <-d.run }()
 	d.dropSession()
 	if d.pc != nil {
 		_ = d.pc.Close()

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"reflect"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"narada/internal/event"
+	"narada/internal/metrics"
 	"narada/internal/ntptime"
 	"narada/internal/simnet"
 	"narada/internal/transport"
@@ -425,100 +424,21 @@ func TestLateResponsesOfPreviousDiscoveryIgnored(t *testing.T) {
 	}
 }
 
-// countingNode counts the endpoints and sessions a Discoverer opens.
-type countingNode struct {
-	transport.Node
-	listens, dials atomic.Int64
-}
-
-func (n *countingNode) ListenPacket(port int) (transport.PacketConn, error) {
-	n.listens.Add(1)
-	return n.Node.ListenPacket(port)
-}
-
-func (n *countingNode) Dial(addr string) (transport.Conn, error) {
-	n.dials.Add(1)
-	return n.Node.Dial(addr)
-}
-
-// warmRig is a BDN that acknowledges at once and forwards to one fake broker,
-// and a Discoverer on a counting node, all at one site. Every window is far
-// longer in wall time than a loaded host under -race takes to deliver a
-// frame, and none is ever waited out: each wait ends on the frame it is for.
-func warmRig(t *testing.T, seed int64) (*Discoverer, *countingNode) {
-	t.Helper()
-	net := simnet.NewPaperWAN(simnet.Config{Scale: 20, Seed: seed})
-	b := startFakeBroker(t, net, simnet.SiteBloomington, "fb1")
-	bdn := startSilentBDN(t, net, 0, b)
-	node := &countingNode{Node: transport.NewSimNode(net, simnet.SiteBloomington, "warm-client", 0)}
-	ntp := ntptime.NewService(node.Clock(), 0, nil)
-	ntp.InitImmediately()
-	d := NewDiscoverer(node, ntp, Config{
-		NodeName:      "warm-client",
-		BDNAddrs:      []string{bdn.listener.Addr()},
-		AckTimeout:    time.Minute,
-		CollectWindow: time.Minute,
-		MaxResponses:  1,
-		PingCount:     1,
-		PingWindow:    time.Minute,
-	})
-	t.Cleanup(d.Close)
-	return d, node
-}
-
-func mustDiscover(t *testing.T, d *Discoverer) {
-	t.Helper()
-	res, err := d.Discover()
-	if err != nil {
-		t.Fatal(err)
+func TestConfigDefaultsFilled(t *testing.T) {
+	node := transport.NewSimNode(simnet.NewPaperWAN(simnet.Config{}), simnet.SiteBloomington, "client", 0)
+	d := NewDiscoverer(node, ntptime.NewService(node.Clock(), 0, nil), Config{})
+	cfg := d.Config()
+	if cfg.CollectWindow != DefaultCollectWindow ||
+		cfg.Selection.TargetSetSize != DefaultTargetSetSize ||
+		cfg.PingCount != DefaultPingCount ||
+		cfg.AckTimeout != DefaultAckTimeout ||
+		cfg.MaxRetransmits != DefaultMaxRetransmits {
+		t.Fatalf("defaults not filled: %+v", cfg)
 	}
-	if res.Retransmits != 0 || res.Selected.LogicalAddress != "fb1" {
-		t.Fatalf("selected %q with %d retransmits, want fb1 with none", res.Selected.LogicalAddress, res.Retransmits)
+	if cfg.Selection.Weights == (metrics.Weights{}) {
+		t.Fatal("weights not defaulted")
 	}
-}
-
-// TestDiscovererOpensOneEndpointAndOneSession: what a Discoverer holds does
-// not grow with the number of discoveries, and Close makes it cold, not dead.
-func TestDiscovererOpensOneEndpointAndOneSession(t *testing.T) {
-	d, node := warmRig(t, 21)
-	for i := 0; i < 200; i++ {
-		mustDiscover(t, d)
-	}
-	if l, c := node.listens.Load(), node.dials.Load(); l != 1 || c != 1 {
-		t.Fatalf("200 discoveries opened %d endpoints and %d sessions, want 1 and 1", l, c)
-	}
-	d.Close()
-	d.Close() // nothing left to release
-	if d.pc != nil || d.sess != nil {
-		t.Fatal("Close left an endpoint or a session behind")
-	}
-	mustDiscover(t, d)
-	mustDiscover(t, d)
-	if l, c := node.listens.Load(), node.dials.Load(); l != 2 || c != 2 {
-		t.Fatalf("after Close, two discoveries brought the totals to %d endpoints and %d sessions, want 2 and 2", l, c)
-	}
-}
-
-// TestConcurrentDiscoversShareTheWarmState: calls on one Discoverer from many
-// goroutines take turns on its one endpoint and one session (run under -race).
-func TestConcurrentDiscoversShareTheWarmState(t *testing.T) {
-	d, node := warmRig(t, 22)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				res, err := d.Discover()
-				if err != nil || res.Selected.LogicalAddress != "fb1" {
-					t.Errorf("discovery failed: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if l, c := node.listens.Load(), node.dials.Load(); l != 1 || c != 1 {
-		t.Fatalf("200 concurrent discoveries opened %d endpoints and %d sessions, want 1 and 1", l, c)
+	if len(cfg.Protocols) == 0 {
+		t.Fatal("protocols not defaulted")
 	}
 }

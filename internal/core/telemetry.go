@@ -97,9 +97,7 @@ func (d *Discoverer) observeOutcome(res *Result, err error) {
 	}
 	d.tel.retransmits.Add(uint64(res.Retransmits))
 	for _, p := range Phases() {
-		if dur := res.Timing.Get(p); dur > 0 {
-			d.tel.phases[p].ObserveDuration(dur)
-		}
+		d.tel.phases[p].ObserveDuration(res.Timing.Get(p))
 	}
 	d.tel.total.ObserveDuration(res.Timing.Total())
 	d.tel.responses.Observe(float64(len(res.Responses)))

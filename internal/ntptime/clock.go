@@ -19,7 +19,6 @@ package ntptime
 
 import (
 	"runtime"
-	"sync"
 	"time"
 )
 
@@ -146,69 +145,4 @@ func (c *SkewedClock) After(d time.Duration) <-chan time.Time {
 	in := c.base.After(d)
 	go func() { out <- (<-in).Add(c.skew) }()
 	return out
-}
-
-// ManualClock is a test clock advanced explicitly with Advance. Sleepers and
-// After-waiters are released when the clock passes their deadline.
-type ManualClock struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []waiter
-}
-
-type waiter struct {
-	at time.Time
-	ch chan time.Time
-}
-
-// NewManualClock returns a ManualClock reading start.
-func NewManualClock(start time.Time) *ManualClock {
-	return &ManualClock{now: start}
-}
-
-// Now implements Clock.
-func (c *ManualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d, waking any due waiters.
-func (c *ManualClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	now := c.now
-	remaining := c.waiters[:0]
-	var due []waiter
-	for _, w := range c.waiters {
-		if !w.at.After(now) {
-			due = append(due, w)
-		} else {
-			remaining = append(remaining, w)
-		}
-	}
-	c.waiters = remaining
-	c.mu.Unlock()
-	for _, w := range due {
-		w.ch <- now
-	}
-}
-
-// Sleep implements Clock; it blocks until Advance moves past the deadline.
-func (c *ManualClock) Sleep(d time.Duration) { <-c.After(d) }
-
-// After implements Clock.
-func (c *ManualClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.mu.Lock()
-	at := c.now.Add(d)
-	if d <= 0 {
-		now := c.now
-		c.mu.Unlock()
-		ch <- now
-		return ch
-	}
-	c.waiters = append(c.waiters, waiter{at: at, ch: ch})
-	c.mu.Unlock()
-	return ch
 }

@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// stillClock always reads the time it was made from; no test sleeps on it.
+type stillClock time.Time
+
+func (c stillClock) Now() time.Time                     { return time.Time(c) }
+func (stillClock) Sleep(time.Duration)                  { panic("stillClock does not sleep") }
+func (stillClock) After(time.Duration) <-chan time.Time { panic("stillClock does not sleep") }
+
 func TestSystemClockMonotonicEnough(t *testing.T) {
 	var c SystemClock
 	a := c.Now()
@@ -54,7 +61,7 @@ func TestScaledClockDefaultsScale(t *testing.T) {
 }
 
 func TestSkewedClock(t *testing.T) {
-	base := NewManualClock(time.Unix(1000, 0))
+	base := stillClock(time.Unix(1000, 0))
 	skew := 15 * time.Millisecond
 	c := NewSkewedClock(base, skew)
 	if got := c.Now().Sub(base.Now()); got != skew {
@@ -65,42 +72,11 @@ func TestSkewedClock(t *testing.T) {
 	}
 }
 
-func TestManualClock(t *testing.T) {
-	c := NewManualClock(time.Unix(0, 0))
-	done := make(chan time.Time, 1)
-	go func() { done <- <-c.After(10 * time.Second) }()
-	time.Sleep(5 * time.Millisecond) // let the waiter register
-	c.Advance(9 * time.Second)
-	select {
-	case <-done:
-		t.Fatal("After fired before its deadline")
-	default:
-	}
-	c.Advance(2 * time.Second)
-	select {
-	case at := <-done:
-		if at.Before(time.Unix(10, 0)) {
-			t.Fatalf("woke at %v, want >= 10s", at)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("After never fired")
-	}
-}
-
-func TestManualClockZeroDelay(t *testing.T) {
-	c := NewManualClock(time.Unix(0, 0))
-	select {
-	case <-c.After(0):
-	case <-time.After(time.Second):
-		t.Fatal("After(0) did not fire immediately")
-	}
-}
-
 func TestServiceResidualEnvelope(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 200; i++ {
 		skew := time.Duration(rng.Int63n(int64(40*time.Millisecond))) - 20*time.Millisecond
-		base := NewManualClock(time.Unix(5000, 0))
+		base := stillClock(time.Unix(5000, 0))
 		s := NewService(NewSkewedClock(base, skew), skew, rng)
 		s.InitImmediately()
 		res := s.Residual()
@@ -114,7 +90,7 @@ func TestServiceResidualEnvelope(t *testing.T) {
 }
 
 func TestServiceCorrectsSkew(t *testing.T) {
-	base := NewManualClock(time.Date(2005, 7, 1, 12, 0, 0, 0, time.UTC))
+	base := stillClock(time.Date(2005, 7, 1, 12, 0, 0, 0, time.UTC))
 	skew := 500 * time.Millisecond // gross hardware skew
 	local := NewSkewedClock(base, skew)
 	s := NewService(local, skew, rand.New(rand.NewSource(7)))
@@ -133,7 +109,7 @@ func TestServiceCorrectsSkew(t *testing.T) {
 }
 
 func TestServiceBeforeSync(t *testing.T) {
-	base := NewManualClock(time.Unix(0, 0))
+	base := stillClock(time.Unix(0, 0))
 	s := NewService(base, 0, nil)
 	if s.Synchronized() {
 		t.Fatal("freshly created service claims synchronized")
@@ -147,7 +123,7 @@ func TestServiceBeforeSync(t *testing.T) {
 // modelled peering, so its service must hand that clock back untouched — no
 // residual, no offset, UTC equal to the clock's own reading.
 func TestHonestClockIsNotMadeWorse(t *testing.T) {
-	c := NewManualClock(time.Date(2026, 10, 3, 12, 0, 0, 0, time.UTC))
+	c := stillClock(time.Date(2026, 10, 3, 12, 0, 0, 0, time.UTC))
 	s := NewService(c, 0, nil)
 	s.InitImmediately()
 	if got := s.Offset(); got != 0 {
@@ -165,7 +141,7 @@ func TestTwoNodesWithinPaperBound(t *testing.T) {
 	// The property the discovery latency estimator relies on: any two
 	// synchronized nodes read UTC within ~2*MaxResidual of each other.
 	rng := rand.New(rand.NewSource(11))
-	base := NewManualClock(time.Unix(77777, 0))
+	base := stillClock(time.Unix(77777, 0))
 	mk := func(skew time.Duration) *Service {
 		s := NewService(NewSkewedClock(base, skew), skew, rng)
 		s.InitImmediately()
@@ -190,7 +166,7 @@ func TestTwoNodesWithinPaperBound(t *testing.T) {
 // completes, and afterwards local.Now().Add(-Offset()) equals the corrected
 // UTC() — which is what a collector relies on when aligning span timestamps.
 func TestServiceOffset(t *testing.T) {
-	base := NewManualClock(time.Date(2005, 7, 1, 12, 0, 0, 0, time.UTC))
+	base := stillClock(time.Date(2005, 7, 1, 12, 0, 0, 0, time.UTC))
 	skew := -350 * time.Millisecond
 	local := NewSkewedClock(base, skew)
 	s := NewService(local, skew, rand.New(rand.NewSource(11)))

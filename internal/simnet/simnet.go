@@ -2,9 +2,10 @@
 // for the paper's physical five-site testbed (Table 1): named sites joined by
 // a configurable round-trip-time matrix, with datagram loss and duplication,
 // realm-scoped multicast, site partitions and node failures. A path's delay is
-// fixed (half its RTT plus serialisation): no Config ever asked for jitter, and
-// what varies between two runs is the host's scheduling, which ScaledClock
-// turns into model time.
+// fixed (half its RTT plus serialisation) and there is no jitter. In a synctest
+// bubble at Scale 1 (the exact lane) a run is a function of its seed; on the
+// wall clock, the host's scheduling adds delay that ScaledClock turns into
+// model time.
 //
 // Two delivery services are provided, mirroring the paper's transport usage:
 //

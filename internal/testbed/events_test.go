@@ -18,6 +18,9 @@ import (
 func TestChaosEventTimeline(t *testing.T) {
 	col := fastCollector(t, collect.Config{})
 	opts := chaosOptions()
+	// At Scale 20 a 200 ms heartbeat is 10 ms of wall: a loaded host's stall
+	// does not miss three and tear a link down while New links the chain.
+	opts.Scale = 20
 	opts.Watch = col.Watch
 	tb, err := New(opts)
 	if err != nil {

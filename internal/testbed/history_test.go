@@ -1,3 +1,5 @@
+//go:build goexperiment.synctest
+
 package testbed
 
 import (
@@ -32,7 +34,7 @@ const (
 )
 
 // historySeeds are the fixed seeds every schedule runs under.
-var historySeeds = []int64{1}
+var historySeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 
 // memberSample is one member's state at one poll.
 type memberSample struct {
@@ -142,10 +144,12 @@ func TestRegistryHistory(t *testing.T) {
 	for _, sc := range historySchedules() {
 		for _, seed := range historySeeds {
 			t.Run(fmt.Sprintf("%s/seed=%d", sc.name, seed), func(t *testing.T) {
-				h := runHistory(t, seed, sc)
-				for _, failure := range h.check() {
-					t.Errorf("seed %d, schedule %q: %s", seed, sc.name, failure)
-				}
+				exact(t, func(t *testing.T) {
+					h := runHistory(t, seed, sc)
+					for _, failure := range h.check() {
+						t.Errorf("seed %d, schedule %q: %s", seed, sc.name, failure)
+					}
+				})
 			})
 		}
 	}
@@ -161,7 +165,7 @@ func runHistory(t *testing.T, seed int64, sc historySchedule) *history {
 	if sc.solo {
 		brokers = append(brokers, solo)
 	}
-	tb, err := New(Options{
+	tb := laneNew(t, Options{
 		Seed:              seed,
 		Topology:          topology.Unconnected,
 		Brokers:           brokers,
@@ -171,10 +175,6 @@ func runHistory(t *testing.T, seed int64, sc historySchedule) *history {
 		AdvertiseInterval: historyAdvertise,
 		Supervise:         true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.Close()
 	members := make([]string, len(tb.BDNs))
 	for i, d := range tb.BDNs {
 		members[i] = d.Name()

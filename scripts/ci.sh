@@ -1,10 +1,11 @@
 #!/bin/sh
 # ci.sh is the complete pre-merge gate: the tier-1 verify target (build, vet,
-# gofmt, tests, and the whole tree again under the race detector), the BDN
-# set's registry history checker ten times, and the BDN package (its table
-# exchange included) and the broker, transport and simnet packages (every
-# simulated broker test runs the egress write token) three times under the
-# race detector, every
+# gofmt, tests, the whole tree again under the race detector, the exact lane
+# included both times, and nbexp's model-time output compared across
+# GOMAXPROCS and -race: make exact), the BDN package (its table exchange
+# included) and the broker, transport and simnet packages (every
+# simulated broker test runs the egress write token), wall and exact-lane
+# tests both, three times under the race detector, every
 # benchmark in the tree run for one iteration (a benchmark that no longer
 # runs is a bug, and nothing else would notice), the repository benchmark's
 # own module (bench/ is nested, so ./... never reaches it, and an API rename
@@ -25,14 +26,15 @@ cd "$(dirname "$0")/.."
 echo "ci: make verify"
 make verify
 
-# The BDN set's history checker, the BDN package and the broker's egress path
-# under the race detector, repeated: a protocol race shows up as a rare red.
-echo "ci: go test -count=10 -run TestRegistryHistory ./internal/testbed"
-go test -count=10 -run TestRegistryHistory ./internal/testbed
-echo "ci: go test -race -count=3 ./internal/bdn/..."
-go test -race -count=3 ./internal/bdn/...
-echo "ci: go test -race -count=3 ./internal/broker/ ./internal/transport/ ./internal/simnet/"
-go test -race -count=3 ./internal/broker/ ./internal/transport/ ./internal/simnet/
+# The BDN package and the broker's egress path under the race detector,
+# repeated: a protocol race shows up as a rare red. With the experiment on,
+# each run covers the packages' exact-lane tests as well as their wall ones.
+# (make verify's `race` has already run the whole exact lane, the BDN set's
+# history checker over its ten seeds included, under the detector once.)
+echo "ci: GOEXPERIMENT=synctest go test -race -count=3 ./internal/bdn/..."
+GOEXPERIMENT=synctest go test -race -count=3 ./internal/bdn/...
+echo "ci: GOEXPERIMENT=synctest go test -race -count=3 ./internal/broker/ ./internal/transport/ ./internal/simnet/"
+GOEXPERIMENT=synctest go test -race -count=3 ./internal/broker/ ./internal/transport/ ./internal/simnet/
 
 echo "ci: go test -run '^\$' -bench . -benchtime=1x ./..."
 go test -run '^$' -bench . -benchtime=1x ./...
