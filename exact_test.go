@@ -19,7 +19,7 @@ import (
 // simulated network's model time is the bubble's clock and a run is a
 // function of its seed.
 var lanePackages = []string{".", "./internal/simnet", "./internal/core", "./internal/bdn",
-	"./internal/broker", "./internal/experiments", "./internal/testbed"}
+	"./internal/broker", "./internal/experiments", "./internal/testbed", "./internal/wal"}
 
 const laneTag = "//go:build goexperiment.synctest\n"
 

@@ -63,13 +63,6 @@ func addBenchClient(br *Broker, id string) *clientConn {
 func BenchmarkPublishFanout(b *testing.B) {
 	br := newFanoutBroker(b, nil)
 	queues := subscribeFanout(b, br)
-	drain := func() {
-		for _, q := range queues {
-			for len(q.ch) > 0 {
-				runtime.Gosched()
-			}
-		}
-	}
 
 	payload := make([]byte, 256)
 	ev := event.New(event.TypePublish, "bench/fan/topic", payload)
@@ -86,13 +79,22 @@ func BenchmarkPublishFanout(b *testing.B) {
 			br.fanOut(&v, f, "", nil)
 		}
 		if i%(egressQueueSize/2) == 0 {
-			drain()
+			drainQueues(queues)
 		}
 	}
-	drain()
+	drainQueues(queues)
 	b.StopTimer()
 	if n := br.tel.egressDropQueueFull.Value() - dropped; n != 0 {
 		b.Fatalf("%d frames evicted from full egress queues", n)
+	}
+}
+
+// drainQueues waits for the writers to empty every queue.
+func drainQueues(queues []*egress) {
+	for _, q := range queues {
+		for len(q.ch) > 0 {
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -137,26 +139,37 @@ func subscribeFanout(b testing.TB, br *Broker) []*egress {
 // shape. Sampled iterations pay for header stamping, trace-id formatting and
 // span recording; amortised over the sampling interval the path must stay at
 // 0 allocs/op (the bench gate checks allocations only — wall time belongs to
-// the unsampled benchmark above).
+// the unsampled benchmark above). Like that one it drains its queues every
+// half queue of publishes and fails if a frame is evicted, so it measures
+// delivery, not the drop path.
 func BenchmarkPublishFanoutSampled(b *testing.B) {
 	tracer := obs.NewTracer(obs.DefaultTraceCapacity, nil)
 	br := newFanoutBroker(b, func(cfg *Config) {
 		cfg.PublishSampler = obs.NewSampler(1024, 0)
 		cfg.Tracer = tracer
 	})
-	subscribeFanout(b, br)
+	queues := subscribeFanout(b, br)
 
 	payload := make([]byte, 256)
 	ev := event.New(event.TypePublish, "bench/fan/topic", payload)
 	ev.Source = "fan"
 	ev.Timestamp = br.now()
 
+	dropped := br.tel.egressDropQueueFull.Value()
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 1; i <= b.N; i++ {
 		freshID(ev)
 		br.publishEvent(ev, "")
+		if i%(egressQueueSize/2) == 0 {
+			drainQueues(queues)
+		}
+	}
+	drainQueues(queues)
+	b.StopTimer()
+	if n := br.tel.egressDropQueueFull.Value() - dropped; n != 0 {
+		b.Fatalf("%d frames evicted from full egress queues", n)
 	}
 }
 

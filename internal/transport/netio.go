@@ -1,0 +1,50 @@
+//go:build !linux || 386
+
+package transport
+
+import (
+	"net"
+	"net/netip"
+)
+
+// connIO is a stream's reader and vectored writer: the connection's own
+// calls, and for a non-blocking write the platform's rawWriter.
+type connIO struct {
+	c   net.Conn
+	raw rawWriter
+}
+
+func (s *connIO) init(c net.Conn) {
+	s.c = c
+	s.raw.init(c)
+}
+
+func (s *connIO) Read(p []byte) (int, error) { return s.c.Read(p) }
+
+// writev writes bufs. With wait it blocks until every byte is written;
+// without, it writes what the socket takes now, possibly nothing.
+func (s *connIO) writev(bufs [][]byte, wait bool) (int, error) {
+	if !wait {
+		return s.raw.writev(bufs)
+	}
+	n, err := (*net.Buffers)(&bufs).WriteTo(s.c)
+	return int(n), err
+}
+
+// udpIO is a datagram socket's receive and send.
+type udpIO struct{ uc *net.UDPConn }
+
+func (s *udpIO) init(uc *net.UDPConn) { s.uc = uc }
+
+func (s *udpIO) readFrom(b []byte) (int, string, error) {
+	n, from, err := s.uc.ReadFromUDP(b)
+	if err != nil {
+		return 0, "", err
+	}
+	return n, from.String(), nil
+}
+
+func (s *udpIO) writeTo(b []byte, to netip.AddrPort) error {
+	_, err := s.uc.WriteToUDPAddrPort(b, to)
+	return err
+}

@@ -51,7 +51,9 @@ func (n *RealNode) ListenPacket(port int) (PacketConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &realPacketConn{node: n, uc: uc}, nil
+	p := &realPacketConn{node: n, uc: uc}
+	p.sock.init(uc)
+	return p, nil
 }
 
 // Listen implements Node.
@@ -75,6 +77,7 @@ func (n *RealNode) Dial(addr string) (Conn, error) {
 type realPacketConn struct {
 	node *RealNode
 	uc   *net.UDPConn
+	sock udpIO // uc's receive and send
 
 	mu     sync.Mutex
 	joined map[string]*net.UDPConn // group name -> multicast reader
@@ -94,8 +97,7 @@ func (p *realPacketConn) Send(to string, payload []byte) error {
 		// An IPv4-mapped IPv6 literal is IPv4 to the resolver below, and an
 		// IPv4 socket refuses an address that does not say so.
 		ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
-		_, err = p.uc.WriteToUDPAddrPort(payload, ap)
-		return translateNetErr(err)
+		return translateNetErr(p.sock.writeTo(payload, ap))
 	}
 	addr, err := net.ResolveUDPAddr("udp", to)
 	if err != nil {
@@ -147,11 +149,11 @@ func (p *realPacketConn) recv(d time.Duration) ([]byte, string, error) {
 	// buffer of their own.
 	buf := udpBufPool.Get().(*[]byte)
 	defer udpBufPool.Put(buf)
-	n, from, err := p.uc.ReadFromUDP(*buf)
+	n, from, err := p.sock.readFrom(*buf)
 	if err != nil {
 		return nil, "", translateNetErr(err)
 	}
-	return append([]byte(nil), (*buf)[:n]...), from.String(), nil
+	return append([]byte(nil), (*buf)[:n]...), from, nil
 }
 
 // maxDatagram is the largest UDP payload a read can return.
@@ -204,26 +206,28 @@ func (p *realPacketConn) JoinGroup(group string) error {
 	}
 	inbox := p.inbox
 	p.mu.Unlock()
-	go pumpReader(mc, inbox)
+	mcIO := new(udpIO)
+	mcIO.init(mc)
+	go pumpReader(mcIO, inbox)
 	return nil
 }
 
 // pumpUnicast forwards unicast datagrams into the merged inbox once
 // multicast readers exist.
 func (p *realPacketConn) pumpUnicast() {
-	pumpReader(p.uc, p.inbox)
+	pumpReader(&p.sock, p.inbox)
 }
 
-func pumpReader(uc *net.UDPConn, inbox chan packet) {
+func pumpReader(s *udpIO, inbox chan packet) {
 	buf := make([]byte, maxDatagram)
 	for {
-		n, from, err := uc.ReadFromUDP(buf)
+		n, from, err := s.readFrom(buf)
 		if err != nil {
 			return
 		}
 		payload := append([]byte(nil), buf[:n]...)
 		select {
-		case inbox <- packet{payload: payload, from: from.String()}:
+		case inbox <- packet{payload: payload, from: from}:
 		default: // inbox overflow: drop like a kernel buffer
 		}
 	}
@@ -299,16 +303,17 @@ type realConn struct {
 	readErr error
 
 	// Batch-write scratch, guarded by writeMu: headers for every frame of a
-	// batch, the vectored-write view over headers and payloads, and the
-	// non-blocking write path.
+	// batch and the vectored-write view over headers and payloads.
 	batchHdrs []byte
-	batchBufs net.Buffers
-	raw       rawWriter
+	batchBufs [][]byte
+
+	// sock is c's reads (br's source) and vectored writes.
+	sock connIO
 }
 
 func newRealConn(c net.Conn) *realConn {
 	rc := &realConn{c: c}
-	rc.raw.init(c)
+	rc.sock.init(c)
 	return rc
 }
 
@@ -371,11 +376,8 @@ func (c *realConn) WriteBatch(frames [][]byte, skip int, wait bool) (int, error)
 	if len(bufs) == 0 {
 		return 0, nil
 	}
-	if !wait {
-		return c.raw.writev(bufs)
-	}
-	n, err := bufs.WriteTo(c.c)
-	return int(n), translateNetErr(err)
+	n, err := c.sock.writev(bufs, wait)
+	return n, translateNetErr(err)
 }
 
 func (c *realConn) Recv() ([]byte, error) { return c.recvInto(nil, 0) }
@@ -398,7 +400,7 @@ func (c *realConn) recvInto(buf []byte, d time.Duration) ([]byte, error) {
 	}
 	if c.br == nil {
 		c.br = readerPool.Get().(*bufio.Reader)
-		c.br.Reset(c.c)
+		c.br.Reset(&c.sock)
 	}
 	if d > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(d)); err != nil {
@@ -429,7 +431,7 @@ func (c *realConn) recvInto(buf []byte, d time.Duration) ([]byte, error) {
 	got := min(n, c.br.Buffered())
 	_, err = io.ReadFull(c.br, buf[:got])
 	if err == nil && got < n {
-		_, err = io.ReadFull(c.c, buf[got:])
+		_, err = io.ReadFull(&c.sock, buf[got:])
 	}
 	if err != nil {
 		err = translateNetErr(err)

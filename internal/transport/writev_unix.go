@@ -1,4 +1,4 @@
-//go:build unix && !solaris && !aix
+//go:build unix && !solaris && !aix && (!linux || 386)
 
 package transport
 
@@ -8,10 +8,10 @@ import (
 	"unsafe"
 )
 
-// rawWriter is realConn's non-blocking write path: one writev(2) on the
-// socket, which the runtime keeps in non-blocking mode, returning whatever
-// the kernel took instead of parking until the socket drains. Guarded by the
-// connection's writeMu.
+// rawWriter is realConn's non-blocking write where rawio_linux.go is not
+// built: one writev(2) on the socket, which the runtime keeps in non-blocking
+// mode, returning whatever the kernel took instead of parking until the
+// socket drains. Guarded by the connection's writeMu.
 type rawWriter struct {
 	rc    syscall.RawConn // nil when the connection exposes no descriptor
 	iov   []syscall.Iovec

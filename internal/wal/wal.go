@@ -43,7 +43,8 @@ type SyncPolicy int
 const (
 	// SyncAlways fsyncs the active segment after every Append.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background timer, every syncEvery.
+	// SyncInterval fsyncs within syncEvery of the first unsynced Append, on
+	// a timer that Append arms; a log with nothing to sync sets none.
 	SyncInterval
 	// SyncNever never fsyncs explicitly; the OS decides.
 	SyncNever
@@ -89,7 +90,7 @@ const (
 	recHeaderLen       = 8 // uint32 length + uint32 crc
 	defaultSegmentSize = 1 << 20
 	maxRecordLen       = 1 << 26               // 64 MiB sanity bound; larger lengths are corruption
-	syncEvery          = 50 * time.Millisecond // flush period under SyncInterval
+	syncEvery          = 50 * time.Millisecond // fsync bound under SyncInterval
 	readBufSize        = 64 << 10              // segment reads: one read(2) per ~300 registry records
 	segPrefix          = "seg-"
 	segSuffix          = ".wal"
@@ -127,8 +128,11 @@ type Log struct {
 	closed bool
 	rec    []byte // Append's record scratch, kept up to maxKeptRecord
 
-	syncStop chan struct{}
-	syncDone chan struct{}
+	// Under SyncInterval, the Append that makes the log dirty arms syncTimer
+	// to fsync syncEvery later; an idle log sleeps. syncWakes counts its
+	// firings.
+	syncTimer *time.Timer
+	syncWakes int
 }
 
 // Open opens (or creates) the log in opts.Dir, recovering from any torn or
@@ -154,9 +158,8 @@ func Open(opts Options) (l *Log, recovered uint64, truncated bool, err error) {
 		recovered = l.last - l.first + 1
 	}
 	if opts.Sync == SyncInterval {
-		l.syncStop = make(chan struct{})
-		l.syncDone = make(chan struct{})
-		go l.syncLoop()
+		l.syncTimer = time.AfterFunc(syncEvery, l.intervalSync)
+		l.syncTimer.Stop()
 	}
 	return l, recovered, truncated, nil
 }
@@ -371,6 +374,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if l.first == 0 || l.last < l.first {
 		l.first = idx
 	}
+	if !l.dirty && l.syncTimer != nil {
+		l.syncTimer.Reset(syncEvery)
+	}
 	l.dirty = true
 	if l.opts.Sync == SyncAlways {
 		if err := l.active.Sync(); err != nil {
@@ -423,18 +429,13 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-func (l *Log) syncLoop() {
-	defer close(l.syncDone)
-	t := time.NewTicker(syncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			_ = l.Sync()
-		case <-l.syncStop:
-			return
-		}
-	}
+// intervalSync is syncTimer's firing: it fsyncs what the Append that armed it,
+// and any after it, wrote.
+func (l *Log) intervalSync() {
+	l.mu.Lock()
+	l.syncWakes++
+	l.mu.Unlock()
+	_ = l.Sync()
 }
 
 // FirstIndex returns the first retained index (0 when the log is empty).
@@ -561,13 +562,10 @@ func (l *Log) Close() error {
 		_ = l.active.Sync()
 	}
 	err := l.active.Close()
-	stop := l.syncStop
-	done := l.syncDone
-	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
+	if l.syncTimer != nil {
+		l.syncTimer.Stop()
 	}
+	l.mu.Unlock()
 	return err
 }
 

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 func openT(t *testing.T, dir string, opts Options) *Log {
@@ -218,25 +217,6 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if idx != 5 || string(state) != "good" {
 		t.Fatalf("LoadSnapshot fell back to (%d, %q), want (5, good)", idx, state)
 	}
-}
-
-func TestSyncIntervalFlushes(t *testing.T) {
-	dir := t.TempDir()
-	l := openT(t, dir, Options{Sync: SyncInterval})
-	if _, err := l.Append([]byte("interval")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		l.mu.Lock()
-		dirty := l.dirty
-		l.mu.Unlock()
-		if !dirty {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("interval sync never flushed")
 }
 
 func TestParseSyncPolicy(t *testing.T) {

@@ -13,8 +13,10 @@
 # flow sketch's miss, hit and the two racing in allocs/op
 # (gate_flow_churn_allocs_op / gate_flow_hit_allocs_op /
 # gate_flow_parallel_allocs_op), and the dedup window's insert-and-evict in
-# allocs/op (gate_seen_allocs_op). Every gate runs: each failure prints a
-# FAIL line, and the script exits non-zero after the last gate if any failed.
+# allocs/op (gate_seen_allocs_op). On Linux a last gate holds the context
+# switches an idle process makes to answer one datagram or frame
+# (gate_idle_wake_ctxsw_op). Every gate runs: each failure prints a FAIL line,
+# and the script exits non-zero after the last gate if any failed.
 #
 #   sh scripts/bench_gate.sh            # defaults: COUNT=8, 2% threshold
 #   COUNT=12 REGRESSION_PCT=5 sh scripts/bench_gate.sh
@@ -42,6 +44,7 @@ GATE_FLOW_CHURN_ALLOCS=$(sed -n 's/.*"gate_flow_churn_allocs_op"[[:space:]]*:[[:
 GATE_FLOW_HIT_ALLOCS=$(sed -n 's/.*"gate_flow_hit_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_FLOW_PARALLEL_ALLOCS=$(sed -n 's/.*"gate_flow_parallel_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_SEEN_ALLOCS=$(sed -n 's/.*"gate_seen_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
+GATE_IDLE_WAKE_CTXSW=$(sed -n 's/.*"gate_idle_wake_ctxsw_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 if [ -z "$GATE_NS" ] || [ -z "$GATE_ALLOCS" ]; then
     echo "bench-gate: $BENCH_FILE carries no gate_ns_op / gate_allocs_op" >&2
     exit 1
@@ -82,8 +85,8 @@ END {
 }' "$OUT" || fails=$((fails + 1))
 
 # allocs_gate PKG NAME UNIT GATE: run benchmark NAME of package PKG twice and
-# fail if the best UNIT (allocs/op or B/op) of any of its (sub-)benchmarks
-# exceeds GATE. ns/op is not gated.
+# fail if the best UNIT (allocs/op, B/op or a reported metric) of any of its
+# (sub-)benchmarks exceeds GATE. ns/op is not gated.
 allocs_gate() {
     echo "bench-gate: running $2 x2 (gate: $4 $3, ns ungated)"
     go test -run '^$' -bench "$2\$" -benchmem -benchtime=1s \
@@ -97,9 +100,9 @@ allocs_gate() {
     END {
         if (runs == 0) { print "bench-gate: no " name " output parsed" > "/dev/stderr"; exit 1 }
         for (b in best) {
-            printf "bench-gate: %s best of 2 runs: %d %s (gate %d)\n", b, best[b], unit, gate
+            printf "bench-gate: %s best of 2 runs: %g %s (gate %g)\n", b, best[b], unit, gate
             if (best[b] > gate) {
-                printf "bench-gate: FAIL: %s %d %s exceeds gate %d\n", b, best[b], unit, gate > "/dev/stderr"
+                printf "bench-gate: FAIL: %s %g %s exceeds gate %g\n", b, best[b], unit, gate > "/dev/stderr"
                 failed = 1
             }
         }
@@ -177,6 +180,15 @@ fi
 # allocating.
 if [ -n "$GATE_SEEN_ALLOCS" ]; then
     allocs_gate ./internal/dedup/ BenchmarkSeen allocs/op "$GATE_SEEN_ALLOCS"
+fi
+
+# Idle-wake gate: a child process that sleeps between messages answers one
+# datagram or one frame per millisecond. Its socket calls are raw on Linux, so
+# a wake from idle is the poller's thread and no other: about 1.3 context
+# switches per message. A socket call through syscall.Syscall also wakes and
+# parks the runtime's sysmon thread: about 3 per message.
+if [ -n "$GATE_IDLE_WAKE_CTXSW" ] && [ "$(go env GOOS)" = linux ]; then
+    allocs_gate ./internal/transport/ BenchmarkIdleWake ctxsw/op "$GATE_IDLE_WAKE_CTXSW"
 fi
 
 if [ "$fails" -gt 0 ]; then

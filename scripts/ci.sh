@@ -2,7 +2,8 @@
 # ci.sh is the complete pre-merge gate: the tier-1 verify target (build, vet,
 # gofmt, tests, the whole tree again under the race detector, the exact lane
 # included both times, and nbexp's model-time output compared across
-# GOMAXPROCS and -race: make exact), the BDN package (its table exchange
+# GOMAXPROCS and -race: make exact), a vet for darwin and a build for windows
+# (the platforms without raw socket calls), the BDN package (its table exchange
 # included) and the broker, transport and simnet packages (every
 # simulated broker test runs the egress write token), wall and exact-lane
 # tests both, three times under the race detector, every
@@ -25,6 +26,12 @@ cd "$(dirname "$0")/.."
 
 echo "ci: make verify"
 make verify
+
+# Linux issues its socket calls raw (internal/transport/rawio_linux.go); every
+# other platform builds the net fallback, which nothing here would run.
+echo "ci: GOOS=darwin GOARCH=arm64 go vet ./... && GOOS=windows go build ./..."
+GOOS=darwin GOARCH=arm64 go vet ./...
+GOOS=windows go build ./...
 
 # The BDN package and the broker's egress path under the race detector,
 # repeated: a protocol race shows up as a rare red. With the experiment on,
