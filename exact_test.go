@@ -25,9 +25,15 @@ const laneTag = "//go:build goexperiment.synctest\n"
 
 var testFunc = regexp.MustCompile(`(?m)^func (Test\w*)\(\w+ \*testing\.T\)`)
 
+// realSocket matches the calls that open an operating-system socket. A lane
+// file may make none: in a bubble a goroutine blocked on network I/O is not
+// durably blocked, so the bubble's clock stalls behind it.
+var realSocket = regexp.MustCompile(`\b(httptest\.New(TLS)?Server|net\.(Listen|Dial)\w*|transport\.NewRealNode)\(`)
+
 // TestExactLane runs the exact lane's tests, and only those, with
 // GOEXPERIMENT=synctest (`make exact` runs this test), and reports each as a
-// subtest named <package>.<test>, with its own subtests beneath it.
+// subtest named <package>.<test>, with its own subtests beneath it. It
+// refuses, naming the file, a lane file that opens a real socket.
 func TestExactLane(t *testing.T) {
 	lane, wall := map[string]bool{}, map[string]bool{}
 	for _, dir := range lanePackages {
@@ -43,11 +49,17 @@ func TestExactLane(t *testing.T) {
 			side := wall
 			if bytes.HasPrefix(src, []byte(laneTag)) {
 				side = lane
+				if call := realSocket.Find(src); call != nil {
+					t.Errorf("%s is on the exact lane but opens a real socket: %s", f, call)
+				}
 			}
 			for _, m := range testFunc.FindAllSubmatch(src, -1) {
 				side[string(m[1])] = true
 			}
 		}
+	}
+	if t.Failed() {
+		t.FailNow()
 	}
 	var names []string
 	for name := range lane {

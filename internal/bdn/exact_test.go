@@ -53,7 +53,7 @@ func TestMergeSkipsWhatThisMemberExpired(t *testing.T) {
 		e := laneEnv(t, 50)
 		start := e.net.Clock().Now()
 		dir := t.TempDir()
-		m, p := quietPair(t, e, Config{DataDir: dir})
+		m, p := quietPair(t, e.net, Config{DataDir: dir})
 		ad := brokerAd("b1", "r", start.Add(5*time.Second), 10*time.Second)
 		register(m, ad)
 		advance(5 * time.Second)
@@ -70,7 +70,7 @@ func TestMergeSkipsWhatThisMemberExpired(t *testing.T) {
 
 		// The tombstone is a record: a restart over the data directory keeps it.
 		m.Close()
-		m2 := openQuiet(t, e, "member-again", Config{DataDir: dir})
+		m2 := openQuiet(t, e.net, "member-again", Config{DataDir: dir})
 		pullInto(t, m2, p)
 		if m2.BrokerCount() != 0 {
 			t.Fatalf("expired registration merged back after a restart: %v", m2.Brokers())
@@ -93,16 +93,16 @@ func TestMergeSkipsRecoveredCopyOfDeadBroker(t *testing.T) {
 		e := laneEnv(t, 58)
 		start := e.net.Clock().Now()
 		dir := t.TempDir()
-		p := openQuiet(t, e, "peer", Config{DataDir: dir})
+		p := openQuiet(t, e.net, "peer", Config{DataDir: dir})
 		register(p, brokerAd("dead", "r", start, 10*time.Second))
 		p.Close()
 		advance(time.Minute) // the broker died; the peer was down
-		p = openQuiet(t, e, "peer-again", Config{DataDir: dir})
+		p = openQuiet(t, e.net, "peer-again", Config{DataDir: dir})
 		register(p, brokerAd("live", "r", start.Add(time.Minute), 10*time.Second))
 		if p.BrokerCount() != 2 {
 			t.Fatalf("restarted peer lists %v, want dead and live", p.Brokers())
 		}
-		m := openQuiet(t, e, "member", Config{})
+		m := openQuiet(t, e.net, "member", Config{})
 		pullInto(t, m, p)
 		if got := m.Brokers(); len(got) != 1 || got[0].LogicalAddress != "live" {
 			t.Fatalf("merged %v, want live alone", got)
@@ -115,7 +115,7 @@ func TestMergeSkipsRecoveredCopyOfDeadBroker(t *testing.T) {
 func TestMergeCapsValidity(t *testing.T) {
 	exact(t, func(t *testing.T) {
 		e := laneEnv(t, 51)
-		m, p := quietPair(t, e, Config{})
+		m, p := quietPair(t, e.net, Config{})
 		register(p, brokerAd("short", "r", e.net.Clock().Now(), time.Hour)) // an hour at the peer, as here
 		advance(15 * time.Second)
 		pullInto(t, m, p)
@@ -135,14 +135,16 @@ func TestMergeCapsValidity(t *testing.T) {
 // any road, and merging L's table into X once more must change nothing.
 // Remaining TTLs are equal on the live roads; a restart re-anchors each
 // deadline at recovery + the validity its last record (or the snapshot)
-// carried, and the test says exactly that of W and S.
+// carried, and the test says exactly that of W and S. Each seed is a
+// parallel subtest seed=N in a bubble of its own, so a failing one is named
+// and reruns alone with -run.
 func TestSnapshotReplayEquivalence(t *testing.T) {
-	exact(t, func(t *testing.T) {
-		e := laneEnv(t, 41)
-		for seed := int64(0); seed < 200; seed++ {
-			differentialRun(t, e, seed)
-		}
-	})
+	for seed := int64(0); seed < 200; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			exact(t, func(t *testing.T) { differentialRun(t, laneEnv(t, 41), seed) })
+		})
+	}
 }
 
 func differentialRun(t *testing.T, e *env, seed int64) {

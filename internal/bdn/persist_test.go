@@ -2,90 +2,18 @@ package bdn
 
 import (
 	"bytes"
-	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"narada/internal/core"
+	"narada/internal/event"
+	"narada/internal/ntptime"
 	"narada/internal/simnet"
 	"narada/internal/transport"
-	"narada/internal/uuid"
 	"narada/internal/wal"
 	"narada/internal/wire"
 )
-
-// restart closes the BDN and brings up a fresh one over the same data
-// directory (new sim node, same name/config), as after a process restart.
-func (e *env) restart(d *BDN, cfg Config) *BDN {
-	e.t.Helper()
-	d.Close()
-	return e.bdn(cfg)
-}
-
-// crash tears the BDN down WITHOUT the graceful final snapshot, so recovery
-// has to work from the last periodic snapshot plus the WAL suffix — the
-// kill -9 shape.
-func (e *env) crash(d *BDN, cfg Config) *BDN {
-	e.t.Helper()
-	d.mu.Lock()
-	log := d.log
-	d.log = nil
-	d.mu.Unlock()
-	if log != nil {
-		_ = log.Close()
-	}
-	d.Close()
-	return e.bdn(cfg)
-}
-
-// awaitBrokers blocks until n registrations have landed in d. Registration
-// is asynchronous, and the model-time sleeps these tests used to rely on are
-// a few milliseconds of wall time — not always enough on a busy host.
-func awaitBrokers(t *testing.T, d *BDN, n int) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); d.BrokerCount() != n; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("BrokerCount = %d, want %d", d.BrokerCount(), n)
-		}
-	}
-}
-
-func TestRestartRecoversRegistry(t *testing.T) {
-	e := newEnv(t, 40)
-	cfg := Config{Name: "durable.org", DataDir: t.TempDir()}
-	d := e.bdn(cfg)
-	b1 := e.brokerTTL(simnet.SiteFSU, "broker-fsu", time.Hour)
-	b2 := e.brokerTTL(simnet.SiteIndianapolis, "broker-indy", time.Hour)
-	if err := b1.RegisterWithBDN(d.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.RegisterWithBDN(d.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	awaitBrokers(t, d, 2)
-	before := d.Brokers()
-
-	d2 := e.restart(d, cfg)
-	if d2.BrokerCount() != 2 {
-		t.Fatalf("post-restart BrokerCount = %d, want 2", d2.BrokerCount())
-	}
-	after := d2.Brokers()
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("recovered table differs:\n before %+v\n after  %+v", before, after)
-	}
-	// TTLs must be intact: both registrations carry a live deadline roughly
-	// an hour out, not zero and not already lapsed.
-	now := d2.node.Clock().Now()
-	d2.mu.Lock()
-	for logical, r := range d2.brokers {
-		if r.expiresAt.IsZero() {
-			t.Errorf("%s recovered without a deadline", logical)
-		} else if rem := r.expiresAt.Sub(now); rem < 50*time.Minute || rem > time.Hour {
-			t.Errorf("%s recovered with remaining %s, want ~1h", logical, rem)
-		}
-	}
-	d2.mu.Unlock()
-}
 
 // remainingTTLs reads every unexpired registration's remaining validity (-1
 // for one without a deadline) off d's clock.
@@ -118,28 +46,6 @@ func pullInto(t *testing.T, dst, src *BDN) {
 
 // walLast is the index of d's last WAL record.
 func walLast(d *BDN) uint64 { return d.walLog().LastIndex() }
-
-func TestSweepDeleteIsDurable(t *testing.T) {
-	e := newEnv(t, 42)
-	cfg := Config{Name: "sweep.org", DataDir: t.TempDir(), SweepInterval: 200 * time.Millisecond}
-	d := e.bdn(cfg)
-	b := e.brokerTTL(simnet.SiteFSU, "broker-gone", 2*time.Second)
-	if err := b.RegisterWithBDN(d.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	// The registration lives 2s of model time, a few wall milliseconds: wait
-	// for its record in the log, not for a poll to catch it listed.
-	waitFor(t, "the registration's record", func() bool { return walLast(d) > 0 })
-	b.Close() // stop refreshes so the registration ages out
-	e.net.Clock().Sleep(5 * time.Second)
-	if d.BrokerCount() != 0 {
-		t.Fatalf("expired broker still listed (%d)", d.BrokerCount())
-	}
-	d2 := e.restart(d, cfg)
-	if d2.BrokerCount() != 0 {
-		t.Fatalf("swept broker resurrected by recovery (%d)", d2.BrokerCount())
-	}
-}
 
 // reencode builds rec again from its decoded fields alone.
 func reencode(rec record) record {
@@ -247,8 +153,7 @@ func TestRecoversDataDirWithRetiredRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := newEnv(t, 48)
-	d := e.bdn(Config{Name: "upgraded.org", DataDir: dir})
+	d := openQuiet(t, simnet.NewPaperWAN(simnet.Config{Seed: 48}), "upgraded.org", Config{DataDir: dir})
 	if got := d.Brokers(); len(got) != 1 || got[0].LogicalAddress != "kept" {
 		t.Fatalf("recovered %v, want kept alone", got)
 	}
@@ -277,8 +182,7 @@ func TestStateCodecRebasesDeadlines(t *testing.T) {
 		}
 	}
 
-	e := newEnv(t, 47)
-	d := e.bdn(Config{Name: "install.org", DataDir: t.TempDir()})
+	d := openQuiet(t, simnet.NewPaperWAN(simnet.Config{Seed: 47}), "install.org", Config{DataDir: t.TempDir()})
 	before := d.node.Clock().Now()
 	d.merge(got)
 	left := remainingTTLs(d)["b1"]
@@ -345,44 +249,60 @@ func servedTable() []byte {
 	return state
 }
 
-// TestConfigCredentialWinsAfterRestart: the credential is configuration. A
-// data directory written under one credential does not bring it back when
-// the BDN restarts with another.
-func TestConfigCredentialWinsAfterRestart(t *testing.T) {
-	e := newEnv(t, 46)
-	cfg := Config{Name: "priv.org", DataDir: t.TempDir(), Private: true,
-		RequiredCredential: []byte("A")}
-	d := e.bdn(cfg)
-	b := e.broker(simnet.SiteIndianapolis, "broker-indy")
-	if err := b.RegisterWithBDN(d.Addr()); err != nil {
+// openQuiet starts a BDN named name on net whose sweeper never fires on its
+// own and whose NTP service reads its node's clock.
+func openQuiet(t *testing.T, net *simnet.Network, name string, cfg Config) *BDN {
+	t.Helper()
+	node := transport.NewSimNode(net, simnet.SiteBloomington, "bdn-"+name, 0)
+	cfg.Name, cfg.SweepInterval, cfg.Fsync = name, 1000*time.Hour, wal.SyncNever
+	d, err := New(node, ntptime.NewService(node.Clock(), 0, nil), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	awaitBrokers(t, d, 1)
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	return d
+}
 
-	cfg.RequiredCredential = []byte("B")
-	d2 := e.restart(d, cfg) // graceful: the final snapshot is what recovery reads
-	if got := string(d2.Credential()); got != "B" {
-		t.Fatalf("credential after restart = %q, want the configured %q", got, "B")
-	}
-	awaitBrokers(t, d2, 1)
+// quietPair is two quiet BDNs: a member and the peer whose table it merges.
+func quietPair(t *testing.T, net *simnet.Network, cfg Config) (member, peer *BDN) {
+	t.Helper()
+	return openQuiet(t, net, "member", cfg), openQuiet(t, net, "peer", Config{})
+}
 
-	node, _ := e.node(simnet.SiteBloomington, "client")
-	pc, _ := node.ListenPacket(0)
-	defer pc.Close()
-	stale := &core.DiscoveryRequest{ID: uuid.New(), Requester: "c",
-		ResponseAddr: pc.LocalAddr(), Credentials: []byte("A")}
-	if ack := requestViaBDN(t, e, d2, stale); ack == nil {
-		t.Fatal("request with the old credential not acked")
-	}
-	if _, _, err := pc.RecvTimeout(500 * time.Millisecond); err == nil || d2.tel.reqDenied.Value() != 1 {
-		t.Fatalf("request with the old credential was disseminated (denied = %d)", d2.tel.reqDenied.Value())
-	}
-	current := &core.DiscoveryRequest{ID: uuid.New(), Requester: "c",
-		ResponseAddr: pc.LocalAddr(), Credentials: []byte("B")}
-	if ack := requestViaBDN(t, e, d2, current); ack == nil {
-		t.Fatal("request with the configured credential not acked")
-	}
-	if _, _, err := pc.RecvTimeout(3 * time.Second); err != nil {
-		t.Fatal("request with the configured credential not disseminated")
+// register hands ad to d the way a broker's registration connection does.
+func register(d *BDN, ad *core.Advertisement) {
+	d.storeAdvertisement(event.New(event.TypeAdvertisement, "", core.EncodeAdvertisement(ad)), nil)
+}
+
+// brokerAd is an advertisement issued at issued.
+func brokerAd(logical, realm string, issued time.Time, ttl time.Duration) *core.Advertisement {
+	return &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: logical, Realm: realm},
+		IssuedAt: issued, TTL: ttl}
+}
+
+// TestMergePassesAdmitFilter: an entry this member would refuse from the
+// broker itself it refuses from a peer's table too. The refusal is counted
+// once, when the broker advertised here, and not again on every pull.
+func TestMergePassesAdmitFilter(t *testing.T) {
+	net := simnet.NewPaperWAN(simnet.Config{Seed: 52})
+	m, p := quietPair(t, net, Config{AdmitFilter: func(ad *core.Advertisement) bool {
+		return !strings.Contains(ad.Broker.Realm, "cardiff")
+	}})
+	now := net.Clock().Now()
+	cardiff := brokerAd("broker-cardiff", "cardiff", now, time.Minute)
+	register(p, brokerAd("broker-fsu", "fsu", now, time.Minute))
+	register(p, cardiff)
+	register(m, cardiff)
+	for pull := 1; pull <= 2; pull++ {
+		pullInto(t, m, p)
+		if got := m.Brokers(); len(got) != 1 || got[0].LogicalAddress != "broker-fsu" {
+			t.Fatalf("pull %d: merged %v, want broker-fsu alone", pull, got)
+		}
+		if m.tel.adsRejected.Value() != 1 || m.tel.adsMerged.Value() != 1 {
+			t.Fatalf("pull %d: rejected %d, merged %d; want 1 and 1", pull, m.tel.adsRejected.Value(), m.tel.adsMerged.Value())
+		}
 	}
 }

@@ -107,7 +107,7 @@ type nodeState struct {
 }
 
 // target is one node the collector scrapes: a telemetry endpoint over HTTP,
-// or a plane in this process (the collector's own journal, its prober).
+// or a plane in this process (its own journal, its prober, a testbed node).
 type target struct {
 	addr  string // host:port of the node's telemetry endpoint; "" for a local plane
 	local *plane.Plane
@@ -130,6 +130,7 @@ type Collector struct {
 	// a node still in flight.
 	ctx    context.Context
 	cancel context.CancelFunc
+	born   time.Time // the origin of the scrape grid
 
 	mu      sync.Mutex
 	targets map[string]*target // watched endpoints by address
@@ -195,6 +196,7 @@ func New(cfg Config) (*Collector, error) {
 		store:   newSeriesStore(resolutionsAt(cfg.ScrapeInterval), MaxSeries),
 		ctx:     ctx,
 		cancel:  cancel,
+		born:    time.Now(),
 		targets: make(map[string]*target),
 		nodes:   make(map[string]*nodeState),
 		traces:  make(map[string]*trace),
@@ -266,35 +268,39 @@ func (c *Collector) Watch(addr string) {
 	}
 }
 
-// watchLocal starts scraping a plane in this process; unwatch stops it.
-func (c *Collector) watchLocal(p *plane.Plane) *target {
+// WatchPlane starts scraping a plane in this process every scrape interval,
+// with no socket between them. stop, called once, ends the loop and takes the
+// plane's final scrape: call it after the plane's component stops and before
+// the plane closes, and the collector holds the node's last snapshot and
+// node_stop. The collector never profiles an in-process plane: it has no
+// address.
+func (c *Collector) WatchPlane(p *plane.Plane) (stop func()) {
 	t := &target{local: p}
 	c.startLoop(t)
-	return t
+	return func() {
+		close(t.stop)
+		_ = c.scrape(t)
+	}
 }
 
-// unwatch stops t's scrape loop and scrapes it one last time.
-func (c *Collector) unwatch(t *target) {
-	close(t.stop)
-	_ = c.scrape(t)
-}
-
-// startLoop scrapes t now and then once per scrape interval until it is
-// unwatched or the collector closes.
+// startLoop scrapes t now, and then on the collector's grid — every whole
+// scrape interval since New — until it is stopped or the collector closes.
+// healthLoop evaluates half an interval off that grid, so an evaluation reads
+// every live node's latest scrape and never races one.
 func (c *Collector) startLoop(t *target) {
 	t.stop = make(chan struct{})
 	c.spawn(func() {
-		tick := time.NewTicker(c.win.Scrape)
-		defer tick.Stop()
 		for {
 			_ = c.scrape(t)
+			next := time.NewTimer(c.win.Scrape - time.Since(c.born)%c.win.Scrape)
 			select {
-			case <-tick.C:
+			case <-next.C:
+				continue
 			case <-t.stop:
-				return
 			case <-c.ctx.Done():
-				return
 			}
+			next.Stop()
+			return
 		}
 	})
 }

@@ -28,14 +28,20 @@ func (c *Collector) Query(metric, node string, step time.Duration, since, now ti
 	return c.store.Query(metric, node, step, since, now)
 }
 
-// healthLoop evaluates the rules once per scrape interval.
+// healthLoop evaluates the rules once per scrape interval, half an interval
+// off the scrape grid (startLoop).
 func (c *Collector) healthLoop() {
+	select {
+	case <-time.After(c.win.Scrape/2 - time.Since(c.born)):
+	case <-c.ctx.Done():
+		return
+	}
 	ticker := time.NewTicker(c.win.Scrape)
 	defer ticker.Stop()
 	for {
+		c.evaluate()
 		select {
 		case <-ticker.C:
-			c.evaluate()
 		case <-c.ctx.Done():
 			return
 		}

@@ -45,12 +45,11 @@ type ProbeConfig struct {
 // like any requester's, so every probe is inspectable at /traces/{id} and
 // its SLIs land in the series store the burn-rate rules read.
 type Prober struct {
-	cfg    ProbeConfig
-	disc   *core.Discoverer
-	plane  *plane.Plane
-	col    *Collector
-	target *target
-	log    *slog.Logger
+	cfg     ProbeConfig
+	disc    *core.Discoverer
+	plane   *plane.Plane
+	unwatch func() // the collector's WatchPlane stop
+	log     *slog.Logger
 
 	runsOK   *obs.Counter
 	runsFail *obs.Counter
@@ -84,7 +83,7 @@ func (c *Collector) NewProber(cfg ProbeConfig) (*Prober, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prober{cfg: cfg, plane: pl, col: c, log: cfg.Logger.With("component", "obsprobe"), closed: make(chan struct{})}
+	p := &Prober{cfg: cfg, plane: pl, log: cfg.Logger.With("component", "obsprobe"), closed: make(chan struct{})}
 	p.disc = core.NewDiscoverer(node, ntp, core.Config{
 		NodeName:      ProberNodeName,
 		BDNAddrs:      cfg.BDNAddrs,
@@ -101,7 +100,7 @@ func (c *Collector) NewProber(cfg ProbeConfig) (*Prober, error) {
 	p.runsFail = reg.Counter(runs, runsHelp, who, obs.L("outcome", "error"))
 	p.latency = reg.Histogram("narada_probe_latency_seconds",
 		"End-to-end synthetic discovery latency.", nil, who)
-	p.target = c.watchLocal(pl)
+	p.unwatch = c.WatchPlane(pl)
 	return p, nil
 }
 
@@ -147,7 +146,7 @@ func (p *Prober) Close() error {
 		close(p.closed)
 		p.wg.Wait()
 		p.disc.Close()
-		p.col.unwatch(p.target)
+		p.unwatch()
 		p.plane.Close()
 	})
 	return nil

@@ -361,8 +361,19 @@ func TestFlightRecorderOnGoroutineLeak(t *testing.T) {
 		for _, a := range av.Alerts {
 			if a.Rule == health.RuleGoroutineLeak && len(a.Profiles) > 0 {
 				p := a.Profiles[0]
-				if p.Node != "b1" || p.Trigger != "flight:"+health.RuleGoroutineLeak {
+				if p.Node != "b1" || p.Trigger != "flight:"+health.RuleGoroutineLeak || p.Kind != profile.KindGoroutine {
 					t.Fatalf("linked profile = %+v", p)
+				}
+				// The link is a goroutine dump, downloadable by the URL the
+				// alert carries.
+				resp, err := srv.Client().Get(srv.URL + p.URL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != 200 || !strings.HasPrefix(string(body), "goroutine profile:") {
+					t.Fatalf("GET %s: status %d body %.60q", p.URL, resp.StatusCode, body)
 				}
 				return
 			}

@@ -9,6 +9,7 @@ import (
 
 	"narada/internal/broker"
 	"narada/internal/obs"
+	"narada/internal/obs/collect"
 	"narada/internal/simnet"
 )
 
@@ -115,7 +116,7 @@ func TestChaosRepeatedBDNRestarts(t *testing.T) {
 func TestChaosSupervisionMetrics(t *testing.T) {
 	exact(t, func(t *testing.T) {
 		opts := chaosOptions()
-		opts.Metrics = obs.NewRegistry()
+		opts.Watch = fastCollector(t, collect.Config{}).WatchPlane
 		tb := laneNew(t, opts)
 		if err := tb.WaitConverged(ConvergeOptions{Timeout: 10 * time.Second}); err != nil {
 			t.Fatalf("initial state: %v", err)

@@ -28,7 +28,10 @@ func exact(t *testing.T, f func(t *testing.T)) {
 
 // laneNew deploys o at Scale 1, the only scale at which the bubble's clock
 // moves (at any other, ScaledClock's spin keeps a goroutine runnable), and
-// closes it when the test ends.
+// closes it when the test ends. New's poll sees the deployment settle a
+// millisecond early or late, so laneNew returns at the next whole 100 ms of
+// model time: the test then keeps one phase against every periodic loop,
+// a collector's scrape grid among them.
 func laneNew(t *testing.T, o Options) *Testbed {
 	t.Helper()
 	o.Scale = 1
@@ -37,7 +40,29 @@ func laneNew(t *testing.T, o Options) *Testbed {
 		t.Fatal(err)
 	}
 	t.Cleanup(tb.Close)
+	advance(100*time.Millisecond - time.Duration(time.Now().UnixNano())%(100*time.Millisecond))
 	return tb
+}
+
+// advance lets d of model time pass and everything it woke settle, so what
+// the test does next never races a goroutine woken at the same instant.
+func advance(d time.Duration) {
+	time.Sleep(d)
+	synctest.Wait()
+}
+
+// until advances model time a millisecond at a time until cond holds, and
+// returns how much passed: a lane test asserts that instant exactly. It
+// gives up after limit.
+func until(t *testing.T, limit time.Duration, what string, cond func() bool) time.Duration {
+	t.Helper()
+	start := time.Now()
+	for synctest.Wait(); !cond(); advance(time.Millisecond) {
+		if time.Since(start) >= limit {
+			t.Fatalf("%s: not within %v of model time", what, limit)
+		}
+	}
+	return time.Since(start)
 }
 
 func TestUnconnectedDiscovery(t *testing.T) {

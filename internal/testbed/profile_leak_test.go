@@ -1,10 +1,8 @@
+//go:build goexperiment.synctest
+
 package testbed
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,121 +10,78 @@ import (
 	"narada/internal/obs"
 	"narada/internal/obs/collect"
 	"narada/internal/obs/collect/health"
-	"narada/internal/obs/profile"
 	"narada/internal/simnet"
 	"narada/internal/topology"
 )
 
 // TestGoroutineLeakFlightRecorder injects a goroutine leak into a testbed
-// broker and follows it end to end: the leaking gauge is scraped from the
-// node's real loopback telemetry endpoint, the collector's goroutine_leak
-// rule fires, the flight recorder takes pprof captures from that endpoint,
-// and the /alerts view links the captured profiles.
+// broker and follows it to the alert: the leaking gauge is scraped from the
+// node's plane and the collector's goroutine_leak rule fires on that node,
+// at an exact instant, and on no other. The flight recorder's pull of pprof
+// captures over HTTP is collect's TestFlightRecorderOnGoroutineLeak: an
+// in-process plane has no address, so it is never profiled.
 func TestGoroutineLeakFlightRecorder(t *testing.T) {
-	// At fastCollector's 50ms scrape interval the goroutine-leak window (300
-	// intervals) is 15s, holding the whole test, baseline included, and a
-	// flight CPU capture takes its 1s floor: the story fits in a test.
-	col := fastCollector(t, collect.Config{})
-	tb, err := New(Options{
-		Scale:    50,
-		Seed:     42,
-		NoBDN:    true,
-		Topology: topology.Linear,
-		Brokers: []BrokerSpec{
-			{Site: simnet.SiteIndianapolis, Name: "broker-leaky",
-				Usage: metrics.Usage{TotalMemBytes: 512 * mib, UsedMemBytes: 64 * mib}},
-			{Site: simnet.SiteUMN, Name: "broker-quiet",
-				Usage: metrics.Usage{TotalMemBytes: 512 * mib, UsedMemBytes: 64 * mib}},
-		},
-		Watch: col.Watch,
-	})
-	if err != nil {
-		t.Fatalf("testbed: %v", err)
-	}
-	t.Cleanup(tb.Close)
-	srv := httptest.NewServer(col.Handler())
-	defer srv.Close()
+	exact(t, func(t *testing.T) {
+		// At fastCollector's 50ms scrape interval the goroutine-leak window
+		// (300 intervals) is 15s, holding the whole test, baseline included.
+		col := fastCollector(t, collect.Config{})
+		tb := laneNew(t, Options{
+			Seed:     42,
+			NoBDN:    true,
+			Topology: topology.Linear,
+			Brokers: []BrokerSpec{
+				{Site: simnet.SiteIndianapolis, Name: "broker-leaky",
+					Usage: metrics.Usage{TotalMemBytes: 512 * mib, UsedMemBytes: 64 * mib}},
+				{Site: simnet.SiteUMN, Name: "broker-quiet",
+					Usage: metrics.Usage{TotalMemBytes: 512 * mib, UsedMemBytes: 64 * mib}},
+			},
+			Watch: col.WatchPlane,
+		})
+		reg, ok := tb.BrokerRegistry("broker-leaky")
+		if !ok {
+			t.Fatal("no registry for broker-leaky")
+		}
 
-	// The leaky broker serves a REAL telemetry endpoint on loopback: its
-	// private testbed registry and pprof — the same wiring cmd/broker uses,
-	// just with the HTTP side outside simnet.
-	reg, ok := tb.BrokerRegistry("broker-leaky")
-	if !ok {
-		t.Fatal("no registry for broker-leaky")
-	}
-
-	// Inject the leak: the testbed shares one OS process, so the per-node
-	// goroutine count is a synthetic gauge — steady baseline long enough to
-	// land in several retention slots, then unbounded growth.
-	goroutines := reg.Gauge("narada_process_goroutines", "Live goroutines.",
-		obs.L("node", "broker-leaky"))
-	goroutines.Set(120)
-	time.Sleep(700 * time.Millisecond)
-	stopLeak := make(chan struct{})
-	defer close(stopLeak)
-	go func() {
-		v := 1000.0
-		ticker := time.NewTicker(100 * time.Millisecond)
-		defer ticker.Stop()
-		for {
+		// Inject the leak: the testbed shares one OS process, so the per-node
+		// goroutine count is a synthetic gauge — steady baseline long enough to
+		// land in several retention slots, then unbounded growth.
+		goroutines := reg.Gauge("narada_process_goroutines", "Live goroutines.",
+			obs.L("node", "broker-leaky"))
+		goroutines.Set(120)
+		advance(700 * time.Millisecond)
+		leakStart := time.Now()
+		var a collect.AlertView
+		for v := 1000.0; ; v += 60 {
 			goroutines.Set(v)
-			v += 60
-			select {
-			case <-ticker.C:
-			case <-stopLeak:
-				return
+			var fired bool
+			if a, fired = leakAlert(t, col, "broker-leaky"); fired {
+				break
 			}
-		}
-	}()
-
-	a := awaitAlertState(t, srv.URL, health.RuleGoroutineLeak, "broker-leaky",
-		health.StateFiring, 10*time.Second)
-	if a.Value <= 500 {
-		t.Fatalf("goroutine_leak growth = %v, want > 500", a.Value)
-	}
-	// The quiet broker serves no goroutine gauge and must stay clean.
-	for _, al := range fetchAlerts(t, srv.URL).Alerts {
-		if al.Rule == health.RuleGoroutineLeak && al.Node != "broker-leaky" {
-			t.Fatalf("unexpected goroutine_leak on %s: %+v", al.Node, al)
-		}
-	}
-
-	// The flight recorder captures asynchronously (its CPU pull samples for
-	// a full second); poll until the alert links a flight capture.
-	var flight profile.Capture
-	deadline := time.Now().Add(15 * time.Second)
-	for flight.ID == "" {
-		for _, al := range fetchAlerts(t, srv.URL).Alerts {
-			if al.Rule != health.RuleGoroutineLeak || al.Node != "broker-leaky" {
-				continue
+			if time.Since(leakStart) > 15*time.Second {
+				t.Fatal("goroutine_leak never fired on broker-leaky")
 			}
-			for _, ref := range al.Profiles {
-				if ref.Trigger == "flight:"+health.RuleGoroutineLeak && ref.Kind == "goroutine" {
-					flight = ref
-				}
-			}
+			advance(100 * time.Millisecond)
 		}
-		if flight.ID != "" {
-			break
+		if took := a.FiredAt.Sub(leakStart); a.Value != 880 || took != 75*time.Millisecond {
+			t.Fatalf("goroutine_leak growth %v, fired %v into the leak; want 880 at 75ms", a.Value, took)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("alert never linked a flight-recorded profile")
+		// The quiet broker serves no goroutine gauge and stays clean.
+		if al, fired := leakAlert(t, col, "broker-quiet"); fired {
+			t.Fatalf("unexpected goroutine_leak on broker-quiet: %+v", al)
 		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	})
+}
 
-	// The linked capture is a real goroutine dump of the telemetry process,
-	// downloadable from the collector by the URL the alert carries.
-	resp, err := http.Get(srv.URL + flight.URL)
-	if err != nil {
-		t.Fatalf("GET %s: %v", flight.URL, err)
+// leakAlert reads node's goroutine_leak alert from /alerts, and whether it is
+// firing.
+func leakAlert(t *testing.T, col *collect.Collector, node string) (collect.AlertView, bool) {
+	t.Helper()
+	var v collect.AlertsView
+	getJSON(t, col, "/alerts", &v)
+	for _, a := range v.Alerts {
+		if a.Rule == health.RuleGoroutineLeak && a.Node == node {
+			return a, a.State == health.StateFiring
+		}
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", flight.URL, resp.StatusCode)
-	}
-	if !strings.Contains(string(body), "goroutine profile:") {
-		t.Fatalf("flight capture is not a goroutine dump: %.120q", string(body))
-	}
+	return collect.AlertView{}, false
 }

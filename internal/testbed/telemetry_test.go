@@ -5,38 +5,37 @@ package testbed
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"narada/internal/core"
-	"narada/internal/obs"
+	"narada/internal/obs/collect"
 	"narada/internal/topology"
 )
 
-// TestDiscoveryTelemetry runs one discovery through a fully instrumented
-// deployment (shared registry + tracer across BDN, brokers and requester) and
-// checks the two observability contracts end to end: the request's trace
-// carries every core.Phase span plus the BDN/broker hops, keyed by the
-// request UUID, and the exposition shows the expected metric families.
+// TestDiscoveryTelemetry runs one discovery through a deployment whose
+// every node a collector scrapes in process, and checks the two
+// observability contracts end to end: the request's trace carries every
+// core.Phase span plus the BDN/broker hops, keyed by the request UUID, and
+// the federated exposition shows the expected metric families.
 func TestDiscoveryTelemetry(t *testing.T) {
 	exact(t, func(t *testing.T) {
-		reg := obs.NewRegistry()
-		tracer := obs.NewTracer(obs.DefaultTraceCapacity, nil)
-		tb := laneNew(t, Options{
-			Topology: topology.Ring, Seed: 11, Metrics: reg, Tracer: tracer,
-		})
+		col := fastCollector(t, collect.Config{})
+		tb := laneNew(t, Options{Topology: topology.Ring, Seed: 11, Watch: col.WatchPlane})
 
 		d := tb.NewDiscoverer("bloomington", "client", discoveryConfig())
 		res, err := d.Discover()
 		if err != nil {
 			t.Fatal(err)
 		}
+		// One scrape interval later every node's share of it is in.
+		time.Sleep(50 * time.Millisecond)
 
 		// Exactly one request flowed through the deployment; its UUID keys the
 		// trace assembled from every process it touched.
-		traces := tracer.Snapshot()
-		if len(traces) != 1 {
-			t.Fatalf("tracer holds %d traces, want 1", len(traces))
+		if traces := col.Traces(); len(traces) != 1 || traces[0].ID != res.RequestID.String() {
+			t.Fatalf("collector holds traces %+v, want the one request %s", traces, res.RequestID)
 		}
-		tv := traces[0]
+		tv, _ := col.Trace(res.RequestID.String())
 
 		spans := make(map[string]int)
 		for _, s := range tv.Spans {
@@ -59,8 +58,7 @@ func TestDiscoveryTelemetry(t *testing.T) {
 			t.Errorf("trace missing broker-fanout events: %v", spans)
 		}
 		// The requester's phase spans share one clock, so among themselves they
-		// must appear in execution order. (Global order across nodes is only
-		// approximate: every testbed node carries its own hardware-clock skew.)
+		// must appear in execution order.
 		var phaseOrder []string
 		for _, s := range tv.Spans {
 			for _, p := range core.Phases() {
@@ -76,11 +74,7 @@ func TestDiscoveryTelemetry(t *testing.T) {
 			}
 		}
 
-		var sb strings.Builder
-		if err := reg.WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
-		}
-		exposition := sb.String()
+		exposition := serve(t, col, "/metrics")
 		families := []string{
 			"narada_broker_frames_total",
 			"narada_broker_publish_delivered_total",

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"narada/internal/bdn"
@@ -111,19 +110,13 @@ type Options struct {
 	Replicate bool
 	// MaxSkew bounds each node's hardware clock error (default 20 ms).
 	MaxSkew time.Duration
-	// Metrics, when set, is shared by every deployed broker, BDN and
-	// discoverer — instance identity rides in metric labels.
-	Metrics *obs.Registry
-	// Tracer, when set, records per-request discovery traces across the
-	// whole deployment (BDN injection, broker fan-out, requester phases).
-	Tracer *obs.Tracer
-	// Watch, when set, runs every deployed component under its OWN
-	// telemetry plane — registry, tracer and journal (overriding
-	// Metrics/Tracer) — serving a loopback telemetry endpoint whose address
-	// is handed to Watch (a collector's), so the deployment behaves like
-	// separate processes whose telemetry meets only at the collector. A
-	// restarted node serves on the port it had.
-	Watch func(addr string)
+	// Watch, when set, runs every deployed component under its own
+	// telemetry plane — registry, tracer and journal — and hands each plane
+	// to Watch (a collector's WatchPlane), so the deployment behaves like
+	// separate processes whose telemetry meets only at the collector. The
+	// stop it returns is called, for the final scrape, when the node is
+	// killed or the testbed closes. Without Watch nothing is recorded.
+	Watch func(*plane.Plane) (stop func())
 	// SampleEvery, when > 0, gives every broker a publish sampler tracing
 	// roughly 1 in N messages originating at it (decision-at-publish; events
 	// arriving over links keep the origin's verdict).
@@ -187,8 +180,7 @@ type Testbed struct {
 	opts      Options
 	rng       *rand.Rand
 	ntpByName map[string]*ntptime.Service // every node's time service, for NTPOffset
-	planes    map[string]*plane.Plane     // per-node telemetry planes when Watch is set
-	telemetry map[string]string           // node → the telemetry address its planes serve on
+	planes    map[string]watched          // per-node telemetry planes when Watch is set
 
 	// journal records testbed-level control-plane events (chaos fault
 	// injection) under the node identity "testbed" when Watch is set, so a
@@ -201,6 +193,12 @@ type Testbed struct {
 	bdnDeps    map[string]*bdnDeployment
 
 	probeSeq int // chaos probe topic/client uniquifier
+}
+
+// watched is a node's plane and the stop its Watch returned.
+type watched struct {
+	p    *plane.Plane
+	stop func()
 }
 
 // brokerDeployment remembers how a broker was deployed.
@@ -232,8 +230,7 @@ func New(opts Options) (*Testbed, error) {
 		opts:       opts,
 		rng:        rand.New(rand.NewSource(opts.Seed + 7)),
 		ntpByName:  make(map[string]*ntptime.Service),
-		planes:     make(map[string]*plane.Plane),
-		telemetry:  make(map[string]string),
+		planes:     make(map[string]watched),
 		brokerDeps: make(map[string]*brokerDeployment),
 		bdnDeps:    make(map[string]*bdnDeployment),
 	}
@@ -244,15 +241,11 @@ func New(opts Options) (*Testbed, error) {
 		// no offset correction applies. It is not a node with metrics of its
 		// own, so it lends its plane a registry nobody reads: a borrowed
 		// registry is never scraped, and only the journal travels.
-		h, err := tb.startPlane(plane.Config{
+		tb.journal = tb.startPlane(plane.Config{
 			Node:     "testbed",
 			Clock:    net.Clock().Now,
 			Registry: obs.NewRegistry(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		tb.journal = h.Journal
+		}).Journal
 	}
 
 	// BDNs: gridservicelocator.org at the primary site, further replicas
@@ -377,41 +370,37 @@ func (tb *Testbed) settle() error {
 }
 
 // obsFor returns the telemetry handle a component named name should use.
-// Without Watch registry and tracer come from Options (possibly shared,
-// possibly nil) and there is no journal — no collector to read it. With
-// Watch each component runs under its own plane — private registry, tracer
-// and journal, offset by its NTP service — the same shape as one process per
-// node. Journal events are stamped on the node's local (skewed) clock, like
-// spans, so the collector's offset alignment applies to both.
-func (tb *Testbed) obsFor(name string, ntp *ntptime.Service) (obs.Handle, error) {
+// Without Watch it is the zero handle: nothing records, as no collector
+// reads. With Watch each component runs under its own plane — private
+// registry, tracer and journal, offset by its NTP service — the same shape
+// as one process per node. Journal events are stamped on the node's local
+// (skewed) clock, like spans, so the collector's offset alignment applies to
+// both.
+func (tb *Testbed) obsFor(name string, ntp *ntptime.Service) obs.Handle {
 	if tb.opts.Watch == nil {
-		return obs.Handle{Metrics: tb.opts.Metrics, Tracer: tb.opts.Tracer}, nil
+		return obs.Handle{}
 	}
 	return tb.startPlane(plane.Config{Node: name, Offset: ntp.Offset, Clock: ntp.Local().Now})
 }
 
-// startPlane starts one node's plane serving on loopback — on the port its
-// previous plane had, if any, so the collector keeps reaching a restarted
-// node — hands the address to Watch and keeps the plane for Close (or a Kill
-// of that node) to tear down. Testbed nodes share one OS process, so their
-// registries carry no process metrics.
-func (tb *Testbed) startPlane(cfg plane.Config) (obs.Handle, error) {
-	cfg.TelemetryAddr = tb.telemetry[cfg.Node]
-	if cfg.TelemetryAddr == "" {
-		cfg.TelemetryAddr = "127.0.0.1:0"
-	}
+// startPlane starts one node's plane, hands it to Watch and keeps it for
+// Close (or a Kill of that node) to stop and tear down. Testbed nodes share
+// one OS process, so their planes are embedded: no process metrics, no
+// logger to configure, and so no error from Start.
+func (tb *Testbed) startPlane(cfg plane.Config) obs.Handle {
 	cfg.Embedded = true
-	p, err := plane.Start(cfg)
-	if err == nil {
-		err = p.Serve()
+	p, _ := plane.Start(cfg)
+	tb.planes[cfg.Node] = watched{p: p, stop: tb.opts.Watch(p)}
+	return p.Handle()
+}
+
+// closePlane takes the named node's final scrape and closes its plane.
+func (tb *Testbed) closePlane(name string) {
+	if w, ok := tb.planes[name]; ok {
+		w.stop()
+		w.p.Close()
+		delete(tb.planes, name)
 	}
-	if err != nil {
-		return obs.Handle{}, fmt.Errorf("testbed: telemetry for %s: %w", cfg.Node, err)
-	}
-	tb.planes[cfg.Node] = p
-	tb.telemetry[cfg.Node] = p.Addr()
-	tb.opts.Watch(p.Addr())
-	return p.Handle(), nil
 }
 
 // newNode creates a transport node and a synchronized NTP service for it.
@@ -458,11 +447,7 @@ func (tb *Testbed) NewDiscoverer(site, name string, cfg core.Config) *core.Disco
 		cfg.MulticastGroup = MulticastGroup
 	}
 	if cfg.Metrics == nil && cfg.Tracer == nil {
-		h, err := tb.obsFor(cfg.NodeName, ntp)
-		if err != nil {
-			panic(err) // a loopback listen failing here is a test bug
-		}
-		cfg.Handle = h
+		cfg.Handle = tb.obsFor(cfg.NodeName, ntp)
 	}
 	d := core.NewDiscoverer(node, ntp, cfg)
 	tb.discoverers = append(tb.discoverers, d)
@@ -485,18 +470,10 @@ func (tb *Testbed) BrokerByName(name string) *broker.Broker {
 	return nil
 }
 
-// TelemetryAddr returns the loopback address the named node's telemetry
-// endpoint serves on when the testbed was deployed with Watch: a node
-// simulated on simnet still serves real pprof and /profiles over localhost.
-func (tb *Testbed) TelemetryAddr(name string) (string, bool) {
-	addr, ok := tb.telemetry[name]
-	return addr, ok
-}
-
 // BrokerRegistry returns the private metric registry of a deployed broker
-// (only distinct per node when Watch is set). Fault-injection tests
-// write synthetic runtime gauges into it — the testbed shares one OS process,
-// so per-node "process" metrics must be injected rather than sampled.
+// (only when Watch is set). Fault-injection tests write synthetic runtime
+// gauges into it — the testbed shares one OS process, so per-node "process"
+// metrics must be injected rather than sampled.
 func (tb *Testbed) BrokerRegistry(name string) (*obs.Registry, bool) {
 	dep, ok := tb.brokerDeps[name]
 	if !ok || dep.cfg.Metrics == nil {
@@ -506,8 +483,8 @@ func (tb *Testbed) BrokerRegistry(name string) (*obs.Registry, bool) {
 }
 
 // KillBroker abruptly removes the named broker from the fabric: the broker
-// stops AND its telemetry endpoint dies with it, exactly like a crashed
-// process — the collector reaches nothing further at the node (deadman
+// stops and its plane goes with it, like a crashed process — the collector
+// takes the node's final scrape and hears nothing further from it (deadman
 // fault injection). Returns false if no such broker is deployed.
 func (tb *Testbed) KillBroker(name string) bool {
 	for i, b := range tb.Brokers {
@@ -516,10 +493,7 @@ func (tb *Testbed) KillBroker(name string) bool {
 		}
 		b.Close()
 		tb.Brokers = append(tb.Brokers[:i], tb.Brokers[i+1:]...)
-		// Close waits for the collector's next scrape; acceptable — a real
-		// crash's last scrape also races its death.
-		tb.planes[name].Close()
-		delete(tb.planes, name)
+		tb.closePlane(name)
 		return true
 	}
 	return false
@@ -532,16 +506,12 @@ func (tb *Testbed) KillBroker(name string) bool {
 // at the same address after a kill.
 func (tb *Testbed) startBroker(name string) (*broker.Broker, error) {
 	dep := tb.brokerDeps[name]
-	h, err := tb.obsFor(name, dep.ntp)
-	if err != nil {
-		return nil, err
-	}
-	dep.cfg.Handle = h
+	dep.cfg.Handle = tb.obsFor(name, dep.ntp)
 	b, err := broker.New(dep.node, dep.ntp, dep.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: starting %s: %w", name, err)
 	}
-	tb.planes[name].SetFlows(b.Flows)
+	tb.planes[name].p.SetFlows(b.Flows)
 	if err := b.Start(); err != nil {
 		return nil, fmt.Errorf("testbed: starting %s: %w", name, err)
 	}
@@ -560,11 +530,7 @@ func (tb *Testbed) startBroker(name string) (*broker.Broker, error) {
 // startBDN is startBroker for discovery nodes.
 func (tb *Testbed) startBDN(name string) (*bdn.BDN, error) {
 	dep := tb.bdnDeps[name]
-	h, err := tb.obsFor(name, dep.ntp)
-	if err != nil {
-		return nil, err
-	}
-	dep.cfg.Handle = h
+	dep.cfg.Handle = tb.obsFor(name, dep.ntp)
 	d, err := bdn.New(dep.node, dep.ntp, dep.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: starting bdn %s: %w", name, err)
@@ -639,8 +605,7 @@ func (tb *Testbed) KillBDN(name string) bool {
 		}
 		d.Close()
 		tb.BDNs = append(tb.BDNs[:i], tb.BDNs[i+1:]...)
-		tb.planes[name].Close()
-		delete(tb.planes, name)
+		tb.closePlane(name)
 		if len(tb.BDNs) > 0 {
 			tb.BDN = tb.BDNs[0]
 		} else {
@@ -668,9 +633,9 @@ func (tb *Testbed) RestartBDN(name string) error {
 	return err
 }
 
-// Close tears the deployment down. Per-node planes are closed last, and
-// together, so a watching collector takes every component's final spans and
-// metric snapshot in one scrape interval.
+// Close tears the deployment down. Per-node planes are closed last, so a
+// watching collector takes every component's final spans and metric
+// snapshot.
 func (tb *Testbed) Close() {
 	for _, d := range tb.discoverers {
 		d.Close()
@@ -681,13 +646,7 @@ func (tb *Testbed) Close() {
 	for _, d := range tb.BDNs {
 		d.Close()
 	}
-	var wg sync.WaitGroup
-	for _, p := range tb.planes {
-		wg.Add(1)
-		go func(p *plane.Plane) {
-			defer wg.Done()
-			p.Close()
-		}(p)
+	for name := range tb.planes {
+		tb.closePlane(name)
 	}
-	wg.Wait()
 }
