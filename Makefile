@@ -67,7 +67,8 @@ bench:
 # (fan-out, sampled fan-out, BenchmarkIngressToEgress's socket path, the ping
 # handler, a whole loopback discovery, a registration refresh at a durable
 # BDN, the flow sketch and the dedup window), or on more B/op than
-# gate_udp_recv_bytes_op in BenchmarkRealPacketRecv.
+# gate_udp_recv_bytes_op in BenchmarkRealPacketRecv or than
+# gate_subscribe_wide_bytes_op in BenchmarkTableSubscribeWide/siblings=16384.
 bench-gate:
 	sh scripts/bench_gate.sh
 

@@ -16,7 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -323,8 +324,8 @@ func (d *BDN) live() []registration {
 		}
 	}
 	d.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool {
-		return all[i].ad.Broker.LogicalAddress < all[j].ad.Broker.LogicalAddress
+	slices.SortFunc(all, func(a, b registration) int {
+		return strings.Compare(a.ad.Broker.LogicalAddress, b.ad.Broker.LogicalAddress)
 	})
 	return all
 }
@@ -653,21 +654,30 @@ func (d *BDN) injectionTargets() []registration {
 	if d.cfg.Policy == InjectAll || len(all) <= 2 {
 		return all
 	}
-	// Closest and farthest by measured distance; unmeasured brokers sort
-	// after measured ones so fresh registrations are still reachable.
-	byDist := append([]registration(nil), all...)
-	sort.SliceStable(byDist, func(i, j int) bool {
-		di, dj := byDist[i].distance, byDist[j].distance
-		switch {
-		case di == 0:
-			return false
-		case dj == 0:
-			return true
-		default:
-			return di < dj
+	closest, farthest := pickClosestFarthest(all)
+	all[0], all[1] = closest, farthest
+	return all[:2]
+}
+
+// pickClosestFarthest returns the closest and the farthest of brokers (in
+// logical-address order, at least one) by measured distance in one scan.
+// Unmeasured brokers rank after every measured one, so fresh registrations
+// are still reachable. Ties keep address order: the closest is the first of
+// its distance, the farthest the last of its.
+func pickClosestFarthest(brokers []registration) (closest, farthest registration) {
+	// nearer is a strict order: measured before unmeasured, then ascending
+	// distance; unmeasured brokers tie with each other.
+	nearer := func(a, b time.Duration) bool { return a != 0 && (b == 0 || a < b) }
+	closest, farthest = brokers[0], brokers[0]
+	for _, r := range brokers[1:] {
+		if nearer(r.distance, closest.distance) {
+			closest = r
 		}
-	})
-	return []registration{byDist[0], byDist[len(byDist)-1]}
+		if !nearer(r.distance, farthest.distance) {
+			farthest = r
+		}
+	}
+	return closest, farthest
 }
 
 // MeasureDistances pings every registered broker's UDP endpoint and records

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -42,6 +44,55 @@ func (c *scriptedConn) Send([]byte) error { c.sent++; return nil }
 
 // TestBrokerCountAllocFree: the registry gauge reads BrokerCount on every
 // /metrics scrape, so counting must not copy or sort the table.
+// TestPickClosestFarthestMatchesStableSort holds the one-pass pick to the
+// stable sort it replaced: over random distance tables with ties and
+// unmeasured brokers, both choose the same two brokers.
+func TestPickClosestFarthestMatchesStableSort(t *testing.T) {
+	sortPick := func(all []registration) (registration, registration) {
+		byDist := append([]registration(nil), all...)
+		sort.SliceStable(byDist, func(i, j int) bool {
+			di, dj := byDist[i].distance, byDist[j].distance
+			switch {
+			case di == 0:
+				return false
+			case dj == 0:
+				return true
+			default:
+				return di < dj
+			}
+		})
+		return byDist[0], byDist[len(byDist)-1]
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(8)
+		all := make([]registration, n)
+		for i := range all {
+			// Few distinct values: ties among measured brokers and among
+			// unmeasured ones (0) are common.
+			all[i] = registration{
+				ad:       &core.Advertisement{Broker: core.BrokerInfo{LogicalAddress: fmt.Sprintf("b%d", i)}},
+				distance: time.Duration(rng.Intn(4)) * time.Millisecond,
+			}
+		}
+		wantNear, wantFar := sortPick(all)
+		near, far := pickClosestFarthest(all)
+		if near.ad != wantNear.ad || far.ad != wantFar.ad {
+			t.Fatalf("trial %d: distances %v: picked %s, %s; stable sort picks %s, %s", trial, distances(all),
+				near.ad.Broker.LogicalAddress, far.ad.Broker.LogicalAddress,
+				wantNear.ad.Broker.LogicalAddress, wantFar.ad.Broker.LogicalAddress)
+		}
+	}
+}
+
+func distances(all []registration) []time.Duration {
+	out := make([]time.Duration, len(all))
+	for i := range all {
+		out[i] = all[i].distance
+	}
+	return out
+}
+
 func TestBrokerCountAllocFree(t *testing.T) {
 	net := simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: 1})
 	node := transport.NewSimNode(net, simnet.SiteBloomington, "count-bdn", 0)

@@ -42,13 +42,39 @@ type entry struct {
 	val any   // opaque attachment (e.g. a delivery queue); may be nil
 }
 
-// trieNode is a node of an immutable snapshot. Writers clone every node on
-// the path they change and replace (never mutate) the entry slices, so
-// concurrent matchers can walk any published generation without locks.
+// trieNode is a node of an immutable snapshot. Writers copy every node on
+// the path they change and replace (never mutate) its children levels and
+// entry slices, so concurrent matchers can walk any published generation
+// without locks.
 type trieNode struct {
-	children map[string]*trieNode
-	ids      []entry // registrations whose pattern ends exactly here
-	anyIDs   []entry // registrations with a terminal ** here
+	kids   *level    // exact-segment children (children.go); nil when none
+	star   *trieNode // the "*" child, kept apart so a match step is one lookup
+	ids    []entry   // registrations whose pattern ends exactly here
+	anyIDs []entry   // registrations with a terminal ** here
+}
+
+// child returns the node's child for a pattern segment, or nil.
+func (n *trieNode) child(seg string) *trieNode {
+	if seg == WildcardOne {
+		return n.star
+	}
+	return n.kids.get(seg, hashSegment(seg))
+}
+
+// setChild binds seg to c in a node not yet published; a nil c removes it.
+func (n *trieNode) setChild(seg string, c *trieNode) {
+	switch {
+	case seg == WildcardOne:
+		n.star = c
+	case c == nil:
+		n.kids = n.kids.del(seg, hashSegment(seg), 0)
+	default:
+		n.kids = n.kids.put(seg, hashSegment(seg), c, 0)
+	}
+}
+
+func (n *trieNode) empty() bool {
+	return n.kids == nil && n.star == nil && len(n.ids) == 0 && len(n.anyIDs) == 0
 }
 
 // NewTable returns an empty subscription table.
@@ -174,49 +200,38 @@ func (t *Table) removeLocked(id, pattern string) bool {
 	return true
 }
 
-// cloneNode shallow-copies a node for path-copying: the children map is
-// duplicated (the writer will replace one slot), the entry slices are shared
-// (they are immutable; terminal mutations substitute fresh slices).
-func cloneNode(n *trieNode) *trieNode {
-	c := &trieNode{ids: n.ids, anyIDs: n.anyIDs}
-	if n.children != nil {
-		c.children = make(map[string]*trieNode, len(n.children)+1)
-		for k, v := range n.children {
-			c.children[k] = v
-		}
+// splitPattern returns a pattern's segments, less a terminal **, and whether
+// it had one.
+func splitPattern(pattern string) (segs []string, terminalAny bool) {
+	segs = Split(pattern)
+	if segs[len(segs)-1] == WildcardAny {
+		return segs[:len(segs)-1], true
 	}
-	return c
+	return segs, false
 }
 
 // insertPath returns a new root with the entry registered under pattern,
 // sharing every node off the mutated path with the previous generation.
 func insertPath(root *trieNode, pattern string, e entry) *trieNode {
-	segs := Split(pattern)
-	terminalAny := segs[len(segs)-1] == WildcardAny
-	if terminalAny {
-		segs = segs[:len(segs)-1]
+	segs, terminalAny := splitPattern(pattern)
+	return insertAt(root, segs, terminalAny, e)
+}
+
+// insertAt returns a copy of n (nil: a new node) with e registered at segs.
+func insertAt(n *trieNode, segs []string, terminalAny bool, e entry) *trieNode {
+	var c trieNode
+	if n != nil {
+		c = *n
 	}
-	newRoot := cloneNode(root)
-	node := newRoot
-	for _, s := range segs {
-		var next *trieNode
-		if child, ok := node.children[s]; ok {
-			next = cloneNode(child)
-		} else {
-			next = &trieNode{}
-		}
-		if node.children == nil {
-			node.children = make(map[string]*trieNode, 1)
-		}
-		node.children[s] = next
-		node = next
+	switch {
+	case len(segs) > 0:
+		c.setChild(segs[0], insertAt(c.child(segs[0]), segs[1:], terminalAny, e))
+	case terminalAny:
+		c.anyIDs = withEntry(c.anyIDs, e)
+	default:
+		c.ids = withEntry(c.ids, e)
 	}
-	if terminalAny {
-		node.anyIDs = withEntry(node.anyIDs, e)
-	} else {
-		node.ids = withEntry(node.ids, e)
-	}
-	return newRoot
+	return &c
 }
 
 // withEntry returns a fresh slice with e appended, or substituted for an
@@ -237,41 +252,33 @@ func withEntry(old []entry, e entry) []entry {
 // removePath returns a new root without (id, pattern), pruning nodes the
 // removal empties. Untouched subtrees are shared with the old generation.
 func removePath(root *trieNode, pattern, id string) *trieNode {
-	segs := Split(pattern)
-	terminalAny := segs[len(segs)-1] == WildcardAny
-	if terminalAny {
-		segs = segs[:len(segs)-1]
+	segs, terminalAny := splitPattern(pattern)
+	if n := removeAt(root, segs, terminalAny, id); n != nil {
+		return n
 	}
-	newRoot := cloneNode(root)
-	path := make([]*trieNode, 0, len(segs)+1)
-	path = append(path, newRoot)
-	node := newRoot
-	for _, s := range segs {
-		child, ok := node.children[s]
-		if !ok {
-			return newRoot // bookkeeping said it exists; nothing to prune
+	return &trieNode{}
+}
+
+// removeAt returns a copy of n without id's entry at segs: nil when that
+// leaves the copy empty, n itself when there is no such path.
+func removeAt(n *trieNode, segs []string, terminalAny bool, id string) *trieNode {
+	c := *n
+	switch {
+	case len(segs) > 0:
+		child := c.child(segs[0])
+		if child == nil {
+			return n // bookkeeping said it exists; nothing to prune
 		}
-		next := cloneNode(child)
-		node.children[s] = next
-		node = next
-		path = append(path, next)
+		c.setChild(segs[0], removeAt(child, segs[1:], terminalAny, id))
+	case terminalAny:
+		c.anyIDs = without(c.anyIDs, id)
+	default:
+		c.ids = without(c.ids, id)
 	}
-	if terminalAny {
-		node.anyIDs = without(node.anyIDs, id)
-	} else {
-		node.ids = without(node.ids, id)
+	if c.empty() {
+		return nil
 	}
-	// Prune empty leaves bottom-up; every node on the path is a fresh clone,
-	// so deleting from its parent's children map is safe.
-	for i := len(path) - 1; i > 0; i-- {
-		n := path[i]
-		if len(n.ids) == 0 && len(n.anyIDs) == 0 && len(n.children) == 0 {
-			delete(path[i-1].children, segs[i-1])
-		} else {
-			break
-		}
-	}
-	return newRoot
+	return &c
 }
 
 // without returns a fresh slice with the id's entry removed (or the original
@@ -333,15 +340,17 @@ func matchUniqueTrie(node *trieNode, topic string, start int, sc *Scratch, visit
 		return
 	}
 	sc.visitNew(node.anyIDs, visit)
-	if node.children == nil {
+	if node.kids == nil && node.star == nil {
 		return
 	}
 	seg, next := nextSegment(topic, start)
-	if child, ok := node.children[seg]; ok {
-		matchUniqueTrie(child, topic, next, sc, visit)
+	if node.kids != nil {
+		if child := node.kids.get(seg, hashSegment(seg)); child != nil {
+			matchUniqueTrie(child, topic, next, sc, visit)
+		}
 	}
-	if child, ok := node.children[WildcardOne]; ok {
-		matchUniqueTrie(child, topic, next, sc, visit)
+	if node.star != nil {
+		matchUniqueTrie(node.star, topic, next, sc, visit)
 	}
 }
 

@@ -337,6 +337,30 @@ func BenchmarkTableMatch(b *testing.B) {
 	}
 }
 
+// BenchmarkTableSubscribeWide is one subscription write under a wide node:
+// Subscribe plus Unsubscribe of a fresh segment beside N siblings. What a
+// write copies shows in B/op: the levels on the new key's path, not the N.
+func BenchmarkTableSubscribeWide(b *testing.B) {
+	for _, n := range []int{16, 1024, 16384} {
+		tbl := NewTable()
+		for i := 0; i < n; i++ {
+			_ = tbl.Subscribe("ballast", fmt.Sprintf("wide/s%d", i))
+		}
+		fresh := make([]string, 1024)
+		for i := range fresh {
+			fresh[i] = fmt.Sprintf("wide/fresh%d", i)
+		}
+		b.Run(fmt.Sprintf("siblings=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pattern := fresh[i%len(fresh)]
+				_ = tbl.Subscribe("writer", pattern)
+				tbl.Unsubscribe("writer", pattern)
+			}
+		})
+	}
+}
+
 func BenchmarkMatchFunc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Match("Services/*/BrokerAdvertisement", AdvertisementTopic)

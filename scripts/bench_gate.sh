@@ -3,8 +3,8 @@
 # BenchmarkPublishFanout COUNT times, takes the best (minimum) ns/op — the
 # run least disturbed by scheduler noise — and compares it against the
 # gate_ns_op / gate_allocs_op recorded in BENCH_fanout.json. More than a 2%
-# ns/op regression, or any allocs/op above the recorded gate, fails. Eight
-# allocation-only gates follow: the sampled fan-out and the socket ingress
+# ns/op regression, or any allocs/op above the recorded gate, fails.
+# Allocation-only gates follow: the sampled fan-out and the socket ingress
 # path in allocs/op (gate_sampled_allocs_op / gate_ingress_allocs_op), the
 # UDP receive in B/op (gate_udp_recv_bytes_op), the discovery path's
 # ping handler and whole loopback discovery in allocs/op
@@ -13,8 +13,9 @@
 # flow sketch's miss, hit and the two racing in allocs/op
 # (gate_flow_churn_allocs_op / gate_flow_hit_allocs_op /
 # gate_flow_parallel_allocs_op), and the dedup window's insert-and-evict in
-# allocs/op (gate_seen_allocs_op). On Linux a last gate holds the context
-# switches an idle process makes to answer one datagram or frame
+# allocs/op (gate_seen_allocs_op), and one subscription write beside 16 384
+# siblings in B/op (gate_subscribe_wide_bytes_op). On Linux a last gate holds
+# the context switches an idle process makes to answer one datagram or frame
 # (gate_idle_wake_ctxsw_op). Every gate runs: each failure prints a FAIL line,
 # and the script exits non-zero after the last gate if any failed.
 #
@@ -45,6 +46,7 @@ GATE_FLOW_HIT_ALLOCS=$(sed -n 's/.*"gate_flow_hit_allocs_op"[[:space:]]*:[[:spac
 GATE_FLOW_PARALLEL_ALLOCS=$(sed -n 's/.*"gate_flow_parallel_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_SEEN_ALLOCS=$(sed -n 's/.*"gate_seen_allocs_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 GATE_IDLE_WAKE_CTXSW=$(sed -n 's/.*"gate_idle_wake_ctxsw_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
+GATE_SUBSCRIBE_WIDE_BYTES=$(sed -n 's/.*"gate_subscribe_wide_bytes_op"[[:space:]]*:[[:space:]]*\([0-9][0-9]*\).*/\1/p' "$BENCH_FILE" | head -1)
 if [ -z "$GATE_NS" ] || [ -z "$GATE_ALLOCS" ]; then
     echo "bench-gate: $BENCH_FILE carries no gate_ns_op / gate_allocs_op" >&2
     exit 1
@@ -180,6 +182,14 @@ fi
 # allocating.
 if [ -n "$GATE_SEEN_ALLOCS" ]; then
     allocs_gate ./internal/dedup/ BenchmarkSeen allocs/op "$GATE_SEEN_ALLOCS"
+fi
+
+# Subscription-write gate: one Subscribe plus Unsubscribe beside 16 384
+# siblings under one trie node copies the hash-trie levels on the new key's
+# path, a few KiB. 1 748 936 B/op when every write cloned the node's whole
+# children map.
+if [ -n "$GATE_SUBSCRIBE_WIDE_BYTES" ]; then
+    allocs_gate ./internal/topics/ BenchmarkTableSubscribeWide/siblings=16384 B/op "$GATE_SUBSCRIBE_WIDE_BYTES"
 fi
 
 # Idle-wake gate: a child process that sleeps between messages answers one
