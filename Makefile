@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check verify exact exact-nbexp loc bench bench-gate fuzz obs-smoke health-smoke chaos-smoke loadgen-smoke flows-smoke events-smoke profiles-smoke durability-smoke ci
+.PHONY: all build test race vet fmt-check verify exact exact-nbexp figures loc bench bench-gate fuzz obs-smoke health-smoke chaos-smoke loadgen-smoke flows-smoke events-smoke profiles-smoke durability-smoke ci
 
 all: build
 
@@ -33,19 +33,27 @@ exact: exact-nbexp
 	$(GO) test -count=1 -run '^TestExactLane$$' .
 
 # exact-nbexp builds nbexp with the experiment, plain and with -race, and runs
-# its model-time experiments at GOMAXPROCS 1 and 8 and under -race; the three
-# outputs must be identical. fig13 and fig14 time the host's CPU and are left
-# out of the comparison.
+# the whole registry at GOMAXPROCS 1 and 8 and under -race; the three outputs
+# must be identical.
 exact-nbexp:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	GOEXPERIMENT=synctest $(GO) build -o "$$dir/nbexp" ./cmd/nbexp && \
 	GOEXPERIMENT=synctest $(GO) build -race -o "$$dir/nbexp-race" ./cmd/nbexp && \
-	ids=$$("$$dir/nbexp" -list | grep -vx -e fig13 -e fig14 | paste -sd, -) && \
-	GOMAXPROCS=1 "$$dir/nbexp" -exp "$$ids" -seed 1 > "$$dir/procs1" && \
-	GOMAXPROCS=8 "$$dir/nbexp" -exp "$$ids" -seed 1 > "$$dir/procs8" && \
-	"$$dir/nbexp-race" -exp "$$ids" -seed 1 > "$$dir/race" && \
+	GOMAXPROCS=1 "$$dir/nbexp" -exp all -seed 1 > "$$dir/procs1" && \
+	GOMAXPROCS=8 "$$dir/nbexp" -exp all -seed 1 > "$$dir/procs8" && \
+	"$$dir/nbexp-race" -exp all -seed 1 > "$$dir/race" && \
 	cmp "$$dir/procs1" "$$dir/procs8" && cmp "$$dir/procs1" "$$dir/race" && \
 	echo "exact: nbexp -seed 1 is byte-identical at GOMAXPROCS 1 and 8 and under -race"
+
+# figures regenerates the paper's evaluation — every table, figure and
+# ablation of the registry — at the paper's recipe (120 runs, 100 kept after
+# outlier removal, seed 1). nbexp is built with GOEXPERIMENT=synctest, so each
+# experiment runs in a synctest bubble and its output is a function of the
+# seed: EXPERIMENTS.md records this output.
+figures:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	GOEXPERIMENT=synctest $(GO) build -o "$$dir/nbexp" ./cmd/nbexp && \
+	"$$dir/nbexp" -exp all -runs 120 -keep 100 -seed 1
 
 # loc prints non-test *.go lines per package directory of the working tree;
 # `scripts/loc.sh <rev> [path...]` reads any revision without a checkout and

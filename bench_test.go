@@ -1,61 +1,19 @@
-// Benchmark harness: one sub-benchmark per table and figure of the paper's
-// evaluation (section 9), plus the ablation studies from DESIGN.md. Each
-// executes the corresponding experiment end-to-end on the simulated WAN and
-// reports the headline quantity as a custom metric, so
-//
-//	go test -bench=. -benchmem
-//
-// regenerates the entire evaluation. Absolute times are model time on the
-// simulator (or host-CPU time for the crypto figures); the comparison target
-// is the paper's shape, recorded in EXPERIMENTS.md. BenchmarkDiscoverLoopback
-// is the exception: wall-clock time on real loopback sockets.
+// Root benchmarks: the discovery ladder's end-to-end rung, in wall-clock time
+// on real loopback sockets. The paper's figures are model time; `make figures`
+// regenerates them (cmd/nbexp).
 package narada
 
 import (
 	"fmt"
-	"io"
 	"testing"
 	"time"
 
 	"narada/internal/bdn"
 	"narada/internal/broker"
 	"narada/internal/core"
-	"narada/internal/experiments"
 	"narada/internal/ntptime"
 	"narada/internal/transport"
 )
-
-// benchOpts keeps per-iteration work modest: the paper's full 120-run
-// sampling is for cmd/nbexp; benchmarks use a smaller sample per iteration
-// and vary the seed across iterations.
-func benchOpts(i int) experiments.Options {
-	return experiments.Options{Runs: 10, Keep: 8, Scale: 200, Seed: int64(i + 1)}
-}
-
-// BenchmarkExperiment runs the evaluation as the registry lists it — one
-// sub-benchmark per table, figure and ablation, BenchmarkExperiment/<id> —
-// and reports a figure's headline quantity (wait-% for Figures 2/9/11, mean
-// model-ms per discovery for Figures 3-7 and 12, host ms for 13/14).
-func BenchmarkExperiment(b *testing.B) {
-	for _, e := range experiments.Registry {
-		b.Run(e.ID, func(b *testing.B) {
-			headline, unit := 0.0, ""
-			for i := 0; i < b.N; i++ {
-				r, err := e.Run(benchOpts(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := r.WriteTo(io.Discard); err != nil {
-					b.Fatal(err)
-				}
-				headline, unit = headline+r.Headline, r.Unit
-			}
-			if unit != "" {
-				b.ReportMetric(headline/float64(b.N), unit)
-			}
-		})
-	}
-}
 
 // BenchmarkDiscoverLoopback is the discovery ladder's end-to-end rung: one
 // complete Discover() per iteration in wall-clock time over real loopback

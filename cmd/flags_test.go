@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -14,7 +15,8 @@ import (
 // text — with the listing captured before the flags moved into
 // plane.RegisterFlags (testdata/<binary>.help). A knob added, lost, renamed
 // or re-defaulted anywhere fails here. To accept an intended change,
-// regenerate the file: `<binary> -h 2>&1 | tail -n +2`.
+// regenerate the file: `<binary> -h 2>&1 | tail -n +2`. The binaries are
+// built without GOEXPERIMENT, so nbexp is the one that runs no experiment.
 func TestFlagSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds five binaries")
@@ -22,7 +24,9 @@ func TestFlagSurface(t *testing.T) {
 	bin := t.TempDir()
 	for _, name := range []string{"broker", "bdn", "discover", "obscollect", "nbexp"} {
 		exe := filepath.Join(bin, name)
-		if out, err := exec.Command("go", "build", "-o", exe, "./"+name).CombinedOutput(); err != nil {
+		build := exec.Command("go", "build", "-o", exe, "./"+name)
+		build.Env = append(os.Environ(), "GOEXPERIMENT=")
+		if out, err := build.CombinedOutput(); err != nil {
 			t.Fatalf("go build ./%s: %v\n%s", name, err, out)
 		}
 		// -h exits 0 after printing the listing to stderr; a non-zero exit
@@ -38,5 +42,21 @@ func TestFlagSurface(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s -h changed:\n--- got\n%s--- want\n%s", name, got, want)
 		}
+		if name == "nbexp" {
+			t.Run("nbexp-untagged-runs-nothing", func(t *testing.T) { untaggedNbexpRunsNothing(t, exe) })
+		}
+	}
+}
+
+// untaggedNbexpRunsNothing: every experiment measures model time, which only
+// a synctest bubble keeps exact, so an nbexp built without GOEXPERIMENT=synctest
+// refuses one: it exits non-zero and names the make target that builds the
+// nbexp that runs it.
+func untaggedNbexpRunsNothing(t *testing.T, exe string) {
+	var stderr bytes.Buffer
+	run := exec.Command(exe, "-exp", "fig7")
+	run.Stderr = &stderr
+	if err := run.Run(); err == nil || !strings.Contains(stderr.String(), "make figures") {
+		t.Errorf("nbexp -exp fig7: %v, stderr %q; want a non-zero exit naming make figures", err, stderr.String())
 	}
 }

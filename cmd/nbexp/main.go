@@ -1,17 +1,20 @@
-// Command nbexp regenerates the paper's evaluation: every table and figure
-// (Table 1, Figures 2-14) plus the ablation studies, on the simulated
-// five-site WAN.
+// Command nbexp regenerates the paper's evaluation: every model-time table
+// and figure (Table 1, Figures 2-12) plus the ablation studies, on the
+// simulated five-site WAN. Only a build with GOEXPERIMENT=synctest (`make
+// figures`) runs them, each in a synctest bubble; any build lists them.
 //
 // Usage:
 //
 //	nbexp -list
 //	nbexp -exp fig2
-//	nbexp -exp all -runs 120 -keep 100 -scale 200 -seed 1
+//	nbexp -exp all -runs 120 -keep 100 -seed 1
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -19,10 +22,9 @@ import (
 	"narada/internal/obs/plane"
 )
 
-// runExperiment runs one experiment and writes its report. A build with
-// GOEXPERIMENT=synctest runs the model-time ones in a synctest bubble
-// (exact.go).
-var runExperiment = experiments.Run
+// runExperiment runs one experiment in a synctest bubble and writes its
+// report (exact.go): on the wall clock the host's scheduling adds model time.
+var runExperiment func(id string, opts experiments.Options, w io.Writer) error
 
 func main() {
 	if err := run(); err != nil {
@@ -33,13 +35,12 @@ func main() {
 
 func run() error {
 	var (
-		exp   = flag.String("exp", "all", "experiment id (see -list) or 'all' / 'figures' / 'ablations'")
-		list  = flag.Bool("list", false, "list experiment ids and exit")
-		runs  = flag.Int("runs", 120, "discovery repetitions per experiment (paper: 120)")
-		keep  = flag.Int("keep", 100, "samples kept after outlier removal (paper: 100)")
-		scale = flag.Float64("scale", 200, "simulator model-time speed-up")
-		seed  = flag.Int64("seed", 1, "random seed")
-		tf    = plane.RegisterFlags(flag.CommandLine, plane.FlagTelemetryAddr, false)
+		exp  = flag.String("exp", "all", "experiment id (see -list) or 'all' / 'figures' / 'ablations'")
+		list = flag.Bool("list", false, "list experiment ids and exit")
+		runs = flag.Int("runs", 120, "discovery repetitions per experiment (paper: 120)")
+		keep = flag.Int("keep", 100, "samples kept after outlier removal (paper: 100)")
+		seed = flag.Int64("seed", 1, "random seed")
+		tf   = plane.RegisterFlags(flag.CommandLine, plane.FlagTelemetryAddr, false)
 	)
 	flag.Lookup("telemetry-addr").Usage = "listen addr for /metrics, /healthz and pprof while experiments run ('' = off)"
 	flag.Parse()
@@ -49,6 +50,9 @@ func run() error {
 			fmt.Println(id)
 		}
 		return nil
+	}
+	if runExperiment == nil {
+		return errors.New("experiments run only in a synctest bubble: build with GOEXPERIMENT=synctest, as make figures does")
 	}
 
 	p, err := plane.Start(plane.Config{Flags: *tf, Prog: "nbexp", MetricsOnly: true})
@@ -60,7 +64,7 @@ func run() error {
 		return err
 	}
 
-	opts := experiments.Options{Runs: *runs, Keep: *keep, Scale: *scale, Seed: *seed}
+	opts := experiments.Options{Runs: *runs, Keep: *keep, Seed: *seed}
 	var ids []string
 	for _, e := range experiments.Registry {
 		if *exp == "all" || *exp == "figures" && e.Kind == experiments.Figure ||

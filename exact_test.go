@@ -19,7 +19,8 @@ import (
 // simulated network's model time is the bubble's clock and a run is a
 // function of its seed.
 var lanePackages = []string{".", "./internal/simnet", "./internal/core", "./internal/bdn",
-	"./internal/broker", "./internal/experiments", "./internal/testbed", "./internal/wal"}
+	"./internal/broker", "./internal/experiments", "./internal/testbed", "./internal/wal",
+	"./examples/datastreams"}
 
 const laneTag = "//go:build goexperiment.synctest\n"
 

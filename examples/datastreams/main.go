@@ -35,7 +35,6 @@ func run(rows int) error {
 	tb, err := testbed.New(testbed.Options{
 		Topology:     topology.Star,
 		InjectPolicy: bdn.InjectClosestFarthest,
-		Scale:        150,
 		Seed:         99,
 	})
 	if err != nil {

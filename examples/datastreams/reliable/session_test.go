@@ -22,9 +22,12 @@ type session struct {
 	sub *Subscriber
 }
 
+// newSession starts a session and runs the test in parallel with the others:
+// each waits on its own network's wall-clock delays and redeliveries.
 func newSession(t *testing.T, seed int64) *session {
 	t.Helper()
-	net := simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: seed})
+	t.Parallel()
+	net := simnet.NewPaperWAN(simnet.Config{Seed: seed})
 	rng := rand.New(rand.NewSource(seed))
 
 	mkNode := func(host string) (*transport.SimNode, *ntptime.Service) {
@@ -56,13 +59,15 @@ func newSession(t *testing.T, seed int64) *session {
 	t.Cleanup(pubClient.Close)
 	pub, err := NewPublisher(pubNode, pubClient, PublisherConfig{
 		Source:         "pub",
-		RedeliverAfter: 300 * time.Millisecond,
+		RedeliverAfter: 50 * time.Millisecond,
 		MaxAttempts:    10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(pub.Close)
+	// The client first: a publisher's (and a subscriber's) receive loop
+	// waits out a 500 ms receive on an open client before it sees Close.
+	t.Cleanup(func() { pubClient.Close(); pub.Close() })
 
 	subNode, _ := mkNode("sub")
 	subClient, err := broker.Connect(subNode, b.StreamAddr(), "sub")
@@ -71,7 +76,7 @@ func newSession(t *testing.T, seed int64) *session {
 	}
 	t.Cleanup(subClient.Close)
 	sub := NewSubscriber(subClient)
-	t.Cleanup(sub.Close)
+	t.Cleanup(func() { subClient.Close(); sub.Close() })
 
 	return &session{net: net, b: b, pub: pub, sub: sub}
 }
@@ -155,9 +160,9 @@ func TestSubscriberSeesNoDuplicatesUnderRedelivery(t *testing.T) {
 		}
 	}
 	seen := make(map[uint64]int)
-	deadline := time.Now().Add(3 * time.Second)
+	deadline := time.Now().Add(time.Second) // 20 redelivery intervals
 	for time.Now().Before(deadline) {
-		env, err := s.sub.Next(300 * time.Millisecond)
+		env, err := s.sub.Next(50 * time.Millisecond)
 		if err != nil {
 			continue
 		}
@@ -179,8 +184,7 @@ func TestDeadLetterSurfacing(t *testing.T) {
 	if err := s.pub.Publish("void/topic", []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
-	// MaxAttempts=10 at 300ms redelivery → dead within ~3.3s model time,
-	// which at scale 300 is milliseconds of wall time.
+	// MaxAttempts=10 at 50ms redelivery → dead within ~0.55s.
 	select {
 	case env := <-s.pub.DeadLetters():
 		if string(env.Payload) != "doomed" {

@@ -28,7 +28,6 @@ func main() {
 	}
 	tb, err := testbed.New(testbed.Options{
 		Topology: topology.Unconnected,
-		Scale:    100,
 		Seed:     21,
 		Brokers: []testbed.BrokerSpec{
 			{Site: simnet.SiteIndianapolis, Name: "cluster-veteran", Register: true, Usage: busy},

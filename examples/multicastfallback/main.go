@@ -27,7 +27,6 @@ func main() {
 	// Act 1: no BDN at all; brokers join the discovery multicast group.
 	tb, err := testbed.New(testbed.Options{
 		Topology:  topology.Unconnected,
-		Scale:     100,
 		Seed:      33,
 		NoBDN:     true,
 		Multicast: true,
@@ -56,7 +55,6 @@ func main() {
 	tb2, err := testbed.New(testbed.Options{
 		Topology:     topology.Star,
 		InjectPolicy: bdn.InjectClosestFarthest,
-		Scale:        100,
 		Seed:         34,
 	})
 	if err != nil {

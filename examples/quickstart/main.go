@@ -23,7 +23,6 @@ func main() {
 	tb, err := testbed.New(testbed.Options{
 		Topology:     topology.Star,
 		InjectPolicy: bdn.InjectClosestFarthest,
-		Scale:        100, // model time runs 100x faster than wall time
 		Seed:         42,
 	})
 	if err != nil {

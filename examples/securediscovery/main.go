@@ -36,7 +36,6 @@ func main() {
 	}}
 	tb, err := testbed.New(testbed.Options{
 		Topology:       topology.Unconnected,
-		Scale:          100,
 		Seed:           5,
 		Brokers:        testbed.PaperBrokers()[:3],
 		InjectOverhead: time.Millisecond,

@@ -18,7 +18,6 @@ import (
 func main() {
 	tb, err := testbed.New(testbed.Options{
 		Topology: topology.Unconnected, // paper Figure 1: BDN O(N) fan-out
-		Scale:    100,
 		Seed:     7,
 	})
 	if err != nil {

@@ -22,7 +22,7 @@ import (
 // discovery of the nearest broker, connection, subscription, cross-network
 // delivery and survival of a BDN failure. (The reliable-stream and
 // fragmentation leg lives with those services, in examples/datastreams.) It
-// runs in a synctest bubble at Scale 1, so every model-time wait in it is exact.
+// runs in a synctest bubble, so every model-time wait in it is exact.
 func TestFullSystemStory(t *testing.T) {
 	synctest.Run(func() { t.Run("bubble", fullSystemStory) })
 }
@@ -32,7 +32,6 @@ func fullSystemStory(t *testing.T) {
 	tb, err := testbed.New(testbed.Options{
 		Topology:     topology.Star,
 		InjectPolicy: bdn.InjectClosestFarthest,
-		Scale:        1,
 		Seed:         2026,
 		Brokers:      specs,
 		BDNCount:     2,

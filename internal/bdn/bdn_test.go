@@ -94,7 +94,7 @@ func distances(all []registration) []time.Duration {
 }
 
 func TestBrokerCountAllocFree(t *testing.T) {
-	net := simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: 1})
+	net := simnet.NewPaperWAN(simnet.Config{Seed: 1})
 	node := transport.NewSimNode(net, simnet.SiteBloomington, "count-bdn", 0)
 	ntp := ntptime.NewService(node.Clock(), 0, nil)
 	ntp.InitImmediately()
@@ -135,7 +135,7 @@ func (h *levelRecorder) WithGroup(string) slog.Handler      { return h }
 // TestRefreshLogsAtDebug: a new registration is an Info line, a refresh of
 // one the BDN already holds only a Debug line.
 func TestRefreshLogsAtDebug(t *testing.T) {
-	net := simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: 1})
+	net := simnet.NewPaperWAN(simnet.Config{Seed: 1})
 	node := transport.NewSimNode(net, simnet.SiteBloomington, "log-bdn", 0)
 	ntp := ntptime.NewService(node.Clock(), 0, nil)
 	ntp.InitImmediately()
@@ -162,7 +162,7 @@ func TestRefreshLogsAtDebug(t *testing.T) {
 // decoded request acknowledged on its session and injected at two registered
 // brokers, every connection scripted so only the BDN's own work is timed.
 func BenchmarkBDNProcessRequest(b *testing.B) {
-	net := simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: 1})
+	net := simnet.NewPaperWAN(simnet.Config{Seed: 1})
 	node := transport.NewSimNode(net, simnet.SiteBloomington, "bench-bdn", 0)
 	ntp := ntptime.NewService(node.Clock(), 0, nil)
 	ntp.InitImmediately()
@@ -202,7 +202,7 @@ func BenchmarkBDNProcessRequest(b *testing.B) {
 // it to the WAL. SyncNever and no snapshots, so the disk's fsync is not what
 // is timed.
 func BenchmarkStoreAdvertisement(b *testing.B) {
-	net := simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: 1})
+	net := simnet.NewPaperWAN(simnet.Config{Seed: 1})
 	node := transport.NewSimNode(net, simnet.SiteBloomington, "bench-bdn", 0)
 	ntp := ntptime.NewService(node.Clock(), 0, nil)
 	ntp.InitImmediately()

@@ -26,9 +26,9 @@ import (
 )
 
 // exact runs f in a synctest bubble, on the exact lane: the bubble's clock is
-// the network's at Scale 1, so model time moves only while every goroutine in
-// the bubble waits, and a registration's validity is exact. f runs as a subtest, so the cleanups it
-// registers run inside the bubble.
+// the network's, so model time moves only while every goroutine in the bubble
+// waits, and a registration's validity is exact. f runs as a subtest, so the
+// cleanups it registers run inside the bubble.
 func exact(t *testing.T, f func(t *testing.T)) {
 	synctest.Run(func() { t.Run("bubble", f) })
 }
@@ -40,7 +40,7 @@ func advance(d time.Duration) {
 }
 
 func laneEnv(t *testing.T, seed int64) *env {
-	return &env{net: simnet.NewPaperWAN(simnet.Config{Scale: 1, Seed: seed}), t: t, rng: rand.New(rand.NewSource(seed))}
+	return &env{net: simnet.NewPaperWAN(simnet.Config{Seed: seed}), t: t, rng: rand.New(rand.NewSource(seed))}
 }
 
 // TestMergeSkipsWhatThisMemberExpired: a member that expired a registration

@@ -21,7 +21,7 @@ import (
 	"narada/internal/uuid"
 )
 
-// env is one simulated WAN at Scale 1, whose clock is the bubble's, and the
+// env is one simulated WAN, whose clock is the bubble's, and the
 // test the BDNs and brokers started on it close with.
 type env struct {
 	net *simnet.Network

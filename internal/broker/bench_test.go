@@ -15,15 +15,13 @@ import (
 	"narada/internal/uuid"
 )
 
-// benchEnv builds a very fast same-site simulated network so the broker's
-// own processing, not simulated WAN latency, dominates. The clock scale
-// leaves the broker's 10 s model-time windows (link hello, close flush)
-// 100 ms of wall time — at the 20000 these benchmarks used to run at it was
-// 0.5 ms, and every handshake timed out on a busy host — while the LAN hop is
-// shrunk instead, to nanoseconds of wall time.
+// benchEnv builds a same-site simulated network whose LAN hop takes no time
+// (a 1 ns round trip is 0 each way), so the broker's own processing is what
+// is timed: a hop of a few µs would time the runtime's timer instead, whose
+// shortest sleep is tens of µs.
 func benchEnv(b *testing.B) (*simnet.Network, func(host string) (*transport.SimNode, *ntptime.Service)) {
 	b.Helper()
-	net := simnet.NewPaperWAN(simnet.Config{Scale: 100, LocalRTT: 4 * time.Microsecond, Seed: 1})
+	net := simnet.NewPaperWAN(simnet.Config{LocalRTT: time.Nanosecond, Seed: 1})
 	rng := rand.New(rand.NewSource(1))
 	mk := func(host string) (*transport.SimNode, *ntptime.Service) {
 		node := transport.NewSimNode(net, simnet.SiteIndianapolis, host, 0)
@@ -55,11 +53,11 @@ func benchBroker(b *testing.B, mk func(string) (*transport.SimNode, *ntptime.Ser
 const benchStall = 10 * time.Second
 
 // stallGuard bounds the per-iteration waits of a delivery benchmark without a
-// model-time timeout on each: a timed wait on the scaled clock costs a
-// goroutine that spins out its last 2 ms (ScaledClock.After), which at
-// benchmark rates is thousands of spinners. Iterations block untimed and push
-// one wall-clock timer back; if an iteration stalls the timer closes the
-// endpoint, the wait returns an error and the benchmark fails.
+// timeout on each: a timed wait on the network clock costs a goroutine and a
+// timer (ntptime.EpochClock.After), which the benchmark would then time.
+// Iterations block untimed and push one wall-clock timer back; if an
+// iteration stalls the timer closes the endpoint, the wait returns an error
+// and the benchmark fails.
 func stallGuard(b *testing.B, closeEndpoint func()) *time.Timer {
 	guard := time.AfterFunc(benchStall, closeEndpoint)
 	b.Cleanup(func() { guard.Stop() })
@@ -178,8 +176,7 @@ func BenchmarkSubscriptionChurn(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	// Identify the session before the broker's hello window (10 s of model
-	// time, 100 ms of wall time at this scale) expires.
+	// Identify the session before the broker's 10 s hello window expires.
 	if err := c.Subscribe("churn/warmup"); err != nil {
 		b.Fatal(err)
 	}

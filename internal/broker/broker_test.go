@@ -24,7 +24,7 @@ type env struct {
 
 func newEnv(t *testing.T, seed int64) *env {
 	return &env{
-		net: simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: seed}),
+		net: simnet.NewPaperWAN(simnet.Config{Seed: seed}),
 		t:   t,
 		rng: rand.New(rand.NewSource(seed)),
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"narada/internal/event"
-	"narada/internal/ntptime"
 	"narada/internal/obs"
 	"narada/internal/simnet"
 	"narada/internal/transport"
@@ -531,18 +530,14 @@ func TestEgressCloseRacesHandOff(t *testing.T) {
 // stalled connection would stop both — and every frame the stalled subscriber
 // lost must be counted as queue_full.
 func TestSlowConsumerIsolationOnSockets(t *testing.T) {
-	t.Run("loopback", func(t *testing.T) { slowConsumerIsolation(t, realBroker(t, "iso", nil), 1) })
+	t.Run("loopback", func(t *testing.T) { slowConsumerIsolation(t, realBroker(t, "iso", nil)) })
 	t.Run("simnet", func(t *testing.T) {
-		e := newEnv(t, 1)
-		scale := e.net.Clock().(*ntptime.ScaledClock).Scale()
-		slowConsumerIsolation(t, e.broker(simnet.SiteUMN, "iso", Config{}), scale)
+		slowConsumerIsolation(t, newEnv(t, 1).broker(simnet.SiteUMN, "iso", Config{}))
 	})
 }
 
-// slowConsumerIsolation runs the isolation test against br, whose clock runs
-// scale model seconds to the wall second (receive timeouts are model time).
-func slowConsumerIsolation(t *testing.T, br *Broker, scale float64) {
-	within := func(d time.Duration) time.Duration { return time.Duration(float64(d) * scale) }
+// slowConsumerIsolation runs the isolation test against br.
+func slowConsumerIsolation(t *testing.T, br *Broker) {
 	const topic = "iso/feed"
 	stalled := rawSubscriber(t, br, topic)
 	reader := rawSubscriber(t, br, topic)
@@ -553,7 +548,7 @@ func slowConsumerIsolation(t *testing.T, br *Broker, scale float64) {
 	fail := make(chan error, 1)
 	go func() {
 		for i := uint64(0); ; i++ {
-			frame, err := reader.RecvTimeout(within(30 * time.Second))
+			frame, err := reader.RecvTimeout(30 * time.Second)
 			if err == nil {
 				var ev *event.Event
 				if ev, err = event.Decode(frame); err == nil && binary.BigEndian.Uint64(ev.Payload) != i {
@@ -614,7 +609,7 @@ func slowConsumerIsolation(t *testing.T, br *Broker, scale float64) {
 	lost := int64(br.tel.egressDropQueueFull.Value())
 	prev := int64(-1)
 	for n := int64(0); n < sent-lost; n++ {
-		frame, err := stalled.RecvTimeout(within(10 * time.Second))
+		frame, err := stalled.RecvTimeout(10 * time.Second)
 		if err != nil {
 			t.Fatalf("stalled subscriber got %d of the %d frames not dropped: %v", n, sent-lost, err)
 		}
@@ -628,7 +623,7 @@ func slowConsumerIsolation(t *testing.T, br *Broker, scale float64) {
 			prev = seq
 		}
 	}
-	if extra, err := stalled.RecvTimeout(within(100 * time.Millisecond)); err == nil {
+	if extra, err := stalled.RecvTimeout(100 * time.Millisecond); err == nil {
 		t.Fatalf("stalled subscriber got a frame beyond the %d not dropped (%d bytes)", sent-lost, len(extra))
 	}
 	if down, tooLarge := br.tel.egressDropConnDown.Value(), br.tel.egressDropTooLarge.Value(); down+tooLarge != 0 {

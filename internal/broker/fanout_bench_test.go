@@ -22,7 +22,7 @@ import (
 // publishEvent directly. mut, when non-nil, adjusts the config before New.
 func newFanoutBroker(b testing.TB, mut func(*Config)) *Broker {
 	b.Helper()
-	net := simnet.NewPaperWAN(simnet.Config{Scale: 20000, Seed: 1})
+	net := simnet.NewPaperWAN(simnet.Config{Seed: 1})
 	node := transport.NewSimNode(net, simnet.SiteIndianapolis, "fan", 0)
 	ntp := ntptime.NewService(node.Clock(), 0, nil)
 	ntp.InitImmediately()

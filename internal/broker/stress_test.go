@@ -98,11 +98,10 @@ func TestConcurrentPubSubStress(t *testing.T) {
 
 	// Drain the stable subscriber while the storm runs. Publishing is
 	// fire-and-forget (publisher -> egress queue -> simnet -> client pump),
-	// so the publishers finish well before their events finish arriving, and
-	// Next's timeout runs on compressed model time — milliseconds of wall
-	// time. A single post-publish timeout therefore proves nothing; the drain
-	// only stops once deliveries have quiesced: publishers done, something
-	// received, and several consecutive empty timeouts. A wall-clock deadline
+	// so the publishers finish well before their events finish arriving. A
+	// single post-publish timeout therefore proves nothing; the drain only
+	// stops once deliveries have quiesced: publishers done, something
+	// received, and several consecutive empty 50 ms timeouts. A deadline
 	// backstops the no-delivery failure case.
 	received := 0
 	var pubsDone atomic.Bool
@@ -112,7 +111,7 @@ func TestConcurrentPubSubStress(t *testing.T) {
 		deadline := time.Now().Add(20 * time.Second)
 		idle := 0
 		for time.Now().Before(deadline) {
-			_, err := stable.Next(2 * time.Second)
+			_, err := stable.Next(50 * time.Millisecond)
 			if err == nil {
 				received++
 				idle = 0

@@ -78,7 +78,7 @@ func failing(n int) []error {
 // telemetry. It returns superviseDial's error, once the redial loop waits.
 func supervise(t *testing.T, p *scriptedPeer) (*Broker, *Supervisor, error) {
 	t.Helper()
-	node := transport.NewSimNode(simnet.NewPaperWAN(simnet.Config{Scale: 1, Seed: 1}), simnet.SiteUMN, "b", 0)
+	node := transport.NewSimNode(simnet.NewPaperWAN(simnet.Config{Seed: 1}), simnet.SiteUMN, "b", 0)
 	ntp := ntptime.NewService(node.Clock(), 0, nil)
 	ntp.InitImmediately()
 	b, err := New(node, ntp, Config{

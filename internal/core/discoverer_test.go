@@ -175,7 +175,7 @@ func newDiscoverer(t *testing.T, net *simnet.Network, cfg Config) *Discoverer {
 }
 
 // exact runs f in a synctest bubble, on the exact lane: the bubble's clock is
-// the network's at Scale 1, so a model-time wait takes exactly its length and
+// the network's, so a model-time wait takes exactly its length and
 // a run is a function of its seed. f runs as a subtest, so the cleanups it
 // registers run inside the bubble.
 func exact(t *testing.T, f func(t *testing.T)) {
@@ -183,7 +183,7 @@ func exact(t *testing.T, f func(t *testing.T)) {
 }
 
 func laneNet(seed int64) *simnet.Network {
-	return simnet.NewPaperWAN(simnet.Config{Scale: 1, Seed: seed})
+	return simnet.NewPaperWAN(simnet.Config{Seed: seed})
 }
 
 // phases lists res's phase durations in Phases() order.

@@ -30,12 +30,6 @@ func exact(t *testing.T, f func(t *testing.T)) {
 	synctest.Run(func() { t.Run("bubble", f) })
 }
 
-// laneOpts is quickOpts at Scale 1, the only scale at which the bubble's
-// clock moves: at any other, ScaledClock's spin keeps a goroutine runnable.
-func laneOpts(seed int64) Options {
-	return Options{Runs: 12, Keep: 10, Scale: 1, Seed: seed}
-}
-
 // TestBreakdownShape is the core reproduction assertion for Figures 2/9/11:
 // the wait for the initial responses dominates everywhere, and the
 // unconnected topology waits longest, the linear chain less, the star least.
@@ -45,7 +39,7 @@ func TestBreakdownShape(t *testing.T) {
 		var got []string
 		var waits []time.Duration
 		for _, topo := range []string{topology.Unconnected, topology.Linear, topology.Star} {
-			r, err := breakdownSamples(topo, laneOpts(3))
+			r, err := breakdownSamples(topo, quickOpts(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +79,7 @@ func TestSiteTimingShape(t *testing.T) {
 		var got []string
 		means := map[string]float64{}
 		for _, site := range []string{simnet.SiteBloomington, simnet.SiteFSU, simnet.SiteCardiff} {
-			opts := laneOpts(4)
+			opts := quickOpts(4)
 			r, err := siteSamples(site, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -119,7 +113,7 @@ func TestSiteTimingShape(t *testing.T) {
 // only realm-local brokers, and is much faster than the BDN path.
 func TestMulticastShape(t *testing.T) {
 	exact(t, func(t *testing.T) {
-		opts := laneOpts(5)
+		opts := quickOpts(5)
 		mc, err := multicastSamples(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +158,7 @@ func TestAllAblationsRun(t *testing.T) {
 				continue
 			}
 			var buf bytes.Buffer
-			if err := Run(e.ID, laneOpts(9), &buf); err != nil {
+			if err := Run(e.ID, quickOpts(9), &buf); err != nil {
 				t.Errorf("%s: %v", e.ID, err)
 				continue
 			}
@@ -192,7 +186,7 @@ func (n *dialCounter) Dial(addr string) (transport.Conn, error) {
 // table as it was before requesters kept their session.
 func TestFiguresMeasureColdDiscoveries(t *testing.T) {
 	exact(t, func(t *testing.T) {
-		opts := laneOpts(10)
+		opts := quickOpts(10)
 		opts.Runs, opts.Keep = 5, 5
 		err := onDeployment(paperDeployment(topology.Unconnected, opts), func(tb *testbed.Testbed) error {
 			node := &dialCounter{Node: tb.ClientNode(simnet.SiteFSU, "client-fsu")}

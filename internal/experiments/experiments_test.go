@@ -10,17 +10,16 @@ import (
 	"narada/internal/topology"
 )
 
-// quickOpts keeps test runtime modest. Tests on the wall clock assert what
-// holds whatever the host's scheduling adds to model time.
+// quickOpts keeps test runtime modest: 12 discoveries, 10 kept.
 func quickOpts(seed int64) Options {
-	return Options{Runs: 12, Keep: 10, Scale: 200, Seed: seed}
+	return Options{Runs: 12, Keep: 10, Seed: seed}
 }
 
 func TestRegistryComplete(t *testing.T) {
 	// The independent list: every experiment, in paper order.
 	want := []string{
 		"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig9",
-		"fig11", "fig12", "fig13", "fig14",
+		"fig11", "fig12",
 		"abl-timeout", "abl-maxresp", "abl-target", "abl-weights",
 		"abl-loss", "abl-inject", "abl-scale", "abl-pings", "abl-failover",
 		"abl-routing", "abl-rediscover",
@@ -94,26 +93,6 @@ func TestTable1Report(t *testing.T) {
 	}
 }
 
-func TestSecurityExperiments(t *testing.T) {
-	opts := quickOpts(6)
-	opts.Runs, opts.Keep = 20, 15
-	cert, err := certValidation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cert.Headline <= 0 || cert.Headline > 1000 {
-		t.Errorf("cert validation mean %.3f ms implausible", cert.Headline)
-	}
-	se, err := signEncrypt(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if se.Headline <= cert.Headline {
-		t.Errorf("sign+encrypt (%.3f ms) should cost more than validation (%.3f ms)",
-			se.Headline, cert.Headline)
-	}
-}
-
 func TestRunWritesReport(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Run("table1", quickOpts(7), &buf); err != nil {
@@ -126,11 +105,7 @@ func TestRunWritesReport(t *testing.T) {
 }
 
 func TestBreakdownReportRendering(t *testing.T) {
-	r, err := breakdownSamples(topology.Star, quickOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := breakdownReport(topology.Star, "ref", r)
+	rep := breakdownReport(topology.Star, "ref", fixtureSamples(fixtureRuns(12)))
 	if !strings.Contains(rep.Body, "wait-initial-responses") {
 		t.Fatalf("report body missing phases:\n%s", rep.Body)
 	}
@@ -150,7 +125,7 @@ func TestTableRendering(t *testing.T) {
 func TestOptionsFillDefaults(t *testing.T) {
 	var o Options
 	o.fillDefaults()
-	if o.Runs != 120 || o.Keep != 100 || o.Scale != 200 || o.Seed != 1 {
+	if o.Runs != 120 || o.Keep != 100 || o.Seed != 1 {
 		t.Fatalf("defaults = %+v", o)
 	}
 	o = Options{Runs: 10, Keep: 50}

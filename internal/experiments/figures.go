@@ -38,7 +38,6 @@ func figDiscoveryConfig() core.Config {
 // and closest+farthest for connected topologies (paper §4).
 func paperDeployment(topo string, opts Options) testbed.Options {
 	o := testbed.Options{
-		Scale:            opts.Scale,
 		Seed:             opts.Seed,
 		Topology:         topo,
 		Brokers:          testbed.PaperBrokers(),
@@ -82,8 +81,7 @@ func breakdownReport(topo, paperRef string, s samples) *Report {
 	}
 	body := table([]string{"Sub-activity", "% of total", "mean ms/run"}, rows)
 	body += fmt.Sprintf("\nruns=%d failed=%d topology=%s\n", runs, s.failed(), topo)
-	return &Report{Title: "Discovery sub-activity breakdown (" + topo + ")", PaperRef: paperRef, Body: body,
-		Headline: sum.Percent(core.PhaseWaitResponses), Unit: "wait-%"}
+	return &Report{Title: "Discovery sub-activity breakdown (" + topo + ")", PaperRef: paperRef, Body: body}
 }
 
 func breakdown(topo, paperRef string) runner {
@@ -117,7 +115,7 @@ func siteTimingReport(site string, s samples, opts Options) (*Report, error) {
 		Title: "Total discovery time, client at " + site + " (unconnected topology)",
 		PaperRef: "mean dominated by the wait for initial responses; " +
 			"per-site variation tracks WAN RTTs",
-		Body: body, Headline: sum.Mean, Unit: "model-ms/discovery",
+		Body: body,
 	}, nil
 }
 
@@ -175,7 +173,7 @@ func multicastReport(s samples, opts Options) (*Report, error) {
 		Title: "Broker discovery times using ONLY multicast (no BDN)",
 		PaperRef: "multicast requests could only reach brokers inside the lab " +
 			"realm; discovery is much faster but finds only local brokers",
-		Body: body, Headline: sum.Mean, Unit: "model-ms/discovery",
+		Body: body,
 	}, nil
 }
 
@@ -196,7 +194,7 @@ func table1(opts Options) (*Report, error) {
 	}
 	body := table([]string{"Machine", "Location", "Specification", "JVM"}, rows)
 
-	net := simnet.NewPaperWAN(simnet.Config{Scale: opts.Scale, Seed: opts.Seed})
+	net := simnet.NewPaperWAN(simnet.Config{Seed: opts.Seed})
 	sites := simnet.PaperSiteNames()
 	rttRows := make([][]string, 0, len(sites))
 	for _, a := range sites {

@@ -28,7 +28,7 @@ func fixtureSamples(runs []fixtureRun) samples {
 // liberties are taken: its "selected brokers" line came out in map order, and
 // its "served by" note printed a Go map; both are recorded in count order.
 func TestRenderersMatchParentGoldens(t *testing.T) {
-	opts := Options{Runs: 12, Keep: 8, Scale: 200, Seed: 1}
+	opts := Options{Runs: 12, Keep: 8, Seed: 1}
 	all := fixtureSamples(fixtureRuns(12))
 	check := func(name, id string, rep *Report, err error) {
 		t.Helper()

@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (section 9), plus ablations over the design choices the paper
 // calls out. Each experiment is addressable by id ("fig2", "fig7",
-// "abl-timeout", ...) through the Registry, runnable from cmd/nbexp and from
-// the repository's benchmark suite. A run holds its samples — one record per
-// discovery (samples.go) — and every table is a view of them.
+// "abl-timeout", ...) through the Registry and runnable from cmd/nbexp. A run
+// holds its samples — one record per discovery (samples.go) — and every table
+// is a view of them.
 package experiments
 
 import (
@@ -23,8 +23,6 @@ type Options struct {
 	// (paper: "the first 100 results were selected after removing
 	// outliers").
 	Keep int
-	// Scale is the simulator's model-time speed-up.
-	Scale float64
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -38,9 +36,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.Keep > o.Runs {
 		o.Keep = o.Runs
-	}
-	if o.Scale <= 0 {
-		o.Scale = 200
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -60,10 +55,6 @@ type Report struct {
 	Title    string
 	PaperRef string // the qualitative claim from the paper to compare against
 	Body     string // pre-rendered table(s)
-	// Headline is the figure's one quantity (the benchmark suite reports it
-	// as a custom metric), in Unit; Unit is "" where a table is the result.
-	Headline float64
-	Unit     string
 }
 
 // WriteTo renders the report to w.

@@ -5,11 +5,13 @@
 // initializations and generally take between 3-5 seconds before the local
 // clock offsets are computed."
 //
-// Three pieces live here:
+// Four pieces live here:
 //
 //   - Clock: the abstraction every other package tells time through, so the
 //     same broker/BDN/discovery code runs against the wall clock or against
-//     the simulator's scaled model clock.
+//     the simulator's model clock.
+//   - EpochClock: the simulator's model clock, a fixed epoch plus the time
+//     since the network was made.
 //   - SkewedClock: a per-node clock offset from its base by a fixed error,
 //     modelling unsynchronised hardware clocks.
 //   - Service: the NTP-style synchronisation service that estimates a node's
@@ -17,13 +19,10 @@
 //     the paper's 1-20 ms envelope.
 package ntptime
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
-// Clock tells time and sleeps. Durations passed to Sleep/After are in the
-// clock's own timescale ("model time" for simulated clocks).
+// Clock tells time and sleeps. Durations passed to Sleep/After are this
+// clock's time ("model time" for the simulator's clocks).
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
@@ -46,76 +45,30 @@ func (SystemClock) Sleep(d time.Duration) { time.Sleep(d) }
 // After implements Clock.
 func (SystemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// ScaledClock runs model time faster than wall time by a constant factor, so
-// experiments whose model windows span multiple seconds (the paper's 4-5 s
-// response-collection window) complete in milliseconds of wall time.
-// A ScaledClock with Scale 1 behaves like the wall clock.
-type ScaledClock struct {
-	epochWall  time.Time
-	epochModel time.Time
-	scale      float64
-}
+// EpochClock reads a fixed epoch plus the time since it was made, and sleeps
+// on package time: the simulator's model clock, which in a synctest bubble
+// runs on the bubble's clock.
+type EpochClock struct{ epoch, start time.Time }
 
-// NewScaledClock returns a clock whose model time starts at epoch and
-// advances scale model-seconds per wall second. scale <= 0 is treated as 1.
-func NewScaledClock(epoch time.Time, scale float64) *ScaledClock {
-	if scale <= 0 {
-		scale = 1
-	}
-	return &ScaledClock{epochWall: time.Now(), epochModel: epoch, scale: scale}
+// NewEpochClock returns a clock that reads epoch now.
+func NewEpochClock(epoch time.Time) *EpochClock {
+	return &EpochClock{epoch: epoch, start: time.Now()}
 }
-
-// Scale returns the model-seconds-per-wall-second factor.
-func (c *ScaledClock) Scale() float64 { return c.scale }
 
 // Now implements Clock.
-func (c *ScaledClock) Now() time.Time {
-	elapsed := time.Since(c.epochWall)
-	return c.epochModel.Add(time.Duration(float64(elapsed) * c.scale))
-}
+func (c *EpochClock) Now() time.Time { return c.epoch.Add(time.Since(c.start)) }
 
-// Sleep implements Clock; d is model time.
-func (c *ScaledClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.sleepWall(c.wall(d))
-}
+// Sleep implements Clock.
+func (*EpochClock) Sleep(d time.Duration) { time.Sleep(d) }
 
-// After implements Clock; d is model time and the delivered value is model
-// time.
-func (c *ScaledClock) After(d time.Duration) <-chan time.Time {
+// After implements Clock; the delivered value is this clock's time.
+func (c *EpochClock) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
 	go func() {
-		c.sleepWall(c.wall(d))
+		time.Sleep(d)
 		ch <- c.Now()
 	}()
 	return ch
-}
-
-func (c *ScaledClock) wall(model time.Duration) time.Duration {
-	return time.Duration(float64(model) / c.scale)
-}
-
-// sleepWall sleeps for a wall duration. At scale > 1, time.Sleep's ~1 ms
-// granularity would be amplified into large model-time errors, so the final
-// stretch is finished with a yielding spin, giving microsecond precision.
-func (c *ScaledClock) sleepWall(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if c.scale == 1 {
-		time.Sleep(d)
-		return
-	}
-	const spinFloor = 2 * time.Millisecond
-	deadline := time.Now().Add(d)
-	if d > spinFloor {
-		time.Sleep(d - spinFloor)
-	}
-	for time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
 }
 
 // SkewedClock offsets a base clock by a fixed skew, modelling a node whose

@@ -23,43 +23,6 @@ func TestSystemClockMonotonicEnough(t *testing.T) {
 	}
 }
 
-func TestScaledClockAdvancesFaster(t *testing.T) {
-	epoch := time.Date(2005, 7, 1, 0, 0, 0, 0, time.UTC)
-	c := NewScaledClock(epoch, 100)
-	start := c.Now()
-	time.Sleep(20 * time.Millisecond)
-	elapsed := c.Now().Sub(start)
-	// 20 ms wall at 100x should be ~2 s model time; allow generous slop.
-	if elapsed < 1*time.Second || elapsed > 10*time.Second {
-		t.Fatalf("model elapsed = %v, want about 2s", elapsed)
-	}
-}
-
-func TestScaledClockSleepModelTime(t *testing.T) {
-	c := NewScaledClock(time.Unix(0, 0), 1000)
-	wallStart := time.Now()
-	c.Sleep(1 * time.Second) // should take ~1ms wall
-	if wall := time.Since(wallStart); wall > 200*time.Millisecond {
-		t.Fatalf("scaled sleep took %v wall, want ~1ms", wall)
-	}
-}
-
-func TestScaledClockAfterDeliversModelTime(t *testing.T) {
-	c := NewScaledClock(time.Unix(0, 0), 1000)
-	before := c.Now()
-	got := <-c.After(500 * time.Millisecond)
-	if got.Sub(before) < 400*time.Millisecond {
-		t.Fatalf("After fired early: %v after start", got.Sub(before))
-	}
-}
-
-func TestScaledClockDefaultsScale(t *testing.T) {
-	c := NewScaledClock(time.Unix(0, 0), -3)
-	if c.Scale() != 1 {
-		t.Fatalf("Scale = %v, want 1", c.Scale())
-	}
-}
-
 func TestSkewedClock(t *testing.T) {
 	base := stillClock(time.Unix(1000, 0))
 	skew := 15 * time.Millisecond

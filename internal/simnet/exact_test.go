@@ -12,13 +12,33 @@ import (
 )
 
 // exact runs f in a synctest bubble, on the exact lane: the bubble's clock is
-// the network's at Scale 1, so a delay takes exactly its model length. f runs
+// the network's, so a delay takes exactly its model length. f runs
 // as a subtest, so the cleanups it registers run inside the bubble.
 func exact(t *testing.T, f func(t *testing.T)) {
 	synctest.Run(func() { t.Run("bubble", f) })
 }
 
-func laneWAN(seed int64) *Network { return NewPaperWAN(Config{Scale: 1, Seed: seed}) }
+func laneWAN(seed int64) *Network { return NewPaperWAN(Config{Seed: seed}) }
+
+// TestClockIsEpochPlusElapsed: a network's clock reads the paper's epoch when
+// the network is made, and Sleep(d) and After(d) each move it by exactly d.
+func TestClockIsEpochPlusElapsed(t *testing.T) {
+	exact(t, func(t *testing.T) {
+		c := laneWAN(1).Clock()
+		if got := c.Now(); !got.Equal(epoch) {
+			t.Fatalf("Now = %v at creation, want %v", got, epoch)
+		}
+		c.Sleep(1500 * time.Millisecond)
+		if got, want := c.Now(), epoch.Add(1500*time.Millisecond); !got.Equal(want) {
+			t.Fatalf("after Sleep(1.5s): Now = %v, want %v", got, want)
+		}
+		fired := <-c.After(250 * time.Millisecond)
+		want := epoch.Add(1750 * time.Millisecond)
+		if got := c.Now(); !fired.Equal(want) || !got.Equal(want) {
+			t.Fatalf("After(250ms) delivered %v, then Now = %v; want %v for both", fired, got, want)
+		}
+	})
+}
 
 func TestPacketDelayMatchesRTT(t *testing.T) {
 	exact(t, func(t *testing.T) {
@@ -135,7 +155,7 @@ func TestStreamFIFO(t *testing.T) {
 func TestBandwidthDelaysLargeMessages(t *testing.T) {
 	exact(t, func(t *testing.T) {
 		// 1 MB/s path: a byte adds 1 us of serialisation delay.
-		n := NewPaperWAN(Config{Scale: 1, Seed: 60, BandwidthBps: 1e6})
+		n := NewPaperWAN(Config{Seed: 60, BandwidthBps: 1e6})
 		a, _ := n.ListenPacket(Addr{Site: SiteBloomington, Host: "a"})
 		b, _ := n.ListenPacket(Addr{Site: SiteIndianapolis, Host: "b"})
 

@@ -3,9 +3,8 @@
 // a configurable round-trip-time matrix, with datagram loss and duplication,
 // realm-scoped multicast, site partitions and node failures. A path's delay is
 // fixed (half its RTT plus serialisation) and there is no jitter. In a synctest
-// bubble at Scale 1 (the exact lane) a run is a function of its seed; on the
-// wall clock, the host's scheduling adds delay that ScaledClock turns into
-// model time.
+// bubble (the exact lane) a run is a function of its seed; on the wall clock,
+// the host's scheduling adds its own delay to model time.
 //
 // Two delivery services are provided, mirroring the paper's transport usage:
 //
@@ -16,9 +15,8 @@
 //     (TCP with length-prefixed frames). Broker links, client connections
 //     and BDN registrations travel this way.
 //
-// All latencies are expressed in model time; the network's clock may be a
-// ScaledClock so that multi-second model windows run in milliseconds of wall
-// time without changing any protocol code.
+// All latencies are expressed in model time: the paper's era plus the time
+// since the network was made, which in a bubble is the bubble's clock.
 package simnet
 
 import (
@@ -65,9 +63,6 @@ type Site struct {
 
 // Config parameterises a Network.
 type Config struct {
-	// Scale is model-seconds per wall-second for the network clock; <=0
-	// means 1 (real time).
-	Scale float64
 	// Seed drives all randomness (loss, duplication, skews); 0 means 1.
 	Seed int64
 	// DefaultLoss is the datagram loss probability applied to inter-site
@@ -104,7 +99,7 @@ type groupKey struct {
 
 // Network is the simulated WAN. All methods are safe for concurrent use.
 type Network struct {
-	clock     *ntptime.ScaledClock
+	clock     *ntptime.EpochClock
 	localRTT  time.Duration
 	defLoss   float64
 	bandwidth float64
@@ -130,9 +125,6 @@ type Network struct {
 
 // New creates an empty Network; add sites and RTTs before creating endpoints.
 func New(cfg Config) *Network {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -140,7 +132,7 @@ func New(cfg Config) *Network {
 		cfg.LocalRTT = 400 * time.Microsecond
 	}
 	return &Network{
-		clock:       ntptime.NewScaledClock(epoch, cfg.Scale),
+		clock:       ntptime.NewEpochClock(epoch),
 		localRTT:    cfg.LocalRTT,
 		defLoss:     cfg.DefaultLoss,
 		bandwidth:   cfg.BandwidthBps,

@@ -5,10 +5,16 @@ import (
 	"time"
 )
 
-// fastWAN returns the paper WAN at high time scale for quick tests.
-func fastWAN(t testing.TB, seed int64) *Network {
-	t.Helper()
-	return NewPaperWAN(Config{Scale: 500, Seed: seed})
+// silence is how long a test waits to see that a datagram does not arrive:
+// longer than the WAN's longest one-way delay (67.5 ms, FSU to Cardiff).
+const silence = 100 * time.Millisecond
+
+// testWAN returns the paper WAN for one test and runs that test in parallel
+// with the others: each waits on its own network, for up to a few hundred
+// milliseconds of wall clock.
+func testWAN(t *testing.T, seed int64) *Network {
+	t.Parallel()
+	return NewPaperWAN(Config{Seed: seed})
 }
 
 func TestAddrString(t *testing.T) {
@@ -19,7 +25,7 @@ func TestAddrString(t *testing.T) {
 }
 
 func TestPaperWANSites(t *testing.T) {
-	n := fastWAN(t, 1)
+	n := testWAN(t, 1)
 	if got := len(n.Sites()); got != 6 {
 		t.Fatalf("site count = %d, want 6", got)
 	}
@@ -53,7 +59,7 @@ func TestTable1MachinesComplete(t *testing.T) {
 }
 
 func TestPacketRoundTrip(t *testing.T) {
-	n := fastWAN(t, 2)
+	n := testWAN(t, 2)
 	a, err := n.ListenPacket(Addr{Site: SiteBloomington, Host: "a"})
 	if err != nil {
 		t.Fatal(err)
@@ -75,14 +81,14 @@ func TestPacketRoundTrip(t *testing.T) {
 }
 
 func TestPacketLoss(t *testing.T) {
-	n := fastWAN(t, 4)
+	n := testWAN(t, 4)
 	n.SetLoss(SiteBloomington, SiteFSU, 1.0) // always lose
 	a, _ := n.ListenPacket(Addr{Site: SiteBloomington, Host: "a"})
 	b, _ := n.ListenPacket(Addr{Site: SiteFSU, Host: "b"})
 	if err := a.Send(b.Addr(), []byte("x")); err != nil {
 		t.Fatal(err) // loss is silent
 	}
-	if _, err := b.RecvTimeout(200 * time.Millisecond); err != ErrTimeout {
+	if _, err := b.RecvTimeout(silence); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	_, dropped, _ := n.Counters()
@@ -92,7 +98,8 @@ func TestPacketLoss(t *testing.T) {
 }
 
 func TestLocalTrafficNeverLost(t *testing.T) {
-	n := NewPaperWAN(Config{Scale: 500, Seed: 5, DefaultLoss: 1.0})
+	t.Parallel()
+	n := NewPaperWAN(Config{Seed: 5, DefaultLoss: 1.0})
 	a, _ := n.ListenPacket(Addr{Site: SiteUMN, Host: "a"})
 	b, _ := n.ListenPacket(Addr{Site: SiteUMN, Host: "b"})
 	if err := a.Send(b.Addr(), []byte("x")); err != nil {
@@ -104,14 +111,14 @@ func TestLocalTrafficNeverLost(t *testing.T) {
 }
 
 func TestPartitionBlocksDatagramsSilently(t *testing.T) {
-	n := fastWAN(t, 6)
+	n := testWAN(t, 6)
 	n.Partition(SiteBloomington, SiteFSU)
 	a, _ := n.ListenPacket(Addr{Site: SiteBloomington, Host: "a"})
 	b, _ := n.ListenPacket(Addr{Site: SiteFSU, Host: "b"})
 	if err := a.Send(b.Addr(), []byte("x")); err != nil {
 		t.Fatalf("datagram into partition should vanish silently, got %v", err)
 	}
-	if _, err := b.RecvTimeout(200 * time.Millisecond); err != ErrTimeout {
+	if _, err := b.RecvTimeout(silence); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	n.Heal(SiteBloomington, SiteFSU)
@@ -124,12 +131,12 @@ func TestPartitionBlocksDatagramsSilently(t *testing.T) {
 }
 
 func TestNodeDown(t *testing.T) {
-	n := fastWAN(t, 7)
+	n := testWAN(t, 7)
 	a, _ := n.ListenPacket(Addr{Site: SiteBloomington, Host: "a"})
 	b, _ := n.ListenPacket(Addr{Site: SiteFSU, Host: "b"})
 	n.SetNodeDown(SiteFSU, "b", true)
 	_ = a.Send(b.Addr(), []byte("x"))
-	if _, err := b.RecvTimeout(200 * time.Millisecond); err != ErrTimeout {
+	if _, err := b.RecvTimeout(silence); err != ErrTimeout {
 		t.Fatalf("down node received a packet: %v", err)
 	}
 	n.SetNodeDown(SiteFSU, "b", false)
@@ -140,7 +147,7 @@ func TestNodeDown(t *testing.T) {
 }
 
 func TestListenPacketAddrInUse(t *testing.T) {
-	n := fastWAN(t, 8)
+	n := testWAN(t, 8)
 	addr := Addr{Site: SiteUMN, Host: "x", Port: 500}
 	if _, err := n.ListenPacket(addr); err != nil {
 		t.Fatal(err)
@@ -151,14 +158,14 @@ func TestListenPacketAddrInUse(t *testing.T) {
 }
 
 func TestListenPacketUnknownSite(t *testing.T) {
-	n := fastWAN(t, 9)
+	n := testWAN(t, 9)
 	if _, err := n.ListenPacket(Addr{Site: "atlantis", Host: "x"}); err == nil {
 		t.Fatal("unknown site accepted")
 	}
 }
 
 func TestPacketCloseUnblocksRecv(t *testing.T) {
-	n := fastWAN(t, 10)
+	n := testWAN(t, 10)
 	a, _ := n.ListenPacket(Addr{Site: SiteUMN, Host: "a"})
 	done := make(chan error, 1)
 	go func() {
@@ -186,7 +193,7 @@ func TestPacketCloseUnblocksRecv(t *testing.T) {
 }
 
 func TestMulticastRealmScoping(t *testing.T) {
-	n := fastWAN(t, 11)
+	n := testWAN(t, 11)
 	const group = "brokers"
 	sender, _ := n.ListenPacket(Addr{Site: SiteBloomington, Host: "client"})
 	sameRealm, _ := n.ListenPacket(Addr{Site: SiteIndianapolis, Host: "b1"})
@@ -201,29 +208,29 @@ func TestMulticastRealmScoping(t *testing.T) {
 	if _, err := sameRealm.RecvTimeout(2 * time.Second); err != nil {
 		t.Fatalf("same-realm member missed multicast: %v", err)
 	}
-	if _, err := otherRealm.RecvTimeout(200 * time.Millisecond); err != ErrTimeout {
+	if _, err := otherRealm.RecvTimeout(silence); err != ErrTimeout {
 		t.Fatalf("multicast crossed realms: err = %v", err)
 	}
 	// Sender must not hear its own multicast.
-	if _, err := sender.RecvTimeout(200 * time.Millisecond); err != ErrTimeout {
+	if _, err := sender.RecvTimeout(silence); err != ErrTimeout {
 		t.Fatalf("sender received own multicast: %v", err)
 	}
 }
 
 func TestMulticastLeaveGroup(t *testing.T) {
-	n := fastWAN(t, 12)
+	n := testWAN(t, 12)
 	s, _ := n.ListenPacket(Addr{Site: SiteBloomington, Host: "s"})
 	m, _ := n.ListenPacket(Addr{Site: SiteBloomington, Host: "m"})
 	m.JoinGroup("g")
 	m.LeaveGroup("g")
 	_ = s.SendGroup("g", []byte("x"))
-	if _, err := m.RecvTimeout(200 * time.Millisecond); err != ErrTimeout {
+	if _, err := m.RecvTimeout(silence); err != ErrTimeout {
 		t.Fatalf("left member still receives: %v", err)
 	}
 }
 
 func TestDialNoListener(t *testing.T) {
-	n := fastWAN(t, 15)
+	n := testWAN(t, 15)
 	_, err := n.Dial(Addr{Site: SiteUMN, Host: "c"}, Addr{Site: SiteFSU, Host: "s", Port: 1})
 	if err != ErrConnRefused {
 		t.Fatalf("err = %v, want ErrConnRefused", err)
@@ -231,7 +238,7 @@ func TestDialNoListener(t *testing.T) {
 }
 
 func TestDialPartitioned(t *testing.T) {
-	n := fastWAN(t, 16)
+	n := testWAN(t, 16)
 	l, _ := n.Listen(Addr{Site: SiteFSU, Host: "s", Port: 902})
 	n.Partition(SiteUMN, SiteFSU)
 	if _, err := n.Dial(Addr{Site: SiteUMN, Host: "c"}, l.Addr()); err != ErrNoRoute {
@@ -240,7 +247,7 @@ func TestDialPartitioned(t *testing.T) {
 }
 
 func TestStreamCloseUnblocksPeer(t *testing.T) {
-	n := fastWAN(t, 17)
+	n := testWAN(t, 17)
 	l, _ := n.Listen(Addr{Site: SiteUMN, Host: "s", Port: 903})
 	acceptCh := make(chan *Conn, 1)
 	go func() {
@@ -262,7 +269,7 @@ func TestStreamCloseUnblocksPeer(t *testing.T) {
 }
 
 func TestListenerClose(t *testing.T) {
-	n := fastWAN(t, 18)
+	n := testWAN(t, 18)
 	l, _ := n.Listen(Addr{Site: SiteUMN, Host: "s", Port: 904})
 	done := make(chan error, 1)
 	go func() {
@@ -281,7 +288,7 @@ func TestListenerClose(t *testing.T) {
 }
 
 func TestRandomSkewBounded(t *testing.T) {
-	n := fastWAN(t, 19)
+	n := testWAN(t, 19)
 	max := 20 * time.Millisecond
 	for i := 0; i < 500; i++ {
 		s := n.RandomSkew(max)
@@ -292,7 +299,7 @@ func TestRandomSkewBounded(t *testing.T) {
 }
 
 func TestCountersAdvance(t *testing.T) {
-	n := fastWAN(t, 20)
+	n := testWAN(t, 20)
 	a, _ := n.ListenPacket(Addr{Site: SiteUMN, Host: "a"})
 	b, _ := n.ListenPacket(Addr{Site: SiteUMN, Host: "b"})
 	_ = a.Send(b.Addr(), []byte("x"))
@@ -303,7 +310,8 @@ func TestCountersAdvance(t *testing.T) {
 }
 
 func TestDuplicateDatagrams(t *testing.T) {
-	n := NewPaperWAN(Config{Scale: 300, Seed: 61, DuplicateProb: 1.0})
+	t.Parallel()
+	n := NewPaperWAN(Config{Seed: 61, DuplicateProb: 1.0})
 	a, _ := n.ListenPacket(Addr{Site: SiteBloomington, Host: "a"})
 	b, _ := n.ListenPacket(Addr{Site: SiteFSU, Host: "b"})
 	if err := a.Send(b.Addr(), []byte("twice")); err != nil {
@@ -322,7 +330,7 @@ func TestDuplicateDatagrams(t *testing.T) {
 	if _, err := c.RecvTimeout(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RecvTimeout(300 * time.Millisecond); err != ErrTimeout {
+	if _, err := c.RecvTimeout(silence); err != ErrTimeout {
 		t.Fatal("same-site datagram duplicated")
 	}
 }

@@ -59,8 +59,8 @@ func TestCollectorAssemblesCrossNodeTrace(t *testing.T) {
 			_, ok := spanAligned(tr, last)
 			return ok
 		})
-		if took != 15*time.Millisecond || len(tr.Spans) != 38 || len(tr.Nodes) != 7 {
-			t.Errorf("trace whole %v after the discovery with %d spans from %d nodes, want 15ms, 38 and 7",
+		if took != 40*time.Millisecond || len(tr.Spans) != 38 || len(tr.Nodes) != 7 {
+			t.Errorf("trace whole %v after the discovery with %d spans from %d nodes, want 40ms, 38 and 7",
 				took, len(tr.Spans), len(tr.Nodes))
 		}
 		nodes := spanNodes(tr)

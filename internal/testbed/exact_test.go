@@ -5,6 +5,8 @@
 package testbed
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -19,28 +21,23 @@ import (
 )
 
 // exact runs f in a synctest bubble, on the exact lane: the bubble's clock is
-// the deployment's at Scale 1, so every model-time wait takes exactly its
-// length and a run is a function of its seed. f runs as a subtest, so the
-// cleanups it registers run inside the bubble.
+// the deployment's, so every model-time wait takes exactly its length and a
+// run is a function of its seed. f runs as a subtest, so the cleanups it
+// registers run inside the bubble.
 func exact(t *testing.T, f func(t *testing.T)) {
 	synctest.Run(func() { t.Run("bubble", f) })
 }
 
-// laneNew deploys o at Scale 1, the only scale at which the bubble's clock
-// moves (at any other, ScaledClock's spin keeps a goroutine runnable), and
-// closes it when the test ends. New's poll sees the deployment settle a
-// millisecond early or late, so laneNew returns at the next whole 100 ms of
-// model time: the test then keeps one phase against every periodic loop,
-// a collector's scrape grid among them.
+// laneNew deploys o and closes it when the test ends. New returns at the one
+// instant its seed settles at, so the test keeps one phase against every
+// periodic loop, a collector's scrape grid among them.
 func laneNew(t *testing.T, o Options) *Testbed {
 	t.Helper()
-	o.Scale = 1
 	tb, err := New(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tb.Close)
-	advance(100*time.Millisecond - time.Duration(time.Now().UnixNano())%(100*time.Millisecond))
 	return tb
 }
 
@@ -63,6 +60,75 @@ func until(t *testing.T, limit time.Duration, what string, cond func() bool) tim
 		}
 	}
 	return time.Since(start)
+}
+
+// chaosOptions is a fully self-healing deployment: supervised links and
+// registrations, heartbeat liveness, periodic advertisement refresh with TTL
+// expiry. Intervals are model time.
+func chaosOptions() Options {
+	return Options{
+		Topology:          topology.Linear,
+		Supervise:         true,
+		Heartbeat:         200 * time.Millisecond,
+		AdvertiseInterval: 500 * time.Millisecond, // TTL defaults to 1.5s
+		SweepInterval:     250 * time.Millisecond,
+	}
+}
+
+// at pins a fault helper to a schedule offset.
+func at(offset time.Duration, f Fault) Fault {
+	f.At = offset
+	return f
+}
+
+// discoveryConfig returns client settings sized for the 5-broker testbed.
+func discoveryConfig() core.Config {
+	return core.Config{
+		CollectWindow: 1500 * time.Millisecond,
+		MaxResponses:  5,
+	}
+}
+
+// TestNewReturnsSettled: the moment New returns, the deployment is the one
+// asked for — no sleep, no poll. Twenty seeds of the linear five-broker
+// deployment of Figure 10: the one registering broker is listed and every
+// edge of the chain is up in both directions.
+func TestNewReturnsSettled(t *testing.T) {
+	exact(t, func(t *testing.T) {
+		for seed := int64(1); seed <= 20; seed++ {
+			specs := PaperBrokers()
+			for i := range specs {
+				specs[i].Register = i == 0
+			}
+			tb, err := New(Options{Topology: topology.Linear, Seed: seed, Brokers: specs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := tb.BDN.BrokerCount(); n != 1 {
+				t.Errorf("seed %d: BDN knows %d brokers, want 1", seed, n)
+			}
+			if len(tb.Edges) != 4 {
+				t.Errorf("seed %d: %d edges, want 4", seed, len(tb.Edges))
+			}
+			for _, e := range tb.Edges {
+				if !slices.Contains(tb.BrokerByName(e.From).Peers(), e.To) ||
+					!slices.Contains(tb.BrokerByName(e.To).Peers(), e.From) {
+					t.Errorf("seed %d: link %s<->%s not up in both directions", seed, e.From, e.To)
+				}
+			}
+			tb.Close()
+		}
+	})
+}
+
+func TestDiscoveryNoPath(t *testing.T) {
+	exact(t, func(t *testing.T) {
+		tb := laneNew(t, Options{Topology: topology.Unconnected, Seed: 16, NoBDN: true})
+		d := tb.NewDiscoverer(simnet.SiteBloomington, "client", discoveryConfig())
+		if _, err := d.Discover(); !errors.Is(err, core.ErrNoPath) {
+			t.Fatalf("err = %v, want ErrNoPath", err)
+		}
+	})
 }
 
 func TestUnconnectedDiscovery(t *testing.T) {

@@ -98,8 +98,8 @@ func TestFabricHealthAlerts(t *testing.T) {
 		if dead.FiredAt == nil {
 			t.Fatalf("firing deadman has no FiredAt: %+v", dead)
 		}
-		if latency := dead.FiredAt.Sub(killedAt); latency != 175*time.Millisecond {
-			t.Fatalf("deadman fired %v after the kill, want 175ms", latency)
+		if latency := dead.FiredAt.Sub(killedAt); latency != 190500*time.Microsecond {
+			t.Fatalf("deadman fired %v after the kill, want 190.5ms", latency)
 		}
 		getJSON(t, col, "/alerts", &v)
 		if v.Firing < 1 {
@@ -120,8 +120,8 @@ func TestFabricHealthAlerts(t *testing.T) {
 		if resolved.ResolvedAt == nil {
 			t.Fatalf("resolved deadman has no ResolvedAt: %+v", resolved)
 		}
-		if after := resolved.ResolvedAt.Sub(restartedAt); after != 200*time.Millisecond {
-			t.Errorf("deadman resolved %v after the restart, want 200ms", after)
+		if after := resolved.ResolvedAt.Sub(restartedAt); after != 199500*time.Microsecond {
+			t.Errorf("deadman resolved %v after the restart, want 199.5ms", after)
 		}
 		if g, _ := firingGaugeValue(col, health.RuleDeadman, "broker-b"); g != 0 {
 			t.Fatalf("narada_alerts_firing{deadman,broker-b} = %v after resolve, want 0", g)

@@ -81,8 +81,8 @@ func TestSampledPublishAssemblesMessageTrace(t *testing.T) {
 			tr, _ = col.Trace(id)
 			return tr.Kind == collect.TraceKindMessage && len(tr.Nodes) == 2 && len(tr.Hops) == 2
 		})
-		if took != 39*time.Millisecond || len(tr.Spans) != 6 {
-			t.Errorf("message trace whole %v after delivery with %d spans, want 39ms and 6", took, len(tr.Spans))
+		if took != 29*time.Millisecond || len(tr.Spans) != 6 {
+			t.Errorf("message trace whole %v after delivery with %d spans, want 29ms and 6", took, len(tr.Spans))
 		}
 
 		spans := make(map[string]map[string]bool) // name -> nodes
@@ -177,8 +177,8 @@ func TestDropStormFiresDropRatioAlert(t *testing.T) {
 		if b.EgressDropped() == 0 {
 			t.Fatal("storm produced no egress drops; queue never wedged")
 		}
-		if took := fired.FiredAt.Sub(stormStart); fired.Value <= 0.01 || took != 286300*time.Microsecond {
-			t.Fatalf("drop_ratio fired %v into the storm at %v, want 286.3ms, over threshold 0.01", took, fired.Value)
+		if took := fired.FiredAt.Sub(stormStart); fired.Value <= 0.01 || took != 276800*time.Microsecond {
+			t.Fatalf("drop_ratio fired %v into the storm at %v, want 276.8ms, over threshold 0.01", took, fired.Value)
 		}
 
 		// Recovery: the storm ends, the wedged consumer disconnects and healthy
@@ -199,8 +199,8 @@ func TestDropStormFiresDropRatioAlert(t *testing.T) {
 		}
 		advance(100 * time.Millisecond)
 		resolved := publishUntil(t, col, pc, "storm/healthy", 1, 10*time.Millisecond, health.StateResolved)
-		if after := resolved.ResolvedAt.Sub(stormEnd); after != 1621300*time.Microsecond {
-			t.Errorf("drop_ratio resolved %v after the storm ended, want 1.6213s", after)
+		if after := resolved.ResolvedAt.Sub(stormEnd); after != 1621800*time.Microsecond {
+			t.Errorf("drop_ratio resolved %v after the storm ended, want 1.6218s", after)
 		}
 	})
 }

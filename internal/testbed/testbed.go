@@ -32,10 +32,6 @@ const mib = 1024 * 1024
 // each member's peer list is known before any member starts.
 const bdnPort = 7000
 
-// settleTimeout bounds, in wall time, how long New waits for the deployment it
-// started to become the deployment it was asked for.
-const settleTimeout = 10 * time.Second
-
 // BrokerSpec describes one broker to deploy.
 type BrokerSpec struct {
 	Site       string        // simulator site
@@ -50,8 +46,6 @@ type BrokerSpec struct {
 
 // Options configures a testbed deployment.
 type Options struct {
-	// Scale is the model-time speed-up (default 200).
-	Scale float64
 	// Seed drives all randomness (default 1).
 	Seed int64
 	// Loss is the default inter-site datagram loss probability.
@@ -102,8 +96,7 @@ type Options struct {
 	// BDNDataDir, when set, makes every deployed BDN durable: each gets a
 	// WAL + snapshot directory under this base (per-BDN subdirectory), so
 	// a RestartBDN recovers the registration table instead of starting
-	// empty. Fsync is disabled — a real fsync's wall-clock cost becomes
-	// whole seconds of accelerated model time.
+	// empty. Fsync is disabled: on the wall clock its cost would be model time.
 	BDNDataDir string
 	// Replicate makes the deployed BDNs one set: each lists the others in
 	// bdn.Config.Peers and pulls their live tables.
@@ -124,9 +117,6 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults() {
-	if o.Scale <= 0 {
-		o.Scale = 200
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -220,7 +210,6 @@ type bdnDeployment struct {
 func New(opts Options) (*Testbed, error) {
 	opts.fillDefaults()
 	net := simnet.NewPaperWAN(simnet.Config{
-		Scale:         opts.Scale,
 		Seed:          opts.Seed,
 		DefaultLoss:   opts.Loss,
 		DuplicateProb: opts.DuplicateProb,
@@ -338,10 +327,8 @@ func New(opts Options) (*Testbed, error) {
 	}
 	tb.Edges = edges
 
-	// Ready is a state — every edge up in both directions, every registering
-	// broker listed by every BDN — not an interval of model time: 200 ms at
-	// Scale 200 is one wall millisecond, which goroutines not yet scheduled
-	// outlast. Then measure distances for the closest/farthest injection policy.
+	// Ready is a state (every edge up both ways, every registering broker listed
+	// by every BDN), not a wait; then distances for closest/farthest injection.
 	if err := tb.settle(); err != nil {
 		tb.Close()
 		return nil, err
@@ -352,22 +339,26 @@ func New(opts Options) (*Testbed, error) {
 	return tb, nil
 }
 
-// settle polls convergenceError against a wall-clock bound (the model clock
-// runs Scale times faster than the goroutines it would be timing) and fails
-// with the invariant still unmet.
+// settle polls convergenceError each millisecond of model time, after quiesce
+// (so in a bubble a seed settles at one instant), and fails after 10 s with
+// the invariant still unmet.
 func (tb *Testbed) settle() error {
-	deadline := time.Now().Add(settleTimeout)
-	for {
+	const limit = 10 * time.Second
+	for deadline := time.Now().Add(limit); ; time.Sleep(time.Millisecond) {
+		quiesce()
 		err := tb.convergenceError()
 		if err == nil {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("testbed: deployment not settled after %v: %w", settleTimeout, err)
+			return fmt.Errorf("testbed: deployment not settled after %v: %w", limit, err)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
+
+// quiesce returns once every goroutine has blocked at this instant when built
+// with GOEXPERIMENT=synctest (settle_exact.go), and at once otherwise.
+var quiesce = func() {}
 
 // obsFor returns the telemetry handle a component named name should use.
 // Without Watch it is the zero handle: nothing records, as no collector

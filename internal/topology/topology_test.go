@@ -12,14 +12,15 @@ import (
 	"narada/internal/transport"
 )
 
+// makeBrokers starts n brokers at one site of the paper WAN: a shape does not
+// depend on the delays of its links, and a LAN link is up in a millisecond.
 func makeBrokers(t *testing.T, n int, seed int64) []*broker.Broker {
 	t.Helper()
-	net := simnet.NewPaperWAN(simnet.Config{Scale: 300, Seed: seed})
-	sites := simnet.PaperSiteNames()
+	net := simnet.NewPaperWAN(simnet.Config{Seed: seed})
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]*broker.Broker, n)
 	for i := 0; i < n; i++ {
-		site := sites[1+(i%(len(sites)-1))]
+		site := simnet.SiteIndianapolis
 		skew := net.RandomSkew(20 * time.Millisecond)
 		node := transport.NewSimNode(net, site, nodeName(i), skew)
 		ntp := ntptime.NewService(node.Clock(), skew, rng)
