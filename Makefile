@@ -148,3 +148,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRegistryRecord -fuzztime 30s ./internal/bdn/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentRecovery -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzScrape -fuzztime 30s ./internal/obs/collect/
+	$(GO) test -run '^$$' -fuzz FuzzStreamFraming -fuzztime 30s ./internal/transport/

@@ -20,7 +20,7 @@ import (
 // function of its seed.
 var lanePackages = []string{".", "./internal/simnet", "./internal/core", "./internal/bdn",
 	"./internal/broker", "./internal/experiments", "./internal/testbed", "./internal/wal",
-	"./examples/datastreams"}
+	"./examples/datastreams", "./examples/datastreams/reliable"}
 
 const laneTag = "//go:build goexperiment.synctest\n"
 

@@ -87,17 +87,9 @@ func (p *Publisher) Close() {
 func (p *Publisher) ackLoop() {
 	defer p.wg.Done()
 	for {
-		select {
-		case <-p.closed:
-			return
-		default:
-		}
-		ev, err := p.client.Next(500 * time.Millisecond)
+		ev, err := p.client.NextUntil(p.closed)
 		if err != nil {
-			if err == broker.ErrClientClosed {
-				return
-			}
-			continue
+			return // closed, or the client was
 		}
 		if ev.Type != event.TypePublish {
 			continue
@@ -187,18 +179,13 @@ func (s *Subscriber) Close() {
 func (s *Subscriber) recvLoop() {
 	defer s.wg.Done()
 	for {
-		select {
-		case <-s.closed:
+		ev, err := s.client.NextUntil(s.closed)
+		if err == broker.ErrClientClosed {
+			close(s.out)
 			return
-		default:
 		}
-		ev, err := s.client.Next(500 * time.Millisecond)
 		if err != nil {
-			if err == broker.ErrClientClosed {
-				close(s.out)
-				return
-			}
-			continue
+			return // closed
 		}
 		if ev.Type != event.TypePublish {
 			continue

@@ -27,6 +27,12 @@ type session struct {
 func newSession(t *testing.T, seed int64) *session {
 	t.Helper()
 	t.Parallel()
+	return startSession(t, seed)
+}
+
+// startSession starts a session; its cleanups close everything it opened.
+func startSession(t *testing.T, seed int64) *session {
+	t.Helper()
 	net := simnet.NewPaperWAN(simnet.Config{Seed: seed})
 	rng := rand.New(rand.NewSource(seed))
 
@@ -65,9 +71,7 @@ func newSession(t *testing.T, seed int64) *session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The client first: a publisher's (and a subscriber's) receive loop
-	// waits out a 500 ms receive on an open client before it sees Close.
-	t.Cleanup(func() { pubClient.Close(); pub.Close() })
+	t.Cleanup(pub.Close)
 
 	subNode, _ := mkNode("sub")
 	subClient, err := broker.Connect(subNode, b.StreamAddr(), "sub")
@@ -76,7 +80,7 @@ func newSession(t *testing.T, seed int64) *session {
 	}
 	t.Cleanup(subClient.Close)
 	sub := NewSubscriber(subClient)
-	t.Cleanup(func() { subClient.Close(); sub.Close() })
+	t.Cleanup(sub.Close)
 
 	return &session{net: net, b: b, pub: pub, sub: sub}
 }

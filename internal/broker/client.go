@@ -98,6 +98,9 @@ func (c *Client) Publish(topic string, payload []byte) error {
 // ErrClientClosed is returned by Next after Close.
 var ErrClientClosed = errors.New("broker: client closed")
 
+// ErrStopped is returned by NextUntil when its stop channel closes first.
+var ErrStopped = errors.New("broker: receive stopped")
+
 // Next blocks for the next delivered event, up to the timeout (0 = forever).
 // Events already queued are still delivered after Close.
 func (c *Client) Next(timeout time.Duration) (*event.Event, error) {
@@ -111,6 +114,18 @@ func (c *Client) Next(timeout time.Duration) (*event.Event, error) {
 	if timeout > 0 {
 		expire = c.clock.After(timeout)
 	}
+	return c.next(expire, nil)
+}
+
+// NextUntil blocks for the next delivered event until stop is closed, and
+// then returns ErrStopped: a loop that owns the client's event stream ends
+// the moment it is asked to, with no poll to wait out.
+func (c *Client) NextUntil(stop <-chan struct{}) (*event.Event, error) {
+	return c.next(nil, stop)
+}
+
+// next waits for an event, Close, expire or stop; a nil channel never fires.
+func (c *Client) next(expire <-chan time.Time, stop <-chan struct{}) (*event.Event, error) {
 	select {
 	case ev := <-c.inbox:
 		return ev, nil
@@ -123,6 +138,8 @@ func (c *Client) Next(timeout time.Duration) (*event.Event, error) {
 		}
 	case <-expire:
 		return nil, transport.ErrTimeout
+	case <-stop:
+		return nil, ErrStopped
 	}
 }
 

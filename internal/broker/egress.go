@@ -51,13 +51,6 @@ func (t *egressTel) clock() time.Time {
 	return time.Now()
 }
 
-// inlineMax is the frame size from which a frame is never written by a
-// reader: a frame this large is bulk, its write takes long enough to be worth
-// a writer of its own, and a reader that made it would stall its own input.
-// The bound is on the frame, an observable input property; it puts 16 KiB
-// bulk payloads on the writer goroutine and small publishes on the reader.
-const inlineMax = 16 << 10
-
 // Write token states. Whoever holds the token is the connection's one writer.
 const (
 	tokenFree   int32 = iota
@@ -78,9 +71,9 @@ const (
 //     (flushSet): one non-blocking vectored write of up to maxCoalesce
 //     frames, no goroutine woken.
 //   - The writer goroutine, woken only when a reader cannot finish — the
-//     connection took part of the batch, more than one batch is queued, a
-//     frame is inlineMax or larger — or by every other enqueue (heartbeats,
-//     interest control, UDP-ingress discovery, in-process Publish).
+//     connection took part of the batch, or more than one batch is queued —
+//     or by every other enqueue (heartbeats, interest control, UDP-ingress
+//     discovery, in-process Publish).
 //     It writes with blocking calls, up to maxCoalesce frames per write.
 //
 // Two enqueue disciplines implement the fabric's policies:
@@ -114,7 +107,6 @@ type egress struct {
 	bufs   [][]byte
 	wire   int
 	sent   int
-	large  bool // a frame of the batch is inlineMax or larger
 
 	tel  *egressTel // shared instruments; never nil
 	dest string     // "local" (client) or "link", stamped on spans
@@ -227,14 +219,14 @@ func (q *egress) flushInline() {
 // With wait it blocks until the queue is empty, and reports false when the
 // connection failed: the batch is then dropped and the connection closed.
 // Without wait it makes at most one non-blocking write, and reports false
-// when what is left — the rest of a batch, more than one batch, a frame of
-// inlineMax or more, or a failure — is the writer goroutine's.
+// when what is left — the rest of a batch, more than one batch, or a
+// failure — is the writer goroutine's.
 func (q *egress) drain(wait bool) bool {
 	for {
 		if len(q.frames) == 0 && !q.collect() {
 			return true
 		}
-		if !wait && (q.large || len(q.ch) > 0) {
+		if !wait && len(q.ch) > 0 {
 			return false
 		}
 		if err := q.write(wait); err != nil {
@@ -265,13 +257,12 @@ func (q *egress) drain(wait bool) bool {
 // collect takes up to maxCoalesce queued frames as the new batch and reports
 // whether there were any.
 func (q *egress) collect() bool {
-	q.wire, q.sent, q.large = 0, 0, false
+	q.wire, q.sent = 0, 0
 	for len(q.frames) < maxCoalesce {
 		select {
 		case f := <-q.ch:
 			q.frames = append(q.frames, f)
 			q.wire += transport.PrefixLen + len(f.buf)
-			q.large = q.large || len(f.buf) >= inlineMax
 		default:
 			return len(q.frames) > 0
 		}
@@ -377,11 +368,9 @@ func (q *egress) sendData(f *sharedFrame, set *flushSet) {
 		q.drop(f, obs.DropFrameTooLarge)
 		return
 	}
-	// Decided before the frame is queued: once it is, a writer may release it.
-	small := len(f.buf) < inlineMax
 	select {
 	case q.ch <- f:
-		q.queued(small, set)
+		q.queued(set)
 		return
 	default:
 	}
@@ -394,18 +383,18 @@ func (q *egress) sendData(f *sharedFrame, set *flushSet) {
 	}
 	select {
 	case q.ch <- f:
-		q.queued(small, set)
+		q.queued(set)
 	default:
 		q.drop(f, obs.DropQueueFull)
 	}
 }
 
 // queued arranges the write of the frame just queued: the reader that queued
-// it writes it (set takes the queue) when it passed a set, the frame is small
-// (below inlineMax) and the queue holds no more than one batch; in every
-// other case the writer goroutine is woken now.
-func (q *egress) queued(small bool, set *flushSet) {
-	if set != nil && small && len(q.ch) <= maxCoalesce {
+// it writes it (set takes the queue) when it passed a set and the queue holds
+// no more than one batch, whatever the frame's size; in every other case the
+// writer goroutine is woken now.
+func (q *egress) queued(set *flushSet) {
+	if set != nil && len(q.ch) <= maxCoalesce {
 		set.add(q)
 	} else {
 		q.wake()

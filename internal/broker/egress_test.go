@@ -260,6 +260,32 @@ func TestEgressCoalescesBatches(t *testing.T) {
 	}
 }
 
+// TestEgressReaderWritesEverySize: a reader's flush writes what it queued
+// itself, bulk frames as well as small ones, in one non-blocking write, and
+// wakes no writer goroutine (none runs here, so a frame left to it would
+// stay queued).
+func TestEgressReaderWritesEverySize(t *testing.T) {
+	tt := newTestTel()
+	pool := newTestPool()
+	conn := &batchRecConn{gate: make(chan struct{})}
+	close(conn.gate)
+	q := newEgress(fakeConn{write: conn.writeBatch}, &tt.tel, "local")
+	var set flushSet
+	for _, size := range []int{64 << 10, 16 << 10, 100} {
+		q.sendData(frameOf(pool, make([]byte, size), 1), &set)
+	}
+	set.flush()
+	if conn.total() != 3 || conn.batches() != 1 {
+		t.Fatalf("the reader wrote %d frames in %d writes, want 3 in 1", conn.total(), conn.batches())
+	}
+	if len(q.kick) != 0 || q.depth() != 0 {
+		t.Fatalf("writer woken (%d kicks), %d frames left queued", len(q.kick), q.depth())
+	}
+	if live := pool.Live(); live != 0 {
+		t.Fatalf("%d frame references leaked", live)
+	}
+}
+
 // TestEgressDropReasons proves drops are classified by cause: an oversized
 // frame is rejected as frame_too_large, frames stranded or offered after the
 // writer died count as conn_down, and neither path leaks a frame reference.
@@ -578,8 +604,8 @@ func slowConsumerIsolation(t *testing.T, br *Broker) {
 		}
 	}
 
-	// Frames of 8 KiB — below inlineMax, so the readers write them — fill
-	// the stalled socket in few publishes (simnet counts frames: its
+	// Frames of 8 KiB — which the readers write, as they do every frame —
+	// fill the stalled socket in few publishes (simnet counts frames: its
 	// 1024-frame receive backlog, then its transmit queue); more than a
 	// queue's worth follow the first overflow.
 	payload := make([]byte, 8<<10)

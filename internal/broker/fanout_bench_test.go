@@ -181,23 +181,30 @@ func BenchmarkPublishFanoutSampled(b *testing.B) {
 // allocation the benchmark reports is made on the broker's side of the socket
 // — and in steady state there must be none (the bench gate holds every
 // sub-benchmark at 0 allocs/op). In subs=4 and subs=64 the subscribers are
-// discard-everything queues; in subs=4/sockets they are real loopback
+// discard-everything queues; in the /sockets rungs they are real loopback
 // connections drained by reader goroutines, so the rung includes the writev
-// the broker's reader makes for them.
+// the broker's reader makes for them, and payload=16384 carries bulk frames
+// to one subscriber or four. A socket rung fails if the broker drops a frame.
 func BenchmarkIngressToEgress(b *testing.B) {
 	for _, subs := range []int{4, 64} {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) { benchIngressToEgress(b, subs, false) })
+		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) { benchIngressToEgress(b, subs, false, 256) })
 	}
-	b.Run("subs=4/sockets", func(b *testing.B) { benchIngressToEgress(b, 4, true) })
+	b.Run("subs=4/sockets", func(b *testing.B) { benchIngressToEgress(b, 4, true, 256) })
+	for _, subs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("subs=%d/sockets/payload=16384", subs), func(b *testing.B) {
+			benchIngressToEgress(b, subs, true, 16<<10)
+		})
+	}
 }
 
-func benchIngressToEgress(b *testing.B, subs int, sockets bool) {
+func benchIngressToEgress(b *testing.B, subs int, sockets bool, size int) {
 	const topic = "bench/ingress/topic"
 	br := realBroker(b, "ingress", nil)
-	// delivered counts what the subscribers got: frames read off their
-	// sockets, or frames routed to their queues.
-	delivered := br.tel.deliveredLocal.Value
-	var received atomic.Uint64
+	// delivered counts what the subscribers got: with sockets, the frames the
+	// slowest subscriber has read off its socket; without, the frames routed
+	// to all the queues together.
+	delivered, per := br.tel.deliveredLocal.Value, uint64(subs)
+	received := make([]atomic.Uint64, subs)
 	for i := 0; i < subs; i++ {
 		if !sockets {
 			id := fmt.Sprintf("sub-%d", i)
@@ -209,21 +216,30 @@ func benchIngressToEgress(b *testing.B, subs int, sockets bool) {
 		}
 		conn := rawSubscriber(b, br, topic)
 		go func() {
-			buf := make([]byte, 0, 4096)
+			buf := make([]byte, 0, 2*size+4096)
 			for {
 				var err error
 				if buf, err = conn.RecvInto(buf); err != nil {
 					return
 				}
-				received.Add(1)
+				received[i].Add(1)
 			}
 		}()
-		delivered = received.Load
+	}
+	if sockets {
+		per = 1
+		delivered = func() uint64 {
+			least := received[0].Load()
+			for i := range received {
+				least = min(least, received[i].Load())
+			}
+			return least
+		}
 	}
 	pub := rawConn(b, br)
 
 	const batch = 32 // frames per vectored write, as an egress flush would coalesce
-	payload := make([]byte, 256)
+	payload := make([]byte, size)
 	frames := make([][]byte, batch)
 	idOff := make([]int, batch)
 	for i := range frames {
@@ -247,10 +263,12 @@ func benchIngressToEgress(b *testing.B, subs int, sockets bool) {
 	publish := func(n int) {
 		for sent := 0; sent < n; sent += batch {
 			k := min(batch, n-sent)
-			// Sockets push back: keep each subscriber's queue short of
-			// drop-oldest, which would lose frames the count waits for.
-			if lag := egressQueueSize / 2 * uint64(subs); sockets && seq*uint64(subs) > lag {
-				await(seq*uint64(subs) - lag)
+			// Sockets push back: keep every subscriber's queue short of
+			// drop-oldest, which would lose frames the count waits for. The
+			// bound is on each subscriber, so one starved reader cannot fall
+			// a whole queue behind while the others run ahead.
+			if lag := uint64(egressQueueSize / 2); sockets && seq > lag {
+				await(seq - lag)
 			}
 			for i := 0; i < k; i++ {
 				seq++
@@ -262,8 +280,9 @@ func benchIngressToEgress(b *testing.B, subs int, sockets bool) {
 		}
 		// Flow-control on the delivery count so the timed region covers the
 		// routing (and with sockets the writing) of every frame.
-		await(seq * uint64(subs))
+		await(seq * per)
 	}
+	dropped := br.EgressDropped()
 	publish(20000) // fill the frame pool, the dedup ring and the scratch slices
 
 	b.SetBytes(int64(len(payload)))
@@ -271,6 +290,9 @@ func benchIngressToEgress(b *testing.B, subs int, sockets bool) {
 	b.ResetTimer()
 	publish(b.N)
 	b.StopTimer()
+	if n := br.EgressDropped() - dropped; sockets && n != 0 {
+		b.Fatalf("%d frames dropped by the broker's egress queues", n)
+	}
 }
 
 // queueStates describes every client queue of br: its depth and who holds

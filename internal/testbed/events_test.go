@@ -5,6 +5,7 @@ package testbed
 import (
 	"fmt"
 	"testing"
+	"testing/synctest"
 	"time"
 
 	"narada/internal/obs"
@@ -140,9 +141,10 @@ func TestKillLosesAtMostOneInterval(t *testing.T) {
 			Watch:   col.WatchPlane,
 		})
 		journal := tb.brokerDeps["broker-k"].cfg.Journal
-		// The plane's start-up scrape races the broker's Start at one
-		// instant, so node_start rides it or the next scrape on the grid.
-		until(t, time.Second, "broker-k's node_start scraped", func() bool { return col.EventCount() > 0 })
+		synctest.Wait()
+		if col.EventCount() == 0 { // the first scrape carried node_start
+			t.Fatal("broker-k never scraped")
+		}
 
 		for i := 0; i < 100; i++ {
 			journal.Emit(obs.EventReconnectAttempt, "burst-peer", fmt.Sprintf("attempt=%d", i))

@@ -185,7 +185,8 @@ type Testbed struct {
 	probeSeq int // chaos probe topic/client uniquifier
 }
 
-// watched is a node's plane and the stop its Watch returned.
+// watched is a node's plane and the stop its Watch returned (nil until the
+// node is watched).
 type watched struct {
 	p    *plane.Plane
 	stop func()
@@ -235,6 +236,7 @@ func New(opts Options) (*Testbed, error) {
 			Clock:    net.Clock().Now,
 			Registry: obs.NewRegistry(),
 		}).Journal
+		tb.watch("testbed")
 	}
 
 	// BDNs: gridservicelocator.org at the primary site, further replicas
@@ -374,21 +376,33 @@ func (tb *Testbed) obsFor(name string, ntp *ntptime.Service) obs.Handle {
 	return tb.startPlane(plane.Config{Node: name, Offset: ntp.Offset, Clock: ntp.Local().Now})
 }
 
-// startPlane starts one node's plane, hands it to Watch and keeps it for
-// Close (or a Kill of that node) to stop and tear down. Testbed nodes share
-// one OS process, so their planes are embedded: no process metrics, no
-// logger to configure, and so no error from Start.
+// startPlane starts one node's plane and keeps it for Close (or a Kill of
+// that node) to stop and tear down. Testbed nodes share one OS process, so
+// their planes are embedded: no process metrics, no logger to configure, and
+// so no error from Start.
 func (tb *Testbed) startPlane(cfg plane.Config) obs.Handle {
 	cfg.Embedded = true
 	p, _ := plane.Start(cfg)
-	tb.planes[cfg.Node] = watched{p: p, stop: tb.opts.Watch(p)}
+	tb.planes[cfg.Node] = watched{p: p}
 	return p.Handle()
+}
+
+// watch hands the named node's plane to Watch, once the node has started:
+// the first scrape runs at once, and so carries what the start journaled
+// (node_start) rather than racing it. A node without a plane is not watched.
+func (tb *Testbed) watch(name string) {
+	if w, ok := tb.planes[name]; ok && w.stop == nil {
+		w.stop = tb.opts.Watch(w.p)
+		tb.planes[name] = w
+	}
 }
 
 // closePlane takes the named node's final scrape and closes its plane.
 func (tb *Testbed) closePlane(name string) {
 	if w, ok := tb.planes[name]; ok {
-		w.stop()
+		if w.stop != nil {
+			w.stop()
+		}
 		w.p.Close()
 		delete(tb.planes, name)
 	}
@@ -441,6 +455,7 @@ func (tb *Testbed) NewDiscoverer(site, name string, cfg core.Config) *core.Disco
 		cfg.Handle = tb.obsFor(cfg.NodeName, ntp)
 	}
 	d := core.NewDiscoverer(node, ntp, cfg)
+	tb.watch(cfg.NodeName)
 	tb.discoverers = append(tb.discoverers, d)
 	return d
 }
@@ -506,6 +521,7 @@ func (tb *Testbed) startBroker(name string) (*broker.Broker, error) {
 	if err := b.Start(); err != nil {
 		return nil, fmt.Errorf("testbed: starting %s: %w", name, err)
 	}
+	tb.watch(name)
 	tb.Brokers = append(tb.Brokers, b)
 	dep.cfg.StreamPort, dep.cfg.UDPPort = simPort(b.StreamAddr()), simPort(b.UDPAddr())
 	if dep.spec.Register {
@@ -529,6 +545,7 @@ func (tb *Testbed) startBDN(name string) (*bdn.BDN, error) {
 	if err := d.Start(); err != nil {
 		return nil, fmt.Errorf("testbed: starting bdn %s: %w", name, err)
 	}
+	tb.watch(name)
 	tb.BDNs = append(tb.BDNs, d)
 	tb.BDN = tb.BDNs[0]
 	dep.cfg.StreamPort, dep.cfg.UDPPort = simPort(d.Addr()), simPort(d.UDPAddr())

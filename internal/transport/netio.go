@@ -19,7 +19,12 @@ func (s *connIO) init(c net.Conn) {
 	s.raw.init(c)
 }
 
-func (s *connIO) Read(p []byte) (int, error) { return s.c.Read(p) }
+// scatterRead is false here: readv reads into its first buffer only.
+const scatterRead = false
+
+// readv reads into the first of bufs, which is not empty: without a raw
+// readv there is no read-ahead behind a frame's own storage.
+func (s *connIO) readv(bufs ...[]byte) (int, error) { return s.c.Read(bufs[0]) }
 
 // writev writes bufs. With wait it blocks until every byte is written;
 // without, it writes what the socket takes now, possibly nothing.

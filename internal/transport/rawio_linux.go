@@ -13,7 +13,7 @@ import (
 	"unsafe"
 )
 
-// On Linux every socket call on the hot paths — a stream's read and writev,
+// On Linux every socket call on the hot paths — a stream's readv and writev,
 // a datagram's recvfrom and sendto — is a syscall.RawSyscall made inside a
 // syscall.RawConn callback. The callback reports EAGAIN by returning false,
 // and the runtime parks the goroutine on the poller until the socket is
@@ -30,8 +30,9 @@ import (
 type connIO struct {
 	rc syscall.RawConn
 
-	// Read state, guarded by realConn.readMu.
-	rbuf   []byte
+	// Read state, guarded by realConn.readMu: the call's vectors.
+	riov   [3]syscall.Iovec
+	rvecs  int
 	rn     int
 	rerrno syscall.Errno
 	readFn func(fd uintptr) bool
@@ -53,20 +54,29 @@ func (s *connIO) init(c net.Conn) {
 	s.readFn, s.writeFn = s.read, s.write
 }
 
-// Read implements io.Reader: one read(2), parked on the poller while the
-// socket is empty. A peer's orderly close is io.EOF.
-func (s *connIO) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
+// scatterRead is true where a stream's readv fills every buffer it is given
+// in one call: here, a raw readv(2).
+const scatterRead = true
+
+// readv reads into bufs in order, at most three of them, with one readv(2),
+// parked on the poller while the socket is empty. The first is not empty. A
+// peer's orderly close is io.EOF.
+func (s *connIO) readv(bufs ...[]byte) (int, error) {
+	s.rvecs = 0
+	for _, b := range bufs {
+		if len(b) > 0 {
+			s.riov[s.rvecs].Base = &b[0]
+			s.riov[s.rvecs].SetLen(len(b))
+			s.rvecs++
+		}
 	}
-	s.rbuf = p
 	err := s.rc.Read(s.readFn)
-	s.rbuf = nil
+	s.riov = [3]syscall.Iovec{} // hold no buffer past the call
 	switch {
 	case err != nil:
 		return 0, err
 	case s.rerrno != 0:
-		return 0, os.NewSyscallError("read", s.rerrno)
+		return 0, os.NewSyscallError("readv", s.rerrno)
 	case s.rn == 0:
 		return 0, io.EOF
 	}
@@ -75,8 +85,8 @@ func (s *connIO) Read(p []byte) (int, error) {
 
 func (s *connIO) read(fd uintptr) bool {
 	for {
-		n, _, e := syscall.RawSyscall(syscall.SYS_READ, fd,
-			uintptr(unsafe.Pointer(&s.rbuf[0])), uintptr(len(s.rbuf)))
+		n, _, e := syscall.RawSyscall(syscall.SYS_READV, fd,
+			uintptr(unsafe.Pointer(&s.riov[0])), uintptr(s.rvecs))
 		switch e {
 		case syscall.EINTR:
 			continue

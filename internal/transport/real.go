@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -269,17 +268,16 @@ func (p *realPacketConn) Close() error {
 // recvBufSize is the per-connection read buffer. 32 KiB holds a full egress
 // flush of small publishes (maxCoalesce = 64 frames of a few hundred bytes),
 // so one read syscall drains a whole burst, and it is as much as a loopback
-// or LAN read returns at once anyway; frames larger than what is buffered
-// bypass it (see recvInto), so a bigger buffer would only add idle memory per
-// connection.
+// or LAN read returns at once anyway; the rest of a frame larger than what is
+// buffered is read straight into its destination (see recvInto), so a bigger
+// buffer would only add idle memory per connection.
 const recvBufSize = 32 << 10
 
-// readerPool recycles read buffers across connections. Discovery dials a
-// fresh stream per request, so a buffer allocated (and zeroed) at each end of
-// every connection would add a 32 KiB allocation per request to the
-// discovery path. A connection takes a reader on its first receive and hands
-// it back when its receive side ends.
-var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, recvBufSize) }}
+// readBufPool recycles read buffers across connections: a broker accepts a
+// stream per client, link and BDN session, and each end of each would
+// otherwise allocate (and zero) 32 KiB. A connection takes a buffer on its
+// first receive and hands it back when its receive side ends.
+var readBufPool = sync.Pool{New: func() any { return new([recvBufSize]byte) }}
 
 // PrefixLen is the size of the big-endian length prefix in front of every
 // frame on a real stream: what WriteBatch counts per frame besides its
@@ -292,14 +290,17 @@ type realConn struct {
 	readMu  sync.Mutex
 	writeMu sync.Mutex
 
-	// Receive state, guarded by readMu. br (from readerPool, nil before the
-	// first receive and after the last) drains many frames per read syscall.
-	// readErr is sticky and ends the receive side: the peer is gone, the
-	// connection was closed, or a frame was consumed part-way (prefix taken,
-	// payload cut short by a deadline or a reset) so the stream position is
-	// lost — every later receive must fail rather than parse payload bytes as
-	// a length.
-	br      *bufio.Reader
+	// Receive state, guarded by readMu. rbuf (from readBufPool, nil before
+	// the first receive and after the last) holds what was read ahead of the
+	// frames received so far, rbuf[r:w], so many small frames arrive per read
+	// syscall. readErr is sticky and ends the receive side: the peer is gone,
+	// the connection was closed, or a frame was consumed part-way (prefix
+	// taken, payload cut short by a deadline or a reset) so the stream
+	// position is lost — every later receive must fail rather than parse
+	// payload bytes as a length.
+	rbuf    *[recvBufSize]byte
+	r, w    int
+	hdr     [PrefixLen]byte // readFrame's length prefix
 	readErr error
 
 	// Batch-write scratch, guarded by writeMu: headers for every frame of a
@@ -307,7 +308,7 @@ type realConn struct {
 	batchHdrs []byte
 	batchBufs [][]byte
 
-	// sock is c's reads (br's source) and vectored writes.
+	// sock is c's reads and vectored writes.
 	sock connIO
 }
 
@@ -321,10 +322,9 @@ func newRealConn(c net.Conn) *realConn {
 // buffer back to the pool. Caller holds readMu.
 func (c *realConn) endRecv(err error) {
 	c.readErr = err
-	if c.br != nil {
-		c.br.Reset(nil)
-		readerPool.Put(c.br)
-		c.br = nil
+	if c.rbuf != nil {
+		readBufPool.Put(c.rbuf)
+		c.rbuf, c.r, c.w = nil, 0, 0
 	}
 }
 
@@ -392,15 +392,23 @@ func (c *realConn) RecvInto(buf []byte) ([]byte, error) { return c.recvInto(buf,
 // not consumed, until it is whole, so a deadline that expires between frames
 // (or inside the prefix) leaves the stream in sync and the next receive
 // simply resumes; any other failure ends the receive side (endRecv).
+//
+// Each byte is copied once out of the kernel, and a frame's bytes are copied
+// again only when they were read ahead behind an earlier one. With nothing
+// read ahead and storage of its own, a receive reads the prefix, the frame
+// into that storage and what follows into the read buffer in one readv
+// (readFrame). A frame only partly read ahead takes its buffered part; the
+// rest is read by one readv whose first vector is the frame's own storage
+// and whose second the emptied read buffer. So a bulk payload lands where
+// the caller wants it, and small frames still arrive many per read.
 func (c *realConn) recvInto(buf []byte, d time.Duration) ([]byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
 	if c.readErr != nil {
 		return nil, c.readErr
 	}
-	if c.br == nil {
-		c.br = readerPool.Get().(*bufio.Reader)
-		c.br.Reset(&c.sock)
+	if c.rbuf == nil {
+		c.rbuf = readBufPool.Get().(*[recvBufSize]byte)
 	}
 	if d > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(d)); err != nil {
@@ -408,50 +416,102 @@ func (c *realConn) recvInto(buf []byte, d time.Duration) ([]byte, error) {
 		}
 		defer c.c.SetReadDeadline(time.Time{}) //nolint:errcheck
 	}
-	hdr, err := c.br.Peek(4)
+	n, got := -1, 0 // the frame's length, once its prefix is consumed, and its bytes in buf
+	var err error
+	if scatterRead && c.r == c.w && cap(buf) > 0 {
+		n, got, err = c.readFrame(buf[:min(cap(buf), maxDirect)])
+	}
+	for err == nil && n < 0 && c.w-c.r < PrefixLen {
+		err = c.fill()
+	}
 	if err != nil {
 		if err = translateNetErr(err); !errors.Is(err, ErrTimeout) {
 			c.endRecv(err)
 		}
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr))
+	if n < 0 {
+		n = int(binary.BigEndian.Uint32(c.rbuf[c.r:]))
+		c.r += PrefixLen
+	}
 	if n > MaxFrame {
 		c.endRecv(fmt.Errorf("transport: incoming frame of %d bytes exceeds limit", n))
 		return nil, c.readErr
 	}
-	c.br.Discard(4) //nolint:errcheck // the 4 bytes are buffered
 	if buf == nil || cap(buf) < n {
-		buf = make([]byte, n)
+		buf = append(make([]byte, 0, n), buf[:got]...)
 	}
 	buf = buf[:n]
-	// Take what is already buffered, then read the rest of a frame larger
-	// than that straight into its destination: a bulk payload is copied once,
-	// not staged through the read buffer.
-	got := min(n, c.br.Buffered())
-	_, err = io.ReadFull(c.br, buf[:got])
-	if err == nil && got < n {
-		_, err = io.ReadFull(&c.sock, buf[got:])
-	}
-	if err != nil {
-		err = translateNetErr(err)
-		// Not ErrTimeout, even when a deadline caused it: a caller that polls
-		// with RecvTimeout must see a dead connection, not spin on it.
-		c.endRecv(fmt.Errorf("transport: stream position lost, a receive failed mid-frame: %v", err))
-		return nil, err
+	k := copy(buf[got:], c.rbuf[c.r:c.w])
+	c.r += k
+	for got += k; got < n; got += k { // the read buffer is empty: c.r == c.w
+		if k, err = c.sock.readv(buf[got:], c.rbuf[:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			err = translateNetErr(err)
+			// Not ErrTimeout, even when a deadline caused it: a caller that
+			// polls with RecvTimeout must see a dead connection, not spin on
+			// it.
+			c.endRecv(fmt.Errorf("transport: stream position lost, a receive failed mid-frame: %v", err))
+			return nil, err
+		}
+		if k > n-got {
+			c.r, c.w = 0, k-(n-got)
+			k = n - got
+		}
 	}
 	return buf, nil
+}
+
+// maxDirect bounds the storage of its own a receive reads a frame into
+// together with its prefix (readFrame), so that at least half the read
+// buffer is left for what follows the frame.
+const maxDirect = recvBufSize / 2
+
+// readFrame is the first read of a receive that finds nothing read ahead:
+// one readv of the length prefix into hdr, the frame into dst and what
+// follows it into the read buffer behind len(dst) bytes. It returns the
+// frame's length and how many of its bytes are in dst once the prefix is
+// whole, else n < 0 with the part of the prefix read left in the read
+// buffer. Bytes of later frames that landed in dst move into the read buffer
+// just in front of those read ahead, so the read buffer holds the stream
+// after the frame's bytes in dst, in order. Caller holds readMu.
+func (c *realConn) readFrame(dst []byte) (n, got int, err error) {
+	k, err := c.sock.readv(c.hdr[:], dst, c.rbuf[len(dst):])
+	if err != nil {
+		return -1, 0, err
+	}
+	if k < PrefixLen {
+		c.r, c.w = 0, copy(c.rbuf[:], c.hdr[:k])
+		return -1, 0, nil
+	}
+	n = int(binary.BigEndian.Uint32(c.hdr[:]))
+	inDst := min(k-PrefixLen, len(dst))
+	got = min(inDst, n)
+	c.r = len(dst) - copy(c.rbuf[len(dst)-(inDst-got):], dst[got:inDst])
+	c.w = len(dst) + max(k-PrefixLen-len(dst), 0)
+	return n, got, nil
+}
+
+// fill reads more of the stream into the read buffer, behind the part of a
+// length prefix it holds. Caller holds readMu.
+func (c *realConn) fill() error {
+	c.w = copy(c.rbuf[:], c.rbuf[c.r:c.w])
+	c.r = 0
+	k, err := c.sock.readv(c.rbuf[c.w:])
+	c.w += k
+	return err
 }
 
 // FrameBuffered implements Conn.
 func (c *realConn) FrameBuffered() bool {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
-	if c.br == nil || c.readErr != nil || c.br.Buffered() < PrefixLen {
+	if c.rbuf == nil || c.readErr != nil || c.w-c.r < PrefixLen {
 		return false
 	}
-	hdr, _ := c.br.Peek(PrefixLen) // buffered: no read, no error
-	return int(binary.BigEndian.Uint32(hdr))+PrefixLen <= c.br.Buffered()
+	return int(binary.BigEndian.Uint32(c.rbuf[c.r:]))+PrefixLen <= c.w-c.r
 }
 
 func (c *realConn) LocalAddr() string  { return c.c.LocalAddr().String() }

@@ -64,8 +64,9 @@ type Conn interface {
 	RecvTimeout(d time.Duration) ([]byte, error)
 	// RecvInto receives the next frame into storage the caller owns when it
 	// can: in buf's backing array when its capacity suffices (buf's length
-	// and contents are ignored), otherwise in a slice the caller adopts
-	// (simnet always returns the copy it made at send).
+	// and contents are ignored, and a receive may write anywhere up to its
+	// capacity), otherwise in a slice the caller adopts (simnet always
+	// returns the copy it made at send).
 	RecvInto(buf []byte) ([]byte, error)
 	// FrameBuffered reports whether the next frame has already arrived
 	// whole, so that the next receive returns without waiting.

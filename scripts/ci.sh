@@ -2,7 +2,8 @@
 # ci.sh is the complete pre-merge gate: the tier-1 verify target (build, vet,
 # gofmt, tests, the whole tree again under the race detector, the exact lane
 # included both times, and nbexp's model-time output compared across
-# GOMAXPROCS and -race: make exact), a vet for darwin and a build for windows
+# GOMAXPROCS and -race: make exact), ten seconds of fuzzing the stream
+# framing over a loopback socket, a vet for darwin and a build for windows
 # (the platforms without raw socket calls), the BDN package (its table exchange
 # included) and the broker, transport and simnet packages (every
 # simulated broker test runs the egress write token), wall and exact-lane
@@ -26,6 +27,11 @@ cd "$(dirname "$0")/.."
 
 echo "ci: make verify"
 make verify
+
+# The stream framing is the first decoder every byte from the network meets:
+# a short fuzz of frame sizes and write boundaries over a loopback socket.
+echo "ci: go test -run '^\$' -fuzz FuzzStreamFraming -fuzztime 10s ./internal/transport"
+go test -run '^$' -fuzz FuzzStreamFraming -fuzztime 10s ./internal/transport
 
 # Linux issues its socket calls raw (internal/transport/rawio_linux.go); every
 # other platform builds the net fallback, which nothing here would run.
